@@ -1,7 +1,7 @@
 //! Criterion micro-benchmark: PDG construction (alias analysis, affine
 //! subscripts, dependence tests, control dependence) per NAS kernel —
 //! bucketed builder vs the naive all-pairs oracle, plus the
-//! whole-module parallel driver.
+//! per-function module loop (analyses included).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pspdg_nas::{suite, Class};
@@ -31,8 +31,13 @@ fn bench_pdg(c: &mut Criterion) {
                 }
             })
         });
-        group.bench_function(format!("{}_module_parallel", b.name), |bench| {
-            bench.iter(|| black_box(Pdg::build_module(&p.module)))
+        group.bench_function(format!("{}_module_loop", b.name), |bench| {
+            bench.iter(|| {
+                for f in p.module.function_ids() {
+                    let a = FunctionAnalyses::compute(&p.module, f);
+                    black_box(Pdg::build(&p.module, f, &a));
+                }
+            })
         });
     }
     group.finish();

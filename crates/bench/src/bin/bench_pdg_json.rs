@@ -2,17 +2,16 @@
 //! assemble timings for the NAS `Class::Test` suite plus the statically
 //! scaled SYNTH widths, comparing
 //!
-//! * the naive all-pairs dependence oracle vs the bucketed builder vs the
-//!   cost-gated module engine (PDG construction, `Pdg::build_module` —
-//!   which inlines small modules and DAG-schedules large ones), and
+//! * the naive all-pairs dependence oracle vs the bucketed builder, and
+//!   the per-function `FunctionAnalyses::compute` + `Pdg::build` loop
+//!   (analyses included), and
 //! * re-assembling the PS-PDG's effective graph after a directive-set
 //!   change through the [`pspdg_pdg::EffectiveView`] **overlay** vs
 //!   materializing an owned graph (the old clone-every-edge assemble),
 //!
-//! plus a **module-scale** section: `synth::module` (a ≥1000-function
-//! program) built through [`pspdg_pdg::build_module_with`] across worker
-//! counts, against the plain sequential per-function loop the engine
-//! replaced — the scaling figure for the DAG-scheduled analysis engine.
+//! plus a **module-scale** section: the same per-function loop over
+//! `synth::module` (a ≥1000-function program), checked untimed against
+//! the naive oracle.
 //!
 //! The overlay's per-edge clone count (`overlay_clone_edges`, its sparse
 //! rewrite entries) is surfaced so CI can assert the rebuild path
@@ -28,21 +27,18 @@
 //! `--smoke` runs fewer samples and asserts the overlay invariants
 //! (SYNTH clone counts zero; overlay re-assemble at least 3x faster than
 //! the cloned re-assemble at the largest SYNTH width — a margin a
-//! regression to O(E) per-edge work in the overlay path would collapse),
-//! plus the engine invariants: on every Class::Test kernel the gated
-//! module build is no slower than the sequential per-function loop, and
-//! at module scale the engine beats that loop at ≥ 2 workers (asserted
-//! up to the physical core count, floored at 2) while producing
-//! Vec-identical edge arenas (`oracle_mismatches == 0`).
+//! regression to O(E) per-edge work in the overlay path would collapse).
+//! The module-scale oracle (`oracle_mismatches == 0`) is asserted on
+//! every run.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use pspdg_core::{build_pspdg_with_refs, FeatureSet};
 use pspdg_nas::{suite, synth, Class};
 use pspdg_parallel::ParallelProgram;
-use pspdg_pdg::{build_module_with, EngineConfig, FunctionAnalyses, FunctionPdg, MemRef, Pdg};
-use pspdg_pool::WorkerPool;
+use pspdg_pdg::{FunctionAnalyses, MemRef, Pdg};
 
 /// One timed run of `f`, in nanoseconds.
 fn one_run_ns(f: &mut dyn FnMut()) -> u64 {
@@ -67,22 +63,17 @@ fn time_all(samples: usize, fns: &mut [&mut dyn FnMut()]) -> Vec<u64> {
     best
 }
 
-/// The pre-engine module driver, reproduced as the baseline the engine
-/// rows compare against: a sequential per-function
-/// `FunctionAnalyses::compute` + `Pdg::build` loop returning the same
-/// retained `Vec<FunctionPdg>` that `Pdg::build_module` returns.
-fn sequential_module(p: &ParallelProgram) -> Vec<FunctionPdg> {
+/// The per-function module loop (what `build_pspdg_module` maps over the
+/// pool): `FunctionAnalyses::compute` + `Pdg::build` for every bodied
+/// function, retaining every result.
+fn sequential_module(p: &ParallelProgram) -> Vec<(FunctionAnalyses, Pdg)> {
     p.module
         .function_ids()
         .filter(|f| !p.module.function(*f).blocks.is_empty())
         .map(|func| {
             let analyses = FunctionAnalyses::compute(&p.module, func);
             let pdg = Pdg::build(&p.module, func, &analyses);
-            FunctionPdg {
-                func,
-                analyses,
-                pdg,
-            }
+            (analyses, pdg)
         })
         .collect()
 }
@@ -145,14 +136,9 @@ fn main() {
             })
             .sum();
 
-        // The module rows also recompute the analyses, so they are not
-        // directly comparable to the two rows before them; they time the
-        // end-to-end (analyses + PDG, all functions) pipeline with the
-        // same output contract — the retained `Vec<FunctionPdg>` the old
-        // driver returned: the plain sequential per-function loop vs the
-        // cost-gated engine behind `Pdg::build_module`. On
-        // Class::Test-sized modules the engine's granularity gate must
-        // keep it inline (and no slower).
+        // The module row also recomputes the analyses, so it is not
+        // directly comparable to the two rows before it: it times the
+        // end-to-end (analyses + PDG, all functions) per-function loop.
         let mut run_seq_module = || {
             std::hint::black_box(sequential_module(p));
         };
@@ -165,9 +151,6 @@ fn main() {
             for x in &prepared {
                 std::hint::black_box(Pdg::build(&p.module, x.func, &x.analyses));
             }
-        };
-        let mut run_module = || {
-            std::hint::black_box(Pdg::build_module(&p.module));
         };
         // Re-assemble after a directive-set change: base PDG, analyses,
         // and refs already exist, only the PS-PDG assemble re-runs. The
@@ -204,40 +187,27 @@ fn main() {
                 &mut run_naive,
                 &mut run_bucketed,
                 &mut run_seq_module,
-                &mut run_module,
                 &mut run_overlay,
                 &mut run_cloned,
             ],
         );
-        let (naive, bucketed, seq_module, module_parallel, overlay, cloned) =
-            (times[0], times[1], times[2], times[3], times[4], times[5]);
+        let (naive, bucketed, seq_module, overlay, cloned) =
+            (times[0], times[1], times[2], times[3], times[4]);
 
         let speedup = naive as f64 / bucketed as f64;
         let assemble_speedup = cloned as f64 / overlay as f64;
         println!(
-            "{:<8} refs {:>5}  edges {:>6}  naive {:>10} ns  bucketed {:>10} ns  speedup {:>5.2}x  seq_module {:>10} ns  module_parallel {:>10} ns  reassemble overlay {:>9} ns  cloned {:>9} ns  ({:>4.2}x, {} clones)",
-            name, refs, edges, naive, bucketed, speedup, seq_module, module_parallel, overlay, cloned, assemble_speedup, overlay_clones
+            "{:<8} refs {:>5}  edges {:>6}  naive {:>10} ns  bucketed {:>10} ns  speedup {:>5.2}x  seq_module {:>10} ns  reassemble overlay {:>9} ns  cloned {:>9} ns  ({:>4.2}x, {} clones)",
+            name, refs, edges, naive, bucketed, speedup, seq_module, overlay, cloned, assemble_speedup, overlay_clones
         );
         if bi > 0 {
             rows.push_str(",\n");
         }
         let _ = write!(
             rows,
-            "    {{\"kernel\": \"{}\", \"mem_refs\": {}, \"pdg_edges\": {}, \"naive_all_pairs_ns\": {}, \"bucketed_ns\": {}, \"speedup\": {:.3}, \"sequential_module_ns\": {}, \"module_parallel_ns\": {}, \"reassemble_overlay_ns\": {}, \"reassemble_cloned_ns\": {}, \"assemble_speedup\": {:.3}, \"overlay_clone_edges\": {}}}",
-            name, refs, edges, naive, bucketed, speedup, seq_module, module_parallel, overlay, cloned, assemble_speedup, overlay_clones
+            "    {{\"kernel\": \"{}\", \"mem_refs\": {}, \"pdg_edges\": {}, \"naive_all_pairs_ns\": {}, \"bucketed_ns\": {}, \"speedup\": {:.3}, \"sequential_module_ns\": {}, \"reassemble_overlay_ns\": {}, \"reassemble_cloned_ns\": {}, \"assemble_speedup\": {:.3}, \"overlay_clone_edges\": {}}}",
+            name, refs, edges, naive, bucketed, speedup, seq_module, overlay, cloned, assemble_speedup, overlay_clones
         );
-
-        if smoke {
-            // The granularity gate's promise: behind `Pdg::build_module`,
-            // a Class::Test-sized module never pays DAG overhead — the
-            // engine must match or beat the sequential per-function loop
-            // it replaced (10% margin for timer noise on tiny kernels).
-            assert!(
-                module_parallel <= seq_module + seq_module / 10,
-                "{name}: gated module build must be no slower than the sequential \
-                 per-function loop ({module_parallel} ns vs {seq_module} ns)"
-            );
-        }
 
         if smoke && name.starts_with("SYNTH") {
             assert_eq!(
@@ -262,17 +232,16 @@ fn main() {
     let module_scale = bench_module_scale(smoke);
 
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::Test + SYNTH static-scaling widths + module-scale engine sweep\",\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples, all functions per kernel\",\n  \"naive\": \"Pdg::build_naive (all-pairs, feature oracle)\",\n  \"bucketed\": \"Pdg::build (per-MemBase buckets)\",\n  \"sequential_module\": \"per-function FunctionAnalyses::compute + Pdg::build loop (the pre-engine module driver)\",\n  \"module_parallel\": \"Pdg::build_module (cost-gated analysis engine: inline when small, DAG-scheduled jobs when large)\",\n  \"reassemble_overlay\": \"PS-PDG assemble after a directive-set change through the EffectiveView overlay (mask + sparse rewrites, no per-edge clone)\",\n  \"reassemble_cloned\": \"the same assemble plus materialize() -- the old clone-every-surviving-edge effective graph\",\n  \"overlay_clone_edges\": \"per-edge clones held by the overlay (sparse rewrites; 0 for directive-free kernels)\",\n  \"kernels\": [\n{rows}\n  ],\n{module_scale}}}\n"
+        "{{\n  \"suite\": \"NAS Class::Test + SYNTH static-scaling widths + module-scale per-function loop\",\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples, all functions per kernel\",\n  \"naive\": \"Pdg::build_naive (all-pairs, feature oracle)\",\n  \"bucketed\": \"Pdg::build (per-MemBase buckets)\",\n  \"sequential_module\": \"per-function FunctionAnalyses::compute + Pdg::build loop (analyses included)\",\n  \"reassemble_overlay\": \"PS-PDG assemble after a directive-set change through the EffectiveView overlay (mask + sparse rewrites, no per-edge clone)\",\n  \"reassemble_cloned\": \"the same assemble plus materialize() -- the old clone-every-surviving-edge effective graph\",\n  \"overlay_clone_edges\": \"per-edge clones held by the overlay (sparse rewrites; 0 for directive-free kernels)\",\n  \"kernels\": [\n{rows}\n  ],\n{module_scale}}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_pdg.json");
     println!("wrote {out_path}");
 }
 
-/// Time `build_module_with` across worker counts on a ≥1000-function
-/// `synth::module` program, against the sequential per-function loop the
-/// engine replaced. Returns the `"module_scale"` JSON object (indented,
-/// trailing newline) and — under `--smoke` — asserts the engine's
-/// acceptance bar: Vec-identical edges and a > 1.0x win at ≥ 2 workers.
+/// Time the per-function loop on a ≥1000-function `synth::module`
+/// program. Returns the `"module_scale"` JSON object (indented, trailing
+/// newline). An untimed pass first checks every function's bucketed edge
+/// set against the naive all-pairs oracle.
 fn bench_module_scale(smoke: bool) -> String {
     const N_FUNCS: usize = 1200;
     const BASES: usize = 32;
@@ -281,91 +250,33 @@ fn bench_module_scale(smoke: bool) -> String {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let cfg = EngineConfig::default();
 
-    // Oracle pass (untimed): the engine must reproduce the sequential
-    // per-function edge arenas exactly, at every worker count.
-    let seq_pdgs: Vec<FunctionPdg> = sequential_module(&p);
-    let refs: usize = seq_pdgs
-        .iter()
-        .map(|x| pspdg_pdg::collect_mem_refs(&p.module, x.func, &x.analyses).len())
-        .sum();
-    let edges: usize = seq_pdgs.iter().map(|x| x.pdg.edges.len()).sum();
-    let mut oracle_mismatches = 0usize;
-    for workers in [1usize, 2, 4] {
-        let pool = WorkerPool::new(workers);
-        let (engine_pdgs, _) = build_module_with(&p.module, &pool, &cfg, None);
-        assert_eq!(engine_pdgs.len(), seq_pdgs.len());
-        for (e, s) in engine_pdgs.iter().zip(&seq_pdgs) {
-            if e.func != s.func || *e.pdg.edges != *s.pdg.edges {
-                oracle_mismatches += 1;
-            }
+    let edge_set =
+        |pdg: &Pdg| -> BTreeSet<String> { pdg.edges.iter().map(|e| format!("{e:?}")).collect() };
+    let (mut refs, mut edges, mut oracle_mismatches) = (0usize, 0usize, 0usize);
+    for (analyses, pdg) in sequential_module(&p) {
+        refs += pspdg_pdg::collect_mem_refs(&p.module, pdg.func, &analyses).len();
+        edges += pdg.edges.len();
+        let naive = Pdg::build_naive(&p.module, pdg.func, &analyses);
+        if edge_set(&pdg) != edge_set(&naive) {
+            oracle_mismatches += 1;
         }
     }
     assert_eq!(
         oracle_mismatches, 0,
-        "module-scale oracle: engine edge arenas must be Vec-identical to \
-         the sequential per-function loop at every worker count"
+        "module-scale oracle: the bucketed builder's edge sets must equal \
+         the naive all-pairs sweep's on every function"
     );
 
-    // Timed sweep: sequential loop + engine at 1/2/4 workers, interleaved
-    // so machine drift hits every configuration equally. Both sides
-    // produce (and retain) the full `Vec<FunctionPdg>`.
     let mut run_seq = || {
         std::hint::black_box(sequential_module(&p));
     };
-    let pools: Vec<(usize, WorkerPool)> = [1usize, 2, 4]
-        .into_iter()
-        .map(|w| (w, WorkerPool::new(w)))
-        .collect();
-    let mut engine_runs: Vec<Box<dyn FnMut()>> = pools
-        .iter()
-        .map(|(_, pool)| {
-            let p = &p;
-            let cfg = &cfg;
-            Box::new(move || {
-                std::hint::black_box(build_module_with(&p.module, pool, cfg, None));
-            }) as Box<dyn FnMut()>
-        })
-        .collect();
-    let mut fns: Vec<&mut dyn FnMut()> = vec![&mut run_seq];
-    for f in engine_runs.iter_mut() {
-        fns.push(f.as_mut());
-    }
-    let times = time_all(samples, &mut fns);
-    let sequential = times[0];
-
-    let mut entries = String::new();
-    for (i, (workers, pool)) in pools.iter().enumerate() {
-        let ns = times[i + 1];
-        let speedup = sequential as f64 / ns as f64;
-        let (_, report) = build_module_with(&p.module, pool, &cfg, None);
-        println!(
-            "MODULE   funcs {:>5}  workers {}  engine {:>12} ns  sequential {:>12} ns  speedup {:>5.2}x  jobs {:>4}  gate_inline {}",
-            report.functions, workers, ns, sequential, speedup, report.jobs_dispatched, report.gate_inline
-        );
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "      {{\"workers\": {}, \"ns\": {}, \"speedup_vs_sequential\": {:.3}, \"jobs_dispatched\": {}, \"gate_inline\": {}}}",
-            workers, ns, speedup, report.jobs_dispatched, report.gate_inline
-        );
-        // The speedup claim is asserted only up to the physical core
-        // count (floored at 2 so it is still exercised on a 1-core CI
-        // host, where the win comes from per-function amortization):
-        // worker counts beyond the hardware only measure oversubscription.
-        if smoke && *workers >= 2 && *workers <= host_cores.max(2) {
-            assert!(
-                ns < sequential,
-                "module scale @ {workers} workers: the DAG-scheduled engine must \
-                 beat the sequential per-function loop ({ns} ns vs {sequential} ns)"
-            );
-        }
-    }
+    let sequential = time_all(samples, &mut [&mut run_seq])[0];
+    println!(
+        "MODULE   funcs {N_FUNCS:>5}  refs {refs:>6}  edges {edges:>7}  per-function loop {sequential:>12} ns  host_cores {host_cores}"
+    );
 
     format!(
-        "  \"module_scale\": {{\n    \"program\": \"synth::module({N_FUNCS}, {BASES})\",\n    \"n_funcs\": {N_FUNCS},\n    \"bases\": {BASES},\n    \"host_cores\": {host_cores},\n    \"samples_per_entry\": {samples},\n    \"mem_refs\": {refs},\n    \"pdg_edges\": {edges},\n    \"sequential_ns\": {sequential},\n    \"sequential\": \"per-function FunctionAnalyses::compute + Pdg::build loop\",\n    \"engine\": \"build_module_with on an explicit WorkerPool (DAG-scheduled prepare/pairs/merge + batched function jobs)\",\n    \"oracle_mismatches\": {oracle_mismatches},\n    \"workers\": [\n{entries}\n    ]\n  }}\n"
+        "  \"module_scale\": {{\n    \"program\": \"synth::module({N_FUNCS}, {BASES})\",\n    \"n_funcs\": {N_FUNCS},\n    \"bases\": {BASES},\n    \"host_cores\": {host_cores},\n    \"samples_per_entry\": {samples},\n    \"mem_refs\": {refs},\n    \"pdg_edges\": {edges},\n    \"sequential_ns\": {sequential},\n    \"sequential\": \"per-function FunctionAnalyses::compute + Pdg::build loop\",\n    \"oracle\": \"untimed: Pdg::build edge set vs Pdg::build_naive, per function\",\n    \"oracle_mismatches\": {oracle_mismatches}\n  }}\n"
     )
 }

@@ -65,13 +65,13 @@ fn us(ns: &str) -> String {
 
 fn pdg_table(json: &str) -> String {
     let mut t = String::from(
-        "| kernel | mem refs | PDG edges | naive all-pairs (ms) | bucketed (ms) | bucketing speedup | seq module loop (ms) | engine (ms) | re-assemble cloned (µs) | overlay (µs) | assemble speedup | overlay clones |\n|---|---|---|---|---|---|---|---|---|---|---|---|\n",
+        "| kernel | mem refs | PDG edges | naive all-pairs (ms) | bucketed (ms) | bucketing speedup | per-function loop incl. analyses (ms) | re-assemble cloned (µs) | overlay (µs) | assemble speedup | overlay clones |\n|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for l in kernel_lines(json) {
         let g = |k: &str| field(l, k).unwrap_or_default();
         let _ = writeln!(
             t,
-            "| {} | {} | {} | {} | {} | {}x | {} | {} | {} | {} | {}x | {} |",
+            "| {} | {} | {} | {} | {} | {}x | {} | {} | {} | {}x | {} |",
             g("kernel"),
             g("mem_refs"),
             g("pdg_edges"),
@@ -79,7 +79,6 @@ fn pdg_table(json: &str) -> String {
             ms(&g("bucketed_ns")),
             g("speedup"),
             ms(&g("sequential_module_ns")),
-            ms(&g("module_parallel_ns")),
             us(&g("reassemble_cloned_ns")),
             us(&g("reassemble_overlay_ns")),
             g("assemble_speedup"),
@@ -89,8 +88,8 @@ fn pdg_table(json: &str) -> String {
     t
 }
 
-/// The module-scale engine sweep: one row per worker count, against the
-/// sequential per-function loop recorded in the `module_scale` object.
+/// The module-scale row: the per-function loop on `synth::module`, from
+/// the `module_scale` object.
 fn pdg_module_table(json: &str) -> String {
     let Some(start) = json.find("\"module_scale\"") else {
         return String::from("*(no module_scale section in BENCH_pdg.json)*\n");
@@ -99,8 +98,8 @@ fn pdg_module_table(json: &str) -> String {
     let g = |k: &str| field(section, k).unwrap_or_default();
     // `program` holds a comma inside its quoted value, which the flat
     // field scanner would truncate; rebuild the label from the parts.
-    let mut t = format!(
-        "`synth::module({}, {})` — {} mem refs, {} PDG edges, sequential loop {} ms ({} interleaved samples/row, {}-core host):\n\n",
+    format!(
+        "`synth::module({}, {})` — {} mem refs, {} PDG edges: per-function loop **{} ms** (min of {} samples, {}-core host). Edge-set mismatches vs the naive all-pairs oracle: **{}**\n",
         g("n_funcs"),
         g("bases"),
         g("mem_refs"),
@@ -108,31 +107,8 @@ fn pdg_module_table(json: &str) -> String {
         ms(&g("sequential_ns")),
         g("samples_per_entry"),
         g("host_cores"),
-    );
-    t.push_str(
-        "| workers | engine (ms) | speedup vs sequential loop | jobs dispatched | gate inline |\n|---|---|---|---|---|\n",
-    );
-    for l in section
-        .lines()
-        .filter(|l| l.trim_start().starts_with("{\"workers\""))
-    {
-        let g = |k: &str| field(l, k).unwrap_or_default();
-        let _ = writeln!(
-            t,
-            "| {} | {} | {}x | {} | {} |",
-            g("workers"),
-            ms(&g("ns")),
-            g("speedup_vs_sequential"),
-            g("jobs_dispatched"),
-            g("gate_inline"),
-        );
-    }
-    let _ = writeln!(
-        t,
-        "\n**Oracle mismatches vs the sequential builder: {}**",
-        g("oracle_mismatches")
-    );
-    t
+        g("oracle_mismatches"),
+    )
 }
 
 fn runtime_table(json: &str) -> String {

@@ -56,16 +56,15 @@ pub fn wide(bases: usize) -> Benchmark {
     }
 }
 
-/// MODULE — a module-scale analysis-engine stress program: `n_funcs`
+/// MODULE — a module-scale analysis stress program: `n_funcs`
 /// functions over a shared pool of `bases` global arrays, each function
 /// touching three arrays (a recurrence, a derived copy, and a global
 /// accumulator) so the per-function dependence work is small but real.
 ///
 /// Where [`wide`] scales the reference count of *one* function, `module`
-/// scales the *function count* — the axis the DAG-scheduled engine
-/// parallelizes over (`pspdg_pdg::build_module_with`). The
-/// `BENCH_pdg.json` module-scale section sweeps worker counts over this
-/// program.
+/// scales the *function count* — the axis the module driver
+/// (`pspdg_core::build_pspdg_module`) maps over. The `BENCH_pdg.json`
+/// module-scale section times the per-function loop on this program.
 pub fn module(n_funcs: usize, bases: usize) -> Benchmark {
     let bases = bases.max(1);
     let mut src = String::new();
@@ -78,7 +77,7 @@ pub fn module(n_funcs: usize, bases: usize) -> Benchmark {
         // bases (function bodies stay distinct: the `+ i` constant and the
         // array mix differ). A doubly-nested recurrence puts most of the
         // references deep in the loop forest — the shape whose per-ref
-        // nest lookups the analysis engine amortizes per block.
+        // nest lookups the PDG builder amortizes per block.
         let a = [k, k + 1, k + 2, k + 3, k + 5, k + 7].map(|x| x % bases);
         let (a0, a1, a2, a3, a4, a5) = (a[0], a[1], a[2], a[3], a[4], a[5]);
         src.push_str(&format!(
@@ -98,12 +97,12 @@ pub fn module(n_funcs: usize, bases: usize) -> Benchmark {
         ));
     }
     // Keep `main` tiny: calling every function would make it the module's
-    // largest function and distort the per-function scaling the engine
-    // section measures.
+    // largest function and distort the per-function scaling the
+    // module-scale section measures.
     src.push_str("int main() { f0(); print_i64(macc); return macc % 251; }\n");
     Benchmark {
         name: "MODULE",
-        description: "module-scale many-function program (analysis-engine stress)",
+        description: "module-scale many-function program (per-function analysis stress)",
         source: src,
     }
 }

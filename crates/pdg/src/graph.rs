@@ -204,18 +204,6 @@ pub struct Pdg {
     n_insts: usize,
 }
 
-/// One function's PDG together with the structural analyses it was built
-/// from (the unit [`Pdg::build_module`] produces per function).
-#[derive(Debug, Clone)]
-pub struct FunctionPdg {
-    /// The analyzed function.
-    pub func: FuncId,
-    /// Its structural analyses.
-    pub analyses: FunctionAnalyses,
-    /// Its dependence graph.
-    pub pdg: Pdg,
-}
-
 impl Pdg {
     /// Build the PDG of `func` with base-object-bucketed dependence
     /// testing.
@@ -225,7 +213,7 @@ impl Pdg {
 
     /// [`Pdg::build`], also returning the collected memory references so
     /// callers that need them (the PS-PDG variables pass, the module
-    /// drivers) do not collect them a second time.
+    /// driver) do not collect them a second time.
     pub fn build_with_refs(
         module: &Module,
         func: FuncId,
@@ -234,7 +222,12 @@ impl Pdg {
         let f = module.function(func);
         let mut edges = non_memory_edges(module, func, analyses);
         let refs = collect_mem_refs(module, func, analyses);
-        bucketed_memory_edges(analyses, &refs, &mut edges);
+        let tables = PairTables::new(analyses, &refs, f.blocks.len());
+        let buckets = Buckets::new(&refs);
+        let mut common = Vec::new();
+        for_each_bucketed_pair(&buckets, |ai, bi| {
+            test_pair(analyses, &refs, &tables, ai, bi, &mut common, &mut edges)
+        });
         (Pdg::from_edges(func, f.insts.len(), edges), refs)
     }
 
@@ -248,30 +241,17 @@ impl Pdg {
         let f = module.function(func);
         let mut edges = non_memory_edges(module, func, analyses);
         let refs = collect_mem_refs(module, func, analyses);
-        let mut tester = PairTester::new(analyses, &refs);
+        let tables = PairTables::new(analyses, &refs, f.blocks.len());
+        let mut common = Vec::new();
         for ai in 0..refs.len() {
             for bi in ai..refs.len() {
                 if !may_alias(refs[ai].base, refs[bi].base) {
                     continue;
                 }
-                tester.test_pair(ai, bi, &mut edges);
+                test_pair(analyses, &refs, &tables, ai, bi, &mut common, &mut edges);
             }
         }
         Pdg::from_edges(func, f.insts.len(), edges)
-    }
-
-    /// Build analyses and PDGs for every function of `module` that has a
-    /// body, through the module-scale [analysis engine](crate::engine) on
-    /// the process-global worker pool. Declared-but-bodyless functions are
-    /// skipped (the structural analyses require an entry block).
-    pub fn build_module(module: &Module) -> Vec<FunctionPdg> {
-        crate::engine::build_module_with(
-            module,
-            pspdg_pool::global(),
-            &crate::engine::EngineConfig::default(),
-            None,
-        )
-        .0
     }
 
     /// Assemble a PDG from an explicit edge list (used by abstractions that
@@ -375,20 +355,11 @@ impl Pdg {
 /// Register and control dependence edges of `func` (the non-memory part of
 /// the PDG, shared by the bucketed and naive builders).
 fn non_memory_edges(module: &Module, func: FuncId, analyses: &FunctionAnalyses) -> Vec<PdgEdge> {
-    let mut edges: Vec<PdgEdge> = Vec::new();
-    non_memory_edges_into(module, func, analyses, &mut edges);
-    edges
-}
-
-/// [`non_memory_edges`] appending into a caller-provided buffer (the
-/// engine passes a capacity-hinted, reused `Vec`).
-pub(crate) fn non_memory_edges_into(
-    module: &Module,
-    func: FuncId,
-    analyses: &FunctionAnalyses,
-    edges: &mut Vec<PdgEdge>,
-) {
     let f = module.function(func);
+    // Register + control edges come to 1.2-1.9 per instruction on every
+    // NAS and SYNTH function; starting there leaves the memory edges one
+    // or two doublings instead of the whole growth ladder from empty.
+    let mut edges: Vec<PdgEdge> = Vec::with_capacity(2 * f.insts.len());
 
     // 1. Register dependences.
     for i in f.inst_ids() {
@@ -424,61 +395,17 @@ pub(crate) fn non_memory_edges_into(
             }
         }
     }
+    edges
 }
 
-/// Tests one (ordered-by-ref-index) pair of memory references and appends
-/// the resulting dependence edges. The loop nest of every reference is
-/// precomputed once so the per-pair common-loop computation is a couple of
-/// slice probes instead of a forest walk and block-list searches.
-struct PairTester<'a> {
-    analyses: &'a FunctionAnalyses,
-    refs: &'a [MemRef],
-    /// `nests[i]` = loops containing `refs[i]`, innermost first.
-    nests: Vec<Vec<LoopId>>,
-    /// Scratch buffer for the common-loop set, reused across pairs.
-    common: Vec<LoopId>,
-}
-
-impl<'a> PairTester<'a> {
-    fn new(analyses: &'a FunctionAnalyses, refs: &'a [MemRef]) -> PairTester<'a> {
-        let nests = refs
-            .iter()
-            .map(|r| analyses.forest.nest_of(r.block))
-            .collect();
-        PairTester {
-            analyses,
-            refs,
-            nests,
-            common: Vec::new(),
-        }
-    }
-
-    fn test_pair(&mut self, ai: usize, bi: usize, edges: &mut Vec<PdgEdge>) {
-        test_pair_nested(
-            self.analyses,
-            self.refs,
-            &self.nests[ai],
-            &self.nests[bi],
-            ai,
-            bi,
-            &mut self.common,
-            edges,
-        );
-    }
-}
-
-/// Test one (ordered-by-ref-index) pair of memory references given the
-/// precomputed loop nests of both, appending the resulting dependence
-/// edges. This is the single pair-testing kernel shared by the sequential
-/// builder ([`PairTester`]) and the module-scale [engine](crate::engine):
-/// both enumerate pairs in the same canonical order and funnel through
-/// here, so their edge arenas are byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn test_pair_nested(
+/// Test one (ordered-by-ref-index) pair of memory references, appending
+/// the resulting dependence edges. The bucketed builder and the naive
+/// oracle both funnel through here; `common` is a scratch buffer for the
+/// common-loop set, reused across pairs.
+fn test_pair(
     analyses: &FunctionAnalyses,
     refs: &[MemRef],
-    a_nest: &[LoopId],
-    b_nest: &[LoopId],
+    tables: &PairTables,
     ai: usize,
     bi: usize,
     common: &mut Vec<LoopId>,
@@ -494,8 +421,9 @@ pub(crate) fn test_pair_nested(
     debug_assert!(may_alias(a.base, b.base), "bucketing must imply may-alias");
     // Loops containing both references: a's nest filtered by membership
     // in b's nest (a loop contains b.block iff it is in b's nest).
+    let b_nest = tables.nest(bi);
     common.clear();
-    common.extend(a_nest.iter().filter(|l| b_nest.contains(l)));
+    common.extend(tables.nest(ai).iter().filter(|l| b_nest.contains(l)));
     let res = test_dependence(analyses, a, b, common);
     if !res.dependent {
         return;
@@ -506,50 +434,44 @@ pub(crate) fn test_pair_nested(
 /// Per-ref loop nests flattened into one arena, computed once per *block*
 /// instead of once per reference ([`pspdg_ir::LoopForest::nest_of`]
 /// allocates a fresh `Vec` per call, and hot functions hold many
-/// references per block). Reusable across functions: [`PairTables::clear`]
-/// keeps the allocations.
-#[derive(Default)]
-pub(crate) struct PairTables {
+/// references per block).
+struct PairTables {
     /// All distinct block nests back to back, innermost first.
     nest_flat: Vec<LoopId>,
     /// Per-ref `(start, end)` range into `nest_flat`.
     nest_ranges: Vec<(u32, u32)>,
-    /// Per-block-index range into `nest_flat` (`u32::MAX` start = not yet
-    /// computed), dense so the per-ref lookup is an array index.
-    block_ranges: Vec<(u32, u32)>,
 }
 
 impl PairTables {
-    /// Fill the tables for `refs` (clearing any previous function's data,
-    /// keeping the allocations). `n_blocks` bounds the block indices the
-    /// refs can mention.
-    pub(crate) fn rebuild(
-        &mut self,
-        analyses: &FunctionAnalyses,
-        refs: &[MemRef],
-        n_blocks: usize,
-    ) {
-        self.nest_flat.clear();
-        self.nest_ranges.clear();
-        self.block_ranges.clear();
-        self.block_ranges.resize(n_blocks, (u32::MAX, u32::MAX));
+    /// Tables for `refs`; `n_blocks` bounds the block indices the refs can
+    /// mention.
+    fn new(analyses: &FunctionAnalyses, refs: &[MemRef], n_blocks: usize) -> PairTables {
+        let mut nest_flat = Vec::new();
+        let mut nest_ranges = Vec::with_capacity(refs.len());
+        // Per-block range into `nest_flat` (`u32::MAX` start = not yet
+        // computed), dense so the per-ref lookup is an array index.
+        let mut block_ranges = vec![(u32::MAX, u32::MAX); n_blocks];
         for r in refs {
-            let slot = &mut self.block_ranges[r.block.index()];
+            let slot = &mut block_ranges[r.block.index()];
             if slot.0 == u32::MAX {
-                let start = self.nest_flat.len() as u32;
+                let start = nest_flat.len() as u32;
                 let mut cur = analyses.forest.innermost(r.block);
                 while let Some(l) = cur {
-                    self.nest_flat.push(l);
+                    nest_flat.push(l);
                     cur = analyses.forest.info(l).parent;
                 }
-                *slot = (start, self.nest_flat.len() as u32);
+                *slot = (start, nest_flat.len() as u32);
             }
-            self.nest_ranges.push(*slot);
+            nest_ranges.push(*slot);
+        }
+        PairTables {
+            nest_flat,
+            nest_ranges,
         }
     }
 
     /// Loops containing `refs[i]`, innermost first.
-    pub(crate) fn nest(&self, i: usize) -> &[LoopId] {
+    fn nest(&self, i: usize) -> &[LoopId] {
         let (s, e) = self.nest_ranges[i];
         &self.nest_flat[s as usize..e as usize]
     }
@@ -557,10 +479,8 @@ impl PairTables {
 
 /// Per-base-object buckets of a function's memory references, in `MemBase`
 /// order with members in reference order — the grouping behind the
-/// canonical pair enumeration. Reusable across functions (the engine keeps
-/// one per worker thread and [`Buckets::rebuild`]s it).
-#[derive(Default)]
-pub(crate) struct Buckets {
+/// canonical pair enumeration.
+struct Buckets {
     /// `(base, ref index)` sorted by base, ties in reference order.
     entries: Vec<(MemBase, u32)>,
     /// Ranges into `entries`, one per distinct base, in base order.
@@ -568,26 +488,27 @@ pub(crate) struct Buckets {
 }
 
 impl Buckets {
-    /// Group `refs` by base object (clearing any previous function's data,
-    /// keeping the allocations).
-    pub(crate) fn rebuild(&mut self, refs: &[MemRef]) {
-        self.entries.clear();
-        self.groups.clear();
-        self.entries
-            .extend(refs.iter().enumerate().map(|(i, r)| (r.base, i as u32)));
-        // Stable: members of a bucket stay in ascending reference order,
-        // matching the old insertion-ordered `BTreeMap` buckets.
-        self.entries.sort_by_key(|(b, _)| *b);
+    /// Group `refs` by base object.
+    fn new(refs: &[MemRef]) -> Buckets {
+        let mut entries: Vec<(MemBase, u32)> = refs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.base, i as u32))
+            .collect();
+        // Stable: members of a bucket stay in ascending reference order.
+        entries.sort_by_key(|(b, _)| *b);
+        let mut groups = Vec::new();
         let mut start = 0;
-        while start < self.entries.len() {
-            let base = self.entries[start].0;
+        while start < entries.len() {
+            let base = entries[start].0;
             let mut end = start + 1;
-            while end < self.entries.len() && self.entries[end].0 == base {
+            while end < entries.len() && entries[end].0 == base {
                 end += 1;
             }
-            self.groups.push((start as u32, end as u32));
+            groups.push((start as u32, end as u32));
             start = end;
         }
+        Buckets { entries, groups }
     }
 
     fn base_of(&self, group: usize) -> MemBase {
@@ -603,11 +524,11 @@ impl Buckets {
 /// Walk the canonical bucketed pair order: (a) within each base's bucket
 /// in base order, (b) `Unknown` against every non-I/O object bucket, (c)
 /// pointer parameters against globals — exactly the pairs [`may_alias`]
-/// admits. Every pair is yielded ordered (`ai <= bi`). Both the sequential
-/// builder and the engine's chunked jobs enumerate through here, so any
-/// contiguous chunking of this sequence concatenates back to the
-/// sequential edge order.
-pub(crate) fn for_each_bucketed_pair(buckets: &Buckets, mut f: impl FnMut(usize, usize)) {
+/// admits, skipping every provably disjoint pair. Every pair is yielded
+/// ordered (`ai <= bi`). This order fixes the edge ids of the arena, which
+/// key the PS-PDG selector table and the `EffectiveView` masks
+/// (`tests/arena_order.rs` pins it).
+fn for_each_bucketed_pair(buckets: &Buckets, mut f: impl FnMut(usize, usize)) {
     // (a) Same base object: every base may alias itself.
     for g in 0..buckets.groups.len() {
         let (s, e) = buckets.groups[g];
@@ -656,16 +577,6 @@ pub(crate) fn for_each_bucketed_pair(buckets: &Buckets, mut f: impl FnMut(usize,
             }
         }
     }
-}
-
-/// Memory dependence edges via per-base-object bucketing (the canonical
-/// pair order of [`for_each_bucketed_pair`]): the edge set matches the
-/// all-pairs oracle while skipping every provably disjoint pair.
-fn bucketed_memory_edges(analyses: &FunctionAnalyses, refs: &[MemRef], edges: &mut Vec<PdgEdge>) {
-    let mut tester = PairTester::new(analyses, refs);
-    let mut buckets = Buckets::default();
-    buckets.rebuild(refs);
-    for_each_bucketed_pair(&buckets, |ai, bi| tester.test_pair(ai, bi, edges));
 }
 
 fn push_memory_edges(edges: &mut Vec<PdgEdge>, a: &MemRef, b: &MemRef, res: &DepTestResult) {
@@ -724,27 +635,23 @@ fn push_memory_edges(edges: &mut Vec<PdgEdge>, a: &MemRef, b: &MemRef, res: &Dep
     }
 }
 
+/// Outermost loop containing `bb` (what `forest.nest_of(bb).last()`
+/// returns), without the per-call `Vec` that `nest_of` allocates.
+fn top_region(analyses: &FunctionAnalyses, bb: BlockId) -> Option<LoopId> {
+    let mut cur = analyses.forest.innermost(bb)?;
+    while let Some(p) = analyses.forest.info(cur).parent {
+        cur = p;
+    }
+    Some(cur)
+}
+
 /// Collect every memory reference of `func` with its affine subscript.
 pub fn collect_mem_refs(module: &Module, func: FuncId, analyses: &FunctionAnalyses) -> Vec<MemRef> {
     let mut refs = Vec::new();
-    let region_of = |bb: BlockId| -> Option<LoopId> { analyses.forest.nest_of(bb).last().copied() };
-    collect_mem_refs_with(module, func, analyses, &region_of, &mut refs);
-    refs
-}
-
-/// [`collect_mem_refs`] with a caller-supplied top-region lookup and a
-/// reused output buffer. The engine passes a per-block table computed in
-/// one alloc-free forest walk; the public wrapper passes the straight
-/// `nest_of(..).last()` lookup so its cost profile is unchanged.
-pub(crate) fn collect_mem_refs_with(
-    module: &Module,
-    func: FuncId,
-    analyses: &FunctionAnalyses,
-    region_of: &dyn Fn(BlockId) -> Option<LoopId>,
-    refs: &mut Vec<MemRef>,
-) {
     let f = module.function(func);
     let owner = f.inst_blocks();
+    // Top-level region of every block, one forest walk each.
+    let regions: Vec<Option<LoopId>> = f.block_ids().map(|bb| top_region(analyses, bb)).collect();
     // Pre-compute per-region invariance maps: one per top-level loop plus
     // one for code outside loops. A single pass over the stores fills every
     // region's map (each store lands in the whole-function map and, if
@@ -762,7 +669,7 @@ pub(crate) fn collect_mem_refs_with(
             if let Some(m) = region_stores.get_mut(&None) {
                 *m.entry(base).or_insert(0) += 1;
             }
-            let top = region_of(bb);
+            let top = regions[bb.index()];
             if top.is_some() {
                 if let Some(m) = region_stores.get_mut(&top) {
                     *m.entry(base).or_insert(0) += 1;
@@ -773,7 +680,7 @@ pub(crate) fn collect_mem_refs_with(
 
     for i in f.inst_ids() {
         let Some(bb) = owner[i.index()] else { continue };
-        let region = region_of(bb);
+        let region = regions[bb.index()];
         let stores = &region_stores[&region];
         match &f.inst(i).inst {
             Inst::Load { ptr, .. } => {
@@ -826,6 +733,7 @@ pub(crate) fn collect_mem_refs_with(
             _ => {}
         }
     }
+    refs
 }
 
 /// Affine cell offset of an address value relative to its base object.
@@ -1340,26 +1248,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn build_module_matches_per_function_builds() {
-        let p = compile(
-            r#"
-            int v[32]; int s;
-            void a() { int i; for (i = 0; i < 32; i++) { v[i] = i; } }
-            void b() { int i; for (i = 0; i < 32; i++) { s += v[i]; } }
-            int main() { a(); b(); return 0; }
-            "#,
-        )
-        .unwrap();
-        let built = Pdg::build_module(&p.module);
-        assert_eq!(built.len(), p.module.function_ids().count());
-        for fp in &built {
-            let a = FunctionAnalyses::compute(&p.module, fp.func);
-            let seq = Pdg::build(&p.module, fp.func, &a);
-            assert_eq!(edge_set(&fp.pdg), edge_set(&seq));
         }
     }
 }

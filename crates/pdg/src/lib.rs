@@ -52,7 +52,6 @@ pub mod alias;
 pub mod control;
 pub mod ddtest;
 pub mod effective;
-pub mod engine;
 pub mod graph;
 pub mod scc;
 
@@ -61,8 +60,7 @@ pub use alias::{base_of_varref, may_alias, trace_base, MemBase};
 pub use control::control_dependences;
 pub use ddtest::{DepTestResult, MemRef};
 pub use effective::EffectiveView;
-pub use engine::{build_module_with, EngineConfig, EngineReport};
-pub use graph::{collect_mem_refs, DepKind, EdgeIndex, FunctionPdg, Pdg, PdgEdge};
+pub use graph::{collect_mem_refs, DepKind, EdgeIndex, Pdg, PdgEdge};
 pub use scc::{LoopScc, SccDag};
 
 use pspdg_ir::{Cfg, DomTree, FuncId, LoopForest, Module, PostDomTree};

@@ -183,3 +183,80 @@ impl<T> Channel<T> {
         self.shared.not_full.notify_all();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bounded_fifo_roundtrip() {
+        let ch: Channel<u32> = Channel::bounded(2);
+        let tx = ch.clone();
+        let handle = std::thread::spawn(move || {
+            for i in 0..100 {
+                tx.send(i).unwrap();
+            }
+            tx.close();
+        });
+        let mut got = Vec::new();
+        while let Some(v) = ch.recv() {
+            got.push(v);
+        }
+        handle.join().unwrap();
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn close_unblocks_sender() {
+        let ch: Channel<u32> = Channel::bounded(1);
+        ch.send(1).unwrap();
+        let tx = ch.clone();
+        let handle = std::thread::spawn(move || tx.send(2));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        ch.close();
+        assert!(handle.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn recv_deadline_times_out_then_delivers() {
+        let ch: Channel<u32> = Channel::bounded(2);
+        // No producer: the watchdog must trip instead of blocking forever.
+        let start = std::time::Instant::now();
+        assert_eq!(
+            ch.recv_deadline(Duration::from_millis(20)),
+            Err(RecvTimeout::TimedOut)
+        );
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        // A late producer is still served by the next call.
+        ch.send(9).unwrap();
+        assert_eq!(ch.recv_deadline(Duration::from_secs(5)), Ok(9));
+        ch.close();
+        assert_eq!(
+            ch.recv_deadline(Duration::from_secs(5)),
+            Err(RecvTimeout::Closed)
+        );
+    }
+
+    #[test]
+    fn send_timeout_distinguishes_full_from_closed() {
+        let ch: Channel<u32> = Channel::bounded(1);
+        ch.send(1).unwrap();
+        // Full with a live (absent) consumer: watchdog trips.
+        assert_eq!(
+            ch.send_timeout(2, Duration::from_millis(20)),
+            Err((2, true))
+        );
+        // Closed: fails fast with the non-timeout flavor.
+        ch.close();
+        assert_eq!(ch.send_timeout(3, Duration::from_secs(5)), Err((3, false)));
+    }
+
+    #[test]
+    fn recv_after_close_drains() {
+        let ch: Channel<u32> = Channel::bounded(4);
+        ch.send(7).unwrap();
+        ch.close();
+        assert_eq!(ch.recv(), Some(7));
+        assert_eq!(ch.recv(), None);
+    }
+}

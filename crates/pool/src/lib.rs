@@ -1,8 +1,8 @@
 //! # pspdg-pool — the shared execution substrate
 //!
-//! One crate, four building blocks, no dependency on any analysis or
+//! One crate, three building blocks, no dependency on any analysis or
 //! runtime code — so both layers of the PS-PDG pipeline (the analysis
-//! engine that *builds* dependence graphs and the runtime that
+//! sweeps that *build* dependence graphs and the runtime that
 //! *executes* the resulting plans) run on the same battle-hardened
 //! threads:
 //!
@@ -13,29 +13,22 @@
 //!   injector) plugs in through the [`JobHooks`] trait.
 //! - [`Channel`] — the bounded MPSC decoupling buffer with watchdog
 //!   sends/receives (the DSWP pipeline's stage queues).
-//! - [`run_dag`] / [`DagCtx`] — a dependency-aware job scheduler layered
-//!   on the pool as plain scope jobs (executor loops, no nested waits),
-//!   used by the module-scale analysis engine to order prepare →
-//!   pair-test → merge jobs per function.
 //! - [`BitSet`] — packed dense-id sets with O(words) union/intersect
 //!   and ascending iteration, the representation behind the PDG's edge
 //!   indexes and the directive passes' instruction sets.
 //!
 //! Plus [`par_map`]/[`par_map_on`], the order-preserving pool-backed
-//! map that replaced the rayon shim's `par_iter` call sites in the
-//! analysis sweeps, and [`global`], the lazily-created process-wide
-//! pool those sweeps share.
+//! map behind the per-function analysis sweeps, and [`global`], the
+//! lazily-created process-wide pool those sweeps share.
 
 #![warn(missing_docs)]
 
 pub mod bitset;
 pub mod channel;
-pub mod dag;
 pub mod par;
 pub mod pool;
 
 pub use bitset::BitSet;
 pub use channel::{Channel, RecvTimeout};
-pub use dag::{run_dag, DagCtx, DagStats, JobId};
 pub use par::{default_width, global, par_map, par_map_on};
 pub use pool::{on_pool_worker, JobFate, JobHooks, Scope, WorkerPool};

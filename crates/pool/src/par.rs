@@ -1,8 +1,8 @@
 //! Data-parallel mapping on a [`WorkerPool`], and the process-global
 //! analysis pool.
 //!
-//! `par_map` is the pool-backed replacement for the rayon shim's
-//! `into_par_iter().map().collect()` call sites: it distributes items
+//! `par_map` is the pool-backed `into_par_iter().map().collect()`: it
+//! distributes items
 //! over the pool's persistent workers with an atomic work-stealing
 //! cursor (the calling thread participates), so repeated sweeps reuse
 //! threads instead of re-spawning them per call. Order of results
@@ -84,7 +84,8 @@ static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
 /// Width the global pool will be (or was) created with: the
 /// `PSPDG_POOL_THREADS` env var if set, else `RAYON_NUM_THREADS` (the
-/// rayon-shim compatibility knob), else the machine's parallelism.
+/// name the drivers honoured before this pool), else the machine's
+/// parallelism.
 pub fn default_width() -> usize {
     let from_env = |k: &str| {
         std::env::var(k)

@@ -6,7 +6,7 @@
 //! activation-heavy kernels (LU's wavefront re-forks each outer
 //! iteration) thread creation dominated the measured time. [`WorkerPool`]
 //! fixes that: the threads are created **once per embedder** (a runtime,
-//! the module-scale analysis engine, a benchmark sweep) and each
+//! the process-wide analysis pool, a benchmark sweep) and each
 //! activation merely enqueues jobs and waits for a completion latch.
 //!
 //! The API mirrors `std::thread::scope` so call sites keep borrowing the
@@ -106,10 +106,9 @@ thread_local! {
 }
 
 /// Whether the calling thread is a [`WorkerPool`] worker. Parallel
-/// helpers ([`crate::par_map`], [`crate::run_dag`]) use this to degrade
-/// to inline execution instead of deadlocking on nested waits: a worker
-/// that blocked on a sub-scope would occupy the very slot its sub-jobs
-/// need.
+/// helpers ([`crate::par_map`]) use this to degrade to inline execution
+/// instead of deadlocking on nested waits: a worker that blocked on a
+/// sub-scope would occupy the very slot its sub-jobs need.
 pub fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(Cell::get)
 }
@@ -142,9 +141,9 @@ struct PoolShared {
 
 /// A fixed-size pool of persistent worker threads.
 ///
-/// Created once per embedder (a runtime, the analysis engine) and reused
-/// by every parallel activation; dropped, it shuts its threads down and
-/// joins them. The pool *self-heals*: panicking jobs don't kill workers,
+/// Created once per embedder (a runtime, the process-wide analysis pool)
+/// and reused by every parallel activation; dropped, it shuts its threads
+/// down and joins them. The pool *self-heals*: panicking jobs don't kill workers,
 /// and a worker that dies anyway ([`JobFate::KillThread`]) is respawned
 /// without losing its job — see the module docs.
 pub struct WorkerPool {
@@ -437,6 +436,127 @@ fn worker_loop(shared: &Arc<PoolShared>) {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn jobs_run_and_scope_joins() {
+        let pool = WorkerPool::new(3);
+        let counter = AtomicU64::new(0);
+        pool.scope(|s| {
+            for _ in 0..32 {
+                s.spawn(|| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), 32);
+    }
+
+    #[test]
+    fn workers_persist_across_scopes() {
+        let pool = WorkerPool::new(2);
+        let ids_before: HashSet<ThreadId> = pool.thread_ids().into_iter().collect();
+        let observe = || {
+            let seen = Mutex::new(HashSet::new());
+            pool.scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        // Hold both workers briefly so each takes one job.
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        seen.lock().unwrap().insert(std::thread::current().id());
+                    });
+                }
+            });
+            seen.into_inner().unwrap()
+        };
+        let first = observe();
+        let second = observe();
+        assert!(first.is_subset(&ids_before));
+        assert!(second.is_subset(&ids_before));
+        assert_eq!(
+            pool.thread_ids().into_iter().collect::<HashSet<_>>(),
+            ids_before,
+            "the same OS threads must serve both activations"
+        );
+    }
+
+    #[test]
+    fn borrowed_results_flow_back() {
+        let pool = WorkerPool::new(4);
+        let mut out = vec![0u64; 8];
+        pool.scope(|s| {
+            for (i, slot) in out.iter_mut().enumerate() {
+                s.spawn(move || *slot = i as u64 * i as u64);
+            }
+        });
+        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+    }
+
+    #[test]
+    fn job_panic_propagates_after_join() {
+        let pool = WorkerPool::new(2);
+        let finished = AtomicU64::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn(|| panic!("boom"));
+                s.spawn(|| {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            });
+        }));
+        assert!(result.is_err(), "the panic must surface on the master");
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            1,
+            "sibling jobs still complete before the scope returns"
+        );
+        // The pool survives a panicked scope.
+        let ok = AtomicU64::new(0);
+        pool.scope(|s| {
+            s.spawn(|| {
+                ok.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(ok.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn scope_catch_reports_panics_as_data() {
+        let pool = WorkerPool::new(2);
+        let (_, panicked) = pool.scope_catch(|s| {
+            s.spawn(|| panic!("caught"));
+        });
+        assert!(panicked);
+        let (_, panicked) = pool.scope_catch(|s| {
+            s.spawn(|| {});
+        });
+        assert!(!panicked, "a clean scope reports no panic");
+    }
+
+    #[test]
+    fn panicking_job_does_not_orphan_queued_jobs_or_hang_drop() {
+        // Regression (ISSUE 6 satellite): a single worker, a panicking
+        // job at the head of the queue, and a pile of jobs behind it —
+        // every queued job must still run, `scope_catch` must return (no
+        // wedged latch), and dropping the pool right after must join
+        // cleanly instead of hanging on an orphaned queue.
+        let pool = WorkerPool::new(1);
+        let ran = AtomicU64::new(0);
+        let (_, panicked) = pool.scope_catch(|s| {
+            s.spawn(|| panic!("head of queue"));
+            for _ in 0..16 {
+                s.spawn(|| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert!(panicked);
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            16,
+            "jobs queued behind a panicking job must still run"
+        );
+        drop(pool); // must not hang
+    }
 
     /// A deterministic hook that kills the worker picking up the `n`-th
     /// job (0-based) — the pool-crate stand-in for the runtime's fault

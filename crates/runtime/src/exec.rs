@@ -27,7 +27,7 @@
 //! Three mechanisms keep per-activation overhead low enough for measured
 //! speedups to track predicted parallelism:
 //!
-//! * a **persistent worker pool** ([`crate::pool::WorkerPool`]) created
+//! * a **persistent worker pool** ([`pspdg_pool::WorkerPool`]) created
 //!   once per [`Runtime`] — activations enqueue jobs instead of spawning
 //!   OS threads;
 //! * **copy-on-write heap forks** — [`MemState::fork`] shares pages and
@@ -96,13 +96,13 @@ use pspdg_parallelizer::{
     PipelineLoop, ProgramPlan, RealizationStats, ReplayOp, ReplayProgram, ReplayVal,
 };
 use pspdg_pdg::MemBase;
+use pspdg_pool::channel::{Channel, RecvTimeout};
+use pspdg_pool::{JobHooks, WorkerPool};
 
-use crate::channel::{Channel, RecvTimeout};
 use crate::compiled::{
     compile_program, CompiledBlock, CompiledBody, CompiledProgram, CompiledTier,
 };
 use crate::fault::{FaultInjector, FaultKind};
-use crate::pool::{PoolFaultExt, WorkerPool};
 
 /// In-flight packets per pipeline stage link (the DSWP decoupling buffer).
 const PIPE_CAPACITY: usize = 8;
@@ -603,7 +603,8 @@ impl Runtime {
     /// The persistent worker pool (created on first use).
     fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| {
-            WorkerPool::with_obs(self.workers, self.faults.clone(), self.obs.clone())
+            let hooks = self.faults.clone().map(|f| f as Arc<dyn JobHooks>);
+            WorkerPool::with_hooks_obs(self.workers, hooks, self.obs.clone())
         })
     }
 

@@ -426,6 +426,9 @@ impl pspdg_pool::JobHooks for FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pspdg_pool::WorkerPool;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     #[test]
     fn injections_fire_exactly_once_at_their_site() {
@@ -491,5 +494,71 @@ mod tests {
         let mut r2 = Rng64::new(42);
         let second: Vec<u64> = (0..4).map(|_| r2.next_u64()).collect();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn thread_death_respawns_and_requeues_the_job() {
+        let plan = FaultPlan::single(FaultSite::PoolJob(1), FaultKind::ThreadDeath);
+        let pool = WorkerPool::with_hooks(2, Some(FaultInjector::arm(plan)));
+        let before: HashSet<ThreadId> = pool.thread_ids().into_iter().collect();
+        assert_eq!(before.len(), 2);
+        let counter = AtomicU64::new(0);
+        pool.scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(
+            counter.load(Ordering::SeqCst),
+            8,
+            "the job whose worker died must be requeued and still run"
+        );
+        assert_eq!(pool.respawns(), 1);
+        // The replacement settles the pool back to full width, with one
+        // new thread identity.
+        let mut after: HashSet<ThreadId> = pool.thread_ids().into_iter().collect();
+        for _ in 0..200 {
+            if after.len() == 2 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            after = pool.thread_ids().into_iter().collect();
+        }
+        assert_eq!(after.len(), 2, "pool width must be restored");
+        assert_eq!(
+            after.difference(&before).count(),
+            1,
+            "exactly one worker identity was replaced"
+        );
+        // And the healed pool keeps working.
+        let again = AtomicU64::new(0);
+        pool.scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    again.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(again.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn thread_death_during_drop_still_joins() {
+        // A ThreadDeath injection that fires while the pool is shutting
+        // down must not leak the replacement thread: drop joins in
+        // rounds until the registry is empty.
+        let plan = FaultPlan::single(FaultSite::PoolJob(0), FaultKind::ThreadDeath);
+        let pool = WorkerPool::with_hooks(2, Some(FaultInjector::arm(plan)));
+        let ran = AtomicU64::new(0);
+        pool.scope(|s| {
+            s.spawn(|| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.respawns(), 1);
+        drop(pool); // joins original workers and the respawn
     }
 }

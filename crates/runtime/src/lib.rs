@@ -61,20 +61,19 @@
 //!
 //! Module map: [`exec`] — the engine ([`Runtime`], [`RunStats`],
 //! [`FallbackCounts`]); [`compiled`] — the threaded-code /
-//! superinstruction tier ([`CompiledTier`]); [`pool`] — the persistent,
-//! self-healing scoped worker pool; [`channel`] — the bounded DSWP
-//! decoupling buffer with watchdog sends/recvs; [`fault`] —
+//! superinstruction tier ([`CompiledTier`]); [`fault`] —
 //! deterministic fault injection ([`FaultPlan`], [`FaultInjector`]);
 //! [`check`] — observable-state extraction for differential testing.
+//! The persistent, self-healing scoped [`WorkerPool`] and the bounded
+//! DSWP decoupling buffer with watchdog sends/recvs
+//! ([`pspdg_pool::Channel`]) live in the shared `pspdg-pool` crate.
 
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod check;
 pub mod compiled;
 pub mod exec;
 pub mod fault;
-pub mod pool;
 
 pub use check::{
     global_cells, globals_identical_mismatch, globals_mismatch, line_equivalent,
@@ -86,5 +85,5 @@ pub use exec::{
     DEFAULT_PIPELINE_MIN_BODY, DEFAULT_STAGE_WATCHDOG,
 };
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection, Rng64};
-pub use pool::WorkerPool;
 pub use pspdg_obs::{Recorder, Snapshot};
+pub use pspdg_pool::WorkerPool;

@@ -228,8 +228,19 @@ impl Session {
         program: ParallelProgram,
         rec: Option<Arc<Recorder>>,
     ) -> Result<Session, SessionError> {
-        program.validate().map_err(SessionError::Invalid)?;
         let key = content_key(&program);
+        Session::with_key(program, key, rec)
+    }
+
+    /// [`Session::from_program_recorded`] for a caller that already holds
+    /// `key == content_key(&program)` (the store hashes once per lookup;
+    /// on a big module the hash is milliseconds).
+    pub(crate) fn with_key(
+        program: ParallelProgram,
+        key: u64,
+        rec: Option<Arc<Recorder>>,
+    ) -> Result<Session, SessionError> {
+        program.validate().map_err(SessionError::Invalid)?;
         // One sequential run doubles as profiler and baseline oracle.
         let t0 = Instant::now();
         let mut interp = Interpreter::new(&program.module);

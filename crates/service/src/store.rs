@@ -200,7 +200,7 @@ impl PlanStore {
         self.count("service/cache_miss");
         // Build outside the lock — the whole point of single-flight is
         // that concurrent *distinct* programs build in parallel.
-        let result = Session::from_program_recorded(program, self.rec.clone());
+        let result = Session::with_key(program, key, self.rec.clone());
         let mut inner = self.inner.lock().expect("store lock");
         match result {
             Ok(session) => {

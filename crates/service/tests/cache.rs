@@ -68,6 +68,13 @@ fn formatting_only_change_hits_semantic_change_misses() {
     let store = PlanStore::new();
     let a = store.get_source(DENSE).unwrap();
     assert_eq!(store.stats().misses, 1);
+    // A miss hashes once: the session carries the key the store filed it
+    // under, and that key is the program's content key.
+    assert!(store.contains(a.key()));
+    assert_eq!(
+        a.key(),
+        content_key(&pspdg_frontend::compile(DENSE).unwrap())
+    );
 
     let b = store.get_source(AIRY).unwrap();
     assert!(
