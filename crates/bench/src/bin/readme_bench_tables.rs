@@ -156,7 +156,7 @@ fn runtime_table(json: &str) -> String {
 
 fn compiled_table(json: &str) -> String {
     let mut t = String::from(
-        "| kernel | interpreter (ms) | tier off (ms) | threaded (ms) | fused (ms) | fused vs off | fused vs interp | compiled blocks | bailouts |\n|---|---|---|---|---|---|---|---|---|\n",
+        "| kernel | interpreter (ms) | tier off (ms) | threaded (ms) | threaded vs off | threaded vs interp | compiled blocks | bailouts |\n|---|---|---|---|---|---|---|---|\n",
     );
     // Compiled-tier rows are the ones carrying `tier_off_ns`.
     for l in kernel_lines(json)
@@ -166,25 +166,24 @@ fn compiled_table(json: &str) -> String {
         let g = |k: &str| field(l, k).unwrap_or_default();
         let _ = writeln!(
             t,
-            "| {} | {} | {} | {} | {} | {}x | {}x | {} | {} |",
+            "| {} | {} | {} | {} | {}x | {}x | {} | {} |",
             g("kernel"),
             ms(&g("interpreter_ns")),
             ms(&g("tier_off_ns")),
             ms(&g("tier_threaded_ns")),
-            ms(&g("tier_fused_ns")),
-            g("fused_vs_off"),
-            g("fused_vs_interp"),
+            g("threaded_vs_off"),
+            g("threaded_vs_interp"),
             g("compiled_blocks"),
             g("compiled_bailouts"),
         );
     }
     if let (Some(off), Some(interp)) = (
-        field(json, "fused_vs_off_geomean"),
-        field(json, "fused_vs_interp_geomean"),
+        field(json, "threaded_vs_off_geomean"),
+        field(json, "threaded_vs_interp_geomean"),
     ) {
         let _ = writeln!(
             t,
-            "\n**Fused-tier geomean (engaged kernels): {off}x vs the interpreted tier, {interp}x vs the sequential interpreter**"
+            "\n**Threaded-tier geomean (engaged kernels): {off}x vs the interpreted tier, {interp}x vs the sequential interpreter**"
         );
     }
     t

@@ -1020,7 +1020,7 @@ impl<'m> Interpreter<'m> {
 
                 // Arms ordered by measured dynamic frequency over the NAS
                 // suite (see the opcode profiler / BENCH_runtime.json
-                // `dispatch_reorder`): load > binary > gep > store > br >
+                // `profiling.opcodes`): load > binary > gep > store > br >
                 // cmp > condbr > intrinsic > cast > unary > call >
                 // alloca > ret.
                 match &data.inst {

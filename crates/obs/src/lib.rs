@@ -49,5 +49,5 @@ pub mod json;
 mod opcode;
 mod recorder;
 
-pub use opcode::{Opcode, OpcodeProfile, FUSABLE_PAIRS, OPCODE_COUNT};
+pub use opcode::{Opcode, OpcodeProfile, OPCODE_COUNT};
 pub use recorder::{ArgVal, Histogram, ObsHandle, Recorder, Snapshot, SpanGuard, TraceEvent};

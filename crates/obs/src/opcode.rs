@@ -95,24 +95,6 @@ impl std::fmt::Display for Opcode {
     }
 }
 
-/// The opcode pairs the runtime's compiled tier can fuse into
-/// superinstructions, in fixed declaration order.
-///
-/// The set is derived from the measured 13×13 consecutive-pair matrix of
-/// the runtime bench suite (`BENCH_runtime.json`, `profiling.opcodes`):
-/// `load+binary`, `gep+load`, and `binary+store` are the three hottest
-/// pairs across every kernel class, and `gep+store` completes the
-/// address-compute/store idiom of the same access chains. Only pairs
-/// whose fused semantics need no new fault behavior qualify — both
-/// halves must be straight-line, register-chained, and side-effect-
-/// ordered exactly as the unfused sequence.
-pub const FUSABLE_PAIRS: [(Opcode, Opcode); 4] = [
-    (Opcode::Gep, Opcode::Load),
-    (Opcode::Load, Opcode::Binary),
-    (Opcode::Binary, Opcode::Store),
-    (Opcode::Gep, Opcode::Store),
-];
-
 /// Dynamic opcode frequency + consecutive-pair profile for one context
 /// (a kernel, a scheduled loop, or an interpreter run).
 #[derive(Debug, Clone)]
@@ -193,28 +175,6 @@ impl OpcodeProfile {
         v.truncate(n);
         v
     }
-
-    /// The measured pair ranking restricted to [`FUSABLE_PAIRS`] — the
-    /// fusion shortlist the compiled tier implements, descending by
-    /// dynamic count (zero-count fusable pairs omitted).
-    ///
-    /// Deterministic for a given profile: ordering inherits
-    /// [`top_pairs`](Self::top_pairs)' count-then-discriminant sort.
-    pub fn fusion_shortlist(&self) -> Vec<(Opcode, Opcode, u64)> {
-        self.top_pairs(OPCODE_COUNT * OPCODE_COUNT)
-            .into_iter()
-            .filter(|&(a, b, _)| FUSABLE_PAIRS.contains(&(a, b)))
-            .collect()
-    }
-
-    /// Opcode ranking as mnemonics, descending by frequency — the input
-    /// to dispatch match-arm reordering.
-    pub fn ranking(&self) -> Vec<&'static str> {
-        self.top(OPCODE_COUNT)
-            .into_iter()
-            .map(|(op, _)| op.name())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -248,32 +208,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), ta + tb);
         assert_eq!(a.pairs[Opcode::Br.index()][Opcode::Ret.index()], 1);
-    }
-
-    #[test]
-    fn fusion_shortlist_filters_and_orders_by_count() {
-        let mut p = OpcodeProfile::default();
-        // load+binary twice, gep+load once, cmp+condbr (not fusable) thrice.
-        p.record(None, Opcode::Gep);
-        p.record(Some(Opcode::Gep), Opcode::Load);
-        p.record(Some(Opcode::Load), Opcode::Binary);
-        p.record(Some(Opcode::Binary), Opcode::Load);
-        p.record(Some(Opcode::Load), Opcode::Binary);
-        for _ in 0..3 {
-            p.record(Some(Opcode::Binary), Opcode::Cmp);
-            p.record(Some(Opcode::Cmp), Opcode::CondBr);
-        }
-        let shortlist = p.fusion_shortlist();
-        assert_eq!(
-            shortlist,
-            vec![
-                (Opcode::Load, Opcode::Binary, 2),
-                (Opcode::Gep, Opcode::Load, 1),
-            ]
-        );
-        for (a, b, _) in shortlist {
-            assert!(FUSABLE_PAIRS.contains(&(a, b)));
-        }
     }
 
     #[test]

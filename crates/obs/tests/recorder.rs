@@ -4,25 +4,31 @@
 //! JSON parser.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use pspdg_obs::{json, Opcode, Recorder};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread so sibling tests
+    /// allocating concurrently cannot trip the zero-allocation check;
+    /// `const`-initialised and destructor-free so the allocator hooks can
+    /// touch it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,7 +45,7 @@ fn disabled_path_allocates_nothing() {
     // Warm any lazy statics outside the measured window.
     rec.add("warmup", 1);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     for _ in 0..100 {
         let mut s = rec.span("runtime/activation", "runtime");
         s.arg("trip", 64u64);
@@ -48,7 +54,7 @@ fn disabled_path_allocates_nothing() {
         rec.add("pool/dispatches", 3);
         rec.observe("runtime/activation_ns", 12345);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = ALLOCS.get();
     assert_eq!(after - before, 0, "disabled recorder must not allocate");
 }
 

@@ -21,7 +21,6 @@
 
 pub mod assess;
 pub mod enumerate;
-pub mod fusion;
 pub mod hotloops;
 pub mod machine;
 pub mod plan;
@@ -34,7 +33,6 @@ pub use enumerate::{
     enumerate_function, enumerate_function_with_features, enumerate_program,
     enumerate_program_with_features, FunctionOptions, ProgramOptions,
 };
-pub use fusion::fuse_replay_program;
 pub use hotloops::{hot_loops, HotLoop};
 pub use machine::MachineModel;
 pub use plan::{

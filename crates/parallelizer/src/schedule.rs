@@ -156,64 +156,6 @@ pub enum ReplayOp {
         /// the region; empty for unconditional read-modify-writes.
         preds: Vec<(ReplayVal, bool)>,
     },
-    /// Fused `Gep`+`Load` superinstruction (see [`crate::fusion`]): compute
-    /// `base + index × elem_len`, then load that cell. Defines the loaded
-    /// value; faults exactly where the unfused pair would (bad gep
-    /// operands first, then bad address / undef cell).
-    FusedGepLoad {
-        /// Base pointer.
-        base: ReplayVal,
-        /// Element index.
-        index: ReplayVal,
-        /// Flattened element size (cells).
-        elem_len: i64,
-    },
-    /// Fused `Load`+`Bin` superinstruction: load `addr`, then combine the
-    /// loaded value with `other`. Defines the binary result; the load (and
-    /// its undef check) evaluates first, exactly as the unfused pair.
-    FusedLoadBin {
-        /// Opcode of the arithmetic half.
-        op: BinOp,
-        /// Address of the loaded operand.
-        addr: ReplayVal,
-        /// The non-loaded operand.
-        other: ReplayVal,
-        /// Whether the loaded value is the left operand.
-        load_lhs: bool,
-    },
-    /// Fused `Bin`+`Store` superinstruction: compute `lhs op rhs`, then
-    /// conditionally store it (same predication as [`ReplayOp::Store`]).
-    /// The arithmetic evaluates first — unconditionally, exactly as the
-    /// unfused pair — then the predicates decide the store. Defines
-    /// `Undef` (the store's temp slot).
-    FusedBinStore {
-        /// Opcode of the arithmetic half.
-        op: BinOp,
-        /// Left operand.
-        lhs: ReplayVal,
-        /// Right operand.
-        rhs: ReplayVal,
-        /// Cell address.
-        addr: ReplayVal,
-        /// Branch conditions (with polarity) controlling the store.
-        preds: Vec<(ReplayVal, bool)>,
-    },
-    /// Fused `Gep`+`Store` superinstruction: compute `base + index ×
-    /// elem_len`, then conditionally store `value` there. The address
-    /// arithmetic evaluates first — unconditionally — then the predicates
-    /// decide the store. Defines `Undef` (the store's temp slot).
-    FusedGepStore {
-        /// Base pointer.
-        base: ReplayVal,
-        /// Element index.
-        index: ReplayVal,
-        /// Flattened element size (cells).
-        elem_len: i64,
-        /// Stored value.
-        value: ReplayVal,
-        /// Branch conditions (with polarity) controlling the store.
-        preds: Vec<(ReplayVal, bool)>,
-    },
 }
 
 /// The straight-line micro-program the master executes once per logged
@@ -225,17 +167,11 @@ pub struct ReplayProgram {
 }
 
 impl ReplayProgram {
-    /// The program's store ops (protected mutations), including the fused
-    /// superinstructions that end in a store.
+    /// The program's store ops (protected mutations).
     pub fn stores(&self) -> impl Iterator<Item = &ReplayOp> {
-        self.ops.iter().filter(|op| {
-            matches!(
-                op,
-                ReplayOp::Store { .. }
-                    | ReplayOp::FusedBinStore { .. }
-                    | ReplayOp::FusedGepStore { .. }
-            )
-        })
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, ReplayOp::Store { .. }))
     }
 
     /// Number of replay-time fault sites in this program: every op can

@@ -1,5 +1,5 @@
-//! The compiled execution tier: threaded-code lowering + superinstruction
-//! fusion for hot straight-line slices.
+//! The compiled execution tier: threaded-code lowering of hot
+//! straight-line slices.
 //!
 //! The runtime's chunk workers interpret every instruction — opcode
 //! decode, operand `match`, register indirection — which swamps the
@@ -9,13 +9,7 @@
 //! **pre-bound op templates** ([`CompiledOp`]): every operand is resolved
 //! once, at compile time, to a frame slot ([`Slot`]), so execution is a
 //! single dense `match` per op with no per-step `Inst` decode or `Value`
-//! match. On top of the threaded code, the [`CompiledTier::Fused`] tier
-//! runs a peephole pass collapsing the hottest measured opcode pairs
-//! (`pspdg_obs::FUSABLE_PAIRS`: gep+load, load+binary, binary+store,
-//! gep+store — the top of the 13×13 pair matrix in `BENCH_runtime.json`)
-//! into single fused superinstruction arms. The same shortlist drives
-//! replay-program fusion (`pspdg_parallelizer::fusion`), whose fused
-//! programs this module pre-computes per chunked loop.
+//! match.
 //!
 //! ## Supported slice shapes & bailout invariants
 //!
@@ -46,19 +40,17 @@ use pspdg_ir::{
     Value,
 };
 use pspdg_obs::Opcode;
-use pspdg_parallelizer::{fuse_replay_program, ExecutablePlan, LoopExec, ReplayProgram};
+use pspdg_parallelizer::{ExecutablePlan, LoopExec};
 
 /// Which execution tier chunk workers use for scheduled loop bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompiledTier {
     /// Pure interpretation (the differential oracle).
     Off,
-    /// Threaded code: pre-bound op templates, no per-step decode.
-    Threaded,
-    /// Threaded code + fused superinstructions for the hottest measured
-    /// opcode pairs (the production default).
+    /// Threaded code: pre-bound op templates, no per-step decode (the
+    /// production default).
     #[default]
-    Fused,
+    Threaded,
 }
 
 impl CompiledTier {
@@ -67,7 +59,6 @@ impl CompiledTier {
         match self {
             CompiledTier::Off => "interpreted",
             CompiledTier::Threaded => "threaded",
-            CompiledTier::Fused => "fused",
         }
     }
 }
@@ -100,9 +91,7 @@ impl Slot {
 }
 
 /// One pre-bound op template. `dst` is the defining instruction's register
-/// index; fused variants also write their first half's register
-/// (`addr_dst` / `load_dst` / `val_dst`) so a completed block leaves the
-/// frame bit-identical to interpretation regardless of later uses.
+/// index.
 #[derive(Debug, Clone)]
 pub enum CompiledOp {
     /// Memory read (bounds-checked; undef cell is a bailout, as the
@@ -183,65 +172,6 @@ pub enum CompiledOp {
         /// Destination register.
         dst: u32,
     },
-    /// Fused `gep`+`load` superinstruction.
-    GepLoad {
-        /// Base pointer.
-        base: Slot,
-        /// Element index.
-        index: Slot,
-        /// Flattened element size (cells).
-        elem_len: i64,
-        /// The gep's own register (still written — later ops may read it).
-        addr_dst: u32,
-        /// The load's register.
-        dst: u32,
-    },
-    /// Fused `load`+`binary` superinstruction.
-    LoadBin {
-        /// Opcode of the arithmetic half.
-        op: BinOp,
-        /// Address of the loaded operand.
-        ptr: Slot,
-        /// The non-loaded operand.
-        other: Slot,
-        /// Whether the loaded value is the left operand.
-        load_lhs: bool,
-        /// The load's own register (written before `other` is read, so
-        /// self-referential operands behave exactly as interpreted).
-        load_dst: u32,
-        /// The binary's register.
-        dst: u32,
-    },
-    /// Fused `binary`+`store` superinstruction.
-    BinStore {
-        /// Opcode of the arithmetic half.
-        op: BinOp,
-        /// Left operand.
-        lhs: Slot,
-        /// Right operand.
-        rhs: Slot,
-        /// Cell pointer.
-        ptr: Slot,
-        /// The binary's own register (written before the store).
-        val_dst: u32,
-        /// The store's register (written `Undef`).
-        dst: u32,
-    },
-    /// Fused `gep`+`store` superinstruction.
-    GepStore {
-        /// Base pointer.
-        base: Slot,
-        /// Element index.
-        index: Slot,
-        /// Flattened element size (cells).
-        elem_len: i64,
-        /// Stored value.
-        value: Slot,
-        /// The gep's own register (written before the store).
-        addr_dst: u32,
-        /// The store's register (written `Undef`).
-        dst: u32,
-    },
 }
 
 /// A compiled block's terminator, pre-resolved.
@@ -264,8 +194,8 @@ pub struct CompiledBlock {
     ops: Vec<CompiledOp>,
     term: CompiledTerm,
     /// Dynamic step cost of the block = its original instruction count
-    /// (terminator included) — fused ops still count both halves, so the
-    /// engine's step counter matches interpretation exactly.
+    /// (terminator included), so the engine's step counter matches
+    /// interpretation exactly.
     pub cost: u64,
     /// The block's original opcode sequence (length == `cost`), fed to the
     /// opcode profiler in order so merged totals still equal the step
@@ -297,12 +227,10 @@ impl CompiledBody {
 }
 
 /// The compiled tier of one program under one executable plan: per
-/// chunked loop, the threaded-code body and the fused replay programs of
-/// its deferred critical regions.
+/// chunked loop, the threaded-code body.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledProgram {
     bodies: HashMap<(FuncId, BlockId), CompiledBody>,
-    fused_replays: HashMap<(FuncId, BlockId), Vec<ReplayProgram>>,
 }
 
 impl CompiledProgram {
@@ -312,24 +240,14 @@ impl CompiledProgram {
         self.bodies.get(&(func, header))
     }
 
-    /// The fused replay programs of the loop's deferred criticals (same
-    /// indexing as `ChunkedLoop::criticals`); `None` under
-    /// [`CompiledTier::Threaded`] (fusion off) or for loops without
-    /// criticals.
-    pub fn fused_replays(&self, func: FuncId, header: BlockId) -> Option<&[ReplayProgram]> {
-        self.fused_replays.get(&(func, header)).map(Vec::as_slice)
-    }
-
     /// Total compiled blocks across all loops (static count).
     pub fn compiled_blocks_total(&self) -> usize {
         self.bodies.values().map(CompiledBody::len).sum()
     }
 }
 
-/// Lower every scheduled chunked loop of `plan` to threaded code (and,
-/// under [`CompiledTier::Fused`], fuse superinstructions and pre-fuse the
-/// loops' replay programs). Deterministic; [`CompiledTier::Off`] returns
-/// an empty program.
+/// Lower every scheduled chunked loop of `plan` to threaded code.
+/// Deterministic; [`CompiledTier::Off`] returns an empty program.
 pub fn compile_program(
     module: &Module,
     plan: &ExecutablePlan,
@@ -351,24 +269,12 @@ pub fn compile_program(
             if c.criticals.iter().any(|cr| cr.entry == bb) {
                 continue;
             }
-            if let Some(mut cb) = compile_block(f, bb) {
-                if tier == CompiledTier::Fused {
-                    cb.ops = fuse_ops(cb.ops);
-                }
+            if let Some(cb) = compile_block(f, bb) {
                 body.blocks.insert(bb, cb);
             }
         }
         if !body.is_empty() {
             out.bodies.insert((sched.func, sched.header), body);
-        }
-        if tier == CompiledTier::Fused && !c.criticals.is_empty() {
-            out.fused_replays.insert(
-                (sched.func, sched.header),
-                c.criticals
-                    .iter()
-                    .map(|cr| fuse_replay_program(&cr.program))
-                    .collect(),
-            );
         }
     }
     out
@@ -458,111 +364,6 @@ fn compile_block(f: &Function, bb: BlockId) -> Option<CompiledBlock> {
         term,
         opcodes,
     })
-}
-
-/// Greedy left-to-right superinstruction peephole over pre-bound ops:
-/// fuse op `k` into op `k+1` when `k`'s destination register feeds the
-/// matched operand slot of `k+1` and the pair is on the measured
-/// shortlist (`pspdg_obs::FUSABLE_PAIRS`). The fused arm still writes the
-/// first half's register, so no liveness analysis is needed — any later
-/// (or aliasing) use reads exactly what interpretation would have left.
-fn fuse_ops(ops: Vec<CompiledOp>) -> Vec<CompiledOp> {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut i = 0usize;
-    while i < ops.len() {
-        if i + 1 < ops.len() {
-            if let Some(fused) = try_fuse(&ops[i], &ops[i + 1]) {
-                out.push(fused);
-                i += 2;
-                continue;
-            }
-        }
-        out.push(ops[i].clone());
-        i += 1;
-    }
-    out
-}
-
-/// Whether `s` reads register `r`.
-fn is_reg(s: &Slot, r: u32) -> bool {
-    matches!(s, Slot::Reg(k) if *k == r)
-}
-
-/// Fuse two adjacent pre-bound ops if they form a shortlist pair.
-fn try_fuse(a: &CompiledOp, b: &CompiledOp) -> Option<CompiledOp> {
-    match (a, b) {
-        (
-            CompiledOp::Gep {
-                base,
-                index,
-                elem_len,
-                dst,
-            },
-            CompiledOp::Load { ptr, dst: ld },
-        ) if is_reg(ptr, *dst) => Some(CompiledOp::GepLoad {
-            base: *base,
-            index: *index,
-            elem_len: *elem_len,
-            addr_dst: *dst,
-            dst: *ld,
-        }),
-        (
-            CompiledOp::Load { ptr, dst },
-            CompiledOp::Bin {
-                op,
-                lhs,
-                rhs,
-                dst: bd,
-            },
-        ) if is_reg(lhs, *dst) || is_reg(rhs, *dst) => {
-            let load_lhs = is_reg(lhs, *dst);
-            let other = if load_lhs { rhs } else { lhs };
-            Some(CompiledOp::LoadBin {
-                op: *op,
-                ptr: *ptr,
-                other: *other,
-                load_lhs,
-                load_dst: *dst,
-                dst: *bd,
-            })
-        }
-        (
-            CompiledOp::Bin { op, lhs, rhs, dst },
-            CompiledOp::Store {
-                ptr,
-                value,
-                dst: sd,
-            },
-        ) if is_reg(value, *dst) => Some(CompiledOp::BinStore {
-            op: *op,
-            lhs: *lhs,
-            rhs: *rhs,
-            ptr: *ptr,
-            val_dst: *dst,
-            dst: *sd,
-        }),
-        (
-            CompiledOp::Gep {
-                base,
-                index,
-                elem_len,
-                dst,
-            },
-            CompiledOp::Store {
-                ptr,
-                value,
-                dst: sd,
-            },
-        ) if is_reg(ptr, *dst) => Some(CompiledOp::GepStore {
-            base: *base,
-            index: *index,
-            elem_len: *elem_len,
-            value: *value,
-            addr_dst: *dst,
-            dst: *sd,
-        }),
-        _ => None,
-    }
 }
 
 /// Read a slot's value. Infallible for well-formed programs; a
@@ -682,66 +483,6 @@ pub fn run_block(
                     .map(|s| get(s, regs, args, mem))
                     .collect::<Result<Vec<_>, _>>()?;
                 regs[*dst as usize] = eval_intrinsic(*intrinsic, &vals, output).map_err(|_| ())?;
-            }
-            CompiledOp::GepLoad {
-                base,
-                index,
-                elem_len,
-                addr_dst,
-                dst,
-            } => {
-                let (b, i) = (get(base, regs, args, mem)?, get(index, regs, args, mem)?);
-                let ptr = gep(b, i, *elem_len)?;
-                regs[*addr_dst as usize] = ptr;
-                regs[*dst as usize] = load(mem, ptr)?;
-            }
-            CompiledOp::LoadBin {
-                op,
-                ptr,
-                other,
-                load_lhs,
-                load_dst,
-                dst,
-            } => {
-                let loaded = load(mem, get(ptr, regs, args, mem)?)?;
-                // Written before `other` is read: a binary whose other
-                // operand *is* the load's register sees the loaded value,
-                // exactly as interpretation would.
-                regs[*load_dst as usize] = loaded;
-                let o = get(other, regs, args, mem)?;
-                let (l, r) = if *load_lhs { (loaded, o) } else { (o, loaded) };
-                regs[*dst as usize] = eval_binop(*op, l, r).map_err(|_| ())?;
-            }
-            CompiledOp::BinStore {
-                op,
-                lhs,
-                rhs,
-                ptr,
-                val_dst,
-                dst,
-            } => {
-                let (l, r) = (get(lhs, regs, args, mem)?, get(rhs, regs, args, mem)?);
-                let v = eval_binop(*op, l, r).map_err(|_| ())?;
-                regs[*val_dst as usize] = v;
-                let a = deref(mem, get(ptr, regs, args, mem)?)?;
-                mem.write(a, v);
-                regs[*dst as usize] = RtVal::Undef;
-            }
-            CompiledOp::GepStore {
-                base,
-                index,
-                elem_len,
-                value,
-                addr_dst,
-                dst,
-            } => {
-                let (b, i) = (get(base, regs, args, mem)?, get(index, regs, args, mem)?);
-                let ptr = gep(b, i, *elem_len)?;
-                regs[*addr_dst as usize] = ptr;
-                let a = deref(mem, ptr)?;
-                let v = get(value, regs, args, mem)?;
-                mem.write(a, v);
-                regs[*dst as usize] = RtVal::Undef;
             }
         }
     }

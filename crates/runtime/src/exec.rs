@@ -172,10 +172,10 @@ pub struct FallbackCounts {
     /// mid-walk; the half-applied staging heap is discarded and the loop
     /// re-runs sequentially on the untouched master heap.
     pub commit_fault: u64,
-    /// A chunk worker bailed out of a compiled (threaded-code /
-    /// superinstruction) slice — a mid-slice fault, fuel exhaustion, or
-    /// an injected compiled-slice fault — and the loop re-ran on the
-    /// interpreter, which reproduces any real fault in sequential order.
+    /// A chunk worker bailed out of a compiled (threaded-code) slice — a
+    /// mid-slice fault, fuel exhaustion, or an injected compiled-slice
+    /// fault — and the loop re-ran on the interpreter, which reproduces
+    /// any real fault in sequential order.
     pub compiled_bailout: u64,
 }
 
@@ -252,8 +252,8 @@ pub struct RunStats {
     /// losing the thread).
     pub pool_respawns: u64,
     /// Straight-line blocks chunk workers executed through the compiled
-    /// tier (threaded code / fused superinstructions) in activations that
-    /// committed; 0 under [`CompiledTier::Off`].
+    /// tier (threaded code) in activations that committed; 0 under
+    /// [`CompiledTier::Off`].
     pub compiled_blocks: u64,
 }
 
@@ -416,7 +416,7 @@ pub struct Runtime {
     /// (typically the kernel name; defaults to `"run"`).
     obs_label: String,
     /// Which execution tier chunk workers use for scheduled loop bodies
-    /// (default [`CompiledTier::Fused`]; [`CompiledTier::Off`] keeps
+    /// (default [`CompiledTier::Threaded`]; [`CompiledTier::Off`] keeps
     /// everything on the interpreter — the differential oracle).
     tier: CompiledTier,
     /// Threaded-code lowering of the plan's chunked loops, compiled
@@ -465,7 +465,7 @@ impl Runtime {
     }
 
     /// Select the chunk workers' execution tier
-    /// ([`CompiledTier::Fused`] by default). [`CompiledTier::Off`] forces
+    /// ([`CompiledTier::Threaded`] by default). [`CompiledTier::Off`] forces
     /// pure interpretation — the configuration differential tests compare
     /// against. Resets the cached compiled program.
     pub fn compiled_tier(mut self, tier: CompiledTier) -> Runtime {
@@ -989,7 +989,7 @@ impl<'a> Engine<'a> {
         let mut result = RtVal::Undef;
         // Arms ordered by measured dynamic frequency (same ranking as the
         // sequential interpreter's dispatch — see BENCH_runtime.json
-        // `dispatch_reorder`): load > binary > gep > store > br > cmp >
+        // `profiling.opcodes`): load > binary > gep > store > br > cmp >
         // condbr > intrinsic > cast > unary > call > alloca > ret.
         match &f.inst(inst_id).inst {
             Inst::Load { ptr, .. } => {
@@ -1269,8 +1269,8 @@ impl<'a> Engine<'a> {
             steps: u64,
             compiled_blocks: u64,
         }
-        // The loop's compiled body (threaded code / fused
-        // superinstructions), if the tier is on and any block compiled.
+        // The loop's compiled body (threaded code), if the tier is on and
+        // any block compiled.
         let cbody = self.compiled.and_then(|cp| cp.body(func_id, sched.header));
         let module = self.module;
         let crit_map_ref = &crit_map;
@@ -1442,13 +1442,7 @@ impl<'a> Engine<'a> {
                     abort = Some(FallbackWhy::ReplayFault);
                     break;
                 }
-                // Under the fused tier the pre-fused replay programs
-                // (bit-identical semantics, fewer dispatches) replace the
-                // canonical ones.
-                let prog = self
-                    .compiled
-                    .and_then(|cp| cp.fused_replays(func_id, sched.header))
-                    .map_or(&c.criticals[*idx as usize].program, |v| &v[*idx as usize]);
+                let prog = &c.criticals[*idx as usize].program;
                 match replay_packet(prog, packet, &mut staging) {
                     Ok(stores) => {
                         packets += 1;
@@ -2083,13 +2077,7 @@ fn replay_deref(staging: &MemState, v: RtVal) -> Result<MemAddr, ()> {
 /// the number of stores applied; any fault (undef protected cell, bad
 /// address, evaluator error) aborts the whole activation's commit and the
 /// loop re-runs sequentially.
-///
-/// Fused superinstructions (`Fused*`, produced by
-/// `pspdg_parallelizer::fusion`) evaluate their two halves in the exact
-/// unfused order, so fusion changes neither results nor fault behavior —
-/// the contract the seeded fuzz loop in `tests/fusion_fuzz.rs` enforces.
-#[allow(clippy::result_unit_err)] // the fault is deliberately opaque: callers only discard and re-run
-pub fn replay_packet(
+fn replay_packet(
     prog: &ReplayProgram,
     packet: &[RtVal],
     staging: &mut MemState,
@@ -2161,107 +2149,6 @@ pub fn replay_packet(
                 }
                 RtVal::Undef
             }
-            ReplayOp::FusedGepLoad {
-                base,
-                index,
-                elem_len,
-            } => {
-                // Gep half first (its faults precede the load's).
-                let ptr = match (val(base)?, val(index)?) {
-                    (RtVal::Ptr { obj, off }, RtVal::Int(i)) => RtVal::Ptr {
-                        obj,
-                        off: off + i * elem_len,
-                    },
-                    _ => return Err(()),
-                };
-                let a = replay_deref(staging, ptr)?;
-                let v = staging.read(a);
-                if matches!(v, RtVal::Undef) {
-                    return Err(());
-                }
-                v
-            }
-            ReplayOp::FusedLoadBin {
-                op,
-                addr,
-                other,
-                load_lhs,
-            } => {
-                // Load half first — including its undef fault — exactly as
-                // the unfused pair orders it.
-                let a = replay_deref(staging, val(addr)?)?;
-                let loaded = staging.read(a);
-                if matches!(loaded, RtVal::Undef) {
-                    return Err(());
-                }
-                let o = val(other)?;
-                let (lhs, rhs) = if *load_lhs { (loaded, o) } else { (o, loaded) };
-                eval_binop(*op, lhs, rhs).map_err(|_| ())?
-            }
-            ReplayOp::FusedBinStore {
-                op,
-                lhs,
-                rhs,
-                addr,
-                preds,
-            } => {
-                // Arithmetic half is unconditional (it was a standalone op
-                // before the predicated store).
-                let v = eval_binop(*op, val(lhs)?, val(rhs)?).map_err(|_| ())?;
-                let mut exec = true;
-                for (p, pol) in preds {
-                    match val(p)? {
-                        RtVal::Bool(b) => {
-                            if b != *pol {
-                                exec = false;
-                                break;
-                            }
-                        }
-                        _ => return Err(()),
-                    }
-                }
-                if exec {
-                    let a = replay_deref(staging, val(addr)?)?;
-                    staging.write(a, v);
-                    applied += 1;
-                }
-                RtVal::Undef
-            }
-            ReplayOp::FusedGepStore {
-                base,
-                index,
-                elem_len,
-                value,
-                preds,
-            } => {
-                // Address arithmetic is unconditional, the store predicated.
-                let ptr = match (val(base)?, val(index)?) {
-                    (RtVal::Ptr { obj, off }, RtVal::Int(i)) => RtVal::Ptr {
-                        obj,
-                        off: off + i * elem_len,
-                    },
-                    _ => return Err(()),
-                };
-                let mut exec = true;
-                for (p, pol) in preds {
-                    match val(p)? {
-                        RtVal::Bool(b) => {
-                            if b != *pol {
-                                exec = false;
-                                break;
-                            }
-                        }
-                        _ => return Err(()),
-                    }
-                }
-                if exec {
-                    let a = replay_deref(staging, ptr)?;
-                    let v = val(value)?;
-                    staging.write(a, v);
-                    applied += 1;
-                }
-                RtVal::Undef
-            }
         };
         temps.push(out);
     }
@@ -2308,8 +2195,80 @@ fn reduction_merge(op: ReductionOp, master: RtVal, chunk: RtVal) -> RtVal {
         (ReductionOp::LogOr, RtVal::Bool(a), RtVal::Bool(b)) => RtVal::Bool(a || b),
         // A master cell the loop never initialized: take the chunk value.
         (_, RtVal::Undef, b) => b,
-        // Type confusion cannot arise from verified programs; prefer the
+        // A type mismatch cannot arise from verified programs; prefer the
         // chunk's value (what last-writer commit would have done).
         (_, _, b) => b,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pspdg_ir::{BinOp, Constant};
+
+    /// `load p0; +1; store p1 if p2 && !p3` over a 32-cell heap of sevens
+    /// with an `Undef` hole at cell 5: every fault returns `Err(())`
+    /// before any store, and the store applies iff every predicate holds.
+    #[test]
+    fn replay_packet_faults_before_writing_and_stores_obey_predicates() {
+        let p = pspdg_frontend::compile("int g[32]; int main() { return 0; }").unwrap();
+        let mut mem = MemState::for_module(&p.module);
+        let obj = mem.objects().next().expect("one global object").0;
+        for off in 0..32 {
+            mem.write(MemAddr { obj, off }, RtVal::Int(7));
+        }
+        mem.write(MemAddr { obj, off: 5 }, RtVal::Undef);
+        let cells = |m: &MemState| -> Vec<RtVal> {
+            (0..32).map(|off| m.read(MemAddr { obj, off })).collect()
+        };
+        let prog = ReplayProgram {
+            ops: vec![
+                ReplayOp::Load {
+                    addr: ReplayVal::Operand(0),
+                },
+                ReplayOp::Bin {
+                    op: BinOp::Add,
+                    lhs: ReplayVal::Temp(0),
+                    rhs: ReplayVal::Const(Constant::Int(1)),
+                },
+                ReplayOp::Store {
+                    addr: ReplayVal::Operand(1),
+                    value: ReplayVal::Temp(1),
+                    preds: vec![
+                        (ReplayVal::Operand(2), true),
+                        (ReplayVal::Operand(3), false),
+                    ],
+                },
+            ],
+        };
+        let ptr = |off: i64| RtVal::Ptr { obj, off };
+        let run = |src: RtVal, p2: RtVal, p3: RtVal| {
+            let mut staging = mem.clone();
+            let r = replay_packet(&prog, &[src, ptr(9), p2, p3], &mut staging);
+            (r, cells(&staging))
+        };
+        let (t, f) = (RtVal::Bool(true), RtVal::Bool(false));
+
+        // Undef cell, out of bounds either side, non-pointer address, and
+        // a non-bool predicate: all fault with the staging heap untouched.
+        for (src, p2) in [
+            (ptr(5), t),
+            (ptr(32), t),
+            (ptr(-1), t),
+            (RtVal::Int(3), t),
+            (ptr(0), RtVal::Int(1)),
+        ] {
+            assert_eq!(run(src, p2, f), (Err(()), cells(&mem)), "{src:?} {p2:?}");
+        }
+
+        // The store applies only under (true, false).
+        for (p2, p3) in [(t, t), (f, f), (f, t)] {
+            assert_eq!(run(ptr(0), p2, p3), (Ok(0), cells(&mem)));
+        }
+        let (r, after) = run(ptr(0), t, f);
+        assert_eq!(r, Ok(1));
+        let mut want = cells(&mem);
+        want[9] = RtVal::Int(8);
+        assert_eq!(after, want);
     }
 }

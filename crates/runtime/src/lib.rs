@@ -52,17 +52,15 @@
 //! Chunk workers additionally carry a **compiled execution tier**
 //! ([`compiled`]): scheduled loop bodies' straight-line blocks are
 //! pre-resolved to threaded code (operands bound to frame slots, no
-//! per-step decode) with fused superinstructions for the hottest
-//! measured opcode pairs, selected per activation behind the same cost
+//! per-step decode), selected per activation behind the same cost
 //! gate; any unsupported shape or mid-slice fault falls back to the
 //! interpreter under the `compiled_bailout` cause, so the interpreter
-//! remains the bit-identical oracle (`tests/compiled_differential.rs`,
-//! `tests/fusion_fuzz.rs`).
+//! remains the bit-identical oracle (`tests/compiled_differential.rs`).
 //!
 //! Module map: [`exec`] — the engine ([`Runtime`], [`RunStats`],
-//! [`FallbackCounts`]); [`compiled`] — the threaded-code /
-//! superinstruction tier ([`CompiledTier`]); [`fault`] —
-//! deterministic fault injection ([`FaultPlan`], [`FaultInjector`]);
+//! [`FallbackCounts`]); [`compiled`] — the threaded-code tier
+//! ([`CompiledTier`]); [`fault`] — deterministic fault injection
+//! ([`FaultPlan`], [`FaultInjector`]);
 //! [`check`] — observable-state extraction for differential testing.
 //! The persistent, self-healing scoped [`WorkerPool`] and the bounded
 //! DSWP decoupling buffer with watchdog sends/recvs
@@ -81,7 +79,7 @@ pub use check::{
 };
 pub use compiled::{compile_program, CompiledProgram, CompiledTier};
 pub use exec::{
-    replay_packet, FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD,
+    FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD,
     DEFAULT_PIPELINE_MIN_BODY, DEFAULT_STAGE_WATCHDOG,
 };
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection, Rng64};

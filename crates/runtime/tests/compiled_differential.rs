@@ -1,12 +1,11 @@
-//! Compiled-tier differential tests: with the threaded-code /
-//! superinstruction tier forced on, the runtime must stay **bit-identical**
-//! to itself with the tier off — same return value, same output lines,
-//! same step count, same observable heap down to the last float bit
-//! (tiers share chunk partitioning and merge order, so even reduction
-//! re-association is identical) — and equivalent to the sequential
-//! interpreter, across generated kernels × directive sets × worker
-//! counts and the whole NAS suite. Fallback cause tables must agree
-//! modulo `compiled_bailout` (the only cause the tier may add).
+//! Compiled-tier differential tests: with the threaded-code tier on, the
+//! runtime must stay **bit-identical** to itself with the tier off — same
+//! return value, same output lines, same step count, same observable heap
+//! down to the last float bit (tiers share chunk partitioning and merge
+//! order, so even reduction re-association is identical) — and equivalent
+//! to the sequential interpreter, across generated kernels × directive
+//! sets × worker counts and the whole NAS suite. Fallback cause tables
+//! must agree modulo `compiled_bailout` (the only cause the tier may add).
 
 use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink, RtVal};
@@ -112,25 +111,23 @@ fn assert_matches_interp(name: &str, p: &ParallelProgram, out: &RunOutcome, ctx:
     );
 }
 
-/// Full differential: interpreter vs Off vs Threaded vs Fused, pairwise.
+/// Full differential: interpreter vs Off vs Threaded.
 fn assert_compiled_differential(
     name: &str,
     p: &ParallelProgram,
     abstraction: Abstraction,
     workers: usize,
-) -> (RunOutcome, RunOutcome, RunOutcome) {
+) -> RunOutcome {
     let mut interp = Interpreter::new(&p.module);
     interp.run_main(&mut NullSink).expect("profiling run");
     let plan = build_plan(p, interp.profile(), abstraction, 0.01);
     let off = run_tier(p, &plan, workers, CompiledTier::Off);
     let threaded = run_tier(p, &plan, workers, CompiledTier::Threaded);
-    let fused = run_tier(p, &plan, workers, CompiledTier::Fused);
     let ctx = format!("{abstraction:?}/{workers}w");
     assert_eq!(off.stats.compiled_blocks, 0, "{name} [{ctx}]: Off compiled");
     assert_tiers_identical(name, p, &off, &threaded, &format!("{ctx} off-vs-threaded"));
-    assert_tiers_identical(name, p, &off, &fused, &format!("{ctx} off-vs-fused"));
-    assert_matches_interp(name, p, &fused, &format!("{ctx} fused-vs-interp"));
-    (off, threaded, fused)
+    assert_matches_interp(name, p, &threaded, &format!("{ctx} threaded-vs-interp"));
+    threaded
 }
 
 // ---- directed ---------------------------------------------------------
@@ -151,24 +148,19 @@ fn straight_line_doall_engages_the_compiled_tier() {
     )
     .unwrap();
     for workers in [2, 3, 4] {
-        let (_, threaded, fused) =
+        let threaded =
             assert_compiled_differential("straight-line", &p, Abstraction::PsPdg, workers);
-        // The whole body of each loop is straight-line: both compiled
-        // tiers must actually execute blocks, not silently interpret.
+        // The whole body of each loop is straight-line: the compiled
+        // tier must actually execute blocks, not silently interpret.
         assert!(
             threaded.stats.compiled_blocks > 0,
             "threaded tier never engaged: {:?}",
             threaded.stats
         );
-        assert!(
-            fused.stats.compiled_blocks > 0,
-            "fused tier never engaged: {:?}",
-            fused.stats
-        );
         assert_eq!(
-            fused.stats.fallbacks.compiled_bailout, 0,
+            threaded.stats.fallbacks.compiled_bailout, 0,
             "a pure straight-line kernel must not bail out: {:?}",
-            fused.stats
+            threaded.stats
         );
     }
 }
@@ -192,11 +184,7 @@ fn mid_slice_fault_bails_out_and_reruns_with_interpreter_parity() {
     let mut interp = Interpreter::new(&p.module);
     let seq_err = interp.run_main(&mut NullSink).unwrap_err();
     let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-    for tier in [
-        CompiledTier::Off,
-        CompiledTier::Threaded,
-        CompiledTier::Fused,
-    ] {
+    for tier in [CompiledTier::Off, CompiledTier::Threaded] {
         let rt = Runtime::new(&p, &plan)
             .workers(4)
             .cost_threshold(0)
@@ -208,7 +196,7 @@ fn mid_slice_fault_bails_out_and_reruns_with_interpreter_parity() {
 
 #[test]
 fn nas_suite_tiers_are_bit_identical() {
-    // Every runtime-suite kernel (the bench set), both plans: the three
+    // Every runtime-suite kernel (the bench set), both plans: the two
     // tiers agree bit-for-bit, including float kernels — identical chunk
     // partitioning means identical association.
     for bench in runtime_suite(Class::Test) {
@@ -236,8 +224,8 @@ fn compiled_tier_defaults_on_and_respects_off() {
     let default_rt = Runtime::new(&p, &plan).workers(2).cost_threshold(0);
     assert_eq!(
         default_rt.tier(),
-        CompiledTier::Fused,
-        "fused is the default"
+        CompiledTier::Threaded,
+        "threaded is the default"
     );
     let out = default_rt.run_main().unwrap();
     assert!(out.stats.compiled_blocks > 0, "{:?}", out.stats);
@@ -272,11 +260,11 @@ fn unsupported_shapes_interpret_without_bailout() {
         "#,
     )
     .unwrap();
-    let (_, _, fused) = assert_compiled_differential("call-body", &p, Abstraction::OpenMp, 4);
+    let threaded = assert_compiled_differential("call-body", &p, Abstraction::OpenMp, 4);
     assert_eq!(
-        fused.stats.fallbacks.compiled_bailout, 0,
+        threaded.stats.fallbacks.compiled_bailout, 0,
         "unsupported shapes are compile-time skips, not runtime bailouts: {:?}",
-        fused.stats
+        threaded.stats
     );
 }
 
@@ -292,7 +280,7 @@ mod generated {
     enum GenLoop {
         /// `w[i] = v[i] * k1 + k2;` — gep+load / load+binary / binary+store.
         Map { k1: i64, k2: i64 },
-        /// `w[i] = v[i] * k1 + u[i] * k2 + w[i];` — long fused chain.
+        /// `w[i] = v[i] * k1 + u[i] * k2 + w[i];` — long load/binary chain.
         Fma { k1: i64, k2: i64 },
         /// `w[i] = v[u[i] % 96];` — indirect load (gep feeds gep).
         Gather,

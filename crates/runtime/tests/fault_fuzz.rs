@@ -309,7 +309,7 @@ fn stage_panic_is_detected_by_the_watchdog() {
 
 #[test]
 fn compiled_slice_fault_bails_out_to_interpreter() {
-    // The compiled tier is on by default (fused); the injected fault
+    // The compiled tier is on by default (threaded); the injected fault
     // fires at the first compiled-slice entry, the activation aborts,
     // and the sequential interpreter re-run keeps the heap bit-exact.
     let p = doall_program();

@@ -238,9 +238,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
     assert_eq!(ids, (0..BURST).map(|i| format!("q{i}")).collect::<Vec<_>>());
     // Daemon is gone: new connections fail or are not served.
     assert!(Client::connect(addr)
-        .and_then(|mut c| {
-            c.ping().map_err(|_| std::io::Error::other("dead"))
-        })
+        .and_then(|mut c| { c.ping().map_err(|_| std::io::Error::other("dead")) })
         .is_err());
 }
 
