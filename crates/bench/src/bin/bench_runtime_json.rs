@@ -101,8 +101,7 @@ fn main() {
         let rt = Runtime::with_executable(&p, exec.clone()).workers(workers);
         // The sequential baseline is the *same* engine with one worker
         // (every loop falls back), so the speedup isolates parallel
-        // execution from engine overhead differences against the tracing
-        // interpreter.
+        // execution from engine overhead differences against `ir::interp`.
         let rt_seq = Runtime::with_executable(&p, exec.clone()).workers(1);
 
         // Correctness gate before timing anything; a failing kernel is
@@ -640,7 +639,7 @@ fn main() {
     let opcodes_json = pspdg_obs::export::profile_json(&total_ops, 10);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the tracing sequential interpreter, for reference\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {geomean:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"compiled_note\": \"the same suite timed at the two chunk-worker execution tiers under default gates: interpreted (off) and threaded code (frame-slot-resolved operand templates); every threaded run is gated bit-identical to the interpreted tier and equivalent to the sequential interpreter before timing; geomeans cover engaged kernels (compiled_blocks > 0)\",\n  \"compiled\": {{\n    \"engaged_kernels\": {engaged_n},\n    \"threaded_vs_off_geomean\": {comp_vs_off_geomean:.3},\n    \"threaded_vs_interp_geomean\": {comp_vs_interp_geomean:.3},\n    \"compiled_bailouts\": {total_bailouts},\n    \"skipped\": [{compiled_skipped_json}],\n    \"kernels\": [\n{compiled_rows}\n    ]\n  }},\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {geomean:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"compiled_note\": \"the same suite timed at the two chunk-worker execution tiers under default gates: interpreted (off) and threaded code (frame-slot-resolved operand templates); every threaded run is gated bit-identical to the interpreted tier and equivalent to the sequential interpreter before timing; geomeans cover engaged kernels (compiled_blocks > 0)\",\n  \"compiled\": {{\n    \"engaged_kernels\": {engaged_n},\n    \"threaded_vs_off_geomean\": {comp_vs_off_geomean:.3},\n    \"threaded_vs_interp_geomean\": {comp_vs_interp_geomean:.3},\n    \"compiled_bailouts\": {total_bailouts},\n    \"skipped\": [{compiled_skipped_json}],\n    \"kernels\": [\n{compiled_rows}\n    ]\n  }},\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

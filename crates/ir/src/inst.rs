@@ -400,23 +400,24 @@ impl Inst {
             )
     }
 
-    /// All value operands, in a fixed order.
-    pub fn operands(&self) -> Vec<Value> {
-        match self {
-            Inst::Alloca { .. } => vec![],
-            Inst::Load { ptr, .. } => vec![*ptr],
-            Inst::Store { ptr, value } => vec![*ptr, *value],
-            Inst::Gep { base, index, .. } => vec![*base, *index],
-            Inst::Binary { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Unary { operand, .. } => vec![*operand],
-            Inst::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Cast { value, .. } => vec![*value],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::IntrinsicCall { args, .. } => args.clone(),
-            Inst::Br { .. } => vec![],
-            Inst::CondBr { cond, .. } => vec![*cond],
-            Inst::Ret { value } => value.iter().copied().collect(),
-        }
+    /// All value operands, in a fixed order (no allocation: the
+    /// interpreter walks this once per traced step).
+    pub fn operands(&self) -> impl Iterator<Item = Value> + '_ {
+        let (fixed, rest): ([Option<Value>; 2], &[Value]) = match self {
+            Inst::Alloca { .. } | Inst::Br { .. } => ([None, None], &[]),
+            Inst::Load { ptr, .. } => ([Some(*ptr), None], &[]),
+            Inst::Store { ptr, value } => ([Some(*ptr), Some(*value)], &[]),
+            Inst::Gep { base, index, .. } => ([Some(*base), Some(*index)], &[]),
+            Inst::Binary { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                ([Some(*lhs), Some(*rhs)], &[])
+            }
+            Inst::Unary { operand, .. } => ([Some(*operand), None], &[]),
+            Inst::Cast { value, .. } => ([Some(*value), None], &[]),
+            Inst::Call { args, .. } | Inst::IntrinsicCall { args, .. } => ([None, None], args),
+            Inst::CondBr { cond, .. } => ([Some(*cond), None], &[]),
+            Inst::Ret { value } => ([*value, None], &[]),
+        };
+        fixed.into_iter().flatten().chain(rest.iter().copied())
     }
 
     /// Successor blocks if this is a terminator.
@@ -463,9 +464,9 @@ mod tests {
             ptr: Value::Inst(InstId(0)),
             value: Value::const_int(1),
         };
-        assert_eq!(store.operands().len(), 2);
+        assert_eq!(store.operands().count(), 2);
         let br = Inst::Br { target: BlockId(1) };
-        assert!(br.operands().is_empty());
+        assert_eq!(br.operands().count(), 0);
         assert_eq!(br.successors(), vec![BlockId(1)]);
     }
 
@@ -477,7 +478,7 @@ mod tests {
             else_bb: BlockId(2),
         };
         assert_eq!(cb.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(cb.operands().len(), 1);
+        assert_eq!(cb.operands().count(), 1);
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //!   call step), so consumers of the result wait for the callee to finish;
 //! * the producer of a parameter reference is the producer of the argument
 //!   at the call site.
+//!
+//! The interpreter is generic over its sink and all of this bookkeeping,
+//! like the event calls themselves, is behind [`TraceSink::TRACES`]: a
+//! [`NullSink`] run (profiling, the baseline oracle) compiles without it.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -176,7 +179,8 @@ impl Object {
 #[derive(Debug, Clone, Default)]
 pub struct MemState {
     objects: Vec<Object>,
-    globals: HashMap<GlobalId, ObjId>,
+    /// The object backing each global, indexed by [`GlobalId`].
+    globals: Vec<ObjId>,
     /// Dirty-cell tracking applies to objects below this index (the
     /// objects that existed at [`MemState::fork`] time); `0` — the
     /// default — disables tracking entirely (non-fork states).
@@ -202,7 +206,7 @@ impl MemState {
             };
             let obj = ObjId(mem.objects.len() as u32);
             mem.objects.push(Object::new(ObjOrigin::Global(g), cells));
-            mem.globals.insert(g, obj);
+            mem.globals.push(obj);
         }
         mem
     }
@@ -275,7 +279,35 @@ impl MemState {
 
     /// The runtime object backing global `g`.
     pub fn global_object(&self, g: GlobalId) -> ObjId {
-        self.globals[&g]
+        self.globals[g.index()]
+    }
+
+    /// Validate `v` as the address of one live cell — the check every
+    /// engine makes before the [`MemState::read`] or [`MemState::write`]
+    /// that follows.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalFault::OutOfBounds`] when the offset lies outside the object,
+    /// [`EvalFault::TypeMismatch`] when `v` is not a pointer.
+    #[inline]
+    pub fn deref(&self, v: RtVal) -> Result<MemAddr, EvalFault> {
+        match v {
+            RtVal::Ptr { obj, off } => {
+                let size = self.objects[obj.index()].len as usize;
+                if off < 0 || off as usize >= size {
+                    return Err(EvalFault::OutOfBounds { off, size });
+                }
+                Ok(MemAddr {
+                    obj,
+                    off: off as u32,
+                })
+            }
+            other => Err(EvalFault::TypeMismatch {
+                expected: "ptr",
+                got: other.type_name(),
+            }),
+        }
     }
 
     /// Every live object with its origin (in allocation order).
@@ -433,6 +465,11 @@ pub struct Step<'a> {
 
 /// Receiver of dynamic-trace events. All methods have empty defaults.
 pub trait TraceSink {
+    /// Whether the sink reads events at all. The interpreter is generic
+    /// over its sink, so with `false` ([`NullSink`]) it compiles without
+    /// the dependence bookkeeping and without the event calls.
+    const TRACES: bool = true;
+
     /// A dynamic instruction executed.
     fn on_step(&mut self, step: &Step<'_>) {
         let _ = step;
@@ -461,7 +498,9 @@ pub trait TraceSink {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
-impl TraceSink for NullSink {}
+impl TraceSink for NullSink {
+    const TRACES: bool = false;
+}
 
 /// A runtime error.
 #[derive(Debug, Clone, PartialEq)]
@@ -560,6 +599,13 @@ impl std::error::Error for ExecError {}
 pub enum EvalFault {
     /// Integer division or remainder by zero.
     DivByZero,
+    /// A pointer's offset lies outside its object.
+    OutOfBounds {
+        /// Attempted offset.
+        off: i64,
+        /// Object size in cells.
+        size: usize,
+    },
     /// An operand had an unexpected runtime type.
     TypeMismatch {
         /// Expected type name.
@@ -576,6 +622,12 @@ impl EvalFault {
             EvalFault::DivByZero => ExecError::DivByZero {
                 func: func.to_string(),
                 inst,
+            },
+            EvalFault::OutOfBounds { off, size } => ExecError::OutOfBounds {
+                func: func.to_string(),
+                inst,
+                off,
+                size,
             },
             EvalFault::TypeMismatch { expected, got } => ExecError::TypeMismatch {
                 func: func.to_string(),
@@ -731,15 +783,24 @@ pub fn eval_cast(kind: CastKind, v: RtVal) -> Result<RtVal, EvalFault> {
 }
 
 /// Evaluate an intrinsic call; `print_*` intrinsics append to `output`.
+/// The argument values are taken from an iterator so that no engine has to
+/// collect them first (no intrinsic reads past its second argument).
 ///
 /// # Errors
 ///
 /// [`EvalFault::TypeMismatch`] on badly typed arguments.
 pub fn eval_intrinsic(
     intr: Intrinsic,
-    args: &[RtVal],
+    args: impl IntoIterator<Item = RtVal>,
     output: &mut Vec<String>,
 ) -> Result<RtVal, EvalFault> {
+    let mut buf = [RtVal::Undef; 2];
+    let mut given = 0;
+    for (slot, v) in buf.iter_mut().zip(args) {
+        *slot = v;
+        given += 1;
+    }
+    let args = &buf[..given];
     let f = |i: usize| -> Result<f64, EvalFault> {
         args[i].as_float().ok_or(EvalFault::TypeMismatch {
             expected: "f64",
@@ -815,15 +876,31 @@ pub struct Interpreter<'m> {
 
 /// Everything local to one activation.
 struct Frame {
-    #[allow(dead_code)]
-    func: FuncId,
     id: u64,
     regs: Vec<RtVal>,
-    /// Trace index of the last execution of each instruction.
+    /// Trace index of the last execution of each instruction (empty
+    /// unless the sink traces).
     last_def: Vec<u64>,
     args: Vec<RtVal>,
-    /// Trace index of the producer of each argument.
+    /// Trace index of the producer of each argument (empty unless the
+    /// sink traces).
     arg_deps: Vec<u64>,
+}
+
+impl Frame {
+    /// The runtime value of operand `v`.
+    #[inline]
+    fn eval(&self, mem: &MemState, v: Value) -> RtVal {
+        match v {
+            Value::Const(c) => const_val(c),
+            Value::Inst(i) => self.regs[i.index()],
+            Value::Param(p) => self.args[p],
+            Value::Global(g) => RtVal::Ptr {
+                obj: mem.global_object(g),
+                off: 0,
+            },
+        }
+    }
 }
 
 const NO_DEP: u64 = u64::MAX;
@@ -875,16 +952,19 @@ impl<'m> Interpreter<'m> {
     /// # Errors
     ///
     /// Any [`ExecError`] raised during execution.
-    pub fn run_traced(
+    pub fn run_traced<S: TraceSink>(
         &mut self,
         func: FuncId,
         args: &[RtVal],
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> Result<Option<RtVal>, ExecError> {
-        for (obj, origin) in self.mem.objects() {
-            sink.on_alloc(obj, origin);
+        let mut arg_deps = Vec::new();
+        if S::TRACES {
+            for (obj, origin) in self.mem.objects() {
+                sink.on_alloc(obj, origin);
+            }
+            arg_deps.resize(args.len(), NO_DEP);
         }
-        let arg_deps = vec![NO_DEP; args.len()];
         let res = self.exec_function(func, args.to_vec(), arg_deps, NO_DEP, sink);
         if let Some(h) = self.obs.as_mut() {
             h.flush();
@@ -898,7 +978,7 @@ impl<'m> Interpreter<'m> {
     /// # Errors
     ///
     /// [`ExecError`] from execution; panics if no `main` exists.
-    pub fn run_main(&mut self, sink: &mut dyn TraceSink) -> Result<Option<RtVal>, ExecError> {
+    pub fn run_main<S: TraceSink>(&mut self, sink: &mut S) -> Result<Option<RtVal>, ExecError> {
         let main = self
             .module
             .function_by_name("main")
@@ -921,16 +1001,6 @@ impl<'m> Interpreter<'m> {
         self.steps
     }
 
-    /// Origin of a runtime object (for mapping addresses to variables).
-    pub fn object_origin(&self, obj: ObjId) -> ObjOrigin {
-        self.mem.origin(obj)
-    }
-
-    /// Read one cell of an object (test/inspection helper).
-    pub fn read_cell(&self, addr: MemAddr) -> RtVal {
-        self.mem.read(addr)
-    }
-
     /// The runtime object backing a global.
     pub fn global_object(&self, g: GlobalId) -> ObjId {
         self.mem.global_object(g)
@@ -942,23 +1012,31 @@ impl<'m> Interpreter<'m> {
         &self.mem
     }
 
-    fn exec_function(
+    /// The one interpreter body. Everything the emulator needs beyond plain
+    /// interpretation — producer indices, touched cells, the event calls —
+    /// sits behind `S::TRACES`, a constant of the sink's type.
+    fn exec_function<S: TraceSink>(
         &mut self,
         func_id: FuncId,
         args: Vec<RtVal>,
         arg_deps: Vec<u64>,
         call_step: u64,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> Result<(Option<RtVal>, u64), ExecError> {
         let func = self.module.function(func_id);
         let frame_id = self.next_frame;
         self.next_frame += 1;
-        sink.on_enter(frame_id, func_id, call_step);
+        if S::TRACES {
+            sink.on_enter(frame_id, func_id, call_step);
+        }
         let mut frame = Frame {
-            func: func_id,
             id: frame_id,
             regs: vec![RtVal::Undef; func.insts.len()],
-            last_def: vec![NO_DEP; func.insts.len()],
+            last_def: if S::TRACES {
+                vec![NO_DEP; func.insts.len()]
+            } else {
+                Vec::new()
+            },
             args,
             arg_deps,
         };
@@ -982,7 +1060,9 @@ impl<'m> Interpreter<'m> {
         };
         'blocks: loop {
             self.profile.block_count[func_id.index()][block.index()] += 1;
-            sink.on_block(frame.id, func_id, block);
+            if S::TRACES {
+                sink.on_block(frame.id, func_id, block);
+            }
             let insts = &func.block(block).insts;
             for &inst_id in insts {
                 if self.steps >= self.fuel {
@@ -997,22 +1077,15 @@ impl<'m> Interpreter<'m> {
                 if let Some(h) = self.obs.as_mut() {
                     h.op(opcode_of(&data.inst));
                 }
-                // Collect operand dependences.
-                reg_deps.clear();
-                loads.clear();
-                stores.clear();
-                for v in data.inst.operands() {
-                    if let Some(d) = dep_of(&frame, v) {
-                        reg_deps.push(d);
-                    }
+                if S::TRACES {
+                    // Collect operand dependences.
+                    reg_deps.clear();
+                    loads.clear();
+                    stores.clear();
+                    reg_deps.extend(data.inst.operands().filter_map(|v| dep_of(&frame, v)));
                 }
-                let err_func = || func.name.clone();
-
-                macro_rules! eval {
-                    ($v:expr) => {
-                        self.eval(&frame, $v)
-                    };
-                }
+                // Names an `ExecError`; evaluated on the fault path only.
+                let fault = |e: EvalFault| e.at(&func.name, inst_id);
 
                 let mut result = RtVal::Undef;
                 let mut next_block: Option<BlockId> = None;
@@ -1025,29 +1098,37 @@ impl<'m> Interpreter<'m> {
                 // alloca > ret.
                 match &data.inst {
                     Inst::Load { ptr, .. } => {
-                        let addr = self.deref(eval!(*ptr), &err_func(), inst_id)?;
+                        let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
                         let v = self.mem.read(addr);
                         if matches!(v, RtVal::Undef) {
                             return Err(ExecError::UndefRead {
-                                func: err_func(),
+                                func: func.name.clone(),
                                 inst: inst_id,
                             });
                         }
-                        loads.push(addr);
+                        if S::TRACES {
+                            loads.push(addr);
+                        }
                         result = v;
                     }
                     Inst::Binary { op, lhs, rhs } => {
-                        let l = eval!(*lhs);
-                        let r = eval!(*rhs);
-                        result = eval_binop(*op, l, r).map_err(|e| e.at(&err_func(), inst_id))?;
+                        let l = frame.eval(&self.mem, *lhs);
+                        let r = frame.eval(&self.mem, *rhs);
+                        result = eval_binop(*op, l, r).map_err(fault)?;
                     }
                     Inst::Gep {
                         base,
                         index,
                         elem_ty,
                     } => {
-                        let b = eval!(*base);
-                        let idx = self.expect_int(eval!(*index), &err_func(), inst_id)?;
+                        let b = frame.eval(&self.mem, *base);
+                        let idx = frame.eval(&self.mem, *index);
+                        let idx = idx.as_int().ok_or_else(|| {
+                            fault(EvalFault::TypeMismatch {
+                                expected: "i64",
+                                got: idx.type_name(),
+                            })
+                        })?;
                         match b {
                             RtVal::Ptr { obj, off } => {
                                 result = RtVal::Ptr {
@@ -1056,91 +1137,90 @@ impl<'m> Interpreter<'m> {
                                 };
                             }
                             other => {
-                                return Err(ExecError::TypeMismatch {
-                                    func: err_func(),
-                                    inst: inst_id,
+                                return Err(fault(EvalFault::TypeMismatch {
                                     expected: "ptr",
                                     got: other.type_name(),
-                                })
+                                }))
                             }
                         }
                     }
                     Inst::Store { ptr, value } => {
-                        let addr = self.deref(eval!(*ptr), &err_func(), inst_id)?;
-                        let v = eval!(*value);
+                        let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
+                        let v = frame.eval(&self.mem, *value);
                         self.mem.write(addr, v);
-                        stores.push(addr);
+                        if S::TRACES {
+                            stores.push(addr);
+                        }
                     }
                     Inst::Br { target } => {
                         next_block = Some(*target);
                     }
                     Inst::Cmp { op, lhs, rhs } => {
-                        let l = eval!(*lhs);
-                        let r = eval!(*rhs);
-                        result = RtVal::Bool(
-                            eval_cmp(*op, l, r).map_err(|e| e.at(&err_func(), inst_id))?,
-                        );
+                        let l = frame.eval(&self.mem, *lhs);
+                        let r = frame.eval(&self.mem, *rhs);
+                        result = RtVal::Bool(eval_cmp(*op, l, r).map_err(fault)?);
                     }
                     Inst::CondBr {
                         cond,
                         then_bb,
                         else_bb,
                     } => {
-                        let c = eval!(*cond);
-                        let c = match c {
+                        let c = match frame.eval(&self.mem, *cond) {
                             RtVal::Bool(b) => b,
                             other => {
-                                return Err(ExecError::TypeMismatch {
-                                    func: err_func(),
-                                    inst: inst_id,
+                                return Err(fault(EvalFault::TypeMismatch {
                                     expected: "bool",
                                     got: other.type_name(),
-                                })
+                                }))
                             }
                         };
                         next_block = Some(if c { *then_bb } else { *else_bb });
                     }
                     Inst::IntrinsicCall { intrinsic, args } => {
-                        let vals: Vec<RtVal> = args.iter().map(|a| self.eval(&frame, *a)).collect();
-                        result = eval_intrinsic(*intrinsic, &vals, &mut self.output)
-                            .map_err(|e| e.at(&err_func(), inst_id))?;
+                        let mem = &self.mem;
+                        let vals = args.iter().map(|a| frame.eval(mem, *a));
+                        result =
+                            eval_intrinsic(*intrinsic, vals, &mut self.output).map_err(fault)?;
                     }
                     Inst::Cast { kind, value } => {
-                        let v = eval!(*value);
-                        result = eval_cast(*kind, v).map_err(|e| e.at(&err_func(), inst_id))?;
+                        let v = frame.eval(&self.mem, *value);
+                        result = eval_cast(*kind, v).map_err(fault)?;
                     }
                     Inst::Unary { op, operand } => {
-                        let v = eval!(*operand);
-                        result = eval_unop(*op, v).map_err(|e| e.at(&err_func(), inst_id))?;
+                        let v = frame.eval(&self.mem, *operand);
+                        result = eval_unop(*op, v).map_err(fault)?;
                     }
                     Inst::Call { callee, args } => {
-                        let vals: Vec<RtVal> = args.iter().map(|a| self.eval(&frame, *a)).collect();
-                        let deps: Vec<u64> = args
-                            .iter()
-                            .map(|a| dep_of(&frame, *a).unwrap_or(NO_DEP))
-                            .collect();
-                        // Emit the call step before entering the callee so the
-                        // trace stays in execution order.
-                        sink.on_step(&Step {
-                            frame: frame.id,
-                            func: func_id,
-                            inst: inst_id,
-                            index: my_index,
-                            reg_deps: &reg_deps,
-                            loads: &loads,
-                            stores: &stores,
-                        });
+                        let vals: Vec<RtVal> =
+                            args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
+                        let mut deps = Vec::new();
+                        if S::TRACES {
+                            deps.extend(args.iter().map(|a| dep_of(&frame, *a).unwrap_or(NO_DEP)));
+                            // Emit the call step before entering the callee so
+                            // the trace stays in execution order.
+                            sink.on_step(&Step {
+                                frame: frame.id,
+                                func: func_id,
+                                inst: inst_id,
+                                index: my_index,
+                                reg_deps: &reg_deps,
+                                loads: &loads,
+                                stores: &stores,
+                            });
+                        }
                         let (ret, ret_step) =
                             self.exec_function(*callee, vals, deps, my_index, sink)?;
                         if let Some(v) = ret {
                             frame.regs[inst_id.index()] = v;
                         }
-                        // The call result's producer is the callee's ret.
-                        frame.last_def[inst_id.index()] = if ret_step == NO_DEP {
-                            my_index
-                        } else {
-                            ret_step
-                        };
+                        if S::TRACES {
+                            // The call result's producer is the callee's ret.
+                            frame.last_def[inst_id.index()] = if ret_step == NO_DEP {
+                                my_index
+                            } else {
+                                ret_step
+                            };
+                        }
                         continue;
                     }
                     Inst::Alloca { ty, .. } => {
@@ -1149,29 +1229,34 @@ impl<'m> Interpreter<'m> {
                             inst: inst_id,
                         };
                         let obj = self.mem.alloc(origin, ty.flat_len() as usize);
-                        sink.on_alloc(obj, origin);
+                        if S::TRACES {
+                            sink.on_alloc(obj, origin);
+                        }
                         result = RtVal::Ptr { obj, off: 0 };
                     }
                     Inst::Ret { value } => {
-                        let v = value.map(|v| self.eval(&frame, v));
-                        returned = Some(v);
+                        returned = Some(value.map(|v| frame.eval(&self.mem, v)));
                     }
                 }
 
                 frame.regs[inst_id.index()] = result;
-                frame.last_def[inst_id.index()] = my_index;
-                sink.on_step(&Step {
-                    frame: frame.id,
-                    func: func_id,
-                    inst: inst_id,
-                    index: my_index,
-                    reg_deps: &reg_deps,
-                    loads: &loads,
-                    stores: &stores,
-                });
+                if S::TRACES {
+                    frame.last_def[inst_id.index()] = my_index;
+                    sink.on_step(&Step {
+                        frame: frame.id,
+                        func: func_id,
+                        inst: inst_id,
+                        index: my_index,
+                        reg_deps: &reg_deps,
+                        loads: &loads,
+                        stores: &stores,
+                    });
+                }
 
                 if let Some(ret) = returned {
-                    sink.on_exit(frame.id, func_id, my_index);
+                    if S::TRACES {
+                        sink.on_exit(frame.id, func_id, my_index);
+                    }
                     return Ok((ret, my_index));
                 }
                 if let Some(nb) = next_block {
@@ -1181,53 +1266,6 @@ impl<'m> Interpreter<'m> {
             }
             unreachable!("block without terminator survived verification");
         }
-    }
-
-    fn eval(&self, frame: &Frame, v: Value) -> RtVal {
-        match v {
-            Value::Const(c) => const_val(c),
-            Value::Inst(i) => frame.regs[i.index()],
-            Value::Param(p) => frame.args[p],
-            Value::Global(g) => RtVal::Ptr {
-                obj: self.mem.global_object(g),
-                off: 0,
-            },
-        }
-    }
-
-    fn deref(&self, v: RtVal, func: &str, inst: InstId) -> Result<MemAddr, ExecError> {
-        match v {
-            RtVal::Ptr { obj, off } => {
-                let size = self.mem.object_len(obj);
-                if off < 0 || off as usize >= size {
-                    return Err(ExecError::OutOfBounds {
-                        func: func.to_string(),
-                        inst,
-                        off,
-                        size,
-                    });
-                }
-                Ok(MemAddr {
-                    obj,
-                    off: off as u32,
-                })
-            }
-            other => Err(ExecError::TypeMismatch {
-                func: func.to_string(),
-                inst,
-                expected: "ptr",
-                got: other.type_name(),
-            }),
-        }
-    }
-
-    fn expect_int(&self, v: RtVal, func: &str, inst: InstId) -> Result<i64, ExecError> {
-        v.as_int().ok_or_else(|| ExecError::TypeMismatch {
-            func: func.to_string(),
-            inst,
-            expected: "i64",
-            got: v.type_name(),
-        })
     }
 }
 

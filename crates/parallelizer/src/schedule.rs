@@ -898,7 +898,6 @@ impl<'a> FuncRealizer<'a> {
                 };
                 let replay_dep = inst
                     .operands()
-                    .iter()
                     .any(|v| v.as_inst().is_some_and(|d| slice.contains(&d)));
                 match inst {
                     Inst::Call { .. } => return Err("call inside a critical region"),

@@ -32,8 +32,8 @@
 use std::collections::HashMap;
 
 use pspdg_ir::interp::{
-    const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, opcode_of, MemAddr,
-    MemState, RtVal,
+    const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, opcode_of, MemState,
+    RtVal,
 };
 use pspdg_ir::{
     BinOp, BlockId, CastKind, CmpOp, FuncId, Function, GlobalId, Inst, Intrinsic, Module, UnOp,
@@ -381,29 +381,10 @@ fn get(s: &Slot, regs: &[RtVal], args: &[RtVal], mem: &MemState) -> Result<RtVal
     }
 }
 
-/// Resolve a pointer value to a checked address (the interpreter's bounds
-/// rule); any mismatch bails out.
-#[inline]
-fn deref(mem: &MemState, v: RtVal) -> Result<MemAddr, ()> {
-    match v {
-        RtVal::Ptr { obj, off } => {
-            let size = mem.object_len(obj);
-            if off < 0 || off as usize >= size {
-                return Err(());
-            }
-            Ok(MemAddr {
-                obj,
-                off: off as u32,
-            })
-        }
-        _ => Err(()),
-    }
-}
-
 /// Bounds-checked, undef-checked load.
 #[inline]
 fn load(mem: &MemState, ptr: RtVal) -> Result<RtVal, ()> {
-    let a = deref(mem, ptr)?;
+    let a = mem.deref(ptr).map_err(|_| ())?;
     let v = mem.read(a);
     if matches!(v, RtVal::Undef) {
         return Err(());
@@ -456,7 +437,7 @@ pub fn run_block(
                 regs[*dst as usize] = gep(b, i, *elem_len)?;
             }
             CompiledOp::Store { ptr, value, dst } => {
-                let a = deref(mem, get(ptr, regs, args, mem)?)?;
+                let a = mem.deref(get(ptr, regs, args, mem)?).map_err(|_| ())?;
                 let v = get(value, regs, args, mem)?;
                 mem.write(a, v);
                 regs[*dst as usize] = RtVal::Undef;
@@ -478,11 +459,13 @@ pub fn run_block(
                 args: islots,
                 dst,
             } => {
-                let vals = islots
-                    .iter()
-                    .map(|s| get(s, regs, args, mem))
-                    .collect::<Result<Vec<_>, _>>()?;
-                regs[*dst as usize] = eval_intrinsic(*intrinsic, &vals, output).map_err(|_| ())?;
+                // No intrinsic reads past its second argument.
+                let mut vals = [RtVal::Undef; 2];
+                for (slot, s) in vals.iter_mut().zip(islots) {
+                    *slot = get(s, regs, args, mem)?;
+                }
+                let vals = vals.into_iter().take(islots.len());
+                regs[*dst as usize] = eval_intrinsic(*intrinsic, vals, output).map_err(|_| ())?;
             }
         }
     }

@@ -84,8 +84,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use pspdg_ir::interp::{
-    const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, opcode_of, ExecError,
-    MemAddr, MemState, ObjOrigin, RtVal,
+    const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, opcode_of, EvalFault,
+    ExecError, MemAddr, MemState, ObjOrigin, RtVal,
 };
 use pspdg_ir::loops::trip_count_from;
 use pspdg_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Value};
@@ -711,6 +711,23 @@ struct Frame {
     args: Vec<RtVal>,
 }
 
+impl Frame {
+    /// The runtime value of operand `v` (globals resolve against `mem`,
+    /// whose object ids differ between the master and worker forks).
+    #[inline]
+    fn eval(&self, mem: &MemState, v: Value) -> RtVal {
+        match v {
+            Value::Const(c) => const_val(c),
+            Value::Inst(i) => self.regs[i.index()],
+            Value::Param(p) => self.args[p],
+            Value::Global(g) => RtVal::Ptr {
+                obj: mem.global_object(g),
+                off: 0,
+            },
+        }
+    }
+}
+
 /// Where control goes after an instruction.
 enum Flow {
     Next,
@@ -985,7 +1002,8 @@ impl<'a> Engine<'a> {
         if let Some(h) = self.obs.as_mut() {
             h.op(opcode_of(&f.inst(inst_id).inst));
         }
-        let err_func = || f.name.clone();
+        // Names an `ExecError`; evaluated on the fault path only.
+        let fault = |e: EvalFault| e.at(&f.name, inst_id);
         let mut result = RtVal::Undef;
         // Arms ordered by measured dynamic frequency (same ranking as the
         // sequential interpreter's dispatch — see BENCH_runtime.json
@@ -993,34 +1011,32 @@ impl<'a> Engine<'a> {
         // condbr > intrinsic > cast > unary > call > alloca > ret.
         match &f.inst(inst_id).inst {
             Inst::Load { ptr, .. } => {
-                let addr = self.deref(self.eval(frame, *ptr), &err_func(), inst_id)?;
+                let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
                 let v = self.mem.read(addr);
                 if matches!(v, RtVal::Undef) {
                     return Err(ExecError::UndefRead {
-                        func: err_func(),
+                        func: f.name.clone(),
                         inst: inst_id,
                     });
                 }
                 result = v;
             }
             Inst::Binary { op, lhs, rhs } => {
-                let (l, r) = (self.eval(frame, *lhs), self.eval(frame, *rhs));
-                result = eval_binop(*op, l, r).map_err(|e| e.at(&err_func(), inst_id))?;
+                let (l, r) = (frame.eval(&self.mem, *lhs), frame.eval(&self.mem, *rhs));
+                result = eval_binop(*op, l, r).map_err(fault)?;
             }
             Inst::Gep {
                 base,
                 index,
                 elem_ty,
             } => {
-                let b = self.eval(frame, *base);
-                let idx = self.eval(frame, *index);
+                let b = frame.eval(&self.mem, *base);
+                let idx = frame.eval(&self.mem, *index);
                 let Some(idx) = idx.as_int() else {
-                    return Err(ExecError::TypeMismatch {
-                        func: err_func(),
-                        inst: inst_id,
+                    return Err(fault(EvalFault::TypeMismatch {
                         expected: "i64",
                         got: idx.type_name(),
-                    });
+                    }));
                 };
                 match b {
                     RtVal::Ptr { obj, off } => {
@@ -1030,18 +1046,16 @@ impl<'a> Engine<'a> {
                         };
                     }
                     other => {
-                        return Err(ExecError::TypeMismatch {
-                            func: err_func(),
-                            inst: inst_id,
+                        return Err(fault(EvalFault::TypeMismatch {
                             expected: "ptr",
                             got: other.type_name(),
-                        })
+                        }))
                     }
                 }
             }
             Inst::Store { ptr, value } => {
-                let addr = self.deref(self.eval(frame, *ptr), &err_func(), inst_id)?;
-                let v = self.eval(frame, *value);
+                let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
+                let v = frame.eval(&self.mem, *value);
                 self.mem.write(addr, v);
                 if let Some(log) = &mut self.log {
                     log.push((addr, v));
@@ -1049,40 +1063,38 @@ impl<'a> Engine<'a> {
             }
             Inst::Br { target } => return Ok(Flow::Jump(*target)),
             Inst::Cmp { op, lhs, rhs } => {
-                let (l, r) = (self.eval(frame, *lhs), self.eval(frame, *rhs));
-                result = RtVal::Bool(eval_cmp(*op, l, r).map_err(|e| e.at(&err_func(), inst_id))?);
+                let (l, r) = (frame.eval(&self.mem, *lhs), frame.eval(&self.mem, *rhs));
+                result = RtVal::Bool(eval_cmp(*op, l, r).map_err(fault)?);
             }
             Inst::CondBr {
                 cond,
                 then_bb,
                 else_bb,
             } => {
-                let c = self.eval(frame, *cond);
+                let c = frame.eval(&self.mem, *cond);
                 let RtVal::Bool(c) = c else {
-                    return Err(ExecError::TypeMismatch {
-                        func: err_func(),
-                        inst: inst_id,
+                    return Err(fault(EvalFault::TypeMismatch {
                         expected: "bool",
                         got: c.type_name(),
-                    });
+                    }));
                 };
                 return Ok(Flow::Jump(if c { *then_bb } else { *else_bb }));
             }
             Inst::IntrinsicCall { intrinsic, args } => {
-                let vals: Vec<RtVal> = args.iter().map(|a| self.eval(frame, *a)).collect();
-                result = eval_intrinsic(*intrinsic, &vals, &mut self.output)
-                    .map_err(|e| e.at(&err_func(), inst_id))?;
+                let mem = &self.mem;
+                let vals = args.iter().map(|a| frame.eval(mem, *a));
+                result = eval_intrinsic(*intrinsic, vals, &mut self.output).map_err(fault)?;
             }
             Inst::Cast { kind, value } => {
-                let v = self.eval(frame, *value);
-                result = eval_cast(*kind, v).map_err(|e| e.at(&err_func(), inst_id))?;
+                let v = frame.eval(&self.mem, *value);
+                result = eval_cast(*kind, v).map_err(fault)?;
             }
             Inst::Unary { op, operand } => {
-                let v = self.eval(frame, *operand);
-                result = eval_unop(*op, v).map_err(|e| e.at(&err_func(), inst_id))?;
+                let v = frame.eval(&self.mem, *operand);
+                result = eval_unop(*op, v).map_err(fault)?;
             }
             Inst::Call { callee, args } => {
-                let vals: Vec<RtVal> = args.iter().map(|a| self.eval(frame, *a)).collect();
+                let vals: Vec<RtVal> = args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
                 if let Some(v) = self.exec_function(*callee, vals)? {
                     result = v;
                 }
@@ -1096,50 +1108,12 @@ impl<'a> Engine<'a> {
                 result = RtVal::Ptr { obj, off: 0 };
             }
             Inst::Ret { value } => {
-                let v = value.map(|v| self.eval(frame, v));
+                let v = value.map(|v| frame.eval(&self.mem, v));
                 return Ok(Flow::Return(v));
             }
         }
         frame.regs[inst_id.index()] = result;
         Ok(Flow::Next)
-    }
-
-    fn eval(&self, frame: &Frame, v: Value) -> RtVal {
-        match v {
-            Value::Const(c) => const_val(c),
-            Value::Inst(i) => frame.regs[i.index()],
-            Value::Param(p) => frame.args[p],
-            Value::Global(g) => RtVal::Ptr {
-                obj: self.mem.global_object(g),
-                off: 0,
-            },
-        }
-    }
-
-    fn deref(&self, v: RtVal, func: &str, inst: InstId) -> Result<MemAddr, ExecError> {
-        match v {
-            RtVal::Ptr { obj, off } => {
-                let size = self.mem.object_len(obj);
-                if off < 0 || off as usize >= size {
-                    return Err(ExecError::OutOfBounds {
-                        func: func.to_string(),
-                        inst,
-                        off,
-                        size,
-                    });
-                }
-                Ok(MemAddr {
-                    obj,
-                    off: off as u32,
-                })
-            }
-            other => Err(ExecError::TypeMismatch {
-                func: func.to_string(),
-                inst,
-                expected: "ptr",
-                got: other.type_name(),
-            }),
-        }
     }
 
     // ---- chunked DOALL ---------------------------------------------------
@@ -1635,7 +1609,11 @@ impl<'a> Engine<'a> {
                 Err(e) => return Err(ParAbort::Spec(e)),
             }
         }
-        let packet: Vec<RtVal> = cr.operands.iter().map(|v| self.eval(frame, *v)).collect();
+        let packet: Vec<RtVal> = cr
+            .operands
+            .iter()
+            .map(|v| frame.eval(&self.mem, *v))
+            .collect();
         self.crit_log.push((idx, packet));
         Ok(())
     }
@@ -2050,24 +2028,6 @@ enum PipeMsg {
     },
 }
 
-/// Resolve a replayed pointer value against the staging heap (same bounds
-/// rule as [`Engine::deref`]); any mismatch is a replay fault.
-fn replay_deref(staging: &MemState, v: RtVal) -> Result<MemAddr, ()> {
-    match v {
-        RtVal::Ptr { obj, off } => {
-            let size = staging.object_len(obj);
-            if off < 0 || off as usize >= size {
-                return Err(());
-            }
-            Ok(MemAddr {
-                obj,
-                off: off as u32,
-            })
-        }
-        _ => Err(()),
-    }
-}
-
 /// Execute one logged packet's replay program against the staging heap:
 /// protected loads read the *true* (sequentially committed so far) cells,
 /// compute ops use the interpreter's own evaluators, and each store
@@ -2094,7 +2054,7 @@ fn replay_packet(
         };
         let out = match op {
             ReplayOp::Load { addr } => {
-                let a = replay_deref(staging, val(addr)?)?;
+                let a = staging.deref(val(addr)?).map_err(|_| ())?;
                 let v = staging.read(a);
                 if matches!(v, RtVal::Undef) {
                     // Sequential execution reads the same undef cell at
@@ -2123,10 +2083,14 @@ fn replay_packet(
             }
             ReplayOp::Cast { kind, value } => eval_cast(*kind, val(value)?).map_err(|_| ())?,
             ReplayOp::Intrinsic { intrinsic, args } => {
-                let vals = args.iter().map(&val).collect::<Result<Vec<_>, _>>()?;
+                // No intrinsic reads past its second argument.
+                let mut vals = [RtVal::Undef; 2];
+                for (slot, a) in vals.iter_mut().zip(args) {
+                    *slot = val(a)?;
+                }
+                let vals = vals.into_iter().take(args.len());
                 // Prints are rejected at extraction; the sink is unused.
-                let mut sink = Vec::new();
-                eval_intrinsic(*intrinsic, &vals, &mut sink).map_err(|_| ())?
+                eval_intrinsic(*intrinsic, vals, &mut Vec::new()).map_err(|_| ())?
             }
             ReplayOp::Store { addr, value, preds } => {
                 let mut exec = true;
@@ -2142,7 +2106,7 @@ fn replay_packet(
                     }
                 }
                 if exec {
-                    let a = replay_deref(staging, val(addr)?)?;
+                    let a = staging.deref(val(addr)?).map_err(|_| ())?;
                     let v = val(value)?;
                     staging.write(a, v);
                     applied += 1;

@@ -24,7 +24,7 @@
 //! | `ping` | — |
 //! | `plan` | `key`, `abstraction`, `loops`, `techniques`, `mutexes`, `parallel_spawns` |
 //! | `execute` | `key`, `abstraction`, `workers`, `ret`, `output`, `steps`, `parallel_ns`, `matches_baseline`, `globals_mismatch`, `chunked_loops`, `pipelined_loops`, `sequential_fallbacks` |
-//! | `report` | everything `execute` carries plus `predicted_parallelism`, `sequential_ns`, `measured_speedup`, `efficiency`, `fallback_reasons` |
+//! | `report` | everything `execute` carries plus `predicted_parallelism`, `sequential_ns` (the untraced `ir::interp` baseline run), `measured_speedup` (`sequential_ns / parallel_ns`), `efficiency`, `fallback_reasons` |
 //! | `metrics` | `uptime_ns`, `requests`, `queue_depth`, `cache` (hits/misses/evictions/builds/bytes/entries), `counters`, `spans`, `queue_depth_mean` |
 //! | `shutdown` | `draining` |
 //!

@@ -84,7 +84,10 @@ pub struct Baseline {
     /// Dynamic instructions executed.
     pub steps: u64,
     /// Wall time of the profiling run (the `sequential_ns` of every
-    /// predicted-vs-measured report this session produces).
+    /// predicted-vs-measured report this session produces). The run uses
+    /// `NullSink`, so this is the *untraced* oracle — profile counts and
+    /// every check, no dependence bookkeeping — and `measured_speedup` is
+    /// not flattered by tracing overhead the runtime never paid.
     pub sequential_ns: u64,
 }
 

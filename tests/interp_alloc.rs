@@ -1,0 +1,87 @@
+//! Neither interpreter allocates per executed instruction.
+//!
+//! The same loop kernel — loads, stores and geps on a global array, a
+//! `sqrt` intrinsic call — runs at trip count N and at 8N; the number of
+//! heap allocations must be the *same*, under the sequential oracle with
+//! the sink that elides tracing and under a one-worker `Runtime`. A count
+//! is deterministic where an Msteps/s floor would depend on the host.
+//! (Thread-local counting-allocator idiom of `crates/obs/tests/recorder.rs`.)
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pspdg::frontend::compile;
+use pspdg::ir::interp::{Interpreter, NullSink};
+use pspdg::parallel::ParallelProgram;
+use pspdg::parallelizer::{build_plan, Abstraction};
+use pspdg::runtime::Runtime;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made by this thread (`const`-initialised and
+    /// destructor-free, so the allocator hooks can touch it).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
+
+fn kernel(trip: usize) -> ParallelProgram {
+    compile(&format!(
+        "double a[64];
+         int main() {{
+             int i;
+             for (i = 0; i < {trip}; i++) {{ a[i % 64] = sqrt(a[(i + 1) % 64] + 1.5); }}
+             return 0;
+         }}"
+    ))
+    .expect("compiles")
+}
+
+/// Allocations `run` makes on this thread.
+fn allocs_during(run: impl FnOnce()) -> u64 {
+    let before = ALLOCS.get();
+    run();
+    ALLOCS.get() - before
+}
+
+#[test]
+fn allocations_do_not_scale_with_executed_instructions() {
+    const N: usize = 500;
+    let counts = [N, 8 * N].map(|trip| {
+        let p = kernel(trip);
+        let mut interp = Interpreter::new(&p.module);
+        let oracle = allocs_during(|| {
+            interp.run_main(&mut NullSink).expect("runs");
+        });
+        let steps = interp.steps();
+        let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
+        let rt = Runtime::new(&p, &plan).workers(1);
+        let mut out = None;
+        let runtime = allocs_during(|| out = Some(rt.run_main().expect("runs")));
+        assert_eq!(out.expect("ran").steps, steps);
+        (steps, oracle, runtime)
+    });
+    let [(steps_n, oracle_n, runtime_n), (steps_8n, oracle_8n, runtime_8n)] = counts;
+    assert!(
+        steps_8n > 7 * steps_n,
+        "the longer run executes ~8x the steps"
+    );
+    assert_eq!(oracle_n, oracle_8n, "ir::interp allocations at N vs 8N");
+    assert_eq!(runtime_n, runtime_8n, "Runtime allocations at N vs 8N");
+}
