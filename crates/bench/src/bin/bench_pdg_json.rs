@@ -6,8 +6,7 @@
 //!   the per-function `FunctionAnalyses::compute` + `Pdg::build` loop
 //!   (analyses included), and
 //! * re-assembling the PS-PDG's effective graph after a directive-set
-//!   change through the [`pspdg_pdg::EffectiveView`] **overlay** vs
-//!   materializing an owned graph (the old clone-every-edge assemble),
+//!   change through the [`pspdg_pdg::EffectiveView`] **overlay**,
 //!
 //! plus a **module-scale** section: the same per-function loop over
 //! `synth::module` (a ≥1000-function program), checked untimed against
@@ -24,12 +23,9 @@
 //! cargo run --release -p pspdg-bench --bin bench_pdg_json [-- OUT.json [--smoke]]
 //! ```
 //!
-//! `--smoke` runs fewer samples and asserts the overlay invariants
-//! (SYNTH clone counts zero; overlay re-assemble at least 3x faster than
-//! the cloned re-assemble at the largest SYNTH width — a margin a
-//! regression to O(E) per-edge work in the overlay path would collapse).
-//! The module-scale oracle (`oracle_mismatches == 0`) is asserted on
-//! every run.
+//! `--smoke` runs fewer samples and asserts the overlay invariant (SYNTH
+//! clone counts zero). The module-scale oracle (`oracle_mismatches == 0`)
+//! is asserted on every run.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -153,9 +149,7 @@ fn main() {
             }
         };
         // Re-assemble after a directive-set change: base PDG, analyses,
-        // and refs already exist, only the PS-PDG assemble re-runs. The
-        // overlay path is the new cost; `+ materialize()` reproduces the
-        // old clone-every-surviving-edge assemble on top of it.
+        // and refs already exist, only the PS-PDG assemble re-runs.
         let mut run_overlay = || {
             for x in &prepared {
                 std::hint::black_box(build_pspdg_with_refs(
@@ -168,19 +162,6 @@ fn main() {
                 ));
             }
         };
-        let mut run_cloned = || {
-            for x in &prepared {
-                let ps = build_pspdg_with_refs(
-                    p,
-                    x.func,
-                    &x.analyses,
-                    &x.pdg,
-                    &x.refs,
-                    FeatureSet::all(),
-                );
-                std::hint::black_box(ps.effective.materialize());
-            }
-        };
         let times = time_all(
             samples,
             &mut [
@@ -188,25 +169,22 @@ fn main() {
                 &mut run_bucketed,
                 &mut run_seq_module,
                 &mut run_overlay,
-                &mut run_cloned,
             ],
         );
-        let (naive, bucketed, seq_module, overlay, cloned) =
-            (times[0], times[1], times[2], times[3], times[4]);
+        let (naive, bucketed, seq_module, overlay) = (times[0], times[1], times[2], times[3]);
 
         let speedup = naive as f64 / bucketed as f64;
-        let assemble_speedup = cloned as f64 / overlay as f64;
         println!(
-            "{:<8} refs {:>5}  edges {:>6}  naive {:>10} ns  bucketed {:>10} ns  speedup {:>5.2}x  seq_module {:>10} ns  reassemble overlay {:>9} ns  cloned {:>9} ns  ({:>4.2}x, {} clones)",
-            name, refs, edges, naive, bucketed, speedup, seq_module, overlay, cloned, assemble_speedup, overlay_clones
+            "{:<8} refs {:>5}  edges {:>6}  naive {:>10} ns  bucketed {:>10} ns  speedup {:>5.2}x  seq_module {:>10} ns  reassemble overlay {:>9} ns  ({} clones)",
+            name, refs, edges, naive, bucketed, speedup, seq_module, overlay, overlay_clones
         );
         if bi > 0 {
             rows.push_str(",\n");
         }
         let _ = write!(
             rows,
-            "    {{\"kernel\": \"{}\", \"mem_refs\": {}, \"pdg_edges\": {}, \"naive_all_pairs_ns\": {}, \"bucketed_ns\": {}, \"speedup\": {:.3}, \"sequential_module_ns\": {}, \"reassemble_overlay_ns\": {}, \"reassemble_cloned_ns\": {}, \"assemble_speedup\": {:.3}, \"overlay_clone_edges\": {}}}",
-            name, refs, edges, naive, bucketed, speedup, seq_module, overlay, cloned, assemble_speedup, overlay_clones
+            "    {{\"kernel\": \"{}\", \"mem_refs\": {}, \"pdg_edges\": {}, \"naive_all_pairs_ns\": {}, \"bucketed_ns\": {}, \"speedup\": {:.3}, \"sequential_module_ns\": {}, \"reassemble_overlay_ns\": {}, \"overlay_clone_edges\": {}}}",
+            name, refs, edges, naive, bucketed, speedup, seq_module, overlay, overlay_clones
         );
 
         if smoke && name.starts_with("SYNTH") {
@@ -214,25 +192,13 @@ fn main() {
                 overlay_clones, 0,
                 "{name}: a directive-free kernel must re-assemble with zero per-edge clones"
             );
-            if name == "SYNTH192" {
-                // `cloned` = the overlay assemble + materialize(), so a bare
-                // `overlay < cloned` would hold by construction. Demanding a
-                // 3x gap gives the check teeth: if the overlay assemble ever
-                // regresses to O(E) per-edge work (an internal clone outside
-                // the rewrite map), the ratio collapses toward ~2 and this
-                // fires. Currently ~15x; 3x leaves ample noise margin.
-                assert!(
-                    overlay.saturating_mul(3) < cloned,
-                    "{name}: overlay re-assemble must beat the cloned assemble by >= 3x ({overlay} ns vs {cloned} ns)"
-                );
-            }
         }
     }
 
     let module_scale = bench_module_scale(smoke);
 
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::Test + SYNTH static-scaling widths + module-scale per-function loop\",\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples, all functions per kernel\",\n  \"naive\": \"Pdg::build_naive (all-pairs, feature oracle)\",\n  \"bucketed\": \"Pdg::build (per-MemBase buckets)\",\n  \"sequential_module\": \"per-function FunctionAnalyses::compute + Pdg::build loop (analyses included)\",\n  \"reassemble_overlay\": \"PS-PDG assemble after a directive-set change through the EffectiveView overlay (mask + sparse rewrites, no per-edge clone)\",\n  \"reassemble_cloned\": \"the same assemble plus materialize() -- the old clone-every-surviving-edge effective graph\",\n  \"overlay_clone_edges\": \"per-edge clones held by the overlay (sparse rewrites; 0 for directive-free kernels)\",\n  \"kernels\": [\n{rows}\n  ],\n{module_scale}}}\n"
+        "{{\n  \"suite\": \"NAS Class::Test + SYNTH static-scaling widths + module-scale per-function loop\",\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples, all functions per kernel\",\n  \"naive\": \"Pdg::build_naive (all-pairs, feature oracle)\",\n  \"bucketed\": \"Pdg::build (per-MemBase buckets)\",\n  \"sequential_module\": \"per-function FunctionAnalyses::compute + Pdg::build loop (analyses included)\",\n  \"reassemble_overlay\": \"PS-PDG assemble after a directive-set change through the EffectiveView overlay (mask + sparse rewrites, no per-edge clone)\",\n  \"overlay_clone_edges\": \"per-edge clones held by the overlay (sparse rewrites; 0 for directive-free kernels)\",\n  \"kernels\": [\n{rows}\n  ],\n{module_scale}}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_pdg.json");
     println!("wrote {out_path}");

@@ -65,13 +65,13 @@ fn us(ns: &str) -> String {
 
 fn pdg_table(json: &str) -> String {
     let mut t = String::from(
-        "| kernel | mem refs | PDG edges | naive all-pairs (ms) | bucketed (ms) | bucketing speedup | per-function loop incl. analyses (ms) | re-assemble cloned (µs) | overlay (µs) | assemble speedup | overlay clones |\n|---|---|---|---|---|---|---|---|---|---|---|\n",
+        "| kernel | mem refs | PDG edges | naive all-pairs (ms) | bucketed (ms) | bucketing speedup | per-function loop incl. analyses (ms) | overlay re-assemble (µs) | overlay clones |\n|---|---|---|---|---|---|---|---|---|\n",
     );
     for l in kernel_lines(json) {
         let g = |k: &str| field(l, k).unwrap_or_default();
         let _ = writeln!(
             t,
-            "| {} | {} | {} | {} | {} | {}x | {} | {} | {} | {}x | {} |",
+            "| {} | {} | {} | {} | {} | {}x | {} | {} | {} |",
             g("kernel"),
             g("mem_refs"),
             g("pdg_edges"),
@@ -79,9 +79,7 @@ fn pdg_table(json: &str) -> String {
             ms(&g("bucketed_ns")),
             g("speedup"),
             ms(&g("sequential_module_ns")),
-            us(&g("reassemble_cloned_ns")),
             us(&g("reassemble_overlay_ns")),
-            g("assemble_speedup"),
             g("overlay_clone_edges"),
         );
     }

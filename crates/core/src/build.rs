@@ -669,7 +669,7 @@ impl Builder<'_> {
                 continue;
             }
             let mut e2 = self.pdg.edges[ei].clone();
-            if !narrow_carried(&mut e2.kind, gone) {
+            if !e2.kind.narrow_carried(|l| gone.contains(&l)) {
                 removed[ei] = true; // nothing left of the dependence
                 continue;
             }
@@ -690,7 +690,8 @@ impl Builder<'_> {
         // Selectors attached to edges later narrowed away must not survive.
         selectors.retain(|ei, _| !removed[*ei as usize]);
 
-        let effective = EffectiveView::new(self.pdg, &removed, rewrites);
+        let removed = (0..removed.len()).filter(|&ei| removed[ei]).collect();
+        let effective = EffectiveView::new(self.pdg, removed, rewrites);
         PsPdg {
             func: self.func,
             nodes,
@@ -937,21 +938,6 @@ fn push_undirected(edges: &mut Vec<PsEdge>, a: NodeId, b: NodeId, context: Optio
     let candidate = PsEdge::Undirected { a, b, context };
     if !edges.contains(&candidate) {
         edges.push(candidate);
-    }
-}
-
-/// Remove `gone` loops from a memory dependence's carried set; returns
-/// whether the edge still constrains anything (some carried loop left, or
-/// an equal-iteration dependence).
-fn narrow_carried(kind: &mut DepKind, gone: &BTreeSet<LoopId>) -> bool {
-    match kind {
-        DepKind::Flow { carried, intra }
-        | DepKind::Anti { carried, intra }
-        | DepKind::Output { carried, intra } => {
-            carried.retain(|l| !gone.contains(l));
-            !carried.is_empty() || *intra
-        }
-        _ => true,
     }
 }
 

@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn cilk_for_behaves_like_parallel_for() {
-        let (p, a, ps) = pspdg_of(
+        let (_, a, ps) = pspdg_of(
             r#"
             int hist[32]; int key[32];
             void k() {
@@ -167,7 +167,7 @@ mod tests {
             "k",
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let blocking = blocking_carried_edges(&ps, &p.module, &a, l);
+        let blocking = blocking_carried_edges(&ps, &a, l);
         assert!(
             blocking.is_empty(),
             "cilk_for declares independence: {blocking:?}"

@@ -332,15 +332,6 @@ impl PsPdg {
             .map(|i| ContextId(i as u32))
     }
 
-    /// Hierarchical nodes with trait `kind`.
-    pub fn nodes_with_trait(&self, kind: TraitKind) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| n.has_trait(kind))
-            .map(|(i, _)| NodeId(i as u32))
-    }
-
     /// Undirected edges (mutual exclusions).
     pub fn undirected_edges(&self) -> impl Iterator<Item = (&PsEdge, NodeId, NodeId)> + '_ {
         self.undirected.iter().filter_map(|e| match e {
@@ -362,11 +353,6 @@ impl PsPdg {
         out.sort();
         out.dedup();
         out
-    }
-
-    /// Whether instruction `i` lies (transitively) inside node `id`.
-    pub fn node_contains_inst(&self, id: NodeId, i: InstId) -> bool {
-        self.node_insts(id).binary_search(&i).is_ok()
     }
 
     /// A canonical structural signature, used by the §4 necessity study to

@@ -49,7 +49,7 @@
 //! // Under the plain PDG the loop has a blocking carried dependence...
 //! assert!(pdg.carried_edges(l).any(|e| e.kind.is_memory()));
 //! // ...under the PS-PDG the declaration of independence removed it.
-//! assert!(query::blocking_carried_edges(&pspdg, &program.module, &analyses, l).is_empty());
+//! assert!(query::blocking_carried_edges(&pspdg, &analyses, l).is_empty());
 //! ```
 
 #![warn(missing_docs)]

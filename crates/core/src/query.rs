@@ -4,15 +4,16 @@
 
 use std::collections::BTreeSet;
 
-use pspdg_ir::{InstId, LoopId, Module};
-use pspdg_pdg::{DepKind, FunctionAnalyses, MemBase, Pdg, PdgEdge, SccDag};
+use pspdg_ir::LoopId;
+use pspdg_pdg::scc::loop_scc_dag;
+use pspdg_pdg::{DepKind, EffectiveView, FunctionAnalyses, MemBase, PdgEdge, SccDag};
 
 use crate::build::UNKNOWN_LOOP;
 use crate::graph::{ContextOrigin, PsPdg, VariableKind};
 
 /// Whether `kind` must be treated as carried at `l`, honoring the
 /// context-ablation sentinel (carried-somewhere ⇒ carried everywhere).
-pub fn carried_at(kind: &DepKind, l: LoopId) -> bool {
+fn carried_at(kind: &DepKind, l: LoopId) -> bool {
     kind.carried_at(l) || kind.carried().contains(&UNKNOWN_LOOP)
 }
 
@@ -42,25 +43,14 @@ pub fn variable_applies_to_loop(
     }
 }
 
-/// Whether a carried dependence edge can be removed when parallelizing `l`
-/// thanks to a parallel semantic variable:
+/// The bases whose carried dependences loop `l` can discharge through
+/// parallel semantic variables:
 ///
 /// * privatizable variables license removing carried **anti** and **output**
 ///   dependences (each worker gets its own copy);
 /// * reducible variables license removing **all** carried dependences on
 ///   the variable (the merge function reconstitutes the final value).
-pub fn edge_removable_by_variables(
-    pspdg: &PsPdg,
-    analyses: &FunctionAnalyses,
-    edge: &PdgEdge,
-    l: LoopId,
-) -> bool {
-    RemovableBases::for_loop(pspdg, analyses, l).removes(edge)
-}
-
-/// The bases whose carried dependences loop `l` can discharge through
-/// parallel semantic variables: reducible variables discharge everything on
-/// the base, privatizable ones only anti/output.
+#[derive(Default)]
 struct RemovableBases {
     reducible: BTreeSet<MemBase>,
     privatizable: BTreeSet<MemBase>,
@@ -68,10 +58,7 @@ struct RemovableBases {
 
 impl RemovableBases {
     fn for_loop(pspdg: &PsPdg, analyses: &FunctionAnalyses, l: LoopId) -> RemovableBases {
-        let mut out = RemovableBases {
-            reducible: BTreeSet::new(),
-            privatizable: BTreeSet::new(),
-        };
+        let mut out = RemovableBases::default();
         for (i, v) in pspdg.variables.iter().enumerate() {
             if !variable_applies_to_loop(pspdg, analyses, i, l) {
                 continue;
@@ -96,103 +83,92 @@ impl RemovableBases {
     }
 }
 
-/// The dependence graph to use when parallelizing loop `l` with the full
-/// power of the PS-PDG: the effective graph restricted to the loop (plus
-/// sentinel-carried edges, which constrain every loop), minus carried edges
-/// removable through parallel semantic variables, with the
-/// context-ablation sentinel resolved conservatively to "carried at `l`".
+/// How one loop reads a dependence view: the per-loop refinements every
+/// abstraction shares, as predicates over the view's edges instead of a
+/// graph per loop.
 ///
-/// The view is *loop-local*: it contains exactly the edges the per-loop
-/// consumers ([`loop_sccs`], [`blocking_carried_edges`], technique
-/// assessment) inspect, gathered through the effective overlay's masked
-/// adjacency and carried queries instead of a full edge-arena clone.
-pub fn loop_view(pspdg: &PsPdg, analyses: &FunctionAnalyses, l: LoopId) -> Pdg {
-    let eff = &pspdg.effective;
-    let n = eff.len();
-    let removable = RemovableBases::for_loop(pspdg, analyses, l);
-    let insts = analyses.loop_insts(l);
-    let inst_set: BTreeSet<InstId> = insts.iter().copied().collect();
-    let mut taken = vec![false; eff.base().edges.len()];
-    let mut edges: Vec<PdgEdge> = Vec::new();
-    let mut consider = |ei: u32, edges: &mut Vec<PdgEdge>| {
-        let e = eff.edge(ei);
-        if std::mem::replace(&mut taken[ei as usize], true) {
-            return;
-        }
-        if carried_at(&e.kind, l) && removable.removes(e) {
-            return;
-        }
-        let mut e2 = e.clone();
-        resolve_sentinel(&mut e2.kind, l);
-        edges.push(e2);
-    };
-    // Loop-internal edges, via the masked per-source adjacency.
-    for &i in &insts {
-        for ei in eff.edge_ids_from(i) {
-            if inst_set.contains(&eff.edge(ei).dst) {
-                consider(ei, &mut edges);
-            }
-        }
-    }
-    // Sentinel-carried edges constrain every loop regardless of location.
-    for ei in eff.carried_edge_ids(UNKNOWN_LOOP) {
-        consider(ei, &mut edges);
-    }
-    Pdg::from_edges(pspdg.func, n, edges)
+/// * the context-ablation sentinel counts as carried at every loop;
+/// * a carried edge on a base the loop can privatize or reduce is
+///   discharged (only when the reader brings a PS-PDG's variables).
+///
+/// Consumers add their own exemptions on top (the planner's induction
+/// variables) through [`LoopDeps::sccs`].
+pub struct LoopDeps<'a> {
+    /// The abstraction's dependence view of the function.
+    pub view: &'a EffectiveView,
+    /// The function's structural analyses.
+    pub analyses: &'a FunctionAnalyses,
+    /// The loop being read.
+    pub loop_id: LoopId,
+    removable: RemovableBases,
 }
 
-fn resolve_sentinel(kind: &mut DepKind, l: LoopId) {
-    let fix = |carried: &mut Vec<LoopId>| {
-        if carried.contains(&UNKNOWN_LOOP) {
-            *carried = vec![l];
+impl<'a> LoopDeps<'a> {
+    /// Loop `l` under `view`. `variables` is the PS-PDG whose parallel
+    /// semantic variables may discharge carried edges — `None` for the
+    /// abstractions that know no data properties (PDG, J&K).
+    pub fn new(
+        view: &'a EffectiveView,
+        variables: Option<&PsPdg>,
+        analyses: &'a FunctionAnalyses,
+        l: LoopId,
+    ) -> LoopDeps<'a> {
+        LoopDeps {
+            view,
+            analyses,
+            loop_id: l,
+            removable: variables
+                .map(|ps| RemovableBases::for_loop(ps, analyses, l))
+                .unwrap_or_default(),
         }
-    };
-    match kind {
-        DepKind::Flow { carried, .. }
-        | DepKind::Anti { carried, .. }
-        | DepKind::Output { carried, .. } => fix(carried),
-        _ => {}
     }
-}
 
-/// SCC DAG of loop `l` under the PS-PDG (the analogue of
-/// [`Pdg::loop_sccs`] for the richer abstraction).
-pub fn loop_sccs(pspdg: &PsPdg, analyses: &FunctionAnalyses, l: LoopId) -> SccDag {
-    loop_view(pspdg, analyses, l).loop_sccs(analyses, l)
+    /// Loop `l` with the full power of the PS-PDG: its effective view and
+    /// its variables.
+    pub fn of_pspdg(pspdg: &'a PsPdg, analyses: &'a FunctionAnalyses, l: LoopId) -> LoopDeps<'a> {
+        LoopDeps::new(&pspdg.effective, Some(pspdg), analyses, l)
+    }
+
+    /// This loop's verdict on a surviving edge of the view: `None` when the
+    /// loop discharges it, else whether it counts as carried here.
+    fn classify(&self, e: &PdgEdge) -> Option<bool> {
+        let carried = carried_at(&e.kind, self.loop_id);
+        (!(carried && self.removable.removes(e))).then_some(carried)
+    }
+
+    /// The dependences this loop still sees as carried, straight from the
+    /// view's carried index (sentinel-carried edges constrain every loop,
+    /// wherever they sit in the function).
+    pub fn carried_edges<'s>(&'s self) -> impl Iterator<Item = &'a PdgEdge> + 's {
+        let view = self.view;
+        view.carried_edges(self.loop_id)
+            .chain(view.carried_edges(UNKNOWN_LOOP))
+            .filter(|e| !self.removable.removes(e))
+    }
+
+    /// The loop's SCC DAG, with the carried edges `exempt` accepts
+    /// discharged as well.
+    pub fn sccs(&self, exempt: impl Fn(&PdgEdge) -> bool) -> SccDag {
+        loop_scc_dag(self.view, self.analyses, self.loop_id, |e| {
+            self.classify(e).filter(|&c| !(c && exempt(e)))
+        })
+    }
 }
 
 /// Remaining carried dependences of loop `l` under the PS-PDG, excluding
 /// the canonical induction variable's own update chain (recognized the same
 /// way for every abstraction).
-pub fn blocking_carried_edges(
-    pspdg: &PsPdg,
-    module: &Module,
-    analyses: &FunctionAnalyses,
+pub fn blocking_carried_edges<'a>(
+    pspdg: &'a PsPdg,
+    analyses: &'a FunctionAnalyses,
     l: LoopId,
-) -> Vec<PdgEdge> {
-    let _ = module;
-    let iv = analyses.canonical_of(l).map(|c| c.iv_alloca);
-    let eff = &pspdg.effective;
-    let removable = RemovableBases::for_loop(pspdg, analyses, l);
-    // Candidates come straight from the overlay's carried queries (the
-    // edges carried at `l`, plus sentinel-carried edges that count as
-    // carried everywhere).
-    let mut ids: Vec<u32> = eff.carried_edge_ids(l).collect();
-    ids.extend(eff.carried_edge_ids(UNKNOWN_LOOP));
-    ids.sort_unstable();
-    ids.dedup();
-    ids.into_iter()
-        .map(|ei| eff.edge(ei))
-        .filter(|e| !removable.removes(e))
-        .filter(|e| match (e.base, iv) {
-            (Some(pspdg_pdg::MemBase::Alloca(a)), Some(iv)) => a != iv,
-            _ => true,
-        })
-        .map(|e| {
-            let mut e2 = e.clone();
-            resolve_sentinel(&mut e2.kind, l);
-            e2
-        })
+) -> Vec<&'a PdgEdge> {
+    let iv = analyses
+        .canonical_of(l)
+        .map(|c| MemBase::Alloca(c.iv_alloca));
+    LoopDeps::of_pspdg(pspdg, analyses, l)
+        .carried_edges()
+        .filter(|e| iv.is_none() || e.base != iv)
         .collect()
 }
 
@@ -204,23 +180,20 @@ mod tests {
     use pspdg_frontend::compile;
     use pspdg_pdg::Pdg;
 
-    fn pspdg_of(
-        src: &str,
-        name: &str,
-    ) -> (pspdg_parallel::ParallelProgram, FunctionAnalyses, PsPdg) {
+    fn pspdg_of(src: &str, name: &str) -> (FunctionAnalyses, PsPdg) {
         let p = compile(src).unwrap();
         let f = p.module.function_by_name(name).unwrap();
         let a = FunctionAnalyses::compute(&p.module, f);
         let pdg = Pdg::build(&p.module, f, &a);
         let ps = build_pspdg(&p, f, &a, &pdg, FeatureSet::all());
-        (p, a, ps)
+        (a, ps)
     }
 
     #[test]
     fn worksharing_loop_loses_carried_deps() {
         // hist[key[i]]++ is conservatively carried in the PDG; the omp-for
         // declaration removes it.
-        let (p, a, ps) = pspdg_of(
+        let (a, ps) = pspdg_of(
             r#"
             int key[64]; int hist[64];
             void k() {
@@ -233,14 +206,14 @@ mod tests {
             "k",
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let blocking = blocking_carried_edges(&ps, &p.module, &a, l);
+        let blocking = blocking_carried_edges(&ps, &a, l);
         assert!(blocking.is_empty(), "blocking edges remain: {blocking:?}");
     }
 
     #[test]
     fn sequential_loop_keeps_carried_deps() {
         // No pragma ⇒ nothing removed.
-        let (p, a, ps) = pspdg_of(
+        let (a, ps) = pspdg_of(
             r#"
             int v[64];
             void k() { int i; for (i = 1; i < 64; i++) { v[i] = v[i - 1]; } }
@@ -249,7 +222,7 @@ mod tests {
             "k",
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let blocking = blocking_carried_edges(&ps, &p.module, &a, l);
+        let blocking = blocking_carried_edges(&ps, &a, l);
         assert!(!blocking.is_empty());
     }
 
@@ -260,7 +233,7 @@ mod tests {
         // its carried anti/output deps in that loop are removable. Carried
         // *flow* deps must NOT be removed by privatization (the analysis
         // cannot prove each iteration kills the buffer before reading it).
-        let (p, a, ps) = pspdg_of(
+        let (a, ps) = pspdg_of(
             r#"
             int tmp[16]; int out[256];
             void k() {
@@ -282,7 +255,7 @@ mod tests {
             .loop_ids()
             .find(|l| a.forest.info(*l).depth == 1)
             .unwrap();
-        let blocking = blocking_carried_edges(&ps, &p.module, &a, outer);
+        let blocking = blocking_carried_edges(&ps, &a, outer);
         let tmp_blocking: Vec<_> = blocking
             .iter()
             .filter(|e| matches!(e.base, Some(pspdg_pdg::MemBase::Global(g)) if g.index() == 0))
@@ -301,7 +274,7 @@ mod tests {
 
     #[test]
     fn reduction_variable_removes_flow() {
-        let (p, a, ps) = pspdg_of(
+        let (a, ps) = pspdg_of(
             r#"
             double s; double v[64];
             void k() {
@@ -314,7 +287,7 @@ mod tests {
             "k",
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let blocking = blocking_carried_edges(&ps, &p.module, &a, l);
+        let blocking = blocking_carried_edges(&ps, &a, l);
         assert!(blocking.is_empty(), "{blocking:?}");
         assert!(ps
             .variables
@@ -350,7 +323,7 @@ mod tests {
             crate::features::FeatureSet::all().without(crate::features::Feature::Contexts),
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let blocking = blocking_carried_edges(&ablated, &p.module, &a, l);
+        let blocking = blocking_carried_edges(&ablated, &a, l);
         assert!(
             !blocking.is_empty(),
             "w/o contexts the declaration cannot be used; deps must remain"
@@ -390,8 +363,8 @@ mod tests {
             );
             for l in a.forest.loop_ids() {
                 assert_eq!(
-                    blocking_carried_edges(&fp.pspdg, &p.module, &fp.analyses, l).len(),
-                    blocking_carried_edges(&ps, &p.module, &a, l).len()
+                    blocking_carried_edges(&fp.pspdg, &fp.analyses, l).len(),
+                    blocking_carried_edges(&ps, &a, l).len()
                 );
             }
         }
@@ -418,7 +391,7 @@ mod tests {
     fn prefix_sum_on_private_var_stays_sequential() {
         // Privatization must NOT remove carried *flow* deps: the prefix sum
         // over the private buffer is a real recurrence.
-        let (p, a, ps) = pspdg_of(
+        let (a, ps) = pspdg_of(
             r#"
             int buf[64];
             void k() {
@@ -433,7 +406,7 @@ mod tests {
             "k",
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let blocking = blocking_carried_edges(&ps, &p.module, &a, l);
+        let blocking = blocking_carried_edges(&ps, &a, l);
         assert!(
             blocking
                 .iter()

@@ -1,12 +1,13 @@
 //! The `EffectiveView` overlay must be observationally identical to the
-//! owned `Pdg` its `materialize()` escape hatch produces: every query
+//! owned `Pdg` its `oracle`-gated `materialize()` produces: every query
 //! family (full edge set, per-source/per-destination adjacency, per-base,
 //! per-carried-loop incl. the context-ablation sentinel, carried-any) must
 //! agree, across generated kernels × directive sets × PS-PDG feature sets.
 //!
 //! The materialized graph is exactly what the pre-overlay assemble built
-//! (a fresh `Pdg::from_edges` over the surviving, rewritten edges), so
-//! these tests pin the overlay to the old cloning semantics.
+//! (a fresh edge arena and index over the surviving, rewritten edges), so
+//! these tests pin the overlay to the old cloning semantics. Nothing but
+//! this reference builds it any more.
 
 use std::collections::BTreeSet;
 

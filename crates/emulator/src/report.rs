@@ -114,11 +114,6 @@ impl PredictedVsMeasured {
         }
     }
 
-    /// Total sequential-fallback activations across all causes.
-    pub fn total_fallbacks(&self) -> u64 {
-        self.fallback_reasons.iter().map(|(_, n)| n).sum()
-    }
-
     /// Compact `reason:count` summary (`"-"` when nothing fell back).
     pub fn fallback_summary(&self) -> String {
         if self.fallback_reasons.is_empty() {

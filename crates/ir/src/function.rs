@@ -1,7 +1,5 @@
 //! Functions, blocks, globals, and the module container.
 
-use std::collections::HashMap;
-
 use crate::inst::{Inst, InstData};
 use crate::types::Type;
 use crate::value::{BlockId, Constant, FuncId, GlobalId, InstId, Value};
@@ -90,11 +88,6 @@ impl Function {
     /// Borrow a block.
     pub fn block(&self, id: BlockId) -> &Block {
         &self.blocks[id.index()]
-    }
-
-    /// Mutably borrow a block.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
     }
 
     /// Borrow an instruction with its type.
@@ -239,15 +232,6 @@ impl Module {
     /// Iterate over all global ids.
     pub fn global_ids(&self) -> impl Iterator<Item = GlobalId> + '_ {
         (0..self.globals.len()).map(GlobalId::from_index)
-    }
-
-    /// Name → id map for functions (for front-ends resolving calls).
-    pub fn function_names(&self) -> HashMap<&str, FuncId> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), FuncId::from_index(i)))
-            .collect()
     }
 
     /// Verify the whole module; see [`crate::verify`].

@@ -31,7 +31,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use pspdg_obs::{ObsHandle, Opcode, Recorder};
+use pspdg_obs::Opcode;
 
 use crate::function::{GlobalInit, Module};
 use crate::inst::{BinOp, CastKind, CmpOp, Inst, Intrinsic, UnOp};
@@ -103,14 +103,6 @@ impl RtVal {
     pub fn as_float(&self) -> Option<f64> {
         match self {
             RtVal::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Extract a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            RtVal::Bool(v) => Some(*v),
             _ => None,
         }
     }
@@ -839,8 +831,8 @@ pub fn eval_intrinsic(
 }
 
 /// The observability opcode of an instruction — the mapping from the
-/// IR's [`Inst`] forms onto the dense [`pspdg_obs::Opcode`] taxonomy
-/// both execution engines profile against.
+/// IR's [`Inst`] forms onto the dense [`pspdg_obs::Opcode`] taxonomy the
+/// runtime's engine profiles against.
 #[inline]
 pub fn opcode_of(inst: &Inst) -> Opcode {
     match inst {
@@ -871,7 +863,6 @@ pub struct Interpreter<'m> {
     steps: u64,
     fuel: u64,
     next_frame: u64,
-    obs: Option<ObsHandle>,
 }
 
 /// Everything local to one activation.
@@ -921,21 +912,7 @@ impl<'m> Interpreter<'m> {
             steps: 0,
             fuel,
             next_frame: 0,
-            obs: None,
         }
-    }
-
-    /// Attach an observability shard: every dynamic instruction is
-    /// counted (opcode frequency + consecutive pairs) into `ctx` of
-    /// `rec`. The shard flushes at the end of every traced run and on
-    /// drop. Disabled recorders attach as a no-op.
-    pub fn attach_obs(&mut self, rec: &Arc<Recorder>, ctx: &str) {
-        self.obs = rec.enabled().then(|| rec.attach(ctx));
-    }
-
-    /// Flush and detach the observability shard, if any.
-    pub fn detach_obs(&mut self) {
-        self.obs = None;
     }
 
     /// Execute `func` with `args`, discarding trace events.
@@ -965,11 +942,7 @@ impl<'m> Interpreter<'m> {
             }
             arg_deps.resize(args.len(), NO_DEP);
         }
-        let res = self.exec_function(func, args.to_vec(), arg_deps, NO_DEP, sink);
-        if let Some(h) = self.obs.as_mut() {
-            h.flush();
-        }
-        let (ret, _ret_step) = res?;
+        let (ret, _ret_step) = self.exec_function(func, args.to_vec(), arg_deps, NO_DEP, sink)?;
         Ok(ret)
     }
 
@@ -1074,9 +1047,6 @@ impl<'m> Interpreter<'m> {
                 self.profile.inst_count[func_id.index()][inst_id.index()] += 1;
 
                 let data = func.inst(inst_id);
-                if let Some(h) = self.obs.as_mut() {
-                    h.op(opcode_of(&data.inst));
-                }
                 if S::TRACES {
                     // Collect operand dependences.
                     reg_deps.clear();

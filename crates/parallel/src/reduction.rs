@@ -82,12 +82,6 @@ impl ReductionOp {
             _ => return None,
         })
     }
-
-    /// Whether merging is commutative and associative (true for all
-    /// built-ins; assumed for `Custom`, as OpenMP requires).
-    pub fn is_associative_commutative(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Technique applicability for one loop under one dependence view.
 
-use pspdg_ir::{LoopId, Module};
-use pspdg_pdg::{FunctionAnalyses, MemBase, Pdg, SccDag};
+use pspdg_core::query::LoopDeps;
+use pspdg_ir::LoopId;
+use pspdg_pdg::{FunctionAnalyses, MemBase, SccDag};
 
 /// The SCC-level facts the planners need about a (loop, dependence-view)
 /// pair.
@@ -23,7 +24,7 @@ pub struct LoopAssessment {
     pub dag: SccDag,
 }
 
-/// Assess `loop_id` under the dependence view `view`.
+/// Assess the loop `deps` reads under its dependence view.
 ///
 /// The canonical induction variables of the loop *and of every canonical
 /// loop nested inside it* are exempted before classification — every
@@ -32,20 +33,11 @@ pub struct LoopAssessment {
 /// loop's IV slot is re-initialized each outer iteration; treating its
 /// conservative outer-carried self-dependence as real would glue the whole
 /// inner body into one sequential SCC.)
-pub fn assess_loop(
-    module: &Module,
-    view: &Pdg,
-    analyses: &FunctionAnalyses,
-    loop_id: LoopId,
-) -> LoopAssessment {
-    let _ = module;
+pub fn assess_loop(deps: &LoopDeps<'_>) -> LoopAssessment {
+    let (analyses, loop_id) = (deps.analyses, deps.loop_id);
     let canonical = analyses.canonical_of(loop_id).is_some();
     let ivs = nested_canonical_ivs(analyses, loop_id);
-    let exempt = |base: Option<MemBase>| -> bool {
-        matches!(base, Some(MemBase::Alloca(a)) if ivs.contains(&a))
-    };
-    let filtered = view.filtered(|e| !(e.kind.carried_at(loop_id) && exempt(e.base)));
-    let dag = filtered.loop_sccs(analyses, loop_id);
+    let dag = deps.sccs(|e| matches!(e.base, Some(MemBase::Alloca(a)) if ivs.contains(&a)));
     let seq_sccs = dag.sequential_count();
     let par_sccs = dag.parallel_count();
     let total_sccs = dag.sccs.len();
@@ -61,7 +53,7 @@ pub fn assess_loop(
 }
 
 /// Canonical IV slots of `loop_id` and all loops nested within it.
-pub fn nested_canonical_ivs(analyses: &FunctionAnalyses, loop_id: LoopId) -> Vec<pspdg_ir::InstId> {
+fn nested_canonical_ivs(analyses: &FunctionAnalyses, loop_id: LoopId) -> Vec<pspdg_ir::InstId> {
     let mut out = Vec::new();
     let mut stack = vec![loop_id];
     while let Some(l) = stack.pop() {
@@ -76,29 +68,31 @@ pub fn nested_canonical_ivs(analyses: &FunctionAnalyses, loop_id: LoopId) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspdg_core::{build_pspdg, query, FeatureSet};
+    use pspdg_core::{build_pspdg, FeatureSet, PsPdg};
     use pspdg_frontend::compile;
-    use pspdg_pdg::Pdg;
+    use pspdg_pdg::{EffectiveView, Pdg};
 
-    fn setup(
-        src: &str,
-    ) -> (
-        pspdg_parallel::ParallelProgram,
-        FunctionAnalyses,
-        Pdg,
-        pspdg_core::PsPdg,
-    ) {
+    /// Analyses, the plain-PDG view and the PS-PDG of function `k`.
+    fn setup(src: &str) -> (FunctionAnalyses, EffectiveView, PsPdg) {
         let p = compile(src).unwrap();
         let f = p.module.function_by_name("k").unwrap();
         let a = FunctionAnalyses::compute(&p.module, f);
         let pdg = Pdg::build(&p.module, f, &a);
         let ps = build_pspdg(&p, f, &a, &pdg, FeatureSet::all());
-        (p, a, pdg, ps)
+        (a, EffectiveView::identity(&pdg), ps)
+    }
+
+    fn under_pdg(a: &FunctionAnalyses, pdg: &EffectiveView, l: LoopId) -> LoopAssessment {
+        assess_loop(&LoopDeps::new(pdg, None, a, l))
+    }
+
+    fn under_pspdg(a: &FunctionAnalyses, ps: &PsPdg, l: LoopId) -> LoopAssessment {
+        assess_loop(&LoopDeps::of_pspdg(ps, a, l))
     }
 
     #[test]
     fn independent_loop_is_doall_everywhere() {
-        let (p, a, pdg, ps) = setup(
+        let (a, pdg, ps) = setup(
             r#"
             int v[64];
             void k() { int i; for (i = 0; i < 64; i++) { v[i] = i; } }
@@ -106,16 +100,14 @@ mod tests {
             "#,
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let base = assess_loop(&p.module, &pdg, &a, l);
+        let base = under_pdg(&a, &pdg, l);
         assert!(base.doall, "PDG view: {base:?}");
-        let view = query::loop_view(&ps, &a, l);
-        let psa = assess_loop(&p.module, &view, &a, l);
-        assert!(psa.doall);
+        assert!(under_pspdg(&a, &ps, l).doall);
     }
 
     #[test]
     fn histogram_is_doall_only_under_pspdg() {
-        let (p, a, pdg, ps) = setup(
+        let (a, pdg, ps) = setup(
             r#"
             int key[64]; int hist[64];
             void k() {
@@ -127,20 +119,18 @@ mod tests {
             "#,
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let base = assess_loop(&p.module, &pdg, &a, l);
+        let base = under_pdg(&a, &pdg, l);
         assert!(!base.doall, "PDG must not prove the histogram independent");
         assert!(base.seq_sccs >= 1);
-        let view = query::loop_view(&ps, &a, l);
-        let psa = assess_loop(&p.module, &view, &a, l);
         assert!(
-            psa.doall,
+            under_pspdg(&a, &ps, l).doall,
             "PS-PDG knows the programmer declared independence"
         );
     }
 
     #[test]
     fn recurrence_is_never_doall() {
-        let (p, a, pdg, ps) = setup(
+        let (a, pdg, ps) = setup(
             r#"
             int v[64];
             void k() { int i; for (i = 1; i < 64; i++) { v[i] = v[i - 1]; } }
@@ -148,14 +138,13 @@ mod tests {
             "#,
         );
         let l = a.forest.loop_ids().next().unwrap();
-        assert!(!assess_loop(&p.module, &pdg, &a, l).doall);
-        let view = query::loop_view(&ps, &a, l);
-        assert!(!assess_loop(&p.module, &view, &a, l).doall);
+        assert!(!under_pdg(&a, &pdg, l).doall);
+        assert!(!under_pspdg(&a, &ps, l).doall);
     }
 
     #[test]
     fn scc_counts_feed_helix_and_dswp() {
-        let (p, a, pdg, _) = setup(
+        let (a, pdg, _) = setup(
             r#"
             int v[64]; int s; int t;
             void k() {
@@ -170,7 +159,7 @@ mod tests {
             "#,
         );
         let l = a.forest.loop_ids().next().unwrap();
-        let assessment = assess_loop(&p.module, &pdg, &a, l);
+        let assessment = under_pdg(&a, &pdg, l);
         assert!(!assessment.doall);
         assert_eq!(assessment.seq_sccs, 2);
         assert!(assessment.par_sccs >= 1);

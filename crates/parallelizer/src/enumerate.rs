@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use pspdg_core::{build_pspdg_module, build_pspdg_with_refs, query, FeatureSet, FunctionPsPdg};
+use pspdg_core::{build_pspdg_module, build_pspdg_with_refs, FeatureSet, FunctionPsPdg};
 use pspdg_ir::interp::Profile;
 use pspdg_ir::{FuncId, LoopId};
 use pspdg_parallel::ParallelProgram;
@@ -21,7 +21,7 @@ use pspdg_pdg::{FunctionAnalyses, Pdg};
 use crate::assess::assess_loop;
 use crate::hotloops::hot_loops;
 use crate::machine::MachineModel;
-use crate::views::{jk_view, Abstraction};
+use crate::views::{Abstraction, AbstractionView};
 
 /// Option counts for one function.
 #[derive(Debug, Clone)]
@@ -101,19 +101,17 @@ fn enumerate_prepared(
     machine: &MachineModel,
     threshold: f64,
 ) -> FunctionOptions {
-    let FunctionPsPdg {
-        func,
-        analyses,
-        pdg,
-        pspdg,
-        ..
-    } = prepared;
+    let FunctionPsPdg { func, analyses, .. } = prepared;
     let func = *func;
-    let jk = jk_view(program, analyses, pdg);
 
     let hot = hot_loops(&program.module, func, analyses, profile, threshold);
     let mut totals: BTreeMap<Abstraction, u64> = BTreeMap::new();
     let mut per_loop = Vec::new();
+    // Built once per function, and only for a function with a hot loop.
+    let views = (!hot.is_empty()).then(|| {
+        [Abstraction::Pdg, Abstraction::Jk, Abstraction::PsPdg]
+            .map(|a| (a, AbstractionView::select(a, program, prepared)))
+    });
 
     for h in &hot {
         let l = h.loop_id;
@@ -126,20 +124,15 @@ fn enumerate_prepared(
         }
         // Non-canonical loops (unknown trip count) are still HELIX/DSWP
         // candidates; only DOALL requires the canonical shape.
-        let ps_view = query::loop_view(pspdg, analyses, l);
-        for (abstraction, view) in [
-            (Abstraction::Pdg, pdg),
-            (Abstraction::Jk, &jk),
-            (Abstraction::PsPdg, &ps_view),
-        ] {
-            let a = assess_loop(&program.module, view, analyses, l);
+        for (abstraction, view) in views.iter().flatten() {
+            let a = assess_loop(&view.at(l));
             let n = if a.doall {
                 machine.doall_options()
             } else {
                 machine.helix_options(a.seq_sccs as u64) + machine.dswp_options(a.total_sccs as u64)
             };
-            *totals.entry(abstraction).or_insert(0) += n;
-            per_loop.push((l, abstraction, n));
+            *totals.entry(*abstraction).or_insert(0) += n;
+            per_loop.push((l, *abstraction, n));
         }
     }
     FunctionOptions {

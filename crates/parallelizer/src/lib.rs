@@ -28,7 +28,7 @@ pub mod realize;
 pub mod schedule;
 pub mod views;
 
-pub use assess::{assess_loop, nested_canonical_ivs, LoopAssessment};
+pub use assess::{assess_loop, LoopAssessment};
 pub use enumerate::{
     enumerate_function, enumerate_function_with_features, enumerate_program,
     enumerate_program_with_features, FunctionOptions, ProgramOptions,
@@ -44,4 +44,4 @@ pub use schedule::{
     realize_executable, realize_executable_recorded, ChunkedLoop, CriticalReplay, ExecutablePlan,
     LoopExec, LoopSchedule, PipelineLoop, RealizationStats, ReplayOp, ReplayProgram, ReplayVal,
 };
-pub use views::{jk_view, pdg_view, Abstraction};
+pub use views::Abstraction;

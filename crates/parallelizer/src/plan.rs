@@ -14,15 +14,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use pspdg_core::{build_pspdg_module_recorded, query, FeatureSet, FunctionPsPdg, PsPdg};
+use pspdg_core::query::{self, LoopDeps};
+use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg, PsPdg};
 use pspdg_ir::interp::Profile;
 use pspdg_ir::{FuncId, InstId, LoopId};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
-use pspdg_pdg::{FunctionAnalyses, MemBase, Pdg};
+use pspdg_pdg::MemBase;
 
 use crate::assess::assess_loop;
 use crate::hotloops::hot_loops;
-use crate::views::{jk_view, Abstraction};
+use crate::views::{Abstraction, AbstractionView};
 
 /// How a planned loop is parallelized.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,11 +105,6 @@ pub struct ProgramPlan {
 }
 
 impl ProgramPlan {
-    /// The plan spec of `(func, loop)`, if the loop is parallelized.
-    pub fn loop_spec(&self, func: FuncId, l: LoopId) -> Option<&LoopPlanSpec> {
-        self.loops.get(&(func, l))
-    }
-
     /// Number of parallelized loops.
     pub fn len(&self) -> usize {
         self.loops.len()
@@ -221,7 +217,6 @@ fn plan_function(
     let FunctionPsPdg {
         func,
         analyses,
-        pdg,
         pspdg,
         ..
     } = prepared;
@@ -252,19 +247,21 @@ fn plan_function(
                 continue;
             };
             let nowait = matches!(d.kind, DirectiveKind::For { nowait: true, .. });
-            let spec = developer_loop_spec(program, func, analyses, pdg, pspdg, l, nowait);
+            let deps = LoopDeps::of_pspdg(pspdg, analyses, l);
+            let spec = developer_loop_spec(func, &deps, pspdg, nowait);
             plan.loops.push(((func, l), spec));
         }
     }
 
     // --- compiler-discovered loops ----------------------------------------
-    if matches!(
-        abstraction,
-        Abstraction::Pdg | Abstraction::Jk | Abstraction::PsPdg
-    ) {
-        let hot = hot_loops(&program.module, func, analyses, profile, threshold);
+    let hot = match abstraction {
+        Abstraction::OpenMp => Vec::new(),
+        _ => hot_loops(&program.module, func, analyses, profile, threshold),
+    };
+    // A function without a hot loop never pays for its view.
+    if !hot.is_empty() {
         let hot_set: BTreeSet<LoopId> = hot.iter().map(|h| h.loop_id).collect();
-        let jk = jk_view(program, analyses, pdg);
+        let view = AbstractionView::select(abstraction, program, prepared);
         // Outermost-first: parallelize the outermost hot canonical loop of
         // each nest; descend only when a loop is not plannable.
         let mut stack: Vec<LoopId> = analyses.forest.top_level();
@@ -276,17 +273,8 @@ fn plan_function(
             if plan.loops.iter().any(|(k, _)| *k == (func, l)) {
                 continue; // already planned as a developer loop
             }
-            let ps_view;
-            let view: &Pdg = match abstraction {
-                Abstraction::Pdg => pdg,
-                Abstraction::Jk => &jk,
-                Abstraction::PsPdg => {
-                    ps_view = query::loop_view(pspdg, analyses, l);
-                    &ps_view
-                }
-                Abstraction::OpenMp => unreachable!(),
-            };
-            let assessment = assess_loop(&program.module, view, analyses, l);
+            let deps = view.at(l);
+            let assessment = assess_loop(&deps);
             let technique = if assessment.doall {
                 PlannedTechnique::Doall
             } else if assessment.par_sccs > 0 {
@@ -300,8 +288,8 @@ fn plan_function(
                 stack.extend(analyses.forest.info(l).children.iter().copied());
                 continue;
             };
-            let ignored = removed_bases(pdg, view, analyses, l);
-            let reductions = reduction_bases(pspdg, analyses, l, &ignored, abstraction);
+            let ignored = removed_bases(&deps);
+            let reductions = reduction_bases(pspdg, &deps, &ignored);
             plan.loops.push((
                 (func, l),
                 LoopPlanSpec {
@@ -344,8 +332,6 @@ fn plan_function(
             // edge exists) serialize; provably independent criticals don't.
             let mut groups: BTreeMap<String, BTreeSet<InstId>> = BTreeMap::new();
             for (_, a, b) in pspdg.undirected_edges() {
-                let la = pspdg.node(a).label.clone();
-                let _ = la;
                 let key = format!("mutex:{}:{}", a.index(), b.index());
                 let mut insts: BTreeSet<InstId> = pspdg.node_insts(a).into_iter().collect();
                 insts.extend(pspdg.node_insts(b));
@@ -363,21 +349,16 @@ fn plan_function(
 /// Plan spec of a developer-annotated worksharing loop: DOALL with the
 /// declaration's dependence discharges.
 fn developer_loop_spec(
-    program: &ParallelProgram,
     func: FuncId,
-    analyses: &FunctionAnalyses,
-    pdg: &Pdg,
+    deps: &LoopDeps<'_>,
     pspdg: &PsPdg,
-    l: LoopId,
     nowait: bool,
 ) -> LoopPlanSpec {
-    let view = query::loop_view(pspdg, analyses, l);
-    let ignored = removed_bases(pdg, &view, analyses, l);
-    let reductions = reduction_bases(pspdg, analyses, l, &ignored, Abstraction::OpenMp);
-    let _ = program;
+    let ignored = removed_bases(deps);
+    let reductions = reduction_bases(pspdg, deps, &ignored);
     LoopPlanSpec {
         func,
-        loop_id: l,
+        loop_id: deps.loop_id,
         technique: PlannedTechnique::Doall,
         ignored_bases: ignored,
         reduction_bases: reductions,
@@ -385,60 +366,43 @@ fn developer_loop_spec(
     }
 }
 
-/// Bases whose carried-at-`l` dependences exist in `raw` but are gone in
-/// `view` (the dependences the plan discharges), plus the canonical IV.
-fn removed_bases(
-    raw: &Pdg,
-    view: &Pdg,
-    analyses: &FunctionAnalyses,
-    l: LoopId,
-) -> BTreeSet<MemBase> {
-    let raw_bases: BTreeSet<MemBase> = raw.carried_edges(l).filter_map(|e| e.base).collect();
-    let view_bases: BTreeSet<MemBase> = view
-        .edges
-        .iter()
-        .filter(|e| query::carried_at(&e.kind, l))
+/// Bases with a dependence carried at the loop in the base PDG that the
+/// loop no longer sees as carried under its view (the dependences the plan
+/// discharges), plus the canonical IV.
+fn removed_bases(deps: &LoopDeps<'_>) -> BTreeSet<MemBase> {
+    let l = deps.loop_id;
+    let mut out: BTreeSet<MemBase> = deps
+        .view
+        .base()
+        .carried_edges(l)
         .filter_map(|e| e.base)
         .collect();
-    let mut out: BTreeSet<MemBase> = raw_bases.difference(&view_bases).copied().collect();
-    if let Some(c) = analyses.canonical_of(l) {
+    for base in deps.carried_edges().filter_map(|e| e.base) {
+        out.remove(&base);
+    }
+    if let Some(c) = deps.analyses.canonical_of(l) {
         out.insert(MemBase::Alloca(c.iv_alloca));
     }
     out
 }
 
-/// The reducible bases applying to loop `l` (limited to bases the plan
+/// The reducible bases applying to the loop (limited to bases the plan
 /// actually discharges).
 fn reduction_bases(
     pspdg: &PsPdg,
-    analyses: &FunctionAnalyses,
-    l: LoopId,
+    deps: &LoopDeps<'_>,
     ignored: &BTreeSet<MemBase>,
-    _abstraction: Abstraction,
 ) -> BTreeSet<MemBase> {
     let mut out = BTreeSet::new();
     for (i, v) in pspdg.variables.iter().enumerate() {
         if matches!(v.kind, pspdg_core::VariableKind::Reducible(_))
-            && query::variable_applies_to_loop(pspdg, analyses, i, l)
+            && query::variable_applies_to_loop(pspdg, deps.analyses, i, deps.loop_id)
             && ignored.contains(&v.base)
         {
             out.insert(v.base);
         }
     }
     out
-}
-
-/// Count undirected edges touching instructions of a loop (diagnostics).
-pub fn mutex_pressure(pspdg: &PsPdg, analyses: &FunctionAnalyses, l: LoopId) -> usize {
-    let insts = analyses.loop_insts(l);
-    pspdg
-        .undirected_edges()
-        .filter(|(_, a, b)| {
-            [a, b]
-                .iter()
-                .any(|n| pspdg.node_insts(**n).iter().any(|i| insts.contains(i)))
-        })
-        .count()
 }
 
 #[cfg(test)]

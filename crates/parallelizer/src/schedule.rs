@@ -173,15 +173,6 @@ impl ReplayProgram {
             .iter()
             .filter(|op| matches!(op, ReplayOp::Store { .. }))
     }
-
-    /// Number of replay-time fault sites in this program: every op can
-    /// fault during commit replay (bad address, undef protected load,
-    /// failed evaluator), and each aborts the activation's commit with
-    /// the staging heap discarded. The runtime's fault-injection fuzzer
-    /// uses this to bound the packet ordinals worth addressing.
-    pub fn fault_sites(&self) -> usize {
-        self.ops.len()
-    }
 }
 
 /// One surviving critical/atomic region (nested or overlapping directive
@@ -564,8 +555,7 @@ impl<'a> FuncRealizer<'a> {
                     protected: protected.into_iter().collect(),
                 }))
             }
-            PlannedTechnique::Dswp { stage_of, stages } if has_mutex => {
-                let _ = (stage_of, stages);
+            PlannedTechnique::Dswp { .. } if has_mutex => {
                 seq("mutual exclusion inside a pipelined loop")
             }
             PlannedTechnique::Helix { .. } if has_mutex => {
@@ -1217,18 +1207,34 @@ impl<'a> FuncRealizer<'a> {
                 }
             }
         }
-        // Instructions of nested loops (multi-instance per pipelined
-        // iteration).
-        let mut nested: BTreeSet<InstId> = BTreeSet::new();
+        // Dense masks over the function's instructions: in the pipelined
+        // loop, and in a loop nested inside it (multi-instance per
+        // pipelined iteration).
+        let pdg = self.pdg();
+        let mut in_loop = vec![false; pdg.len()];
+        for &i in loop_insts {
+            in_loop[i.index()] = true;
+        }
+        let mut nested = vec![false; pdg.len()];
         let mut stack = info.children.clone();
         while let Some(c) = stack.pop() {
-            nested.extend(self.analyses.loop_insts(c));
+            for i in self.analyses.loop_insts(c) {
+                nested[i.index()] = true;
+            }
             stack.extend(self.analyses.forest.info(c).children.iter().copied());
         }
-        for e in self.pdg().edges.iter() {
-            if !loop_insts.contains(&e.src) || !loop_insts.contains(&e.dst) {
-                continue;
-            }
+        // Only edges between two loop instructions can violate a rule;
+        // taken in arena order, the first violation found is the one a
+        // scan of the whole arena would report.
+        let mut edge_ids: Vec<u32> = loop_insts
+            .iter()
+            .flat_map(|&src| pdg.edge_indices_from(src))
+            .copied()
+            .filter(|&ei| in_loop[pdg.edge(ei).dst.index()])
+            .collect();
+        edge_ids.sort_unstable();
+        for ei in edge_ids {
+            let e = pdg.edge(ei);
             let (ss, ds) = (stage_of[&e.src], stage_of[&e.dst]);
             let (constrains, carried_here) = match &e.kind {
                 DepKind::Register | DepKind::Control => (true, false),
@@ -1254,7 +1260,7 @@ impl<'a> FuncRealizer<'a> {
             if ss > ds {
                 return Err("dependence runs backward across stages");
             }
-            if ss != ds && (nested.contains(&e.src) || nested.contains(&e.dst)) {
+            if ss != ds && (nested[e.src.index()] || nested[e.dst.index()]) {
                 return Err("cross-stage dependence inside a nested loop");
             }
         }

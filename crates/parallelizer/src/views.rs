@@ -1,15 +1,20 @@
 //! Per-abstraction dependence views.
 //!
-//! Every abstraction is realized as a transformation of the baseline PDG;
-//! the planners and enumerators are abstraction-agnostic and consume the
-//! resulting [`Pdg`] view.
+//! Every abstraction is an [`EffectiveView`] over the one base PDG its
+//! function was built with — a removal mask and sparse kind rewrites, never
+//! a second graph; the planners and enumerators are abstraction-agnostic
+//! and read each loop through the view's [`LoopDeps`].
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
 
+use pspdg_core::query::LoopDeps;
+use pspdg_core::{FunctionPsPdg, PsPdg};
 use pspdg_ir::{InstId, LoopId};
-use pspdg_parallel::{DirectiveKind, ParallelProgram};
-use pspdg_pdg::{FunctionAnalyses, Pdg};
+use pspdg_parallel::{Directive, DirectiveKind, ParallelProgram};
+use pspdg_pdg::{EffectiveView, FunctionAnalyses, Pdg};
+use pspdg_pool::BitSet;
 
 /// The program abstraction driving the parallelizer (paper §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,33 +50,42 @@ impl fmt::Display for Abstraction {
     }
 }
 
-/// The plain-PDG view (identity).
-pub fn pdg_view(pdg: &Pdg) -> Pdg {
-    pdg.clone()
-}
-
 /// The Jensen & Karlsson view: worksharing-loop information removes
 /// loop-carried dependences from the PDG \[28\], and nothing else — no
 /// orderless/critical reasoning, no data-property knowledge. Dependences
 /// with an endpoint inside a `critical`/`atomic`/`ordered` region are kept
 /// (the runtime calls those regions lower to are opaque to the analysis).
-pub fn jk_view(program: &ParallelProgram, analyses: &FunctionAnalyses, pdg: &Pdg) -> Pdg {
+///
+/// Built from each worksharing loop's carried-edge index: only those edges
+/// can change, so the overlay's cost follows the annotated loops, not the
+/// function's edge count.
+pub(crate) fn jk_overlay(
+    program: &ParallelProgram,
+    analyses: &FunctionAnalyses,
+    pdg: &Pdg,
+) -> EffectiveView {
     let func = pdg.func;
     let f = program.module.function(func);
+    let region_insts = |d: &Directive| -> BitSet {
+        d.region
+            .blocks
+            .iter()
+            .flat_map(|&bb| f.block(bb).insts.iter().map(|i| i.index()))
+            .collect()
+    };
     // Instructions covered by synchronization constructs stay opaque.
-    let mut synced: BTreeSet<InstId> = BTreeSet::new();
+    let mut synced = BitSet::new();
     for (_, d) in program.directives_in(func) {
         if matches!(
             d.kind,
             DirectiveKind::Critical { .. } | DirectiveKind::Atomic | DirectiveKind::Ordered
         ) {
-            for &bb in &d.region.blocks {
-                synced.extend(f.block(bb).insts.iter().copied());
-            }
+            synced.union_with(&region_insts(d));
         }
     }
-    // Worksharing loops and their instruction sets.
-    let mut ws: Vec<(LoopId, BTreeSet<InstId>)> = Vec::new();
+    // The carried loops each edge loses: a dependence may still be carried
+    // at loops the programmer did not annotate.
+    let mut gone: BTreeMap<usize, Vec<LoopId>> = BTreeMap::new();
     for (_, d) in program.directives_in(func) {
         if !matches!(
             d.kind,
@@ -82,57 +96,79 @@ pub fn jk_view(program: &ParallelProgram, analyses: &FunctionAnalyses, pdg: &Pdg
         ) {
             continue;
         }
-        let Some(header) = d.loop_header else {
+        let Some(l) = d.loop_header.and_then(|header| {
+            analyses
+                .forest
+                .loop_ids()
+                .find(|l| analyses.forest.info(*l).header == header)
+        }) else {
             continue;
         };
-        let Some(l) = analyses
-            .forest
-            .loop_ids()
-            .find(|l| analyses.forest.info(*l).header == header)
-        else {
-            continue;
-        };
-        let mut insts = BTreeSet::new();
-        for &bb in &d.region.blocks {
-            insts.extend(f.block(bb).insts.iter().copied());
-        }
-        ws.push((l, insts));
-    }
-    // Narrow carried sets (a dependence may still be carried at loops the
-    // programmer did not annotate); drop edges with nothing left.
-    let mut edges = Vec::new();
-    for e in pdg.edges.iter() {
-        let mut e2 = e.clone();
-        let mut keep = true;
-        if e2.kind.is_memory() && !synced.contains(&e2.src) && !synced.contains(&e2.dst) {
-            let gone: Vec<LoopId> = ws
-                .iter()
-                .filter(|(l, insts)| {
-                    e2.kind.carried_at(*l) && insts.contains(&e2.src) && insts.contains(&e2.dst)
-                })
-                .map(|(l, _)| *l)
-                .collect();
-            if !gone.is_empty() {
-                keep = narrow(&mut e2.kind, &gone);
+        let insts = region_insts(d);
+        let free = |i: InstId| insts.contains(i.index()) && !synced.contains(i.index());
+        for ei in pdg.carried_edge_indices(l).iter() {
+            let e = &pdg.edges[ei];
+            if free(e.src) && free(e.dst) {
+                gone.entry(ei).or_default().push(l);
             }
         }
-        if keep {
-            edges.push(e2);
+    }
+    // Narrow the carried sets; an edge with nothing left is removed.
+    let mut removed = BitSet::new();
+    let mut rewrites = BTreeMap::new();
+    for (ei, gone) in gone {
+        let mut e = pdg.edges[ei].clone();
+        if e.kind.narrow_carried(|l| gone.contains(&l)) {
+            rewrites.insert(ei as u32, e);
+        } else {
+            removed.insert(ei);
         }
     }
-    Pdg::from_edges(pdg.func, pdg.len(), edges)
+    EffectiveView::new(pdg, removed, rewrites)
 }
 
-fn narrow(kind: &mut pspdg_pdg::DepKind, gone: &[LoopId]) -> bool {
-    use pspdg_pdg::DepKind;
-    match kind {
-        DepKind::Flow { carried, intra }
-        | DepKind::Anti { carried, intra }
-        | DepKind::Output { carried, intra } => {
-            carried.retain(|l| !gone.contains(l));
-            !carried.is_empty() || *intra
+/// What one abstraction may discharge in one function: its dependence view
+/// and, for the PS-PDG, the variables whose semantics apply per loop. The
+/// plan builder and the option enumerator both select through here.
+pub(crate) struct AbstractionView<'a> {
+    view: Cow<'a, EffectiveView>,
+    variables: Option<&'a PsPdg>,
+    analyses: &'a FunctionAnalyses,
+}
+
+impl<'a> AbstractionView<'a> {
+    /// PDG is the identity view, J&K its own overlay (built here, so only
+    /// when J&K is asked for), and the PS-PDG the overlay its builder
+    /// assembled, borrowed. The OpenMP plan discovers no loops of its own;
+    /// the loops it declares are read through the PS-PDG.
+    pub(crate) fn select(
+        abstraction: Abstraction,
+        program: &ParallelProgram,
+        prepared: &'a FunctionPsPdg,
+    ) -> AbstractionView<'a> {
+        let FunctionPsPdg {
+            analyses,
+            pdg,
+            pspdg,
+            ..
+        } = prepared;
+        let (view, variables) = match abstraction {
+            Abstraction::Pdg => (Cow::Owned(EffectiveView::identity(pdg)), None),
+            Abstraction::Jk => (Cow::Owned(jk_overlay(program, analyses, pdg)), None),
+            Abstraction::OpenMp | Abstraction::PsPdg => {
+                (Cow::Borrowed(&pspdg.effective), Some(pspdg))
+            }
+        };
+        AbstractionView {
+            view,
+            variables,
+            analyses,
         }
-        _ => true,
+    }
+
+    /// How loop `l` reads this view.
+    pub(crate) fn at(&self, l: LoopId) -> LoopDeps<'_> {
+        LoopDeps::new(&self.view, self.variables, self.analyses, l)
     }
 }
 
@@ -160,7 +196,7 @@ mod tests {
         let pdg = Pdg::build(&p.module, f, &a);
         let l = a.forest.loop_ids().next().unwrap();
         let before = pdg.carried_edges(l).count();
-        let jk = jk_view(&p, &a, &pdg);
+        let jk = jk_overlay(&p, &a, &pdg);
         let after = jk.carried_edges(l).count();
         assert!(
             after < before,
@@ -189,7 +225,7 @@ mod tests {
         let a = FunctionAnalyses::compute(&p.module, f);
         let pdg = Pdg::build(&p.module, f, &a);
         let l = a.forest.loop_ids().next().unwrap();
-        let jk = jk_view(&p, &a, &pdg);
+        let jk = jk_overlay(&p, &a, &pdg);
         // The hist accesses are inside the critical region: J&K cannot
         // remove their carried deps.
         let hist_carried = jk
@@ -214,8 +250,9 @@ mod tests {
         let f = p.module.function_by_name("k").unwrap();
         let a = FunctionAnalyses::compute(&p.module, f);
         let pdg = Pdg::build(&p.module, f, &a);
-        let jk = jk_view(&p, &a, &pdg);
-        assert_eq!(jk.edges.len(), pdg.edges.len());
+        let jk = jk_overlay(&p, &a, &pdg);
+        assert_eq!(jk.surviving_len(), pdg.edges.len());
+        assert_eq!(jk.rewrite_count(), 0);
     }
 
     #[test]

@@ -27,16 +27,6 @@ pub enum MemBase {
     Unknown,
 }
 
-impl MemBase {
-    /// Whether this base refers to a concrete object (not `Io`/`Unknown`).
-    pub fn is_object(self) -> bool {
-        matches!(
-            self,
-            MemBase::Alloca(_) | MemBase::Global(_) | MemBase::Param(_)
-        )
-    }
-}
-
 /// Trace a pointer-typed value to its base object by walking `gep` chains.
 pub fn trace_base(func: &Function, ptr: Value) -> MemBase {
     match ptr {
@@ -69,21 +59,6 @@ pub fn may_alias(a: MemBase, b: MemBase) -> bool {
         // A parameter cannot point at a fresh local object of the callee.
         (Param(_), Alloca(_)) | (Alloca(_), Param(_)) => false,
         (Alloca(_), Global(_)) | (Global(_), Alloca(_)) => false,
-    }
-}
-
-/// The function the base belongs to is implicit; this helper renders a
-/// diagnostic name.
-pub fn base_name(func: &Function, base: MemBase) -> String {
-    match base {
-        MemBase::Alloca(i) => match &func.inst(i).inst {
-            Inst::Alloca { name, .. } => name.clone(),
-            _ => format!("{i}"),
-        },
-        MemBase::Global(g) => format!("{g}"),
-        MemBase::Param(p) => format!("%arg{p}"),
-        MemBase::Io => "<io>".to_string(),
-        MemBase::Unknown => "<unknown>".to_string(),
     }
 }
 

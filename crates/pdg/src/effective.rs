@@ -18,10 +18,13 @@
 //!   sentinel) absent from the base index.
 //!
 //! Every [`Pdg`]-style query (adjacency, per-base, per-carried-loop) is
-//! answered through the mask without rebuilding CSR indexes. Consumers
-//! that genuinely need an owned graph (none of the hot paths do) call
-//! [`EffectiveView::materialize`], which reproduces exactly the `Pdg` the
-//! old cloning assemble built.
+//! answered through the mask without rebuilding CSR indexes. It is the one
+//! dependence view every abstraction plans from: the plain PDG is
+//! [`EffectiveView::identity`], J&K narrows the worksharing loops' carried
+//! edges, the PS-PDG applies its directive passes. Nothing owns a second
+//! graph; `materialize` (behind the `oracle` feature, next to
+//! `Pdg::build_naive`) exists only as the reference the overlay tests
+//! compare every query against.
 //!
 //! ## Invariants
 //!
@@ -59,26 +62,16 @@ pub struct EffectiveView {
 }
 
 impl EffectiveView {
-    /// Build a view of `base` removing the edges flagged in `removed` and
+    /// Build a view of `base` removing the edge ids in `removed` and
     /// replacing the kinds of the `rewrites` entries.
     ///
-    /// # Panics
-    ///
-    /// Panics if `removed` does not cover every base edge; debug builds
-    /// additionally assert the rewrite invariants (keys survive, only the
+    /// Debug builds assert the rewrite invariants (keys survive, only the
     /// kind differs from the base edge).
-    pub fn new(base: &Pdg, removed: &[bool], rewrites: BTreeMap<u32, PdgEdge>) -> EffectiveView {
-        assert_eq!(removed.len(), base.edges.len(), "mask must cover the arena");
-        let mut mask = BitSet::with_capacity(removed.len());
-        for (i, &r) in removed.iter().enumerate() {
-            if r {
-                mask.insert(i);
-            }
-        }
+    pub fn new(base: &Pdg, removed: BitSet, rewrites: BTreeMap<u32, PdgEdge>) -> EffectiveView {
         let mut carried_added: BTreeMap<LoopId, Vec<u32>> = BTreeMap::new();
         for (&ei, e) in &rewrites {
             let orig = &base.edges[ei as usize];
-            debug_assert!(!removed[ei as usize], "rewrite of a removed edge");
+            debug_assert!(!removed.contains(ei as usize), "rewrite of a removed edge");
             debug_assert_eq!((e.src, e.dst, e.base), (orig.src, orig.dst, orig.base));
             for &l in e.kind.carried() {
                 if !orig.kind.carried_at(l) {
@@ -88,21 +81,16 @@ impl EffectiveView {
         }
         EffectiveView {
             base: base.clone(),
-            removed: mask,
+            removed,
             rewrites,
             carried_added,
         }
     }
 
-    /// A view that removes and rewrites nothing (the effective graph of an
-    /// abstraction with no applicable semantics).
+    /// A view that removes and rewrites nothing (the plain PDG; allocates
+    /// nothing, the arena is shared).
     pub fn identity(base: &Pdg) -> EffectiveView {
-        EffectiveView {
-            base: base.clone(),
-            removed: BitSet::with_capacity(base.edges.len()),
-            rewrites: BTreeMap::new(),
-            carried_added: BTreeMap::new(),
-        }
+        EffectiveView::new(base, BitSet::new(), BTreeMap::new())
     }
 
     /// The base graph the overlay refines.
@@ -242,10 +230,10 @@ impl EffectiveView {
             .filter(move |&ei| !self.is_removed(ei) && !self.edge(ei).kind.carried().is_empty())
     }
 
-    /// Materialize the effective graph as an owned [`Pdg`] — exactly what
-    /// the pre-overlay assemble built. This pays the O(E) clone and CSR
-    /// rebuild the view exists to avoid; reach for it only at API
-    /// boundaries that require an owned graph (tests, oracles, exports).
+    /// The effective graph as an owned [`Pdg`]: an O(E) clone plus a CSR
+    /// rebuild, kept only as the oracle the overlay tests hold every view
+    /// query against.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn materialize(&self) -> Pdg {
         let edges: Vec<PdgEdge> = self.edges().cloned().collect();
         Pdg::from_edges(self.base.func, self.base.len(), edges)

@@ -83,6 +83,22 @@ impl DepKind {
         self.carried().contains(&l)
     }
 
+    /// Drop the loops `gone` accepts from a memory dependence's carried set
+    /// (a worksharing declaration says they carry nothing); returns whether
+    /// the edge still constrains anything — some carried loop left, or an
+    /// equal-iteration dependence.
+    pub fn narrow_carried(&mut self, gone: impl Fn(LoopId) -> bool) -> bool {
+        match self {
+            DepKind::Flow { carried, intra }
+            | DepKind::Anti { carried, intra }
+            | DepKind::Output { carried, intra } => {
+                carried.retain(|l| !gone(*l));
+                !carried.is_empty() || *intra
+            }
+            _ => true,
+        }
+    }
+
     /// Short name for diagnostics.
     pub fn name(&self) -> &'static str {
         match self {
@@ -254,9 +270,9 @@ impl Pdg {
         Pdg::from_edges(func, f.insts.len(), edges)
     }
 
-    /// Assemble a PDG from an explicit edge list (used by abstractions that
-    /// transform a base PDG, e.g. the PS-PDG's effective graph).
-    pub fn from_edges(func: FuncId, n_insts: usize, edges: Vec<PdgEdge>) -> Pdg {
+    /// Index an edge list (the two builders; the `oracle`-gated
+    /// [`crate::EffectiveView::materialize`]).
+    pub(crate) fn from_edges(func: FuncId, n_insts: usize, edges: Vec<PdgEdge>) -> Pdg {
         let index = EdgeIndex::build(n_insts, &edges);
         Pdg {
             func,
@@ -339,16 +355,10 @@ impl Pdg {
         &self.index.carried_any
     }
 
-    /// A copy of this PDG keeping only edges satisfying `keep` (used by the
-    /// J&K and PS-PDG refinements to drop dependences).
-    pub fn filtered(&self, keep: impl Fn(&PdgEdge) -> bool) -> Pdg {
-        let edges: Vec<PdgEdge> = self.edges.iter().filter(|e| keep(e)).cloned().collect();
-        Pdg::from_edges(self.func, self.n_insts, edges)
-    }
-
-    /// The SCC DAG of loop `l`'s body under this PDG.
+    /// The SCC DAG of loop `l`'s body under this PDG, nothing discharged.
     pub fn loop_sccs(&self, analyses: &FunctionAnalyses, l: LoopId) -> SccDag {
-        crate::scc::loop_scc_dag(self, analyses, l)
+        let view = crate::EffectiveView::identity(self);
+        crate::scc::loop_scc_dag(&view, analyses, l, |e| Some(e.kind.carried_at(l)))
     }
 }
 
@@ -763,24 +773,6 @@ fn address_affine(
     }
 }
 
-/// Pretty-print edge statistics (diagnostics, golden tests).
-pub fn edge_summary(pdg: &Pdg) -> String {
-    let mut by_kind: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut carried = 0usize;
-    for e in pdg.edges.iter() {
-        *by_kind.entry(e.kind.name()).or_insert(0) += 1;
-        if !e.kind.carried().is_empty() {
-            carried += 1;
-        }
-    }
-    let mut s = String::new();
-    for (k, v) in by_kind {
-        s.push_str(&format!("{k}: {v}\n"));
-    }
-    s.push_str(&format!("carried: {carried}\n"));
-    s
-}
-
 /// Unused but kept for parity with `Type::flat_len` callers.
 #[allow(dead_code)]
 fn scalar_size(_ty: &Type) -> u64 {
@@ -985,10 +977,8 @@ mod tests {
             "#,
             "k",
         );
-        let total = pdg.edges.len();
-        let no_mem = pdg.filtered(|e| !e.kind.is_memory());
-        assert!(no_mem.edges.len() < total);
-        assert!(no_mem.edges.iter().all(|e| !e.kind.is_memory()));
+        let no_mem = pdg.edges.iter().filter(|e| !e.kind.is_memory()).count();
+        assert!(no_mem > 0 && no_mem < pdg.edges.len());
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::collections::HashMap;
 use pspdg_ir::{InstId, LoopId};
 
 use crate::alias::MemBase;
-use crate::graph::Pdg;
+use crate::effective::EffectiveView;
+use crate::graph::PdgEdge;
 use crate::FunctionAnalyses;
 
 /// One SCC of a loop body's dependence subgraph.
@@ -25,13 +26,6 @@ pub struct LoopScc {
     /// Base objects of the internal carried dependences (for removal
     /// queries by the J&K / PS-PDG refinements).
     pub carried_bases: Vec<MemBase>,
-}
-
-impl LoopScc {
-    /// Whether `inst` belongs to this SCC.
-    pub fn contains(&self, inst: InstId) -> bool {
-        self.insts.binary_search(&inst).is_ok()
-    }
 }
 
 /// The SCC DAG of one loop body.
@@ -53,37 +47,42 @@ impl SccDag {
     pub fn parallel_count(&self) -> usize {
         self.sccs.len() - self.sequential_count()
     }
-
-    /// SCC index containing `inst`, if any.
-    pub fn scc_of(&self, inst: InstId) -> Option<usize> {
-        self.sccs.iter().position(|s| s.contains(inst))
-    }
 }
 
-/// Compute the SCC DAG of loop `l` under `pdg`.
-pub fn loop_scc_dag(pdg: &Pdg, analyses: &FunctionAnalyses, l: LoopId) -> SccDag {
-    // Instructions of the loop (via the block lists captured at
-    // construction). The caller guarantees `pdg.func` matches.
-    let mut in_loop: HashMap<InstId, u32> = HashMap::new();
-    let mut nodes: Vec<InstId> = Vec::new();
-    let insts = loop_insts(analyses, l);
-    for (idx, &i) in insts.iter().enumerate() {
-        in_loop.insert(i, idx as u32);
-        nodes.push(i);
-    }
+/// Compute the SCC DAG of loop `l` as one reader of `view` sees it.
+///
+/// `carried_at` is that reader's verdict on each surviving edge between two
+/// loop instructions: `None` discharges the edge for this loop (a
+/// rematerialized induction variable, a privatized or reduced variable),
+/// `Some(c)` keeps it and says whether it counts as carried at `l`. Only the
+/// loop instructions' out-edges in the base arena are walked, and no graph
+/// is built: every per-loop refinement is a predicate over the shared view.
+pub fn loop_scc_dag(
+    view: &EffectiveView,
+    analyses: &FunctionAnalyses,
+    l: LoopId,
+    carried_at: impl Fn(&PdgEdge) -> Option<bool>,
+) -> SccDag {
+    let nodes = analyses.loop_insts(l);
+    let in_loop: HashMap<InstId, u32> = nodes
+        .iter()
+        .enumerate()
+        .map(|(idx, &i)| (i, idx as u32))
+        .collect();
     let n = nodes.len();
-    // Adjacency within the loop, via the PDG's per-source index — only the
-    // loop instructions' out-edges are touched, not the full edge arena.
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut edge_refs: Vec<(u32, u32, usize)> = Vec::new(); // (from,to,edge idx)
+    // (from, to, carried at `l`, base object)
+    let mut edge_refs: Vec<(u32, u32, bool, Option<MemBase>)> = Vec::new();
     for (s, &inst) in nodes.iter().enumerate() {
-        for &ei in pdg.edge_indices_from(inst) {
-            let e = &pdg.edges[ei as usize];
+        for e in view.edges_from(inst) {
             let Some(&d) = in_loop.get(&e.dst) else {
                 continue;
             };
+            let Some(carried) = carried_at(e) else {
+                continue;
+            };
             adj[s].push(d);
-            edge_refs.push((s as u32, d, ei as usize));
+            edge_refs.push((s as u32, d, carried, e.base));
         }
     }
 
@@ -165,14 +164,13 @@ pub fn loop_scc_dag(pdg: &Pdg, analyses: &FunctionAnalyses, l: LoopId) -> SccDag
         })
         .collect();
     let mut dag_edges: Vec<(usize, usize)> = Vec::new();
-    for (s, d, ei) in edge_refs {
+    for (s, d, carried, base) in edge_refs {
         let cs = comp_of[s as usize] as usize;
         let cd = comp_of[d as usize] as usize;
-        let e = &pdg.edges[ei];
         if cs == cd {
-            if e.kind.carried_at(l) {
+            if carried {
                 sccs[cs].sequential = true;
-                if let Some(b) = e.base {
+                if let Some(b) = base {
                     if !sccs[cs].carried_bases.contains(&b) {
                         sccs[cs].carried_bases.push(b);
                     }
@@ -188,11 +186,6 @@ pub fn loop_scc_dag(pdg: &Pdg, analyses: &FunctionAnalyses, l: LoopId) -> SccDag
         sccs,
         edges: dag_edges,
     }
-}
-
-/// The instructions belonging to loop `l` (in its blocks).
-pub fn loop_insts(analyses: &FunctionAnalyses, l: LoopId) -> Vec<InstId> {
-    analyses.loop_insts(l)
 }
 
 impl FunctionAnalyses {

@@ -584,17 +584,6 @@ impl Runtime {
         &self.plan
     }
 
-    /// The lowered plan as a shareable handle (hand it to another
-    /// [`Runtime::from_shared`] to execute the same plan concurrently).
-    pub fn shared_executable(&self) -> Arc<ExecutablePlan> {
-        Arc::clone(&self.plan)
-    }
-
-    /// The executed program as a shareable handle.
-    pub fn shared_program(&self) -> Arc<ParallelProgram> {
-        Arc::clone(&self.program)
-    }
-
     /// Static realization counts.
     pub fn realization(&self) -> RealizationStats {
         self.plan.stats()

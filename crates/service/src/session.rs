@@ -26,7 +26,6 @@ use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg};
 use pspdg_emulator::emulate;
 use pspdg_frontend::{compile, FrontendError};
 use pspdg_ir::interp::{ExecError, Interpreter, NullSink, Profile, RtVal};
-use pspdg_ir::parse::parse_module;
 use pspdg_obs::Recorder;
 use pspdg_parallel::{ParallelError, ParallelProgram};
 use pspdg_parallelizer::{
@@ -198,18 +197,6 @@ impl Session {
         rec: Option<Arc<Recorder>>,
     ) -> Result<Session, SessionError> {
         Session::from_program_recorded(compile(source)?, rec)
-    }
-
-    /// Build a session from textual IR (no directives — the program
-    /// plans as a purely sequential module under every abstraction
-    /// except what analysis alone proves parallel).
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`].
-    pub fn from_ir(text: &str) -> Result<Session, SessionError> {
-        let module = parse_module(text).map_err(|e| SessionError::Ir(e.to_string()))?;
-        Session::from_program_recorded(ParallelProgram::new(module), None)
     }
 
     /// Build a session from an already-constructed program (the NAS

@@ -53,7 +53,7 @@ fn main() {
 
     let l = analyses.forest.loop_ids().next().unwrap();
     let pdg_carried = pdg.carried_edges(l).filter(|e| e.kind.is_memory()).count();
-    let ps_blocking = query::blocking_carried_edges(&pspdg, &program.module, &analyses, l).len();
+    let ps_blocking = query::blocking_carried_edges(&pspdg, &analyses, l).len();
     println!();
     println!("histogram loop, memory dependences carried across iterations:");
     println!("  PDG    : {pdg_carried:>3}   (the indirect subscript is opaque to analysis)");

@@ -1,4 +1,6 @@
-//! Neither interpreter allocates per executed instruction.
+//! Allocation counts that must not scale: neither interpreter allocates
+//! per executed instruction, and the planner does not allocate per
+//! (loop × function edge).
 //!
 //! The same loop kernel — loads, stores and geps on a global array, a
 //! `sqrt` intrinsic call — runs at trip count N and at 8N; the number of
@@ -6,14 +8,23 @@
 //! the sink that elides tracing and under a one-worker `Runtime`. A count
 //! is deterministic where an Msteps/s floor would depend on the host.
 //! (Thread-local counting-allocator idiom of `crates/obs/tests/recorder.rs`.)
+//!
+//! `synth::wide(n)` is one function of `n` sibling loops over `n` arrays,
+//! so doubling `n` doubles both the loops and the function's edges. A
+//! planner that reads each loop through the shared dependence view
+//! allocates in proportion to the loops; one that copies the function's
+//! graph per loop (as `Pdg::filtered` did: 3.62× from `wide(32)` to
+//! `wide(64)` under PDG and J&K) allocates in proportion to the product.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pspdg::core::{build_pspdg_module, FeatureSet};
 use pspdg::frontend::compile;
 use pspdg::ir::interp::{Interpreter, NullSink};
+use pspdg::nas::synth;
 use pspdg::parallel::ParallelProgram;
-use pspdg::parallelizer::{build_plan, Abstraction};
+use pspdg::parallelizer::{build_plan, plan_built, Abstraction};
 use pspdg::runtime::Runtime;
 
 struct CountingAlloc;
@@ -84,4 +95,33 @@ fn allocations_do_not_scale_with_executed_instructions() {
     );
     assert_eq!(oracle_n, oracle_8n, "ir::interp allocations at N vs 8N");
     assert_eq!(runtime_n, runtime_8n, "Runtime allocations at N vs 8N");
+}
+
+#[test]
+fn planning_allocations_scale_with_loops_not_loops_times_edges() {
+    for a in Abstraction::ALL {
+        let [narrow, wide] = [32, 64].map(|bases| {
+            let p = synth::wide(bases).program();
+            let mut interp = Interpreter::new(&p.module);
+            interp.run_main(&mut NullSink).expect("runs");
+            let built = build_pspdg_module(&p, FeatureSet::all());
+            let k = p.module.function_by_name("k").expect("kernel function");
+            let k = built.iter().find(|f| f.func == k).expect("k was built");
+            // A one-function slice keeps `par_map` inline, so this
+            // thread's count sees every allocation the planner makes.
+            let mut loops = 0;
+            let allocs = allocs_during(|| {
+                let only_k = std::slice::from_ref(k);
+                loops = plan_built(&p, only_k, interp.profile(), a, 0.01).len();
+            });
+            (loops, allocs)
+        });
+        assert_eq!(wide.0, 2 * narrow.0, "{a}: twice the planned loops");
+        assert!(
+            2 * wide.1 <= 5 * narrow.1,
+            "{a}: {} allocations on wide(32), {} on wide(64): more than 2.5x",
+            narrow.1,
+            wide.1
+        );
+    }
 }

@@ -74,7 +74,7 @@ fn plans_agree_with_views_on_doall() {
     let pspdg = build_pspdg(&p, f, &analyses, &pdg, FeatureSet::all());
     // Every loop of k is DOALL under the PS-PDG.
     for l in analyses.forest.loop_ids() {
-        let blocking = query::blocking_carried_edges(&pspdg, &p.module, &analyses, l);
+        let blocking = query::blocking_carried_edges(&pspdg, &analyses, l);
         assert!(
             blocking.is_empty(),
             "loop {l:?} should have no blocking deps under PS-PDG: {blocking:?}"
@@ -112,8 +112,8 @@ fn feature_ablation_degrades_monotonically() {
     for feat in pspdg::core::Feature::ALL {
         let ablated = build_pspdg(&p, f, &analyses, &pdg, FeatureSet::all().without(feat));
         for l in analyses.forest.loop_ids() {
-            let b_full = query::blocking_carried_edges(&full, &p.module, &analyses, l).len();
-            let b_ablated = query::blocking_carried_edges(&ablated, &p.module, &analyses, l).len();
+            let b_full = query::blocking_carried_edges(&full, &analyses, l).len();
+            let b_ablated = query::blocking_carried_edges(&ablated, &analyses, l).len();
             assert!(
                 b_ablated >= b_full,
                 "removing {feat:?} must not discharge more deps (loop {l:?}: {b_ablated} < {b_full})"
