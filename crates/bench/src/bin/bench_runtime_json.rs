@@ -44,8 +44,7 @@ use pspdg_nas::{benchmark, runtime_suite, Class};
 use pspdg_obs::Recorder;
 use pspdg_parallelizer::{build_plan, realize_executable, Abstraction};
 use pspdg_runtime::{
-    globals_identical_mismatch, globals_mismatch, observable_globals, CompiledTier, FaultInjector,
-    FaultKind, FaultPlan, FaultSite, Runtime,
+    globals_mismatch, observable_globals, FaultInjector, FaultKind, FaultPlan, FaultSite, Runtime,
 };
 
 fn one_run_ns<T>(f: &mut impl FnMut() -> T) -> u64 {
@@ -244,7 +243,7 @@ fn main() {
     // interpreter, and a clean rerun on the *same* runtime is
     // fault-free. The counts land in the JSON so a regression in any
     // recovery path shows up in the smoke artifact.
-    let scenarios: [(&str, FaultSite, FaultKind, &str); 8] = [
+    let scenarios: [(&str, FaultSite, FaultKind, &str); 7] = [
         (
             "IS",
             FaultSite::ChunkWorker(0),
@@ -281,12 +280,6 @@ fn main() {
             FaultSite::StageRecv(0),
             FaultKind::StageStall,
             "stage_timeout",
-        ),
-        (
-            "IS",
-            FaultSite::CompiledSlice(0),
-            FaultKind::CompiledFault,
-            "compiled_bailout",
         ),
     ];
     let mut fault_rows = String::new();
@@ -376,123 +369,6 @@ fn main() {
             fault_rows,
             "    {{\"kernel\": \"{name}\", \"site\": \"{site:?}\", \"kind\": \"{kind:?}\", \"injected_faults\": {}, \"pool_respawns\": {}, \"fallback_causes\": {{{causes}}}, \"recovered\": {recovered}}}",
             stats.injected_faults, stats.pool_respawns,
-        );
-    }
-
-    // Compiled-tier pass: the same suite timed at both execution
-    // tiers — interpreted chunk bodies (Off) and threaded code (pre-bound
-    // operand slots, no per-step decode) — under the default gates. Every
-    // threaded run is correctness-gated first: **bit-identical**
-    // to the Off tier (identical chunk partitioning means identical
-    // float association) and equivalent to the sequential interpreter;
-    // a failing kernel is recorded and skipped, never folded into the
-    // geomeans. Geomeans cover the *engaged* kernels (those whose
-    // straight-line loop bodies actually compiled and executed —
-    // `compiled_blocks > 0`); the engaged list lands in the JSON.
-    let mut compiled_rows = String::new();
-    let mut compiled_skipped: Vec<(String, String)> = Vec::new();
-    let (mut vs_off_ln, mut vs_interp_ln, mut engaged_n) = (0.0f64, 0.0f64, 0u32);
-    let mut total_bailouts = 0u64;
-    for b in &runtime_suite(class) {
-        let p = b.program();
-        let mut oracle = Interpreter::new(&p.module);
-        if oracle.run_main(&mut NullSink).is_err() {
-            continue; // already recorded as a skip above
-        }
-        let plan = build_plan(&p, oracle.profile(), Abstraction::PsPdg, 0.01);
-        let mk = |tier| Runtime::new(&p, &plan).workers(workers).compiled_tier(tier);
-        let (rt_off, rt_thr) = (mk(CompiledTier::Off), mk(CompiledTier::Threaded));
-        let (Ok(off_out), Ok(thr_out)) = (rt_off.run_main(), rt_thr.run_main()) else {
-            compiled_skipped.push((b.name.to_string(), "a tier failed to run".to_string()));
-            continue;
-        };
-        let seq_globals = observable_globals(&p.module, oracle.mem());
-        let off_g = observable_globals(&p.module, &off_out.mem);
-        let thr_g = observable_globals(&p.module, &thr_out.mem);
-        if let Some((g, c)) = globals_identical_mismatch(&off_g, &thr_g) {
-            compiled_skipped.push((
-                b.name.to_string(),
-                format!("compiled tier diverged from the interpreted tier at {g}[{c}]"),
-            ));
-            continue;
-        }
-        if let Some((g, c)) = globals_mismatch(&seq_globals, &thr_g) {
-            compiled_skipped.push((
-                b.name.to_string(),
-                format!("threaded tier diverged from the sequential interpreter at {g}[{c}]"),
-            ));
-            continue;
-        }
-        let (mut interp_ns, mut off_ns, mut thr_ns) = (u64::MAX, u64::MAX, u64::MAX);
-        for _ in 0..samples {
-            interp_ns = interp_ns.min(one_run_ns(&mut || {
-                let mut i = Interpreter::new(&p.module);
-                i.run_main(&mut NullSink).expect("kernel runs");
-            }));
-            off_ns = off_ns.min(one_run_ns(&mut || rt_off.run_main().expect("runs")));
-            thr_ns = thr_ns.min(one_run_ns(&mut || rt_thr.run_main().expect("runs")));
-        }
-        let engaged = thr_out.stats.compiled_blocks > 0;
-        let vs_off = off_ns as f64 / thr_ns.max(1) as f64;
-        let vs_interp = interp_ns as f64 / thr_ns.max(1) as f64;
-        if engaged {
-            vs_off_ln += vs_off.max(1e-12).ln();
-            vs_interp_ln += vs_interp.max(1e-12).ln();
-            engaged_n += 1;
-        }
-        total_bailouts += thr_out.stats.fallbacks.compiled_bailout;
-        println!(
-            "COMPILED {:<4} interp {interp_ns:>11} ns  off {off_ns:>11} ns  threaded {thr_ns:>11} ns  threaded-vs-off {vs_off:>6.3}x  threaded-vs-interp {vs_interp:>6.3}x  {} compiled blocks, {} bailouts{}",
-            b.name,
-            thr_out.stats.compiled_blocks,
-            thr_out.stats.fallbacks.compiled_bailout,
-            if engaged { "" } else { "  (not engaged)" },
-        );
-        if !compiled_rows.is_empty() {
-            compiled_rows.push_str(",\n");
-        }
-        let _ = write!(
-            compiled_rows,
-            "    {{\"kernel\": \"{}\", \"interpreter_ns\": {interp_ns}, \"tier_off_ns\": {off_ns}, \"tier_threaded_ns\": {thr_ns}, \"threaded_vs_off\": {vs_off:.3}, \"threaded_vs_interp\": {vs_interp:.3}, \"compiled_blocks\": {}, \"compiled_bailouts\": {}, \"engaged\": {engaged}}}",
-            b.name,
-            thr_out.stats.compiled_blocks,
-            thr_out.stats.fallbacks.compiled_bailout,
-        );
-    }
-    let comp_vs_off_geomean = if engaged_n == 0 {
-        1.0
-    } else {
-        (vs_off_ln / f64::from(engaged_n)).exp()
-    };
-    let comp_vs_interp_geomean = if engaged_n == 0 {
-        1.0
-    } else {
-        (vs_interp_ln / f64::from(engaged_n)).exp()
-    };
-    println!(
-        "compiled tier geomean over {engaged_n} engaged kernels: threaded-vs-off {comp_vs_off_geomean:.3}x, threaded-vs-interp {comp_vs_interp_geomean:.3}x ({total_bailouts} bailouts)"
-    );
-    for (name, why) in &compiled_skipped {
-        eprintln!("COMPILED SKIPPED {name}: {why}");
-    }
-    if smoke {
-        // The compiled-tier smoke gate: zero correctness skips (every
-        // threaded run bit-identical to the interpreted tier and
-        // equivalent to the oracle), the straight-line-dominated suite
-        // actually engages, and the threaded tier is no slower than the
-        // interpreted tier on the engaged geomean (Test sizes are small,
-        // so the margin is lenient; the Mini run records the real win).
-        assert!(
-            compiled_skipped.is_empty(),
-            "--smoke fails on compiled-tier correctness skips: {compiled_skipped:?}"
-        );
-        assert!(
-            engaged_n >= 4,
-            "--smoke: the compiled tier must engage on the straight-line-dominated kernels ({engaged_n})"
-        );
-        assert!(
-            comp_vs_off_geomean > 0.95,
-            "--smoke: threaded tier slower than the interpreted tier: {comp_vs_off_geomean:.3}x"
         );
     }
 
@@ -625,21 +501,10 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(", ");
-    let compiled_skipped_json: String = compiled_skipped
-        .iter()
-        .map(|(name, why)| {
-            format!(
-                "{{\"kernel\": \"{}\", \"reason\": \"{}\"}}",
-                esc(name),
-                esc(why)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
     let opcodes_json = pspdg_obs::export::profile_json(&total_ops, 10);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {geomean:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"compiled_note\": \"the same suite timed at the two chunk-worker execution tiers under default gates: interpreted (off) and threaded code (frame-slot-resolved operand templates); every threaded run is gated bit-identical to the interpreted tier and equivalent to the sequential interpreter before timing; geomeans cover engaged kernels (compiled_blocks > 0)\",\n  \"compiled\": {{\n    \"engaged_kernels\": {engaged_n},\n    \"threaded_vs_off_geomean\": {comp_vs_off_geomean:.3},\n    \"threaded_vs_interp_geomean\": {comp_vs_interp_geomean:.3},\n    \"compiled_bailouts\": {total_bailouts},\n    \"skipped\": [{compiled_skipped_json}],\n    \"kernels\": [\n{compiled_rows}\n    ]\n  }},\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {geomean:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

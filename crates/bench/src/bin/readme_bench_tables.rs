@@ -113,8 +113,8 @@ fn runtime_table(json: &str) -> String {
     let mut t = String::from(
         "| kernel | sequential (ms) | parallel (ms) | measured | predicted | dyn chunked | dyn pipelined | critical packets | critical replays | fallbacks (by cause) |\n|---|---|---|---|---|---|---|---|---|---|\n",
     );
-    // The runtime JSON also has per-kernel fault-injection, compiled-tier,
-    // and profiling rows; only the timed rows carry `measured_speedup`.
+    // The runtime JSON also has per-kernel fault-injection and profiling
+    // rows; only the timed rows carry `measured_speedup`.
     for l in kernel_lines(json)
         .into_iter()
         .filter(|l| l.contains("\"measured_speedup\""))
@@ -152,41 +152,6 @@ fn runtime_table(json: &str) -> String {
     t
 }
 
-fn compiled_table(json: &str) -> String {
-    let mut t = String::from(
-        "| kernel | interpreter (ms) | tier off (ms) | threaded (ms) | threaded vs off | threaded vs interp | compiled blocks | bailouts |\n|---|---|---|---|---|---|---|---|\n",
-    );
-    // Compiled-tier rows are the ones carrying `tier_off_ns`.
-    for l in kernel_lines(json)
-        .into_iter()
-        .filter(|l| l.contains("\"tier_off_ns\""))
-    {
-        let g = |k: &str| field(l, k).unwrap_or_default();
-        let _ = writeln!(
-            t,
-            "| {} | {} | {} | {} | {}x | {}x | {} | {} |",
-            g("kernel"),
-            ms(&g("interpreter_ns")),
-            ms(&g("tier_off_ns")),
-            ms(&g("tier_threaded_ns")),
-            g("threaded_vs_off"),
-            g("threaded_vs_interp"),
-            g("compiled_blocks"),
-            g("compiled_bailouts"),
-        );
-    }
-    if let (Some(off), Some(interp)) = (
-        field(json, "threaded_vs_off_geomean"),
-        field(json, "threaded_vs_interp_geomean"),
-    ) {
-        let _ = writeln!(
-            t,
-            "\n**Threaded-tier geomean (engaged kernels): {off}x vs the interpreted tier, {interp}x vs the sequential interpreter**"
-        );
-    }
-    t
-}
-
 /// Replace the region between `<!-- {marker}:BEGIN -->` and
 /// `<!-- {marker}:END -->` with `body`.
 fn splice(readme: &str, marker: &str, body: &str) -> String {
@@ -214,7 +179,6 @@ fn main() {
     let readme = splice(&readme, "BENCH_PDG_TABLE", &pdg_table(&pdg));
     let readme = splice(&readme, "BENCH_PDG_MODULE_TABLE", &pdg_module_table(&pdg));
     let readme = splice(&readme, "BENCH_RUNTIME_TABLE", &runtime_table(&runtime));
-    let readme = splice(&readme, "BENCH_COMPILED_TABLE", &compiled_table(&runtime));
     std::fs::write("README.md", readme).expect("write README.md");
     println!("README.md benchmark tables regenerated from BENCH_pdg.json + BENCH_runtime.json");
 }

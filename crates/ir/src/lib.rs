@@ -59,7 +59,6 @@ pub mod inst;
 pub mod interp;
 pub mod loops;
 pub mod parse;
-pub mod transform;
 pub mod types;
 pub mod value;
 pub mod verify;

@@ -83,18 +83,12 @@ where
 static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
 /// Width the global pool will be (or was) created with: the
-/// `PSPDG_POOL_THREADS` env var if set, else `RAYON_NUM_THREADS` (the
-/// name the drivers honoured before this pool), else the machine's
-/// parallelism.
+/// `PSPDG_POOL_THREADS` env var if set, else the machine's parallelism.
 pub fn default_width() -> usize {
-    let from_env = |k: &str| {
-        std::env::var(k)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    };
-    from_env("PSPDG_POOL_THREADS")
-        .or_else(|| from_env("RAYON_NUM_THREADS"))
+    std::env::var("PSPDG_POOL_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())

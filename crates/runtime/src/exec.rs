@@ -99,9 +99,6 @@ use pspdg_pdg::MemBase;
 use pspdg_pool::channel::{Channel, RecvTimeout};
 use pspdg_pool::{JobHooks, WorkerPool};
 
-use crate::compiled::{
-    compile_program, CompiledBlock, CompiledBody, CompiledProgram, CompiledTier,
-};
 use crate::fault::{FaultInjector, FaultKind};
 
 /// In-flight packets per pipeline stage link (the DSWP decoupling buffer).
@@ -172,16 +169,11 @@ pub struct FallbackCounts {
     /// mid-walk; the half-applied staging heap is discarded and the loop
     /// re-runs sequentially on the untouched master heap.
     pub commit_fault: u64,
-    /// A chunk worker bailed out of a compiled (threaded-code) slice — a
-    /// mid-slice fault, fuel exhaustion, or an injected compiled-slice
-    /// fault — and the loop re-ran on the interpreter, which reproduces
-    /// any real fault in sequential order.
-    pub compiled_bailout: u64,
 }
 
 impl FallbackCounts {
     /// Number of distinct fallback causes (fields of this struct).
-    pub const CAUSES: usize = 15;
+    pub const CAUSES: usize = 14;
 
     /// All `(reason, count)` pairs, in field order — the single source of
     /// truth for serialization (`BENCH_runtime.json`). A completeness
@@ -203,7 +195,6 @@ impl FallbackCounts {
             ("pipeline_abort", self.pipeline_abort),
             ("stage_timeout", self.stage_timeout),
             ("commit_fault", self.commit_fault),
-            ("compiled_bailout", self.compiled_bailout),
         ]
     }
 
@@ -251,9 +242,9 @@ pub struct RunStats {
     /// (only fault injection kills workers; job panics are caught without
     /// losing the thread).
     pub pool_respawns: u64,
-    /// Straight-line blocks chunk workers executed through the compiled
-    /// tier (threaded code) in activations that committed; 0 under
-    /// [`CompiledTier::Off`].
+    /// Always 0: nothing writes it. Read only by `benchmark/src/trace.rs`
+    /// (the `runtime.compiled_blocks` metric), which this crate's PRs may
+    /// not edit; the next `benchmark` PR deletes the metric and this field.
     pub compiled_blocks: u64,
 }
 
@@ -297,8 +288,7 @@ impl std::fmt::Display for RunStats {
             self.fork_bytes() / 1024
         )?;
         writeln!(f, "  injected faults        {:>12}", self.injected_faults)?;
-        writeln!(f, "  pool respawns          {:>12}", self.pool_respawns)?;
-        write!(f, "  compiled blocks        {:>12}", self.compiled_blocks)
+        write!(f, "  pool respawns          {:>12}", self.pool_respawns)
     }
 }
 
@@ -339,7 +329,6 @@ enum FallbackWhy {
     PipelineAbort,
     StageTimeout,
     CommitFault,
-    CompiledBailout,
 }
 
 impl FallbackWhy {
@@ -361,7 +350,6 @@ impl FallbackWhy {
             FallbackWhy::PipelineAbort => "pipeline_abort",
             FallbackWhy::StageTimeout => "stage_timeout",
             FallbackWhy::CommitFault => "commit_fault",
-            FallbackWhy::CompiledBailout => "compiled_bailout",
         }
     }
 }
@@ -415,13 +403,6 @@ pub struct Runtime {
     /// Context-name prefix for this runtime's recorder contexts
     /// (typically the kernel name; defaults to `"run"`).
     obs_label: String,
-    /// Which execution tier chunk workers use for scheduled loop bodies
-    /// (default [`CompiledTier::Threaded`]; [`CompiledTier::Off`] keeps
-    /// everything on the interpreter — the differential oracle).
-    tier: CompiledTier,
-    /// Threaded-code lowering of the plan's chunked loops, compiled
-    /// lazily on the first `run` (empty under [`CompiledTier::Off`]).
-    compiled: OnceLock<CompiledProgram>,
     /// Created lazily on the first parallel activation; lives as long as
     /// the `Runtime`.
     pool: OnceLock<WorkerPool>,
@@ -458,32 +439,8 @@ impl Runtime {
             faults: None,
             obs: None,
             obs_label: "run".to_string(),
-            tier: CompiledTier::default(),
-            compiled: OnceLock::new(),
             pool: OnceLock::new(),
         }
-    }
-
-    /// Select the chunk workers' execution tier
-    /// ([`CompiledTier::Threaded`] by default). [`CompiledTier::Off`] forces
-    /// pure interpretation — the configuration differential tests compare
-    /// against. Resets the cached compiled program.
-    pub fn compiled_tier(mut self, tier: CompiledTier) -> Runtime {
-        self.tier = tier;
-        self.compiled = OnceLock::new();
-        self
-    }
-
-    /// The selected execution tier.
-    pub fn tier(&self) -> CompiledTier {
-        self.tier
-    }
-
-    /// The threaded-code lowering this runtime executes (compiling it now
-    /// if no `run` has; empty under [`CompiledTier::Off`]).
-    pub fn compiled(&self) -> &CompiledProgram {
-        self.compiled
-            .get_or_init(|| compile_program(&self.program.module, &self.plan, self.tier))
     }
 
     /// Override the worker count. Chunked loops split into at most this
@@ -641,15 +598,9 @@ impl Runtime {
             s.arg("workers", self.workers);
             s
         });
-        let compiled = match self.tier {
-            CompiledTier::Off => None,
-            _ => Some(self.compiled()),
-        };
         let mut engine = Engine {
             module: &self.program.module,
             plan: Some(&self.plan),
-            compiled,
-            cbody: None,
             pool: (self.workers >= 2).then(|| self.pool()),
             workers: self.workers,
             cost_threshold: self.cost_threshold,
@@ -736,10 +687,6 @@ enum ParAbort {
     /// (suppressed guards execute conditional code unconditionally, so
     /// this fault may not exist sequentially).
     Spec(#[allow(dead_code)] ExecError),
-    /// A worker bailed out of a compiled (threaded-code) slice; the
-    /// sequential re-run on the interpreter reproduces any real fault in
-    /// order (injected compiled faults simply vanish).
-    Compiled,
 }
 
 /// The interpreter core shared by the master, chunk workers, and pipeline
@@ -748,11 +695,6 @@ enum ParAbort {
 struct Engine<'a> {
     module: &'a Module,
     plan: Option<&'a ExecutablePlan>,
-    /// The compiled tier's lowerings (master only; looked up per chunked
-    /// activation and handed to workers as `cbody`).
-    compiled: Option<&'a CompiledProgram>,
-    /// The active chunked loop's compiled body (chunk workers only).
-    cbody: Option<&'a CompiledBody>,
     /// The persistent worker pool (master only, with ≥ 2 workers).
     pool: Option<&'a WorkerPool>,
     workers: usize,
@@ -875,7 +817,6 @@ impl<'a> Engine<'a> {
             FallbackWhy::PipelineAbort => c.pipeline_abort += 1,
             FallbackWhy::StageTimeout => c.stage_timeout += 1,
             FallbackWhy::CommitFault => c.commit_fault += 1,
-            FallbackWhy::CompiledBailout => c.compiled_bailout += 1,
         }
     }
 
@@ -1230,11 +1171,7 @@ impl<'a> Engine<'a> {
             crit_log: Vec<(u32, Vec<RtVal>)>,
             output: Vec<String>,
             steps: u64,
-            compiled_blocks: u64,
         }
-        // The loop's compiled body (threaded code), if the tier is on and
-        // any block compiled.
-        let cbody = self.compiled.and_then(|cp| cp.body(func_id, sched.header));
         let module = self.module;
         let crit_map_ref = &crit_map;
         let faults = self.faults;
@@ -1281,8 +1218,6 @@ impl<'a> Engine<'a> {
                     let mut worker = Engine {
                         module,
                         plan: None,
-                        compiled: None,
-                        cbody,
                         pool: None,
                         workers: 1,
                         cost_threshold: 0,
@@ -1315,7 +1250,6 @@ impl<'a> Engine<'a> {
                         crit_log: std::mem::take(&mut worker.crit_log),
                         output: std::mem::take(&mut worker.output),
                         steps: worker.steps,
-                        compiled_blocks: worker.stats.compiled_blocks,
                     }));
                 });
             }
@@ -1338,7 +1272,6 @@ impl<'a> Engine<'a> {
                 Some(Err(ParAbort::Irregular)) => Some(FallbackWhy::Irregular),
                 Some(Err(ParAbort::Exec(_))) => Some(FallbackWhy::WorkerFault),
                 Some(Err(ParAbort::Spec(_))) => Some(FallbackWhy::SpeculationFault),
-                Some(Err(ParAbort::Compiled)) => Some(FallbackWhy::CompiledBailout),
             };
             fault_abort = fault_abort.or(why);
         }
@@ -1431,7 +1364,6 @@ impl<'a> Engine<'a> {
         for out in outs {
             self.output.extend(out.output);
             self.steps = self.steps.saturating_add(out.steps);
-            self.stats.compiled_blocks += out.compiled_blocks;
         }
         self.stats.fork_cells_committed += committed;
         self.stats.critical_packets += packets;
@@ -1496,17 +1428,9 @@ impl<'a> Engine<'a> {
                     self.run_critical_region(func_id, f, frame, idx, cr)?;
                     Flow::Jump(cr.exit)
                 }
-                // Compiled tier: blocks with a threaded-code lowering run
-                // through it; everything else (and any bailout's re-run)
-                // stays on the interpreter.
-                None => match self.cbody.and_then(|b| b.block(block)) {
-                    Some(cb) => self
-                        .exec_compiled_block(frame, cb)
-                        .map_err(|()| ParAbort::Compiled)?,
-                    None => self
-                        .exec_block(func_id, f, frame, block)
-                        .map_err(ParAbort::Exec)?,
-                },
+                None => self
+                    .exec_block(func_id, f, frame, block)
+                    .map_err(ParAbort::Exec)?,
             };
             match flow {
                 Flow::Jump(t) if t == sched.header => return Ok(()),
@@ -1520,41 +1444,6 @@ impl<'a> Engine<'a> {
                 Flow::Next => unreachable!(),
             }
         }
-    }
-
-    /// Execute one block through the compiled tier. Steps, fuel, and the
-    /// opcode profile advance exactly as interpretation would (block
-    /// cost = original instruction count; opcodes fed in original order,
-    /// so merged profile totals still equal the engine step counter). Any
-    /// fault — injected compiled-slice fault, insufficient fuel margin,
-    /// or a mid-slice execution fault — returns `Err(())` and the caller
-    /// abandons the parallel attempt under `compiled_bailout`; the
-    /// sequential re-run reproduces real faults (including `OutOfFuel`)
-    /// in order, because worker-side steps are only folded in on success.
-    fn exec_compiled_block(&mut self, frame: &mut Frame, cb: &CompiledBlock) -> Result<Flow, ()> {
-        if self.faults.and_then(FaultInjector::on_compiled_slice) == Some(FaultKind::CompiledFault)
-        {
-            self.fault_instant(FaultKind::CompiledFault);
-            return Err(());
-        }
-        if self.steps.saturating_add(cb.cost) > self.fuel {
-            return Err(());
-        }
-        self.steps += cb.cost;
-        self.stats.compiled_blocks += 1;
-        if let Some(h) = self.obs.as_mut() {
-            for &op in &cb.opcodes {
-                h.op(op);
-            }
-        }
-        crate::compiled::run_block(
-            cb,
-            &mut frame.regs,
-            &frame.args,
-            &mut self.mem,
-            &mut self.output,
-        )
-        .map(Flow::Jump)
     }
 
     /// The deferred critical region entered at `block`, if any (chunk
@@ -1701,8 +1590,6 @@ impl<'a> Engine<'a> {
                         plan: None,
                         // Pipeline stages stay interpreted: their write
                         // logs and stage-replay semantics are the oracle.
-                        compiled: None,
-                        cbody: None,
                         pool: None,
                         workers: 1,
                         cost_threshold,

@@ -34,7 +34,6 @@
 //! | [`CommitFault`](FaultKind::CommitFault) | heap commit | half-applied staging heap discarded (`commit_fault`) |
 //! | [`StageStall`](FaultKind::StageStall) | stage send/recv | stage dies *silently*; watchdog timeouts abort the activation (`stage_timeout`) instead of hanging the master |
 //! | [`ThreadDeath`](FaultKind::ThreadDeath) | pool job | worker thread dies; the pool requeues its job and **respawns** the thread — no fallback at all |
-//! | [`CompiledFault`](FaultKind::CompiledFault) | compiled slice | worker bails out of the threaded-code slice; the loop re-runs on the interpreter (`compiled_bailout`) |
 //!
 //! The differential fuzz suite (`tests/fault_fuzz.rs`) closes the loop:
 //! random seeded plans across every kernel × plan abstraction × worker
@@ -72,10 +71,6 @@ pub enum FaultKind {
     /// requeue the job and respawn the thread; execution completes with
     /// no fallback at all.
     ThreadDeath,
-    /// Fault at a compiled (threaded-code) slice entry, as if a pre-bound
-    /// op faulted mid-slice: the worker bails out and the loop re-runs on
-    /// the interpreter (`compiled_bailout`).
-    CompiledFault,
 }
 
 impl FaultKind {
@@ -90,7 +85,6 @@ impl FaultKind {
             FaultKind::CommitFault => "fault/commit_fault",
             FaultKind::StageStall => "fault/stage_stall",
             FaultKind::ThreadDeath => "fault/thread_death",
-            FaultKind::CompiledFault => "fault/compiled_fault",
         }
     }
 
@@ -108,7 +102,6 @@ impl FaultKind {
             }
             FaultSite::ReplayPacket(_) => matches!(self, FaultKind::ReplayFault),
             FaultSite::HeapCommit(_) => matches!(self, FaultKind::CommitFault),
-            FaultSite::CompiledSlice(_) => matches!(self, FaultKind::CompiledFault),
         }
     }
 }
@@ -133,8 +126,6 @@ pub enum FaultSite {
     ReplayPacket(u64),
     /// The nth fork dirty-set commit into a staging heap.
     HeapCommit(u64),
-    /// The nth compiled (threaded-code) block a chunk worker enters.
-    CompiledSlice(u64),
 }
 
 impl FaultSite {
@@ -147,7 +138,6 @@ impl FaultSite {
             FaultSite::StageRecv(_) => 4,
             FaultSite::ReplayPacket(_) => 5,
             FaultSite::HeapCommit(_) => 6,
-            FaultSite::CompiledSlice(_) => 7,
         }
     }
 
@@ -159,14 +149,13 @@ impl FaultSite {
             | FaultSite::StageSend(n)
             | FaultSite::StageRecv(n)
             | FaultSite::ReplayPacket(n)
-            | FaultSite::HeapCommit(n)
-            | FaultSite::CompiledSlice(n) => n,
+            | FaultSite::HeapCommit(n) => n,
         }
     }
 }
 
 /// Number of [`FaultSite`] families (one dispatch counter each).
-const FAMILIES: usize = 8;
+const FAMILIES: usize = 7;
 
 /// One planned injection: raise `kind` the moment execution reaches
 /// `site`.
@@ -225,15 +214,14 @@ impl FaultPlan {
         let mut plan = FaultPlan::new();
         for _ in 0..count {
             let n = rng.below(6);
-            let site = match rng.below(8) {
+            let site = match rng.below(FAMILIES as u64) {
                 0 => FaultSite::PoolJob(n),
                 1 => FaultSite::ChunkWorker(n),
                 2 => FaultSite::CritSlice(n),
                 3 => FaultSite::StageSend(n),
                 4 => FaultSite::StageRecv(n),
                 5 => FaultSite::ReplayPacket(n),
-                6 => FaultSite::HeapCommit(n),
-                _ => FaultSite::CompiledSlice(n),
+                _ => FaultSite::HeapCommit(n),
             };
             let kind = match site {
                 FaultSite::PoolJob(_) => FaultKind::ThreadDeath,
@@ -254,7 +242,6 @@ impl FaultPlan {
                 }
                 FaultSite::ReplayPacket(_) => FaultKind::ReplayFault,
                 FaultSite::HeapCommit(_) => FaultKind::CommitFault,
-                FaultSite::CompiledSlice(_) => FaultKind::CompiledFault,
             };
             plan = plan.inject(site, kind);
         }
@@ -354,12 +341,6 @@ impl FaultInjector {
     /// Site hook: the master is about to commit one fork's dirty set.
     pub fn on_heap_commit(&self) -> Option<FaultKind> {
         self.check(FaultSite::HeapCommit(0))
-    }
-
-    /// Site hook: a chunk worker is entering a compiled (threaded-code)
-    /// block.
-    pub fn on_compiled_slice(&self) -> Option<FaultKind> {
-        self.check(FaultSite::CompiledSlice(0))
     }
 
     /// Total injections fired so far.

@@ -49,17 +49,13 @@
 //! (`tests/fault_fuzz.rs`) drives random seeded schedules across every
 //! kernel and asserts the fallback-parity contract held.
 //!
-//! Chunk workers additionally carry a **compiled execution tier**
-//! ([`compiled`]): scheduled loop bodies' straight-line blocks are
-//! pre-resolved to threaded code (operands bound to frame slots, no
-//! per-step decode), selected per activation behind the same cost
-//! gate; any unsupported shape or mid-slice fault falls back to the
-//! interpreter under the `compiled_bailout` cause, so the interpreter
-//! remains the bit-identical oracle (`tests/compiled_differential.rs`).
+//! There is **one engine**: [`exec`]'s per-instruction interpreter runs
+//! the master, every chunk worker, every pipeline stage, every critical
+//! slice and every fallback re-run, so the bit-identity chain has two
+//! links — [`pspdg_ir::interp`] (the oracle) → `exec.rs`.
 //!
 //! Module map: [`exec`] — the engine ([`Runtime`], [`RunStats`],
-//! [`FallbackCounts`]); [`compiled`] — the threaded-code tier
-//! ([`CompiledTier`]); [`fault`] — deterministic fault injection
+//! [`FallbackCounts`]); [`fault`] — deterministic fault injection
 //! ([`FaultPlan`], [`FaultInjector`]);
 //! [`check`] — observable-state extraction for differential testing.
 //! The persistent, self-healing scoped [`WorkerPool`] and the bounded
@@ -69,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod compiled;
 pub mod exec;
 pub mod fault;
 
@@ -77,7 +72,6 @@ pub use check::{
     global_cells, globals_identical_mismatch, globals_mismatch, line_equivalent,
     observable_globals, rtval_equivalent, rtval_identical, FLOAT_RTOL,
 };
-pub use compiled::{compile_program, CompiledProgram, CompiledTier};
 pub use exec::{
     FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD,
     DEFAULT_PIPELINE_MIN_BODY, DEFAULT_STAGE_WATCHDOG,

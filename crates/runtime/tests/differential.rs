@@ -2,8 +2,9 @@
 //! interpreter — same output, same observable final memory (global
 //! objects), same return value, same errors — on every NAS `Class::Test`
 //! kernel under its best (PS-PDG) plan and under the programmer's OpenMP
-//! plan, and on generated kernels mixing DOALL loops, reductions,
-//! privatized temporaries, critical sections, and recurrences.
+//! plan, and on generated kernels mixing DOALL loops (direct and
+//! indirect subscripts, annotated or not), reductions, privatized
+//! temporaries, critical sections, and recurrences.
 //!
 //! Integers compare exactly; floats compare under
 //! [`pspdg_runtime::FLOAT_RTOL`] because parallel reductions associate
@@ -209,6 +210,32 @@ fn param_array_reduction_matches_sequential() {
 }
 
 #[test]
+fn call_in_chunked_body_matches_sequential() {
+    // A user-function call inside a workshared body: the chunk workers
+    // push callee frames on their forked heaps and drop them at commit.
+    let p = compile(
+        r#"
+        int v[128]; int w[128];
+        int f(int x) { return x * 3 + 1; }
+        void k() {
+            int i;
+            #pragma omp parallel for
+            for (i = 0; i < 128; i++) { w[i] = f(v[i]) + v[i]; }
+        }
+        int main() {
+            int i;
+            for (i = 0; i < 128; i++) { v[i] = (i * 37) % 19; }
+            k();
+            return (w[100] + w[3]) % 251;
+        }
+        "#,
+    )
+    .unwrap();
+    let stats = assert_differential("call-body", &p, Abstraction::OpenMp, 4);
+    assert!(stats.chunked_loops > 0, "the loop must chunk: {stats:?}");
+}
+
+#[test]
 fn single_worker_degenerates_to_sequential() {
     let b = benchmark("IS", Class::Test).unwrap();
     let p = b.program();
@@ -224,67 +251,77 @@ mod generated {
     /// subscript stays in range and integer arithmetic cannot overflow.
     #[derive(Debug, Clone)]
     enum GenLoop {
-        /// `w[i] = v[i] * k1 + k2;` (annotated DOALL)
+        /// `w[i] = v[i] * k1 + k2;` (DOALL)
         Map { k1: i64, k2: i64 },
+        /// `w[i] = v[i] * k1 + u[i] * k2 + w[i];` — long load/binary chain.
+        Fma { k1: i64, k2: i64 },
+        /// `w[i] = v[u[i] % 96];` — indirect load (gep feeds gep).
+        Gather,
+        /// `w[u[i] % 96] = v[i] + k1;` — indirect store; `u` is a
+        /// permutation, so iterations still write distinct cells.
+        Scatter { k1: i64 },
         /// `s += v[i] + k1;` under `reduction(+: s)`
         RedInt { k1: i64 },
         /// `d += dv[i] * 0.5;` under `reduction(+: d)`
         RedDouble,
-        /// `t = t + v[i]; w[i] = t + k1;` (unannotated recurrence →
-        /// pipeline)
+        /// `t = t + v[i]; w[i] = t + k1;` (never annotated: a recurrence
+        /// → pipeline)
         Recurrence { k1: i64 },
-        /// `critical { c[i] = c[i] + 1; }` inside an annotated loop: the
-        /// PS-PDG proves the cells disjoint and drops the mutex.
+        /// `critical { c[i] = c[i] + 1; }`: the PS-PDG proves the cells
+        /// disjoint and drops the mutex.
         DisjointCritical,
-        /// `atomic s += v[i];` inside an annotated loop: the mutex
-        /// survives and executes through the deferred-RMW commit replay.
+        /// `atomic s += v[i];`: the mutex survives and executes through
+        /// the deferred-RMW commit replay.
         AtomicShared,
         /// `t = v[i] * 2; w[i] = t + 1;` under `private(t)`
         PrivateTemp,
-        /// `c[v[i] % 16] += 1;` inside an annotated loop: an indirect
-        /// accumulator (the IS pattern) — merged as an auto-reduction.
+        /// `c[v[i] % 16] += 1;`: an indirect accumulator (the IS pattern)
+        /// — merged as an auto-reduction.
         IndirectAccum,
-        /// `if (v[i] > k1) { w[i] = v[i]; }` (annotated, branchy body)
+        /// `if (v[i] > k1) { w[i] = v[i]; }` (branchy body)
         Branchy { k1: i64 },
     }
 
     impl GenLoop {
-        fn render(&self, trip: i64) -> String {
-            match self {
-                GenLoop::Map { k1, k2 } => format!(
-                    "#pragma omp parallel for\nfor (i = 0; i < {trip}; i++) {{ w[i] = v[i] * {k1} + {k2}; }}\n"
+        /// The loop's source. `annotated` puts `#pragma omp parallel for`
+        /// (plus the shape's clause) on it; an unannotated loop leaves the
+        /// decision to the plan and must match the oracle all the same.
+        fn render(&self, trip: i64, annotated: bool) -> String {
+            let (clause, body) = match self {
+                GenLoop::Map { k1, k2 } => ("", format!("w[i] = v[i] * {k1} + {k2};")),
+                GenLoop::Fma { k1, k2 } => {
+                    ("", format!("w[i] = v[i] * {k1} + u[i] * {k2} + w[i];"))
+                }
+                GenLoop::Gather => ("", "w[i] = v[u[i] % 96];".to_string()),
+                GenLoop::Scatter { k1 } => ("", format!("w[u[i] % 96] = v[i] + {k1};")),
+                GenLoop::RedInt { k1 } => (" reduction(+: s)", format!("s += v[i] + {k1};")),
+                GenLoop::RedDouble => (" reduction(+: d)", "d += dv[i] * 0.5;".to_string()),
+                GenLoop::Recurrence { k1 } => ("", format!("t = t + v[i]; w[i] = t + {k1};")),
+                GenLoop::DisjointCritical => (
+                    "",
+                    "\n#pragma omp critical\n{ c[i] = c[i] + 1; }\n".to_string(),
                 ),
-                GenLoop::RedInt { k1 } => format!(
-                    "#pragma omp parallel for reduction(+: s)\nfor (i = 0; i < {trip}; i++) {{ s += v[i] + {k1}; }}\n"
-                ),
-                GenLoop::RedDouble => format!(
-                    "#pragma omp parallel for reduction(+: d)\nfor (i = 0; i < {trip}; i++) {{ d += dv[i] * 0.5; }}\n"
-                ),
-                GenLoop::Recurrence { k1 } => format!(
-                    "for (i = 0; i < {trip}; i++) {{ t = t + v[i]; w[i] = t + {k1}; }}\n"
-                ),
-                GenLoop::DisjointCritical => format!(
-                    "#pragma omp parallel for\nfor (i = 0; i < {trip}; i++) {{\n#pragma omp critical\n{{ c[i] = c[i] + 1; }}\n}}\n"
-                ),
-                GenLoop::AtomicShared => format!(
-                    "#pragma omp parallel for\nfor (i = 0; i < {trip}; i++) {{\n#pragma omp atomic\ns += v[i];\n}}\n"
-                ),
-                GenLoop::PrivateTemp => format!(
-                    "#pragma omp parallel for private(t)\nfor (i = 0; i < {trip}; i++) {{ t = v[i] * 2; w[i] = t + 1; }}\n"
-                ),
-                GenLoop::IndirectAccum => format!(
-                    "#pragma omp parallel for\nfor (i = 0; i < {trip}; i++) {{ c[v[i] % 16] += 1; }}\n"
-                ),
-                GenLoop::Branchy { k1 } => format!(
-                    "#pragma omp parallel for\nfor (i = 0; i < {trip}; i++) {{ if (v[i] > {k1}) {{ w[i] = v[i]; }} }}\n"
-                ),
-            }
+                GenLoop::AtomicShared => ("", "\n#pragma omp atomic\ns += v[i];\n".to_string()),
+                GenLoop::PrivateTemp => (" private(t)", "t = v[i] * 2; w[i] = t + 1;".to_string()),
+                GenLoop::IndirectAccum => ("", "c[v[i] % 16] += 1;".to_string()),
+                GenLoop::Branchy { k1 } => ("", format!("if (v[i] > {k1}) {{ w[i] = v[i]; }}")),
+            };
+            // A recurrence is not a worksharing loop; it is never annotated.
+            let pragma = if annotated && !matches!(self, GenLoop::Recurrence { .. }) {
+                format!("#pragma omp parallel for{clause}\n")
+            } else {
+                String::new()
+            };
+            format!("{pragma}for (i = 0; i < {trip}; i++) {{ {body} }}\n")
         }
     }
 
     fn arb_loop() -> impl Strategy<Value = GenLoop> {
         prop_oneof![
             (1i64..5, 0i64..9).prop_map(|(k1, k2)| GenLoop::Map { k1, k2 }),
+            (1i64..4, 1i64..4).prop_map(|(k1, k2)| GenLoop::Fma { k1, k2 }),
+            Just(GenLoop::Gather),
+            (0i64..9).prop_map(|k1| GenLoop::Scatter { k1 }),
             (0i64..9).prop_map(|k1| GenLoop::RedInt { k1 }),
             Just(GenLoop::RedDouble),
             (0i64..9).prop_map(|k1| GenLoop::Recurrence { k1 }),
@@ -296,17 +333,18 @@ mod generated {
         ]
     }
 
-    fn render_program(trip: i64, loops: &[GenLoop]) -> String {
-        let body: String = loops.iter().map(|l| l.render(trip)).collect();
+    fn render_program(trip: i64, loops: &[(GenLoop, bool)]) -> String {
+        let body: String = loops.iter().map(|(l, ann)| l.render(trip, *ann)).collect();
         format!(
             r#"
-            int v[96]; int w[96]; int c[96]; int s; int t; double d; double dv[96];
+            int v[96]; int w[96]; int c[96]; int u[96]; int s; int t; double d; double dv[96];
             void init() {{
                 int i;
                 for (i = 0; i < 96; i++) {{
                     v[i] = (i * 37 + 11) % 50;
                     w[i] = 0;
                     c[i] = i % 7;
+                    u[i] = (i * 53 + 5) % 96;
                     dv[i] = (double)(i % 13) * 0.25;
                 }}
                 s = 3; t = 1; d = 0.5;
@@ -332,16 +370,17 @@ mod generated {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(40))]
 
-        /// Generated kernels with reductions, critical sections,
-        /// privatized temporaries, indirect accumulators, and
-        /// recurrences: runtime == sequential interpreter under both the
-        /// PS-PDG and OpenMP plans, across worker counts.
+        /// Generated kernels with straight-line maps, indirect loads and
+        /// stores, reductions, critical sections, privatized temporaries,
+        /// indirect accumulators, and recurrences, each loop annotated or
+        /// not: runtime == sequential interpreter under both the PS-PDG
+        /// and OpenMP plans, across worker counts.
         #[test]
         fn generated_kernels_match_sequential(
             trip in 8i64..96,
-            loops in proptest::collection::vec(arb_loop(), 1..4),
+            loops in proptest::collection::vec((arb_loop(), proptest::bool::ANY), 1..4),
             workers in 2usize..6,
         ) {
             let src = render_program(trip, &loops);

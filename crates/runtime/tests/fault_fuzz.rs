@@ -184,7 +184,6 @@ fn fault_cause_total(c: &FallbackCounts) -> u64 {
         + c.stage_timeout
         + c.commit_fault
         + c.irregular_control
-        + c.compiled_bailout
 }
 
 // ---- directed: FaultKind × site family --------------------------------
@@ -308,23 +307,6 @@ fn stage_panic_is_detected_by_the_watchdog() {
 }
 
 #[test]
-fn compiled_slice_fault_bails_out_to_interpreter() {
-    // The compiled tier is on by default (threaded); the injected fault
-    // fires at the first compiled-slice entry, the activation aborts,
-    // and the sequential interpreter re-run keeps the heap bit-exact.
-    let p = doall_program();
-    directed(
-        "compiled-fault",
-        &p,
-        FaultSite::CompiledSlice(0),
-        FaultKind::CompiledFault,
-        |out| {
-            assert!(out.stats.fallbacks.compiled_bailout >= 1, "{:?}", out.stats);
-        },
-    );
-}
-
-#[test]
 fn pool_thread_death_respawns_without_any_fallback() {
     let p = doall_program();
     directed(
@@ -374,7 +356,6 @@ fn fallback_counts_serialization_is_complete() {
         pipeline_abort: 12,
         stage_timeout: 13,
         commit_fault: 14,
-        compiled_bailout: 15,
     };
     let table = c.table();
     assert_eq!(table.len(), FallbackCounts::CAUSES);
@@ -454,9 +435,6 @@ fn assert_attributed(name: &str, site: FaultSite, kind: FaultKind, out: &RunOutc
         }
         (FaultKind::CommitFault, _) => {
             assert!(c.commit_fault >= 1, "{name}: {:?}", out.stats);
-        }
-        (FaultKind::CompiledFault, _) => {
-            assert!(c.compiled_bailout >= 1, "{name}: {:?}", out.stats);
         }
         // A stalled or panicked stage dies silently; only the watchdog
         // notices, so both attribute to stage_timeout.

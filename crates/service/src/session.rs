@@ -35,7 +35,7 @@ use pspdg_runtime::{globals_mismatch, observable_globals, RunStats, Runtime};
 
 use crate::hash::content_key;
 
-/// Default hot-loop coverage threshold handed to the planner.
+/// Hot-loop coverage threshold handed to the planner.
 pub const DEFAULT_THRESHOLD: f64 = 0.01;
 
 /// Why a session could not be established.
@@ -161,7 +161,6 @@ pub struct Session {
     built: Vec<FunctionPsPdg>,
     profile: Profile,
     baseline: Baseline,
-    threshold: f64,
     rec: Option<Arc<Recorder>>,
     plans: Mutex<HashMap<Abstraction, Arc<PlanBundle>>>,
 }
@@ -254,18 +253,9 @@ impl Session {
             built,
             profile,
             baseline,
-            threshold: DEFAULT_THRESHOLD,
             rec,
             plans: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// Override the planner's hot-loop coverage threshold
-    /// ([`DEFAULT_THRESHOLD`]). Clears cached plans.
-    pub fn threshold(mut self, threshold: f64) -> Session {
-        self.threshold = threshold;
-        self.plans.get_mut().expect("plan cache lock").clear();
-        self
     }
 
     /// The content key of the parsed program (cache identity).
@@ -326,7 +316,7 @@ impl Session {
             &self.built,
             &self.profile,
             abstraction,
-            self.threshold,
+            DEFAULT_THRESHOLD,
             rec,
         );
         let exec = realize_executable_recorded(&self.program, &plan, rec);

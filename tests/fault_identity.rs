@@ -2,9 +2,9 @@
 //!
 //! Tiny programs that fault inside an `omp parallel for` body are run on
 //! the sequential interpreter and on `Runtime::run_main` at one and two
-//! workers under both compiled tiers. A worker (or a compiled block) that
-//! faults abandons the activation and the loop re-runs on the runtime's
-//! interpreter, which must raise the fault sequential execution raises.
+//! workers. A worker that faults abandons the activation and the loop
+//! re-runs on the master, which must raise the fault sequential execution
+//! raises.
 //! The expected errors are literals taken at 427c8b7 — before function
 //! names were built lazily and before the engines shared one
 //! `MemState::deref` — so neither change may move a field.
@@ -14,7 +14,7 @@ use pspdg::ir::interp::{ExecError, Interpreter, NullSink};
 use pspdg::ir::{Inst, InstId, Value};
 use pspdg::parallel::ParallelProgram;
 use pspdg::parallelizer::{build_plan, Abstraction};
-use pspdg::runtime::{CompiledTier, Runtime};
+use pspdg::runtime::Runtime;
 
 /// `body` over 64 workshared iterations; `decls` adds locals.
 fn kernel(decls: &str, body: &str) -> ParallelProgram {
@@ -161,16 +161,13 @@ fn every_engine_raises_the_sequential_fault() {
         // profile says, so the loop is chunked and workers do fault.
         let plan = build_plan(p, interp.profile(), Abstraction::OpenMp, 0.0);
         for workers in [1, 2] {
-            for tier in [CompiledTier::Off, CompiledTier::Threaded] {
-                let rt = Runtime::new(p, &plan)
-                    .workers(workers)
-                    .cost_threshold(0)
-                    .fuel(*fuel)
-                    .compiled_tier(tier);
-                assert_eq!(rt.realization().chunked, 1, "{name}: loop is chunked");
-                let got = rt.run_main().expect_err("faults");
-                assert_eq!(&got, want, "{name}: runtime, {workers} worker(s), {tier:?}");
-            }
+            let rt = Runtime::new(p, &plan)
+                .workers(workers)
+                .cost_threshold(0)
+                .fuel(*fuel);
+            assert_eq!(rt.realization().chunked, 1, "{name}: loop is chunked");
+            let got = rt.run_main().expect_err("faults");
+            assert_eq!(&got, want, "{name}: runtime, {workers} worker(s)");
         }
     }
 }
