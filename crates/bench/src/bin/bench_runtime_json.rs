@@ -53,6 +53,12 @@ fn one_run_ns<T>(f: &mut impl FnMut() -> T) -> u64 {
     start.elapsed().as_nanos() as u64
 }
 
+/// Geometric mean of `n` ratios from the sum of their logarithms (1.0,
+/// "no change", over none).
+fn geomean(ln_sum: f64, n: u32) -> f64 {
+    (ln_sum / f64::from(n.max(1))).exp()
+}
+
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,6 +81,7 @@ fn main() {
 
     let mut rows = String::new();
     let mut speedup_ln_sum = 0.0f64;
+    let mut engine_ln_sum = 0.0f64;
     let mut timed = 0u32;
     let mut skipped: Vec<(String, String)> = Vec::new();
     let mut gmax_checked = false;
@@ -200,6 +207,7 @@ fn main() {
             row.fallback_summary(),
         );
         speedup_ln_sum += row.measured_speedup().max(1e-12).ln();
+        engine_ln_sum += (seq_ns.max(1) as f64 / interp_ns.max(1) as f64).ln();
         timed += 1;
         if !rows.is_empty() {
             rows.push_str(",\n");
@@ -439,16 +447,8 @@ fn main() {
             pspdg_obs::export::profile_json(&per_kernel, 5),
         );
     }
-    let dis_geomean = if prof_n == 0 {
-        1.0
-    } else {
-        (dis_ln_sum / f64::from(prof_n)).exp()
-    };
-    let ena_geomean = if prof_n == 0 {
-        1.0
-    } else {
-        (ena_ln_sum / f64::from(prof_n)).exp()
-    };
+    let dis_geomean = geomean(dis_ln_sum, prof_n);
+    let ena_geomean = geomean(ena_ln_sum, prof_n);
     let snap = rec.snapshot();
     let total_ops = snap.total_opcodes();
     let spans_json: String = snap
@@ -479,12 +479,12 @@ fn main() {
 
     // Geomean over the kernels actually timed — a skipped kernel must
     // surface as a skip, not silently deflate the mean.
-    let geomean = if timed == 0 {
-        0.0
-    } else {
-        (speedup_ln_sum / f64::from(timed)).exp()
-    };
-    println!("geomean measured speedup: {geomean:.3}x over {timed} timed kernels");
+    let speedup = geomean(speedup_ln_sum, timed);
+    // The same instruction stream through both engines: what the runtime's
+    // engine costs over the oracle before any parallelism.
+    let engine_vs_oracle = geomean(engine_ln_sum, timed);
+    println!("geomean measured speedup: {speedup:.3}x over {timed} timed kernels");
+    println!("geomean one-worker runtime / sequential interpreter: {engine_vs_oracle:.3}x");
     for (name, why) in &skipped {
         eprintln!("SKIPPED {name}: {why}");
     }
@@ -504,7 +504,7 @@ fn main() {
     let opcodes_json = pspdg_obs::export::profile_json(&total_ops, 10);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {geomean:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

@@ -149,6 +149,12 @@ fn runtime_table(json: &str) -> String {
     if let Some(geo) = field(json, "geomean_measured_speedup") {
         let _ = writeln!(t, "\n**Geomean measured speedup: {geo}x**");
     }
+    if let Some(geo) = field(json, "engine_vs_oracle_geomean") {
+        let _ = writeln!(
+            t,
+            "\nOne-worker runtime ÷ sequential interpreter on the same instruction stream (geomean): **{geo}x**"
+        );
+    }
     t
 }
 

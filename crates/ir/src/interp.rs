@@ -396,25 +396,24 @@ impl MemState {
     }
 }
 
-/// Per-function execution counts.
+/// Per-block execution counts. The interpreter counts block *entries*,
+/// not instructions: a block that is entered runs to its terminator, so
+/// every instruction of it executed exactly `block_count` times. That is
+/// exact for a run that completes; a run that faults mid-block returns
+/// `Err` having counted the whole faulting block once, and callers that
+/// keep a profile (`Session`) drop it with the failed run.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    /// `inst_count[func][inst]` = times the instruction executed.
-    pub inst_count: Vec<Vec<u64>>,
     /// `block_count[func][block]` = times the block was entered.
     pub block_count: Vec<Vec<u64>>,
-    /// Total dynamic instructions executed.
+    /// Total dynamic instructions executed: the interpreter's step count,
+    /// stored when a run returns.
     pub total: u64,
 }
 
 impl Profile {
     fn new(module: &Module) -> Profile {
         Profile {
-            inst_count: module
-                .functions
-                .iter()
-                .map(|f| vec![0; f.insts.len()])
-                .collect(),
             block_count: module
                 .functions
                 .iter()
@@ -425,13 +424,13 @@ impl Profile {
     }
 
     /// Dynamic instructions attributable to a set of blocks of a function
-    /// (used for loop coverage).
+    /// (used for loop coverage): each block's entry count times its
+    /// static length.
     pub fn block_set_cost(&self, module: &Module, func: FuncId, blocks: &[BlockId]) -> u64 {
         let f = module.function(func);
         blocks
             .iter()
-            .flat_map(|bb| f.block(*bb).insts.iter())
-            .map(|i| self.inst_count[func.index()][i.index()])
+            .map(|bb| self.block_count[func.index()][bb.index()] * f.block(*bb).insts.len() as u64)
             .sum()
     }
 }
@@ -942,7 +941,9 @@ impl<'m> Interpreter<'m> {
             }
             arg_deps.resize(args.len(), NO_DEP);
         }
-        let (ret, _ret_step) = self.exec_function(func, args.to_vec(), arg_deps, NO_DEP, sink)?;
+        let ran = self.exec_function(func, args.to_vec(), arg_deps, NO_DEP, sink);
+        self.profile.total = self.steps;
+        let (ret, _ret_step) = ran?;
         Ok(ret)
     }
 
@@ -1043,8 +1044,6 @@ impl<'m> Interpreter<'m> {
                 }
                 let my_index = self.steps;
                 self.steps += 1;
-                self.profile.total += 1;
-                self.profile.inst_count[func_id.index()][inst_id.index()] += 1;
 
                 let data = func.inst(inst_id);
                 if S::TRACES {

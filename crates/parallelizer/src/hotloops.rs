@@ -44,22 +44,16 @@ pub fn hot_loops(
     let mut out = Vec::new();
     for l in analyses.forest.loop_ids() {
         let info = analyses.forest.info(l);
-        let cost = profile.block_set_cost(module, func, &info.blocks);
-        let coverage = if profile.total == 0 {
-            0.0
-        } else {
-            cost as f64 / profile.total as f64
-        };
-        if coverage < threshold {
-            continue;
-        }
-        out.push(HotLoop {
+        let hot = HotLoop {
             func,
             loop_id: l,
-            cost,
+            cost: profile.block_set_cost(module, func, &info.blocks),
             depth: info.depth,
             canonical: analyses.canonical_of(l).is_some(),
-        });
+        };
+        if hot.coverage(profile) >= threshold {
+            out.push(hot);
+        }
     }
     out.sort_by(|a, b| a.depth.cmp(&b.depth).then(b.cost.cmp(&a.cost)));
     out

@@ -288,41 +288,66 @@ pub struct RealizationStats {
     pub sequential: usize,
 }
 
-/// A [`ProgramPlan`] lowered to executable loop schedules, keyed by the
-/// loop header the runtime triggers on.
+/// A [`ProgramPlan`] lowered to executable loop schedules, found by the
+/// loop header the runtime triggers on. Header dispatch is a table
+/// lookup: the runtime asks about every block its master enters, so the
+/// answer is two index loads, never a hash.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutablePlan {
-    schedules: HashMap<(FuncId, BlockId), LoopSchedule>,
+    /// Ordered by `(func, header)`.
+    schedules: Vec<LoopSchedule>,
+    /// `header_index[func][block]` is the position in `schedules` of the
+    /// loop headed at `block`; `u32::MAX`, which is no position, for any
+    /// other block. Rows stop at the last function that has a schedule,
+    /// and each row at its last header.
+    header_index: Vec<Vec<u32>>,
 }
 
 impl ExecutablePlan {
+    /// Index `schedules` (in any order) for header dispatch.
+    fn new(mut schedules: Vec<LoopSchedule>) -> ExecutablePlan {
+        schedules.sort_by_key(|s| (s.func, s.header));
+        let mut header_index: Vec<Vec<u32>> = Vec::new();
+        for (k, s) in schedules.iter().enumerate() {
+            // In sorted order both resizes only ever grow.
+            header_index.resize(s.func.index() + 1, Vec::new());
+            let row = &mut header_index[s.func.index()];
+            row.resize(s.header.index() + 1, u32::MAX);
+            row[s.header.index()] = k as u32;
+        }
+        ExecutablePlan {
+            schedules,
+            header_index,
+        }
+    }
+
     /// The schedule triggered at `(func, header)`, if that block heads a
-    /// planned loop.
+    /// planned loop (`None` for ids the program does not have).
     pub fn schedule_at(&self, func: FuncId, header: BlockId) -> Option<&LoopSchedule> {
-        self.schedules.get(&(func, header))
+        self.headers_in(func)(header)
+    }
+
+    /// [`ExecutablePlan::schedule_at`] with the function fixed: its row is
+    /// found once, so a caller asking about every block it enters pays one
+    /// index load per block.
+    pub fn headers_in<'a>(
+        &'a self,
+        func: FuncId,
+    ) -> impl Fn(BlockId) -> Option<&'a LoopSchedule> + 'a {
+        let row = self.header_index.get(func.index());
+        let row = row.map_or(&[][..], Vec::as_slice);
+        move |header| self.schedules.get(*row.get(header.index())? as usize)
     }
 
     /// All schedules, ordered by (function, header).
-    pub fn schedules(&self) -> Vec<&LoopSchedule> {
-        let mut v: Vec<&LoopSchedule> = self.schedules.values().collect();
-        v.sort_by_key(|s| (s.func.0, s.header.index()));
-        v
-    }
-
-    /// Number of scheduled loops.
-    pub fn len(&self) -> usize {
-        self.schedules.len()
-    }
-
-    /// Whether no loop is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.schedules.is_empty()
+    pub fn schedules(&self) -> &[LoopSchedule] {
+        &self.schedules
     }
 
     /// Count lowerings by kind.
     pub fn stats(&self) -> RealizationStats {
         let mut out = RealizationStats::default();
-        for s in self.schedules.values() {
+        for s in &self.schedules {
             match s.exec {
                 LoopExec::Chunked(_) => out.chunked += 1,
                 LoopExec::Pipeline(_) => out.pipeline += 1,
@@ -348,7 +373,7 @@ pub fn realize_executable_recorded(
     rec: Option<&pspdg_obs::Recorder>,
 ) -> ExecutablePlan {
     let _all = rec.map(|r| r.span("plan/schedule", "pipeline"));
-    let mut out = ExecutablePlan::default();
+    let mut schedules = Vec::with_capacity(plan.loops.len());
     // Group specs per function so analyses/PDG are computed once each.
     let mut by_func: BTreeMap<FuncId, Vec<&LoopPlanSpec>> = BTreeMap::new();
     for spec in plan.loops.values() {
@@ -368,10 +393,10 @@ pub fn realize_executable_recorded(
                 s.arg("exec", schedule.exec.name());
                 s.arg("header", schedule.header.index() as u64);
             }
-            out.schedules.insert((func, schedule.header), schedule);
+            schedules.push(schedule);
         }
     }
-    out
+    ExecutablePlan::new(schedules)
 }
 
 /// Per-function realization context.
@@ -1295,8 +1320,8 @@ mod tests {
             Abstraction::PsPdg,
         );
         let exec = realize_executable(&p, &plan);
-        assert_eq!(exec.len(), 1);
-        let s = exec.schedules()[0];
+        assert_eq!(exec.schedules().len(), 1);
+        let s = &exec.schedules()[0];
         assert!(matches!(s.exec, LoopExec::Chunked(_)), "{:?}", s.exec);
         assert_eq!(exec.stats().chunked, 1);
     }
@@ -1316,7 +1341,7 @@ mod tests {
             Abstraction::PsPdg,
         );
         let exec = realize_executable(&p, &plan);
-        let s = exec.schedules()[0];
+        let s = &exec.schedules()[0];
         match &s.exec {
             LoopExec::Chunked(c) => {
                 assert_eq!(c.reductions.len(), 1);
@@ -1346,7 +1371,7 @@ mod tests {
         );
         assert_eq!(plan.len(), 1);
         let exec = realize_executable(&p, &plan);
-        let s = exec.schedules()[0];
+        let s = &exec.schedules()[0];
         match &s.exec {
             LoopExec::Pipeline(pipe) => {
                 assert!(pipe.stages >= 2);
@@ -1388,7 +1413,7 @@ mod tests {
     /// The chunked lowering of the only critical region, or a panic with
     /// the sequential reason.
     fn chunked_of(exec: &ExecutablePlan) -> ChunkedLoop {
-        let s = exec.schedules()[0];
+        let s = &exec.schedules()[0];
         match &s.exec {
             LoopExec::Chunked(c) => c.clone(),
             other => panic!("expected a chunked lowering, got {other:?}"),
@@ -1644,7 +1669,7 @@ mod tests {
             Abstraction::PsPdg,
         );
         let exec = realize_executable(&p, &plan);
-        let s = exec.schedules()[0];
+        let s = &exec.schedules()[0];
         if plan.mutexes.is_empty() {
             return;
         }
@@ -1722,7 +1747,7 @@ mod tests {
             return;
         }
         let exec = realize_executable(&p, &plan);
-        let s = exec.schedules()[0];
+        let s = &exec.schedules()[0];
         match &s.exec {
             LoopExec::Sequential { reason } => {
                 assert!(
@@ -1756,7 +1781,7 @@ mod tests {
             Abstraction::PsPdg,
         );
         let exec = realize_executable(&p, &plan);
-        let s = exec.schedules()[0];
+        let s = &exec.schedules()[0];
         if !plan.mutexes.is_empty() {
             match &s.exec {
                 LoopExec::Sequential { reason } => {
@@ -1882,7 +1907,7 @@ mod tests {
         };
         plan.loops.insert((func, l), spec);
         let exec = realize_executable(&p, &plan);
-        let s = exec.schedules()[0];
+        let s = &exec.schedules()[0];
         assert!(matches!(s.exec, LoopExec::Sequential { .. }));
     }
 }

@@ -292,13 +292,6 @@ impl std::fmt::Display for RunStats {
     }
 }
 
-/// A chunk worker's view of the loop's deferred critical regions: the
-/// function owning them, and each region's lowering keyed by its entry
-/// block (the value is the region's index into
-/// [`ChunkedLoop::criticals`] — the packet tag — plus the lowering
-/// itself).
-type CritRegions<'a> = (FuncId, &'a HashMap<BlockId, (u32, &'a CriticalReplay)>);
-
 /// Hardware threads available to this process (cached). The pipeline
 /// cost gate uses it: decoupled stages cannot outrun sequential
 /// execution while timesharing a single core.
@@ -616,7 +609,6 @@ impl Runtime {
             steps: 0,
             fuel: self.fuel,
             log: None,
-            crit: None,
             crit_log: Vec::new(),
             stats: RunStats::default(),
         };
@@ -724,9 +716,6 @@ struct Engine<'a> {
     /// Ordered write log (pipeline stages only; chunk workers commit
     /// through the fork's dirty set instead).
     log: Option<Vec<(MemAddr, RtVal)>>,
-    /// Deferred critical regions of the active chunked loop, keyed by
-    /// entry block (chunk workers only).
-    crit: Option<CritRegions<'a>>,
     /// Logged operand packets `(region index, fork-local operand values)`
     /// in execution order (chunk workers only).
     crit_log: Vec<(u32, Vec<RtVal>)>,
@@ -830,68 +819,62 @@ impl<'a> Engine<'a> {
             regs: vec![RtVal::Undef; f.insts.len()],
             args,
         };
-        // Headers currently executing sequentially (either mid-activation
-        // after a fallback, or re-run once to exit after a parallel
-        // completion); pruned when control leaves the loop. Each entry
-        // carries the loop's recorder context so the master's opcode
+        // Scheduled loops currently executing sequentially (either
+        // mid-activation after a fallback, or re-run once to exit after a
+        // parallel completion); pruned when control leaves the loop. Each
+        // entry carries the loop's recorder context so the master's opcode
         // shard attributes its sequential instructions to the loop.
-        let mut no_par: Vec<(BlockId, u32)> = Vec::new();
+        let mut no_par: Vec<(&LoopSchedule, u32)> = Vec::new();
         let saved_ctx = self.obs.as_ref().map(ObsHandle::context_id);
+        // The plan's header table for this function: asked about every
+        // block the master enters, so its row is found once, here.
+        let header_at = self.plan.map(|plan| plan.headers_in(func_id));
         let mut block = f.entry();
         loop {
-            if let Some(plan) = self.plan {
-                no_par.retain(|(h, _)| {
-                    plan.schedule_at(func_id, *h)
-                        .is_some_and(|s| s.contains(block))
-                });
+            if let Some(header_at) = &header_at {
+                no_par.retain(|(s, _)| s.contains(block));
                 // After `retain`, every surviving entry's loop contains
                 // `block`; the innermost (last pushed) wins attribution.
                 if let Some(h) = self.obs.as_mut() {
                     h.set_context(no_par.last().map_or(saved_ctx.unwrap_or(0), |&(_, c)| c));
                 }
-                if no_par.iter().all(|&(h, _)| h != block) {
-                    if let Some(sched) = plan.schedule_at(func_id, block) {
-                        let lctx = self.loop_context(f, block);
-                        match &sched.exec {
-                            LoopExec::Chunked(c) => {
-                                let before = self.stats;
-                                let mut sp = self.activation_span(f, block, "chunked");
-                                let outcome = self.run_chunked(func_id, f, &mut frame, sched, c)?;
-                                match outcome {
-                                    None => self.stats.chunked_loops += 1,
-                                    Some(why) => self.note_fallback(why),
-                                }
-                                self.finish_activation(sp.as_mut(), outcome, before);
-                                drop(sp);
-                                // Either way the master now executes the
-                                // header sequentially (a completed chunked
-                                // run exits through it immediately).
-                                no_par.push((block, lctx));
+                if let Some(sched) =
+                    header_at(block).filter(|_| no_par.iter().all(|(s, _)| s.header != block))
+                {
+                    let lctx = self.loop_context(f, block);
+                    match &sched.exec {
+                        LoopExec::Chunked(c) => {
+                            let before = self.stats;
+                            let mut sp = self.activation_span(f, block, "chunked");
+                            let outcome = self.run_chunked(func_id, f, &mut frame, sched, c)?;
+                            match outcome {
+                                None => self.stats.chunked_loops += 1,
+                                Some(why) => self.note_fallback(why),
                             }
-                            LoopExec::Pipeline(p) => {
-                                let before = self.stats;
-                                let mut sp = self.activation_span(f, block, "pipeline");
-                                let res = self.run_pipeline(func_id, f, &mut frame, sched, p)?;
-                                self.finish_activation(sp.as_mut(), res.err(), before);
-                                drop(sp);
-                                match res {
-                                    Ok(exit) => {
-                                        self.stats.pipelined_loops += 1;
-                                        block = exit;
-                                        continue;
-                                    }
-                                    Err(why) => {
-                                        self.note_fallback(why);
-                                        no_par.push((block, lctx));
-                                    }
+                            self.finish_activation(sp.as_mut(), outcome, before);
+                        }
+                        LoopExec::Pipeline(p) => {
+                            let before = self.stats;
+                            let mut sp = self.activation_span(f, block, "pipeline");
+                            let res = self.run_pipeline(func_id, f, &mut frame, sched, p)?;
+                            self.finish_activation(sp.as_mut(), res.err(), before);
+                            match res {
+                                Ok(exit) => {
+                                    self.stats.pipelined_loops += 1;
+                                    block = exit;
+                                    continue;
                                 }
-                            }
-                            LoopExec::Sequential { .. } => {
-                                self.note_fallback(FallbackWhy::ScheduledSequential);
-                                no_par.push((block, lctx));
+                                Err(why) => self.note_fallback(why),
                             }
                         }
+                        LoopExec::Sequential { .. } => {
+                            self.note_fallback(FallbackWhy::ScheduledSequential);
+                        }
                     }
+                    // Unless a pipeline ran the loop to its exit, the master
+                    // now executes the header sequentially (a completed
+                    // chunked run exits through it immediately).
+                    no_par.push((sched, lctx));
                 }
             }
             match self.exec_block(func_id, f, &mut frame, block)? {
@@ -918,6 +901,11 @@ impl<'a> Engine<'a> {
         unreachable!("block without terminator survived verification")
     }
 
+    /// This crate's one body of instruction semantics, compiled into each
+    /// caller's loop (a block, a critical slice, a stage's share of a block)
+    /// so `steps`, `fuel` and the frame stay in machine registers across it
+    /// and no `Result<Flow, _>` goes through memory per instruction.
+    #[inline(always)]
     fn exec_inst(
         &mut self,
         func_id: FuncId,
@@ -1144,12 +1132,6 @@ impl<'a> Engine<'a> {
                 None => return Ok(Some(FallbackWhy::Unevaluable)),
             }
         }
-        let crit_map: HashMap<BlockId, (u32, &CriticalReplay)> = c
-            .criticals
-            .iter()
-            .enumerate()
-            .map(|(k, cr)| (cr.entry, (k as u32, cr)))
-            .collect();
 
         let mut fork_base = self.mem.clone();
         for (&obj, &op) in &red_objs {
@@ -1173,7 +1155,6 @@ impl<'a> Engine<'a> {
             steps: u64,
         }
         let module = self.module;
-        let crit_map_ref = &crit_map;
         let faults = self.faults;
         let rec = self.rec;
         let obs_label = self.obs_label;
@@ -1233,7 +1214,6 @@ impl<'a> Engine<'a> {
                         steps: 0,
                         fuel: fuel_left,
                         log: None,
-                        crit: (!crit_map_ref.is_empty()).then_some((func_id, crit_map_ref)),
                         crit_log: Vec::new(),
                         stats: RunStats::default(),
                     };
@@ -1241,7 +1221,7 @@ impl<'a> Engine<'a> {
                     let result = (|| -> Result<(), ParAbort> {
                         for iter in lo..hi {
                             worker.mem.write(iv_addr, RtVal::Int(init + iter * c.step));
-                            worker.run_iteration(func_id, f, &mut wframe, sched)?;
+                            worker.run_iteration(func_id, f, &mut wframe, sched, &c.criticals)?;
                         }
                         Ok(())
                     })();
@@ -1294,6 +1274,8 @@ impl<'a> Engine<'a> {
         let mut replayed = 0u64;
         let mut cow_pages = 0u64;
         let mut abort: Option<FallbackWhy> = None;
+        // `replay_packet`'s scratch, reused by every packet of this commit.
+        let mut temps: Vec<RtVal> = Vec::new();
         for out in &outs {
             cow_pages += out.mem.cow_pages();
             // Injected commit fault: abort the dirty-set walk after one
@@ -1339,7 +1321,7 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 let prog = &c.criticals[*idx as usize].program;
-                match replay_packet(prog, packet, &mut staging) {
+                match replay_packet(prog, packet, &mut staging, &mut temps) {
                     Ok(stores) => {
                         packets += 1;
                         replayed += stores;
@@ -1411,21 +1393,25 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute one iteration of a chunked loop: from the header until
-    /// control returns to it. Any other escape is irregular. Entering a
-    /// deferred critical region detours through
-    /// [`Engine::run_critical_region`] instead of its blocks.
+    /// control returns to it. Any other escape is irregular. Entering one
+    /// of the loop's deferred `criticals` detours through
+    /// [`Engine::run_critical_region`] instead of its blocks; the region's
+    /// index is its packet tag.
     fn run_iteration(
         &mut self,
         func_id: FuncId,
         f: &Function,
         frame: &mut Frame,
         sched: &LoopSchedule,
+        criticals: &[CriticalReplay],
     ) -> Result<(), ParAbort> {
         let mut block = sched.header;
         loop {
-            let flow = match self.critical_region_at(func_id, block) {
-                Some((idx, cr)) => {
-                    self.run_critical_region(func_id, f, frame, idx, cr)?;
+            // A loop has a handful of regions at most: a scan, not a hash.
+            let flow = match criticals.iter().position(|cr| cr.entry == block) {
+                Some(idx) => {
+                    let cr = &criticals[idx];
+                    self.run_critical_region(func_id, f, frame, idx as u32, cr)?;
                     Flow::Jump(cr.exit)
                 }
                 None => self
@@ -1444,20 +1430,6 @@ impl<'a> Engine<'a> {
                 Flow::Next => unreachable!(),
             }
         }
-    }
-
-    /// The deferred critical region entered at `block`, if any (chunk
-    /// workers only).
-    fn critical_region_at(
-        &self,
-        func_id: FuncId,
-        block: BlockId,
-    ) -> Option<(u32, &'a CriticalReplay)> {
-        let (crit_func, regions) = self.crit?;
-        if crit_func != func_id {
-            return None;
-        }
-        regions.get(&block).copied()
     }
 
     /// A chunk worker's detour through a deferred critical region: execute
@@ -1605,7 +1577,6 @@ impl<'a> Engine<'a> {
                         steps: 0,
                         fuel: fuel_left,
                         log: Some(Vec::new()),
-                        crit: None,
                         crit_log: Vec::new(),
                         stats: RunStats::default(),
                     };
@@ -1912,13 +1883,15 @@ enum PipeMsg {
 /// including guarded updates whose fork-local guess was wrong. Returns
 /// the number of stores applied; any fault (undef protected cell, bad
 /// address, evaluator error) aborts the whole activation's commit and the
-/// loop re-runs sequentially.
+/// loop re-runs sequentially. `temps` is the caller's scratch for op
+/// results: cleared here, so one buffer serves a whole commit.
 fn replay_packet(
     prog: &ReplayProgram,
     packet: &[RtVal],
     staging: &mut MemState,
+    temps: &mut Vec<RtVal>,
 ) -> Result<u64, ()> {
-    let mut temps: Vec<RtVal> = Vec::with_capacity(prog.ops.len());
+    temps.clear();
     let mut applied = 0u64;
     for op in &prog.ops {
         let val = |v: &ReplayVal| -> Result<RtVal, ()> {
@@ -2082,9 +2055,11 @@ mod tests {
             ],
         };
         let ptr = |off: i64| RtVal::Ptr { obj, off };
-        let run = |src: RtVal, p2: RtVal, p3: RtVal| {
+        // One scratch buffer across every packet, as at commit.
+        let mut temps = Vec::new();
+        let mut run = |src: RtVal, p2: RtVal, p3: RtVal| {
             let mut staging = mem.clone();
-            let r = replay_packet(&prog, &[src, ptr(9), p2, p3], &mut staging);
+            let r = replay_packet(&prog, &[src, ptr(9), p2, p3], &mut staging, &mut temps);
             (r, cells(&staging))
         };
         let (t, f) = (RtVal::Bool(true), RtVal::Bool(false));

@@ -52,7 +52,9 @@
 //! There is **one engine**: [`exec`]'s per-instruction interpreter runs
 //! the master, every chunk worker, every pipeline stage, every critical
 //! slice and every fallback re-run, so the bit-identity chain has two
-//! links — [`pspdg_ir::interp`] (the oracle) → `exec.rs`.
+//! links — [`pspdg_ir::interp`] (the oracle) → `exec.rs`. Deciding whether
+//! a block the master enters heads a scheduled loop is a table lookup
+//! ([`pspdg_parallelizer::ExecutablePlan::headers_in`]), not a hash.
 //!
 //! Module map: [`exec`] — the engine ([`Runtime`], [`RunStats`],
 //! [`FallbackCounts`]); [`fault`] — deterministic fault injection

@@ -397,9 +397,6 @@ impl Session {
             bytes += fp.mem_refs.len() * 64;
             bytes += fp.pspdg.nodes.len() * 64 + fp.pspdg.edge_count() * 32;
         }
-        for counts in &self.profile.inst_count {
-            bytes += counts.len() * 8;
-        }
         for counts in &self.profile.block_count {
             bytes += counts.len() * 8;
         }
@@ -409,7 +406,7 @@ impl Session {
         let plans = self.plans.lock().expect("plan cache lock");
         bytes += plans.len() * 4096;
         for b in plans.values() {
-            bytes += b.plan.loops.len() * 256 + b.exec.len() * 512;
+            bytes += b.plan.loops.len() * 256 + b.exec.schedules().len() * 512;
         }
         bytes
     }

@@ -10,7 +10,8 @@
 //!   `(function, loop)`, each with its technique (`sequential_insts` /
 //!   `stage_of`), `ignored_bases`, `reduction_bases` and `end_barrier`, then
 //!   the mutex groups — followed by each `LoopSchedule`'s `exec.name()` and
-//!   sequential reason;
+//!   sequential reason, in `schedules()` order (every lowering also has its
+//!   header table checked against that list);
 //! * the `enumerate_program` totals and per-loop option counts;
 //! * the per-loop `blocking_carried_edges` counts.
 //!
@@ -20,10 +21,11 @@
 
 use pspdg::core::{build_pspdg_module, query, Feature, FeatureSet, FunctionPsPdg};
 use pspdg::ir::interp::{Interpreter, NullSink};
+use pspdg::ir::{BlockId, FuncId, Module};
 use pspdg::nas::{fault_suite, synth, Benchmark, Class};
 use pspdg::parallelizer::{
-    enumerate_program_with_features, plan_built, realize_executable, Abstraction, LoopExec,
-    MachineModel, PlannedTechnique, ProgramPlan,
+    enumerate_program_with_features, plan_built, realize_executable, Abstraction, ExecutablePlan,
+    LoopExec, MachineModel, PlannedTechnique, ProgramPlan,
 };
 use pspdg::pdg::MemBase;
 
@@ -67,6 +69,33 @@ impl Fnv {
     }
 }
 
+/// Header dispatch and `schedules()` are two views of one list:
+/// `schedule_at` answers exactly at the listed `(func, header)` pairs, the
+/// list is ordered by them, and ids the module does not have are `None`.
+fn check_header_table(m: &Module, exec: &ExecutablePlan) {
+    let listed: Vec<(FuncId, BlockId)> = exec
+        .schedules()
+        .iter()
+        .map(|s| (s.func, s.header))
+        .collect();
+    assert!(listed.windows(2).all(|w| w[0] < w[1]), "{listed:?}");
+    let at = |func, bb| exec.schedule_at(func, bb).map(|s| (s.func, s.header));
+    let mut found = 0;
+    for (fi, f) in m.functions.iter().enumerate() {
+        let func = FuncId::from_index(fi);
+        for bb in f.block_ids() {
+            let want = listed.contains(&(func, bb)).then_some((func, bb));
+            assert_eq!(at(func, bb), want, "{func} {bb}");
+            found += usize::from(want.is_some());
+        }
+        assert_eq!(at(func, BlockId::from_index(f.blocks.len())), None);
+        assert_eq!(at(func, BlockId(u32::MAX)), None);
+    }
+    assert_eq!(found, listed.len(), "a listed header outside the module");
+    assert_eq!(at(FuncId::from_index(m.functions.len()), BlockId(0)), None);
+    assert_eq!(at(FuncId(u32::MAX), BlockId(0)), None);
+}
+
 /// The plan in a canonical order, then its executable lowering.
 fn plan_digest(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) -> u64 {
     let mut h = Fnv::new();
@@ -101,6 +130,7 @@ fn plan_digest(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) -> u64 
         h.words(m.insts.iter().map(|i| i.index() as u64));
     }
     let exec = realize_executable(p, plan);
+    check_header_table(&p.module, &exec);
     for s in exec.schedules() {
         h.words([
             u64::from(s.func.0),

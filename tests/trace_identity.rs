@@ -143,9 +143,59 @@ fn untraced_and_traced_runs_agree_on_everything_observable() {
         assert_eq!(plain.steps(), traced.steps(), "{}: steps", b.name);
         let (a, z) = (plain.profile(), traced.profile());
         assert_eq!(a.total, z.total, "{}: profile total", b.name);
-        assert_eq!(a.inst_count, z.inst_count, "{}: inst counts", b.name);
         assert_eq!(a.block_count, z.block_count, "{}: block counts", b.name);
         assert_eq!(a.total, plain.steps(), "{}: total == steps", b.name);
+    }
+}
+
+/// Counts executed instructions per `(func, inst)` from the event stream,
+/// independently of [`Profile`](pspdg::ir::interp::Profile).
+struct CountSink(Vec<Vec<u64>>);
+
+impl TraceSink for CountSink {
+    fn on_step(&mut self, s: &Step<'_>) {
+        self.0[s.func.index()][s.inst.index()] += 1;
+    }
+}
+
+/// The profile counts block entries only; every instruction must still be
+/// accounted for exactly: an instruction ran as often as its block was
+/// entered, and `block_set_cost` equals the per-instruction sum.
+#[test]
+fn per_block_profile_accounts_for_every_instruction() {
+    let mut programs: Vec<_> = fault_suite(Class::Mini)
+        .iter()
+        .map(|b| (b.name, b.program()))
+        .collect();
+    programs.push(("CALLS", compile(CALLS_SRC).expect("compiles")));
+    for (name, p) in &programs {
+        let m = &p.module;
+        let mut sink = CountSink(m.functions.iter().map(|f| vec![0; f.insts.len()]).collect());
+        let mut interp = Interpreter::new(m);
+        interp.run_main(&mut sink).expect("kernel runs");
+        let profile = interp.profile();
+        for (fi, f) in m.functions.iter().enumerate() {
+            let ran = &sink.0[fi];
+            for (i, owner) in f.inst_blocks().iter().enumerate() {
+                let entered = owner.map_or(0, |bb| profile.block_count[fi][bb.index()]);
+                assert_eq!(ran[i], entered, "{name}: {}: %{i}", f.name);
+            }
+            let func = FuncId::from_index(fi);
+            let ran_in = |bbs: &[BlockId]| -> u64 {
+                let insts = bbs.iter().flat_map(|bb| &f.block(*bb).insts);
+                insts.map(|i| ran[i.index()]).sum()
+            };
+            let all: Vec<BlockId> = f.block_ids().collect();
+            for bb in &all {
+                let one = std::slice::from_ref(bb);
+                let cost = profile.block_set_cost(m, func, one);
+                assert_eq!(cost, ran_in(one), "{name}: {}: {bb}", f.name);
+            }
+            let cost = profile.block_set_cost(m, func, &all);
+            assert_eq!(cost, ran_in(&all), "{name}: {}: all blocks", f.name);
+        }
+        let ran_total: u64 = sink.0.iter().flatten().sum();
+        assert_eq!(profile.total, ran_total, "{name}: total");
     }
 }
 
