@@ -2,7 +2,7 @@
 //! for the parallel runtime — the sequential interpreter's wall time, the
 //! plan-driven runtime's wall time under the PS-PDG best plan, the
 //! ideal-machine emulator's predicted parallelism for the same plan, the
-//! plan's realization (how many loops chunked / pipelined / fell back to
+//! plan's realization (how many loops chunked / fell back to
 //! sequential), and the runtime-overhead counters introduced with the
 //! persistent-pool/CoW substrate: per-cause dynamic fallback counts, pool
 //! dispatches, copy-on-write fork volume, and the critical-replay
@@ -36,7 +36,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pspdg_emulator::{emulate, PredictedVsMeasured};
 use pspdg_ir::interp::{Interpreter, NullSink};
@@ -188,7 +188,7 @@ fn main() {
             recorder_state: "absent",
         };
         println!(
-            "{:<4} interp {:>11} ns  seq {:>11} ns  par {:>11} ns  speedup {:>6.3}x  predicted {:>8.2}x  loops: {} chunked / {} pipelined / {} sequential  dyn: {} chunked / {} pipelined / {} packets / {} replays / {} pool jobs / {} fallbacks [{}]",
+            "{:<4} interp {:>11} ns  seq {:>11} ns  par {:>11} ns  speedup {:>6.3}x  predicted {:>8.2}x  loops: {} chunked / {} sequential  dyn: {} chunked / {} packets / {} replays / {} pool jobs / {} fallbacks [{}]",
             row.name,
             interp_ns,
             row.sequential_ns,
@@ -196,10 +196,8 @@ fn main() {
             row.measured_speedup(),
             row.predicted_parallelism,
             realization.chunked,
-            realization.pipeline,
             realization.sequential,
             stats.chunked_loops,
-            stats.pipelined_loops,
             stats.critical_packets,
             stats.critical_replays,
             stats.pool_dispatches,
@@ -220,7 +218,7 @@ fn main() {
             .join(", ");
         let _ = write!(
             rows,
-            "    {{\"kernel\": \"{}\", \"recorder\": \"{}\", \"interpreter_ns\": {}, \"sequential_ns\": {}, \"parallel_ns\": {}, \"measured_speedup\": {:.3}, \"predicted_parallelism\": {:.3}, \"loops_chunked\": {}, \"loops_pipelined\": {}, \"loops_sequential\": {}, \"dyn_chunked\": {}, \"dyn_pipelined\": {}, \"dyn_fallbacks\": {}, \"dyn_fallback_reasons\": {{{}}}, \"pool_dispatches\": {}, \"critical_packets\": {}, \"critical_replays\": {}, \"fork_cells_committed\": {}, \"cow_pages\": {}, \"fork_bytes\": {}}}",
+            "    {{\"kernel\": \"{}\", \"recorder\": \"{}\", \"interpreter_ns\": {}, \"sequential_ns\": {}, \"parallel_ns\": {}, \"measured_speedup\": {:.3}, \"predicted_parallelism\": {:.3}, \"loops_chunked\": {}, \"loops_sequential\": {}, \"dyn_chunked\": {}, \"dyn_fallbacks\": {}, \"dyn_fallback_reasons\": {{{}}}, \"pool_dispatches\": {}, \"critical_packets\": {}, \"critical_replays\": {}, \"fork_cells_committed\": {}, \"cow_pages\": {}, \"fork_bytes\": {}}}",
             row.name,
             row.recorder_state,
             interp_ns,
@@ -229,10 +227,8 @@ fn main() {
             row.measured_speedup(),
             row.predicted_parallelism,
             realization.chunked,
-            realization.pipeline,
             realization.sequential,
             stats.chunked_loops,
-            stats.pipelined_loops,
             stats.sequential_fallbacks,
             reasons,
             stats.pool_dispatches,
@@ -251,7 +247,7 @@ fn main() {
     // interpreter, and a clean rerun on the *same* runtime is
     // fault-free. The counts land in the JSON so a regression in any
     // recovery path shows up in the smoke artifact.
-    let scenarios: [(&str, FaultSite, FaultKind, &str); 7] = [
+    let scenarios: [(&str, FaultSite, FaultKind, &str); 6] = [
         (
             "IS",
             FaultSite::ChunkWorker(0),
@@ -283,12 +279,6 @@ fn main() {
             FaultKind::ReplayFault,
             "replay_fault",
         ),
-        (
-            "PIPE",
-            FaultSite::StageRecv(0),
-            FaultKind::StageStall,
-            "stage_timeout",
-        ),
     ];
     let mut fault_rows = String::new();
     for (name, site, kind, cause) in scenarios {
@@ -300,14 +290,11 @@ fn main() {
             .expect("fault-demo oracle runs");
         let plan = build_plan(&p, oracle.profile(), Abstraction::PsPdg, 0.01);
         let inj = FaultInjector::arm(FaultPlan::single(site, kind));
-        // Zero activation gates so the targeted parallel construct (chunk,
-        // critical, pipeline stage) is reached deterministically at
-        // Class::Test sizes; a short watchdog keeps stall recovery fast.
+        // No activation gate, so the targeted parallel construct (chunk,
+        // critical) is reached deterministically at Class::Test sizes.
         let rt = Runtime::new(&p, &plan)
             .workers(workers)
             .cost_threshold(0)
-            .pipeline_min_body(0)
-            .stage_watchdog(Duration::from_millis(250))
             .fault_injector(Arc::clone(&inj));
         let faulted = rt.run_main().expect("faulted run recovers");
         let seq_globals = observable_globals(&p.module, oracle.mem());

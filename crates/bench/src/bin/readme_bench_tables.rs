@@ -111,7 +111,7 @@ fn pdg_module_table(json: &str) -> String {
 
 fn runtime_table(json: &str) -> String {
     let mut t = String::from(
-        "| kernel | sequential (ms) | parallel (ms) | measured | predicted | dyn chunked | dyn pipelined | critical packets | critical replays | fallbacks (by cause) |\n|---|---|---|---|---|---|---|---|---|---|\n",
+        "| kernel | sequential (ms) | parallel (ms) | measured | predicted | dyn chunked | critical packets | critical replays | fallbacks (by cause) |\n|---|---|---|---|---|---|---|---|---|\n",
     );
     // The runtime JSON also has per-kernel fault-injection and profiling
     // rows; only the timed rows carry `measured_speedup`.
@@ -133,14 +133,13 @@ fn runtime_table(json: &str) -> String {
         };
         let _ = writeln!(
             t,
-            "| {} | {} | {} | {}x | {}x | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {}x | {}x | {} | {} | {} | {} |",
             g("kernel"),
             ms(&g("sequential_ns")),
             ms(&g("parallel_ns")),
             g("measured_speedup"),
             g("predicted_parallelism"),
             g("dyn_chunked"),
-            g("dyn_pipelined"),
             g("critical_packets"),
             g("critical_replays"),
             reasons,

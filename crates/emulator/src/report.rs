@@ -83,8 +83,8 @@ pub struct PredictedVsMeasured {
     /// pairs from the runtime's fallback counters (empty when every
     /// scheduled activation parallelized). This is what turns "the
     /// speedup fell short of the prediction" into an actionable
-    /// diagnosis — cost-gated short activations, worker faults, pipeline
-    /// aborts, … each count its own cause.
+    /// diagnosis — cost-gated short activations, worker faults, plans the
+    /// runtime does not execute, … each count its own cause.
     pub fallback_reasons: Vec<(String, u64)>,
     /// State of the runtime's observability recorder during the
     /// measured run (`"absent"`, `"disabled"`, or `"enabled"`), so a

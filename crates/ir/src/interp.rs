@@ -221,11 +221,6 @@ impl MemState {
         self.objects.is_empty()
     }
 
-    /// Whether `obj` names a live object of this heap.
-    pub fn has_object(&self, obj: ObjId) -> bool {
-        obj.index() < self.objects.len()
-    }
-
     /// Size of `obj` in cells.
     pub fn object_len(&self, obj: ObjId) -> usize {
         self.objects[obj.index()].len as usize
@@ -308,16 +303,6 @@ impl MemState {
             .iter()
             .enumerate()
             .map(|(i, o)| (ObjId(i as u32), o.origin))
-    }
-
-    /// Apply a write log in order, skipping writes to objects this heap
-    /// does not hold (a forked worker's loop-local stack objects).
-    pub fn apply(&mut self, writes: &[(MemAddr, RtVal)]) {
-        for (addr, v) in writes {
-            if self.has_object(addr.obj) {
-                self.write(*addr, *v);
-            }
-        }
     }
 
     /// A worker fork of this heap: shares every page (O(pages), no cell

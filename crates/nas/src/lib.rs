@@ -96,11 +96,10 @@ pub fn runtime_suite(class: Class) -> Vec<Benchmark> {
 }
 
 /// The kernel set the fault-injection fuzz suite drives: the runtime
-/// suite plus the SYNTH-family PIPE kernel, whose carried recurrence
-/// forces the DSWP pipeline path — so stage-level fault sites (sends,
-/// recvs, stalls, watchdog timeouts) are reachable deterministically
-/// rather than only on kernels that happen to pipeline (see
-/// [`synth::pipe`]).
+/// suite plus the SYNTH-family PIPE kernel, whose hot loop is a carried
+/// recurrence no strategy splits — so the `scheduled_sequential` path is
+/// exercised under faults too, on a kernel where it is the whole run
+/// (see [`synth::pipe`]).
 pub fn fault_suite(class: Class) -> Vec<Benchmark> {
     let mut v = runtime_suite(class);
     v.push(synth::pipe(class));

@@ -195,14 +195,14 @@ pub fn pipe_trip(class: Class) -> usize {
     }
 }
 
-/// PIPE — the DSWP stress kernel: a carried scalar recurrence
+/// PIPE — the DSWP-shaped kernel: a carried scalar recurrence
 /// (`t = t + pv[i] + i`) feeding an independent consumer statement
 /// (`pw[i] = t * 2`), the canonical two-stage decoupled-software-pipeline
 /// shape. Chunking is impossible (the recurrence is cross-iteration), so
-/// any parallelism must flow through the stage pipeline — which makes
-/// this the kernel of choice for exercising the pipeline's fault sites
-/// (stage sends/recvs, stalls, watchdog timeouts) deterministically in
-/// the fault-injection fuzz suite.
+/// the planner answers HELIX/DSWP — options the enumerator counts and the
+/// emulator runs on its ideal machine — while the runtime, whose one
+/// parallel strategy is chunking, runs the loop on the master
+/// (`scheduled_sequential`), under the fault-injection fuzz suite too.
 pub fn pipe(class: Class) -> Benchmark {
     let n = pipe_trip(class);
     let source = format!(
@@ -236,7 +236,7 @@ int main() {{
     );
     Benchmark {
         name: "PIPE",
-        description: "carried recurrence + consumer (DSWP pipeline stress)",
+        description: "carried recurrence + consumer (the DSWP shape; runs on the master)",
         source,
     }
 }

@@ -125,7 +125,7 @@ fn chrome_trace_round_trips_and_nests() {
             let _inner = rec.span("pipeline/enumerate", "pipeline");
         }
         let _run = rec.span("runtime/run", "runtime");
-        rec.instant("fault/stage_stall", "fault");
+        rec.instant("fault/worker_panic", "fault");
     }
     // A second lane: spans on another thread land on their own tid.
     std::thread::scope(|s| {

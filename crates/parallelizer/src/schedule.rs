@@ -9,17 +9,18 @@
 //!   [`LoopExec::Chunked`] — iteration ranges split across workers, with
 //!   per-worker forked heaps and the plan's reduction bases merged by
 //!   their declared operator;
-//! * **DSWP** plans (and HELIX plans whose SCC DAG admits a forward-only
-//!   stage assignment) become [`LoopExec::Pipeline`] — a bounded-channel
-//!   stage pipeline where stage 0 drives control and later stages replay
-//!   the recorded path executing only their own instructions;
-//! * everything else falls back to [`LoopExec::Sequential`] with a
-//!   recorded reason, so reports can say *why* a loop did not speed up.
+//! * **HELIX** and **DSWP** plans become [`LoopExec::Sequential`]: the
+//!   paper counts and emulates them (`enumerate`, `pspdg-emulator`) and
+//!   never executes one, and the stage-pipeline executor this repo once
+//!   had for them ran on one kernel of the suite and lost there;
+//! * everything else falls back to [`LoopExec::Sequential`] too, each
+//!   with a recorded reason, so reports can say *why* a loop did not
+//!   speed up.
 //!
-//! Every lowering is **validated** against the loop's dependence structure
-//! before it is emitted; a schedule that cannot be proven safe under the
-//! runtime's execution model degrades to sequential instead of executing
-//! incorrectly.
+//! Every chunked lowering is **validated** against the loop's dependence
+//! structure before it is emitted; a schedule that cannot be proven safe
+//! under the runtime's execution model degrades to sequential instead of
+//! executing incorrectly.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -30,10 +31,6 @@ use pspdg_parallel::{DataClause, DirectiveKind, ParallelProgram, ReductionOp};
 use pspdg_pdg::{base_of_varref, DepKind, FunctionAnalyses, MemBase, Pdg};
 
 use crate::plan::{LoopPlanSpec, PlannedTechnique, ProgramPlan};
-
-/// Cap on pipeline depth: merging SCCs into at most this many stages keeps
-/// per-stage work coarse enough to amortize the channel hops.
-pub const MAX_PIPELINE_STAGES: usize = 4;
 
 /// A DOALL loop lowered to chunked execution.
 #[derive(Debug, Clone)]
@@ -46,6 +43,10 @@ pub struct ChunkedLoop {
     pub cmp_op: CmpOp,
     /// Loop-invariant bound value.
     pub bound: Value,
+    /// Whether `bound` is an instruction inside the loop — by canonicality
+    /// a load of a slot the loop never stores to — so it has no value yet
+    /// when the runtime evaluates the bound at the header.
+    pub bound_in_loop: bool,
     /// First in-loop block executed when the predicate holds.
     pub body_entry: BlockId,
     /// Reduction bases with their merge operators: worker copies start at
@@ -212,23 +213,11 @@ pub struct CriticalReplay {
     pub program: ReplayProgram,
 }
 
-/// A pipelined loop: each instruction belongs to a stage; stage 0 drives
-/// control and owns every terminator.
-#[derive(Debug, Clone)]
-pub struct PipelineLoop {
-    /// Stage of each loop instruction.
-    pub stage_of: HashMap<InstId, u32>,
-    /// Number of stages (≥ 2).
-    pub stages: u32,
-}
-
 /// How the runtime executes one planned loop.
 #[derive(Debug, Clone)]
 pub enum LoopExec {
     /// Iteration ranges split across workers (DOALL).
     Chunked(ChunkedLoop),
-    /// Bounded-channel stage pipeline (DSWP).
-    Pipeline(PipelineLoop),
     /// Sequential fallback, with the reason the loop could not be lowered.
     Sequential {
         /// Why the loop executes sequentially.
@@ -241,7 +230,6 @@ impl LoopExec {
     pub fn name(&self) -> &'static str {
         match self {
             LoopExec::Chunked(_) => "chunked",
-            LoopExec::Pipeline(_) => "pipeline",
             LoopExec::Sequential { .. } => "sequential",
         }
     }
@@ -282,7 +270,10 @@ impl LoopSchedule {
 pub struct RealizationStats {
     /// Loops lowered to chunked DOALL execution.
     pub chunked: usize,
-    /// Loops lowered to a stage pipeline.
+    /// Always 0: nothing writes it. Read only by `benchmark/src/trace.rs`
+    /// (the `parallelizer.loops_pipelined` metric), which this crate's PRs
+    /// may not edit; the next `benchmark` PR deletes the metric and this
+    /// field.
     pub pipeline: usize,
     /// Loops falling back to sequential execution.
     pub sequential: usize,
@@ -350,7 +341,6 @@ impl ExecutablePlan {
         for s in &self.schedules {
             match s.exec {
                 LoopExec::Chunked(_) => out.chunked += 1,
-                LoopExec::Pipeline(_) => out.pipeline += 1,
                 LoopExec::Sequential { .. } => out.sequential += 1,
             }
         }
@@ -399,6 +389,9 @@ pub fn realize_executable_recorded(
     ExecutablePlan::new(schedules)
 }
 
+/// Why every HELIX- and DSWP-planned loop lowers [`LoopExec::Sequential`].
+const PLANNED_NOT_EXECUTED: &str = "HELIX/DSWP plans are enumerated and emulated, not executed";
+
 /// Per-function realization context.
 struct FuncRealizer<'a> {
     program: &'a ParallelProgram,
@@ -410,7 +403,10 @@ struct FuncRealizer<'a> {
     mutex_insts: BTreeSet<InstId>,
     /// Reduction merge operator declared for each base in this function.
     red_ops: BTreeMap<MemBase, ReductionOp>,
-    /// Lazily built dependence graph (pipeline validation only).
+    /// Per loop: a register defined inside it is used outside it.
+    reg_live_out: Vec<bool>,
+    /// Lazily built dependence graph (the `ignored_bases` carried-flow
+    /// check only).
     pdg: std::cell::OnceCell<Pdg>,
 }
 
@@ -439,6 +435,27 @@ impl<'a> FuncRealizer<'a> {
                 }
             }
         }
+        // One pass over uses: a use outside the defining block's loop nest
+        // marks every loop of that nest the use is outside of. Walking
+        // innermost-out, the first loop holding the use ends the walk (its
+        // ancestors hold it too).
+        let forest = &analyses.forest;
+        let mut reg_live_out = vec![false; forest.len()];
+        for i in f.inst_ids() {
+            let Some(use_bb) = owner[i.index()] else {
+                continue;
+            };
+            for op in f.inst(i).inst.operands() {
+                let Some(def_bb) = op.as_inst().and_then(|d| owner[d.index()]) else {
+                    continue;
+                };
+                let mut cur = forest.innermost(def_bb);
+                while let Some(l) = cur.filter(|l| !forest.info(*l).contains(use_bb)) {
+                    reg_live_out[l.index()] = true;
+                    cur = forest.info(l).parent;
+                }
+            }
+        }
         FuncRealizer {
             program,
             func,
@@ -446,6 +463,7 @@ impl<'a> FuncRealizer<'a> {
             owner,
             mutex_insts,
             red_ops,
+            reg_live_out,
             pdg: std::cell::OnceCell::new(),
         }
     }
@@ -479,134 +497,96 @@ impl<'a> FuncRealizer<'a> {
             })
         };
 
-        let loop_insts: BTreeSet<InstId> = self.analyses.loop_insts(l).into_iter().collect();
-        // Surviving mutual exclusion inside the body. Chunked DOALL can
-        // still execute it when every protected mutation is a deferrable
-        // RMW (logged by the workers, replayed serially by the master at
-        // commit — see [`CriticalUpdate`]); pipelines cannot, and
-        // anything the deferral analysis rejects serializes.
-        let has_mutex = loop_insts.iter().any(|i| self.mutex_insts.contains(i));
+        match spec.technique {
+            PlannedTechnique::Doall => {}
+            // Chunked fork/commit is the runtime's one parallel strategy.
+            PlannedTechnique::Helix { .. } | PlannedTechnique::Dswp { .. } => {
+                return seq(PLANNED_NOT_EXECUTED)
+            }
+        }
         // Register live-outs: the master resumes at the exit block without
         // the workers' register files, so loop-defined registers must die
         // inside the loop. (Front-end output always passes loop results
         // through memory; this guards hand-built IR.)
-        for i in f.inst_ids() {
-            let Some(bb) = self.owner[i.index()] else {
-                continue;
-            };
-            if info.contains(bb) {
-                continue;
+        if self.reg_live_out[l.index()] {
+            return seq("loop-defined register used after the loop");
+        }
+        let Some(canon) = self.analyses.canonical_of(l) else {
+            return seq("DOALL loop is not canonical");
+        };
+        let loop_insts: BTreeSet<InstId> = self.analyses.loop_insts(l).into_iter().collect();
+        // Surviving mutual exclusion inside the body: executable when every
+        // protected mutation is deferrable (logged by the workers, replayed
+        // serially by the master at commit — see [`CriticalReplay`]);
+        // anything the deferral analysis rejects serializes.
+        let has_mutex = loop_insts.iter().any(|i| self.mutex_insts.contains(i));
+        let (criticals, protected) = if has_mutex {
+            match self.deferred_criticals(&loop_insts, info) {
+                Ok(pair) => pair,
+                Err(reason) => return seq(reason),
             }
-            for op in f.inst(i).inst.operands() {
-                if let Value::Inst(d) = op {
-                    if loop_insts.contains(&d) {
-                        return seq("loop-defined register used after the loop");
-                    }
-                }
+        } else {
+            (Vec::new(), BTreeSet::new())
+        };
+        let iv_base = MemBase::Alloca(canon.iv_alloca);
+        if protected.contains(&iv_base) {
+            return seq("critical region protects the induction variable");
+        }
+        let mut reductions = Vec::new();
+        for base in &spec.reduction_bases {
+            if protected.contains(base) {
+                return seq("reduction base inside a critical region");
+            }
+            match self.red_ops.get(base) {
+                Some(ReductionOp::Custom { .. }) => return seq("custom reduction merge function"),
+                Some(op) => reductions.push((*base, *op)),
+                None => return seq("reduction base without a declared operator"),
             }
         }
-
-        match &spec.technique {
-            PlannedTechnique::Doall => {
-                let Some(canon) = self.analyses.canonical_of(l) else {
-                    return seq("DOALL loop is not canonical");
-                };
-                // Surviving critical/atomic regions: prove every protected
-                // mutation deferrable, or serialize.
-                let (criticals, protected) = if has_mutex {
-                    match self.deferred_criticals(&loop_insts, info) {
-                        Ok(pair) => pair,
-                        Err(reason) => return seq(reason),
-                    }
-                } else {
-                    (Vec::new(), BTreeSet::new())
-                };
-                let iv_base = MemBase::Alloca(canon.iv_alloca);
-                if protected.contains(&iv_base) {
-                    return seq("critical region protects the induction variable");
-                }
-                let mut reductions = Vec::new();
-                for base in &spec.reduction_bases {
-                    if protected.contains(base) {
-                        return seq("reduction base inside a critical region");
-                    }
-                    match self.red_ops.get(base) {
-                        Some(ReductionOp::Custom { .. }) => {
-                            return seq("custom reduction merge function")
-                        }
-                        Some(op) => reductions.push((*base, *op)),
-                        None => return seq("reduction base without a declared operator"),
-                    }
-                }
-                // Discharged bases with a *real* carried flow (typically a
-                // region-privatized accumulator like IS's private
-                // histogram): last-writer commit would drop contributions,
-                // so they must be recognizably accumulative — then the
-                // forks start from the operator identity and merge exactly
-                // like a declared reduction. Bases protected by a critical
-                // region are excluded: their carried flow is discharged by
-                // the commit-time replay instead.
-                for base in &spec.ignored_bases {
-                    if *base == iv_base
-                        || spec.reduction_bases.contains(base)
-                        || protected.contains(base)
-                    {
-                        continue;
-                    }
-                    let carried_flow = self.pdg().carried_edges(l).any(|e| {
-                        matches!(e.kind, DepKind::Flow { .. })
-                            && e.base == Some(*base)
-                            && loop_insts.contains(&e.src)
-                            && loop_insts.contains(&e.dst)
-                    });
-                    if !carried_flow {
-                        continue;
-                    }
-                    if let Some(op) = self.accumulator_op(&loop_insts, *base) {
-                        reductions.push((*base, op));
-                    }
-                    // Otherwise the privatization declaration promises
-                    // write-before-read per iteration; last-writer commit
-                    // then reproduces the sequential final state.
-                }
-                mk(LoopExec::Chunked(ChunkedLoop {
-                    iv_alloca: canon.iv_alloca,
-                    step: canon.step,
-                    cmp_op: canon.cmp_op,
-                    bound: canon.bound.0,
-                    body_entry: canon.body_entry,
-                    reductions,
-                    criticals,
-                    protected: protected.into_iter().collect(),
-                }))
+        // Discharged bases with a *real* carried flow (typically a
+        // region-privatized accumulator like IS's private
+        // histogram): last-writer commit would drop contributions,
+        // so they must be recognizably accumulative — then the
+        // forks start from the operator identity and merge exactly
+        // like a declared reduction. Bases protected by a critical
+        // region are excluded: their carried flow is discharged by
+        // the commit-time replay instead.
+        for base in &spec.ignored_bases {
+            if *base == iv_base || spec.reduction_bases.contains(base) || protected.contains(base) {
+                continue;
             }
-            PlannedTechnique::Dswp { .. } if has_mutex => {
-                seq("mutual exclusion inside a pipelined loop")
+            let carried_flow = self.pdg().carried_edges(l).any(|e| {
+                matches!(e.kind, DepKind::Flow { .. })
+                    && e.base == Some(*base)
+                    && loop_insts.contains(&e.src)
+                    && loop_insts.contains(&e.dst)
+            });
+            if !carried_flow {
+                continue;
             }
-            PlannedTechnique::Helix { .. } if has_mutex => {
-                seq("mutual exclusion inside a HELIX loop")
+            if let Some(op) = self.accumulator_op(&loop_insts, *base) {
+                reductions.push((*base, op));
             }
-            PlannedTechnique::Dswp { stage_of, stages } => {
-                let stage_of: HashMap<InstId, u32> =
-                    stage_of.iter().map(|(k, v)| (*k, *v)).collect();
-                match self.validate_pipeline(spec.loop_id, &loop_insts, &stage_of, *stages) {
-                    Ok(()) => mk(LoopExec::Pipeline(PipelineLoop {
-                        stage_of,
-                        stages: *stages,
-                    })),
-                    Err(reason) => seq(reason),
-                }
-            }
-            PlannedTechnique::Helix { .. } => {
-                // HELIX has no direct runtime realization; its SCC DAG may
-                // still admit a forward-only pipeline (DSWP over the same
-                // partition), so try that before giving up.
-                match self.pipeline_from_sccs(spec.loop_id, &loop_insts) {
-                    Ok(pipe) => mk(LoopExec::Pipeline(pipe)),
-                    Err(reason) => seq(reason),
-                }
-            }
+            // Otherwise the privatization declaration promises
+            // write-before-read per iteration; last-writer commit
+            // then reproduces the sequential final state.
         }
+        mk(LoopExec::Chunked(ChunkedLoop {
+            iv_alloca: canon.iv_alloca,
+            step: canon.step,
+            cmp_op: canon.cmp_op,
+            bound: canon.bound.0,
+            bound_in_loop: canon
+                .bound
+                .0
+                .as_inst()
+                .and_then(|i| self.owner[i.index()])
+                .is_some_and(|bb| info.contains(bb)),
+            body_entry: canon.body_entry,
+            reductions,
+            criticals,
+            protected: protected.into_iter().collect(),
+        }))
     }
 
     /// Prove the loop's surviving critical/atomic regions *deferrable*, so
@@ -1111,186 +1091,6 @@ impl<'a> FuncRealizer<'a> {
         }
         op
     }
-
-    /// Derive a pipeline stage assignment from the loop's SCC DAG (the
-    /// HELIX → DSWP fallback). Stage 0 is the control slice — every SCC
-    /// from which a conditional branch's SCC is reachable — and the
-    /// remaining SCCs become up to [`MAX_PIPELINE_STAGES`] − 1 stages in
-    /// topological order.
-    fn pipeline_from_sccs(
-        &self,
-        l: LoopId,
-        loop_insts: &BTreeSet<InstId>,
-    ) -> Result<PipelineLoop, &'static str> {
-        // The runtime pipeline privatizes nothing (unlike chunked DOALL,
-        // whose forks discharge privatized bases), so stages are built
-        // from the *raw* dependence structure: every carried dependence —
-        // including the induction chain — stays within one stage.
-        let dag = self.pdg().loop_sccs(self.analyses, l);
-        if dag.sccs.len() < 2 {
-            return Err("single dependence SCC");
-        }
-        let f = self.program.module.function(self.func);
-        // SCCs containing a conditional branch, and everything reaching
-        // them in the SCC DAG, drive control: stage 0.
-        let has_condbr: Vec<bool> = dag
-            .sccs
-            .iter()
-            .map(|s| {
-                s.insts
-                    .iter()
-                    .any(|i| matches!(f.inst(*i).inst, Inst::CondBr { .. }))
-            })
-            .collect();
-        let n = dag.sccs.len();
-        let mut reaches_control = has_condbr.clone();
-        // Topological order lets one reverse sweep propagate reachability.
-        for idx in (0..n).rev() {
-            if reaches_control[idx] {
-                continue;
-            }
-            if dag
-                .edges
-                .iter()
-                .any(|(from, to)| *from == idx && reaches_control[*to])
-            {
-                reaches_control[idx] = true;
-            }
-        }
-        let tail: Vec<usize> = (0..n).filter(|i| !reaches_control[*i]).collect();
-        if tail.is_empty() {
-            return Err("every SCC feeds the control slice");
-        }
-        let groups = tail.len().min(MAX_PIPELINE_STAGES - 1);
-        let mut stage_of: HashMap<InstId, u32> = HashMap::new();
-        for (idx, scc) in dag.sccs.iter().enumerate() {
-            let stage = if reaches_control[idx] {
-                0
-            } else {
-                let pos = tail.iter().position(|t| *t == idx).expect("tail member");
-                (pos * groups / tail.len()) as u32 + 1
-            };
-            for &i in &scc.insts {
-                stage_of.insert(i, stage);
-            }
-        }
-        // Terminators are always driven by stage 0 (unconditional branches
-        // have no data flow, so reassigning them is safe).
-        for &bb in &self.analyses.forest.info(l).blocks {
-            if let Some(&term) = f.block(bb).insts.last() {
-                stage_of.insert(term, 0);
-            }
-        }
-        let stages = groups as u32 + 1;
-        self.validate_pipeline(l, loop_insts, &stage_of, stages)?;
-        Ok(PipelineLoop { stage_of, stages })
-    }
-
-    /// Check a stage assignment against the runtime pipeline's execution
-    /// model. Rules:
-    ///
-    /// 1. every loop instruction has a stage and every terminator is in
-    ///    stage 0 (stage 0 drives control; later stages replay its path);
-    /// 2. no calls or allocations inside the loop (callee stack objects
-    ///    would diverge between per-stage heaps);
-    /// 3. every dependence runs forward: `stage(src) ≤ stage(dst)`, and
-    ///    dependences carried at the pipelined loop stay within one stage
-    ///    (the pipeline privatizes nothing, so no dependence is exempt);
-    /// 4. cross-stage dependences never touch instructions of nested
-    ///    loops (stages exchange state once per iteration of the
-    ///    *pipelined* loop, so multi-instance dependences cannot be
-    ///    interleaved correctly).
-    fn validate_pipeline(
-        &self,
-        l: LoopId,
-        loop_insts: &BTreeSet<InstId>,
-        stage_of: &HashMap<InstId, u32>,
-        stages: u32,
-    ) -> Result<(), &'static str> {
-        if stages < 2 {
-            return Err("fewer than two pipeline stages");
-        }
-        let f = self.program.module.function(self.func);
-        let info = self.analyses.forest.info(l);
-        for &i in loop_insts {
-            let Some(&stage) = stage_of.get(&i) else {
-                return Err("loop instruction without a stage");
-            };
-            if stage >= stages {
-                return Err("stage index out of range");
-            }
-            match &f.inst(i).inst {
-                Inst::Call { .. } => return Err("call inside a pipelined loop"),
-                Inst::Alloca { .. } => return Err("allocation inside a pipelined loop"),
-                _ => {}
-            }
-        }
-        for &bb in &info.blocks {
-            if let Some(&term) = f.block(bb).insts.last() {
-                if stage_of.get(&term) != Some(&0) {
-                    return Err("terminator outside stage 0");
-                }
-            }
-        }
-        // Dense masks over the function's instructions: in the pipelined
-        // loop, and in a loop nested inside it (multi-instance per
-        // pipelined iteration).
-        let pdg = self.pdg();
-        let mut in_loop = vec![false; pdg.len()];
-        for &i in loop_insts {
-            in_loop[i.index()] = true;
-        }
-        let mut nested = vec![false; pdg.len()];
-        let mut stack = info.children.clone();
-        while let Some(c) = stack.pop() {
-            for i in self.analyses.loop_insts(c) {
-                nested[i.index()] = true;
-            }
-            stack.extend(self.analyses.forest.info(c).children.iter().copied());
-        }
-        // Only edges between two loop instructions can violate a rule;
-        // taken in arena order, the first violation found is the one a
-        // scan of the whole arena would report.
-        let mut edge_ids: Vec<u32> = loop_insts
-            .iter()
-            .flat_map(|&src| pdg.edge_indices_from(src))
-            .copied()
-            .filter(|&ei| in_loop[pdg.edge(ei).dst.index()])
-            .collect();
-        edge_ids.sort_unstable();
-        for ei in edge_ids {
-            let e = pdg.edge(ei);
-            let (ss, ds) = (stage_of[&e.src], stage_of[&e.dst]);
-            let (constrains, carried_here) = match &e.kind {
-                DepKind::Register | DepKind::Control => (true, false),
-                DepKind::Flow { carried, intra }
-                | DepKind::Anti { carried, intra }
-                | DepKind::Output { carried, intra } => {
-                    let carried_here = carried.contains(&l);
-                    // Instances within one activation of `l`: equal
-                    // iteration or carried by a nested loop.
-                    let within = *intra
-                        || carried
-                            .iter()
-                            .any(|c| *c != l && self.analyses.forest.loop_contains(l, *c));
-                    (carried_here || within, carried_here)
-                }
-            };
-            if !constrains {
-                continue;
-            }
-            if carried_here && ss != ds {
-                return Err("loop-carried dependence crosses stages");
-            }
-            if ss > ds {
-                return Err("dependence runs backward across stages");
-            }
-            if ss != ds && (nested[e.src.index()] || nested[e.dst.index()]) {
-                return Err("cross-stage dependence inside a nested loop");
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1351,10 +1151,44 @@ mod tests {
         }
     }
 
+    /// The schedule's reason if it lowered sequential, or a panic.
+    fn sequential_reason(s: &LoopSchedule) -> &str {
+        match &s.exec {
+            LoopExec::Sequential { reason } => reason,
+            other => panic!("expected a sequential lowering, got {other:?}"),
+        }
+    }
+
+    /// A hand-built plan giving each of `func`'s `loops` its technique,
+    /// with nothing discharged.
+    fn hand_built_plan(
+        func: FuncId,
+        loops: impl IntoIterator<Item = (LoopId, PlannedTechnique)>,
+    ) -> ProgramPlan {
+        let loops = loops.into_iter().map(|(loop_id, technique)| {
+            let spec = LoopPlanSpec {
+                func,
+                loop_id,
+                technique,
+                ignored_bases: BTreeSet::new(),
+                reduction_bases: BTreeSet::new(),
+                end_barrier: true,
+            };
+            ((func, loop_id), spec)
+        });
+        ProgramPlan {
+            abstraction: Abstraction::PsPdg,
+            loops: loops.collect(),
+            mutexes: vec![],
+            parallel_spawns: false,
+        }
+    }
+
     #[test]
     fn recurrence_with_parallel_work_pipelines() {
         // t's recurrence is one sequential SCC; the w[i] store consumes it.
-        // HELIX plan → SCC pipeline: stage 0 control, later stages work.
+        // The *plan* is a pipeline (HELIX); the lowering runs it on the
+        // master and says so.
         let (p, plan) = plan_of(
             r#"
             int t; int v[256]; int w[256];
@@ -1372,18 +1206,9 @@ mod tests {
         assert_eq!(plan.len(), 1);
         let exec = realize_executable(&p, &plan);
         let s = &exec.schedules()[0];
-        match &s.exec {
-            LoopExec::Pipeline(pipe) => {
-                assert!(pipe.stages >= 2);
-                // Terminators are in stage 0.
-                let f = p.module.function(s.func);
-                for &bb in &s.blocks {
-                    let term = *f.block(bb).insts.last().unwrap();
-                    assert_eq!(pipe.stage_of[&term], 0);
-                }
-            }
-            other => panic!("expected pipeline, got {other:?}"),
-        }
+        assert_eq!(s.planned, "HELIX");
+        assert_eq!(sequential_reason(s), PLANNED_NOT_EXECUTED);
+        assert_eq!(exec.stats().sequential, 1);
     }
 
     #[test]
@@ -1839,8 +1664,8 @@ mod tests {
 
     #[test]
     fn mutex_in_pipelined_loop_still_serializes() {
-        // A recurrence keeps the loop off the DOALL path; the surviving
-        // atomic then forbids the pipeline lowering too.
+        // A recurrence keeps the loop off the DOALL path, the only one on
+        // which a surviving atomic is ever executed in parallel.
         let (p, plan) = plan_of(
             r#"
             int t; int v[256]; int w[256]; int s;
@@ -1858,14 +1683,10 @@ mod tests {
             Abstraction::PsPdg,
         );
         let exec = realize_executable(&p, &plan);
+        assert!(!plan.is_empty());
         for s in exec.schedules() {
-            assert!(
-                !matches!(s.exec, LoopExec::Pipeline(_)),
-                "mutex-bearing loop must not pipeline: {:?}",
-                s.exec
-            );
+            assert_eq!(sequential_reason(s), PLANNED_NOT_EXECUTED);
         }
-        let _ = plan;
     }
 
     #[test]
@@ -1882,32 +1703,81 @@ mod tests {
         let func = p.module.function_by_name("k").unwrap();
         let analyses = FunctionAnalyses::compute(&p.module, func);
         let l = analyses.forest.loop_ids().next().unwrap();
-        // Nonsensical stage map: everything in stage 1 (terminators not in
-        // stage 0).
+        // No stage map is looked at, not even a nonsensical one
+        // (everything in stage 1, so no stage drives control).
         let mut stage_of: Map<InstId, u32> = Map::new();
         for i in analyses.loop_insts(l) {
             stage_of.insert(i, 1);
         }
-        let spec = LoopPlanSpec {
-            func,
-            loop_id: l,
-            technique: PlannedTechnique::Dswp {
-                stage_of,
-                stages: 2,
-            },
-            ignored_bases: BTreeSet::new(),
-            reduction_bases: BTreeSet::new(),
-            end_barrier: true,
+        let technique = PlannedTechnique::Dswp {
+            stage_of,
+            stages: 2,
         };
-        let mut plan = ProgramPlan {
-            abstraction: Abstraction::PsPdg,
-            loops: HashMap::new(),
-            mutexes: vec![],
-            parallel_spawns: false,
-        };
-        plan.loops.insert((func, l), spec);
+        let plan = hand_built_plan(func, [(l, technique)]);
         let exec = realize_executable(&p, &plan);
-        let s = &exec.schedules()[0];
-        assert!(matches!(s.exec, LoopExec::Sequential { .. }));
+        assert_eq!(
+            sequential_reason(&exec.schedules()[0]),
+            PLANNED_NOT_EXECUTED
+        );
+    }
+
+    #[test]
+    fn register_live_out_serializes_only_the_loops_it_leaves() {
+        use pspdg_ir::{FunctionBuilder, Module, Type};
+        // for (i..10) { for (j..4) {} use(jv) } return iv: the inner
+        // header's load is used in the outer latch, the outer header's in
+        // the exit block.
+        let build = |ret_iv: bool| {
+            let mut m = Module::new("m");
+            let func = m.declare_function("main", vec![], Type::I64);
+            let mut b = FunctionBuilder::new(m.function_mut(func));
+            let [entry, h1, pre2, h2, body2, latch1, exit] =
+                ["entry", "h1", "pre2", "h2", "body2", "latch1", "exit"]
+                    .map(|name| b.create_block(name));
+            b.switch_to_block(entry);
+            let i = b.alloca(Type::I64, "i");
+            let j = b.alloca(Type::I64, "j");
+            b.store(i, Value::const_int(0));
+            b.br(h1);
+            b.switch_to_block(h1);
+            let iv = b.load(i, Type::I64);
+            let c = b.cmp(CmpOp::Lt, iv, Value::const_int(10));
+            b.cond_br(c, pre2, exit);
+            b.switch_to_block(pre2);
+            b.store(j, Value::const_int(0));
+            b.br(h2);
+            b.switch_to_block(h2);
+            let jv = b.load(j, Type::I64);
+            let c = b.cmp(CmpOp::Lt, jv, Value::const_int(4));
+            b.cond_br(c, body2, latch1);
+            b.switch_to_block(body2);
+            let next = b.binary(BinOp::Add, jv, Value::const_int(1));
+            b.store(j, next);
+            b.br(h2);
+            b.switch_to_block(latch1);
+            let next = b.binary(BinOp::Add, iv, jv);
+            b.store(i, next);
+            b.br(h1);
+            b.switch_to_block(exit);
+            b.ret(Some(if ret_iv { iv } else { Value::const_int(0) }));
+            (ParallelProgram::new(m), func)
+        };
+        for ret_iv in [false, true] {
+            let (p, func) = build(ret_iv);
+            let analyses = FunctionAnalyses::compute(&p.module, func);
+            let doall = |l| (l, PlannedTechnique::Doall);
+            let plan = hand_built_plan(func, analyses.forest.loop_ids().map(doall));
+            let exec = realize_executable(&p, &plan);
+            let live_out: Vec<bool> = exec
+                .schedules()
+                .iter()
+                .map(|s| {
+                    matches!(&s.exec, LoopExec::Sequential { reason }
+                        if reason == "loop-defined register used after the loop")
+                })
+                .collect();
+            // Schedules come in header order: outer, then inner.
+            assert_eq!(live_out, [ret_iv, true], "{:?}", exec.schedules());
+        }
     }
 }

@@ -24,7 +24,6 @@ use crate::affine::{affine_of, Affine};
 use crate::alias::{may_alias, trace_base, MemBase};
 use crate::control::control_dependences;
 use crate::ddtest::{test_dependence, DepTestResult, MemRef};
-use crate::scc::SccDag;
 use crate::FunctionAnalyses;
 
 /// The kind of a PDG edge.
@@ -353,12 +352,6 @@ impl Pdg {
     /// in ascending edge-id order.
     pub fn carried_any_indices(&self) -> &BitSet {
         &self.index.carried_any
-    }
-
-    /// The SCC DAG of loop `l`'s body under this PDG, nothing discharged.
-    pub fn loop_sccs(&self, analyses: &FunctionAnalyses, l: LoopId) -> SccDag {
-        let view = crate::EffectiveView::identity(self);
-        crate::scc::loop_scc_dag(&view, analyses, l, |e| Some(e.kind.carried_at(l)))
     }
 }
 

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use pspdg_frontend::compile;
-//! use pspdg_pdg::{FunctionAnalyses, Pdg};
+//! use pspdg_pdg::{scc::loop_scc_dag, EffectiveView, FunctionAnalyses, Pdg};
 //!
 //! let program = compile(r#"
 //!     int a[64];
@@ -38,7 +38,9 @@
 //! let analyses = FunctionAnalyses::compute(&program.module, f);
 //! let pdg = Pdg::build(&program.module, f, &analyses);
 //! let l = analyses.forest.loop_ids().next().unwrap();
-//! let sccs = pdg.loop_sccs(&analyses, l);
+//! // The loop body's SCC DAG as the raw PDG sees it, nothing discharged.
+//! let view = EffectiveView::identity(&pdg);
+//! let sccs = loop_scc_dag(&view, &analyses, l, |e| Some(e.kind.carried_at(l)));
 //! // The a[i] store is independent across iterations: the only sequential
 //! // SCC is the induction variable's own update chain.
 //! let seq: Vec<_> = sccs.sccs.iter().filter(|s| s.sequential).collect();

@@ -213,7 +213,8 @@ mod tests {
         let a = FunctionAnalyses::compute(&p.module, f);
         let pdg = Pdg::build(&p.module, f, &a);
         let l = a.forest.loop_ids().next().unwrap();
-        let dag = pdg.loop_sccs(&a, l);
+        let view = EffectiveView::identity(&pdg);
+        let dag = loop_scc_dag(&view, &a, l, |e| Some(e.kind.carried_at(l)));
         (a, dag)
     }
 

@@ -11,15 +11,15 @@
 //!   respawn and panic-recovery behavior is fault-injection tested).
 //!   Embedder-specific behavior (the runtime's deterministic fault
 //!   injector) plugs in through the [`JobHooks`] trait.
-//! - [`Channel`] — the bounded MPSC decoupling buffer with watchdog
-//!   sends/receives (the DSWP pipeline's stage queues).
+//! - [`Channel`] — the bounded queue that drains after close (the plan
+//!   daemon's job queue).
 //! - [`BitSet`] — packed dense-id sets with O(words) union/intersect
 //!   and ascending iteration, the representation behind the PDG's edge
 //!   indexes and the directive passes' instruction sets.
 //!
-//! Plus [`par_map`]/[`par_map_on`], the order-preserving pool-backed
-//! map behind the per-function analysis sweeps, and [`global`], the
-//! lazily-created process-wide pool those sweeps share.
+//! Plus [`par_map`], the order-preserving pool-backed map behind the
+//! per-function analysis sweeps, and [`global`], the lazily-created
+//! process-wide pool those sweeps share.
 
 #![warn(missing_docs)]
 
@@ -29,6 +29,6 @@ pub mod par;
 pub mod pool;
 
 pub use bitset::BitSet;
-pub use channel::{Channel, RecvTimeout};
-pub use par::{default_width, global, par_map, par_map_on};
+pub use channel::Channel;
+pub use par::{default_width, global, par_map};
 pub use pool::{on_pool_worker, JobFate, JobHooks, Scope, WorkerPool};

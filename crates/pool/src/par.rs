@@ -24,11 +24,8 @@ struct Slot<R>(UnsafeCell<Option<R>>);
 // guarantees exclusive access to each slot until the scope joins.
 unsafe impl<R: Send> Sync for Slot<R> {}
 
-/// Map `f` over `items` on `pool`, preserving input order in the result.
-///
-/// Runs inline (no pool traffic) when the pool is single-threaded, the
-/// input is trivial, or the caller is itself a pool worker.
-pub fn par_map_on<T, R, F>(pool: &WorkerPool, items: Vec<T>, f: F) -> Vec<R>
+/// [`par_map`] on an explicit `pool` (the unit tests pick the width).
+fn par_map_on<T, R, F>(pool: &WorkerPool, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -70,7 +67,11 @@ where
         .collect()
 }
 
-/// [`par_map_on`] over the [`global`] pool.
+/// Map `f` over `items` on the [`global`] pool, preserving input order in
+/// the result.
+///
+/// Runs inline (no pool traffic) when the pool is single-threaded, the
+/// input is trivial, or the caller is itself a pool worker.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

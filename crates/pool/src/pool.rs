@@ -129,9 +129,6 @@ struct PoolShared {
     next_name: AtomicUsize,
     /// Times a dead worker thread was replaced.
     respawns: AtomicU64,
-    /// Panics that escaped a job and were caught by the worker loop
-    /// itself (the scope wrapper normally absorbs them first).
-    caught_panics: AtomicU64,
     /// Optional per-job callbacks (checked once per job pickup).
     hooks: Option<Arc<dyn JobHooks>>,
     /// Optional recorder: respawn events land in the trace stream and
@@ -190,7 +187,6 @@ impl WorkerPool {
             handles: Mutex::new(Vec::new()),
             next_name: AtomicUsize::new(0),
             respawns: AtomicU64::new(0),
-            caught_panics: AtomicU64::new(0),
             hooks,
             obs,
         });
@@ -230,12 +226,6 @@ impl WorkerPool {
     /// Times a dead worker thread was detected and replaced.
     pub fn respawns(&self) -> u64 {
         self.shared.respawns.load(Ordering::Relaxed)
-    }
-
-    /// Panics that escaped a job's own wrapper and were absorbed by the
-    /// worker loop (the thread survived).
-    pub fn caught_panics(&self) -> u64 {
-        self.shared.caught_panics.load(Ordering::Relaxed)
     }
 
     /// Run `f`, which may [`Scope::spawn`] borrowing jobs onto the pool;
@@ -426,9 +416,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
         // The scope wrapper already catches the user job's panic; this
         // second net is for anything that escapes it, so a worker thread
         // can never be lost to an unwind.
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            shared.caught_panics.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 

@@ -99,7 +99,7 @@ pub fn globals_mismatch(
 /// attempt fell back (or was faulted into falling back) — sequential
 /// execution on the master heap must reproduce the interpreter exactly,
 /// so the fault-injection fuzzer asserts it whenever a run reports zero
-/// chunked and zero pipelined activations.
+/// chunked activations.
 pub fn globals_identical_mismatch(
     a: &[(String, Vec<RtVal>)],
     b: &[(String, Vec<RtVal>)],

@@ -11,16 +11,11 @@
 //!   dirty sets back in chunk order (reduction bases start from the
 //!   operator identity in each fork and merge with the declared
 //!   operator; deferred critical updates replay serially — see below);
-//! * **pipelines** a DSWP loop — one thread per stage connected by bounded
-//!   channels; stage 0 drives real control flow and records the block path
-//!   of each iteration, later stages replay the path executing only their
-//!   own instructions, and the cumulative write log reaches the master in
-//!   iteration order;
-//! * **falls back** to sequential execution (HELIX plans, non-canonical
-//!   loops, trips too short — or too cheap, under the activation cost
-//!   model — to split, or any safety condition the realization or the
-//!   runtime itself could not discharge), recording *why* in
-//!   [`FallbackCounts`].
+//! * **falls back** to sequential execution (HELIX and DSWP plans, which
+//!   are enumerated and emulated but never executed; non-canonical loops;
+//!   trips too short — or too cheap, under the activation cost model — to
+//!   split; or any safety condition the realization or the runtime itself
+//!   could not discharge), recording *why* in [`FallbackCounts`].
 //!
 //! ## Execution substrate
 //!
@@ -81,7 +76,6 @@
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use pspdg_ir::interp::{
     const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, opcode_of, EvalFault,
@@ -93,34 +87,18 @@ use pspdg_obs::{ObsHandle, Recorder, SpanGuard};
 use pspdg_parallel::{ParallelProgram, ReductionOp};
 use pspdg_parallelizer::{
     realize_executable, ChunkedLoop, CriticalReplay, ExecutablePlan, LoopExec, LoopSchedule,
-    PipelineLoop, ProgramPlan, RealizationStats, ReplayOp, ReplayProgram, ReplayVal,
+    ProgramPlan, RealizationStats, ReplayOp, ReplayProgram, ReplayVal,
 };
 use pspdg_pdg::MemBase;
-use pspdg_pool::channel::{Channel, RecvTimeout};
 use pspdg_pool::{JobHooks, WorkerPool};
 
 use crate::fault::{FaultInjector, FaultKind};
-
-/// In-flight packets per pipeline stage link (the DSWP decoupling buffer).
-const PIPE_CAPACITY: usize = 8;
 
 /// Default [`Runtime::cost_threshold`]: activations whose estimated
 /// dynamic size (`trip × body_insts`) falls below this skip parallel
 /// setup. Roughly the break-even point where fork + dispatch + commit
 /// overhead matches the interpreter's work on one chunk.
 pub const DEFAULT_COST_THRESHOLD: u64 = 4096;
-
-/// Default [`Runtime::pipeline_min_body`]: pipelines pay a channel hop
-/// per iteration, so bodies below this static instruction count are not
-/// worth decoupling.
-pub const DEFAULT_PIPELINE_MIN_BODY: u32 = 24;
-
-/// Default [`Runtime::stage_watchdog`]: how long a pipeline stage (or the
-/// master collector) waits on a channel before declaring the peer stage
-/// dead and aborting the activation (`stage_timeout` fallback). Generous,
-/// because a healthy stage's hop latency is microseconds — only a dead or
-/// wedged stage ever gets near it; fault-injection tests shrink it.
-pub const DEFAULT_STAGE_WATCHDOG: Duration = Duration::from_secs(5);
 
 /// Why a loop activation executed sequentially instead of in parallel —
 /// one counter per cause, so predicted-vs-measured reports can say *why*
@@ -134,9 +112,6 @@ pub struct FallbackCounts {
     pub short_trip: u64,
     /// The runtime has a single worker, so no activation can split.
     pub single_worker: u64,
-    /// The host has a single hardware lane: decoupled pipeline stages
-    /// would timeshare one core plus channel-hop overhead.
-    pub single_lane: u64,
     /// The activation cost model predicted parallel setup would cost more
     /// than it saves (`trip × body_insts` under the threshold).
     pub below_cost_threshold: u64,
@@ -156,15 +131,6 @@ pub struct FallbackCounts {
     /// Replaying deferred critical packets faulted; the sequential re-run
     /// reproduces the fault in order.
     pub replay_fault: u64,
-    /// A pipeline needed more stage threads than the pool has workers
-    /// even after stage compression (fewer than two effective stages).
-    pub pipeline_overflow: u64,
-    /// A pipeline stage aborted (fault or unreplayable control).
-    pub pipeline_abort: u64,
-    /// A pipeline stage went silent — died or stalled without closing its
-    /// channels — and a watchdog timeout ([`Runtime::stage_watchdog`])
-    /// aborted the activation instead of hanging the master.
-    pub stage_timeout: u64,
     /// Committing a fork's dirty set into the staging heap faulted
     /// mid-walk; the half-applied staging heap is discarded and the loop
     /// re-runs sequentially on the untouched master heap.
@@ -173,7 +139,7 @@ pub struct FallbackCounts {
 
 impl FallbackCounts {
     /// Number of distinct fallback causes (fields of this struct).
-    pub const CAUSES: usize = 14;
+    pub const CAUSES: usize = 10;
 
     /// All `(reason, count)` pairs, in field order — the single source of
     /// truth for serialization (`BENCH_runtime.json`). A completeness
@@ -184,16 +150,12 @@ impl FallbackCounts {
             ("scheduled_sequential", self.scheduled_sequential),
             ("short_trip", self.short_trip),
             ("single_worker", self.single_worker),
-            ("single_lane", self.single_lane),
             ("below_cost_threshold", self.below_cost_threshold),
             ("unevaluable", self.unevaluable),
             ("irregular_control", self.irregular_control),
             ("worker_fault", self.worker_fault),
             ("speculation_fault", self.speculation_fault),
             ("replay_fault", self.replay_fault),
-            ("pipeline_overflow", self.pipeline_overflow),
-            ("pipeline_abort", self.pipeline_abort),
-            ("stage_timeout", self.stage_timeout),
             ("commit_fault", self.commit_fault),
         ]
     }
@@ -209,16 +171,18 @@ impl FallbackCounts {
 pub struct RunStats {
     /// Loop activations executed as chunked DOALL.
     pub chunked_loops: u64,
-    /// Loop activations executed as a stage pipeline.
+    /// Always 0: nothing writes it. Read only by `benchmark/src/trace.rs`
+    /// (the `runtime.parallel_activations` sum), which this crate's PRs may
+    /// not edit; the next `benchmark` PR drops the term and this field.
     pub pipelined_loops: u64,
     /// Loop activations that fell back to sequential execution (the sum
     /// of [`RunStats::fallbacks`]).
     pub sequential_fallbacks: u64,
     /// Per-cause breakdown of `sequential_fallbacks`.
     pub fallbacks: FallbackCounts,
-    /// Jobs handed to the persistent worker pool (chunk workers plus
-    /// pipeline stages across all activations — pool reuse means this can
-    /// far exceed the pool size without spawning a single thread).
+    /// Jobs handed to the persistent worker pool (chunk workers across
+    /// all activations — pool reuse means this can far exceed the pool
+    /// size without spawning a single thread).
     pub pool_dispatches: u64,
     /// Operand packets logged at critical/atomic region entries and
     /// replayed at commit (one per dynamic region execution).
@@ -264,7 +228,6 @@ impl std::fmt::Display for RunStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "run stats")?;
         writeln!(f, "  chunked loops          {:>12}", self.chunked_loops)?;
-        writeln!(f, "  pipelined loops        {:>12}", self.pipelined_loops)?;
         writeln!(
             f,
             "  sequential fallbacks   {:>12}",
@@ -292,18 +255,6 @@ impl std::fmt::Display for RunStats {
     }
 }
 
-/// Hardware threads available to this process (cached). The pipeline
-/// cost gate uses it: decoupled stages cannot outrun sequential
-/// execution while timesharing a single core.
-fn hardware_lanes() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 /// Why a parallel attempt fell back (maps onto one [`FallbackCounts`]
 /// field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,16 +262,12 @@ enum FallbackWhy {
     ScheduledSequential,
     ShortTrip,
     SingleWorker,
-    SingleLane,
     BelowCostThreshold,
     Unevaluable,
     Irregular,
     WorkerFault,
     SpeculationFault,
     ReplayFault,
-    PipelineOverflow,
-    PipelineAbort,
-    StageTimeout,
     CommitFault,
 }
 
@@ -332,16 +279,12 @@ impl FallbackWhy {
             FallbackWhy::ScheduledSequential => "scheduled_sequential",
             FallbackWhy::ShortTrip => "short_trip",
             FallbackWhy::SingleWorker => "single_worker",
-            FallbackWhy::SingleLane => "single_lane",
             FallbackWhy::BelowCostThreshold => "below_cost_threshold",
             FallbackWhy::Unevaluable => "unevaluable",
             FallbackWhy::Irregular => "irregular_control",
             FallbackWhy::WorkerFault => "worker_fault",
             FallbackWhy::SpeculationFault => "speculation_fault",
             FallbackWhy::ReplayFault => "replay_fault",
-            FallbackWhy::PipelineOverflow => "pipeline_overflow",
-            FallbackWhy::PipelineAbort => "pipeline_abort",
-            FallbackWhy::StageTimeout => "stage_timeout",
             FallbackWhy::CommitFault => "commit_fault",
         }
     }
@@ -383,8 +326,6 @@ pub struct Runtime {
     workers: usize,
     fuel: u64,
     cost_threshold: u64,
-    pipeline_min_body: u32,
-    stage_watchdog: Duration,
     /// Deterministic fault source for robustness testing; `None` (the
     /// only production configuration) costs one never-taken branch on
     /// each cold path.
@@ -427,8 +368,6 @@ impl Runtime {
             workers: pspdg_pool::default_width().max(1),
             fuel: 1 << 48,
             cost_threshold: DEFAULT_COST_THRESHOLD,
-            pipeline_min_body: DEFAULT_PIPELINE_MIN_BODY,
-            stage_watchdog: DEFAULT_STAGE_WATCHDOG,
             faults: None,
             obs: None,
             obs_label: "run".to_string(),
@@ -437,10 +376,8 @@ impl Runtime {
     }
 
     /// Override the worker count. Chunked loops split into at most this
-    /// many ranges; pipelines compress their stages down to it (and fall
-    /// back to sequential execution if fewer than two stages remain).
-    /// Resets the worker pool; the next parallel activation re-creates it
-    /// at the new width.
+    /// many ranges. Resets the worker pool; the next parallel activation
+    /// re-creates it at the new width.
     pub fn workers(mut self, n: usize) -> Runtime {
         self.workers = n.max(1);
         self.pool = OnceLock::new();
@@ -465,25 +402,6 @@ impl Runtime {
     /// `0` disables the gate (every eligible activation parallelizes).
     pub fn cost_threshold(mut self, threshold: u64) -> Runtime {
         self.cost_threshold = threshold;
-        self
-    }
-
-    /// Override the pipeline body-size floor
-    /// ([`DEFAULT_PIPELINE_MIN_BODY`]): loops with fewer static body
-    /// instructions are not worth one channel hop per iteration. `0`
-    /// disables the gate entirely, including its hardware-lane check
-    /// (pipelines then run even on a single-core host — useful for
-    /// exercising the pipeline paths in tests).
-    pub fn pipeline_min_body(mut self, min_body: u32) -> Runtime {
-        self.pipeline_min_body = min_body;
-        self
-    }
-
-    /// Override the pipeline stage watchdog ([`DEFAULT_STAGE_WATCHDOG`]):
-    /// how long stages and the master collector wait on a channel before
-    /// presuming the peer stage dead and falling back (`stage_timeout`).
-    pub fn stage_watchdog(mut self, timeout: Duration) -> Runtime {
-        self.stage_watchdog = timeout.max(Duration::from_millis(1));
         self
     }
 
@@ -597,8 +515,6 @@ impl Runtime {
             pool: (self.workers >= 2).then(|| self.pool()),
             workers: self.workers,
             cost_threshold: self.cost_threshold,
-            pipeline_min_body: self.pipeline_min_body,
-            watchdog: self.stage_watchdog,
             faults: self.faults.as_deref(),
             rec,
             obs: rec.map(|r| r.attach(&self.obs_label)),
@@ -608,7 +524,6 @@ impl Runtime {
             output: Vec::new(),
             steps: 0,
             fuel: self.fuel,
-            log: None,
             crit_log: Vec::new(),
             stats: RunStats::default(),
         };
@@ -622,7 +537,6 @@ impl Runtime {
         if let Some(sp) = run_span.as_mut() {
             sp.arg("steps", engine.steps);
             sp.arg("chunked", stats.chunked_loops);
-            sp.arg("pipelined", stats.pipelined_loops);
             sp.arg("fallbacks", stats.sequential_fallbacks);
         }
         // The master shard must flush before the caller snapshots.
@@ -681,9 +595,9 @@ enum ParAbort {
     Spec(#[allow(dead_code)] ExecError),
 }
 
-/// The interpreter core shared by the master, chunk workers, and pipeline
-/// stages. Exactly one of them holds `plan: Some(..)` (the master); forks
-/// never trigger nested parallelism.
+/// The interpreter core shared by the master and chunk workers. Exactly
+/// one of them holds `plan: Some(..)` (the master); forks never trigger
+/// nested parallelism.
 struct Engine<'a> {
     module: &'a Module,
     plan: Option<&'a ExecutablePlan>,
@@ -691,15 +605,12 @@ struct Engine<'a> {
     pool: Option<&'a WorkerPool>,
     workers: usize,
     cost_threshold: u64,
-    pipeline_min_body: u32,
-    /// Stage channel watchdog (pipeline activations).
-    watchdog: Duration,
-    /// Deterministic fault source; shared by the master, chunk workers,
-    /// and pipeline stages so site counters are global.
+    /// Deterministic fault source; shared by the master and chunk workers
+    /// so site counters are global.
     faults: Option<&'a FaultInjector>,
     /// Observability sink (already gated on [`Recorder::enabled`]:
-    /// `Some` here means record). Shared by master, chunk workers, and
-    /// pipeline stages so spans land in one stream.
+    /// `Some` here means record). Shared by master and chunk workers so
+    /// spans land in one stream.
     rec: Option<&'a Arc<Recorder>>,
     /// This engine's opcode shard (master: labeled context, switching
     /// to the loop context during sequential loop execution; workers:
@@ -713,9 +624,6 @@ struct Engine<'a> {
     output: Vec<String>,
     steps: u64,
     fuel: u64,
-    /// Ordered write log (pipeline stages only; chunk workers commit
-    /// through the fork's dirty set instead).
-    log: Option<Vec<(MemAddr, RtVal)>>,
     /// Logged operand packets `(region index, fork-local operand values)`
     /// in execution order (chunk workers only).
     crit_log: Vec<(u32, Vec<RtVal>)>,
@@ -795,16 +703,12 @@ impl<'a> Engine<'a> {
             FallbackWhy::ScheduledSequential => c.scheduled_sequential += 1,
             FallbackWhy::ShortTrip => c.short_trip += 1,
             FallbackWhy::SingleWorker => c.single_worker += 1,
-            FallbackWhy::SingleLane => c.single_lane += 1,
             FallbackWhy::BelowCostThreshold => c.below_cost_threshold += 1,
             FallbackWhy::Unevaluable => c.unevaluable += 1,
             FallbackWhy::Irregular => c.irregular_control += 1,
             FallbackWhy::WorkerFault => c.worker_fault += 1,
             FallbackWhy::SpeculationFault => c.speculation_fault += 1,
             FallbackWhy::ReplayFault => c.replay_fault += 1,
-            FallbackWhy::PipelineOverflow => c.pipeline_overflow += 1,
-            FallbackWhy::PipelineAbort => c.pipeline_abort += 1,
-            FallbackWhy::StageTimeout => c.stage_timeout += 1,
             FallbackWhy::CommitFault => c.commit_fault += 1,
         }
     }
@@ -853,27 +757,12 @@ impl<'a> Engine<'a> {
                             }
                             self.finish_activation(sp.as_mut(), outcome, before);
                         }
-                        LoopExec::Pipeline(p) => {
-                            let before = self.stats;
-                            let mut sp = self.activation_span(f, block, "pipeline");
-                            let res = self.run_pipeline(func_id, f, &mut frame, sched, p)?;
-                            self.finish_activation(sp.as_mut(), res.err(), before);
-                            match res {
-                                Ok(exit) => {
-                                    self.stats.pipelined_loops += 1;
-                                    block = exit;
-                                    continue;
-                                }
-                                Err(why) => self.note_fallback(why),
-                            }
-                        }
                         LoopExec::Sequential { .. } => {
                             self.note_fallback(FallbackWhy::ScheduledSequential);
                         }
                     }
-                    // Unless a pipeline ran the loop to its exit, the master
-                    // now executes the header sequentially (a completed
-                    // chunked run exits through it immediately).
+                    // The master now executes the header sequentially (a
+                    // completed chunked run exits through it immediately).
                     no_par.push((sched, lctx));
                 }
             }
@@ -902,8 +791,8 @@ impl<'a> Engine<'a> {
     }
 
     /// This crate's one body of instruction semantics, compiled into each
-    /// caller's loop (a block, a critical slice, a stage's share of a block)
-    /// so `steps`, `fuel` and the frame stay in machine registers across it
+    /// caller's loop (a block, a critical slice) so `steps`, `fuel` and the
+    /// frame stay in machine registers across it
     /// and no `Result<Flow, _>` goes through memory per instruction.
     #[inline(always)]
     fn exec_inst(
@@ -975,9 +864,6 @@ impl<'a> Engine<'a> {
                 let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
                 let v = frame.eval(&self.mem, *value);
                 self.mem.write(addr, v);
-                if let Some(log) = &mut self.log {
-                    log.push((addr, v));
-                }
             }
             Inst::Br { target } => return Ok(Flow::Jump(*target)),
             Inst::Cmp { op, lhs, rhs } => {
@@ -1079,7 +965,7 @@ impl<'a> Engine<'a> {
         let Some(init) = self.mem.read(iv_addr).as_int() else {
             return Ok(Some(FallbackWhy::Unevaluable));
         };
-        let Some(bound) = self.eval_bound(f, frame, sched, c) else {
+        let Some(bound) = self.eval_bound(f, frame, c) else {
             return Ok(Some(FallbackWhy::Unevaluable));
         };
         let trip = trip_count_from(init, bound, c.step, c.cmp_op);
@@ -1161,7 +1047,6 @@ impl<'a> Engine<'a> {
         // Workers profile into the loop's context: their instructions
         // are this loop's work, whichever thread ran them.
         let obs_ctx = rec.map(|_| self.loop_context(f, sched.header));
-        let watchdog = self.watchdog;
         let mut slots: Vec<Option<Result<ChunkOut, ParAbort>>> =
             ranges.iter().map(|_| None).collect();
         // `scope_catch`: a panicked chunk worker (organic or injected)
@@ -1202,8 +1087,6 @@ impl<'a> Engine<'a> {
                         pool: None,
                         workers: 1,
                         cost_threshold: 0,
-                        pipeline_min_body: 0,
-                        watchdog,
                         faults,
                         rec,
                         obs: rec.zip(obs_ctx).map(|(r, c)| r.attach_ctx(c)),
@@ -1213,7 +1096,6 @@ impl<'a> Engine<'a> {
                         output: Vec::new(),
                         steps: 0,
                         fuel: fuel_left,
-                        log: None,
                         crit_log: Vec::new(),
                         stats: RunStats::default(),
                     };
@@ -1355,40 +1237,28 @@ impl<'a> Engine<'a> {
     }
 
     /// Evaluate a canonical loop's invariant bound at loop entry.
-    fn eval_bound(
-        &self,
-        f: &Function,
-        frame: &Frame,
-        sched: &LoopSchedule,
-        c: &ChunkedLoop,
-    ) -> Option<i64> {
+    fn eval_bound(&self, f: &Function, frame: &Frame, c: &ChunkedLoop) -> Option<i64> {
         match c.bound {
             Value::Const(k) => const_val(k).as_int(),
             Value::Param(p) => frame.args.get(p).and_then(RtVal::as_int),
             Value::Global(_) => None,
-            Value::Inst(i) => {
-                let owner = f.inst_blocks();
-                let in_loop = owner[i.index()].is_some_and(|bb| sched.contains(bb));
-                if !in_loop {
-                    return frame.regs[i.index()].as_int();
-                }
-                // In-loop bound: canonicality guarantees it is a load of a
-                // slot the loop never stores to; read the slot directly.
-                match &f.inst(i).inst {
-                    Inst::Load { ptr, .. } => {
-                        let obj = match ptr {
-                            Value::Global(g) => self.mem.global_object(*g),
-                            Value::Inst(a) => match frame.regs[a.index()] {
-                                RtVal::Ptr { obj, .. } => obj,
-                                _ => return None,
-                            },
+            Value::Inst(i) if !c.bound_in_loop => frame.regs[i.index()].as_int(),
+            // In-loop bound: canonicality guarantees it is a load of a
+            // slot the loop never stores to; read the slot directly.
+            Value::Inst(i) => match &f.inst(i).inst {
+                Inst::Load { ptr, .. } => {
+                    let obj = match ptr {
+                        Value::Global(g) => self.mem.global_object(*g),
+                        Value::Inst(a) => match frame.regs[a.index()] {
+                            RtVal::Ptr { obj, .. } => obj,
                             _ => return None,
-                        };
-                        self.mem.read(MemAddr { obj, off: 0 }).as_int()
-                    }
-                    _ => None,
+                        },
+                        _ => return None,
+                    };
+                    self.mem.read(MemAddr { obj, off: 0 }).as_int()
                 }
-            }
+                _ => None,
+            },
         }
     }
 
@@ -1467,412 +1337,6 @@ impl<'a> Engine<'a> {
         self.crit_log.push((idx, packet));
         Ok(())
     }
-
-    // ---- DSWP pipeline ---------------------------------------------------
-
-    /// Try to execute a pipelined activation. Returns `Ok(Ok(exit))`
-    /// (memory, output, and steps already folded into the master) on
-    /// success, `Ok(Err(why))` (master untouched) to fall back.
-    fn run_pipeline(
-        &mut self,
-        func_id: FuncId,
-        f: &Function,
-        frame: &mut Frame,
-        sched: &LoopSchedule,
-        p: &PipelineLoop,
-    ) -> Result<Result<BlockId, FallbackWhy>, ExecError> {
-        let Some(pool) = self.pool else {
-            return Ok(Err(FallbackWhy::SingleWorker));
-        };
-        // Pipeline cost gate: channel hops cost real time per *iteration*
-        // (unlike chunking's per-activation overhead), so tiny bodies are
-        // not worth decoupling — and without at least two hardware lanes
-        // the stages only timeshare one core plus hop overhead, so the
-        // gate also requires real parallel hardware. Each refusal records
-        // its own cause. Setting `pipeline_min_body(0)` disables both
-        // checks (tests use this to exercise the pipeline paths on any
-        // machine).
-        if self.pipeline_min_body > 0 {
-            if sched.body_insts < self.pipeline_min_body {
-                return Ok(Err(FallbackWhy::BelowCostThreshold));
-            }
-            if hardware_lanes() < 2 {
-                return Ok(Err(FallbackWhy::SingleLane));
-            }
-        }
-        // The worker count bounds stage concurrency. A pipeline needing
-        // more stage threads than the pool has workers is *compressed*:
-        // stage `s` maps to `min(s, workers − 1)`. The map is monotone,
-        // keeps stage 0 intact, and maps equal stages to equal stages, so
-        // every validated constraint (terminators in stage 0, forward
-        // dependences, carried deps same-stage) is preserved.
-        let stages = (p.stages as usize).min(self.workers);
-        if stages < 2 {
-            return Ok(Err(FallbackWhy::PipelineOverflow));
-        }
-        let compressed: Option<HashMap<InstId, u32>> = (stages < p.stages as usize).then(|| {
-            p.stage_of
-                .iter()
-                .map(|(i, s)| (*i, (*s).min(stages as u32 - 1)))
-                .collect()
-        });
-        let stage_of: &HashMap<InstId, u32> = compressed.as_ref().unwrap_or(&p.stage_of);
-        let fuel_left = self.fuel.saturating_sub(self.steps);
-        let chans: Vec<Channel<PipeMsg>> = (0..stages)
-            .map(|_| Channel::bounded(PIPE_CAPACITY))
-            .collect();
-        // Register indices each stage must import from upstream packets.
-        let upstream: Vec<Vec<usize>> = (0..stages)
-            .map(|s| {
-                stage_of
-                    .iter()
-                    .filter(|(_, st)| (**st as usize) < s)
-                    .map(|(i, _)| i.index())
-                    .collect()
-            })
-            .collect();
-        let module = self.module;
-        let master_mem = &self.mem;
-        let cost_threshold = self.cost_threshold;
-        let watchdog = self.watchdog;
-        let faults = self.faults;
-        let rec = self.rec;
-        let obs_label = self.obs_label;
-        let obs_ctx = rec.map(|_| self.loop_context(f, sched.header));
-        // `scope_catch`: a panicked stage (organic or injected) leaves its
-        // channels open and silent — the watchdog timeouts below turn
-        // that into a `stage_timeout` fallback instead of a wedged master
-        // or a master panic.
-        let (result, _stage_panicked): (PipeCollected, bool) = pool.scope_catch(|scope| {
-            for (s, chan) in chans.iter().enumerate() {
-                let input = (s > 0).then(|| chans[s - 1].clone());
-                let output = chan.clone();
-                let mem = master_mem.clone();
-                let regs = frame.regs.clone();
-                let args = frame.args.clone();
-                let imports = upstream[s].clone();
-                scope.spawn(move || {
-                    let _stage_span = rec.map(|r| {
-                        let mut sp = r.span("runtime/stage", "runtime");
-                        sp.arg("stage", s);
-                        sp
-                    });
-                    let mut engine = Engine {
-                        module,
-                        plan: None,
-                        // Pipeline stages stay interpreted: their write
-                        // logs and stage-replay semantics are the oracle.
-                        pool: None,
-                        workers: 1,
-                        cost_threshold,
-                        pipeline_min_body: 0,
-                        watchdog,
-                        faults,
-                        rec,
-                        obs: rec.zip(obs_ctx).map(|(r, c)| r.attach_ctx(c)),
-                        obs_label,
-                        last_trip: 0,
-                        mem,
-                        output: Vec::new(),
-                        steps: 0,
-                        fuel: fuel_left,
-                        log: Some(Vec::new()),
-                        crit_log: Vec::new(),
-                        stats: RunStats::default(),
-                    };
-                    let mut sframe = Frame { regs, args };
-                    match input {
-                        None => {
-                            engine.pipeline_drive(func_id, f, &mut sframe, sched, stage_of, &output)
-                        }
-                        Some(input) => engine.pipeline_replay(
-                            func_id,
-                            f,
-                            &mut sframe,
-                            stage_of,
-                            s as u32,
-                            &imports,
-                            &input,
-                            &output,
-                        ),
-                    }
-                });
-            }
-            // Master collector (runs on the master thread, concurrently
-            // with the stage jobs): stage writes land in a staging heap
-            // so an abort leaves the real heap untouched. Closing
-            // *every* channel on abort unblocks any stage still
-            // sending into a full queue, so the scope joins promptly
-            // even when a mid-pipeline stage died silently.
-            let input = chans[stages - 1].clone();
-            let close_all = |chans: &[Channel<PipeMsg>]| {
-                for ch in chans {
-                    ch.close();
-                }
-            };
-            let mut staging = master_mem.clone();
-            let mut lines = Vec::new();
-            let mut steps = 0u64;
-            loop {
-                match input.recv_deadline(watchdog) {
-                    Err(RecvTimeout::TimedOut) => {
-                        close_all(&chans);
-                        return Err(true);
-                    }
-                    Err(RecvTimeout::Closed) => {
-                        close_all(&chans);
-                        return Err(false);
-                    }
-                    Ok(PipeMsg::Abort { timeout }) => {
-                        close_all(&chans);
-                        return Err(timeout);
-                    }
-                    Ok(PipeMsg::Iter(pkt)) => {
-                        staging.apply(&pkt.writes);
-                        lines.extend(pkt.output);
-                        steps = steps.saturating_add(pkt.steps);
-                    }
-                    Ok(PipeMsg::Exit { packet, exit }) => {
-                        staging.apply(&packet.writes);
-                        lines.extend(packet.output);
-                        steps = steps.saturating_add(packet.steps);
-                        return Ok((staging, lines, steps, exit));
-                    }
-                }
-            }
-        });
-        self.stats.pool_dispatches += stages as u64;
-        match result {
-            Ok((mem, lines, steps, exit)) => {
-                self.mem = mem;
-                self.output.extend(lines);
-                self.steps = self.steps.saturating_add(steps);
-                Ok(Ok(exit))
-            }
-            Err(true) => Ok(Err(FallbackWhy::StageTimeout)),
-            Err(false) => Ok(Err(FallbackWhy::PipelineAbort)),
-        }
-    }
-
-    /// Stage 0: drive real control flow, record each iteration's block
-    /// path, and execute only stage-0 instructions.
-    fn pipeline_drive(
-        &mut self,
-        func_id: FuncId,
-        f: &Function,
-        frame: &mut Frame,
-        sched: &LoopSchedule,
-        stage_of: &HashMap<InstId, u32>,
-        out: &Channel<PipeMsg>,
-    ) {
-        let mut sent_steps = 0u64;
-        let mut block = sched.header;
-        loop {
-            let mut path: Vec<BlockId> = Vec::new();
-            let mut cur = block;
-            let end: Result<Option<BlockId>, ()> = 'iter: loop {
-                path.push(cur);
-                let mut flow = Flow::Next;
-                for &i in &f.block(cur).insts {
-                    if stage_of.get(&i) != Some(&0) {
-                        continue;
-                    }
-                    match self.exec_inst(func_id, f, frame, i) {
-                        Ok(fl) => {
-                            if !matches!(fl, Flow::Next) {
-                                flow = fl;
-                            }
-                        }
-                        Err(_) => break 'iter Err(()),
-                    }
-                }
-                match flow {
-                    Flow::Jump(t) if t == sched.header => break Ok(None),
-                    Flow::Jump(t) if !sched.contains(t) => break Ok(Some(t)),
-                    Flow::Jump(t) => cur = t,
-                    // A `ret` inside the loop (or a block whose terminator
-                    // is missing from stage 0) cannot be pipelined.
-                    Flow::Return(_) | Flow::Next => break Err(()),
-                }
-            };
-            let packet = Packet {
-                path,
-                regs: frame.regs.clone(),
-                writes: self.log.as_mut().map(std::mem::take).unwrap_or_default(),
-                output: std::mem::take(&mut self.output),
-                steps: self.steps - sent_steps,
-            };
-            sent_steps = self.steps;
-            match self.faults.and_then(FaultInjector::on_stage_send) {
-                // Stall: die silently — channels stay open, nothing is
-                // signalled. Only the downstream watchdog can notice.
-                Some(kind @ FaultKind::StageStall) => {
-                    self.fault_instant(kind);
-                    return;
-                }
-                Some(kind @ FaultKind::WorkerPanic) => {
-                    self.fault_instant(kind);
-                    panic!("injected stage panic (drive)")
-                }
-                _ => {}
-            }
-            match end {
-                Ok(None) => {
-                    if self.stage_send(out, PipeMsg::Iter(packet)).is_err() {
-                        return; // downstream aborted or dead
-                    }
-                    block = sched.header;
-                }
-                Ok(Some(exit)) => {
-                    let _ = self.stage_send(out, PipeMsg::Exit { packet, exit });
-                    return;
-                }
-                Err(()) => {
-                    let _ = self.stage_send(out, PipeMsg::Abort { timeout: false });
-                    return;
-                }
-            }
-        }
-    }
-
-    /// A stage's watchdog-guarded send: gives up (returning `Err`) when
-    /// the channel closed *or* stayed full past the watchdog — either way
-    /// the downstream consumer is gone and this stage should wind down.
-    fn stage_send(&self, out: &Channel<PipeMsg>, msg: PipeMsg) -> Result<(), ()> {
-        out.send_timeout(msg, self.watchdog).map_err(|_| ())
-    }
-
-    /// Stages ≥ 1: replay recorded paths, executing only this stage's
-    /// instructions, and extend the cumulative packet.
-    #[allow(clippy::too_many_arguments)]
-    fn pipeline_replay(
-        &mut self,
-        func_id: FuncId,
-        f: &Function,
-        frame: &mut Frame,
-        stage_of: &HashMap<InstId, u32>,
-        stage: u32,
-        imports: &[usize],
-        input: &Channel<PipeMsg>,
-        out: &Channel<PipeMsg>,
-    ) {
-        let mut sent_steps = 0u64;
-        loop {
-            match self.faults.and_then(FaultInjector::on_stage_recv) {
-                // Stall: stop receiving without closing anything — the
-                // upstream sender eventually blocks on a full channel and
-                // the downstream watchdog trips.
-                Some(kind @ FaultKind::StageStall) => {
-                    self.fault_instant(kind);
-                    return;
-                }
-                Some(kind @ FaultKind::WorkerPanic) => {
-                    self.fault_instant(kind);
-                    panic!("injected stage panic (replay)")
-                }
-                _ => {}
-            }
-            let msg = match input.recv_deadline(self.watchdog) {
-                Err(RecvTimeout::Closed) => return,
-                // Upstream went silent: propagate a timeout abort so the
-                // master attributes the fallback to the watchdog.
-                Err(RecvTimeout::TimedOut) => {
-                    input.close();
-                    let _ = self.stage_send(out, PipeMsg::Abort { timeout: true });
-                    return;
-                }
-                Ok(m) => m,
-            };
-            let (mut packet, exit) = match msg {
-                PipeMsg::Abort { timeout } => {
-                    input.close();
-                    let _ = self.stage_send(out, PipeMsg::Abort { timeout });
-                    return;
-                }
-                PipeMsg::Iter(pkt) => (pkt, None),
-                PipeMsg::Exit { packet, exit } => (packet, Some(exit)),
-            };
-            // Import upstream register values and memory effects.
-            for &idx in imports {
-                frame.regs[idx] = packet.regs[idx];
-            }
-            self.mem.apply(&packet.writes);
-            let mut failed = false;
-            'replay: for &bb in &packet.path {
-                for &i in &f.block(bb).insts {
-                    if stage_of.get(&i) != Some(&stage) {
-                        continue;
-                    }
-                    match self.exec_inst(func_id, f, frame, i) {
-                        Ok(Flow::Next) => {}
-                        // Stage > 0 never owns terminators/calls
-                        // (validated); anything else is a fault.
-                        _ => {
-                            failed = true;
-                            break 'replay;
-                        }
-                    }
-                }
-            }
-            if failed {
-                input.close();
-                let _ = self.stage_send(out, PipeMsg::Abort { timeout: false });
-                return;
-            }
-            if let Some(log) = &mut self.log {
-                packet.writes.append(log);
-            }
-            packet.output.extend(std::mem::take(&mut self.output));
-            packet.steps = packet.steps.saturating_add(self.steps - sent_steps);
-            sent_steps = self.steps;
-            packet.regs.clone_from(&frame.regs);
-            match exit {
-                None => {
-                    if self.stage_send(out, PipeMsg::Iter(packet)).is_err() {
-                        input.close();
-                        return;
-                    }
-                }
-                Some(exit) => {
-                    let _ = self.stage_send(out, PipeMsg::Exit { packet, exit });
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// One pipeline iteration's state in flight.
-struct Packet {
-    /// Blocks the iteration executed, in order (starts at the header).
-    path: Vec<BlockId>,
-    /// Register file after the sending stage ran the iteration.
-    regs: Vec<RtVal>,
-    /// Cumulative writes of all stages so far, in execution order.
-    writes: Vec<(MemAddr, RtVal)>,
-    /// Cumulative output lines.
-    output: Vec<String>,
-    /// Cumulative dynamic instructions.
-    steps: u64,
-}
-
-/// What the pipeline master collector returns out of the stage scope: the
-/// staging heap, printed lines, dynamic steps, and the loop's exit block —
-/// or `Err(timed_out)`, where `true` means a watchdog expiry (vs an
-/// organic stage abort) for fallback attribution.
-type PipeCollected = Result<(MemState, Vec<String>, u64, BlockId), bool>;
-
-enum PipeMsg {
-    Iter(Packet),
-    Exit {
-        packet: Packet,
-        exit: BlockId,
-    },
-    /// The pipeline is dead; `timeout` records whether a watchdog (vs an
-    /// organic stage abort) detected it, for fallback attribution.
-    Abort {
-        timeout: bool,
-    },
 }
 
 /// Execute one logged packet's replay program against the staging heap:

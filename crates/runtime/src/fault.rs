@@ -6,12 +6,11 @@
 //! this module, those recovery paths were reached only *incidentally* —
 //! by kernels that happened to fault. [`FaultPlan`] and [`FaultInjector`]
 //! make every one of them provable on demand: a plan names exact dynamic
-//! points (*the nth pool job, the nth chunk worker, the nth pipeline
-//! stage send/recv, the nth critical replay packet, the nth heap
-//! commit*) and the fault to raise there, and the injector fires each
-//! injection exactly once when execution reaches its point — fully
-//! deterministically, so a failing fault schedule replays bit-for-bit
-//! from its seed.
+//! points (*the nth pool job, the nth chunk worker, the nth critical
+//! slice, the nth critical replay packet, the nth heap commit*) and the
+//! fault to raise there, and the injector fires each injection exactly
+//! once when execution reaches its point — fully deterministically, so a
+//! failing fault schedule replays bit-for-bit from its seed.
 //!
 //! ## Wiring
 //!
@@ -19,20 +18,18 @@
 //! [`Runtime::fault_injector`](crate::Runtime::fault_injector) and
 //! threaded as an `Option<Arc<FaultInjector>>`: with no injector the
 //! runtime pays a single never-taken branch on each *cold* path
-//! (activation setup, packet replay, fork commit, stage channel hops,
-//! pool job pickup) — no `#[cfg]`, so release binaries exercise the same
-//! code CI fuzzes.
+//! (activation setup, packet replay, fork commit, pool job pickup) — no
+//! `#[cfg]`, so release binaries exercise the same code CI fuzzes.
 //!
 //! ## What each fault proves
 //!
 //! | [`FaultKind`] | site family | expected recovery |
 //! |---|---|---|
-//! | [`WorkerPanic`](FaultKind::WorkerPanic) | chunk worker / stage send/recv | panic caught, activation falls back (`worker_fault`) or stage watchdog trips (`stage_timeout`) |
+//! | [`WorkerPanic`](FaultKind::WorkerPanic) | chunk worker | panic caught, activation falls back (`worker_fault`) |
 //! | [`WorkerFault`](FaultKind::WorkerFault) | chunk worker | fork discarded, sequential re-run (`worker_fault`) |
 //! | [`SpeculationFault`](FaultKind::SpeculationFault) | critical slice | speculative slice aborts, sequential re-run decides (`speculation_fault`) |
 //! | [`ReplayFault`](FaultKind::ReplayFault) | replay packet | staging heap discarded mid-commit (`replay_fault`) |
 //! | [`CommitFault`](FaultKind::CommitFault) | heap commit | half-applied staging heap discarded (`commit_fault`) |
-//! | [`StageStall`](FaultKind::StageStall) | stage send/recv | stage dies *silently*; watchdog timeouts abort the activation (`stage_timeout`) instead of hanging the master |
 //! | [`ThreadDeath`](FaultKind::ThreadDeath) | pool job | worker thread dies; the pool requeues its job and **respawns** the thread — no fallback at all |
 //!
 //! The differential fuzz suite (`tests/fault_fuzz.rs`) closes the loop:
@@ -48,9 +45,8 @@ use std::sync::{Arc, Mutex};
 /// The fault to raise when an injection's site is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Panic the job (a chunk worker or pipeline stage). The pool catches
-    /// it; a chunked activation falls back, a pipeline loses the stage
-    /// silently and the watchdog aborts the activation.
+    /// Panic the chunk-worker job. The pool catches it and the activation
+    /// falls back.
     WorkerPanic,
     /// Raise a synthetic [`ExecError::Injected`](pspdg_ir::interp::ExecError)
     /// inside a chunk worker, as if an instruction faulted.
@@ -63,10 +59,6 @@ pub enum FaultKind {
     /// Fault mid-walk while committing a fork's dirty set into the
     /// staging heap.
     CommitFault,
-    /// The stage stops dead — returns without closing its channels or
-    /// signalling anyone, the way a deadlocked or killed stage behaves.
-    /// Only the stage watchdog can recover from this one.
-    StageStall,
     /// The pool worker thread picking up the job dies. The pool must
     /// requeue the job and respawn the thread; execution completes with
     /// no fallback at all.
@@ -83,23 +75,19 @@ impl FaultKind {
             FaultKind::SpeculationFault => "fault/speculation_fault",
             FaultKind::ReplayFault => "fault/replay_fault",
             FaultKind::CommitFault => "fault/commit_fault",
-            FaultKind::StageStall => "fault/stage_stall",
             FaultKind::ThreadDeath => "fault/thread_death",
         }
     }
 
     /// Whether this fault may be injected at `site` (each site family
     /// supports the faults that can physically occur there).
-    pub fn valid_at(self, site: FaultSite) -> bool {
+    pub(crate) fn valid_at(self, site: FaultSite) -> bool {
         match site {
             FaultSite::PoolJob(_) => matches!(self, FaultKind::ThreadDeath),
             FaultSite::ChunkWorker(_) => {
                 matches!(self, FaultKind::WorkerPanic | FaultKind::WorkerFault)
             }
             FaultSite::CritSlice(_) => matches!(self, FaultKind::SpeculationFault),
-            FaultSite::StageSend(_) | FaultSite::StageRecv(_) => {
-                matches!(self, FaultKind::StageStall | FaultKind::WorkerPanic)
-            }
             FaultSite::ReplayPacket(_) => matches!(self, FaultKind::ReplayFault),
             FaultSite::HeapCommit(_) => matches!(self, FaultKind::CommitFault),
         }
@@ -111,17 +99,12 @@ impl FaultKind {
 /// activations *and* `run` calls).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// The nth job any pool worker picks up (chunk workers and pipeline
-    /// stages alike).
+    /// The nth job any pool worker picks up.
     PoolJob(u64),
     /// The nth chunk-worker job dispatched.
     ChunkWorker(u64),
     /// The nth speculative critical-region slice a chunk worker enters.
     CritSlice(u64),
-    /// The nth packet send attempted by a pipeline stage.
-    StageSend(u64),
-    /// The nth packet receive attempted by a pipeline stage (stage ≥ 1).
-    StageRecv(u64),
     /// The nth critical replay packet the master commits.
     ReplayPacket(u64),
     /// The nth fork dirty-set commit into a staging heap.
@@ -134,10 +117,8 @@ impl FaultSite {
             FaultSite::PoolJob(_) => 0,
             FaultSite::ChunkWorker(_) => 1,
             FaultSite::CritSlice(_) => 2,
-            FaultSite::StageSend(_) => 3,
-            FaultSite::StageRecv(_) => 4,
-            FaultSite::ReplayPacket(_) => 5,
-            FaultSite::HeapCommit(_) => 6,
+            FaultSite::ReplayPacket(_) => 3,
+            FaultSite::HeapCommit(_) => 4,
         }
     }
 
@@ -146,8 +127,6 @@ impl FaultSite {
             FaultSite::PoolJob(n)
             | FaultSite::ChunkWorker(n)
             | FaultSite::CritSlice(n)
-            | FaultSite::StageSend(n)
-            | FaultSite::StageRecv(n)
             | FaultSite::ReplayPacket(n)
             | FaultSite::HeapCommit(n) => n,
         }
@@ -155,7 +134,7 @@ impl FaultSite {
 }
 
 /// Number of [`FaultSite`] families (one dispatch counter each).
-const FAMILIES: usize = 7;
+const FAMILIES: usize = 5;
 
 /// One planned injection: raise `kind` the moment execution reaches
 /// `site`.
@@ -187,9 +166,9 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `kind` cannot occur at `site` (see
-    /// [`FaultKind::valid_at`]) — a malformed plan is a programming error,
-    /// not a runtime condition.
+    /// Panics if `kind` cannot occur at `site` (each site family supports
+    /// the faults the module table lists for it) — a malformed plan is a
+    /// programming error, not a runtime condition.
     #[must_use]
     pub fn inject(mut self, site: FaultSite, kind: FaultKind) -> FaultPlan {
         assert!(
@@ -218,9 +197,7 @@ impl FaultPlan {
                 0 => FaultSite::PoolJob(n),
                 1 => FaultSite::ChunkWorker(n),
                 2 => FaultSite::CritSlice(n),
-                3 => FaultSite::StageSend(n),
-                4 => FaultSite::StageRecv(n),
-                5 => FaultSite::ReplayPacket(n),
+                3 => FaultSite::ReplayPacket(n),
                 _ => FaultSite::HeapCommit(n),
             };
             let kind = match site {
@@ -233,13 +210,6 @@ impl FaultPlan {
                     }
                 }
                 FaultSite::CritSlice(_) => FaultKind::SpeculationFault,
-                FaultSite::StageSend(_) | FaultSite::StageRecv(_) => {
-                    if rng.below(2) == 0 {
-                        FaultKind::StageStall
-                    } else {
-                        FaultKind::WorkerPanic
-                    }
-                }
                 FaultSite::ReplayPacket(_) => FaultKind::ReplayFault,
                 FaultSite::HeapCommit(_) => FaultKind::CommitFault,
             };
@@ -250,8 +220,8 @@ impl FaultPlan {
 }
 
 /// The runtime half of a [`FaultPlan`]: per-family dispatch counters plus
-/// a fired log. Sharable across the master, pool workers, and stage
-/// threads (`Arc`); every check is one atomic `fetch_add` on a cold path.
+/// a fired log. Sharable across the master and pool workers (`Arc`);
+/// every check is one atomic `fetch_add` on a cold path.
 ///
 /// Counters are **cumulative over the injector's lifetime**: an injection
 /// addressed at `ChunkWorker(3)` fires on the 4th chunk-worker job the
@@ -309,37 +279,27 @@ impl FaultInjector {
     }
 
     /// Site hook: a pool worker picked up a job.
-    pub fn on_pool_job(&self) -> Option<FaultKind> {
+    pub(crate) fn on_pool_job(&self) -> Option<FaultKind> {
         self.check(FaultSite::PoolJob(0))
     }
 
     /// Site hook: a chunk-worker job is starting.
-    pub fn on_chunk_worker(&self) -> Option<FaultKind> {
+    pub(crate) fn on_chunk_worker(&self) -> Option<FaultKind> {
         self.check(FaultSite::ChunkWorker(0))
     }
 
     /// Site hook: a worker entered a critical region's speculative slice.
-    pub fn on_crit_slice(&self) -> Option<FaultKind> {
+    pub(crate) fn on_crit_slice(&self) -> Option<FaultKind> {
         self.check(FaultSite::CritSlice(0))
     }
 
-    /// Site hook: a pipeline stage is about to send a packet.
-    pub fn on_stage_send(&self) -> Option<FaultKind> {
-        self.check(FaultSite::StageSend(0))
-    }
-
-    /// Site hook: a pipeline stage is about to receive a packet.
-    pub fn on_stage_recv(&self) -> Option<FaultKind> {
-        self.check(FaultSite::StageRecv(0))
-    }
-
     /// Site hook: the master is about to replay a critical packet.
-    pub fn on_replay_packet(&self) -> Option<FaultKind> {
+    pub(crate) fn on_replay_packet(&self) -> Option<FaultKind> {
         self.check(FaultSite::ReplayPacket(0))
     }
 
     /// Site hook: the master is about to commit one fork's dirty set.
-    pub fn on_heap_commit(&self) -> Option<FaultKind> {
+    pub(crate) fn on_heap_commit(&self) -> Option<FaultKind> {
         self.check(FaultSite::HeapCommit(0))
     }
 
@@ -354,7 +314,8 @@ impl FaultInjector {
     }
 
     /// How many fired injections raised `kind`.
-    pub fn fired_of(&self, kind: FaultKind) -> u64 {
+    #[cfg(test)]
+    fn fired_of(&self, kind: FaultKind) -> u64 {
         self.fired().iter().filter(|inj| inj.kind == kind).count() as u64
     }
 }
@@ -374,7 +335,7 @@ impl Rng64 {
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -433,15 +394,15 @@ mod tests {
     #[test]
     fn families_count_independently() {
         let inj = FaultInjector::new(FaultPlan::single(
-            FaultSite::StageRecv(1),
-            FaultKind::StageStall,
+            FaultSite::CritSlice(1),
+            FaultKind::SpeculationFault,
         ));
-        // Other families advance without disturbing StageRecv's counter.
-        assert_eq!(inj.on_stage_send(), None);
+        // Other families advance without disturbing CritSlice's counter.
+        assert_eq!(inj.on_chunk_worker(), None);
         assert_eq!(inj.on_pool_job(), None);
         assert_eq!(inj.on_heap_commit(), None);
-        assert_eq!(inj.on_stage_recv(), None);
-        assert_eq!(inj.on_stage_recv(), Some(FaultKind::StageStall));
+        assert_eq!(inj.on_crit_slice(), None);
+        assert_eq!(inj.on_crit_slice(), Some(FaultKind::SpeculationFault));
     }
 
     #[test]

@@ -15,15 +15,14 @@
 //!                        │ master thread interprets sequentially;
 //!                        │ a persistent WorkerPool serves every
 //!                        │ parallel activation (no per-loop spawns)
-//!         ┌──────────────┼──────────────────┐
-//!         ▼              ▼                  ▼
-//!     Chunked        Pipeline          Sequential
-//!   (DOALL: CoW     (DSWP: stage     (anything unproven
-//!    forks, dirty-   jobs over        or under the cost
-//!    set commit,     bounded chans,   threshold: exact
-//!    critical        stages com-      sequential order,
-//!    commit replay)  pressed to       with the cause
-//!                    the pool width)  counted)
+//!              ┌─────────┴─────────┐
+//!              ▼                   ▼
+//!          Chunked             Sequential
+//!   (DOALL: CoW forks,      (HELIX and DSWP plans,
+//!    dirty-set commit,       anything unproven or
+//!    critical commit         under the cost threshold:
+//!    replay)                 exact sequential order on
+//!                            the master, cause counted)
 //! ```
 //!
 //! Correctness contract: for any program, `Runtime` produces the same
@@ -41,17 +40,16 @@
 //!
 //! Every recovery path above is *provable on demand*: the [`fault`]
 //! module injects deterministic, site-addressed faults (worker panics,
-//! speculative-slice faults, replay faults, stage stalls, pool-thread
-//! deaths) behind a zero-cost-when-disabled hook, the pool **respawns**
-//! dead workers without losing jobs, and pipeline channels carry watchdog
-//! timeouts so a silent stage aborts the activation (`stage_timeout`)
-//! instead of hanging the master. The fault-schedule fuzz suite
-//! (`tests/fault_fuzz.rs`) drives random seeded schedules across every
-//! kernel and asserts the fallback-parity contract held.
+//! speculative-slice faults, replay faults, commit faults, pool-thread
+//! deaths) behind a zero-cost-when-disabled hook, and the pool
+//! **respawns** dead workers without losing jobs. The fault-schedule fuzz
+//! suite (`tests/fault_fuzz.rs`) drives random seeded schedules across
+//! every kernel and asserts the fallback-parity contract held.
 //!
-//! There is **one engine**: [`exec`]'s per-instruction interpreter runs
-//! the master, every chunk worker, every pipeline stage, every critical
-//! slice and every fallback re-run, so the bit-identity chain has two
+//! There is **one engine** and **one parallel strategy**: [`exec`]'s
+//! per-instruction interpreter runs the master, every chunk worker, every
+//! critical slice and every fallback re-run, and chunked fork/commit is
+//! the only way a loop leaves the master, so the bit-identity chain has two
 //! links — [`pspdg_ir::interp`] (the oracle) → `exec.rs`. Deciding whether
 //! a block the master enters heads a scheduled loop is a table lookup
 //! ([`pspdg_parallelizer::ExecutablePlan::headers_in`]), not a hash.
@@ -60,9 +58,8 @@
 //! [`FallbackCounts`]); [`fault`] — deterministic fault injection
 //! ([`FaultPlan`], [`FaultInjector`]);
 //! [`check`] — observable-state extraction for differential testing.
-//! The persistent, self-healing scoped [`WorkerPool`] and the bounded
-//! DSWP decoupling buffer with watchdog sends/recvs
-//! ([`pspdg_pool::Channel`]) live in the shared `pspdg-pool` crate.
+//! The persistent, self-healing scoped [`WorkerPool`] lives in the shared
+//! `pspdg-pool` crate.
 
 #![warn(missing_docs)]
 
@@ -74,10 +71,7 @@ pub use check::{
     global_cells, globals_identical_mismatch, globals_mismatch, line_equivalent,
     observable_globals, rtval_equivalent, rtval_identical, FLOAT_RTOL,
 };
-pub use exec::{
-    FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD,
-    DEFAULT_PIPELINE_MIN_BODY, DEFAULT_STAGE_WATCHDOG,
-};
+pub use exec::{FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection, Rng64};
 pub use pspdg_obs::{Recorder, Snapshot};
 pub use pspdg_pool::WorkerPool;

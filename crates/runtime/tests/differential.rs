@@ -23,10 +23,10 @@ use pspdg_runtime::{
 /// `workers` workers; assert observable equivalence and return the
 /// runtime's dynamic stats.
 ///
-/// The cost-model gates are disabled so every eligible loop actually
+/// The cost-model gate is disabled so every eligible loop actually
 /// exercises its parallel path (a gated loop is trivially equivalent);
 /// `nas_differential` additionally runs each kernel once with the default
-/// gates on.
+/// gate on.
 fn assert_differential(
     name: &str,
     program: &ParallelProgram,
@@ -40,8 +40,7 @@ fn assert_differential(
     let plan = build_plan(program, interp.profile(), abstraction, 0.01);
     let rt = Runtime::new(program, &plan)
         .workers(workers)
-        .cost_threshold(0)
-        .pipeline_min_body(0);
+        .cost_threshold(0);
     let out = rt
         .run_main()
         .unwrap_or_else(|e| panic!("{name}: runtime failed: {e}"));
@@ -82,7 +81,7 @@ fn nas_differential(name: &str) -> RunStats {
     let stats = assert_differential(name, &p, Abstraction::PsPdg, 4);
     assert_differential(name, &p, Abstraction::PsPdg, 3);
     assert_differential(name, &p, Abstraction::OpenMp, 4);
-    // Once more with the default cost-model gates: the mix of gated and
+    // Once more with the default cost-model gate: the mix of gated and
     // parallel activations must stay equivalent too.
     let mut interp = Interpreter::new(&p.module);
     interp.run_main(&mut NullSink).unwrap();
@@ -265,7 +264,7 @@ mod generated {
         /// `d += dv[i] * 0.5;` under `reduction(+: d)`
         RedDouble,
         /// `t = t + v[i]; w[i] = t + k1;` (never annotated: a recurrence
-        /// → pipeline)
+        /// plans HELIX and runs on the master inside a scheduled loop)
         Recurrence { k1: i64 },
         /// `critical { c[i] = c[i] + 1; }`: the PS-PDG proves the cells
         /// disjoint and drops the mutex.
@@ -654,10 +653,7 @@ fn guarded_argmax_chunks_bit_identical_with_zero_mutex_fallbacks() {
             let mut interp = Interpreter::new(&p.module);
             interp.run_main(&mut NullSink).unwrap();
             let plan = build_plan(&p, interp.profile(), abstraction, 0.01);
-            let rt = Runtime::new(&p, &plan)
-                .workers(workers)
-                .cost_threshold(0)
-                .pipeline_min_body(0);
+            let rt = Runtime::new(&p, &plan).workers(workers).cost_threshold(0);
             let out = rt.run_main().unwrap();
             let stats = out.stats;
             assert!(
@@ -744,10 +740,7 @@ fn pool_threads_survive_across_activations_and_runs() {
     let mut interp = Interpreter::new(&p.module);
     interp.run_main(&mut NullSink).unwrap();
     let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-    let rt = Runtime::new(&p, &plan)
-        .workers(3)
-        .cost_threshold(0)
-        .pipeline_min_body(0);
+    let rt = Runtime::new(&p, &plan).workers(3).cost_threshold(0);
     let ids = rt.worker_thread_ids();
     assert_eq!(ids.len(), 3);
     let out = rt.run_main().unwrap();

@@ -13,7 +13,6 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink};
@@ -76,7 +75,7 @@ fn assert_matches(name: &str, p: &ParallelProgram, o: &Oracle, out: &RunOutcome,
         "{name} [{ctx}]: globals diverge (stats {:?})",
         out.stats
     );
-    if out.stats.chunked_loops == 0 && out.stats.pipelined_loops == 0 {
+    if out.stats.chunked_loops == 0 {
         // Fully sequential run (every parallel attempt fell back): the
         // fallback-parity contract is bit-exactness, not tolerance.
         assert_eq!(
@@ -89,7 +88,7 @@ fn assert_matches(name: &str, p: &ParallelProgram, o: &Oracle, out: &RunOutcome,
 }
 
 /// An integer two-loop DOALL kernel: both loops chunk under a PS-PDG
-/// plan with the gates off, and every committed cell is an integer, so
+/// plan with the gate off, and every committed cell is an integer, so
 /// the final heap is bit-identical even when activations parallelize.
 fn doall_program() -> ParallelProgram {
     compile(
@@ -106,7 +105,7 @@ fn doall_program() -> ParallelProgram {
     .unwrap()
 }
 
-/// A faulted runtime for `p` with all gates off and a short watchdog.
+/// A faulted runtime for `p` with the cost gate off.
 fn faulted_runtime(
     p: &ParallelProgram,
     plan: &ProgramPlan,
@@ -116,8 +115,6 @@ fn faulted_runtime(
     Runtime::new(p, plan)
         .workers(workers)
         .cost_threshold(0)
-        .pipeline_min_body(0)
-        .stage_watchdog(Duration::from_millis(250))
         .fault_injector(Arc::clone(inj))
 }
 
@@ -177,13 +174,7 @@ fn directed(
 
 /// Sum of the fallback causes only faults (organic or injected) produce.
 fn fault_cause_total(c: &FallbackCounts) -> u64 {
-    c.worker_fault
-        + c.speculation_fault
-        + c.replay_fault
-        + c.pipeline_abort
-        + c.stage_timeout
-        + c.commit_fault
-        + c.irregular_control
+    c.worker_fault + c.speculation_fault + c.replay_fault + c.commit_fault + c.irregular_control
 }
 
 // ---- directed: FaultKind × site family --------------------------------
@@ -263,50 +254,6 @@ fn commit_fault_discards_half_written_staging_heap() {
 }
 
 #[test]
-fn stage_send_stall_trips_the_watchdog() {
-    let p = synth::pipe(Class::Test).program();
-    directed(
-        "stage-send-stall",
-        &p,
-        FaultSite::StageSend(0),
-        FaultKind::StageStall,
-        |out| {
-            assert!(out.stats.fallbacks.stage_timeout >= 1, "{:?}", out.stats);
-        },
-    );
-}
-
-#[test]
-fn stage_recv_stall_trips_the_watchdog() {
-    let p = synth::pipe(Class::Test).program();
-    directed(
-        "stage-recv-stall",
-        &p,
-        FaultSite::StageRecv(0),
-        FaultKind::StageStall,
-        |out| {
-            assert!(out.stats.fallbacks.stage_timeout >= 1, "{:?}", out.stats);
-        },
-    );
-}
-
-#[test]
-fn stage_panic_is_detected_by_the_watchdog() {
-    let p = synth::pipe(Class::Test).program();
-    directed(
-        "stage-panic",
-        &p,
-        FaultSite::StageSend(1),
-        FaultKind::WorkerPanic,
-        |out| {
-            // A panicked stage dies silently (channels left open); only
-            // the watchdog can notice, so attribution is stage_timeout.
-            assert!(out.stats.fallbacks.stage_timeout >= 1, "{:?}", out.stats);
-        },
-    );
-}
-
-#[test]
 fn pool_thread_death_respawns_without_any_fallback() {
     let p = doall_program();
     directed(
@@ -345,17 +292,13 @@ fn fallback_counts_serialization_is_complete() {
         scheduled_sequential: 1,
         short_trip: 2,
         single_worker: 3,
-        single_lane: 4,
-        below_cost_threshold: 5,
-        unevaluable: 6,
-        irregular_control: 7,
-        worker_fault: 8,
-        speculation_fault: 9,
-        replay_fault: 10,
-        pipeline_overflow: 11,
-        pipeline_abort: 12,
-        stage_timeout: 13,
-        commit_fault: 14,
+        below_cost_threshold: 4,
+        unevaluable: 5,
+        irregular_control: 6,
+        worker_fault: 7,
+        speculation_fault: 8,
+        replay_fault: 9,
+        commit_fault: 10,
     };
     let table = c.table();
     assert_eq!(table.len(), FallbackCounts::CAUSES);
@@ -435,14 +378,6 @@ fn assert_attributed(name: &str, site: FaultSite, kind: FaultKind, out: &RunOutc
         }
         (FaultKind::CommitFault, _) => {
             assert!(c.commit_fault >= 1, "{name}: {:?}", out.stats);
-        }
-        // A stalled or panicked stage dies silently; only the watchdog
-        // notices, so both attribute to stage_timeout.
-        (
-            FaultKind::StageStall | FaultKind::WorkerPanic,
-            FaultSite::StageSend(_) | FaultSite::StageRecv(_),
-        ) => {
-            assert!(c.stage_timeout >= 1, "{name}: {:?}", out.stats);
         }
         // Remaining pairs are rejected by FaultPlan::inject's validation.
         (kind, site) => unreachable!("invalid injection fired: {kind:?} at {site:?}"),

@@ -37,7 +37,6 @@ fn opcode_totals_match_engine_steps() {
     let rt = Runtime::new(&p, &plan)
         .workers(4)
         .cost_threshold(0)
-        .pipeline_min_body(0)
         .recorder(Arc::clone(&rec))
         .obs_label("obs_it");
     let out = rt.run_main().unwrap();
@@ -85,7 +84,6 @@ fn activation_spans_and_trace_validity() {
     Runtime::new(&p, &plan)
         .workers(3)
         .cost_threshold(0)
-        .pipeline_min_body(0)
         .recorder(Arc::clone(&rec))
         .run_main()
         .unwrap();
@@ -143,7 +141,6 @@ fn fault_instants_and_fallback_outcome() {
     let out = Runtime::new(&p, &plan)
         .workers(4)
         .cost_threshold(0)
-        .pipeline_min_body(0)
         .fault_injector(Arc::clone(&inj))
         .recorder(Arc::clone(&rec))
         .run_main()
@@ -183,7 +180,6 @@ fn disabled_recorder_records_nothing() {
     Runtime::new(&p, &plan)
         .workers(4)
         .cost_threshold(0)
-        .pipeline_min_body(0)
         .recorder(Arc::clone(&rec))
         .run_main()
         .unwrap();

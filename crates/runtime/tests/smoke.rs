@@ -1,94 +1,103 @@
 use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink};
-use pspdg_parallelizer::{build_plan, Abstraction};
-use pspdg_runtime::{globals_mismatch, observable_globals, Runtime};
+use pspdg_nas::{synth, Class};
+use pspdg_parallelizer::{build_plan, realize_executable, Abstraction, LoopExec};
+use pspdg_runtime::{globals_identical_mismatch, globals_mismatch, observable_globals, Runtime};
+
+/// One loop that chunks, then one whose prints carry an I/O dependence:
+/// its plan is a pipeline with the prints serialized in one stage.
+const DOALL_THEN_PRINT_SRC: &str = r#"
+    int v[256]; int w[256];
+    void k() {
+        int i;
+        for (i = 0; i < 256; i++) { v[i] = i * 3; }
+        for (i = 0; i < 256; i++) { w[i] = v[i] + 1; print_i64(w[i]); }
+    }
+    int main() { k(); return w[255]; }
+"#;
+
+/// A recurrence feeding a consumer: the two-stage DSWP shape.
+const RECURRENCE_SRC: &str = r#"
+    int t; int v[256]; int w[256];
+    void k() {
+        int i;
+        for (i = 0; i < 256; i++) {
+            t = t + v[i] + i;
+            w[i] = t * 2;
+        }
+    }
+    int main() { k(); return w[200]; }
+"#;
 
 #[test]
 fn doall_smoke() {
-    let p = compile(
-        r#"
-        int v[256]; int w[256];
-        void k() {
-            int i;
-            for (i = 0; i < 256; i++) { v[i] = i * 3; }
-            for (i = 0; i < 256; i++) { w[i] = v[i] + 1; print_i64(w[i]); }
-        }
-        int main() { k(); return w[255]; }
-        "#,
-    )
-    .unwrap();
+    let p = compile(DOALL_THEN_PRINT_SRC).unwrap();
     let mut interp = Interpreter::new(&p.module);
     let seq_ret = interp.run_main(&mut NullSink).unwrap();
     let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-    // Gates off: this test asserts the parallel paths themselves.
-    let rt = Runtime::new(&p, &plan)
-        .workers(4)
-        .cost_threshold(0)
-        .pipeline_min_body(0);
-    // The first loop chunks; the print-bearing second loop carries an I/O
-    // dependence, so it realizes as a pipeline with the prints serialized
-    // in one stage.
+    // Gate off: this test asserts the parallel path itself.
+    let rt = Runtime::new(&p, &plan).workers(4).cost_threshold(0);
     let stats = rt.realization();
-    assert_eq!(
-        (stats.chunked, stats.pipeline),
-        (1, 1),
-        "{:?} {:?}",
-        stats,
-        rt.executable()
-            .schedules()
-            .iter()
-            .map(|s| s.exec.name())
-            .collect::<Vec<_>>()
-    );
+    assert_eq!((stats.chunked, stats.sequential), (1, 1), "{stats:?}");
     let out = rt.run_main().unwrap();
     assert_eq!(out.ret, seq_ret);
     assert_eq!(out.output, interp.output());
     assert_eq!(out.stats.chunked_loops, 1, "{:?}", out.stats);
-    assert_eq!(out.stats.pipelined_loops, 1, "{:?}", out.stats);
     let a = observable_globals(&p.module, interp.mem());
     let b = observable_globals(&p.module, &out.mem);
     assert_eq!(globals_mismatch(&a, &b), None);
 }
 
+/// Loops whose *plan* is a pipeline (HELIX/DSWP) are not split by any
+/// strategy: they lower sequential, say why, and run on the master
+/// bit-identical to the interpreter at every worker count. PIPE is the
+/// suite's kernel of that shape.
 #[test]
 fn pipeline_smoke() {
-    let p = compile(
-        r#"
-        int t; int v[256]; int w[256];
-        void k() {
-            int i;
-            for (i = 0; i < 256; i++) {
-                t = t + v[i] + i;
-                w[i] = t * 2;
-            }
-        }
-        int main() { k(); return w[200]; }
-        "#,
-    )
-    .unwrap();
-    let mut interp = Interpreter::new(&p.module);
-    let seq_ret = interp.run_main(&mut NullSink).unwrap();
-    let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-    let rt = Runtime::new(&p, &plan)
-        .workers(4)
-        .cost_threshold(0)
-        .pipeline_min_body(0);
-    assert_eq!(
-        rt.realization().pipeline,
-        1,
-        "{:?}",
-        rt.executable()
+    let programs = [
+        compile(DOALL_THEN_PRINT_SRC).unwrap(),
+        compile(RECURRENCE_SRC).unwrap(),
+        synth::pipe(Class::Test).program(),
+    ];
+    for p in programs {
+        let mut interp = Interpreter::new(&p.module);
+        let seq_ret = interp.run_main(&mut NullSink).unwrap();
+        let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
+        let exec = realize_executable(&p, &plan);
+        let pipelines: Vec<_> = exec
             .schedules()
             .iter()
-            .map(|s| (s.exec.name(), format!("{:?}", s.exec)))
-            .collect::<Vec<_>>()
-    );
-    let out = rt.run_main().unwrap();
-    assert_eq!(out.ret, seq_ret);
-    assert_eq!(out.stats.pipelined_loops, 1, "{:?}", out.stats);
-    let a = observable_globals(&p.module, interp.mem());
-    let b = observable_globals(&p.module, &out.mem);
-    assert_eq!(globals_mismatch(&a, &b), None);
+            .filter(|s| s.planned != "DOALL")
+            .collect();
+        assert_eq!(pipelines.len(), 1, "{:?}", exec.schedules());
+        match &pipelines[0].exec {
+            LoopExec::Sequential { reason } => assert_eq!(
+                reason,
+                "HELIX/DSWP plans are enumerated and emulated, not executed"
+            ),
+            other => panic!(
+                "a {} plan must not execute: {other:?}",
+                pipelines[0].planned
+            ),
+        }
+        let want = observable_globals(&p.module, interp.mem());
+        for workers in [1, 2, 4] {
+            let rt = Runtime::with_executable(&p, exec.clone())
+                .workers(workers)
+                .cost_threshold(0);
+            let out = rt.run_main().unwrap();
+            assert_eq!(out.ret, seq_ret);
+            assert_eq!(out.output, interp.output());
+            assert!(
+                out.stats.fallbacks.scheduled_sequential >= 1,
+                "{:?}",
+                out.stats
+            );
+            assert_eq!(out.stats.pipelined_loops, 0, "{:?}", out.stats);
+            let got = observable_globals(&p.module, &out.mem);
+            assert_eq!(globals_identical_mismatch(&want, &got), None);
+        }
+    }
 }
 
 #[test]

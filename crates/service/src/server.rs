@@ -23,7 +23,7 @@
 //! |----|--------------------------|
 //! | `ping` | — |
 //! | `plan` | `key`, `abstraction`, `loops`, `techniques`, `mutexes`, `parallel_spawns` |
-//! | `execute` | `key`, `abstraction`, `workers`, `ret`, `output`, `steps`, `parallel_ns`, `matches_baseline`, `globals_mismatch`, `chunked_loops`, `pipelined_loops`, `sequential_fallbacks` |
+//! | `execute` | `key`, `abstraction`, `workers`, `ret`, `output`, `steps`, `parallel_ns`, `matches_baseline`, `globals_mismatch`, `chunked_loops`, `sequential_fallbacks` |
 //! | `report` | everything `execute` carries plus `predicted_parallelism`, `sequential_ns` (the untraced `ir::interp` baseline run), `measured_speedup` (`sequential_ns / parallel_ns`), `efficiency`, `fallback_reasons` |
 //! | `metrics` | `uptime_ns`, `requests`, `queue_depth`, `cache` (hits/misses/evictions/builds/bytes/entries), `counters`, `spans`, `queue_depth_mean` |
 //! | `shutdown` | `draining` |
@@ -519,7 +519,6 @@ fn execution_body(o: &mut JsonObj, session: &Session, exec: &Execution) {
     o.num("steps", exec.steps as f64);
     o.num("parallel_ns", exec.parallel_ns as f64);
     o.num("chunked_loops", exec.stats.chunked_loops as f64);
-    o.num("pipelined_loops", exec.stats.pipelined_loops as f64);
     o.num(
         "sequential_fallbacks",
         exec.stats.sequential_fallbacks as f64,

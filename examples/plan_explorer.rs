@@ -65,7 +65,7 @@ fn main() {
     println!("HELIX (sequential segments x cores) + DSWP (pipeline stages) options.");
 
     // Run the PS-PDG best plan on the parallel runtime and report what
-    // the activations actually did (chunked / pipelined / fallbacks and
+    // the activations actually did (chunked / fallbacks by cause and
     // the pool, replay, and copy-on-write volume behind them). The
     // session checks the run against its sequential baseline.
     let out = session

@@ -75,14 +75,13 @@ fn main() {
     println!("  ...");
 
     // Execute the PS-PDG plan on the parallel runtime and show what
-    // actually happened: how many activations chunked, pipelined, or fell
-    // back, and what the pool / critical-replay / CoW machinery did. The
+    // actually happened: how many activations chunked or fell back, and
+    // what the pool / critical-replay / CoW machinery did. The
     // session caches the plan and checks the run against its baseline.
     let rt = session
         .runtime(Abstraction::PsPdg)
         .workers(4)
-        .cost_threshold(0)
-        .pipeline_min_body(0);
+        .cost_threshold(0);
     let out = session
         .run_configured(Abstraction::PsPdg, &rt)
         .expect("parallel run succeeds");

@@ -34,7 +34,7 @@
 //! let bundle = session.plan(Abstraction::PsPdg);
 //! assert!(!bundle.plan.loops.is_empty(), "the hot loop was planned");
 //!
-//! // Execute on real threads (cost gates off so the tiny example
+//! // Execute on real threads (cost gate off so the tiny example
 //! // actually parallelizes) and diff against the sequential baseline.
 //! let rt = session
 //!     .runtime(Abstraction::PsPdg)

@@ -1,19 +1,28 @@
-//! Pins what the planner *decides* across commits.
+//! Pins what the planner *decides* across commits, apart from how the
+//! decision is lowered for execution.
 //!
 //! The four abstractions differ only in which dependences of one base PDG
 //! each may discharge, so how the planner reads that graph (a copy, an
 //! overlay, a per-loop predicate) must never show in its output. Per
-//! program this pins FNV digests, taken at fa5623a (when every abstraction
-//! still planned from an owned copy of the graph), of
+//! program two rows of FNV digests are pinned.
+//!
+//! The **plan** row (`*_PLAN`, taken at 9975dcb, the last commit whose
+//! runtime also executed stage pipelines) is everything upstream of
+//! `lower()` plus the one lowering fact that must not depend on it:
 //!
 //! * the `ProgramPlan` under OpenMP, PDG, J&K and PS-PDG — loops sorted by
 //!   `(function, loop)`, each with its technique (`sequential_insts` /
 //!   `stage_of`), `ignored_bases`, `reduction_bases` and `end_barrier`, then
-//!   the mutex groups — followed by each `LoopSchedule`'s `exec.name()` and
-//!   sequential reason, in `schedules()` order (every lowering also has its
-//!   header table checked against that list);
+//!   the mutex groups;
+//! * per abstraction, the `(function, header)` list of the loops lowered
+//!   `Chunked`, in `schedules()` order;
 //! * the `enumerate_program` totals and per-loop option counts;
 //! * the per-loop `blocking_carried_edges` counts.
+//!
+//! The **lowering** row (`*_LOWERING`) is each `LoopSchedule`'s
+//! `exec.name()` and sequential reason per abstraction, in `schedules()`
+//! order; every lowering also has its header table checked against that
+//! list and its name checked to be `chunked` or `sequential`.
 //!
 //! The `-ctx` rows build the PS-PDG without `Feature::Contexts`, so every
 //! carried edge is blurred to the sentinel loop and the sentinel path of
@@ -96,8 +105,8 @@ fn check_header_table(m: &Module, exec: &ExecutablePlan) {
     assert_eq!(at(FuncId(u32::MAX), BlockId(0)), None);
 }
 
-/// The plan in a canonical order, then its executable lowering.
-fn plan_digest(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) -> u64 {
+/// The plan in a canonical order.
+fn plan_digest(plan: &ProgramPlan) -> u64 {
     let mut h = Fnv::new();
     h.word(u64::from(plan.parallel_spawns));
     let mut loops: Vec<_> = plan.loops.values().collect();
@@ -129,20 +138,33 @@ fn plan_digest(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) -> u64 
         h.word(m.insts.len() as u64);
         h.words(m.insts.iter().map(|i| i.index() as u64));
     }
+    h.0
+}
+
+/// `[chunked, lowering]` digests of `plan`'s executable lowering: the
+/// `(function, header)` list of its `Chunked` loops, and every schedule's
+/// strategy name and sequential reason.
+fn lowering_digests(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) -> [u64; 2] {
     let exec = realize_executable(p, plan);
     check_header_table(&p.module, &exec);
+    let (mut chunked, mut lowering) = (Fnv::new(), Fnv::new());
     for s in exec.schedules() {
-        h.words([
+        let name = s.exec.name();
+        assert!(matches!(name, "chunked" | "sequential"), "{name}");
+        if let LoopExec::Chunked(_) = &s.exec {
+            chunked.words([u64::from(s.func.0), s.header.index() as u64]);
+        }
+        lowering.words([
             u64::from(s.func.0),
             u64::from(s.loop_id.0),
             s.header.index() as u64,
         ]);
-        h.text(s.exec.name());
+        lowering.text(name);
         if let LoopExec::Sequential { reason } = &s.exec {
-            h.text(reason);
+            lowering.text(reason);
         }
     }
-    h.0
+    [chunked.0, lowering.0]
 }
 
 fn blocking_digest(built: &[FunctionPsPdg]) -> u64 {
@@ -156,17 +178,24 @@ fn blocking_digest(built: &[FunctionPsPdg]) -> u64 {
     h.0
 }
 
-/// `[OpenMP, PDG, J&K, PS-PDG, options, blocking]` digests of `b` with the
-/// PS-PDG built under `features`.
-fn digests(b: &Benchmark, features: FeatureSet) -> [u64; 6] {
+/// A plan row: `[OpenMP, PDG, J&K, PS-PDG]` plan digests, the same four
+/// abstractions' `Chunked` lists, then options and blocking.
+type PlanRow = [u64; 10];
+/// A lowering row: `[OpenMP, PDG, J&K, PS-PDG]` lowering digests.
+type LoweringRow = [u64; 4];
+
+/// Both rows of `b` with the PS-PDG built under `features`.
+fn digests(b: &Benchmark, features: FeatureSet) -> (PlanRow, LoweringRow) {
     let p = b.program();
     let mut interp = Interpreter::new(&p.module);
     interp.run_main(&mut NullSink).expect("profile run");
     let profile = interp.profile();
     let built = build_pspdg_module(&p, features);
-    let mut out = [0u64; 6];
+    let (mut plan_row, mut lowering_row) = ([0u64; 10], [0u64; 4]);
     for (slot, a) in Abstraction::ALL.into_iter().enumerate() {
-        out[slot] = plan_digest(&p, &plan_built(&p, &built, profile, a, 0.01));
+        let plan = plan_built(&p, &built, profile, a, 0.01);
+        plan_row[slot] = plan_digest(&plan);
+        [plan_row[4 + slot], lowering_row[slot]] = lowering_digests(&p, &plan);
     }
     let options =
         enumerate_program_with_features(&p, profile, &MachineModel::paper(), 0.01, features);
@@ -180,22 +209,38 @@ fn digests(b: &Benchmark, features: FeatureSet) -> [u64; 6] {
             h.words([u64::from(l.0), *a as u64, *n]);
         }
     }
-    out[4] = h.0;
-    out[5] = blocking_digest(&built);
-    out
+    plan_row[8] = h.0;
+    plan_row[9] = blocking_digest(&built);
+    (plan_row, lowering_row)
 }
 
-fn check(rows: &[(String, Benchmark, FeatureSet)], want: &[[u64; 6]]) {
-    assert_eq!(rows.len(), want.len());
-    let mut bad = Vec::new();
-    for ((name, b, features), want) in rows.iter().zip(want) {
-        let got = digests(b, *features);
-        if got != *want {
-            let row: Vec<String> = got.iter().map(|d| format!("{d:#018x}")).collect();
-            bad.push(format!("    [{}], // {name}", row.join(", ")));
+fn check(
+    rows: &[(String, Benchmark, FeatureSet)],
+    want_plan: &[PlanRow],
+    want_lowering: &[LoweringRow],
+) {
+    assert_eq!(rows.len(), want_plan.len());
+    assert_eq!(rows.len(), want_lowering.len());
+    let line = |row: &[u64], name: &str| {
+        let row: Vec<String> = row.iter().map(|d| format!("{d:#018x}")).collect();
+        format!("    [{}], // {name}", row.join(", "))
+    };
+    let (mut bad_plan, mut bad_lowering) = (Vec::new(), Vec::new());
+    for (k, (name, b, features)) in rows.iter().enumerate() {
+        let (plan, lowering) = digests(b, *features);
+        if plan != want_plan[k] {
+            bad_plan.push(line(&plan, name));
+        }
+        if lowering != want_lowering[k] {
+            bad_lowering.push(line(&lowering, name));
         }
     }
-    assert!(bad.is_empty(), "digests moved:\n{}", bad.join("\n"));
+    assert!(
+        bad_plan.is_empty() && bad_lowering.is_empty(),
+        "plan rows moved:\n{}\nlowering rows moved:\n{}",
+        bad_plan.join("\n"),
+        bad_lowering.join("\n")
+    );
 }
 
 fn suite_rows(
@@ -213,7 +258,8 @@ fn suite_rows(
 fn test_class_plans_are_pinned() {
     check(
         &suite_rows(Class::Test, ".test", FeatureSet::all()),
-        &TEST_WANT,
+        &TEST_PLAN,
+        &TEST_LOWERING,
     );
 }
 
@@ -221,14 +267,19 @@ fn test_class_plans_are_pinned() {
 fn mini_class_plans_are_pinned() {
     check(
         &suite_rows(Class::Mini, ".mini", FeatureSet::all()),
-        &MINI_WANT,
+        &MINI_PLAN,
+        &MINI_LOWERING,
     );
 }
 
 #[test]
 fn context_ablated_plans_are_pinned() {
     let ablated = FeatureSet::all().without(Feature::Contexts);
-    check(&suite_rows(Class::Test, ".test-ctx", ablated), &CTX_WANT);
+    check(
+        &suite_rows(Class::Test, ".test-ctx", ablated),
+        &CTX_PLAN,
+        &CTX_LOWERING,
+    );
 }
 
 #[test]
@@ -241,51 +292,96 @@ fn synth_module_plans_are_pinned() {
     .into_iter()
     .map(|(name, b)| (name.to_string(), b, FeatureSet::all()))
     .collect();
-    check(&rows, &SYNTH_WANT);
+    check(&rows, &SYNTH_PLAN, &SYNTH_LOWERING);
 }
 
 #[rustfmt::skip]
-const TEST_WANT: [[u64; 6]; 10] = [
-    [0x7535fb3daa86e5a0, 0xc950147659290d54, 0xfadb4416067c1983, 0x5f8eea360fc5d5e2, 0x7739b83f50b0a7af, 0x885ea03e506a9fca], // BT.test
-    [0x2aea1169988c15e9, 0x8f444b6c9cd05f1c, 0xca299ef330d0c5f6, 0xda0405e1bd8ec1f7, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.test
-    [0xf854304c6aec99dd, 0x1069995ed5837861, 0x77e154738d17e41c, 0x06cf0ee83866534a, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.test
-    [0x4f28320df3f5856f, 0x4f2780743cc5d99f, 0xaab7d04107af5640, 0x00a43d95f0797cc1, 0xb70068b8f180a9be, 0xdb9af77fb85fb47f], // FT.test
-    [0xfa1642c273d6d330, 0xec49e2a8f7b314ff, 0xeb854eb4e258cd73, 0x219658c30a9ac711, 0x54717f27fece8b2b, 0x7d58b9a4983af106], // IS.test
-    [0x39bf29c27d4f3e33, 0x59003cdaf17b9e3b, 0x7dcec3cdc245d1ca, 0x1fa5caba9d256a8b, 0x7c35f2de0101314a, 0xb5593cc4dd7468bb], // LU.test
-    [0x3f161f6283b07905, 0x1db16ae50bed5034, 0xd207f4d0ec82603d, 0xbe2da6f2316e2d5e, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.test
-    [0xf5780788f183b45c, 0x16b462d5ed36107d, 0x2e46f0a6d01aa98b, 0x668752b96b1aad2a, 0xe0e3b9f9d2e3097d, 0x76d263fd05bcba29], // SP.test
-    [0x124321d2cccf608b, 0x252c2b0a90b3b1b6, 0x61c222c122bf1695, 0x0d618cb542fe0c74, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.test
-    [0x5b2a969b42d238a4, 0x9f8bfac0a81e0dca, 0x9f8bfac0a81e0dca, 0x865b1397d7c0accb, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.test
+const TEST_PLAN: [PlanRow; 10] = [
+    [0x2504b702a63e2d01, 0xdc36adb1cba32c20, 0xffb0d38dcdd039d7, 0xfb6c87958402e8b6, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0x25377a60fd3c19e4, 0x7739b83f50b0a7af, 0x885ea03e506a9fca], // BT.test
+    [0x81c26fba9535b4a7, 0xa4cf504acbcded62, 0x4bb0c1b97e983d22, 0x66b7895e85435703, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0x28b26f4255b98a4d, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.test
+    [0x79c70f2246e71043, 0xfcfe3bb5d59d73a8, 0x1e57aea1ab9ad062, 0x4e3649b70719c1f4, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.test
+    [0x335b74f0f2fcb10e, 0xf26e1d0edc6a52df, 0x898d132c208a4e3d, 0xdd28be58f0b7cb5c, 0x25377a60fd3c19e4, 0xfc1ef4bdc7978de6, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb70068b8f180a9be, 0xdb9af77fb85fb47f], // FT.test
+    [0xe4e3a32ae7fc83a6, 0xe95a3fb666d713fe, 0xd7af297a471c2e44, 0x48986f67b6322c07, 0xbdebe613ce5849af, 0xfc75bf473d8460d6, 0xa7af31e3c53c316b, 0xb761451f7195805c, 0x54717f27fece8b2b, 0x7d58b9a4983af106], // IS.test
+    [0x22072dce324d4647, 0xae68703ee9ec024c, 0x84c56a4c9fb0fc09, 0x8b941ffaec9ae6c8, 0x7ff65801b879b56d, 0xc92bf62e665bb684, 0x82cb30cb3e369acc, 0x82cb30cb3e369acc, 0x7c35f2de0101314a, 0xb5593cc4dd7468bb], // LU.test
+    [0xdee1a2b15d210650, 0x30c18ef7b5a98063, 0x6b81293d85581935, 0xa02d3b12ff3f6db6, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.test
+    [0x6098ae8600d3d822, 0x67ccd71ddfa2e92b, 0xe86a2a41332c6880, 0xb72c1ecb821ed241, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xe0e3b9f9d2e3097d, 0x76d263fd05bcba29], // SP.test
+    [0xafb44b0e44650108, 0x1cc719bfb2fd59eb, 0x031f6fe2948065a8, 0xd7ca8120e2347369, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.test
+    [0x5b2a969b42d238a4, 0xeb6b9df520a8ef3c, 0xeb6b9df520a8ef3c, 0xd8126121827140dd, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.test
 ];
 #[rustfmt::skip]
-const MINI_WANT: [[u64; 6]; 10] = [
-    [0x7535fb3daa86e5a0, 0xc950147659290d54, 0xfadb4416067c1983, 0x5f8eea360fc5d5e2, 0x7739b83f50b0a7af, 0x885ea03e506a9fca], // BT.mini
-    [0x2aea1169988c15e9, 0x8f444b6c9cd05f1c, 0xca299ef330d0c5f6, 0xda0405e1bd8ec1f7, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.mini
-    [0xf854304c6aec99dd, 0x1069995ed5837861, 0x77e154738d17e41c, 0x06cf0ee83866534a, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.mini
-    [0x4f28320df3f5856f, 0x30a947dc70722cf9, 0x1da342aae073f2b9, 0x6f0aa479a0cdef58, 0x50c29f409e9f55fb, 0xdb9af77fb85fb47f], // FT.mini
-    [0xfa1642c273d6d330, 0xe61108c192eead09, 0x41d143a0e3b6aa85, 0x6617af7c738ccd67, 0xc5c0025e59ec6b24, 0x7d58b9a4983af106], // IS.mini
-    [0x39bf29c27d4f3e33, 0x59003cdaf17b9e3b, 0x7dcec3cdc245d1ca, 0x1fa5caba9d256a8b, 0x7c35f2de0101314a, 0xb5593cc4dd7468bb], // LU.mini
-    [0x3f161f6283b07905, 0x1db16ae50bed5034, 0xd207f4d0ec82603d, 0xbe2da6f2316e2d5e, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.mini
-    [0xf5780788f183b45c, 0x16b462d5ed36107d, 0x2e46f0a6d01aa98b, 0x668752b96b1aad2a, 0xe0e3b9f9d2e3097d, 0x76d263fd05bcba29], // SP.mini
-    [0x124321d2cccf608b, 0x252c2b0a90b3b1b6, 0x61c222c122bf1695, 0x0d618cb542fe0c74, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.mini
-    [0x5b2a969b42d238a4, 0x9f8bfac0a81e0dca, 0x9f8bfac0a81e0dca, 0x865b1397d7c0accb, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.mini
+const TEST_LOWERING: [LoweringRow; 10] = [
+    [0x9a7f33df863f8cc4, 0xfe64870b87f0a291, 0xe35cb94e8ad682f1, 0xe35cb94e8ad682f1], // BT.test
+    [0x5b93f00a89e7aeeb, 0x4b4e0b3bb24c9e31, 0xab73cd31b904b911, 0xab73cd31b904b911], // CG.test
+    [0xd0d4b9cad38b8dbb, 0xf13fc0d06f7d1eba, 0xd0d4b9cad38b8dbb, 0xd0d4b9cad38b8dbb], // EP.test
+    [0x9a7f33df863f8cc4, 0x6026b0095c4d62af, 0xd8ddc43a53b9e18e, 0xd8ddc43a53b9e18e], // FT.test
+    [0x960645dc56e34ed3, 0x22da2380d1dc9772, 0xc4f3995c8f796052, 0xf14da1c8beacde13], // IS.test
+    [0x70c1f6d301c56911, 0xc16aae54463e5c98, 0xdf78557118e3344c, 0xdf78557118e3344c], // LU.test
+    [0x237834f99ac1b3f0, 0x5b2d050e7f86cf84, 0x33cdd8a8df907c2d, 0x33cdd8a8df907c2d], // MG.test
+    [0xd0d4b9cad38b8dbb, 0x47864e278d3e95af, 0xdc819e1ed33bcfee, 0xdc819e1ed33bcfee], // SP.test
+    [0xb78d2ab8d603f2a6, 0xb50db55a1138ea18, 0x9543ce846e768b38, 0x9543ce846e768b38], // GMAX.test
+    [0xcbf29ce484222325, 0x95b20b616cf85845, 0x95b20b616cf85845, 0x95b20b616cf85845], // PIPE.test
 ];
 #[rustfmt::skip]
-const CTX_WANT: [[u64; 6]; 10] = [
-    [0x0aa6044cf2ddd066, 0xc950147659290d54, 0xcb7d9a14984c4f45, 0x262d12a60f8ad9a4, 0xfd54f40db6e2dac0, 0x38537d184a305a22], // BT.test-ctx
-    [0x0444c04076d59fea, 0x8f444b6c9cd05f1c, 0xf2c1580fb6612755, 0x977066f02b089f94, 0x97df3a751bedeec1, 0x5f923914f0ac261f], // CG.test-ctx
-    [0x84a6898256689290, 0x1069995ed5837861, 0xd2871d1b60235f51, 0xc88a459ce7c47407, 0x967931ea25c81a50, 0xcff8f8a8c77d1549], // EP.test-ctx
-    [0x0aa6044cf2ddd066, 0x4f2780743cc5d99f, 0x48c0d14dcd96c029, 0xddf034e8236d17a8, 0x045d54c28c39cace, 0x16d043a47e8b6909], // FT.test-ctx
-    [0xe4222bc992a2cf50, 0xec49e2a8f7b314ff, 0xb5ffe48de0e229d3, 0x47a7fe1bd196c371, 0x94801a9648de970b, 0x76d1b38079ac8c3b], // IS.test-ctx
-    [0x28014a920ee042d1, 0x59003cdaf17b9e3b, 0xf376972e64a96368, 0xef62f4b5118d95a9, 0x2d82f8ffc69e735b, 0xab37f95eda20f54b], // LU.test-ctx
-    [0x9f3e8687ac7da145, 0x1db16ae50bed5034, 0x9e1f6d3ea9dab67d, 0xec2f64c3d538161e, 0x7a2970771924b11e, 0xe42985266a57eeef], // MG.test-ctx
-    [0x1989e41a037b177b, 0x16b462d5ed36107d, 0x4fe7b3da5490784c, 0x9039e71bce4d772d, 0x37d2cf5b142c3048, 0x7764fadcefd54969], // SP.test-ctx
-    [0xe8d723e85114b14d, 0x252c2b0a90b3b1b6, 0xe48f4c9a42fd2b13, 0x22cb8169223c6a32, 0x52c5fa86151e7c10, 0xa32983e7e59230c1], // GMAX.test-ctx
-    [0x5b2a969b42d238a4, 0x9f8bfac0a81e0dca, 0x9f8bfac0a81e0dca, 0x865b1397d7c0accb, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.test-ctx
+const MINI_PLAN: [PlanRow; 10] = [
+    [0x2504b702a63e2d01, 0xdc36adb1cba32c20, 0xffb0d38dcdd039d7, 0xfb6c87958402e8b6, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0x25377a60fd3c19e4, 0x7739b83f50b0a7af, 0x885ea03e506a9fca], // BT.mini
+    [0x81c26fba9535b4a7, 0xa4cf504acbcded62, 0x4bb0c1b97e983d22, 0x66b7895e85435703, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0x28b26f4255b98a4d, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.mini
+    [0x79c70f2246e71043, 0xfcfe3bb5d59d73a8, 0x1e57aea1ab9ad062, 0x4e3649b70719c1f4, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.mini
+    [0x335b74f0f2fcb10e, 0x2e90a56d2fb71bfa, 0xbc008bc0b7cd0878, 0x7a64b77fbf02b799, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0x25377a60fd3c19e4, 0x50c29f409e9f55fb, 0xdb9af77fb85fb47f], // FT.mini
+    [0xe4e3a32ae7fc83a6, 0x97ecb1253ad2650e, 0x01998cf8cd4c91f4, 0x17160deecb3c8f37, 0xbdebe613ce5849af, 0xfc75bf473d8460d6, 0xa7af31e3c53c316b, 0xb761451f7195805c, 0xc5c0025e59ec6b24, 0x7d58b9a4983af106], // IS.mini
+    [0x22072dce324d4647, 0xae68703ee9ec024c, 0x84c56a4c9fb0fc09, 0x8b941ffaec9ae6c8, 0x7ff65801b879b56d, 0xc92bf62e665bb684, 0x82cb30cb3e369acc, 0x82cb30cb3e369acc, 0x7c35f2de0101314a, 0xb5593cc4dd7468bb], // LU.mini
+    [0xdee1a2b15d210650, 0x30c18ef7b5a98063, 0x6b81293d85581935, 0xa02d3b12ff3f6db6, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.mini
+    [0x6098ae8600d3d822, 0x67ccd71ddfa2e92b, 0xe86a2a41332c6880, 0xb72c1ecb821ed241, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xe0e3b9f9d2e3097d, 0x76d263fd05bcba29], // SP.mini
+    [0xafb44b0e44650108, 0x1cc719bfb2fd59eb, 0x031f6fe2948065a8, 0xd7ca8120e2347369, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.mini
+    [0x5b2a969b42d238a4, 0xeb6b9df520a8ef3c, 0xeb6b9df520a8ef3c, 0xd8126121827140dd, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.mini
 ];
 #[rustfmt::skip]
-const SYNTH_WANT: [[u64; 6]; 3] = [
-    [0x5b2a969b42d238a4, 0x1cf5a5f2ac25af8d, 0x1cf5a5f2ac25af8d, 0x49accff58adfe20c, 0x066c8ca44f180cb1, 0x00f8d97d6b7ba6e5], // module100
-    [0x5b2a969b42d238a4, 0x5f5d655391c620aa, 0x5f5d655391c620aa, 0x6d92b7d72a165e2f, 0xf0a977d3872a52f8, 0xb4a546a98955bd15], // wide16
-    [0x5b2a969b42d238a4, 0x8c25dfa7e666779f, 0x8c25dfa7e666779f, 0xf04da03650942cf2, 0x730aa2c209c39fb4, 0xa6b66f316d2a0cc5], // wide64
+const MINI_LOWERING: [LoweringRow; 10] = [
+    [0x9a7f33df863f8cc4, 0xfe64870b87f0a291, 0xe35cb94e8ad682f1, 0xe35cb94e8ad682f1], // BT.mini
+    [0x5b93f00a89e7aeeb, 0x4b4e0b3bb24c9e31, 0xab73cd31b904b911, 0xab73cd31b904b911], // CG.mini
+    [0xd0d4b9cad38b8dbb, 0xf13fc0d06f7d1eba, 0xd0d4b9cad38b8dbb, 0xd0d4b9cad38b8dbb], // EP.mini
+    [0x9a7f33df863f8cc4, 0xe0b6ef7b0497d3cc, 0x59b2ef44f5f729b2, 0x59b2ef44f5f729b2], // FT.mini
+    [0x960645dc56e34ed3, 0x1b9348cc222fcf22, 0x544cabd58b5ac602, 0x6c259d225b7cb6a3], // IS.mini
+    [0x70c1f6d301c56911, 0xc16aae54463e5c98, 0xdf78557118e3344c, 0xdf78557118e3344c], // LU.mini
+    [0x237834f99ac1b3f0, 0x5b2d050e7f86cf84, 0x33cdd8a8df907c2d, 0x33cdd8a8df907c2d], // MG.mini
+    [0xd0d4b9cad38b8dbb, 0x47864e278d3e95af, 0xdc819e1ed33bcfee, 0xdc819e1ed33bcfee], // SP.mini
+    [0xb78d2ab8d603f2a6, 0xb50db55a1138ea18, 0x9543ce846e768b38, 0x9543ce846e768b38], // GMAX.mini
+    [0xcbf29ce484222325, 0x95b20b616cf85845, 0x95b20b616cf85845, 0x95b20b616cf85845], // PIPE.mini
+];
+#[rustfmt::skip]
+const CTX_PLAN: [PlanRow; 10] = [
+    [0x295edab5b2fc6047, 0xdc36adb1cba32c20, 0x1d2b54e587d7f691, 0x027afc7912d23470, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0x25377a60fd3c19e4, 0xfd54f40db6e2dac0, 0x38537d184a305a22], // BT.test-ctx
+    [0x9d04ba24a1497424, 0xa4cf504acbcded62, 0x1bb845fe25146c61, 0xe9a1e62353441e40, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0x28b26f4255b98a4d, 0x97df3a751bedeec1, 0x5f923914f0ac261f], // CG.test-ctx
+    [0x2e0f98ab4403a66e, 0xfcfe3bb5d59d73a8, 0x6ad33477f86c5d4f, 0x5f48202fcac21359, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x967931ea25c81a50, 0xcff8f8a8c77d1549], // EP.test-ctx
+    [0x295edab5b2fc6047, 0xf26e1d0edc6a52df, 0x113d09d72d0a92f4, 0x190aab5b0156d0d5, 0x25377a60fd3c19e4, 0xfc1ef4bdc7978de6, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0x045d54c28c39cace, 0x16d043a47e8b6909], // FT.test-ctx
+    [0xad90ce0f15d76a86, 0xe95a3fb666d713fe, 0x9bd4e92b7dcbe924, 0xe89bc2eec4ab10a7, 0xbdebe613ce5849af, 0xfc75bf473d8460d6, 0xa7af31e3c53c316b, 0xb761451f7195805c, 0x94801a9648de970b, 0x76d1b38079ac8c3b], // IS.test-ctx
+    [0x2f294bc515598565, 0xae68703ee9ec024c, 0x5cf04147bf92deab, 0x5a4b8f40eb3645ea, 0x7ff65801b879b56d, 0xc92bf62e665bb684, 0x82cb30cb3e369acc, 0x82cb30cb3e369acc, 0x2d82f8ffc69e735b, 0xab37f95eda20f54b], // LU.test-ctx
+    [0x26004574b81ed110, 0x30c18ef7b5a98063, 0x4e83d3f6396e0775, 0x7caf5dfe1067dc76, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x7a2970771924b11e, 0xe42985266a57eeef], // MG.test-ctx
+    [0xb12a8bc45c2d9565, 0x67ccd71ddfa2e92b, 0xe4c0381d2b6768e7, 0xd0364972f2d8d4a6, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x37d2cf5b142c3048, 0x7764fadcefd54969], // SP.test-ctx
+    [0x3592338b565243ce, 0x1cc719bfb2fd59eb, 0x51b22b6418cb3f6e, 0xd600e23f4b688bef, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0x52c5fa86151e7c10, 0xa32983e7e59230c1], // GMAX.test-ctx
+    [0x5b2a969b42d238a4, 0xeb6b9df520a8ef3c, 0xeb6b9df520a8ef3c, 0xd8126121827140dd, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.test-ctx
+];
+#[rustfmt::skip]
+const CTX_LOWERING: [LoweringRow; 10] = [
+    [0x9a7f33df863f8cc4, 0xfe64870b87f0a291, 0xe35cb94e8ad682f1, 0xe35cb94e8ad682f1], // BT.test-ctx
+    [0x5b93f00a89e7aeeb, 0x4b4e0b3bb24c9e31, 0xab73cd31b904b911, 0xab73cd31b904b911], // CG.test-ctx
+    [0xd0d4b9cad38b8dbb, 0xf13fc0d06f7d1eba, 0xd0d4b9cad38b8dbb, 0xd0d4b9cad38b8dbb], // EP.test-ctx
+    [0x9a7f33df863f8cc4, 0x6026b0095c4d62af, 0xd8ddc43a53b9e18e, 0xd8ddc43a53b9e18e], // FT.test-ctx
+    [0x960645dc56e34ed3, 0x22da2380d1dc9772, 0xc4f3995c8f796052, 0xf14da1c8beacde13], // IS.test-ctx
+    [0x70c1f6d301c56911, 0xc16aae54463e5c98, 0xdf78557118e3344c, 0xdf78557118e3344c], // LU.test-ctx
+    [0x237834f99ac1b3f0, 0x5b2d050e7f86cf84, 0x33cdd8a8df907c2d, 0x33cdd8a8df907c2d], // MG.test-ctx
+    [0xd0d4b9cad38b8dbb, 0x47864e278d3e95af, 0xdc819e1ed33bcfee, 0xdc819e1ed33bcfee], // SP.test-ctx
+    [0xb78d2ab8d603f2a6, 0xb50db55a1138ea18, 0x9543ce846e768b38, 0x9543ce846e768b38], // GMAX.test-ctx
+    [0xcbf29ce484222325, 0x95b20b616cf85845, 0x95b20b616cf85845, 0x95b20b616cf85845], // PIPE.test-ctx
+];
+#[rustfmt::skip]
+const SYNTH_PLAN: [PlanRow; 3] = [
+    [0x5b2a969b42d238a4, 0x23d0c3a5956a7aee, 0x23d0c3a5956a7aee, 0xca1e49bf4cf79eaf, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x066c8ca44f180cb1, 0x00f8d97d6b7ba6e5], // module100
+    [0x5b2a969b42d238a4, 0x1b3d45d4f3177c6a, 0x1b3d45d4f3177c6a, 0x673e90a36eb8a26f, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xf0a977d3872a52f8, 0xb4a546a98955bd15], // wide16
+    [0x5b2a969b42d238a4, 0x8db7c99e8dfab2f4, 0x8db7c99e8dfab2f4, 0xd6ae7e95e764a555, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x730aa2c209c39fb4, 0xa6b66f316d2a0cc5], // wide64
+];
+#[rustfmt::skip]
+const SYNTH_LOWERING: [LoweringRow; 3] = [
+    [0xcbf29ce484222325, 0xf13fc0d06f7d1eba, 0xf13fc0d06f7d1eba, 0xf13fc0d06f7d1eba], // module100
+    [0xcbf29ce484222325, 0x1064e030d1e704a5, 0x1064e030d1e704a5, 0x1064e030d1e704a5], // wide16
+    [0xcbf29ce484222325, 0x70cf26aac8f66e76, 0x70cf26aac8f66e76, 0x70cf26aac8f66e76], // wide64
 ];
