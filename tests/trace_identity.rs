@@ -10,12 +10,16 @@
 //! observable, and the critical paths the emulator derives from the
 //! stream.
 
+use std::collections::{BTreeSet, HashMap};
+
 use pspdg::emulator::emulate;
 use pspdg::frontend::compile;
-use pspdg::ir::interp::{Interpreter, NullSink, ObjId, ObjOrigin, Step, TraceSink};
-use pspdg::ir::{BlockId, FuncId, Module};
+use pspdg::ir::interp::{Interpreter, NullSink, ObjId, ObjOrigin, Profile, Step, TraceSink};
+use pspdg::ir::{BlockId, FuncId, Inst, InstId, Module};
 use pspdg::nas::{benchmark, fault_suite, Class};
-use pspdg::parallelizer::{build_plan, Abstraction};
+use pspdg::parallel::ParallelProgram;
+use pspdg::parallelizer::{build_plan, Abstraction, LoopPlanSpec, PlannedTechnique, ProgramPlan};
+use pspdg::pdg::{FunctionAnalyses, MemBase};
 use pspdg::runtime::observable_globals;
 
 /// FNV-1a over a stream of `u64` words.
@@ -199,11 +203,151 @@ fn per_block_profile_accounts_for_every_instruction() {
     }
 }
 
+/// FNV over (critical_path, total_steps, parallelism bits) for OpenMp, Pdg,
+/// Jk, PsPdg in that order.
+fn emulation_digest(p: &ParallelProgram) -> u64 {
+    let mut interp = Interpreter::new(&p.module);
+    interp.run_main(&mut NullSink).expect("profile run");
+    let mut h = Fnv::new();
+    for a in Abstraction::ALL {
+        let plan = build_plan(p, interp.profile(), a, 0.01);
+        let r = emulate(p, &plan).expect("emulates");
+        h.words([r.critical_path, r.total_steps, r.parallelism().to_bits()]);
+    }
+    h.0
+}
+
+/// Three worksharing loops nested in one function: three planned non-DSWP
+/// activations are live at once, so the machine's two (activation,
+/// iteration) pairs per step overflow and no flow dependence on the
+/// privatized `t` or the reduced `s` is discharged.
+const NEST3_SRC: &str = "\
+double a[64]; double s;
+void k() {
+    int i; int j; int l; double t;
+    #pragma omp parallel for private(j, l, t) reduction(+: s)
+    for (i = 0; i < 4; i++) {
+        #pragma omp parallel for private(l, t)
+        for (j = 0; j < 4; j++) {
+            #pragma omp parallel for private(t)
+            for (l = 0; l < 4; l++) {
+                t = a[i * 16 + j * 4 + l] + 1.0;
+                a[i * 16 + j * 4 + l] = t * 2.0;
+                s += t;
+            }
+        }
+    }
+}
+int main() { k(); k(); return 0; }
+";
+
+/// `examples/cilk_fib.rs`'s program at a smaller argument: recursive
+/// frames, spawn lanes, `children_max` joined at every `cilk_sync`.
+const FIB_SRC: &str = "\
+int fib(int n) {
+    int x; int y;
+    if (n < 2) { return n; }
+    x = cilk_spawn fib(n - 1);
+    y = fib(n - 2);
+    cilk_sync;
+    return x + y;
+}
+int main() { return fib(11); }
+";
+
+/// An explicit `barrier` between two worksharing loops (the second
+/// `nowait`) and a named `critical` inside each: `floor` and the lock chain.
+const BARRIER_SRC: &str = "\
+int hist[8]; int v[64]; int w[64]; int total;
+void k() {
+    int i;
+    #pragma omp parallel
+    {
+        #pragma omp for nowait
+        for (i = 0; i < 64; i++) {
+            v[i] = i * 3 + 1;
+            #pragma omp critical (histo)
+            { hist[i % 8] += v[i]; }
+        }
+        #pragma omp barrier
+        #pragma omp for nowait
+        for (i = 0; i < 64; i++) {
+            w[i] = v[63 - i] + hist[i % 8];
+            #pragma omp critical (histo)
+            { total += w[i]; }
+        }
+    }
+}
+int main() { k(); return total; }
+";
+
+/// Every iteration of `k`'s outer loop calls `step` (itself a loop); no
+/// value flows from one call to the next.
+const HELIX_CALL_SRC: &str = "\
+int v[32]; int w[32];
+int step(int x) {
+    int j; int r;
+    r = x;
+    for (j = 0; j < 3; j++) { r = r * 3 + j; }
+    return r % 1000;
+}
+void k() {
+    int i; int j; int t;
+    for (i = 0; i < 32; i++) {
+        t = 0;
+        for (j = 0; j < 6; j++) { t = t + i * j; }
+        v[i] = t;
+        w[i] = step(v[i]);
+    }
+}
+int main() { k(); return w[31]; }
+";
+
+/// The HELIX plan of [`HELIX_CALL_SRC`]'s outer loop, built by hand (no
+/// abstraction puts a call into a sequential segment on its own): `k`'s
+/// locals are privatized and the call is the sequential segment, so the
+/// only thing ordering two iterations is that the segment stays locked
+/// until `step` returns.
+fn helix_call_plan(p: &ParallelProgram) -> ProgramPlan {
+    let m = &p.module;
+    let k = m.function_by_name("k").expect("k exists");
+    let f = m.function(k);
+    let analyses = FunctionAnalyses::compute(m, k);
+    let forest = &analyses.forest;
+    let l = forest.top_level()[0];
+    assert_eq!(forest.info(l).children.len(), 1, "the outer loop");
+    let is = |i: &InstId, want: fn(&Inst) -> bool| want(&f.inst(*i).inst);
+    let sequential_insts: BTreeSet<InstId> = analyses
+        .loop_insts(l)
+        .into_iter()
+        .filter(|i| is(i, |inst| matches!(inst, Inst::Call { .. })))
+        .collect();
+    assert_eq!(sequential_insts.len(), 1, "the call of step");
+    let locals: BTreeSet<MemBase> = f
+        .inst_ids()
+        .filter(|i| is(i, |inst| matches!(inst, Inst::Alloca { .. })))
+        .map(MemBase::Alloca)
+        .collect();
+    assert_eq!(locals.len(), 3, "i, j, t");
+    let spec = LoopPlanSpec {
+        func: k,
+        loop_id: l,
+        technique: PlannedTechnique::Helix { sequential_insts },
+        ignored_bases: locals,
+        reduction_bases: BTreeSet::new(),
+        end_barrier: true,
+    };
+    ProgramPlan {
+        abstraction: Abstraction::PsPdg,
+        loops: HashMap::from([((k, l), spec)]),
+        mutexes: vec![],
+        parallel_spawns: false,
+    }
+}
+
 #[test]
 fn emulated_critical_paths_are_pinned() {
-    // Per kernel, FNV over (critical_path, total_steps, parallelism bits)
-    // for OpenMp, Pdg, Jk, PsPdg in that order.
-    const WANT: [(&str, u64); 10] = [
+    const TEST: [(&str, u64); 10] = [
         ("BT", 0xcac2_4ddd_45ec_9961),
         ("CG", 0x44fb_4571_2a24_ed37),
         ("EP", 0x122e_1838_13d9_df9a),
@@ -215,19 +359,48 @@ fn emulated_critical_paths_are_pinned() {
         ("GMAX", 0xea5f_3df7_901b_af0c),
         ("PIPE", 0x6571_2d40_5d16_ab2a),
     ];
-    let suite = fault_suite(Class::Test);
-    assert_eq!(suite.len(), WANT.len());
-    for (b, (name, want)) in suite.iter().zip(WANT) {
-        assert_eq!(b.name, name);
-        let p = b.program();
-        let mut interp = Interpreter::new(&p.module);
-        interp.run_main(&mut NullSink).expect("profile run");
-        let mut h = Fnv::new();
-        for a in Abstraction::ALL {
-            let plan = build_plan(&p, interp.profile(), a, 0.01);
-            let r = emulate(&p, &plan).expect("emulates");
-            h.words([r.critical_path, r.total_steps, r.parallelism().to_bits()]);
+    // Taken at 061deb6, with the hash-map machine, before it was rewritten.
+    const MINI: [(&str, u64); 10] = [
+        ("BT", 0x2a3a_0a74_1520_0174),
+        ("CG", 0xb301_7b0b_a16f_8b68),
+        ("EP", 0x406f_1337_c10a_266d),
+        ("FT", 0x005d_552a_b6fa_1d80),
+        ("IS", 0x50d7_8b56_ee8a_a59c),
+        ("LU", 0x2f05_8b7a_52a7_37cc),
+        ("MG", 0x80ad_6f88_6a65_3981),
+        ("SP", 0xc0ab_533d_6149_66c1),
+        ("GMAX", 0xcd23_ce2d_bf38_d31b),
+        ("PIPE", 0xbf63_d470_652f_2175),
+    ];
+    for (class, rows) in [(Class::Test, TEST), (Class::Mini, MINI)] {
+        let suite = fault_suite(class);
+        assert_eq!(suite.len(), rows.len());
+        for (b, (name, want)) in suite.iter().zip(rows) {
+            assert_eq!(b.name, name);
+            let got = emulation_digest(&b.program());
+            assert_eq!(got, want, "{name} {class:?}: emulation digest {got:#018x}");
         }
-        assert_eq!(h.0, want, "{name}: emulation digest {:#018x}", h.0);
     }
+    // Also taken at 061deb6.
+    for (name, src, loops_in_k, want) in [
+        ("NEST3", NEST3_SRC, 3, 0xe0cf_b4bd_8879_678a_u64),
+        ("FIB", FIB_SRC, 0, 0x7eeb_1887_1bc7_5a75),
+        ("BARRIER", BARRIER_SRC, 2, 0x30f3_1621_fe05_6398),
+    ] {
+        let p = compile(src).expect("compiles");
+        if let Some(k) = p.module.function_by_name("k") {
+            let plan = build_plan(&p, &Profile::default(), Abstraction::OpenMp, 0.01);
+            let planned = plan.loops.keys().filter(|(f, _)| *f == k).count();
+            assert_eq!(planned, loops_in_k, "{name}: planned loops in k");
+        }
+        let got = emulation_digest(&p);
+        assert_eq!(got, want, "{name}: emulation digest {got:#018x}");
+    }
+    let p = compile(HELIX_CALL_SRC).expect("compiles");
+    let r = emulate(&p, &helix_call_plan(&p)).expect("emulates");
+    assert_eq!(
+        (r.critical_path, r.total_steps),
+        (1948, 5361),
+        "HELIX_CALL: the segment is held across `step`"
+    );
 }
