@@ -39,13 +39,23 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pspdg_emulator::{emulate, PredictedVsMeasured};
-use pspdg_ir::interp::{Interpreter, NullSink};
+use pspdg_ir::interp::{Interpreter, NullSink, Step, TraceSink};
 use pspdg_nas::{benchmark, runtime_suite, Class};
 use pspdg_obs::Recorder;
 use pspdg_parallelizer::{build_plan, realize_executable, Abstraction};
 use pspdg_runtime::{
     globals_mismatch, observable_globals, FaultInjector, FaultKind, FaultPlan, FaultSite, Runtime,
 };
+
+/// A sink that looks at every slice of every step and keeps nothing: what
+/// the traced interpreter costs on its own, the floor under `emulate`.
+struct CountingSink(usize);
+
+impl TraceSink for CountingSink {
+    fn on_step(&mut self, step: &Step<'_>) {
+        self.0 += step.reg_deps.len() + step.loads.len() + step.stores.len();
+    }
+}
 
 fn one_run_ns<T>(f: &mut impl FnMut() -> T) -> u64 {
     let start = Instant::now();
@@ -82,6 +92,7 @@ fn main() {
     let mut rows = String::new();
     let mut speedup_ln_sum = 0.0f64;
     let mut engine_ln_sum = 0.0f64;
+    let mut emulator_ln_sum = 0.0f64;
     let mut timed = 0u32;
     let mut skipped: Vec<(String, String)> = Vec::new();
     let mut gmax_checked = false;
@@ -158,9 +169,18 @@ fn main() {
         }
 
         // Interleaved best-of timing: interpreter, one-worker runtime,
-        // parallel runtime.
+        // parallel runtime; then the emulation next to a traced run that
+        // only counts.
         let (mut interp_ns, mut seq_ns, mut par_ns) = (u64::MAX, u64::MAX, u64::MAX);
+        let (mut emulate_ns, mut traced_ns) = (u64::MAX, u64::MAX);
         for _ in 0..samples {
+            emulate_ns = emulate_ns.min(one_run_ns(&mut || emulate(&p, &plan)));
+            traced_ns = traced_ns.min(one_run_ns(&mut || {
+                let mut sink = CountingSink(0);
+                let mut i = Interpreter::new(&p.module);
+                i.run_main(&mut sink).expect("kernel runs");
+                sink.0
+            }));
             interp_ns = interp_ns.min(one_run_ns(&mut || {
                 let mut i = Interpreter::new(&p.module);
                 i.run_main(&mut NullSink).expect("kernel runs");
@@ -206,6 +226,7 @@ fn main() {
         );
         speedup_ln_sum += row.measured_speedup().max(1e-12).ln();
         engine_ln_sum += (seq_ns.max(1) as f64 / interp_ns.max(1) as f64).ln();
+        emulator_ln_sum += (emulate_ns.max(1) as f64 / traced_ns.max(1) as f64).ln();
         timed += 1;
         if !rows.is_empty() {
             rows.push_str(",\n");
@@ -218,7 +239,7 @@ fn main() {
             .join(", ");
         let _ = write!(
             rows,
-            "    {{\"kernel\": \"{}\", \"recorder\": \"{}\", \"interpreter_ns\": {}, \"sequential_ns\": {}, \"parallel_ns\": {}, \"measured_speedup\": {:.3}, \"predicted_parallelism\": {:.3}, \"loops_chunked\": {}, \"loops_sequential\": {}, \"dyn_chunked\": {}, \"dyn_fallbacks\": {}, \"dyn_fallback_reasons\": {{{}}}, \"pool_dispatches\": {}, \"critical_packets\": {}, \"critical_replays\": {}, \"fork_cells_committed\": {}, \"cow_pages\": {}, \"fork_bytes\": {}}}",
+            "    {{\"kernel\": \"{}\", \"recorder\": \"{}\", \"interpreter_ns\": {}, \"sequential_ns\": {}, \"parallel_ns\": {}, \"measured_speedup\": {:.3}, \"predicted_parallelism\": {:.3}, \"emulate_ns\": {}, \"traced_interp_ns\": {}, \"loops_chunked\": {}, \"loops_sequential\": {}, \"dyn_chunked\": {}, \"dyn_fallbacks\": {}, \"dyn_fallback_reasons\": {{{}}}, \"pool_dispatches\": {}, \"critical_packets\": {}, \"critical_replays\": {}, \"fork_cells_committed\": {}, \"cow_pages\": {}, \"fork_bytes\": {}}}",
             row.name,
             row.recorder_state,
             interp_ns,
@@ -226,6 +247,8 @@ fn main() {
             row.parallel_ns,
             row.measured_speedup(),
             row.predicted_parallelism,
+            emulate_ns,
+            traced_ns,
             realization.chunked,
             realization.sequential,
             stats.chunked_loops,
@@ -472,6 +495,8 @@ fn main() {
     let engine_vs_oracle = geomean(engine_ln_sum, timed);
     println!("geomean measured speedup: {speedup:.3}x over {timed} timed kernels");
     println!("geomean one-worker runtime / sequential interpreter: {engine_vs_oracle:.3}x");
+    let emulator_vs_traced = geomean(emulator_ln_sum, timed);
+    println!("geomean emulate / counting traced run: {emulator_vs_traced:.3}x");
     for (name, why) in &skipped {
         eprintln!("SKIPPED {name}: {why}");
     }
@@ -491,7 +516,7 @@ fn main() {
     let opcodes_json = pspdg_obs::export::profile_json(&total_ops, 10);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

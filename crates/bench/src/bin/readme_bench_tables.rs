@@ -111,7 +111,7 @@ fn pdg_module_table(json: &str) -> String {
 
 fn runtime_table(json: &str) -> String {
     let mut t = String::from(
-        "| kernel | sequential (ms) | parallel (ms) | measured | predicted | dyn chunked | critical packets | critical replays | fallbacks (by cause) |\n|---|---|---|---|---|---|---|---|---|\n",
+        "| kernel | sequential (ms) | parallel (ms) | measured | predicted | emulate (ms) | dyn chunked | critical packets | critical replays | fallbacks (by cause) |\n|---|---|---|---|---|---|---|---|---|---|\n",
     );
     // The runtime JSON also has per-kernel fault-injection and profiling
     // rows; only the timed rows carry `measured_speedup`.
@@ -133,12 +133,13 @@ fn runtime_table(json: &str) -> String {
         };
         let _ = writeln!(
             t,
-            "| {} | {} | {} | {}x | {}x | {} | {} | {} | {} |",
+            "| {} | {} | {} | {}x | {}x | {} | {} | {} | {} | {} |",
             g("kernel"),
             ms(&g("sequential_ns")),
             ms(&g("parallel_ns")),
             g("measured_speedup"),
             g("predicted_parallelism"),
+            ms(&g("emulate_ns")),
             g("dyn_chunked"),
             g("critical_packets"),
             g("critical_replays"),
@@ -152,6 +153,12 @@ fn runtime_table(json: &str) -> String {
         let _ = writeln!(
             t,
             "\nOne-worker runtime ÷ sequential interpreter on the same instruction stream (geomean): **{geo}x**"
+        );
+    }
+    if let Some(geo) = field(json, "emulator_vs_traced_geomean") {
+        let _ = writeln!(
+            t,
+            "\nEmulation ÷ a traced run into a sink that only counts (geomean): **{geo}x**"
         );
     }
     t

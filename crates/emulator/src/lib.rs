@@ -34,8 +34,8 @@
 
 #![warn(missing_docs)]
 
-pub mod machine;
+mod machine;
 pub mod report;
 
-pub use machine::{emulate, EmulationResult, IdealMachine};
+pub use machine::{emulate, EmulationResult};
 pub use report::{compare_plans, CriticalPathRow, PredictedVsMeasured};

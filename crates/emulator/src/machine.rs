@@ -1,12 +1,13 @@
 //! The ideal-machine trace scheduler.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
-use pspdg_ir::interp::{ExecError, Interpreter, MemAddr, ObjId, ObjOrigin, Step, TraceSink};
-use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, LoopId};
+use pspdg_ir::interp::{ExecError, Interpreter, ObjId, ObjOrigin, Step, TraceSink};
+use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, LoopForest, LoopId};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
 use pspdg_parallelizer::{LoopPlanSpec, PlannedTechnique, ProgramPlan};
 use pspdg_pdg::MemBase;
+use pspdg_pool::BitSet;
 
 /// Result of one plan emulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,144 +45,216 @@ pub fn emulate(
     Ok(machine.result())
 }
 
-/// A runtime object's static identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ObjKey {
-    Global(u32),
-    Alloca(u32, u32),
-}
+const NO_PLAN: u32 = u32::MAX;
 
-fn key_of_base(func: FuncId, base: MemBase) -> Option<ObjKey> {
-    match base {
-        MemBase::Global(g) => Some(ObjKey::Global(g.0)),
-        MemBase::Alloca(i) => Some(ObjKey::Alloca(func.0, i.0)),
-        _ => None,
+// Per-instruction flags: an instruction with none set touches only the
+// lane, dependence and writer state.
+/// Inside a `cilk_spawn` region (a spawned call).
+const SPAWN: u8 = 1;
+/// Joins spawned children (`cilk_sync`, `taskwait`).
+const SYNC: u8 = 1 << 1;
+/// A team-wide barrier.
+const BARRIER: u8 = 1 << 2;
+/// Covered by a mutex ([`FuncInfo::lock_of`] names it).
+const LOCKED: u8 = 1 << 3;
+/// In the sequential segment of some HELIX-planned loop of the function.
+const SEQUENTIAL: u8 = 1 << 4;
+
+/// `table[i]`, growing the table with `fill` up to `i` first.
+fn slot<T: Clone>(table: &mut Vec<T>, i: usize, fill: T) -> &mut T {
+    if i >= table.len() {
+        table.resize(i + 1, fill);
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tech {
-    Doall,
-    Helix,
-    Dswp,
+    &mut table[i]
 }
 
 /// A planned loop, pre-resolved for the hot path.
 #[derive(Debug)]
 struct PlannedLoop {
-    tech: Tech,
-    sequential_insts: HashSet<InstId>,
-    stage_of: HashMap<InstId, u32>,
-    ignored: HashSet<ObjKey>,
+    dswp: bool,
+    /// HELIX: the sequential segment, by instruction.
+    sequential_insts: BitSet,
+    /// DSWP: stage by instruction (stage 0 where the table ends).
+    stage_of: Vec<u32>,
+    /// Discharged static objects: a global by its index, a function's
+    /// alloca by the function's `alloca_base` + its instruction.
+    ignored: BitSet,
     reduce: bool,
     end_barrier: bool,
 }
 
 impl PlannedLoop {
-    fn from_spec(spec: &LoopPlanSpec) -> PlannedLoop {
-        let (tech, sequential_insts, stage_of) = match &spec.technique {
-            PlannedTechnique::Doall => (Tech::Doall, HashSet::new(), HashMap::new()),
-            PlannedTechnique::Helix { sequential_insts } => (
-                Tech::Helix,
-                sequential_insts.iter().copied().collect(),
-                HashMap::new(),
-            ),
-            PlannedTechnique::Dswp { stage_of, .. } => (
-                Tech::Dswp,
-                HashSet::new(),
-                stage_of.iter().map(|(k, v)| (*k, *v)).collect(),
-            ),
-        };
-        let ignored = spec
-            .ignored_bases
-            .iter()
-            .filter_map(|b| key_of_base(spec.func, *b))
-            .collect();
+    fn from_spec(spec: &LoopPlanSpec, alloca_base: &[usize]) -> PlannedLoop {
+        let mut sequential_insts = BitSet::new();
+        let mut stage_of = Vec::new();
+        match &spec.technique {
+            PlannedTechnique::Doall => {}
+            PlannedTechnique::Helix {
+                sequential_insts: seq,
+            } => sequential_insts.extend(seq.iter().map(|i| i.index())),
+            PlannedTechnique::Dswp { stage_of: of, .. } => {
+                for (i, stage) in of {
+                    *slot(&mut stage_of, i.index(), 0) = *stage;
+                }
+            }
+        }
+        let ignored = spec.ignored_bases.iter().filter_map(|b| match b {
+            MemBase::Global(g) => Some(g.index()),
+            MemBase::Alloca(i) => Some(alloca_base[spec.func.index()] + i.index()),
+            _ => None,
+        });
         PlannedLoop {
-            tech,
+            dswp: matches!(spec.technique, PlannedTechnique::Dswp { .. }),
             sequential_insts,
             stage_of,
-            ignored,
+            ignored: ignored.collect(),
             reduce: !spec.reduction_bases.is_empty(),
             end_barrier: spec.end_barrier,
         }
     }
 }
 
-/// Per-function static info the scheduler needs.
-#[derive(Debug)]
+/// Per-function static info the scheduler needs. The two per-instruction
+/// tables cover every instruction of the function.
+#[derive(Debug, Default)]
 struct FuncInfo {
     /// Loops containing each block, outermost-first.
     nest_of_block: Vec<Vec<LoopId>>,
     /// Header block of each loop.
     header: Vec<BlockId>,
-    /// Planned loop index per loop (u32::MAX = unplanned).
+    /// Planned loop index per loop ([`NO_PLAN`] = unplanned).
     plan_of_loop: Vec<u32>,
-    /// Lock id per mutex-covered instruction.
-    mutex_of: HashMap<InstId, u32>,
+    /// `SPAWN | SYNC | BARRIER | LOCKED | SEQUENTIAL` per instruction.
+    flags: Vec<u8>,
+    /// Lock id per `LOCKED` instruction.
+    lock_of: Vec<u32>,
     /// Blocks belonging to `cilk_spawn` regions.
-    spawn_blocks: HashSet<BlockId>,
-    /// Instructions inside `cilk_spawn` regions (spawned calls).
-    spawn_insts: HashSet<InstId>,
-    /// Instructions that join spawned children (sync markers).
-    sync_insts: HashSet<InstId>,
-    /// Instructions that are team-wide barriers.
-    barrier_insts: HashSet<InstId>,
+    spawn_blocks: BitSet,
 }
 
+/// One live loop activation of a frame.
 #[derive(Debug, Clone)]
 struct Activation {
     loop_id: LoopId,
-    plan: u32, // index into plans, u32::MAX = unplanned
+    plan: u32, // index into plans, NO_PLAN = unplanned
     uid: u32,
     iter: u32,
     seq_last: u64,
+    /// Latest finish among the frame's steps under this activation, as of
+    /// the last push above it (see [`FrameState::run_max`]).
     max_finish: u64,
 }
 
-#[derive(Debug)]
-struct FrameState {
-    func: FuncId,
-    base_lane: u64,
-    stack: Vec<Activation>,
-    parent: Option<u64>,
-    spawned: bool,
-    children_max: u64,
-    /// Fresh lane for the currently executing `cilk_spawn` region, if any.
-    spawn_lane: Option<u64>,
-    /// When this activation was entered through a call belonging to a HELIX
-    /// sequential segment, the (caller frame, activation uid) whose chain
-    /// must extend to this callee's completion.
-    seq_owner: Option<(u64, u32)>,
+/// The first two planned non-DSWP activations a step runs under (uid + 1;
+/// 0 = none), with their iterations: what a flow dependence is discharged
+/// against.
+#[derive(Debug, Clone, Copy, Default)]
+struct Context {
+    act: [u32; 2],
+    iter: [u32; 2],
 }
 
-const NO_PLAN: u32 = u32::MAX;
-const NO_PAIR: u32 = u32::MAX;
+#[derive(Debug, Default)]
+struct FrameState {
+    id: u64,
+    base_lane: u64,
+    /// Where this frame's activations start in [`IdealMachine::acts`].
+    act_base: usize,
+    spawned: bool,
+    children_max: u64,
+    /// When this activation was entered through a call belonging to a HELIX
+    /// sequential segment, the caller's activation (an index into
+    /// [`IdealMachine::acts`]; the caller's stack is frozen while this
+    /// frame is live) whose chain must extend to this callee's completion.
+    seq_owner: Option<usize>,
+    /// Whether the current block is in a `cilk_spawn` region.
+    in_spawn: bool,
+    /// Latest finish among this frame's steps since its innermost
+    /// activation was pushed; folded into that activation when another is
+    /// pushed above it or it is popped (which hands it to the one below).
+    run_max: u64,
+    // The rest is a function of the activation stack and the current
+    // block, recomputed by `on_block` when either changes.
+    /// Lane of the current block's steps: the spawn region's fresh lane,
+    /// else the activation chain's.
+    lane: u64,
+    /// A DSWP activation is live (and no spawn lane overrides it), so the
+    /// lane depends on each instruction's stage.
+    lane_per_step: bool,
+    context: Context,
+    /// Plan of each `context` activation.
+    context_plan: [u32; 2],
+    /// More than two planned non-DSWP activations are live: nothing is
+    /// discharged.
+    overflow: bool,
+}
+
+/// The last step to write a cell.
+#[derive(Debug, Clone, Copy, Default)]
+struct Writer {
+    /// Its finish time; 0 = never written.
+    fin: u64,
+    context: Context,
+}
+
+/// Last writers of one runtime object's cells, grown on demand.
+#[derive(Debug, Clone, Default)]
+struct ObjWriters {
+    /// The object's index in the `ignored` sets.
+    stat: usize,
+    cells: Vec<Writer>,
+}
+
+/// Finish times so far: the last per lane and the latest of all. The ideal
+/// machine has unboundedly many lanes, so `last` stays a map, behind the
+/// one lane the trace is currently in.
+#[derive(Default)]
+struct Lanes {
+    last: HashMap<u64, u64>,
+    cur: u64,
+    cur_last: u64,
+    max: u64,
+}
+
+impl Lanes {
+    /// Last finish time in `lane` (0 for a lane nothing ran in yet).
+    #[inline]
+    fn last_mut(&mut self, lane: u64) -> &mut u64 {
+        if lane != self.cur {
+            self.last.insert(self.cur, self.cur_last);
+            self.cur_last = self.last.get(&lane).copied().unwrap_or(0);
+            self.cur = lane;
+        }
+        &mut self.cur_last
+    }
+}
 
 /// The ideal machine: a [`TraceSink`] computing plan-constrained finish
 /// times online.
-#[derive(Debug)]
-pub struct IdealMachine {
+#[derive(Default)]
+pub(crate) struct IdealMachine {
     plans: Vec<PlannedLoop>,
     funcs: Vec<FuncInfo>,
-    frames: HashMap<u64, FrameState>,
+    /// Where each function's allocas start in the `ignored` sets.
+    alloca_base: Vec<usize>,
+    /// Live frames, innermost last: the interpreter's activations nest.
+    frames: Vec<FrameState>,
+    /// Live loop activations of all frames, innermost frame's last.
+    acts: Vec<Activation>,
+    /// Finish time per step, indexed by the trace indices `reg_deps` carry.
     finish: Vec<u64>,
-    lanes: Vec<u64>,
-    /// Up to two (activation uid, iteration) pairs per step.
-    act_pairs: Vec<[u32; 4]>,
-    /// Plan index per activation uid.
-    act_plan: Vec<u32>,
-    lane_last: HashMap<u64, u64>,
-    lock_last: HashMap<u32, u64>,
-    last_writer: HashMap<MemAddr, (u64, Option<ObjKey>)>,
-    obj_keys: Vec<Option<ObjKey>>,
+    lanes: Lanes,
+    /// By lock id.
+    lock_last: Vec<u64>,
+    /// By `ObjId`.
+    writers: Vec<ObjWriters>,
     floor: u64,
-    global_max: u64,
     next_act_uid: u32,
     next_spawn_lane: u64,
-    /// (trace idx, lane, inst, frame) of the most recent step — consulted by
-    /// `on_enter` to identify the call site.
-    last_step: Option<(u64, u64, InstId, u64)>,
+    /// Instruction (by index) of the most recent step and its flags —
+    /// how `on_enter` identifies the call site (its lane is `lanes.cur`).
+    last_inst: usize,
+    last_flags: u8,
 }
 
 fn mix(a: u64, b: u64, c: u64) -> u64 {
@@ -199,30 +272,101 @@ fn ceil_log2(n: u64) -> u64 {
     }
 }
 
+/// Lane of a frame's (planned) activation stack `acts` over `base_lane`;
+/// `inst` selects the DSWP stage where applicable.
+fn lane_of(plans: &[PlannedLoop], base_lane: u64, acts: &[Activation], inst: Option<usize>) -> u64 {
+    let mut lane = base_lane;
+    for act in acts {
+        if act.plan == NO_PLAN {
+            continue;
+        }
+        let p = &plans[act.plan as usize];
+        let key = if p.dswp {
+            inst.and_then(|i| p.stage_of.get(i).copied()).unwrap_or(0)
+        } else {
+            act.iter
+        };
+        lane = mix(lane, act.uid as u64, key as u64);
+    }
+    lane
+}
+
+/// Whether `inst` is in the sequential segment of `act`'s (HELIX) plan.
+fn in_segment(plans: &[PlannedLoop], act: &Activation, inst: usize) -> bool {
+    act.plan != NO_PLAN && plans[act.plan as usize].sequential_insts.contains(inst)
+}
+
+/// Pop `top`'s innermost activation; a planned loop's continuation (the
+/// frame's lane without it) waits for all iterations (+ the reduction
+/// merge).
+fn pop_activation(
+    plans: &[PlannedLoop],
+    acts: &mut Vec<Activation>,
+    top: &mut FrameState,
+    lanes: &mut Lanes,
+) {
+    let act = acts.pop().expect("the frame has a live activation");
+    let max_finish = act.max_finish.max(top.run_max);
+    top.run_max = max_finish;
+    if act.plan == NO_PLAN {
+        return;
+    }
+    let p = &plans[act.plan as usize];
+    let mut sync_fin = 0u64;
+    if p.end_barrier {
+        sync_fin = sync_fin.max(max_finish);
+    }
+    if p.reduce {
+        sync_fin = sync_fin.max(max_finish + ceil_log2(act.iter as u64 + 1));
+    }
+    if sync_fin > 0 {
+        let cont = lane_of(plans, top.base_lane, &acts[top.act_base..], None);
+        let last = lanes.last_mut(cont);
+        *last = (*last).max(sync_fin);
+        lanes.max = lanes.max.max(sync_fin);
+    }
+}
+
+/// Whether a flow dependence through object `stat`, from a step that ran
+/// under `writer` to one in `reader`, is discharged: both ran under some
+/// activation, in different iterations, whose plan ignores the object.
+/// (Two empty context slots agree on iteration 0, so they never match.)
+fn discharged(plans: &[PlannedLoop], reader: &FrameState, writer: &Context, stat: usize) -> bool {
+    let by = &reader.context;
+    !reader.overflow
+        && (0..2).any(|i| {
+            (0..2).any(|j| writer.act[j] == by.act[i] && writer.iter[j] != by.iter[i])
+                && plans[reader.context_plan[i] as usize]
+                    .ignored
+                    .contains(stat)
+        })
+}
+
 impl IdealMachine {
     /// Prepare a machine for `program` under `plan`.
-    pub fn new(program: &ParallelProgram, plan: &ProgramPlan) -> IdealMachine {
+    pub(crate) fn new(program: &ParallelProgram, plan: &ProgramPlan) -> IdealMachine {
+        let module = &program.module;
+        let alloca_base: Vec<usize> = module
+            .functions
+            .iter()
+            .scan(module.globals.len(), |next, f| {
+                let base = *next;
+                *next += f.insts.len();
+                Some(base)
+            })
+            .collect();
         let mut plans = Vec::new();
         let mut plan_idx: HashMap<(FuncId, LoopId), u32> = HashMap::new();
         for ((func, l), spec) in &plan.loops {
             plan_idx.insert((*func, *l), plans.len() as u32);
-            plans.push(PlannedLoop::from_spec(spec));
+            plans.push(PlannedLoop::from_spec(spec, &alloca_base));
         }
-        let mut lock_ids: HashMap<String, u32> = HashMap::new();
+        let mut lock_ids: HashMap<&str, u32> = HashMap::new();
         let mut funcs = Vec::new();
-        for func in program.module.function_ids() {
-            let f = program.module.function(func);
+        for func in module.function_ids() {
+            let f = module.function(func);
             if f.blocks.is_empty() {
-                funcs.push(FuncInfo {
-                    nest_of_block: Vec::new(),
-                    header: Vec::new(),
-                    plan_of_loop: Vec::new(),
-                    mutex_of: HashMap::new(),
-                    spawn_blocks: HashSet::new(),
-                    spawn_insts: HashSet::new(),
-                    sync_insts: HashSet::new(),
-                    barrier_insts: HashSet::new(),
-                });
+                funcs.push(FuncInfo::default());
                 continue;
             }
             let cfg = Cfg::new(f);
@@ -237,302 +381,214 @@ impl IdealMachine {
                 })
                 .collect();
             let header = forest.loop_ids().map(|l| forest.info(l).header).collect();
-            let plan_of_loop = forest
+            let plan_of_loop: Vec<u32> = forest
                 .loop_ids()
                 .map(|l| plan_idx.get(&(func, l)).copied().unwrap_or(NO_PLAN))
                 .collect();
-            let mut mutex_of = HashMap::new();
+            let mut flags = vec![0u8; f.insts.len()];
+            let mut lock_of = vec![0u32; f.insts.len()];
             for m in plan.mutexes.iter().filter(|m| m.func == func) {
                 let next = lock_ids.len() as u32;
-                let id = *lock_ids.entry(m.lock.clone()).or_insert(next);
+                let id = *lock_ids.entry(m.lock.as_str()).or_insert(next);
                 for &i in &m.insts {
-                    mutex_of.insert(i, id);
+                    flags[i.index()] |= LOCKED;
+                    lock_of[i.index()] = id;
                 }
             }
-            let mut spawn_blocks = HashSet::new();
-            let mut spawn_insts = HashSet::new();
-            let mut sync_insts = HashSet::new();
-            let mut barrier_insts = HashSet::new();
+            for &p in plan_of_loop.iter().filter(|p| **p != NO_PLAN) {
+                for i in &plans[p as usize].sequential_insts {
+                    flags[i] |= SEQUENTIAL;
+                }
+            }
+            let mut spawn_blocks = BitSet::new();
             for (_, d) in program.directives_in(func) {
-                let insts = || -> BTreeSet<InstId> {
-                    d.region
-                        .blocks
-                        .iter()
-                        .flat_map(|bb| f.block(*bb).insts.iter().copied())
-                        .collect()
-                };
-                match d.kind {
+                let flag = match d.kind {
                     DirectiveKind::CilkSpawn if plan.parallel_spawns => {
-                        spawn_blocks.extend(d.region.blocks.iter().copied());
-                        spawn_insts.extend(insts());
+                        spawn_blocks.extend(d.region.blocks.iter().map(|bb| bb.index()));
+                        SPAWN
                     }
-                    DirectiveKind::CilkSync | DirectiveKind::Taskwait => {
-                        sync_insts.extend(insts());
-                    }
+                    DirectiveKind::CilkSync | DirectiveKind::Taskwait => SYNC,
                     DirectiveKind::Barrier
                         if plan.abstraction == pspdg_parallelizer::Abstraction::OpenMp =>
                     {
-                        barrier_insts.extend(insts());
+                        BARRIER
                     }
-                    _ => {}
+                    _ => continue,
+                };
+                for bb in &d.region.blocks {
+                    for i in &f.block(*bb).insts {
+                        flags[i.index()] |= flag;
+                    }
                 }
             }
             funcs.push(FuncInfo {
                 nest_of_block,
                 header,
                 plan_of_loop,
-                mutex_of,
+                flags,
+                lock_of,
                 spawn_blocks,
-                spawn_insts,
-                sync_insts,
-                barrier_insts,
             });
         }
         IdealMachine {
             plans,
             funcs,
-            frames: HashMap::new(),
-            finish: Vec::new(),
-            lanes: Vec::new(),
-            act_pairs: Vec::new(),
-            act_plan: Vec::new(),
-            lane_last: HashMap::new(),
-            lock_last: HashMap::new(),
-            last_writer: HashMap::new(),
-            obj_keys: Vec::new(),
-            floor: 0,
-            global_max: 0,
-            next_act_uid: 0,
+            alloca_base,
+            lock_last: vec![0; lock_ids.len()],
             next_spawn_lane: 1,
-            last_step: None,
+            ..IdealMachine::default()
         }
     }
 
     /// The measurement after the run completes.
-    pub fn result(&self) -> EmulationResult {
+    pub(crate) fn result(&self) -> EmulationResult {
         EmulationResult {
-            critical_path: self.global_max,
+            critical_path: self.lanes.max,
             total_steps: self.finish.len() as u64,
-        }
-    }
-
-    /// Lane of a frame's current (planned) activation stack; `inst` selects
-    /// the DSWP stage where applicable.
-    fn lane_of(&self, frame: &FrameState, inst: Option<InstId>) -> u64 {
-        let mut lane = frame.base_lane;
-        for act in &frame.stack {
-            if act.plan == NO_PLAN {
-                continue;
-            }
-            let p = &self.plans[act.plan as usize];
-            let key = match p.tech {
-                Tech::Dswp => inst.and_then(|i| p.stage_of.get(&i).copied()).unwrap_or(0) as u64,
-                _ => act.iter as u64,
-            };
-            lane = mix(lane, act.uid as u64, key);
-        }
-        lane
-    }
-
-    fn pop_activation(&mut self, frame_id: u64) {
-        let Some(frame) = self.frames.get_mut(&frame_id) else {
-            return;
-        };
-        let Some(act) = frame.stack.pop() else { return };
-        if act.plan == NO_PLAN {
-            return;
-        }
-        let p = &self.plans[act.plan as usize];
-        let mut sync_fin = 0u64;
-        if p.end_barrier {
-            sync_fin = sync_fin.max(act.max_finish);
-        }
-        if p.reduce {
-            sync_fin = sync_fin.max(act.max_finish + ceil_log2(act.iter as u64 + 1));
-        }
-        if sync_fin > 0 {
-            // The continuation (the frame's lane without this activation)
-            // waits for all iterations (+ the reduction merge).
-            let frame = &self.frames[&frame_id];
-            let cont = self.lane_of(frame, None);
-            let e = self.lane_last.entry(cont).or_insert(0);
-            *e = (*e).max(sync_fin);
-            self.global_max = self.global_max.max(sync_fin);
         }
     }
 }
 
 impl TraceSink for IdealMachine {
     fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
-        let key = match origin {
-            ObjOrigin::Global(g) => Some(ObjKey::Global(g.0)),
-            ObjOrigin::Alloca { func, inst } => Some(ObjKey::Alloca(func.0, inst.0)),
+        let stat = match origin {
+            ObjOrigin::Global(g) => g.index(),
+            ObjOrigin::Alloca { func, inst } => self.alloca_base[func.index()] + inst.index(),
         };
-        if obj.index() >= self.obj_keys.len() {
-            self.obj_keys.resize(obj.index() + 1, None);
-        }
-        self.obj_keys[obj.index()] = key;
+        slot(&mut self.writers, obj.index(), ObjWriters::default()).stat = stat;
     }
 
-    fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
-        let (base_lane, parent, spawned, seq_owner) = if call_step == u64::MAX {
-            (0, None, false, None)
-        } else {
-            let (idx, lane, inst, caller) =
-                self.last_step.expect("a call step precedes every on_enter");
-            debug_assert_eq!(idx, call_step);
-            let caller_state = &self.frames[&caller];
-            let caller_func = caller_state.func;
+    fn on_enter(&mut self, frame: u64, _func: FuncId, call_step: u64) {
+        debug_assert_eq!(self.frames.is_empty(), call_step == u64::MAX);
+        let mut state = FrameState {
+            id: frame,
+            act_base: self.acts.len(),
+            ..FrameState::default()
+        };
+        if let Some(caller) = self.frames.last() {
+            // The call step is the most recent step, so the caller is the
+            // innermost live frame and the step's lane is current.
+            debug_assert_eq!(call_step + 1, self.finish.len() as u64);
+            state.base_lane = self.lanes.cur;
             // A spawned call already executes in its strand's lane (the
             // spawn region's lane); the callee simply inherits it.
-            let spawned = self.funcs[caller_func.index()].spawn_insts.contains(&inst);
+            state.spawned = self.last_flags & SPAWN != 0;
             // A call inside a HELIX sequential segment keeps the segment
             // locked until the callee returns.
-            let seq_owner = caller_state
-                .stack
-                .iter()
-                .find(|act| {
-                    act.plan != NO_PLAN
-                        && matches!(self.plans[act.plan as usize].tech, Tech::Helix)
-                        && self.plans[act.plan as usize]
-                            .sequential_insts
-                            .contains(&inst)
-                })
-                .map(|act| (caller, act.uid));
-            (lane, Some(caller), spawned, seq_owner)
-        };
-        self.frames.insert(
-            frame,
-            FrameState {
-                func,
-                base_lane,
-                stack: Vec::new(),
-                parent,
-                spawned,
-                children_max: 0,
-                spawn_lane: None,
-                seq_owner,
-            },
-        );
+            state.seq_owner = (caller.act_base..self.acts.len())
+                .find(|i| in_segment(&self.plans, &self.acts[*i], self.last_inst));
+        }
+        state.lane = state.base_lane;
+        self.frames.push(state);
     }
 
     fn on_exit(&mut self, frame: u64, _func: FuncId, ret_step: u64) {
-        while self.frames.get(&frame).is_some_and(|f| !f.stack.is_empty()) {
-            self.pop_activation(frame);
+        let mut state = self.frames.pop().expect("a frame is live");
+        debug_assert_eq!(state.id, frame);
+        while self.acts.len() > state.act_base {
+            pop_activation(&self.plans, &mut self.acts, &mut state, &mut self.lanes);
         }
-        let Some(state) = self.frames.remove(&frame) else {
-            return;
-        };
         let fin = self.finish[ret_step as usize];
         if state.spawned {
-            if let Some(parent) = state.parent {
-                if let Some(p) = self.frames.get_mut(&parent) {
-                    p.children_max = p.children_max.max(fin);
-                }
+            if let Some(parent) = self.frames.last_mut() {
+                parent.children_max = parent.children_max.max(fin);
             }
         }
-        if let Some((owner_frame, act_uid)) = state.seq_owner {
-            if let Some(owner) = self.frames.get_mut(&owner_frame) {
-                if let Some(act) = owner.stack.iter_mut().find(|a| a.uid == act_uid) {
-                    act.seq_last = act.seq_last.max(fin);
-                }
-            }
+        if let Some(owner) = state.seq_owner {
+            let act = &mut self.acts[owner];
+            act.seq_last = act.seq_last.max(fin);
         }
     }
 
     fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
         let info = &self.funcs[func.index()];
+        let nest = &info.nest_of_block[block.index()];
+        let top = self.frames.last_mut().expect("a frame is live");
+        debug_assert_eq!(top.id, frame);
+        let base = top.act_base;
         // Spawn strands: entering a spawn-region block opens a fresh lane;
         // leaving it returns to the frame's own lane.
-        let entering_spawn = info.spawn_blocks.contains(&block);
-        let nest = info.nest_of_block[block.index()].clone();
-        if let Some(state) = self.frames.get_mut(&frame) {
-            state.spawn_lane = if entering_spawn {
-                self.next_spawn_lane += 1;
-                Some(mix(state.base_lane, 0xC11C, self.next_spawn_lane))
-            } else {
-                None
-            };
-        }
+        let in_spawn = info.spawn_blocks.contains(block.index());
+        let mut changed = in_spawn || top.in_spawn;
+        top.in_spawn = in_spawn;
+        let spawn_lane = in_spawn.then(|| {
+            self.next_spawn_lane += 1;
+            mix(top.base_lane, 0xC11C, self.next_spawn_lane)
+        });
         // Pop activations that ended.
-        loop {
-            let Some(state) = self.frames.get(&frame) else {
-                return;
-            };
-            match state.stack.last() {
-                Some(top) if !nest.contains(&top.loop_id) => self.pop_activation(frame),
-                _ => break,
+        while self.acts.len() > base && !nest.contains(&self.acts[self.acts.len() - 1].loop_id) {
+            pop_activation(&self.plans, &mut self.acts, top, &mut self.lanes);
+            changed = true;
+        }
+        // Loops nest, so what is left is a prefix of `nest`: push the newly
+        // entered loops (outermost-first), or bump the iteration.
+        let live = self.acts.len() - base;
+        debug_assert!(self.acts[base..]
+            .iter()
+            .map(|a| a.loop_id)
+            .eq(nest[..live].iter().copied()));
+        if live < nest.len() {
+            if let Some(below) = self.acts[base..].last_mut() {
+                below.max_finish = below.max_finish.max(top.run_max);
+            }
+            top.run_max = 0;
+            for l in &nest[live..] {
+                self.acts.push(Activation {
+                    loop_id: *l,
+                    plan: info.plan_of_loop[l.index()],
+                    uid: self.next_act_uid,
+                    iter: 0,
+                    seq_last: 0,
+                    max_finish: 0,
+                });
+                self.next_act_uid += 1;
+            }
+            changed = true;
+        } else if let Some(innermost) = self.acts[base..].last_mut() {
+            if info.header[innermost.loop_id.index()] == block {
+                innermost.iter += 1;
+                changed = true;
             }
         }
-        // Push newly entered loops (outermost-first) / bump iteration.
-        let state = self.frames.get_mut(&frame).expect("frame exists");
-        let mut pushed = false;
-        for l in &nest {
-            if state.stack.iter().any(|a| a.loop_id == *l) {
-                continue;
-            }
-            let uid = self.next_act_uid;
-            self.next_act_uid += 1;
-            let plan = self.funcs[func.index()].plan_of_loop[l.index()];
-            self.act_plan.push(plan);
-            debug_assert_eq!(self.act_plan.len() as u32, self.next_act_uid);
-            state.stack.push(Activation {
-                loop_id: *l,
-                plan,
-                uid,
-                iter: 0,
-                seq_last: 0,
-                max_finish: 0,
-            });
-            pushed = true;
+        if !changed {
+            return;
         }
-        if !pushed {
-            if let Some(top) = state.stack.last_mut() {
-                if self.funcs[func.index()].header[top.loop_id.index()] == block {
-                    top.iter += 1;
-                }
+        let acts = &self.acts[base..];
+        top.lane = spawn_lane.unwrap_or_else(|| lane_of(&self.plans, top.base_lane, acts, None));
+        top.lane_per_step = false;
+        top.context = Context::default();
+        top.overflow = false;
+        let mut n = 0;
+        for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
+            if self.plans[act.plan as usize].dswp {
+                top.lane_per_step = spawn_lane.is_none();
+            } else if n < 2 {
+                top.context.act[n] = act.uid + 1;
+                top.context.iter[n] = act.iter;
+                top.context_plan[n] = act.plan;
+                n += 1;
+            } else {
+                top.overflow = true;
             }
         }
     }
 
     fn on_step(&mut self, step: &Step<'_>) {
         debug_assert_eq!(step.index as usize, self.finish.len());
-        let frame_id = step.frame;
-        let func = step.func;
-        let inst = step.inst;
-        let info = &self.funcs[func.index()];
+        let inst = step.inst.index();
+        let top = self.frames.last_mut().expect("a frame is live");
+        debug_assert_eq!(top.id, step.frame);
+        let info = &self.funcs[step.func.index()];
+        let flags = info.flags[inst];
+        debug_assert!(!top.in_spawn || flags & SPAWN != 0);
 
-        // Lane + activation pairs.
-        let (lane, pairs, overflow) = {
-            let frame = &self.frames[&frame_id];
-            let lane = match frame.spawn_lane {
-                Some(sl) if info.spawn_insts.contains(&inst) => sl,
-                _ => self.lane_of(frame, Some(inst)),
-            };
-            let mut pairs = [NO_PAIR; 4];
-            let mut pi = 0;
-            let mut overflow = false;
-            for act in &frame.stack {
-                if act.plan == NO_PLAN {
-                    continue;
-                }
-                if matches!(self.plans[act.plan as usize].tech, Tech::Dswp) {
-                    continue;
-                }
-                if pi < 2 {
-                    pairs[pi * 2] = act.uid;
-                    pairs[pi * 2 + 1] = act.iter;
-                    pi += 1;
-                } else {
-                    overflow = true;
-                }
-            }
-            (lane, pairs, overflow)
+        let lane = if top.lane_per_step {
+            let acts = &self.acts[top.act_base..];
+            lane_of(&self.plans, top.base_lane, acts, Some(inst))
+        } else {
+            top.lane
         };
-
-        let mut start = self
-            .floor
-            .max(self.lane_last.get(&lane).copied().unwrap_or(0));
+        let mut start = self.floor.max(*self.lanes.last_mut(lane));
 
         // Register dependences.
         for &d in step.reg_deps {
@@ -541,92 +597,59 @@ impl TraceSink for IdealMachine {
 
         // Memory flow dependences (with plan discharges).
         for addr in step.loads {
-            let Some(&(widx, wkey)) = self.last_writer.get(addr) else {
-                continue;
-            };
-            let dropped = !overflow && wkey.is_some() && {
-                let wpairs = self.act_pairs[widx as usize];
-                let mut drop = false;
-                for i in 0..2 {
-                    let act = pairs[i * 2];
-                    if act == NO_PAIR {
-                        break;
-                    }
-                    // Same activation, different iteration?
-                    for j in 0..2 {
-                        if wpairs[j * 2] == act && wpairs[j * 2 + 1] != pairs[i * 2 + 1] {
-                            let plan = self.act_plan[act as usize];
-                            if plan != NO_PLAN
-                                && self.plans[plan as usize].ignored.contains(&wkey.unwrap())
-                            {
-                                drop = true;
-                            }
-                        }
-                    }
+            let obj = &self.writers[addr.obj.index()];
+            if let Some(w) = obj.cells.get(addr.off as usize) {
+                if w.fin > start && !discharged(&self.plans, top, &w.context, obj.stat) {
+                    start = w.fin;
                 }
-                drop
-            };
-            if !dropped {
-                start = start.max(self.finish[widx as usize]);
             }
         }
 
-        // Mutual exclusion.
-        let lock = info.mutex_of.get(&inst).copied();
-        if let Some(lock) = lock {
-            start = start.max(self.lock_last.get(&lock).copied().unwrap_or(0));
-        }
-
-        // HELIX sequential segments.
+        // The HELIX activation whose sequential segment this step extends.
         let mut helix_act: Option<usize> = None;
-        {
-            let frame = &self.frames[&frame_id];
-            for (i, act) in frame.stack.iter().enumerate() {
-                if act.plan != NO_PLAN {
-                    let p = &self.plans[act.plan as usize];
-                    if matches!(p.tech, Tech::Helix) && p.sequential_insts.contains(&inst) {
+        if flags != 0 {
+            // Mutual exclusion.
+            if flags & LOCKED != 0 {
+                start = start.max(self.lock_last[info.lock_of[inst] as usize]);
+            }
+            // HELIX sequential segments.
+            if flags & SEQUENTIAL != 0 {
+                for (i, act) in self.acts.iter().enumerate().skip(top.act_base) {
+                    if in_segment(&self.plans, act, inst) {
                         start = start.max(act.seq_last);
                         helix_act = Some(i);
                     }
                 }
             }
-        }
-
-        // Sync markers.
-        if info.sync_insts.contains(&inst) {
-            let frame = &self.frames[&frame_id];
-            start = start.max(frame.children_max);
-        }
-        if info.barrier_insts.contains(&inst) {
-            self.floor = self.floor.max(self.global_max);
-            start = start.max(self.floor);
+            // Sync markers.
+            if flags & SYNC != 0 {
+                start = start.max(top.children_max);
+            }
+            if flags & BARRIER != 0 {
+                self.floor = self.floor.max(self.lanes.max);
+                start = start.max(self.floor);
+            }
         }
 
         let fin = start + 1;
         self.finish.push(fin);
-        self.lanes.push(lane);
-        self.act_pairs.push(pairs);
-        self.lane_last.insert(lane, fin);
-        self.global_max = self.global_max.max(fin);
-        if let Some(lock) = lock {
-            self.lock_last.insert(lock, fin);
+        self.lanes.cur_last = fin;
+        self.lanes.max = self.lanes.max.max(fin);
+        top.run_max = top.run_max.max(fin);
+        if flags & LOCKED != 0 {
+            self.lock_last[info.lock_of[inst] as usize] = fin;
         }
-        {
-            let frame = self.frames.get_mut(&frame_id).expect("frame exists");
-            for act in frame.stack.iter_mut() {
-                if act.plan != NO_PLAN {
-                    act.max_finish = act.max_finish.max(fin);
-                }
-            }
-            if let Some(i) = helix_act {
-                frame.stack[i].seq_last = fin;
-            }
+        if let Some(i) = helix_act {
+            self.acts[i].seq_last = fin;
         }
         for addr in step.stores {
-            let key = self.obj_keys.get(addr.obj.index()).copied().flatten();
-            self.last_writer.insert(*addr, (step.index, key));
+            let cells = &mut self.writers[addr.obj.index()].cells;
+            *slot(cells, addr.off as usize, Writer::default()) = Writer {
+                fin,
+                context: top.context,
+            };
         }
-        self.last_step = Some((step.index, lane, inst, frame_id));
+        (self.last_inst, self.last_flags) = (inst, flags);
     }
 }
 
@@ -634,20 +657,12 @@ impl TraceSink for IdealMachine {
 mod tests {
     use super::*;
     use pspdg_frontend::compile;
-    use pspdg_ir::interp::NullSink;
+    use pspdg_ir::InstId;
     use pspdg_parallelizer::{build_plan, Abstraction};
 
     fn cp_all(src: &str) -> Vec<(Abstraction, EmulationResult)> {
-        let p = compile(src).unwrap();
-        let mut interp = Interpreter::new(&p.module);
-        interp.run_main(&mut NullSink).unwrap();
-        Abstraction::ALL
-            .iter()
-            .map(|a| {
-                let plan = build_plan(&p, interp.profile(), *a, 0.01);
-                (*a, emulate(&p, &plan).unwrap())
-            })
-            .collect()
+        let row = crate::compare_plans("test", &compile(src).unwrap());
+        row.unwrap().results
     }
 
     #[test]

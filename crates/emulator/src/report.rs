@@ -1,10 +1,12 @@
 //! Plan comparison reports (the rows of Fig. 14).
 
-use pspdg_ir::interp::{ExecError, Interpreter, NullSink};
+use pspdg_core::{build_pspdg_module, FeatureSet};
+use pspdg_ir::interp::{ExecError, Interpreter, NullSink, ObjId, ObjOrigin, Step, TraceSink};
+use pspdg_ir::{BlockId, FuncId};
 use pspdg_parallel::ParallelProgram;
-use pspdg_parallelizer::{build_plan, Abstraction};
+use pspdg_parallelizer::{plan_built, Abstraction};
 
-use crate::machine::{emulate, EmulationResult};
+use crate::machine::{EmulationResult, IdealMachine};
 
 /// One benchmark row: critical paths under every abstraction and the
 /// speedups over the programmer-encoded plan.
@@ -39,27 +41,55 @@ impl CriticalPathRow {
     }
 }
 
-/// Profile `program`, build all four plans, and emulate each. The four
-/// plan emulations are independent trace replays, so they run across the
-/// shared worker pool (result order stays [`Abstraction::ALL`] order).
+/// Every event of one traced run, handed to one machine per plan.
+struct EachMachine(Vec<IdealMachine>);
+
+impl EachMachine {
+    fn each(&mut self, event: impl Fn(&mut IdealMachine)) {
+        self.0.iter_mut().for_each(event);
+    }
+}
+
+impl TraceSink for EachMachine {
+    fn on_step(&mut self, step: &Step<'_>) {
+        self.each(|m| m.on_step(step));
+    }
+    fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
+        self.each(|m| m.on_block(frame, func, block));
+    }
+    fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
+        self.each(|m| m.on_enter(frame, func, call_step));
+    }
+    fn on_exit(&mut self, frame: u64, func: FuncId, ret_step: u64) {
+        self.each(|m| m.on_exit(frame, func, ret_step));
+    }
+    fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
+        self.each(|m| m.on_alloc(obj, origin));
+    }
+}
+
+/// Profile `program`, build all four plans from one module build, and
+/// emulate them side by side on one traced run (results in
+/// [`Abstraction::ALL`] order).
 ///
 /// # Errors
 ///
-/// Propagates interpreter faults from the profiling run or any emulation.
+/// Propagates interpreter faults from the profiling run or the traced run.
 pub fn compare_plans(name: &str, program: &ParallelProgram) -> Result<CriticalPathRow, ExecError> {
     let mut interp = Interpreter::new(&program.module);
     interp.run_main(&mut NullSink)?;
-    let profile = interp.profile().clone();
-    let results: Result<Vec<(Abstraction, EmulationResult)>, ExecError> =
-        pspdg_pool::par_map(Abstraction::ALL.to_vec(), |a| {
-            let plan = build_plan(program, &profile, a, 0.01);
-            emulate(program, &plan).map(|r| (a, r))
-        })
+    let built = build_pspdg_module(program, FeatureSet::all());
+    let plan = |a| plan_built(program, &built, interp.profile(), a, 0.01);
+    let machines = Abstraction::ALL.map(|a| IdealMachine::new(program, &plan(a)));
+    let mut sink = EachMachine(machines.into());
+    Interpreter::new(&program.module).run_main(&mut sink)?;
+    let results = Abstraction::ALL
         .into_iter()
+        .zip(sink.0.iter().map(IdealMachine::result))
         .collect();
     Ok(CriticalPathRow {
         name: name.to_string(),
-        results: results?,
+        results,
     })
 }
 

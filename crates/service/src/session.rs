@@ -100,23 +100,23 @@ pub struct PlanBundle {
     pub plan: ProgramPlan,
     /// The lowered plan, shared by every runtime executing it.
     pub exec: Arc<ExecutablePlan>,
-    /// Ideal-machine parallelism of `plan`, memoized on first use.
-    predicted: OnceLock<f64>,
+    /// Ideal-machine parallelism of `plan`, memoized on first use (the
+    /// emulation is deterministic, so a fault is memoized too).
+    predicted: OnceLock<Result<f64, ExecError>>,
 }
 
 impl PlanBundle {
     /// Parallelism the ideal machine predicts for this plan (total
-    /// dynamic instructions / plan-constrained critical path), memoized.
+    /// dynamic instructions / plan-constrained critical path), memoized:
+    /// concurrent first callers block on the one emulation (single-flight).
     ///
     /// # Errors
     ///
     /// Propagates interpreter faults from the emulation run.
     pub fn predicted_parallelism(&self, program: &ParallelProgram) -> Result<f64, ExecError> {
-        if let Some(p) = self.predicted.get() {
-            return Ok(*p);
-        }
-        let r = emulate(program, &self.plan)?;
-        Ok(*self.predicted.get_or_init(|| r.parallelism()))
+        self.predicted
+            .get_or_init(|| emulate(program, &self.plan).map(|r| r.parallelism()))
+            .clone()
     }
 }
 

@@ -8,6 +8,13 @@
 //! the sink that elides tracing and under a one-worker `Runtime`. A count
 //! is deterministic where an Msteps/s floor would depend on the host.
 //! (Thread-local counting-allocator idiom of `crates/obs/tests/recorder.rs`.)
+//! The ideal machine does keep state that grows with the trace — a finish
+//! time per step, a last-finish per lane — so `emulate` may differ between
+//! N and 8N, but only by the doublings of those two tables.
+//!
+//! The same counter tells an emulation from a wait: of the threads that ask
+//! a fresh `PlanBundle` for its predicted parallelism at the same moment,
+//! one allocates what an emulation allocates and the rest next to nothing.
 //!
 //! `synth::wide(n)` is one function of `n` sibling loops over `n` arrays,
 //! so doubling `n` doubles both the loops and the function's edges. A
@@ -20,12 +27,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pspdg::core::{build_pspdg_module, FeatureSet};
+use pspdg::emulator::emulate;
 use pspdg::frontend::compile;
 use pspdg::ir::interp::{Interpreter, NullSink};
 use pspdg::nas::synth;
 use pspdg::parallel::ParallelProgram;
 use pspdg::parallelizer::{build_plan, plan_built, Abstraction};
 use pspdg::runtime::Runtime;
+use pspdg::Session;
 
 struct CountingAlloc;
 
@@ -86,15 +95,27 @@ fn allocations_do_not_scale_with_executed_instructions() {
         let mut out = None;
         let runtime = allocs_during(|| out = Some(rt.run_main().expect("runs")));
         assert_eq!(out.expect("ran").steps, steps);
-        (steps, oracle, runtime)
+        // One lane per iteration, so the lane table grows with the trip too.
+        assert_eq!(plan.len(), 1, "the loop is planned");
+        let emulator = allocs_during(|| {
+            assert_eq!(emulate(&p, &plan).expect("emulates").total_steps, steps);
+        });
+        (steps, oracle, runtime, emulator)
     });
-    let [(steps_n, oracle_n, runtime_n), (steps_8n, oracle_8n, runtime_8n)] = counts;
+    let [(steps_n, oracle_n, runtime_n, emulator_n), (steps_8n, oracle_8n, runtime_8n, emulator_8n)] =
+        counts;
     assert!(
         steps_8n > 7 * steps_n,
         "the longer run executes ~8x the steps"
     );
     assert_eq!(oracle_n, oracle_8n, "ir::interp allocations at N vs 8N");
     assert_eq!(runtime_n, runtime_8n, "Runtime allocations at N vs 8N");
+    // 8x the steps and 8x the lanes: three doublings of each table, plus
+    // slack for where the smaller run sits between two of its own.
+    assert!(
+        emulator_8n <= emulator_n + 8,
+        "emulate allocations: {emulator_n} at N, {emulator_8n} at 8N"
+    );
 }
 
 #[test]
@@ -124,4 +145,38 @@ fn planning_allocations_scale_with_loops_not_loops_times_edges() {
             wide.1
         );
     }
+}
+
+#[test]
+fn concurrent_first_callers_of_predicted_parallelism_share_one_emulation() {
+    const CALLERS: usize = 4;
+    // Long enough (~200k dynamic instructions) that every caller released
+    // by the barrier arrives while the first emulation is still running.
+    let session = Session::from_program(kernel(16_384)).expect("profiles");
+    let program = session.program();
+    // What one emulation allocates, on a bundle of its own.
+    let solo = session.replan(Abstraction::PsPdg);
+    let mut want = 0.0;
+    let one_emulation =
+        allocs_during(|| want = solo.predicted_parallelism(program).expect("emulates"));
+    assert!(one_emulation > 50, "an emulation is recognisable");
+
+    let bundle = session.replan(Abstraction::PsPdg);
+    let barrier = std::sync::Barrier::new(CALLERS);
+    let paid: Vec<u64> = std::thread::scope(|s| {
+        let call = || {
+            barrier.wait();
+            allocs_during(|| {
+                let got = bundle.predicted_parallelism(program).expect("emulates");
+                assert_eq!(got, want);
+            })
+        };
+        let callers: Vec<_> = (0..CALLERS).map(|_| s.spawn(call)).collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().expect("called"))
+            .collect()
+    });
+    let emulated = paid.iter().filter(|n| **n > one_emulation / 2).count();
+    assert_eq!(emulated, 1, "allocations per caller: {paid:?}");
 }
