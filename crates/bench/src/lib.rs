@@ -9,8 +9,7 @@
 //! * `cargo run -p pspdg-bench --bin fig14` — ideal-machine critical-path
 //!   reduction over the OpenMP plan;
 //! * `cargo bench -p pspdg-bench` — Criterion micro-benchmarks of the
-//!   pipeline itself (front-end, PDG/PS-PDG construction, enumeration,
-//!   emulation).
+//!   pipeline itself (front-end, PDG/PS-PDG construction, enumeration).
 
 #![warn(missing_docs)]
 

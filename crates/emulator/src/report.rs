@@ -42,7 +42,7 @@ impl CriticalPathRow {
 }
 
 /// Every event of one traced run, handed to one machine per plan.
-struct EachMachine(Vec<IdealMachine>);
+struct EachMachine([IdealMachine; 4]);
 
 impl EachMachine {
     fn each(&mut self, event: impl Fn(&mut IdealMachine)) {
@@ -80,8 +80,7 @@ pub fn compare_plans(name: &str, program: &ParallelProgram) -> Result<CriticalPa
     interp.run_main(&mut NullSink)?;
     let built = build_pspdg_module(program, FeatureSet::all());
     let plan = |a| plan_built(program, &built, interp.profile(), a, 0.01);
-    let machines = Abstraction::ALL.map(|a| IdealMachine::new(program, &plan(a)));
-    let mut sink = EachMachine(machines.into());
+    let mut sink = EachMachine(Abstraction::ALL.map(|a| IdealMachine::new(program, &plan(a))));
     Interpreter::new(&program.module).run_main(&mut sink)?;
     let results = Abstraction::ALL
         .into_iter()
