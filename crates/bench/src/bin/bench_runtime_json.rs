@@ -34,6 +34,7 @@
 //! attribution, with `--smoke` asserting every scenario fires, recovers,
 //! and leaves a reusable runtime whose heap matches the interpreter.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,6 +62,21 @@ fn one_run_ns<T>(f: &mut impl FnMut() -> T) -> u64 {
     let start = Instant::now();
     std::hint::black_box(f());
     start.elapsed().as_nanos() as u64
+}
+
+/// A dynamic opcode table as a JSON object: the total and the per-opcode
+/// counts, most frequent first.
+fn opcodes_json(mut counts: Vec<(&'static str, u64)>) -> String {
+    counts.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    let total: u64 = counts.iter().map(|(_, n)| n).sum();
+    let rows: Vec<String> = counts
+        .iter()
+        .map(|(op, n)| format!("\"{op}\": {n}"))
+        .collect();
+    format!(
+        "{{\"total\": {total}, \"counts\": {{{}}}}}",
+        rows.join(", ")
+    )
 }
 
 /// Geometric mean of `n` ratios from the sum of their logarithms (1.0,
@@ -391,12 +407,14 @@ fn main() {
     }
 
     // Profiled pass: re-run the suite with one enabled recorder shared
-    // across kernels (opcode tables, span summaries), plus a per-kernel
-    // three-way overhead measurement — absent vs disabled vs enabled
-    // recorder on the one-worker runtime, interleaved best-of-samples —
-    // so the cost of carrying the instrumentation is itself a recorded
-    // number, not folklore.
+    // across kernels (span summaries), plus a per-kernel three-way
+    // overhead measurement — absent vs disabled vs enabled recorder on
+    // the one-worker runtime, interleaved best-of-samples — so the cost
+    // of carrying the instrumentation is itself a recorded number, not
+    // folklore. The opcode tables come off the oracle run's profile.
     let rec = Arc::new(Recorder::new());
+    let mut suite_ops: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut oracle_steps = 0u64;
     let mut dis_ln_sum = 0.0f64;
     let mut ena_ln_sum = 0.0f64;
     let mut prof_n = 0u32;
@@ -410,8 +428,7 @@ fn main() {
         let plan = build_plan(&p, oracle.profile(), Abstraction::PsPdg, 0.01);
         let rt_prof = Runtime::new(&p, &plan)
             .workers(workers)
-            .recorder(Arc::clone(&rec))
-            .obs_label(b.name);
+            .recorder(Arc::clone(&rec));
         if rt_prof.run_main().is_err() {
             continue;
         }
@@ -421,8 +438,7 @@ fn main() {
             .recorder(Arc::new(Recorder::disabled()));
         let rt_ena = Runtime::new(&p, &plan)
             .workers(1)
-            .recorder(Arc::new(Recorder::new()))
-            .obs_label(b.name);
+            .recorder(Arc::new(Recorder::new()));
         let (mut absent_ns, mut dis_ns, mut ena_ns) = (u64::MAX, u64::MAX, u64::MAX);
         for _ in 0..samples {
             absent_ns = absent_ns.min(one_run_ns(&mut || rt_absent.run_main().expect("runs")));
@@ -438,14 +454,10 @@ fn main() {
             "PROFILE {:<4} seq absent {absent_ns:>11} ns  disabled {dis_ns:>11} ns ({dis_ratio:.4}x)  enabled {ena_ns:>11} ns ({ena_ratio:.4}x)",
             b.name
         );
-        // Per-kernel opcode attribution: the master context carries the
-        // kernel's label, per-loop contexts are "label/func.Ln".
-        let snap = rec.snapshot();
-        let mut per_kernel = pspdg_obs::OpcodeProfile::default();
-        for (ctx, prof) in &snap.contexts {
-            if ctx == b.name || ctx.starts_with(&format!("{}/", b.name)) {
-                per_kernel.merge(prof);
-            }
+        let per_kernel = oracle.profile().opcode_counts(&p.module, None);
+        oracle_steps += oracle.profile().total;
+        for &(op, n) in &per_kernel {
+            *suite_ops.entry(op).or_default() += n;
         }
         if !prof_rows.is_empty() {
             prof_rows.push_str(",\n");
@@ -454,14 +466,14 @@ fn main() {
             prof_rows,
             "      {{\"kernel\": \"{}\", \"seq_absent_ns\": {absent_ns}, \"seq_disabled_ns\": {dis_ns}, \"seq_enabled_ns\": {ena_ns}, \"opcodes\": {}}}",
             b.name,
-            pspdg_obs::export::profile_json(&per_kernel, 5),
+            opcodes_json(per_kernel),
         );
     }
     let dis_geomean = geomean(dis_ln_sum, prof_n);
     let ena_geomean = geomean(ena_ln_sum, prof_n);
-    let snap = rec.snapshot();
-    let total_ops = snap.total_opcodes();
-    let spans_json: String = snap
+    let total_ops: u64 = suite_ops.values().sum();
+    let spans_json: String = rec
+        .snapshot()
         .span_summary()
         .into_iter()
         .take(12)
@@ -473,17 +485,16 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     println!(
-        "recorder overhead geomean over {prof_n} kernels: disabled {dis_geomean:.4}x, enabled {ena_geomean:.4}x  ({} opcodes profiled)",
-        total_ops.total()
+        "recorder overhead geomean over {prof_n} kernels: disabled {dis_geomean:.4}x, enabled {ena_geomean:.4}x  ({total_ops} dynamic instructions in the opcode table)"
     );
     if smoke {
-        assert!(
-            !total_ops.is_empty(),
-            "--smoke: profiling section must record opcodes"
+        assert_eq!(
+            total_ops, oracle_steps,
+            "--smoke: the derived opcode table must account for every oracle step"
         );
         assert!(
-            dis_geomean < 1.15,
-            "--smoke: disabled-recorder overhead {dis_geomean:.4}x out of bounds"
+            dis_geomean < 1.15 && ena_geomean < 1.15,
+            "--smoke: recorder overhead out of bounds: disabled {dis_geomean:.4}x, enabled {ena_geomean:.4}x"
         );
     }
 
@@ -513,10 +524,10 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(", ");
-    let opcodes_json = pspdg_obs::export::profile_json(&total_ops, 10);
+    let opcodes_json = opcodes_json(suite_ops.into_iter().collect());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers): merged opcode profile, span summaries, and per-kernel attribution; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

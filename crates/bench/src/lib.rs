@@ -7,9 +7,10 @@
 //! * `cargo run -p pspdg-bench --bin fig13` — parallelization options per
 //!   NAS benchmark under OpenMP / PDG / J&K / PS-PDG;
 //! * `cargo run -p pspdg-bench --bin fig14` — ideal-machine critical-path
-//!   reduction over the OpenMP plan;
-//! * `cargo bench -p pspdg-bench` — Criterion micro-benchmarks of the
-//!   pipeline itself (front-end, PDG/PS-PDG construction, enumeration).
+//!   reduction over the OpenMP plan.
+//!
+//! The `bench_pdg_json` and `bench_runtime_json` bins write the committed
+//! `BENCH_pdg.json` / `BENCH_runtime.json` layer numbers.
 
 #![warn(missing_docs)]
 

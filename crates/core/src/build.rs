@@ -972,12 +972,3 @@ fn depends_conflict(a: &[Depend], b: &[Depend]) -> bool {
     }
     false
 }
-
-/// Build a map from base object to the variables describing it.
-pub fn variables_by_base(pspdg: &PsPdg) -> BTreeMap<MemBase, Vec<usize>> {
-    let mut map: BTreeMap<MemBase, Vec<usize>> = BTreeMap::new();
-    for (i, v) in pspdg.variables.iter().enumerate() {
-        map.entry(v.base).or_default().push(i);
-    }
-    map
-}

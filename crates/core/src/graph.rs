@@ -282,7 +282,7 @@ pub struct PsPdg {
 impl PsPdg {
     /// The directed PS-PDG edge for surviving base edge `ei` (instruction
     /// endpoints mapped to leaf nodes, selector attached from the table).
-    pub fn directed_edge(&self, ei: u32) -> PsEdge {
+    fn directed_edge(&self, ei: u32) -> PsEdge {
         let e = self.effective.edge(ei);
         PsEdge::Directed {
             src: self.inst_node[e.src.index()],
@@ -310,7 +310,7 @@ impl PsPdg {
     }
 
     /// The leaf node of instruction `i`.
-    pub fn node_of(&self, i: InstId) -> NodeId {
+    pub(crate) fn node_of(&self, i: InstId) -> NodeId {
         self.inst_node[i.index()]
     }
 
@@ -322,14 +322,6 @@ impl PsPdg {
     /// Borrow a context.
     pub fn context(&self, id: ContextId) -> &Context {
         &self.contexts[id.index()]
-    }
-
-    /// The context whose origin is loop `l`, if one was created.
-    pub fn loop_context(&self, l: LoopId) -> Option<ContextId> {
-        self.contexts
-            .iter()
-            .position(|c| c.origin == ContextOrigin::Loop(l))
-            .map(|i| ContextId(i as u32))
     }
 
     /// Undirected edges (mutual exclusions).
@@ -464,7 +456,7 @@ impl PsPdg {
 
 impl PsEdge {
     /// Whether this is a directed dependence carried at some loop.
-    pub fn carried_anywhere(&self) -> bool {
+    fn carried_anywhere(&self) -> bool {
         match self {
             PsEdge::Directed { dep, .. } => !dep.carried().is_empty(),
             PsEdge::Undirected { .. } => false,

@@ -64,7 +64,7 @@ pub mod query;
 
 pub use build::{
     build_pspdg, build_pspdg_module, build_pspdg_module_recorded, build_pspdg_with_refs,
-    variables_by_base, FunctionPsPdg, UNKNOWN_LOOP,
+    FunctionPsPdg, UNKNOWN_LOOP,
 };
 pub use features::{Feature, FeatureSet};
 pub use graph::{

@@ -4,8 +4,10 @@
 //!
 //! 1. **Correctness oracle** — examples and tests execute kernels and check
 //!    their outputs;
-//! 2. **Profiler** — per-instruction and per-block execution counts drive
-//!    the parallelizer's ≥1 %-coverage loop filter (paper §6.1);
+//! 2. **Profiler** — per-block execution counts drive the parallelizer's
+//!    ≥1 %-coverage loop filter (paper §6.1); multiplied by each block's
+//!    static instruction mix they give the dynamic opcode table
+//!    ([`Profile::opcode_counts`]);
 //! 3. **Trace source** — with a [`TraceSink`] attached it emits one event
 //!    per dynamic instruction, carrying *register dependences* (trace
 //!    indices of producing dynamic instructions) and *memory addresses*
@@ -30,8 +32,6 @@
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-
-use pspdg_obs::Opcode;
 
 use crate::function::{GlobalInit, Module};
 use crate::inst::{BinOp, CastKind, CmpOp, Inst, Intrinsic, UnOp};
@@ -417,6 +417,43 @@ impl Profile {
             .iter()
             .map(|bb| self.block_count[func.index()][bb.index()] * f.block(*bb).insts.len() as u64)
             .sum()
+    }
+
+    /// Dynamic instructions per opcode ([`opcode_of`]), most frequent
+    /// first: each block's entry count times its static instruction mix.
+    /// `within` restricts the sum to a block set of one function (a loop,
+    /// where the counts add up to [`Profile::block_set_cost`]); `None` is
+    /// the whole module, where they add up to [`Profile::total`].
+    pub fn opcode_counts(
+        &self,
+        module: &Module,
+        within: Option<(FuncId, &[BlockId])>,
+    ) -> Vec<(&'static str, u64)> {
+        let mut counts: Vec<(&'static str, u64)> = Vec::new();
+        let mut add = |func: FuncId, bb: BlockId| {
+            let entered = self.block_count[func.index()][bb.index()];
+            if entered == 0 {
+                return;
+            }
+            let f = module.function(func);
+            for &i in &f.block(bb).insts {
+                let op = opcode_of(&f.inst(i).inst);
+                match counts.iter_mut().find(|(o, _)| *o == op) {
+                    Some((_, n)) => *n += entered,
+                    None => counts.push((op, entered)),
+                }
+            }
+        };
+        match within {
+            Some((func, blocks)) => blocks.iter().for_each(|&bb| add(func, bb)),
+            None => {
+                for (fi, f) in module.functions.iter().enumerate() {
+                    f.block_ids().for_each(|bb| add(FuncId::from_index(fi), bb));
+                }
+            }
+        }
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        counts
     }
 }
 
@@ -814,25 +851,23 @@ pub fn eval_intrinsic(
     })
 }
 
-/// The observability opcode of an instruction — the mapping from the
-/// IR's [`Inst`] forms onto the dense [`pspdg_obs::Opcode`] taxonomy the
-/// runtime's engine profiles against.
-#[inline]
-pub fn opcode_of(inst: &Inst) -> Opcode {
+/// The opcode mnemonic of an instruction, in the IR printer's vocabulary:
+/// what [`Profile::opcode_counts`] groups by.
+pub fn opcode_of(inst: &Inst) -> &'static str {
     match inst {
-        Inst::Alloca { .. } => Opcode::Alloca,
-        Inst::Load { .. } => Opcode::Load,
-        Inst::Store { .. } => Opcode::Store,
-        Inst::Gep { .. } => Opcode::Gep,
-        Inst::Binary { .. } => Opcode::Binary,
-        Inst::Unary { .. } => Opcode::Unary,
-        Inst::Cmp { .. } => Opcode::Cmp,
-        Inst::Cast { .. } => Opcode::Cast,
-        Inst::Call { .. } => Opcode::Call,
-        Inst::IntrinsicCall { .. } => Opcode::Intrinsic,
-        Inst::Br { .. } => Opcode::Br,
-        Inst::CondBr { .. } => Opcode::CondBr,
-        Inst::Ret { .. } => Opcode::Ret,
+        Inst::Alloca { .. } => "alloca",
+        Inst::Load { .. } => "load",
+        Inst::Store { .. } => "store",
+        Inst::Gep { .. } => "gep",
+        Inst::Binary { .. } => "binary",
+        Inst::Unary { .. } => "unary",
+        Inst::Cmp { .. } => "cmp",
+        Inst::Cast { .. } => "cast",
+        Inst::Call { .. } => "call",
+        Inst::IntrinsicCall { .. } => "intrinsic",
+        Inst::Br { .. } => "br",
+        Inst::CondBr { .. } => "condbr",
+        Inst::Ret { .. } => "ret",
     }
 }
 
@@ -1045,11 +1080,11 @@ impl<'m> Interpreter<'m> {
                 let mut next_block: Option<BlockId> = None;
                 let mut returned: Option<Option<RtVal>> = None;
 
-                // Arms ordered by measured dynamic frequency over the NAS
-                // suite (see the opcode profiler / BENCH_runtime.json
-                // `profiling.opcodes`): load > binary > gep > store > br >
-                // cmp > condbr > intrinsic > cast > unary > call >
-                // alloca > ret.
+                // Arms in order of dynamic frequency over the Mini suite
+                // ([`Profile::opcode_counts`]; the runtime's
+                // `tests/obs_integration.rs` re-derives the ranking): load >
+                // binary > gep > store > br > cmp > condbr > intrinsic >
+                // cast > unary > alloca > ret > call.
                 match &data.inst {
                     Inst::Load { ptr, .. } => {
                         let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
@@ -1144,6 +1179,20 @@ impl<'m> Interpreter<'m> {
                         let v = frame.eval(&self.mem, *operand);
                         result = eval_unop(*op, v).map_err(fault)?;
                     }
+                    Inst::Alloca { ty, .. } => {
+                        let origin = ObjOrigin::Alloca {
+                            func: func_id,
+                            inst: inst_id,
+                        };
+                        let obj = self.mem.alloc(origin, ty.flat_len() as usize);
+                        if S::TRACES {
+                            sink.on_alloc(obj, origin);
+                        }
+                        result = RtVal::Ptr { obj, off: 0 };
+                    }
+                    Inst::Ret { value } => {
+                        returned = Some(value.map(|v| frame.eval(&self.mem, v)));
+                    }
                     Inst::Call { callee, args } => {
                         let vals: Vec<RtVal> =
                             args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
@@ -1176,20 +1225,6 @@ impl<'m> Interpreter<'m> {
                             };
                         }
                         continue;
-                    }
-                    Inst::Alloca { ty, .. } => {
-                        let origin = ObjOrigin::Alloca {
-                            func: func_id,
-                            inst: inst_id,
-                        };
-                        let obj = self.mem.alloc(origin, ty.flat_len() as usize);
-                        if S::TRACES {
-                            sink.on_alloc(obj, origin);
-                        }
-                        result = RtVal::Ptr { obj, off: 0 };
-                    }
-                    Inst::Ret { value } => {
-                        returned = Some(value.map(|v| frame.eval(&self.mem, v)));
                     }
                 }
 
@@ -1233,7 +1268,7 @@ pub fn const_val(c: Constant) -> RtVal {
 }
 
 /// The zero value of a scalar type (`Undef` for aggregates).
-pub fn zero_of(ty: &Type) -> RtVal {
+fn zero_of(ty: &Type) -> RtVal {
     match ty {
         Type::I64 => RtVal::Int(0),
         Type::F64 => RtVal::Float(0.0),

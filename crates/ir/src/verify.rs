@@ -98,7 +98,7 @@ pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
 /// # Errors
 ///
 /// Returns the first violation found in this function.
-pub fn verify_function(module: &Module, func_id: FuncId) -> Result<(), VerifyError> {
+fn verify_function(module: &Module, func_id: FuncId) -> Result<(), VerifyError> {
     let func = module.function(func_id);
     let mut chk = Checker {
         module,

@@ -108,7 +108,7 @@ pub fn module(n_funcs: usize, bases: usize) -> Benchmark {
 }
 
 /// Iteration count of the GMAX kernel at the given class.
-pub fn gmax_trip(class: Class) -> usize {
+fn gmax_trip(class: Class) -> usize {
     match class {
         Class::Test => 384,
         Class::Mini => 8192,
@@ -188,7 +188,7 @@ int main() {{
 }
 
 /// Iteration count of the PIPE kernel at the given class.
-pub fn pipe_trip(class: Class) -> usize {
+fn pipe_trip(class: Class) -> usize {
     match class {
         Class::Test => 256,
         Class::Mini => 4096,

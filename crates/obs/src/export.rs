@@ -1,5 +1,5 @@
 //! Exporters: Chrome trace-event JSON (Perfetto-loadable), a metrics
-//! snapshot JSON, and a flat "top opcodes / top spans" text report.
+//! snapshot JSON, and a flat "top spans" text report.
 //!
 //! All output is hand-formatted (the workspace has no serde); the
 //! sibling [`crate::json`] parser round-trips it in the tests and the
@@ -7,7 +7,6 @@
 
 use std::fmt::Write as _;
 
-use crate::opcode::{Opcode, OpcodeProfile};
 use crate::recorder::{ArgVal, Histogram, Snapshot};
 
 /// Escape a string for embedding in a JSON string literal.
@@ -97,8 +96,7 @@ impl Snapshot {
     }
 
     /// Metrics snapshot JSON: counters, histograms (non-empty buckets
-    /// as `[floor, count]` rows), per-context opcode profiles (counts +
-    /// top pairs), and the span summary.
+    /// as `[floor, count]` rows), and the span summary.
     pub fn metrics_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
@@ -133,18 +131,6 @@ impl Snapshot {
             }
             out.push_str("]}");
         }
-        out.push_str("\n  },\n  \"contexts\": {");
-        let mut firstc = true;
-        for (name, prof) in &self.contexts {
-            if prof.is_empty() {
-                continue;
-            }
-            if !firstc {
-                out.push(',');
-            }
-            firstc = false;
-            let _ = write!(out, "\n    \"{}\": {}", esc(name), profile_json(prof, 8));
-        }
         out.push_str("\n  },\n  \"spans\": {");
         for (i, (name, count, total, max)) in self.span_summary().iter().enumerate() {
             if i > 0 {
@@ -160,25 +146,9 @@ impl Snapshot {
         out
     }
 
-    /// Flat text report: top-`n` opcodes and opcode pairs of the merged
-    /// profile, then the top-`n` spans by total time.
+    /// Flat text report: the top-`n` spans by total time.
     pub fn text_report(&self, n: usize) -> String {
-        let total = self.total_opcodes();
         let mut out = String::new();
-        let grand = total.total();
-        let _ = writeln!(out, "== top opcodes ({grand} dynamic instructions) ==");
-        for (op, c) in total.top(n) {
-            let pct = 100.0 * c as f64 / grand.max(1) as f64;
-            let _ = writeln!(out, "  {:<10} {c:>12}  {pct:5.1}%", op.name());
-        }
-        let _ = writeln!(out, "== top opcode pairs (superinstruction candidates) ==");
-        for (a, b, c) in total.top_pairs(n) {
-            let _ = writeln!(
-                out,
-                "  {:<21} {c:>12}",
-                format!("{}+{}", a.name(), b.name())
-            );
-        }
         let _ = writeln!(out, "== top spans by total time ==");
         for (name, count, tot, max) in self.span_summary().into_iter().take(n) {
             let _ = writeln!(
@@ -192,44 +162,14 @@ impl Snapshot {
     }
 }
 
-/// One profile as a JSON object: total, per-opcode counts (non-zero),
-/// and the top-`pairs_n` pairs as `["a+b", count]` rows.
-pub fn profile_json(prof: &OpcodeProfile, pairs_n: usize) -> String {
-    let mut out = String::from("{\"total\": ");
-    let _ = write!(out, "{}", prof.total());
-    out.push_str(", \"counts\": {");
-    let mut first = true;
-    for &op in Opcode::ALL.iter() {
-        let c = prof.counts[op.index()];
-        if c == 0 {
-            continue;
-        }
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        let _ = write!(out, "\"{}\": {c}", op.name());
-    }
-    out.push_str("}, \"top_pairs\": [");
-    for (i, (a, b, c)) in prof.top_pairs(pairs_n).into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "[\"{}+{}\", {c}]", a.name(), b.name());
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::json;
-    use crate::{Opcode, Recorder};
-    use std::sync::Arc;
+    use crate::Recorder;
 
     #[test]
     fn exports_parse_as_json() {
-        let rec = Arc::new(Recorder::new());
+        let rec = Recorder::new();
         {
             let mut s = rec.span("pipeline/plan", "pipeline");
             s.arg("kernel", "IS");
@@ -238,10 +178,6 @@ mod tests {
         rec.instant("fault/worker_panic", "fault");
         rec.add("pool/dispatches", 4);
         rec.observe("runtime/activation_ns", 12345);
-        let mut h = rec.attach("kernel:IS");
-        h.op(Opcode::Load);
-        h.op(Opcode::Binary);
-        drop(h);
         let snap = rec.snapshot();
         let trace = json::parse(&snap.chrome_trace_json()).expect("trace parses");
         assert!(trace
@@ -249,11 +185,11 @@ mod tests {
             .and_then(|v| v.as_array())
             .is_some());
         let metrics = json::parse(&snap.metrics_json()).expect("metrics parse");
-        let ctxs = metrics.get("contexts").unwrap();
-        let is = ctxs.get("kernel:IS").unwrap();
-        assert_eq!(is.get("total").unwrap().as_f64(), Some(2.0));
+        let spans = metrics.get("spans").unwrap();
+        let plan = spans.get("pipeline/plan").unwrap();
+        assert_eq!(plan.get("count").unwrap().as_f64(), Some(1.0));
         let report = snap.text_report(5);
-        assert!(report.contains("load"));
+        assert!(report.contains("pipeline/plan"));
         assert!(report.contains("top spans"));
     }
 

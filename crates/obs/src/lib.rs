@@ -6,18 +6,19 @@
 //! absent or disabled.
 //!
 //! ```text
-//!             ┌─────────────── Arc<Recorder> ───────────────┐
-//!             │  spans · counters · log2 histograms · ctxs  │
-//!             └──────▲──────────────▲───────────────▲───────┘
-//!                    │ lock per     │ flush on      │ flush on
-//!                    │ span/event   │ drop/drain    │ drop/drain
-//!              SpanGuard        ObsHandle        ObsHandle
-//!              (master,         (master engine    (pool worker,
-//!               phases,          shard: opcode     per-job shard)
-//!               activations)     + pair counts)
+//!             ┌──────────── Arc<Recorder> ────────────┐
+//!             │  spans · instants · counters · log2   │
+//!             │  histograms, one monotonic epoch      │
+//!             └──────▲──────────────▲─────────────────┘
+//!                    │ lock per     │ lock per
+//!                    │ span close   │ event / sample
+//!              SpanGuard        instant · add · observe
+//!              (phases, activations,   (fault injections, pool
+//!               chunk workers)          respawns, queue depth)
 //! ```
 //!
-//! Three recording paths, chosen by frequency:
+//! Everything is recorded at phase or activation granularity — one mutex
+//! lock per event — and nothing per interpreted instruction:
 //!
 //! * **Spans** ([`Recorder::span`]) — RAII guards for phase- and
 //!   activation-granularity timing (one mutex lock per span close).
@@ -25,16 +26,18 @@
 //!   Perfetto / `chrome://tracing`.
 //! * **Instants** ([`Recorder::instant`]) — point events for
 //!   fault injections and pool respawns, in the same stream.
-//! * **Shards** ([`ObsHandle`]) — per-thread, lock-free opcode frequency
-//!   and opcode-pair profiles (superinstruction candidates) plus local
-//!   counters, merged into the central recorder on flush/drop. This is
-//!   the only path hot enough to run per interpreted instruction.
+//! * **Counters and histograms** ([`Recorder::add`],
+//!   [`Recorder::observe`]) — named totals and log2-bucketed samples.
+//!
+//! Dynamic opcode frequencies are not recorded here: they are the
+//! sequential interpreter's per-block counts times each block's static
+//! instruction mix (`pspdg_ir::interp::Profile::opcode_counts`).
 //!
 //! The overhead contract: a **disabled** recorder (or none attached)
-//! costs the engines exactly one never-taken branch per instruction and
 //! performs **zero allocations** (`tests/recorder.rs` pins this with a
-//! counting global allocator). An **enabled** recorder costs one array
-//! index + store per instruction on the shard path.
+//! counting global allocator) and costs the engines nothing per
+//! instruction; an **enabled** one costs per activation, never per block
+//! or per step (`tests/interp_alloc.rs`).
 //!
 //! Exporters live on [`Snapshot`]: [`Snapshot::chrome_trace_json`]
 //! (Perfetto-loadable), [`Snapshot::metrics_json`], and
@@ -46,8 +49,6 @@
 
 pub mod export;
 pub mod json;
-mod opcode;
 mod recorder;
 
-pub use opcode::{Opcode, OpcodeProfile, OPCODE_COUNT};
-pub use recorder::{ArgVal, Histogram, ObsHandle, Recorder, Snapshot, SpanGuard, TraceEvent};
+pub use recorder::{ArgVal, Histogram, Recorder, Snapshot, SpanGuard, TraceEvent};

@@ -1,13 +1,11 @@
-//! The thread-safe [`Recorder`], per-thread [`ObsHandle`] shards, RAII
-//! [`SpanGuard`]s, and the drained [`Snapshot`].
+//! The thread-safe [`Recorder`], RAII [`SpanGuard`]s, and the drained
+//! [`Snapshot`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
-
-use crate::opcode::{Opcode, OpcodeProfile};
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
@@ -37,12 +35,12 @@ impl Default for Histogram {
 impl Histogram {
     /// Bucket index for `value` (its significant-bit count).
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
     }
 
     /// Inclusive lower bound of bucket `i`.
-    pub fn bucket_floor(i: usize) -> u64 {
+    pub(crate) fn bucket_floor(i: usize) -> u64 {
         match i {
             0 => 0,
             1 => 1,
@@ -146,8 +144,6 @@ struct Inner {
     events: Vec<TraceEvent>,
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    contexts: Vec<String>,
-    opcodes: Vec<OpcodeProfile>,
     threads: Vec<(ThreadId, String)>,
 }
 
@@ -164,8 +160,8 @@ impl Inner {
     }
 }
 
-/// Thread-safe recording sink: spans, instants, counters, histograms,
-/// and per-context opcode profiles, timed against one monotonic epoch.
+/// Thread-safe recording sink: spans, instants, counters and histograms,
+/// timed against one monotonic epoch.
 ///
 /// Cheap when disabled: every recording entry point checks one relaxed
 /// atomic and returns without locking or allocating. Share it as
@@ -214,21 +210,8 @@ impl Recorder {
 
     /// Nanoseconds since the recorder epoch (monotonic).
     #[inline]
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Intern a profile context (a kernel, a scheduled loop, an
-    /// interpreter run) and return its dense id. Re-interning the same
-    /// name returns the same id, so contexts aggregate across runs.
-    pub fn context(&self, name: &str) -> u32 {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(i) = inner.contexts.iter().position(|c| c == name) {
-            return i as u32;
-        }
-        inner.contexts.push(name.to_string());
-        inner.opcodes.push(OpcodeProfile::default());
-        (inner.contexts.len() - 1) as u32
     }
 
     /// Open a timed span; it records itself when dropped. No-op (and
@@ -290,29 +273,7 @@ impl Recorder {
         inner.histograms.entry(name).or_default().observe(value);
     }
 
-    /// Attach a per-thread shard profiling into context `ctx_name`.
-    /// The shard merges into this recorder on [`ObsHandle::flush`] or
-    /// drop. Call from the thread that will do the counting.
-    pub fn attach(self: &Arc<Self>, ctx_name: &str) -> ObsHandle {
-        let ctx = self.context(ctx_name);
-        self.attach_ctx(ctx)
-    }
-
-    /// Attach a per-thread shard profiling into an already-interned
-    /// context id (see [`Recorder::context`]).
-    pub fn attach_ctx(self: &Arc<Self>, ctx: u32) -> ObsHandle {
-        ObsHandle {
-            rec: Arc::clone(self),
-            ctx,
-            prev: None,
-            prof: OpcodeProfile::default(),
-            stash: Vec::new(),
-            counters: Vec::new(),
-        }
-    }
-
-    /// Clone out everything recorded so far (shards still attached have
-    /// not merged yet — flush or drop them first).
+    /// Clone out everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().unwrap();
         Snapshot {
@@ -327,28 +288,17 @@ impl Recorder {
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
-            contexts: inner
-                .contexts
-                .iter()
-                .cloned()
-                .zip(inner.opcodes.iter().cloned())
-                .collect(),
             threads: inner.threads.iter().map(|(_, n)| n.clone()).collect(),
         }
     }
 
     /// Take everything recorded so far, leaving the recorder empty (the
-    /// context and thread interning tables survive so ids stay stable).
+    /// thread interning table survives so lane ids stay stable).
     pub fn drain(&self) -> Snapshot {
         let mut inner = self.inner.lock().unwrap();
         let events = std::mem::take(&mut inner.events);
         let counters = std::mem::take(&mut inner.counters);
         let histograms = std::mem::take(&mut inner.histograms);
-        let names: Vec<String> = inner.contexts.clone();
-        let contexts = names
-            .into_iter()
-            .zip(inner.opcodes.iter_mut().map(std::mem::take))
-            .collect();
         Snapshot {
             events,
             counters: counters
@@ -359,41 +309,7 @@ impl Recorder {
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            contexts,
             threads: inner.threads.iter().map(|(_, n)| n.clone()).collect(),
-        }
-    }
-
-    fn merge_shard(
-        &self,
-        ctx: u32,
-        prof: &OpcodeProfile,
-        stash: &[(u32, OpcodeProfile)],
-        counters: &[(&'static str, u64)],
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        let need = stash
-            .iter()
-            .map(|(c, _)| *c)
-            .chain(std::iter::once(ctx))
-            .max()
-            .unwrap_or(0) as usize
-            + 1;
-        if inner.opcodes.len() < need {
-            inner.opcodes.resize_with(need, OpcodeProfile::default);
-            while inner.contexts.len() < need {
-                let i = inner.contexts.len();
-                inner.contexts.push(format!("ctx{i}"));
-            }
-        }
-        inner.opcodes[ctx as usize].merge(prof);
-        for (c, p) in stash {
-            inner.opcodes[*c as usize].merge(p);
-        }
-        for (name, delta) in counters {
-            if *delta > 0 {
-                *inner.counters.entry(name).or_insert(0) += delta;
-            }
         }
     }
 }
@@ -449,95 +365,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Per-thread, lock-free profiling shard: opcode + pair counts for the
-/// current context, stashed profiles for contexts it switched away
-/// from, and local counters. Merges into its [`Recorder`] on
-/// [`flush`](ObsHandle::flush) or drop.
-///
-/// This is the per-instruction hot path: [`op`](ObsHandle::op) is two
-/// array stores and a register swap, no locking.
-pub struct ObsHandle {
-    rec: Arc<Recorder>,
-    ctx: u32,
-    prev: Option<Opcode>,
-    prof: OpcodeProfile,
-    stash: Vec<(u32, OpcodeProfile)>,
-    counters: Vec<(&'static str, u64)>,
-}
-
-impl ObsHandle {
-    /// Record one executed instruction in the current context.
-    #[inline]
-    pub fn op(&mut self, op: Opcode) {
-        self.prof.record(self.prev.replace(op), op);
-    }
-
-    /// The current context id.
-    pub fn context_id(&self) -> u32 {
-        self.ctx
-    }
-
-    /// The recorder this shard merges into.
-    pub fn recorder(&self) -> &Arc<Recorder> {
-        &self.rec
-    }
-
-    /// Switch attribution to another context (intern ids via
-    /// [`Recorder::context`]). The pair chain restarts — pairs never
-    /// span a context switch.
-    pub fn set_context(&mut self, ctx: u32) {
-        if ctx == self.ctx {
-            return;
-        }
-        let old = std::mem::take(&mut self.prof);
-        let restored = if let Some(i) = self.stash.iter().position(|(c, _)| *c == ctx) {
-            self.stash.swap_remove(i).1
-        } else {
-            OpcodeProfile::default()
-        };
-        self.stash.push((self.ctx, old));
-        self.prof = restored;
-        self.ctx = ctx;
-        self.prev = None;
-    }
-
-    /// Bump a local counter (merged on flush).
-    pub fn count(&mut self, name: &'static str, delta: u64) {
-        if let Some(e) = self.counters.iter_mut().find(|(n, _)| *n == name) {
-            e.1 += delta;
-        } else {
-            self.counters.push((name, delta));
-        }
-    }
-
-    /// Merge everything local into the recorder and reset the shard.
-    pub fn flush(&mut self) {
-        if self.prof.is_empty() && self.stash.is_empty() && self.counters.is_empty() {
-            return;
-        }
-        self.rec
-            .merge_shard(self.ctx, &self.prof, &self.stash, &self.counters);
-        self.prof = OpcodeProfile::default();
-        self.stash.clear();
-        self.counters.clear();
-        self.prev = None;
-    }
-}
-
-impl Drop for ObsHandle {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl std::fmt::Debug for ObsHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsHandle")
-            .field("ctx", &self.ctx)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Everything a recorder captured: the drained/cloned view the
 /// exporters ([`chrome_trace_json`](Snapshot::chrome_trace_json),
 /// [`metrics_json`](Snapshot::metrics_json),
@@ -550,22 +377,11 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<(String, Histogram)>,
-    /// Per-context opcode profiles: `(context name, profile)`.
-    pub contexts: Vec<(String, OpcodeProfile)>,
     /// Thread-lane names; index = `TraceEvent::tid`.
     pub threads: Vec<String>,
 }
 
 impl Snapshot {
-    /// All context profiles merged into one module-wide profile.
-    pub fn total_opcodes(&self) -> OpcodeProfile {
-        let mut total = OpcodeProfile::default();
-        for (_, p) in &self.contexts {
-            total.merge(p);
-        }
-        total
-    }
-
     /// Per-span-name aggregates: `(name, count, total_ns, max_ns)`,
     /// sorted by total time descending.
     pub fn span_summary(&self) -> Vec<(String, u64, u64, u64)> {
@@ -644,59 +460,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_context_switch_attributes_correctly() {
-        let rec = Arc::new(Recorder::new());
-        let loop_ctx = rec.context("loop:a");
-        let mut h = rec.attach("main");
-        h.op(Opcode::Load);
-        h.op(Opcode::Store);
-        h.set_context(loop_ctx);
-        h.op(Opcode::Binary);
-        h.op(Opcode::Binary);
-        let main_ctx = h.context_id();
-        assert_eq!(main_ctx, loop_ctx);
-        h.set_context(rec.context("main"));
-        h.op(Opcode::Ret);
-        h.flush();
-        let snap = rec.snapshot();
-        let main = &snap.contexts.iter().find(|(n, _)| n == "main").unwrap().1;
-        let lp = &snap.contexts.iter().find(|(n, _)| n == "loop:a").unwrap().1;
-        assert_eq!(main.total(), 3);
-        assert_eq!(lp.total(), 2);
-        assert_eq!(lp.counts[Opcode::Binary.index()], 2);
-        // Pair chain restarts at a context switch: store→binary not counted.
-        assert_eq!(lp.pairs[Opcode::Store.index()][Opcode::Binary.index()], 0);
-        assert_eq!(lp.pairs[Opcode::Binary.index()][Opcode::Binary.index()], 1);
-        assert_eq!(snap.total_opcodes().total(), 5);
-    }
-
-    #[test]
     fn drain_resets_but_keeps_interning() {
-        let rec = Arc::new(Recorder::new());
-        let c = rec.context("k");
-        let mut h = rec.attach("k");
-        h.op(Opcode::Br);
-        h.flush();
-        drop(h);
+        let rec = Recorder::new();
+        rec.instant("first", "test");
+        rec.add("jobs", 2);
         let first = rec.drain();
-        assert_eq!(first.total_opcodes().total(), 1);
+        assert_eq!(first.events.len(), 1);
+        assert_eq!(first.counters, [("jobs".to_string(), 2)]);
         let second = rec.snapshot();
-        assert_eq!(second.total_opcodes().total(), 0);
-        assert_eq!(rec.context("k"), c);
-    }
-
-    #[test]
-    fn counters_merge_across_shards() {
-        let rec = Arc::new(Recorder::new());
-        let mut a = rec.attach("a");
-        let mut b = rec.attach("b");
-        a.count("jobs", 2);
-        b.count("jobs", 3);
-        drop(a);
-        drop(b);
-        rec.add("jobs", 1);
-        let snap = rec.snapshot();
-        let jobs = snap.counters.iter().find(|(n, _)| n == "jobs").unwrap().1;
-        assert_eq!(jobs, 6);
+        assert!(second.events.is_empty());
+        assert!(second.counters.is_empty());
+        // The lane this thread was given before the drain is still its lane.
+        rec.instant("second", "test");
+        let third = rec.snapshot();
+        assert_eq!(third.events[0].tid, first.events[0].tid);
+        assert_eq!(third.threads, first.threads);
     }
 }

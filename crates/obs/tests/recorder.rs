@@ -1,13 +1,13 @@
-//! Recorder contract tests: concurrent-shard conservation, the
-//! zero-allocation disabled path (pinned with a counting global
-//! allocator), and a Chrome-trace round trip through the crate's own
+//! Recorder contract tests: the zero-allocation disabled path (pinned
+//! with a counting global allocator), conservation of what many threads
+//! record at once, and a Chrome-trace round trip through the crate's own
 //! JSON parser.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pspdg_obs::{json, Opcode, Recorder};
+use pspdg_obs::{json, Recorder};
 
 struct CountingAlloc;
 
@@ -58,57 +58,38 @@ fn disabled_path_allocates_nothing() {
     assert_eq!(after - before, 0, "disabled recorder must not allocate");
 }
 
-/// Counts recorded by shards on many threads are conserved: the merged
-/// totals equal exactly what the threads put in, no loss, no double
-/// counting.
+/// What many threads record at once is conserved: every counter bump,
+/// histogram sample and span lands exactly once, each thread's spans on
+/// a lane of its own.
 #[test]
-fn concurrent_shard_merge_conserves_counts() {
+fn concurrent_recording_conserves_counts() {
     const THREADS: usize = 8;
-    const PER_THREAD: u64 = 10_000;
+    const PER_THREAD: u64 = 1_000;
 
-    let rec = Arc::new(Recorder::new());
-    let shared_ctx = rec.context("shared");
+    let rec = Recorder::new();
+    let start = std::sync::Barrier::new(THREADS);
     std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let rec = Arc::clone(&rec);
-            s.spawn(move || {
-                let mut h = rec.attach(&format!("worker{t}"));
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                start.wait();
                 for i in 0..PER_THREAD {
-                    h.op(if i % 2 == 0 {
-                        Opcode::Load
-                    } else {
-                        Opcode::Store
-                    });
+                    rec.add("jobs", 1);
+                    rec.observe("sample", i);
+                    let _span = rec.span("work", "test");
                 }
-                // Half the threads also attribute into a shared context.
-                if t % 2 == 0 {
-                    h.set_context(shared_ctx);
-                    for _ in 0..PER_THREAD {
-                        h.op(Opcode::Binary);
-                    }
-                }
-                h.count("jobs", 1);
-                // Drop flushes the shard into the recorder.
             });
         }
     });
 
     let snap = rec.snapshot();
-    let total = snap.total_opcodes();
-    let expect = THREADS as u64 * PER_THREAD + (THREADS as u64 / 2) * PER_THREAD;
-    assert_eq!(
-        total.total(),
-        expect,
-        "opcode totals conserved across threads"
-    );
-    assert_eq!(
-        total.counts[Opcode::Load.index()],
-        THREADS as u64 * PER_THREAD / 2
-    );
-    let shared = &snap.contexts.iter().find(|(n, _)| n == "shared").unwrap().1;
-    assert_eq!(shared.total(), (THREADS as u64 / 2) * PER_THREAD);
-    let jobs = snap.counters.iter().find(|(n, _)| n == "jobs").unwrap().1;
-    assert_eq!(jobs, THREADS as u64);
+    let total = THREADS as u64 * PER_THREAD;
+    assert_eq!(snap.counters, [("jobs".to_string(), total)]);
+    assert_eq!(snap.histograms[0].1.count, total);
+    assert_eq!(snap.events.len() as u64, total);
+    let mut lanes: Vec<u32> = snap.events.iter().map(|e| e.tid).collect();
+    lanes.sort_unstable();
+    lanes.dedup();
+    assert_eq!(lanes.len(), THREADS);
 }
 
 /// The emitted Chrome trace parses with the crate's own JSON parser,

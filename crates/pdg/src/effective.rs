@@ -151,7 +151,7 @@ impl EffectiveView {
     }
 
     /// Ids of surviving edges leaving `inst`.
-    pub fn edge_ids_from(&self, inst: InstId) -> impl Iterator<Item = u32> + '_ {
+    fn edge_ids_from(&self, inst: InstId) -> impl Iterator<Item = u32> + '_ {
         self.base
             .edge_indices_from(inst)
             .iter()
@@ -165,7 +165,7 @@ impl EffectiveView {
     }
 
     /// Ids of surviving edges entering `inst`.
-    pub fn edge_ids_to(&self, inst: InstId) -> impl Iterator<Item = u32> + '_ {
+    fn edge_ids_to(&self, inst: InstId) -> impl Iterator<Item = u32> + '_ {
         self.base
             .edge_indices_to(inst)
             .iter()
@@ -179,7 +179,7 @@ impl EffectiveView {
     }
 
     /// Ids of surviving memory edges through base object `mb`.
-    pub fn edge_ids_with_base(&self, mb: MemBase) -> impl Iterator<Item = u32> + '_ {
+    fn edge_ids_with_base(&self, mb: MemBase) -> impl Iterator<Item = u32> + '_ {
         self.base
             .edge_indices_with_base(mb)
             .iter()
@@ -196,7 +196,7 @@ impl EffectiveView {
     /// the base per-loop index filtered by the mask and by rewrites that
     /// narrowed `l` away, plus rewrites that made the edge carried at `l`
     /// (the blur sentinel). No duplicates; order is unspecified.
-    pub fn carried_edge_ids(&self, l: LoopId) -> impl Iterator<Item = u32> + '_ {
+    fn carried_edge_ids(&self, l: LoopId) -> impl Iterator<Item = u32> + '_ {
         let from_base = self
             .base
             .carried_edge_indices(l)

@@ -78,12 +78,12 @@ use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use pspdg_ir::interp::{
-    const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, opcode_of, EvalFault,
-    ExecError, MemAddr, MemState, ObjOrigin, RtVal,
+    const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, EvalFault, ExecError,
+    MemAddr, MemState, ObjOrigin, RtVal,
 };
 use pspdg_ir::loops::trip_count_from;
 use pspdg_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Value};
-use pspdg_obs::{ObsHandle, Recorder, SpanGuard};
+use pspdg_obs::{Recorder, SpanGuard};
 use pspdg_parallel::{ParallelProgram, ReductionOp};
 use pspdg_parallelizer::{
     realize_executable, ChunkedLoop, CriticalReplay, ExecutablePlan, LoopExec, LoopSchedule,
@@ -330,13 +330,10 @@ pub struct Runtime {
     /// only production configuration) costs one never-taken branch on
     /// each cold path.
     faults: Option<Arc<FaultInjector>>,
-    /// Observability sink: spans per activation, opcode profiles per
-    /// scheduled loop, fault/respawn instants. `None` or disabled costs
-    /// one never-taken branch per instruction.
+    /// Observability sink: a span per run, activation and chunk worker,
+    /// fault/respawn instants. Consulted per activation, never per block
+    /// or per instruction.
     obs: Option<Arc<Recorder>>,
-    /// Context-name prefix for this runtime's recorder contexts
-    /// (typically the kernel name; defaults to `"run"`).
-    obs_label: String,
     /// Created lazily on the first parallel activation; lives as long as
     /// the `Runtime`.
     pool: OnceLock<WorkerPool>,
@@ -370,7 +367,6 @@ impl Runtime {
             cost_threshold: DEFAULT_COST_THRESHOLD,
             faults: None,
             obs: None,
-            obs_label: "run".to_string(),
             pool: OnceLock::new(),
         }
     }
@@ -423,28 +419,15 @@ impl Runtime {
 
     /// Attach an observability recorder: every `run` then records
     /// activation spans (strategy, trip, packets, fallback cause,
-    /// duration), per-loop opcode profiles, and fault/respawn instants
-    /// into it. A disabled recorder costs one never-taken branch per
-    /// instruction — the production configuration keeps it attached and
-    /// toggles [`Recorder::set_enabled`]. Resets the worker pool so
-    /// pool respawn events land in the same stream.
+    /// duration) and fault/respawn instants into it. A disabled recorder
+    /// records nothing and costs what an absent one costs — the
+    /// production configuration keeps it attached and toggles
+    /// [`Recorder::set_enabled`]. Resets the worker pool so pool respawn
+    /// events land in the same stream.
     pub fn recorder(mut self, rec: Arc<Recorder>) -> Runtime {
         self.obs = Some(rec);
         self.pool = OnceLock::new();
         self
-    }
-
-    /// Name this runtime's recorder contexts (typically the kernel
-    /// name): opcode profiles land in `"{label}"` (master) and
-    /// `"{label}/{func}.L{header}"` (per scheduled loop).
-    pub fn obs_label(mut self, label: impl Into<String>) -> Runtime {
-        self.obs_label = label.into();
-        self
-    }
-
-    /// The attached recorder, if any.
-    pub fn obs(&self) -> Option<&Arc<Recorder>> {
-        self.obs.as_ref()
     }
 
     /// The lowered plan (schedules per loop).
@@ -500,12 +483,11 @@ impl Runtime {
     pub fn run(&self, func: FuncId, args: &[RtVal]) -> Result<RunOutcome, ExecError> {
         let fired_before = self.faults.as_ref().map_or(0, |fi| fi.fired_total());
         let respawns_before = self.pool.get().map_or(0, WorkerPool::respawns);
-        // A disabled recorder resolves to `None` here, so the per-
-        // instruction cost of "attached but off" and "absent" is the
-        // same never-taken branch.
-        let rec = self.obs.as_ref().filter(|r| r.enabled());
+        // A disabled recorder resolves to `None` here: "attached but
+        // off" and "absent" are the same run.
+        let rec = self.obs.as_deref().filter(|r| r.enabled());
         let mut run_span = rec.map(|r| {
-            let mut s = r.span(&format!("runtime/run/{}", self.obs_label), "runtime");
+            let mut s = r.span("runtime/run", "runtime");
             s.arg("workers", self.workers);
             s
         });
@@ -517,8 +499,6 @@ impl Runtime {
             cost_threshold: self.cost_threshold,
             faults: self.faults.as_deref(),
             rec,
-            obs: rec.map(|r| r.attach(&self.obs_label)),
-            obs_label: &self.obs_label,
             last_trip: 0,
             mem: MemState::for_module(&self.program.module),
             output: Vec::new(),
@@ -539,8 +519,6 @@ impl Runtime {
             sp.arg("chunked", stats.chunked_loops);
             sp.arg("fallbacks", stats.sequential_fallbacks);
         }
-        // The master shard must flush before the caller snapshots.
-        engine.obs = None;
         Ok(RunOutcome {
             ret,
             output: engine.output,
@@ -611,13 +589,7 @@ struct Engine<'a> {
     /// Observability sink (already gated on [`Recorder::enabled`]:
     /// `Some` here means record). Shared by master and chunk workers so
     /// spans land in one stream.
-    rec: Option<&'a Arc<Recorder>>,
-    /// This engine's opcode shard (master: labeled context, switching
-    /// to the loop context during sequential loop execution; workers:
-    /// pinned to the loop context). Flushes on drop.
-    obs: Option<ObsHandle>,
-    /// Context-name prefix (the runtime's `obs_label`).
-    obs_label: &'a str,
+    rec: Option<&'a Recorder>,
     /// Trip count of the most recent chunked attempt (span arg).
     last_trip: u64,
     mem: MemState,
@@ -631,20 +603,6 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Intern the recorder context of the loop headed at `header`
-    /// (`"{label}/{func}.L{header}"`); 0 without a recorder.
-    fn loop_context(&self, f: &Function, header: BlockId) -> u32 {
-        match self.rec {
-            Some(r) if self.obs.is_some() => r.context(&format!(
-                "{}/{}.L{}",
-                self.obs_label,
-                f.name,
-                header.index()
-            )),
-            _ => 0,
-        }
-    }
-
     /// Open the span covering one parallel-loop activation attempt.
     fn activation_span(
         &self,
@@ -725,27 +683,18 @@ impl<'a> Engine<'a> {
         };
         // Scheduled loops currently executing sequentially (either
         // mid-activation after a fallback, or re-run once to exit after a
-        // parallel completion); pruned when control leaves the loop. Each
-        // entry carries the loop's recorder context so the master's opcode
-        // shard attributes its sequential instructions to the loop.
-        let mut no_par: Vec<(&LoopSchedule, u32)> = Vec::new();
-        let saved_ctx = self.obs.as_ref().map(ObsHandle::context_id);
+        // parallel completion); pruned when control leaves the loop.
+        let mut no_par: Vec<&LoopSchedule> = Vec::new();
         // The plan's header table for this function: asked about every
         // block the master enters, so its row is found once, here.
         let header_at = self.plan.map(|plan| plan.headers_in(func_id));
         let mut block = f.entry();
         loop {
             if let Some(header_at) = &header_at {
-                no_par.retain(|(s, _)| s.contains(block));
-                // After `retain`, every surviving entry's loop contains
-                // `block`; the innermost (last pushed) wins attribution.
-                if let Some(h) = self.obs.as_mut() {
-                    h.set_context(no_par.last().map_or(saved_ctx.unwrap_or(0), |&(_, c)| c));
-                }
+                no_par.retain(|s| s.contains(block));
                 if let Some(sched) =
-                    header_at(block).filter(|_| no_par.iter().all(|(s, _)| s.header != block))
+                    header_at(block).filter(|_| no_par.iter().all(|s| s.header != block))
                 {
-                    let lctx = self.loop_context(f, block);
                     match &sched.exec {
                         LoopExec::Chunked(c) => {
                             let before = self.stats;
@@ -763,7 +712,7 @@ impl<'a> Engine<'a> {
                     }
                     // The master now executes the header sequentially (a
                     // completed chunked run exits through it immediately).
-                    no_par.push((sched, lctx));
+                    no_par.push(sched);
                 }
             }
             match self.exec_block(func_id, f, &mut frame, block)? {
@@ -806,16 +755,13 @@ impl<'a> Engine<'a> {
             return Err(ExecError::OutOfFuel);
         }
         self.steps += 1;
-        if let Some(h) = self.obs.as_mut() {
-            h.op(opcode_of(&f.inst(inst_id).inst));
-        }
         // Names an `ExecError`; evaluated on the fault path only.
         let fault = |e: EvalFault| e.at(&f.name, inst_id);
         let mut result = RtVal::Undef;
-        // Arms ordered by measured dynamic frequency (same ranking as the
-        // sequential interpreter's dispatch — see BENCH_runtime.json
-        // `profiling.opcodes`): load > binary > gep > store > br > cmp >
-        // condbr > intrinsic > cast > unary > call > alloca > ret.
+        // Arms in order of dynamic frequency over the Mini suite, as the
+        // sequential interpreter's dispatch has them: load > binary > gep >
+        // store > br > cmp > condbr > intrinsic > cast > unary > alloca >
+        // ret > call (`tests/obs_integration.rs` re-derives the ranking).
         match &f.inst(inst_id).inst {
             Inst::Load { ptr, .. } => {
                 let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
@@ -897,12 +843,6 @@ impl<'a> Engine<'a> {
                 let v = frame.eval(&self.mem, *operand);
                 result = eval_unop(*op, v).map_err(fault)?;
             }
-            Inst::Call { callee, args } => {
-                let vals: Vec<RtVal> = args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
-                if let Some(v) = self.exec_function(*callee, vals)? {
-                    result = v;
-                }
-            }
             Inst::Alloca { ty, .. } => {
                 let origin = ObjOrigin::Alloca {
                     func: func_id,
@@ -914,6 +854,12 @@ impl<'a> Engine<'a> {
             Inst::Ret { value } => {
                 let v = value.map(|v| frame.eval(&self.mem, v));
                 return Ok(Flow::Return(v));
+            }
+            Inst::Call { callee, args } => {
+                let vals: Vec<RtVal> = args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
+                if let Some(v) = self.exec_function(*callee, vals)? {
+                    result = v;
+                }
             }
         }
         frame.regs[inst_id.index()] = result;
@@ -1043,10 +989,6 @@ impl<'a> Engine<'a> {
         let module = self.module;
         let faults = self.faults;
         let rec = self.rec;
-        let obs_label = self.obs_label;
-        // Workers profile into the loop's context: their instructions
-        // are this loop's work, whichever thread ran them.
-        let obs_ctx = rec.map(|_| self.loop_context(f, sched.header));
         let mut slots: Vec<Option<Result<ChunkOut, ParAbort>>> =
             ranges.iter().map(|_| None).collect();
         // `scope_catch`: a panicked chunk worker (organic or injected)
@@ -1089,8 +1031,6 @@ impl<'a> Engine<'a> {
                         cost_threshold: 0,
                         faults,
                         rec,
-                        obs: rec.zip(obs_ctx).map(|(r, c)| r.attach_ctx(c)),
-                        obs_label,
                         last_trip: 0,
                         mem: fork,
                         output: Vec::new(),

@@ -33,7 +33,7 @@ pub mod store;
 
 pub use client::{Client, ClientError};
 pub use hash::{content_key, key_hex};
-pub use server::{PlanService, ServiceConfig};
+pub use server::{PlanService, ServiceConfig, MAX_REQUEST_BYTES};
 pub use session::{Baseline, Execution, PlanBundle, Session, SessionError, DEFAULT_THRESHOLD};
 pub use store::{PlanStore, StoreStats, DEFAULT_BUDGET_BYTES};
 

@@ -15,7 +15,9 @@
 //!   share a single build.
 //!
 //! Responses are written line-by-line under a per-connection mutex, each
-//! tagged with the request's echoed `id`, so clients may pipeline.
+//! tagged with the request's echoed `id`, so clients may pipeline. A
+//! request line longer than [`MAX_REQUEST_BYTES`] gets
+//! `{"ok":false,"error":"request too large"}` and its connection closed.
 //!
 //! ## Per-op response payloads
 //!
@@ -36,7 +38,7 @@
 //! every request already enqueued is handled and answered before the
 //! pool scope returns. Nothing in flight is dropped.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -54,6 +56,13 @@ use crate::hash::key_hex;
 use crate::proto::{abstraction_name, parse_request, Envelope, Input, JsonObj, Request};
 use crate::session::{Execution, Session, SessionError};
 use crate::store::{PlanStore, DEFAULT_BUDGET_BYTES};
+
+/// Longest request line a reader thread will buffer, newline included:
+/// two orders of magnitude above the largest source the benchmark sends
+/// (`module_cold`, 120 KB). A longer line is answered with an error and
+/// its connection closed, so no client can grow a daemon thread's buffer
+/// without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Daemon knobs; `Default` is what `pspdg_serve` runs with.
 #[derive(Debug, Clone)]
@@ -310,9 +319,22 @@ fn reader_loop(stream: TcpStream, addr: SocketAddr, shared: Arc<SharedState>) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES as u64)
+            .read_line(&mut line)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
+        }
+        if line.len() == MAX_REQUEST_BYTES && !line.ends_with('\n') {
+            // The rest of the line is unread, so the stream cannot be
+            // resynchronised: refuse and hang up.
+            write_error(&out, "request too large");
+            let _ = out
+                .lock()
+                .expect("response writer")
+                .shutdown(Shutdown::Both);
+            return;
         }
         let trimmed = line.trim();
         if trimmed.is_empty() {
@@ -322,10 +344,7 @@ fn reader_loop(stream: TcpStream, addr: SocketAddr, shared: Arc<SharedState>) {
         let env = match parse_request(trimmed) {
             Ok(env) => env,
             Err(e) => {
-                let mut o = JsonObj::new();
-                o.bool("ok", false);
-                o.str("error", &e);
-                write_line(&out, &o.finish());
+                write_error(&out, &e);
                 continue;
             }
         };
@@ -348,13 +367,18 @@ fn reader_loop(stream: TcpStream, addr: SocketAddr, shared: Arc<SharedState>) {
             .is_err()
         {
             // Queue closed: the daemon is past its drain point.
-            let mut o = JsonObj::new();
-            o.bool("ok", false);
-            o.str("error", "server shutting down");
-            write_line(&out, &o.finish());
+            write_error(&out, "server shutting down");
             return;
         }
     }
+}
+
+/// Answer a line that never became a request (no `id` to echo).
+fn write_error(out: &Arc<Mutex<TcpStream>>, error: &str) {
+    let mut o = JsonObj::new();
+    o.bool("ok", false);
+    o.str("error", error);
+    write_line(out, &o.finish());
 }
 
 fn write_line(out: &Arc<Mutex<TcpStream>>, line: &str) {

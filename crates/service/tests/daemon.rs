@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use pspdg_obs::json::Value;
 use pspdg_parallelizer::Abstraction;
-use pspdg_service::{Client, PlanService, ServiceConfig};
+use pspdg_service::{Client, PlanService, ServiceConfig, MAX_REQUEST_BYTES};
 
 const SRC: &str = r#"
 int v[64]; int s;
@@ -142,6 +142,31 @@ fn errors_come_back_as_responses_not_hangups() {
         .unwrap();
     assert!(line.contains("\"ok\":false"), "got: {line}");
 
+    service.shutdown();
+}
+
+/// A request line past the daemon's bound is refused with an error line
+/// and that connection closed — the reader thread buffers no more than the
+/// bound — while the daemon keeps serving everyone else.
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_lives() {
+    let service = start();
+    let mut raw = TcpStream::connect(service.addr()).unwrap();
+    // Exactly the bound with no newline in sight: the daemon has read all
+    // of it when it gives up, so nothing is left in flight to reset on.
+    raw.write_all(&vec![b'x'; MAX_REQUEST_BYTES]).unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"ok\":false") && line.contains("request too large"),
+        "got: {line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+
+    let mut client = Client::connect(service.addr()).unwrap();
+    client.ping().unwrap();
     service.shutdown();
 }
 

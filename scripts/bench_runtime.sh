@@ -4,9 +4,10 @@
 #
 # The timed rows run with no recorder attached (each row records
 # "recorder": "absent"); the JSON's `profiling` section re-runs the
-# suite with an enabled recorder and also measures the recorder's own
-# absent/disabled/enabled overhead. Use scripts/profile.sh for the
-# trace/metrics export.
+# suite with an enabled recorder for its span summary, measures the
+# recorder's own absent/disabled/enabled overhead, and carries the opcode
+# tables derived from the oracle run's profile. Use scripts/profile.sh
+# for the trace/metrics export.
 #
 # Usage: scripts/bench_runtime.sh [OUT.json] [--smoke]
 set -euo pipefail

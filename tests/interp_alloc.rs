@@ -25,12 +25,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use pspdg::core::{build_pspdg_module, FeatureSet};
 use pspdg::emulator::emulate;
 use pspdg::frontend::compile;
 use pspdg::ir::interp::{Interpreter, NullSink};
 use pspdg::nas::synth;
+use pspdg::obs::Recorder;
 use pspdg::parallel::ParallelProgram;
 use pspdg::parallelizer::{build_plan, plan_built, Abstraction};
 use pspdg::runtime::Runtime;
@@ -116,6 +118,47 @@ fn allocations_do_not_scale_with_executed_instructions() {
         emulator_8n <= emulator_n + 8,
         "emulate allocations: {emulator_n} at N, {emulator_8n} at 8N"
     );
+}
+
+/// What an *enabled* recorder adds to a one-worker run is paid per span —
+/// the run and each loop activation — never per block or per step: the
+/// same three activations of a DOALL loop cost the same extra allocations
+/// at trip N and at 8N. (`crates/obs/tests/recorder.rs` pins the disabled
+/// path at zero.)
+#[test]
+fn enabled_recorder_allocations_scale_with_activations_not_steps() {
+    const N: usize = 500;
+    let [at_n, at_8n] = [N, 8 * N].map(|trip| {
+        let p = compile(&format!(
+            "double v[4096];
+             void k() {{
+                 int i;
+                 for (i = 0; i < {trip}; i++) {{ v[i] = v[i] * 0.5 + 1.0; }}
+             }}
+             int main() {{ k(); k(); k(); return 0; }}"
+        ))
+        .expect("compiles");
+        let mut interp = Interpreter::new(&p.module);
+        interp.run_main(&mut NullSink).expect("runs");
+        let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
+        let absent = Runtime::new(&p, &plan).workers(1);
+        let rec = Arc::new(Recorder::new());
+        let enabled = Runtime::new(&p, &plan)
+            .workers(1)
+            .recorder(Arc::clone(&rec));
+        let without = allocs_during(|| {
+            absent.run_main().expect("runs");
+        });
+        let with = allocs_during(|| {
+            enabled.run_main().expect("runs");
+        });
+        (with - without, rec.snapshot().events.len() as u64)
+    });
+    let (extra, spans) = at_n;
+    assert_eq!(spans, 4, "the run and three activations of the loop");
+    assert_eq!(at_8n, at_n, "(extra allocations, spans) at 8N vs N");
+    // A span's name, its argument vector and its slot in the event list.
+    assert!(extra <= 8 * spans, "{extra} allocations for {spans} spans");
 }
 
 #[test]
