@@ -698,6 +698,32 @@ fn guarded_argmax_chunks_bit_identical_with_zero_mutex_fallbacks() {
     }
 }
 
+/// The two kernels whose hot loops are parallel only through the
+/// commit-time critical replay, at `Class::Mini` under the PS-PDG plan with
+/// two workers and the default cost gate: output equal to the
+/// interpreter's, no replay fault, and packet/replayed-store counts pinned
+/// exactly (the counts every replay mechanism must reproduce).
+#[test]
+fn mini_replay_kernels_pin_packet_and_store_counts() {
+    for (name, packets, replays) in [("GMAX", 16_384, 8_226), ("EP", 15_713, 15_713)] {
+        let p = benchmark(name, Class::Mini)
+            .expect("known kernel")
+            .program();
+        let mut interp = Interpreter::new(&p.module);
+        interp.run_main(&mut NullSink).unwrap();
+        let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
+        let out = Runtime::new(&p, &plan).workers(2).run_main().unwrap();
+        assert_eq!(out.output, interp.output(), "{name}: output diverged");
+        let stats = out.stats;
+        assert_eq!(stats.fallbacks.replay_fault, 0, "{name}: {stats:?}");
+        assert_eq!(
+            (stats.critical_packets, stats.critical_replays),
+            (packets, replays),
+            "{name}: {stats:?}"
+        );
+    }
+}
+
 /// Equality-guarded test-and-set stays serialized (the realization keeps
 /// its own cause) yet remains observably equivalent.
 #[test]

@@ -104,6 +104,45 @@ fn every_engine_raises_the_sequential_fault() {
             300,
             ExecError::OutOfFuel,
         ),
+        // Literals taken at 7c226e7. At two workers these fault on the
+        // master's commit-time replay of the deferred critical: the replay
+        // must leave the master heap untouched so the sequential re-run
+        // raises the sequential fault.
+        (
+            "undef read in a critical",
+            kernel("int s;", "\n#pragma omp critical\n{ s = s + a[i]; }\n"),
+            1 << 48,
+            ExecError::UndefRead {
+                func: main(),
+                inst: InstId(9),
+            },
+        ),
+        (
+            "div by zero in a critical",
+            kernel(
+                "",
+                "\n#pragma omp critical\n{ b[0] = b[0] + 1; a[1] = 1000 / (b[0] - 37); }\n",
+            ),
+            1 << 48,
+            ExecError::DivByZero {
+                func: main(),
+                inst: InstId(17),
+            },
+        ),
+        (
+            "oob through a protected index",
+            kernel(
+                "",
+                "\n#pragma omp critical\n{ b[0] = b[0] + 3; b[b[0]] = i; }\n",
+            ),
+            1 << 48,
+            ExecError::OutOfBounds {
+                func: main(),
+                inst: InstId(17),
+                off: 66,
+                size: 64,
+            },
+        ),
     ];
     // The verifier rules these out, so the IR is rewritten after lowering:
     // a load through an integer, a gep indexed by a float, a branch on an
