@@ -10,7 +10,7 @@
 //!
 //! The measured suite is [`pspdg_nas::runtime_suite`]: the eight NAS
 //! kernels plus GMAX, whose guarded argmax/argmin criticals exercise the
-//! value-predicated replay-program path.
+//! commit-time critical replay, guards re-decided on the true heap.
 //!
 //! A kernel that fails its correctness gate (or faults) is **skipped and
 //! recorded**, never silently folded into the geomean: the geomean is
@@ -24,7 +24,7 @@
 //! ```
 //!
 //! `--smoke` runs the `Class::Test` suite with one sample (CI wiring) and
-//! additionally asserts the replay-program invariants on GMAX: both
+//! additionally asserts the critical-replay invariants on GMAX: both
 //! guarded-critical loops chunk with zero mutex fallbacks and replay
 //! packets flow at commit.
 //!
@@ -113,7 +113,7 @@ fn main() {
     let mut skipped: Vec<(String, String)> = Vec::new();
     let mut gmax_checked = false;
     for b in &runtime_suite(class) {
-        let p = b.program();
+        let p = Arc::new(b.program());
         // Profile once for plan construction and as the differential
         // oracle.
         let mut oracle = Interpreter::new(&p.module);
@@ -129,13 +129,13 @@ fn main() {
                 continue;
             }
         };
-        let exec = realize_executable(&p, &plan);
+        let exec = Arc::new(realize_executable(&p, &plan));
         let realization = exec.stats();
-        let rt = Runtime::with_executable(&p, exec.clone()).workers(workers);
+        let rt = Runtime::from_shared(Arc::clone(&p), Arc::clone(&exec)).workers(workers);
         // The sequential baseline is the *same* engine with one worker
         // (every loop falls back), so the speedup isolates parallel
         // execution from engine overhead differences against `ir::interp`.
-        let rt_seq = Runtime::with_executable(&p, exec.clone()).workers(1);
+        let rt_seq = Runtime::from_shared(Arc::clone(&p), exec).workers(1);
 
         // Correctness gate before timing anything; a failing kernel is
         // recorded and skipped so it cannot skew the geomean.
@@ -157,7 +157,7 @@ fn main() {
         }
         let stats = outcome.stats;
         if b.name == "GMAX" && smoke {
-            // The replay-program acceptance gate: both guarded-critical
+            // The critical-replay acceptance gate: both guarded-critical
             // loops chunk (no loop serialized on the mutex rule), packets
             // flow, and nothing faulted out of the replay path.
             assert!(
@@ -527,7 +527,7 @@ fn main() {
     let opcodes_json = opcodes_json(suite_ops.into_iter().collect());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances applied by the value-predicated replay\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances the master's commit-time replay executed\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

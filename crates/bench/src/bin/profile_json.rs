@@ -64,7 +64,7 @@ fn main() {
         }
         let plan = build_plan_recorded(&p, oracle.profile(), Abstraction::PsPdg, 0.01, Some(&rec));
         let exec = realize_executable_recorded(&p, &plan, Some(&rec));
-        let rt = Runtime::with_executable(&p, exec)
+        let rt = Runtime::from_shared(Arc::new(p), Arc::new(exec))
             .workers(workers)
             .recorder(Arc::clone(&rec));
         rt.run_main()

@@ -87,8 +87,8 @@ pub fn suite(class: Class) -> Vec<Benchmark> {
 
 /// The kernel set the *runtime* bench measures: the eight NAS kernels
 /// plus the SYNTH-family GMAX kernel, whose guarded argmax/argmin
-/// criticals are parallel only through the runtime's value-predicated
-/// replay programs (see [`synth::gmax`]).
+/// criticals are parallel only through the runtime's commit-time critical
+/// replay (see [`synth::gmax`]).
 pub fn runtime_suite(class: Class) -> Vec<Benchmark> {
     let mut v = suite(class);
     v.push(synth::gmax(class));

@@ -120,9 +120,9 @@ fn gmax_trip(class: Class) -> usize {
 /// argmin-plus-counter loop (a guarded two-cell update *chained* with an
 /// unconditional `hits += 1` in the same region). Neither loop is a plain
 /// read-modify-write, so both are parallel **only** through the runtime's
-/// value-predicated replay programs — the bench row that makes the
-/// guarded-critical win visible (`BENCH_runtime.json`, asserted by
-/// `bench_runtime_json --smoke`).
+/// commit-time critical replay, whose guards the master re-decides on the
+/// true heap — the bench row that makes the guarded-critical win visible
+/// (`BENCH_runtime.json`, asserted by `bench_runtime_json --smoke`).
 pub fn gmax(class: Class) -> Benchmark {
     let n = gmax_trip(class);
     let source = format!(

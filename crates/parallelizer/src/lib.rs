@@ -42,6 +42,6 @@ pub use plan::{
 pub use realize::realize_plan;
 pub use schedule::{
     realize_executable, realize_executable_recorded, ChunkedLoop, CriticalReplay, ExecutablePlan,
-    LoopExec, LoopSchedule, RealizationStats, ReplayOp, ReplayProgram, ReplayVal,
+    LoopExec, LoopSchedule, RealizationStats,
 };
 pub use views::Abstraction;

@@ -22,11 +22,9 @@
 //! under the runtime's execution model degrades to sequential instead of
 //! executing incorrectly.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use pspdg_ir::{
-    BinOp, BlockId, CastKind, CmpOp, Constant, FuncId, Inst, InstId, Intrinsic, LoopId, UnOp, Value,
-};
+use pspdg_ir::{BlockId, CmpOp, FuncId, Inst, InstId, Intrinsic, LoopId, Value};
 use pspdg_parallel::{DataClause, DirectiveKind, ParallelProgram, ReductionOp};
 use pspdg_pdg::{base_of_varref, DepKind, FunctionAnalyses, MemBase, Pdg};
 
@@ -52,128 +50,19 @@ pub struct ChunkedLoop {
     /// Reduction bases with their merge operators: worker copies start at
     /// the operator identity and partial results merge in chunk order.
     pub reductions: Vec<(MemBase, ReductionOp)>,
-    /// Surviving critical/atomic regions, each lowered to a **replay
-    /// program** (see [`CriticalReplay`]): workers execute the region's
+    /// Surviving critical/atomic regions, each lowered for commit-time
+    /// replay (see [`CriticalReplay`]): workers execute the region's
     /// protected-independent slice and log one operand packet per region
-    /// entry; the master replays each packet's program — value-predicated,
-    /// in chunk = iteration order — against the true heap at commit, so
-    /// protected cells finish **bit-identical** to the sequential
-    /// interpreter even for guarded (`if (v > best)`) updates.
+    /// entry; the master runs the region's own replay-slice instructions
+    /// and branches once per packet — in chunk = iteration order, against
+    /// the true heap — so protected cells finish **bit-identical** to the
+    /// sequential interpreter even for guarded (`if (v > best)`) updates.
     pub criticals: Vec<CriticalReplay>,
     /// Bases stored to inside the critical/atomic regions (within the
-    /// loop). Workers never touch them (protected loads and stores exist
-    /// only in the replay programs); their sole committed mutations are
-    /// the replayed packets.
+    /// loop). Workers never touch them (protected loads and stores are
+    /// only ever executed by the master's replay); their sole committed
+    /// mutations are the replayed packets.
     pub protected: Vec<MemBase>,
-}
-
-/// An operand of a [`ReplayOp`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReplayVal {
-    /// A compile-time constant.
-    Const(Constant),
-    /// The `k`-th fork-local value of the operand packet the worker logged
-    /// at region entry (addresses, loop-variant operands, fork-local guard
-    /// bits — everything the region computes *without* reading a protected
-    /// cell).
-    Operand(u32),
-    /// The result of op `k` of the same program (protected-cell loads and
-    /// everything data-dependent on them).
-    Temp(u32),
-}
-
-/// One op of a replay program; op `k`'s result is [`ReplayVal::Temp`]`(k)`.
-/// The micro-IR mirrors the interpreter's scalar semantics exactly, so a
-/// replayed region computes bit-identical values to sequential execution.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayOp {
-    /// Read the protected cell `addr` points to, from the committed heap
-    /// (reading `Undef` is a replay fault: sequential execution would
-    /// fault at this instance, so the loop re-runs sequentially).
-    Load {
-        /// Cell address (a packet operand, or a replay-computed pointer).
-        addr: ReplayVal,
-    },
-    /// Element address arithmetic `base + index × elem_len`.
-    Gep {
-        /// Base pointer.
-        base: ReplayVal,
-        /// Element index.
-        index: ReplayVal,
-        /// Flattened element size (cells).
-        elem_len: i64,
-    },
-    /// Binary arithmetic (same evaluator as the interpreter).
-    Bin {
-        /// Opcode.
-        op: BinOp,
-        /// Left operand.
-        lhs: ReplayVal,
-        /// Right operand.
-        rhs: ReplayVal,
-    },
-    /// Unary arithmetic.
-    Un {
-        /// Opcode.
-        op: UnOp,
-        /// Operand.
-        operand: ReplayVal,
-    },
-    /// Ordered comparison (equality tests on protected values are rejected
-    /// at extraction — see [`CriticalReplay`]).
-    Cmp {
-        /// Predicate.
-        op: CmpOp,
-        /// Left operand.
-        lhs: ReplayVal,
-        /// Right operand.
-        rhs: ReplayVal,
-    },
-    /// Scalar conversion.
-    Cast {
-        /// Conversion kind.
-        kind: CastKind,
-        /// Operand.
-        value: ReplayVal,
-    },
-    /// Math intrinsic (min/max/abs/…; prints are rejected at extraction).
-    Intrinsic {
-        /// Which built-in.
-        intrinsic: Intrinsic,
-        /// Argument values.
-        args: Vec<ReplayVal>,
-    },
-    /// Conditionally store `value` to the protected cell at `addr`: the
-    /// store executes iff every `(pred, polarity)` pair evaluates to a
-    /// bool equal to its polarity — the value-predication that lets
-    /// guarded `if (v > best) { best = v; best_idx = i; }` criticals
-    /// replay with the *true* heap deciding each instance.
-    Store {
-        /// Cell address.
-        addr: ReplayVal,
-        /// Stored value.
-        value: ReplayVal,
-        /// Branch conditions (with polarity) controlling the store inside
-        /// the region; empty for unconditional read-modify-writes.
-        preds: Vec<(ReplayVal, bool)>,
-    },
-}
-
-/// The straight-line micro-program the master executes once per logged
-/// packet (see [`CriticalReplay`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReplayProgram {
-    /// Ops in region order; op `k` defines [`ReplayVal::Temp`]`(k)`.
-    pub ops: Vec<ReplayOp>,
-}
-
-impl ReplayProgram {
-    /// The program's store ops (protected mutations).
-    pub fn stores(&self) -> impl Iterator<Item = &ReplayOp> {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, ReplayOp::Store { .. }))
-    }
 }
 
 /// One surviving critical/atomic region (nested or overlapping directive
@@ -184,13 +73,15 @@ impl ReplayProgram {
 ///   `worker_insts` — the region's protected-*independent* instructions
 ///   (unprotected loads, address arithmetic, plain compute) — in region
 ///   order with guards suppressed (conditional blocks run speculatively;
-///   a fault aborts the parallel attempt), evaluates `operands` into a
+///   a fault aborts the parallel attempt), reads `operands` into a
 ///   packet, logs it, and resumes at `exit` **without executing a single
 ///   protected load or store**;
-/// * the **master**, at commit, replays `program` once per packet in
-///   chunk = sequential iteration order: protected loads read the true
-///   heap, guarded stores re-decide against the true values — so the
-///   protected cells finish bit-identical to the sequential interpreter.
+/// * the **master**, at commit, once per packet in chunk = sequential
+///   iteration order, writes the packet into its registers and walks the
+///   region from `entry` to `exit` executing each entered block's
+///   `replay` instructions: protected loads read the true heap and the
+///   region's own branches decide on the true values — so the protected
+///   cells finish bit-identical to the sequential interpreter.
 ///
 /// This is the runtime realization of the PS-PDG's first-class (orderless,
 /// mutually exclusive) atomic-update semantics, generalizing the earlier
@@ -206,11 +97,13 @@ pub struct CriticalReplay {
     /// Protected-independent region instructions the worker executes, in
     /// region order, before logging the packet.
     pub worker_insts: Vec<InstId>,
-    /// The values the worker evaluates into the operand packet (indexed by
-    /// [`ReplayVal::Operand`]).
-    pub operands: Vec<Value>,
-    /// The value-predicated program the master replays per packet.
-    pub program: ReplayProgram,
+    /// The registers the master's replay reads but does not define: the
+    /// worker logs their fork-local values as the operand packet.
+    pub operands: Vec<InstId>,
+    /// Per region block, in block order: its replay-slice instructions
+    /// (protected loads, everything data-dependent on them, every store)
+    /// followed by its terminator.
+    pub replay: Vec<(BlockId, Vec<InstId>)>,
 }
 
 /// How the runtime executes one planned loop.
@@ -610,15 +503,14 @@ impl<'a> FuncRealizer<'a> {
     /// 4. each region partitions into a protected-independent *worker
     ///    slice* (executable speculatively on the fork) and a *replay
     ///    slice* (everything data-dependent on a protected load, plus all
-    ///    stores); replay-slice values never escape their region, every
-    ///    store's execution predicate is an exact conjunction of region
-    ///    branch conditions, and no protected value feeds an equality test
-    ///    (test-and-set protocols stay serialized) or an unprotected
-    ///    load's address.
+    ///    stores); replay-slice values never escape their region, and no
+    ///    protected value feeds an equality test (test-and-set protocols
+    ///    stay serialized) or an unprotected load's address.
     ///
     /// Under 1–4 a worker logs one operand packet per region entry and the
-    /// master replays each packet's program in chunk order = sequential
-    /// iteration order, leaving protected cells bit-identical to the
+    /// master replays the region's replay slice and branches per packet in
+    /// chunk order = sequential iteration order, leaving protected cells
+    /// bit-identical to the
     /// sequential interpreter — including guarded min/max, multi-cell
     /// argmin/argmax, and chained updates.
     fn deferred_criticals(
@@ -711,7 +603,7 @@ impl<'a> FuncRealizer<'a> {
                 return Err("protected base accessed outside the critical region");
             }
         }
-        // Lower each group to its replay program.
+        // Lower each group for commit-time replay.
         let mut replays = Vec::new();
         let mut slices: Vec<(BTreeSet<InstId>, BTreeSet<InstId>)> = Vec::new();
         for g in &groups {
@@ -736,12 +628,10 @@ impl<'a> FuncRealizer<'a> {
     }
 
     /// Lower one merged critical-region group to a [`CriticalReplay`]:
-    /// validate its control shape, split its instructions into the worker
-    /// slice and the replay slice, derive exact store predicates from the
-    /// region's branches, and emit the replay micro-program. Returns the
-    /// lowering plus the group's instruction set and replay slice (for the
-    /// caller's escape scan).
-    #[allow(clippy::too_many_lines)]
+    /// validate its control shape and split its instructions into the
+    /// worker slice and the per-block replay lists. Returns the lowering
+    /// plus the group's instruction set and replay slice (for the caller's
+    /// escape scan).
     fn extract_replay(
         &self,
         blocks: &BTreeSet<BlockId>,
@@ -785,216 +675,76 @@ impl<'a> FuncRealizer<'a> {
         }
         let entry = entry.ok_or("critical region is never entered")?;
         let exit = exit.ok_or("critical region has no exit")?;
-        // Per-block execution predicates, as (branch condition, polarity)
-        // conjunctions relative to region entry. A block's predicate is
-        // *exact* (`Some`) only when every path provably agrees: single
-        // in-region predecessor, unanimous candidates, or a two-way
-        // diamond join (same condition, opposite polarity → the common
-        // prefix). Anything else is `None`; stores there are rejected.
-        let blist: Vec<BlockId> = blocks.iter().copied().collect();
-        let mut pred_of: HashMap<BlockId, Option<Vec<(Value, bool)>>> = HashMap::new();
-        pred_of.insert(entry, Some(Vec::new()));
-        for &b in &blist {
-            if b == entry {
-                continue;
-            }
-            let mut cands: Vec<Option<Vec<(Value, bool)>>> = Vec::new();
-            for &p in &blist {
-                if p == b || !self.analyses.cfg.is_reachable(p) {
-                    continue;
-                }
-                let Some(&term) = f.block(p).insts.last() else {
-                    continue;
-                };
-                let succs = f.inst(term).inst.successors();
-                if !succs.contains(&b) {
-                    continue;
-                }
-                let base = pred_of.get(&p).cloned().flatten();
-                let cand = match (&f.inst(term).inst, base) {
-                    (_, None) => None,
-                    (
-                        Inst::CondBr {
-                            cond,
-                            then_bb,
-                            else_bb,
-                        },
-                        Some(mut pb),
-                    ) if then_bb != else_bb => {
-                        pb.push((*cond, *then_bb == b));
-                        Some(pb)
-                    }
-                    (_, Some(pb)) => Some(pb),
-                };
-                cands.push(cand);
-            }
-            let merged: Option<Vec<(Value, bool)>> = match cands.as_slice() {
-                [] => None, // a second entry would already have errored
-                [one] => one.clone(),
-                many if many.iter().all(|c| c == &many[0]) => many[0].clone(),
-                [Some(a), Some(b)]
-                    if a.len() == b.len()
-                        && !a.is_empty()
-                        && a[..a.len() - 1] == b[..b.len() - 1]
-                        && a.last().unwrap().0 == b.last().unwrap().0
-                        && a.last().unwrap().1 != b.last().unwrap().1 =>
-                {
-                    // If/else diamond join: both arms together are
-                    // unconditional, so the join inherits the prefix.
-                    Some(a[..a.len() - 1].to_vec())
-                }
-                _ => None,
-            };
-            pred_of.insert(b, merged);
-        }
-        // Classify each region instruction (in region order) as worker
-        // slice or replay slice and emit the program.
-        let group_insts: BTreeSet<InstId> = blist
+        // Classify each region instruction (in region order): the replay
+        // slice is every protected load, everything data-dependent on one,
+        // and every store; each block's replay list ends in its terminator,
+        // so the master's walk takes the region's real branches.
+        let group_insts: BTreeSet<InstId> = blocks
             .iter()
             .flat_map(|bb| f.block(*bb).insts.iter().copied())
             .collect();
         let mut slice: BTreeSet<InstId> = BTreeSet::new();
-        let mut temp_of: BTreeMap<InstId, u32> = BTreeMap::new();
-        let mut worker_done: BTreeSet<InstId> = BTreeSet::new();
         let mut worker_insts: Vec<InstId> = Vec::new();
-        let mut operands: Vec<Value> = Vec::new();
-        let mut ops: Vec<ReplayOp> = Vec::new();
-        for &b in &blist {
+        let mut operands: Vec<InstId> = Vec::new();
+        let mut replay = Vec::with_capacity(blocks.len());
+        for &b in blocks {
+            let mut listed = Vec::new();
             for &i in &f.block(b).insts {
                 let inst = &f.inst(i).inst;
-                if inst.is_terminator() {
-                    if matches!(inst, Inst::Ret { .. }) {
-                        return Err("return inside a critical region");
-                    }
-                    continue; // control is re-derived from the predicates
-                }
-                // A fork-local value the replay program consumes: pack it
-                // into the operand packet (deduplicated), or fold it when
-                // it is already a temp/constant.
-                let mut rv = |v: Value,
-                              temp_of: &BTreeMap<InstId, u32>|
-                 -> Result<ReplayVal, &'static str> {
-                    if let Value::Const(c) = v {
-                        return Ok(ReplayVal::Const(c));
-                    }
-                    if let Value::Inst(d) = v {
-                        if let Some(&t) = temp_of.get(&d) {
-                            return Ok(ReplayVal::Temp(t));
-                        }
-                        if group_insts.contains(&d) && !worker_done.contains(&d) {
-                            return Err("critical value used before its definition");
-                        }
-                    }
-                    let slot = operands.iter().position(|o| *o == v).unwrap_or_else(|| {
-                        operands.push(v);
-                        operands.len() - 1
-                    });
-                    Ok(ReplayVal::Operand(slot as u32))
-                };
                 let replay_dep = inst
                     .operands()
                     .any(|v| v.as_inst().is_some_and(|d| slice.contains(&d)));
-                match inst {
+                let replayed = match inst {
+                    Inst::Ret { .. } => return Err("return inside a critical region"),
                     Inst::Call { .. } => return Err("call inside a critical region"),
                     Inst::Alloca { .. } => return Err("allocation inside a critical region"),
                     Inst::IntrinsicCall {
                         intrinsic: Intrinsic::PrintI64 | Intrinsic::PrintF64,
                         ..
                     } => return Err("print inside a critical region"),
-                    Inst::Store { ptr, value } => {
-                        let Some(pred) = pred_of.get(&b).cloned().flatten() else {
-                            return Err("critical store under irreducible region control");
-                        };
-                        let addr = rv(*ptr, &temp_of)?;
-                        let value = rv(*value, &temp_of)?;
-                        let preds = pred
-                            .iter()
-                            .map(|(v, pol)| rv(*v, &temp_of).map(|r| (r, *pol)))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        ops.push(ReplayOp::Store { addr, value, preds });
-                        slice.insert(i);
+                    Inst::Br { .. } | Inst::CondBr { .. } | Inst::Store { .. } => true,
+                    Inst::Load { ptr, .. }
+                        if protected.contains(&pspdg_pdg::trace_base(f, *ptr)) =>
+                    {
+                        true
                     }
-                    Inst::Load { ptr, .. } => {
-                        if protected.contains(&pspdg_pdg::trace_base(f, *ptr)) {
-                            let addr = rv(*ptr, &temp_of)?;
-                            temp_of.insert(i, ops.len() as u32);
-                            ops.push(ReplayOp::Load { addr });
-                            slice.insert(i);
-                        } else if replay_dep {
-                            // Replaying it would read unprotected memory
-                            // in its committed (not iteration-time) state.
-                            return Err("critical load address depends on a protected value");
-                        } else {
-                            worker_insts.push(i);
-                            worker_done.insert(i);
-                        }
+                    // Replaying it would read unprotected memory in its
+                    // committed (not iteration-time) state.
+                    Inst::Load { .. } if replay_dep => {
+                        return Err("critical load address depends on a protected value")
                     }
-                    _ if !replay_dep => {
-                        worker_insts.push(i);
-                        worker_done.insert(i);
+                    // Test-and-set / once-only protocols signal through the
+                    // equality; keep them serialized rather than replay an
+                    // order-sensitive handshake.
+                    Inst::Cmp {
+                        op: CmpOp::Eq | CmpOp::Ne,
+                        ..
+                    } if replay_dep => {
+                        return Err("critical equality test on a protected value (test-and-set)")
                     }
-                    Inst::Binary { op, lhs, rhs } => {
-                        let (lhs, rhs) = (rv(*lhs, &temp_of)?, rv(*rhs, &temp_of)?);
-                        temp_of.insert(i, ops.len() as u32);
-                        ops.push(ReplayOp::Bin { op: *op, lhs, rhs });
-                        slice.insert(i);
-                    }
-                    Inst::Unary { op, operand } => {
-                        let operand = rv(*operand, &temp_of)?;
-                        temp_of.insert(i, ops.len() as u32);
-                        ops.push(ReplayOp::Un { op: *op, operand });
-                        slice.insert(i);
-                    }
-                    Inst::Cmp { op, lhs, rhs } => {
-                        if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                            // Test-and-set / once-only protocols signal
-                            // through the equality; keep them serialized
-                            // rather than replay an order-sensitive
-                            // handshake.
-                            return Err(
-                                "critical equality test on a protected value (test-and-set)",
-                            );
-                        }
-                        let (lhs, rhs) = (rv(*lhs, &temp_of)?, rv(*rhs, &temp_of)?);
-                        temp_of.insert(i, ops.len() as u32);
-                        ops.push(ReplayOp::Cmp { op: *op, lhs, rhs });
-                        slice.insert(i);
-                    }
-                    Inst::Cast { kind, value } => {
-                        let value = rv(*value, &temp_of)?;
-                        temp_of.insert(i, ops.len() as u32);
-                        ops.push(ReplayOp::Cast { kind: *kind, value });
-                        slice.insert(i);
-                    }
-                    Inst::Gep {
-                        base,
-                        index,
-                        elem_ty,
-                    } => {
-                        let (base, index) = (rv(*base, &temp_of)?, rv(*index, &temp_of)?);
-                        temp_of.insert(i, ops.len() as u32);
-                        ops.push(ReplayOp::Gep {
-                            base,
-                            index,
-                            elem_len: elem_ty.flat_len() as i64,
-                        });
-                        slice.insert(i);
-                    }
-                    Inst::IntrinsicCall { intrinsic, args } => {
-                        let args = args
-                            .iter()
-                            .map(|a| rv(*a, &temp_of))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        temp_of.insert(i, ops.len() as u32);
-                        ops.push(ReplayOp::Intrinsic {
-                            intrinsic: *intrinsic,
-                            args,
-                        });
-                        slice.insert(i);
-                    }
-                    Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. } => unreachable!(),
+                    _ => replay_dep,
+                };
+                if !replayed {
+                    worker_insts.push(i);
+                    continue;
                 }
+                // A register the master does not define is read from the
+                // packet: the worker's fork-local value.
+                for d in inst.operands().filter_map(|v| v.as_inst()) {
+                    if slice.contains(&d) || operands.contains(&d) {
+                        continue;
+                    }
+                    if group_insts.contains(&d) && !worker_insts.contains(&d) {
+                        return Err("critical value used before its definition");
+                    }
+                    operands.push(d);
+                }
+                if !inst.is_terminator() {
+                    slice.insert(i);
+                }
+                listed.push(i);
             }
+            replay.push((b, listed));
         }
         Ok((
             CriticalReplay {
@@ -1002,7 +752,7 @@ impl<'a> FuncRealizer<'a> {
                 exit,
                 worker_insts,
                 operands,
-                program: ReplayProgram { ops },
+                replay,
             },
             group_insts,
             slice,
@@ -1100,6 +850,7 @@ mod tests {
     use crate::views::Abstraction;
     use pspdg_frontend::compile;
     use pspdg_ir::interp::{Interpreter, NullSink};
+    use pspdg_ir::BinOp;
 
     fn plan_of(src: &str, a: Abstraction) -> (ParallelProgram, ProgramPlan) {
         let p = compile(src).unwrap();
@@ -1245,15 +996,21 @@ mod tests {
         }
     }
 
-    /// The store ops of a replay program, with their predicate arity.
-    fn store_pred_arities(cr: &CriticalReplay) -> Vec<usize> {
-        cr.program
-            .stores()
-            .map(|op| match op {
-                ReplayOp::Store { preds, .. } => preds.len(),
-                _ => unreachable!(),
-            })
-            .collect()
+    /// The instructions of `k` the master replays for `cr`, in region
+    /// order, terminators included.
+    fn replayed<'p>(p: &'p ParallelProgram, cr: &CriticalReplay) -> Vec<&'p Inst> {
+        let f = p.module.function(p.module.function_by_name("k").unwrap());
+        let insts = cr.replay.iter().flat_map(|(_, insts)| insts);
+        insts.map(|i| &f.inst(*i).inst).collect()
+    }
+
+    /// How many of `insts` match `pred`.
+    fn count(insts: &[&Inst], pred: impl Fn(&Inst) -> bool) -> usize {
+        insts.iter().filter(|i| pred(i)).count()
+    }
+
+    fn is_store(i: &Inst) -> bool {
+        matches!(i, Inst::Store { .. })
     }
 
     #[test]
@@ -1277,28 +1034,17 @@ mod tests {
         let exec = realize_executable(&p, &plan);
         let c = chunked_of(&exec);
         assert_eq!(c.criticals.len(), 1, "one replayed region");
-        let cr = &c.criticals[0];
+        let r = replayed(&p, &c.criticals[0]);
+        assert_eq!(count(&r, is_store), 1, "one replayed store: {r:?}");
         assert_eq!(
-            store_pred_arities(cr),
-            vec![0],
-            "a plain RMW replays unpredicated: {:?}",
-            cr.program
+            count(&r, |i| matches!(i, Inst::Binary { op: BinOp::Add, .. })),
+            1,
+            "{r:?}"
         );
-        assert!(
-            cr.program
-                .ops
-                .iter()
-                .any(|op| matches!(op, ReplayOp::Bin { op: BinOp::Add, .. })),
-            "{:?}",
-            cr.program
-        );
-        assert!(
-            cr.program
-                .ops
-                .iter()
-                .any(|op| matches!(op, ReplayOp::Load { .. })),
-            "the feedback load reads the true heap: {:?}",
-            cr.program
+        assert_eq!(
+            count(&r, |i| matches!(i, Inst::Load { .. })),
+            1,
+            "the feedback load reads the true heap: {r:?}"
         );
         assert_eq!(
             c.protected,
@@ -1310,8 +1056,8 @@ mod tests {
     #[test]
     fn critical_fmax_update_defers_to_commit_replay() {
         // EP-style `best = fmax(best, e)`: a min/max intrinsic update is a
-        // deferrable RMW — the loop must still chunk, with the update
-        // captured as a value-predicated `CritOp::Select`.
+        // deferrable RMW — the loop must still chunk, with the intrinsic
+        // replayed on the true value.
         let (p, plan) = plan_of(
             r#"
             double best; double v[128];
@@ -1331,19 +1077,18 @@ mod tests {
         let exec = realize_executable(&p, &plan);
         let c = chunked_of(&exec);
         assert_eq!(c.criticals.len(), 1, "one replayed min/max region");
-        let cr = &c.criticals[0];
-        assert_eq!(store_pred_arities(cr), vec![0]);
-        assert!(
-            cr.program.ops.iter().any(|op| matches!(
-                op,
-                ReplayOp::Intrinsic {
-                    intrinsic: pspdg_ir::Intrinsic::Fmax,
+        let r = replayed(&p, &c.criticals[0]);
+        assert_eq!(count(&r, is_store), 1, "{r:?}");
+        let fmax = |i: &Inst| {
+            matches!(
+                i,
+                Inst::IntrinsicCall {
+                    intrinsic: Intrinsic::Fmax,
                     ..
                 }
-            )),
-            "{:?}",
-            cr.program
-        );
+            )
+        };
+        assert_eq!(count(&r, fmax), 1, "{r:?}");
         assert_eq!(c.protected, vec![MemBase::Global(pspdg_ir::GlobalId(0))]);
     }
 
@@ -1372,17 +1117,17 @@ mod tests {
         }
         let c = chunked_of(&exec);
         assert_eq!(c.criticals.len(), 1);
-        assert!(
-            c.criticals[0].program.ops.iter().any(|op| matches!(
-                op,
-                ReplayOp::Intrinsic {
-                    intrinsic: pspdg_ir::Intrinsic::Imin,
+        let r = replayed(&p, &c.criticals[0]);
+        let imin = |i: &Inst| {
+            matches!(
+                i,
+                Inst::IntrinsicCall {
+                    intrinsic: Intrinsic::Imin,
                     ..
                 }
-            )),
-            "{:?}",
-            c.criticals[0].program
-        );
+            )
+        };
+        assert_eq!(count(&r, imin), 1, "{r:?}");
     }
 
     #[test]
@@ -1390,8 +1135,8 @@ mod tests {
         // MG-style `if (v > best) { best = v; }` inside the critical: the
         // guard compares against a protected cell, so the worker suppresses
         // the whole protected slice and the master re-decides each instance
-        // against the *true* heap — the loop chunks, with the guard lowered
-        // to a store predicate.
+        // against the *true* heap — the loop chunks, with the guard's
+        // compare and branch replayed.
         let (p, plan) = plan_of(
             r#"
             double best; double v[128];
@@ -1412,19 +1157,17 @@ mod tests {
         let c = chunked_of(&exec);
         assert_eq!(c.criticals.len(), 1);
         let cr = &c.criticals[0];
+        let r = replayed(&p, cr);
+        assert_eq!(count(&r, is_store), 1, "{r:?}");
         assert_eq!(
-            store_pred_arities(cr),
-            vec![1],
-            "the guard becomes a value predicate: {:?}",
-            cr.program
+            count(&r, |i| matches!(i, Inst::Cmp { op: CmpOp::Gt, .. })),
+            1,
+            "the guard is re-decided on the true heap: {r:?}"
         );
-        assert!(
-            cr.program
-                .ops
-                .iter()
-                .any(|op| matches!(op, ReplayOp::Cmp { op: CmpOp::Gt, .. })),
-            "{:?}",
-            cr.program
+        assert_eq!(
+            count(&r, |i| matches!(i, Inst::CondBr { .. })),
+            1,
+            "the master takes the region's own branch: {r:?}"
         );
         assert!(
             !cr.worker_insts.is_empty(),
@@ -1436,7 +1179,7 @@ mod tests {
     #[test]
     fn guarded_argmax_multi_cell_chunks() {
         // The argmax sibling: `best` *and* `best_idx` update under one
-        // guard — two predicated stores in one replay program.
+        // guard — two replayed stores behind one replayed branch.
         let (p, plan) = plan_of(
             r#"
             double best; int best_idx; double v[128];
@@ -1456,12 +1199,12 @@ mod tests {
         let exec = realize_executable(&p, &plan);
         let c = chunked_of(&exec);
         assert_eq!(c.criticals.len(), 1);
-        let cr = &c.criticals[0];
+        let r = replayed(&p, &c.criticals[0]);
+        assert_eq!(count(&r, is_store), 2, "{r:?}");
         assert_eq!(
-            store_pred_arities(cr),
-            vec![1, 1],
-            "both cells update under the same guard: {:?}",
-            cr.program
+            count(&r, |i| matches!(i, Inst::CondBr { .. })),
+            1,
+            "both cells update under the same guard: {r:?}"
         );
         assert_eq!(
             c.protected,
@@ -1540,7 +1283,8 @@ mod tests {
         let exec = realize_executable(&p, &plan);
         let c = chunked_of(&exec);
         assert_eq!(c.criticals.len(), 1, "nested regions merge into one");
-        assert_eq!(c.criticals[0].program.stores().count(), 2);
+        let r = replayed(&p, &c.criticals[0]);
+        assert_eq!(count(&r, is_store), 2, "{r:?}");
         assert_eq!(c.protected.len(), 2, "{:?}", c.protected);
     }
 
@@ -1623,7 +1367,7 @@ mod tests {
     #[test]
     fn chained_critical_updates_chunk() {
         // Two protected chains where one update's operand reads the other
-        // chain's base: the second load is just another replay op reading
+        // chain's base: the second load is just another replayed load of
         // the true heap, so the whole region chunks.
         let (p, plan) = plan_of(
             r#"
@@ -1646,18 +1390,13 @@ mod tests {
         let exec = realize_executable(&p, &plan);
         let c = chunked_of(&exec);
         assert_eq!(c.criticals.len(), 1);
-        let cr = &c.criticals[0];
-        assert_eq!(store_pred_arities(cr), vec![0, 0]);
+        let r = replayed(&p, &c.criticals[0]);
+        assert_eq!(count(&r, is_store), 2, "{r:?}");
         assert_eq!(
-            cr.program
-                .ops
-                .iter()
-                .filter(|op| matches!(op, ReplayOp::Load { .. }))
-                .count(),
+            count(&r, |i| matches!(i, Inst::Load { .. })),
             3,
             "every protected load (s twice, t once) replays against the \
-             true heap: {:?}",
-            cr.program
+             true heap: {r:?}"
         );
         assert_eq!(c.protected.len(), 2);
     }

@@ -36,9 +36,10 @@ pub fn rtval_equivalent(a: RtVal, b: RtVal) -> bool {
 
 /// Whether two runtime values are **bit-identical** — floats compared by
 /// bit pattern, no tolerance. This is the stronger guarantee the
-/// critical-replay path makes for protected cells: the value-predicated
-/// replay preserves sequential association exactly, so `best`-style cells
-/// must match the interpreter to the last bit.
+/// critical-replay path makes for protected cells: the master replays the
+/// region's own instructions in sequential order, preserving association
+/// exactly, so `best`-style cells must match the interpreter to the last
+/// bit.
 pub fn rtval_identical(a: RtVal, b: RtVal) -> bool {
     match (a, b) {
         (RtVal::Float(x), RtVal::Float(y)) => x.to_bits() == y.to_bits(),

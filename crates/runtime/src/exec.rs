@@ -53,25 +53,26 @@
 //! chunk-order merge) but associate differently from the sequential loop,
 //! like any real OpenMP reduction.
 //!
-//! ## Critical sections: value-predicated replay programs
+//! ## Critical sections: commit-time replay of the region itself
 //!
 //! A surviving `critical`/`atomic` region no longer forces the whole loop
 //! sequential. When the realization proves the region *deferrable*
 //! ([`pspdg_parallelizer::CriticalReplay`]), a chunk worker reaching the
 //! region executes only its protected-**independent** slice (unprotected
 //! loads, address arithmetic, plain compute — speculatively, with guards
-//! suppressed), logs one *operand packet* of fork-local values, and skips
-//! to the region's exit without touching a single protected cell. At
-//! commit the master replays each packet's micro-program — protected
-//! loads read the true heap, guarded stores re-decide their predicates
-//! against the true values — in chunk order, which equals sequential
-//! iteration order, so the protected cells finish **bit-identical** to
-//! the sequential interpreter (even for floats: the replay preserves
-//! sequential association). This covers plain read-modify-writes, min/max
-//! intrinsic updates, guarded `if (v > best)` min/max, multi-cell
-//! argmin/argmax, and chained updates in one region; equality-guarded
-//! test-and-set protocols and protected reads escaping the region still
-//! serialize at realization time.
+//! suppressed), logs one *operand packet* of fork-local register values,
+//! and skips to the region's exit without touching a single protected
+//! cell. At commit the master writes each packet into a replay frame and
+//! runs the region's own replay-slice instructions and branches through
+//! the same `exec_inst` every block goes through — protected loads read
+//! the true heap, the region's branches decide on the true values — in
+//! chunk order, which equals sequential iteration order, so the protected
+//! cells finish **bit-identical** to the sequential interpreter (even for
+//! floats: the replay preserves sequential association). This covers
+//! plain read-modify-writes, min/max intrinsic updates, guarded
+//! `if (v > best)` min/max, multi-cell argmin/argmax, and chained updates
+//! in one region; equality-guarded test-and-set protocols and protected
+//! reads escaping the region still serialize at realization time.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -87,7 +88,7 @@ use pspdg_obs::{Recorder, SpanGuard};
 use pspdg_parallel::{ParallelProgram, ReductionOp};
 use pspdg_parallelizer::{
     realize_executable, ChunkedLoop, CriticalReplay, ExecutablePlan, LoopExec, LoopSchedule,
-    ProgramPlan, RealizationStats, ReplayOp, ReplayProgram, ReplayVal,
+    ProgramPlan, RealizationStats,
 };
 use pspdg_pdg::MemBase;
 use pspdg_pool::{JobHooks, WorkerPool};
@@ -187,9 +188,8 @@ pub struct RunStats {
     /// Operand packets logged at critical/atomic region entries and
     /// replayed at commit (one per dynamic region execution).
     pub critical_packets: u64,
-    /// Protected store instances actually applied by the value-predicated
-    /// replay (guarded stores whose predicate failed against the true heap
-    /// are not counted).
+    /// Protected store instances the master's replay executed (stores on
+    /// a branch the true heap did not take are not counted).
     pub critical_replays: u64,
     /// Cells committed from worker forks (the dirty-set walk — compare
     /// with `cow_pages × 64` for per-page write density).
@@ -299,7 +299,8 @@ pub struct RunOutcome {
     pub output: Vec<String>,
     /// Final memory (globals plus surviving stack objects).
     pub mem: MemState,
-    /// Total dynamic instructions executed (master plus workers).
+    /// Total dynamic instructions executed (master plus workers),
+    /// counting the master's replay of deferred critical regions.
     pub steps: u64,
     /// Dynamic loop counters.
     pub stats: RunStats,
@@ -317,9 +318,9 @@ pub struct RunOutcome {
 /// runtime is `'static` and [`Send`]: a plan service can realize a plan
 /// once, share it, and construct a fresh `Runtime` per request on any
 /// thread ([`Runtime::from_shared`]) without re-running realization —
-/// constructing from shared parts is O(1). The borrow-based constructors
-/// ([`Runtime::new`], [`Runtime::with_executable`]) clone the program
-/// into a private `Arc` for callers that don't share.
+/// constructing from shared parts is O(1). The borrow-based constructor
+/// [`Runtime::new`] clones the program into a private `Arc` for callers
+/// that don't share.
 pub struct Runtime {
     program: Arc<ParallelProgram>,
     plan: Arc<ExecutablePlan>,
@@ -347,11 +348,6 @@ impl Runtime {
     pub fn new(program: &ParallelProgram, plan: &ProgramPlan) -> Runtime {
         let exec = realize_executable(program, plan);
         Runtime::from_shared(Arc::new(program.clone()), Arc::new(exec))
-    }
-
-    /// Prepare a runtime from an already-lowered plan.
-    pub fn with_executable(program: &ParallelProgram, plan: ExecutablePlan) -> Runtime {
-        Runtime::from_shared(Arc::new(program.clone()), Arc::new(plan))
     }
 
     /// Prepare a runtime from **shared** parts: an `Arc`-held program and
@@ -530,6 +526,7 @@ impl Runtime {
 }
 
 /// One activation's registers and arguments.
+#[derive(Clone)]
 struct Frame {
     regs: Vec<RtVal>,
     args: Vec<RtVal>,
@@ -740,8 +737,8 @@ impl<'a> Engine<'a> {
     }
 
     /// This crate's one body of instruction semantics, compiled into each
-    /// caller's loop (a block, a critical slice) so `steps`, `fuel` and the
-    /// frame stay in machine registers across it
+    /// caller's loop (a block, a critical slice, a replayed region) so
+    /// `steps`, `fuel` and the frame stay in machine registers across it
     /// and no `Result<Flow, _>` goes through memory per instruction.
     #[inline(always)]
     fn exec_inst(
@@ -953,8 +950,8 @@ impl<'a> Engine<'a> {
             }
         }
         // Protected objects (deferred criticals): workers never read or
-        // write them (the protected slice lives in the replay programs);
-        // the dirty-set skip below is defensive.
+        // write them (only the master's replay executes the protected
+        // slice); the dirty-set skip below is defensive.
         let mut prot_objs: HashSet<u32> = HashSet::new();
         for base in &c.protected {
             match self.resolve_base(frame, base) {
@@ -1081,23 +1078,26 @@ impl<'a> Engine<'a> {
             return Ok(Some(why));
         }
 
-        // Commit into a staging heap (an O(pages) clone) so a replay
-        // fault can still fall back with the master untouched. In chunk
-        // order: per-cell last-writer-wins over each fork's dirty set
-        // equals the sequential final state (see module-level safety
-        // argument); reduction cells merge their chunk-final values; the
-        // protected cells receive only the replayed packets' predicated
-        // stores — chunk order = iteration order, so the replay is the
-        // exact sequential serialization, guards re-decided against the
-        // true heap.
-        let mut staging = self.mem.clone();
+        // Commit into a staging heap (an O(pages) clone) swapped in as
+        // `self.mem`, so a replay fault can still fall back with the master
+        // heap untouched. In chunk order: per-cell last-writer-wins over
+        // each fork's dirty set equals the sequential final state (see
+        // module-level safety argument); reduction cells merge their
+        // chunk-final values; the protected cells receive only the stores
+        // of the replayed regions — chunk order = iteration order, so the
+        // replay is the exact sequential serialization, branches decided
+        // on the true heap.
+        let staging = self.mem.clone();
+        let master_mem = std::mem::replace(&mut self.mem, staging);
+        let master_steps = self.steps;
+        // The replay's registers: one clone of the master frame, made when
+        // the first packet replays.
+        let mut rframe: Option<Frame> = None;
         let mut committed = 0u64;
         let mut packets = 0u64;
         let mut replayed = 0u64;
         let mut cow_pages = 0u64;
         let mut abort: Option<FallbackWhy> = None;
-        // `replay_packet`'s scratch, reused by every packet of this commit.
-        let mut temps: Vec<RtVal> = Vec::new();
         for out in &outs {
             cow_pages += out.mem.cow_pages();
             // Injected commit fault: abort the dirty-set walk after one
@@ -1110,6 +1110,7 @@ impl<'a> Engine<'a> {
                 self.fault_instant(FaultKind::CommitFault);
             }
             let mut commit_budget = if inject_commit { 1u64 } else { u64::MAX };
+            let staging = &mut self.mem;
             let walk = out.mem.try_for_each_dirty(|addr, v| {
                 if addr.obj == iv_obj || prot_objs.contains(&addr.obj.0) {
                     return ControlFlow::Continue(());
@@ -1142,15 +1143,16 @@ impl<'a> Engine<'a> {
                     abort = Some(FallbackWhy::ReplayFault);
                     break;
                 }
-                let prog = &c.criticals[*idx as usize].program;
-                match replay_packet(prog, packet, &mut staging, &mut temps) {
+                let rframe = rframe.get_or_insert_with(|| frame.clone());
+                let cr = &c.criticals[*idx as usize];
+                match self.replay_region(func_id, f, rframe, cr, packet) {
                     Ok(stores) => {
                         packets += 1;
                         replayed += stores;
                     }
                     // E.g. an uninitialized protected cell: sequential
                     // execution faults at this instance in order.
-                    Err(()) => {
+                    Err(_) => {
                         abort = Some(FallbackWhy::ReplayFault);
                         break;
                     }
@@ -1161,10 +1163,11 @@ impl<'a> Engine<'a> {
             }
         }
         if let Some(why) = abort {
+            self.mem = master_mem;
+            self.steps = master_steps;
             return Ok(Some(why));
         }
-        staging.write(iv_addr, RtVal::Int(final_iv));
-        self.mem = staging;
+        self.mem.write(iv_addr, RtVal::Int(final_iv));
         for out in outs {
             self.output.extend(out.output);
             self.steps = self.steps.saturating_add(out.steps);
@@ -1246,9 +1249,9 @@ impl<'a> Engine<'a> {
     /// the protected-independent slice in region order (speculatively —
     /// guards are suppressed, so conditionally-executed fork-local code
     /// runs unconditionally; any fault aborts the parallel attempt and the
-    /// sequential re-run decides), then evaluate and log the operand
-    /// packet the master will replay at commit. No protected cell is read
-    /// or written here.
+    /// sequential re-run decides), then log the operand packet — the
+    /// registers the master's replay reads — for the master to replay at
+    /// commit. No protected cell is read or written here.
     fn run_critical_region(
         &mut self,
         func_id: FuncId,
@@ -1269,107 +1272,48 @@ impl<'a> Engine<'a> {
                 Err(e) => return Err(ParAbort::Spec(e)),
             }
         }
-        let packet: Vec<RtVal> = cr
-            .operands
-            .iter()
-            .map(|v| frame.eval(&self.mem, *v))
-            .collect();
+        let packet = cr.operands.iter().map(|r| frame.regs[r.index()]).collect();
         self.crit_log.push((idx, packet));
         Ok(())
     }
-}
 
-/// Execute one logged packet's replay program against the staging heap:
-/// protected loads read the *true* (sequentially committed so far) cells,
-/// compute ops use the interpreter's own evaluators, and each store
-/// re-decides its predicates against the true values before writing —
-/// so replayed cells finish bit-identical to sequential execution,
-/// including guarded updates whose fork-local guess was wrong. Returns
-/// the number of stores applied; any fault (undef protected cell, bad
-/// address, evaluator error) aborts the whole activation's commit and the
-/// loop re-runs sequentially. `temps` is the caller's scratch for op
-/// results: cleared here, so one buffer serves a whole commit.
-fn replay_packet(
-    prog: &ReplayProgram,
-    packet: &[RtVal],
-    staging: &mut MemState,
-    temps: &mut Vec<RtVal>,
-) -> Result<u64, ()> {
-    temps.clear();
-    let mut applied = 0u64;
-    for op in &prog.ops {
-        let val = |v: &ReplayVal| -> Result<RtVal, ()> {
-            match *v {
-                ReplayVal::Const(c) => Ok(const_val(c)),
-                ReplayVal::Operand(k) => packet.get(k as usize).copied().ok_or(()),
-                ReplayVal::Temp(t) => temps.get(t as usize).copied().ok_or(()),
-            }
-        };
-        let out = match op {
-            ReplayOp::Load { addr } => {
-                let a = staging.deref(val(addr)?).map_err(|_| ())?;
-                let v = staging.read(a);
-                if matches!(v, RtVal::Undef) {
-                    // Sequential execution reads the same undef cell at
-                    // this instance and faults; the re-run reproduces it.
-                    return Err(());
+    /// The master's replay of one logged packet against the staging heap
+    /// (`self.mem` during commit): write the packet into the replay frame,
+    /// then walk the region from `entry` to `exit` executing each entered
+    /// block's replay instructions — protected loads read the true cells
+    /// and the region's own branches decide on the true values, so the
+    /// replayed cells finish bit-identical to sequential execution.
+    /// Returns the number of stores executed; any fault aborts the whole
+    /// activation's commit and the loop re-runs sequentially.
+    fn replay_region(
+        &mut self,
+        func_id: FuncId,
+        f: &Function,
+        frame: &mut Frame,
+        cr: &CriticalReplay,
+        packet: &[RtVal],
+    ) -> Result<u64, ExecError> {
+        for (r, v) in cr.operands.iter().zip(packet) {
+            frame.regs[r.index()] = *v;
+        }
+        let mut stores = 0u64;
+        let mut block = cr.entry;
+        while block != cr.exit {
+            let (_, insts) = cr
+                .replay
+                .iter()
+                .find(|(b, _)| *b == block)
+                .expect("in-region successors are region blocks");
+            for &i in insts {
+                match self.exec_inst(func_id, f, frame, i)? {
+                    Flow::Next => stores += u64::from(matches!(f.inst(i).inst, Inst::Store { .. })),
+                    Flow::Jump(t) => block = t,
+                    Flow::Return(_) => unreachable!("returns are rejected at extraction"),
                 }
-                v
             }
-            ReplayOp::Gep {
-                base,
-                index,
-                elem_len,
-            } => match (val(base)?, val(index)?) {
-                (RtVal::Ptr { obj, off }, RtVal::Int(i)) => RtVal::Ptr {
-                    obj,
-                    off: off + i * elem_len,
-                },
-                _ => return Err(()),
-            },
-            ReplayOp::Bin { op, lhs, rhs } => {
-                eval_binop(*op, val(lhs)?, val(rhs)?).map_err(|_| ())?
-            }
-            ReplayOp::Un { op, operand } => eval_unop(*op, val(operand)?).map_err(|_| ())?,
-            ReplayOp::Cmp { op, lhs, rhs } => {
-                RtVal::Bool(eval_cmp(*op, val(lhs)?, val(rhs)?).map_err(|_| ())?)
-            }
-            ReplayOp::Cast { kind, value } => eval_cast(*kind, val(value)?).map_err(|_| ())?,
-            ReplayOp::Intrinsic { intrinsic, args } => {
-                // No intrinsic reads past its second argument.
-                let mut vals = [RtVal::Undef; 2];
-                for (slot, a) in vals.iter_mut().zip(args) {
-                    *slot = val(a)?;
-                }
-                let vals = vals.into_iter().take(args.len());
-                // Prints are rejected at extraction; the sink is unused.
-                eval_intrinsic(*intrinsic, vals, &mut Vec::new()).map_err(|_| ())?
-            }
-            ReplayOp::Store { addr, value, preds } => {
-                let mut exec = true;
-                for (p, pol) in preds {
-                    match val(p)? {
-                        RtVal::Bool(b) => {
-                            if b != *pol {
-                                exec = false;
-                                break;
-                            }
-                        }
-                        _ => return Err(()),
-                    }
-                }
-                if exec {
-                    let a = staging.deref(val(addr)?).map_err(|_| ())?;
-                    let v = val(value)?;
-                    staging.write(a, v);
-                    applied += 1;
-                }
-                RtVal::Undef
-            }
-        };
-        temps.push(out);
+        }
+        Ok(stores)
     }
-    Ok(applied)
 }
 
 /// The identity a worker-fork cell starts from under a reduction operator,
@@ -1415,79 +1359,5 @@ fn reduction_merge(op: ReductionOp, master: RtVal, chunk: RtVal) -> RtVal {
         // A type mismatch cannot arise from verified programs; prefer the
         // chunk's value (what last-writer commit would have done).
         (_, _, b) => b,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pspdg_ir::{BinOp, Constant};
-
-    /// `load p0; +1; store p1 if p2 && !p3` over a 32-cell heap of sevens
-    /// with an `Undef` hole at cell 5: every fault returns `Err(())`
-    /// before any store, and the store applies iff every predicate holds.
-    #[test]
-    fn replay_packet_faults_before_writing_and_stores_obey_predicates() {
-        let p = pspdg_frontend::compile("int g[32]; int main() { return 0; }").unwrap();
-        let mut mem = MemState::for_module(&p.module);
-        let obj = mem.objects().next().expect("one global object").0;
-        for off in 0..32 {
-            mem.write(MemAddr { obj, off }, RtVal::Int(7));
-        }
-        mem.write(MemAddr { obj, off: 5 }, RtVal::Undef);
-        let cells = |m: &MemState| -> Vec<RtVal> {
-            (0..32).map(|off| m.read(MemAddr { obj, off })).collect()
-        };
-        let prog = ReplayProgram {
-            ops: vec![
-                ReplayOp::Load {
-                    addr: ReplayVal::Operand(0),
-                },
-                ReplayOp::Bin {
-                    op: BinOp::Add,
-                    lhs: ReplayVal::Temp(0),
-                    rhs: ReplayVal::Const(Constant::Int(1)),
-                },
-                ReplayOp::Store {
-                    addr: ReplayVal::Operand(1),
-                    value: ReplayVal::Temp(1),
-                    preds: vec![
-                        (ReplayVal::Operand(2), true),
-                        (ReplayVal::Operand(3), false),
-                    ],
-                },
-            ],
-        };
-        let ptr = |off: i64| RtVal::Ptr { obj, off };
-        // One scratch buffer across every packet, as at commit.
-        let mut temps = Vec::new();
-        let mut run = |src: RtVal, p2: RtVal, p3: RtVal| {
-            let mut staging = mem.clone();
-            let r = replay_packet(&prog, &[src, ptr(9), p2, p3], &mut staging, &mut temps);
-            (r, cells(&staging))
-        };
-        let (t, f) = (RtVal::Bool(true), RtVal::Bool(false));
-
-        // Undef cell, out of bounds either side, non-pointer address, and
-        // a non-bool predicate: all fault with the staging heap untouched.
-        for (src, p2) in [
-            (ptr(5), t),
-            (ptr(32), t),
-            (ptr(-1), t),
-            (RtVal::Int(3), t),
-            (ptr(0), RtVal::Int(1)),
-        ] {
-            assert_eq!(run(src, p2, f), (Err(()), cells(&mem)), "{src:?} {p2:?}");
-        }
-
-        // The store applies only under (true, false).
-        for (p2, p3) in [(t, t), (f, f), (f, t)] {
-            assert_eq!(run(ptr(0), p2, p3), (Ok(0), cells(&mem)));
-        }
-        let (r, after) = run(ptr(0), t, f);
-        assert_eq!(r, Ok(1));
-        let mut want = cells(&mem);
-        want[9] = RtVal::Int(8);
-        assert_eq!(after, want);
     }
 }

@@ -30,13 +30,14 @@
 //! [`pspdg_ir::interp::Interpreter`] — exactly for integers and booleans,
 //! and up to reduction re-association ([`check::FLOAT_RTOL`]) for floats;
 //! cells protected by critical/atomic regions are reproduced
-//! **bit-identically** through the value-predicated critical replay
-//! programs (guarded min/max, multi-cell argmin/argmax, and chained
-//! updates included — see [`pspdg_parallelizer::CriticalReplay`]). The
-//! differential test suite (`tests/differential.rs`) enforces this over
-//! the whole NAS suite and generated kernels, including criticals through
-//! the replay path, and a pool-reuse regression test asserts the worker
-//! threads survive across activations.
+//! **bit-identically** by the master replaying each region's own
+//! instructions at commit (guarded min/max, multi-cell argmin/argmax, and
+//! chained updates included — see
+//! [`pspdg_parallelizer::CriticalReplay`]). The differential test suite
+//! (`tests/differential.rs`) enforces this over the whole NAS suite and
+//! generated kernels, including criticals through the replay path, and a
+//! pool-reuse regression test asserts the worker threads survive across
+//! activations.
 //!
 //! Every recovery path above is *provable on demand*: the [`fault`]
 //! module injects deterministic, site-addressed faults (worker panics,

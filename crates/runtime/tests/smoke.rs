@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink};
 use pspdg_nas::{synth, Class};
@@ -59,11 +61,11 @@ fn pipeline_smoke() {
         compile(RECURRENCE_SRC).unwrap(),
         synth::pipe(Class::Test).program(),
     ];
-    for p in programs {
+    for p in programs.map(Arc::new) {
         let mut interp = Interpreter::new(&p.module);
         let seq_ret = interp.run_main(&mut NullSink).unwrap();
         let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-        let exec = realize_executable(&p, &plan);
+        let exec = Arc::new(realize_executable(&p, &plan));
         let pipelines: Vec<_> = exec
             .schedules()
             .iter()
@@ -82,7 +84,7 @@ fn pipeline_smoke() {
         }
         let want = observable_globals(&p.module, interp.mem());
         for workers in [1, 2, 4] {
-            let rt = Runtime::with_executable(&p, exec.clone())
+            let rt = Runtime::from_shared(Arc::clone(&p), Arc::clone(&exec))
                 .workers(workers)
                 .cost_threshold(0);
             let out = rt.run_main().unwrap();

@@ -1,13 +1,14 @@
 //! A minimal blocking client for the daemon (tests, CI, benches, and
 //! the `pspdg_client` bin all drive the server through this).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use pspdg_obs::json::{parse, Value};
 use pspdg_parallelizer::Abstraction;
 
 use crate::proto::{encode_request, Envelope, Input, Request};
+use crate::server::MAX_REQUEST_BYTES;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -73,6 +74,11 @@ impl Client {
 
     /// Send one request and block for the raw response line (verbatim,
     /// newline stripped, no `"ok"` check) — what `pspdg_client` prints.
+    /// A response line is bounded like a request line, by
+    /// [`MAX_REQUEST_BYTES`] (four orders of magnitude above the largest
+    /// response `benchmark/run.sh --smoke` draws, a `metrics` answer under
+    /// 1 KB): a longer one is refused as [`ClientError::BadResponse`] and
+    /// leaves the connection unusable.
     ///
     /// # Errors
     ///
@@ -88,12 +94,17 @@ impl Client {
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
         let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
+        let n = (&mut self.reader)
+            .take(MAX_REQUEST_BYTES as u64)
+            .read_line(&mut response)?;
         if n == 0 {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )));
+        }
+        if n == MAX_REQUEST_BYTES && !response.ends_with('\n') {
+            return Err(ClientError::BadResponse("response too large".to_string()));
         }
         Ok(response.trim().to_string())
     }

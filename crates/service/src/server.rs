@@ -61,7 +61,8 @@ use crate::store::{PlanStore, DEFAULT_BUDGET_BYTES};
 /// two orders of magnitude above the largest source the benchmark sends
 /// (`module_cold`, 120 KB). A longer line is answered with an error and
 /// its connection closed, so no client can grow a daemon thread's buffer
-/// without bound.
+/// without bound. [`Client`](crate::Client) bounds each response line it
+/// reads by the same constant.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Daemon knobs; `Default` is what `pspdg_serve` runs with.

@@ -2,12 +2,12 @@
 //! proven through the metrics op, and graceful-shutdown draining.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use pspdg_obs::json::Value;
 use pspdg_parallelizer::Abstraction;
-use pspdg_service::{Client, PlanService, ServiceConfig, MAX_REQUEST_BYTES};
+use pspdg_service::{Client, ClientError, PlanService, ServiceConfig, MAX_REQUEST_BYTES};
 
 const SRC: &str = r#"
 int v[64]; int s;
@@ -168,6 +168,32 @@ fn oversized_request_line_is_refused_and_the_daemon_lives() {
     let mut client = Client::connect(service.addr()).unwrap();
     client.ping().unwrap();
     service.shutdown();
+}
+
+/// The client-side mirror: a response line past the bound is refused as a
+/// bad response instead of buffered whole.
+#[test]
+fn oversized_response_line_is_refused_by_the_client() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut request)
+            .unwrap();
+        let mut line = vec![b'x'; MAX_REQUEST_BYTES + 1];
+        line.push(b'\n');
+        // The client hangs up mid-line; the write then fails, as it should.
+        let _ = (&stream).write_all(&line);
+    });
+    let mut client = Client::connect(addr).unwrap();
+    match client.ping() {
+        Err(ClientError::BadResponse(msg)) => assert_eq!(msg, "response too large"),
+        other => panic!("expected a refused response, got {other:?}"),
+    }
+    drop(client);
+    server.join().unwrap();
 }
 
 #[test]
