@@ -657,7 +657,7 @@ impl TraceSink for IdealMachine {
 mod tests {
     use super::*;
     use pspdg_frontend::compile;
-    use pspdg_ir::InstId;
+    use pspdg_ir::{Function, Inst, InstId, Value};
     use pspdg_parallelizer::{build_plan, Abstraction};
 
     fn cp_all(src: &str) -> Vec<(Abstraction, EmulationResult)> {
@@ -899,6 +899,126 @@ mod tests {
             r.critical_path > r_seq.critical_path / 4,
             "only 2 stages exist"
         );
+    }
+
+    /// A DSWP plan for the first loop of `func`: stage 1 is every loop
+    /// instruction that consumes a `seed` value, directly or through stage
+    /// 1; stage 0 is the rest. Also returns the size of stage 1.
+    fn dswp_over_consumers(
+        p: &ParallelProgram,
+        func: &str,
+        seed: impl Fn(&Function, Value) -> bool,
+    ) -> (ProgramPlan, usize) {
+        use std::collections::{BTreeMap, BTreeSet};
+        let fid = p.module.function_by_name(func).unwrap();
+        let f = p.module.function(fid);
+        let analyses = pspdg_pdg::FunctionAnalyses::compute(&p.module, fid);
+        let l = analyses.forest.loop_ids().next().unwrap();
+        let mut insts = analyses.loop_insts(l);
+        insts.sort();
+        let mut stage_of: BTreeMap<InstId, u32> = BTreeMap::new();
+        for i in insts {
+            let consumes =
+                f.inst(i).inst.operands().any(|v| {
+                    seed(f, v) || matches!(v, Value::Inst(d) if stage_of.get(&d) == Some(&1))
+                });
+            stage_of.insert(i, u32::from(consumes));
+        }
+        let stage1 = stage_of.values().filter(|s| **s == 1).count();
+        let spec = LoopPlanSpec {
+            func: fid,
+            loop_id: l,
+            technique: PlannedTechnique::Dswp {
+                stage_of,
+                stages: 2,
+            },
+            ignored_bases: BTreeSet::new(),
+            reduction_bases: BTreeSet::new(),
+            end_barrier: true,
+        };
+        let plan = ProgramPlan {
+            abstraction: Abstraction::PsPdg,
+            loops: HashMap::from([((fid, l), spec)]),
+            mutexes: vec![],
+            parallel_spawns: false,
+        };
+        (plan, stage1)
+    }
+
+    #[test]
+    fn a_call_result_is_produced_by_the_callee_ret() {
+        // The call (and so `f`'s body, which runs in the call's lane) in
+        // stage 0, everything consuming its result in stage 1. The last
+        // iteration's stage-1 chain outlasts stage 0's latch, so the loop
+        // ends when that chain does: it must start at `f`'s `ret` (with the
+        // call step as the producer the path would be 1327).
+        let p = compile(
+            r#"
+            int v[16]; int w[16];
+            int f(int x) {
+                int j; int r;
+                r = x;
+                for (j = 0; j < 4; j++) { r = r * 3 + j; }
+                return r;
+            }
+            void k() {
+                int i;
+                for (i = 0; i < 16; i++) {
+                    w[i] = (((((f(v[i]) * 5 + 1) * 7 + 2) * 11 + 3) * 13 + 4) * 17 + 5);
+                }
+            }
+            int main() { k(); return w[3]; }
+            "#,
+        )
+        .unwrap();
+        let (plan, stage1) = dswp_over_consumers(
+            &p,
+            "k",
+            |f, v| matches!(v, Value::Inst(d) if matches!(f.inst(d).inst, Inst::Call { .. })),
+        );
+        assert_eq!(stage1, 11, "ten arithmetic steps and the store");
+        let r = emulate(&p, &plan).unwrap();
+        assert_eq!((r.critical_path, r.total_steps), (1330, 1503));
+    }
+
+    #[test]
+    fn a_parameter_is_produced_by_the_argument() {
+        // Stage 1 of `fill`'s loop is everything reached from the array
+        // parameter `a`: it writes each cell before reading it, so its
+        // lane, fresh at the call, is held back only by the producer of
+        // the argument, `h`'s `alloca`, which runs after `main`'s
+        // sequential loop. Stage 1 is the longer stage, so the loop ends a
+        // whole stage-1 pipeline after that `alloca` (were `a` ready at
+        // time 0, stage 0 would decide and the path would be 1116).
+        let p = compile(
+            r#"
+            int v[64]; int out;
+            void fill(int a[]) {
+                int i;
+                for (i = 0; i < 32; i++) {
+                    a[0] = 3;
+                    a[1] = a[0] * 5 + 2;
+                    a[2] = a[1] * 7 + 3;
+                    a[3] = a[2] * 11 + 4;
+                }
+            }
+            void h() { int loc[4]; fill(loc); out = loc[3]; }
+            int main() {
+                int i;
+                for (i = 0; i < 64; i++) { v[i] = i * 2; }
+                h();
+                return out;
+            }
+            "#,
+        )
+        .unwrap();
+        let (plan, stage1) = dswp_over_consumers(&p, "fill", |_, v| matches!(v, Value::Param(0)));
+        assert_eq!(
+            stage1, 20,
+            "seven geps, four stores, three loads, six arithmetic steps"
+        );
+        let r = emulate(&p, &plan).unwrap();
+        assert_eq!((r.critical_path, r.total_steps), (1491, 1757));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! the planner consumes its [`Profile`]; the profiling run `Session`
 //! performs uses a sink that elides all of that bookkeeping. Three things
 //! must therefore never move: the traced stream itself (FNV digests taken
-//! at 427c8b7, before the bookkeeping became conditional on the sink), the
-//! agreement between an untraced and a traced run on everything
-//! observable, and the critical paths the emulator derives from the
-//! stream.
+//! at 427c8b7, before the bookkeeping became conditional on the sink, and
+//! at 9423835 over the fields a step keeps once register producers leave
+//! the trace), the agreement between an untraced and a traced run on
+//! everything observable, and the critical paths the emulator derives from
+//! the stream.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -44,49 +45,60 @@ impl Fnv {
     }
 }
 
-/// Digests every event, tagged by kind, in delivery order.
-struct DigestSink(Fnv);
+/// Digests every event, tagged by kind, in delivery order: `.0` over the
+/// fields every step keeps (frame, instruction, index, cells touched),
+/// `.1` with each step's register producers as well.
+struct DigestSink(Fnv, Fnv);
+
+impl DigestSink {
+    fn new() -> DigestSink {
+        DigestSink(Fnv::new(), Fnv::new())
+    }
+
+    fn words<const N: usize>(&mut self, ws: [u64; N]) {
+        self.0.words(ws);
+        self.1.words(ws);
+    }
+}
 
 impl TraceSink for DigestSink {
     fn on_step(&mut self, s: &Step<'_>) {
-        let h = &mut self.0;
-        h.words([1, s.frame, s.func.index() as u64, s.inst.index() as u64]);
-        h.word(s.index);
-        h.word(s.reg_deps.len() as u64);
-        h.words(s.reg_deps.iter().copied());
+        self.words([1, s.frame, s.func.index() as u64, s.inst.index() as u64]);
+        self.words([s.index]);
+        self.1.word(s.reg_deps.len() as u64);
+        self.1.words(s.reg_deps.iter().copied());
         for cells in [s.loads, s.stores] {
-            h.word(cells.len() as u64);
+            self.words([cells.len() as u64]);
             for a in cells {
-                h.words([a.obj.index() as u64, u64::from(a.off)]);
+                self.words([a.obj.index() as u64, u64::from(a.off)]);
             }
         }
     }
     fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
-        self.0
-            .words([2, frame, func.index() as u64, block.index() as u64]);
+        self.words([2, frame, func.index() as u64, block.index() as u64]);
     }
     fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
-        self.0.words([3, frame, func.index() as u64, call_step]);
+        self.words([3, frame, func.index() as u64, call_step]);
     }
     fn on_exit(&mut self, frame: u64, func: FuncId, ret_step: u64) {
-        self.0.words([4, frame, func.index() as u64, ret_step]);
+        self.words([4, frame, func.index() as u64, ret_step]);
     }
     fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
         let (tag, a, b) = match origin {
             ObjOrigin::Global(g) => (0, g.index(), 0),
             ObjOrigin::Alloca { func, inst } => (1, func.index(), inst.index()),
         };
-        self.0
-            .words([5, obj.index() as u64, tag, a as u64, b as u64]);
+        self.words([5, obj.index() as u64, tag, a as u64, b as u64]);
     }
 }
 
-fn stream_digest(module: &Module) -> u64 {
-    let mut sink = DigestSink(Fnv::new());
+/// The run's (kept-fields, with-producers) digests.
+fn stream_digest(module: &Module) -> (u64, u64) {
+    let mut sink = DigestSink::new();
     Interpreter::new(module)
         .run_main(&mut sink)
         .expect("kernel runs");
-    sink.0 .0
+    (sink.0 .0, sink.1 .0)
 }
 
 /// Calls that pass arguments and return values (the NAS kernels' calls are
@@ -108,23 +120,26 @@ int main() { return fold(12) + scale(fold(3), 2); }
 fn traced_event_stream_is_pinned() {
     // One kernel with calls between its phases, one with criticals, one
     // pipeline — plus the argument-passing program above.
+    // The kept-fields digests were taken at 9423835.
     for (name, want) in [
-        ("BT", 0xd3c3_a987_a828_33f3_u64),
-        ("IS", 0x799a_83b4_fa6f_d177),
-        ("PIPE", 0x4b16_4ea9_a697_956f),
+        ("BT", (0x82ef_f4ff_0b3a_fa82, 0xd3c3_a987_a828_33f3_u64)),
+        ("IS", (0x17b4_ffeb_3f2a_0768, 0x799a_83b4_fa6f_d177)),
+        ("PIPE", (0x2acf_6a6c_a669_cd35, 0x4b16_4ea9_a697_956f)),
+        ("CALLS", (0xb8b8_40da_5bc0_bb2e, 0xb174_fe79_48df_d115)),
     ] {
-        let p = benchmark(name, Class::Mini)
-            .expect("kernel exists")
-            .program();
+        let p = match name {
+            "CALLS" => compile(CALLS_SRC).expect("compiles"),
+            _ => benchmark(name, Class::Mini)
+                .expect("kernel exists")
+                .program(),
+        };
         let got = stream_digest(&p.module);
-        assert_eq!(got, want, "{name}: event stream digest {got:#018x}");
+        assert_eq!(
+            got, want,
+            "{name}: event stream digests ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
     }
-    let p = compile(CALLS_SRC).expect("compiles");
-    let got = stream_digest(&p.module);
-    assert_eq!(
-        got, 0xb174_fe79_48df_d115,
-        "CALLS: event stream digest {got:#018x}"
-    );
 }
 
 #[test]
@@ -134,7 +149,7 @@ fn untraced_and_traced_runs_agree_on_everything_observable() {
         let mut plain = Interpreter::new(&p.module);
         let plain_ret = plain.run_main(&mut NullSink).expect("untraced run");
         let mut traced = Interpreter::new(&p.module);
-        let mut sink = DigestSink(Fnv::new());
+        let mut sink = DigestSink::new();
         let traced_ret = traced.run_main(&mut sink).expect("traced run");
         assert_eq!(plain_ret, traced_ret, "{}: ret", b.name);
         assert_eq!(plain.output(), traced.output(), "{}: output", b.name);
@@ -386,6 +401,8 @@ fn emulated_critical_paths_are_pinned() {
         ("NEST3", NEST3_SRC, 3, 0xe0cf_b4bd_8879_678a_u64),
         ("FIB", FIB_SRC, 0, 0x7eeb_1887_1bc7_5a75),
         ("BARRIER", BARRIER_SRC, 2, 0x30f3_1621_fe05_6398),
+        // Taken at 9423835.
+        ("CALLS", CALLS_SRC, 0, 0xb63f_7b27_6024_faba),
     ] {
         let p = compile(src).expect("compiles");
         if let Some(k) = p.module.function_by_name("k") {
