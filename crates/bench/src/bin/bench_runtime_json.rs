@@ -54,7 +54,7 @@ struct CountingSink(usize);
 
 impl TraceSink for CountingSink {
     fn on_step(&mut self, step: &Step<'_>) {
-        self.0 += step.reg_deps.len() + step.loads.len() + step.stores.len();
+        self.0 += step.loads.len() + step.stores.len();
     }
 }
 

@@ -16,10 +16,13 @@
 //!   order. Unparallelized code shares one lane; a DOALL/HELIX iteration
 //!   gets its own lane; a DSWP stage is a lane;
 //! * **true dependences** — register dependences and memory flow (RAW)
-//!   dependences. Anti and output dependences are ignored (perfect
-//!   renaming). A cross-iteration flow dependence is *discharged* when the
-//!   plan privatizes/reduces the object or the abstraction declared the
-//!   iterations independent ([`pspdg_parallelizer::LoopPlanSpec::ignored_bases`]);
+//!   dependences: registers from a finish time per instruction of each live
+//!   frame (a call's result waits for the callee's `ret`), memory from the
+//!   addresses each traced step carries. Anti and output dependences are
+//!   ignored (perfect renaming). A cross-iteration flow dependence is
+//!   *discharged* when the plan privatizes/reduces the object or the
+//!   abstraction declared the iterations independent
+//!   ([`pspdg_parallelizer::LoopPlanSpec::ignored_bases`]);
 //! * **mutual exclusion** — dynamic instances of serialized
 //!   `critical`/`atomic` groups chain in arrival order;
 //! * **HELIX sequential segments** — instructions of sequential SCCs

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use pspdg_ir::interp::{ExecError, Interpreter, ObjId, ObjOrigin, Step, TraceSink};
-use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, LoopForest, LoopId};
+use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, LoopForest, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
 use pspdg_parallelizer::{LoopPlanSpec, PlannedTechnique, ProgramPlan};
 use pspdg_pdg::MemBase;
@@ -114,10 +114,23 @@ impl PlannedLoop {
     }
 }
 
-/// Per-function static info the scheduler needs. The two per-instruction
+/// Per-function static info the scheduler needs. The per-instruction
 /// tables cover every instruction of the function.
+///
+/// A frame keeps one finish time per *register slot*: slot 0 stands for
+/// every constant and global operand and always reads 0, slot `1 + i` is
+/// instruction `i`'s latest execution in the frame, and the parameters
+/// follow from [`FuncInfo::first_param`].
 #[derive(Debug, Default)]
 struct FuncInfo {
+    /// Instruction `i`'s operands, as register slots in `Inst::operands()`
+    /// order, are `op_slot[op_start[i]..op_start[i + 1]]`.
+    op_start: Vec<u32>,
+    op_slot: Vec<u32>,
+    /// Slot of parameter 0.
+    first_param: usize,
+    /// Register slots of a frame.
+    slots: usize,
     /// Loops containing each block, outermost-first.
     nest_of_block: Vec<Vec<LoopId>>,
     /// Header block of each loop.
@@ -130,6 +143,13 @@ struct FuncInfo {
     lock_of: Vec<u32>,
     /// Blocks belonging to `cilk_spawn` regions.
     spawn_blocks: BitSet,
+}
+
+impl FuncInfo {
+    /// Register slots `inst`'s operands read.
+    fn operand_slots(&self, inst: usize) -> &[u32] {
+        &self.op_slot[self.op_start[inst] as usize..self.op_start[inst + 1] as usize]
+    }
 }
 
 /// One live loop activation of a frame.
@@ -157,9 +177,16 @@ struct Context {
 #[derive(Debug, Default)]
 struct FrameState {
     id: u64,
+    /// The function, by index.
+    func: usize,
     base_lane: u64,
     /// Where this frame's activations start in [`IdealMachine::acts`].
     act_base: usize,
+    /// Where this frame's register slots start in [`IdealMachine::regs`].
+    reg_base: usize,
+    /// The caller's slot for the call that entered this frame (an index
+    /// into [`IdealMachine::regs`]), which takes the `ret`'s finish.
+    result_slot: Option<usize>,
     spawned: bool,
     children_max: u64,
     /// When this activation was entered through a call belonging to a HELIX
@@ -231,6 +258,15 @@ impl Lanes {
 
 /// The ideal machine: a [`TraceSink`] computing plan-constrained finish
 /// times online.
+///
+/// Register dependences are static: an operand names its producing
+/// instruction, and the instance it reads is that instruction's latest
+/// execution in the same frame, so each frame keeps a finish time per
+/// register slot ([`FuncInfo`]). Two producer conventions cross frames:
+///
+/// * the producer of a `call`'s *result* is the callee's `ret` step (not
+///   the call step), so consumers of the result wait for the callee;
+/// * a parameter reads the finish of the call's argument in the caller.
 #[derive(Default)]
 pub(crate) struct IdealMachine {
     plans: Vec<PlannedLoop>,
@@ -241,8 +277,10 @@ pub(crate) struct IdealMachine {
     frames: Vec<FrameState>,
     /// Live loop activations of all frames, innermost frame's last.
     acts: Vec<Activation>,
-    /// Finish time per step, indexed by the trace indices `reg_deps` carry.
-    finish: Vec<u64>,
+    /// Register finish times of all live frames, innermost frame's last.
+    regs: Vec<u64>,
+    /// Steps so far.
+    steps: u64,
     lanes: Lanes,
     /// By lock id.
     lock_last: Vec<u64>,
@@ -385,6 +423,18 @@ impl IdealMachine {
                 .loop_ids()
                 .map(|l| plan_idx.get(&(func, l)).copied().unwrap_or(NO_PLAN))
                 .collect();
+            let first_param = 1 + f.insts.len();
+            let mut op_start = Vec::with_capacity(f.insts.len() + 1);
+            let mut op_slot = Vec::new();
+            for data in &f.insts {
+                op_start.push(op_slot.len() as u32);
+                op_slot.extend(data.inst.operands().map(|v| match v {
+                    Value::Inst(i) => 1 + i.index() as u32,
+                    Value::Param(p) => (first_param + p) as u32,
+                    Value::Const(_) | Value::Global(_) => 0,
+                }));
+            }
+            op_start.push(op_slot.len() as u32);
             let mut flags = vec![0u8; f.insts.len()];
             let mut lock_of = vec![0u32; f.insts.len()];
             for m in plan.mutexes.iter().filter(|m| m.func == func) {
@@ -422,6 +472,10 @@ impl IdealMachine {
                 }
             }
             funcs.push(FuncInfo {
+                op_start,
+                op_slot,
+                first_param,
+                slots: first_param + f.params.len(),
                 nest_of_block,
                 header,
                 plan_of_loop,
@@ -444,7 +498,7 @@ impl IdealMachine {
     pub(crate) fn result(&self) -> EmulationResult {
         EmulationResult {
             critical_path: self.lanes.max,
-            total_steps: self.finish.len() as u64,
+            total_steps: self.steps,
         }
     }
 }
@@ -458,17 +512,28 @@ impl TraceSink for IdealMachine {
         slot(&mut self.writers, obj.index(), ObjWriters::default()).stat = stat;
     }
 
-    fn on_enter(&mut self, frame: u64, _func: FuncId, call_step: u64) {
+    fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
         debug_assert_eq!(self.frames.is_empty(), call_step == u64::MAX);
+        let callee = &self.funcs[func.index()];
+        let reg_base = self.regs.len();
+        self.regs.resize(reg_base + callee.slots, 0);
         let mut state = FrameState {
             id: frame,
+            func: func.index(),
             act_base: self.acts.len(),
+            reg_base,
             ..FrameState::default()
         };
         if let Some(caller) = self.frames.last() {
             // The call step is the most recent step, so the caller is the
             // innermost live frame and the step's lane is current.
-            debug_assert_eq!(call_step + 1, self.finish.len() as u64);
+            debug_assert_eq!(call_step + 1, self.steps);
+            let args = self.funcs[caller.func].operand_slots(self.last_inst);
+            for (p, &s) in args.iter().enumerate() {
+                self.regs[reg_base + callee.first_param + p] =
+                    self.regs[caller.reg_base + s as usize];
+            }
+            state.result_slot = Some(caller.reg_base + 1 + self.last_inst);
             state.base_lane = self.lanes.cur;
             // A spawned call already executes in its strand's lane (the
             // spawn region's lane); the callee simply inherits it.
@@ -485,10 +550,16 @@ impl TraceSink for IdealMachine {
     fn on_exit(&mut self, frame: u64, _func: FuncId, ret_step: u64) {
         let mut state = self.frames.pop().expect("a frame is live");
         debug_assert_eq!(state.id, frame);
+        // The `ret` is the most recent step: its finish is the call's.
+        debug_assert_eq!(ret_step + 1, self.steps);
+        let fin = self.regs[state.reg_base + 1 + self.last_inst];
+        self.regs.truncate(state.reg_base);
+        if let Some(slot) = state.result_slot {
+            self.regs[slot] = fin;
+        }
         while self.acts.len() > state.act_base {
             pop_activation(&self.plans, &mut self.acts, &mut state, &mut self.lanes);
         }
-        let fin = self.finish[ret_step as usize];
         if state.spawned {
             if let Some(parent) = self.frames.last_mut() {
                 parent.children_max = parent.children_max.max(fin);
@@ -574,7 +645,7 @@ impl TraceSink for IdealMachine {
     }
 
     fn on_step(&mut self, step: &Step<'_>) {
-        debug_assert_eq!(step.index as usize, self.finish.len());
+        debug_assert_eq!(step.index, self.steps);
         let inst = step.inst.index();
         let top = self.frames.last_mut().expect("a frame is live");
         debug_assert_eq!(top.id, step.frame);
@@ -591,8 +662,9 @@ impl TraceSink for IdealMachine {
         let mut start = self.floor.max(*self.lanes.last_mut(lane));
 
         // Register dependences.
-        for &d in step.reg_deps {
-            start = start.max(self.finish[d as usize]);
+        let regs = &mut self.regs[top.reg_base..];
+        for &s in info.operand_slots(inst) {
+            start = start.max(regs[s as usize]);
         }
 
         // Memory flow dependences (with plan discharges).
@@ -632,7 +704,8 @@ impl TraceSink for IdealMachine {
         }
 
         let fin = start + 1;
-        self.finish.push(fin);
+        regs[1 + inst] = fin;
+        self.steps += 1;
         self.lanes.cur_last = fin;
         self.lanes.max = self.lanes.max.max(fin);
         top.run_max = top.run_max.max(fin);
@@ -831,12 +904,9 @@ mod tests {
 
     #[test]
     fn dswp_pipelines_a_two_stage_loop() {
-        use pspdg_parallelizer::{LoopPlanSpec, PlannedTechnique, ProgramPlan};
-        use std::collections::{BTreeMap, BTreeSet, HashMap};
-        // stage 0: t = v[i] * 3 (sequential-ish chain through t's slot),
-        // stage 1: w[i] = t + 1. Hand-build a DSWP plan assigning each
-        // instruction of the loop to its SCC-ish stage.
-        let p = pspdg_frontend::compile(
+        // Stage 1 is everything that goes through `t` (`t = ..; w[i] = t +
+        // 1`), stage 0 the rest (`v[i] * 3` and the loop control).
+        let p = compile(
             r#"
             int v[128]; int w[128]; int t;
             void k() {
@@ -850,54 +920,17 @@ mod tests {
             "#,
         )
         .unwrap();
-        let f = p.module.function_by_name("k").unwrap();
-        let analyses = pspdg_pdg::FunctionAnalyses::compute(&p.module, f);
-        let l = analyses.forest.loop_ids().next().unwrap();
-        // Split the loop's instructions in half by id: a crude but valid
-        // stage map (stage order respects instruction order here).
-        let insts = analyses.loop_insts(l);
-        let mid = insts[insts.len() / 2];
-        let mut stage_of: BTreeMap<InstId, u32> = BTreeMap::new();
-        for &i in &insts {
-            stage_of.insert(i, if i < mid { 0 } else { 1 });
-        }
-        let spec = LoopPlanSpec {
-            func: f,
-            loop_id: l,
-            technique: PlannedTechnique::Dswp {
-                stage_of,
-                stages: 2,
-            },
-            ignored_bases: BTreeSet::new(),
-            reduction_bases: BTreeSet::new(),
-            end_barrier: true,
-        };
-        let mut loops = HashMap::new();
-        loops.insert((f, l), spec);
-        let plan = ProgramPlan {
-            abstraction: pspdg_parallelizer::Abstraction::PsPdg,
-            loops,
-            mutexes: vec![],
-            parallel_spawns: false,
-        };
+        let t = Value::Global(p.module.global_ids().last().unwrap());
+        let (plan, stage1) = dswp_over_consumers(&p, "k", |_, v| v == t);
+        assert_eq!(stage1, 4, "two stores, the load of t and the add");
         let r = emulate(&p, &plan).unwrap();
-        // Two pipelined stages: faster than sequential, slower than free.
-        let seq = ProgramPlan {
-            abstraction: pspdg_parallelizer::Abstraction::OpenMp,
-            loops: HashMap::new(),
-            mutexes: vec![],
-            parallel_spawns: false,
-        };
-        let r_seq = emulate(&p, &seq).unwrap();
+        // Two pipelined stages: faster than sequential (all steps on one
+        // lane), but only two lanes exist.
         assert!(
-            r.critical_path < r_seq.critical_path,
-            "pipeline {} vs sequential {}",
+            r.critical_path < r.total_steps && r.critical_path > r.total_steps / 4,
+            "pipeline {} over {} steps",
             r.critical_path,
-            r_seq.critical_path
-        );
-        assert!(
-            r.critical_path > r_seq.critical_path / 4,
-            "only 2 stages exist"
+            r.total_steps
         );
     }
 

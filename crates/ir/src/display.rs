@@ -17,7 +17,7 @@ use std::fmt;
 use crate::function::{Function, GlobalInit, Module};
 use crate::inst::Inst;
 use crate::types::Type;
-use crate::value::{BlockId, InstId};
+use crate::value::InstId;
 
 impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -150,15 +150,6 @@ pub fn inst_to_string(func: &Function, id: InstId) -> String {
     InstDisplay { func, id }.to_string()
 }
 
-/// Render a block to a string (convenience for diagnostics).
-pub fn block_to_string(func: &Function, bb: BlockId) -> String {
-    let mut s = format!("{bb} ({}):\n", func.block(bb).name);
-    for &i in &func.block(bb).insts {
-        s.push_str(&format!("  {}\n", inst_to_string(func, i)));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +214,5 @@ mod tests {
         assert_eq!(inst_to_string(func, InstId(1)), "%1 = gep %0, 3 x f64");
         assert_eq!(inst_to_string(func, InstId(2)), "%2 = load f64, %1");
         assert_eq!(inst_to_string(func, InstId(3)), "store %1, %2");
-        let blk = block_to_string(func, BlockId(0));
-        assert!(blk.starts_with("bb0 (entry):"));
     }
 }

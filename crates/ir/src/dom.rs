@@ -163,11 +163,6 @@ impl DomTree {
         self.core.tin[a.index()] <= self.core.tin[b.index()]
             && self.core.tout[b.index()] <= self.core.tout[a.index()]
     }
-
-    /// Whether `a` strictly dominates `b`.
-    pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        a != b && self.dominates(a, b)
-    }
 }
 
 /// The post-dominator tree, computed over the reverse CFG augmented with a
@@ -307,7 +302,6 @@ mod tests {
         assert_eq!(dom.idom(BlockId(0)), None);
         assert!(dom.dominates(BlockId(0), BlockId(3)));
         assert!(dom.dominates(BlockId(2), BlockId(2)));
-        assert!(!dom.strictly_dominates(BlockId(2), BlockId(2)));
         assert!(!dom.dominates(BlockId(1), BlockId(3)));
     }
 

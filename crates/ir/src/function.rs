@@ -216,14 +216,6 @@ impl Module {
             .map(FuncId::from_index)
     }
 
-    /// Find a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.globals
-            .iter()
-            .position(|g| g.name == name)
-            .map(GlobalId::from_index)
-    }
-
     /// Iterate over all function ids.
     pub fn function_ids(&self) -> impl Iterator<Item = FuncId> + '_ {
         (0..self.functions.len()).map(FuncId::from_index)
@@ -280,7 +272,6 @@ mod tests {
         let g = m.declare_global("g", Type::array(Type::I64, 4), GlobalInit::Zero);
         assert_eq!(m.function_by_name("foo"), Some(f));
         assert_eq!(m.function_by_name("bar"), None);
-        assert_eq!(m.global_by_name("g"), Some(g));
         assert_eq!(m.global(g).ty.flat_len(), 4);
     }
 

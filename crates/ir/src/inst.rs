@@ -387,21 +387,7 @@ impl Inst {
         matches!(self, Inst::Store { .. })
     }
 
-    /// Whether the instruction may access memory or have side effects through
-    /// a call (calls are conservatively both readers and writers).
-    pub fn is_memory_opaque(&self) -> bool {
-        matches!(self, Inst::Call { .. })
-            || matches!(
-                self,
-                Inst::IntrinsicCall {
-                    intrinsic: Intrinsic::PrintI64 | Intrinsic::PrintF64,
-                    ..
-                }
-            )
-    }
-
-    /// All value operands, in a fixed order (no allocation: the
-    /// interpreter walks this once per traced step).
+    /// All value operands, in a fixed order (no allocation).
     pub fn operands(&self) -> impl Iterator<Item = Value> + '_ {
         let (fixed, rest): ([Option<Value>; 2], &[Value]) = match self {
             Inst::Alloca { .. } | Inst::Br { .. } => ([None, None], &[]),
@@ -513,11 +499,6 @@ mod tests {
             value: Value::const_int(0),
         };
         assert!(store.writes_memory() && !store.reads_memory());
-        let call = Inst::Call {
-            callee: FuncId(0),
-            args: vec![],
-        };
-        assert!(call.is_memory_opaque());
     }
 
     #[test]

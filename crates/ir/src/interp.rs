@@ -9,24 +9,23 @@
 //!    static instruction mix they give the dynamic opcode table
 //!    ([`Profile::opcode_counts`]);
 //! 3. **Trace source** — with a [`TraceSink`] attached it emits one event
-//!    per dynamic instruction, carrying *register dependences* (trace
-//!    indices of producing dynamic instructions) and *memory addresses*
-//!    touched. The ideal-machine emulator (crate `pspdg-emulator`) consumes
-//!    these events to compute plan-constrained critical paths (paper §6.3).
+//!    per dynamic instruction, carrying the *memory addresses* it touched.
+//!    The ideal-machine emulator (crate `pspdg-emulator`) consumes these
+//!    events to compute plan-constrained critical paths (paper §6.3).
 //!
-//! ## Dependence bookkeeping
+//! ## The trace carries addresses
 //!
-//! For a dynamic instruction, `reg_deps` holds the trace indices of the
-//! dynamic instructions that produced its operands. Two conventions matter
-//! for the emulator:
+//! A step names its frame and static instruction; register dependences
+//! are not in the trace, because in this IR an operand names its producing
+//! instruction and the instance it reads is that instruction's latest
+//! execution in the same frame. A consumer that needs them keeps its own
+//! per-frame table indexed by [`InstId`] (the emulator's producer
+//! conventions for call results and parameters are documented there).
+//! Memory dependences depend on the run, so each step carries the cells it
+//! read and wrote.
 //!
-//! * the producer of a `call` *result* is the callee's `ret` step (not the
-//!   call step), so consumers of the result wait for the callee to finish;
-//! * the producer of a parameter reference is the producer of the argument
-//!   at the call site.
-//!
-//! The interpreter is generic over its sink and all of this bookkeeping,
-//! like the event calls themselves, is behind [`TraceSink::TRACES`]: a
+//! The interpreter is generic over its sink and the address scratch, like
+//! the event calls themselves, is behind [`TraceSink::TRACES`]: a
 //! [`NullSink`] run (profiling, the baseline oracle) compiles without it.
 
 use std::fmt;
@@ -468,8 +467,6 @@ pub struct Step<'a> {
     pub inst: InstId,
     /// This event's trace index (0-based, dense).
     pub index: u64,
-    /// Trace indices of producers of the register operands.
-    pub reg_deps: &'a [u64],
     /// Cells read by this instruction.
     pub loads: &'a [MemAddr],
     /// Cells written by this instruction.
@@ -480,7 +477,7 @@ pub struct Step<'a> {
 pub trait TraceSink {
     /// Whether the sink reads events at all. The interpreter is generic
     /// over its sink, so with `false` ([`NullSink`]) it compiles without
-    /// the dependence bookkeeping and without the event calls.
+    /// the address scratch and without the event calls.
     const TRACES: bool = true;
 
     /// A dynamic instruction executed.
@@ -888,13 +885,7 @@ pub struct Interpreter<'m> {
 struct Frame {
     id: u64,
     regs: Vec<RtVal>,
-    /// Trace index of the last execution of each instruction (empty
-    /// unless the sink traces).
-    last_def: Vec<u64>,
     args: Vec<RtVal>,
-    /// Trace index of the producer of each argument (empty unless the
-    /// sink traces).
-    arg_deps: Vec<u64>,
 }
 
 impl Frame {
@@ -912,8 +903,6 @@ impl Frame {
         }
     }
 }
-
-const NO_DEP: u64 = u64::MAX;
 
 impl<'m> Interpreter<'m> {
     /// Create an interpreter with a very large default fuel (2^48 steps).
@@ -954,17 +943,14 @@ impl<'m> Interpreter<'m> {
         args: &[RtVal],
         sink: &mut S,
     ) -> Result<Option<RtVal>, ExecError> {
-        let mut arg_deps = Vec::new();
         if S::TRACES {
             for (obj, origin) in self.mem.objects() {
                 sink.on_alloc(obj, origin);
             }
-            arg_deps.resize(args.len(), NO_DEP);
         }
-        let ran = self.exec_function(func, args.to_vec(), arg_deps, NO_DEP, sink);
+        let ran = self.exec_function(func, args.to_vec(), u64::MAX, sink);
         self.profile.total = self.steps;
-        let (ret, _ret_step) = ran?;
-        Ok(ret)
+        ran
     }
 
     /// Execute the module's `main` function (no arguments).
@@ -1007,16 +993,15 @@ impl<'m> Interpreter<'m> {
     }
 
     /// The one interpreter body. Everything the emulator needs beyond plain
-    /// interpretation — producer indices, touched cells, the event calls —
-    /// sits behind `S::TRACES`, a constant of the sink's type.
+    /// interpretation — touched cells, the event calls — sits behind
+    /// `S::TRACES`, a constant of the sink's type.
     fn exec_function<S: TraceSink>(
         &mut self,
         func_id: FuncId,
         args: Vec<RtVal>,
-        arg_deps: Vec<u64>,
         call_step: u64,
         sink: &mut S,
-    ) -> Result<(Option<RtVal>, u64), ExecError> {
+    ) -> Result<Option<RtVal>, ExecError> {
         let func = self.module.function(func_id);
         let frame_id = self.next_frame;
         self.next_frame += 1;
@@ -1026,32 +1011,12 @@ impl<'m> Interpreter<'m> {
         let mut frame = Frame {
             id: frame_id,
             regs: vec![RtVal::Undef; func.insts.len()],
-            last_def: if S::TRACES {
-                vec![NO_DEP; func.insts.len()]
-            } else {
-                Vec::new()
-            },
             args,
-            arg_deps,
         };
         let mut block = func.entry();
         // Per-step scratch buffers, reused across iterations.
-        let mut reg_deps: Vec<u64> = Vec::new();
         let mut loads: Vec<MemAddr> = Vec::new();
         let mut stores: Vec<MemAddr> = Vec::new();
-        let dep_of = |frame: &Frame, v: Value| -> Option<u64> {
-            match v {
-                Value::Inst(i) => {
-                    let d = frame.last_def[i.index()];
-                    (d != NO_DEP).then_some(d)
-                }
-                Value::Param(p) => {
-                    let d = frame.arg_deps[p];
-                    (d != NO_DEP).then_some(d)
-                }
-                _ => None,
-            }
-        };
         'blocks: loop {
             self.profile.block_count[func_id.index()][block.index()] += 1;
             if S::TRACES {
@@ -1067,11 +1032,8 @@ impl<'m> Interpreter<'m> {
 
                 let data = func.inst(inst_id);
                 if S::TRACES {
-                    // Collect operand dependences.
-                    reg_deps.clear();
                     loads.clear();
                     stores.clear();
-                    reg_deps.extend(data.inst.operands().filter_map(|v| dep_of(&frame, v)));
                 }
                 // Names an `ExecError`; evaluated on the fault path only.
                 let fault = |e: EvalFault| e.at(&func.name, inst_id);
@@ -1196,9 +1158,7 @@ impl<'m> Interpreter<'m> {
                     Inst::Call { callee, args } => {
                         let vals: Vec<RtVal> =
                             args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
-                        let mut deps = Vec::new();
                         if S::TRACES {
-                            deps.extend(args.iter().map(|a| dep_of(&frame, *a).unwrap_or(NO_DEP)));
                             // Emit the call step before entering the callee so
                             // the trace stays in execution order.
                             sink.on_step(&Step {
@@ -1206,23 +1166,12 @@ impl<'m> Interpreter<'m> {
                                 func: func_id,
                                 inst: inst_id,
                                 index: my_index,
-                                reg_deps: &reg_deps,
                                 loads: &loads,
                                 stores: &stores,
                             });
                         }
-                        let (ret, ret_step) =
-                            self.exec_function(*callee, vals, deps, my_index, sink)?;
-                        if let Some(v) = ret {
+                        if let Some(v) = self.exec_function(*callee, vals, my_index, sink)? {
                             frame.regs[inst_id.index()] = v;
-                        }
-                        if S::TRACES {
-                            // The call result's producer is the callee's ret.
-                            frame.last_def[inst_id.index()] = if ret_step == NO_DEP {
-                                my_index
-                            } else {
-                                ret_step
-                            };
                         }
                         continue;
                     }
@@ -1230,13 +1179,11 @@ impl<'m> Interpreter<'m> {
 
                 frame.regs[inst_id.index()] = result;
                 if S::TRACES {
-                    frame.last_def[inst_id.index()] = my_index;
                     sink.on_step(&Step {
                         frame: frame.id,
                         func: func_id,
                         inst: inst_id,
                         index: my_index,
-                        reg_deps: &reg_deps,
                         loads: &loads,
                         stores: &stores,
                     });
@@ -1246,7 +1193,7 @@ impl<'m> Interpreter<'m> {
                     if S::TRACES {
                         sink.on_exit(frame.id, func_id, my_index);
                     }
-                    return Ok((ret, my_index));
+                    return Ok(ret);
                 }
                 if let Some(nb) = next_block {
                     block = nb;
@@ -1557,87 +1504,18 @@ mod tests {
         assert_eq!(interp.output(), &["36".to_string()]);
     }
 
-    /// A sink that records steps so tests can inspect dependence wiring.
+    /// A sink that counts the cells the steps touched.
     #[derive(Default)]
     struct Recorder {
-        #[allow(clippy::type_complexity)]
-        steps: Vec<(u64, InstId, Vec<u64>, Vec<MemAddr>, Vec<MemAddr>)>,
-        enters: Vec<(u64, FuncId, u64)>,
-        exits: Vec<(u64, FuncId, u64)>,
+        loads: usize,
+        stores: usize,
     }
 
     impl TraceSink for Recorder {
         fn on_step(&mut self, s: &Step<'_>) {
-            self.steps.push((
-                s.index,
-                s.inst,
-                s.reg_deps.to_vec(),
-                s.loads.to_vec(),
-                s.stores.to_vec(),
-            ));
+            self.loads += s.loads.len();
+            self.stores += s.stores.len();
         }
-        fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
-            self.enters.push((frame, func, call_step));
-        }
-        fn on_exit(&mut self, frame: u64, func: FuncId, ret_step: u64) {
-            self.exits.push((frame, func, ret_step));
-        }
-    }
-
-    #[test]
-    fn trace_register_dependences() {
-        // %0 = add 1, 2 ; %1 = mul %0, %0 ; ret %1
-        let mut m = Module::new("m");
-        let f = m.declare_function("f", vec![], Type::I64);
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(f));
-            let entry = b.create_block("entry");
-            b.switch_to_block(entry);
-            let x = b.binary(BinOp::Add, Value::const_int(1), Value::const_int(2));
-            let y = b.binary(BinOp::Mul, x, x);
-            b.ret(Some(y));
-        }
-        let mut interp = Interpreter::new(&m);
-        let mut rec = Recorder::default();
-        interp.run_traced(f, &[], &mut rec).unwrap();
-        assert_eq!(rec.steps.len(), 3);
-        // mul (index 1) depends twice on add (index 0)
-        assert_eq!(rec.steps[1].2, vec![0, 0]);
-        // ret (index 2) depends on mul (index 1)
-        assert_eq!(rec.steps[2].2, vec![1]);
-    }
-
-    #[test]
-    fn trace_call_result_depends_on_ret() {
-        let mut m = Module::new("m");
-        let id_fn = m.declare_function_with("id", &[("x", Type::I64)], Type::I64);
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(id_fn));
-            let entry = b.create_block("entry");
-            b.switch_to_block(entry);
-            b.ret(Some(Value::Param(0)));
-        }
-        let f = m.declare_function("main", vec![], Type::I64);
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(f));
-            let entry = b.create_block("entry");
-            b.switch_to_block(entry);
-            let r = b.call(id_fn, vec![Value::const_int(5)], Type::I64);
-            let y = b.binary(BinOp::Add, r, Value::const_int(1));
-            b.ret(Some(y));
-        }
-        m.verify().unwrap();
-        let mut interp = Interpreter::new(&m);
-        let mut rec = Recorder::default();
-        let out = interp.run_traced(f, &[], &mut rec).unwrap();
-        assert_eq!(out, Some(RtVal::Int(6)));
-        // Trace: 0 = call, 1 = callee ret, 2 = add, 3 = main ret.
-        let add_step = &rec.steps[2];
-        assert_eq!(add_step.2, vec![1], "add must depend on the callee's ret");
-        assert_eq!(rec.enters.len(), 2);
-        assert_eq!(rec.exits.len(), 2);
-        // Callee frame entered by call step 0.
-        assert_eq!(rec.enters[1].2, 0);
     }
 
     #[test]
@@ -1646,11 +1524,9 @@ mod tests {
         let mut interp = Interpreter::new(&m);
         let mut rec = Recorder::default();
         interp.run_traced(f, &[RtVal::Int(3)], &mut rec).unwrap();
-        let loads: usize = rec.steps.iter().map(|s| s.3.len()).sum();
-        let stores: usize = rec.steps.iter().map(|s| s.4.len()).sum();
         // stores: 2 init + 3 acc updates + 3 iv updates = 8
-        assert_eq!(stores, 8);
+        assert_eq!(rec.stores, 8);
         // loads: header 4×, body 2×3, latch 1×3, exit 1 = 4+6+3+1 = 14
-        assert_eq!(loads, 14);
+        assert_eq!(rec.loads, 14);
     }
 }

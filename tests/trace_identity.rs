@@ -5,9 +5,8 @@
 //! the planner consumes its [`Profile`]; the profiling run `Session`
 //! performs uses a sink that elides all of that bookkeeping. Three things
 //! must therefore never move: the traced stream itself (FNV digests taken
-//! at 427c8b7, before the bookkeeping became conditional on the sink, and
-//! at 9423835 over the fields a step keeps once register producers leave
-//! the trace), the agreement between an untraced and a traced run on
+//! at 9423835, the last commit whose steps also carried register
+//! producers), the agreement between an untraced and a traced run on
 //! everything observable, and the critical paths the emulator derives from
 //! the stream.
 
@@ -45,65 +44,52 @@ impl Fnv {
     }
 }
 
-/// Digests every event, tagged by kind, in delivery order: `.0` over the
-/// fields every step keeps (frame, instruction, index, cells touched),
-/// `.1` with each step's register producers as well.
-struct DigestSink(Fnv, Fnv);
-
-impl DigestSink {
-    fn new() -> DigestSink {
-        DigestSink(Fnv::new(), Fnv::new())
-    }
-
-    fn words<const N: usize>(&mut self, ws: [u64; N]) {
-        self.0.words(ws);
-        self.1.words(ws);
-    }
-}
+/// Digests every event, tagged by kind, in delivery order.
+struct DigestSink(Fnv);
 
 impl TraceSink for DigestSink {
     fn on_step(&mut self, s: &Step<'_>) {
-        self.words([1, s.frame, s.func.index() as u64, s.inst.index() as u64]);
-        self.words([s.index]);
-        self.1.word(s.reg_deps.len() as u64);
-        self.1.words(s.reg_deps.iter().copied());
+        let h = &mut self.0;
+        h.words([1, s.frame, s.func.index() as u64, s.inst.index() as u64]);
+        h.word(s.index);
         for cells in [s.loads, s.stores] {
-            self.words([cells.len() as u64]);
+            h.word(cells.len() as u64);
             for a in cells {
-                self.words([a.obj.index() as u64, u64::from(a.off)]);
+                h.words([a.obj.index() as u64, u64::from(a.off)]);
             }
         }
     }
     fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
-        self.words([2, frame, func.index() as u64, block.index() as u64]);
+        self.0
+            .words([2, frame, func.index() as u64, block.index() as u64]);
     }
     fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
-        self.words([3, frame, func.index() as u64, call_step]);
+        self.0.words([3, frame, func.index() as u64, call_step]);
     }
     fn on_exit(&mut self, frame: u64, func: FuncId, ret_step: u64) {
-        self.words([4, frame, func.index() as u64, ret_step]);
+        self.0.words([4, frame, func.index() as u64, ret_step]);
     }
     fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
         let (tag, a, b) = match origin {
             ObjOrigin::Global(g) => (0, g.index(), 0),
             ObjOrigin::Alloca { func, inst } => (1, func.index(), inst.index()),
         };
-        self.words([5, obj.index() as u64, tag, a as u64, b as u64]);
+        self.0
+            .words([5, obj.index() as u64, tag, a as u64, b as u64]);
     }
 }
 
-/// The run's (kept-fields, with-producers) digests.
-fn stream_digest(module: &Module) -> (u64, u64) {
-    let mut sink = DigestSink::new();
+fn stream_digest(module: &Module) -> u64 {
+    let mut sink = DigestSink(Fnv::new());
     Interpreter::new(module)
         .run_main(&mut sink)
         .expect("kernel runs");
-    (sink.0 .0, sink.1 .0)
+    sink.0 .0
 }
 
 /// Calls that pass arguments and return values (the NAS kernels' calls are
-/// all `void f()`), so `arg_deps` and the callee-`ret` producer convention
-/// are in a pinned stream too.
+/// all `void f()`), so parameters and call results are in a pinned stream
+/// and a pinned critical path too.
 const CALLS_SRC: &str = "\
 int acc[8];
 int scale(int x, int k) { return x * k + 1; }
@@ -120,12 +106,12 @@ int main() { return fold(12) + scale(fold(3), 2); }
 fn traced_event_stream_is_pinned() {
     // One kernel with calls between its phases, one with criticals, one
     // pipeline — plus the argument-passing program above.
-    // The kept-fields digests were taken at 9423835.
+    // Taken at 9423835, over the fields a step keeps.
     for (name, want) in [
-        ("BT", (0x82ef_f4ff_0b3a_fa82, 0xd3c3_a987_a828_33f3_u64)),
-        ("IS", (0x17b4_ffeb_3f2a_0768, 0x799a_83b4_fa6f_d177)),
-        ("PIPE", (0x2acf_6a6c_a669_cd35, 0x4b16_4ea9_a697_956f)),
-        ("CALLS", (0xb8b8_40da_5bc0_bb2e, 0xb174_fe79_48df_d115)),
+        ("BT", 0x82ef_f4ff_0b3a_fa82_u64),
+        ("IS", 0x17b4_ffeb_3f2a_0768),
+        ("PIPE", 0x2acf_6a6c_a669_cd35),
+        ("CALLS", 0xb8b8_40da_5bc0_bb2e),
     ] {
         let p = match name {
             "CALLS" => compile(CALLS_SRC).expect("compiles"),
@@ -134,11 +120,7 @@ fn traced_event_stream_is_pinned() {
                 .program(),
         };
         let got = stream_digest(&p.module);
-        assert_eq!(
-            got, want,
-            "{name}: event stream digests ({:#018x}, {:#018x})",
-            got.0, got.1
-        );
+        assert_eq!(got, want, "{name}: event stream digest {got:#018x}");
     }
 }
 
@@ -149,7 +131,7 @@ fn untraced_and_traced_runs_agree_on_everything_observable() {
         let mut plain = Interpreter::new(&p.module);
         let plain_ret = plain.run_main(&mut NullSink).expect("untraced run");
         let mut traced = Interpreter::new(&p.module);
-        let mut sink = DigestSink::new();
+        let mut sink = DigestSink(Fnv::new());
         let traced_ret = traced.run_main(&mut sink).expect("traced run");
         assert_eq!(plain_ret, traced_ret, "{}: ret", b.name);
         assert_eq!(plain.output(), traced.output(), "{}: output", b.name);
