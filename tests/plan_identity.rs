@@ -20,9 +20,11 @@
 //! * the per-loop `blocking_carried_edges` counts.
 //!
 //! The **lowering** row (`*_LOWERING`) is each `LoopSchedule`'s
-//! `exec.name()` and sequential reason per abstraction, in `schedules()`
-//! order; every lowering also has its header table checked against that
-//! list and its name checked to be `chunked` or `sequential`.
+//! `exec.name()` per abstraction, in `schedules()` order, followed by a
+//! `Chunked` loop's `reductions` as `(base, operator)` and its `protected`
+//! bases, or a `Sequential` loop's reason. Every lowering also has its
+//! header table checked against that list and its name checked to be
+//! `chunked` or `sequential`.
 //!
 //! The `-ctx` rows build the PS-PDG without `Feature::Contexts`, so every
 //! carried edge is blurred to the sentinel loop and the sentinel path of
@@ -64,16 +66,20 @@ impl Fnv {
         self.words(s.bytes().map(u64::from));
     }
 
+    fn base(&mut self, b: MemBase) {
+        self.words(match b {
+            MemBase::Alloca(i) => [0, i.index() as u64],
+            MemBase::Global(g) => [1, g.index() as u64],
+            MemBase::Param(p) => [2, p as u64],
+            MemBase::Io => [3, 0],
+            MemBase::Unknown => [4, 0],
+        });
+    }
+
     fn bases<'a>(&mut self, bases: impl ExactSizeIterator<Item = &'a MemBase>) {
         self.word(bases.len() as u64);
         for b in bases {
-            self.words(match *b {
-                MemBase::Alloca(i) => [0, i.index() as u64],
-                MemBase::Global(g) => [1, g.index() as u64],
-                MemBase::Param(p) => [2, p as u64],
-                MemBase::Io => [3, 0],
-                MemBase::Unknown => [4, 0],
-            });
+            self.base(*b);
         }
     }
 }
@@ -143,7 +149,8 @@ fn plan_digest(plan: &ProgramPlan) -> u64 {
 
 /// `[chunked, lowering]` digests of `plan`'s executable lowering: the
 /// `(function, header)` list of its `Chunked` loops, and every schedule's
-/// strategy name and sequential reason.
+/// strategy name with, for a `Chunked` loop, its merged `(base, operator)`
+/// pairs and protected bases, or the sequential reason.
 fn lowering_digests(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) -> [u64; 2] {
     let exec = realize_executable(p, plan);
     check_header_table(&p.module, &exec);
@@ -151,17 +158,23 @@ fn lowering_digests(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) ->
     for s in exec.schedules() {
         let name = s.exec.name();
         assert!(matches!(name, "chunked" | "sequential"), "{name}");
-        if let LoopExec::Chunked(_) = &s.exec {
-            chunked.words([u64::from(s.func.0), s.header.index() as u64]);
-        }
         lowering.words([
             u64::from(s.func.0),
             u64::from(s.loop_id.0),
             s.header.index() as u64,
         ]);
         lowering.text(name);
-        if let LoopExec::Sequential { reason } = &s.exec {
-            lowering.text(reason);
+        match &s.exec {
+            LoopExec::Chunked(c) => {
+                chunked.words([u64::from(s.func.0), s.header.index() as u64]);
+                lowering.word(c.reductions.len() as u64);
+                for (base, op) in &c.reductions {
+                    lowering.base(*base);
+                    lowering.text(&format!("{op:?}"));
+                }
+                lowering.bases(c.protected.iter());
+            }
+            LoopExec::Sequential { reason } => lowering.text(reason),
         }
     }
     [chunked.0, lowering.0]
@@ -310,16 +323,16 @@ const TEST_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const TEST_LOWERING: [LoweringRow; 10] = [
-    [0x9a7f33df863f8cc4, 0xfe64870b87f0a291, 0xe35cb94e8ad682f1, 0xe35cb94e8ad682f1], // BT.test
-    [0x5b93f00a89e7aeeb, 0x4b4e0b3bb24c9e31, 0xab73cd31b904b911, 0xab73cd31b904b911], // CG.test
-    [0xd0d4b9cad38b8dbb, 0xf13fc0d06f7d1eba, 0xd0d4b9cad38b8dbb, 0xd0d4b9cad38b8dbb], // EP.test
-    [0x9a7f33df863f8cc4, 0x6026b0095c4d62af, 0xd8ddc43a53b9e18e, 0xd8ddc43a53b9e18e], // FT.test
-    [0x960645dc56e34ed3, 0x22da2380d1dc9772, 0xc4f3995c8f796052, 0xf14da1c8beacde13], // IS.test
-    [0x70c1f6d301c56911, 0xc16aae54463e5c98, 0xdf78557118e3344c, 0xdf78557118e3344c], // LU.test
-    [0x237834f99ac1b3f0, 0x5b2d050e7f86cf84, 0x33cdd8a8df907c2d, 0x33cdd8a8df907c2d], // MG.test
-    [0xd0d4b9cad38b8dbb, 0x47864e278d3e95af, 0xdc819e1ed33bcfee, 0xdc819e1ed33bcfee], // SP.test
-    [0xb78d2ab8d603f2a6, 0xb50db55a1138ea18, 0x9543ce846e768b38, 0x9543ce846e768b38], // GMAX.test
-    [0xcbf29ce484222325, 0x95b20b616cf85845, 0x95b20b616cf85845, 0x95b20b616cf85845], // PIPE.test
+    [0x9af63d746c26cc04, 0xfe64870b87f0a291, 0x272b83c43977dd31, 0x272b83c43977dd31], // BT.test
+    [0x9acd746e5cc563af, 0x3830ced78a5ef771, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.test
+    [0xcd537a1640387b9a, 0xf13fc0d06f7d1eba, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.test
+    [0x9af63d746c26cc04, 0xf0c3bdca961221af, 0x8545944e644b81ce, 0x8545944e644b81ce], // FT.test
+    [0x841823894b3110d3, 0x2727f92ee17d3972, 0x7375f62644be7c92, 0xcb49ab6b82118b93], // IS.test
+    [0xb98aba03d65e4551, 0xd7af5cb88efbc298, 0x6be9be86c2a3b2cc, 0x6be9be86c2a3b2cc], // LU.test
+    [0xf80f0cac991334b0, 0x40b4a4471813bdc4, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.test
+    [0x93f5f7644d0f847b, 0x47864e278d3e95af, 0x95f8c16c96c4ceae, 0x95f8c16c96c4ceae], // SP.test
+    [0x3cac8d6df57c2a60, 0xc86c0d6f49ed20d8, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test
+    [0xcbf29ce484222325, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785], // PIPE.test
 ];
 #[rustfmt::skip]
 const MINI_PLAN: [PlanRow; 10] = [
@@ -336,16 +349,16 @@ const MINI_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const MINI_LOWERING: [LoweringRow; 10] = [
-    [0x9a7f33df863f8cc4, 0xfe64870b87f0a291, 0xe35cb94e8ad682f1, 0xe35cb94e8ad682f1], // BT.mini
-    [0x5b93f00a89e7aeeb, 0x4b4e0b3bb24c9e31, 0xab73cd31b904b911, 0xab73cd31b904b911], // CG.mini
-    [0xd0d4b9cad38b8dbb, 0xf13fc0d06f7d1eba, 0xd0d4b9cad38b8dbb, 0xd0d4b9cad38b8dbb], // EP.mini
-    [0x9a7f33df863f8cc4, 0xe0b6ef7b0497d3cc, 0x59b2ef44f5f729b2, 0x59b2ef44f5f729b2], // FT.mini
-    [0x960645dc56e34ed3, 0x1b9348cc222fcf22, 0x544cabd58b5ac602, 0x6c259d225b7cb6a3], // IS.mini
-    [0x70c1f6d301c56911, 0xc16aae54463e5c98, 0xdf78557118e3344c, 0xdf78557118e3344c], // LU.mini
-    [0x237834f99ac1b3f0, 0x5b2d050e7f86cf84, 0x33cdd8a8df907c2d, 0x33cdd8a8df907c2d], // MG.mini
-    [0xd0d4b9cad38b8dbb, 0x47864e278d3e95af, 0xdc819e1ed33bcfee, 0xdc819e1ed33bcfee], // SP.mini
-    [0xb78d2ab8d603f2a6, 0xb50db55a1138ea18, 0x9543ce846e768b38, 0x9543ce846e768b38], // GMAX.mini
-    [0xcbf29ce484222325, 0x95b20b616cf85845, 0x95b20b616cf85845, 0x95b20b616cf85845], // PIPE.mini
+    [0x9af63d746c26cc04, 0xfe64870b87f0a291, 0x272b83c43977dd31, 0x272b83c43977dd31], // BT.mini
+    [0x9acd746e5cc563af, 0x3830ced78a5ef771, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.mini
+    [0xcd537a1640387b9a, 0xf13fc0d06f7d1eba, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.mini
+    [0x9af63d746c26cc04, 0xe0b6ef7b0497d3cc, 0xba8bcb1e6eb6b972, 0xba8bcb1e6eb6b972], // FT.mini
+    [0x841823894b3110d3, 0x0b6dc6c5f82ab122, 0xde34df4901731cc2, 0x335dcb7f4b879423], // IS.mini
+    [0xb98aba03d65e4551, 0xd7af5cb88efbc298, 0x6be9be86c2a3b2cc, 0x6be9be86c2a3b2cc], // LU.mini
+    [0xf80f0cac991334b0, 0x40b4a4471813bdc4, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.mini
+    [0x93f5f7644d0f847b, 0x47864e278d3e95af, 0x95f8c16c96c4ceae, 0x95f8c16c96c4ceae], // SP.mini
+    [0x3cac8d6df57c2a60, 0xc86c0d6f49ed20d8, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.mini
+    [0xcbf29ce484222325, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785], // PIPE.mini
 ];
 #[rustfmt::skip]
 const CTX_PLAN: [PlanRow; 10] = [
@@ -362,16 +375,16 @@ const CTX_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const CTX_LOWERING: [LoweringRow; 10] = [
-    [0x9a7f33df863f8cc4, 0xfe64870b87f0a291, 0xe35cb94e8ad682f1, 0xe35cb94e8ad682f1], // BT.test-ctx
-    [0x5b93f00a89e7aeeb, 0x4b4e0b3bb24c9e31, 0xab73cd31b904b911, 0xab73cd31b904b911], // CG.test-ctx
-    [0xd0d4b9cad38b8dbb, 0xf13fc0d06f7d1eba, 0xd0d4b9cad38b8dbb, 0xd0d4b9cad38b8dbb], // EP.test-ctx
-    [0x9a7f33df863f8cc4, 0x6026b0095c4d62af, 0xd8ddc43a53b9e18e, 0xd8ddc43a53b9e18e], // FT.test-ctx
-    [0x960645dc56e34ed3, 0x22da2380d1dc9772, 0xc4f3995c8f796052, 0xf14da1c8beacde13], // IS.test-ctx
-    [0x70c1f6d301c56911, 0xc16aae54463e5c98, 0xdf78557118e3344c, 0xdf78557118e3344c], // LU.test-ctx
-    [0x237834f99ac1b3f0, 0x5b2d050e7f86cf84, 0x33cdd8a8df907c2d, 0x33cdd8a8df907c2d], // MG.test-ctx
-    [0xd0d4b9cad38b8dbb, 0x47864e278d3e95af, 0xdc819e1ed33bcfee, 0xdc819e1ed33bcfee], // SP.test-ctx
-    [0xb78d2ab8d603f2a6, 0xb50db55a1138ea18, 0x9543ce846e768b38, 0x9543ce846e768b38], // GMAX.test-ctx
-    [0xcbf29ce484222325, 0x95b20b616cf85845, 0x95b20b616cf85845, 0x95b20b616cf85845], // PIPE.test-ctx
+    [0x9af63d746c26cc04, 0xfe64870b87f0a291, 0x272b83c43977dd31, 0x272b83c43977dd31], // BT.test-ctx
+    [0x462df141392880eb, 0x3830ced78a5ef771, 0x4d023c5cf3c49c51, 0x4d023c5cf3c49c51], // CG.test-ctx
+    [0xae00265e443fc4d9, 0xf13fc0d06f7d1eba, 0xae00265e443fc4d9, 0xae00265e443fc4d9], // EP.test-ctx
+    [0x9af63d746c26cc04, 0xf0c3bdca961221af, 0x8545944e644b81ce, 0x8545944e644b81ce], // FT.test-ctx
+    [0xca11486e7f69cb93, 0x2727f92ee17d3972, 0x4648b5000eb159d2, 0x878dc2c52a4de553], // IS.test-ctx
+    [0xb98aba03d65e4551, 0xd7af5cb88efbc298, 0x6be9be86c2a3b2cc, 0x6be9be86c2a3b2cc], // LU.test-ctx
+    [0xf80f0cac991334b0, 0x40b4a4471813bdc4, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.test-ctx
+    [0x93f5f7644d0f847b, 0x47864e278d3e95af, 0x95f8c16c96c4ceae, 0x95f8c16c96c4ceae], // SP.test-ctx
+    [0x3cac8d6df57c2a60, 0xc86c0d6f49ed20d8, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test-ctx
+    [0xcbf29ce484222325, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785], // PIPE.test-ctx
 ];
 #[rustfmt::skip]
 const SYNTH_PLAN: [PlanRow; 3] = [
