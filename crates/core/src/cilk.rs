@@ -13,27 +13,13 @@
 //!   (appendix: "cilk_for is represented identically to omp parallel for");
 //! * hyperobjects (reducers, holders) — reducible parallel semantic
 //!   variables whose merge function is the programmer's reducer.
-
-use pspdg_parallel::{DirectiveKind, ReductionOp};
-
-use crate::openmp::{openmp_mapping, PsElement};
-
-/// The PS-PDG elements capturing a Cilk construct (Appendix A).
-pub fn cilk_mapping(kind: &DirectiveKind) -> Vec<PsElement> {
-    // Cilk constructs reuse the same table; this function documents the
-    // appendix correspondence explicitly.
-    openmp_mapping(kind)
-}
-
-/// The PS-PDG elements capturing a Cilk hyperobject: a reducible variable
-/// whose merger is the reducer's binary operation.
-pub fn hyperobject_mapping(_op: ReductionOp) -> Vec<PsElement> {
-    vec![PsElement::VariableReducible]
-}
+//!
+//! Cilk constructs share the OpenMP table ([`crate::openmp_mapping`]) and
+//! the builder ([`crate::build`]); this module's tests check the mapping
+//! on Cilk sources.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::build::build_pspdg;
     use crate::features::FeatureSet;
     use crate::graph::{NodeKind, PsPdg};
@@ -197,19 +183,7 @@ mod tests {
             .expect("hyperobject variable");
         assert!(matches!(
             var.kind,
-            crate::graph::VariableKind::Reducible(ReductionOp::Custom { .. })
+            crate::graph::VariableKind::Reducible(pspdg_parallel::ReductionOp::Custom { .. })
         ));
-        assert_eq!(
-            hyperobject_mapping(ReductionOp::Add),
-            vec![PsElement::VariableReducible]
-        );
-    }
-
-    #[test]
-    fn mapping_reuses_table() {
-        assert_eq!(
-            cilk_mapping(&DirectiveKind::CilkFor),
-            openmp_mapping(&DirectiveKind::CilkFor)
-        );
     }
 }

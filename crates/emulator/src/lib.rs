@@ -22,7 +22,7 @@
 //!   ignored (perfect renaming). A cross-iteration flow dependence is
 //!   *discharged* when the plan privatizes/reduces the object or the
 //!   abstraction declared the iterations independent
-//!   ([`pspdg_parallelizer::LoopPlanSpec::ignored_bases`]);
+//!   (the keys of [`pspdg_parallelizer::LoopPlanSpec::discharged`]);
 //! * **mutual exclusion** — dynamic instances of serialized
 //!   `critical`/`atomic` groups chain in arrival order;
 //! * **HELIX sequential segments** — instructions of sequential SCCs

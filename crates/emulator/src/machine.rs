@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use pspdg_ir::interp::{ExecError, Interpreter, ObjId, ObjOrigin, Step, TraceSink};
 use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, LoopForest, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
-use pspdg_parallelizer::{LoopPlanSpec, PlannedTechnique, ProgramPlan};
+use pspdg_parallelizer::{Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
 use pspdg_pdg::MemBase;
 use pspdg_pool::BitSet;
 
@@ -98,17 +98,18 @@ impl PlannedLoop {
                 }
             }
         }
-        let ignored = spec.ignored_bases.iter().filter_map(|b| match b {
+        let ignored = spec.discharged.keys().filter_map(|b| match b {
             MemBase::Global(g) => Some(g.index()),
             MemBase::Alloca(i) => Some(alloca_base[spec.func.index()] + i.index()),
             _ => None,
         });
+        let reduction = |d: &Discharge| matches!(d, Discharge::Reduction(_));
         PlannedLoop {
             dswp: matches!(spec.technique, PlannedTechnique::Dswp { .. }),
             sequential_insts,
             stage_of,
             ignored: ignored.collect(),
-            reduce: !spec.reduction_bases.is_empty(),
+            reduce: spec.discharged.values().any(reduction),
             end_barrier: spec.end_barrier,
         }
     }
@@ -942,7 +943,7 @@ mod tests {
         func: &str,
         seed: impl Fn(&Function, Value) -> bool,
     ) -> (ProgramPlan, usize) {
-        use std::collections::{BTreeMap, BTreeSet};
+        use std::collections::BTreeMap;
         let fid = p.module.function_by_name(func).unwrap();
         let f = p.module.function(fid);
         let analyses = pspdg_pdg::FunctionAnalyses::compute(&p.module, fid);
@@ -965,8 +966,7 @@ mod tests {
                 stage_of,
                 stages: 2,
             },
-            ignored_bases: BTreeSet::new(),
-            reduction_bases: BTreeSet::new(),
+            discharged: BTreeMap::new(),
             end_barrier: true,
         };
         let plan = ProgramPlan {

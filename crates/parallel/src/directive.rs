@@ -206,29 +206,6 @@ impl DirectiveKind {
         )
     }
 
-    /// Whether this construct declares independence between its dynamic
-    /// instances / iterations (paper §5.1).
-    pub fn declares_independence(&self) -> bool {
-        matches!(
-            self,
-            DirectiveKind::For { .. }
-                | DirectiveKind::Sections
-                | DirectiveKind::Task { .. }
-                | DirectiveKind::Taskloop
-                | DirectiveKind::Simd
-                | DirectiveKind::CilkSpawn
-                | DirectiveKind::CilkFor
-        )
-    }
-
-    /// Whether this is a point-like synchronization construct.
-    pub fn is_sync_point(&self) -> bool {
-        matches!(
-            self,
-            DirectiveKind::Barrier | DirectiveKind::Taskwait | DirectiveKind::CilkSync
-        )
-    }
-
     /// Short lowercase name for diagnostics (`"parallel"`, `"for"`, …).
     pub fn name(&self) -> &'static str {
         match self {
@@ -369,14 +346,6 @@ impl Directive {
             _ => None,
         })
     }
-
-    /// Lastprivate variables.
-    pub fn lastprivates(&self) -> impl Iterator<Item = VarRef> + '_ {
-        self.clauses.iter().filter_map(|c| match c {
-            DataClause::Lastprivate(v) => Some(*v),
-            _ => None,
-        })
-    }
 }
 
 impl std::fmt::Display for Directive {
@@ -446,7 +415,6 @@ mod tests {
         assert_eq!(priv_vars, vec![v, w]);
         let reds: Vec<_> = d.reductions().collect();
         assert_eq!(reds, vec![(ReductionOp::Add, w)]);
-        assert!(d.lastprivates().next().is_none());
     }
 
     #[test]
@@ -470,8 +438,6 @@ mod tests {
         .is_loop_construct());
         assert!(DirectiveKind::CilkFor.is_loop_construct());
         assert!(!DirectiveKind::Critical { name: None }.is_loop_construct());
-        assert!(DirectiveKind::Barrier.is_sync_point());
-        assert!(DirectiveKind::Task { depends: vec![] }.declares_independence());
         assert_eq!(DirectiveKind::Parallel.name(), "parallel");
     }
 }

@@ -8,10 +8,6 @@ use pspdg_pdg::{FunctionAnalyses, MemBase, SccDag};
 /// pair.
 #[derive(Debug, Clone)]
 pub struct LoopAssessment {
-    /// The assessed loop.
-    pub loop_id: LoopId,
-    /// Whether the loop is canonical (known trip count at run time).
-    pub canonical: bool,
     /// Whether DOALL applies: canonical and no sequential SCC remains.
     pub doall: bool,
     /// Number of sequential SCCs (drives HELIX's sequential segments).
@@ -42,8 +38,6 @@ pub fn assess_loop(deps: &LoopDeps<'_>) -> LoopAssessment {
     let par_sccs = dag.parallel_count();
     let total_sccs = dag.sccs.len();
     LoopAssessment {
-        loop_id,
-        canonical,
         doall: canonical && seq_sccs == 0,
         seq_sccs,
         par_sccs,

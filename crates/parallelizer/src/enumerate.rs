@@ -58,29 +58,9 @@ pub fn enumerate_function(
     machine: &MachineModel,
     threshold: f64,
 ) -> FunctionOptions {
-    enumerate_function_with_features(
-        program,
-        func,
-        profile,
-        machine,
-        threshold,
-        FeatureSet::all(),
-    )
-}
-
-/// Enumerate options for one function, building the PS-PDG with an ablated
-/// feature set (the §4 × §6.2 cross experiment: how much optimization power
-/// each extension contributes).
-pub fn enumerate_function_with_features(
-    program: &ParallelProgram,
-    func: FuncId,
-    profile: &Profile,
-    machine: &MachineModel,
-    threshold: f64,
-    features: FeatureSet,
-) -> FunctionOptions {
     let analyses = FunctionAnalyses::compute(&program.module, func);
     let (pdg, mem_refs) = Pdg::build_with_refs(&program.module, func, &analyses);
+    let features = FeatureSet::all();
     let pspdg = build_pspdg_with_refs(program, func, &analyses, &pdg, &mem_refs, features);
     let prepared = FunctionPsPdg {
         func,

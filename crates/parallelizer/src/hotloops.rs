@@ -8,17 +8,12 @@ use pspdg_pdg::FunctionAnalyses;
 /// A loop that passed the coverage filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotLoop {
-    /// Enclosing function.
-    pub func: FuncId,
     /// The loop.
     pub loop_id: LoopId,
     /// Dynamic instructions attributed to the loop's blocks.
     pub cost: u64,
     /// Nesting depth (1 = outermost).
     pub depth: usize,
-    /// Whether the loop matches the canonical induction shape (required by
-    /// all three techniques).
-    pub canonical: bool,
 }
 
 impl HotLoop {
@@ -45,11 +40,9 @@ pub fn hot_loops(
     for l in analyses.forest.loop_ids() {
         let info = analyses.forest.info(l);
         let hot = HotLoop {
-            func,
             loop_id: l,
             cost: profile.block_set_cost(module, func, &info.blocks),
             depth: info.depth,
-            canonical: analyses.canonical_of(l).is_some(),
         };
         if hot.coverage(profile) >= threshold {
             out.push(hot);
@@ -86,7 +79,6 @@ mod tests {
         let hot = hot_loops(&p.module, f, &a, interp.profile(), 0.01);
         // The 1024-iteration loop dominates; the 4-iteration one is < 1 %.
         assert_eq!(hot.len(), 1);
-        assert!(hot[0].canonical);
         assert!(hot[0].coverage(interp.profile()) > 0.9);
     }
 

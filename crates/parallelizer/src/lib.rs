@@ -30,14 +30,14 @@ pub mod views;
 
 pub use assess::{assess_loop, LoopAssessment};
 pub use enumerate::{
-    enumerate_function, enumerate_function_with_features, enumerate_program,
-    enumerate_program_with_features, FunctionOptions, ProgramOptions,
+    enumerate_function, enumerate_program, enumerate_program_with_features, FunctionOptions,
+    ProgramOptions,
 };
 pub use hotloops::{hot_loops, HotLoop};
 pub use machine::MachineModel;
 pub use plan::{
-    build_plan, build_plan_recorded, plan_built, plan_built_recorded, LoopPlanSpec, MutexSpec,
-    PlannedTechnique, ProgramPlan,
+    build_plan, build_plan_recorded, plan_built, plan_built_recorded, Discharge, LoopPlanSpec,
+    MutexSpec, PlannedTechnique, ProgramPlan,
 };
 pub use realize::realize_plan;
 pub use schedule::{

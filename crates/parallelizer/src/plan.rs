@@ -15,11 +15,11 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pspdg_core::query::{self, LoopDeps};
-use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg, PsPdg};
+use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg, PsPdg, VariableKind};
 use pspdg_ir::interp::Profile;
-use pspdg_ir::{FuncId, InstId, LoopId};
-use pspdg_parallel::{DirectiveKind, ParallelProgram};
-use pspdg_pdg::MemBase;
+use pspdg_ir::{BinOp, FuncId, Function, Inst, InstId, LoopId, Value};
+use pspdg_parallel::{DirectiveKind, ParallelProgram, ReductionOp};
+use pspdg_pdg::{trace_base, DepKind, MemBase};
 
 use crate::assess::assess_loop;
 use crate::hotloops::hot_loops;
@@ -56,6 +56,21 @@ impl PlannedTechnique {
     }
 }
 
+/// How a planned loop discharges the carried dependences on one base
+/// object, which is also what a parallel run merges for it at loop exit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Discharge {
+    /// Nothing to merge: the canonical IV, which the runtime writes before
+    /// each iteration, or a base last-writer commit leaves sequential.
+    Private,
+    /// A declared reduction (a `Reducible(op)` PS-PDG variable): copies
+    /// start at the operator's identity and merge with it.
+    Reduction(ReductionOp),
+    /// An undeclared base with a real carried flow whose every update is
+    /// `*p = *p ⊕ e` (a region-private histogram): merged like a reduction.
+    Accumulator(ReductionOp),
+}
+
 /// One parallelized loop in a program plan.
 #[derive(Debug, Clone)]
 pub struct LoopPlanSpec {
@@ -65,13 +80,11 @@ pub struct LoopPlanSpec {
     pub loop_id: LoopId,
     /// Chosen technique.
     pub technique: PlannedTechnique,
-    /// Base objects through which cross-iteration flow dependences are
-    /// discharged by the plan (privatized copies, reductions, declared
-    /// independence, the induction variable).
-    pub ignored_bases: BTreeSet<MemBase>,
-    /// Subset of `ignored_bases` merged by a reduction at loop end (adds a
-    /// log₂(iterations) merge chain on the ideal machine).
-    pub reduction_bases: BTreeSet<MemBase>,
+    /// The base objects whose cross-iteration dependences the plan
+    /// discharges (privatized copies, reductions, declared independence,
+    /// the induction variable), each with how. A `Reduction` adds a
+    /// log₂(iterations) merge chain on the ideal machine.
+    pub discharged: BTreeMap<MemBase, Discharge>,
     /// Whether the continuation joins all iterations at loop exit. True for
     /// every compiler-generated fork-join loop and for OpenMP worksharing
     /// without `nowait`.
@@ -221,6 +234,18 @@ fn plan_function(
         ..
     } = prepared;
     let func = *func;
+    let f = program.module.function(func);
+    let planned = |deps: &LoopDeps<'_>, technique, end_barrier| {
+        let (loop_id, discharged) = (deps.loop_id, discharges(f, pspdg, deps));
+        let spec = LoopPlanSpec {
+            func,
+            loop_id,
+            technique,
+            discharged,
+            end_barrier,
+        };
+        ((func, loop_id), spec)
+    };
 
     // --- developer-expressed loops (OpenMP plan; also nested into J&K and
     //     PS-PDG plans) -----------------------------------------------------
@@ -248,8 +273,8 @@ fn plan_function(
             };
             let nowait = matches!(d.kind, DirectiveKind::For { nowait: true, .. });
             let deps = LoopDeps::of_pspdg(pspdg, analyses, l);
-            let spec = developer_loop_spec(func, &deps, pspdg, nowait);
-            plan.loops.push(((func, l), spec));
+            plan.loops
+                .push(planned(&deps, PlannedTechnique::Doall, !nowait));
         }
     }
 
@@ -288,20 +313,8 @@ fn plan_function(
                 stack.extend(analyses.forest.info(l).children.iter().copied());
                 continue;
             };
-            let ignored = removed_bases(&deps);
-            let reductions = reduction_bases(pspdg, &deps, &ignored);
-            plan.loops.push((
-                (func, l),
-                LoopPlanSpec {
-                    func,
-                    loop_id: l,
-                    technique,
-                    ignored_bases: ignored,
-                    reduction_bases: reductions,
-                    // Compiler-generated parallel loops are fork-join.
-                    end_barrier: true,
-                },
-            ));
+            // Compiler-generated parallel loops are fork-join.
+            plan.loops.push(planned(&deps, technique, true));
         }
     }
 
@@ -319,7 +332,6 @@ fn plan_function(
                     }
                     _ => continue,
                 };
-                let f = program.module.function(func);
                 let mut insts = BTreeSet::new();
                 for &bb in &d.region.blocks {
                     insts.extend(f.block(bb).insts.iter().copied());
@@ -346,63 +358,137 @@ fn plan_function(
     plan
 }
 
-/// Plan spec of a developer-annotated worksharing loop: DOALL with the
-/// declaration's dependence discharges.
-fn developer_loop_spec(
-    func: FuncId,
-    deps: &LoopDeps<'_>,
-    pspdg: &PsPdg,
-    nowait: bool,
-) -> LoopPlanSpec {
-    let ignored = removed_bases(deps);
-    let reductions = reduction_bases(pspdg, deps, &ignored);
-    LoopPlanSpec {
-        func,
-        loop_id: deps.loop_id,
-        technique: PlannedTechnique::Doall,
-        ignored_bases: ignored,
-        reduction_bases: reductions,
-        end_barrier: !nowait,
-    }
-}
-
-/// Bases with a dependence carried at the loop in the base PDG that the
-/// loop no longer sees as carried under its view (the dependences the plan
-/// discharges), plus the canonical IV.
-fn removed_bases(deps: &LoopDeps<'_>) -> BTreeSet<MemBase> {
+/// How the loop discharges its canonical IV and each base carried at it in
+/// the base PDG but no longer under the view: `Reduction` where a reducible
+/// PS-PDG variable applies, `Accumulator` where the base PDG carries a flow
+/// whose updates [`accumulator_op`] recognizes, `Private` otherwise.
+fn discharges(f: &Function, pspdg: &PsPdg, deps: &LoopDeps<'_>) -> BTreeMap<MemBase, Discharge> {
     let l = deps.loop_id;
-    let mut out: BTreeSet<MemBase> = deps
-        .view
-        .base()
+    let base_pdg = deps.view.base();
+    let mut out: BTreeMap<MemBase, Discharge> = base_pdg
         .carried_edges(l)
-        .filter_map(|e| e.base)
+        .filter_map(|e| Some((e.base?, Discharge::Private)))
         .collect();
     for base in deps.carried_edges().filter_map(|e| e.base) {
         out.remove(&base);
     }
-    if let Some(c) = deps.analyses.canonical_of(l) {
-        out.insert(MemBase::Alloca(c.iv_alloca));
+    let iv = deps
+        .analyses
+        .canonical_of(l)
+        .map(|c| MemBase::Alloca(c.iv_alloca));
+    out.extend(iv.map(|iv| (iv, Discharge::Private)));
+    for (i, v) in pspdg.variables.iter().enumerate() {
+        if let VariableKind::Reducible(op) = v.kind {
+            if out.contains_key(&v.base)
+                && query::variable_applies_to_loop(pspdg, deps.analyses, i, l)
+            {
+                out.insert(v.base, Discharge::Reduction(op));
+            }
+        }
+    }
+    // A carried flow on a base nothing merges would lose contributions
+    // under last-writer commit unless every update accumulates.
+    let carried_flow: BTreeSet<MemBase> = base_pdg
+        .carried_edges(l)
+        .filter(|e| matches!(e.kind, DepKind::Flow { .. }))
+        .filter_map(|e| e.base)
+        .filter(|b| Some(*b) != iv && out.get(b) == Some(&Discharge::Private))
+        .collect();
+    if !carried_flow.is_empty() {
+        let loop_insts: BTreeSet<InstId> = deps.analyses.loop_insts(l).into_iter().collect();
+        for base in carried_flow {
+            if let Some(op) = accumulator_op(f, &loop_insts, base) {
+                out.insert(base, Discharge::Accumulator(op));
+            }
+        }
     }
     out
 }
 
-/// The reducible bases applying to the loop (limited to bases the plan
-/// actually discharges).
-fn reduction_bases(
-    pspdg: &PsPdg,
-    deps: &LoopDeps<'_>,
-    ignored: &BTreeSet<MemBase>,
-) -> BTreeSet<MemBase> {
-    let mut out = BTreeSet::new();
-    for (i, v) in pspdg.variables.iter().enumerate() {
-        if matches!(v.kind, pspdg_core::VariableKind::Reducible(_))
-            && query::variable_applies_to_loop(pspdg, deps.analyses, i, deps.loop_id)
-            && ignored.contains(&v.base)
-        {
-            out.insert(v.base);
+/// Recognize a pure accumulator over `base` inside the loop: every
+/// in-loop store to the base is `*p = *p ⊕ e` (the front-end computes
+/// the lvalue once, so the feedback load shares the store's pointer
+/// value), every in-loop load of the base is such a feedback load,
+/// and the loaded value feeds nothing but its own update. The loop's
+/// net effect on each cell is then `cell ⊕ C` for a chunk-independent
+/// `C`, so identity-started forks merged with `⊕` reproduce the
+/// sequential result (exactly for integers).
+fn accumulator_op(
+    f: &Function,
+    loop_insts: &BTreeSet<InstId>,
+    base: MemBase,
+) -> Option<ReductionOp> {
+    let is_base_load = |i: InstId| -> Option<Value> {
+        match &f.inst(i).inst {
+            Inst::Load { ptr, .. } if trace_base(f, *ptr) == base => Some(*ptr),
+            _ => None,
+        }
+    };
+    let mut op: Option<ReductionOp> = None;
+    let mut feedback_loads: BTreeSet<InstId> = BTreeSet::new();
+    let mut update_binops: BTreeSet<InstId> = BTreeSet::new();
+    let mut update_stores: BTreeSet<InstId> = BTreeSet::new();
+    for &i in loop_insts {
+        let Inst::Store { ptr, value } = &f.inst(i).inst else {
+            continue;
+        };
+        if trace_base(f, *ptr) != base {
+            continue;
+        }
+        let vi = value.as_inst()?;
+        let Inst::Binary { op: bop, lhs, rhs } = &f.inst(vi).inst else {
+            return None;
+        };
+        let this_op = match bop {
+            BinOp::Add | BinOp::Sub => ReductionOp::Add,
+            BinOp::Mul => ReductionOp::Mul,
+            _ => return None,
+        };
+        let feeds_back = |v: Value| -> Option<InstId> {
+            let li = v.as_inst()?;
+            (loop_insts.contains(&li) && is_base_load(li) == Some(*ptr)).then_some(li)
+        };
+        // Exactly one operand is the feedback load (both would make
+        // the update non-affine in the old value); subtraction only
+        // accumulates with the old value on the left.
+        let (fb, other) = match (feeds_back(*lhs), feeds_back(*rhs)) {
+            (Some(fl), None) => (fl, *rhs),
+            (None, Some(fr)) if !matches!(bop, BinOp::Sub) => (fr, *lhs),
+            _ => return None,
+        };
+        // The other operand must not observe the base at all.
+        if other.as_inst().is_some_and(|oi| is_base_load(oi).is_some()) {
+            return None;
+        }
+        match op {
+            None => op = Some(this_op),
+            Some(o) if o == this_op => {}
+            _ => return None,
+        }
+        feedback_loads.insert(fb);
+        update_binops.insert(vi);
+        update_stores.insert(i);
+    }
+    op?;
+    // Every in-loop load of the base is a feedback load, and feedback
+    // values flow only into their updates.
+    for &i in loop_insts {
+        if is_base_load(i).is_some() && !feedback_loads.contains(&i) {
+            return None;
         }
     }
-    out
+    for i in f.inst_ids() {
+        for v in f.inst(i).inst.operands() {
+            let Value::Inst(d) = v else { continue };
+            if feedback_loads.contains(&d) && !update_binops.contains(&i) {
+                return None;
+            }
+            if update_binops.contains(&d) && !update_stores.contains(&i) {
+                return None;
+            }
+        }
+    }
+    op
 }
 
 #[cfg(test)]
@@ -443,8 +529,8 @@ mod tests {
         assert!(spec.end_barrier);
         // The histogram base is discharged by the declaration.
         assert!(spec
-            .ignored_bases
-            .iter()
+            .discharged
+            .keys()
             .any(|b| matches!(b, MemBase::Global(g) if g.index() == 1)));
     }
 
@@ -544,10 +630,42 @@ mod tests {
         );
     }
 
+    /// The OpenMP and PS-PDG plans both discharge the global `name` in
+    /// `k`'s loop as `want`.
+    fn assert_discharge(src: &str, name: &str, want: Discharge) {
+        let (p, plans) = plans_for(src);
+        let m = &p.module;
+        let g = m.global_ids().find(|g| m.global(*g).name == name).unwrap();
+        let k = m.function_by_name("k").unwrap();
+        for plan in [&plans[0], &plans[3]] {
+            let spec = plan.loops.values().find(|s| s.func == k).unwrap();
+            let got = spec.discharged.get(&MemBase::Global(g));
+            assert_eq!(got, Some(&want), "{}", plan.abstraction);
+        }
+    }
+
+    #[test]
+    fn private_histogram_is_an_accumulator() {
+        // IS's rank_keys in small: the histogram is private to the parallel
+        // region, so only the shape of its updates makes chunks mergeable.
+        let src = r#"
+            int key[256]; int prv[16];
+            void k() {
+                int i;
+                #pragma omp parallel private(prv)
+                {
+                    #pragma omp for
+                    for (i = 0; i < 256; i++) { prv[key[i]] += 1; }
+                }
+            }
+            int main() { k(); return 0; }
+        "#;
+        assert_discharge(src, "prv", Discharge::Accumulator(ReductionOp::Add));
+    }
+
     #[test]
     fn reduction_bases_recorded() {
-        let (_, plans) = plans_for(
-            r#"
+        let src = r#"
             double s; double v[256];
             void k() {
                 int i;
@@ -555,13 +673,21 @@ mod tests {
                 for (i = 0; i < 256; i++) { s += v[i]; }
             }
             int main() { k(); return 0; }
-            "#,
-        );
-        let omp = &plans[0];
-        let spec = omp.loops.values().next().unwrap();
-        assert_eq!(spec.reduction_bases.len(), 1);
-        let ps = &plans[3];
-        let spec = ps.loops.values().next().unwrap();
-        assert_eq!(spec.reduction_bases.len(), 1);
+        "#;
+        assert_discharge(src, "s", Discharge::Reduction(ReductionOp::Add));
+    }
+
+    #[test]
+    fn private_clause_is_private() {
+        let src = r#"
+            int t; int v[256]; int w[256];
+            void k() {
+                int i;
+                #pragma omp parallel for private(t)
+                for (i = 0; i < 256; i++) { t = v[i] * 2; w[i] = t; }
+            }
+            int main() { k(); return 0; }
+        "#;
+        assert_discharge(src, "t", Discharge::Private);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * **DOALL** loops with a canonical induction structure become
 //!   [`LoopExec::Chunked`] — iteration ranges split across workers, with
-//!   per-worker forked heaps and the plan's reduction bases merged by
-//!   their declared operator;
+//!   per-worker forked heaps and the plan's reduction and accumulator
+//!   bases merged by their operator;
 //! * **HELIX** and **DSWP** plans become [`LoopExec::Sequential`]: the
 //!   paper counts and emulates them (`enumerate`, `pspdg-emulator`) and
 //!   never executes one, and the stage-pipeline executor this repo once
@@ -17,18 +17,19 @@
 //!   with a recorded reason, so reports can say *why* a loop did not
 //!   speed up.
 //!
-//! Every chunked lowering is **validated** against the loop's dependence
-//! structure before it is emitted; a schedule that cannot be proven safe
-//! under the runtime's execution model degrades to sequential instead of
-//! executing incorrectly.
+//! Lowering runs no dependence query: what a loop merges is the plan's
+//! discharge record ([`LoopPlanSpec::discharged`]), which the emulator
+//! reads too. A loop failing one of the runtime's capability checks
+//! degrades to sequential with the reason; [`realize_executable`] takes
+//! only the program and the plan, so it still recomputes `FunctionAnalyses`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use pspdg_ir::{BlockId, CmpOp, FuncId, Inst, InstId, Intrinsic, LoopId, Value};
-use pspdg_parallel::{DataClause, DirectiveKind, ParallelProgram, ReductionOp};
-use pspdg_pdg::{base_of_varref, DepKind, FunctionAnalyses, MemBase, Pdg};
+use pspdg_parallel::{DirectiveKind, ParallelProgram, ReductionOp};
+use pspdg_pdg::{FunctionAnalyses, MemBase};
 
-use crate::plan::{LoopPlanSpec, PlannedTechnique, ProgramPlan};
+use crate::plan::{Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
 
 /// A DOALL loop lowered to chunked execution.
 #[derive(Debug, Clone)]
@@ -47,8 +48,9 @@ pub struct ChunkedLoop {
     pub bound_in_loop: bool,
     /// First in-loop block executed when the predicate holds.
     pub body_entry: BlockId,
-    /// Reduction bases with their merge operators: worker copies start at
-    /// the operator identity and partial results merge in chunk order.
+    /// Reduction and accumulator bases with their merge operators: worker
+    /// copies start at the operator identity and partial results merge in
+    /// chunk order.
     pub reductions: Vec<(MemBase, ReductionOp)>,
     /// Surviving critical/atomic regions, each lowered for commit-time
     /// replay (see [`CriticalReplay`]): workers execute the region's
@@ -205,13 +207,8 @@ impl ExecutablePlan {
         }
     }
 
-    /// The schedule triggered at `(func, header)`, if that block heads a
-    /// planned loop (`None` for ids the program does not have).
-    pub fn schedule_at(&self, func: FuncId, header: BlockId) -> Option<&LoopSchedule> {
-        self.headers_in(func)(header)
-    }
-
-    /// [`ExecutablePlan::schedule_at`] with the function fixed: its row is
+    /// The schedule triggered at a header of `func`, if the block heads a
+    /// planned loop (`None` for ids the program does not have). The row is
     /// found once, so a caller asking about every block it enters pays one
     /// index load per block.
     pub fn headers_in<'a>(
@@ -257,7 +254,7 @@ pub fn realize_executable_recorded(
 ) -> ExecutablePlan {
     let _all = rec.map(|r| r.span("plan/schedule", "pipeline"));
     let mut schedules = Vec::with_capacity(plan.loops.len());
-    // Group specs per function so analyses/PDG are computed once each.
+    // Group specs per function so analyses are computed once each.
     let mut by_func: BTreeMap<FuncId, Vec<&LoopPlanSpec>> = BTreeMap::new();
     for spec in plan.loops.values() {
         by_func.entry(spec.func).or_default().push(spec);
@@ -294,13 +291,8 @@ struct FuncRealizer<'a> {
     owner: Vec<Option<BlockId>>,
     /// Instructions covered by a surviving mutual-exclusion group.
     mutex_insts: BTreeSet<InstId>,
-    /// Reduction merge operator declared for each base in this function.
-    red_ops: BTreeMap<MemBase, ReductionOp>,
     /// Per loop: a register defined inside it is used outside it.
     reg_live_out: Vec<bool>,
-    /// Lazily built dependence graph (the `ignored_bases` carried-flow
-    /// check only).
-    pdg: std::cell::OnceCell<Pdg>,
 }
 
 impl<'a> FuncRealizer<'a> {
@@ -318,16 +310,6 @@ impl<'a> FuncRealizer<'a> {
             .filter(|m| m.func == func)
             .flat_map(|m| m.insts.iter().copied())
             .collect();
-        let mut red_ops = BTreeMap::new();
-        for (_, d) in program.directives_in(func) {
-            for clause in &d.clauses {
-                if let DataClause::Reduction { op, var } = clause {
-                    if let Some(base) = base_of_varref(func, *var) {
-                        red_ops.entry(base).or_insert(*op);
-                    }
-                }
-            }
-        }
         // One pass over uses: a use outside the defining block's loop nest
         // marks every loop of that nest the use is outside of. Walking
         // innermost-out, the first loop holding the use ends the walk (its
@@ -355,15 +337,8 @@ impl<'a> FuncRealizer<'a> {
             analyses,
             owner,
             mutex_insts,
-            red_ops,
             reg_live_out,
-            pdg: std::cell::OnceCell::new(),
         }
-    }
-
-    fn pdg(&self) -> &Pdg {
-        self.pdg
-            .get_or_init(|| Pdg::build(&self.program.module, self.func, self.analyses))
     }
 
     fn lower(&self, spec: &LoopPlanSpec) -> LoopSchedule {
@@ -425,44 +400,23 @@ impl<'a> FuncRealizer<'a> {
         if protected.contains(&iv_base) {
             return seq("critical region protects the induction variable");
         }
+        // The plan says what merges; a base a deferred critical protects
+        // is replayed at commit instead.
         let mut reductions = Vec::new();
-        for base in &spec.reduction_bases {
-            if protected.contains(base) {
-                return seq("reduction base inside a critical region");
+        for (base, how) in &spec.discharged {
+            match *how {
+                Discharge::Private => {}
+                Discharge::Reduction(_) if protected.contains(base) => {
+                    return seq("reduction base inside a critical region")
+                }
+                Discharge::Reduction(ReductionOp::Custom { .. }) => {
+                    return seq("custom reduction merge function")
+                }
+                Discharge::Accumulator(_) if protected.contains(base) => {}
+                Discharge::Reduction(op) | Discharge::Accumulator(op) => {
+                    reductions.push((*base, op))
+                }
             }
-            match self.red_ops.get(base) {
-                Some(ReductionOp::Custom { .. }) => return seq("custom reduction merge function"),
-                Some(op) => reductions.push((*base, *op)),
-                None => return seq("reduction base without a declared operator"),
-            }
-        }
-        // Discharged bases with a *real* carried flow (typically a
-        // region-privatized accumulator like IS's private
-        // histogram): last-writer commit would drop contributions,
-        // so they must be recognizably accumulative — then the
-        // forks start from the operator identity and merge exactly
-        // like a declared reduction. Bases protected by a critical
-        // region are excluded: their carried flow is discharged by
-        // the commit-time replay instead.
-        for base in &spec.ignored_bases {
-            if *base == iv_base || spec.reduction_bases.contains(base) || protected.contains(base) {
-                continue;
-            }
-            let carried_flow = self.pdg().carried_edges(l).any(|e| {
-                matches!(e.kind, DepKind::Flow { .. })
-                    && e.base == Some(*base)
-                    && loop_insts.contains(&e.src)
-                    && loop_insts.contains(&e.dst)
-            });
-            if !carried_flow {
-                continue;
-            }
-            if let Some(op) = self.accumulator_op(&loop_insts, *base) {
-                reductions.push((*base, op));
-            }
-            // Otherwise the privatization declaration promises
-            // write-before-read per iteration; last-writer commit
-            // then reproduces the sequential final state.
         }
         mk(LoopExec::Chunked(ChunkedLoop {
             iv_alloca: canon.iv_alloca,
@@ -758,89 +712,6 @@ impl<'a> FuncRealizer<'a> {
             slice,
         ))
     }
-
-    /// Recognize a pure accumulator over `base` inside the loop: every
-    /// in-loop store to the base is `*p = *p ⊕ e` (the front-end computes
-    /// the lvalue once, so the feedback load shares the store's pointer
-    /// value), every in-loop load of the base is such a feedback load,
-    /// and the loaded value feeds nothing but its own update. The loop's
-    /// net effect on each cell is then `cell ⊕ C` for a chunk-independent
-    /// `C`, so identity-started forks merged with `⊕` reproduce the
-    /// sequential result (exactly for integers).
-    fn accumulator_op(&self, loop_insts: &BTreeSet<InstId>, base: MemBase) -> Option<ReductionOp> {
-        let f = self.program.module.function(self.func);
-        let is_base_load = |i: InstId| -> Option<Value> {
-            match &f.inst(i).inst {
-                Inst::Load { ptr, .. } if pspdg_pdg::trace_base(f, *ptr) == base => Some(*ptr),
-                _ => None,
-            }
-        };
-        let mut op: Option<ReductionOp> = None;
-        let mut feedback_loads: BTreeSet<InstId> = BTreeSet::new();
-        let mut update_binops: BTreeSet<InstId> = BTreeSet::new();
-        let mut update_stores: BTreeSet<InstId> = BTreeSet::new();
-        for &i in loop_insts {
-            let Inst::Store { ptr, value } = &f.inst(i).inst else {
-                continue;
-            };
-            if pspdg_pdg::trace_base(f, *ptr) != base {
-                continue;
-            }
-            let vi = value.as_inst()?;
-            let Inst::Binary { op: bop, lhs, rhs } = &f.inst(vi).inst else {
-                return None;
-            };
-            let this_op = match bop {
-                pspdg_ir::BinOp::Add | pspdg_ir::BinOp::Sub => ReductionOp::Add,
-                pspdg_ir::BinOp::Mul => ReductionOp::Mul,
-                _ => return None,
-            };
-            let feeds_back = |v: Value| -> Option<InstId> {
-                let li = v.as_inst()?;
-                (loop_insts.contains(&li) && is_base_load(li) == Some(*ptr)).then_some(li)
-            };
-            // Exactly one operand is the feedback load (both would make
-            // the update non-affine in the old value); subtraction only
-            // accumulates with the old value on the left.
-            let (fb, other) = match (feeds_back(*lhs), feeds_back(*rhs)) {
-                (Some(fl), None) => (fl, *rhs),
-                (None, Some(fr)) if !matches!(bop, pspdg_ir::BinOp::Sub) => (fr, *lhs),
-                _ => return None,
-            };
-            // The other operand must not observe the base at all.
-            if other.as_inst().is_some_and(|oi| is_base_load(oi).is_some()) {
-                return None;
-            }
-            match op {
-                None => op = Some(this_op),
-                Some(o) if o == this_op => {}
-                _ => return None,
-            }
-            feedback_loads.insert(fb);
-            update_binops.insert(vi);
-            update_stores.insert(i);
-        }
-        op?;
-        // Every in-loop load of the base is a feedback load, and feedback
-        // values flow only into their updates.
-        for &i in loop_insts {
-            if is_base_load(i).is_some() && !feedback_loads.contains(&i) {
-                return None;
-            }
-        }
-        for i in f.inst_ids() {
-            for v in f.inst(i).inst.operands() {
-                let Value::Inst(d) = v else { continue };
-                if feedback_loads.contains(&d) && !update_binops.contains(&i) {
-                    return None;
-                }
-                if update_binops.contains(&d) && !update_stores.contains(&i) {
-                    return None;
-                }
-            }
-        }
-        op
-    }
 }
 
 #[cfg(test)]
@@ -902,6 +773,42 @@ mod tests {
         }
     }
 
+    #[test]
+    fn refused_merges_keep_their_reason() {
+        // A Cilk-reducer merge function the runtime cannot apply, and a
+        // reduction base under a critical OpenMP keeps: merged and replayed.
+        let custom = r#"
+            double bag;
+            double merge_bags(double a, double b) { return a + b; }
+            void k() {
+                int i;
+                #pragma omp parallel for reduction(merge_bags: bag)
+                for (i = 0; i < 8; i++) { bag += i; }
+            }
+            int main() { k(); return 0; }
+        "#;
+        let critical = r#"
+            double s; double v[128];
+            void k() {
+                int i;
+                #pragma omp parallel for reduction(+: s)
+                for (i = 0; i < 128; i++) {
+                    #pragma omp critical
+                    { s += v[i]; }
+                }
+            }
+            int main() { k(); return 0; }
+        "#;
+        for (src, want) in [
+            (custom, "custom reduction merge function"),
+            (critical, "reduction base inside a critical region"),
+        ] {
+            let (p, plan) = plan_of(src, Abstraction::OpenMp);
+            let exec = realize_executable(&p, &plan);
+            assert_eq!(sequential_reason(&exec.schedules()[0]), want);
+        }
+    }
+
     /// The schedule's reason if it lowered sequential, or a panic.
     fn sequential_reason(s: &LoopSchedule) -> &str {
         match &s.exec {
@@ -921,8 +828,7 @@ mod tests {
                 func,
                 loop_id,
                 technique,
-                ignored_bases: BTreeSet::new(),
-                reduction_bases: BTreeSet::new(),
+                discharged: BTreeMap::new(),
                 end_barrier: true,
             };
             ((func, loop_id), spec)

@@ -299,7 +299,8 @@ impl Session {
     /// Re-enumerate `abstraction`'s plan from the cached analysis
     /// artifacts, replacing the cached bundle. This is the replanning
     /// path: it re-runs only enumeration + lowering over the already-
-    /// assembled `EffectiveView` PS-PDGs — never the PDG build.
+    /// assembled `EffectiveView` PS-PDGs — never the PDG build (lowering
+    /// reads what each loop merges from the plan, not from a PDG).
     pub fn replan(&self, abstraction: Abstraction) -> Arc<PlanBundle> {
         let bundle = Arc::new(self.enumerate(abstraction));
         self.plans

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use pspdg::emulator::compare_plans;
 use pspdg::nas::{benchmark, Class};
-use pspdg::parallelizer::Abstraction;
+use pspdg::parallelizer::{Abstraction, Discharge};
 use pspdg::{PlanStore, Session};
 
 fn main() {
@@ -46,17 +46,21 @@ fn main() {
         specs.sort_by_key(|s| (s.func.0, s.loop_id.0));
         for spec in specs {
             let fname = &program.module.function(spec.func).name;
+            let mut kinds = [0; 3];
+            for d in spec.discharged.values() {
+                kinds[match d {
+                    Discharge::Private => 0,
+                    Discharge::Reduction(_) => 1,
+                    Discharge::Accumulator(_) => 2,
+                }] += 1;
+            }
+            let [private, reduction, accumulator] = kinds;
             println!(
-                "    {}::loop{} -> {} (discharges {} objects{})",
+                "    {}::loop{} -> {} (discharges {private} private, {reduction} reduction, \
+                 {accumulator} accumulator objects)",
                 fname,
                 spec.loop_id.0,
                 spec.technique.name(),
-                spec.ignored_bases.len(),
-                if spec.reduction_bases.is_empty() {
-                    ""
-                } else {
-                    ", reduction merge"
-                },
             );
         }
     }

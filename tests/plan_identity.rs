@@ -12,8 +12,8 @@
 //!
 //! * the `ProgramPlan` under OpenMP, PDG, J&K and PS-PDG — loops sorted by
 //!   `(function, loop)`, each with its technique (`sequential_insts` /
-//!   `stage_of`), `ignored_bases`, `reduction_bases` and `end_barrier`, then
-//!   the mutex groups;
+//!   `stage_of`), the bases it discharges, those of them discharged as a
+//!   `Reduction`, and `end_barrier`, then the mutex groups;
 //! * per abstraction, the `(function, header)` list of the loops lowered
 //!   `Chunked`, in `schedules()` order;
 //! * the `enumerate_program` totals and per-loop option counts;
@@ -35,8 +35,8 @@ use pspdg::ir::interp::{Interpreter, NullSink};
 use pspdg::ir::{BlockId, FuncId, Module};
 use pspdg::nas::{fault_suite, synth, Benchmark, Class};
 use pspdg::parallelizer::{
-    enumerate_program_with_features, plan_built, realize_executable, Abstraction, ExecutablePlan,
-    LoopExec, MachineModel, PlannedTechnique, ProgramPlan,
+    enumerate_program_with_features, plan_built, realize_executable, Abstraction, Discharge,
+    ExecutablePlan, LoopExec, MachineModel, PlannedTechnique, ProgramPlan,
 };
 use pspdg::pdg::MemBase;
 
@@ -85,7 +85,7 @@ impl Fnv {
 }
 
 /// Header dispatch and `schedules()` are two views of one list:
-/// `schedule_at` answers exactly at the listed `(func, header)` pairs, the
+/// `headers_in` answers exactly at the listed `(func, header)` pairs, the
 /// list is ordered by them, and ids the module does not have are `None`.
 fn check_header_table(m: &Module, exec: &ExecutablePlan) {
     let listed: Vec<(FuncId, BlockId)> = exec
@@ -94,7 +94,7 @@ fn check_header_table(m: &Module, exec: &ExecutablePlan) {
         .map(|s| (s.func, s.header))
         .collect();
     assert!(listed.windows(2).all(|w| w[0] < w[1]), "{listed:?}");
-    let at = |func, bb| exec.schedule_at(func, bb).map(|s| (s.func, s.header));
+    let at = |func, bb| exec.headers_in(func)(bb).map(|s| (s.func, s.header));
     let mut found = 0;
     for (fi, f) in m.functions.iter().enumerate() {
         let func = FuncId::from_index(fi);
@@ -133,8 +133,10 @@ fn plan_digest(plan: &ProgramPlan) -> u64 {
                 }
             }
         }
-        h.bases(s.ignored_bases.iter());
-        h.bases(s.reduction_bases.iter());
+        h.bases(s.discharged.keys());
+        let reductions = s.discharged.iter();
+        let reductions = reductions.filter(|(_, d)| matches!(d, Discharge::Reduction(_)));
+        h.bases(reductions.map(|(b, _)| b).collect::<Vec<_>>().into_iter());
         h.word(u64::from(s.end_barrier));
     }
     h.word(plan.mutexes.len() as u64);

@@ -10,7 +10,7 @@
 //! everything observable, and the critical paths the emulator derives from
 //! the stream.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pspdg::emulator::emulate;
 use pspdg::frontend::compile;
@@ -18,7 +18,9 @@ use pspdg::ir::interp::{Interpreter, NullSink, ObjId, ObjOrigin, Profile, Step, 
 use pspdg::ir::{BlockId, FuncId, Inst, InstId, Module};
 use pspdg::nas::{benchmark, fault_suite, Class};
 use pspdg::parallel::ParallelProgram;
-use pspdg::parallelizer::{build_plan, Abstraction, LoopPlanSpec, PlannedTechnique, ProgramPlan};
+use pspdg::parallelizer::{
+    build_plan, Abstraction, Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan,
+};
 use pspdg::pdg::{FunctionAnalyses, MemBase};
 use pspdg::runtime::observable_globals;
 
@@ -320,18 +322,17 @@ fn helix_call_plan(p: &ParallelProgram) -> ProgramPlan {
         .filter(|i| is(i, |inst| matches!(inst, Inst::Call { .. })))
         .collect();
     assert_eq!(sequential_insts.len(), 1, "the call of step");
-    let locals: BTreeSet<MemBase> = f
+    let locals: BTreeMap<MemBase, Discharge> = f
         .inst_ids()
         .filter(|i| is(i, |inst| matches!(inst, Inst::Alloca { .. })))
-        .map(MemBase::Alloca)
+        .map(|i| (MemBase::Alloca(i), Discharge::Private))
         .collect();
     assert_eq!(locals.len(), 3, "i, j, t");
     let spec = LoopPlanSpec {
         func: k,
         loop_id: l,
         technique: PlannedTechnique::Helix { sequential_insts },
-        ignored_bases: locals,
-        reduction_bases: BTreeSet::new(),
+        discharged: locals,
         end_barrier: true,
     };
     ProgramPlan {
