@@ -12,7 +12,7 @@
 
 use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink};
-use pspdg_nas::{benchmark, Class};
+use pspdg_nas::{benchmark, fault_suite, Class};
 use pspdg_parallel::ParallelProgram;
 use pspdg_parallelizer::{build_plan, Abstraction};
 use pspdg_runtime::{
@@ -698,30 +698,58 @@ fn guarded_argmax_chunks_bit_identical_with_zero_mutex_fallbacks() {
     }
 }
 
-/// The two kernels whose hot loops are parallel only through the
-/// commit-time critical replay, at `Class::Mini` under the PS-PDG plan with
-/// two workers and the default cost gate: output equal to the
-/// interpreter's, no replay fault, and packet/replayed-store counts pinned
-/// exactly (the counts every replay mechanism must reproduce).
+/// FNV-1a over the output lines, each followed by a newline.
+fn output_digest(lines: &[String]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for b in lines.iter().flat_map(|l| l.bytes().chain([b'\n'])) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Every kernel of `fault_suite(Class::Mini)` under the PS-PDG plan at two
+/// and four workers with the default cost gate: the steps counted by the
+/// master, the chunk workers and the master's critical replay, the return
+/// value and a digest of the output lines are pinned exactly, and so are
+/// the packet and replayed-store counts of the two kernels whose hot loops
+/// are parallel only through the commit-time critical replay (GMAX, EP).
+/// Output also equals the interpreter's, and no replay faults.
 #[test]
 fn mini_replay_kernels_pin_packet_and_store_counts() {
-    for (name, packets, replays) in [("GMAX", 16_384, 8_226), ("EP", 15_713, 15_713)] {
-        let p = benchmark(name, Class::Mini)
-            .expect("known kernel")
-            .program();
+    type Row = (&'static str, u64, i64, u64, u64, u64);
+    const PINS: [Row; 10] = [
+        ("BT", 959_159, 13, 0x97252a56d83b04d4, 0, 0),
+        ("CG", 508_938, 27, 0x551d8f09ae1b2992, 0, 0),
+        ("EP", 1_405_845, 151, 0xea67589d16d24cc3, 15_713, 15_713),
+        ("FT", 1_234_867, 69, 0x71add6d58c9dd6fe, 0, 0),
+        ("IS", 1_506_553, 3, 0x03fb8b49c3770c02, 0, 0),
+        ("LU", 579_075, 132, 0x7a4420e3ad8dfd2b, 0, 0),
+        ("MG", 1_072_952, 116, 0x31f24ce8f915fb40, 0, 0),
+        ("SP", 996_574, 178, 0xc24b26376e514a17, 0, 0),
+        ("GMAX", 540_783, 36, 0x4ad4ce077eb445ac, 16_384, 8_226),
+        ("PIPE", 147_486, 170, 0x2f7105d53be38945, 0, 0),
+    ];
+    let mut got: Vec<Row> = Vec::new();
+    for b in fault_suite(Class::Mini) {
+        let p = b.program();
         let mut interp = Interpreter::new(&p.module);
         interp.run_main(&mut NullSink).unwrap();
         let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-        let out = Runtime::new(&p, &plan).workers(2).run_main().unwrap();
-        assert_eq!(out.output, interp.output(), "{name}: output diverged");
-        let stats = out.stats;
-        assert_eq!(stats.fallbacks.replay_fault, 0, "{name}: {stats:?}");
-        assert_eq!(
-            (stats.critical_packets, stats.critical_replays),
-            (packets, replays),
-            "{name}: {stats:?}"
-        );
+        let rows = [2, 4].map(|workers| {
+            let out = Runtime::new(&p, &plan).workers(workers).run_main().unwrap();
+            let name = b.name;
+            assert_eq!(out.output, interp.output(), "{name}/{workers}: output");
+            let stats = out.stats;
+            assert_eq!(stats.fallbacks.replay_fault, 0, "{name}: {stats:?}");
+            let ret = out.ret.and_then(|v| v.as_int()).expect("int return");
+            let (pk, rp) = (stats.critical_packets, stats.critical_replays);
+            (name, out.steps, ret, output_digest(&out.output), pk, rp)
+        });
+        assert_eq!(rows[0], rows[1], "2 and 4 workers");
+        got.push(rows[0]);
     }
+    assert_eq!(got, PINS);
 }
 
 /// Equality-guarded test-and-set stays serialized (the realization keeps
