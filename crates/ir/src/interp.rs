@@ -24,15 +24,24 @@
 //! Memory dependences depend on the run, so each step carries the cells it
 //! read and wrote.
 //!
-//! The interpreter is generic over its sink and the address scratch, like
-//! the event calls themselves, is behind [`TraceSink::TRACES`]: a
-//! [`NullSink`] run (profiling, the baseline oracle) compiles without it.
+//! ## One body of instruction semantics
+//!
+//! [`step`] holds the only instruction `match` in the workspace: the
+//! interpreter's block loop and every loop of the `pspdg-runtime` executor
+//! (blocks, critical slices, commit-time replay) run each instruction
+//! through it. An engine lends `step` a [`Machine`]: its heap, output, step
+//! counter and fuel, and how it runs a call. The machine's trace hooks
+//! (`on_load`, `on_store`, `on_alloc`, `on_step`) are no-ops unless it sets
+//! [`Machine::TRACES`]; the interpreter sets it from its sink's
+//! [`TraceSink::TRACES`], so a [`NullSink`] run (profiling, the baseline
+//! oracle) and the runtime compile without them. A traced run keeps one
+//! loads/stores scratch for the whole run, emptied by each step's event.
 
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use crate::function::{GlobalInit, Module};
+use crate::function::{Function, GlobalInit, Module};
 use crate::inst::{BinOp, CastKind, CmpOp, Inst, Intrinsic, UnOp};
 use crate::types::Type;
 use crate::value::{BlockId, Constant, FuncId, GlobalId, InstId, Value};
@@ -210,24 +219,9 @@ impl MemState {
         obj
     }
 
-    /// Number of live objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Whether no objects exist.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
     /// Size of `obj` in cells.
     pub fn object_len(&self, obj: ObjId) -> usize {
         self.objects[obj.index()].len as usize
-    }
-
-    /// Origin of `obj`.
-    pub fn origin(&self, obj: ObjId) -> ObjOrigin {
-        self.objects[obj.index()].origin
     }
 
     /// Read one cell.
@@ -237,6 +231,7 @@ impl MemState {
     }
 
     /// Write one cell (copy-on-write if the containing page is shared).
+    #[inline]
     pub fn write(&mut self, addr: MemAddr, v: RtVal) {
         let oi = addr.obj.index();
         let off = addr.off as usize;
@@ -418,8 +413,8 @@ impl Profile {
             .sum()
     }
 
-    /// Dynamic instructions per opcode ([`opcode_of`]), most frequent
-    /// first: each block's entry count times its static instruction mix.
+    /// Dynamic instructions per opcode (the IR printer's mnemonic), most
+    /// frequent first: each block's entry count times its static mix.
     /// `within` restricts the sum to a block set of one function (a loop,
     /// where the counts add up to [`Profile::block_set_cost`]); `None` is
     /// the whole module, where they add up to [`Profile::total`].
@@ -554,12 +549,6 @@ pub enum ExecError {
         /// Actual type name.
         got: &'static str,
     },
-    /// A synthetic fault injected by the runtime's deterministic
-    /// fault-injection layer (`pspdg-runtime`'s `fault` module). Never
-    /// raised by real program execution; exists so injected worker and
-    /// speculation faults flow through the same abort/fallback machinery
-    /// as organic [`ExecError`]s.
-    Injected,
 }
 
 impl fmt::Display for ExecError {
@@ -592,19 +581,15 @@ impl fmt::Display for ExecError {
                     "type mismatch in @{func} at {inst}: expected {expected}, got {got}"
                 )
             }
-            ExecError::Injected => write!(f, "injected fault (fault-injection testing)"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
 
-/// A context-free evaluation fault, raised by the shared instruction
-/// semantics ([`eval_binop`] and friends) and wrapped into an
-/// [`ExecError`] (with function/instruction context) by whichever engine
-/// hit it. Both the sequential [`Interpreter`] and the `pspdg-runtime`
-/// parallel executor evaluate instructions through these helpers, so the
-/// two engines cannot drift apart on arithmetic semantics.
+/// A context-free evaluation fault, raised by [`MemState::deref`] and by
+/// the operator semantics inside [`step`], which names it with its function
+/// and instruction as an [`ExecError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalFault {
     /// Integer division or remainder by zero.
@@ -626,8 +611,10 @@ pub enum EvalFault {
 }
 
 impl EvalFault {
-    /// Attach function/instruction context, producing an [`ExecError`].
-    pub fn at(self, func: &str, inst: InstId) -> ExecError {
+    /// Attach function/instruction context, producing an [`ExecError`]
+    /// (the fault path, kept out of the hot code of [`step`]).
+    #[cold]
+    fn at(self, func: &str, inst: InstId) -> ExecError {
         match self {
             EvalFault::DivByZero => ExecError::DivByZero {
                 func: func.to_string(),
@@ -654,7 +641,8 @@ impl EvalFault {
 /// # Errors
 ///
 /// [`EvalFault`] on division by zero or operand type mismatch.
-pub fn eval_binop(op: BinOp, l: RtVal, r: RtVal) -> Result<RtVal, EvalFault> {
+#[inline]
+fn eval_binop(op: BinOp, l: RtVal, r: RtVal) -> Result<RtVal, EvalFault> {
     use BinOp::*;
     Ok(match (l, r) {
         (RtVal::Int(a), RtVal::Int(b)) => RtVal::Int(match op {
@@ -715,7 +703,7 @@ pub fn eval_binop(op: BinOp, l: RtVal, r: RtVal) -> Result<RtVal, EvalFault> {
 /// # Errors
 ///
 /// [`EvalFault::TypeMismatch`] on a non-numeric operand.
-pub fn eval_unop(op: UnOp, v: RtVal) -> Result<RtVal, EvalFault> {
+fn eval_unop(op: UnOp, v: RtVal) -> Result<RtVal, EvalFault> {
     Ok(match (op, v) {
         (UnOp::Neg, RtVal::Int(x)) => RtVal::Int(x.wrapping_neg()),
         (UnOp::Neg, RtVal::Float(x)) => RtVal::Float(-x),
@@ -778,7 +766,7 @@ pub fn eval_cmp(op: CmpOp, l: RtVal, r: RtVal) -> Result<bool, EvalFault> {
 /// # Errors
 ///
 /// [`EvalFault::TypeMismatch`] when the value does not fit the cast.
-pub fn eval_cast(kind: CastKind, v: RtVal) -> Result<RtVal, EvalFault> {
+fn eval_cast(kind: CastKind, v: RtVal) -> Result<RtVal, EvalFault> {
     Ok(match (kind, v) {
         (CastKind::IntToFloat, RtVal::Int(x)) => RtVal::Float(x as f64),
         (CastKind::FloatToInt, RtVal::Float(x)) => RtVal::Int(x as i64),
@@ -793,13 +781,13 @@ pub fn eval_cast(kind: CastKind, v: RtVal) -> Result<RtVal, EvalFault> {
 }
 
 /// Evaluate an intrinsic call; `print_*` intrinsics append to `output`.
-/// The argument values are taken from an iterator so that no engine has to
+/// The argument values are taken from an iterator so that [`step`] does not
 /// collect them first (no intrinsic reads past its second argument).
 ///
 /// # Errors
 ///
 /// [`EvalFault::TypeMismatch`] on badly typed arguments.
-pub fn eval_intrinsic(
+fn eval_intrinsic(
     intr: Intrinsic,
     args: impl IntoIterator<Item = RtVal>,
     output: &mut Vec<String>,
@@ -850,7 +838,7 @@ pub fn eval_intrinsic(
 
 /// The opcode mnemonic of an instruction, in the IR printer's vocabulary:
 /// what [`Profile::opcode_counts`] groups by.
-pub fn opcode_of(inst: &Inst) -> &'static str {
+fn opcode_of(inst: &Inst) -> &'static str {
     match inst {
         Inst::Alloca { .. } => "alloca",
         Inst::Load { .. } => "load",
@@ -868,28 +856,27 @@ pub fn opcode_of(inst: &Inst) -> &'static str {
     }
 }
 
-/// The interpreter. Owns the heap (globals + live stack objects), the
-/// profile, and the captured output of `print_*` intrinsics.
-#[derive(Debug)]
-pub struct Interpreter<'m> {
-    module: &'m Module,
-    mem: MemState,
-    profile: Profile,
-    output: Vec<String>,
-    steps: u64,
-    fuel: u64,
-    next_frame: u64,
-}
-
 /// Everything local to one activation.
-struct Frame {
-    id: u64,
-    regs: Vec<RtVal>,
-    args: Vec<RtVal>,
+#[derive(Debug, Clone)]
+pub struct Frame {
+    /// The latest value of each instruction, indexed by [`InstId`].
+    pub regs: Vec<RtVal>,
+    /// The arguments, indexed by parameter.
+    pub args: Vec<RtVal>,
 }
 
 impl Frame {
-    /// The runtime value of operand `v`.
+    /// A fresh activation of `func`: every register undefined.
+    #[inline]
+    pub fn new(func: &Function, args: Vec<RtVal>) -> Frame {
+        Frame {
+            regs: vec![RtVal::Undef; func.insts.len()],
+            args,
+        }
+    }
+
+    /// The runtime value of operand `v` (globals resolve against `mem`,
+    /// whose object ids differ between a heap and its worker forks).
     #[inline]
     fn eval(&self, mem: &MemState, v: Value) -> RtVal {
         match v {
@@ -902,6 +889,216 @@ impl Frame {
             },
         }
     }
+}
+
+/// Where control goes after a [`step`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Flow {
+    /// The block's next instruction.
+    Next,
+    /// A branch to this block.
+    Jump(BlockId),
+    /// The activation returned this value.
+    Return(Option<RtVal>),
+}
+
+/// What an execution engine lends [`step`]: its state, how it runs a call,
+/// and trace hooks that are called only when [`Machine::TRACES`] is set.
+pub trait Machine {
+    /// Whether [`step`] calls the hooks; with `false` it compiles without
+    /// them.
+    const TRACES: bool = false;
+
+    /// The heap, the lines printed so far, the step counter and the fuel.
+    fn state(&mut self) -> (&mut MemState, &mut Vec<String>, &mut u64, u64);
+
+    /// Run `callee` with `args`, called by instruction `inst` of `func`
+    /// (the step's counter already counts the call).
+    ///
+    /// # Errors
+    ///
+    /// Any [`ExecError`] the callee raises.
+    fn call(
+        &mut self,
+        func: FuncId,
+        inst: InstId,
+        callee: FuncId,
+        args: Vec<RtVal>,
+    ) -> Result<Option<RtVal>, ExecError>;
+
+    /// The step read this cell.
+    fn on_load(&mut self, _addr: MemAddr) {}
+    /// The step wrote this cell.
+    fn on_store(&mut self, _addr: MemAddr) {}
+    /// The step allocated this object.
+    fn on_alloc(&mut self, _obj: ObjId, _origin: ObjOrigin) {}
+    /// This instruction finished; not called for a call, which
+    /// [`Machine::call`] sees first.
+    fn on_step(&mut self, _func: FuncId, _inst: InstId) {}
+}
+
+/// Execute instruction `inst_id` of `f` (function `func_id`) in `frame` on
+/// machine `m`: the one body of instruction semantics, compiled into each
+/// engine's loop so the step counter and the frame stay in registers across
+/// it. Checks the fuel, counts the step, writes the instruction's register
+/// and says where control goes.
+///
+/// # Errors
+///
+/// [`ExecError::OutOfFuel`] when the fuel is spent, and every fault the
+/// instruction raises, named with `f` and `inst_id`.
+#[inline(always)]
+pub fn step<M: Machine>(
+    m: &mut M,
+    func_id: FuncId,
+    f: &Function,
+    frame: &mut Frame,
+    inst_id: InstId,
+) -> Result<Flow, ExecError> {
+    {
+        let (_, _, steps, fuel) = m.state();
+        if *steps >= fuel {
+            return Err(ExecError::OutOfFuel);
+        }
+        *steps += 1;
+    }
+    // Names an `ExecError`; evaluated on the fault path only.
+    let fault = |e: EvalFault| e.at(&f.name, inst_id);
+    let mut result = RtVal::Undef;
+    let mut flow = Flow::Next;
+    // Arms in order of dynamic frequency over the Mini suite
+    // ([`Profile::opcode_counts`]; the runtime's `tests/obs_integration.rs`
+    // re-derives the ranking): load > binary > gep > store > br > cmp >
+    // condbr > intrinsic > cast > unary > alloca > ret > call.
+    match &f.inst(inst_id).inst {
+        Inst::Load { ptr, .. } => {
+            let (mem, ..) = m.state();
+            let addr = mem.deref(frame.eval(mem, *ptr)).map_err(fault)?;
+            result = mem.read(addr);
+            if matches!(result, RtVal::Undef) {
+                return Err(ExecError::UndefRead {
+                    func: f.name.clone(),
+                    inst: inst_id,
+                });
+            }
+            if M::TRACES {
+                m.on_load(addr);
+            }
+        }
+        Inst::Binary { op, lhs, rhs } => {
+            let (mem, ..) = m.state();
+            let (l, r) = (frame.eval(mem, *lhs), frame.eval(mem, *rhs));
+            result = eval_binop(*op, l, r).map_err(fault)?;
+        }
+        Inst::Gep {
+            base,
+            index,
+            elem_ty,
+        } => {
+            let (mem, ..) = m.state();
+            let (b, idx) = (frame.eval(mem, *base), frame.eval(mem, *index));
+            let Some(idx) = idx.as_int() else {
+                return Err(fault(EvalFault::TypeMismatch {
+                    expected: "i64",
+                    got: idx.type_name(),
+                }));
+            };
+            let RtVal::Ptr { obj, off } = b else {
+                return Err(fault(EvalFault::TypeMismatch {
+                    expected: "ptr",
+                    got: b.type_name(),
+                }));
+            };
+            result = RtVal::Ptr {
+                obj,
+                off: off + idx * elem_ty.flat_len() as i64,
+            };
+        }
+        Inst::Store { ptr, value } => {
+            let (mem, ..) = m.state();
+            let addr = mem.deref(frame.eval(mem, *ptr)).map_err(fault)?;
+            let v = frame.eval(mem, *value);
+            mem.write(addr, v);
+            if M::TRACES {
+                m.on_store(addr);
+            }
+        }
+        Inst::Br { target } => flow = Flow::Jump(*target),
+        Inst::Cmp { op, lhs, rhs } => {
+            let (mem, ..) = m.state();
+            let (l, r) = (frame.eval(mem, *lhs), frame.eval(mem, *rhs));
+            result = RtVal::Bool(eval_cmp(*op, l, r).map_err(fault)?);
+        }
+        Inst::CondBr {
+            cond,
+            then_bb,
+            else_bb,
+        } => {
+            let (mem, ..) = m.state();
+            let c = frame.eval(mem, *cond);
+            let RtVal::Bool(c) = c else {
+                return Err(fault(EvalFault::TypeMismatch {
+                    expected: "bool",
+                    got: c.type_name(),
+                }));
+            };
+            flow = Flow::Jump(if c { *then_bb } else { *else_bb });
+        }
+        Inst::IntrinsicCall { intrinsic, args } => {
+            let (mem, output, ..) = m.state();
+            let vals = args.iter().map(|a| frame.eval(mem, *a));
+            result = eval_intrinsic(*intrinsic, vals, output).map_err(fault)?;
+        }
+        Inst::Cast { kind, value } => {
+            let (mem, ..) = m.state();
+            result = eval_cast(*kind, frame.eval(mem, *value)).map_err(fault)?;
+        }
+        Inst::Unary { op, operand } => {
+            let (mem, ..) = m.state();
+            result = eval_unop(*op, frame.eval(mem, *operand)).map_err(fault)?;
+        }
+        Inst::Alloca { ty, .. } => {
+            let origin = ObjOrigin::Alloca {
+                func: func_id,
+                inst: inst_id,
+            };
+            let (mem, ..) = m.state();
+            let obj = mem.alloc(origin, ty.flat_len() as usize);
+            if M::TRACES {
+                m.on_alloc(obj, origin);
+            }
+            result = RtVal::Ptr { obj, off: 0 };
+        }
+        Inst::Ret { value } => {
+            let (mem, ..) = m.state();
+            flow = Flow::Return(value.map(|v| frame.eval(mem, v)));
+        }
+        Inst::Call { callee, args } => {
+            let (mem, ..) = m.state();
+            let vals = args.iter().map(|a| frame.eval(mem, *a)).collect();
+            let ret = m.call(func_id, inst_id, *callee, vals)?;
+            frame.regs[inst_id.index()] = ret.unwrap_or(RtVal::Undef);
+            return Ok(Flow::Next);
+        }
+    }
+    frame.regs[inst_id.index()] = result;
+    if M::TRACES {
+        m.on_step(func_id, inst_id);
+    }
+    Ok(flow)
+}
+
+/// The interpreter. Owns the heap (globals + live stack objects), the
+/// profile, and the captured output of `print_*` intrinsics.
+#[derive(Debug)]
+pub struct Interpreter<'m> {
+    module: &'m Module,
+    mem: MemState,
+    profile: Profile,
+    output: Vec<String>,
+    steps: u64,
+    fuel: u64,
+    next_frame: u64,
 }
 
 impl<'m> Interpreter<'m> {
@@ -943,12 +1140,28 @@ impl<'m> Interpreter<'m> {
         args: &[RtVal],
         sink: &mut S,
     ) -> Result<Option<RtVal>, ExecError> {
+        let mut run = Run {
+            module: self.module,
+            mem: std::mem::take(&mut self.mem),
+            output: std::mem::take(&mut self.output),
+            profile: std::mem::take(&mut self.profile),
+            steps: self.steps,
+            fuel: self.fuel,
+            next_frame: self.next_frame,
+            frame: 0,
+            sink,
+            load: None,
+            store: None,
+        };
         if S::TRACES {
-            for (obj, origin) in self.mem.objects() {
-                sink.on_alloc(obj, origin);
+            for (obj, origin) in run.mem.objects() {
+                run.sink.on_alloc(obj, origin);
             }
         }
-        let ran = self.exec_function(func, args.to_vec(), u64::MAX, sink);
+        let ran = run.exec_function(func, args.to_vec(), u64::MAX);
+        // The state moves back on error too.
+        (self.mem, self.output, self.profile) = (run.mem, run.output, run.profile);
+        (self.steps, self.next_frame) = (run.steps, run.next_frame);
         self.profile.total = self.steps;
         ran
     }
@@ -981,227 +1194,120 @@ impl<'m> Interpreter<'m> {
         self.steps
     }
 
-    /// The runtime object backing a global.
-    pub fn global_object(&self, g: GlobalId) -> ObjId {
-        self.mem.global_object(g)
-    }
-
     /// The interpreter's heap (final-memory inspection, differential
     /// testing against the parallel runtime).
     pub fn mem(&self) -> &MemState {
         &self.mem
     }
+}
 
-    /// The one interpreter body. Everything the emulator needs beyond plain
-    /// interpretation — touched cells, the event calls — sits behind
-    /// `S::TRACES`, a constant of the sink's type.
-    fn exec_function<S: TraceSink>(
+/// One run of an [`Interpreter`]: it owns the interpreter's heap, output,
+/// counters and profile for the length of the run, plus the sink and the
+/// one loads/stores scratch every traced step of the run reuses (an
+/// instruction reads at most one cell and writes at most one).
+struct Run<'m, 's, S> {
+    module: &'m Module,
+    mem: MemState,
+    output: Vec<String>,
+    profile: Profile,
+    steps: u64,
+    fuel: u64,
+    next_frame: u64,
+    /// The id of the executing activation.
+    frame: u64,
+    sink: &'s mut S,
+    /// The cells the current step read and wrote, taken by its event.
+    load: Option<MemAddr>,
+    store: Option<MemAddr>,
+}
+
+impl<S: TraceSink> Run<'_, '_, S> {
+    /// The interpreter's block loop: one activation of `func_id`, called
+    /// by the step with trace index `call_step`.
+    fn exec_function(
         &mut self,
         func_id: FuncId,
         args: Vec<RtVal>,
         call_step: u64,
-        sink: &mut S,
     ) -> Result<Option<RtVal>, ExecError> {
         let func = self.module.function(func_id);
-        let frame_id = self.next_frame;
+        let id = self.next_frame;
         self.next_frame += 1;
+        let caller = std::mem::replace(&mut self.frame, id);
         if S::TRACES {
-            sink.on_enter(frame_id, func_id, call_step);
+            self.sink.on_enter(id, func_id, call_step);
         }
-        let mut frame = Frame {
-            id: frame_id,
-            regs: vec![RtVal::Undef; func.insts.len()],
-            args,
-        };
+        let mut frame = Frame::new(func, args);
         let mut block = func.entry();
-        // Per-step scratch buffers, reused across iterations.
-        let mut loads: Vec<MemAddr> = Vec::new();
-        let mut stores: Vec<MemAddr> = Vec::new();
-        'blocks: loop {
+        let ret = 'blocks: loop {
             self.profile.block_count[func_id.index()][block.index()] += 1;
             if S::TRACES {
-                sink.on_block(frame.id, func_id, block);
+                self.sink.on_block(id, func_id, block);
             }
-            let insts = &func.block(block).insts;
-            for &inst_id in insts {
-                if self.steps >= self.fuel {
-                    return Err(ExecError::OutOfFuel);
-                }
-                let my_index = self.steps;
-                self.steps += 1;
-
-                let data = func.inst(inst_id);
-                if S::TRACES {
-                    loads.clear();
-                    stores.clear();
-                }
-                // Names an `ExecError`; evaluated on the fault path only.
-                let fault = |e: EvalFault| e.at(&func.name, inst_id);
-
-                let mut result = RtVal::Undef;
-                let mut next_block: Option<BlockId> = None;
-                let mut returned: Option<Option<RtVal>> = None;
-
-                // Arms in order of dynamic frequency over the Mini suite
-                // ([`Profile::opcode_counts`]; the runtime's
-                // `tests/obs_integration.rs` re-derives the ranking): load >
-                // binary > gep > store > br > cmp > condbr > intrinsic >
-                // cast > unary > alloca > ret > call.
-                match &data.inst {
-                    Inst::Load { ptr, .. } => {
-                        let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
-                        let v = self.mem.read(addr);
-                        if matches!(v, RtVal::Undef) {
-                            return Err(ExecError::UndefRead {
-                                func: func.name.clone(),
-                                inst: inst_id,
-                            });
-                        }
-                        if S::TRACES {
-                            loads.push(addr);
-                        }
-                        result = v;
+            for &inst in &func.block(block).insts {
+                match step(self, func_id, func, &mut frame, inst)? {
+                    Flow::Next => {}
+                    Flow::Jump(next) => {
+                        block = next;
+                        continue 'blocks;
                     }
-                    Inst::Binary { op, lhs, rhs } => {
-                        let l = frame.eval(&self.mem, *lhs);
-                        let r = frame.eval(&self.mem, *rhs);
-                        result = eval_binop(*op, l, r).map_err(fault)?;
-                    }
-                    Inst::Gep {
-                        base,
-                        index,
-                        elem_ty,
-                    } => {
-                        let b = frame.eval(&self.mem, *base);
-                        let idx = frame.eval(&self.mem, *index);
-                        let idx = idx.as_int().ok_or_else(|| {
-                            fault(EvalFault::TypeMismatch {
-                                expected: "i64",
-                                got: idx.type_name(),
-                            })
-                        })?;
-                        match b {
-                            RtVal::Ptr { obj, off } => {
-                                result = RtVal::Ptr {
-                                    obj,
-                                    off: off + idx * elem_ty.flat_len() as i64,
-                                };
-                            }
-                            other => {
-                                return Err(fault(EvalFault::TypeMismatch {
-                                    expected: "ptr",
-                                    got: other.type_name(),
-                                }))
-                            }
-                        }
-                    }
-                    Inst::Store { ptr, value } => {
-                        let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
-                        let v = frame.eval(&self.mem, *value);
-                        self.mem.write(addr, v);
-                        if S::TRACES {
-                            stores.push(addr);
-                        }
-                    }
-                    Inst::Br { target } => {
-                        next_block = Some(*target);
-                    }
-                    Inst::Cmp { op, lhs, rhs } => {
-                        let l = frame.eval(&self.mem, *lhs);
-                        let r = frame.eval(&self.mem, *rhs);
-                        result = RtVal::Bool(eval_cmp(*op, l, r).map_err(fault)?);
-                    }
-                    Inst::CondBr {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    } => {
-                        let c = match frame.eval(&self.mem, *cond) {
-                            RtVal::Bool(b) => b,
-                            other => {
-                                return Err(fault(EvalFault::TypeMismatch {
-                                    expected: "bool",
-                                    got: other.type_name(),
-                                }))
-                            }
-                        };
-                        next_block = Some(if c { *then_bb } else { *else_bb });
-                    }
-                    Inst::IntrinsicCall { intrinsic, args } => {
-                        let mem = &self.mem;
-                        let vals = args.iter().map(|a| frame.eval(mem, *a));
-                        result =
-                            eval_intrinsic(*intrinsic, vals, &mut self.output).map_err(fault)?;
-                    }
-                    Inst::Cast { kind, value } => {
-                        let v = frame.eval(&self.mem, *value);
-                        result = eval_cast(*kind, v).map_err(fault)?;
-                    }
-                    Inst::Unary { op, operand } => {
-                        let v = frame.eval(&self.mem, *operand);
-                        result = eval_unop(*op, v).map_err(fault)?;
-                    }
-                    Inst::Alloca { ty, .. } => {
-                        let origin = ObjOrigin::Alloca {
-                            func: func_id,
-                            inst: inst_id,
-                        };
-                        let obj = self.mem.alloc(origin, ty.flat_len() as usize);
-                        if S::TRACES {
-                            sink.on_alloc(obj, origin);
-                        }
-                        result = RtVal::Ptr { obj, off: 0 };
-                    }
-                    Inst::Ret { value } => {
-                        returned = Some(value.map(|v| frame.eval(&self.mem, v)));
-                    }
-                    Inst::Call { callee, args } => {
-                        let vals: Vec<RtVal> =
-                            args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
-                        if S::TRACES {
-                            // Emit the call step before entering the callee so
-                            // the trace stays in execution order.
-                            sink.on_step(&Step {
-                                frame: frame.id,
-                                func: func_id,
-                                inst: inst_id,
-                                index: my_index,
-                                loads: &loads,
-                                stores: &stores,
-                            });
-                        }
-                        if let Some(v) = self.exec_function(*callee, vals, my_index, sink)? {
-                            frame.regs[inst_id.index()] = v;
-                        }
-                        continue;
-                    }
-                }
-
-                frame.regs[inst_id.index()] = result;
-                if S::TRACES {
-                    sink.on_step(&Step {
-                        frame: frame.id,
-                        func: func_id,
-                        inst: inst_id,
-                        index: my_index,
-                        loads: &loads,
-                        stores: &stores,
-                    });
-                }
-
-                if let Some(ret) = returned {
-                    if S::TRACES {
-                        sink.on_exit(frame.id, func_id, my_index);
-                    }
-                    return Ok(ret);
-                }
-                if let Some(nb) = next_block {
-                    block = nb;
-                    continue 'blocks;
+                    Flow::Return(v) => break 'blocks v,
                 }
             }
             unreachable!("block without terminator survived verification");
+        };
+        if S::TRACES {
+            self.sink.on_exit(id, func_id, self.steps - 1);
         }
+        self.frame = caller;
+        Ok(ret)
+    }
+}
+
+impl<S: TraceSink> Machine for Run<'_, '_, S> {
+    const TRACES: bool = S::TRACES;
+
+    fn state(&mut self) -> (&mut MemState, &mut Vec<String>, &mut u64, u64) {
+        (&mut self.mem, &mut self.output, &mut self.steps, self.fuel)
+    }
+
+    fn call(
+        &mut self,
+        func: FuncId,
+        inst: InstId,
+        callee: FuncId,
+        args: Vec<RtVal>,
+    ) -> Result<Option<RtVal>, ExecError> {
+        let index = self.steps - 1;
+        if S::TRACES {
+            // The call's step goes out before the callee's, so the trace
+            // stays in execution order.
+            self.on_step(func, inst);
+        }
+        self.exec_function(callee, args, index)
+    }
+
+    fn on_load(&mut self, addr: MemAddr) {
+        self.load = Some(addr);
+    }
+
+    fn on_store(&mut self, addr: MemAddr) {
+        self.store = Some(addr);
+    }
+
+    fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
+        self.sink.on_alloc(obj, origin);
+    }
+
+    fn on_step(&mut self, func: FuncId, inst: InstId) {
+        self.sink.on_step(&Step {
+            frame: self.frame,
+            func,
+            inst,
+            index: self.steps - 1,
+            loads: self.load.take().as_slice(),
+            stores: self.store.take().as_slice(),
+        });
     }
 }
 

@@ -61,6 +61,7 @@ impl Type {
     ///
     /// Scalars (and pointers) occupy one cell; arrays occupy
     /// `len * elem.flat_len()` cells; `Void` occupies zero.
+    #[inline]
     pub fn flat_len(&self) -> u64 {
         match self {
             Type::Void => 0,

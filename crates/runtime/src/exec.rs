@@ -64,7 +64,7 @@
 //! and skips to the region's exit without touching a single protected
 //! cell. At commit the master writes each packet into a replay frame and
 //! runs the region's own replay-slice instructions and branches through
-//! the same `exec_inst` every block goes through — protected loads read
+//! the same [`step`] every block goes through — protected loads read
 //! the true heap, the region's branches decide on the true values — in
 //! chunk order, which equals sequential iteration order, so the protected
 //! cells finish **bit-identical** to the sequential interpreter (even for
@@ -79,8 +79,7 @@ use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use pspdg_ir::interp::{
-    const_val, eval_binop, eval_cast, eval_cmp, eval_intrinsic, eval_unop, EvalFault, ExecError,
-    MemAddr, MemState, ObjOrigin, RtVal,
+    const_val, eval_cmp, step, ExecError, Flow, Frame, Machine, MemAddr, MemState, RtVal,
 };
 use pspdg_ir::loops::trip_count_from;
 use pspdg_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Value};
@@ -525,51 +524,6 @@ impl Runtime {
     }
 }
 
-/// One activation's registers and arguments.
-#[derive(Clone)]
-struct Frame {
-    regs: Vec<RtVal>,
-    args: Vec<RtVal>,
-}
-
-impl Frame {
-    /// The runtime value of operand `v` (globals resolve against `mem`,
-    /// whose object ids differ between the master and worker forks).
-    #[inline]
-    fn eval(&self, mem: &MemState, v: Value) -> RtVal {
-        match v {
-            Value::Const(c) => const_val(c),
-            Value::Inst(i) => self.regs[i.index()],
-            Value::Param(p) => self.args[p],
-            Value::Global(g) => RtVal::Ptr {
-                obj: mem.global_object(g),
-                off: 0,
-            },
-        }
-    }
-}
-
-/// Where control goes after an instruction.
-enum Flow {
-    Next,
-    Jump(BlockId),
-    Return(Option<RtVal>),
-}
-
-/// Why a parallel attempt was abandoned (the loop then re-runs
-/// sequentially on the master's untouched state).
-enum ParAbort {
-    /// Control left the loop other than through the counted exit.
-    Irregular,
-    /// A worker faulted; the sequential re-run reproduces (or avoids) the
-    /// fault in sequential order.
-    Exec(#[allow(dead_code)] ExecError),
-    /// A worker faulted inside a critical region's speculative slice
-    /// (suppressed guards execute conditional code unconditionally, so
-    /// this fault may not exist sequentially).
-    Spec(#[allow(dead_code)] ExecError),
-}
-
 /// The interpreter core shared by the master and chunk workers. Exactly
 /// one of them holds `plan: Some(..)` (the master); forks never trigger
 /// nested parallelism.
@@ -674,10 +628,7 @@ impl<'a> Engine<'a> {
         args: Vec<RtVal>,
     ) -> Result<Option<RtVal>, ExecError> {
         let f = self.module.function(func_id);
-        let mut frame = Frame {
-            regs: vec![RtVal::Undef; f.insts.len()],
-            args,
-        };
+        let mut frame = Frame::new(f, args);
         // Scheduled loops currently executing sequentially (either
         // mid-activation after a fallback, or re-run once to exit after a
         // parallel completion); pruned when control leaves the loop.
@@ -728,139 +679,12 @@ impl<'a> Engine<'a> {
         bb: BlockId,
     ) -> Result<Flow, ExecError> {
         for &i in &f.block(bb).insts {
-            match self.exec_inst(func_id, f, frame, i)? {
+            match step(self, func_id, f, frame, i)? {
                 Flow::Next => {}
                 other => return Ok(other),
             }
         }
         unreachable!("block without terminator survived verification")
-    }
-
-    /// This crate's one body of instruction semantics, compiled into each
-    /// caller's loop (a block, a critical slice, a replayed region) so
-    /// `steps`, `fuel` and the frame stay in machine registers across it
-    /// and no `Result<Flow, _>` goes through memory per instruction.
-    #[inline(always)]
-    fn exec_inst(
-        &mut self,
-        func_id: FuncId,
-        f: &Function,
-        frame: &mut Frame,
-        inst_id: InstId,
-    ) -> Result<Flow, ExecError> {
-        if self.steps >= self.fuel {
-            return Err(ExecError::OutOfFuel);
-        }
-        self.steps += 1;
-        // Names an `ExecError`; evaluated on the fault path only.
-        let fault = |e: EvalFault| e.at(&f.name, inst_id);
-        let mut result = RtVal::Undef;
-        // Arms in order of dynamic frequency over the Mini suite, as the
-        // sequential interpreter's dispatch has them: load > binary > gep >
-        // store > br > cmp > condbr > intrinsic > cast > unary > alloca >
-        // ret > call (`tests/obs_integration.rs` re-derives the ranking).
-        match &f.inst(inst_id).inst {
-            Inst::Load { ptr, .. } => {
-                let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
-                let v = self.mem.read(addr);
-                if matches!(v, RtVal::Undef) {
-                    return Err(ExecError::UndefRead {
-                        func: f.name.clone(),
-                        inst: inst_id,
-                    });
-                }
-                result = v;
-            }
-            Inst::Binary { op, lhs, rhs } => {
-                let (l, r) = (frame.eval(&self.mem, *lhs), frame.eval(&self.mem, *rhs));
-                result = eval_binop(*op, l, r).map_err(fault)?;
-            }
-            Inst::Gep {
-                base,
-                index,
-                elem_ty,
-            } => {
-                let b = frame.eval(&self.mem, *base);
-                let idx = frame.eval(&self.mem, *index);
-                let Some(idx) = idx.as_int() else {
-                    return Err(fault(EvalFault::TypeMismatch {
-                        expected: "i64",
-                        got: idx.type_name(),
-                    }));
-                };
-                match b {
-                    RtVal::Ptr { obj, off } => {
-                        result = RtVal::Ptr {
-                            obj,
-                            off: off + idx * elem_ty.flat_len() as i64,
-                        };
-                    }
-                    other => {
-                        return Err(fault(EvalFault::TypeMismatch {
-                            expected: "ptr",
-                            got: other.type_name(),
-                        }))
-                    }
-                }
-            }
-            Inst::Store { ptr, value } => {
-                let addr = self.mem.deref(frame.eval(&self.mem, *ptr)).map_err(fault)?;
-                let v = frame.eval(&self.mem, *value);
-                self.mem.write(addr, v);
-            }
-            Inst::Br { target } => return Ok(Flow::Jump(*target)),
-            Inst::Cmp { op, lhs, rhs } => {
-                let (l, r) = (frame.eval(&self.mem, *lhs), frame.eval(&self.mem, *rhs));
-                result = RtVal::Bool(eval_cmp(*op, l, r).map_err(fault)?);
-            }
-            Inst::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let c = frame.eval(&self.mem, *cond);
-                let RtVal::Bool(c) = c else {
-                    return Err(fault(EvalFault::TypeMismatch {
-                        expected: "bool",
-                        got: c.type_name(),
-                    }));
-                };
-                return Ok(Flow::Jump(if c { *then_bb } else { *else_bb }));
-            }
-            Inst::IntrinsicCall { intrinsic, args } => {
-                let mem = &self.mem;
-                let vals = args.iter().map(|a| frame.eval(mem, *a));
-                result = eval_intrinsic(*intrinsic, vals, &mut self.output).map_err(fault)?;
-            }
-            Inst::Cast { kind, value } => {
-                let v = frame.eval(&self.mem, *value);
-                result = eval_cast(*kind, v).map_err(fault)?;
-            }
-            Inst::Unary { op, operand } => {
-                let v = frame.eval(&self.mem, *operand);
-                result = eval_unop(*op, v).map_err(fault)?;
-            }
-            Inst::Alloca { ty, .. } => {
-                let origin = ObjOrigin::Alloca {
-                    func: func_id,
-                    inst: inst_id,
-                };
-                let obj = self.mem.alloc(origin, ty.flat_len() as usize);
-                result = RtVal::Ptr { obj, off: 0 };
-            }
-            Inst::Ret { value } => {
-                let v = value.map(|v| frame.eval(&self.mem, v));
-                return Ok(Flow::Return(v));
-            }
-            Inst::Call { callee, args } => {
-                let vals: Vec<RtVal> = args.iter().map(|a| frame.eval(&self.mem, *a)).collect();
-                if let Some(v) = self.exec_function(*callee, vals)? {
-                    result = v;
-                }
-            }
-        }
-        frame.regs[inst_id.index()] = result;
-        Ok(Flow::Next)
     }
 
     // ---- chunked DOALL ---------------------------------------------------
@@ -986,7 +810,7 @@ impl<'a> Engine<'a> {
         let module = self.module;
         let faults = self.faults;
         let rec = self.rec;
-        let mut slots: Vec<Option<Result<ChunkOut, ParAbort>>> =
+        let mut slots: Vec<Option<Result<ChunkOut, FallbackWhy>>> =
             ranges.iter().map(|_| None).collect();
         // `scope_catch`: a panicked chunk worker (organic or injected)
         // must demote to a sequential fallback, not take the master down.
@@ -1015,7 +839,7 @@ impl<'a> Engine<'a> {
                             if let Some(r) = rec {
                                 r.instant(kind.label(), "fault");
                             }
-                            *slot = Some(Err(ParAbort::Exec(ExecError::Injected)));
+                            *slot = Some(Err(FallbackWhy::WorkerFault));
                             return;
                         }
                         _ => {}
@@ -1037,13 +861,10 @@ impl<'a> Engine<'a> {
                         stats: RunStats::default(),
                     };
                     let mut wframe = Frame { regs, args };
-                    let result = (|| -> Result<(), ParAbort> {
-                        for iter in lo..hi {
-                            worker.mem.write(iv_addr, RtVal::Int(init + iter * c.step));
-                            worker.run_iteration(func_id, f, &mut wframe, sched, &c.criticals)?;
-                        }
-                        Ok(())
-                    })();
+                    let result = (lo..hi).try_for_each(|iter| {
+                        worker.mem.write(iv_addr, RtVal::Int(init + iter * c.step));
+                        worker.run_iteration(func_id, f, &mut wframe, sched, &c.criticals)
+                    });
                     *slot = Some(result.map(|()| ChunkOut {
                         mem: worker.mem,
                         crit_log: std::mem::take(&mut worker.crit_log),
@@ -1060,19 +881,12 @@ impl<'a> Engine<'a> {
         // worker fault (its heap fork is simply discarded).
         let mut fault_abort: Option<FallbackWhy> = None;
         for s in slots {
-            let why = match s {
-                None => Some(FallbackWhy::WorkerFault),
-                Some(Ok(out)) => {
-                    outs.push(out);
-                    None
-                }
+            match s.unwrap_or(Err(FallbackWhy::WorkerFault)) {
+                Ok(out) => outs.push(out),
                 // Fall back with the master heap untouched: the sequential
                 // re-run reproduces faults in sequential order.
-                Some(Err(ParAbort::Irregular)) => Some(FallbackWhy::Irregular),
-                Some(Err(ParAbort::Exec(_))) => Some(FallbackWhy::WorkerFault),
-                Some(Err(ParAbort::Spec(_))) => Some(FallbackWhy::SpeculationFault),
-            };
-            fault_abort = fault_abort.or(why);
+                Err(why) => fault_abort = fault_abort.or(Some(why)),
+            }
         }
         if let Some(why) = fault_abort.or(any_panicked.then_some(FallbackWhy::WorkerFault)) {
             return Ok(Some(why));
@@ -1217,7 +1031,7 @@ impl<'a> Engine<'a> {
         frame: &mut Frame,
         sched: &LoopSchedule,
         criticals: &[CriticalReplay],
-    ) -> Result<(), ParAbort> {
+    ) -> Result<(), FallbackWhy> {
         let mut block = sched.header;
         loop {
             // A loop has a handful of regions at most: a scan, not a hash.
@@ -1229,17 +1043,17 @@ impl<'a> Engine<'a> {
                 }
                 None => self
                     .exec_block(func_id, f, frame, block)
-                    .map_err(ParAbort::Exec)?,
+                    .map_err(|_| FallbackWhy::WorkerFault)?,
             };
             match flow {
                 Flow::Jump(t) if t == sched.header => return Ok(()),
                 Flow::Jump(t) => {
                     if !sched.contains(t) {
-                        return Err(ParAbort::Irregular);
+                        return Err(FallbackWhy::Irregular);
                     }
                     block = t;
                 }
-                Flow::Return(_) => return Err(ParAbort::Irregular),
+                Flow::Return(_) => return Err(FallbackWhy::Irregular),
                 Flow::Next => unreachable!(),
             }
         }
@@ -1259,17 +1073,17 @@ impl<'a> Engine<'a> {
         frame: &mut Frame,
         idx: u32,
         cr: &CriticalReplay,
-    ) -> Result<(), ParAbort> {
+    ) -> Result<(), FallbackWhy> {
         if self.faults.and_then(FaultInjector::on_crit_slice) == Some(FaultKind::SpeculationFault) {
             self.fault_instant(FaultKind::SpeculationFault);
-            return Err(ParAbort::Spec(ExecError::Injected));
+            return Err(FallbackWhy::SpeculationFault);
         }
         for &i in &cr.worker_insts {
-            match self.exec_inst(func_id, f, frame, i) {
+            match step(self, func_id, f, frame, i) {
                 Ok(Flow::Next) => {}
                 // The slice contains no terminators/returns (validated).
-                Ok(_) => return Err(ParAbort::Irregular),
-                Err(e) => return Err(ParAbort::Spec(e)),
+                Ok(_) => return Err(FallbackWhy::Irregular),
+                Err(_) => return Err(FallbackWhy::SpeculationFault),
             }
         }
         let packet = cr.operands.iter().map(|r| frame.regs[r.index()]).collect();
@@ -1305,7 +1119,7 @@ impl<'a> Engine<'a> {
                 .find(|(b, _)| *b == block)
                 .expect("in-region successors are region blocks");
             for &i in insts {
-                match self.exec_inst(func_id, f, frame, i)? {
+                match step(self, func_id, f, frame, i)? {
                     Flow::Next => stores += u64::from(matches!(f.inst(i).inst, Inst::Store { .. })),
                     Flow::Jump(t) => block = t,
                     Flow::Return(_) => unreachable!("returns are rejected at extraction"),
@@ -1313,6 +1127,22 @@ impl<'a> Engine<'a> {
             }
         }
         Ok(stores)
+    }
+}
+
+impl Machine for Engine<'_> {
+    fn state(&mut self) -> (&mut MemState, &mut Vec<String>, &mut u64, u64) {
+        (&mut self.mem, &mut self.output, &mut self.steps, self.fuel)
+    }
+
+    fn call(
+        &mut self,
+        _: FuncId,
+        _: InstId,
+        callee: FuncId,
+        args: Vec<RtVal>,
+    ) -> Result<Option<RtVal>, ExecError> {
+        self.exec_function(callee, args)
     }
 }
 

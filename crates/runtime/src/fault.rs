@@ -48,8 +48,8 @@ pub enum FaultKind {
     /// Panic the chunk-worker job. The pool catches it and the activation
     /// falls back.
     WorkerPanic,
-    /// Raise a synthetic [`ExecError::Injected`](pspdg_ir::interp::ExecError)
-    /// inside a chunk worker, as if an instruction faulted.
+    /// Fail the chunk worker before its first iteration, as if an
+    /// instruction faulted.
     WorkerFault,
     /// Fault inside a critical region's speculative
     /// (protected-independent) slice.

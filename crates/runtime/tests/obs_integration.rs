@@ -27,8 +27,8 @@ const DOALL_SRC: &str = r#"
 /// every Mini kernel the derived counts add up to the oracle's
 /// `Profile::total` and to the steps of a one-worker `Runtime`, and a hot
 /// loop's share of it is that loop's `block_set_cost`. Summed over the
-/// suite, the ranking is the order both engines' dispatch `match` arms
-/// are written in (`exec_inst`, `ir::interp`).
+/// suite, the ranking is the order the arms of the one dispatch `match`,
+/// in `ir::interp::step`, are written in.
 #[test]
 fn opcode_totals_match_engine_steps() {
     const DISPATCH_ORDER: [&str; 13] = [

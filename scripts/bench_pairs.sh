@@ -5,10 +5,13 @@
 #
 #   scripts/bench_pairs.sh PARENT_REF WORKLOAD N [SECONDS]
 #
-# PARENT_REF is checked out into a `git worktree` under target/bench_pairs/
-# (removed on exit); the change is this checkout as it stands, committed or
-# not. Each side builds benchmark/ from its own sources into its own
-# CARGO_TARGET_DIR, then N pairs of untraced runs of WORKLOAD (SECONDS
+# Both sides are throwaway copies under target/bench_pairs/, removed on
+# exit, so building benchmark/ rewrites only the copies' Cargo.lock and the
+# repository itself is never touched: the parent is a `git clone --shared`
+# checked out at PARENT_REF as this repository resolves it, and the change
+# is a copy of this checkout's tracked and untracked files as they stand,
+# committed or not. Each side builds benchmark/ from its own sources into
+# its own CARGO_TARGET_DIR, then N pairs of untraced runs of WORKLOAD (SECONDS
 # each, default 15) alternate which side goes first. Both runs of a pair
 # share a seed; the first seed comes from the clock, so every invocation
 # measures on seeds the change was not written against. Prints one line per
@@ -25,28 +28,32 @@ ref=$1 workload=$2 pairs=$3 seconds=${4:-15}
 root=$PWD
 work=$root/target/bench_pairs
 parent=$work/parent
+change=$work/change
 runs=$work/runs.tsv
+rev=$(git rev-parse --verify "$ref^{commit}")
 mkdir -p "$work"
 : >"$runs"
 
-cleanup() {
-    git worktree remove --force "$parent" 2>/dev/null || rm -rf "$parent"
-    git worktree prune
-}
+cleanup() { rm -rf "$parent" "$change"; }
 trap cleanup EXIT
 cleanup
-git worktree add --detach --force "$parent" "$ref" >/dev/null
+git clone --quiet --shared --no-checkout "$root" "$parent"
+git -C "$parent" checkout --quiet --detach "$rev"
+mkdir -p "$change"
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+    tar --null -T - -cf - | tar -xf - -C "$change"
 
 build() { # checkout target-dir
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
         --manifest-path benchmark/Cargo.toml)
 }
 build "$parent" "$work/target_parent"
-build "$root" "$work/target_change"
+build "$change" "$work/target_change"
 
 bad=0
 run() { # side pair seed
-    local side=$1 dir=$root result
+    local side=$1 dir=$change result
     [ "$side" = parent ] && dir=$parent
     result=$(cd "$dir" && "$work/target_$side/release/pspdg_benchmark" \
         --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1)
@@ -75,7 +82,7 @@ for k in $(seq 1 "$pairs"); do
 done
 
 echo
-echo "workload $workload, $pairs pairs of ${seconds} s, parent $(git rev-parse --short "$ref")"
+echo "workload $workload, $pairs pairs of ${seconds} s, parent $(git rev-parse --short "$rev")"
 # `better` per metric comes from BENCHMARK.json (pretty-printed: a "name"
 # line, then its "better" line).
 awk -F'\t' '

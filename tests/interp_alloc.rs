@@ -12,7 +12,8 @@
 //! machine keeps its register finish times per live frame, not per step,
 //! so the one table of it that grows with the trace is the last finish per
 //! lane: `emulate` may differ between N and 8N only by that map's
-//! doublings.
+//! doublings. What tracing adds does not grow with the calls either: a
+//! traced run reuses one loads/stores scratch across every call frame.
 //!
 //! The same counter tells an emulation from a wait: of the threads that ask
 //! a fresh `PlanBundle` for its predicted parallelism at the same moment,
@@ -133,6 +134,39 @@ fn allocations_do_not_scale_with_executed_instructions() {
         emulator_8n <= emulator_n + 3,
         "emulate allocations: {emulator_n} at N, {emulator_8n} at 8N"
     );
+}
+
+/// A traced run keeps one loads/stores scratch for the whole run, not one
+/// per call frame: a loop calling a leaf that loads and stores a global
+/// costs the same extra allocations over the untraced run at N calls and
+/// at 8N.
+#[test]
+fn traced_run_scratch_is_per_run_not_per_call() {
+    const N: usize = 200;
+    let [at_n, at_8n] = [N, 8 * N].map(|calls| {
+        let p = compile(&format!(
+            "int g;
+             void leaf() {{ g = g + 1; }}
+             int main() {{
+                 int i;
+                 for (i = 0; i < {calls}; i++) {{ leaf(); }}
+                 return g;
+             }}"
+        ))
+        .expect("compiles");
+        let untraced = allocs_during(|| {
+            Interpreter::new(&p.module)
+                .run_main(&mut NullSink)
+                .expect("runs");
+        });
+        let traced = allocs_during(|| {
+            Interpreter::new(&p.module)
+                .run_main(&mut CountingSink(0))
+                .expect("runs");
+        });
+        traced - untraced
+    });
+    assert_eq!(at_n, at_8n, "traced minus untraced allocations, N vs 8N");
 }
 
 /// What an *enabled* recorder adds to a one-worker run is paid per span —
