@@ -128,6 +128,25 @@ mod tests {
         build_pspdg(&p, f, &a, &pdg, FeatureSet::all())
     }
 
+    /// Whether a memory edge joins the PS-PDG's two `task` nodes.
+    fn tasks_connected(ps: &crate::graph::PsPdg) -> bool {
+        let tasks: Vec<_> = ps
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.label == "task")
+            .map(|(i, _)| crate::graph::NodeId(i as u32))
+            .collect();
+        assert_eq!(tasks.len(), 2);
+        let a = ps.node_insts(tasks[0]);
+        let b = ps.node_insts(tasks[1]);
+        ps.effective.edges().any(|e| {
+            e.kind.is_memory()
+                && ((a.binary_search(&e.src).is_ok() && b.binary_search(&e.dst).is_ok())
+                    || (b.binary_search(&e.src).is_ok() && a.binary_search(&e.dst).is_ok()))
+        })
+    }
+
     #[test]
     fn parallel_maps_to_labeled_node() {
         let ps = pspdg_of(
@@ -394,22 +413,7 @@ mod tests {
         );
         // The two task regions conflict on x via depend clauses: the flow
         // edge between them must survive.
-        let tasks: Vec<_> = ps
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.label == "task")
-            .map(|(i, _)| crate::graph::NodeId(i as u32))
-            .collect();
-        assert_eq!(tasks.len(), 2);
-        let a = ps.node_insts(tasks[0]);
-        let b = ps.node_insts(tasks[1]);
-        let connected = ps.effective.edges().any(|e| {
-            e.kind.is_memory()
-                && ((a.binary_search(&e.src).is_ok() && b.binary_search(&e.dst).is_ok())
-                    || (b.binary_search(&e.src).is_ok() && a.binary_search(&e.dst).is_ok()))
-        });
-        assert!(connected, "depend(out)/depend(in) on x must keep the edge");
+        assert!(tasks_connected(&ps), "depend clauses on x keep the edge");
     }
 
     #[test]
@@ -426,22 +430,7 @@ mod tests {
             int main() { k(); return 0; }
             "#,
         );
-        let tasks: Vec<_> = ps
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.label == "task")
-            .map(|(i, _)| crate::graph::NodeId(i as u32))
-            .collect();
-        assert_eq!(tasks.len(), 2);
-        let a = ps.node_insts(tasks[0]);
-        let b = ps.node_insts(tasks[1]);
-        let connected = ps.effective.edges().any(|e| {
-            e.kind.is_memory()
-                && ((a.binary_search(&e.src).is_ok() && b.binary_search(&e.dst).is_ok())
-                    || (b.binary_search(&e.src).is_ok() && a.binary_search(&e.dst).is_ok()))
-        });
-        assert!(!connected, "undeclared tasks are independent");
+        assert!(!tasks_connected(&ps), "undeclared tasks are independent");
     }
 
     #[test]

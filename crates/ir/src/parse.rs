@@ -579,51 +579,10 @@ mod tests {
 
     #[test]
     fn roundtrip_frontend_output() {
-        // Whole ParC programs round-trip through the printer (the ellipsis
-        // restriction only affects >8-cell *initialized* globals; ParC
-        // globals are zero-initialized).
-        let p = pspdg_frontend_free_roundtrip();
-        roundtrips(&p);
-    }
-
-    // The frontend is a dev-dependency of this crate's *tests* only through
-    // the workspace; build a comparable module by hand instead.
-    fn pspdg_frontend_free_roundtrip() -> Module {
-        let mut m = Module::new("loopy");
-        let f = m.declare_function_with("k", &[("n", Type::I64)], Type::I64);
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(f));
-            let entry = b.create_block("entry");
-            let header = b.create_block("header");
-            let body = b.create_block("body");
-            let latch = b.create_block("latch");
-            let exit = b.create_block("exit");
-            b.switch_to_block(entry);
-            let i = b.alloca(Type::I64, "i");
-            let acc = b.alloca(Type::I64, "acc");
-            b.store(i, Value::const_int(0));
-            b.store(acc, Value::const_int(0));
-            b.br(header);
-            b.switch_to_block(header);
-            let iv = b.load(i, Type::I64);
-            let c = b.cmp(CmpOp::Lt, iv, Value::Param(0));
-            b.cond_br(c, body, exit);
-            b.switch_to_block(body);
-            let a = b.load(acc, Type::I64);
-            let iv2 = b.load(i, Type::I64);
-            let s = b.binary(BinOp::Add, a, iv2);
-            b.store(acc, s);
-            b.br(latch);
-            b.switch_to_block(latch);
-            let iv3 = b.load(i, Type::I64);
-            let n = b.binary(BinOp::Add, iv3, Value::const_int(1));
-            b.store(i, n);
-            b.br(header);
-            b.switch_to_block(exit);
-            let r = b.load(acc, Type::I64);
-            b.ret(Some(r));
-        }
-        m
+        // A loop shaped like the frontend's output round-trips through the
+        // printer (the ellipsis restriction only affects >8-cell
+        // *initialized* globals; ParC globals are zero-initialized).
+        roundtrips(&crate::interp::tests::sum_module().0);
     }
 
     #[test]

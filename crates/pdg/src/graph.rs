@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use pspdg_ir::{BlockId, FuncId, Inst, InstId, Intrinsic, LoopId, Module, Type, Value};
+use pspdg_ir::{BlockId, FuncId, Inst, InstId, Intrinsic, LoopId, Module, Value};
 use pspdg_pool::BitSet;
 
 use crate::affine::{affine_of, Affine};
@@ -764,12 +764,6 @@ fn address_affine(
         },
         Value::Const(_) => None,
     }
-}
-
-/// Unused but kept for parity with `Type::flat_len` callers.
-#[allow(dead_code)]
-fn scalar_size(_ty: &Type) -> u64 {
-    1
 }
 
 #[cfg(test)]

@@ -17,38 +17,10 @@ use std::fmt::Write as _;
 use pspdg_parallel::ParallelProgram;
 
 /// 64-bit FNV-1a over a byte stream.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Absorb bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64::new()
-    }
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
 }
 
 /// The content key of a parsed program: module IR text + directive list.
@@ -57,9 +29,7 @@ pub fn content_key(program: &ParallelProgram) -> u64 {
     for (id, d) in program.directives() {
         let _ = write!(text, "\n;; directive {id:?} {d:?}");
     }
-    let mut h = Fnv64::new();
-    h.write(text.as_bytes());
-    h.finish()
+    fnv1a(text.as_bytes())
 }
 
 /// Render a content key the way the protocol and the logs print it.
@@ -75,12 +45,8 @@ mod tests {
     #[test]
     fn fnv_vectors() {
         // Standard FNV-1a test vectors.
-        let mut h = Fnv64::new();
-        h.write(b"");
-        assert_eq!(h.finish(), 0xcbf29ce484222325);
-        let mut h = Fnv64::new();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 
     #[test]

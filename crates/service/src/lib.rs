@@ -13,7 +13,8 @@
 //!   one `Arc`-shared program + profile + baseline + per-function
 //!   analyses, with a per-abstraction plan cache
 //!   ([`Session::plan`] / [`Session::replan`] / [`Session::execute`]);
-//! * [`PlanStore`] — the content-addressed session cache: single-flight
+//! * [`PlanStore`] — the content-addressed session cache: a source memo
+//!   that answers byte-identical repeats without compiling, single-flight
 //!   builds, LRU eviction under a byte budget, live hit/miss counters;
 //! * [`PlanService`] — the daemon: newline-delimited JSON over TCP, a
 //!   bounded request queue fanned out over one shared worker pool, and

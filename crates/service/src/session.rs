@@ -184,18 +184,7 @@ impl Session {
     ///
     /// See [`SessionError`].
     pub fn compile(source: &str) -> Result<Session, SessionError> {
-        Session::compile_recorded(source, None)
-    }
-
-    /// [`Session::compile`] with pipeline tracing: the module build
-    /// records its `pspdg/pdg_build` / `pspdg/overlay_assemble` spans and
-    /// planning records `plan/enumerate` spans into `rec`. The cache
-    /// tests key on those spans: a session that is *reused* records none.
-    pub fn compile_recorded(
-        source: &str,
-        rec: Option<Arc<Recorder>>,
-    ) -> Result<Session, SessionError> {
-        Session::from_program_recorded(compile(source)?, rec)
+        Session::from_program(compile(source)?)
     }
 
     /// Build a session from an already-constructed program (the NAS
@@ -205,25 +194,15 @@ impl Session {
     ///
     /// See [`SessionError`].
     pub fn from_program(program: ParallelProgram) -> Result<Session, SessionError> {
-        Session::from_program_recorded(program, None)
-    }
-
-    /// [`Session::from_program`] with pipeline tracing.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`].
-    pub fn from_program_recorded(
-        program: ParallelProgram,
-        rec: Option<Arc<Recorder>>,
-    ) -> Result<Session, SessionError> {
         let key = content_key(&program);
-        Session::with_key(program, key, rec)
+        Session::with_key(program, key, None)
     }
 
-    /// [`Session::from_program_recorded`] for a caller that already holds
-    /// `key == content_key(&program)` (the store hashes once per lookup;
-    /// on a big module the hash is milliseconds).
+    /// [`Session::from_program`] for a caller that already holds
+    /// `key == content_key(&program)` (the store hashes once per lookup).
+    /// With `rec`, the build records `pspdg/pdg_build` and
+    /// `pspdg/overlay_assemble` spans and planning `plan/enumerate` spans;
+    /// a reused session records none, which is what the cache tests check.
     pub(crate) fn with_key(
         program: ParallelProgram,
         key: u64,

@@ -9,10 +9,17 @@
 //! concurrent-hammer test pins this through the recorder's
 //! `pspdg/pdg_build` span counts).
 //!
-//! Entries are charged their [`Session::approx_bytes`] against a byte
-//! budget; insertion beyond the budget evicts least-recently-used ready
-//! entries (never the entry being returned, never an in-flight build).
+//! A second map remembers the exact source text behind each ready
+//! session, so a byte-identical repeat of [`PlanStore::get_source`] skips
+//! the compile and the hash (a memo hit is string equality, never a hash
+//! match); a reformatted source still compiles and converges on its key.
+//!
+//! Entries are charged their [`Session::approx_bytes`] plus their
+//! remembered sources against a byte budget; insertion beyond the budget
+//! evicts least-recently-used ready entries and their sources (never the
+//! entry being returned, never an in-flight build).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -40,7 +47,8 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Sessions actually built (== `misses` minus failed builds).
     pub builds: u64,
-    /// Bytes currently charged by ready entries.
+    /// Bytes currently charged by ready entries: each session's
+    /// [`Session::approx_bytes`] plus the sources remembered for it.
     pub bytes: usize,
     /// Ready entries currently cached.
     pub entries: usize,
@@ -58,6 +66,9 @@ enum Slot {
 
 struct Inner {
     entries: HashMap<u64, Slot>,
+    /// Source text → the key of the ready session it compiled to. Only
+    /// ready keys appear here: eviction drops a key's sources with it.
+    sources: HashMap<Arc<str>, u64>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -96,6 +107,7 @@ impl PlanStore {
             rec: None,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
+                sources: HashMap::new(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
@@ -149,16 +161,41 @@ impl PlanStore {
         )
     }
 
-    /// Compile ParC `source` and return its cached (or freshly built)
-    /// session. The compile itself always runs — it is what produces the
-    /// content key — but everything after it (profiling, PDG build,
-    /// plans) is shared on a hit.
+    /// The cached (or freshly built) session for ParC `source`. A source
+    /// byte-identical to one that built or hit a still-cached session is
+    /// answered without compiling or hashing; any other source compiles to
+    /// find its content key, so a reformatted program still shares the
+    /// session (profile, PDG build, plans) of the one it parses to.
     ///
     /// # Errors
     ///
-    /// See [`SessionError`].
+    /// See [`SessionError`]; a failed compile or build is not remembered.
     pub fn get_source(&self, source: &str) -> Result<Arc<Session>, SessionError> {
-        self.get_or_build(compile(source)?)
+        let mut inner = self.inner.lock().expect("store lock");
+        let memo = inner.sources.get(source).copied();
+        if let Some(out) = memo.and_then(|k| inner.hit(k)) {
+            drop(inner);
+            self.count("service/cache_hit", 1);
+            return Ok(out);
+        }
+        drop(inner);
+        let session = self.get_or_build(compile(source)?)?;
+        let key = session.key();
+        let mut guard = self.inner.lock().expect("store lock");
+        let inner = &mut *guard;
+        let mut evicted = 0;
+        // Remember the source only while its session is still cached, and
+        // charge it once: a concurrent miss on the same bytes finds it here.
+        if let Some(Slot::Ready { bytes, .. }) = inner.entries.get_mut(&key) {
+            if !inner.sources.contains_key(source) {
+                *bytes += source.len();
+                inner.sources.insert(Arc::from(source), key);
+                evicted = evict_over_budget(inner, self.budget, key);
+            }
+        }
+        drop(guard);
+        self.count("service/cache_eviction", evicted);
+        Ok(session)
     }
 
     /// The cached session for `program`, building it (exactly once, even
@@ -173,31 +210,20 @@ impl PlanStore {
         {
             let mut inner = self.inner.lock().expect("store lock");
             loop {
-                inner.tick += 1;
-                let tick = inner.tick;
-                match inner.entries.get_mut(&key) {
-                    Some(Slot::Ready {
-                        session, last_used, ..
-                    }) => {
-                        *last_used = tick;
-                        let out = Arc::clone(session);
-                        inner.hits += 1;
-                        drop(inner);
-                        self.count("service/cache_hit");
-                        return Ok(out);
-                    }
-                    Some(Slot::Building) => {
-                        inner = self.built.wait(inner).expect("store lock");
-                    }
-                    None => {
-                        inner.entries.insert(key, Slot::Building);
-                        inner.misses += 1;
-                        break;
-                    }
+                if let Some(out) = inner.hit(key) {
+                    drop(inner);
+                    self.count("service/cache_hit", 1);
+                    return Ok(out);
                 }
+                if let Entry::Vacant(slot) = inner.entries.entry(key) {
+                    slot.insert(Slot::Building);
+                    inner.misses += 1;
+                    break;
+                }
+                inner = self.built.wait(inner).expect("store lock");
             }
         }
-        self.count("service/cache_miss");
+        self.count("service/cache_miss", 1);
         // Build outside the lock — the whole point of single-flight is
         // that concurrent *distinct* programs build in parallel.
         let result = Session::with_key(program, key, self.rec.clone());
@@ -219,9 +245,7 @@ impl PlanStore {
                 );
                 let evicted = evict_over_budget(&mut inner, self.budget, key);
                 drop(inner);
-                for _ in 0..evicted {
-                    self.count("service/cache_eviction");
-                }
+                self.count("service/cache_eviction", evicted);
                 self.built.notify_all();
                 Ok(session)
             }
@@ -234,10 +258,27 @@ impl PlanStore {
         }
     }
 
-    fn count(&self, name: &'static str) {
-        if let Some(r) = self.rec.as_deref().filter(|r| r.enabled()) {
-            r.add(name, 1);
+    fn count(&self, name: &'static str, n: u64) {
+        if let Some(r) = &self.rec {
+            r.add(name, n);
         }
+    }
+}
+
+impl Inner {
+    /// `key`'s ready session, touched for LRU and counted as a hit;
+    /// `None` if it is absent or still building.
+    fn hit(&mut self, key: u64) -> Option<Arc<Session>> {
+        self.tick += 1;
+        let Some(Slot::Ready {
+            session, last_used, ..
+        }) = self.entries.get_mut(&key)
+        else {
+            return None;
+        };
+        *last_used = self.tick;
+        self.hits += 1;
+        Some(Arc::clone(session))
     }
 }
 
@@ -247,9 +288,10 @@ impl Default for PlanStore {
     }
 }
 
-/// Evict least-recently-used ready entries until the charged bytes fit
-/// the budget; `keep` (the entry being returned) and in-flight builds
-/// are never evicted. Returns how many entries were dropped.
+/// Evict least-recently-used ready entries, with the sources remembered
+/// for them, until the charged bytes fit the budget; `keep` (the entry
+/// being returned) and in-flight builds are never evicted. Returns how
+/// many entries were dropped.
 fn evict_over_budget(inner: &mut Inner, budget: usize, keep: u64) -> u64 {
     let mut evicted = 0;
     loop {
@@ -274,6 +316,7 @@ fn evict_over_budget(inner: &mut Inner, budget: usize, keep: u64) -> u64 {
             .min();
         let Some((_, k)) = victim else { break };
         inner.entries.remove(&k);
+        inner.sources.retain(|_, key| *key != k);
         inner.evictions += 1;
         evicted += 1;
     }

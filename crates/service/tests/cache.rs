@@ -1,5 +1,6 @@
-//! PlanStore behavior: content-hash keying, LRU eviction under a byte
-//! budget, and single-flight builds under a concurrent hammer.
+//! PlanStore behavior: content-hash keying, the source memo and its
+//! eviction, LRU eviction under a byte budget, and single-flight builds
+//! under a concurrent hammer.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -236,22 +237,62 @@ fn store_results_match_direct_single_threaded_path() {
 }
 
 #[test]
+fn eviction_drops_the_sessions_remembered_sources() {
+    // Room for one session and its source, not two.
+    let budget = Session::compile(&variant(1)).unwrap().approx_bytes() * 3 / 2;
+    let store = PlanStore::with_budget(budget);
+    let first = store.get_source(&variant(0)).unwrap();
+    store.get_source(&variant(1)).unwrap();
+    assert!(!store.contains(first.key()), "variant 0 must be evicted");
+
+    let again = store.get_source(&variant(0)).unwrap();
+    assert!(!Arc::ptr_eq(&first, &again), "an evicted session came back");
+    let stats = store.stats();
+    assert_eq!((stats.misses, stats.builds, stats.entries), (3, 3, 1));
+    // A memo entry that outlived its session would skip this charge.
+    assert_eq!(stats.bytes, again.approx_bytes() + variant(0).len());
+}
+
+#[test]
 fn failed_builds_are_not_cached() {
     let store = PlanStore::new();
     // Runs off the end of the array: the sequential profiling run faults,
     // so no baseline exists and the session must not be cached.
-    let bad = r#"
+    let faults = r#"
 int v[4];
 void k() { int i; for (i = 0; i <= 4; i++) { v[i] = i; } }
 int main() { k(); return 0; }
 "#;
-    assert!(store.get_source(bad).is_err());
+    // Every retry fails again (deterministically) rather than deadlocking
+    // on a poisoned Building slot or answering from the source memo.
+    for _ in 0..3 {
+        assert!(store.get_source("int main( {").is_err());
+        assert!(store.get_source(faults).is_err());
+    }
     let stats = store.stats();
-    assert_eq!(stats.entries, 0);
-    assert_eq!(stats.builds, 0);
-    // The retry also fails (deterministically) rather than deadlocking
-    // on a poisoned Building slot.
-    assert!(store.get_source(bad).is_err());
+    assert_eq!((stats.entries, stats.builds, stats.misses), (0, 0, 3));
+}
+
+#[test]
+fn byte_identical_requests_build_once_then_hit_the_source_memo() {
+    const THREADS: usize = 8;
+    let store = PlanStore::new();
+    let sessions: Vec<Arc<Session>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| s.spawn(|| store.get_source(DENSE).unwrap()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = store.stats();
+    assert_eq!(stats.builds, 1, "single-flight violated: {stats:?}");
+    assert_eq!(stats.hits + stats.misses, THREADS as u64);
+    assert!(sessions.iter().all(|s| Arc::ptr_eq(s, &sessions[0])));
+    // The source is charged to its session once, next to its estimate.
+    assert_eq!(stats.bytes, sessions[0].approx_bytes() + DENSE.len());
+    assert!(Arc::ptr_eq(&store.get_source(DENSE).unwrap(), &sessions[0]));
+    let after = store.stats();
+    assert_eq!((after.hits, after.builds), (stats.hits + 1, 1));
+    assert_eq!(after.bytes, stats.bytes);
 }
 
 fn span_count(rec: &Recorder, name: &str) -> u64 {

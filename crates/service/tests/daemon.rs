@@ -108,6 +108,32 @@ fn end_to_end_cold_then_warm_skips_pdg_rebuild() {
     service.shutdown();
 }
 
+/// The store traffic the benchmark's self-check relies on: one miss and
+/// one build, then a hit per repeat that builds nothing and answers alike.
+#[test]
+fn repeated_plan_request_builds_once_and_hits_after() {
+    const N: usize = 5;
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let (mut payloads, mut pdg_spans) = (Vec::new(), Vec::new());
+    for _ in 0..N {
+        let mut plan = client.plan(SRC, Abstraction::PsPdg).unwrap();
+        if let Value::Obj(members) = &mut plan {
+            members.retain(|(k, _)| k != "id");
+        }
+        payloads.push(plan);
+        pdg_spans.push(span_count(&client.metrics().unwrap(), "pspdg/pdg_build"));
+    }
+    payloads.dedup();
+    pdg_spans.dedup();
+    assert_eq!(payloads.len(), 1, "payloads differ");
+    assert!(pdg_spans.len() == 1 && pdg_spans[0] > 0.0, "{pdg_spans:?}");
+    let cache = client.metrics().unwrap().get("cache").unwrap().clone();
+    assert_eq!(num(&cache, "hits"), (N - 1) as f64);
+    assert_eq!((num(&cache, "misses"), num(&cache, "builds")), (1.0, 1.0));
+    service.shutdown();
+}
+
 #[test]
 fn report_carries_prediction_and_execution() {
     let service = start();
