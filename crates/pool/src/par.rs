@@ -9,7 +9,12 @@
 //! matches order of inputs.
 //!
 //! Nested calls degrade to inline execution: a pool worker calling
-//! `par_map` would otherwise block a slot its sub-jobs need.
+//! `par_map` would otherwise block a slot its sub-jobs need. Any other
+//! thread fans out, and several may share the global pool at once (the
+//! daemon's handler threads are plain threads for exactly this): each
+//! caller claims items from its own cursor too, so it finishes its map
+//! even if every pool worker is busy with another caller's items, and
+//! only then waits for its queued jobs, which find nothing left to do.
 
 use crate::pool::{on_pool_worker, WorkerPool};
 use std::cell::UnsafeCell;

@@ -17,7 +17,7 @@
 //!   that answers byte-identical repeats without compiling, single-flight
 //!   builds, LRU eviction under a byte budget, live hit/miss counters;
 //! * [`PlanService`] — the daemon: newline-delimited JSON over TCP, a
-//!   bounded request queue fanned out over one shared worker pool, and
+//!   bounded request queue drained by plain handler threads, and
 //!   graceful shutdown that drains every in-flight request;
 //! * [`Client`] — the matching blocking client.
 //!

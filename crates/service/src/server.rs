@@ -8,9 +8,12 @@
 //! * **reader threads** that parse request lines and enqueue them into a
 //!   **bounded** [`Channel`] (backpressure: a flood of requests blocks
 //!   the flooding client's reader, not the server);
-//! * a **dispatcher thread** that fans the queue out over one shared
-//!   [`WorkerPool`] via `pool.scope` — every request handler runs on a
-//!   pool worker, and every handler goes through the one shared
+//! * **handler threads** ([`ServiceConfig::handlers`] of them) that take
+//!   requests off the queue. They are plain threads, not pool workers, so
+//!   a cold build's per-function `par_map`s (PDG build, planning, content
+//!   key) fan out over the process-global analysis pool, whose workers run
+//!   any nested `par_map` inline; each `execute` still runs on its own
+//!   `Runtime`'s pool. Every handler goes through the one shared
 //!   [`PlanStore`], so concurrent clients asking for the same program
 //!   share a single build.
 //!
@@ -36,7 +39,7 @@
 //! loop, half-closes every client socket's read side, joins the readers,
 //! then closes the queue — the [`Channel`] **drains after close**, so
 //! every request already enqueued is handled and answered before the
-//! pool scope returns. Nothing in flight is dropped.
+//! handler threads exit and are joined. Nothing in flight is dropped.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -50,7 +53,7 @@ use pspdg_ir::interp::RtVal;
 use pspdg_ir::parse::parse_module;
 use pspdg_obs::Recorder;
 use pspdg_parallel::ParallelProgram;
-use pspdg_pool::{Channel, WorkerPool};
+use pspdg_pool::Channel;
 
 use crate::hash::key_hex;
 use crate::proto::{abstraction_name, parse_request, Envelope, Input, JsonObj, Request};
@@ -71,7 +74,9 @@ pub struct ServiceConfig {
     /// Bind address. Default `127.0.0.1:0` — loopback only, ephemeral
     /// port (read it back from [`PlanService::addr`]).
     pub addr: String,
-    /// Concurrent request handlers (jobs on the shared worker pool).
+    /// Concurrent request handlers: plain threads, not pool workers, so a
+    /// cold build fans its per-function work out over the process-global
+    /// analysis pool ([`pspdg_pool::par_map`]).
     pub handlers: usize,
     /// Bounded request-queue capacity (backpressure depth).
     pub queue_capacity: usize,
@@ -142,7 +147,7 @@ pub struct PlanService {
     addr: SocketAddr,
     shared: Arc<SharedState>,
     accept_thread: Option<JoinHandle<()>>,
-    dispatch_thread: Option<JoinHandle<()>>,
+    handler_threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for PlanService {
@@ -155,7 +160,7 @@ impl std::fmt::Debug for PlanService {
 }
 
 impl PlanService {
-    /// Bind, spawn the accept and dispatcher threads, and start serving.
+    /// Bind, spawn the accept and handler threads, and start serving.
     ///
     /// # Errors
     ///
@@ -188,31 +193,26 @@ impl PlanService {
             .spawn(move || accept_loop(listener, addr, accept_shared))
             .expect("spawn accept thread");
 
-        let handlers = config.handlers.max(1);
-        let dispatch_shared = Arc::clone(&shared);
-        let dispatch_thread = std::thread::Builder::new()
-            .name("pspdg-dispatch".to_string())
-            .spawn(move || {
-                let pool = WorkerPool::new(handlers);
-                pool.scope(|s| {
-                    for _ in 0..handlers {
-                        let shared = Arc::clone(&dispatch_shared);
-                        s.spawn(move || {
-                            while let Some(job) = shared.queue.recv() {
-                                let line = handle(&shared, &job.env);
-                                write_line(&job.out, &line);
-                            }
-                        });
-                    }
-                });
+        let handler_threads = (0..config.handlers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("pspdg-handler-{i}"))
+                    .spawn(move || {
+                        while let Some(job) = shared.queue.recv() {
+                            let line = handle(&shared, &job.env);
+                            write_line(&job.out, &line);
+                        }
+                    })
+                    .expect("spawn handler thread")
             })
-            .expect("spawn dispatcher thread");
+            .collect();
 
         Ok(PlanService {
             addr,
             shared,
             accept_thread: Some(accept_thread),
-            dispatch_thread: Some(dispatch_thread),
+            handler_threads,
         })
     }
 
@@ -273,9 +273,9 @@ impl PlanService {
         }
         // No reader can enqueue anymore; close the queue. Channel::recv
         // drains remaining items after close, so every queued request is
-        // still handled before the pool scope returns.
+        // still handled before its handler thread exits.
         self.shared.queue.close();
-        if let Some(t) = self.dispatch_thread.take() {
+        for t in self.handler_threads.drain(..) {
             let _ = t.join();
         }
     }
@@ -283,7 +283,7 @@ impl PlanService {
 
 impl Drop for PlanService {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() || self.dispatch_thread.is_some() {
+        if self.accept_thread.is_some() || !self.handler_threads.is_empty() {
             self.teardown();
         }
     }

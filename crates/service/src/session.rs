@@ -184,7 +184,10 @@ impl Session {
     ///
     /// See [`SessionError`].
     pub fn compile(source: &str) -> Result<Session, SessionError> {
-        Session::from_program(compile(source)?)
+        // The frontend hands back a validated program.
+        let program = compile(source)?;
+        let key = content_key(&program);
+        Session::with_key(program, key, None)
     }
 
     /// Build a session from an already-constructed program (the NAS
@@ -194,11 +197,12 @@ impl Session {
     ///
     /// See [`SessionError`].
     pub fn from_program(program: ParallelProgram) -> Result<Session, SessionError> {
+        program.validate().map_err(SessionError::Invalid)?;
         let key = content_key(&program);
         Session::with_key(program, key, None)
     }
 
-    /// [`Session::from_program`] for a caller that already holds
+    /// The session of an already-validated `program` whose caller holds
     /// `key == content_key(&program)` (the store hashes once per lookup).
     /// With `rec`, the build records `pspdg/pdg_build` and
     /// `pspdg/overlay_assemble` spans and planning `plan/enumerate` spans;
@@ -208,7 +212,6 @@ impl Session {
         key: u64,
         rec: Option<Arc<Recorder>>,
     ) -> Result<Session, SessionError> {
-        program.validate().map_err(SessionError::Invalid)?;
         // One sequential run doubles as profiler and baseline oracle.
         let t0 = Instant::now();
         let mut interp = Interpreter::new(&program.module);

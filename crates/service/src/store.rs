@@ -179,7 +179,7 @@ impl PlanStore {
             return Ok(out);
         }
         drop(inner);
-        let session = self.get_or_build(compile(source)?)?;
+        let session = self.lookup(compile(source)?, true)?;
         let key = session.key();
         let mut guard = self.inner.lock().expect("store lock");
         let inner = &mut *guard;
@@ -206,6 +206,16 @@ impl PlanStore {
     /// See [`SessionError`]. A failed build is not cached; the next
     /// request retries.
     pub fn get_or_build(&self, program: ParallelProgram) -> Result<Arc<Session>, SessionError> {
+        self.lookup(program, false)
+    }
+
+    /// [`PlanStore::get_or_build`]; a miss validates `program` first unless
+    /// the caller says it is `validated` (the frontend's output is).
+    fn lookup(
+        &self,
+        program: ParallelProgram,
+        validated: bool,
+    ) -> Result<Arc<Session>, SessionError> {
         let key = content_key(&program);
         {
             let mut inner = self.inner.lock().expect("store lock");
@@ -226,7 +236,12 @@ impl PlanStore {
         self.count("service/cache_miss", 1);
         // Build outside the lock — the whole point of single-flight is
         // that concurrent *distinct* programs build in parallel.
-        let result = Session::with_key(program, key, self.rec.clone());
+        let valid = if validated {
+            Ok(())
+        } else {
+            program.validate().map_err(SessionError::Invalid)
+        };
+        let result = valid.and_then(|()| Session::with_key(program, key, self.rec.clone()));
         let mut inner = self.inner.lock().expect("store lock");
         match result {
             Ok(session) => {

@@ -1,13 +1,19 @@
 //! End-to-end daemon tests: protocol round-trips, warm-cache behavior
 //! proven through the metrics op, and graceful-shutdown draining.
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use pspdg_nas::synth;
 use pspdg_obs::json::Value;
 use pspdg_parallelizer::Abstraction;
-use pspdg_service::{Client, ClientError, PlanService, ServiceConfig, MAX_REQUEST_BYTES};
+use pspdg_service::proto::{Input, Request};
+use pspdg_service::{
+    key_hex, Client, ClientError, PlanService, ServiceConfig, Session, MAX_REQUEST_BYTES,
+};
 
 const SRC: &str = r#"
 int v[64]; int s;
@@ -36,6 +42,12 @@ fn start() -> PlanService {
         ..ServiceConfig::default()
     })
     .expect("bind loopback")
+}
+
+/// A multi-function SYNTH module made distinct per `salt` by one extra
+/// global, so each salt is its own content key and its own cold build.
+fn salted_module(salt: usize, n_funcs: usize) -> String {
+    format!("int salt{salt};\n{}", synth::module(n_funcs, 8).source)
 }
 
 fn num(v: &Value, key: &str) -> f64 {
@@ -253,6 +265,134 @@ fn concurrent_clients_get_bit_identical_answers() {
     }
     // One content key, one build.
     assert_eq!(service.store().stats().builds, 1);
+    service.shutdown();
+}
+
+/// Handlers are plain threads, so a cold build's per-function PDG builds
+/// spread over the global analysis pool instead of running inline.
+#[test]
+fn a_cold_build_fans_out_over_the_global_pool() {
+    // One handler: every span a handler records lands on one lane, so a
+    // second lane can only be a pool worker's.
+    let service = PlanService::start(ServiceConfig {
+        handlers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("bind loopback");
+    let rec = service.recorder().expect("recording is on by default");
+    let mut client = Client::connect(service.addr()).unwrap();
+    let mut lanes = HashSet::new();
+    // The handler claims functions as well; on a loaded host it may finish
+    // a module before a worker wakes, so allow a few distinct modules.
+    for salt in 0..3 {
+        client
+            .plan(&salted_module(salt, 16), Abstraction::PsPdg)
+            .unwrap();
+        lanes.extend(
+            rec.snapshot()
+                .events
+                .iter()
+                .filter(|e| e.name == "pspdg/pdg_build")
+                .map(|e| e.tid),
+        );
+        if lanes.len() >= 2 {
+            break;
+        }
+    }
+    assert!(
+        lanes.len() >= 2 || pspdg_pool::global().size() < 2,
+        "PDG builds ran on one lane: {lanes:?}"
+    );
+    service.shutdown();
+}
+
+/// Concurrent cold builds of distinct programs share the one global pool:
+/// every client is answered (no deadlock), and each plan is the one an
+/// in-process session makes of the same source.
+#[test]
+fn concurrent_cold_builds_share_the_pool_and_plan_like_in_process() {
+    const CLIENTS: usize = 4;
+    let service = start();
+    let addr = service.addr();
+    let sources: Vec<String> = (0..CLIENTS).map(|i| salted_module(i, 12)).collect();
+    let barrier = Barrier::new(CLIENTS);
+    let answers: Vec<Value> = std::thread::scope(|s| {
+        let handles: Vec<_> = sources
+            .iter()
+            .map(|src| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    barrier.wait();
+                    c.plan(src, Abstraction::PsPdg).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (src, answer) in sources.iter().zip(&answers) {
+        let session = Session::compile(src).unwrap();
+        let plan = &session.plan(Abstraction::PsPdg).plan;
+        let mut techniques: Vec<&str> = plan.loops.values().map(|l| l.technique.name()).collect();
+        techniques.sort_unstable();
+        let answered: Vec<&str> = answer
+            .get("techniques")
+            .and_then(Value::as_array)
+            .expect("techniques")
+            .iter()
+            .map(|t| t.as_str().expect("technique name"))
+            .collect();
+        assert_eq!(
+            answer.get("key").and_then(Value::as_str),
+            Some(key_hex(session.key()).as_str())
+        );
+        assert!(!plan.loops.is_empty(), "f0's loops are hot and planned");
+        assert_eq!(num(answer, "loops"), plan.loops.len() as f64);
+        assert_eq!(answered, techniques);
+        assert_eq!(num(answer, "mutexes"), plan.mutexes.len() as f64);
+        assert_eq!(
+            answer.get("parallel_spawns"),
+            Some(&Value::Bool(plan.parallel_spawns))
+        );
+    }
+    assert_eq!(service.store().stats().builds, CLIENTS as u64);
+    service.shutdown();
+}
+
+/// The IR printer elides a global initializer after its eighth cell; the
+/// content key must not, or these two programs would share one session
+/// and the second would be answered with the first's result.
+#[test]
+fn ir_programs_differing_past_the_eighth_global_cell_get_their_own_sessions() {
+    let ir = |last: i64| {
+        format!(
+            "; module cells\n\
+             global @g0 : [i64; 9] ; tab = [0, 0, 0, 0, 0, 0, 0, 0, {last}]\n\
+             \n\
+             func @main() -> i64 {{\n\
+             bb0 (entry):\n  \
+             %0 = gep @g0, 8 x i64\n  \
+             %1 = load i64, %0\n  \
+             ret %1\n\
+             }}\n"
+        )
+    };
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let mut keys = HashSet::new();
+    for last in [8, 99] {
+        let v = client
+            .call(Request::Execute {
+                input: Input::Ir(ir(last)),
+                abstraction: Abstraction::PsPdg,
+                workers: Some(2),
+            })
+            .unwrap();
+        assert_eq!(num(&v, "ret"), last as f64, "answered from another session");
+        keys.insert(v.get("key").and_then(Value::as_str).unwrap().to_string());
+    }
+    assert_eq!(keys.len(), 2, "two programs shared a key");
+    assert_eq!(service.store().stats().builds, 2);
     service.shutdown();
 }
 
