@@ -86,9 +86,10 @@ pub fn key_hex(key: u64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pspdg_frontend::compile;
+    use pspdg_ir::{parse_module, FunctionBuilder, Module, Type, Value};
     use pspdg_nas::{fault_suite, synth, Class};
 
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -104,21 +105,89 @@ mod tests {
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 
+    const KERNEL: &str = "int v[8];\nvoid k() { int i;\n#pragma omp parallel for schedule(static)\nfor (i = 0; i < 8; i++) { v[i] = i; } }\nint main() { k(); return 0; }";
+
+    /// `KERNEL` with `from` replaced by `to`, compiled.
+    fn edit(from: &str, to: &str) -> ParallelProgram {
+        assert!(KERNEL.contains(from), "{from:?}");
+        compile(&KERNEL.replace(from, to)).unwrap()
+    }
+
+    /// A one-global IR module whose nine-cell initializer ends in `last`.
+    fn nine_cells(last: i64) -> ParallelProgram {
+        let text = format!(
+            "; module cells\nglobal @g0 : [i64; 9] ; tab = [0, 0, 0, 0, 0, 0, 0, 0, {last}]\n\n\
+             func @main() -> i64 {{\nbb0 (entry):\n  %0 = gep @g0, 8 x i64\n  %1 = load i64, %0\n  ret %1\n}}\n"
+        );
+        ParallelProgram::new(parse_module(&text).unwrap())
+    }
+
+    /// A `main` that returns the float constant `c`.
+    pub(crate) fn returns_float(c: f64) -> ParallelProgram {
+        let mut module = Module::new("float");
+        let f = module.declare_function("main", Vec::new(), Type::F64);
+        let mut b = FunctionBuilder::new(module.function_mut(f));
+        let entry = b.create_block("entry");
+        b.switch_to_block(entry);
+        b.ret(Some(Value::const_float(c)));
+        ParallelProgram::new(module)
+    }
+
+    /// What must share a key (formatting) and what must not (one change
+    /// to what the program does or names).
+    fn pairs() -> Vec<(&'static str, bool, ParallelProgram, ParallelProgram)> {
+        let base = || compile(KERNEL).unwrap();
+        vec![
+            (
+                "whitespace",
+                true,
+                base(),
+                edit("{ v[i] = i; } }", "{\n      v[i] = i;\n  }   }\n\n"),
+            ),
+            (
+                "comments",
+                true,
+                base(),
+                edit("int main()", "/* entry */ int main() // driver\n"),
+            ),
+            (
+                "one instruction",
+                false,
+                base(),
+                edit("v[i] = i;", "v[i] = i + 1;"),
+            ),
+            (
+                "one directive clause",
+                false,
+                base(),
+                edit("schedule(static)", "schedule(dynamic)"),
+            ),
+            (
+                "a global's name",
+                false,
+                edit("int v", "int zz_salt_0;\nint v"),
+                edit("int v", "int zz_salt_1;\nint v"),
+            ),
+            (
+                "a global cell past the eighth",
+                false,
+                nine_cells(8),
+                nine_cells(99),
+            ),
+            (
+                "0.0 vs -0.0",
+                false,
+                returns_float(0.0),
+                returns_float(-0.0),
+            ),
+        ]
+    }
+
     #[test]
     fn formatting_invariant_semantics_sensitive() {
-        let a = compile("int v[8];\nvoid k() { int i;\n#pragma omp parallel for\nfor (i = 0; i < 8; i++) { v[i] = i; } }\nint main() { k(); return 0; }").unwrap();
-        let b = compile("int v[8];   \n\n  void k() {   int i;\n  #pragma omp parallel for\n  for (i = 0; i < 8; i++) {\n      v[i] = i;\n  } }\nint main() { k(); return 0; }").unwrap();
-        let c = compile("int v[8];\nvoid k() { int i;\n#pragma omp parallel for\nfor (i = 0; i < 8; i++) { v[i] = i + 1; } }\nint main() { k(); return 0; }").unwrap();
-        assert_eq!(
-            content_key(&a),
-            content_key(&b),
-            "formatting-only change must share a key"
-        );
-        assert_ne!(
-            content_key(&a),
-            content_key(&c),
-            "semantic change must change the key"
-        );
+        for (what, share, a, b) in pairs() {
+            assert_eq!(content_key(&a) == content_key(&b), share, "{what}");
+        }
     }
 
     /// The streamed key equals the hash of the whole module text plus the
