@@ -5,7 +5,7 @@ use crate::types::Type;
 use crate::value::{BlockId, Constant, FuncId, GlobalId, InstId, Value};
 
 /// A formal parameter of a [`Function`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Param {
     /// Source-level name (diagnostics only).
     pub name: String,
@@ -15,7 +15,7 @@ pub struct Param {
 
 /// A basic block: a label plus an ordered list of instructions, the last of
 /// which must be a terminator once the function is complete.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Block {
     /// Label (diagnostics only; uniqueness is not required).
     pub name: String,
@@ -24,7 +24,7 @@ pub struct Block {
 }
 
 /// Initializer for a module-level [`Global`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GlobalInit {
     /// All cells zero-initialized (integers 0, floats 0.0, bools false).
     Zero,
@@ -33,7 +33,7 @@ pub enum GlobalInit {
 }
 
 /// A module-level memory object (models a C global / static array).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Global {
     /// Source-level name.
     pub name: String,
@@ -45,7 +45,7 @@ pub struct Global {
 
 /// A function: parameters, a return type, and a CFG of basic blocks over an
 /// instruction arena.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Function {
     /// Source-level name.
     pub name: String,
@@ -145,7 +145,7 @@ impl Function {
 }
 
 /// A translation unit: functions plus module-level globals.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Module {
     /// Module name (diagnostics only).
     pub name: String,

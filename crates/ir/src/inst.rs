@@ -266,7 +266,7 @@ impl Intrinsic {
 ///
 /// The instruction's result (if any) is referred to elsewhere through
 /// [`Value::Inst`] with this instruction's id.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// Allocate a stack object of type `ty` in the current activation and
     /// yield its address. `name` is the source-level variable name (kept for
@@ -420,7 +420,7 @@ impl Inst {
 
 /// An instruction together with its computed result type; the element of the
 /// per-function instruction arena.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InstData {
     /// The instruction.
     pub inst: Inst,

@@ -7,6 +7,7 @@
 //! addresses.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -58,12 +59,16 @@ id_newtype!(
 
 /// A compile-time constant.
 ///
+/// Equality and hashing compare floats by their bits, so a constant is
+/// equal to itself even when it is a NaN, and `0.0` differs from `-0.0`:
+/// a program is always equal to itself (the plan store's hit check).
+///
 /// ```
 /// use pspdg_ir::Constant;
 /// assert_eq!(Constant::Int(3).to_string(), "3");
 /// assert_eq!(Constant::Bool(true).to_string(), "true");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Constant {
     /// 64-bit signed integer constant.
     Int(i64),
@@ -81,6 +86,29 @@ impl Constant {
             Constant::Float(_) => crate::Type::F64,
             Constant::Bool(_) => crate::Type::Bool,
         }
+    }
+
+    /// The variant and payload bits that equality and hashing compare.
+    fn bits(self) -> (u8, u64) {
+        match self {
+            Constant::Int(v) => (0, v as u64),
+            Constant::Float(v) => (1, v.to_bits()),
+            Constant::Bool(v) => (2, u64::from(v)),
+        }
+    }
+}
+
+impl PartialEq for Constant {
+    fn eq(&self, other: &Constant) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for Constant {}
+
+impl Hash for Constant {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
     }
 }
 
@@ -105,7 +133,7 @@ impl fmt::Display for Constant {
 /// `Value` is `Copy`; instructions store operands inline. A value is either a
 /// [`Constant`], the result of another instruction in the same function, a
 /// function parameter, or the address of a module-level global.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An immediate constant.
     Const(Constant),
@@ -196,6 +224,23 @@ mod tests {
         assert_eq!(Constant::Int(1).ty(), crate::Type::I64);
         assert_eq!(Constant::Float(1.0).ty(), crate::Type::F64);
         assert_eq!(Constant::Bool(false).ty(), crate::Type::Bool);
+    }
+
+    #[test]
+    fn float_constants_compare_and_hash_by_bits() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |c: Constant| {
+            let mut h = DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        let nan = Constant::Float(f64::NAN);
+        assert_eq!(nan, nan);
+        assert_eq!(hash(nan), hash(nan));
+        assert_ne!(Constant::Float(0.0), Constant::Float(-0.0));
+        assert_ne!(Constant::Int(1), Constant::Bool(true));
+        assert_ne!(Constant::Int(0), Constant::Float(0.0));
+        assert_eq!(Value::const_float(1.5), Value::const_float(1.5));
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub struct Depend {
 }
 
 /// The construct a directive represents.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DirectiveKind {
     /// `omp parallel` — spawn a team executing the region redundantly.
     Parallel,
@@ -232,7 +232,7 @@ impl DirectiveKind {
 }
 
 /// The IR blocks a directive governs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Region {
     /// Function the region lives in.
     pub func: FuncId,
@@ -266,7 +266,7 @@ impl Region {
 }
 
 /// A parallel construct bound to an IR region.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Directive {
     /// The construct.
     pub kind: DirectiveKind,

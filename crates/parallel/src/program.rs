@@ -8,7 +8,7 @@ use crate::directive::{Directive, DirectiveId, DirectiveKind, VarRef};
 
 /// A module plus the parallel directives annotating it — the input to
 /// PS-PDG construction (paper Fig. 12: "IR with metadata").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParallelProgram {
     /// The sequential IR.
     pub module: Module,
@@ -61,33 +61,6 @@ impl ParallelProgram {
     ) -> impl Iterator<Item = (DirectiveId, &Directive)> + '_ {
         self.directives()
             .filter(move |(_, d)| d.region.func == func)
-    }
-
-    /// The innermost directive whose region encloses that of `id`
-    /// (lexical parent).
-    pub fn parent_of(&self, id: DirectiveId) -> Option<DirectiveId> {
-        let child = self.directive(id);
-        let mut best: Option<DirectiveId> = None;
-        for (other_id, other) in self.directives() {
-            if other_id == id || !other.region.encloses(&child.region) {
-                continue;
-            }
-            // Skip identical regions unless `other` came first (e.g. a
-            // `parallel` and a `for` sharing a region nest parallel→for).
-            if other.region.blocks == child.region.blocks && other_id > id {
-                continue;
-            }
-            best = Some(match best {
-                None => other_id,
-                Some(cur)
-                    if self.directive(cur).region.blocks.len() > other.region.blocks.len() =>
-                {
-                    other_id
-                }
-                Some(cur) => cur,
-            });
-        }
-        best
     }
 
     /// The `For`/`CilkFor`/`Taskloop`/`Simd` directive attached to the loop
@@ -331,10 +304,8 @@ mod tests {
             vec![BlockId(0), BlockId(1), BlockId(2), BlockId(3), BlockId(4)],
             BlockId(0),
         );
-        let par = p.add(Directive::parallel(outer));
-        let wfor = p.add(Directive::omp_for(loop_region(f), BlockId(1)));
-        assert_eq!(p.parent_of(wfor), Some(par));
-        assert_eq!(p.parent_of(par), None);
+        p.add(Directive::parallel(outer));
+        p.add(Directive::omp_for(loop_region(f), BlockId(1)));
         p.validate().expect("valid");
     }
 

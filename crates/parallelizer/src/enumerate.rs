@@ -12,11 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use pspdg_core::{build_pspdg_module, build_pspdg_with_refs, FeatureSet, FunctionPsPdg};
+use pspdg_core::{build_pspdg_module, FeatureSet, FunctionPsPdg};
 use pspdg_ir::interp::Profile;
 use pspdg_ir::{FuncId, LoopId};
 use pspdg_parallel::ParallelProgram;
-use pspdg_pdg::{FunctionAnalyses, Pdg};
 
 use crate::assess::assess_loop;
 use crate::hotloops::hot_loops;
@@ -48,28 +47,6 @@ impl ProgramOptions {
     pub fn total(&self, a: Abstraction) -> u64 {
         self.totals.get(&a).copied().unwrap_or(0)
     }
-}
-
-/// Enumerate options for one function (with the full PS-PDG).
-pub fn enumerate_function(
-    program: &ParallelProgram,
-    func: FuncId,
-    profile: &Profile,
-    machine: &MachineModel,
-    threshold: f64,
-) -> FunctionOptions {
-    let analyses = FunctionAnalyses::compute(&program.module, func);
-    let (pdg, mem_refs) = Pdg::build_with_refs(&program.module, func, &analyses);
-    let features = FeatureSet::all();
-    let pspdg = build_pspdg_with_refs(program, func, &analyses, &pdg, &mem_refs, features);
-    let prepared = FunctionPsPdg {
-        func,
-        analyses,
-        pdg,
-        pspdg,
-        mem_refs,
-    };
-    enumerate_prepared(program, &prepared, profile, machine, threshold)
 }
 
 /// Enumerate options for one function whose analyses/PDG/PS-PDG were

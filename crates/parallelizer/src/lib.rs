@@ -24,14 +24,12 @@ pub mod enumerate;
 pub mod hotloops;
 pub mod machine;
 pub mod plan;
-pub mod realize;
 pub mod schedule;
 pub mod views;
 
 pub use assess::{assess_loop, LoopAssessment};
 pub use enumerate::{
-    enumerate_function, enumerate_program, enumerate_program_with_features, FunctionOptions,
-    ProgramOptions,
+    enumerate_program, enumerate_program_with_features, FunctionOptions, ProgramOptions,
 };
 pub use hotloops::{hot_loops, HotLoop};
 pub use machine::MachineModel;
@@ -39,7 +37,6 @@ pub use plan::{
     build_plan, build_plan_recorded, plan_built, plan_built_recorded, Discharge, LoopPlanSpec,
     MutexSpec, PlannedTechnique, ProgramPlan,
 };
-pub use realize::realize_plan;
 pub use schedule::{
     realize_executable, realize_executable_recorded, ChunkedLoop, CriticalReplay, ExecutablePlan,
     LoopExec, LoopSchedule, RealizationStats,

@@ -1,9 +1,7 @@
 //! Executable plan realization: lowering a [`ProgramPlan`] into the
 //! [`LoopSchedule`]s the `pspdg-runtime` parallel executor runs.
 //!
-//! [`realize_plan`](crate::realize::realize_plan) re-encodes DOALL
-//! decisions as directives; this module goes the rest of the way and
-//! produces something *executable* for every planned loop:
+//! Every planned loop gets something *executable*:
 //!
 //! * **DOALL** loops with a canonical induction structure become
 //!   [`LoopExec::Chunked`] — iteration ranges split across workers, with

@@ -1,83 +1,64 @@
 //! Content addressing for parsed programs.
 //!
-//! The plan cache is keyed by a hash of the **parsed** module and its
-//! directives, not of the source text: two sources that lower to the same
-//! IR (formatting, comments, pragma whitespace) share one cache entry,
-//! while any semantic change — an instruction, a bound, a directive
-//! clause — produces a different key.
+//! The plan store is keyed by the **parsed** program, the module and its
+//! directives, not by the source text. Two sources that lower to the same
+//! IR (formatting, comments, pragma whitespace) share one key, while a
+//! change to what the program does or names (an instruction, a bound, a
+//! directive clause, a global's name or any cell of its initializer)
+//! produces a different one.
 //!
-//! The hash walks the canonical textual form of the IR (the same
-//! `Display` the `.ir` round-trip tests pin) plus the `Debug` form of
-//! every directive, through FNV-1a. Both forms are deterministic
-//! functions of the in-memory structures, so the key is stable across
-//! processes and runs. The one departure from `Display`: a global
-//! initializer is hashed cell by cell to its end, where the printer elides
-//! every cell after the eighth, so two programs that differ only there
-//! never share a session.
-//!
-//! The text is never collected into one string. The header and the
-//! directives stream straight into the hasher; the functions are
-//! formatted in parallel ([`par_map`]) and folded in module order, so the
-//! key is the one the whole text would hash to.
+//! The key is [`ParallelProgram`]'s own derived [`Hash`] fed through
+//! FNV-1a: one multiply per integer field, one per byte of a name. It
+//! covers every field by construction, sees float constants as their bits
+//! (`pspdg_ir::Constant`'s equality does the same), and is stable across
+//! processes and runs. Sixty-four bits can collide, so the key only picks
+//! the bucket: the store checks program equality on every hit.
 
-use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 
-use pspdg_ir::GlobalInit;
 use pspdg_parallel::ParallelProgram;
-use pspdg_pool::par_map;
 
-/// A running 64-bit FNV-1a hash that text can be formatted into.
+/// A running 64-bit FNV-1a hash: bytes mix one at a time, integers one
+/// word at a time.
 struct Fnv1a(u64);
 
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
 impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf29ce484222325)
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x100000001b3);
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
+            self.mix(u64::from(b));
         }
     }
-}
 
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
     }
 }
 
-/// The content key of a parsed program: module IR text + directive list.
+/// The content key of a parsed program: its structural hash.
 pub fn content_key(program: &ParallelProgram) -> u64 {
-    let module = &program.module;
-    let mut h = Fnv1a::new();
-    // Writing into the hasher cannot fail, so every `fmt::Result` is Ok.
-    let _ = writeln!(h, "; module {}", module.name);
-    for (i, g) in module.globals.iter().enumerate() {
-        let _ = write!(h, "global @g{i} : {} ; {}", g.ty, g.name);
-        match &g.init {
-            GlobalInit::Zero => h.bytes(b" = zeroinit\n"),
-            GlobalInit::Data(cells) => {
-                h.bytes(b" = [");
-                for (j, c) in cells.iter().enumerate() {
-                    if j > 0 {
-                        h.bytes(b", ");
-                    }
-                    let _ = write!(h, "{c}");
-                }
-                h.bytes(b"]\n");
-            }
-        }
-    }
-    for text in par_map(module.functions.iter().collect(), |f| f.to_string()) {
-        h.bytes(b"\n");
-        h.bytes(text.as_bytes());
-    }
-    for (id, d) in program.directives() {
-        let _ = write!(h, "\n;; directive {id:?} {d:?}");
-    }
-    h.0
+    let mut h = Fnv1a(FNV_OFFSET);
+    program.hash(&mut h);
+    h.finish()
 }
 
 /// Render a content key the way the protocol and the logs print it.
@@ -93,9 +74,9 @@ pub(crate) mod tests {
     use pspdg_nas::{fault_suite, synth, Class};
 
     fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h = Fnv1a::new();
-        h.bytes(bytes);
-        h.0
+        let mut h = Fnv1a(FNV_OFFSET);
+        h.write(bytes);
+        h.finish()
     }
 
     #[test]
@@ -187,14 +168,14 @@ pub(crate) mod tests {
     fn formatting_invariant_semantics_sensitive() {
         for (what, share, a, b) in pairs() {
             assert_eq!(content_key(&a) == content_key(&b), share, "{what}");
+            assert_eq!(a == b, share, "{what}");
         }
     }
 
-    /// The streamed key equals the hash of the whole module text plus the
-    /// directive lines, on every program the benchmark sends (none has an
-    /// initialized global, where the two are meant to differ).
+    /// Every program the benchmark sends equals its own recompile and
+    /// shares its key, and no two of them share a key.
     #[test]
-    fn streamed_key_equals_the_whole_text_hash() {
+    fn benchmark_programs_are_their_own_identity() {
         let mut sources: Vec<String> = [Class::Test, Class::Mini]
             .into_iter()
             .flat_map(fault_suite)
@@ -202,14 +183,14 @@ pub(crate) mod tests {
             .collect();
         sources.extend([100, 200, 400].map(|n| synth::module(n, 32).source));
         sources.extend([16, 32, 64].map(|b| synth::wide(b).source));
-        assert_eq!(sources.len(), 26);
+        let mut keys = std::collections::HashSet::new();
         for source in &sources {
             let program = compile(source).unwrap();
-            let mut text = program.module.to_string();
-            for (id, d) in program.directives() {
-                write!(text, "\n;; directive {id:?} {d:?}").unwrap();
-            }
-            assert_eq!(content_key(&program), fnv1a(text.as_bytes()));
+            let again = compile(source).unwrap();
+            assert!(program == again);
+            assert_eq!(content_key(&program), content_key(&again));
+            keys.insert(content_key(&program));
         }
+        assert_eq!(keys.len(), 26);
     }
 }

@@ -6,16 +6,16 @@
 //!
 //! The layers, bottom up:
 //!
-//! * [`hash`] — FNV-1a content keys over the **parsed** module and its
-//!   directives, so formatting-only edits to the source still hit the
-//!   cache and any semantic change misses;
+//! * [`hash`] — FNV-1a content keys over the **parsed** program's own
+//!   structure, so formatting-only edits still hit the cache and any
+//!   semantic change misses;
 //! * [`Session`] — compile once, plan and execute many, concurrently:
 //!   one `Arc`-shared program + profile + baseline + per-function
 //!   analyses, with a per-abstraction plan cache
 //!   ([`Session::plan`] / [`Session::replan`] / [`Session::execute`]);
-//! * [`PlanStore`] — the content-addressed session cache: a source memo
-//!   that answers byte-identical repeats without compiling, single-flight
-//!   builds, LRU eviction under a byte budget, live hit/miss counters;
+//! * [`PlanStore`] — the content-addressed session cache: equality-checked
+//!   hits, a source memo for byte-identical repeats, single-flight builds,
+//!   LRU eviction under a byte budget, live hit/miss counters;
 //! * [`PlanService`] — the daemon: newline-delimited JSON over TCP, a
 //!   bounded request queue drained by plain handler threads, and
 //!   graceful shutdown that drains every in-flight request;

@@ -10,8 +10,8 @@
 //!   the flooding client's reader, not the server);
 //! * **handler threads** ([`ServiceConfig::handlers`] of them) that take
 //!   requests off the queue. They are plain threads, not pool workers, so
-//!   a cold build's per-function `par_map`s (PDG build, planning, content
-//!   key) fan out over the process-global analysis pool, whose workers run
+//!   a cold build's per-function `par_map`s (PDG build, planning) fan out
+//!   over the process-global analysis pool, whose workers run
 //!   any nested `par_map` inline; each `execute` still runs on its own
 //!   `Runtime`'s pool. Every handler goes through the one shared
 //!   [`PlanStore`], so concurrent clients asking for the same program

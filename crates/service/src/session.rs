@@ -187,7 +187,7 @@ impl Session {
         // The frontend hands back a validated program.
         let program = compile(source)?;
         let key = content_key(&program);
-        Session::with_key(program, key, None)
+        Session::with_key(Arc::new(program), key, None)
     }
 
     /// Build a session from an already-constructed program (the NAS
@@ -199,16 +199,16 @@ impl Session {
     pub fn from_program(program: ParallelProgram) -> Result<Session, SessionError> {
         program.validate().map_err(SessionError::Invalid)?;
         let key = content_key(&program);
-        Session::with_key(program, key, None)
+        Session::with_key(Arc::new(program), key, None)
     }
 
     /// The session of an already-validated `program` whose caller holds
-    /// `key == content_key(&program)` (the store hashes once per lookup).
+    /// `key == content_key(&program)` (the store's slot shares the `Arc`).
     /// With `rec`, the build records `pspdg/pdg_build` and
     /// `pspdg/overlay_assemble` spans and planning `plan/enumerate` spans;
     /// a reused session records none, which is what the cache tests check.
     pub(crate) fn with_key(
-        program: ParallelProgram,
+        program: Arc<ParallelProgram>,
         key: u64,
         rec: Option<Arc<Recorder>>,
     ) -> Result<Session, SessionError> {
@@ -230,7 +230,7 @@ impl Session {
         drop(interp);
         let built = build_pspdg_module_recorded(&program, FeatureSet::all(), rec.as_deref());
         Ok(Session {
-            program: Arc::new(program),
+            program,
             key,
             built,
             profile,

@@ -1,18 +1,19 @@
 //! The content-addressed session cache with an LRU byte budget.
 //!
-//! [`PlanStore`] maps [`content_key`]s to `Arc<Session>`s — the cached
-//! suffix of the Fig. 2 pipeline (profile, PDGs, overlay-assembled
-//! PS-PDGs, per-abstraction plans). Lookups are **single-flight**: when
-//! N threads request the same unseen program concurrently, exactly one
-//! builds the session while the rest block on a condvar and then share
-//! the result, so the store never builds the same module twice (the
-//! concurrent-hammer test pins this through the recorder's
-//! `pspdg/pdg_build` span counts).
+//! [`PlanStore`] maps programs to `Arc<Session>`s — the cached suffix of
+//! the Fig. 2 pipeline (profile, PDGs, overlay-assembled PS-PDGs,
+//! per-abstraction plans). The [`content_key`] picks the bucket and a hit
+//! compares the whole program, so two programs whose keys collide get an
+//! entry each. Lookups are **single-flight**: when N threads request the
+//! same unseen program concurrently, exactly one builds the session while
+//! the rest block on a condvar and then share the result, so the store
+//! never builds the same module twice (the concurrent-hammer test pins
+//! this through the recorder's `pspdg/pdg_build` span counts).
 //!
 //! A second map remembers the exact source text behind each ready
 //! session, so a byte-identical repeat of [`PlanStore::get_source`] skips
-//! the compile and the hash (a memo hit is string equality, never a hash
-//! match); a reformatted source still compiles and converges on its key.
+//! the compile and the key (a memo hit is string equality, never a hash
+//! match); a reformatted source still compiles and converges on its program.
 //!
 //! Entries are charged their [`Session::approx_bytes`] plus their
 //! remembered sources against a byte budget; insertion beyond the budget
@@ -21,6 +22,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex};
 
 use pspdg_frontend::compile;
@@ -54,6 +56,21 @@ pub struct StoreStats {
     pub entries: usize,
 }
 
+/// The store's map key: hashes as the content key and compares as the key
+/// and then the program (`Arc`'s `==` tries the pointer first), so the
+/// map's own equality check is the verify-on-hit.
+#[derive(Clone, PartialEq, Eq)]
+struct Keyed {
+    key: u64,
+    program: Arc<ParallelProgram>,
+}
+
+impl Hash for Keyed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key.hash(state);
+    }
+}
+
 enum Slot {
     /// A build is in flight on some thread; waiters block on the condvar.
     Building,
@@ -65,10 +82,10 @@ enum Slot {
 }
 
 struct Inner {
-    entries: HashMap<u64, Slot>,
-    /// Source text → the key of the ready session it compiled to. Only
-    /// ready keys appear here: eviction drops a key's sources with it.
-    sources: HashMap<Arc<str>, u64>,
+    entries: HashMap<Keyed, Slot>,
+    /// Source text → the entry of the ready session it compiled to. Only
+    /// ready entries appear here: eviction drops an entry's sources with it.
+    sources: HashMap<Arc<str>, Keyed>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -135,14 +152,7 @@ impl PlanStore {
     /// Current cache counters.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock().expect("store lock");
-        let mut bytes = 0;
-        let mut entries = 0;
-        for slot in inner.entries.values() {
-            if let Slot::Ready { bytes: b, .. } = slot {
-                bytes += b;
-                entries += 1;
-            }
-        }
+        let (bytes, entries) = inner.ready();
         StoreStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -153,49 +163,36 @@ impl PlanStore {
         }
     }
 
-    /// Whether `key` is cached and ready (does not touch recency).
+    /// Whether a ready session has content key `key` (touches no recency).
     pub fn contains(&self, key: u64) -> bool {
-        matches!(
-            self.inner.lock().expect("store lock").entries.get(&key),
-            Some(Slot::Ready { .. })
-        )
+        let inner = self.inner.lock().expect("store lock");
+        inner
+            .entries
+            .iter()
+            .any(|(k, slot)| k.key == key && matches!(slot, Slot::Ready { .. }))
     }
 
     /// The cached (or freshly built) session for ParC `source`. A source
     /// byte-identical to one that built or hit a still-cached session is
-    /// answered without compiling or hashing; any other source compiles to
-    /// find its content key, so a reformatted program still shares the
-    /// session (profile, PDG build, plans) of the one it parses to.
+    /// answered without compiling or hashing; any other source compiles,
+    /// so a reformatted program still shares the session (profile, PDG
+    /// build, plans) of the one it parses to.
     ///
     /// # Errors
     ///
     /// See [`SessionError`]; a failed compile or build is not remembered.
     pub fn get_source(&self, source: &str) -> Result<Arc<Session>, SessionError> {
         let mut inner = self.inner.lock().expect("store lock");
-        let memo = inner.sources.get(source).copied();
-        if let Some(out) = memo.and_then(|k| inner.hit(k)) {
+        let memo = inner.sources.get(source).cloned();
+        if let Some(out) = memo.and_then(|k| inner.hit(&k)) {
             drop(inner);
             self.count("service/cache_hit", 1);
             return Ok(out);
         }
         drop(inner);
-        let session = self.lookup(compile(source)?, true)?;
-        let key = session.key();
-        let mut guard = self.inner.lock().expect("store lock");
-        let inner = &mut *guard;
-        let mut evicted = 0;
-        // Remember the source only while its session is still cached, and
-        // charge it once: a concurrent miss on the same bytes finds it here.
-        if let Some(Slot::Ready { bytes, .. }) = inner.entries.get_mut(&key) {
-            if !inner.sources.contains_key(source) {
-                *bytes += source.len();
-                inner.sources.insert(Arc::from(source), key);
-                evicted = evict_over_budget(inner, self.budget, key);
-            }
-        }
-        drop(guard);
-        self.count("service/cache_eviction", evicted);
-        Ok(session)
+        let program = compile(source)?;
+        let key = content_key(&program);
+        self.lookup(program, key, Some(source))
     }
 
     /// The cached session for `program`, building it (exactly once, even
@@ -206,42 +203,49 @@ impl PlanStore {
     /// See [`SessionError`]. A failed build is not cached; the next
     /// request retries.
     pub fn get_or_build(&self, program: ParallelProgram) -> Result<Arc<Session>, SessionError> {
-        self.lookup(program, false)
+        let key = content_key(&program);
+        self.lookup(program, key, None)
     }
 
-    /// [`PlanStore::get_or_build`]; a miss validates `program` first unless
-    /// the caller says it is `validated` (the frontend's output is).
+    /// [`PlanStore::get_or_build`] for `program` under content `key`. The
+    /// `source` it compiled from (so it is valid) is remembered; without
+    /// one, a miss validates `program` first.
     fn lookup(
         &self,
         program: ParallelProgram,
-        validated: bool,
+        key: u64,
+        source: Option<&str>,
     ) -> Result<Arc<Session>, SessionError> {
-        let key = content_key(&program);
-        {
-            let mut inner = self.inner.lock().expect("store lock");
-            loop {
-                if let Some(out) = inner.hit(key) {
-                    drop(inner);
-                    self.count("service/cache_hit", 1);
-                    return Ok(out);
-                }
-                if let Entry::Vacant(slot) = inner.entries.entry(key) {
-                    slot.insert(Slot::Building);
-                    inner.misses += 1;
-                    break;
-                }
-                inner = self.built.wait(inner).expect("store lock");
+        let keyed = Keyed {
+            key,
+            program: Arc::new(program),
+        };
+        let mut inner = self.inner.lock().expect("store lock");
+        loop {
+            if let Some(out) = inner.hit(&keyed) {
+                let evicted = settle(&mut inner, self.budget, &out, source);
+                drop(inner);
+                self.count("service/cache_hit", 1);
+                self.count("service/cache_eviction", evicted);
+                return Ok(out);
             }
+            if let Entry::Vacant(slot) = inner.entries.entry(keyed.clone()) {
+                slot.insert(Slot::Building);
+                inner.misses += 1;
+                break;
+            }
+            inner = self.built.wait(inner).expect("store lock");
         }
+        drop(inner);
         self.count("service/cache_miss", 1);
         // Build outside the lock — the whole point of single-flight is
         // that concurrent *distinct* programs build in parallel.
-        let valid = if validated {
-            Ok(())
-        } else {
-            program.validate().map_err(SessionError::Invalid)
+        let valid = match source {
+            Some(_) => Ok(()),
+            None => keyed.program.validate().map_err(SessionError::Invalid),
         };
-        let result = valid.and_then(|()| Session::with_key(program, key, self.rec.clone()));
+        let result = valid
+            .and_then(|()| Session::with_key(Arc::clone(&keyed.program), key, self.rec.clone()));
         let mut inner = self.inner.lock().expect("store lock");
         match result {
             Ok(session) => {
@@ -251,21 +255,21 @@ impl PlanStore {
                 let tick = inner.tick;
                 inner.builds += 1;
                 inner.entries.insert(
-                    key,
+                    keyed,
                     Slot::Ready {
                         session: Arc::clone(&session),
                         bytes,
                         last_used: tick,
                     },
                 );
-                let evicted = evict_over_budget(&mut inner, self.budget, key);
+                let evicted = settle(&mut inner, self.budget, &session, source);
                 drop(inner);
                 self.count("service/cache_eviction", evicted);
                 self.built.notify_all();
                 Ok(session)
             }
             Err(e) => {
-                inner.entries.remove(&key);
+                inner.entries.remove(&keyed);
                 drop(inner);
                 self.built.notify_all();
                 Err(e)
@@ -281,19 +285,29 @@ impl PlanStore {
 }
 
 impl Inner {
-    /// `key`'s ready session, touched for LRU and counted as a hit;
+    /// `keyed`'s ready session, touched for LRU and counted as a hit;
     /// `None` if it is absent or still building.
-    fn hit(&mut self, key: u64) -> Option<Arc<Session>> {
+    fn hit(&mut self, keyed: &Keyed) -> Option<Arc<Session>> {
         self.tick += 1;
         let Some(Slot::Ready {
             session, last_used, ..
-        }) = self.entries.get_mut(&key)
+        }) = self.entries.get_mut(keyed)
         else {
             return None;
         };
         *last_used = self.tick;
         self.hits += 1;
         Some(Arc::clone(session))
+    }
+
+    /// Bytes charged by the ready entries, and how many there are.
+    fn ready(&self) -> (usize, usize) {
+        self.entries
+            .values()
+            .fold((0, 0), |(b, n), slot| match slot {
+                Slot::Ready { bytes, .. } => (b + bytes, n + 1),
+                Slot::Building => (b, n),
+            })
     }
 }
 
@@ -303,37 +317,88 @@ impl Default for PlanStore {
     }
 }
 
-/// Evict least-recently-used ready entries, with the sources remembered
-/// for them, until the charged bytes fit the budget; `keep` (the entry
-/// being returned) and in-flight builds are never evicted. Returns how
+/// Remember that `source`, if any, compiles to `session`'s entry while
+/// that entry is cached, charging its bytes once (a concurrent miss on the
+/// same bytes finds it remembered). Then evict least-recently-used ready
+/// entries, with their sources, until the charged bytes fit `budget`;
+/// `session`'s entry and in-flight builds are never evicted. Returns how
 /// many entries were dropped.
-fn evict_over_budget(inner: &mut Inner, budget: usize, keep: u64) -> u64 {
-    let mut evicted = 0;
-    loop {
-        let total: usize = inner
-            .entries
-            .values()
-            .map(|s| match s {
-                Slot::Ready { bytes, .. } => *bytes,
-                Slot::Building => 0,
-            })
-            .sum();
-        if total <= budget {
-            break;
+fn settle(inner: &mut Inner, budget: usize, session: &Session, source: Option<&str>) -> u64 {
+    // The slot's own program, so the memo holds no second copy of it.
+    let keyed = &Keyed {
+        key: session.key(),
+        program: Arc::clone(session.program()),
+    };
+    if let Some(source) = source.filter(|s| !inner.sources.contains_key(*s)) {
+        if let Some(Slot::Ready { bytes, .. }) = inner.entries.get_mut(keyed) {
+            *bytes += source.len();
+            inner.sources.insert(Arc::from(source), keyed.clone());
         }
+    }
+    let mut evicted = 0;
+    while inner.ready().0 > budget {
         let victim = inner
             .entries
             .iter()
             .filter_map(|(k, s)| match s {
-                Slot::Ready { last_used, .. } if *k != keep => Some((*last_used, *k)),
+                Slot::Ready { last_used, .. } if k != keyed => Some((*last_used, k)),
                 _ => None,
             })
-            .min();
-        let Some((_, k)) = victim else { break };
+            .min_by_key(|&(last_used, _)| last_used)
+            .map(|(_, k)| k.clone());
+        let Some(k) = victim else { break };
         inner.entries.remove(&k);
-        inner.sources.retain(|_, key| *key != k);
+        inner.sources.retain(|_, entry| *entry != k);
         inner.evictions += 1;
         evicted += 1;
     }
     evicted
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hash::tests::returns_float;
+
+    #[test]
+    fn a_nan_constant_hits_its_own_session() {
+        let store = PlanStore::new();
+        let first = store.get_or_build(returns_float(f64::NAN)).unwrap();
+        let again = store.get_or_build(returns_float(f64::NAN)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        let stats = store.stats();
+        assert_eq!((stats.builds, stats.hits), (1, 1));
+    }
+
+    #[test]
+    fn programs_forced_onto_one_key_get_a_session_each() {
+        let store = PlanStore::new();
+        let programs = [returns_float(1.0), returns_float(2.0)];
+        let lookup = |p: &ParallelProgram| store.lookup(p.clone(), 7, None).unwrap();
+        let first: Vec<_> = programs.iter().map(lookup).collect();
+        for (p, session) in programs.iter().zip(&first) {
+            let again = lookup(p);
+            assert!(
+                Arc::ptr_eq(&again, session),
+                "a repeat hits its own session"
+            );
+            assert_eq!(**again.program(), *p);
+            assert_eq!(again.key(), 7);
+        }
+        let stats = store.stats();
+        assert_eq!((stats.builds, stats.entries, stats.hits), (2, 2, 2));
+    }
+
+    #[test]
+    fn evicting_one_of_two_colliding_programs_keeps_the_other() {
+        let store = PlanStore::with_budget(1);
+        let (a, b) = (returns_float(1.0), returns_float(2.0));
+        store.lookup(a.clone(), 7, None).unwrap();
+        let kept = store.lookup(b.clone(), 7, None).unwrap();
+        assert_eq!(store.stats().evictions, 1);
+        assert!(Arc::ptr_eq(&store.lookup(b, 7, None).unwrap(), &kept));
+        assert_eq!(**store.lookup(a.clone(), 7, None).unwrap().program(), a);
+        let stats = store.stats();
+        assert_eq!((stats.builds, stats.hits, stats.entries), (3, 1, 1));
+    }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use pspdg::nas::{benchmark, suite, Class};
-use pspdg::parallelizer::{enumerate_function, Abstraction, MachineModel};
+use pspdg::parallelizer::{enumerate_program, Abstraction, MachineModel};
 use pspdg::Session;
 
 fn main() {
@@ -32,12 +32,12 @@ fn main() {
     let program = session.program();
     let machine = MachineModel::paper();
 
-    for func in program.module.function_ids() {
-        let opts = enumerate_function(program, func, session.profile(), &machine, 0.01);
+    let options = enumerate_program(program, session.profile(), &machine, 0.01);
+    for opts in &options.functions {
         if opts.per_loop.is_empty() {
             continue;
         }
-        println!("function @{}:", program.module.function(func).name);
+        println!("function @{}:", program.module.function(opts.func).name);
         let mut loops: Vec<_> = opts.per_loop.iter().map(|(l, _, _)| *l).collect();
         loops.sort();
         loops.dedup();

@@ -123,50 +123,6 @@ fn feature_ablation_degrades_monotonically() {
 }
 
 #[test]
-fn fig2_full_circle_realize_then_replan() {
-    // Fig. 2: source plan → PS-PDG → chosen plan → realized parallel IR.
-    // Realizing the PS-PDG plan's DOALL loops as directives must make the
-    // *programmer-encoded* plan of the realized program as good as the
-    // compiler's plan on the original.
-    let src = r#"
-        int v[256]; int w[256];
-        void k() {
-            int i;
-            for (i = 0; i < 256; i++) { v[i] = i * 3; }
-            for (i = 0; i < 256; i++) { w[i] = v[i] + 1; }
-        }
-        int main() { k(); return w[255]; }
-    "#;
-    let p = compile(src).unwrap();
-    let mut interp = Interpreter::new(&p.module);
-    interp.run_main(&mut NullSink).unwrap();
-    let profile = interp.profile().clone();
-
-    let ps_plan = build_plan(&p, &profile, Abstraction::PsPdg, 0.01);
-    let cp_pspdg = emulate(&p, &ps_plan).unwrap().critical_path;
-    let cp_openmp_before = emulate(&p, &build_plan(&p, &profile, Abstraction::OpenMp, 0.01))
-        .unwrap()
-        .critical_path;
-
-    let (realized, added) = pspdg::parallelizer::realize_plan(&p, &ps_plan);
-    assert!(added > 0);
-    let cp_openmp_after = emulate(
-        &realized,
-        &build_plan(&realized, &profile, Abstraction::OpenMp, 0.01),
-    )
-    .unwrap()
-    .critical_path;
-
-    assert!(
-        cp_openmp_after < cp_openmp_before,
-        "realization must help the source plan"
-    );
-    // All planned loops were DOALL, so the realized source plan matches the
-    // compiler plan's quality (joins included).
-    assert_eq!(cp_openmp_after, cp_pspdg);
-}
-
-#[test]
 fn interpreter_and_emulator_agree_on_step_counts() {
     let p = compile(MIXED_KERNEL).unwrap();
     let mut interp = Interpreter::new(&p.module);
