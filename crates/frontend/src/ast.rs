@@ -1,8 +1,8 @@
-//! The ParC abstract syntax tree.
+//! The ParC abstract syntax tree. Names borrow from the source text.
 
 /// A scalar type specifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TypeSpec {
+pub(crate) enum TypeSpec {
     /// `int` — 64-bit signed integer.
     Int,
     /// `double` — 64-bit float.
@@ -11,225 +11,223 @@ pub enum TypeSpec {
     Void,
 }
 
-/// Binary operators (C semantics).
+/// Binary operators (C semantics), named after what they compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinKind {
-    /// `+`
+pub(crate) enum BinKind {
     Add,
-    /// `-`
     Sub,
-    /// `*`
     Mul,
-    /// `/`
     Div,
-    /// `%`
     Rem,
-    /// `==`
     Eq,
-    /// `!=`
     Ne,
-    /// `<`
     Lt,
-    /// `<=`
     Le,
-    /// `>`
     Gt,
-    /// `>=`
     Ge,
     /// `&&` (no short-circuit; both sides evaluate)
     LogAnd,
     /// `||` (no short-circuit)
     LogOr,
-    /// `&`
     BitAnd,
-    /// `|`
     BitOr,
-    /// `^`
     BitXor,
-    /// `<<`
     Shl,
-    /// `>>`
     Shr,
 }
 
-/// Unary operators.
+/// Unary operators: `-` and `!`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnKind {
-    /// `-`
+pub(crate) enum UnKind {
     Neg,
-    /// `!`
     Not,
 }
 
 /// An expression, annotated with its source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Expr {
+pub(crate) struct Expr<'s> {
     /// Node payload.
-    pub kind: ExprKind,
+    pub(crate) kind: ExprKind<'s>,
     /// 1-based source line.
-    pub line: u32,
+    pub(crate) line: u32,
+    /// Height of this expression tree (1 for a leaf): how deep lowering
+    /// and dropping it recurse.
+    pub(crate) height: u32,
 }
 
 /// Expression payloads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExprKind {
+pub(crate) enum ExprKind<'s> {
     /// Integer literal.
     IntLit(i64),
     /// Float literal.
     FloatLit(f64),
     /// Variable reference.
-    Var(String),
+    Var(&'s str),
     /// `base[index]` — `base` may itself be an `Index` (2-D arrays).
-    Index(Box<Expr>, Box<Expr>),
+    Index(Box<Expr<'s>>, Box<Expr<'s>>),
     /// Binary operation.
-    Binary(BinKind, Box<Expr>, Box<Expr>),
+    Binary(BinKind, Box<Expr<'s>>, Box<Expr<'s>>),
     /// Unary operation.
-    Unary(UnKind, Box<Expr>),
+    Unary(UnKind, Box<Expr<'s>>),
     /// Call (user function or built-in).
-    Call(String, Vec<Expr>),
+    Call(&'s str, Vec<Expr<'s>>),
     /// Explicit cast `(int) e` / `(double) e`.
-    Cast(TypeSpec, Box<Expr>),
+    Cast(TypeSpec, Box<Expr<'s>>),
 }
 
-impl Expr {
+impl<'s> Expr<'s> {
     /// Construct an expression node.
-    pub fn new(kind: ExprKind, line: u32) -> Expr {
-        Expr { kind, line }
+    pub(crate) fn new(kind: ExprKind<'s>, line: u32) -> Expr<'s> {
+        let below = match &kind {
+            ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::Var(_) => 0,
+            ExprKind::Index(a, b) | ExprKind::Binary(_, a, b) => a.height.max(b.height),
+            ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => a.height,
+            ExprKind::Call(_, args) => args.iter().map(|a| a.height).max().unwrap_or(0),
+        };
+        Expr {
+            kind,
+            line,
+            height: below + 1,
+        }
     }
 }
 
 /// A variable declarator: `int a`, `double m[8][8]`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VarDecl {
+pub(crate) struct VarDecl<'s> {
     /// Variable name.
-    pub name: String,
+    pub(crate) name: &'s str,
     /// Scalar element type.
-    pub ty: TypeSpec,
+    pub(crate) ty: TypeSpec,
     /// Array dimensions (empty = scalar), outermost first.
-    pub dims: Vec<u64>,
+    pub(crate) dims: Vec<u64>,
     /// Source line.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// A statement, annotated with its source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Stmt {
+pub(crate) struct Stmt<'s> {
     /// Node payload.
-    pub kind: StmtKind,
+    pub(crate) kind: StmtKind<'s>,
     /// 1-based source line.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
-impl Stmt {
+impl<'s> Stmt<'s> {
     /// Construct a statement node.
-    pub fn new(kind: StmtKind, line: u32) -> Stmt {
+    pub(crate) fn new(kind: StmtKind<'s>, line: u32) -> Stmt<'s> {
         Stmt { kind, line }
     }
 }
 
 /// Statement payloads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StmtKind {
+pub(crate) enum StmtKind<'s> {
     /// `{ ... }`
-    Block(Vec<Stmt>),
+    Block(Vec<Stmt<'s>>),
     /// Declaration with optional initializer (scalars only).
-    Decl(VarDecl, Option<Expr>),
+    Decl(VarDecl<'s>, Option<Expr<'s>>),
     /// `lvalue = expr` or compound `lvalue op= expr`; `op` is `None` for
     /// plain assignment.
     Assign {
         /// Assignment target (must be `Var` or `Index`).
-        target: Expr,
+        target: Expr<'s>,
         /// Compound operator for `+=` etc.
         op: Option<BinKind>,
         /// Right-hand side.
-        value: Expr,
+        value: Expr<'s>,
     },
     /// `if (cond) then [else els]`
     If {
         /// Condition.
-        cond: Expr,
+        cond: Expr<'s>,
         /// Then branch.
-        then_stmt: Box<Stmt>,
+        then_stmt: Box<Stmt<'s>>,
         /// Optional else branch.
-        else_stmt: Option<Box<Stmt>>,
+        else_stmt: Option<Box<Stmt<'s>>>,
     },
     /// `while (cond) body`
     While {
         /// Condition.
-        cond: Expr,
+        cond: Expr<'s>,
         /// Body.
-        body: Box<Stmt>,
+        body: Box<Stmt<'s>>,
     },
     /// `for (init; cond; step) body` — `init`/`step` are assignments.
     For {
         /// Initialization statement.
-        init: Box<Stmt>,
+        init: Box<Stmt<'s>>,
         /// Continuation condition.
-        cond: Expr,
+        cond: Expr<'s>,
         /// Per-iteration step statement.
-        step: Box<Stmt>,
+        step: Box<Stmt<'s>>,
         /// Body.
-        body: Box<Stmt>,
+        body: Box<Stmt<'s>>,
         /// `true` when written `cilk_for`.
         is_cilk: bool,
     },
     /// `return [expr];`
-    Return(Option<Expr>),
+    Return(Option<Expr<'s>>),
     /// Expression statement (call for side effects).
-    ExprStmt(Expr),
+    ExprStmt(Expr<'s>),
     /// A pragma attached to the following statement.
     Pragma {
         /// Parsed pragma.
-        pragma: crate::pragma::PragmaAst,
+        pragma: crate::pragma::PragmaAst<'s>,
         /// Annotated statement.
-        stmt: Box<Stmt>,
+        stmt: Box<Stmt<'s>>,
     },
     /// A standalone pragma (`barrier`, `taskwait`).
-    StandalonePragma(crate::pragma::PragmaAst),
+    StandalonePragma(crate::pragma::PragmaAst<'s>),
     /// `x = cilk_spawn f(...)` or `cilk_spawn f(...)`.
     CilkSpawn {
         /// Optional assignment target for the spawned call's result.
-        target: Option<Expr>,
+        target: Option<Expr<'s>>,
         /// The spawned call.
-        call: Expr,
+        call: Expr<'s>,
     },
     /// `cilk_sync;`
     CilkSync,
     /// `cilk_scope { ... }`
-    CilkScope(Box<Stmt>),
+    CilkScope(Box<Stmt<'s>>),
 }
 
 /// A function parameter: `int x`, `double a[]`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParamDecl {
+pub(crate) struct ParamDecl<'s> {
     /// Parameter name.
-    pub name: String,
+    pub(crate) name: &'s str,
     /// Scalar element type.
-    pub ty: TypeSpec,
+    pub(crate) ty: TypeSpec,
     /// Whether declared with `[]` (array-of-`ty` pointer).
-    pub is_array: bool,
+    pub(crate) is_array: bool,
 }
 
 /// A function definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FuncDecl {
+pub(crate) struct FuncDecl<'s> {
     /// Function name.
-    pub name: String,
+    pub(crate) name: &'s str,
     /// Return type.
-    pub ret: TypeSpec,
+    pub(crate) ret: TypeSpec,
     /// Parameters.
-    pub params: Vec<ParamDecl>,
-    /// Body (a block).
-    pub body: Stmt,
+    pub(crate) params: Vec<ParamDecl<'s>>,
+    /// The body's tokens, a block: parsed by the job that lowers it.
+    pub(crate) body: std::ops::Range<usize>,
     /// Source line of the signature.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// A whole translation unit.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Unit {
+pub(crate) struct Unit<'s> {
     /// Global variable declarations (zero-initialized).
-    pub globals: Vec<VarDecl>,
+    pub(crate) globals: Vec<VarDecl<'s>>,
     /// Function definitions, in source order.
-    pub functions: Vec<FuncDecl>,
+    pub(crate) functions: Vec<FuncDecl<'s>>,
+    /// The syntax error that ended the scan, if any; a syntax error inside
+    /// an earlier function body comes before it.
+    pub(crate) error: Option<crate::FrontendError>,
 }

@@ -1,159 +1,111 @@
 //! The ParC lexer.
 //!
-//! `#pragma ...` lines are captured as single [`TokenKind::Pragma`] tokens
-//! holding the raw pragma text; the pragma sub-language is parsed separately
-//! by [`crate::pragma`].
+//! Tokens borrow their text from the source: an identifier or a pragma is
+//! a `&str` slice, so lexing allocates only the token vector. `#pragma ...`
+//! lines are captured as single [`TokenKind::Pragma`] tokens holding the
+//! raw pragma text; the pragma sub-language is parsed separately by
+//! [`crate::pragma`].
 
 use crate::FrontendError;
 
-/// The kind (and payload) of a token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// The kind (and payload) of a token; punctuation variants are named after
+/// their spelling (`LParen` is `(`, `Shl` is `<<`, `PlusAssign` is `+=`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum TokenKind<'s> {
     /// Identifier or keyword.
-    Ident(String),
-    /// Integer literal.
+    Ident(&'s str),
     IntLit(i64),
-    /// Float literal.
     FloatLit(f64),
     /// A whole `#pragma` line (text after `#pragma`, trimmed).
-    Pragma(String),
-    /// `(`
+    Pragma(&'s str),
     LParen,
-    /// `)`
     RParen,
-    /// `{`
     LBrace,
-    /// `}`
     RBrace,
-    /// `[`
     LBracket,
-    /// `]`
     RBracket,
-    /// `;`
     Semi,
-    /// `,`
     Comma,
-    /// `+`
     Plus,
-    /// `-`
     Minus,
-    /// `*`
     Star,
-    /// `/`
     Slash,
-    /// `%`
     Percent,
-    /// `=`
     Assign,
-    /// `+=`
     PlusAssign,
-    /// `-=`
     MinusAssign,
-    /// `*=`
     StarAssign,
-    /// `/=`
     SlashAssign,
-    /// `++`
     PlusPlus,
-    /// `--`
     MinusMinus,
-    /// `==`
     EqEq,
-    /// `!=`
     NotEq,
-    /// `<`
     Lt,
-    /// `<=`
     Le,
-    /// `>`
     Gt,
-    /// `>=`
     Ge,
-    /// `&&`
     AndAnd,
-    /// `||`
     OrOr,
-    /// `&`
     Amp,
-    /// `|`
     Pipe,
-    /// `^`
     Caret,
-    /// `<<`
     Shl,
-    /// `>>`
     Shr,
-    /// `!`
     Bang,
     /// End of input.
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Whether this is the identifier `word`.
-    pub fn is_ident(&self, word: &str) -> bool {
-        matches!(self, TokenKind::Ident(s) if s == word)
+    pub(crate) fn is_ident(&self, word: &str) -> bool {
+        matches!(self, TokenKind::Ident(s) if *s == word)
     }
 }
 
-/// A token with its source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    /// Kind and payload.
-    pub kind: TokenKind,
-    /// 1-based source line.
-    pub line: u32,
+/// A token with its 1-based source line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Token<'s> {
+    pub(crate) kind: TokenKind<'s>,
+    pub(crate) line: u32,
 }
 
-/// Streaming lexer over ParC source text.
-#[derive(Debug)]
-pub struct Lexer<'s> {
-    src: &'s [u8],
+/// Lex all of `source`, ending with one [`TokenKind::Eof`].
+///
+/// # Errors
+///
+/// Unknown characters, malformed literals, unterminated block comments and
+/// preprocessor lines other than `#pragma`.
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Token<'_>>, FrontendError> {
+    let mut lexer = Lexer {
+        src: source,
+        pos: 0,
+        line: 1,
+    };
+    // Roughly one token per five bytes of ParC.
+    let mut out = Vec::with_capacity(source.len() / 5 + 1);
+    loop {
+        let tok = lexer.next_token()?;
+        out.push(tok);
+        if tok.kind == TokenKind::Eof {
+            return Ok(out);
+        }
+    }
+}
+
+struct Lexer<'s> {
+    src: &'s str,
     pos: usize,
     line: u32,
 }
 
 impl<'s> Lexer<'s> {
-    /// Create a lexer over `source`.
-    pub fn new(source: &'s str) -> Lexer<'s> {
-        Lexer {
-            src: source.as_bytes(),
-            pos: 0,
-            line: 1,
-        }
-    }
-
-    /// Lex the entire input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on unknown characters or malformed literals.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, FrontendError> {
-        let mut out = Vec::new();
-        loop {
-            let tok = self.next_token()?;
-            let done = tok.kind == TokenKind::Eof;
-            out.push(tok);
-            if done {
-                return Ok(out);
-            }
-        }
-    }
-
     fn peek(&self) -> u8 {
-        if self.pos < self.src.len() {
-            self.src[self.pos]
-        } else {
-            0
-        }
+        self.src.as_bytes().get(self.pos).copied().unwrap_or(0)
     }
 
     fn peek2(&self) -> u8 {
-        if self.pos + 1 < self.src.len() {
-            self.src[self.pos + 1]
-        } else {
-            0
-        }
+        self.src.as_bytes().get(self.pos + 1).copied().unwrap_or(0)
     }
 
     fn bump(&mut self) -> u8 {
@@ -165,46 +117,53 @@ impl<'s> Lexer<'s> {
         c
     }
 
-    fn skip_trivia(&mut self) {
+    /// Advance while `keep` holds for the next byte and return the text
+    /// consumed, starting at `start`.
+    fn take_while(&mut self, start: usize, keep: impl Fn(u8) -> bool) -> &'s str {
+        while self.peek() != 0 && keep(self.peek()) {
+            self.bump();
+        }
+        &self.src[start..self.pos]
+    }
+
+    fn skip_trivia(&mut self) -> Result<(), FrontendError> {
         loop {
             match self.peek() {
                 b' ' | b'\t' | b'\r' | b'\n' => {
                     self.bump();
                 }
                 b'/' if self.peek2() == b'/' => {
-                    while self.peek() != b'\n' && self.peek() != 0 {
-                        self.bump();
-                    }
+                    self.take_while(self.pos, |c| c != b'\n');
                 }
                 b'/' if self.peek2() == b'*' => {
+                    let line = self.line;
                     self.bump();
                     self.bump();
-                    while !(self.peek() == b'*' && self.peek2() == b'/') && self.peek() != 0 {
+                    while !(self.peek() == b'*' && self.peek2() == b'/') {
+                        if self.peek() == 0 {
+                            return Err(FrontendError::new(line, "unterminated comment"));
+                        }
                         self.bump();
                     }
                     self.bump();
                     self.bump();
                 }
-                _ => return,
+                _ => return Ok(()),
             }
         }
     }
 
-    fn next_token(&mut self) -> Result<Token, FrontendError> {
-        self.skip_trivia();
+    fn next_token(&mut self) -> Result<Token<'s>, FrontendError> {
+        self.skip_trivia()?;
         let line = self.line;
         let tok = |kind| Ok(Token { kind, line });
+        let start = self.pos;
         let c = self.peek();
         match c {
             0 => tok(TokenKind::Eof),
             b'#' => {
                 // `#pragma ...` up to end of line.
-                let start = self.pos;
-                while self.peek() != b'\n' && self.peek() != 0 {
-                    self.bump();
-                }
-                let text =
-                    std::str::from_utf8(&self.src[start..self.pos]).expect("source is valid utf-8");
+                let text = self.take_while(start, |c| c != b'\n');
                 let text = text.strip_prefix('#').unwrap_or(text).trim();
                 let Some(rest) = text.strip_prefix("pragma") else {
                     return Err(FrontendError::new(
@@ -212,30 +171,20 @@ impl<'s> Lexer<'s> {
                         format!("unknown preprocessor line: {text}"),
                     ));
                 };
-                tok(TokenKind::Pragma(rest.trim().to_string()))
+                tok(TokenKind::Pragma(rest.trim()))
             }
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                let start = self.pos;
-                while matches!(self.peek(), b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_') {
-                    self.bump();
-                }
-                let word = std::str::from_utf8(&self.src[start..self.pos])
-                    .unwrap()
-                    .to_string();
-                tok(TokenKind::Ident(word))
+                tok(TokenKind::Ident(self.take_while(start, |c| {
+                    c.is_ascii_alphanumeric() || c == b'_'
+                })))
             }
             b'0'..=b'9' => {
-                let start = self.pos;
-                while self.peek().is_ascii_digit() {
-                    self.bump();
-                }
+                self.take_while(start, |c| c.is_ascii_digit());
                 let mut is_float = false;
                 if self.peek() == b'.' && self.peek2().is_ascii_digit() {
                     is_float = true;
                     self.bump();
-                    while self.peek().is_ascii_digit() {
-                        self.bump();
-                    }
+                    self.take_while(start, |c| c.is_ascii_digit());
                 }
                 if matches!(self.peek(), b'e' | b'E') {
                     is_float = true;
@@ -243,11 +192,9 @@ impl<'s> Lexer<'s> {
                     if matches!(self.peek(), b'+' | b'-') {
                         self.bump();
                     }
-                    while self.peek().is_ascii_digit() {
-                        self.bump();
-                    }
+                    self.take_while(start, |c| c.is_ascii_digit());
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+                let text = &self.src[start..self.pos];
                 if is_float {
                     let v: f64 = text.parse().map_err(|_| {
                         FrontendError::new(line, format!("bad float literal {text}"))
@@ -262,7 +209,7 @@ impl<'s> Lexer<'s> {
             }
             _ => {
                 self.bump();
-                let two = |this: &mut Self, second: u8, a: TokenKind, b: TokenKind| {
+                let two = |this: &mut Self, second: u8, a: TokenKind<'s>, b: TokenKind<'s>| {
                     if this.peek() == second {
                         this.bump();
                         a
@@ -319,11 +266,13 @@ impl<'s> Lexer<'s> {
                     }
                     b'&' => two(self, b'&', TokenKind::AndAnd, TokenKind::Amp),
                     b'|' => two(self, b'|', TokenKind::OrOr, TokenKind::Pipe),
-                    other => {
+                    _ => {
+                        // Report the whole character a non-ASCII byte starts.
+                        let ch = self.src[start..].chars().next().expect("not at end");
                         return Err(FrontendError::new(
                             line,
-                            format!("unexpected character {:?}", other as char),
-                        ))
+                            format!("unexpected character {ch:?}"),
+                        ));
                     }
                 };
                 tok(kind)
@@ -336,13 +285,8 @@ impl<'s> Lexer<'s> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::new(src)
-            .tokenize()
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
+        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -351,7 +295,7 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("foo".into()),
+                TokenKind::Ident("foo"),
                 TokenKind::IntLit(42),
                 TokenKind::FloatLit(3.5),
                 TokenKind::FloatLit(1000.0),
@@ -402,11 +346,8 @@ mod tests {
     #[test]
     fn lexes_pragma_lines() {
         let k = kinds("#pragma omp parallel for private(x)\nint y;");
-        assert_eq!(
-            k[0],
-            TokenKind::Pragma("omp parallel for private(x)".into())
-        );
-        assert_eq!(k[1], TokenKind::Ident("int".into()));
+        assert_eq!(k[0], TokenKind::Pragma("omp parallel for private(x)"));
+        assert_eq!(k[1], TokenKind::Ident("int"));
     }
 
     #[test]
@@ -414,17 +355,13 @@ mod tests {
         let k = kinds("a // line comment\n /* block \n comment */ b");
         assert_eq!(
             k,
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof]
         );
     }
 
     #[test]
     fn tracks_lines() {
-        let toks = Lexer::new("a\nb\n\nc").tokenize().unwrap();
+        let toks = tokenize("a\nb\n\nc").unwrap();
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[2].line, 4);
@@ -432,13 +369,25 @@ mod tests {
 
     #[test]
     fn rejects_unknown_chars() {
-        let err = Lexer::new("a @ b").tokenize().unwrap_err();
+        let err = tokenize("a @ b").unwrap_err();
         assert!(err.message.contains("unexpected character"));
     }
 
     #[test]
+    fn rejects_an_unterminated_block_comment_at_its_line() {
+        let err = tokenize("int a;\n/* trailing\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: unterminated comment");
+    }
+
+    #[test]
+    fn reports_a_non_ascii_character_whole() {
+        let err = tokenize("int \u{e9};").unwrap_err();
+        assert_eq!(err.message, "unexpected character 'é'");
+    }
+
+    #[test]
     fn rejects_non_pragma_hash() {
-        let err = Lexer::new("#include <stdio.h>").tokenize().unwrap_err();
+        let err = tokenize("#include <stdio.h>").unwrap_err();
         assert!(err.message.contains("unknown preprocessor"));
     }
 }

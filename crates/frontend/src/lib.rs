@@ -28,6 +28,18 @@
 //!   reduction(op: x) schedule(kind[,chunk]) nowait ordered collapse(n)
 //!   num_threads(n)`.
 //!
+//! # How it compiles
+//!
+//! Tokens borrow the source (identifiers and pragma lines are `&str`
+//! slices). A scan parses globals and function headers and delimits each
+//! body by brace matching; then one [`pspdg_pool::par_map`] job per
+//! function parses its body (precedence climbing over one binding-power
+//! table), lowers it into its own IR function against the signatures
+//! declared up front and drops its AST. Directives concatenate in function
+//! order, and the first error is the one a whole-unit walk would meet.
+//! Nesting deeper than 256 levels is an error, so the recursion fits an
+//! ordinary thread stack.
+//!
 //! # Example
 //!
 //! ```
@@ -46,17 +58,13 @@
 
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
-pub mod pragma;
+mod ast;
+mod lexer;
+mod lower;
+mod parser;
+mod pragma;
 
 use pspdg_parallel::ParallelProgram;
-
-pub use lexer::{Lexer, Token, TokenKind};
-pub use lower::lower;
-pub use parser::parse;
 
 /// A source-located front-end error (lexing, parsing, or semantic).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,9 +100,8 @@ impl std::error::Error for FrontendError {}
 /// Returns the first lexing, parsing, or semantic error, with its source
 /// line.
 pub fn compile(source: &str) -> Result<ParallelProgram, FrontendError> {
-    let tokens = lexer::Lexer::new(source).tokenize()?;
-    let unit = parser::parse(&tokens)?;
-    let program = lower::lower(&unit)?;
+    let tokens = lexer::tokenize(source)?;
+    let program = lower::lower(&tokens, &parser::parse(&tokens))?;
     program
         .validate()
         .map_err(|e| FrontendError::new(0, format!("lowering produced invalid program: {e}")))?;

@@ -13,59 +13,79 @@
 use std::collections::HashMap;
 
 use pspdg_ir::{
-    BinOp, BlockId, CastKind, CmpOp, FuncId, FunctionBuilder, GlobalInit, InstId, Intrinsic,
-    Module, Param, Type, UnOp, Value,
+    BinOp, BlockId, CastKind, CmpOp, FuncId, Function, FunctionBuilder, GlobalId, GlobalInit,
+    InstId, Intrinsic, Module, Param, Type, UnOp, Value,
 };
 use pspdg_parallel::{
     DataClause, Depend, DependKind, Directive, DirectiveKind, ParallelProgram, ReductionOp, Region,
     Schedule, ScheduleKind, VarRef,
 };
 
+use pspdg_pool::par_map;
+
 use crate::ast::*;
+use crate::lexer::Token;
+use crate::parser::parse_body;
 use crate::pragma::{ClauseAst, PragmaAst};
 use crate::FrontendError;
 
-/// Lower a parsed [`Unit`] to a [`ParallelProgram`].
+/// A global's id, element type and dimensions.
+type GlobalInfo<'a> = (GlobalId, TypeSpec, &'a [u64]);
+
+/// A function's id and declaration, for calls and for its own body.
+type Sig<'a> = (FuncId, &'a FuncDecl<'a>);
+
+/// Below this many tokens a program is lowered on the calling thread: waking
+/// a pool worker costs more than a small program's bodies do (measured on
+/// 2 vCPUs: about 15 µs per `par_map` against 50 µs to compile a 1 KB NAS
+/// kernel whose one kernel function dominates).
+const PARALLEL_MIN_TOKENS: usize = 4096;
+
+/// Where lowering a function failed, in the order errors are reported: a
+/// syntax error anywhere before any semantic one, as a whole-unit parse
+/// would find it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    Syntax,
+    Semantic,
+}
+
+/// Lower a scanned [`Unit`] to a [`ParallelProgram`]: each job parses one
+/// function body from `tokens`, lowers it against the declared signatures
+/// and drops its AST.
 ///
 /// # Errors
 ///
-/// Semantic errors: unknown names, type mismatches, arity mismatches,
-/// malformed pragma placement (e.g. `omp for` on a non-loop).
-pub fn lower(unit: &Unit) -> Result<ParallelProgram, FrontendError> {
+/// The first syntax error in source order, else the first semantic error:
+/// unknown names, type mismatches, arity mismatches, malformed pragma
+/// placement (e.g. `omp for` on a non-loop).
+pub(crate) fn lower(
+    tokens: &[Token<'_>],
+    unit: &Unit<'_>,
+) -> Result<ParallelProgram, FrontendError> {
     let mut module = Module::new("parc");
-    // Globals (zero-initialized, as in NAS: static arrays).
     let mut globals = HashMap::new();
-    for g in &unit.globals {
-        if globals.contains_key(&g.name) {
-            return Err(FrontendError::new(
-                g.line,
-                format!("duplicate global '{}'", g.name),
-            ));
-        }
-        let ty = build_type(g.ty, &g.dims);
-        let id = module.declare_global(g.name.clone(), ty, GlobalInit::Zero);
-        globals.insert(g.name.clone(), (id, g.ty, g.dims.clone()));
+    let mut sigs = HashMap::new();
+    let declared = match &unit.error {
+        Some(e) => Err(e.clone()),
+        None => declare(unit, &mut module, &mut globals, &mut sigs),
+    };
+    let parse = |f: &FuncDecl<'_>| parse_body(&tokens[f.body.clone()]);
+    if let Err(e) = declared {
+        // A syntax error in any body scanned comes before this error.
+        return Err(unit
+            .functions
+            .iter()
+            .find_map(|f| parse(f).err())
+            .unwrap_or(e));
     }
-    // Function signatures.
-    let mut sigs: HashMap<String, (FuncId, TypeSpec, Vec<ParamDecl>)> = HashMap::new();
-    for f in &unit.functions {
-        if sigs.contains_key(&f.name) {
-            return Err(FrontendError::new(
-                f.line,
-                format!("duplicate function '{}'", f.name),
-            ));
-        }
-        if Intrinsic::by_name(&f.name).is_some() {
-            return Err(FrontendError::new(
-                f.line,
-                format!("'{}' is a built-in and cannot be redefined", f.name),
-            ));
-        }
-        let params = f
+    let job = |(index, decl): (usize, &FuncDecl<'_>)| {
+        let body = parse(decl).map_err(|e| (Stage::Syntax, e))?;
+        let params = decl
             .params
             .iter()
             .map(|p| Param {
-                name: p.name.clone(),
+                name: p.name.to_string(),
                 ty: if p.is_array {
                     Type::Ptr
                 } else {
@@ -73,25 +93,35 @@ pub fn lower(unit: &Unit) -> Result<ParallelProgram, FrontendError> {
                 },
             })
             .collect();
-        let id = module.declare_function(f.name.clone(), params, ret_type(f.ret));
-        sigs.insert(f.name.clone(), (id, f.ret, f.params.clone()));
-    }
-    // Bodies.
-    let mut directives = Vec::new();
-    for f in &unit.functions {
-        let (func_id, _, _) = sigs[&f.name];
         let mut ctx = FnLower {
-            module: &mut module,
-            func_id,
+            func: Function::new(decl.name, params, scalar_type(decl.ret)),
+            id: FuncId::from_index(index),
+            decl,
             globals: &globals,
             sigs: &sigs,
-            decl: f,
-            scopes: Vec::new(),
-            directives: &mut directives,
+            vars: Vec::new(),
+            scope_start: 0,
+            directives: Vec::new(),
             entry: BlockId(0),
             current: BlockId(0),
         };
-        ctx.run()?;
+        ctx.run(&body).map_err(|e| (Stage::Semantic, e))?;
+        Ok((ctx.func, ctx.directives))
+    };
+    let jobs = unit.functions.iter().enumerate();
+    let lowered: Vec<_> = if tokens.len() < PARALLEL_MIN_TOKENS {
+        jobs.map(job).collect()
+    } else {
+        par_map(jobs.collect(), job)
+    };
+    let first_error = lowered.iter().filter_map(|r| r.as_ref().err());
+    if let Some((_, e)) = first_error.min_by_key(|(stage, _)| *stage) {
+        return Err(e.clone());
+    }
+    let mut directives = Vec::new();
+    for (func, func_directives) in lowered.into_iter().flatten() {
+        module.functions.push(func);
+        directives.extend(func_directives);
     }
     let mut program = ParallelProgram::new(module);
     for d in directives {
@@ -100,16 +130,50 @@ pub fn lower(unit: &Unit) -> Result<ParallelProgram, FrontendError> {
     Ok(program)
 }
 
+/// Declare every global into `module`, then record every function
+/// signature, reporting the first clash in source order.
+fn declare<'u>(
+    unit: &'u Unit<'u>,
+    module: &mut Module,
+    globals: &mut HashMap<&'u str, GlobalInfo<'u>>,
+    sigs: &mut HashMap<&'u str, Sig<'u>>,
+) -> Result<(), FrontendError> {
+    // Globals (zero-initialized, as in NAS: static arrays).
+    for g in &unit.globals {
+        if globals.contains_key(g.name) {
+            return Err(FrontendError::new(
+                g.line,
+                format!("duplicate global '{}'", g.name),
+            ));
+        }
+        let ty = build_type(g.ty, &g.dims);
+        let id = module.declare_global(g.name, ty, GlobalInit::Zero);
+        globals.insert(g.name, (id, g.ty, g.dims.as_slice()));
+    }
+    for (index, f) in unit.functions.iter().enumerate() {
+        if sigs.contains_key(f.name) {
+            return Err(FrontendError::new(
+                f.line,
+                format!("duplicate function '{}'", f.name),
+            ));
+        }
+        if Intrinsic::by_name(f.name).is_some() {
+            return Err(FrontendError::new(
+                f.line,
+                format!("'{}' is a built-in and cannot be redefined", f.name),
+            ));
+        }
+        sigs.insert(f.name, (FuncId::from_index(index), f));
+    }
+    Ok(())
+}
+
 fn scalar_type(ts: TypeSpec) -> Type {
     match ts {
         TypeSpec::Int => Type::I64,
         TypeSpec::Double => Type::F64,
         TypeSpec::Void => Type::Void,
     }
-}
-
-fn ret_type(ts: TypeSpec) -> Type {
-    scalar_type(ts)
 }
 
 fn build_type(ts: TypeSpec, dims: &[u64]) -> Type {
@@ -147,7 +211,7 @@ impl Ty {
 }
 
 /// How a name resolves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum VarKind {
     Local {
         ptr: Value,
@@ -158,30 +222,34 @@ enum VarKind {
         is_array: bool,
         shadow: Option<(Value, InstId)>,
     },
-    Global(pspdg_ir::GlobalId),
+    Global(GlobalId),
 }
 
-#[derive(Debug, Clone)]
-struct VarInfo {
+#[derive(Debug, Clone, Copy)]
+struct VarInfo<'a> {
     kind: VarKind,
     ty: TypeSpec,
-    dims: Vec<u64>,
+    dims: &'a [u64],
 }
 
+/// Lowers one function body into its own [`Function`].
 struct FnLower<'a> {
-    module: &'a mut Module,
-    func_id: FuncId,
-    globals: &'a HashMap<String, (pspdg_ir::GlobalId, TypeSpec, Vec<u64>)>,
-    sigs: &'a HashMap<String, (FuncId, TypeSpec, Vec<ParamDecl>)>,
-    decl: &'a FuncDecl,
-    scopes: Vec<HashMap<String, VarInfo>>,
-    directives: &'a mut Vec<Directive>,
+    func: Function,
+    id: FuncId,
+    decl: &'a FuncDecl<'a>,
+    globals: &'a HashMap<&'a str, GlobalInfo<'a>>,
+    sigs: &'a HashMap<&'a str, Sig<'a>>,
+    /// Every local and parameter in scope, innermost last.
+    vars: Vec<(&'a str, VarInfo<'a>)>,
+    /// Where the innermost block's declarations start in `vars`.
+    scope_start: usize,
+    directives: Vec<Directive>,
     entry: BlockId,
     /// Insertion point, persisted across temporary `FunctionBuilder`s.
     current: BlockId,
 }
 
-impl FnLower<'_> {
+impl<'a> FnLower<'a> {
     fn err(&self, line: u32, msg: impl Into<String>) -> FrontendError {
         FrontendError::new(
             line,
@@ -194,7 +262,7 @@ impl FnLower<'_> {
     /// [`Self::seek`] to move the persistent insertion point.
     fn builder(&mut self) -> FunctionBuilder<'_> {
         let current = self.current;
-        let mut b = FunctionBuilder::new(self.module.function_mut(self.func_id));
+        let mut b = FunctionBuilder::new(&mut self.func);
         b.switch_to_block(current);
         b
     }
@@ -204,9 +272,9 @@ impl FnLower<'_> {
         self.current = bb;
     }
 
-    fn run(&mut self) -> Result<(), FrontendError> {
+    fn run(&mut self, body: &'a Stmt<'a>) -> Result<(), FrontendError> {
         let (entry, start) = {
-            let mut b = FunctionBuilder::new(self.module.function_mut(self.func_id));
+            let mut b = FunctionBuilder::new(&mut self.func);
             let entry = b.create_block("entry");
             let start = b.create_block("start");
             (entry, start)
@@ -214,35 +282,27 @@ impl FnLower<'_> {
         self.entry = entry;
         self.current = start;
         // Scalar parameters get shadow allocas (assignable, addressable).
-        self.scopes.push(HashMap::new());
-        let params = self.decl.params.clone();
-        for (index, p) in params.iter().enumerate() {
+        for (index, p) in self.decl.params.iter().enumerate() {
             let shadow = if p.is_array {
                 None
             } else {
                 let mut b = self.builder();
                 let cur = b.current_block();
                 b.switch_to_block(entry);
-                let ptr = b.alloca(scalar_type(p.ty), p.name.clone());
+                let ptr = b.alloca(scalar_type(p.ty), p.name);
                 b.store(ptr, Value::Param(index));
                 b.switch_to_block(cur);
                 Some((ptr, ptr.as_inst().unwrap()))
             };
-            self.scopes.last_mut().unwrap().insert(
-                p.name.clone(),
-                VarInfo {
-                    kind: VarKind::Param {
-                        index,
-                        is_array: p.is_array,
-                        shadow,
-                    },
-                    ty: p.ty,
-                    dims: Vec::new(),
-                },
-            );
+            let kind = VarKind::Param {
+                index,
+                is_array: p.is_array,
+                shadow,
+            };
+            let (ty, dims) = (p.ty, &[][..]);
+            self.vars.push((p.name, VarInfo { kind, ty, dims }));
         }
-        let body = self.decl.body.clone();
-        self.stmt(&body)?;
+        self.stmt(body)?;
         // Fall-through return.
         {
             let ret = self.decl.ret;
@@ -258,21 +318,16 @@ impl FnLower<'_> {
             b.switch_to_block(entry);
             b.br(start);
         }
-        self.scopes.pop();
         Ok(())
     }
 
-    fn lookup(&self, name: &str) -> Option<VarInfo> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Some(v.clone());
-            }
+    fn lookup(&self, name: &str) -> Option<VarInfo<'a>> {
+        if let Some((_, v)) = self.vars.iter().rev().find(|(n, _)| *n == name) {
+            return Some(*v);
         }
-        self.globals.get(name).map(|(id, ty, dims)| VarInfo {
-            kind: VarKind::Global(*id),
-            ty: *ty,
-            dims: dims.clone(),
-        })
+        let &(id, ty, dims) = self.globals.get(name)?;
+        let kind = VarKind::Global(id);
+        Some(VarInfo { kind, ty, dims })
     }
 
     fn fresh_block(&mut self, name: &str) -> BlockId {
@@ -290,7 +345,7 @@ impl FnLower<'_> {
 
     // ---- statements --------------------------------------------------------
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), FrontendError> {
+    fn stmt(&mut self, s: &'a Stmt<'a>) -> Result<(), FrontendError> {
         // Dead code after a terminator gets its own unreachable block so the
         // builder never appends to a terminated block.
         if self.builder().block_terminated() {
@@ -299,11 +354,12 @@ impl FnLower<'_> {
         }
         match &s.kind {
             StmtKind::Block(stmts) => {
-                self.scopes.push(HashMap::new());
+                let outer = std::mem::replace(&mut self.scope_start, self.vars.len());
                 for st in stmts {
                     self.stmt(st)?;
                 }
-                self.scopes.pop();
+                self.vars.truncate(self.scope_start);
+                self.scope_start = outer;
                 Ok(())
             }
             StmtKind::Decl(decl, init) => self.decl_stmt(decl, init.as_ref()),
@@ -413,10 +469,8 @@ impl FnLower<'_> {
                         return Err(self.err(s.line, format!("pragma {other:?} is not standalone")))
                     }
                 };
-                self.directives.push(Directive::new(
-                    kind,
-                    Region::new(self.func_id, vec![bb], bb),
-                ));
+                self.directives
+                    .push(Directive::new(kind, Region::new(self.id, vec![bb], bb)));
                 Ok(())
             }
             StmtKind::CilkSpawn { target, call } => {
@@ -426,7 +480,7 @@ impl FnLower<'_> {
                 let blocks = self.block_range(region_start, cont);
                 self.directives.push(Directive::new(
                     DirectiveKind::CilkSpawn,
-                    Region::new(self.func_id, blocks, region_start),
+                    Region::new(self.id, blocks, region_start),
                 ));
                 Ok(())
             }
@@ -435,7 +489,7 @@ impl FnLower<'_> {
                 self.fresh_block("cilk.sync.cont");
                 self.directives.push(Directive::new(
                     DirectiveKind::CilkSync,
-                    Region::new(self.func_id, vec![bb], bb),
+                    Region::new(self.id, vec![bb], bb),
                 ));
                 Ok(())
             }
@@ -446,7 +500,7 @@ impl FnLower<'_> {
                 let blocks = self.block_range(region_start, cont);
                 self.directives.push(Directive::new(
                     DirectiveKind::CilkScope,
-                    Region::new(self.func_id, blocks, region_start),
+                    Region::new(self.id, blocks, region_start),
                 ));
                 Ok(())
             }
@@ -461,8 +515,15 @@ impl FnLower<'_> {
             .collect()
     }
 
-    fn decl_stmt(&mut self, decl: &VarDecl, init: Option<&Expr>) -> Result<(), FrontendError> {
-        if self.scopes.last().unwrap().contains_key(&decl.name) {
+    fn decl_stmt(
+        &mut self,
+        decl: &'a VarDecl<'a>,
+        init: Option<&'a Expr<'a>>,
+    ) -> Result<(), FrontendError> {
+        if self.vars[self.scope_start..]
+            .iter()
+            .any(|(n, _)| *n == decl.name)
+        {
             return Err(self.err(decl.line, format!("duplicate variable '{}'", decl.name)));
         }
         let ty = build_type(decl.ty, &decl.dims);
@@ -471,18 +532,13 @@ impl FnLower<'_> {
             let mut b = self.builder();
             let cur = b.current_block();
             b.switch_to_block(entry);
-            let ptr = b.alloca(ty, decl.name.clone());
+            let ptr = b.alloca(ty, decl.name);
             b.switch_to_block(cur);
             (ptr, ptr.as_inst().unwrap())
         };
-        self.scopes.last_mut().unwrap().insert(
-            decl.name.clone(),
-            VarInfo {
-                kind: VarKind::Local { ptr, alloca },
-                ty: decl.ty,
-                dims: decl.dims.clone(),
-            },
-        );
+        let kind = VarKind::Local { ptr, alloca };
+        let (ty, dims) = (decl.ty, decl.dims.as_slice());
+        self.vars.push((decl.name, VarInfo { kind, ty, dims }));
         if let Some(e) = init {
             let (v, vty) = self.expr(e)?;
             let v = self.coerce(v, vty, Ty::of(decl.ty), e.line)?;
@@ -493,9 +549,9 @@ impl FnLower<'_> {
 
     fn assign(
         &mut self,
-        target: &Expr,
+        target: &'a Expr<'a>,
         op: Option<BinKind>,
-        value: &Expr,
+        value: &'a Expr<'a>,
         line: u32,
     ) -> Result<(), FrontendError> {
         let (ptr, elem_ty) = self.lvalue(target)?;
@@ -521,23 +577,13 @@ impl FnLower<'_> {
 
     fn pragma_stmt(
         &mut self,
-        pragma: &PragmaAst,
-        stmt: &Stmt,
+        pragma: &'a PragmaAst<'a>,
+        stmt: &'a Stmt<'a>,
         line: u32,
     ) -> Result<(), FrontendError> {
         match pragma {
             PragmaAst::Parallel(clauses) => {
-                let region_start = self.fresh_block("omp.parallel");
-                self.stmt(stmt)?;
-                let cont = self.fresh_block("omp.parallel.cont");
-                let blocks = self.block_range(region_start, cont);
-                let d = Directive::new(
-                    DirectiveKind::Parallel,
-                    Region::new(self.func_id, blocks, region_start),
-                )
-                .with_clauses(self.resolve_clauses(clauses, line)?);
-                self.directives.push(d);
-                Ok(())
+                self.region_directive(DirectiveKind::Parallel, stmt, clauses, line, "omp.parallel")
             }
             PragmaAst::ParallelFor(clauses) => {
                 let StmtKind::For { .. } = &stmt.kind else {
@@ -548,7 +594,7 @@ impl FnLower<'_> {
                 let blocks = self.block_range(info.region_start, info.cont);
                 self.directives.push(Directive::new(
                     DirectiveKind::Parallel,
-                    Region::new(self.func_id, blocks, info.region_start),
+                    Region::new(self.id, blocks, info.region_start),
                 ));
                 self.push_loop_directive(
                     DirectiveKind::For {
@@ -596,7 +642,9 @@ impl FnLower<'_> {
                 self.region_directive(DirectiveKind::Master, stmt, &[], line, "omp.master")
             }
             PragmaAst::Critical(name) => self.region_directive(
-                DirectiveKind::Critical { name: name.clone() },
+                DirectiveKind::Critical {
+                    name: name.map(str::to_string),
+                },
                 stmt,
                 &[],
                 line,
@@ -616,17 +664,8 @@ impl FnLower<'_> {
             }
             PragmaAst::Task(clauses) => {
                 let depends = self.resolve_depends(clauses, line)?;
-                let region_start = self.fresh_block("omp.task");
-                self.stmt(stmt)?;
-                let cont = self.fresh_block("omp.task.cont");
-                let blocks = self.block_range(region_start, cont);
-                let d = Directive::new(
-                    DirectiveKind::Task { depends },
-                    Region::new(self.func_id, blocks, region_start),
-                )
-                .with_clauses(self.resolve_clauses(clauses, line)?);
-                self.directives.push(d);
-                Ok(())
+                let kind = DirectiveKind::Task { depends };
+                self.region_directive(kind, stmt, clauses, line, "omp.task")
             }
             PragmaAst::Barrier | PragmaAst::Taskwait => {
                 unreachable!("standalone pragmas handled by the parser")
@@ -637,8 +676,8 @@ impl FnLower<'_> {
     fn region_directive(
         &mut self,
         kind: DirectiveKind,
-        stmt: &Stmt,
-        clauses: &[ClauseAst],
+        stmt: &'a Stmt<'a>,
+        clauses: &[ClauseAst<'_>],
         line: u32,
         label: &str,
     ) -> Result<(), FrontendError> {
@@ -646,7 +685,7 @@ impl FnLower<'_> {
         self.stmt(stmt)?;
         let cont = self.fresh_block(&format!("{label}.cont"));
         let blocks = self.block_range(region_start, cont);
-        let d = Directive::new(kind, Region::new(self.func_id, blocks, region_start))
+        let d = Directive::new(kind, Region::new(self.id, blocks, region_start))
             .with_clauses(self.resolve_clauses(clauses, line)?);
         self.directives.push(d);
         Ok(())
@@ -656,11 +695,11 @@ impl FnLower<'_> {
         &mut self,
         kind: DirectiveKind,
         info: ForInfo,
-        clauses: &[ClauseAst],
+        clauses: &[ClauseAst<'_>],
         line: u32,
     ) -> Result<(), FrontendError> {
         let blocks = self.block_range(info.region_start, info.cont);
-        let mut d = Directive::new(kind, Region::new(self.func_id, blocks, info.region_start))
+        let mut d = Directive::new(kind, Region::new(self.id, blocks, info.region_start))
             .with_clauses(self.resolve_clauses(clauses, line)?);
         d.loop_header = Some(info.header);
         self.directives.push(d);
@@ -673,7 +712,7 @@ impl FnLower<'_> {
             .ok_or_else(|| self.err(line, format!("unknown variable '{name}' in clause")))?;
         Ok(match info.kind {
             VarKind::Local { alloca, .. } => VarRef::Alloca {
-                func: self.func_id,
+                func: self.id,
                 inst: alloca,
             },
             VarKind::Param {
@@ -683,13 +722,13 @@ impl FnLower<'_> {
             } => {
                 if is_array {
                     VarRef::Param {
-                        func: self.func_id,
+                        func: self.id,
                         index,
                     }
                 } else {
                     let (_, alloca) = shadow.expect("scalar params have shadows");
                     VarRef::Alloca {
-                        func: self.func_id,
+                        func: self.id,
                         inst: alloca,
                     }
                 }
@@ -700,61 +739,43 @@ impl FnLower<'_> {
 
     fn resolve_clauses(
         &self,
-        clauses: &[ClauseAst],
+        clauses: &[ClauseAst<'_>],
         line: u32,
     ) -> Result<Vec<DataClause>, FrontendError> {
         let mut out = Vec::new();
         for c in clauses {
-            match c {
-                ClauseAst::Private(vars) => {
-                    for v in vars {
-                        out.push(DataClause::Private(self.resolve_var(v, line)?));
-                    }
-                }
-                ClauseAst::Firstprivate(vars) => {
-                    for v in vars {
-                        out.push(DataClause::Firstprivate(self.resolve_var(v, line)?));
-                    }
-                }
-                ClauseAst::Lastprivate(vars) => {
-                    for v in vars {
-                        out.push(DataClause::Lastprivate(self.resolve_var(v, line)?));
-                    }
-                }
-                ClauseAst::Shared(vars) => {
-                    for v in vars {
-                        out.push(DataClause::Shared(self.resolve_var(v, line)?));
-                    }
-                }
-                ClauseAst::Threadprivate(vars) => {
-                    for v in vars {
-                        out.push(DataClause::Threadprivate(self.resolve_var(v, line)?));
-                    }
-                }
+            let (vars, clause): (&[&str], fn(VarRef) -> DataClause) = match c {
+                ClauseAst::Private(vars) => (vars, DataClause::Private),
+                ClauseAst::Firstprivate(vars) => (vars, DataClause::Firstprivate),
+                ClauseAst::Lastprivate(vars) => (vars, DataClause::Lastprivate),
+                ClauseAst::Shared(vars) => (vars, DataClause::Shared),
+                ClauseAst::Threadprivate(vars) => (vars, DataClause::Threadprivate),
                 ClauseAst::Reduction { op, vars } => {
                     let rop = match ReductionOp::from_token(op) {
                         Some(r) => r,
                         None => {
                             // A user-declared merger function.
-                            let (merger, _, _) = self.sigs.get(op).ok_or_else(|| {
+                            let merger = self.sigs.get(op).ok_or_else(|| {
                                 self.err(line, format!("unknown reduction operator '{op}'"))
                             })?;
-                            ReductionOp::Custom { merger: *merger }
+                            ReductionOp::Custom { merger: merger.0 }
                         }
                     };
                     for v in vars {
-                        out.push(DataClause::Reduction {
-                            op: rop,
-                            var: self.resolve_var(v, line)?,
-                        });
+                        let var = self.resolve_var(v, line)?;
+                        out.push(DataClause::Reduction { op: rop, var });
                     }
+                    continue;
                 }
                 ClauseAst::Schedule { .. }
                 | ClauseAst::Nowait
                 | ClauseAst::Ordered
                 | ClauseAst::Collapse(_)
                 | ClauseAst::NumThreads(_)
-                | ClauseAst::Depend { .. } => {}
+                | ClauseAst::Depend { .. } => continue,
+            };
+            for v in vars {
+                out.push(clause(self.resolve_var(v, line)?));
             }
         }
         Ok(out)
@@ -762,13 +783,13 @@ impl FnLower<'_> {
 
     fn resolve_depends(
         &self,
-        clauses: &[ClauseAst],
+        clauses: &[ClauseAst<'_>],
         line: u32,
     ) -> Result<Vec<Depend>, FrontendError> {
         let mut out = Vec::new();
         for c in clauses {
             if let ClauseAst::Depend { kind, vars } = c {
-                let k = match kind.as_str() {
+                let k = match *kind {
                     "in" => DependKind::In,
                     "out" => DependKind::Out,
                     "inout" => DependKind::Inout,
@@ -787,7 +808,7 @@ impl FnLower<'_> {
 
     // ---- loops --------------------------------------------------------------
 
-    fn lower_for(&mut self, s: &Stmt) -> Result<ForInfo, FrontendError> {
+    fn lower_for(&mut self, s: &'a Stmt<'a>) -> Result<ForInfo, FrontendError> {
         let StmtKind::For {
             init,
             cond,
@@ -840,7 +861,7 @@ impl FnLower<'_> {
     // ---- expressions ---------------------------------------------------------
 
     /// Lower an expression used as a branch condition (coerced to bool).
-    fn cond(&mut self, e: &Expr) -> Result<Value, FrontendError> {
+    fn cond(&mut self, e: &'a Expr<'a>) -> Result<Value, FrontendError> {
         let (v, ty) = self.expr(e)?;
         Ok(match ty {
             Ty::Bool => v,
@@ -911,58 +932,37 @@ impl FnLower<'_> {
         ty: Ty,
         line: u32,
     ) -> Result<(Value, Ty), FrontendError> {
-        let int_only = |this: &Self| -> Result<(), FrontendError> {
-            if ty != Ty::Int {
-                Err(this.err(
-                    line,
-                    format!("operator requires integer operands, got {}", ty.name()),
-                ))
-            } else {
-                Ok(())
-            }
+        let cmp = |this: &mut Self, op| Ok((this.builder().cmp(op, l, r), Ty::Bool));
+        let op = match bk {
+            BinKind::Add => BinOp::Add,
+            BinKind::Sub => BinOp::Sub,
+            BinKind::Mul => BinOp::Mul,
+            BinKind::Div => BinOp::Div,
+            BinKind::Rem => BinOp::Rem,
+            BinKind::BitAnd => BinOp::And,
+            BinKind::BitOr => BinOp::Or,
+            BinKind::BitXor => BinOp::Xor,
+            BinKind::Shl => BinOp::Shl,
+            BinKind::Shr => BinOp::Shr,
+            BinKind::Eq => return cmp(self, CmpOp::Eq),
+            BinKind::Ne => return cmp(self, CmpOp::Ne),
+            BinKind::Lt => return cmp(self, CmpOp::Lt),
+            BinKind::Le => return cmp(self, CmpOp::Le),
+            BinKind::Gt => return cmp(self, CmpOp::Gt),
+            BinKind::Ge => return cmp(self, CmpOp::Ge),
+            BinKind::LogAnd | BinKind::LogOr => unreachable!("logical ops handled in expr()"),
         };
-        Ok(match bk {
-            BinKind::Add => (self.builder().binary(BinOp::Add, l, r), ty),
-            BinKind::Sub => (self.builder().binary(BinOp::Sub, l, r), ty),
-            BinKind::Mul => (self.builder().binary(BinOp::Mul, l, r), ty),
-            BinKind::Div => (self.builder().binary(BinOp::Div, l, r), ty),
-            BinKind::Rem => {
-                int_only(self)?;
-                (self.builder().binary(BinOp::Rem, l, r), Ty::Int)
-            }
-            BinKind::BitAnd => {
-                int_only(self)?;
-                (self.builder().binary(BinOp::And, l, r), Ty::Int)
-            }
-            BinKind::BitOr => {
-                int_only(self)?;
-                (self.builder().binary(BinOp::Or, l, r), Ty::Int)
-            }
-            BinKind::BitXor => {
-                int_only(self)?;
-                (self.builder().binary(BinOp::Xor, l, r), Ty::Int)
-            }
-            BinKind::Shl => {
-                int_only(self)?;
-                (self.builder().binary(BinOp::Shl, l, r), Ty::Int)
-            }
-            BinKind::Shr => {
-                int_only(self)?;
-                (self.builder().binary(BinOp::Shr, l, r), Ty::Int)
-            }
-            BinKind::Eq => (self.builder().cmp(CmpOp::Eq, l, r), Ty::Bool),
-            BinKind::Ne => (self.builder().cmp(CmpOp::Ne, l, r), Ty::Bool),
-            BinKind::Lt => (self.builder().cmp(CmpOp::Lt, l, r), Ty::Bool),
-            BinKind::Le => (self.builder().cmp(CmpOp::Le, l, r), Ty::Bool),
-            BinKind::Gt => (self.builder().cmp(CmpOp::Gt, l, r), Ty::Bool),
-            BinKind::Ge => (self.builder().cmp(CmpOp::Ge, l, r), Ty::Bool),
-            BinKind::LogAnd | BinKind::LogOr => {
-                unreachable!("logical ops handled in expr()")
-            }
-        })
+        let int_only = !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div);
+        if int_only && ty != Ty::Int {
+            return Err(self.err(
+                line,
+                format!("operator requires integer operands, got {}", ty.name()),
+            ));
+        }
+        Ok((self.builder().binary(op, l, r), ty))
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<(Value, Ty), FrontendError> {
+    fn expr(&mut self, e: &'a Expr<'a>) -> Result<(Value, Ty), FrontendError> {
         match &e.kind {
             ExprKind::IntLit(v) => Ok((Value::const_int(*v), Ty::Int)),
             ExprKind::FloatLit(v) => Ok((Value::const_float(*v), Ty::Double)),
@@ -1023,7 +1023,11 @@ impl FnLower<'_> {
     }
 
     /// Lower a call; `as_stmt` permits void calls.
-    fn call_expr(&mut self, e: &Expr, as_stmt: bool) -> Result<(Value, Option<Ty>), FrontendError> {
+    fn call_expr(
+        &mut self,
+        e: &'a Expr<'a>,
+        as_stmt: bool,
+    ) -> Result<(Value, Option<Ty>), FrontendError> {
         let ExprKind::Call(name, args) = &e.kind else {
             unreachable!()
         };
@@ -1063,9 +1067,11 @@ impl FnLower<'_> {
             }
             return Ok((v, rty));
         }
-        let Some((callee, ret, params)) = self.sigs.get(name).cloned() else {
+        let sigs = self.sigs;
+        let Some(sig) = sigs.get(name) else {
             return Err(self.err(e.line, format!("unknown function '{name}'")));
         };
+        let (callee, ret, params) = (sig.0, sig.1.ret, &sig.1.params);
         if params.len() != args.len() {
             return Err(self.err(
                 e.line,
@@ -1073,7 +1079,7 @@ impl FnLower<'_> {
             ));
         }
         let mut vals = Vec::new();
-        for (a, p) in args.iter().zip(&params) {
+        for (a, p) in args.iter().zip(params) {
             if p.is_array {
                 let v = self.array_arg(a, p)?;
                 vals.push(v);
@@ -1082,7 +1088,7 @@ impl FnLower<'_> {
                 vals.push(self.coerce(v, ty, Ty::of(p.ty), a.line)?);
             }
         }
-        let ret_ir = ret_type(ret);
+        let ret_ir = scalar_type(ret);
         let v = self.builder().call(callee, vals, ret_ir);
         let rty = match ret {
             TypeSpec::Void => None,
@@ -1096,7 +1102,7 @@ impl FnLower<'_> {
     }
 
     /// Lower an array argument (decay to pointer).
-    fn array_arg(&mut self, a: &Expr, p: &ParamDecl) -> Result<Value, FrontendError> {
+    fn array_arg(&mut self, a: &'a Expr<'a>, p: &ParamDecl<'_>) -> Result<Value, FrontendError> {
         let ExprKind::Var(name) = &a.kind else {
             return Err(self.err(a.line, "array argument must be a plain array variable"));
         };
@@ -1134,7 +1140,7 @@ impl FnLower<'_> {
     }
 
     /// Lower an lvalue to (address, element type).
-    fn lvalue(&mut self, e: &Expr) -> Result<(Value, Ty), FrontendError> {
+    fn lvalue(&mut self, e: &'a Expr<'a>) -> Result<(Value, Ty), FrontendError> {
         match &e.kind {
             ExprKind::Var(name) => {
                 let info = self
@@ -1163,7 +1169,7 @@ impl FnLower<'_> {
                 let (base_ptr, elem_ts, rem_dims) = self.array_base(base)?;
                 let (iv, ity) = self.expr(idx)?;
                 let iv = self.coerce(iv, ity, Ty::Int, idx.line)?;
-                let elem_ir = build_type(elem_ts, &rem_dims);
+                let elem_ir = build_type(elem_ts, rem_dims);
                 if !rem_dims.is_empty() {
                     return Err(self.err(
                         e.line,
@@ -1180,7 +1186,10 @@ impl FnLower<'_> {
     /// Resolve the base of an indexing chain:
     /// returns (address-of-element-sequence, scalar type, remaining dims
     /// *after* applying this base's indexing).
-    fn array_base(&mut self, e: &Expr) -> Result<(Value, TypeSpec, Vec<u64>), FrontendError> {
+    fn array_base(
+        &mut self,
+        e: &'a Expr<'a>,
+    ) -> Result<(Value, TypeSpec, &'a [u64]), FrontendError> {
         match &e.kind {
             ExprKind::Var(name) => {
                 let info = self
@@ -1191,13 +1200,13 @@ impl FnLower<'_> {
                         if info.dims.is_empty() {
                             return Err(self.err(e.line, format!("'{name}' is not an array")));
                         }
-                        Ok((ptr, info.ty, info.dims[1..].to_vec()))
+                        Ok((ptr, info.ty, &info.dims[1..]))
                     }
                     VarKind::Global(g) => {
                         if info.dims.is_empty() {
                             return Err(self.err(e.line, format!("'{name}' is not an array")));
                         }
-                        Ok((Value::Global(g), info.ty, info.dims[1..].to_vec()))
+                        Ok((Value::Global(g), info.ty, &info.dims[1..]))
                     }
                     VarKind::Param {
                         index, is_array, ..
@@ -1205,7 +1214,7 @@ impl FnLower<'_> {
                         if !is_array {
                             return Err(self.err(e.line, format!("'{name}' is not an array")));
                         }
-                        Ok((Value::Param(index), info.ty, Vec::new()))
+                        Ok((Value::Param(index), info.ty, &[]))
                     }
                 }
             }
@@ -1216,9 +1225,9 @@ impl FnLower<'_> {
                 }
                 let (iv, ity) = self.expr(idx)?;
                 let iv = self.coerce(iv, ity, Ty::Int, idx.line)?;
-                let elem_ir = build_type(elem_ts, &rem_dims);
+                let elem_ir = build_type(elem_ts, rem_dims);
                 let ptr = self.builder().gep(base_ptr, iv, elem_ir);
-                Ok((ptr, elem_ts, rem_dims[1..].to_vec()))
+                Ok((ptr, elem_ts, &rem_dims[1..]))
             }
             _ => Err(self.err(e.line, "expression cannot be indexed")),
         }
@@ -1226,8 +1235,8 @@ impl FnLower<'_> {
 
     fn spawn_call(
         &mut self,
-        target: Option<&Expr>,
-        call: &Expr,
+        target: Option<&'a Expr<'a>>,
+        call: &'a Expr<'a>,
         line: u32,
     ) -> Result<(), FrontendError> {
         match target {
@@ -1262,10 +1271,10 @@ fn ty_to_ir(ty: Ty) -> Type {
     }
 }
 
-fn schedule_of(clauses: &[ClauseAst]) -> Schedule {
+fn schedule_of(clauses: &[ClauseAst<'_>]) -> Schedule {
     for c in clauses {
         if let ClauseAst::Schedule { kind, chunk } = c {
-            let kind = match kind.as_str() {
+            let kind = match *kind {
                 "dynamic" => ScheduleKind::Dynamic,
                 "guided" => ScheduleKind::Guided,
                 "auto" => ScheduleKind::Auto,
@@ -1280,10 +1289,10 @@ fn schedule_of(clauses: &[ClauseAst]) -> Schedule {
     Schedule::default()
 }
 
-fn has_nowait(clauses: &[ClauseAst]) -> bool {
+fn has_nowait(clauses: &[ClauseAst<'_>]) -> bool {
     clauses.iter().any(|c| matches!(c, ClauseAst::Nowait))
 }
 
-fn has_ordered(clauses: &[ClauseAst]) -> bool {
+fn has_ordered(clauses: &[ClauseAst<'_>]) -> bool {
     clauses.iter().any(|c| matches!(c, ClauseAst::Ordered))
 }

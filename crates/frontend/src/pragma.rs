@@ -1,31 +1,32 @@
-//! Parser for the `#pragma omp ...` sub-language.
+//! Parser for the `#pragma omp ...` sub-language. Names and clause words
+//! borrow from the source text.
 
 use crate::FrontendError;
 
 /// A parsed data/environment clause.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ClauseAst {
+pub(crate) enum ClauseAst<'s> {
     /// `private(a, b)`
-    Private(Vec<String>),
+    Private(Vec<&'s str>),
     /// `firstprivate(a, b)`
-    Firstprivate(Vec<String>),
+    Firstprivate(Vec<&'s str>),
     /// `lastprivate(a, b)`
-    Lastprivate(Vec<String>),
+    Lastprivate(Vec<&'s str>),
     /// `shared(a, b)`
-    Shared(Vec<String>),
+    Shared(Vec<&'s str>),
     /// `threadprivate(a, b)`
-    Threadprivate(Vec<String>),
+    Threadprivate(Vec<&'s str>),
     /// `reduction(op: a, b)`
     Reduction {
         /// Operator token (`+`, `*`, `min`, …).
-        op: String,
+        op: &'s str,
         /// Reduced variables.
-        vars: Vec<String>,
+        vars: Vec<&'s str>,
     },
     /// `schedule(kind[, chunk])`
     Schedule {
         /// `static` / `dynamic` / `guided` / `auto`.
-        kind: String,
+        kind: &'s str,
         /// Optional chunk size.
         chunk: Option<u64>,
     },
@@ -40,31 +41,31 @@ pub enum ClauseAst {
     /// `depend(in|out|inout: a, b)`
     Depend {
         /// `in` / `out` / `inout`.
-        kind: String,
+        kind: &'s str,
         /// Depended-on variables.
-        vars: Vec<String>,
+        vars: Vec<&'s str>,
     },
 }
 
 /// A parsed `#pragma omp` directive.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PragmaAst {
+pub(crate) enum PragmaAst<'s> {
     /// `omp parallel [clauses]`
-    Parallel(Vec<ClauseAst>),
+    Parallel(Vec<ClauseAst<'s>>),
     /// `omp for [clauses]`
-    For(Vec<ClauseAst>),
+    For(Vec<ClauseAst<'s>>),
     /// `omp parallel for [clauses]`
-    ParallelFor(Vec<ClauseAst>),
+    ParallelFor(Vec<ClauseAst<'s>>),
     /// `omp sections [clauses]`
-    Sections(Vec<ClauseAst>),
+    Sections(Vec<ClauseAst<'s>>),
     /// `omp section`
     Section,
     /// `omp single [nowait]`
-    Single(Vec<ClauseAst>),
+    Single(Vec<ClauseAst<'s>>),
     /// `omp master`
     Master,
     /// `omp critical [(name)]`
-    Critical(Option<String>),
+    Critical(Option<&'s str>),
     /// `omp atomic`
     Atomic,
     /// `omp barrier`
@@ -72,18 +73,18 @@ pub enum PragmaAst {
     /// `omp ordered`
     Ordered,
     /// `omp task [clauses]`
-    Task(Vec<ClauseAst>),
+    Task(Vec<ClauseAst<'s>>),
     /// `omp taskwait`
     Taskwait,
     /// `omp taskloop [clauses]`
-    Taskloop(Vec<ClauseAst>),
+    Taskloop(Vec<ClauseAst<'s>>),
     /// `omp simd [clauses]`
-    Simd(Vec<ClauseAst>),
+    Simd(Vec<ClauseAst<'s>>),
 }
 
-impl PragmaAst {
+impl PragmaAst<'_> {
     /// Whether this pragma stands alone (no following statement).
-    pub fn is_standalone(&self) -> bool {
+    pub(crate) fn is_standalone(&self) -> bool {
         matches!(self, PragmaAst::Barrier | PragmaAst::Taskwait)
     }
 }
@@ -95,17 +96,17 @@ struct PragmaLexer<'a> {
     line: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum PTok {
-    Word(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PTok<'a> {
+    Word(&'a str),
     Num(u64),
     Punct(char),
-    Op(String),
+    Op(&'a str),
     End,
 }
 
 impl<'a> PragmaLexer<'a> {
-    fn next(&mut self) -> Result<PTok, FrontendError> {
+    fn next(&mut self) -> Result<PTok<'a>, FrontendError> {
         let bytes = self.text.as_bytes();
         while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -122,7 +123,7 @@ impl<'a> PragmaLexer<'a> {
                 {
                     self.pos += 1;
                 }
-                Ok(PTok::Word(self.text[start..self.pos].to_string()))
+                Ok(PTok::Word(&self.text[start..self.pos]))
             }
             b'0'..=b'9' => {
                 let start = self.pos;
@@ -140,15 +141,15 @@ impl<'a> PragmaLexer<'a> {
             }
             b'+' | b'*' | b'-' | b'^' => {
                 self.pos += 1;
-                Ok(PTok::Op((c as char).to_string()))
+                Ok(PTok::Op(&self.text[self.pos - 1..self.pos]))
             }
             b'&' | b'|' => {
                 self.pos += 1;
                 if self.pos < bytes.len() && bytes[self.pos] == c {
                     self.pos += 1;
-                    Ok(PTok::Op(format!("{}{}", c as char, c as char)))
+                    Ok(PTok::Op(&self.text[self.pos - 2..self.pos]))
                 } else {
-                    Ok(PTok::Op((c as char).to_string()))
+                    Ok(PTok::Op(&self.text[self.pos - 1..self.pos]))
                 }
             }
             other => Err(FrontendError::new(
@@ -158,7 +159,18 @@ impl<'a> PragmaLexer<'a> {
         }
     }
 
-    fn peek(&mut self) -> Result<PTok, FrontendError> {
+    /// Consume the punctuation `c`.
+    fn punct(&mut self, c: char) -> Result<(), FrontendError> {
+        match self.next()? {
+            PTok::Punct(p) if p == c => Ok(()),
+            other => Err(FrontendError::new(
+                self.line,
+                format!("expected '{c}', found {other:?}"),
+            )),
+        }
+    }
+
+    fn peek(&mut self) -> Result<PTok<'a>, FrontendError> {
         let save = self.pos;
         let t = self.next()?;
         self.pos = save;
@@ -171,11 +183,11 @@ impl<'a> PragmaLexer<'a> {
 /// # Errors
 ///
 /// Unknown directives, unknown clauses, and malformed clause arguments.
-pub fn parse_pragma(text: &str, line: u32) -> Result<PragmaAst, FrontendError> {
+pub(crate) fn parse_pragma(text: &str, line: u32) -> Result<PragmaAst<'_>, FrontendError> {
     let mut lex = PragmaLexer { text, pos: 0, line };
     let err = |msg: String| FrontendError::new(line, msg);
     match lex.next()? {
-        PTok::Word(w) if w == "omp" => {}
+        PTok::Word("omp") => {}
         other => {
             return Err(err(format!(
                 "expected 'omp' after #pragma, found {other:?}"
@@ -186,15 +198,13 @@ pub fn parse_pragma(text: &str, line: u32) -> Result<PragmaAst, FrontendError> {
         PTok::Word(w) => w,
         other => return Err(err(format!("expected directive name, found {other:?}"))),
     };
-    match head.as_str() {
+    match head {
         "parallel" => {
             // `parallel for` fusion.
-            if let PTok::Word(w) = lex.peek()? {
-                if w == "for" {
-                    lex.next()?;
-                    let clauses = parse_clauses(&mut lex, line)?;
-                    return Ok(PragmaAst::ParallelFor(clauses));
-                }
+            if lex.peek()? == PTok::Word("for") {
+                lex.next()?;
+                let clauses = parse_clauses(&mut lex, line)?;
+                return Ok(PragmaAst::ParallelFor(clauses));
             }
             Ok(PragmaAst::Parallel(parse_clauses(&mut lex, line)?))
         }
@@ -213,10 +223,7 @@ pub fn parse_pragma(text: &str, line: u32) -> Result<PragmaAst, FrontendError> {
                             return Err(err(format!("expected critical name, found {other:?}")))
                         }
                     };
-                    match lex.next()? {
-                        PTok::Punct(')') => {}
-                        other => return Err(err(format!("expected ')', found {other:?}"))),
-                    }
+                    lex.punct(')')?;
                     Some(n)
                 }
                 _ => None,
@@ -240,17 +247,23 @@ pub fn parse_pragma(text: &str, line: u32) -> Result<PragmaAst, FrontendError> {
     }
 }
 
-fn parse_var_list(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<String>, FrontendError> {
+fn parse_var_list<'s>(lex: &mut PragmaLexer<'s>, line: u32) -> Result<Vec<&'s str>, FrontendError> {
+    lex.punct('(')?;
+    parse_names(lex, line, "variable name")
+}
+
+/// `a, b, c)`: the names of a clause up to its closing parenthesis.
+fn parse_names<'s>(
+    lex: &mut PragmaLexer<'s>,
+    line: u32,
+    what: &str,
+) -> Result<Vec<&'s str>, FrontendError> {
     let err = |msg: String| FrontendError::new(line, msg);
-    match lex.next()? {
-        PTok::Punct('(') => {}
-        other => return Err(err(format!("expected '(', found {other:?}"))),
-    }
     let mut vars = Vec::new();
     loop {
         match lex.next()? {
             PTok::Word(w) => vars.push(w),
-            other => return Err(err(format!("expected variable name, found {other:?}"))),
+            other => return Err(err(format!("expected {what}, found {other:?}"))),
         }
         match lex.next()? {
             PTok::Punct(',') => continue,
@@ -261,7 +274,10 @@ fn parse_var_list(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<String>, F
     Ok(vars)
 }
 
-fn parse_clauses(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<ClauseAst>, FrontendError> {
+fn parse_clauses<'s>(
+    lex: &mut PragmaLexer<'s>,
+    line: u32,
+) -> Result<Vec<ClauseAst<'s>>, FrontendError> {
     let err = |msg: String| FrontendError::new(line, msg);
     let mut clauses = Vec::new();
     loop {
@@ -271,7 +287,7 @@ fn parse_clauses(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<ClauseAst>,
             PTok::Punct(',') => continue, // clause separators are optional
             other => return Err(err(format!("expected clause name, found {other:?}"))),
         };
-        match name.as_str() {
+        match name {
             "nowait" => clauses.push(ClauseAst::Nowait),
             "ordered" => clauses.push(ClauseAst::Ordered),
             "private" => clauses.push(ClauseAst::Private(parse_var_list(lex, line)?)),
@@ -280,18 +296,12 @@ fn parse_clauses(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<ClauseAst>,
             "shared" => clauses.push(ClauseAst::Shared(parse_var_list(lex, line)?)),
             "threadprivate" => clauses.push(ClauseAst::Threadprivate(parse_var_list(lex, line)?)),
             "collapse" | "num_threads" => {
-                match lex.next()? {
-                    PTok::Punct('(') => {}
-                    other => return Err(err(format!("expected '(', found {other:?}"))),
-                }
+                lex.punct('(')?;
                 let n = match lex.next()? {
                     PTok::Num(n) => n,
                     other => return Err(err(format!("expected number, found {other:?}"))),
                 };
-                match lex.next()? {
-                    PTok::Punct(')') => {}
-                    other => return Err(err(format!("expected ')', found {other:?}"))),
-                }
+                lex.punct(')')?;
                 clauses.push(if name == "collapse" {
                     ClauseAst::Collapse(n)
                 } else {
@@ -299,10 +309,7 @@ fn parse_clauses(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<ClauseAst>,
                 });
             }
             "schedule" => {
-                match lex.next()? {
-                    PTok::Punct('(') => {}
-                    other => return Err(err(format!("expected '(', found {other:?}"))),
-                }
+                lex.punct('(')?;
                 let kind = match lex.next()? {
                     PTok::Word(w) => w,
                     other => return Err(err(format!("expected schedule kind, found {other:?}"))),
@@ -316,10 +323,7 @@ fn parse_clauses(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<ClauseAst>,
                                 return Err(err(format!("expected chunk size, found {other:?}")))
                             }
                         };
-                        match lex.next()? {
-                            PTok::Punct(')') => {}
-                            other => return Err(err(format!("expected ')', found {other:?}"))),
-                        }
+                        lex.punct(')')?;
                         Some(n)
                     }
                     other => return Err(err(format!("expected ',' or ')', found {other:?}"))),
@@ -327,58 +331,24 @@ fn parse_clauses(lex: &mut PragmaLexer<'_>, line: u32) -> Result<Vec<ClauseAst>,
                 clauses.push(ClauseAst::Schedule { kind, chunk });
             }
             "reduction" => {
-                match lex.next()? {
-                    PTok::Punct('(') => {}
-                    other => return Err(err(format!("expected '(', found {other:?}"))),
-                }
+                lex.punct('(')?;
                 let op = match lex.next()? {
                     PTok::Op(o) => o,
                     PTok::Word(w) => w, // min / max / custom merger name
                     other => return Err(err(format!("expected reduction op, found {other:?}"))),
                 };
-                match lex.next()? {
-                    PTok::Punct(':') => {}
-                    other => return Err(err(format!("expected ':', found {other:?}"))),
-                }
-                let mut vars = Vec::new();
-                loop {
-                    match lex.next()? {
-                        PTok::Word(w) => vars.push(w),
-                        other => return Err(err(format!("expected variable, found {other:?}"))),
-                    }
-                    match lex.next()? {
-                        PTok::Punct(',') => continue,
-                        PTok::Punct(')') => break,
-                        other => return Err(err(format!("expected ',' or ')', found {other:?}"))),
-                    }
-                }
+                lex.punct(':')?;
+                let vars = parse_names(lex, line, "variable")?;
                 clauses.push(ClauseAst::Reduction { op, vars });
             }
             "depend" => {
-                match lex.next()? {
-                    PTok::Punct('(') => {}
-                    other => return Err(err(format!("expected '(', found {other:?}"))),
-                }
+                lex.punct('(')?;
                 let kind = match lex.next()? {
                     PTok::Word(w) => w,
                     other => return Err(err(format!("expected depend kind, found {other:?}"))),
                 };
-                match lex.next()? {
-                    PTok::Punct(':') => {}
-                    other => return Err(err(format!("expected ':', found {other:?}"))),
-                }
-                let mut vars = Vec::new();
-                loop {
-                    match lex.next()? {
-                        PTok::Word(w) => vars.push(w),
-                        other => return Err(err(format!("expected variable, found {other:?}"))),
-                    }
-                    match lex.next()? {
-                        PTok::Punct(',') => continue,
-                        PTok::Punct(')') => break,
-                        other => return Err(err(format!("expected ',' or ')', found {other:?}"))),
-                    }
-                }
+                lex.punct(':')?;
+                let vars = parse_names(lex, line, "variable")?;
                 clauses.push(ClauseAst::Depend { kind, vars });
             }
             other => return Err(err(format!("unknown clause '{other}'"))),
@@ -401,18 +371,18 @@ mod tests {
         match p {
             PragmaAst::ParallelFor(clauses) => {
                 assert_eq!(clauses.len(), 3);
-                assert_eq!(clauses[0], ClauseAst::Private(vec!["a".into(), "b".into()]));
+                assert_eq!(clauses[0], ClauseAst::Private(vec!["a", "b"]));
                 assert_eq!(
                     clauses[1],
                     ClauseAst::Reduction {
-                        op: "+".into(),
-                        vars: vec!["s".into()]
+                        op: "+",
+                        vars: vec!["s"]
                     }
                 );
                 assert_eq!(
                     clauses[2],
                     ClauseAst::Schedule {
-                        kind: "static".into(),
+                        kind: "static",
                         chunk: Some(4)
                     }
                 );
@@ -425,7 +395,7 @@ mod tests {
     fn parses_named_critical() {
         assert_eq!(
             parse_pragma("omp critical (histlock)", 3).unwrap(),
-            PragmaAst::Critical(Some("histlock".into()))
+            PragmaAst::Critical(Some("histlock"))
         );
         assert_eq!(
             parse_pragma("omp critical", 3).unwrap(),
@@ -448,15 +418,15 @@ mod tests {
                 assert_eq!(
                     clauses[0],
                     ClauseAst::Depend {
-                        kind: "in".into(),
-                        vars: vec!["x".into(), "y".into()]
+                        kind: "in",
+                        vars: vec!["x", "y"]
                     }
                 );
                 assert_eq!(
                     clauses[1],
                     ClauseAst::Depend {
-                        kind: "out".into(),
-                        vars: vec!["z".into()]
+                        kind: "out",
+                        vars: vec!["z"]
                     }
                 );
             }
@@ -467,14 +437,15 @@ mod tests {
     #[test]
     fn parses_reduction_ops() {
         for op in ["+", "*", "min", "max", "&", "|", "^", "&&", "||"] {
-            let p = parse_pragma(&format!("omp for reduction({op}: s)"), 1).unwrap();
+            let text = format!("omp for reduction({op}: s)");
+            let p = parse_pragma(&text, 1).unwrap();
             match p {
                 PragmaAst::For(c) => {
                     assert_eq!(
                         c[0],
                         ClauseAst::Reduction {
-                            op: op.into(),
-                            vars: vec!["s".into()]
+                            op,
+                            vars: vec!["s"]
                         }
                     );
                 }

@@ -540,3 +540,42 @@ fn scalar_params_are_mutable() {
     let (r, _) = run_main(&p);
     assert_eq!(r, Some(RtVal::Int(30)));
 }
+
+/// `main` nested `n` levels deep in one of the ways parsing, lowering and
+/// dropping the tree recurse.
+fn nested(shape: &str, n: usize) -> String {
+    let body = match shape {
+        "parens" => format!("return {}1{};", "(".repeat(n), ")".repeat(n)),
+        "chain" => format!("return 1{};", " + 1".repeat(n - 1)),
+        "negations" => format!("return {}1;", "- ".repeat(n)),
+        "blocks" => format!("{}{} return 1;", "{ ".repeat(n), "} ".repeat(n)),
+        "ifs" => format!("{} return 1; return 0;", "if (1) ".repeat(n)),
+        _ => unreachable!("unknown shape {shape}"),
+    };
+    format!("int main() {{\n{body}\n}}\n")
+}
+
+#[test]
+fn nesting_past_the_limit_is_an_error_at_its_line() {
+    // (shape, deepest n accepted, main's result there): a statement takes a
+    // level, and `return` plus its expression root take two more.
+    let shapes = [
+        ("parens", 254, 1),
+        ("chain", 255, 255),
+        ("negations", 254, 1),
+        ("blocks", 256, 1),
+        ("ifs", 254, 1),
+    ];
+    for (shape, limit, result) in shapes {
+        let program = compile(&nested(shape, limit)).unwrap_or_else(|e| panic!("{shape}: {e}"));
+        assert_eq!(run_main(&program).0, Some(RtVal::Int(result)), "{shape}");
+        for n in [limit + 1, 10_000] {
+            let err = compile(&nested(shape, n)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "line 2: nesting deeper than 256 levels",
+                "{shape} {n}"
+            );
+        }
+    }
+}

@@ -87,11 +87,23 @@ pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
             }
         }
     }
-    for f in module.function_ids() {
-        verify_function(module, f)?;
+    // Functions are checked independently, on the global pool once the
+    // module is big enough to repay waking a worker; either way the first
+    // error in function order is the one reported.
+    let check = |f| verify_function(module, f);
+    if module.size() < PARALLEL_MIN_INSTS {
+        return module.function_ids().try_for_each(check);
     }
-    Ok(())
+    pspdg_pool::par_map(module.function_ids().collect(), check)
+        .into_iter()
+        .collect()
 }
+
+/// Below this many instructions a module is verified on the calling thread.
+/// Measured on 2 vCPUs, a `par_map` costs about 15 µs and checking runs at
+/// about 80 ns per instruction, but small modules are mostly one function
+/// (a NAS kernel and its `main`), which a second thread cannot split.
+const PARALLEL_MIN_INSTS: usize = 2048;
 
 /// Verify a single function. See [`verify_module`] for the error conditions.
 ///

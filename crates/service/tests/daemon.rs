@@ -183,6 +183,56 @@ fn errors_come_back_as_responses_not_hangups() {
     service.shutdown();
 }
 
+/// `main` nested `n` levels deep in one of the ways the front-end
+/// recurses (the same shapes as the front-end's own nesting test).
+fn nested(shape: &str, n: usize) -> String {
+    let body = match shape {
+        "parens" => format!("return {}1{};", "(".repeat(n), ")".repeat(n)),
+        "chain" => format!("return 1{};", " + 1".repeat(n - 1)),
+        "blocks" => format!("{}{} return 1;", "{ ".repeat(n), "} ".repeat(n)),
+        "ifs" => format!("{} return 1; return 0;", "if (1) ".repeat(n)),
+        _ => unreachable!("unknown shape {shape}"),
+    };
+    format!("int main() {{\n{body}\n}}\n")
+}
+
+/// Deep nesting is a compile error, not a handler stack overflow that
+/// aborts the daemon: at the front-end's limit `plan` and `execute`
+/// answer, one level deeper (or thousands, as a hostile request would) the
+/// reply is an error, and the daemon still answers `ping`.
+#[test]
+fn nesting_past_the_limit_is_refused_and_the_daemon_lives() {
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let shapes = [
+        ("parens", 254, 700),
+        ("chain", 255, 10_000),
+        ("blocks", 256, 10_000),
+        ("ifs", 254, 10_000),
+    ];
+    for (shape, limit, hostile) in shapes {
+        let src = nested(shape, limit);
+        client
+            .plan(&src, Abstraction::PsPdg)
+            .unwrap_or_else(|e| panic!("{shape} at the limit: {e}"));
+        let exec = client
+            .execute(&src, Abstraction::PsPdg, Some(2))
+            .unwrap_or_else(|e| panic!("{shape} at the limit: {e}"));
+        assert_eq!(exec.get("matches_baseline"), Some(&Value::Bool(true)));
+        for n in [limit + 1, hostile] {
+            match client.plan(&nested(shape, n), Abstraction::PsPdg) {
+                Err(ClientError::Server(msg)) => assert!(
+                    msg.contains("line 2: nesting deeper than 256 levels"),
+                    "{shape} {n}: {msg}"
+                ),
+                other => panic!("{shape} {n}: expected a compile error, got {other:?}"),
+            }
+            client.ping().unwrap();
+        }
+    }
+    service.shutdown();
+}
+
 /// A request line past the daemon's bound is refused with an error line
 /// and that connection closed — the reader thread buffers no more than the
 /// bound — while the daemon keeps serving everyone else.

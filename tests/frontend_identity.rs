@@ -52,6 +52,14 @@ const ERRORS: &[(&str, &str)] = &[
         "#include <stdio.h>\nint main() { return 0; }",
         "line 1: unknown preprocessor line: include <stdio.h>",
     ),
+    (
+        "int main() { return 7; } /* trailing",
+        "line 1: unterminated comment",
+    ),
+    (
+        "int main() { return \u{e9}; }",
+        "line 1: unexpected character '\u{e9}'",
+    ),
     // Parsing.
     ("int main( {", "line 1: expected parameter type"),
     (
