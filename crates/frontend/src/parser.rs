@@ -40,7 +40,7 @@ pub(crate) fn parse_body<'s>(tokens: &[Token<'s>]) -> Result<Stmt<'s>, FrontendE
 
 /// The binary operator `kind` spells and its binding power: higher binds
 /// tighter, and every level is left-associative.
-fn binary_op(kind: &TokenKind<'_>) -> Option<(BinKind, u8)> {
+fn binary_op(kind: TokenKind<'_>) -> Option<(BinKind, u8)> {
     use TokenKind as T;
     Some(match kind {
         T::OrOr => (BinKind::LogOr, 1),
@@ -516,7 +516,7 @@ impl<'t, 's> Parser<'t, 's> {
     fn binary(&mut self, min_power: u8) -> Result<Expr<'s>, FrontendError> {
         self.enter()?;
         let mut lhs = self.unary_expr()?;
-        while let Some((op, power)) = binary_op(&self.peek()) {
+        while let Some((op, power)) = binary_op(self.peek()) {
             if power < min_power {
                 break;
             }
