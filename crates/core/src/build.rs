@@ -43,8 +43,10 @@ use crate::graph::{
 /// the `Contexts` feature is ablated).
 pub const UNKNOWN_LOOP: LoopId = LoopId(u32::MAX);
 
-/// One function's PS-PDG together with every artifact it was built from
-/// (the unit [`build_pspdg_module`] produces per function).
+/// One function's PS-PDG together with the artifacts planning reads (the
+/// unit [`build_pspdg_module`] produces per function). A session caches
+/// these for its lifetime, so nothing else is kept: the memory references
+/// both graphs were built from are dropped when the function's job ends.
 #[derive(Debug, Clone)]
 pub struct FunctionPsPdg {
     /// The analyzed function.
@@ -55,9 +57,6 @@ pub struct FunctionPsPdg {
     pub pdg: Pdg,
     /// Its PS-PDG.
     pub pspdg: PsPdg,
-    /// The memory references the PDG and the PS-PDG variables pass were
-    /// computed from (collected once, threaded through both).
-    pub mem_refs: Vec<pspdg_pdg::MemRef>,
 }
 
 /// Build analyses, PDG, and PS-PDG for every function of `program` that
@@ -108,7 +107,6 @@ pub fn build_pspdg_module_recorded(
             analyses,
             pdg,
             pspdg,
-            mem_refs,
         }
     })
 }
@@ -191,13 +189,15 @@ impl Builder<'_> {
             .collect();
 
         // ---- nodes ---------------------------------------------------------
-        let mut nodes: Vec<Node> = (0..n_insts)
-            .map(|i| Node {
-                kind: NodeKind::Instruction(InstId::from_index(i)),
-                traits: Vec::new(),
-                label: String::new(),
-            })
-            .collect();
+        // Room for every hierarchical node (a loop's, at most one per
+        // directive), trimmed at assembly: the arena lives as the graph does.
+        let hier = self.analyses.forest.len() + dirs.len();
+        let mut nodes: Vec<Node> = Vec::with_capacity(n_insts + hier);
+        nodes.extend((0..n_insts).map(|i| Node {
+            kind: NodeKind::Instruction(InstId::from_index(i)),
+            traits: Vec::new(),
+            label: String::new(),
+        }));
         let inst_node: Vec<NodeId> = (0..n_insts).map(|i| NodeId(i as u32)).collect();
         let mut contexts: Vec<Context> = Vec::new();
 
@@ -668,7 +668,7 @@ impl Builder<'_> {
             if removed[ei] {
                 continue;
             }
-            let mut e2 = self.pdg.edges[ei].clone();
+            let mut e2 = self.pdg.edges[ei];
             if !e2.kind.narrow_carried(|l| gone.contains(&l)) {
                 removed[ei] = true; // nothing left of the dependence
                 continue;
@@ -681,9 +681,7 @@ impl Builder<'_> {
                 if removed[ei] {
                     continue;
                 }
-                let e2 = rewrites
-                    .entry(ei as u32)
-                    .or_insert_with(|| self.pdg.edges[ei].clone());
+                let e2 = rewrites.entry(ei as u32).or_insert(self.pdg.edges[ei]);
                 blur_carried(&mut e2.kind);
             }
         }
@@ -692,6 +690,7 @@ impl Builder<'_> {
 
         let removed = (0..removed.len()).filter(|&ei| removed[ei]).collect();
         let effective = EffectiveView::new(self.pdg, removed, rewrites);
+        nodes.shrink_to_fit();
         PsPdg {
             func: self.func,
             nodes,
@@ -944,16 +943,13 @@ fn push_undirected(edges: &mut Vec<PsEdge>, a: NodeId, b: NodeId, context: Optio
 /// Replace precise carried-loop annotations with the UNKNOWN sentinel
 /// (ablating the `Contexts` feature loses *where* a dependence is carried).
 fn blur_carried(kind: &mut DepKind) {
-    let blur = |carried: &mut Vec<LoopId>| {
+    if let DepKind::Flow { carried, .. }
+    | DepKind::Anti { carried, .. }
+    | DepKind::Output { carried, .. } = kind
+    {
         if !carried.is_empty() {
-            *carried = vec![UNKNOWN_LOOP];
+            *carried = [UNKNOWN_LOOP][..].into();
         }
-    };
-    match kind {
-        DepKind::Flow { carried, .. }
-        | DepKind::Anti { carried, .. }
-        | DepKind::Output { carried, .. } => blur(carried),
-        _ => {}
     }
 }
 

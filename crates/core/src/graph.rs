@@ -287,7 +287,7 @@ impl PsPdg {
         PsEdge::Directed {
             src: self.inst_node[e.src.index()],
             dst: self.inst_node[e.dst.index()],
-            dep: e.kind.clone(),
+            dep: e.kind,
             base: e.base,
             selector: self.selectors.get(&ei).copied(),
         }

@@ -375,13 +375,13 @@ mod tests {
         use crate::build::UNKNOWN_LOOP;
         use pspdg_ir::LoopId;
         let kind = DepKind::Flow {
-            carried: vec![UNKNOWN_LOOP],
+            carried: [UNKNOWN_LOOP][..].into(),
             intra: false,
         };
         assert!(carried_at(&kind, LoopId(0)));
         assert!(carried_at(&kind, LoopId(7)));
         let none = DepKind::Flow {
-            carried: vec![],
+            carried: Default::default(),
             intra: true,
         };
         assert!(!carried_at(&none, LoopId(0)));

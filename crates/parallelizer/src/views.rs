@@ -117,7 +117,7 @@ pub(crate) fn jk_overlay(
     let mut removed = BitSet::new();
     let mut rewrites = BTreeMap::new();
     for (ei, gone) in gone {
-        let mut e = pdg.edges[ei].clone();
+        let mut e = pdg.edges[ei];
         if e.kind.narrow_carried(|l| gone.contains(&l)) {
             rewrites.insert(ei as u32, e);
         } else {

@@ -12,6 +12,7 @@ use pspdg_ir::{BlockId, InstId, LoopId};
 
 use crate::affine::Affine;
 use crate::alias::MemBase;
+use crate::graph::CarriedSet;
 use crate::FunctionAnalyses;
 
 /// One memory access, ready for dependence testing.
@@ -32,12 +33,12 @@ pub struct MemRef {
 }
 
 /// Result of a dependence test.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DepTestResult {
     /// A dependence may exist.
     pub dependent: bool,
     /// Common loops at which the dependence is (possibly) loop-carried.
-    pub carried: Vec<LoopId>,
+    pub carried: CarriedSet,
     /// An equal-iteration-vector dependence is possible.
     pub intra: bool,
 }
@@ -50,7 +51,7 @@ impl DepTestResult {
     fn conservative(common: &[LoopId]) -> DepTestResult {
         DepTestResult {
             dependent: true,
-            carried: common.to_vec(),
+            carried: common.into(),
             intra: true,
         }
     }
@@ -176,19 +177,14 @@ pub fn test_dependence(
                 return DepTestResult::independent();
             }
         }
-        let mut carried = Vec::new();
-        for &m in common {
-            if m == lv {
-                if d != 0 {
-                    carried.push(m);
-                }
-            } else {
-                // d_M is free: carried whenever the loop runs ≥ 2 iterations.
-                if trip(m).is_none_or(|t| t >= 2) {
-                    carried.push(m);
-                }
-            }
-        }
+        // d_M of any other loop M is free: carried whenever M runs ≥ 2
+        // iterations.
+        let free = |m: LoopId| m != lv && trip(m).is_none_or(|t| t >= 2);
+        let carried = common
+            .iter()
+            .copied()
+            .filter(|&m| (m == lv && d != 0) || free(m))
+            .collect();
         return DepTestResult {
             dependent: true,
             carried,
@@ -256,7 +252,7 @@ mod tests {
         let r2 = fake_ref(Some(Affine::constant(3)), Some(LoopId(0)));
         let res = test_dependence(&a, &r1, &r2, &[LoopId(0)]);
         assert!(res.dependent);
-        assert_eq!(res.carried, vec![LoopId(0)]);
+        assert_eq!(*res.carried, [LoopId(0)]);
         assert!(res.intra);
     }
 
@@ -281,7 +277,7 @@ mod tests {
         let res = test_dependence(&a, &r1, &r2, &[l]);
         assert!(res.dependent);
         assert!(!res.intra);
-        assert_eq!(res.carried, vec![l]);
+        assert_eq!(*res.carried, [l]);
     }
 
     #[test]
@@ -317,7 +313,7 @@ mod tests {
         let r2 = fake_ref(Some(Affine::iv(l)), Some(l));
         let res = test_dependence(&a, &r1, &r2, &[l]);
         assert!(res.dependent);
-        assert_eq!(res.carried, vec![l]);
+        assert_eq!(*res.carried, [l]);
         assert!(res.intra);
     }
 

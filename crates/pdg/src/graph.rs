@@ -14,8 +14,8 @@
 //! PS-PDG directive passes and per-loop queries never rescan the full edge
 //! list.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex};
 
 use pspdg_ir::{BlockId, FuncId, Inst, InstId, Intrinsic, LoopId, Module, Value};
 use pspdg_pool::BitSet;
@@ -26,8 +26,84 @@ use crate::control::control_dependences;
 use crate::ddtest::{test_dependence, DepTestResult, MemRef};
 use crate::FunctionAnalyses;
 
+/// Loops a carried set holds without a heap allocation: 3 is the deepest
+/// carried nest any bundled program produces.
+const INLINE_LOOPS: usize = 3;
+
+/// The loops a memory dependence is carried at, in the order the
+/// dependence test found them (innermost first). Up to three are stored
+/// inline; a longer set is interned once per distinct content for the
+/// life of the process (a nest that deep is rare and its sets repeat), so
+/// the set — and every edge holding one — is `Copy` and never frees.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CarriedSet(Loops);
+
+/// Unused inline slots stay `LoopId(0)`, so the derived equality and hash
+/// see only the set's contents.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Loops {
+    Inline(u8, [LoopId; INLINE_LOOPS]),
+    Spilled(&'static Vec<LoopId>),
+}
+
+impl Default for CarriedSet {
+    fn default() -> CarriedSet {
+        CarriedSet(Loops::Inline(0, [LoopId(0); INLINE_LOOPS]))
+    }
+}
+
+impl std::ops::Deref for CarriedSet {
+    type Target = [LoopId];
+
+    fn deref(&self) -> &[LoopId] {
+        match &self.0 {
+            Loops::Inline(n, loops) => &loops[..*n as usize],
+            Loops::Spilled(loops) => loops,
+        }
+    }
+}
+
+impl FromIterator<LoopId> for CarriedSet {
+    fn from_iter<I: IntoIterator<Item = LoopId>>(iter: I) -> CarriedSet {
+        let (mut iter, mut loops, mut n) = (iter.into_iter(), [LoopId(0); INLINE_LOOPS], 0);
+        while let Some(l) = iter.next() {
+            if n == INLINE_LOOPS {
+                let all = loops.into_iter().chain([l]).chain(iter).collect();
+                return CarriedSet(Loops::Spilled(intern(all)));
+            }
+            loops[n] = l;
+            n += 1;
+        }
+        CarriedSet(Loops::Inline(n as u8, loops))
+    }
+}
+
+/// `loops`, leaked once per distinct content.
+fn intern(loops: Vec<LoopId>) -> &'static Vec<LoopId> {
+    static SPILLED: Mutex<BTreeSet<&'static Vec<LoopId>>> = Mutex::new(BTreeSet::new());
+    let mut spilled = SPILLED.lock().expect("spilled carried-set lock");
+    if let Some(interned) = spilled.get(&loops) {
+        return interned;
+    }
+    let interned = Box::leak(Box::new(loops));
+    spilled.insert(interned);
+    interned
+}
+
+impl From<&[LoopId]> for CarriedSet {
+    fn from(loops: &[LoopId]) -> CarriedSet {
+        loops.iter().copied().collect()
+    }
+}
+
+impl std::fmt::Debug for CarriedSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The kind of a PDG edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DepKind {
     /// Control dependence: `dst` executes only if `src` (a branch) takes a
     /// particular direction.
@@ -38,21 +114,21 @@ pub enum DepKind {
     /// Read-after-write through memory.
     Flow {
         /// Loops at which the dependence is (possibly) carried.
-        carried: Vec<LoopId>,
+        carried: CarriedSet,
         /// Whether an equal-iteration dependence is possible.
         intra: bool,
     },
     /// Write-after-read through memory.
     Anti {
         /// Loops at which the dependence is (possibly) carried.
-        carried: Vec<LoopId>,
+        carried: CarriedSet,
         /// Whether an equal-iteration dependence is possible.
         intra: bool,
     },
     /// Write-after-write through memory.
     Output {
         /// Loops at which the dependence is (possibly) carried.
-        carried: Vec<LoopId>,
+        carried: CarriedSet,
         /// Whether an equal-iteration dependence is possible.
         intra: bool,
     },
@@ -91,7 +167,7 @@ impl DepKind {
             DepKind::Flow { carried, intra }
             | DepKind::Anti { carried, intra }
             | DepKind::Output { carried, intra } => {
-                carried.retain(|l| !gone(*l));
+                *carried = carried.iter().copied().filter(|l| !gone(*l)).collect();
                 !carried.is_empty() || *intra
             }
             _ => true,
@@ -110,8 +186,8 @@ impl DepKind {
     }
 }
 
-/// One dependence edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One dependence edge (48 bytes, no heap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PdgEdge {
     /// Producer / controller instruction.
     pub src: InstId,
@@ -271,7 +347,9 @@ impl Pdg {
 
     /// Index an edge list (the two builders; the `oracle`-gated
     /// [`crate::EffectiveView::materialize`]).
-    pub(crate) fn from_edges(func: FuncId, n_insts: usize, edges: Vec<PdgEdge>) -> Pdg {
+    /// The arena is trimmed to its length: it is kept as long as the graph.
+    pub(crate) fn from_edges(func: FuncId, n_insts: usize, mut edges: Vec<PdgEdge>) -> Pdg {
+        edges.shrink_to_fit();
         let index = EdgeIndex::build(n_insts, &edges);
         Pdg {
             func,
@@ -583,56 +661,22 @@ fn for_each_bucketed_pair(buckets: &Buckets, mut f: impl FnMut(usize, usize)) {
 }
 
 fn push_memory_edges(edges: &mut Vec<PdgEdge>, a: &MemRef, b: &MemRef, res: &DepTestResult) {
-    let carried = res.carried.clone();
-    let intra = res.intra;
+    let (carried, intra) = (res.carried, res.intra);
+    let edge = |src: &MemRef, dst: &MemRef, kind| PdgEdge {
+        src: src.inst,
+        dst: dst.inst,
+        kind,
+        base: Some(if a.is_write { a.base } else { b.base }),
+    };
     match (a.is_write, b.is_write) {
-        (true, true) => {
-            edges.push(PdgEdge {
-                src: a.inst,
-                dst: b.inst,
-                kind: DepKind::Output { carried, intra },
-                base: Some(a.base),
-            });
-        }
+        (true, true) => edges.push(edge(a, b, DepKind::Output { carried, intra })),
         (true, false) => {
-            edges.push(PdgEdge {
-                src: a.inst,
-                dst: b.inst,
-                kind: DepKind::Flow {
-                    carried: res.carried.clone(),
-                    intra,
-                },
-                base: Some(a.base),
-            });
-            edges.push(PdgEdge {
-                src: b.inst,
-                dst: a.inst,
-                kind: DepKind::Anti {
-                    carried: res.carried.clone(),
-                    intra,
-                },
-                base: Some(a.base),
-            });
+            edges.push(edge(a, b, DepKind::Flow { carried, intra }));
+            edges.push(edge(b, a, DepKind::Anti { carried, intra }));
         }
         (false, true) => {
-            edges.push(PdgEdge {
-                src: b.inst,
-                dst: a.inst,
-                kind: DepKind::Flow {
-                    carried: res.carried.clone(),
-                    intra,
-                },
-                base: Some(b.base),
-            });
-            edges.push(PdgEdge {
-                src: a.inst,
-                dst: b.inst,
-                kind: DepKind::Anti {
-                    carried: res.carried.clone(),
-                    intra,
-                },
-                base: Some(b.base),
-            });
+            edges.push(edge(b, a, DepKind::Flow { carried, intra }));
+            edges.push(edge(a, b, DepKind::Anti { carried, intra }));
         }
         (false, false) => {}
     }

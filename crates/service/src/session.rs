@@ -19,18 +19,22 @@
 //! ([`Runtime::from_shared`]) — O(1), reentrant, no rebuilds.
 
 use std::collections::HashMap;
+use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg};
+use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg, NodeKind};
 use pspdg_emulator::emulate;
 use pspdg_frontend::{compile, FrontendError};
 use pspdg_ir::interp::{ExecError, Interpreter, NullSink, Profile, RtVal};
+use pspdg_ir::BlockId;
 use pspdg_obs::Recorder;
 use pspdg_parallel::{ParallelError, ParallelProgram};
 use pspdg_parallelizer::{
-    plan_built_recorded, realize_executable_recorded, Abstraction, ExecutablePlan, ProgramPlan,
+    plan_built_recorded, realize_executable_recorded, Abstraction, ExecutablePlan, LoopPlanSpec,
+    ProgramPlan,
 };
+use pspdg_pdg::PdgEdge;
 use pspdg_runtime::{globals_mismatch, observable_globals, RunStats, Runtime};
 
 use crate::hash::content_key;
@@ -364,33 +368,54 @@ impl Session {
         })
     }
 
-    /// Rough resident size of everything this session caches, in bytes —
-    /// the [`PlanStore`](crate::store::PlanStore)'s LRU currency. An
-    /// estimate (IR, edge arenas, profile counters, plan maps), not an
-    /// allocator audit; what matters is that it grows with the module.
+    /// Bytes this session keeps alive — the
+    /// [`PlanStore`](crate::store::PlanStore)'s LRU currency: each array
+    /// it retains, as its length times the `size_of` of what it stores.
+    /// Those are the IR's instruction, block and block-row arenas; per
+    /// function the analyses' block rows, the PDG's edge arena and CSR
+    /// adjacency, and the PS-PDG's node arena, loop and region rows and
+    /// leaf map; the profile counters, the baseline's globals and each
+    /// cached plan's loops and schedules. Maps, strings and the analyses'
+    /// private tables are left out; `tests/session_footprint.rs` holds
+    /// the charge within 1.5× of the live bytes a counting allocator sees.
     pub fn approx_bytes(&self) -> usize {
-        let m = &self.program.module;
-        let mut bytes = 0usize;
-        for f in &m.functions {
-            bytes += f.insts.len() * 96 + f.blocks.len() * 48;
+        // Per block the analyses also keep a successor and a predecessor
+        // row and three words in each of the two dominator trees.
+        let block_tables = 2 * size_of::<Vec<BlockId>>() + 6 * size_of::<usize>();
+        let mut bytes = size_of_val(&self.built[..]);
+        for f in &self.program.module.functions {
+            bytes += size_of_val(&f.insts[..]) + size_of_val(&f.blocks[..]);
         }
-        bytes += m.globals.len() * 64;
         for fp in &self.built {
-            bytes += fp.pdg.edges.len() * 48;
-            bytes += fp.mem_refs.len() * 64;
-            bytes += fp.pspdg.nodes.len() * 64 + fp.pspdg.edge_count() * 32;
+            let (a, pdg, ps) = (&fp.analyses, &fp.pdg, &fp.pspdg);
+            // The analyses' copy of the block rows; the IR's own elements.
+            bytes += 2 * rows(&a.block_insts) - size_of_val(&a.block_insts[..]);
+            bytes += a.block_insts.len() * block_tables;
+            // CSR: an edge id per edge and an offset per node, both ways.
+            bytes += size_of_val(&pdg.edges[..]);
+            bytes += 2 * size_of::<u32>() * (pdg.edges.len() + pdg.len() + 1);
+            bytes += size_of_val(&ps.nodes[..]) + size_of_val(&ps.inst_node[..]);
+            bytes += ps.effective.rewrite_count() * size_of::<(u32, PdgEdge)>();
+            for node in &ps.nodes[ps.inst_node.len()..] {
+                if let NodeKind::Hierarchical { children, .. } = &node.kind {
+                    bytes += size_of_val(&children[..]);
+                }
+            }
         }
-        for counts in &self.profile.block_count {
-            bytes += counts.len() * 8;
-        }
+        bytes += rows(&self.profile.block_count);
         for (_, cells) in &self.baseline.globals {
-            bytes += cells.len() * 16;
+            bytes += size_of_val(&cells[..]);
         }
         let plans = self.plans.lock().expect("plan cache lock");
-        bytes += plans.len() * 4096;
         for b in plans.values() {
-            bytes += b.plan.loops.len() * 256 + b.exec.schedules().len() * 512;
+            bytes += size_of::<PlanBundle>() + size_of_val(b.exec.schedules());
+            bytes += b.plan.loops.len() * size_of::<LoopPlanSpec>();
         }
         bytes
     }
+}
+
+/// Bytes of a table of rows: the row headers and every row's elements.
+fn rows<T>(rows: &[Vec<T>]) -> usize {
+    size_of_val(rows) + rows.iter().map(|r| size_of_val(&r[..])).sum::<usize>()
 }

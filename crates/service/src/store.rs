@@ -18,7 +18,8 @@
 //! Entries are charged their [`Session::approx_bytes`] plus their
 //! remembered sources against a byte budget; insertion beyond the budget
 //! evicts least-recently-used ready entries and their sources (never the
-//! entry being returned, never an in-flight build).
+//! entry being returned, never an in-flight build). Evicted sessions are
+//! dropped after the store's lock is released.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -226,7 +227,8 @@ impl PlanStore {
                 let evicted = settle(&mut inner, self.budget, &out, source);
                 drop(inner);
                 self.count("service/cache_hit", 1);
-                self.count("service/cache_eviction", evicted);
+                self.count("service/cache_eviction", evicted.len() as u64);
+                drop(evicted);
                 return Ok(out);
             }
             if let Entry::Vacant(slot) = inner.entries.entry(keyed.clone()) {
@@ -245,12 +247,11 @@ impl PlanStore {
             None => keyed.program.validate().map_err(SessionError::Invalid),
         };
         let result = valid
-            .and_then(|()| Session::with_key(Arc::clone(&keyed.program), key, self.rec.clone()));
+            .and_then(|()| Session::with_key(Arc::clone(&keyed.program), key, self.rec.clone()))
+            .map(|session| (session.approx_bytes(), Arc::new(session)));
         let mut inner = self.inner.lock().expect("store lock");
         match result {
-            Ok(session) => {
-                let session = Arc::new(session);
-                let bytes = session.approx_bytes();
+            Ok((bytes, session)) => {
                 inner.tick += 1;
                 let tick = inner.tick;
                 inner.builds += 1;
@@ -264,8 +265,9 @@ impl PlanStore {
                 );
                 let evicted = settle(&mut inner, self.budget, &session, source);
                 drop(inner);
-                self.count("service/cache_eviction", evicted);
+                self.count("service/cache_eviction", evicted.len() as u64);
                 self.built.notify_all();
+                drop(evicted);
                 Ok(session)
             }
             Err(e) => {
@@ -321,9 +323,15 @@ impl Default for PlanStore {
 /// that entry is cached, charging its bytes once (a concurrent miss on the
 /// same bytes finds it remembered). Then evict least-recently-used ready
 /// entries, with their sources, until the charged bytes fit `budget`;
-/// `session`'s entry and in-flight builds are never evicted. Returns how
-/// many entries were dropped.
-fn settle(inner: &mut Inner, budget: usize, session: &Session, source: Option<&str>) -> u64 {
+/// `session`'s entry and in-flight builds are never evicted. Returns the
+/// evicted entries, for the caller to drop once the lock is released:
+/// freeing a module-scale session's graphs takes milliseconds.
+fn settle(
+    inner: &mut Inner,
+    budget: usize,
+    session: &Session,
+    source: Option<&str>,
+) -> Vec<(Keyed, Slot)> {
     // The slot's own program, so the memo holds no second copy of it.
     let keyed = &Keyed {
         key: session.key(),
@@ -335,7 +343,7 @@ fn settle(inner: &mut Inner, budget: usize, session: &Session, source: Option<&s
             inner.sources.insert(Arc::from(source), keyed.clone());
         }
     }
-    let mut evicted = 0;
+    let mut evicted = Vec::new();
     while inner.ready().0 > budget {
         let victim = inner
             .entries
@@ -347,10 +355,9 @@ fn settle(inner: &mut Inner, budget: usize, session: &Session, source: Option<&s
             .min_by_key(|&(last_used, _)| last_used)
             .map(|(_, k)| k.clone());
         let Some(k) = victim else { break };
-        inner.entries.remove(&k);
+        evicted.extend(inner.entries.remove_entry(&k));
         inner.sources.retain(|_, entry| *entry != k);
         inner.evictions += 1;
-        evicted += 1;
     }
     evicted
 }

@@ -10,7 +10,9 @@
 //! `(function, src, dst, kind, intra, sorted carried loops, base)` of
 //! every edge.
 
-use pspdg::ir::Module;
+use pspdg::core::{build_pspdg, FeatureSet};
+use pspdg::frontend::compile;
+use pspdg::ir::{LoopId, Module};
 use pspdg::nas::{fault_suite, synth, Benchmark, Class};
 use pspdg::pdg::{DepKind, FunctionAnalyses, MemBase, Pdg};
 
@@ -111,6 +113,55 @@ fn pdg_edge_sets_are_pinned() {
             .zip(PINNED)
             .all(|((n, e, c, d), p)| (n.as_str(), *e, *c, *d) == p);
     assert!(matches, "a PDG changed; pins now:\n{}", rendered.join("\n"));
+}
+
+/// No bundled program carries a dependence at more than three loops, the
+/// sets an edge stores inline; a five-deep nest takes the spill path, and
+/// the carried index, a worksharing declaration's narrowing and a second
+/// build must all see the same five (then four) loops.
+#[test]
+fn a_nest_deeper_than_the_inline_set_spills() {
+    let p = compile(
+        "int v[4];
+         void k() {
+             int a; int b; int c; int d; int e;
+             #pragma omp parallel for
+             for (a = 0; a < 2; a++) { for (b = 0; b < 2; b++) { for (c = 0; c < 2; c++) {
+                 for (d = 0; d < 2; d++) { for (e = 0; e < 2; e++) { v[0] = v[0] + 1; } } } } }
+         }
+         int main() { k(); return 0; }",
+    )
+    .expect("deep nest compiles");
+    let f = p.module.function_by_name("k").unwrap();
+    let analyses = FunctionAnalyses::compute(&p.module, f);
+    let pdg = Pdg::build(&p.module, f, &analyses);
+    let on_v = |e: &&pspdg::pdg::PdgEdge| matches!(e.base, Some(MemBase::Global(_)));
+    let deep: Vec<_> = pdg.edges.iter().filter(on_v).collect();
+    assert!(!deep.is_empty());
+    let outer = analyses
+        .forest
+        .loop_ids()
+        .find(|l| analyses.forest.info(*l).depth == 1);
+    let outer = outer.expect("an outermost loop");
+    for e in &deep {
+        let mut loops: Vec<LoopId> = e.kind.carried().to_vec();
+        loops.sort_unstable();
+        assert_eq!(
+            loops,
+            analyses.forest.loop_ids().collect::<Vec<_>>(),
+            "{e:?}"
+        );
+        for l in analyses.forest.loop_ids() {
+            assert!(pdg.carried_edges(l).any(|c| c == *e));
+        }
+    }
+    let again = Pdg::build(&p.module, f, &analyses);
+    assert!(pdg.edges.iter().eq(again.edges.iter()));
+    let pspdg = build_pspdg(&p, f, &analyses, &pdg, FeatureSet::all());
+    for l in analyses.forest.loop_ids() {
+        let narrowed = pspdg.effective.carried_edges(l).filter(on_v).count();
+        assert_eq!(narrowed == 0, l == outer, "{l}");
+    }
 }
 
 /// `(program, edges, carried edges, digest)`, recorded at 81b9cf4 (the
