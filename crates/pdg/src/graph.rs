@@ -35,12 +35,12 @@ const INLINE_LOOPS: usize = 3;
 /// inline; a longer set is interned once per distinct content for the
 /// life of the process (a nest that deep is rare and its sets repeat), so
 /// the set — and every edge holding one — is `Copy` and never frees.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct CarriedSet(Loops);
 
-/// Unused inline slots stay `LoopId(0)`, so the derived equality and hash
-/// see only the set's contents.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// Unused inline slots stay `LoopId(0)`, so the derived equality sees only
+/// the set's contents.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Loops {
     Inline(u8, [LoopId; INLINE_LOOPS]),
     Spilled(&'static Vec<LoopId>),
@@ -186,7 +186,7 @@ impl DepKind {
     }
 }
 
-/// One dependence edge (48 bytes, no heap).
+/// One dependence edge: a 48-byte `Copy` value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PdgEdge {
     /// Producer / controller instruction.

@@ -371,13 +371,15 @@ impl Session {
     /// Bytes this session keeps alive — the
     /// [`PlanStore`](crate::store::PlanStore)'s LRU currency: each array
     /// it retains, as its length times the `size_of` of what it stores.
-    /// Those are the IR's instruction, block and block-row arenas; per
-    /// function the analyses' block rows, the PDG's edge arena and CSR
-    /// adjacency, and the PS-PDG's node arena, loop and region rows and
-    /// leaf map; the profile counters, the baseline's globals and each
-    /// cached plan's loops and schedules. Maps, strings and the analyses'
-    /// private tables are left out; `tests/session_footprint.rs` holds
-    /// the charge within 1.5× of the live bytes a counting allocator sees.
+    /// Counted: the IR's instruction, block and block-row arenas; per
+    /// function its artifacts' own struct, the analyses' block rows
+    /// (instructions, CFG successors and predecessors, both dominator
+    /// trees), the PDG's edge arena and CSR adjacency, and the PS-PDG's
+    /// node arena, loop and region rows, leaf map and overlay rewrites;
+    /// the profile counters, the baseline's globals and each cached plan's
+    /// loops and schedules. Left out: maps, strings, the loop forests and
+    /// the per-base and per-loop edge sets. `tests/session_footprint.rs`
+    /// holds the charge within 1.5× of a counting allocator's live bytes.
     pub fn approx_bytes(&self) -> usize {
         // Per block the analyses also keep a successor and a predecessor
         // row and three words in each of the two dominator trees.
