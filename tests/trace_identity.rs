@@ -16,7 +16,7 @@ use pspdg::emulator::emulate;
 use pspdg::frontend::compile;
 use pspdg::ir::interp::{Interpreter, NullSink, ObjId, ObjOrigin, Profile, Step, TraceSink};
 use pspdg::ir::{BlockId, FuncId, Inst, InstId, Module};
-use pspdg::nas::{benchmark, fault_suite, Class};
+use pspdg::nas::{benchmark, fault_suite, synth, Class};
 use pspdg::parallel::ParallelProgram;
 use pspdg::parallelizer::{
     build_plan, Abstraction, Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan,
@@ -378,6 +378,16 @@ fn emulated_critical_paths_are_pinned() {
             let got = emulation_digest(&b.program());
             assert_eq!(got, want, "{name} {class:?}: emulation digest {got:#018x}");
         }
+    }
+    // The shapes `plan_identity` pins: module-scale call trees and many
+    // base objects. Taken at c572f1e.
+    for (name, b, want) in [
+        ("module100", synth::module(100, 32), 0x6076_58a7_10d3_0db2),
+        ("wide16", synth::wide(16), 0x1bb7_20bb_7114_eb26),
+        ("wide64", synth::wide(64), 0xede8_454c_a4ea_6b57),
+    ] {
+        let got = emulation_digest(&b.program());
+        assert_eq!(got, want, "{name}: emulation digest {got:#018x}");
     }
     // Also taken at 061deb6.
     for (name, src, loops_in_k, want) in [
