@@ -1,9 +1,10 @@
 //! The ideal-machine trace scheduler.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use pspdg_ir::interp::{ExecError, Interpreter, ObjId, ObjOrigin, Step, TraceSink};
-use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, LoopForest, LoopId, Value};
+use pspdg_ir::interp::{ExecError, Interpreter, MemAddr, ObjId, ObjOrigin, Step, TraceSink};
+use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, Inst, LoopForest, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
 use pspdg_parallelizer::{Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
 use pspdg_pdg::MemBase;
@@ -42,28 +43,41 @@ pub fn emulate(
     let mut machine = IdealMachine::new(program, plan);
     let mut interp = Interpreter::new(&program.module);
     interp.run_main(&mut machine)?;
-    Ok(machine.result())
+    Ok(machine.result(interp.steps()))
 }
 
 const NO_PLAN: u32 = u32::MAX;
 
-// Per-instruction flags: an instruction with none set touches only the
-// lane, dependence and writer state.
+// Per-instruction flags. A step whose instruction has none of `SLOW` set,
+// in a frame with no DSWP activation, takes `on_step`'s fast path.
 /// Inside a `cilk_spawn` region (a spawned call).
 const SPAWN: u8 = 1;
 /// Joins spawned children (`cilk_sync`, `taskwait`).
 const SYNC: u8 = 1 << 1;
 /// A team-wide barrier.
 const BARRIER: u8 = 1 << 2;
-/// Covered by a mutex ([`FuncInfo::lock_of`] names it).
+/// Covered by a mutex ([`IdealMachine::lock_of`] names it).
 const LOCKED: u8 = 1 << 3;
 /// In the sequential segment of some HELIX-planned loop of the function.
 const SEQUENTIAL: u8 = 1 << 4;
+/// A call, or more than two operands: [`InstFacts::ops`] locates the
+/// operand list in [`IdealMachine::long_ops`].
+const LONG: u8 = 1 << 5;
+/// Not an instruction's: [`FrameState::force`] while a DSWP activation
+/// sets the lane per step.
+const PER_STEP_LANE: u8 = 1 << 7;
+const SLOW: u8 = SYNC | BARRIER | LOCKED | SEQUENTIAL | LONG | PER_STEP_LANE;
 
 /// `table[i]`, growing the table with `fill` up to `i` first.
+#[inline]
 fn slot<T: Clone>(table: &mut Vec<T>, i: usize, fill: T) -> &mut T {
+    #[cold]
+    #[inline(never)]
+    fn grow<T: Clone>(table: &mut Vec<T>, len: usize, fill: T) {
+        table.resize(len, fill);
+    }
     if i >= table.len() {
-        table.resize(i + 1, fill);
+        grow(table, i + 1, fill);
     }
     &mut table[i]
 }
@@ -115,42 +129,51 @@ impl PlannedLoop {
     }
 }
 
-/// Per-function static info the scheduler needs. The per-instruction
-/// tables cover every instruction of the function.
+/// An instruction's static facts, all `on_step` reads of it.
 ///
 /// A frame keeps one finish time per *register slot*: slot 0 stands for
 /// every constant and global operand and always reads 0, slot `1 + i` is
 /// instruction `i`'s latest execution in the frame, and the parameters
 /// follow from [`FuncInfo::first_param`].
+#[derive(Debug, Clone, Copy, Default)]
+struct InstFacts {
+    /// The register slots of the operands, in `Inst::operands()` order,
+    /// padded with slot 0; with `LONG`, the operand list's start in
+    /// [`IdealMachine::long_ops`] and its length.
+    ops: [u32; 2],
+    /// `SPAWN | SYNC | BARRIER | LOCKED | SEQUENTIAL | LONG`.
+    flags: u8,
+}
+
+/// A block's static facts, all `on_block` reads of it.
+#[derive(Debug, Clone, Copy)]
+struct BlockFacts {
+    /// The loops containing the block, outermost-first, are
+    /// `FuncInfo::nests[nest_start..nest_start + depth]`.
+    nest_start: u32,
+    depth: u32,
+    /// The innermost of them (any value at depth 0).
+    innermost: LoopId,
+    /// In a `cilk_spawn` region.
+    spawn: bool,
+    /// The header of a planned loop (always the block's innermost).
+    planned_header: bool,
+}
+
+/// Per-function static info the scheduler needs.
 #[derive(Debug, Default)]
 struct FuncInfo {
-    /// Instruction `i`'s operands, as register slots in `Inst::operands()`
-    /// order, are `op_slot[op_start[i]..op_start[i + 1]]`.
-    op_start: Vec<u32>,
-    op_slot: Vec<u32>,
+    /// Where the function's instructions start in [`IdealMachine::insts`].
+    inst_base: usize,
+    /// Where the function's blocks start in [`IdealMachine::blocks`].
+    block_base: usize,
     /// Slot of parameter 0.
     first_param: usize,
     /// Register slots of a frame.
     slots: usize,
-    /// Loops containing each block, outermost-first.
-    nest_of_block: Vec<Vec<LoopId>>,
-    /// Header block of each loop.
-    header: Vec<BlockId>,
+    nests: Vec<LoopId>,
     /// Planned loop index per loop ([`NO_PLAN`] = unplanned).
     plan_of_loop: Vec<u32>,
-    /// `SPAWN | SYNC | BARRIER | LOCKED | SEQUENTIAL` per instruction.
-    flags: Vec<u8>,
-    /// Lock id per `LOCKED` instruction.
-    lock_of: Vec<u32>,
-    /// Blocks belonging to `cilk_spawn` regions.
-    spawn_blocks: BitSet,
-}
-
-impl FuncInfo {
-    /// Register slots `inst`'s operands read.
-    fn operand_slots(&self, inst: usize) -> &[u32] {
-        &self.op_slot[self.op_start[inst] as usize..self.op_start[inst + 1] as usize]
-    }
 }
 
 /// One live loop activation of a frame.
@@ -159,6 +182,8 @@ struct Activation {
     loop_id: LoopId,
     plan: u32, // index into plans, NO_PLAN = unplanned
     uid: u32,
+    /// Iterations begun after the first; counted for planned loops only
+    /// (an unplanned loop's is in no lane and no context).
     iter: u32,
     seq_last: u64,
     /// Latest finish among the frame's steps under this activation, as of
@@ -178,8 +203,10 @@ struct Context {
 #[derive(Debug, Default)]
 struct FrameState {
     id: u64,
-    /// The function, by index.
-    func: usize,
+    /// Where the function's instructions start in [`IdealMachine::insts`].
+    inst_base: usize,
+    /// Where the function's blocks start in [`IdealMachine::blocks`].
+    block_base: usize,
     base_lane: u64,
     /// Where this frame's activations start in [`IdealMachine::acts`].
     act_base: usize,
@@ -198,17 +225,22 @@ struct FrameState {
     /// Whether the current block is in a `cilk_spawn` region.
     in_spawn: bool,
     /// Latest finish among this frame's steps since its innermost
-    /// activation was pushed; folded into that activation when another is
-    /// pushed above it or it is popped (which hands it to the one below).
+    /// activation was pushed, up to the last fold; folded into that
+    /// activation when another is pushed above it or it is popped (which
+    /// hands it to the one below). The steps after the fold are one run in
+    /// one lane whose finishes rise, so the lane's `cur_last` is their
+    /// maximum: it is folded in at every boundary that ends such a run
+    /// and is followed by a read (`on_block` recomputing, `on_enter` of a
+    /// callee, `on_exit`); the slow path folds each step.
     run_max: u64,
     // The rest is a function of the activation stack and the current
     // block, recomputed by `on_block` when either changes.
     /// Lane of the current block's steps: the spawn region's fresh lane,
     /// else the activation chain's.
     lane: u64,
-    /// A DSWP activation is live (and no spawn lane overrides it), so the
-    /// lane depends on each instruction's stage.
-    lane_per_step: bool,
+    /// `PER_STEP_LANE` while a DSWP activation is live (and no spawn lane
+    /// overrides it): the lane depends on each instruction's stage.
+    force: u8,
     context: Context,
     /// Plan of each `context` activation.
     context_plan: [u32; 2],
@@ -233,27 +265,71 @@ struct ObjWriters {
     cells: Vec<Writer>,
 }
 
-/// Finish times so far: the last per lane and the latest of all. The ideal
-/// machine has unboundedly many lanes, so `last` stays a map, behind the
-/// one lane the trace is currently in.
+/// Lane ids are `mix` outputs, already spread over all 64 bits: the lane
+/// map hashes each to itself.
+#[derive(Default)]
+struct LaneHasher(u64);
+
+impl Hasher for LaneHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, lane: u64) {
+        self.0 = lane;
+    }
+}
+
+/// Finish times so far: the last per lane, behind the one lane the trace is
+/// currently in, and the latest of all. The ideal machine has unboundedly
+/// many lanes, so `last` stays a map.
+///
+/// Unless the innermost frame sets its lane per step, `cur` is that frame's
+/// block lane whenever a step arrives: `enter_block` switches to it,
+/// `on_exit` back to the caller's, and `on_enter` makes it the callee's
+/// base lane.
 #[derive(Default)]
 struct Lanes {
-    last: HashMap<u64, u64>,
+    last: HashMap<u64, u64, BuildHasherDefault<LaneHasher>>,
     cur: u64,
+    /// The last finish in `cur`, never below `floor`: a step starts at it.
     cur_last: u64,
+    /// The latest finish of every lane but `cur` (see [`Lanes::max`]).
     max: u64,
+    /// No step starts before the latest barrier's join.
+    floor: u64,
 }
 
 impl Lanes {
-    /// Last finish time in `lane` (0 for a lane nothing ran in yet).
+    /// Make `lane` current.
     #[inline]
-    fn last_mut(&mut self, lane: u64) -> &mut u64 {
+    fn switch(&mut self, lane: u64) {
         if lane != self.cur {
+            self.max = self.max.max(self.cur_last);
             self.last.insert(self.cur, self.cur_last);
-            self.cur_last = self.last.get(&lane).copied().unwrap_or(0);
+            self.cur_last = self.last.get(&lane).map_or(0, |&l| l).max(self.floor);
             self.cur = lane;
         }
-        &mut self.cur_last
+    }
+
+    /// Make `lane`, which no step ran in yet, current, leaving one no step
+    /// will run in again.
+    #[inline]
+    fn retire_to(&mut self, lane: u64) {
+        self.max = self.max.max(self.cur_last);
+        self.cur_last = self.floor;
+        self.cur = lane;
+    }
+
+    /// The latest finish of all: a lane's last finish only rises.
+    fn max(&self) -> u64 {
+        self.max.max(self.cur_last)
     }
 }
 
@@ -263,7 +339,7 @@ impl Lanes {
 /// Register dependences are static: an operand names its producing
 /// instruction, and the instance it reads is that instruction's latest
 /// execution in the same frame, so each frame keeps a finish time per
-/// register slot ([`FuncInfo`]). Two producer conventions cross frames:
+/// register slot ([`InstFacts`]). Two producer conventions cross frames:
 ///
 /// * the producer of a `call`'s *result* is the callee's `ret` step (not
 ///   the call step), so consumers of the result wait for the callee;
@@ -272,28 +348,35 @@ impl Lanes {
 pub(crate) struct IdealMachine {
     plans: Vec<PlannedLoop>,
     funcs: Vec<FuncInfo>,
+    /// Every function's instructions, function after function.
+    insts: Vec<InstFacts>,
+    /// Every function's blocks, function after function.
+    blocks: Vec<BlockFacts>,
+    /// The operand lists of `LONG` instructions.
+    long_ops: Vec<u32>,
+    /// Lock id per `LOCKED` instruction, indexed like `insts`.
+    lock_of: Vec<u32>,
     /// Where each function's allocas start in the `ignored` sets.
     alloca_base: Vec<usize>,
-    /// Live frames, innermost last: the interpreter's activations nest.
+    /// The innermost live frame, whose steps the trace is delivering.
+    top: FrameState,
+    /// The frames below it, innermost last: the interpreter's activations
+    /// nest.
     frames: Vec<FrameState>,
     /// Live loop activations of all frames, innermost frame's last.
     acts: Vec<Activation>,
     /// Register finish times of all live frames, innermost frame's last.
     regs: Vec<u64>,
-    /// Steps so far.
-    steps: u64,
     lanes: Lanes,
     /// By lock id.
     lock_last: Vec<u64>,
     /// By `ObjId`.
     writers: Vec<ObjWriters>,
-    floor: u64,
     next_act_uid: u32,
     next_spawn_lane: u64,
-    /// Instruction (by index) of the most recent step and its flags —
-    /// how `on_enter` identifies the call site (its lane is `lanes.cur`).
-    last_inst: usize,
-    last_flags: u8,
+    /// The last instruction to take the slow path (by index in its
+    /// function): a call always does, so `on_enter` finds its call here.
+    call_inst: usize,
 }
 
 fn mix(a: u64, b: u64, c: u64) -> u64 {
@@ -337,7 +420,7 @@ fn in_segment(plans: &[PlannedLoop], act: &Activation, inst: usize) -> bool {
 
 /// Pop `top`'s innermost activation; a planned loop's continuation (the
 /// frame's lane without it) waits for all iterations (+ the reduction
-/// merge).
+/// merge). `top.run_max` must be folded.
 fn pop_activation(
     plans: &[PlannedLoop],
     acts: &mut Vec<Activation>,
@@ -359,10 +442,8 @@ fn pop_activation(
         sync_fin = sync_fin.max(max_finish + ceil_log2(act.iter as u64 + 1));
     }
     if sync_fin > 0 {
-        let cont = lane_of(plans, top.base_lane, &acts[top.act_base..], None);
-        let last = lanes.last_mut(cont);
-        *last = (*last).max(sync_fin);
-        lanes.max = lanes.max.max(sync_fin);
+        lanes.switch(lane_of(plans, top.base_lane, &acts[top.act_base..], None));
+        lanes.cur_last = lanes.cur_last.max(sync_fin);
     }
 }
 
@@ -370,6 +451,7 @@ fn pop_activation(
 /// under `writer` to one in `reader`, is discharged: both ran under some
 /// activation, in different iterations, whose plan ignores the object.
 /// (Two empty context slots agree on iteration 0, so they never match.)
+#[inline]
 fn discharged(plans: &[PlannedLoop], reader: &FrameState, writer: &Context, stat: usize) -> bool {
     let by = &reader.context;
     !reader.overflow
@@ -385,15 +467,16 @@ impl IdealMachine {
     /// Prepare a machine for `program` under `plan`.
     pub(crate) fn new(program: &ParallelProgram, plan: &ProgramPlan) -> IdealMachine {
         let module = &program.module;
-        let alloca_base: Vec<usize> = module
+        let inst_base: Vec<usize> = module
             .functions
             .iter()
-            .scan(module.globals.len(), |next, f| {
+            .scan(0, |next, f| {
                 let base = *next;
                 *next += f.insts.len();
                 Some(base)
             })
             .collect();
+        let alloca_base: Vec<usize> = inst_base.iter().map(|b| module.globals.len() + b).collect();
         let mut plans = Vec::new();
         let mut plan_idx: HashMap<(FuncId, LoopId), u32> = HashMap::new();
         for ((func, l), spec) in &plan.loops {
@@ -401,61 +484,94 @@ impl IdealMachine {
             plans.push(PlannedLoop::from_spec(spec, &alloca_base));
         }
         let mut lock_ids: HashMap<&str, u32> = HashMap::new();
+        let mut lock_of = Vec::new();
+        let mut insts = Vec::with_capacity(module.functions.iter().map(|f| f.insts.len()).sum());
+        let mut long_ops = Vec::new();
+        let mut blocks = Vec::new();
         let mut funcs = Vec::new();
         for func in module.function_ids() {
             let f = module.function(func);
+            let first_param = 1 + f.insts.len();
+            let base = inst_base[func.index()];
+            for data in &f.insts {
+                let ops: Vec<u32> = data
+                    .inst
+                    .operands()
+                    .map(|v| match v {
+                        Value::Inst(i) => 1 + i.index() as u32,
+                        Value::Param(p) => (first_param + p) as u32,
+                        Value::Const(_) | Value::Global(_) => 0,
+                    })
+                    .collect();
+                let call = matches!(data.inst, Inst::Call { .. });
+                insts.push(if call || ops.len() > 2 {
+                    let at = long_ops.len() as u32;
+                    long_ops.extend_from_slice(&ops);
+                    InstFacts {
+                        ops: [at, ops.len() as u32],
+                        flags: LONG,
+                    }
+                } else {
+                    InstFacts {
+                        ops: [ops.first().map_or(0, |&s| s), ops.get(1).map_or(0, |&s| s)],
+                        flags: 0,
+                    }
+                });
+            }
+            let block_base = blocks.len();
             if f.blocks.is_empty() {
-                funcs.push(FuncInfo::default());
+                funcs.push(FuncInfo {
+                    inst_base: base,
+                    block_base,
+                    ..FuncInfo::default()
+                });
                 continue;
             }
             let cfg = Cfg::new(f);
             let dom = DomTree::new(&cfg);
             let forest = LoopForest::new(f, &cfg, &dom);
-            let nest_of_block = f
-                .block_ids()
-                .map(|bb| {
-                    let mut nest = forest.nest_of(bb);
-                    nest.reverse(); // outermost-first
-                    nest
-                })
-                .collect();
-            let header = forest.loop_ids().map(|l| forest.info(l).header).collect();
             let plan_of_loop: Vec<u32> = forest
                 .loop_ids()
                 .map(|l| plan_idx.get(&(func, l)).copied().unwrap_or(NO_PLAN))
                 .collect();
-            let first_param = 1 + f.insts.len();
-            let mut op_start = Vec::with_capacity(f.insts.len() + 1);
-            let mut op_slot = Vec::new();
-            for data in &f.insts {
-                op_start.push(op_slot.len() as u32);
-                op_slot.extend(data.inst.operands().map(|v| match v {
-                    Value::Inst(i) => 1 + i.index() as u32,
-                    Value::Param(p) => (first_param + p) as u32,
-                    Value::Const(_) | Value::Global(_) => 0,
-                }));
-            }
-            op_start.push(op_slot.len() as u32);
-            let mut flags = vec![0u8; f.insts.len()];
-            let mut lock_of = vec![0u32; f.insts.len()];
+            let mut nests = Vec::new();
+            blocks.extend(f.block_ids().map(|bb| {
+                let mut nest = forest.nest_of(bb);
+                let innermost = nest.first().copied().unwrap_or(LoopId(0));
+                let planned_header = !nest.is_empty()
+                    && forest.info(innermost).header == bb
+                    && plan_of_loop[innermost.index()] != NO_PLAN;
+                nest.reverse(); // outermost-first
+                let facts = BlockFacts {
+                    nest_start: nests.len() as u32,
+                    depth: nest.len() as u32,
+                    innermost,
+                    spawn: false,
+                    planned_header,
+                };
+                nests.extend(nest);
+                facts
+            }));
+            let flags = &mut insts[base..];
             for m in plan.mutexes.iter().filter(|m| m.func == func) {
                 let next = lock_ids.len() as u32;
                 let id = *lock_ids.entry(m.lock.as_str()).or_insert(next);
                 for &i in &m.insts {
-                    flags[i.index()] |= LOCKED;
-                    lock_of[i.index()] = id;
+                    flags[i.index()].flags |= LOCKED;
+                    *slot(&mut lock_of, base + i.index(), 0) = id;
                 }
             }
             for &p in plan_of_loop.iter().filter(|p| **p != NO_PLAN) {
                 for i in &plans[p as usize].sequential_insts {
-                    flags[i] |= SEQUENTIAL;
+                    flags[i].flags |= SEQUENTIAL;
                 }
             }
-            let mut spawn_blocks = BitSet::new();
             for (_, d) in program.directives_in(func) {
                 let flag = match d.kind {
                     DirectiveKind::CilkSpawn if plan.parallel_spawns => {
-                        spawn_blocks.extend(d.region.blocks.iter().map(|bb| bb.index()));
+                        for bb in &d.region.blocks {
+                            blocks[block_base + bb.index()].spawn = true;
+                        }
                         SPAWN
                     }
                     DirectiveKind::CilkSync | DirectiveKind::Taskwait => SYNC,
@@ -468,26 +584,26 @@ impl IdealMachine {
                 };
                 for bb in &d.region.blocks {
                     for i in &f.block(*bb).insts {
-                        flags[i.index()] |= flag;
+                        flags[i.index()].flags |= flag;
                     }
                 }
             }
             funcs.push(FuncInfo {
-                op_start,
-                op_slot,
+                inst_base: base,
+                block_base,
                 first_param,
                 slots: first_param + f.params.len(),
-                nest_of_block,
-                header,
+                nests,
                 plan_of_loop,
-                flags,
-                lock_of,
-                spawn_blocks,
             });
         }
         IdealMachine {
             plans,
             funcs,
+            insts,
+            blocks,
+            long_ops,
+            lock_of,
             alloca_base,
             lock_last: vec![0; lock_ids.len()],
             next_spawn_lane: 1,
@@ -495,110 +611,141 @@ impl IdealMachine {
         }
     }
 
-    /// The measurement after the run completes.
-    pub(crate) fn result(&self) -> EmulationResult {
+    /// The measurement after a run of `total_steps` steps completes.
+    pub(crate) fn result(&self, total_steps: u64) -> EmulationResult {
         EmulationResult {
-            critical_path: self.lanes.max,
-            total_steps: self.steps,
+            critical_path: self.lanes.max(),
+            total_steps,
         }
     }
-}
 
-impl TraceSink for IdealMachine {
-    fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
-        let stat = match origin {
-            ObjOrigin::Global(g) => g.index(),
-            ObjOrigin::Alloca { func, inst } => self.alloca_base[func.index()] + inst.index(),
+    /// `start`, or the finish of the last write to `addr` if later and the
+    /// plan does not discharge the flow dependence.
+    #[inline(always)]
+    fn after_load(&self, addr: &MemAddr, start: u64) -> u64 {
+        let obj = &self.writers[addr.obj.index()];
+        let Some(w) = obj.cells.get(addr.off as usize) else {
+            return start;
         };
-        slot(&mut self.writers, obj.index(), ObjWriters::default()).stat = stat;
+        if w.fin > start && !discharged(&self.plans, &self.top, &w.context, obj.stat) {
+            w.fin
+        } else {
+            start
+        }
     }
 
-    fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
-        debug_assert_eq!(self.frames.is_empty(), call_step == u64::MAX);
-        let callee = &self.funcs[func.index()];
-        let reg_base = self.regs.len();
-        self.regs.resize(reg_base + callee.slots, 0);
-        let mut state = FrameState {
-            id: frame,
-            func: func.index(),
-            act_base: self.acts.len(),
-            reg_base,
-            ..FrameState::default()
+    /// Record the step of instruction `inst` (by index in its function)
+    /// finishing at `fin`: its register slot, its lane and the cell it
+    /// wrote.
+    #[inline(always)]
+    fn finish(&mut self, step: &Step<'_>, inst: usize, fin: u64) {
+        self.regs[self.top.reg_base + 1 + inst] = fin;
+        self.lanes.cur_last = fin;
+        if let Some(addr) = step.stores.first() {
+            let cells = &mut self.writers[addr.obj.index()].cells;
+            *slot(cells, addr.off as usize, Writer::default()) = Writer {
+                fin,
+                context: self.top.context,
+            };
+        }
+    }
+
+    /// A step with a flagged instruction or a per-step lane. Few steps take
+    /// it, yet it is inlined like the fast path: an out-of-line call handed
+    /// the machine slows the interpreter's loop around it by more than the
+    /// code it keeps out.
+    #[inline(always)]
+    fn step_slow(&mut self, step: &Step<'_>, inst: usize, facts: InstFacts) {
+        let top = &self.top;
+        if top.force & PER_STEP_LANE != 0 {
+            let acts = &self.acts[top.act_base..];
+            self.lanes
+                .switch(lane_of(&self.plans, top.base_lane, acts, Some(inst)));
+        }
+        let flags = facts.flags;
+        let ops: &[u32] = if flags & LONG != 0 {
+            let [at, len] = facts.ops.map(|x| x as usize);
+            &self.long_ops[at..at + len]
+        } else {
+            &facts.ops
         };
-        if let Some(caller) = self.frames.last() {
-            // The call step is the most recent step, so the caller is the
-            // innermost live frame and the step's lane is current.
-            debug_assert_eq!(call_step + 1, self.steps);
-            let args = self.funcs[caller.func].operand_slots(self.last_inst);
-            for (p, &s) in args.iter().enumerate() {
-                self.regs[reg_base + callee.first_param + p] =
-                    self.regs[caller.reg_base + s as usize];
-            }
-            state.result_slot = Some(caller.reg_base + 1 + self.last_inst);
-            state.base_lane = self.lanes.cur;
-            // A spawned call already executes in its strand's lane (the
-            // spawn region's lane); the callee simply inherits it.
-            state.spawned = self.last_flags & SPAWN != 0;
-            // A call inside a HELIX sequential segment keeps the segment
-            // locked until the callee returns.
-            state.seq_owner = (caller.act_base..self.acts.len())
-                .find(|i| in_segment(&self.plans, &self.acts[*i], self.last_inst));
+        let regs = &self.regs[top.reg_base..];
+        let mut start = ops
+            .iter()
+            .fold(self.lanes.cur_last, |s, &o| s.max(regs[o as usize]));
+        if let Some(addr) = step.loads.first() {
+            start = self.after_load(addr, start);
         }
-        state.lane = state.base_lane;
-        self.frames.push(state);
-    }
 
-    fn on_exit(&mut self, frame: u64, _func: FuncId, ret_step: u64) {
-        let mut state = self.frames.pop().expect("a frame is live");
-        debug_assert_eq!(state.id, frame);
-        // The `ret` is the most recent step: its finish is the call's.
-        debug_assert_eq!(ret_step + 1, self.steps);
-        let fin = self.regs[state.reg_base + 1 + self.last_inst];
-        self.regs.truncate(state.reg_base);
-        if let Some(slot) = state.result_slot {
-            self.regs[slot] = fin;
+        // Mutual exclusion.
+        let lock = (flags & LOCKED != 0).then(|| self.lock_of[top.inst_base + inst] as usize);
+        if let Some(lock) = lock {
+            start = start.max(self.lock_last[lock]);
         }
-        while self.acts.len() > state.act_base {
-            pop_activation(&self.plans, &mut self.acts, &mut state, &mut self.lanes);
-        }
-        if state.spawned {
-            if let Some(parent) = self.frames.last_mut() {
-                parent.children_max = parent.children_max.max(fin);
+        // HELIX sequential segments: the activation whose segment this step
+        // extends.
+        let mut helix_act: Option<usize> = None;
+        if flags & SEQUENTIAL != 0 {
+            for (i, act) in self.acts.iter().enumerate().skip(top.act_base) {
+                if in_segment(&self.plans, act, inst) {
+                    start = start.max(act.seq_last);
+                    helix_act = Some(i);
+                }
             }
         }
-        if let Some(owner) = state.seq_owner {
-            let act = &mut self.acts[owner];
-            act.seq_last = act.seq_last.max(fin);
+        // Sync markers.
+        if flags & SYNC != 0 {
+            start = start.max(top.children_max);
         }
+        if flags & BARRIER != 0 {
+            self.lanes.floor = self.lanes.floor.max(self.lanes.max());
+            start = start.max(self.lanes.floor);
+        }
+
+        let fin = start + 1;
+        self.finish(step, inst, fin);
+        self.top.run_max = self.top.run_max.max(fin);
+        if let Some(lock) = lock {
+            self.lock_last[lock] = fin;
+        }
+        if let Some(i) = helix_act {
+            self.acts[i].seq_last = fin;
+        }
+        self.call_inst = inst;
     }
 
-    fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
+    /// `on_block` for a block that may change the frame's lane or context:
+    /// one in a spawn region or leaving one, a planned loop's header, or a
+    /// block entering or leaving loops. Inlined for the reason `step_slow`
+    /// is. Switches to the block's lane unless the lane is per step.
+    #[inline(always)]
+    fn enter_block(&mut self, func: FuncId, block: BlockId) {
         let info = &self.funcs[func.index()];
-        let nest = &info.nest_of_block[block.index()];
-        let top = self.frames.last_mut().expect("a frame is live");
-        debug_assert_eq!(top.id, frame);
+        let facts = self.blocks[info.block_base + block.index()];
+        let nest = &info.nests[facts.nest_start as usize..][..facts.depth as usize];
+        let top = &mut self.top;
         let base = top.act_base;
+        // The last step was this frame's (or, for its first block, the
+        // call's, which no activation of the frame sees).
+        top.run_max = top.run_max.max(self.lanes.cur_last);
         // Spawn strands: entering a spawn-region block opens a fresh lane;
         // leaving it returns to the frame's own lane.
-        let in_spawn = info.spawn_blocks.contains(block.index());
-        let mut changed = in_spawn || top.in_spawn;
-        top.in_spawn = in_spawn;
-        let spawn_lane = in_spawn.then(|| {
+        top.in_spawn = facts.spawn;
+        let spawn_lane = facts.spawn.then(|| {
             self.next_spawn_lane += 1;
             mix(top.base_lane, 0xC11C, self.next_spawn_lane)
         });
-        // Pop activations that ended.
-        while self.acts.len() > base && !nest.contains(&self.acts[self.acts.len() - 1].loop_id) {
+        // Pop activations that ended: loops nest, so the activation at
+        // depth `d` is live iff it is `nest[d]`.
+        while let Some(act) = self.acts[base..].last() {
+            if nest.get(self.acts.len() - base - 1) == Some(&act.loop_id) {
+                break;
+            }
             pop_activation(&self.plans, &mut self.acts, top, &mut self.lanes);
-            changed = true;
         }
-        // Loops nest, so what is left is a prefix of `nest`: push the newly
-        // entered loops (outermost-first), or bump the iteration.
+        // What is left is a prefix of `nest`: push the newly entered loops
+        // (outermost-first), or bump the iteration.
         let live = self.acts.len() - base;
-        debug_assert!(self.acts[base..]
-            .iter()
-            .map(|a| a.loop_id)
-            .eq(nest[..live].iter().copied()));
         if live < nest.len() {
             if let Some(below) = self.acts[base..].last_mut() {
                 below.max_finish = below.max_finish.max(top.run_max);
@@ -615,25 +762,23 @@ impl TraceSink for IdealMachine {
                 });
                 self.next_act_uid += 1;
             }
-            changed = true;
-        } else if let Some(innermost) = self.acts[base..].last_mut() {
-            if info.header[innermost.loop_id.index()] == block {
-                innermost.iter += 1;
-                changed = true;
-            }
         }
-        if !changed {
-            return;
+        let bumped = live == nest.len() && facts.planned_header;
+        if bumped {
+            let header_loop = self.acts.last_mut().expect("the header's loop is live");
+            header_loop.iter += 1;
         }
         let acts = &self.acts[base..];
         top.lane = spawn_lane.unwrap_or_else(|| lane_of(&self.plans, top.base_lane, acts, None));
-        top.lane_per_step = false;
+        top.force = 0;
         top.context = Context::default();
         top.overflow = false;
         let mut n = 0;
         for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
             if self.plans[act.plan as usize].dswp {
-                top.lane_per_step = spawn_lane.is_none();
+                if spawn_lane.is_none() {
+                    top.force = PER_STEP_LANE;
+                }
             } else if n < 2 {
                 top.context.act[n] = act.uid + 1;
                 top.context.iter[n] = act.iter;
@@ -643,87 +788,137 @@ impl TraceSink for IdealMachine {
                 top.overflow = true;
             }
         }
+        if top.force == 0 && bumped && spawn_lane.is_none() {
+            // A planned non-DSWP loop's next iteration: every lane of the
+            // last one is dead, and its own is new.
+            self.lanes.retire_to(top.lane);
+        } else if top.force == 0 {
+            self.lanes.switch(top.lane);
+        }
+    }
+}
+
+impl TraceSink for IdealMachine {
+    fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
+        let stat = match origin {
+            ObjOrigin::Global(g) => g.index(),
+            ObjOrigin::Alloca { func, inst } => self.alloca_base[func.index()] + inst.index(),
+        };
+        slot(&mut self.writers, obj.index(), ObjWriters::default()).stat = stat;
     }
 
-    fn on_step(&mut self, step: &Step<'_>) {
-        debug_assert_eq!(step.index, self.steps);
-        let inst = step.inst.index();
-        let top = self.frames.last_mut().expect("a frame is live");
-        debug_assert_eq!(top.id, step.frame);
-        let info = &self.funcs[step.func.index()];
-        let flags = info.flags[inst];
-        debug_assert!(!top.in_spawn || flags & SPAWN != 0);
-
-        let lane = if top.lane_per_step {
-            let acts = &self.acts[top.act_base..];
-            lane_of(&self.plans, top.base_lane, acts, Some(inst))
-        } else {
-            top.lane
+    fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
+        let callee = &self.funcs[func.index()];
+        let reg_base = self.regs.len();
+        self.regs.resize(reg_base + callee.slots, 0);
+        let mut state = FrameState {
+            id: frame,
+            inst_base: callee.inst_base,
+            block_base: callee.block_base,
+            act_base: self.acts.len(),
+            reg_base,
+            ..FrameState::default()
         };
-        let mut start = self.floor.max(*self.lanes.last_mut(lane));
+        if call_step != u64::MAX {
+            // The call step is the most recent step and ends the caller's
+            // run; its lane is current.
+            let caller = &mut self.top;
+            caller.run_max = caller.run_max.max(self.lanes.cur_last);
+            let call = self.call_inst;
+            let facts = self.insts[caller.inst_base + call];
+            debug_assert!(facts.flags & LONG != 0);
+            let args = &self.long_ops[facts.ops[0] as usize..][..facts.ops[1] as usize];
+            let params = reg_base + callee.first_param;
+            for (p, &s) in args.iter().enumerate() {
+                self.regs[params + p] = self.regs[caller.reg_base + s as usize];
+            }
+            state.result_slot = Some(caller.reg_base + 1 + call);
+            state.base_lane = self.lanes.cur;
+            // A spawned call already executes in its strand's lane (the
+            // spawn region's lane); the callee simply inherits it.
+            state.spawned = facts.flags & SPAWN != 0;
+            // A call inside a HELIX sequential segment keeps the segment
+            // locked until the callee returns.
+            if facts.flags & SEQUENTIAL != 0 {
+                state.seq_owner = (caller.act_base..self.acts.len())
+                    .find(|i| in_segment(&self.plans, &self.acts[*i], call));
+            }
+        } else {
+            debug_assert!(self.frames.is_empty());
+        }
+        state.lane = state.base_lane;
+        let caller = std::mem::replace(&mut self.top, state);
+        if call_step != u64::MAX {
+            self.frames.push(caller);
+        }
+    }
 
-        // Register dependences.
-        let regs = &mut self.regs[top.reg_base..];
-        for &s in info.operand_slots(inst) {
-            start = start.max(regs[s as usize]);
+    fn on_exit(&mut self, frame: u64, _func: FuncId, _ret_step: u64) {
+        let caller = self.frames.pop();
+        let resumes = caller.is_some();
+        let mut state = std::mem::replace(&mut self.top, caller.unwrap_or_default());
+        debug_assert_eq!(state.id, frame);
+        // The `ret` is the most recent step, the end of the frame's run:
+        // its finish is the call's.
+        let fin = self.lanes.cur_last;
+        state.run_max = state.run_max.max(fin);
+        self.regs.truncate(state.reg_base);
+        if let Some(slot) = state.result_slot {
+            self.regs[slot] = fin;
         }
+        while self.acts.len() > state.act_base {
+            pop_activation(&self.plans, &mut self.acts, &mut state, &mut self.lanes);
+        }
+        if state.spawned {
+            self.top.children_max = self.top.children_max.max(fin);
+        }
+        if let Some(owner) = state.seq_owner {
+            let act = &mut self.acts[owner];
+            act.seq_last = act.seq_last.max(fin);
+        }
+        // The caller resumes in its block's lane.
+        if resumes && self.top.force == 0 {
+            self.lanes.switch(self.top.lane);
+        }
+    }
 
-        // Memory flow dependences (with plan discharges).
-        for addr in step.loads {
-            let obj = &self.writers[addr.obj.index()];
-            if let Some(w) = obj.cells.get(addr.off as usize) {
-                if w.fin > start && !discharged(&self.plans, top, &w.context, obj.stat) {
-                    start = w.fin;
-                }
-            }
+    #[inline]
+    fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
+        debug_assert_eq!(self.top.id, frame);
+        let top = &self.top;
+        let facts = self.blocks[top.block_base + block.index()];
+        let live = self.acts.len() - top.act_base;
+        // A block of the loops the last one was in, not a planned loop's
+        // header, outside spawn regions, changes neither lane nor context.
+        let same_nest = live == facts.depth as usize
+            && (live == 0 || self.acts[self.acts.len() - 1].loop_id == facts.innermost);
+        if !(same_nest && !facts.planned_header && !facts.spawn && !top.in_spawn) {
+            self.enter_block(func, block);
         }
+    }
 
-        // The HELIX activation whose sequential segment this step extends.
-        let mut helix_act: Option<usize> = None;
-        if flags != 0 {
-            // Mutual exclusion.
-            if flags & LOCKED != 0 {
-                start = start.max(self.lock_last[info.lock_of[inst] as usize]);
-            }
-            // HELIX sequential segments.
-            if flags & SEQUENTIAL != 0 {
-                for (i, act) in self.acts.iter().enumerate().skip(top.act_base) {
-                    if in_segment(&self.plans, act, inst) {
-                        start = start.max(act.seq_last);
-                        helix_act = Some(i);
-                    }
-                }
-            }
-            // Sync markers.
-            if flags & SYNC != 0 {
-                start = start.max(top.children_max);
-            }
-            if flags & BARRIER != 0 {
-                self.floor = self.floor.max(self.lanes.max);
-                start = start.max(self.floor);
-            }
+    #[inline(always)]
+    fn on_step(&mut self, step: &Step<'_>) {
+        debug_assert_eq!(self.top.id, step.frame);
+        debug_assert!(step.loads.len() <= 1 && step.stores.len() <= 1);
+        let inst = step.inst.index();
+        let facts = self.insts[self.top.inst_base + inst];
+        debug_assert!(!self.top.in_spawn || facts.flags & SPAWN != 0);
+        if (facts.flags | self.top.force) & SLOW != 0 {
+            return self.step_slow(step, inst, facts);
         }
-
-        let fin = start + 1;
-        regs[1 + inst] = fin;
-        self.steps += 1;
-        self.lanes.cur_last = fin;
-        self.lanes.max = self.lanes.max.max(fin);
-        top.run_max = top.run_max.max(fin);
-        if flags & LOCKED != 0 {
-            self.lock_last[info.lock_of[inst] as usize] = fin;
+        // The block's lane is current (see `Lanes`); at most two operands.
+        let regs = &self.regs[self.top.reg_base..];
+        let [a, b] = facts.ops;
+        let mut start = self
+            .lanes
+            .cur_last
+            .max(regs[a as usize])
+            .max(regs[b as usize]);
+        if let Some(addr) = step.loads.first() {
+            start = self.after_load(addr, start);
         }
-        if let Some(i) = helix_act {
-            self.acts[i].seq_last = fin;
-        }
-        for addr in step.stores {
-            let cells = &mut self.writers[addr.obj.index()].cells;
-            *slot(cells, addr.off as usize, Writer::default()) = Writer {
-                fin,
-                context: top.context,
-            };
-        }
-        (self.last_inst, self.last_flags) = (inst, flags);
+        self.finish(step, inst, start + 1);
     }
 }
 

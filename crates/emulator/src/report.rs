@@ -81,10 +81,11 @@ pub fn compare_plans(name: &str, program: &ParallelProgram) -> Result<CriticalPa
     let built = build_pspdg_module(program, FeatureSet::all());
     let plan = |a| plan_built(program, &built, interp.profile(), a, 0.01);
     let mut sink = EachMachine(Abstraction::ALL.map(|a| IdealMachine::new(program, &plan(a))));
-    Interpreter::new(&program.module).run_main(&mut sink)?;
+    let mut traced = Interpreter::new(&program.module);
+    traced.run_main(&mut sink)?;
     let results = Abstraction::ALL
         .into_iter()
-        .zip(sink.0.iter().map(IdealMachine::result))
+        .zip(sink.0.iter().map(|m| m.result(traced.steps())))
         .collect();
     Ok(CriticalPathRow {
         name: name.to_string(),

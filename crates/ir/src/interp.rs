@@ -1299,6 +1299,7 @@ impl<S: TraceSink> Machine for Run<'_, '_, S> {
         self.sink.on_alloc(obj, origin);
     }
 
+    #[inline]
     fn on_step(&mut self, func: FuncId, inst: InstId) {
         self.sink.on_step(&Step {
             frame: self.frame,
