@@ -507,6 +507,14 @@ impl TraceSink for NullSink {
     const TRACES: bool = false;
 }
 
+/// The most calls an engine keeps live at once below the root activation;
+/// a call past it raises [`ExecError::CallDepth`]. Each live call holds a
+/// native stack frame of the engine's: about 7 KiB for the runtime's, the
+/// largest, in an unoptimized build (2.3 KiB optimized), so the limit fits
+/// in the smallest stack an engine runs on, a 2 MiB service handler or
+/// pool thread, with room for what runs below the engine.
+pub const MAX_CALL_DEPTH: u32 = 200;
+
 /// A runtime error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
@@ -549,6 +557,13 @@ pub enum ExecError {
         /// Actual type name.
         got: &'static str,
     },
+    /// A call past [`MAX_CALL_DEPTH`].
+    CallDepth {
+        /// Function making the call.
+        func: String,
+        /// The call instruction.
+        inst: InstId,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -581,6 +596,10 @@ impl fmt::Display for ExecError {
                     "type mismatch in @{func} at {inst}: expected {expected}, got {got}"
                 )
             }
+            ExecError::CallDepth { func, inst } => write!(
+                f,
+                "call depth limit of {MAX_CALL_DEPTH} exceeded in @{func} at {inst}"
+            ),
         }
     }
 }
@@ -912,6 +931,10 @@ pub trait Machine {
     /// The heap, the lines printed so far, the step counter and the fuel.
     fn state(&mut self) -> (&mut MemState, &mut Vec<String>, &mut u64, u64);
 
+    /// The calls live below the engine's root activation ([`step`] keeps
+    /// the count and raises [`ExecError::CallDepth`] past the limit).
+    fn depth(&mut self) -> &mut u32;
+
     /// Run `callee` with `args`, called by instruction `inst` of `func`
     /// (the step's counter already counts the call).
     ///
@@ -945,8 +968,9 @@ pub trait Machine {
 ///
 /// # Errors
 ///
-/// [`ExecError::OutOfFuel`] when the fuel is spent, and every fault the
-/// instruction raises, named with `f` and `inst_id`.
+/// [`ExecError::OutOfFuel`] when the fuel is spent,
+/// [`ExecError::CallDepth`] for a call past [`MAX_CALL_DEPTH`], and every
+/// fault the instruction raises, named with `f` and `inst_id`.
 #[inline(always)]
 pub fn step<M: Machine>(
     m: &mut M,
@@ -1074,10 +1098,19 @@ pub fn step<M: Machine>(
             flow = Flow::Return(value.map(|v| frame.eval(mem, v)));
         }
         Inst::Call { callee, args } => {
+            let depth = m.depth();
+            if *depth >= MAX_CALL_DEPTH {
+                return Err(ExecError::CallDepth {
+                    func: f.name.clone(),
+                    inst: inst_id,
+                });
+            }
+            *depth += 1;
             let (mem, ..) = m.state();
             let vals = args.iter().map(|a| frame.eval(mem, *a)).collect();
-            let ret = m.call(func_id, inst_id, *callee, vals)?;
-            frame.regs[inst_id.index()] = ret.unwrap_or(RtVal::Undef);
+            let ret = m.call(func_id, inst_id, *callee, vals);
+            *m.depth() -= 1;
+            frame.regs[inst_id.index()] = ret?.unwrap_or(RtVal::Undef);
             return Ok(Flow::Next);
         }
     }
@@ -1149,6 +1182,7 @@ impl<'m> Interpreter<'m> {
             fuel: self.fuel,
             next_frame: self.next_frame,
             frame: 0,
+            depth: 0,
             sink,
             load: None,
             store: None,
@@ -1215,6 +1249,7 @@ struct Run<'m, 's, S> {
     next_frame: u64,
     /// The id of the executing activation.
     frame: u64,
+    depth: u32,
     sink: &'s mut S,
     /// The cells the current step read and wrote, taken by its event.
     load: Option<MemAddr>,
@@ -1269,6 +1304,10 @@ impl<S: TraceSink> Machine for Run<'_, '_, S> {
 
     fn state(&mut self) -> (&mut MemState, &mut Vec<String>, &mut u64, u64) {
         (&mut self.mem, &mut self.output, &mut self.steps, self.fuel)
+    }
+
+    fn depth(&mut self) -> &mut u32 {
+        &mut self.depth
     }
 
     fn call(

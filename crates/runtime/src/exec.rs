@@ -485,6 +485,7 @@ impl Runtime {
             output: Vec::new(),
             steps: 0,
             fuel: self.fuel,
+            depth: 0,
             crit_log: Vec::new(),
             stats: RunStats::default(),
         };
@@ -532,6 +533,9 @@ struct Engine<'a> {
     output: Vec<String>,
     steps: u64,
     fuel: u64,
+    /// Calls live below the root activation; a chunk worker starts at its
+    /// master's, so a call nests no deeper on a worker than on the master.
+    depth: u32,
     /// Logged operand packets `(region index, fork-local operand values)`
     /// in execution order (chunk workers only).
     crit_log: Vec<(u32, Vec<RtVal>)>,
@@ -795,6 +799,7 @@ impl<'a> Engine<'a> {
         let module = self.module;
         let faults = self.faults;
         let rec = self.rec;
+        let depth = self.depth;
         let mut slots: Vec<Option<Result<ChunkOut, FallbackWhy>>> =
             ranges.iter().map(|_| None).collect();
         // `scope_catch`: a panicked chunk worker (organic or injected)
@@ -842,6 +847,7 @@ impl<'a> Engine<'a> {
                         output: Vec::new(),
                         steps: 0,
                         fuel: fuel_left,
+                        depth,
                         crit_log: Vec::new(),
                         stats: RunStats::default(),
                     };
@@ -1118,6 +1124,10 @@ impl<'a> Engine<'a> {
 impl Machine for Engine<'_> {
     fn state(&mut self) -> (&mut MemState, &mut Vec<String>, &mut u64, u64) {
         (&mut self.mem, &mut self.output, &mut self.steps, self.fuel)
+    }
+
+    fn depth(&mut self) -> &mut u32 {
+        &mut self.depth
     }
 
     fn call(

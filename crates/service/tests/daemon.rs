@@ -7,6 +7,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use pspdg_ir::interp::MAX_CALL_DEPTH;
 use pspdg_nas::synth;
 use pspdg_obs::json::Value;
 use pspdg_parallelizer::Abstraction;
@@ -230,6 +231,44 @@ fn nesting_past_the_limit_is_refused_and_the_daemon_lives() {
             client.ping().unwrap();
         }
     }
+    service.shutdown();
+}
+
+/// Unbounded recursion is an execution error, not a handler stack overflow
+/// that aborts the daemon: `plan`, `execute` and `report` each reply with
+/// the call-depth error of the profiling run, and the daemon still answers
+/// `ping`. Recursion at the limit runs on every engine a request reaches.
+#[test]
+fn recursion_past_the_call_depth_limit_is_refused_and_the_daemon_lives() {
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let at_limit = format!(
+        "int f(int n) {{ if (n <= 0) {{ return 0; }} return f(n - 1) + 1; }}
+         int main() {{ return f({}); }}",
+        MAX_CALL_DEPTH - 1
+    );
+    client.plan(&at_limit, Abstraction::PsPdg).unwrap();
+    let report = client
+        .report(&at_limit, Abstraction::PsPdg, Some(2))
+        .unwrap();
+    assert_eq!(report.get("matches_baseline"), Some(&Value::Bool(true)));
+    let unbounded = "int f(int n) { if (n < 0) { return 0; } return f(n + 1); }
+                     int main() { return f(0); }";
+    let replies = [
+        client.plan(unbounded, Abstraction::PsPdg),
+        client.execute(unbounded, Abstraction::PsPdg, Some(2)),
+        client.report(unbounded, Abstraction::PsPdg, Some(2)),
+    ];
+    for reply in replies {
+        match reply {
+            Err(ClientError::Server(msg)) => assert!(
+                msg.contains("call depth limit of 200 exceeded in @f"),
+                "{msg}"
+            ),
+            other => panic!("expected a call-depth error, got {other:?}"),
+        }
+    }
+    client.ping().unwrap();
     service.shutdown();
 }
 

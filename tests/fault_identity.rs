@@ -1,16 +1,17 @@
 //! Every engine raises the *same* fault, field for field.
 //!
 //! Tiny programs that fault inside an `omp parallel for` body are run on
-//! the sequential interpreter and on `Runtime::run_main` at one and two
-//! workers. A worker that faults abandons the activation and the loop
+//! the sequential interpreter, on the ideal machine (full fuel only) and on
+//! `Runtime::run_main` at one and two workers. A worker that faults abandons the activation and the loop
 //! re-runs on the master, which must raise the fault sequential execution
 //! raises.
 //! The expected errors are literals taken at 427c8b7 — before function
 //! names were built lazily and before the engines shared one
 //! `MemState::deref` — so neither change may move a field.
 
+use pspdg::emulator::emulate;
 use pspdg::frontend::compile;
-use pspdg::ir::interp::{ExecError, Interpreter, NullSink};
+use pspdg::ir::interp::{ExecError, Interpreter, NullSink, MAX_CALL_DEPTH};
 use pspdg::ir::{Inst, InstId, Value};
 use pspdg::parallel::ParallelProgram;
 use pspdg::parallelizer::{build_plan, Abstraction};
@@ -144,6 +145,30 @@ fn every_engine_raises_the_sequential_fault() {
             },
         ),
     ];
+    // `k` runs at call depth 1, so its chunk workers count from 1 too: the
+    // last iteration's recursion reaches `f(0)` one call past the limit on
+    // every engine, a worker counting from 0 would complete it.
+    let recursion = compile(&format!(
+        "int a[64]; int b[64];
+         int f(int n) {{ if (n <= 0) {{ return 0; }} return f(n - 1) + 1; }}
+         void k() {{
+             int i;
+             #pragma omp parallel for
+             for (i = 0; i < 64; i++) {{ b[i] = f(i + {}); }}
+         }}
+         int main() {{ k(); return b[5]; }}",
+        MAX_CALL_DEPTH - 64
+    ))
+    .expect("compiles");
+    cases.push((
+        "call past the depth limit",
+        recursion,
+        1 << 48,
+        ExecError::CallDepth {
+            func: "f".to_string(),
+            inst: InstId(9),
+        },
+    ));
     // The verifier rules these out, so the IR is rewritten after lowering:
     // a load through an integer, a gep indexed by a float, a branch on an
     // integer.
@@ -199,6 +224,11 @@ fn every_engine_raises_the_sequential_fault() {
         // The OpenMP plan follows the annotation whatever the (partial)
         // profile says, so the loop is chunked and workers do fault.
         let plan = build_plan(p, interp.profile(), Abstraction::OpenMp, 0.0);
+        if *fuel == 1 << 48 {
+            // The ideal machine rides the traced interpreter: same fault.
+            let got = emulate(p, &plan).expect_err("faults");
+            assert_eq!(&got, want, "{name}: emulate");
+        }
         for workers in [1, 2] {
             let rt = Runtime::new(p, &plan)
                 .workers(workers)
