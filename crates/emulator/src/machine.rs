@@ -1,9 +1,8 @@
 //! The ideal-machine trace scheduler.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use pspdg_ir::interp::{ExecError, Interpreter, MemAddr, ObjId, ObjOrigin, Step, TraceSink};
+use pspdg_ir::interp::{ExecError, Interpreter, ObjId, ObjOrigin, Step, TraceSink};
 use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, Inst, LoopForest, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
 use pspdg_parallelizer::{Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
@@ -48,8 +47,8 @@ pub fn emulate(
 
 const NO_PLAN: u32 = u32::MAX;
 
-// Per-instruction flags. A step whose instruction has none of `SLOW` set,
-// in a frame with no DSWP activation, takes `on_step`'s fast path.
+// Per-instruction flags. A step with none of `SLOW` set, in a frame with
+// no DSWP activation, takes `on_step`'s fast path.
 /// Inside a `cilk_spawn` region (a spawned call).
 const SPAWN: u8 = 1;
 /// Joins spawned children (`cilk_sync`, `taskwait`).
@@ -60,24 +59,16 @@ const BARRIER: u8 = 1 << 2;
 const LOCKED: u8 = 1 << 3;
 /// In the sequential segment of some HELIX-planned loop of the function.
 const SEQUENTIAL: u8 = 1 << 4;
-/// A call, or more than two operands: [`InstFacts::ops`] locates the
-/// operand list in [`IdealMachine::long_ops`].
+/// A call, or more than two operands (see [`InstFacts::ops`]).
 const LONG: u8 = 1 << 5;
-/// Not an instruction's: [`FrameState::force`] while a DSWP activation
-/// sets the lane per step.
+/// Not an instruction's: [`FrameState::force`] while the lane is per step.
 const PER_STEP_LANE: u8 = 1 << 7;
 const SLOW: u8 = SYNC | BARRIER | LOCKED | SEQUENTIAL | LONG | PER_STEP_LANE;
 
 /// `table[i]`, growing the table with `fill` up to `i` first.
-#[inline]
 fn slot<T: Clone>(table: &mut Vec<T>, i: usize, fill: T) -> &mut T {
-    #[cold]
-    #[inline(never)]
-    fn grow<T: Clone>(table: &mut Vec<T>, len: usize, fill: T) {
-        table.resize(len, fill);
-    }
     if i >= table.len() {
-        grow(table, i + 1, fill);
+        table.resize(i + 1, fill);
     }
     &mut table[i]
 }
@@ -129,7 +120,7 @@ impl PlannedLoop {
     }
 }
 
-/// An instruction's static facts, all `on_step` reads of it.
+/// An instruction's static facts, packed: all a step reads of them.
 ///
 /// A frame keeps one finish time per *register slot*: slot 0 stands for
 /// every constant and global operand and always reads 0, slot `1 + i` is
@@ -137,23 +128,18 @@ impl PlannedLoop {
 /// follow from [`FuncInfo::first_param`].
 #[derive(Debug, Clone, Copy, Default)]
 struct InstFacts {
-    /// The register slots of the operands, in `Inst::operands()` order,
-    /// padded with slot 0; with `LONG`, the operand list's start in
-    /// [`IdealMachine::long_ops`] and its length.
+    /// The operands' register slots, padded with slot 0; with `LONG`, where
+    /// they start in [`IdealMachine::op_slots`] and how many there are.
     ops: [u32; 2],
     /// `SPAWN | SYNC | BARRIER | LOCKED | SEQUENTIAL | LONG`.
     flags: u8,
 }
 
-/// A block's static facts, all `on_block` reads of it.
-#[derive(Debug, Clone, Copy)]
+/// A block's static facts: all `on_block` reads of them.
+#[derive(Debug, Clone)]
 struct BlockFacts {
-    /// The loops containing the block, outermost-first, are
-    /// `FuncInfo::nests[nest_start..nest_start + depth]`.
-    nest_start: u32,
-    depth: u32,
-    /// The innermost of them (any value at depth 0).
-    innermost: LoopId,
+    /// The loops containing the block, outermost-first.
+    nest: Vec<LoopId>,
     /// In a `cilk_spawn` region.
     spawn: bool,
     /// The header of a planned loop (always the block's innermost).
@@ -165,13 +151,12 @@ struct BlockFacts {
 struct FuncInfo {
     /// Where the function's instructions start in [`IdealMachine::insts`].
     inst_base: usize,
-    /// Where the function's blocks start in [`IdealMachine::blocks`].
-    block_base: usize,
     /// Slot of parameter 0.
     first_param: usize,
     /// Register slots of a frame.
     slots: usize,
-    nests: Vec<LoopId>,
+    /// By block.
+    blocks: Vec<BlockFacts>,
     /// Planned loop index per loop ([`NO_PLAN`] = unplanned).
     plan_of_loop: Vec<u32>,
 }
@@ -182,8 +167,8 @@ struct Activation {
     loop_id: LoopId,
     plan: u32, // index into plans, NO_PLAN = unplanned
     uid: u32,
-    /// Iterations begun after the first; counted for planned loops only
-    /// (an unplanned loop's is in no lane and no context).
+    /// Counted for planned loops only: an unplanned loop's iteration is in
+    /// no lane and no context.
     iter: u32,
     seq_last: u64,
     /// Latest finish among the frame's steps under this activation, as of
@@ -205,8 +190,6 @@ struct FrameState {
     id: u64,
     /// Where the function's instructions start in [`IdealMachine::insts`].
     inst_base: usize,
-    /// Where the function's blocks start in [`IdealMachine::blocks`].
-    block_base: usize,
     base_lane: u64,
     /// Where this frame's activations start in [`IdealMachine::acts`].
     act_base: usize,
@@ -225,21 +208,19 @@ struct FrameState {
     /// Whether the current block is in a `cilk_spawn` region.
     in_spawn: bool,
     /// Latest finish among this frame's steps since its innermost
-    /// activation was pushed, up to the last fold; folded into that
+    /// activation was pushed, as of the last fold; folded into that
     /// activation when another is pushed above it or it is popped (which
-    /// hands it to the one below). The steps after the fold are one run in
-    /// one lane whose finishes rise, so the lane's `cur_last` is their
-    /// maximum: it is folded in at every boundary that ends such a run
-    /// and is followed by a read (`on_block` recomputing, `on_enter` of a
-    /// callee, `on_exit`); the slow path folds each step.
+    /// hands it to the one below). Between folds the frame's steps run in
+    /// one lane and finish later each, so `Lanes::cur_last` is their
+    /// maximum: `on_block` (recomputing), `on_enter` and `on_exit` fold it.
     run_max: u64,
     // The rest is a function of the activation stack and the current
     // block, recomputed by `on_block` when either changes.
     /// Lane of the current block's steps: the spawn region's fresh lane,
     /// else the activation chain's.
     lane: u64,
-    /// `PER_STEP_LANE` while a DSWP activation is live (and no spawn lane
-    /// overrides it): the lane depends on each instruction's stage.
+    /// `PER_STEP_LANE` while a DSWP activation is live and no spawn lane
+    /// overrides it: the lane depends on each instruction's stage.
     force: u8,
     context: Context,
     /// Plan of each `context` activation.
@@ -265,38 +246,14 @@ struct ObjWriters {
     cells: Vec<Writer>,
 }
 
-/// Lane ids are `mix` outputs, already spread over all 64 bits: the lane
-/// map hashes each to itself.
-#[derive(Default)]
-struct LaneHasher(u64);
-
-impl Hasher for LaneHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, lane: u64) {
-        self.0 = lane;
-    }
-}
-
 /// Finish times so far: the last per lane, behind the one lane the trace is
-/// currently in, and the latest of all. The ideal machine has unboundedly
-/// many lanes, so `last` stays a map.
-///
-/// Unless the innermost frame sets its lane per step, `cur` is that frame's
-/// block lane whenever a step arrives: `enter_block` switches to it,
-/// `on_exit` back to the caller's, and `on_enter` makes it the callee's
-/// base lane.
+/// in, and the latest of all. The ideal machine has unboundedly many lanes,
+/// so `last` stays a map. Unless the frame's lane is per step, `cur` is its
+/// block's lane whenever a step arrives: `on_block` switches to it,
+/// `on_exit` back to the caller's, and a callee starts in it.
 #[derive(Default)]
 struct Lanes {
-    last: HashMap<u64, u64, BuildHasherDefault<LaneHasher>>,
+    last: HashMap<u64, u64>,
     cur: u64,
     /// The last finish in `cur`, never below `floor`: a step starts at it.
     cur_last: u64,
@@ -308,7 +265,6 @@ struct Lanes {
 
 impl Lanes {
     /// Make `lane` current.
-    #[inline]
     fn switch(&mut self, lane: u64) {
         if lane != self.cur {
             self.max = self.max.max(self.cur_last);
@@ -319,12 +275,10 @@ impl Lanes {
     }
 
     /// Make `lane`, which no step ran in yet, current, leaving one no step
-    /// will run in again.
-    #[inline]
+    /// will run in again: the map is not touched.
     fn retire_to(&mut self, lane: u64) {
         self.max = self.max.max(self.cur_last);
-        self.cur_last = self.floor;
-        self.cur = lane;
+        (self.cur, self.cur_last) = (lane, self.floor);
     }
 
     /// The latest finish of all: a lane's last finish only rises.
@@ -350,10 +304,8 @@ pub(crate) struct IdealMachine {
     funcs: Vec<FuncInfo>,
     /// Every function's instructions, function after function.
     insts: Vec<InstFacts>,
-    /// Every function's blocks, function after function.
-    blocks: Vec<BlockFacts>,
-    /// The operand lists of `LONG` instructions.
-    long_ops: Vec<u32>,
+    /// Every instruction's operand slots, in `insts` order.
+    op_slots: Vec<u32>,
     /// Lock id per `LOCKED` instruction, indexed like `insts`.
     lock_of: Vec<u32>,
     /// Where each function's allocas start in the `ignored` sets.
@@ -374,8 +326,8 @@ pub(crate) struct IdealMachine {
     writers: Vec<ObjWriters>,
     next_act_uid: u32,
     next_spawn_lane: u64,
-    /// The last instruction to take the slow path (by index in its
-    /// function): a call always does, so `on_enter` finds its call here.
+    /// The last instruction to take the slow path: every call does, so
+    /// `on_enter` finds its call here.
     call_inst: usize,
 }
 
@@ -418,9 +370,9 @@ fn in_segment(plans: &[PlannedLoop], act: &Activation, inst: usize) -> bool {
     act.plan != NO_PLAN && plans[act.plan as usize].sequential_insts.contains(inst)
 }
 
-/// Pop `top`'s innermost activation; a planned loop's continuation (the
-/// frame's lane without it) waits for all iterations (+ the reduction
-/// merge). `top.run_max` must be folded.
+/// Pop `top`'s innermost activation (`top.run_max` folded); a planned
+/// loop's continuation (the frame's lane without it) waits for all
+/// iterations (+ the reduction merge).
 fn pop_activation(
     plans: &[PlannedLoop],
     acts: &mut Vec<Activation>,
@@ -451,7 +403,6 @@ fn pop_activation(
 /// under `writer` to one in `reader`, is discharged: both ran under some
 /// activation, in different iterations, whose plan ignores the object.
 /// (Two empty context slots agree on iteration 0, so they never match.)
-#[inline]
 fn discharged(plans: &[PlannedLoop], reader: &FrameState, writer: &Context, stat: usize) -> bool {
     let by = &reader.context;
     !reader.overflow
@@ -484,45 +435,32 @@ impl IdealMachine {
             plans.push(PlannedLoop::from_spec(spec, &alloca_base));
         }
         let mut lock_ids: HashMap<&str, u32> = HashMap::new();
-        let mut lock_of = Vec::new();
-        let mut insts = Vec::with_capacity(module.functions.iter().map(|f| f.insts.len()).sum());
-        let mut long_ops = Vec::new();
-        let mut blocks = Vec::new();
+        let (mut insts, mut op_slots, mut lock_of) = (Vec::new(), Vec::new(), Vec::new());
         let mut funcs = Vec::new();
         for func in module.function_ids() {
             let f = module.function(func);
-            let first_param = 1 + f.insts.len();
-            let base = inst_base[func.index()];
+            let (base, first_param) = (inst_base[func.index()], 1 + f.insts.len());
             for data in &f.insts {
-                let ops: Vec<u32> = data
-                    .inst
-                    .operands()
-                    .map(|v| match v {
-                        Value::Inst(i) => 1 + i.index() as u32,
-                        Value::Param(p) => (first_param + p) as u32,
-                        Value::Const(_) | Value::Global(_) => 0,
-                    })
-                    .collect();
-                let call = matches!(data.inst, Inst::Call { .. });
-                insts.push(if call || ops.len() > 2 {
-                    let at = long_ops.len() as u32;
-                    long_ops.extend_from_slice(&ops);
-                    InstFacts {
-                        ops: [at, ops.len() as u32],
-                        flags: LONG,
-                    }
-                } else {
-                    InstFacts {
-                        ops: [ops.first().map_or(0, |&s| s), ops.get(1).map_or(0, |&s| s)],
-                        flags: 0,
-                    }
+                let at = op_slots.len();
+                op_slots.extend(data.inst.operands().map(|v| match v {
+                    Value::Inst(i) => 1 + i.index() as u32,
+                    Value::Param(p) => (first_param + p) as u32,
+                    Value::Const(_) | Value::Global(_) => 0,
+                }));
+                let ops = &op_slots[at..];
+                let long = ops.len() > 2 || matches!(data.inst, Inst::Call { .. });
+                insts.push(InstFacts {
+                    ops: match (long, ops) {
+                        (true, _) => [at as u32, ops.len() as u32],
+                        (false, [a, b]) => [*a, *b],
+                        (false, ops) => [ops.first().map_or(0, |&a| a), 0],
+                    },
+                    flags: if long { LONG } else { 0 },
                 });
             }
-            let block_base = blocks.len();
             if f.blocks.is_empty() {
                 funcs.push(FuncInfo {
                     inst_base: base,
-                    block_base,
                     ..FuncInfo::default()
                 });
                 continue;
@@ -534,24 +472,21 @@ impl IdealMachine {
                 .loop_ids()
                 .map(|l| plan_idx.get(&(func, l)).copied().unwrap_or(NO_PLAN))
                 .collect();
-            let mut nests = Vec::new();
-            blocks.extend(f.block_ids().map(|bb| {
-                let mut nest = forest.nest_of(bb);
-                let innermost = nest.first().copied().unwrap_or(LoopId(0));
-                let planned_header = !nest.is_empty()
-                    && forest.info(innermost).header == bb
-                    && plan_of_loop[innermost.index()] != NO_PLAN;
-                nest.reverse(); // outermost-first
-                let facts = BlockFacts {
-                    nest_start: nests.len() as u32,
-                    depth: nest.len() as u32,
-                    innermost,
-                    spawn: false,
-                    planned_header,
-                };
-                nests.extend(nest);
-                facts
-            }));
+            let mut blocks: Vec<BlockFacts> = f
+                .block_ids()
+                .map(|bb| {
+                    let mut nest = forest.nest_of(bb);
+                    let planned_header = nest.first().is_some_and(|&l| {
+                        forest.info(l).header == bb && plan_of_loop[l.index()] != NO_PLAN
+                    });
+                    nest.reverse(); // outermost-first
+                    BlockFacts {
+                        nest,
+                        spawn: false,
+                        planned_header,
+                    }
+                })
+                .collect();
             let flags = &mut insts[base..];
             for m in plan.mutexes.iter().filter(|m| m.func == func) {
                 let next = lock_ids.len() as u32;
@@ -570,7 +505,7 @@ impl IdealMachine {
                 let flag = match d.kind {
                     DirectiveKind::CilkSpawn if plan.parallel_spawns => {
                         for bb in &d.region.blocks {
-                            blocks[block_base + bb.index()].spawn = true;
+                            blocks[bb.index()].spawn = true;
                         }
                         SPAWN
                     }
@@ -590,10 +525,9 @@ impl IdealMachine {
             }
             funcs.push(FuncInfo {
                 inst_base: base,
-                block_base,
                 first_param,
                 slots: first_param + f.params.len(),
-                nests,
+                blocks,
                 plan_of_loop,
             });
         }
@@ -601,8 +535,7 @@ impl IdealMachine {
             plans,
             funcs,
             insts,
-            blocks,
-            long_ops,
+            op_slots,
             lock_of,
             alloca_base,
             lock_last: vec![0; lock_ids.len()],
@@ -619,64 +552,239 @@ impl IdealMachine {
         }
     }
 
-    /// `start`, or the finish of the last write to `addr` if later and the
-    /// plan does not discharge the flow dependence.
+    /// Start `step`, ready at `start` otherwise, after the cell it loaded
+    /// was last written, unless the plan discharges that flow dependence.
     #[inline(always)]
-    fn after_load(&self, addr: &MemAddr, start: u64) -> u64 {
-        let obj = &self.writers[addr.obj.index()];
-        let Some(w) = obj.cells.get(addr.off as usize) else {
+    fn after_load(&self, step: &Step<'_>, start: u64) -> u64 {
+        let Some(addr) = step.loads.first() else {
             return start;
         };
-        if w.fin > start && !discharged(&self.plans, &self.top, &w.context, obj.stat) {
-            w.fin
-        } else {
-            start
+        let obj = &self.writers[addr.obj.index()];
+        match obj.cells.get(addr.off as usize) {
+            Some(w)
+                if w.fin > start && !discharged(&self.plans, &self.top, &w.context, obj.stat) =>
+            {
+                w.fin
+            }
+            _ => start,
         }
     }
 
-    /// Record the step of instruction `inst` (by index in its function)
-    /// finishing at `fin`: its register slot, its lane and the cell it
-    /// wrote.
+    /// Finish the step of instruction `inst` (by index in its function) at
+    /// `fin`: its register slot, its lane and the cell it stored.
     #[inline(always)]
     fn finish(&mut self, step: &Step<'_>, inst: usize, fin: u64) {
         self.regs[self.top.reg_base + 1 + inst] = fin;
         self.lanes.cur_last = fin;
         if let Some(addr) = step.stores.first() {
             let cells = &mut self.writers[addr.obj.index()].cells;
-            *slot(cells, addr.off as usize, Writer::default()) = Writer {
-                fin,
-                context: self.top.context,
-            };
+            let context = self.top.context;
+            *slot(cells, addr.off as usize, Writer::default()) = Writer { fin, context };
+        }
+    }
+}
+
+impl TraceSink for IdealMachine {
+    fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
+        let stat = match origin {
+            ObjOrigin::Global(g) => g.index(),
+            ObjOrigin::Alloca { func, inst } => self.alloca_base[func.index()] + inst.index(),
+        };
+        slot(&mut self.writers, obj.index(), ObjWriters::default()).stat = stat;
+    }
+
+    fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
+        let callee = &self.funcs[func.index()];
+        let reg_base = self.regs.len();
+        self.regs.resize(reg_base + callee.slots, 0);
+        let mut state = FrameState {
+            id: frame,
+            inst_base: callee.inst_base,
+            act_base: self.acts.len(),
+            reg_base,
+            ..FrameState::default()
+        };
+        if call_step != u64::MAX {
+            // The call step is the most recent step: it ends the caller's
+            // run, and its lane is current.
+            let caller = &mut self.top;
+            caller.run_max = caller.run_max.max(self.lanes.cur_last);
+            let call = self.insts[caller.inst_base + self.call_inst];
+            debug_assert!(call.flags & LONG != 0);
+            let args = &self.op_slots[call.ops[0] as usize..][..call.ops[1] as usize];
+            let params = reg_base + callee.first_param;
+            for (p, &s) in args.iter().enumerate() {
+                self.regs[params + p] = self.regs[caller.reg_base + s as usize];
+            }
+            state.result_slot = Some(caller.reg_base + 1 + self.call_inst);
+            state.base_lane = self.lanes.cur;
+            // A spawned call already executes in its strand's lane (the
+            // spawn region's lane); the callee simply inherits it.
+            state.spawned = call.flags & SPAWN != 0;
+            // A call inside a HELIX sequential segment keeps the segment
+            // locked until the callee returns.
+            state.seq_owner = (caller.act_base..self.acts.len())
+                .find(|i| in_segment(&self.plans, &self.acts[*i], self.call_inst));
+        }
+        state.lane = state.base_lane;
+        let caller = std::mem::replace(&mut self.top, state);
+        if call_step != u64::MAX {
+            self.frames.push(caller);
         }
     }
 
-    /// A step with a flagged instruction or a per-step lane. Few steps take
-    /// it, yet it is inlined like the fast path: an out-of-line call handed
-    /// the machine slows the interpreter's loop around it by more than the
-    /// code it keeps out.
+    fn on_exit(&mut self, frame: u64, _func: FuncId, _ret_step: u64) {
+        let caller = self.frames.pop();
+        let resumes = caller.is_some();
+        let mut state = std::mem::replace(&mut self.top, caller.unwrap_or_default());
+        debug_assert_eq!(state.id, frame);
+        // The `ret` is the most recent step and ends the frame's run; its
+        // finish is the call's.
+        let fin = self.lanes.cur_last;
+        state.run_max = state.run_max.max(fin);
+        self.regs.truncate(state.reg_base);
+        if let Some(slot) = state.result_slot {
+            self.regs[slot] = fin;
+        }
+        while self.acts.len() > state.act_base {
+            pop_activation(&self.plans, &mut self.acts, &mut state, &mut self.lanes);
+        }
+        if state.spawned {
+            self.top.children_max = self.top.children_max.max(fin);
+        }
+        if let Some(owner) = state.seq_owner {
+            let act = &mut self.acts[owner];
+            act.seq_last = act.seq_last.max(fin);
+        }
+        if resumes && self.top.force == 0 {
+            self.lanes.switch(self.top.lane);
+        }
+    }
+
+    // `on_block` and `on_step` are inlined into the interpreter's loop
+    // whole, flagged paths included: an out-of-line call handed the machine
+    // slows the loop around it by more than the code it keeps out.
     #[inline(always)]
-    fn step_slow(&mut self, step: &Step<'_>, inst: usize, facts: InstFacts) {
+    fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
+        debug_assert_eq!(self.top.id, frame);
+        let info = &self.funcs[func.index()];
+        let facts = &info.blocks[block.index()];
+        let (nest, top) = (&facts.nest, &mut self.top);
+        let base = top.act_base;
+        // A block of the loops the last one was in that is not a planned
+        // loop's header and not in or after a spawn region changes neither
+        // lane nor context.
+        let live = self.acts.len() - base;
+        let innermost = self.acts.last().map(|a| a.loop_id);
+        if live == nest.len()
+            && (live == 0 || innermost == nest.last().copied())
+            && !(facts.planned_header || facts.spawn || top.in_spawn)
+        {
+            return;
+        }
+        // The last step was this frame's (or, for its first block, the
+        // call's, which no activation of the frame sees).
+        top.run_max = top.run_max.max(self.lanes.cur_last);
+        // Spawn strands: entering a spawn-region block opens a fresh lane;
+        // leaving it returns to the frame's own lane.
+        top.in_spawn = facts.spawn;
+        let spawn_lane = facts.spawn.then(|| {
+            self.next_spawn_lane += 1;
+            mix(top.base_lane, 0xC11C, self.next_spawn_lane)
+        });
+        // Pop activations that ended: loops nest, so the activation at
+        // depth `d` is live iff it is `nest[d]`.
+        while let Some(act) = self.acts[base..].last() {
+            if nest.get(self.acts.len() - base - 1) == Some(&act.loop_id) {
+                break;
+            }
+            pop_activation(&self.plans, &mut self.acts, top, &mut self.lanes);
+        }
+        // What is left is a prefix of `nest`: push the newly entered loops
+        // (outermost-first), or bump the planned loop's iteration.
+        let live = self.acts.len() - base;
+        if live < nest.len() {
+            if let Some(below) = self.acts[base..].last_mut() {
+                below.max_finish = below.max_finish.max(top.run_max);
+            }
+            top.run_max = 0;
+            for l in &nest[live..] {
+                self.acts.push(Activation {
+                    loop_id: *l,
+                    plan: info.plan_of_loop[l.index()],
+                    uid: self.next_act_uid,
+                    iter: 0,
+                    seq_last: 0,
+                    max_finish: 0,
+                });
+                self.next_act_uid += 1;
+            }
+        }
+        let bumped = live == nest.len() && facts.planned_header;
+        if let Some(act) = self.acts.last_mut().filter(|_| bumped) {
+            act.iter += 1;
+        }
+        let acts = &self.acts[base..];
+        top.lane = spawn_lane.unwrap_or_else(|| lane_of(&self.plans, top.base_lane, acts, None));
+        top.force = 0;
+        top.context = Context::default();
+        top.overflow = false;
+        let mut n = 0;
+        for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
+            if self.plans[act.plan as usize].dswp {
+                if spawn_lane.is_none() {
+                    top.force = PER_STEP_LANE;
+                }
+            } else if n < 2 {
+                top.context.act[n] = act.uid + 1;
+                top.context.iter[n] = act.iter;
+                top.context_plan[n] = act.plan;
+                n += 1;
+            } else {
+                top.overflow = true;
+            }
+        }
+        match (top.force, bumped && spawn_lane.is_none()) {
+            // A planned non-DSWP loop's next iteration: every lane of the
+            // last one is dead, and its own is new.
+            (0, true) => self.lanes.retire_to(top.lane),
+            (0, false) => self.lanes.switch(top.lane),
+            _ => {}
+        }
+    }
+
+    #[inline(always)]
+    fn on_step(&mut self, step: &Step<'_>) {
+        debug_assert_eq!(self.top.id, step.frame);
+        debug_assert!(step.loads.len() <= 1 && step.stores.len() <= 1);
+        let inst = step.inst.index();
+        let facts = self.insts[self.top.inst_base + inst];
+        debug_assert!(!self.top.in_spawn || facts.flags & SPAWN != 0);
+        if (facts.flags | self.top.force) & SLOW == 0 {
+            // The block's lane is current; at most two operands.
+            let regs = &self.regs[self.top.reg_base..];
+            let [a, b] = facts.ops.map(|s| regs[s as usize]);
+            let start = self.after_load(step, self.lanes.cur_last.max(a).max(b));
+            return self.finish(step, inst, start + 1);
+        }
         let top = &self.top;
-        if top.force & PER_STEP_LANE != 0 {
+        if top.force != 0 {
             let acts = &self.acts[top.act_base..];
             self.lanes
                 .switch(lane_of(&self.plans, top.base_lane, acts, Some(inst)));
         }
-        let flags = facts.flags;
-        let ops: &[u32] = if flags & LONG != 0 {
-            let [at, len] = facts.ops.map(|x| x as usize);
-            &self.long_ops[at..at + len]
+        let [a, b] = facts.ops.map(|x| x as usize);
+        let ops = if facts.flags & LONG != 0 {
+            &self.op_slots[a..a + b]
         } else {
             &facts.ops
         };
         let regs = &self.regs[top.reg_base..];
-        let mut start = ops
+        let start = ops
             .iter()
             .fold(self.lanes.cur_last, |s, &o| s.max(regs[o as usize]));
-        if let Some(addr) = step.loads.first() {
-            start = self.after_load(addr, start);
-        }
-
+        let mut start = self.after_load(step, start);
+        let flags = facts.flags;
         // Mutual exclusion.
         let lock = (flags & LOCKED != 0).then(|| self.lock_of[top.inst_base + inst] as usize);
         if let Some(lock) = lock {
@@ -701,7 +809,6 @@ impl IdealMachine {
             self.lanes.floor = self.lanes.floor.max(self.lanes.max());
             start = start.max(self.lanes.floor);
         }
-
         let fin = start + 1;
         self.finish(step, inst, fin);
         self.top.run_max = self.top.run_max.max(fin);
@@ -712,213 +819,6 @@ impl IdealMachine {
             self.acts[i].seq_last = fin;
         }
         self.call_inst = inst;
-    }
-
-    /// `on_block` for a block that may change the frame's lane or context:
-    /// one in a spawn region or leaving one, a planned loop's header, or a
-    /// block entering or leaving loops. Inlined for the reason `step_slow`
-    /// is. Switches to the block's lane unless the lane is per step.
-    #[inline(always)]
-    fn enter_block(&mut self, func: FuncId, block: BlockId) {
-        let info = &self.funcs[func.index()];
-        let facts = self.blocks[info.block_base + block.index()];
-        let nest = &info.nests[facts.nest_start as usize..][..facts.depth as usize];
-        let top = &mut self.top;
-        let base = top.act_base;
-        // The last step was this frame's (or, for its first block, the
-        // call's, which no activation of the frame sees).
-        top.run_max = top.run_max.max(self.lanes.cur_last);
-        // Spawn strands: entering a spawn-region block opens a fresh lane;
-        // leaving it returns to the frame's own lane.
-        top.in_spawn = facts.spawn;
-        let spawn_lane = facts.spawn.then(|| {
-            self.next_spawn_lane += 1;
-            mix(top.base_lane, 0xC11C, self.next_spawn_lane)
-        });
-        // Pop activations that ended: loops nest, so the activation at
-        // depth `d` is live iff it is `nest[d]`.
-        while let Some(act) = self.acts[base..].last() {
-            if nest.get(self.acts.len() - base - 1) == Some(&act.loop_id) {
-                break;
-            }
-            pop_activation(&self.plans, &mut self.acts, top, &mut self.lanes);
-        }
-        // What is left is a prefix of `nest`: push the newly entered loops
-        // (outermost-first), or bump the iteration.
-        let live = self.acts.len() - base;
-        if live < nest.len() {
-            if let Some(below) = self.acts[base..].last_mut() {
-                below.max_finish = below.max_finish.max(top.run_max);
-            }
-            top.run_max = 0;
-            for l in &nest[live..] {
-                self.acts.push(Activation {
-                    loop_id: *l,
-                    plan: info.plan_of_loop[l.index()],
-                    uid: self.next_act_uid,
-                    iter: 0,
-                    seq_last: 0,
-                    max_finish: 0,
-                });
-                self.next_act_uid += 1;
-            }
-        }
-        let bumped = live == nest.len() && facts.planned_header;
-        if bumped {
-            let header_loop = self.acts.last_mut().expect("the header's loop is live");
-            header_loop.iter += 1;
-        }
-        let acts = &self.acts[base..];
-        top.lane = spawn_lane.unwrap_or_else(|| lane_of(&self.plans, top.base_lane, acts, None));
-        top.force = 0;
-        top.context = Context::default();
-        top.overflow = false;
-        let mut n = 0;
-        for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
-            if self.plans[act.plan as usize].dswp {
-                if spawn_lane.is_none() {
-                    top.force = PER_STEP_LANE;
-                }
-            } else if n < 2 {
-                top.context.act[n] = act.uid + 1;
-                top.context.iter[n] = act.iter;
-                top.context_plan[n] = act.plan;
-                n += 1;
-            } else {
-                top.overflow = true;
-            }
-        }
-        if top.force == 0 && bumped && spawn_lane.is_none() {
-            // A planned non-DSWP loop's next iteration: every lane of the
-            // last one is dead, and its own is new.
-            self.lanes.retire_to(top.lane);
-        } else if top.force == 0 {
-            self.lanes.switch(top.lane);
-        }
-    }
-}
-
-impl TraceSink for IdealMachine {
-    fn on_alloc(&mut self, obj: ObjId, origin: ObjOrigin) {
-        let stat = match origin {
-            ObjOrigin::Global(g) => g.index(),
-            ObjOrigin::Alloca { func, inst } => self.alloca_base[func.index()] + inst.index(),
-        };
-        slot(&mut self.writers, obj.index(), ObjWriters::default()).stat = stat;
-    }
-
-    fn on_enter(&mut self, frame: u64, func: FuncId, call_step: u64) {
-        let callee = &self.funcs[func.index()];
-        let reg_base = self.regs.len();
-        self.regs.resize(reg_base + callee.slots, 0);
-        let mut state = FrameState {
-            id: frame,
-            inst_base: callee.inst_base,
-            block_base: callee.block_base,
-            act_base: self.acts.len(),
-            reg_base,
-            ..FrameState::default()
-        };
-        if call_step != u64::MAX {
-            // The call step is the most recent step and ends the caller's
-            // run; its lane is current.
-            let caller = &mut self.top;
-            caller.run_max = caller.run_max.max(self.lanes.cur_last);
-            let call = self.call_inst;
-            let facts = self.insts[caller.inst_base + call];
-            debug_assert!(facts.flags & LONG != 0);
-            let args = &self.long_ops[facts.ops[0] as usize..][..facts.ops[1] as usize];
-            let params = reg_base + callee.first_param;
-            for (p, &s) in args.iter().enumerate() {
-                self.regs[params + p] = self.regs[caller.reg_base + s as usize];
-            }
-            state.result_slot = Some(caller.reg_base + 1 + call);
-            state.base_lane = self.lanes.cur;
-            // A spawned call already executes in its strand's lane (the
-            // spawn region's lane); the callee simply inherits it.
-            state.spawned = facts.flags & SPAWN != 0;
-            // A call inside a HELIX sequential segment keeps the segment
-            // locked until the callee returns.
-            if facts.flags & SEQUENTIAL != 0 {
-                state.seq_owner = (caller.act_base..self.acts.len())
-                    .find(|i| in_segment(&self.plans, &self.acts[*i], call));
-            }
-        } else {
-            debug_assert!(self.frames.is_empty());
-        }
-        state.lane = state.base_lane;
-        let caller = std::mem::replace(&mut self.top, state);
-        if call_step != u64::MAX {
-            self.frames.push(caller);
-        }
-    }
-
-    fn on_exit(&mut self, frame: u64, _func: FuncId, _ret_step: u64) {
-        let caller = self.frames.pop();
-        let resumes = caller.is_some();
-        let mut state = std::mem::replace(&mut self.top, caller.unwrap_or_default());
-        debug_assert_eq!(state.id, frame);
-        // The `ret` is the most recent step, the end of the frame's run:
-        // its finish is the call's.
-        let fin = self.lanes.cur_last;
-        state.run_max = state.run_max.max(fin);
-        self.regs.truncate(state.reg_base);
-        if let Some(slot) = state.result_slot {
-            self.regs[slot] = fin;
-        }
-        while self.acts.len() > state.act_base {
-            pop_activation(&self.plans, &mut self.acts, &mut state, &mut self.lanes);
-        }
-        if state.spawned {
-            self.top.children_max = self.top.children_max.max(fin);
-        }
-        if let Some(owner) = state.seq_owner {
-            let act = &mut self.acts[owner];
-            act.seq_last = act.seq_last.max(fin);
-        }
-        // The caller resumes in its block's lane.
-        if resumes && self.top.force == 0 {
-            self.lanes.switch(self.top.lane);
-        }
-    }
-
-    #[inline]
-    fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
-        debug_assert_eq!(self.top.id, frame);
-        let top = &self.top;
-        let facts = self.blocks[top.block_base + block.index()];
-        let live = self.acts.len() - top.act_base;
-        // A block of the loops the last one was in, not a planned loop's
-        // header, outside spawn regions, changes neither lane nor context.
-        let same_nest = live == facts.depth as usize
-            && (live == 0 || self.acts[self.acts.len() - 1].loop_id == facts.innermost);
-        if !(same_nest && !facts.planned_header && !facts.spawn && !top.in_spawn) {
-            self.enter_block(func, block);
-        }
-    }
-
-    #[inline(always)]
-    fn on_step(&mut self, step: &Step<'_>) {
-        debug_assert_eq!(self.top.id, step.frame);
-        debug_assert!(step.loads.len() <= 1 && step.stores.len() <= 1);
-        let inst = step.inst.index();
-        let facts = self.insts[self.top.inst_base + inst];
-        debug_assert!(!self.top.in_spawn || facts.flags & SPAWN != 0);
-        if (facts.flags | self.top.force) & SLOW != 0 {
-            return self.step_slow(step, inst, facts);
-        }
-        // The block's lane is current (see `Lanes`); at most two operands.
-        let regs = &self.regs[self.top.reg_base..];
-        let [a, b] = facts.ops;
-        let mut start = self
-            .lanes
-            .cur_last
-            .max(regs[a as usize])
-            .max(regs[b as usize]);
-        if let Some(addr) = step.loads.first() {
-            start = self.after_load(addr, start);
-        }
-        self.finish(step, inst, start + 1);
     }
 }
 
