@@ -35,16 +35,9 @@
 //! The critical path is the maximum finish time; the plan-exposed
 //! parallelism of Fig. 14 is `CP(OpenMP) / CP(plan)`.
 //!
-//! ## What it costs
-//!
-//! [`emulate`] is one traced run of the sequential interpreter with the
-//! machine as its sink, on the calling thread. A step that is not flagged
-//! (lock, HELIX segment, sync, barrier, call) and runs outside DSWP reads
-//! one packed record, two register finish times, the cell it loaded and
-//! its lane's last finish; lane and context are recomputed only at blocks
-//! that enter or leave a loop, head a planned loop or touch a spawn
-//! region. A call nested past [`pspdg_ir::interp::MAX_CALL_DEPTH`] ends
-//! the run with an error.
+//! [`emulate`] rides one traced interpreter run on the calling thread; a
+//! call nested past [`pspdg_ir::interp::MAX_CALL_DEPTH`] ends it with an
+//! error.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use pspdg_ir::interp::{ExecError, Interpreter, ObjId, ObjOrigin, Step, TraceSink};
 use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, Inst, LoopForest, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
-use pspdg_parallelizer::{Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
+use pspdg_parallelizer::{Abstraction, Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
 use pspdg_pdg::MemBase;
 use pspdg_pool::BitSet;
 
@@ -47,23 +47,15 @@ pub fn emulate(
 
 const NO_PLAN: u32 = u32::MAX;
 
-// Per-instruction flags. A step with none of `SLOW` set, in a frame with
-// no DSWP activation, takes `on_step`'s fast path.
-/// Inside a `cilk_spawn` region (a spawned call).
-const SPAWN: u8 = 1;
-/// Joins spawned children (`cilk_sync`, `taskwait`).
-const SYNC: u8 = 1 << 1;
-/// A team-wide barrier.
-const BARRIER: u8 = 1 << 2;
-/// Covered by a mutex ([`IdealMachine::lock_of`] names it).
-const LOCKED: u8 = 1 << 3;
-/// In the sequential segment of some HELIX-planned loop of the function.
-const SEQUENTIAL: u8 = 1 << 4;
-/// A call, or more than two operands (see [`InstFacts::ops`]).
-const LONG: u8 = 1 << 5;
-/// Not an instruction's: [`FrameState::force`] while the lane is per step.
-const PER_STEP_LANE: u8 = 1 << 7;
-const SLOW: u8 = SYNC | BARRIER | LOCKED | SEQUENTIAL | LONG | PER_STEP_LANE;
+// Per-instruction flags. A step with none of `SLOW` set, in a frame whose
+// lane is not per step, skips `IdealMachine::constrain`.
+const SPAWN: u8 = 1; // in a `cilk_spawn` region (a spawned call)
+const SYNC: u8 = 1 << 1; // joins spawned children (`cilk_sync`, `taskwait`)
+const BARRIER: u8 = 1 << 2; // a team-wide barrier
+const LOCKED: u8 = 1 << 3; // covered by a mutex (`lock_of` names it)
+const SEQUENTIAL: u8 = 1 << 4; // in some HELIX-planned loop's sequential segment
+const LONG: u8 = 1 << 5; // a call, or more than two operands
+const SLOW: u8 = SYNC | BARRIER | LOCKED | SEQUENTIAL | LONG;
 
 /// `table[i]`, growing the table with `fill` up to `i` first.
 fn slot<T: Clone>(table: &mut Vec<T>, i: usize, fill: T) -> &mut T {
@@ -121,17 +113,11 @@ impl PlannedLoop {
 }
 
 /// An instruction's static facts, packed: all a step reads of them.
-///
-/// A frame keeps one finish time per *register slot*: slot 0 stands for
-/// every constant and global operand and always reads 0, slot `1 + i` is
-/// instruction `i`'s latest execution in the frame, and the parameters
-/// follow from [`FuncInfo::first_param`].
 #[derive(Debug, Clone, Copy, Default)]
 struct InstFacts {
     /// The operands' register slots, padded with slot 0; with `LONG`, where
     /// they start in [`IdealMachine::op_slots`] and how many there are.
     ops: [u32; 2],
-    /// `SPAWN | SYNC | BARRIER | LOCKED | SEQUENTIAL | LONG`.
     flags: u8,
 }
 
@@ -140,7 +126,6 @@ struct InstFacts {
 struct BlockFacts {
     /// The loops containing the block, outermost-first.
     nest: Vec<LoopId>,
-    /// In a `cilk_spawn` region.
     spawn: bool,
     /// The header of a planned loop (always the block's innermost).
     planned_header: bool,
@@ -155,7 +140,6 @@ struct FuncInfo {
     first_param: usize,
     /// Register slots of a frame.
     slots: usize,
-    /// By block.
     blocks: Vec<BlockFacts>,
     /// Planned loop index per loop ([`NO_PLAN`] = unplanned).
     plan_of_loop: Vec<u32>,
@@ -167,8 +151,7 @@ struct Activation {
     loop_id: LoopId,
     plan: u32, // index into plans, NO_PLAN = unplanned
     uid: u32,
-    /// Counted for planned loops only: an unplanned loop's iteration is in
-    /// no lane and no context.
+    /// Counted for planned loops only: no lane or context reads the rest.
     iter: u32,
     seq_last: u64,
     /// Latest finish among the frame's steps under this activation, as of
@@ -177,8 +160,7 @@ struct Activation {
 }
 
 /// The first two planned non-DSWP activations a step runs under (uid + 1;
-/// 0 = none), with their iterations: what a flow dependence is discharged
-/// against.
+/// 0 = none) and their iterations, which discharge flow dependences.
 #[derive(Debug, Clone, Copy, Default)]
 struct Context {
     act: [u32; 2],
@@ -188,45 +170,36 @@ struct Context {
 #[derive(Debug, Default)]
 struct FrameState {
     id: u64,
-    /// Where the function's instructions start in [`IdealMachine::insts`].
     inst_base: usize,
     base_lane: u64,
-    /// Where this frame's activations start in [`IdealMachine::acts`].
+    /// Where this frame's activations and register slots start in
+    /// [`IdealMachine::acts`] and [`IdealMachine::regs`].
     act_base: usize,
-    /// Where this frame's register slots start in [`IdealMachine::regs`].
     reg_base: usize,
-    /// The caller's slot for the call that entered this frame (an index
-    /// into [`IdealMachine::regs`]), which takes the `ret`'s finish.
+    /// The caller's slot that takes this frame's `ret` finish.
     result_slot: Option<usize>,
     spawned: bool,
     children_max: u64,
-    /// When this activation was entered through a call belonging to a HELIX
-    /// sequential segment, the caller's activation (an index into
-    /// [`IdealMachine::acts`]; the caller's stack is frozen while this
-    /// frame is live) whose chain must extend to this callee's completion.
+    /// Entered by a call in a HELIX sequential segment: the caller's
+    /// activation whose chain extends to this call's end.
     seq_owner: Option<usize>,
     /// Whether the current block is in a `cilk_spawn` region.
     in_spawn: bool,
     /// Latest finish among this frame's steps since its innermost
-    /// activation was pushed, as of the last fold; folded into that
-    /// activation when another is pushed above it or it is popped (which
-    /// hands it to the one below). Between folds the frame's steps run in
-    /// one lane and finish later each, so `Lanes::cur_last` is their
-    /// maximum: `on_block` (recomputing), `on_enter` and `on_exit` fold it.
+    /// activation was pushed, folded into it at a push above or its pop.
+    /// Between recomputing blocks, calls and returns it is `Lanes::cur_last`
+    /// (one lane, rising finishes); a per-step lane folds each step's finish.
     run_max: u64,
-    // The rest is a function of the activation stack and the current
-    // block, recomputed by `on_block` when either changes.
-    /// Lane of the current block's steps: the spawn region's fresh lane,
-    /// else the activation chain's.
+    // The rest is recomputed by `on_block` from the activations and block.
+    /// The current block's lane: a spawn region's fresh one, else the chain's.
     lane: u64,
-    /// `PER_STEP_LANE` while a DSWP activation is live and no spawn lane
-    /// overrides it: the lane depends on each instruction's stage.
-    force: u8,
+    /// A DSWP activation is live (and no spawn lane overrides it), so the
+    /// lane depends on each instruction's stage.
+    lane_per_step: bool,
     context: Context,
     /// Plan of each `context` activation.
     context_plan: [u32; 2],
-    /// More than two planned non-DSWP activations are live: nothing is
-    /// discharged.
+    /// Over two planned non-DSWP activations are live: none discharges.
     overflow: bool,
 }
 
@@ -246,18 +219,15 @@ struct ObjWriters {
     cells: Vec<Writer>,
 }
 
-/// Finish times so far: the last per lane, behind the one lane the trace is
-/// in, and the latest of all. The ideal machine has unboundedly many lanes,
-/// so `last` stays a map. Unless the frame's lane is per step, `cur` is its
-/// block's lane whenever a step arrives: `on_block` switches to it,
-/// `on_exit` back to the caller's, and a callee starts in it.
+/// Finish times so far: the last per lane, in a map (lanes are unbounded)
+/// behind the one the trace is in, the block's lane unless it is per step.
 #[derive(Default)]
 struct Lanes {
     last: HashMap<u64, u64>,
     cur: u64,
     /// The last finish in `cur`, never below `floor`: a step starts at it.
     cur_last: u64,
-    /// The latest finish of every lane but `cur` (see [`Lanes::max`]).
+    /// The latest finish of every lane but `cur`.
     max: u64,
     /// No step starts before the latest barrier's join.
     floor: u64,
@@ -290,10 +260,11 @@ impl Lanes {
 /// The ideal machine: a [`TraceSink`] computing plan-constrained finish
 /// times online.
 ///
-/// Register dependences are static: an operand names its producing
-/// instruction, and the instance it reads is that instruction's latest
-/// execution in the same frame, so each frame keeps a finish time per
-/// register slot ([`InstFacts`]). Two producer conventions cross frames:
+/// An operand names its producing instruction, and the instance it reads is
+/// that instruction's latest execution in the frame, so a frame keeps a
+/// finish time per register slot: slot 0 (every constant and global) reads
+/// 0, slot `1 + i` is instruction `i`'s, and the parameters follow from
+/// [`FuncInfo::first_param`]. Two producer conventions cross frames:
 ///
 /// * the producer of a `call`'s *result* is the callee's `ret` step (not
 ///   the call step), so consumers of the result wait for the callee;
@@ -304,20 +275,19 @@ pub(crate) struct IdealMachine {
     funcs: Vec<FuncInfo>,
     /// Every function's instructions, function after function.
     insts: Vec<InstFacts>,
-    /// Every instruction's operand slots, in `insts` order.
+    /// Every `LONG` instruction's operand slots.
     op_slots: Vec<u32>,
     /// Lock id per `LOCKED` instruction, indexed like `insts`.
     lock_of: Vec<u32>,
     /// Where each function's allocas start in the `ignored` sets.
     alloca_base: Vec<usize>,
-    /// The innermost live frame, whose steps the trace is delivering.
+    /// The innermost live frame, whose steps the trace is delivering; the
+    /// frames below it in `frames`, innermost last.
     top: FrameState,
-    /// The frames below it, innermost last: the interpreter's activations
-    /// nest.
     frames: Vec<FrameState>,
-    /// Live loop activations of all frames, innermost frame's last.
+    /// Live loop activations and register finish times of all frames,
+    /// innermost frame's last.
     acts: Vec<Activation>,
-    /// Register finish times of all live frames, innermost frame's last.
     regs: Vec<u64>,
     lanes: Lanes,
     /// By lock id.
@@ -326,8 +296,8 @@ pub(crate) struct IdealMachine {
     writers: Vec<ObjWriters>,
     next_act_uid: u32,
     next_spawn_lane: u64,
-    /// The last instruction to take the slow path: every call does, so
-    /// `on_enter` finds its call here.
+    /// The last `SLOW` step's instruction: every call is one, so `on_enter`
+    /// finds its call here.
     call_inst: usize,
 }
 
@@ -339,21 +309,14 @@ fn mix(a: u64, b: u64, c: u64) -> u64 {
 }
 
 fn ceil_log2(n: u64) -> u64 {
-    if n <= 1 {
-        0
-    } else {
-        64 - (n - 1).leading_zeros() as u64
-    }
+    n.next_power_of_two().trailing_zeros() as u64
 }
 
 /// Lane of a frame's (planned) activation stack `acts` over `base_lane`;
 /// `inst` selects the DSWP stage where applicable.
 fn lane_of(plans: &[PlannedLoop], base_lane: u64, acts: &[Activation], inst: Option<usize>) -> u64 {
     let mut lane = base_lane;
-    for act in acts {
-        if act.plan == NO_PLAN {
-            continue;
-        }
+    for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
         let p = &plans[act.plan as usize];
         let key = if p.dswp {
             inst.and_then(|i| p.stage_of.get(i).copied()).unwrap_or(0)
@@ -370,9 +333,8 @@ fn in_segment(plans: &[PlannedLoop], act: &Activation, inst: usize) -> bool {
     act.plan != NO_PLAN && plans[act.plan as usize].sequential_insts.contains(inst)
 }
 
-/// Pop `top`'s innermost activation (`top.run_max` folded); a planned
-/// loop's continuation (the frame's lane without it) waits for all
-/// iterations (+ the reduction merge).
+/// Pop `top`'s innermost activation; a planned loop's continuation (the
+/// frame's lane without it) waits for all iterations (+ the merge).
 fn pop_activation(
     plans: &[PlannedLoop],
     acts: &mut Vec<Activation>,
@@ -386,13 +348,11 @@ fn pop_activation(
         return;
     }
     let p = &plans[act.plan as usize];
-    let mut sync_fin = 0u64;
-    if p.end_barrier {
-        sync_fin = sync_fin.max(max_finish);
-    }
-    if p.reduce {
-        sync_fin = sync_fin.max(max_finish + ceil_log2(act.iter as u64 + 1));
-    }
+    let sync_fin = match (p.reduce, p.end_barrier) {
+        (true, _) => max_finish + ceil_log2(act.iter as u64 + 1),
+        (false, true) => max_finish,
+        (false, false) => 0,
+    };
     if sync_fin > 0 {
         lanes.switch(lane_of(plans, top.base_lane, &acts[top.act_base..], None));
         lanes.cur_last = lanes.cur_last.max(sync_fin);
@@ -418,16 +378,12 @@ impl IdealMachine {
     /// Prepare a machine for `program` under `plan`.
     pub(crate) fn new(program: &ParallelProgram, plan: &ProgramPlan) -> IdealMachine {
         let module = &program.module;
-        let inst_base: Vec<usize> = module
-            .functions
-            .iter()
-            .scan(0, |next, f| {
-                let base = *next;
-                *next += f.insts.len();
-                Some(base)
-            })
-            .collect();
-        let alloca_base: Vec<usize> = inst_base.iter().map(|b| module.globals.len() + b).collect();
+        let sizes = module.functions.iter().map(|f| f.insts.len());
+        let starts = sizes.scan(module.globals.len(), |next, n| {
+            *next += n;
+            Some(*next - n)
+        });
+        let alloca_base: Vec<usize> = starts.collect();
         let mut plans = Vec::new();
         let mut plan_idx: HashMap<(FuncId, LoopId), u32> = HashMap::new();
         for ((func, l), spec) in &plan.loops {
@@ -439,7 +395,7 @@ impl IdealMachine {
         let mut funcs = Vec::new();
         for func in module.function_ids() {
             let f = module.function(func);
-            let (base, first_param) = (inst_base[func.index()], 1 + f.insts.len());
+            let (base, first_param) = (insts.len(), 1 + f.insts.len());
             for data in &f.insts {
                 let at = op_slots.len();
                 op_slots.extend(data.inst.operands().map(|v| match v {
@@ -447,37 +403,38 @@ impl IdealMachine {
                     Value::Param(p) => (first_param + p) as u32,
                     Value::Const(_) | Value::Global(_) => 0,
                 }));
-                let ops = &op_slots[at..];
-                let long = ops.len() > 2 || matches!(data.inst, Inst::Call { .. });
-                insts.push(InstFacts {
-                    ops: match (long, ops) {
-                        (true, _) => [at as u32, ops.len() as u32],
-                        (false, [a, b]) => [*a, *b],
-                        (false, ops) => [ops.first().map_or(0, |&a| a), 0],
-                    },
-                    flags: if long { LONG } else { 0 },
-                });
+                let n = op_slots.len() - at;
+                let (ops, flags) = if n > 2 || matches!(data.inst, Inst::Call { .. }) {
+                    ([at as u32, n as u32], LONG)
+                } else {
+                    let ops = [at, at + 1].map(|k| op_slots.get(k).map_or(0, |&s| s));
+                    op_slots.truncate(at);
+                    (ops, 0)
+                };
+                insts.push(InstFacts { ops, flags });
             }
+            let mut info = FuncInfo {
+                inst_base: base,
+                first_param,
+                slots: first_param + f.params.len(),
+                ..FuncInfo::default()
+            };
             if f.blocks.is_empty() {
-                funcs.push(FuncInfo {
-                    inst_base: base,
-                    ..FuncInfo::default()
-                });
+                funcs.push(info);
                 continue;
             }
             let cfg = Cfg::new(f);
-            let dom = DomTree::new(&cfg);
-            let forest = LoopForest::new(f, &cfg, &dom);
-            let plan_of_loop: Vec<u32> = forest
+            let forest = LoopForest::new(f, &cfg, &DomTree::new(&cfg));
+            info.plan_of_loop = forest
                 .loop_ids()
                 .map(|l| plan_idx.get(&(func, l)).copied().unwrap_or(NO_PLAN))
                 .collect();
-            let mut blocks: Vec<BlockFacts> = f
+            info.blocks = f
                 .block_ids()
                 .map(|bb| {
                     let mut nest = forest.nest_of(bb);
                     let planned_header = nest.first().is_some_and(|&l| {
-                        forest.info(l).header == bb && plan_of_loop[l.index()] != NO_PLAN
+                        forest.info(l).header == bb && info.plan_of_loop[l.index()] != NO_PLAN
                     });
                     nest.reverse(); // outermost-first
                     BlockFacts {
@@ -496,40 +453,26 @@ impl IdealMachine {
                     *slot(&mut lock_of, base + i.index(), 0) = id;
                 }
             }
-            for &p in plan_of_loop.iter().filter(|p| **p != NO_PLAN) {
+            for &p in info.plan_of_loop.iter().filter(|p| **p != NO_PLAN) {
                 for i in &plans[p as usize].sequential_insts {
                     flags[i].flags |= SEQUENTIAL;
                 }
             }
             for (_, d) in program.directives_in(func) {
                 let flag = match d.kind {
-                    DirectiveKind::CilkSpawn if plan.parallel_spawns => {
-                        for bb in &d.region.blocks {
-                            blocks[bb.index()].spawn = true;
-                        }
-                        SPAWN
-                    }
+                    DirectiveKind::CilkSpawn if plan.parallel_spawns => SPAWN,
                     DirectiveKind::CilkSync | DirectiveKind::Taskwait => SYNC,
-                    DirectiveKind::Barrier
-                        if plan.abstraction == pspdg_parallelizer::Abstraction::OpenMp =>
-                    {
-                        BARRIER
-                    }
+                    DirectiveKind::Barrier if plan.abstraction == Abstraction::OpenMp => BARRIER,
                     _ => continue,
                 };
                 for bb in &d.region.blocks {
+                    info.blocks[bb.index()].spawn |= flag == SPAWN;
                     for i in &f.block(*bb).insts {
                         flags[i.index()].flags |= flag;
                     }
                 }
             }
-            funcs.push(FuncInfo {
-                inst_base: base,
-                first_param,
-                slots: first_param + f.params.len(),
-                blocks,
-                plan_of_loop,
-            });
+            funcs.push(info);
         }
         IdealMachine {
             plans,
@@ -552,35 +495,35 @@ impl IdealMachine {
         }
     }
 
-    /// Start `step`, ready at `start` otherwise, after the cell it loaded
-    /// was last written, unless the plan discharges that flow dependence.
+    /// Delay a `SLOW` step of `inst` ready at `start` for its lock, HELIX
+    /// segment, sync or barrier; record its finish (the returned start + 1).
     #[inline(always)]
-    fn after_load(&self, step: &Step<'_>, start: u64) -> u64 {
-        let Some(addr) = step.loads.first() else {
-            return start;
-        };
-        let obj = &self.writers[addr.obj.index()];
-        match obj.cells.get(addr.off as usize) {
-            Some(w)
-                if w.fin > start && !discharged(&self.plans, &self.top, &w.context, obj.stat) =>
-            {
-                w.fin
-            }
-            _ => start,
+    fn constrain(&mut self, inst: usize, flags: u8, mut start: u64) -> u64 {
+        let top = &mut self.top;
+        let lock = (flags & LOCKED != 0).then(|| self.lock_of[top.inst_base + inst] as usize);
+        start = start.max(lock.map_or(0, |l| self.lock_last[l]));
+        // The live HELIX segments it is in; the innermost one it extends.
+        let (acts, seq) = (&self.acts, flags & SEQUENTIAL != 0);
+        let mut segments = (if seq { top.act_base } else { acts.len() }..acts.len())
+            .filter(|&i| in_segment(&self.plans, &acts[i], inst));
+        start = segments.clone().fold(start, |s, i| s.max(acts[i].seq_last));
+        let helix_act = segments.next_back();
+        if flags & SYNC != 0 {
+            start = start.max(top.children_max);
         }
-    }
-
-    /// Finish the step of instruction `inst` (by index in its function) at
-    /// `fin`: its register slot, its lane and the cell it stored.
-    #[inline(always)]
-    fn finish(&mut self, step: &Step<'_>, inst: usize, fin: u64) {
-        self.regs[self.top.reg_base + 1 + inst] = fin;
-        self.lanes.cur_last = fin;
-        if let Some(addr) = step.stores.first() {
-            let cells = &mut self.writers[addr.obj.index()].cells;
-            let context = self.top.context;
-            *slot(cells, addr.off as usize, Writer::default()) = Writer { fin, context };
+        if flags & BARRIER != 0 {
+            self.lanes.floor = self.lanes.floor.max(self.lanes.max());
+            start = start.max(self.lanes.floor);
         }
+        top.run_max = top.run_max.max(start + 1);
+        if let Some(lock) = lock {
+            self.lock_last[lock] = start + 1;
+        }
+        if let Some(i) = helix_act {
+            self.acts[i].seq_last = start + 1;
+        }
+        self.call_inst = inst;
+        start
     }
 }
 
@@ -597,48 +540,42 @@ impl TraceSink for IdealMachine {
         let callee = &self.funcs[func.index()];
         let reg_base = self.regs.len();
         self.regs.resize(reg_base + callee.slots, 0);
-        let mut state = FrameState {
+        let state = FrameState {
             id: frame,
             inst_base: callee.inst_base,
             act_base: self.acts.len(),
             reg_base,
             ..FrameState::default()
         };
-        if call_step != u64::MAX {
-            // The call step is the most recent step: it ends the caller's
-            // run, and its lane is current.
-            let caller = &mut self.top;
-            caller.run_max = caller.run_max.max(self.lanes.cur_last);
-            let call = self.insts[caller.inst_base + self.call_inst];
-            debug_assert!(call.flags & LONG != 0);
-            let args = &self.op_slots[call.ops[0] as usize..][..call.ops[1] as usize];
-            let params = reg_base + callee.first_param;
-            for (p, &s) in args.iter().enumerate() {
-                self.regs[params + p] = self.regs[caller.reg_base + s as usize];
-            }
-            state.result_slot = Some(caller.reg_base + 1 + self.call_inst);
-            state.base_lane = self.lanes.cur;
-            // A spawned call already executes in its strand's lane (the
-            // spawn region's lane); the callee simply inherits it.
-            state.spawned = call.flags & SPAWN != 0;
-            // A call inside a HELIX sequential segment keeps the segment
-            // locked until the callee returns.
-            state.seq_owner = (caller.act_base..self.acts.len())
-                .find(|i| in_segment(&self.plans, &self.acts[*i], self.call_inst));
+        let mut caller = std::mem::replace(&mut self.top, state);
+        if call_step == u64::MAX {
+            return; // the root activation
         }
-        state.lane = state.base_lane;
-        let caller = std::mem::replace(&mut self.top, state);
-        if call_step != u64::MAX {
-            self.frames.push(caller);
+        // The call is the most recent step: it ends the caller's run, and its
+        // lane is current.
+        caller.run_max = caller.run_max.max(self.lanes.cur_last);
+        let call = self.insts[caller.inst_base + self.call_inst];
+        debug_assert!(call.flags & LONG != 0);
+        let args = &self.op_slots[call.ops[0] as usize..][..call.ops[1] as usize];
+        for (p, &s) in args.iter().enumerate() {
+            self.regs[reg_base + callee.first_param + p] = self.regs[caller.reg_base + s as usize];
         }
+        let top = &mut self.top;
+        top.result_slot = Some(caller.reg_base + 1 + self.call_inst);
+        (top.base_lane, top.lane) = (self.lanes.cur, self.lanes.cur);
+        // A spawned call already runs in its strand's lane, the callee's too.
+        top.spawned = call.flags & SPAWN != 0;
+        // A call in a HELIX sequential segment holds it until it returns.
+        top.seq_owner = (caller.act_base..self.acts.len())
+            .find(|i| in_segment(&self.plans, &self.acts[*i], self.call_inst));
+        self.frames.push(caller);
     }
 
     fn on_exit(&mut self, frame: u64, _func: FuncId, _ret_step: u64) {
-        let caller = self.frames.pop();
-        let resumes = caller.is_some();
-        let mut state = std::mem::replace(&mut self.top, caller.unwrap_or_default());
+        let caller = self.frames.pop().unwrap_or_default();
+        let mut state = std::mem::replace(&mut self.top, caller);
         debug_assert_eq!(state.id, frame);
-        // The `ret` is the most recent step and ends the frame's run; its
+        // The `ret` is the most recent step: it ends the frame's run, and its
         // finish is the call's.
         let fin = self.lanes.cur_last;
         state.run_max = state.run_max.max(fin);
@@ -656,14 +593,14 @@ impl TraceSink for IdealMachine {
             let act = &mut self.acts[owner];
             act.seq_last = act.seq_last.max(fin);
         }
-        if resumes && self.top.force == 0 {
+        if !self.top.lane_per_step {
             self.lanes.switch(self.top.lane);
         }
     }
 
     // `on_block` and `on_step` are inlined into the interpreter's loop
-    // whole, flagged paths included: an out-of-line call handed the machine
-    // slows the loop around it by more than the code it keeps out.
+    // whole: an out-of-line call handed the machine slows the loop around
+    // it by more than the code it keeps out.
     #[inline(always)]
     fn on_block(&mut self, frame: u64, func: FuncId, block: BlockId) {
         debug_assert_eq!(self.top.id, frame);
@@ -671,38 +608,36 @@ impl TraceSink for IdealMachine {
         let facts = &info.blocks[block.index()];
         let (nest, top) = (&facts.nest, &mut self.top);
         let base = top.act_base;
-        // A block of the loops the last one was in that is not a planned
-        // loop's header and not in or after a spawn region changes neither
-        // lane nor context.
-        let live = self.acts.len() - base;
-        let innermost = self.acts.last().map(|a| a.loop_id);
-        if live == nest.len()
-            && (live == 0 || innermost == nest.last().copied())
+        // A block of the last one's loops that does not head a planned loop
+        // and is not in or after a spawn region changes no lane or context.
+        let innermost = self.acts[base..].last().map(|a| a.loop_id);
+        if innermost == nest.last().copied()
+            && self.acts.len() - base == nest.len()
             && !(facts.planned_header || facts.spawn || top.in_spawn)
         {
             return;
         }
-        // The last step was this frame's (or, for its first block, the
-        // call's, which no activation of the frame sees).
+        // The last step was this frame's, or its call's (before the first).
         top.run_max = top.run_max.max(self.lanes.cur_last);
-        // Spawn strands: entering a spawn-region block opens a fresh lane;
-        // leaving it returns to the frame's own lane.
+        // A spawn-region block opens a fresh lane; leaving one returns to the frame's.
         top.in_spawn = facts.spawn;
         let spawn_lane = facts.spawn.then(|| {
             self.next_spawn_lane += 1;
             mix(top.base_lane, 0xC11C, self.next_spawn_lane)
         });
-        // Pop activations that ended: loops nest, so the activation at
-        // depth `d` is live iff it is `nest[d]`.
+        // Pop what ended: loops nest, so what is left is a prefix of `nest`.
         while let Some(act) = self.acts[base..].last() {
             if nest.get(self.acts.len() - base - 1) == Some(&act.loop_id) {
                 break;
             }
             pop_activation(&self.plans, &mut self.acts, top, &mut self.lanes);
         }
-        // What is left is a prefix of `nest`: push the newly entered loops
-        // (outermost-first), or bump the planned loop's iteration.
         let live = self.acts.len() - base;
+        debug_assert!(self.acts[base..]
+            .iter()
+            .map(|a| a.loop_id)
+            .eq(nest[..live].iter().copied()));
+        // Push the newly entered loops, outermost-first, or count an iteration.
         if live < nest.len() {
             if let Some(below) = self.acts[base..].last_mut() {
                 below.max_finish = below.max_finish.max(top.run_max);
@@ -726,15 +661,11 @@ impl TraceSink for IdealMachine {
         }
         let acts = &self.acts[base..];
         top.lane = spawn_lane.unwrap_or_else(|| lane_of(&self.plans, top.base_lane, acts, None));
-        top.force = 0;
-        top.context = Context::default();
-        top.overflow = false;
+        (top.lane_per_step, top.context, top.overflow) = (false, Context::default(), false);
         let mut n = 0;
         for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
             if self.plans[act.plan as usize].dswp {
-                if spawn_lane.is_none() {
-                    top.force = PER_STEP_LANE;
-                }
+                top.lane_per_step = spawn_lane.is_none();
             } else if n < 2 {
                 top.context.act[n] = act.uid + 1;
                 top.context.iter[n] = act.iter;
@@ -744,11 +675,11 @@ impl TraceSink for IdealMachine {
                 top.overflow = true;
             }
         }
-        match (top.force, bumped && spawn_lane.is_none()) {
+        match (top.lane_per_step, bumped && spawn_lane.is_none()) {
             // A planned non-DSWP loop's next iteration: every lane of the
             // last one is dead, and its own is new.
-            (0, true) => self.lanes.retire_to(top.lane),
-            (0, false) => self.lanes.switch(top.lane),
+            (false, true) => self.lanes.retire_to(top.lane),
+            (false, false) => self.lanes.switch(top.lane),
             _ => {}
         }
     }
@@ -757,68 +688,44 @@ impl TraceSink for IdealMachine {
     fn on_step(&mut self, step: &Step<'_>) {
         debug_assert_eq!(self.top.id, step.frame);
         debug_assert!(step.loads.len() <= 1 && step.stores.len() <= 1);
-        let inst = step.inst.index();
-        let facts = self.insts[self.top.inst_base + inst];
-        debug_assert!(!self.top.in_spawn || facts.flags & SPAWN != 0);
-        if (facts.flags | self.top.force) & SLOW == 0 {
-            // The block's lane is current; at most two operands.
-            let regs = &self.regs[self.top.reg_base..];
-            let [a, b] = facts.ops.map(|s| regs[s as usize]);
-            let start = self.after_load(step, self.lanes.cur_last.max(a).max(b));
-            return self.finish(step, inst, start + 1);
-        }
-        let top = &self.top;
-        if top.force != 0 {
+        let (inst, top) = (step.inst.index(), &self.top);
+        let facts = self.insts[top.inst_base + inst];
+        debug_assert!(!top.in_spawn || facts.flags & SPAWN != 0);
+        if top.lane_per_step {
             let acts = &self.acts[top.act_base..];
             self.lanes
                 .switch(lane_of(&self.plans, top.base_lane, acts, Some(inst)));
         }
-        let [a, b] = facts.ops.map(|x| x as usize);
-        let ops = if facts.flags & LONG != 0 {
-            &self.op_slots[a..a + b]
-        } else {
-            &facts.ops
-        };
         let regs = &self.regs[top.reg_base..];
-        let start = ops
-            .iter()
-            .fold(self.lanes.cur_last, |s, &o| s.max(regs[o as usize]));
-        let mut start = self.after_load(step, start);
-        let flags = facts.flags;
-        // Mutual exclusion.
-        let lock = (flags & LOCKED != 0).then(|| self.lock_of[top.inst_base + inst] as usize);
-        if let Some(lock) = lock {
-            start = start.max(self.lock_last[lock]);
-        }
-        // HELIX sequential segments: the activation whose segment this step
-        // extends.
-        let mut helix_act: Option<usize> = None;
-        if flags & SEQUENTIAL != 0 {
-            for (i, act) in self.acts.iter().enumerate().skip(top.act_base) {
-                if in_segment(&self.plans, act, inst) {
-                    start = start.max(act.seq_last);
-                    helix_act = Some(i);
-                }
+        let mut start = if facts.flags & LONG == 0 {
+            let [a, b] = facts.ops.map(|s| regs[s as usize]);
+            self.lanes.cur_last.max(a).max(b)
+        } else {
+            let [at, n] = facts.ops.map(|x| x as usize);
+            let max = |s: u64, &o: &u32| s.max(regs[o as usize]);
+            self.op_slots[at..at + n]
+                .iter()
+                .fold(self.lanes.cur_last, max)
+        };
+        // The cell it loaded, unless the plan discharges that flow dependence.
+        if let Some(addr) = step.loads.first() {
+            let obj = &self.writers[addr.obj.index()];
+            let w = obj.cells.get(addr.off as usize).filter(|w| w.fin > start);
+            if let Some(w) = w.filter(|w| !discharged(&self.plans, top, &w.context, obj.stat)) {
+                start = w.fin;
             }
         }
-        // Sync markers.
-        if flags & SYNC != 0 {
-            start = start.max(top.children_max);
-        }
-        if flags & BARRIER != 0 {
-            self.lanes.floor = self.lanes.floor.max(self.lanes.max());
-            start = start.max(self.lanes.floor);
+        if facts.flags & SLOW != 0 || top.lane_per_step {
+            start = self.constrain(inst, facts.flags, start);
         }
         let fin = start + 1;
-        self.finish(step, inst, fin);
-        self.top.run_max = self.top.run_max.max(fin);
-        if let Some(lock) = lock {
-            self.lock_last[lock] = fin;
+        self.regs[self.top.reg_base + 1 + inst] = fin;
+        self.lanes.cur_last = fin;
+        if let Some(addr) = step.stores.first() {
+            let cells = &mut self.writers[addr.obj.index()].cells;
+            let context = self.top.context;
+            *slot(cells, addr.off as usize, Writer::default()) = Writer { fin, context };
         }
-        if let Some(i) = helix_act {
-            self.acts[i].seq_last = fin;
-        }
-        self.call_inst = inst;
     }
 }
 

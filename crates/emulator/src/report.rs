@@ -93,11 +93,8 @@ pub fn compare_plans(name: &str, program: &ParallelProgram) -> Result<CriticalPa
     })
 }
 
-/// One benchmark's predicted-vs-measured comparison: the emulator's
-/// ideal-machine parallelism next to real wall-clock numbers from the
-/// `pspdg-runtime` executor. Kept as plain data so the emulator does not
-/// depend on the runtime crate; `pspdg-bench`'s `bench_runtime_json`
-/// assembles the rows.
+/// One benchmark's ideal-machine parallelism next to the runtime's wall
+/// clock: plain data, so the emulator does not depend on the runtime.
 #[derive(Debug, Clone)]
 pub struct PredictedVsMeasured {
     /// Benchmark name.
@@ -109,17 +106,11 @@ pub struct PredictedVsMeasured {
     pub sequential_ns: u64,
     /// Parallel runtime wall time under the same plan.
     pub parallel_ns: u64,
-    /// Why measured activations ran sequentially: `(reason, count)`
-    /// pairs from the runtime's fallback counters (empty when every
-    /// scheduled activation parallelized). This is what turns "the
-    /// speedup fell short of the prediction" into an actionable
-    /// diagnosis — cost-gated short activations, worker faults, plans the
-    /// runtime does not execute, … each count its own cause.
+    /// Why measured activations ran sequentially: `(reason, count)` pairs
+    /// from the runtime's fallback counters, empty when none did.
     pub fallback_reasons: Vec<(String, u64)>,
-    /// State of the runtime's observability recorder during the
-    /// measured run (`"absent"`, `"disabled"`, or `"enabled"`), so a
-    /// published number carries its own instrumentation provenance —
-    /// an enabled recorder pays the profiling cost inside the loop.
+    /// The runtime's recorder during the measured run: `"absent"`,
+    /// `"disabled"` or `"enabled"` (which pays for profiling in the loop).
     pub recorder_state: &'static str,
 }
 

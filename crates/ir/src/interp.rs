@@ -507,12 +507,11 @@ impl TraceSink for NullSink {
     const TRACES: bool = false;
 }
 
-/// The most calls an engine keeps live at once below the root activation;
-/// a call past it raises [`ExecError::CallDepth`]. Each live call holds a
-/// native stack frame of the engine's: about 7 KiB for the runtime's, the
-/// largest, in an unoptimized build (2.3 KiB optimized), so the limit fits
-/// in the smallest stack an engine runs on, a 2 MiB service handler or
-/// pool thread, with room for what runs below the engine.
+/// The most calls an engine keeps live below the root activation; one past
+/// it raises [`ExecError::CallDepth`]. A live call holds an engine's native
+/// frame, at most about 7 KiB (the runtime's, unoptimized; 2.3 KiB
+/// optimized), so the limit fits the smallest stack an engine runs on, a
+/// 2 MiB service handler or pool thread, with room below the engine.
 pub const MAX_CALL_DEPTH: u32 = 200;
 
 /// A runtime error.

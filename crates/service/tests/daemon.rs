@@ -234,10 +234,9 @@ fn nesting_past_the_limit_is_refused_and_the_daemon_lives() {
     service.shutdown();
 }
 
-/// Unbounded recursion is an execution error, not a handler stack overflow
-/// that aborts the daemon: `plan`, `execute` and `report` each reply with
-/// the call-depth error of the profiling run, and the daemon still answers
-/// `ping`. Recursion at the limit runs on every engine a request reaches.
+/// Recursion at the limit runs on every engine a `report` reaches; past it,
+/// `plan`, `execute` and `report` each get the call-depth error, not a
+/// handler stack overflow that aborts the daemon, which still answers.
 #[test]
 fn recursion_past_the_call_depth_limit_is_refused_and_the_daemon_lives() {
     let service = start();
@@ -247,7 +246,6 @@ fn recursion_past_the_call_depth_limit_is_refused_and_the_daemon_lives() {
          int main() {{ return f({}); }}",
         MAX_CALL_DEPTH - 1
     );
-    client.plan(&at_limit, Abstraction::PsPdg).unwrap();
     let report = client
         .report(&at_limit, Abstraction::PsPdg, Some(2))
         .unwrap();
@@ -259,14 +257,14 @@ fn recursion_past_the_call_depth_limit_is_refused_and_the_daemon_lives() {
         client.execute(unbounded, Abstraction::PsPdg, Some(2)),
         client.report(unbounded, Abstraction::PsPdg, Some(2)),
     ];
-    for reply in replies {
-        match reply {
-            Err(ClientError::Server(msg)) => assert!(
-                msg.contains("call depth limit of 200 exceeded in @f"),
-                "{msg}"
-            ),
-            other => panic!("expected a call-depth error, got {other:?}"),
-        }
+    for reply in &replies {
+        let Err(ClientError::Server(msg)) = reply else {
+            panic!("expected a call-depth error, got {reply:?}");
+        };
+        assert!(
+            msg.contains("call depth limit of 200 exceeded in @f"),
+            "{msg}"
+        );
     }
     client.ping().unwrap();
     service.shutdown();

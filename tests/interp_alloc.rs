@@ -10,9 +10,9 @@
 //! an Msteps/s floor would depend on the host. (Thread-local
 //! counting-allocator idiom of `crates/obs/tests/recorder.rs`.) The ideal
 //! machine keeps its register finish times per live frame, not per step,
-//! and a planned loop's next iteration replaces its lane without entering
-//! the map of last finishes per lane, so `emulate` allocates the same at N
-//! and 8N too. What tracing adds does not grow with the calls either: a
+//! so the one table of it that grows with the trace is the last finish per
+//! lane: `emulate` may differ between N and 8N only by that map's
+//! doublings. What tracing adds does not grow with the calls either: a
 //! traced run reuses one loads/stores scratch across every call frame.
 //!
 //! The same counter tells an emulation from a wait: of the threads that ask
@@ -113,8 +113,7 @@ fn allocations_do_not_scale_with_executed_instructions() {
         let mut out = None;
         let runtime = allocs_during(|| out = Some(rt.run_main().expect("runs")));
         assert_eq!(out.expect("ran").steps, steps);
-        // One lane per iteration, each of which replaces the last without
-        // entering the lane map.
+        // One lane per iteration, so the lane table grows with the trip too.
         assert_eq!(plan.len(), 1, "the loop is planned");
         let emulator = allocs_during(|| {
             assert_eq!(emulate(&p, &plan).expect("emulates").total_steps, steps);
@@ -130,9 +129,9 @@ fn allocations_do_not_scale_with_executed_instructions() {
         flat_n, flat_8n,
         "(untraced ir::interp, traced ir::interp, Runtime) allocations at N vs 8N"
     );
-    // 8x the lanes, none of them in the lane map (126 at both measured).
-    assert_eq!(
-        emulator_n, emulator_8n,
+    // 8x the lanes: three doublings of the lane map (123 -> 126 measured).
+    assert!(
+        emulator_8n <= emulator_n + 3,
         "emulate allocations: {emulator_n} at N, {emulator_8n} at 8N"
     );
 }
