@@ -285,7 +285,7 @@ fn main() {
     // still matches the sequential interpreter, and a clean rerun on the
     // *same* runtime is fault-free. The counts land in the JSON so a
     // regression in any recovery path shows up in the smoke artifact.
-    let scenarios: [(&str, FaultSite, FaultKind, &str); 5] = [
+    let scenarios: [(&str, FaultSite, FaultKind, &str); 4] = [
         (
             "IS",
             FaultSite::ChunkWorker(0),
@@ -297,12 +297,6 @@ fn main() {
             FaultSite::ChunkWorker(1),
             FaultKind::WorkerFault,
             "worker_fault",
-        ),
-        (
-            "IS",
-            FaultSite::HeapCommit(0),
-            FaultKind::CommitFault,
-            "commit_fault",
         ),
         (
             "GMAX",

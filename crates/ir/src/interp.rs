@@ -38,7 +38,6 @@
 //! loads/stores scratch for the whole run, emptied by each step's event.
 
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::function::{Function, GlobalInit, Module};
@@ -318,26 +317,10 @@ impl MemState {
     /// Visit every cell this fork wrote since [`MemState::fork`] with its
     /// current (fork-final) value, grouped by object in first-write order.
     /// Cells written more than once appear once, with the last value —
-    /// exactly what a per-cell last-writer-wins commit needs.
+    /// exactly what a per-cell last-writer-wins commit needs. The runtime
+    /// commits each fork into the master heap through this walk, which
+    /// cannot fail part-way.
     pub fn for_each_dirty(&self, mut f: impl FnMut(MemAddr, RtVal)) {
-        let _ = self.try_for_each_dirty(|addr, v| {
-            f(addr, v);
-            ControlFlow::Continue(())
-        });
-    }
-
-    /// Abortable variant of [`MemState::for_each_dirty`] — the **commit
-    /// fault hook**: the visitor may abort the walk by returning
-    /// [`ControlFlow::Break`], and the walk stops at that cell. Execution
-    /// engines commit fork dirty sets into a *staging* heap through this,
-    /// so an abort mid-walk (a validation failure, or an injected commit
-    /// fault from the runtime's fault-injection layer) discards a
-    /// half-applied staging heap without the master state ever observing
-    /// it.
-    pub fn try_for_each_dirty(
-        &self,
-        mut f: impl FnMut(MemAddr, RtVal) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
         for &oi in &self.touched {
             let o = &self.objects[oi as usize];
             let Some(masks) = &o.dirty else { continue };
@@ -350,11 +333,10 @@ impl MemState {
                         obj: ObjId(oi),
                         off: (p * PAGE_CELLS) as u32 + b,
                     };
-                    f(addr, self.read(addr))?;
+                    f(addr, self.read(addr));
                 }
             }
         }
-        ControlFlow::Continue(())
     }
 
     /// Number of distinct cells this fork has written.
@@ -1453,35 +1435,6 @@ pub(crate) mod tests {
         // The base heap never observed the fork's writes.
         assert_eq!(base.read(MemAddr { obj, off: 3 }), RtVal::Int(0));
         assert_eq!(base.read(MemAddr { obj, off: 0 }), RtVal::Int(7));
-    }
-
-    #[test]
-    fn try_for_each_dirty_aborts_at_the_faulting_cell() {
-        let mut m = Module::new("m");
-        let g = m.declare_global("a", Type::array(Type::I64, 64), GlobalInit::Zero);
-        let base = MemState::for_module(&m);
-        let obj = base.global_object(g);
-        let mut fork = base.fork();
-        for off in [2u32, 9, 17] {
-            fork.write(MemAddr { obj, off }, RtVal::Int(i64::from(off)));
-        }
-        // The commit fault hook: the visitor aborts the walk partway and
-        // the walk reports the abort instead of finishing.
-        let mut visited = 0u32;
-        let r = fork.try_for_each_dirty(|_, _| {
-            visited += 1;
-            if visited == 2 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert!(r.is_break());
-        assert_eq!(visited, 2, "the walk stops at the faulting cell");
-        // The infallible wrapper still sees everything.
-        let mut all = 0u32;
-        fork.for_each_dirty(|_, _| all += 1);
-        assert_eq!(all, 3);
     }
 
     #[test]

@@ -46,8 +46,9 @@
 //! sequential final memory; worker-local stack objects (callee frames)
 //! are dropped at commit. Any run-time surprise — irregular control
 //! leaving the loop, a fault inside a worker, a fault while replaying
-//! criticals — discards every fork (and the staging heap) untouched and
-//! re-runs the loop sequentially on the master heap, so faulting programs
+//! criticals — discards every fork and re-runs the loop sequentially on
+//! the master heap (a replay fault first restores it from the rollback
+//! copy taken when the forks logged packets), so faulting programs
 //! behave exactly as they do under the sequential interpreter. Parallel
 //! floating-point reductions are deterministic (fixed chunk count,
 //! chunk-order merge) but associate differently from the sequential loop,
@@ -75,7 +76,6 @@
 //! reads escaping the region still serialize at realization time.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use pspdg_ir::interp::{
@@ -131,15 +131,11 @@ pub struct FallbackCounts {
     /// Replaying deferred critical packets faulted; the sequential re-run
     /// reproduces the fault in order.
     pub replay_fault: u64,
-    /// Committing a fork's dirty set into the staging heap faulted
-    /// mid-walk; the half-applied staging heap is discarded and the loop
-    /// re-runs sequentially on the untouched master heap.
-    pub commit_fault: u64,
 }
 
 impl FallbackCounts {
     /// Number of distinct fallback causes (fields of this struct).
-    pub const CAUSES: usize = 10;
+    pub const CAUSES: usize = 9;
 
     /// All `(reason, count)` pairs, in field order — the single source of
     /// truth for serialization (`BENCH_runtime.json`). A completeness
@@ -156,7 +152,6 @@ impl FallbackCounts {
             ("worker_fault", self.worker_fault),
             ("speculation_fault", self.speculation_fault),
             ("replay_fault", self.replay_fault),
-            ("commit_fault", self.commit_fault),
         ]
     }
 
@@ -262,7 +257,6 @@ enum FallbackWhy {
     WorkerFault,
     SpeculationFault,
     ReplayFault,
-    CommitFault,
 }
 
 impl FallbackWhy {
@@ -279,7 +273,6 @@ impl FallbackWhy {
             FallbackWhy::WorkerFault => "worker_fault",
             FallbackWhy::SpeculationFault => "speculation_fault",
             FallbackWhy::ReplayFault => "replay_fault",
-            FallbackWhy::CommitFault => "commit_fault",
         }
     }
 }
@@ -397,11 +390,6 @@ impl Runtime {
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Runtime {
         self.faults = Some(injector);
         self
-    }
-
-    /// The attached fault injector, if any (to inspect what fired).
-    pub fn faults(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
     }
 
     /// Attach an observability recorder: every `run` then records
@@ -607,7 +595,6 @@ impl<'a> Engine<'a> {
             FallbackWhy::WorkerFault => c.worker_fault += 1,
             FallbackWhy::SpeculationFault => c.speculation_fault += 1,
             FallbackWhy::ReplayFault => c.replay_fault += 1,
-            FallbackWhy::CommitFault => c.commit_fault += 1,
         }
     }
 
@@ -883,18 +870,19 @@ impl<'a> Engine<'a> {
             return Ok(Some(why));
         }
 
-        // Commit into a staging heap (an O(pages) clone) swapped in as
-        // `self.mem`, so a replay fault can still fall back with the master
-        // heap untouched. In chunk order: per-cell last-writer-wins over
+        // Commit in place, in chunk order: per-cell last-writer-wins over
         // each fork's dirty set equals the sequential final state (see
         // module-level safety argument); reduction cells merge their
         // chunk-final values; the protected cells receive only the stores
         // of the replayed regions — chunk order = iteration order, so the
         // replay is the exact sequential serialization, branches decided
-        // on the true heap.
-        let staging = self.mem.clone();
-        let master_mem = std::mem::replace(&mut self.mem, staging);
-        let master_steps = self.steps;
+        // on the true heap. Only a replay can fault mid-commit, so the
+        // master heap and its step count are copied for rollback (an
+        // O(pages) clone) only when some fork logged a packet.
+        let rollback = outs
+            .iter()
+            .any(|out| !out.crit_log.is_empty())
+            .then(|| (self.mem.clone(), self.steps));
         // The replay's registers: one clone of the master frame, made when
         // the first packet replays.
         let mut rframe: Option<Frame> = None;
@@ -902,75 +890,43 @@ impl<'a> Engine<'a> {
         let mut packets = 0u64;
         let mut replayed = 0u64;
         let mut cow_pages = 0u64;
-        let mut abort: Option<FallbackWhy> = None;
         for out in &outs {
             cow_pages += out.mem.cow_pages();
-            // Injected commit fault: abort the dirty-set walk after one
-            // applied cell, leaving the staging heap *half-written* — the
-            // strongest possible probe that staging really isolates the
-            // master heap from a mid-commit fault.
-            let inject_commit =
-                self.faults.and_then(FaultInjector::on_heap_commit) == Some(FaultKind::CommitFault);
-            if inject_commit {
-                self.fault_instant(FaultKind::CommitFault);
-            }
-            let mut commit_budget = if inject_commit { 1u64 } else { u64::MAX };
-            let staging = &mut self.mem;
-            let walk = out.mem.try_for_each_dirty(|addr, v| {
+            let mem = &mut self.mem;
+            out.mem.for_each_dirty(|addr, v| {
                 if addr.obj == iv_obj || prot_objs.contains(&addr.obj.0) {
-                    return ControlFlow::Continue(());
+                    return;
                 }
-                if commit_budget == 0 {
-                    return ControlFlow::Break(());
-                }
-                commit_budget -= 1;
                 committed += 1;
                 if let Some(&op) = red_objs.get(&addr.obj.0) {
-                    let cur = staging.read(addr);
-                    staging.write(addr, reduction_merge(op, cur, v));
+                    let cur = mem.read(addr);
+                    mem.write(addr, reduction_merge(op, cur, v));
                 } else {
-                    staging.write(addr, v);
+                    mem.write(addr, v);
                 }
-                ControlFlow::Continue(())
             });
-            // An injected commit fault aborts even when the fork dirtied
-            // too few cells for the budget to trip mid-walk, so the
-            // injection's attribution is deterministic.
-            if walk.is_break() || inject_commit {
-                abort = Some(FallbackWhy::CommitFault);
-                break;
-            }
             for (idx, packet) in &out.crit_log {
-                if self.faults.and_then(FaultInjector::on_replay_packet)
+                let stores = if self.faults.and_then(FaultInjector::on_replay_packet)
                     == Some(FaultKind::ReplayFault)
                 {
                     self.fault_instant(FaultKind::ReplayFault);
-                    abort = Some(FallbackWhy::ReplayFault);
-                    break;
-                }
-                let rframe = rframe.get_or_insert_with(|| frame.clone());
-                let cr = &c.criticals[*idx as usize];
-                match self.replay_region(func_id, f, rframe, cr, packet) {
-                    Ok(stores) => {
-                        packets += 1;
-                        replayed += stores;
-                    }
-                    // E.g. an uninitialized protected cell: sequential
-                    // execution faults at this instance in order.
-                    Err(_) => {
-                        abort = Some(FallbackWhy::ReplayFault);
-                        break;
-                    }
-                }
+                    None
+                } else {
+                    let rframe = rframe.get_or_insert_with(|| frame.clone());
+                    let cr = &c.criticals[*idx as usize];
+                    // `Err`: e.g. an uninitialized protected cell, where
+                    // sequential execution faults at this instance in order.
+                    self.replay_region(func_id, f, rframe, cr, packet).ok()
+                };
+                let Some(stores) = stores else {
+                    let (mem, steps) = rollback.expect("a logged packet took a rollback copy");
+                    self.mem = mem;
+                    self.steps = steps;
+                    return Ok(Some(FallbackWhy::ReplayFault));
+                };
+                packets += 1;
+                replayed += stores;
             }
-            if abort.is_some() {
-                break;
-            }
-        }
-        if let Some(why) = abort {
-            self.mem = master_mem;
-            self.steps = master_steps;
-            return Ok(Some(why));
         }
         self.mem.write(iv_addr, RtVal::Int(final_iv));
         for out in outs {
@@ -1082,14 +1038,15 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// The master's replay of one logged packet against the staging heap
-    /// (`self.mem` during commit): write the packet into the replay frame,
+    /// The master's replay of one logged packet against the master heap
+    /// as committed so far: write the packet into the replay frame,
     /// then walk the region from `entry` to `exit` executing each entered
     /// block's replay instructions — protected loads read the true cells
     /// and the region's own branches decide on the true values, so the
     /// replayed cells finish bit-identical to sequential execution.
     /// Returns the number of stores executed; any fault aborts the whole
-    /// activation's commit and the loop re-runs sequentially.
+    /// activation's commit, the master heap rolls back, and the loop
+    /// re-runs sequentially.
     fn replay_region(
         &mut self,
         func_id: FuncId,

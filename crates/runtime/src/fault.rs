@@ -7,8 +7,7 @@
 //! by kernels that happened to fault. [`FaultPlan`] and [`FaultInjector`]
 //! make every one of them provable on demand: a plan names exact dynamic
 //! points (*the nth chunk worker, the nth critical slice, the nth
-//! critical replay packet, the nth heap commit*) and the fault to raise
-//! there, and the injector fires each injection exactly
+//! critical replay packet*) and the fault to raise there, and the injector fires each injection exactly
 //! once when execution reaches its point — fully deterministically, so a
 //! failing fault schedule replays bit-for-bit from its seed.
 //!
@@ -18,7 +17,7 @@
 //! [`Runtime::fault_injector`](crate::Runtime::fault_injector) and
 //! threaded as an `Option<Arc<FaultInjector>>`: with no injector the
 //! runtime pays a single never-taken branch on each *cold* path
-//! (activation setup, packet replay, fork commit) — no `#[cfg]`, so
+//! (chunk-worker start, critical slice, packet replay) — no `#[cfg]`, so
 //! release binaries exercise the same code CI fuzzes.
 //!
 //! ## What each fault proves
@@ -28,8 +27,7 @@
 //! | [`WorkerPanic`](FaultKind::WorkerPanic) | chunk worker | panic caught, activation falls back (`worker_fault`) |
 //! | [`WorkerFault`](FaultKind::WorkerFault) | chunk worker | fork discarded, sequential re-run (`worker_fault`) |
 //! | [`SpeculationFault`](FaultKind::SpeculationFault) | critical slice | speculative slice aborts, sequential re-run decides (`speculation_fault`) |
-//! | [`ReplayFault`](FaultKind::ReplayFault) | replay packet | staging heap discarded mid-commit (`replay_fault`) |
-//! | [`CommitFault`](FaultKind::CommitFault) | heap commit | half-applied staging heap discarded (`commit_fault`) |
+//! | [`ReplayFault`](FaultKind::ReplayFault) | replay packet | master heap restored from its rollback copy mid-commit (`replay_fault`) |
 //!
 //! The differential fuzz suite (`tests/fault_fuzz.rs`) closes the loop:
 //! random seeded plans across every kernel × plan abstraction × worker
@@ -55,9 +53,6 @@ pub enum FaultKind {
     SpeculationFault,
     /// Fault while replaying a deferred critical packet at commit.
     ReplayFault,
-    /// Fault mid-walk while committing a fork's dirty set into the
-    /// staging heap.
-    CommitFault,
 }
 
 impl FaultKind {
@@ -69,7 +64,6 @@ impl FaultKind {
             FaultKind::WorkerFault => "fault/worker_fault",
             FaultKind::SpeculationFault => "fault/speculation_fault",
             FaultKind::ReplayFault => "fault/replay_fault",
-            FaultKind::CommitFault => "fault/commit_fault",
         }
     }
 
@@ -82,7 +76,6 @@ impl FaultKind {
             }
             FaultSite::CritSlice(_) => matches!(self, FaultKind::SpeculationFault),
             FaultSite::ReplayPacket(_) => matches!(self, FaultKind::ReplayFault),
-            FaultSite::HeapCommit(_) => matches!(self, FaultKind::CommitFault),
         }
     }
 }
@@ -98,8 +91,6 @@ pub enum FaultSite {
     CritSlice(u64),
     /// The nth critical replay packet the master commits.
     ReplayPacket(u64),
-    /// The nth fork dirty-set commit into a staging heap.
-    HeapCommit(u64),
 }
 
 impl FaultSite {
@@ -108,22 +99,18 @@ impl FaultSite {
             FaultSite::ChunkWorker(_) => 0,
             FaultSite::CritSlice(_) => 1,
             FaultSite::ReplayPacket(_) => 2,
-            FaultSite::HeapCommit(_) => 3,
         }
     }
 
     fn nth(self) -> u64 {
         match self {
-            FaultSite::ChunkWorker(n)
-            | FaultSite::CritSlice(n)
-            | FaultSite::ReplayPacket(n)
-            | FaultSite::HeapCommit(n) => n,
+            FaultSite::ChunkWorker(n) | FaultSite::CritSlice(n) | FaultSite::ReplayPacket(n) => n,
         }
     }
 }
 
 /// Number of [`FaultSite`] families (one dispatch counter each).
-const FAMILIES: usize = 4;
+const FAMILIES: usize = 3;
 
 /// One planned injection: raise `kind` the moment execution reaches
 /// `site`.
@@ -185,8 +172,7 @@ impl FaultPlan {
             let site = match rng.below(FAMILIES as u64) {
                 0 => FaultSite::ChunkWorker(n),
                 1 => FaultSite::CritSlice(n),
-                2 => FaultSite::ReplayPacket(n),
-                _ => FaultSite::HeapCommit(n),
+                _ => FaultSite::ReplayPacket(n),
             };
             let kind = match site {
                 FaultSite::ChunkWorker(_) => {
@@ -198,7 +184,6 @@ impl FaultPlan {
                 }
                 FaultSite::CritSlice(_) => FaultKind::SpeculationFault,
                 FaultSite::ReplayPacket(_) => FaultKind::ReplayFault,
-                FaultSite::HeapCommit(_) => FaultKind::CommitFault,
             };
             plan = plan.inject(site, kind);
         }
@@ -243,11 +228,6 @@ impl FaultInjector {
         Arc::new(FaultInjector::new(plan))
     }
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Record one dynamic visit to a site family; returns the fault to
     /// raise if an un-fired injection addresses exactly this visit.
     fn check(&self, site: FaultSite) -> Option<FaultKind> {
@@ -278,11 +258,6 @@ impl FaultInjector {
     /// Site hook: the master is about to replay a critical packet.
     pub(crate) fn on_replay_packet(&self) -> Option<FaultKind> {
         self.check(FaultSite::ReplayPacket(0))
-    }
-
-    /// Site hook: the master is about to commit one fork's dirty set.
-    pub(crate) fn on_heap_commit(&self) -> Option<FaultKind> {
-        self.check(FaultSite::HeapCommit(0))
     }
 
     /// Total injections fired so far.
@@ -351,7 +326,7 @@ mod tests {
         assert_eq!(inj.fired_total(), 2);
         assert_eq!(inj.fired_of(FaultKind::WorkerPanic), 1);
         assert_eq!(inj.fired_of(FaultKind::ReplayFault), 1);
-        assert_eq!(inj.fired_of(FaultKind::CommitFault), 0);
+        assert_eq!(inj.fired_of(FaultKind::SpeculationFault), 0);
     }
 
     #[test]
@@ -363,7 +338,6 @@ mod tests {
         // Other families advance without disturbing CritSlice's counter.
         assert_eq!(inj.on_chunk_worker(), None);
         assert_eq!(inj.on_replay_packet(), None);
-        assert_eq!(inj.on_heap_commit(), None);
         assert_eq!(inj.on_crit_slice(), None);
         assert_eq!(inj.on_crit_slice(), Some(FaultKind::SpeculationFault));
     }

@@ -41,7 +41,7 @@
 //!
 //! Every recovery path above is *provable on demand*: the [`fault`]
 //! module injects deterministic, site-addressed faults (worker panics,
-//! speculative-slice faults, replay faults, commit faults) behind a
+//! speculative-slice faults, replay faults) behind a
 //! zero-cost-when-disabled hook. The fault-schedule fuzz suite
 //! (`tests/fault_fuzz.rs`) drives random seeded schedules across every
 //! kernel and asserts the fallback-parity contract held.

@@ -167,7 +167,7 @@ fn directed(
 
 /// Sum of the fallback causes only faults (organic or injected) produce.
 fn fault_cause_total(c: &FallbackCounts) -> u64 {
-    c.worker_fault + c.speculation_fault + c.replay_fault + c.commit_fault + c.irregular_control
+    c.worker_fault + c.speculation_fault + c.replay_fault + c.irregular_control
 }
 
 // ---- directed: FaultKind × site family --------------------------------
@@ -232,18 +232,43 @@ fn replay_packet_fault_discards_staging_heap() {
     );
 }
 
+/// The one organic input known to reach a speculation fault: the guarded
+/// division only runs sequentially when `v[i] > best >= 0`, but a chunk
+/// worker's speculative slice suppresses the guard and divides by the
+/// zero `v[i]` too.
 #[test]
-fn commit_fault_discards_half_written_staging_heap() {
-    let p = doall_program();
-    directed(
-        "commit-fault",
-        &p,
-        FaultSite::HeapCommit(0),
-        FaultKind::CommitFault,
-        |out| {
-            assert!(out.stats.fallbacks.commit_fault >= 1, "{:?}", out.stats);
-        },
-    );
+fn organic_speculation_fault_falls_back_to_the_oracle() {
+    let p = compile(
+        r#"
+        int v[64]; int best; int q;
+        int main() {
+            int i;
+            for (i = 0; i < 64; i++) { v[i] = (i * 7) % 13; }
+            #pragma omp parallel for
+            for (i = 0; i < 64; i++) {
+                #pragma omp critical
+                { if (v[i] > best) { best = v[i]; q = 100 / v[i]; } }
+            }
+            return best + q;
+        }
+        "#,
+    )
+    .unwrap();
+    let o = oracle(&p);
+    for workers in [2, 4] {
+        let rt = Runtime::new(&p, &o.plan_openmp)
+            .workers(workers)
+            .cost_threshold(0);
+        assert_eq!(rt.realization().chunked, 1, "the annotated loop is chunked");
+        let out = rt.run_main().expect("the sequential re-run completes");
+        assert!(
+            out.stats.fallbacks.speculation_fault >= 1,
+            "{workers} workers: {:?}",
+            out.stats
+        );
+        assert_eq!(out.stats.injected_faults, 0);
+        assert_matches("organic-spec", &p, &o, &out, &format!("{workers} workers"));
+    }
 }
 
 // ---- satellites -------------------------------------------------------
@@ -269,7 +294,6 @@ fn fallback_counts_serialization_is_complete() {
         worker_fault: 7,
         speculation_fault: 8,
         replay_fault: 9,
-        commit_fault: 10,
     };
     let table = c.table();
     assert_eq!(table.len(), FallbackCounts::CAUSES);
@@ -343,9 +367,6 @@ fn assert_attributed(name: &str, site: FaultSite, kind: FaultKind, out: &RunOutc
         }
         (FaultKind::ReplayFault, _) => {
             assert!(c.replay_fault >= 1, "{name}: {:?}", out.stats);
-        }
-        (FaultKind::CommitFault, _) => {
-            assert!(c.commit_fault >= 1, "{name}: {:?}", out.stats);
         }
         // Remaining pairs are rejected by FaultPlan::inject's validation.
         (kind, site) => unreachable!("invalid injection fired: {kind:?} at {site:?}"),
