@@ -57,7 +57,7 @@ impl fmt::Display for ContextId {
 
 /// Identifier of a parallel semantic variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VariableId(pub u32);
+pub(crate) struct VariableId(pub u32);
 
 impl VariableId {
     /// Raw index into the variable arena.
@@ -144,7 +144,7 @@ pub struct Node {
 
 impl Node {
     /// Whether the node carries `kind` (in any context).
-    pub fn has_trait(&self, kind: TraitKind) -> bool {
+    pub(crate) fn has_trait(&self, kind: TraitKind) -> bool {
         self.traits.iter().any(|t| t.kind == kind)
     }
 }

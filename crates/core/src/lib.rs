@@ -69,5 +69,5 @@ pub use build::{
 pub use features::{Feature, FeatureSet};
 pub use graph::{
     Context, ContextId, ContextOrigin, DataSelector, Node, NodeId, NodeKind, NodeTrait, PsEdge,
-    PsPdg, SelectorKind, TraitKind, Variable, VariableAccess, VariableId, VariableKind,
+    PsPdg, SelectorKind, TraitKind, Variable, VariableAccess, VariableKind,
 };

@@ -76,12 +76,12 @@ impl Cfg {
 
     /// Blocks in reverse post-order from the entry. Unreachable blocks are
     /// omitted.
-    pub fn reverse_post_order(&self) -> &[BlockId] {
+    pub(crate) fn reverse_post_order(&self) -> &[BlockId] {
         &self.rpo
     }
 
     /// Position of `bb` in the reverse post-order, or `None` if unreachable.
-    pub fn rpo_position(&self, bb: BlockId) -> Option<usize> {
+    pub(crate) fn rpo_position(&self, bb: BlockId) -> Option<usize> {
         self.rpo_pos[bb.index()]
     }
 

@@ -71,7 +71,7 @@ impl fmt::Display for Function {
 }
 
 /// Helper that renders one instruction in the context of its function.
-pub struct InstDisplay<'a> {
+pub(crate) struct InstDisplay<'a> {
     /// Enclosing function.
     pub func: &'a Function,
     /// Instruction to print.
@@ -146,7 +146,7 @@ impl fmt::Display for InstDisplay<'_> {
 }
 
 /// Render a single instruction to a string (convenience for diagnostics).
-pub fn inst_to_string(func: &Function, id: InstId) -> String {
+pub(crate) fn inst_to_string(func: &Function, id: InstId) -> String {
     InstDisplay { func, id }.to_string()
 }
 

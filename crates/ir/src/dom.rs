@@ -148,7 +148,7 @@ impl DomTree {
 
     /// Immediate dominator of `bb` (`None` for the entry and for unreachable
     /// blocks).
-    pub fn idom(&self, bb: BlockId) -> Option<BlockId> {
+    pub(crate) fn idom(&self, bb: BlockId) -> Option<BlockId> {
         match self.core.idom[bb.index()] {
             Some(p) if p != bb.index() => Some(BlockId::from_index(p)),
             _ => None,

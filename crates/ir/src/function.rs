@@ -129,7 +129,7 @@ impl Function {
     /// The result type of a [`Value`] in the context of this function.
     ///
     /// `module` is needed to type globals (their address is `Ptr`).
-    pub fn value_type(&self, v: Value) -> Type {
+    pub(crate) fn value_type(&self, v: Value) -> Type {
         match v {
             Value::Const(c) => c.ty(),
             Value::Inst(id) => self.inst(id).ty.clone(),

@@ -38,7 +38,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Mnemonic used by the textual printer.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             BinOp::Add => "add",
             BinOp::Sub => "sub",
@@ -54,7 +54,7 @@ impl BinOp {
     }
 
     /// Whether the operation is commutative (used by reduction recognition).
-    pub fn is_commutative(self) -> bool {
+    pub(crate) fn is_commutative(self) -> bool {
         matches!(
             self,
             BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
@@ -73,7 +73,7 @@ pub enum UnOp {
 
 impl UnOp {
     /// Mnemonic used by the textual printer.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             UnOp::Neg => "neg",
             UnOp::Not => "not",
@@ -101,7 +101,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Mnemonic used by the textual printer.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CmpOp::Eq => "eq",
             CmpOp::Ne => "ne",
@@ -146,7 +146,7 @@ impl CastKind {
     }
 
     /// Mnemonic used by the textual printer.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CastKind::IntToFloat => "itof",
             CastKind::FloatToInt => "ftoi",
@@ -378,12 +378,12 @@ impl Inst {
     }
 
     /// Whether the instruction reads memory.
-    pub fn reads_memory(&self) -> bool {
+    pub(crate) fn reads_memory(&self) -> bool {
         matches!(self, Inst::Load { .. })
     }
 
     /// Whether the instruction writes memory.
-    pub fn writes_memory(&self) -> bool {
+    pub(crate) fn writes_memory(&self) -> bool {
         matches!(self, Inst::Store { .. })
     }
 

@@ -88,7 +88,7 @@ pub enum RtVal {
 
 impl RtVal {
     /// Short name of the value's runtime type (diagnostics).
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             RtVal::Int(_) => "i64",
             RtVal::Float(_) => "f64",
@@ -107,7 +107,7 @@ impl RtVal {
     }
 
     /// Extract a float.
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             RtVal::Float(v) => Some(*v),
             _ => None,
@@ -340,7 +340,7 @@ impl MemState {
     }
 
     /// Number of distinct cells this fork has written.
-    pub fn dirty_cells(&self) -> u64 {
+    pub(crate) fn dirty_cells(&self) -> u64 {
         self.touched
             .iter()
             .filter_map(|&oi| self.objects[oi as usize].dirty.as_ref())
@@ -1148,7 +1148,7 @@ impl<'m> Interpreter<'m> {
     /// # Errors
     ///
     /// Any [`ExecError`] raised during execution.
-    pub fn run_traced<S: TraceSink>(
+    pub(crate) fn run_traced<S: TraceSink>(
         &mut self,
         func: FuncId,
         args: &[RtVal],

@@ -71,12 +71,12 @@ impl Type {
     }
 
     /// Whether this is a scalar (single-cell, non-pointer) type.
-    pub fn is_scalar(&self) -> bool {
+    pub(crate) fn is_scalar(&self) -> bool {
         matches!(self, Type::Bool | Type::I64 | Type::F64)
     }
 
     /// Whether the type is numeric (integer or float).
-    pub fn is_numeric(&self) -> bool {
+    pub(crate) fn is_numeric(&self) -> bool {
         matches!(self, Type::I64 | Type::F64)
     }
 

@@ -162,7 +162,7 @@ impl Value {
     }
 
     /// Shorthand for a boolean constant operand.
-    pub fn const_bool(v: bool) -> Value {
+    pub(crate) fn const_bool(v: bool) -> Value {
         Value::Const(Constant::Bool(v))
     }
 
@@ -175,7 +175,7 @@ impl Value {
     }
 
     /// If this value is an integer constant, its payload.
-    pub fn as_const_int(self) -> Option<i64> {
+    pub(crate) fn as_const_int(self) -> Option<i64> {
         match self {
             Value::Const(Constant::Int(v)) => Some(v),
             _ => None,
@@ -183,7 +183,7 @@ impl Value {
     }
 
     /// Whether the value is any constant.
-    pub fn is_const(self) -> bool {
+    pub(crate) fn is_const(self) -> bool {
         matches!(self, Value::Const(_))
     }
 }

@@ -11,7 +11,7 @@ use crate::inst::{BinOp, CastKind, Inst, UnOp};
 use crate::types::Type;
 use crate::value::{BlockId, FuncId, InstId, Value};
 
-/// A structural error found by [`verify_module`].
+/// A structural error found by `verify_module`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
     /// Function in which the error was found (if function-local).
@@ -68,7 +68,7 @@ impl Checker<'_> {
 /// empty functions, unterminated blocks, terminators in block middles,
 /// out-of-range references, operand type mismatches, call-arity mismatches,
 /// and global initializers of the wrong length.
-pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
+pub(crate) fn verify_module(module: &Module) -> Result<(), VerifyError> {
     for g in &module.globals {
         if let GlobalInit::Data(cells) = &g.init {
             if cells.len() as u64 != g.ty.flat_len() {

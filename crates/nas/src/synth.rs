@@ -14,7 +14,7 @@ use crate::{Benchmark, Class};
 
 /// Number of distinct base objects (≈ R/3 static memory references) the
 /// class generates.
-pub fn bases_for(class: Class) -> usize {
+pub(crate) fn bases_for(class: Class) -> usize {
     match class {
         Class::Test => 48,
         Class::Mini => 192,
@@ -22,7 +22,7 @@ pub fn bases_for(class: Class) -> usize {
 }
 
 /// The SYNTH benchmark at the given class: static reference count scales
-/// with the class ([`bases_for`]), trip counts stay small.
+/// with the class (`bases_for`), trip counts stay small.
 pub fn benchmark(class: Class) -> Benchmark {
     wide(bases_for(class))
 }

@@ -196,7 +196,7 @@ pub enum DirectiveKind {
 
 impl DirectiveKind {
     /// Whether this construct must be associated with a natural loop.
-    pub fn is_loop_construct(&self) -> bool {
+    pub(crate) fn is_loop_construct(&self) -> bool {
         matches!(
             self,
             DirectiveKind::For { .. }
@@ -295,7 +295,7 @@ impl Directive {
     }
 
     /// `#pragma omp for` over the loop with header `header`.
-    pub fn omp_for(region: Region, header: BlockId) -> Directive {
+    pub(crate) fn omp_for(region: Region, header: BlockId) -> Directive {
         Directive {
             kind: DirectiveKind::For {
                 schedule: Schedule::default(),
@@ -320,7 +320,7 @@ impl Directive {
     }
 
     /// Attach a data clause (builder style).
-    pub fn with_clause(mut self, clause: DataClause) -> Directive {
+    pub(crate) fn with_clause(mut self, clause: DataClause) -> Directive {
         self.clauses.push(clause);
         self
     }

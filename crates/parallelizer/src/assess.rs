@@ -7,7 +7,7 @@ use pspdg_pdg::{FunctionAnalyses, MemBase, SccDag};
 /// The SCC-level facts the planners need about a (loop, dependence-view)
 /// pair.
 #[derive(Debug, Clone)]
-pub struct LoopAssessment {
+pub(crate) struct LoopAssessment {
     /// Whether DOALL applies: canonical and no sequential SCC remains.
     pub doall: bool,
     /// Number of sequential SCCs (drives HELIX's sequential segments).
@@ -29,7 +29,7 @@ pub struct LoopAssessment {
 /// loop's IV slot is re-initialized each outer iteration; treating its
 /// conservative outer-carried self-dependence as real would glue the whole
 /// inner body into one sequential SCC.)
-pub fn assess_loop(deps: &LoopDeps<'_>) -> LoopAssessment {
+pub(crate) fn assess_loop(deps: &LoopDeps<'_>) -> LoopAssessment {
     let (analyses, loop_id) = (deps.analyses, deps.loop_id);
     let canonical = analyses.canonical_of(loop_id).is_some();
     let ivs = nested_canonical_ivs(analyses, loop_id);

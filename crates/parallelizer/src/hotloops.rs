@@ -7,7 +7,7 @@ use pspdg_pdg::FunctionAnalyses;
 
 /// A loop that passed the coverage filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotLoop {
+pub(crate) struct HotLoop {
     /// The loop.
     pub loop_id: LoopId,
     /// Dynamic instructions attributed to the loop's blocks.
@@ -29,7 +29,7 @@ impl HotLoop {
 
 /// All loops of `func` with ≥ `threshold` coverage (default 1 %), sorted
 /// outermost-first then by decreasing cost.
-pub fn hot_loops(
+pub(crate) fn hot_loops(
     module: &Module,
     func: FuncId,
     analyses: &FunctionAnalyses,

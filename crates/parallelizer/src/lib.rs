@@ -27,11 +27,9 @@ pub mod plan;
 pub mod schedule;
 pub mod views;
 
-pub use assess::{assess_loop, LoopAssessment};
 pub use enumerate::{
     enumerate_program, enumerate_program_with_features, FunctionOptions, ProgramOptions,
 };
-pub use hotloops::{hot_loops, HotLoop};
 pub use machine::MachineModel;
 pub use plan::{
     build_plan, build_plan_recorded, plan_built, plan_built_recorded, Discharge, LoopPlanSpec,

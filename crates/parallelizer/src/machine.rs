@@ -21,27 +21,27 @@ impl MachineModel {
     }
 
     /// Options for one DOALL-parallelizable loop.
-    pub fn doall_options(&self) -> u64 {
+    pub(crate) fn doall_options(&self) -> u64 {
         self.cores * self.chunk_sizes
     }
 
     /// Options for one HELIX-parallelizable loop with `seq_sccs` sequential
     /// SCCs: each choice of sequential-segment count (1..=seq_sccs) can run
     /// on up to `cores` cores.
-    pub fn helix_options(&self, seq_sccs: u64) -> u64 {
+    pub(crate) fn helix_options(&self, seq_sccs: u64) -> u64 {
         seq_sccs * self.cores
     }
 
     /// Options for one DSWP-parallelizable loop with `total_sccs` SCCs:
     /// pipelines of 2..=min(total_sccs, cores) stages.
-    pub fn dswp_options(&self, total_sccs: u64) -> u64 {
+    pub(crate) fn dswp_options(&self, total_sccs: u64) -> u64 {
         total_sccs.min(self.cores).saturating_sub(1)
     }
 
     /// Options available to the source OpenMP parallelization of one
     /// worksharing loop through environment variables (`OMP_NUM_THREADS` ×
     /// chunk sizes).
-    pub fn openmp_env_options(&self) -> u64 {
+    pub(crate) fn openmp_env_options(&self) -> u64 {
         self.cores * self.chunk_sizes
     }
 }

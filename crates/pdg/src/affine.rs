@@ -59,7 +59,7 @@ impl<K: Copy + Ord> TermVec<K> {
     }
 
     /// The single-term form `coeff·k`.
-    pub fn singleton(k: K, coeff: i64) -> TermVec<K> {
+    pub(crate) fn singleton(k: K, coeff: i64) -> TermVec<K> {
         let mut out = TermVec::new();
         if coeff != 0 {
             out.push(k, coeff);
@@ -130,7 +130,7 @@ impl<K: Copy + Ord> TermVec<K> {
 
     /// `self + scale·other`, dropping cancelled terms (a single sorted
     /// merge; no intermediate maps).
-    pub fn merge_scaled(&self, other: &TermVec<K>, scale: i64) -> TermVec<K> {
+    pub(crate) fn merge_scaled(&self, other: &TermVec<K>, scale: i64) -> TermVec<K> {
         let mut out = TermVec::new();
         let mut ia = self.iter().peekable();
         let mut ib = other.iter().peekable();
@@ -266,12 +266,12 @@ impl Affine {
     }
 
     /// Coefficient of loop `l`'s IV.
-    pub fn iv_coeff(&self, l: LoopId) -> i64 {
+    pub(crate) fn iv_coeff(&self, l: LoopId) -> i64 {
         self.iv_terms.get(l)
     }
 
     /// Whether any symbolic (non-IV) term is present.
-    pub fn has_symbols(&self) -> bool {
+    pub(crate) fn has_symbols(&self) -> bool {
         !self.sym_terms.is_empty()
     }
 }
@@ -285,7 +285,7 @@ impl Affine {
 /// `None` to treat the whole function as the region (every IV is a symbol
 /// candidate only if never stored, which is never true — so subscripts
 /// outside any loop become symbols/constants only).
-pub fn affine_of(
+pub(crate) fn affine_of(
     func: &Function,
     analyses: &FunctionAnalyses,
     stores_by_base: &BTreeMap<MemBase, u32>,
@@ -305,7 +305,7 @@ pub fn affine_of(
 /// Number of stores to each directly-addressed slot inside each loop; used
 /// to decide symbol-ness. Built once per function by
 /// [`stores_by_base_in`].
-pub fn stores_by_base_in(
+pub(crate) fn stores_by_base_in(
     func: &Function,
     forest: &LoopForest,
     region: Option<LoopId>,

@@ -44,7 +44,7 @@ pub fn trace_base(func: &Function, ptr: Value) -> MemBase {
 }
 
 /// May two base objects overlap?
-pub fn may_alias(a: MemBase, b: MemBase) -> bool {
+pub(crate) fn may_alias(a: MemBase, b: MemBase) -> bool {
     use MemBase::*;
     match (a, b) {
         (Unknown, other) | (other, Unknown) => other != Io, // calls don't touch Io

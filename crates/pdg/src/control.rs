@@ -12,7 +12,11 @@ use pspdg_ir::{BlockId, Cfg, Function, PostDomTree};
 /// The standard algorithm: for each CFG edge `(a → s)` where `s` does not
 /// post-dominate `a`, every block on the post-dominator-tree path from `s`
 /// up to (but excluding) `ipostdom(a)` is control-dependent on `a`.
-pub fn control_dependences(func: &Function, cfg: &Cfg, postdom: &PostDomTree) -> Vec<Vec<BlockId>> {
+pub(crate) fn control_dependences(
+    func: &Function,
+    cfg: &Cfg,
+    postdom: &PostDomTree,
+) -> Vec<Vec<BlockId>> {
     let n = func.blocks.len();
     let mut deps: Vec<Vec<BlockId>> = vec![Vec::new(); n];
     for a in func.block_ids() {

@@ -34,7 +34,7 @@ pub struct MemRef {
 
 /// Result of a dependence test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DepTestResult {
+pub(crate) struct DepTestResult {
     /// A dependence may exist.
     pub dependent: bool,
     /// Common loops at which the dependence is (possibly) loop-carried.
@@ -70,7 +70,7 @@ fn gcd(a: i64, b: i64) -> i64 {
 /// Test the pair `(a, b)` for dependence. `common` is the list of loops
 /// containing both accesses (any order). Trip counts, when statically
 /// known, prune infeasible distances.
-pub fn test_dependence(
+pub(crate) fn test_dependence(
     analyses: &FunctionAnalyses,
     a: &MemRef,
     b: &MemRef,

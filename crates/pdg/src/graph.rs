@@ -9,7 +9,7 @@
 //! tests assert both builders emit identical edge sets.
 //!
 //! Edges are stored once in a flat arena and served through an
-//! [`EdgeIndex`]: CSR-style per-source and per-destination adjacency, a
+//! `EdgeIndex`: CSR-style per-source and per-destination adjacency, a
 //! per-base-object index, and a per-loop carried-dependence index, so the
 //! PS-PDG directive passes and per-loop queries never rescan the full edge
 //! list.
@@ -211,7 +211,7 @@ static NO_EDGE_SET: BitSet = BitSet::new();
 /// ascending edge-id order — the same order the previous sorted-`Vec`
 /// representation produced, so every index-driven traversal is unchanged.
 #[derive(Debug, Clone)]
-pub struct EdgeIndex {
+pub(crate) struct EdgeIndex {
     /// CSR offsets into `succ` (length `n_insts + 1`).
     succ_off: Vec<u32>,
     /// Edge ids ordered by source instruction.
@@ -388,7 +388,7 @@ impl Pdg {
     }
 
     /// Ids of edges entering `inst`.
-    pub fn edge_indices_to(&self, inst: InstId) -> &[u32] {
+    pub(crate) fn edge_indices_to(&self, inst: InstId) -> &[u32] {
         let i = inst.index();
         &self.index.pred[self.index.pred_off[i] as usize..self.index.pred_off[i + 1] as usize]
     }

@@ -58,11 +58,10 @@ pub mod graph;
 pub mod scc;
 
 pub use affine::{Affine, SymBase, TermVec};
-pub use alias::{base_of_varref, may_alias, trace_base, MemBase};
-pub use control::control_dependences;
-pub use ddtest::{DepTestResult, MemRef};
+pub use alias::{base_of_varref, trace_base, MemBase};
+pub use ddtest::MemRef;
 pub use effective::EffectiveView;
-pub use graph::{collect_mem_refs, CarriedSet, DepKind, EdgeIndex, Pdg, PdgEdge};
+pub use graph::{collect_mem_refs, CarriedSet, DepKind, Pdg, PdgEdge};
 pub use scc::{LoopScc, SccDag};
 
 use pspdg_ir::{Cfg, DomTree, FuncId, LoopForest, Module, PostDomTree};

@@ -28,4 +28,4 @@ pub mod pool;
 pub use bitset::BitSet;
 pub use channel::Channel;
 pub use par::{default_width, global, par_map};
-pub use pool::{on_pool_worker, Scope, WorkerPool};
+pub use pool::{Scope, WorkerPool};

@@ -66,7 +66,7 @@ thread_local! {
 /// helpers ([`crate::par_map`]) use this to degrade to inline execution
 /// instead of deadlocking on nested waits: a worker that blocked on a
 /// sub-scope would occupy the very slot its sub-jobs need.
-pub fn on_pool_worker() -> bool {
+pub(crate) fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(Cell::get)
 }
 
