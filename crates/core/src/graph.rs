@@ -55,17 +55,6 @@ impl fmt::Display for ContextId {
     }
 }
 
-/// Identifier of a parallel semantic variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct VariableId(pub u32);
-
-impl VariableId {
-    /// Raw index into the variable arena.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// What gave rise to a context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContextOrigin {
@@ -140,13 +129,6 @@ pub struct Node {
     pub traits: Vec<NodeTrait>,
     /// Diagnostic label (e.g. `"critical"`, `"loop bb3"`).
     pub label: String,
-}
-
-impl Node {
-    /// Whether the node carries `kind` (in any context).
-    pub(crate) fn has_trait(&self, kind: TraitKind) -> bool {
-        self.traits.iter().any(|t| t.kind == kind)
-    }
 }
 
 /// Data-selector kinds (paper §3.5).
@@ -476,20 +458,6 @@ mod tests {
         assert_eq!(SelectorKind::AnyProducer.name(), "any-producer");
         assert_eq!(SelectorKind::LastProducer.name(), "last-producer");
         assert_eq!(SelectorKind::AllConsumers.name(), "all-consumers");
-    }
-
-    #[test]
-    fn node_trait_query() {
-        let n = Node {
-            kind: NodeKind::Instruction(InstId(0)),
-            traits: vec![NodeTrait {
-                kind: TraitKind::Atomic,
-                context: None,
-            }],
-            label: "x".into(),
-        };
-        assert!(n.has_trait(TraitKind::Atomic));
-        assert!(!n.has_trait(TraitKind::Singular));
     }
 
     #[test]

@@ -99,8 +99,9 @@ mod tests {
             .position(|n| n.label == "critical")
             .expect("critical node");
         let node = &ps.nodes[crit];
-        assert!(node.has_trait(TraitKind::Atomic));
-        assert!(node.has_trait(TraitKind::Orderless));
+        let kinds: Vec<TraitKind> = node.traits.iter().map(|t| t.kind).collect();
+        assert!(kinds.contains(&TraitKind::Atomic));
+        assert!(kinds.contains(&TraitKind::Orderless));
         // an undirected self-edge on the critical node
         assert!(ps
             .undirected_edges()
@@ -127,7 +128,7 @@ mod tests {
             .iter()
             .find(|n| n.label == "single")
             .expect("single node");
-        assert!(single.has_trait(TraitKind::Singular));
+        assert!(single.traits.iter().any(|t| t.kind == TraitKind::Singular));
         // trait context = the enclosing parallel region
         let t = single
             .traits

@@ -80,11 +80,6 @@ impl Cfg {
         &self.rpo
     }
 
-    /// Position of `bb` in the reverse post-order, or `None` if unreachable.
-    pub(crate) fn rpo_position(&self, bb: BlockId) -> Option<usize> {
-        self.rpo_pos[bb.index()]
-    }
-
     /// Whether `bb` is reachable from the entry.
     pub fn is_reachable(&self, bb: BlockId) -> bool {
         self.rpo_pos[bb.index()].is_some()
@@ -181,7 +176,7 @@ mod tests {
         assert_eq!(rpo[0], BlockId(0));
         assert_eq!(rpo.len(), 4);
         // join must come after both branches
-        let pos = |b: u32| cfg.rpo_position(BlockId(b)).unwrap();
+        let pos = |b: u32| rpo.iter().position(|&x| x == BlockId(b)).unwrap();
         assert!(pos(3) > pos(1) && pos(3) > pos(2));
     }
 
@@ -225,7 +220,8 @@ mod tests {
             b.ret(None);
         }
         let cfg = Cfg::new(m.function(f));
-        let pos = |b: u32| cfg.rpo_position(BlockId(b)).unwrap();
+        let rpo = cfg.reverse_post_order();
+        let pos = |b: u32| rpo.iter().position(|&x| x == BlockId(b)).unwrap();
         assert!(pos(1) > pos(0));
         assert!(pos(2) > pos(1));
     }

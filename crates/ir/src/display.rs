@@ -145,11 +145,6 @@ impl fmt::Display for InstDisplay<'_> {
     }
 }
 
-/// Render a single instruction to a string (convenience for diagnostics).
-pub(crate) fn inst_to_string(func: &Function, id: InstId) -> String {
-    InstDisplay { func, id }.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,12 +202,16 @@ mod tests {
             b.ret(None);
         }
         let func = m.function(f);
-        assert_eq!(
-            inst_to_string(func, InstId(0)),
-            "%0 = alloca [f64; 8] ; buf"
-        );
-        assert_eq!(inst_to_string(func, InstId(1)), "%1 = gep %0, 3 x f64");
-        assert_eq!(inst_to_string(func, InstId(2)), "%2 = load f64, %1");
-        assert_eq!(inst_to_string(func, InstId(3)), "store %1, %2");
+        let show = |i: u32| {
+            InstDisplay {
+                func,
+                id: InstId(i),
+            }
+            .to_string()
+        };
+        assert_eq!(show(0), "%0 = alloca [f64; 8] ; buf");
+        assert_eq!(show(1), "%1 = gep %0, 3 x f64");
+        assert_eq!(show(2), "%2 = load f64, %1");
+        assert_eq!(show(3), "store %1, %2");
     }
 }

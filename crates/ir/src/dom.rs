@@ -146,15 +146,6 @@ impl DomTree {
         }
     }
 
-    /// Immediate dominator of `bb` (`None` for the entry and for unreachable
-    /// blocks).
-    pub(crate) fn idom(&self, bb: BlockId) -> Option<BlockId> {
-        match self.core.idom[bb.index()] {
-            Some(p) if p != bb.index() => Some(BlockId::from_index(p)),
-            _ => None,
-        }
-    }
-
     /// Whether `a` dominates `b` (reflexively).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if self.core.idom[a.index()].is_none() || self.core.idom[b.index()].is_none() {
@@ -296,13 +287,12 @@ mod tests {
         let (m, f) = diamond();
         let cfg = Cfg::new(m.function(f));
         let dom = DomTree::new(&cfg);
-        assert_eq!(dom.idom(BlockId(1)), Some(BlockId(0)));
-        assert_eq!(dom.idom(BlockId(2)), Some(BlockId(0)));
-        assert_eq!(dom.idom(BlockId(3)), Some(BlockId(0)));
-        assert_eq!(dom.idom(BlockId(0)), None);
-        assert!(dom.dominates(BlockId(0), BlockId(3)));
+        // The entry is the immediate dominator of all three other blocks.
+        assert!((1..4).all(|b| dom.dominates(BlockId(0), BlockId(b))));
+        assert!(!(1..4).any(|b| dom.dominates(BlockId(b), BlockId(0))));
         assert!(dom.dominates(BlockId(2), BlockId(2)));
         assert!(!dom.dominates(BlockId(1), BlockId(3)));
+        assert!(!dom.dominates(BlockId(2), BlockId(3)));
     }
 
     #[test]
@@ -340,9 +330,10 @@ mod tests {
         }
         let cfg = Cfg::new(m.function(f));
         let dom = DomTree::new(&cfg);
-        assert_eq!(dom.idom(BlockId(2)), Some(BlockId(1)));
-        assert_eq!(dom.idom(BlockId(3)), Some(BlockId(1)));
+        // The header is the immediate dominator of body and exit.
         assert!(dom.dominates(BlockId(1), BlockId(2)));
+        assert!(dom.dominates(BlockId(1), BlockId(3)));
+        assert!(!dom.dominates(BlockId(2), BlockId(3)));
         let pdom = PostDomTree::new(m.function(f), &cfg);
         // header post-dominates body (body always re-enters header).
         assert!(pdom.postdominates(BlockId(1), BlockId(2)));

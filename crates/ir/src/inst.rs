@@ -52,14 +52,6 @@ impl BinOp {
             BinOp::Shr => "shr",
         }
     }
-
-    /// Whether the operation is commutative (used by reduction recognition).
-    pub(crate) fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
-        )
-    }
 }
 
 /// Unary opcodes.
@@ -377,16 +369,6 @@ impl Inst {
         )
     }
 
-    /// Whether the instruction reads memory.
-    pub(crate) fn reads_memory(&self) -> bool {
-        matches!(self, Inst::Load { .. })
-    }
-
-    /// Whether the instruction writes memory.
-    pub(crate) fn writes_memory(&self) -> bool {
-        matches!(self, Inst::Store { .. })
-    }
-
     /// All value operands, in a fixed order (no allocation).
     pub fn operands(&self) -> impl Iterator<Item = Value> + '_ {
         let (fixed, rest): ([Option<Value>; 2], &[Value]) = match self {
@@ -431,7 +413,7 @@ pub struct InstData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::InstId;
+    use crate::value::{Constant, InstId};
 
     #[test]
     fn terminator_classification() {
@@ -459,7 +441,7 @@ mod tests {
     #[test]
     fn condbr_successors() {
         let cb = Inst::CondBr {
-            cond: Value::const_bool(true),
+            cond: Value::Const(Constant::Bool(true)),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
@@ -485,27 +467,5 @@ mod tests {
         assert_eq!(CmpOp::Lt.swapped(), CmpOp::Gt);
         assert_eq!(CmpOp::Le.swapped(), CmpOp::Ge);
         assert_eq!(CmpOp::Eq.swapped(), CmpOp::Eq);
-    }
-
-    #[test]
-    fn memory_classification() {
-        let load = Inst::Load {
-            ptr: Value::Param(0),
-            ty: Type::I64,
-        };
-        assert!(load.reads_memory() && !load.writes_memory());
-        let store = Inst::Store {
-            ptr: Value::Param(0),
-            value: Value::const_int(0),
-        };
-        assert!(store.writes_memory() && !store.reads_memory());
-    }
-
-    #[test]
-    fn binop_commutativity() {
-        assert!(BinOp::Add.is_commutative());
-        assert!(BinOp::Mul.is_commutative());
-        assert!(!BinOp::Sub.is_commutative());
-        assert!(!BinOp::Div.is_commutative());
     }
 }

@@ -339,16 +339,6 @@ impl MemState {
         }
     }
 
-    /// Number of distinct cells this fork has written.
-    pub(crate) fn dirty_cells(&self) -> u64 {
-        self.touched
-            .iter()
-            .filter_map(|&oi| self.objects[oi as usize].dirty.as_ref())
-            .flat_map(|masks| masks.iter())
-            .map(|m| u64::from(m.count_ones()))
-            .sum()
-    }
-
     /// Pages this state privately materialized through copy-on-write
     /// (reset by [`MemState::fork`]); `pages × PAGE_BYTES` approximates
     /// the bytes actually copied for this fork.
@@ -1398,6 +1388,13 @@ pub(crate) mod tests {
         (m, f)
     }
 
+    /// Number of distinct cells `mem` has written since its fork.
+    fn dirty_cells(mem: &MemState) -> u64 {
+        let mut n = 0;
+        mem.for_each_dirty(|_, _| n += 1);
+        n
+    }
+
     #[test]
     fn fork_tracks_dirty_cells_and_cow_pages() {
         let mut m = Module::new("m");
@@ -1406,20 +1403,20 @@ pub(crate) mod tests {
         let obj = base.global_object(g);
         // Base writes are not tracked.
         base.write(MemAddr { obj, off: 0 }, RtVal::Int(7));
-        assert_eq!(base.dirty_cells(), 0);
+        assert_eq!(dirty_cells(&base), 0);
 
         let mut fork = base.fork();
-        assert_eq!(fork.dirty_cells(), 0);
+        assert_eq!(dirty_cells(&fork), 0);
         assert_eq!(fork.cow_pages(), 0);
         // Two writes on one page, one on another.
         fork.write(MemAddr { obj, off: 3 }, RtVal::Int(30));
         fork.write(MemAddr { obj, off: 5 }, RtVal::Int(50));
         fork.write(MemAddr { obj, off: 130 }, RtVal::Int(99));
-        assert_eq!(fork.dirty_cells(), 3);
+        assert_eq!(dirty_cells(&fork), 3);
         assert_eq!(fork.cow_pages(), 2, "two shared pages materialized");
         // Rewriting a dirty cell does not double-count.
         fork.write(MemAddr { obj, off: 3 }, RtVal::Int(31));
-        assert_eq!(fork.dirty_cells(), 3);
+        assert_eq!(dirty_cells(&fork), 3);
 
         let mut seen = Vec::new();
         fork.for_each_dirty(|addr, v| seen.push((addr.off, v)));
@@ -1451,7 +1448,7 @@ pub(crate) mod tests {
         );
         fork.write(MemAddr { obj, off: 1 }, RtVal::Int(1));
         assert_eq!(
-            fork.dirty_cells(),
+            dirty_cells(&fork),
             0,
             "worker-local objects die with the fork"
         );

@@ -161,11 +161,6 @@ impl Value {
         Value::Const(Constant::Float(v))
     }
 
-    /// Shorthand for a boolean constant operand.
-    pub(crate) fn const_bool(v: bool) -> Value {
-        Value::Const(Constant::Bool(v))
-    }
-
     /// If this value is an instruction result, its [`InstId`].
     pub fn as_inst(self) -> Option<InstId> {
         match self {
@@ -180,11 +175,6 @@ impl Value {
             Value::Const(Constant::Int(v)) => Some(v),
             _ => None,
         }
-    }
-
-    /// Whether the value is any constant.
-    pub(crate) fn is_const(self) -> bool {
-        matches!(self, Value::Const(_))
     }
 }
 
@@ -248,8 +238,6 @@ mod tests {
         assert_eq!(Value::const_int(7).as_const_int(), Some(7));
         assert_eq!(Value::Param(0).as_const_int(), None);
         assert_eq!(Value::Inst(InstId(9)).as_inst(), Some(InstId(9)));
-        assert!(Value::const_bool(true).is_const());
-        assert!(!Value::Global(GlobalId(0)).is_const());
     }
 
     #[test]

@@ -294,8 +294,10 @@ impl Directive {
         Directive::new(DirectiveKind::Parallel, region)
     }
 
-    /// `#pragma omp for` over the loop with header `header`.
-    pub(crate) fn omp_for(region: Region, header: BlockId) -> Directive {
+    /// `#pragma omp parallel for` over the loop with header `header` —
+    /// modeled as a `For` directive (callers that need the enclosing team
+    /// add a separate `Parallel`).
+    pub fn parallel_for(region: Region, header: BlockId) -> Directive {
         Directive {
             kind: DirectiveKind::For {
                 schedule: Schedule::default(),
@@ -308,21 +310,9 @@ impl Directive {
         }
     }
 
-    /// `#pragma omp parallel for` — modeled as a `For` directive (callers
-    /// that need the enclosing team add a separate `Parallel`).
-    pub fn parallel_for(region: Region, header: BlockId) -> Directive {
-        Directive::omp_for(region, header)
-    }
-
     /// `#pragma omp critical [(name)]`.
     pub fn critical(region: Region, name: Option<String>) -> Directive {
         Directive::new(DirectiveKind::Critical { name }, region)
-    }
-
-    /// Attach a data clause (builder style).
-    pub(crate) fn with_clause(mut self, clause: DataClause) -> Directive {
-        self.clauses.push(clause);
-        self
     }
 
     /// Attach several data clauses (builder style).
@@ -405,12 +395,13 @@ mod tests {
             func: FuncId(0),
             inst: InstId(5),
         };
-        let d = Directive::parallel_for(region(&[1, 2]), BlockId(1))
-            .with_clause(DataClause::Private(v))
-            .with_clause(DataClause::Reduction {
+        let d = Directive::parallel_for(region(&[1, 2]), BlockId(1)).with_clauses([
+            DataClause::Private(v),
+            DataClause::Reduction {
                 op: ReductionOp::Add,
                 var: w,
-            });
+            },
+        ]);
         let priv_vars: Vec<_> = d.privatized_vars().collect();
         assert_eq!(priv_vars, vec![v, w]);
         let reds: Vec<_> = d.reductions().collect();
@@ -420,7 +411,7 @@ mod tests {
     #[test]
     fn directive_display() {
         let d = Directive::parallel_for(region(&[1, 2, 3]), BlockId(1))
-            .with_clause(DataClause::Private(VarRef::Global(GlobalId(0))));
+            .with_clauses([DataClause::Private(VarRef::Global(GlobalId(0)))]);
         let text = d.to_string();
         assert!(text.contains("for"), "{text}");
         assert!(text.contains("3 blocks"), "{text}");

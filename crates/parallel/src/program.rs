@@ -284,13 +284,13 @@ mod tests {
     #[test]
     fn rejects_clause_on_non_alloca() {
         let (mut p, f) = loop_program();
-        let d = Directive::parallel_for(loop_region(f), BlockId(1)).with_clause(
+        let d = Directive::parallel_for(loop_region(f), BlockId(1)).with_clauses([
             // Instruction 2 is the `store`, not an alloca.
             DataClause::Private(VarRef::Alloca {
                 func: f,
                 inst: InstId(2),
             }),
-        );
+        ]);
         p.add(d);
         let err = p.validate().unwrap_err();
         assert!(err.message.contains("not an alloca"), "{err}");
@@ -305,7 +305,7 @@ mod tests {
             BlockId(0),
         );
         p.add(Directive::parallel(outer));
-        p.add(Directive::omp_for(loop_region(f), BlockId(1)));
+        p.add(Directive::parallel_for(loop_region(f), BlockId(1)));
         p.validate().expect("valid");
     }
 
@@ -313,19 +313,19 @@ mod tests {
     fn worksharing_lookup() {
         let (mut p, f) = loop_program();
         assert!(p.worksharing_loop_directive(f, BlockId(1)).is_none());
-        let id = p.add(Directive::omp_for(loop_region(f), BlockId(1)));
+        let id = p.add(Directive::parallel_for(loop_region(f), BlockId(1)));
         assert_eq!(p.worksharing_loop_directive(f, BlockId(1)), Some(id));
     }
 
     #[test]
     fn var_name_resolution() {
         let (mut p, f) = loop_program();
-        let d = Directive::parallel_for(loop_region(f), BlockId(1)).with_clause(
+        let d = Directive::parallel_for(loop_region(f), BlockId(1)).with_clauses([
             DataClause::Private(VarRef::Alloca {
                 func: f,
                 inst: InstId(0),
             }),
-        );
+        ]);
         p.add(d);
         assert_eq!(
             p.var_name(VarRef::Alloca {

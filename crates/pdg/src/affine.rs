@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use pspdg_ir::{BinOp, Function, Inst, InstId, LoopForest, LoopId, Value};
+use pspdg_ir::{BinOp, Function, Inst, InstId, LoopId, Value};
 
 use crate::alias::MemBase;
 use crate::FunctionAnalyses;
@@ -264,16 +264,6 @@ impl Affine {
     pub fn is_constant(&self) -> bool {
         self.iv_terms.is_empty() && self.sym_terms.is_empty()
     }
-
-    /// Coefficient of loop `l`'s IV.
-    pub(crate) fn iv_coeff(&self, l: LoopId) -> i64 {
-        self.iv_terms.get(l)
-    }
-
-    /// Whether any symbolic (non-IV) term is present.
-    pub(crate) fn has_symbols(&self) -> bool {
-        !self.sym_terms.is_empty()
-    }
 }
 
 /// Evaluate `value` (an `i64` expression) as an affine form, relative to the
@@ -300,33 +290,6 @@ pub(crate) fn affine_of(
         depth: 0,
     };
     ctx.eval(value)
-}
-
-/// Number of stores to each directly-addressed slot inside each loop; used
-/// to decide symbol-ness. Built once per function by
-/// [`stores_by_base_in`].
-pub(crate) fn stores_by_base_in(
-    func: &Function,
-    forest: &LoopForest,
-    region: Option<LoopId>,
-) -> BTreeMap<MemBase, u32> {
-    let owner = func.inst_blocks();
-    let mut map = BTreeMap::new();
-    for i in func.inst_ids() {
-        if let Inst::Store { ptr, .. } = &func.inst(i).inst {
-            let Some(bb) = owner[i.index()] else { continue };
-            let in_region = match region {
-                None => true,
-                Some(l) => forest.info(l).contains(bb),
-            };
-            if !in_region {
-                continue;
-            }
-            let base = crate::alias::trace_base(func, *ptr);
-            *map.entry(base).or_insert(0) += 1;
-        }
-    }
-    map
 }
 
 struct AffineCx<'a> {
@@ -440,13 +403,40 @@ impl AffineCx<'_> {
 mod tests {
     use super::*;
     use pspdg_frontend::compile;
-    use pspdg_ir::Module;
+    use pspdg_ir::{LoopForest, Module};
 
     fn analyze(src: &str, func: &str) -> (Module, FunctionAnalyses) {
         let p = compile(src).unwrap();
         let f = p.module.function_by_name(func).unwrap();
         let a = FunctionAnalyses::compute(&p.module, f);
         (p.module, a)
+    }
+
+    /// Number of stores to each directly-addressed slot inside `region`
+    /// (the whole function for `None`): the symbol-ness input of
+    /// [`affine_of`].
+    fn stores_by_base_in(
+        func: &Function,
+        forest: &LoopForest,
+        region: Option<LoopId>,
+    ) -> BTreeMap<MemBase, u32> {
+        let owner = func.inst_blocks();
+        let mut map = BTreeMap::new();
+        for i in func.inst_ids() {
+            if let Inst::Store { ptr, .. } = &func.inst(i).inst {
+                let Some(bb) = owner[i.index()] else { continue };
+                let in_region = match region {
+                    None => true,
+                    Some(l) => forest.info(l).contains(bb),
+                };
+                if !in_region {
+                    continue;
+                }
+                let base = crate::alias::trace_base(func, *ptr);
+                *map.entry(base).or_insert(0) += 1;
+            }
+        }
+        map
     }
 
     /// Find the gep feeding the `idx`-th store in the function and return
@@ -484,9 +474,9 @@ mod tests {
         let stores = stores_by_base_in(func, &a.forest, Some(l));
         let idx = gep_index_of_store(&module, &a, 0);
         let aff = affine_of(func, &a, &stores, Some(l), idx).expect("affine");
-        assert_eq!(aff.iv_coeff(l), 1);
+        assert_eq!(aff.iv_terms.get(l), 1);
         assert_eq!(aff.constant, 0);
-        assert!(!aff.has_symbols());
+        assert!(aff.sym_terms.is_empty());
     }
 
     #[test]
@@ -504,7 +494,7 @@ mod tests {
         let stores = stores_by_base_in(func, &a.forest, Some(l));
         let idx = gep_index_of_store(&module, &a, 0);
         let aff = affine_of(func, &a, &stores, Some(l), idx).expect("affine");
-        assert_eq!(aff.iv_coeff(l), 2);
+        assert_eq!(aff.iv_terms.get(l), 2);
         assert_eq!(aff.constant, 5);
     }
 
@@ -529,8 +519,8 @@ mod tests {
         let stores = stores_by_base_in(func, &a.forest, Some(outer));
         let idx = gep_index_of_store(&module, &a, 0);
         let aff = affine_of(func, &a, &stores, Some(outer), idx).expect("affine");
-        assert_eq!(aff.iv_coeff(outer), 32);
-        assert_eq!(aff.iv_coeff(inner), 1);
+        assert_eq!(aff.iv_terms.get(outer), 32);
+        assert_eq!(aff.iv_terms.get(inner), 1);
     }
 
     #[test]
@@ -569,8 +559,8 @@ mod tests {
         let stores = stores_by_base_in(func, &a.forest, Some(l));
         let idx = gep_index_of_store(&module, &a, 0);
         let aff = affine_of(func, &a, &stores, Some(l), idx).expect("affine");
-        assert_eq!(aff.iv_coeff(l), 1);
-        assert!(aff.has_symbols());
+        assert_eq!(aff.iv_terms.get(l), 1);
+        assert!(!aff.sym_terms.is_empty());
     }
 
     #[test]
@@ -603,9 +593,9 @@ mod tests {
         }
         assert_eq!(a.iv_terms.len(), INLINE_TERMS + 3);
         for l in 0..(INLINE_TERMS as u32 + 3) {
-            assert_eq!(a.iv_coeff(LoopId(l)), l as i64 + 1);
+            assert_eq!(a.iv_terms.get(LoopId(l)), l as i64 + 1);
         }
-        assert_eq!(a.iv_coeff(LoopId(99)), 0);
+        assert_eq!(a.iv_terms.get(LoopId(99)), 0);
         // Subtraction cancels exactly, spilled or not.
         let z = a.sub(&a);
         assert!(z.is_constant());
@@ -623,9 +613,9 @@ mod tests {
             .add(&Affine::iv(LoopId(2)).scale(3));
         let b = Affine::iv(LoopId(1)).scale(2);
         let d = a.sub(&b);
-        assert_eq!(d.iv_coeff(LoopId(0)), 1);
-        assert_eq!(d.iv_coeff(LoopId(1)), 0);
-        assert_eq!(d.iv_coeff(LoopId(2)), 3);
+        assert_eq!(d.iv_terms.get(LoopId(0)), 1);
+        assert_eq!(d.iv_terms.get(LoopId(1)), 0);
+        assert_eq!(d.iv_terms.get(LoopId(2)), 3);
         assert_eq!(d.iv_terms.len(), 2);
     }
 

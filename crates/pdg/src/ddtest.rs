@@ -202,7 +202,7 @@ pub(crate) fn test_dependence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::{stores_by_base_in, Affine};
+    use crate::affine::Affine;
     use pspdg_frontend::compile;
 
     fn fake_ref(sub: Option<Affine>, region: Option<LoopId>) -> MemRef {
@@ -230,8 +230,6 @@ mod tests {
         let f = p.module.function_by_name("k").unwrap();
         let a = FunctionAnalyses::compute(&p.module, f);
         // sanity: loop 0 trip count is 16
-        let func = p.module.function(f);
-        let _ = stores_by_base_in(func, &a.forest, None);
         assert_eq!(a.canonical_of(LoopId(0)).unwrap().trip_count(), Some(16));
         a
     }

@@ -702,8 +702,8 @@ pub fn collect_mem_refs(module: &Module, func: FuncId, analyses: &FunctionAnalys
     // Pre-compute per-region invariance maps: one per top-level loop plus
     // one for code outside loops. A single pass over the stores fills every
     // region's map (each store lands in the whole-function map and, if
-    // inside a loop, its top-level region's map) — O(insts) instead of the
-    // per-region rescan `stores_by_base_in` would cost.
+    // inside a loop, its top-level region's map) — O(insts) instead of
+    // rescanning the function once per region.
     let mut region_stores: HashMap<Option<LoopId>, BTreeMap<MemBase, u32>> = HashMap::new();
     region_stores.insert(None, BTreeMap::new());
     for t in analyses.forest.top_level() {
