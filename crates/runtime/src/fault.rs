@@ -7,9 +7,10 @@
 //! by kernels that happened to fault. [`FaultPlan`] and [`FaultInjector`]
 //! make every one of them provable on demand: a plan names exact dynamic
 //! points (*the nth chunk worker, the nth critical slice, the nth
-//! critical replay packet*) and the fault to raise there, and the injector fires each injection exactly
-//! once when execution reaches its point — fully deterministically, so a
-//! failing fault schedule replays bit-for-bit from its seed.
+//! critical replay packet*) and the fault to raise there, and the injector
+//! fires each injection exactly once when execution reaches its point —
+//! fully deterministically, so a failing fault schedule replays
+//! bit-for-bit from its seed.
 //!
 //! ## Wiring
 //!
@@ -28,6 +29,11 @@
 //! | [`WorkerFault`](FaultKind::WorkerFault) | chunk worker | fork discarded, sequential re-run (`worker_fault`) |
 //! | [`SpeculationFault`](FaultKind::SpeculationFault) | critical slice | speculative slice aborts, sequential re-run decides (`speculation_fault`) |
 //! | [`ReplayFault`](FaultKind::ReplayFault) | replay packet | master heap restored from its rollback copy mid-commit (`replay_fault`) |
+//!
+//! Every family but `WorkerPanic` is also reached without an injector: a
+//! worker's own `ExecError`, a guard-suppressed speculative slice that
+//! faults, a faulting critical replay (ARCHITECTURE's fault model names
+//! the inputs). Only the injection reaches a worker panic.
 //!
 //! The differential fuzz suite (`tests/fault_fuzz.rs`) closes the loop:
 //! random seeded plans across every kernel × plan abstraction × worker

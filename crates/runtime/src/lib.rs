@@ -39,6 +39,10 @@
 //! pool-reuse regression test asserts the worker threads survive across
 //! activations.
 //!
+//! A commit writes each fork's dirty set into the master heap in place.
+//! Only a critical replay can abort a commit, so the master copies its
+//! heap for rollback only when some fork logged a packet.
+//!
 //! Every recovery path above is *provable on demand*: the [`fault`]
 //! module injects deterministic, site-addressed faults (worker panics,
 //! speculative-slice faults, replay faults) behind a
