@@ -70,7 +70,7 @@ pub fn key_hex(key: u64) -> String {
 pub(crate) mod tests {
     use super::*;
     use pspdg_frontend::compile;
-    use pspdg_ir::{parse_module, FunctionBuilder, Module, Type, Value};
+    use pspdg_ir::{Constant, FunctionBuilder, GlobalInit, Module, Type, Value};
     use pspdg_nas::{fault_suite, synth, Class};
 
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -94,13 +94,21 @@ pub(crate) mod tests {
         compile(&KERNEL.replace(from, to)).unwrap()
     }
 
-    /// A one-global IR module whose nine-cell initializer ends in `last`.
+    /// A one-global module whose nine-cell initializer ends in `last`;
+    /// `main` returns that cell.
     fn nine_cells(last: i64) -> ParallelProgram {
-        let text = format!(
-            "; module cells\nglobal @g0 : [i64; 9] ; tab = [0, 0, 0, 0, 0, 0, 0, 0, {last}]\n\n\
-             func @main() -> i64 {{\nbb0 (entry):\n  %0 = gep @g0, 8 x i64\n  %1 = load i64, %0\n  ret %1\n}}\n"
-        );
-        ParallelProgram::new(parse_module(&text).unwrap())
+        let mut module = Module::new("cells");
+        let mut cells = vec![Constant::Int(0); 8];
+        cells.push(Constant::Int(last));
+        let tab = module.declare_global("tab", Type::array(Type::I64, 9), GlobalInit::Data(cells));
+        let f = module.declare_function("main", Vec::new(), Type::I64);
+        let mut b = FunctionBuilder::new(module.function_mut(f));
+        let entry = b.create_block("entry");
+        b.switch_to_block(entry);
+        let cell = b.gep(Value::Global(tab), Value::const_int(8), Type::I64);
+        let v = b.load(cell, Type::I64);
+        b.ret(Some(v));
+        ParallelProgram::new(module)
     }
 
     /// A `main` that returns the float constant `c`.
