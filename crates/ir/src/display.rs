@@ -11,6 +11,9 @@
 //! ...
 //! }
 //! ```
+//!
+//! The text is for reading, not for reading back: a global initializer
+//! longer than eight cells prints its first eight and an ellipsis.
 
 use std::fmt;
 

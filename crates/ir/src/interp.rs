@@ -1342,14 +1342,13 @@ fn zero_of(ty: &Type) -> RtVal {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::function::Module;
 
-    /// sum of 0..n via a loop using a stack slot (the `parse` round-trip
-    /// tests print it too).
-    pub(crate) fn sum_module() -> (Module, FuncId) {
+    /// sum of 0..n via a loop using a stack slot.
+    fn sum_module() -> (Module, FuncId) {
         let mut m = Module::new("m");
         let f = m.declare_function_with("sum", &[("n", Type::I64)], Type::I64);
         {

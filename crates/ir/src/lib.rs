@@ -58,7 +58,6 @@ pub mod function;
 pub mod inst;
 pub mod interp;
 pub mod loops;
-pub mod parse;
 pub mod types;
 pub mod value;
 pub mod verify;
@@ -69,7 +68,6 @@ pub use dom::{DomTree, PostDomTree};
 pub use function::{Block, Function, Global, GlobalInit, Module, Param};
 pub use inst::{BinOp, CastKind, CmpOp, Inst, InstData, Intrinsic, UnOp};
 pub use loops::{Bound, CanonicalLoop, LoopForest, LoopId, LoopInfo};
-pub use parse::{parse_module, ParseIrError};
 pub use types::Type;
 pub use value::{BlockId, Constant, FuncId, GlobalId, InstId, Value};
 pub use verify::VerifyError;

@@ -16,9 +16,9 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! `"ir"` may replace `"source"` to submit textual IR (no directives).
-//! An optional `"id"` (string) is echoed back verbatim. `"abstraction"`
-//! is one of `"openmp" | "pdg" | "jk" | "pspdg"` (default `"pspdg"`).
+//! ParC source is the only program payload. An optional `"id"` (string)
+//! is echoed back verbatim. `"abstraction"` is one of
+//! `"openmp" | "pdg" | "jk" | "pspdg"` (default `"pspdg"`).
 //!
 //! ## Responses
 //!
@@ -29,13 +29,11 @@ use pspdg_obs::export::esc;
 use pspdg_obs::json::{parse, Value};
 use pspdg_parallelizer::Abstraction;
 
-/// The program payload of a request: ParC source or textual IR.
+/// The program payload of a request: ParC source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Input {
     /// ParC source text (pragmas become directives).
     Source(String),
-    /// Textual IR (directive-free).
-    Ir(String),
 }
 
 /// A parsed request line.
@@ -114,21 +112,17 @@ pub fn abstraction_name(a: Abstraction) -> &'static str {
 /// the server turns it into an `"ok":false` response.
 pub fn parse_request(line: &str) -> Result<Envelope, String> {
     let v = parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let obj = v.as_object().ok_or("request must be a JSON object")?;
-    let _ = obj;
+    v.as_object().ok_or("request must be a JSON object")?;
     let id = v.get("id").and_then(Value::as_str).map(|s| s.to_string());
     let op = v
         .get("op")
         .and_then(Value::as_str)
         .ok_or("missing \"op\"")?;
     let input = || -> Result<Input, String> {
-        if let Some(s) = v.get("source").and_then(Value::as_str) {
-            Ok(Input::Source(s.to_string()))
-        } else if let Some(s) = v.get("ir").and_then(Value::as_str) {
-            Ok(Input::Ir(s.to_string()))
-        } else {
-            Err(format!("op \"{op}\" needs \"source\" or \"ir\""))
-        }
+        v.get("source")
+            .and_then(Value::as_str)
+            .map(|s| Input::Source(s.to_string()))
+            .ok_or_else(|| format!("op \"{op}\" needs \"source\""))
     };
     let abstraction = || -> Result<Abstraction, String> {
         match v.get("abstraction") {
@@ -180,10 +174,7 @@ pub fn encode_request(env: &Envelope) -> String {
     if let Some(id) = &env.id {
         o.str("id", id);
     }
-    let put_input = |o: &mut JsonObj, input: &Input| match input {
-        Input::Source(s) => o.str("source", s),
-        Input::Ir(s) => o.str("ir", s),
-    };
+    let put_input = |o: &mut JsonObj, Input::Source(s): &Input| o.str("source", s);
     match &env.request {
         Request::Ping => o.str("op", "ping"),
         Request::Metrics => o.str("op", "metrics"),
@@ -310,6 +301,10 @@ mod tests {
         assert!(parse_request("not json").is_err());
         assert!(parse_request("{\"op\":\"nope\"}").is_err());
         assert!(parse_request("{\"op\":\"plan\"}").is_err());
+        assert_eq!(
+            parse_request("{\"op\":\"plan\",\"ir\":\"; module m\"}").unwrap_err(),
+            "op \"plan\" needs \"source\""
+        );
         assert!(parse_request("{\"op\":\"execute\",\"source\":\"x\",\"workers\":0}").is_err());
     }
 

@@ -50,9 +50,7 @@ use std::time::Instant;
 
 use pspdg_emulator::PredictedVsMeasured;
 use pspdg_ir::interp::RtVal;
-use pspdg_ir::parse::parse_module;
 use pspdg_obs::Recorder;
-use pspdg_parallel::ParallelProgram;
 use pspdg_pool::Channel;
 
 use crate::hash::key_hex;
@@ -412,14 +410,11 @@ fn error_response(env: &Envelope, op: &str, err: &str) -> String {
     o.finish()
 }
 
-fn session_for(shared: &SharedState, input: &Input) -> Result<Arc<Session>, SessionError> {
-    match input {
-        Input::Source(src) => shared.store.get_source(src),
-        Input::Ir(text) => {
-            let module = parse_module(text).map_err(|e| SessionError::Ir(e.to_string()))?;
-            shared.store.get_or_build(ParallelProgram::new(module))
-        }
-    }
+fn session_for(
+    shared: &SharedState,
+    Input::Source(src): &Input,
+) -> Result<Arc<Session>, SessionError> {
+    shared.store.get_source(src)
 }
 
 /// Handle one request, producing the response line.

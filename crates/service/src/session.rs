@@ -47,8 +47,6 @@ pub const DEFAULT_THRESHOLD: f64 = 0.01;
 pub enum SessionError {
     /// ParC source failed to compile.
     Frontend(FrontendError),
-    /// IR text failed to parse.
-    Ir(String),
     /// The program (or its directives) failed validation.
     Invalid(ParallelError),
     /// The sequential profiling run faulted; a program that cannot run
@@ -60,7 +58,6 @@ impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SessionError::Frontend(e) => write!(f, "compile error: {e}"),
-            SessionError::Ir(e) => write!(f, "IR parse error: {e}"),
             SessionError::Invalid(e) => write!(f, "invalid program: {e}"),
             SessionError::Profile(e) => write!(f, "sequential profiling run faulted: {e}"),
         }

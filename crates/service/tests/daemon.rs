@@ -11,7 +11,6 @@ use pspdg_ir::interp::MAX_CALL_DEPTH;
 use pspdg_nas::synth;
 use pspdg_obs::json::Value;
 use pspdg_parallelizer::Abstraction;
-use pspdg_service::proto::{Input, Request};
 use pspdg_service::{
     key_hex, Client, ClientError, PlanService, ServiceConfig, Session, MAX_REQUEST_BYTES,
 };
@@ -180,6 +179,16 @@ fn errors_come_back_as_responses_not_hangups() {
         .read_line(&mut line)
         .unwrap();
     assert!(line.contains("\"ok\":false"), "got: {line}");
+
+    // So does a program sent as anything but ParC source.
+    raw.write_all(b"{\"op\":\"plan\",\"ir\":\"; module m\"}\n")
+        .unwrap();
+    line.clear();
+    BufReader::new(raw).read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"ok\":false") && line.contains("needs \\\"source\\\""),
+        "got: {line}"
+    );
 
     service.shutdown();
 }
@@ -443,43 +452,6 @@ fn concurrent_cold_builds_share_the_pool_and_plan_like_in_process() {
         );
     }
     assert_eq!(service.store().stats().builds, CLIENTS as u64);
-    service.shutdown();
-}
-
-/// The IR printer elides a global initializer after its eighth cell; the
-/// content key must not, or these two programs would share one session
-/// and the second would be answered with the first's result.
-#[test]
-fn ir_programs_differing_past_the_eighth_global_cell_get_their_own_sessions() {
-    let ir = |last: i64| {
-        format!(
-            "; module cells\n\
-             global @g0 : [i64; 9] ; tab = [0, 0, 0, 0, 0, 0, 0, 0, {last}]\n\
-             \n\
-             func @main() -> i64 {{\n\
-             bb0 (entry):\n  \
-             %0 = gep @g0, 8 x i64\n  \
-             %1 = load i64, %0\n  \
-             ret %1\n\
-             }}\n"
-        )
-    };
-    let service = start();
-    let mut client = Client::connect(service.addr()).unwrap();
-    let mut keys = HashSet::new();
-    for last in [8, 99] {
-        let v = client
-            .call(Request::Execute {
-                input: Input::Ir(ir(last)),
-                abstraction: Abstraction::PsPdg,
-                workers: Some(2),
-            })
-            .unwrap();
-        assert_eq!(num(&v, "ret"), last as f64, "answered from another session");
-        keys.insert(v.get("key").and_then(Value::as_str).unwrap().to_string());
-    }
-    assert_eq!(keys.len(), 2, "two programs shared a key");
-    assert_eq!(service.store().stats().builds, 2);
     service.shutdown();
 }
 
