@@ -7,6 +7,11 @@
 //! not exceed [`MAX_NESTING`] levels; deeper input is a [`FrontendError`]
 //! at the line where the limit was crossed. Left-deep chains such as
 //! `1 + 1 + ... + 1` parse in a loop but still count by their height.
+//!
+//! Array sizes are bounded too: a declaration, global or local, may hold
+//! at most [`MAX_ARRAY_CELLS`] scalar cells, so no program can make an
+//! interpreter or the runtime allocate more than that for one object, and
+//! no dimension product wraps.
 
 use crate::ast::*;
 use crate::lexer::{Token, TokenKind};
@@ -18,6 +23,10 @@ use crate::FrontendError;
 /// The deepest nesting the front-end accepts (the default bracket depth of
 /// common C compilers).
 pub(crate) const MAX_NESTING: u32 = 256;
+
+/// The most scalar cells one array declaration may hold (the product of
+/// its dimensions): 128 times the largest array in the bundled kernels.
+pub(crate) const MAX_ARRAY_CELLS: u64 = 1 << 20;
 
 /// Scan a token stream (as produced by [`crate::lexer::tokenize`]) into a
 /// [`Unit`]: globals and function headers are parsed, and each function
@@ -206,9 +215,16 @@ impl<'t, 's> Parser<'t, 's> {
 
     fn dims(&mut self) -> Result<Vec<u64>, FrontendError> {
         let mut dims = Vec::new();
+        let mut cells = 1u64;
         while self.eat(TokenKind::LBracket) {
             match self.peek() {
                 TokenKind::IntLit(n) if n > 0 => {
+                    cells = cells
+                        .checked_mul(n as u64)
+                        .filter(|&c| c <= MAX_ARRAY_CELLS)
+                        .ok_or_else(|| {
+                            self.err(format!("array larger than {MAX_ARRAY_CELLS} cells"))
+                        })?;
                     self.bump();
                     dims.push(n as u64);
                 }

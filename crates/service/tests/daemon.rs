@@ -193,6 +193,31 @@ fn errors_come_back_as_responses_not_hangups() {
     service.shutdown();
 }
 
+/// Arrays past the front-end's cell bound — a global, a local in a called
+/// function, and a shape whose dimension product wraps `u64` — are compile
+/// errors, not an allocation that aborts the daemon, which still answers.
+#[test]
+fn oversized_arrays_are_refused_and_the_daemon_lives() {
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let sources = [
+        "int a[4000000000]; int main() { a[3] = 7; return a[3]; }",
+        "int f() {\n  int b[4000000000];\n  b[3] = 7; return b[3]; }\nint main() { return f(); }",
+        "int a[4294967296][4294967296]; int main() { a[3][3] = 7; return a[3][3]; }",
+    ];
+    for src in sources {
+        match client.plan(src, Abstraction::PsPdg) {
+            Err(ClientError::Server(msg)) => assert!(
+                msg.contains("array larger than 1048576 cells"),
+                "{src}: {msg}"
+            ),
+            other => panic!("{src}: expected a compile error, got {other:?}"),
+        }
+        client.ping().unwrap();
+    }
+    service.shutdown();
+}
+
 /// `main` nested `n` levels deep in one of the ways the front-end
 /// recurses (the same shapes as the front-end's own nesting test).
 fn nested(shape: &str, n: usize) -> String {

@@ -86,6 +86,20 @@ const ERRORS: &[(&str, &str)] = &[
         "int g[0]; int main() { return 0; }",
         "line 1: expected array size, found IntLit(0)",
     ),
+    // Arrays past the cell bound, global, local, and with a wrapping
+    // dimension product.
+    (
+        "int a[4000000000]; int main() { a[3] = 7; return a[3]; }",
+        "line 1: array larger than 1048576 cells",
+    ),
+    (
+        "int f() {\n  int b[4000000000];\n  b[3] = 7; return b[3]; }\nint main() { return f(); }",
+        "line 2: array larger than 1048576 cells",
+    ),
+    (
+        "int a[4294967296][4294967296]; int main() { a[3][3] = 7; return a[3][3]; }",
+        "line 1: array larger than 1048576 cells",
+    ),
     // Lowering.
     (
         "int main() {\n  return x;\n}",
