@@ -361,6 +361,65 @@ mod tests {
         assert_eq!(v.get("k").unwrap().as_str(), Some("héllo ✓"));
     }
 
+    /// `esc` of each control byte 0x00..0x1f, exactly as written.
+    const CONTROL_ESC: [&str; 32] = [
+        "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+        "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f", "\\u0010",
+        "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+        "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+    ];
+
+    /// The pinned escape table: every row's exact `esc` output, and every
+    /// row parses back to its input.
+    #[test]
+    fn esc_table_is_pinned_and_round_trips() {
+        let mut rows: Vec<(String, &str)> = vec![
+            (String::new(), ""),
+            (
+                "plain ASCII, 0-9 {}[]:/".to_string(),
+                "plain ASCII, 0-9 {}[]:/",
+            ),
+            ("\"".to_string(), "\\\""),
+            ("\\".to_string(), "\\\\"),
+            ("a\"b\\c".to_string(), "a\\\"b\\\\c"),
+            ("\u{e9}".to_string(), "\u{e9}"),
+            ("\u{1f600}".to_string(), "\u{1f600}"),
+            (
+                "x\u{e9}\n\u{1f600}\"".to_string(),
+                "x\u{e9}\\n\u{1f600}\\\"",
+            ),
+        ];
+        for (b, want) in (0u8..0x20).zip(CONTROL_ESC) {
+            rows.push(((b as char).to_string(), want));
+        }
+        for (s, want) in &rows {
+            let got = crate::export::esc(s);
+            assert_eq!(got, *want, "esc({s:?})");
+            assert_eq!(
+                parse(&format!("\"{got}\"")),
+                Ok(Value::Str(s.clone())),
+                "round trip of {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn string_error_texts_are_pinned() {
+        let cases = [
+            ("\"abc", "unterminated string"),
+            ("\"ab\\", "unterminated escape"),
+            ("\"a\\qb\"", "bad escape at byte 4"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            (
+                "\"\\uzz12\"",
+                "bad \\u escape: invalid digit found in string",
+            ),
+        ];
+        for (src, want) in cases {
+            assert_eq!(parse(src), Err(want.to_string()), "parse({src:?})");
+        }
+    }
+
     #[test]
     fn validator_accepts_nesting_rejects_overlap() {
         let good = r#"{"traceEvents":[

@@ -294,6 +294,24 @@ mod tests {
         };
         let line = encode_request(&env);
         assert_eq!(parse_request(&line).unwrap(), env);
+
+        // Every bundled source, as a plan request.
+        use pspdg_nas::{fault_suite, synth, Class};
+        let sources = fault_suite(Class::Test)
+            .into_iter()
+            .chain(fault_suite(Class::Mini))
+            .chain([synth::module(400, 32), synth::wide(64)])
+            .map(|b| b.source);
+        for source in sources {
+            let env = Envelope {
+                request: Request::Plan {
+                    input: Input::Source(source),
+                    abstraction: Abstraction::Jk,
+                },
+                id: Some("r2".to_string()),
+            };
+            assert_eq!(parse_request(&encode_request(&env)).unwrap(), env);
+        }
     }
 
     #[test]
