@@ -7,25 +7,39 @@
 
 use std::fmt::Write as _;
 
+use crate::json::find_byte;
 use crate::recorder::{ArgVal, Histogram, Snapshot};
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    esc_into(&mut out, s);
+    out
+}
+
+/// [`esc`], appended to `out`. Each run of bytes that need no escape is
+/// copied with a single `push_str`; the bytes that do (`"`, `\` and the
+/// controls below 0x20) are ASCII, so every run boundary is a char
+/// boundary.
+pub fn esc_into(out: &mut String, s: &str) {
+    let b = s.as_bytes();
+    let mut run = 0;
+    while let Some(n) = find_byte(&b[run..], |c| c < 0x20 || c == b'"' || c == b'\\') {
+        let i = run + n;
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 fn arg_json(v: &ArgVal) -> String {

@@ -67,7 +67,7 @@ impl Value {
 /// Parse a JSON document. Errors carry a byte offset and a reason.
 pub fn parse(src: &str) -> Result<Value, String> {
     let b = src.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { src, b, i: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -77,7 +77,22 @@ pub fn parse(src: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// The index of the first byte of `b` that satisfies `hit`. Blocks of
+/// 16 bytes are tested with a branch-free fold, which the compiler turns
+/// into vector compares, and skipped whole while no byte hits.
+pub(crate) fn find_byte(b: &[u8], hit: impl Fn(u8) -> bool) -> Option<usize> {
+    let mut at = 0;
+    for block in b.chunks_exact(16) {
+        if block.iter().fold(false, |any, &c| any | hit(c)) {
+            break;
+        }
+        at += 16;
+    }
+    b[at..].iter().position(|&c| hit(c)).map(|n| at + n)
+}
+
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -141,56 +156,67 @@ impl Parser<'_> {
             .map_err(|e| format!("bad number at byte {start}: {e}"))
     }
 
+    /// One string literal. Each run of plain bytes up to the next `"` or
+    /// `\` is copied with a single `push_str`: the input is a `&str` and
+    /// both delimiters are ASCII, so every run boundary is a char boundary.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
+            let start = self.i;
+            let Some(n) = find_byte(&self.b[start..], |c| c == b'"' || c == b'\\') else {
                 return Err("unterminated string".to_string());
             };
+            out.push_str(&self.src[start..start + n]);
+            self.i = start + n + 1;
+            if self.b[start + n] == b'"' {
+                return Ok(out);
+            }
+            let Some(e) = self.peek() else {
+                return Err("unterminated escape".to_string());
+            };
             self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err("truncated \\u escape".to_string());
+            match e {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let mut code = self.hex4()?;
+                    // A high surrogate followed by an escaped low one is a
+                    // single char above U+FFFF, the form encoders such as
+                    // Python's `json.dumps` write. A lone surrogate is U+FFFD.
+                    if (0xd800..0xdc00).contains(&code) && self.b[self.i..].starts_with(b"\\u") {
+                        let high_end = self.i;
+                        self.i += 2;
+                        match self.hex4() {
+                            Ok(low) if (0xdc00..0xe000).contains(&low) => {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
                             }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            self.i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            _ => self.i = high_end,
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
                     }
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Re-sync to char boundary for multi-byte UTF-8.
-                    let start = self.i - 1;
-                    while self.i < self.b.len() && (self.b[self.i] & 0xC0) == 0x80 {
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?,
-                    );
-                }
+                _ => return Err(format!("bad escape at byte {}", self.i)),
             }
         }
+    }
+
+    /// The four hex digits after `\u`. On success they were ASCII, so the
+    /// cursor stays on a char boundary.
+    fn hex4(&mut self) -> Result<u32, String> {
+        if self.i + 4 > self.b.len() {
+            return Err("truncated \\u escape".to_string());
+        }
+        let hex = std::str::from_utf8(&self.b[self.i..self.i + 4]).map_err(|e| e.to_string())?;
+        let code = u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape: {e}"))?;
+        self.i += 4;
+        Ok(code)
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -399,6 +425,24 @@ mod tests {
                 parse(&format!("\"{got}\"")),
                 Ok(Value::Str(s.clone())),
                 "round trip of {s:?}"
+            );
+        }
+        // Escaped UTF-16 surrogates, as other encoders write chars above
+        // U+FFFF: a high+low pair is one char, a lone half is U+FFFD.
+        let surrogates = [
+            ("\\ud83d\\ude00", "\u{1f600}"),
+            ("a\\ud83d\\ude00b\\u00e9", "a\u{1f600}b\u{e9}"),
+            ("\\ud83d", "\u{fffd}"),
+            ("\\ude00", "\u{fffd}"),
+            ("\\ud83dx", "\u{fffd}x"),
+            ("\\ud83d\\u0041", "\u{fffd}A"),
+            ("\\ud83d\\ud83d\\ude00", "\u{fffd}\u{1f600}"),
+        ];
+        for (escaped, want) in surrogates {
+            assert_eq!(
+                parse(&format!("\"{escaped}\"")),
+                Ok(Value::Str(want.to_string())),
+                "parse of {escaped:?}"
             );
         }
     }

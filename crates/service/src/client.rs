@@ -106,7 +106,10 @@ impl Client {
         if n == MAX_REQUEST_BYTES && !response.ends_with('\n') {
             return Err(ClientError::BadResponse("response too large".to_string()));
         }
-        Ok(response.trim().to_string())
+        // Trim in place: the line is not copied a second time.
+        response.truncate(response.trim_end().len());
+        response.drain(..response.len() - response.trim_start().len());
+        Ok(response)
     }
 
     /// Send one request and block for its response object. Successful

@@ -25,7 +25,7 @@
 //! Every response carries `"ok"` (bool) and `"op"`; failures carry
 //! `"error"`. See the daemon docs ([`crate::server`]) for per-op payloads.
 
-use pspdg_obs::export::esc;
+use pspdg_obs::export::esc_into;
 use pspdg_obs::json::{parse, Value};
 use pspdg_parallelizer::Abstraction;
 
@@ -111,18 +111,25 @@ pub fn abstraction_name(a: Abstraction) -> &'static str {
 /// A human-readable reason (bad JSON, unknown op, missing payload);
 /// the server turns it into an `"ok":false` response.
 pub fn parse_request(line: &str) -> Result<Envelope, String> {
-    let v = parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    v.as_object().ok_or("request must be a JSON object")?;
+    let mut v = parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+    let Value::Obj(members) = &mut v else {
+        return Err("request must be a JSON object".to_string());
+    };
+    // The source is moved out of the parsed tree, never copied.
+    let mut source = members
+        .iter_mut()
+        .find(|(k, _)| k == "source")
+        .map(|(_, s)| std::mem::replace(s, Value::Null));
     let id = v.get("id").and_then(Value::as_str).map(|s| s.to_string());
     let op = v
         .get("op")
         .and_then(Value::as_str)
         .ok_or("missing \"op\"")?;
-    let input = || -> Result<Input, String> {
-        v.get("source")
-            .and_then(Value::as_str)
-            .map(|s| Input::Source(s.to_string()))
-            .ok_or_else(|| format!("op \"{op}\" needs \"source\""))
+    let mut input = || -> Result<Input, String> {
+        match source.take() {
+            Some(Value::Str(s)) => Ok(Input::Source(s)),
+            _ => Err(format!("op \"{op}\" needs \"source\"")),
+        }
     };
     let abstraction = || -> Result<Abstraction, String> {
         match v.get("abstraction") {
@@ -212,11 +219,19 @@ pub fn encode_request(env: &Envelope) -> String {
     o.finish()
 }
 
-/// An ordered JSON-object builder over the exporters' escaping.
-#[derive(Debug, Default)]
+/// An ordered JSON-object builder over the exporters' escaping. It
+/// writes into one buffer, and [`JsonObj::finish`] returns that buffer.
+#[derive(Debug)]
 pub struct JsonObj {
     buf: String,
-    any: bool,
+}
+
+impl Default for JsonObj {
+    fn default() -> JsonObj {
+        JsonObj {
+            buf: String::from("{"),
+        }
+    }
 }
 
 impl JsonObj {
@@ -226,12 +241,11 @@ impl JsonObj {
     }
 
     fn key(&mut self, k: &str) {
-        if self.any {
+        if self.buf.len() > 1 {
             self.buf.push(',');
         }
-        self.any = true;
         self.buf.push('"');
-        self.buf.push_str(&esc(k));
+        esc_into(&mut self.buf, k);
         self.buf.push_str("\":");
     }
 
@@ -239,15 +253,18 @@ impl JsonObj {
     pub fn str(&mut self, k: &str, v: &str) {
         self.key(k);
         self.buf.push('"');
-        self.buf.push_str(&esc(v));
+        esc_into(&mut self.buf, v);
         self.buf.push('"');
     }
 
     /// Add a numeric member (serialized like the bench JSONs: integers
-    /// without a fraction, floats with full precision).
+    /// without a fraction, floats with full precision). JSON has no
+    /// non-finite numbers, so NaN and the infinities are written `null`.
     pub fn num(&mut self, k: &str, v: f64) {
         self.key(k);
-        if v.fract() == 0.0 && v.abs() < 9e15 {
+        if !v.is_finite() {
+            self.buf.push_str("null");
+        } else if v.fract() == 0.0 && v.abs() < 9e15 {
             self.buf.push_str(&format!("{}", v as i64));
         } else {
             self.buf.push_str(&format!("{v}"));
@@ -273,8 +290,9 @@ impl JsonObj {
     }
 
     /// Close the object.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
     }
 }
 

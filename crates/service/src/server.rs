@@ -199,7 +199,7 @@ impl PlanService {
                     .spawn(move || {
                         while let Some(job) = shared.queue.recv() {
                             let line = handle(&shared, &job.env);
-                            write_line(&job.out, &line);
+                            write_line(&job.out, line);
                         }
                     })
                     .expect("spawn handler thread")
@@ -350,7 +350,7 @@ fn reader_loop(stream: TcpStream, addr: SocketAddr, shared: Arc<SharedState>) {
         if matches!(env.request, Request::Shutdown) {
             let mut o = response_head(&env, "shutdown");
             o.bool("draining", true);
-            write_line(&out, &o.finish());
+            write_line(&out, o.finish());
             shared.request_shutdown(addr);
             return;
         }
@@ -377,15 +377,14 @@ fn write_error(out: &Arc<Mutex<TcpStream>>, error: &str) {
     let mut o = JsonObj::new();
     o.bool("ok", false);
     o.str("error", error);
-    write_line(out, &o.finish());
+    write_line(out, o.finish());
 }
 
-fn write_line(out: &Arc<Mutex<TcpStream>>, line: &str) {
-    let mut buf = String::with_capacity(line.len() + 1);
-    buf.push_str(line);
-    buf.push('\n');
+/// Write one response line and its newline in a single `write_all`.
+fn write_line(out: &Arc<Mutex<TcpStream>>, mut line: String) {
+    line.push('\n');
     let mut stream = out.lock().expect("response writer");
-    let _ = stream.write_all(buf.as_bytes());
+    let _ = stream.write_all(line.as_bytes());
     let _ = stream.flush();
 }
 
@@ -524,8 +523,11 @@ fn execution_body(o: &mut JsonObj, session: &Session, exec: &Execution) {
     o.str("abstraction", abstraction_name(exec.abstraction));
     o.num("workers", exec.workers as f64);
     match &exec.ret {
-        Some(RtVal::Int(n)) => o.num("ret", *n as f64),
-        Some(RtVal::Float(x)) => o.num("ret", *x),
+        // Exact decimal: an `i64` past 2^53 does not survive `f64`.
+        Some(RtVal::Int(n)) => o.raw("ret", &n.to_string()),
+        Some(RtVal::Float(x)) if x.is_finite() => o.num("ret", *x),
+        // `NaN`, `inf` or `-inf`: the text `print_f64` prints.
+        Some(RtVal::Float(x)) => o.str("ret", &x.to_string()),
         Some(RtVal::Bool(b)) => o.bool("ret", *b),
         Some(other) => o.str("ret", &format!("{other:?}")),
         None => o.null("ret"),

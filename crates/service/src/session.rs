@@ -35,7 +35,7 @@ use pspdg_parallelizer::{
     ProgramPlan,
 };
 use pspdg_pdg::PdgEdge;
-use pspdg_runtime::{globals_mismatch, observable_globals, RunStats, Runtime};
+use pspdg_runtime::{globals_mismatch, observable_globals, rtval_identical, RunStats, Runtime};
 
 use crate::hash::content_key;
 
@@ -146,11 +146,14 @@ pub struct Execution {
 
 impl Execution {
     /// Whether this execution is observably identical to the sequential
-    /// baseline (globals, return value, and printed output).
+    /// baseline (globals, return value, and printed output). The return
+    /// value is compared bit for bit, so a NaN matches its own bits.
     pub fn matches_baseline(&self, baseline: &Baseline) -> bool {
-        self.globals_mismatch.is_none()
-            && self.ret == baseline.ret
-            && self.output == baseline.output
+        let ret_identical = match (self.ret, baseline.ret) {
+            (Some(a), Some(b)) => rtval_identical(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        self.globals_mismatch.is_none() && ret_identical && self.output == baseline.output
     }
 }
 

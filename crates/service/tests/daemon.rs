@@ -9,8 +9,9 @@ use std::time::{Duration, Instant};
 
 use pspdg_ir::interp::MAX_CALL_DEPTH;
 use pspdg_nas::synth;
-use pspdg_obs::json::Value;
+use pspdg_obs::json::{parse, Value};
 use pspdg_parallelizer::Abstraction;
+use pspdg_service::proto::{Input, Request};
 use pspdg_service::{
     key_hex, Client, ClientError, PlanService, ServiceConfig, Session, MAX_REQUEST_BYTES,
 };
@@ -215,6 +216,61 @@ fn oversized_arrays_are_refused_and_the_daemon_lives() {
         }
         client.ping().unwrap();
     }
+    service.shutdown();
+}
+
+/// Return values JSON cannot carry as a plain number: a non-finite float
+/// is sent as the string `print_f64` prints, an `i64` past 2^53 as its
+/// exact decimal. Each answer parses, and a NaN return matches its own
+/// bit-identical baseline.
+#[test]
+fn non_finite_and_wide_returns_answer_exact_json() {
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let cases = [
+        ("double main() { return sqrt(-1.0); }", "\"NaN\""),
+        ("double main() { return 1.0 / 0.0; }", "\"inf\""),
+        ("double main() { return -1.0 / 0.0; }", "\"-inf\""),
+        (
+            "int main() { return 9007199254740993; }",
+            "9007199254740993",
+        ),
+        (
+            "int main() { return 9223372036854775807; }",
+            "9223372036854775807",
+        ),
+    ];
+    for (src, ret) in cases {
+        for report in [false, true] {
+            let (input, abstraction, workers) =
+                (Input::Source(src.to_string()), Abstraction::PsPdg, None);
+            let request = if report {
+                Request::Report {
+                    input,
+                    abstraction,
+                    workers,
+                }
+            } else {
+                Request::Execute {
+                    input,
+                    abstraction,
+                    workers,
+                }
+            };
+            let raw = client.call_raw(request).unwrap();
+            let v =
+                parse(&raw).unwrap_or_else(|e| panic!("{src}: unparseable answer ({e}): {raw}"));
+            assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{src}: {raw}");
+            assert!(raw.contains(&format!("\"ret\":{ret},")), "{src}: {raw}");
+            assert_eq!(
+                v.get("matches_baseline"),
+                Some(&Value::Bool(true)),
+                "{src}: {raw}"
+            );
+        }
+        client.execute(src, Abstraction::PsPdg, None).unwrap();
+    }
+    client.ping().unwrap();
     service.shutdown();
 }
 
