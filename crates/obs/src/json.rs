@@ -3,7 +3,13 @@
 //! The workspace vendors no serde; this parser exists so the tests and
 //! the `profile_json --smoke` / CI gates can assert that everything the
 //! exporters emit actually *parses* and that spans *nest* — a real
-//! round trip, not a string eyeball.
+//! round trip, not a string eyeball. The plan daemon reads every request
+//! line with it too.
+//!
+//! A string costs one scan plus one copy per run of plain bytes: the
+//! scan tests 16 bytes at a time for the next `"` or `\`, and the run
+//! before it goes into the output with one `push_str`. An escaped UTF-16
+//! surrogate pair decodes as its one char; a lone surrogate as U+FFFD.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -24,6 +24,23 @@
 //!
 //! Every response carries `"ok"` (bool) and `"op"`; failures carry
 //! `"error"`. See the daemon docs ([`crate::server`]) for per-op payloads.
+//! A number is never written non-finite: [`JsonObj::num`] writes `null`,
+//! and a NaN or infinite `ret` is sent as the string `print_f64` prints
+//! (`"NaN"`, `"inf"`, `"-inf"`). An integer `ret` is its exact decimal.
+//!
+//! ## What a request costs
+//!
+//! Strings are parsed and escaped in runs, one scan plus one copy per run
+//! of bytes that need no escape ([`pspdg_obs::json`]). [`parse_request`]
+//! moves the decoded source out of the parsed tree, and [`JsonObj`]
+//! escapes straight into the one buffer [`JsonObj::finish`] returns. In
+//! process on a 2-vCPU host, a mean Mini plan line (1,014 B) parses in
+//! 1.7–2.7 µs and encodes in 1.1–1.8 µs (10–11 and 6–8 µs when strings
+//! went byte by byte); the 126 KB module400 line parses in 90–145 µs and
+//! encodes in 85–150 µs (1.3–1.6 ms and 0.5–0.8 ms before). A hot
+//! `plan` is then mostly the loopback round trip and the store read:
+//! `service.parse_request_us` reads about 4 µs on a traced `plan_hot`
+//! run, against a 29 µs ping.
 
 use pspdg_obs::export::esc_into;
 use pspdg_obs::json::{parse, Value};
