@@ -414,3 +414,115 @@ fn emulated_critical_paths_are_pinned() {
         "HELIX_CALL: the segment is held across `step`"
     );
 }
+
+/// A DOALL plan of the first loop of `func` that privatizes `bases` and
+/// joins at `end_barrier`, as the planner's own DOALL plans do.
+fn doall_plan(
+    p: &ParallelProgram,
+    func: &str,
+    bases: &[MemBase],
+    end_barrier: bool,
+) -> ProgramPlan {
+    let fid = p.module.function_by_name(func).expect("function exists");
+    let l = FunctionAnalyses::compute(&p.module, fid).forest.top_level()[0];
+    let spec = LoopPlanSpec {
+        func: fid,
+        loop_id: l,
+        technique: PlannedTechnique::Doall,
+        discharged: bases.iter().map(|b| (*b, Discharge::Private)).collect(),
+        end_barrier,
+    };
+    ProgramPlan {
+        abstraction: Abstraction::PsPdg,
+        loops: HashMap::from([((fid, l), spec)]),
+        mutexes: vec![],
+        parallel_spawns: false,
+    }
+}
+
+/// A consumer in the callee's lane starts after its `ret` whichever step
+/// produced the result, so the result has to cross lanes: `main`'s loop
+/// calls `f` in its header, in each iteration's lane, and the exit block
+/// reads the last call's result in the frame's lane after a `nowait` loop.
+/// ParC passes every value that leaves a loop through memory, so the
+/// module is built by hand.
+#[test]
+fn a_call_result_is_produced_by_the_callee_ret() {
+    use pspdg::ir::{BinOp, CmpOp, FunctionBuilder, Type, Value};
+    let mut m = Module::new("m");
+    let f = m.declare_function_with("f", &[("x", Type::I64)], Type::I64);
+    let mut b = FunctionBuilder::new(m.function_mut(f));
+    let entry = b.create_block("entry");
+    b.switch_to_block(entry);
+    let mut r = Value::Param(0);
+    for k in 1..=6 {
+        let t = b.binary(BinOp::Mul, r, Value::const_int(3));
+        r = b.binary(BinOp::Add, t, Value::const_int(k));
+    }
+    b.ret(Some(r));
+    let main = m.declare_function("main", vec![], Type::I64);
+    let mut b = FunctionBuilder::new(m.function_mut(main));
+    let [entry, header, body, exit] =
+        ["entry", "header", "body", "exit"].map(|name| b.create_block(name));
+    b.switch_to_block(entry);
+    let i = b.alloca(Type::I64, "i");
+    b.store(i, Value::const_int(0));
+    b.br(header);
+    b.switch_to_block(header);
+    let iv = b.load(i, Type::I64);
+    let r = b.call(f, vec![iv], Type::I64);
+    let c = b.cmp(CmpOp::Lt, iv, Value::const_int(8));
+    b.cond_br(c, body, exit);
+    b.switch_to_block(body);
+    let next = b.binary(BinOp::Add, iv, Value::const_int(1));
+    b.store(i, next);
+    b.br(header);
+    b.switch_to_block(exit);
+    let mut s = r;
+    for k in 1..=8 {
+        let t = b.binary(BinOp::Mul, s, Value::const_int(5));
+        s = b.binary(BinOp::Add, t, Value::const_int(k));
+    }
+    b.ret(Some(s));
+    let p = ParallelProgram::new(m);
+    let i = MemBase::Alloca(i.as_inst().expect("an alloca"));
+    let r = emulate(&p, &doall_plan(&p, "main", &[i], false)).expect("emulates");
+    // With the call step as the producer the exit chain would start before
+    // `f`'s body, and the first iteration's lane would decide (23).
+    assert_eq!((r.critical_path, r.total_steps), (33, 197));
+}
+
+/// Scalar parameters are copied into locals at entry, after the call; an
+/// array parameter is read where it is used. A loop over a local waits for
+/// the local's `alloca`, also after the call, so `fill` counts in a global.
+/// Each of its iterations past the first then reads `a` in a lane of its
+/// own, held back only by the argument's producer, `h`'s `alloca`, which
+/// runs after `main`'s sequential loop. The first iteration waits for
+/// `n = 0`, which follows the call, so it is kept short.
+const PARAM_SRC: &str = "\
+int v[64]; int out; int n;
+void fill(int a[]) {
+    for (n = 0; n < 16; n++) {
+        if (n > 0) {
+            a[n] = n * 3;
+            a[n] = ((a[n] * 5 + 1) * 7 + 2) * 11 + 3;
+        }
+    }
+}
+void h() { int loc[16]; fill(loc); out = loc[15]; }
+int main() {
+    int i;
+    for (i = 0; i < 64; i++) { v[i] = i * 2; }
+    h();
+    return out;
+}
+";
+
+#[test]
+fn a_parameter_is_produced_by_the_argument() {
+    let p = compile(PARAM_SRC).expect("compiles");
+    let n = MemBase::Global(p.module.global_ids().last().expect("n"));
+    let r = emulate(&p, &doall_plan(&p, "fill", &[n], true)).expect("emulates");
+    // Were `a` ready at time 0, the first iteration would decide (867).
+    assert_eq!((r.critical_path, r.total_steps), (873, 1306));
+}
