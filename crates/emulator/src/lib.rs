@@ -13,8 +13,10 @@
 //!
 //! * **lane order** — the plan assigns each dynamic instruction to a lane
 //!   (a sequential worker): instructions in the same lane execute in trace
-//!   order. Unparallelized code shares one lane; a DOALL/HELIX iteration
-//!   gets its own lane; a DSWP stage is a lane;
+//!   order. Unparallelized code shares one lane, and a DOALL/HELIX
+//!   iteration gets its own. A plan is one of those two shapes (DSWP is
+//!   counted among Fig. 13's options, never planned), so a lane is fixed
+//!   per block: only block boundaries, calls and returns change it;
 //! * **true dependences** — register dependences and memory flow (RAW)
 //!   dependences: registers from a finish time per instruction of each live
 //!   frame (a call's result waits for the callee's `ret`), memory from the

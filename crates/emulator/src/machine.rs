@@ -47,8 +47,8 @@ pub fn emulate(
 
 const NO_PLAN: u32 = u32::MAX;
 
-// Per-instruction flags. A step with none of `SLOW` set, in a frame whose
-// lane is not per step, skips `IdealMachine::constrain`.
+// Per-instruction flags. A step with none of `SLOW` set skips
+// `IdealMachine::constrain`.
 const SPAWN: u8 = 1; // in a `cilk_spawn` region (a spawned call)
 const SYNC: u8 = 1 << 1; // joins spawned children (`cilk_sync`, `taskwait`)
 const BARRIER: u8 = 1 << 2; // a team-wide barrier
@@ -68,11 +68,8 @@ fn slot<T: Clone>(table: &mut Vec<T>, i: usize, fill: T) -> &mut T {
 /// A planned loop, pre-resolved for the hot path.
 #[derive(Debug)]
 struct PlannedLoop {
-    dswp: bool,
     /// HELIX: the sequential segment, by instruction.
     sequential_insts: BitSet,
-    /// DSWP: stage by instruction (stage 0 where the table ends).
-    stage_of: Vec<u32>,
     /// Discharged static objects: a global by its index, a function's
     /// alloca by the function's `alloca_base` + its instruction.
     ignored: BitSet,
@@ -82,19 +79,12 @@ struct PlannedLoop {
 
 impl PlannedLoop {
     fn from_spec(spec: &LoopPlanSpec, alloca_base: &[usize]) -> PlannedLoop {
-        let mut sequential_insts = BitSet::new();
-        let mut stage_of = Vec::new();
-        match &spec.technique {
-            PlannedTechnique::Doall => {}
-            PlannedTechnique::Helix {
-                sequential_insts: seq,
-            } => sequential_insts.extend(seq.iter().map(|i| i.index())),
-            PlannedTechnique::Dswp { stage_of: of, .. } => {
-                for (i, stage) in of {
-                    *slot(&mut stage_of, i.index(), 0) = *stage;
-                }
+        let sequential_insts = match &spec.technique {
+            PlannedTechnique::Doall => BitSet::new(),
+            PlannedTechnique::Helix { sequential_insts } => {
+                sequential_insts.iter().map(|i| i.index()).collect()
             }
-        }
+        };
         let ignored = spec.discharged.keys().filter_map(|b| match b {
             MemBase::Global(g) => Some(g.index()),
             MemBase::Alloca(i) => Some(alloca_base[spec.func.index()] + i.index()),
@@ -102,9 +92,7 @@ impl PlannedLoop {
         });
         let reduction = |d: &Discharge| matches!(d, Discharge::Reduction(_));
         PlannedLoop {
-            dswp: matches!(spec.technique, PlannedTechnique::Dswp { .. }),
             sequential_insts,
-            stage_of,
             ignored: ignored.collect(),
             reduce: spec.discharged.values().any(reduction),
             end_barrier: spec.end_barrier,
@@ -159,8 +147,8 @@ struct Activation {
     max_finish: u64,
 }
 
-/// The first two planned non-DSWP activations a step runs under (uid + 1;
-/// 0 = none) and their iterations, which discharge flow dependences.
+/// The first two planned activations a step runs under (uid + 1; 0 =
+/// none) and their iterations, which discharge flow dependences.
 #[derive(Debug, Clone, Copy, Default)]
 struct Context {
     act: [u32; 2],
@@ -188,18 +176,15 @@ struct FrameState {
     /// Latest finish among this frame's steps since its innermost
     /// activation was pushed, folded into it at a push above or its pop.
     /// Between recomputing blocks, calls and returns it is `Lanes::cur_last`
-    /// (one lane, rising finishes); a per-step lane folds each step's finish.
+    /// (one lane, rising finishes).
     run_max: u64,
     // The rest is recomputed by `on_block` from the activations and block.
     /// The current block's lane: a spawn region's fresh one, else the chain's.
     lane: u64,
-    /// A DSWP activation is live (and no spawn lane overrides it), so the
-    /// lane depends on each instruction's stage.
-    lane_per_step: bool,
     context: Context,
     /// Plan of each `context` activation.
     context_plan: [u32; 2],
-    /// Over two planned non-DSWP activations are live: none discharges.
+    /// Over two planned activations are live: none discharges.
     overflow: bool,
 }
 
@@ -220,7 +205,7 @@ struct ObjWriters {
 }
 
 /// Finish times so far: the last per lane, in a map (lanes are unbounded)
-/// behind the one the trace is in, the block's lane unless it is per step.
+/// behind the one the trace is in, the current block's.
 #[derive(Default)]
 struct Lanes {
     last: HashMap<u64, u64>,
@@ -312,20 +297,13 @@ fn ceil_log2(n: u64) -> u64 {
     n.next_power_of_two().trailing_zeros() as u64
 }
 
-/// Lane of a frame's (planned) activation stack `acts` over `base_lane`;
-/// `inst` selects the DSWP stage where applicable.
-fn lane_of(plans: &[PlannedLoop], base_lane: u64, acts: &[Activation], inst: Option<usize>) -> u64 {
-    let mut lane = base_lane;
-    for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
-        let p = &plans[act.plan as usize];
-        let key = if p.dswp {
-            inst.and_then(|i| p.stage_of.get(i).copied()).unwrap_or(0)
-        } else {
-            act.iter
-        };
-        lane = mix(lane, act.uid as u64, key as u64);
-    }
-    lane
+/// Lane of a frame's (planned) activation stack `acts` over `base_lane`:
+/// one per iteration of every planned activation.
+fn lane_of(base_lane: u64, acts: &[Activation]) -> u64 {
+    let planned = acts.iter().filter(|a| a.plan != NO_PLAN);
+    planned.fold(base_lane, |lane, act| {
+        mix(lane, act.uid as u64, act.iter as u64)
+    })
 }
 
 /// Whether `inst` is in the sequential segment of `act`'s (HELIX) plan.
@@ -354,7 +332,7 @@ fn pop_activation(
         (false, false) => 0,
     };
     if sync_fin > 0 {
-        lanes.switch(lane_of(plans, top.base_lane, &acts[top.act_base..], None));
+        lanes.switch(lane_of(top.base_lane, &acts[top.act_base..]));
         lanes.cur_last = lanes.cur_last.max(sync_fin);
     }
 }
@@ -593,9 +571,7 @@ impl TraceSink for IdealMachine {
             let act = &mut self.acts[owner];
             act.seq_last = act.seq_last.max(fin);
         }
-        if !self.top.lane_per_step {
-            self.lanes.switch(self.top.lane);
-        }
+        self.lanes.switch(self.top.lane);
     }
 
     // `on_block` and `on_step` are inlined into the interpreter's loop
@@ -660,27 +636,21 @@ impl TraceSink for IdealMachine {
             act.iter += 1;
         }
         let acts = &self.acts[base..];
-        top.lane = spawn_lane.unwrap_or_else(|| lane_of(&self.plans, top.base_lane, acts, None));
-        (top.lane_per_step, top.context, top.overflow) = (false, Context::default(), false);
-        let mut n = 0;
-        for act in acts.iter().filter(|a| a.plan != NO_PLAN) {
-            if self.plans[act.plan as usize].dswp {
-                top.lane_per_step = spawn_lane.is_none();
-            } else if n < 2 {
-                top.context.act[n] = act.uid + 1;
-                top.context.iter[n] = act.iter;
-                top.context_plan[n] = act.plan;
-                n += 1;
-            } else {
-                top.overflow = true;
-            }
+        top.lane = spawn_lane.unwrap_or_else(|| lane_of(top.base_lane, acts));
+        top.context = Context::default();
+        let mut planned = acts.iter().filter(|a| a.plan != NO_PLAN);
+        for (n, act) in planned.by_ref().take(2).enumerate() {
+            top.context.act[n] = act.uid + 1;
+            top.context.iter[n] = act.iter;
+            top.context_plan[n] = act.plan;
         }
-        match (top.lane_per_step, bumped && spawn_lane.is_none()) {
-            // A planned non-DSWP loop's next iteration: every lane of the
-            // last one is dead, and its own is new.
-            (false, true) => self.lanes.retire_to(top.lane),
-            (false, false) => self.lanes.switch(top.lane),
-            _ => {}
+        top.overflow = planned.next().is_some();
+        if bumped && spawn_lane.is_none() {
+            // A planned loop's next iteration: every lane of the last one
+            // is dead, and its own is new.
+            self.lanes.retire_to(top.lane);
+        } else {
+            self.lanes.switch(top.lane);
         }
     }
 
@@ -691,11 +661,6 @@ impl TraceSink for IdealMachine {
         let (inst, top) = (step.inst.index(), &self.top);
         let facts = self.insts[top.inst_base + inst];
         debug_assert!(!top.in_spawn || facts.flags & SPAWN != 0);
-        if top.lane_per_step {
-            let acts = &self.acts[top.act_base..];
-            self.lanes
-                .switch(lane_of(&self.plans, top.base_lane, acts, Some(inst)));
-        }
         let regs = &self.regs[top.reg_base..];
         let mut start = if facts.flags & LONG == 0 {
             let [a, b] = facts.ops.map(|s| regs[s as usize]);
@@ -715,7 +680,7 @@ impl TraceSink for IdealMachine {
                 start = w.fin;
             }
         }
-        if facts.flags & SLOW != 0 || top.lane_per_step {
+        if facts.flags & SLOW != 0 {
             start = self.constrain(inst, facts.flags, start);
         }
         let fin = start + 1;
@@ -733,7 +698,6 @@ impl TraceSink for IdealMachine {
 mod tests {
     use super::*;
     use pspdg_frontend::compile;
-    use pspdg_ir::{Function, Inst, InstId, Value};
     use pspdg_parallelizer::{build_plan, Abstraction};
 
     fn cp_all(src: &str) -> Vec<(Abstraction, EmulationResult)> {
@@ -903,157 +867,6 @@ mod tests {
             omp.critical_path,
             omp.total_steps
         );
-    }
-
-    #[test]
-    fn dswp_pipelines_a_two_stage_loop() {
-        // Stage 1 is everything that goes through `t` (`t = ..; w[i] = t +
-        // 1`), stage 0 the rest (`v[i] * 3` and the loop control).
-        let p = compile(
-            r#"
-            int v[128]; int w[128]; int t;
-            void k() {
-                int i;
-                for (i = 0; i < 128; i++) {
-                    t = v[i] * 3;
-                    w[i] = t + 1;
-                }
-            }
-            int main() { k(); return w[100]; }
-            "#,
-        )
-        .unwrap();
-        let t = Value::Global(p.module.global_ids().last().unwrap());
-        let (plan, stage1) = dswp_over_consumers(&p, "k", |_, v| v == t);
-        assert_eq!(stage1, 4, "two stores, the load of t and the add");
-        let r = emulate(&p, &plan).unwrap();
-        // Two pipelined stages: faster than sequential (all steps on one
-        // lane), but only two lanes exist.
-        assert!(
-            r.critical_path < r.total_steps && r.critical_path > r.total_steps / 4,
-            "pipeline {} over {} steps",
-            r.critical_path,
-            r.total_steps
-        );
-    }
-
-    /// A DSWP plan for the first loop of `func`: stage 1 is every loop
-    /// instruction that consumes a `seed` value, directly or through stage
-    /// 1; stage 0 is the rest. Also returns the size of stage 1.
-    fn dswp_over_consumers(
-        p: &ParallelProgram,
-        func: &str,
-        seed: impl Fn(&Function, Value) -> bool,
-    ) -> (ProgramPlan, usize) {
-        use std::collections::BTreeMap;
-        let fid = p.module.function_by_name(func).unwrap();
-        let f = p.module.function(fid);
-        let analyses = pspdg_pdg::FunctionAnalyses::compute(&p.module, fid);
-        let l = analyses.forest.loop_ids().next().unwrap();
-        let mut insts = analyses.loop_insts(l);
-        insts.sort();
-        let mut stage_of: BTreeMap<InstId, u32> = BTreeMap::new();
-        for i in insts {
-            let consumes =
-                f.inst(i).inst.operands().any(|v| {
-                    seed(f, v) || matches!(v, Value::Inst(d) if stage_of.get(&d) == Some(&1))
-                });
-            stage_of.insert(i, u32::from(consumes));
-        }
-        let stage1 = stage_of.values().filter(|s| **s == 1).count();
-        let spec = LoopPlanSpec {
-            func: fid,
-            loop_id: l,
-            technique: PlannedTechnique::Dswp {
-                stage_of,
-                stages: 2,
-            },
-            discharged: BTreeMap::new(),
-            end_barrier: true,
-        };
-        let plan = ProgramPlan {
-            abstraction: Abstraction::PsPdg,
-            loops: HashMap::from([((fid, l), spec)]),
-            mutexes: vec![],
-            parallel_spawns: false,
-        };
-        (plan, stage1)
-    }
-
-    #[test]
-    fn a_call_result_is_produced_by_the_callee_ret() {
-        // The call (and so `f`'s body, which runs in the call's lane) in
-        // stage 0, everything consuming its result in stage 1. The last
-        // iteration's stage-1 chain outlasts stage 0's latch, so the loop
-        // ends when that chain does: it must start at `f`'s `ret` (with the
-        // call step as the producer the path would be 1327).
-        let p = compile(
-            r#"
-            int v[16]; int w[16];
-            int f(int x) {
-                int j; int r;
-                r = x;
-                for (j = 0; j < 4; j++) { r = r * 3 + j; }
-                return r;
-            }
-            void k() {
-                int i;
-                for (i = 0; i < 16; i++) {
-                    w[i] = (((((f(v[i]) * 5 + 1) * 7 + 2) * 11 + 3) * 13 + 4) * 17 + 5);
-                }
-            }
-            int main() { k(); return w[3]; }
-            "#,
-        )
-        .unwrap();
-        let (plan, stage1) = dswp_over_consumers(
-            &p,
-            "k",
-            |f, v| matches!(v, Value::Inst(d) if matches!(f.inst(d).inst, Inst::Call { .. })),
-        );
-        assert_eq!(stage1, 11, "ten arithmetic steps and the store");
-        let r = emulate(&p, &plan).unwrap();
-        assert_eq!((r.critical_path, r.total_steps), (1330, 1503));
-    }
-
-    #[test]
-    fn a_parameter_is_produced_by_the_argument() {
-        // Stage 1 of `fill`'s loop is everything reached from the array
-        // parameter `a`: it writes each cell before reading it, so its
-        // lane, fresh at the call, is held back only by the producer of
-        // the argument, `h`'s `alloca`, which runs after `main`'s
-        // sequential loop. Stage 1 is the longer stage, so the loop ends a
-        // whole stage-1 pipeline after that `alloca` (were `a` ready at
-        // time 0, stage 0 would decide and the path would be 1116).
-        let p = compile(
-            r#"
-            int v[64]; int out;
-            void fill(int a[]) {
-                int i;
-                for (i = 0; i < 32; i++) {
-                    a[0] = 3;
-                    a[1] = a[0] * 5 + 2;
-                    a[2] = a[1] * 7 + 3;
-                    a[3] = a[2] * 11 + 4;
-                }
-            }
-            void h() { int loc[4]; fill(loc); out = loc[3]; }
-            int main() {
-                int i;
-                for (i = 0; i < 64; i++) { v[i] = i * 2; }
-                h();
-                return out;
-            }
-            "#,
-        )
-        .unwrap();
-        let (plan, stage1) = dswp_over_consumers(&p, "fill", |_, v| matches!(v, Value::Param(0)));
-        assert_eq!(
-            stage1, 20,
-            "seven geps, four stores, three loads, six arithmetic steps"
-        );
-        let r = emulate(&p, &plan).unwrap();
-        assert_eq!((r.critical_path, r.total_steps), (1491, 1757));
     }
 
     #[test]

@@ -199,10 +199,11 @@ fn pipe_trip(class: Class) -> usize {
 /// (`t = t + pv[i] + i`) feeding an independent consumer statement
 /// (`pw[i] = t * 2`), the canonical two-stage decoupled-software-pipeline
 /// shape. Chunking is impossible (the recurrence is cross-iteration), so
-/// the planner answers HELIX/DSWP — options the enumerator counts and the
-/// emulator runs on its ideal machine — while the runtime, whose one
-/// parallel strategy is chunking, runs the loop on the master
-/// (`scheduled_sequential`), under the fault-injection fuzz suite too.
+/// the planner answers HELIX, which the emulator runs on its ideal
+/// machine, and the enumerator counts HELIX and DSWP options. The
+/// runtime, whose one parallel strategy is chunking, runs the loop on the
+/// master (`scheduled_sequential`), under the fault-injection fuzz suite
+/// too.
 pub fn pipe(class: Class) -> Benchmark {
     let n = pipe_trip(class);
     let source = format!(

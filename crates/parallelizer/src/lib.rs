@@ -4,7 +4,9 @@
 //! hot-loop selection (≥ 1 % coverage), SCC-based applicability of three
 //! loop parallelization techniques (DOALL, HELIX, DSWP), parallelization-
 //! option enumeration under four abstractions, and the construction of
-//! concrete parallel execution plans for the ideal-machine emulator.
+//! concrete parallel execution plans for the ideal-machine emulator. A
+//! plan parallelizes a loop with DOALL or HELIX; DSWP lives only in the
+//! option counts of Fig. 13.
 //!
 //! The four abstractions compared throughout (paper Figs. 13 & 14):
 //!

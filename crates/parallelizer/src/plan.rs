@@ -11,6 +11,10 @@
 //!   loops";
 //! * **PS-PDG** — "the SCCs from the PS-PDG, as well as inner
 //!   developer-expressed loops".
+//!
+//! Of the paper's three techniques a plan uses two: DOALL where the loop
+//! carries no dependence, HELIX where some SCC is parallel. DSWP is
+//! counted among the options (`enumerate`) and never planned.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -36,13 +40,6 @@ pub enum PlannedTechnique {
         /// Instructions belonging to sequential SCCs.
         sequential_insts: BTreeSet<InstId>,
     },
-    /// The SCC DAG is pipelined; each instruction is assigned a stage.
-    Dswp {
-        /// Stage of each loop instruction.
-        stage_of: BTreeMap<InstId, u32>,
-        /// Total number of stages.
-        stages: u32,
-    },
 }
 
 impl PlannedTechnique {
@@ -51,7 +48,6 @@ impl PlannedTechnique {
         match self {
             PlannedTechnique::Doall => "DOALL",
             PlannedTechnique::Helix { .. } => "HELIX",
-            PlannedTechnique::Dswp { .. } => "DSWP",
         }
     }
 }

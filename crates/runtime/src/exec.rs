@@ -11,8 +11,8 @@
 //!   dirty sets back in chunk order (reduction bases start from the
 //!   operator identity in each fork and merge with the declared
 //!   operator; deferred critical updates replay serially — see below);
-//! * **falls back** to sequential execution (HELIX and DSWP plans, which
-//!   are enumerated and emulated but never executed; non-canonical loops;
+//! * **falls back** to sequential execution (HELIX plans, which are
+//!   enumerated and emulated but never executed; non-canonical loops;
 //!   trips too short — or too cheap, under the activation cost model — to
 //!   split; or any safety condition the realization or the runtime itself
 //!   could not discharge), recording *why* in [`FallbackCounts`].

@@ -18,7 +18,7 @@
 //!              ┌─────────┴─────────┐
 //!              ▼                   ▼
 //!          Chunked             Sequential
-//!   (DOALL: CoW forks,      (HELIX and DSWP plans,
+//!   (DOALL: CoW forks,      (HELIX plans,
 //!    dirty-set commit,       anything unproven or
 //!    critical commit         under the cost threshold:
 //!    replay)                 exact sequential order on

@@ -3,11 +3,11 @@ use std::sync::Arc;
 use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink};
 use pspdg_nas::{synth, Class};
-use pspdg_parallelizer::{build_plan, realize_executable, Abstraction, LoopExec};
+use pspdg_parallelizer::{build_plan, realize_executable, Abstraction, LoopExec, PlannedTechnique};
 use pspdg_runtime::{globals_identical_mismatch, globals_mismatch, observable_globals, Runtime};
 
 /// One loop that chunks, then one whose prints carry an I/O dependence:
-/// its plan is a pipeline with the prints serialized in one stage.
+/// its plan is HELIX, with the prints in the sequential segment.
 const DOALL_THEN_PRINT_SRC: &str = r#"
     int v[256]; int w[256];
     void k() {
@@ -18,7 +18,8 @@ const DOALL_THEN_PRINT_SRC: &str = r#"
     int main() { k(); return w[255]; }
 "#;
 
-/// A recurrence feeding a consumer: the two-stage DSWP shape.
+/// A recurrence feeding a consumer: a HELIX plan whose sequential segment
+/// is the recurrence.
 const RECURRENCE_SRC: &str = r#"
     int t; int v[256]; int w[256];
     void k() {
@@ -50,10 +51,10 @@ fn doall_smoke() {
     assert_eq!(globals_mismatch(&a, &b), None);
 }
 
-/// Loops whose *plan* is a pipeline (HELIX/DSWP) are not split by any
-/// strategy: they lower sequential, say why, and run on the master
-/// bit-identical to the interpreter at every worker count. PIPE is the
-/// suite's kernel of that shape.
+/// Loops whose *plan* is HELIX are not split by any strategy: they lower
+/// sequential, say why, and run on the master bit-identical to the
+/// interpreter at every worker count. PIPE is the suite's kernel of that
+/// shape.
 #[test]
 fn pipeline_smoke() {
     let programs = [
@@ -66,21 +67,18 @@ fn pipeline_smoke() {
         let seq_ret = interp.run_main(&mut NullSink).unwrap();
         let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
         let exec = Arc::new(realize_executable(&p, &plan));
-        let pipelines: Vec<_> = exec
+        let helix: Vec<_> = exec
             .schedules()
             .iter()
-            .filter(|s| s.planned != "DOALL")
+            .filter(|s| plan.loops[&(s.func, s.loop_id)].technique != PlannedTechnique::Doall)
             .collect();
-        assert_eq!(pipelines.len(), 1, "{:?}", exec.schedules());
-        match &pipelines[0].exec {
+        assert_eq!(helix.len(), 1, "{:?}", exec.schedules());
+        match &helix[0].exec {
             LoopExec::Sequential { reason } => assert_eq!(
                 reason,
                 "HELIX/DSWP plans are enumerated and emulated, not executed"
             ),
-            other => panic!(
-                "a {} plan must not execute: {other:?}",
-                pipelines[0].planned
-            ),
+            other => panic!("a HELIX plan must not execute: {other:?}"),
         }
         let want = observable_globals(&p.module, interp.mem());
         for workers in [1, 2, 4] {

@@ -11,9 +11,9 @@
 //! `lower()` plus the one lowering fact that must not depend on it:
 //!
 //! * the `ProgramPlan` under OpenMP, PDG, J&K and PS-PDG — loops sorted by
-//!   `(function, loop)`, each with its technique (`sequential_insts` /
-//!   `stage_of`), the bases it discharges, those of them discharged as a
-//!   `Reduction`, and `end_barrier`, then the mutex groups;
+//!   `(function, loop)`, each with its technique (and a HELIX plan's
+//!   `sequential_insts`), the bases it discharges, those of them
+//!   discharged as a `Reduction`, and `end_barrier`, then the mutex groups;
 //! * per abstraction, the `(function, header)` list of the loops lowered
 //!   `Chunked`, in `schedules()` order;
 //! * the `enumerate_program` totals and per-loop option counts;
@@ -125,12 +125,6 @@ fn plan_digest(plan: &ProgramPlan) -> u64 {
             PlannedTechnique::Helix { sequential_insts } => {
                 h.words([1, sequential_insts.len() as u64]);
                 h.words(sequential_insts.iter().map(|i| i.index() as u64));
-            }
-            PlannedTechnique::Dswp { stage_of, stages } => {
-                h.words([2, u64::from(*stages), stage_of.len() as u64]);
-                for (i, st) in stage_of {
-                    h.words([i.index() as u64, u64::from(*st)]);
-                }
             }
         }
         h.bases(s.discharged.keys());

@@ -216,7 +216,7 @@ fn emulation_digest(p: &ParallelProgram) -> u64 {
     h.0
 }
 
-/// Three worksharing loops nested in one function: three planned non-DSWP
+/// Three worksharing loops nested in one function: three planned
 /// activations are live at once, so the machine's two (activation,
 /// iteration) pairs per step overflow and no flow dependence on the
 /// privatized `t` or the reduced `s` is discharged.
