@@ -11,7 +11,8 @@
 //! Array sizes are bounded too: a declaration, global or local, may hold
 //! at most [`MAX_ARRAY_CELLS`] scalar cells, so no program can make an
 //! interpreter or the runtime allocate more than that for one object, and
-//! no dimension product wraps.
+//! no dimension product wraps. Every heap allocates all globals up front,
+//! so their sum is bounded as well, by [`MAX_GLOBAL_CELLS`].
 
 use crate::ast::*;
 use crate::lexer::{Token, TokenKind};
@@ -27,6 +28,10 @@ pub(crate) const MAX_NESTING: u32 = 256;
 /// The most scalar cells one array declaration may hold (the product of
 /// its dimensions): 128 times the largest array in the bundled kernels.
 pub(crate) const MAX_ARRAY_CELLS: u64 = 1 << 20;
+
+/// The most scalar cells all globals of a program may hold together: 256
+/// times the largest bundled total, GMAX Mini's 16,389 cells.
+pub(crate) const MAX_GLOBAL_CELLS: u64 = 1 << 22;
 
 /// Scan a token stream (as produced by [`crate::lexer::tokenize`]) into a
 /// [`Unit`]: globals and function headers are parsed, and each function
@@ -177,6 +182,7 @@ impl<'t, 's> Parser<'t, 's> {
     // ---- top level --------------------------------------------------------
 
     fn unit(&mut self, unit: &mut Unit<'s>) -> Result<(), FrontendError> {
+        let mut global_cells = 0u64;
         while self.peek() != TokenKind::Eof {
             let line = self.line();
             let Some(ty) = Self::type_word(self.peek()).inspect(|_| {
@@ -195,6 +201,14 @@ impl<'t, 's> Parser<'t, 's> {
                 let mut current = name;
                 loop {
                     let dims = self.dims()?;
+                    global_cells = global_cells
+                        .checked_add(dims.iter().product())
+                        .filter(|&c| c <= MAX_GLOBAL_CELLS)
+                        .ok_or_else(|| {
+                            self.err(format!(
+                                "globals larger than {MAX_GLOBAL_CELLS} cells in all"
+                            ))
+                        })?;
                     unit.globals.push(VarDecl {
                         name: current,
                         ty,

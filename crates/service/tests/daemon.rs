@@ -195,23 +195,26 @@ fn errors_come_back_as_responses_not_hangups() {
 }
 
 /// Arrays past the front-end's cell bound — a global, a local in a called
-/// function, and a shape whose dimension product wraps `u64` — are compile
-/// errors, not an allocation that aborts the daemon, which still answers.
+/// function, and a shape whose dimension product wraps `u64` — and globals
+/// past the bound on their sum are compile errors, not an allocation that
+/// aborts the daemon, which still answers.
 #[test]
 fn oversized_arrays_are_refused_and_the_daemon_lives() {
     let service = start();
     let mut client = Client::connect(service.addr()).unwrap();
+    let array = "array larger than 1048576 cells";
     let sources = [
-        "int a[4000000000]; int main() { a[3] = 7; return a[3]; }",
-        "int f() {\n  int b[4000000000];\n  b[3] = 7; return b[3]; }\nint main() { return f(); }",
-        "int a[4294967296][4294967296]; int main() { a[3][3] = 7; return a[3][3]; }",
+        ("int a[4000000000]; int main() { a[3] = 7; return a[3]; }", array),
+        ("int f() {\n  int b[4000000000];\n  b[3] = 7; return b[3]; }\nint main() { return f(); }", array),
+        ("int a[4294967296][4294967296]; int main() { a[3][3] = 7; return a[3][3]; }", array),
+        (
+            "int a[1048576], b[1048576], c[1048576], d[1048576], e[1048576];\nint main() { return 0; }",
+            "globals larger than 4194304 cells in all",
+        ),
     ];
-    for src in sources {
+    for (src, want) in sources {
         match client.plan(src, Abstraction::PsPdg) {
-            Err(ClientError::Server(msg)) => assert!(
-                msg.contains("array larger than 1048576 cells"),
-                "{src}: {msg}"
-            ),
+            Err(ClientError::Server(msg)) => assert!(msg.contains(want), "{src}: {msg}"),
             other => panic!("{src}: expected a compile error, got {other:?}"),
         }
         client.ping().unwrap();

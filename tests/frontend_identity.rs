@@ -100,6 +100,12 @@ const ERRORS: &[(&str, &str)] = &[
         "int a[4294967296][4294967296]; int main() { a[3][3] = 7; return a[3][3]; }",
         "line 1: array larger than 1048576 cells",
     ),
+    // Globals past the total bound: four arrays at the per-array bound
+    // fill it, the fifth does not fit.
+    (
+        "int a[1048576]; int b[1048576]; int c[1048576];\nint d[1048576], e[1048576];\nint main() { return 0; }",
+        "line 2: globals larger than 4194304 cells in all",
+    ),
     // Lowering.
     (
         "int main() {\n  return x;\n}",
