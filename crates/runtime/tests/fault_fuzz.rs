@@ -21,8 +21,8 @@ use pspdg_parallel::ParallelProgram;
 use pspdg_parallelizer::{build_plan, Abstraction, ProgramPlan};
 use pspdg_runtime::{
     globals_identical_mismatch, globals_mismatch, line_equivalent, observable_globals,
-    rtval_equivalent, FallbackCounts, FaultInjector, FaultKind, FaultPlan, FaultSite, RunOutcome,
-    Runtime,
+    rtval_equivalent, FallbackCounts, FaultInjector, FaultKind, FaultPlan, FaultSite, Recorder,
+    Rng64, RunOutcome, Runtime,
 };
 
 /// Sequential oracle: return value, printed lines, observable globals.
@@ -373,12 +373,18 @@ fn assert_attributed(name: &str, site: FaultSite, kind: FaultKind, out: &RunOutc
     }
 }
 
-#[test]
-fn fuzz_random_fault_schedules_across_the_suite() {
-    let base_seed: u64 = std::env::var("FAULT_FUZZ_SEED")
+/// The fuzz seed: `FAULT_FUZZ_SEED` if set (CI pins it), else a fixed
+/// default.
+fn fuzz_seed() -> u64 {
+    std::env::var("FAULT_FUZZ_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC60_2026);
+        .unwrap_or(0xC60_2026)
+}
+
+#[test]
+fn fuzz_random_fault_schedules_across_the_suite() {
+    let base_seed = fuzz_seed();
     let mut fired_some = 0u64;
     for bench in fault_suite(Class::Test) {
         let p = bench.program();
@@ -421,5 +427,151 @@ fn fuzz_random_fault_schedules_across_the_suite() {
     assert!(
         fired_some >= 10,
         "the fuzz schedules are expected to actually fire faults ({fired_some})"
+    );
+}
+
+// ---- generated faulting programs --------------------------------------
+
+/// Where a generated program faults, named by the fallback cause its
+/// parallel activation reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Spot {
+    /// In the loop body: the chunk worker that runs the iteration raises
+    /// the fault.
+    Body,
+    /// Inside a `critical`, on protected cells: only the master's
+    /// commit-time replay reads them, so the replay raises the fault.
+    Critical,
+    /// Under the `v[i] > best` guard of a critical, on unprotected cells:
+    /// the sequential program never takes the guard at the faulting
+    /// iteration, but a worker's speculative slice runs the guarded code
+    /// unconditionally and faults.
+    Guarded,
+}
+
+impl Spot {
+    const ALL: [Spot; 3] = [Spot::Body, Spot::Critical, Spot::Guarded];
+
+    fn cause(self) -> &'static str {
+        match self {
+            Spot::Body => "worker_fault",
+            Spot::Critical => "replay_fault",
+            Spot::Guarded => "speculation_fault",
+        }
+    }
+}
+
+/// A ParC program whose `omp parallel for` loop of `n` iterations faults
+/// at iteration `k`, at `spot`, by a division by zero, an out-of-bounds
+/// index or an undefined read (`fault` 0, 1 or 2). `v[k]` is the only zero
+/// of `v`, `c[k]` the only undefined cell of the local `c`, and in a
+/// critical `s` counts the regions before this one.
+fn faulting_program(rng: &mut Rng64) -> (Spot, String) {
+    let n = 16 + rng.below(81);
+    let k = rng.below(n);
+    let m = 1 + rng.below(12);
+    let spot = Spot::ALL[rng.below(3) as usize];
+    let fault = rng.below(3) as usize;
+    let body = match (spot, fault) {
+        (Spot::Body, 0) => "b[i] = 100 / v[i];".to_string(),
+        (Spot::Body, 1) => "b[i] = w[v[i] - 1];".to_string(),
+        (Spot::Body, _) => "b[i] = v[i] + c[i];".to_string(),
+        (Spot::Critical, 0) => format!("s = s + 1; q = 100 / ({} - s);", k + 1),
+        (Spot::Critical, 1) => format!("s = s + 1; b[s + {}] = i;", n - k - 1),
+        (Spot::Critical, _) => "s = s + 1; c[s - 1] = c[s - 1] + i;".to_string(),
+        (Spot::Guarded, _) => format!(
+            "if (v[i] > best) {{ best = v[i]; q = {}; }}",
+            ["100 / v[i]", "w[v[i] - 1]", "c[i]"][fault]
+        ),
+    };
+    let body = match spot {
+        Spot::Body => body,
+        _ => format!("\n#pragma omp critical\n{{ {body} }}\n"),
+    };
+    let src = format!(
+        "int v[{n}]; int w[{n}]; int b[{n}]; int best; int q; int s;
+         int main() {{
+             int i; int c[{n}];
+             for (i = 0; i < {n}; i++) {{
+                 v[i] = 1 + (i * {m}) % 13; w[i] = i * {m};
+                 if (i != {k}) {{ c[i] = i; }}
+             }}
+             v[{k}] = 0;
+             #pragma omp parallel for
+             for (i = 0; i < {n}; i++) {{ {body} }}
+             return best * 1000 + q + s + b[{n} - 1];
+         }}"
+    );
+    (spot, src)
+}
+
+/// The `outcome` arg of every activation span `rec` holds.
+fn activation_outcomes(rec: &Recorder) -> Vec<String> {
+    rec.snapshot()
+        .events
+        .into_iter()
+        .filter(|e| e.ph == 'X' && e.name.starts_with("runtime/activation/"))
+        .filter_map(|e| {
+            e.args.into_iter().find_map(|(k, v)| match v {
+                pspdg_obs::ArgVal::S(s) if k == "outcome" => Some(s),
+                _ => None,
+            })
+        })
+        .collect()
+}
+
+/// Programs that really fault, with no injector: each runs on the
+/// sequential interpreter and on the runtime at 2 and 4 workers. The
+/// runtime raises the interpreter's exact `ExecError`, or, where the
+/// sequential program does not fault, leaves its globals, output and
+/// return value. A faulting run returns `Err` and its `RunStats` are lost,
+/// so the fallback cause is read from the activation span, which closes
+/// before the sequential re-run raises. Each spot reports its own cause,
+/// and the seed range reaches all three.
+#[test]
+fn generated_faulting_programs_match_the_oracle() {
+    let base_seed = fuzz_seed();
+    let mut reached = [0u64; 3];
+    for j in 0..48u64 {
+        let seed = base_seed.wrapping_add(j);
+        let (spot, src) = faulting_program(&mut Rng64::new(seed));
+        let p = compile(&src).unwrap_or_else(|e| panic!("seed {seed}: {e:?}\n{src}"));
+        let mut interp = Interpreter::new(&p.module);
+        let want = interp.run_main(&mut NullSink);
+        // The OpenMP plan follows the annotation whatever the (partial)
+        // profile says, so the loop is chunked and workers do fault.
+        let plan = build_plan(&p, interp.profile(), Abstraction::OpenMp, 0.0);
+        for workers in [2, 4] {
+            let ctx = format!("seed {seed}, {spot:?}, {workers} workers\n{src}");
+            let rec = Arc::new(Recorder::new());
+            let rt = Runtime::new(&p, &plan)
+                .workers(workers)
+                .cost_threshold(0)
+                .recorder(Arc::clone(&rec));
+            assert_eq!(rt.realization().chunked, 1, "{ctx}");
+            match (&want, rt.run_main()) {
+                (Err(want), got) => {
+                    assert_eq!(got.as_ref().err(), Some(want), "{ctx}");
+                }
+                (Ok(ret), Ok(out)) => {
+                    assert_eq!(spot, Spot::Guarded, "{ctx}");
+                    let o = Oracle {
+                        ret: *ret,
+                        output: interp.output().to_vec(),
+                        globals: observable_globals(&p.module, interp.mem()),
+                        plan_pspdg: plan.clone(),
+                        plan_openmp: plan.clone(),
+                    };
+                    assert_matches("generated", &p, &o, &out, &ctx);
+                }
+                (Ok(_), Err(e)) => panic!("{ctx}: the runtime raised {e:?}"),
+            }
+            assert_eq!(activation_outcomes(&rec), [spot.cause()], "{ctx}");
+            reached[spot as usize] += 1;
+        }
+    }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "every recovery is reached over the seed range: {reached:?}"
     );
 }
