@@ -27,12 +27,6 @@
 //! additionally asserts the critical-replay invariants on GMAX: both
 //! guarded-critical loops chunk with zero mutex fallbacks and replay
 //! packets flow at commit.
-//!
-//! The JSON also carries a `fault_injection` section: one seeded
-//! single-fault scenario per [`pspdg_runtime::FaultKind`], recording the
-//! injected-fault count and per-cause fallback
-//! attribution, with `--smoke` asserting every scenario fires, recovers,
-//! and leaves a reusable runtime whose heap matches the interpreter.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -41,12 +35,10 @@ use std::time::Instant;
 
 use pspdg_emulator::{emulate, PredictedVsMeasured};
 use pspdg_ir::interp::{Interpreter, NullSink, Step, TraceSink};
-use pspdg_nas::{benchmark, runtime_suite, Class};
+use pspdg_nas::{runtime_suite, Class};
 use pspdg_obs::Recorder;
 use pspdg_parallelizer::{build_plan, realize_executable, Abstraction};
-use pspdg_runtime::{
-    globals_mismatch, observable_globals, FaultInjector, FaultKind, FaultPlan, FaultSite, Runtime,
-};
+use pspdg_runtime::{globals_mismatch, observable_globals, Runtime};
 
 /// A sink that looks at every slice of every step and keeps nothing: what
 /// the traced interpreter costs on its own, the floor under `emulate`.
@@ -279,115 +271,6 @@ fn main() {
         );
     }
 
-    // Fault-injection demo: one seeded scenario per fault kind, each
-    // proving the recovery contract — the injected fault fires exactly
-    // once, the run survives by falling back sequentially, the final heap
-    // still matches the sequential interpreter, and a clean rerun on the
-    // *same* runtime is fault-free. The counts land in the JSON so a
-    // regression in any recovery path shows up in the smoke artifact.
-    let scenarios: [(&str, FaultSite, FaultKind, &str); 4] = [
-        (
-            "IS",
-            FaultSite::ChunkWorker(0),
-            FaultKind::WorkerPanic,
-            "worker_fault",
-        ),
-        (
-            "IS",
-            FaultSite::ChunkWorker(1),
-            FaultKind::WorkerFault,
-            "worker_fault",
-        ),
-        (
-            "GMAX",
-            FaultSite::CritSlice(0),
-            FaultKind::SpeculationFault,
-            "speculation_fault",
-        ),
-        (
-            "GMAX",
-            FaultSite::ReplayPacket(0),
-            FaultKind::ReplayFault,
-            "replay_fault",
-        ),
-    ];
-    let mut fault_rows = String::new();
-    for (name, site, kind, cause) in scenarios {
-        let b = benchmark(name, class).expect("fault-demo kernel exists");
-        let p = b.program();
-        let mut oracle = Interpreter::new(&p.module);
-        oracle
-            .run_main(&mut NullSink)
-            .expect("fault-demo oracle runs");
-        let plan = build_plan(&p, oracle.profile(), Abstraction::PsPdg, 0.01);
-        let inj = FaultInjector::arm(FaultPlan::single(site, kind));
-        // No activation gate, so the targeted parallel construct (chunk,
-        // critical) is reached deterministically at Class::Test sizes.
-        let rt = Runtime::new(&p, &plan)
-            .workers(workers)
-            .cost_threshold(0)
-            .fault_injector(Arc::clone(&inj));
-        let faulted = rt.run_main().expect("faulted run recovers");
-        let seq_globals = observable_globals(&p.module, oracle.mem());
-        let heap_ok =
-            globals_mismatch(&seq_globals, &observable_globals(&p.module, &faulted.mem)).is_none();
-        let clean = rt.run_main().expect("post-fault rerun works");
-        let recovered = heap_ok
-            && clean.stats.injected_faults == 0
-            && globals_mismatch(&seq_globals, &observable_globals(&p.module, &clean.mem)).is_none();
-        let stats = &faulted.stats;
-        println!(
-            "FAULT {:<4} {:?}/{:?}: fired {}  fallbacks [{}]  recovered {}",
-            name,
-            site,
-            kind,
-            stats.injected_faults,
-            stats
-                .fallbacks
-                .nonzero()
-                .iter()
-                .map(|(r, n)| format!("{r}: {n}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            recovered,
-        );
-        if smoke {
-            assert_eq!(
-                stats.injected_faults, 1,
-                "{name} {site:?}/{kind:?} must fire exactly once: {stats:?}"
-            );
-            let n = stats
-                .fallbacks
-                .table()
-                .iter()
-                .find(|(r, _)| *r == cause)
-                .map_or(0, |(_, n)| *n);
-            assert!(
-                n >= 1,
-                "{name} {site:?}/{kind:?} must attribute to {cause}: {stats:?}"
-            );
-            assert!(
-                recovered,
-                "{name} {site:?}/{kind:?} must leave a reusable runtime with an oracle-identical heap"
-            );
-        }
-        if !fault_rows.is_empty() {
-            fault_rows.push_str(",\n");
-        }
-        let causes: String = stats
-            .fallbacks
-            .nonzero()
-            .iter()
-            .map(|(r, n)| format!("\"{r}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            fault_rows,
-            "    {{\"kernel\": \"{name}\", \"site\": \"{site:?}\", \"kind\": \"{kind:?}\", \"injected_faults\": {}, \"fallback_causes\": {{{causes}}}, \"recovered\": {recovered}}}",
-            stats.injected_faults,
-        );
-    }
-
     // Profiled pass: re-run the suite with one enabled recorder shared
     // across kernels (span summaries), plus a per-kernel three-way
     // overhead measurement — absent vs disabled vs enabled recorder on
@@ -509,7 +392,7 @@ fn main() {
     let opcodes_json = opcodes_json(suite_ops.into_iter().collect());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances the master's commit-time replay executed\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"fault_injection_note\": \"seeded single-fault scenarios (one per FaultKind): each fires exactly once, the run recovers, and the heap matches the sequential interpreter; recovered also requires a clean rerun on the same Runtime\",\n  \"fault_injection\": [\n{fault_rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances the master's commit-time replay executed\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

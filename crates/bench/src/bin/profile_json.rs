@@ -5,8 +5,8 @@
 //!
 //! * `profile_trace.json` — Chrome trace-event JSON; load it in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see
-//!   the pipeline phases, per-loop activations, worker lanes, and fault
-//!   instants on a timeline;
+//!   the pipeline phases, per-loop activations and worker lanes on a
+//!   timeline;
 //! * `profile_metrics.json` — the metrics snapshot: counters,
 //!   histograms, span summaries;
 //! * stdout — the flat "top opcodes / top spans" report. The opcode

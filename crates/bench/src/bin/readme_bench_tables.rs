@@ -113,8 +113,8 @@ fn runtime_table(json: &str) -> String {
     let mut t = String::from(
         "| kernel | sequential (ms) | parallel (ms) | measured | predicted | emulate (ms) | dyn chunked | critical packets | critical replays | fallbacks (by cause) |\n|---|---|---|---|---|---|---|---|---|---|\n",
     );
-    // The runtime JSON also has per-kernel fault-injection and profiling
-    // rows; only the timed rows carry `measured_speedup`.
+    // The runtime JSON also has per-kernel profiling rows; only the
+    // timed rows carry `measured_speedup`.
     for l in kernel_lines(json)
         .into_iter()
         .filter(|l| l.contains("\"measured_speedup\""))

@@ -95,11 +95,10 @@ pub fn runtime_suite(class: Class) -> Vec<Benchmark> {
     v
 }
 
-/// The kernel set the fault-injection fuzz suite drives: the runtime
-/// suite plus the SYNTH-family PIPE kernel, whose hot loop is a carried
-/// recurrence no strategy splits — so the `scheduled_sequential` path is
-/// exercised under faults too, on a kernel where it is the whole run
-/// (see [`synth::pipe`]).
+/// The runtime suite plus the SYNTH-family PIPE kernel, whose hot loop is
+/// a carried recurrence no strategy splits — so the runtime's differential
+/// pins cover a kernel where the `scheduled_sequential` path is the whole
+/// run (see [`synth::pipe`]).
 pub fn fault_suite(class: Class) -> Vec<Benchmark> {
     let mut v = runtime_suite(class);
     v.push(synth::pipe(class));

@@ -202,8 +202,7 @@ fn pipe_trip(class: Class) -> usize {
 /// the planner answers HELIX, which the emulator runs on its ideal
 /// machine, and the enumerator counts HELIX and DSWP options. The
 /// runtime, whose one parallel strategy is chunking, runs the loop on the
-/// master (`scheduled_sequential`), under the fault-injection fuzz suite
-/// too.
+/// master (`scheduled_sequential`).
 pub fn pipe(class: Class) -> Benchmark {
     let n = pipe_trip(class);
     let source = format!(

@@ -54,8 +54,8 @@ fn arg_json(v: &ArgVal) -> String {
 
 impl Snapshot {
     /// Chrome trace-event JSON: an object with a `traceEvents` array of
-    /// `"X"` complete spans and `"i"` instants (timestamps in
-    /// microseconds, as the format requires), plus `"M"` metadata
+    /// `"X"` complete spans (timestamps in microseconds, as the format
+    /// requires), plus `"M"` metadata
     /// events naming the thread lanes. Loadable in Perfetto and
     /// `chrome://tracing`.
     pub fn chrome_trace_json(&self) -> String {
@@ -89,9 +89,6 @@ impl Snapshot {
             if e.ph == 'X' {
                 let dur = e.dur_ns as f64 / 1000.0;
                 let _ = write!(out, ",\"dur\":{dur:.3}");
-            }
-            if e.ph == 'i' {
-                out.push_str(",\"s\":\"t\"");
             }
             if !e.args.is_empty() {
                 out.push_str(",\"args\":{");
@@ -189,7 +186,7 @@ mod tests {
             s.arg("kernel", "IS");
             s.arg("loops", 3u64);
         }
-        rec.instant("fault/worker_panic", "fault");
+        drop(rec.span("runtime/chunk_worker", "runtime"));
         rec.add("pool/dispatches", 4);
         rec.observe("runtime/activation_ns", 12345);
         let snap = rec.snapshot();

@@ -282,8 +282,6 @@ impl Parser<'_> {
 pub struct TraceCheck {
     /// Number of `"X"` complete spans.
     pub spans: usize,
-    /// Number of `"i"` instants.
-    pub instants: usize,
     /// Deepest nesting across all thread lanes.
     pub max_depth: usize,
 }
@@ -327,7 +325,6 @@ pub fn validate_chrome_trace(src: &str) -> Result<TraceCheck, String> {
                 spans.push((tid, ts, dur, name));
                 check.spans += 1;
             }
-            "i" => check.instants += 1,
             "M" => {}
             other => return Err(format!("unexpected phase {other:?}")),
         }
@@ -475,12 +472,10 @@ mod tests {
         let good = r#"{"traceEvents":[
             {"name":"outer","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":100.0},
             {"name":"inner","ph":"X","pid":1,"tid":0,"ts":10.0,"dur":20.0},
-            {"name":"other-lane","ph":"X","pid":1,"tid":1,"ts":50.0,"dur":500.0},
-            {"name":"tick","ph":"i","pid":1,"tid":0,"ts":5.0,"s":"t"}
+            {"name":"other-lane","ph":"X","pid":1,"tid":1,"ts":50.0,"dur":500.0}
         ]}"#;
         let c = validate_chrome_trace(good).unwrap();
         assert_eq!(c.spans, 3);
-        assert_eq!(c.instants, 1);
         assert_eq!(c.max_depth, 2);
 
         let bad = r#"{"traceEvents":[

@@ -1,19 +1,18 @@
 //! # pspdg-obs — low-overhead observability for the PS-PDG pipeline
 //!
 //! A self-contained (std-only) recording substrate threaded through the
-//! whole Fig. 2 pipeline the same way `FaultInjector` is: plain data
-//! handed to the drivers, no `#[cfg]` gates, and `Option`-cheap when
-//! absent or disabled.
+//! whole Fig. 2 pipeline as plain data handed to the drivers: no
+//! `#[cfg]` gates, and `Option`-cheap when absent or disabled.
 //!
 //! ```text
 //!             ┌──────────── Arc<Recorder> ────────────┐
-//!             │  spans · instants · counters · log2   │
-//!             │  histograms, one monotonic epoch      │
+//!             │  spans · counters · log2 histograms,  │
+//!             │  one monotonic epoch                  │
 //!             └──────▲──────────────▲─────────────────┘
 //!                    │ lock per     │ lock per
-//!                    │ span close   │ event / sample
-//!              SpanGuard        instant · add · observe
-//!              (phases, activations,   (fault injections,
+//!                    │ span close   │ sample
+//!              SpanGuard        add · observe
+//!              (phases, activations,   (pool dispatches,
 //!               chunk workers)          daemon queue depth)
 //! ```
 //!
@@ -24,8 +23,6 @@
 //!   activation-granularity timing (one mutex lock per span close).
 //!   Exported as Chrome trace-event `"X"` complete events, loadable in
 //!   Perfetto / `chrome://tracing`.
-//! * **Instants** ([`Recorder::instant`]) — point events for fault
-//!   injections, in the same stream.
 //! * **Counters and histograms** ([`Recorder::add`],
 //!   [`Recorder::observe`]) — named totals and log2-bucketed samples.
 //!

@@ -75,7 +75,7 @@ impl Histogram {
     }
 }
 
-/// One span/instant argument value.
+/// One span argument value.
 #[derive(Debug, Clone)]
 pub enum ArgVal {
     /// Signed integer.
@@ -119,19 +119,19 @@ impl From<String> for ArgVal {
     }
 }
 
-/// One trace event: a Chrome trace-event `"X"` complete span or an
-/// `"i"` instant, timed in nanoseconds since the recorder's epoch.
+/// One trace event: a Chrome trace-event `"X"` complete span, timed in
+/// nanoseconds since the recorder's epoch.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Event name (span taxonomy: `pipeline/…`, `runtime/…`, `fault/…`).
     pub name: String,
     /// Category (`"pipeline"`, `"runtime"`, `"fault"`, `"pool"`, …).
     pub cat: &'static str,
-    /// Phase: `'X'` complete span, `'i'` instant.
+    /// Phase: always `'X'`, a complete span.
     pub ph: char,
     /// Start, nanoseconds since the recorder epoch (monotonic).
     pub ts_ns: u64,
-    /// Duration in nanoseconds (0 for instants).
+    /// Duration in nanoseconds.
     pub dur_ns: u64,
     /// Interned thread lane (index into [`Snapshot::threads`]).
     pub tid: u32,
@@ -160,13 +160,12 @@ impl Inner {
     }
 }
 
-/// Thread-safe recording sink: spans, instants, counters and histograms,
+/// Thread-safe recording sink: spans, counters and histograms,
 /// timed against one monotonic epoch.
 ///
 /// Cheap when disabled: every recording entry point checks one relaxed
 /// atomic and returns without locking or allocating. Share it as
-/// `Arc<Recorder>` (the engines and the worker pool hold clones, the
-/// same way they hold `Arc<FaultInjector>`).
+/// `Arc<Recorder>` (the engines and the worker pool hold clones).
 pub struct Recorder {
     enabled: AtomicBool,
     epoch: Instant,
@@ -234,25 +233,6 @@ impl Recorder {
             start_ns: self.now_ns(),
             args: Vec::new(),
         }
-    }
-
-    /// Record a point event (a fault injection, …).
-    pub fn instant(&self, name: &str, cat: &'static str) {
-        if !self.enabled() {
-            return;
-        }
-        let ts = self.now_ns();
-        let mut inner = self.inner.lock().unwrap();
-        let tid = inner.tid();
-        inner.events.push(TraceEvent {
-            name: name.to_string(),
-            cat,
-            ph: 'i',
-            ts_ns: ts,
-            dur_ns: 0,
-            tid,
-            args: Vec::new(),
-        });
     }
 
     /// Bump a named counter.
@@ -371,7 +351,7 @@ impl Drop for SpanGuard<'_> {
 /// [`text_report`](Snapshot::text_report)) work from.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// All spans and instants, in recording order.
+    /// All spans, in recording order.
     pub events: Vec<TraceEvent>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -432,15 +412,13 @@ mod tests {
             outer.arg("k", 3u64);
             let _inner = rec.span("inner", "test");
         }
-        rec.instant("tick", "test");
         let snap = rec.snapshot();
-        assert_eq!(snap.events.len(), 3);
+        assert_eq!(snap.events.len(), 2);
         // Inner closes first (drop order), outer encloses it.
         let inner = snap.events.iter().find(|e| e.name == "inner").unwrap();
         let outer = snap.events.iter().find(|e| e.name == "outer").unwrap();
         assert!(outer.ts_ns <= inner.ts_ns);
         assert!(outer.ts_ns + outer.dur_ns >= inner.ts_ns + inner.dur_ns);
-        assert_eq!(snap.events.iter().filter(|e| e.ph == 'i').count(), 1);
     }
 
     #[test]
@@ -450,7 +428,6 @@ mod tests {
             let mut s = rec.span("x", "test");
             s.arg("k", 1u64);
         }
-        rec.instant("x", "test");
         rec.add("c", 5);
         rec.observe("h", 9);
         let snap = rec.snapshot();
@@ -462,7 +439,7 @@ mod tests {
     #[test]
     fn drain_resets_but_keeps_interning() {
         let rec = Recorder::new();
-        rec.instant("first", "test");
+        drop(rec.span("first", "test"));
         rec.add("jobs", 2);
         let first = rec.drain();
         assert_eq!(first.events.len(), 1);
@@ -471,7 +448,7 @@ mod tests {
         assert!(second.events.is_empty());
         assert!(second.counters.is_empty());
         // The lane this thread was given before the drain is still its lane.
-        rec.instant("second", "test");
+        drop(rec.span("second", "test"));
         let third = rec.snapshot();
         assert_eq!(third.events[0].tid, first.events[0].tid);
         assert_eq!(third.threads, first.threads);

@@ -97,10 +97,9 @@ pub fn globals_mismatch(
 
 /// Like [`globals_mismatch`], but **bit-identical** ([`rtval_identical`]):
 /// no float tolerance. This is the oracle for runs where every parallel
-/// attempt fell back (or was faulted into falling back) — sequential
-/// execution on the master heap must reproduce the interpreter exactly,
-/// so the fault-injection fuzzer asserts it whenever a run reports zero
-/// chunked activations.
+/// attempt fell back — sequential execution on the master heap must
+/// reproduce the interpreter exactly, so the fault fuzz suite asserts it
+/// whenever a run reports zero chunked activations.
 pub fn globals_identical_mismatch(
     a: &[(String, Vec<RtVal>)],
     b: &[(String, Vec<RtVal>)],

@@ -92,8 +92,6 @@ use pspdg_parallelizer::{
 use pspdg_pdg::MemBase;
 use pspdg_pool::WorkerPool;
 
-use crate::fault::{FaultInjector, FaultKind};
-
 /// Default [`Runtime::cost_threshold`]: activations whose estimated
 /// dynamic size (`trip × body_insts`) falls below this skip parallel
 /// setup. Roughly the break-even point where fork + dispatch + commit
@@ -192,10 +190,6 @@ pub struct RunStats {
     /// worker forks (`× PAGE_BYTES` ≈ bytes actually copied; everything
     /// else was shared).
     pub cow_pages: u64,
-    /// Synthetic faults fired by an attached
-    /// [`FaultInjector`] during this run
-    /// (0 without one — real runs never inject).
-    pub injected_faults: u64,
     /// Always 0: nothing writes it. Read only by `benchmark/src/trace.rs`
     /// (the `runtime.compiled_blocks` metric), which this crate's PRs may
     /// not edit; the next `benchmark` PR deletes the metric and this field.
@@ -234,13 +228,12 @@ impl std::fmt::Display for RunStats {
             "  fork cells committed   {:>12}",
             self.fork_cells_committed
         )?;
-        writeln!(
+        write!(
             f,
             "  cow pages              {:>12}  (~{} KiB copied)",
             self.cow_pages,
             self.fork_bytes() / 1024
-        )?;
-        write!(f, "  injected faults        {:>12}", self.injected_faults)
+        )
     }
 }
 
@@ -314,13 +307,8 @@ pub struct Runtime {
     workers: usize,
     fuel: u64,
     cost_threshold: u64,
-    /// Deterministic fault source for robustness testing; `None` (the
-    /// only production configuration) costs one never-taken branch on
-    /// each cold path.
-    faults: Option<Arc<FaultInjector>>,
-    /// Observability sink: a span per run, activation and chunk worker,
-    /// fault instants. Consulted per activation, never per block
-    /// or per instruction.
+    /// Observability sink: a span per run, activation and chunk worker.
+    /// Consulted per activation, never per block or per instruction.
     obs: Option<Arc<Recorder>>,
     /// Created lazily on the first parallel activation; lives as long as
     /// the `Runtime`.
@@ -348,7 +336,6 @@ impl Runtime {
             workers: pspdg_pool::default_width().max(1),
             fuel: 1 << 48,
             cost_threshold: DEFAULT_COST_THRESHOLD,
-            faults: None,
             obs: None,
             pool: OnceLock::new(),
         }
@@ -384,17 +371,9 @@ impl Runtime {
         self
     }
 
-    /// Attach a deterministic fault injector (robustness testing only).
-    /// Its site counters are **cumulative across `run` calls** on this
-    /// runtime, so a schedule can address "the 7th chunk worker ever".
-    pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Runtime {
-        self.faults = Some(injector);
-        self
-    }
-
     /// Attach an observability recorder: every `run` then records
     /// activation spans (strategy, trip, packets, fallback cause,
-    /// duration) and fault instants into it. A disabled recorder records
+    /// duration) into it. A disabled recorder records
     /// nothing and costs what an absent one costs — the production
     /// configuration keeps it attached and toggles
     /// [`Recorder::set_enabled`].
@@ -451,7 +430,6 @@ impl Runtime {
     ///
     /// See [`Runtime::run_main`].
     pub fn run(&self, func: FuncId, args: &[RtVal]) -> Result<RunOutcome, ExecError> {
-        let fired_before = self.faults.as_ref().map_or(0, |fi| fi.fired_total());
         // A disabled recorder resolves to `None` here: "attached but
         // off" and "absent" are the same run.
         let rec = self.obs.as_deref().filter(|r| r.enabled());
@@ -466,7 +444,6 @@ impl Runtime {
             pool: (self.workers >= 2).then(|| self.pool()),
             workers: self.workers,
             cost_threshold: self.cost_threshold,
-            faults: self.faults.as_deref(),
             rec,
             last_trip: 0,
             mem: MemState::for_module(&self.program.module),
@@ -478,11 +455,7 @@ impl Runtime {
             stats: RunStats::default(),
         };
         let ret = engine.exec_function(func, args.to_vec())?;
-        let mut stats = engine.stats;
-        stats.injected_faults = self
-            .faults
-            .as_ref()
-            .map_or(0, |fi| fi.fired_total() - fired_before);
+        let stats = engine.stats;
         if let Some(sp) = run_span.as_mut() {
             sp.arg("steps", engine.steps);
             sp.arg("chunked", stats.chunked_loops);
@@ -508,9 +481,6 @@ struct Engine<'a> {
     pool: Option<&'a WorkerPool>,
     workers: usize,
     cost_threshold: u64,
-    /// Deterministic fault source; shared by the master and chunk workers
-    /// so site counters are global.
-    faults: Option<&'a FaultInjector>,
     /// Observability sink (already gated on [`Recorder::enabled`]:
     /// `Some` here means record). Shared by master and chunk workers so
     /// spans land in one stream.
@@ -571,13 +541,6 @@ impl<'a> Engine<'a> {
         sp.arg("cow_pages", d.cow_pages - before.cow_pages);
         if let Some(r) = self.rec {
             r.observe("runtime/activation_ns", sp.elapsed_ns());
-        }
-    }
-
-    /// Record a fault-injection instant in the trace stream.
-    fn fault_instant(&self, kind: FaultKind) {
-        if let Some(r) = self.rec {
-            r.instant(kind.label(), "fault");
         }
     }
 
@@ -784,13 +747,12 @@ impl<'a> Engine<'a> {
             steps: u64,
         }
         let module = self.module;
-        let faults = self.faults;
         let rec = self.rec;
         let depth = self.depth;
         let mut slots: Vec<Option<Result<ChunkOut, FallbackWhy>>> =
             ranges.iter().map(|_| None).collect();
-        // `scope_catch`: a panicked chunk worker (organic or injected)
-        // must demote to a sequential fallback, not take the master down.
+        // `scope_catch`: a panicked chunk worker (an engine bug) must
+        // demote to a sequential fallback, not take the master down.
         let ((), any_panicked) = pool.scope_catch(|scope| {
             for (slot, &(lo, hi)) in slots.iter_mut().zip(&ranges) {
                 // O(pages) fork: pages stay shared until a worker writes
@@ -805,29 +767,12 @@ impl<'a> Engine<'a> {
                         s.arg("hi", hi);
                         s
                     });
-                    match faults.and_then(FaultInjector::on_chunk_worker) {
-                        Some(kind @ FaultKind::WorkerPanic) => {
-                            if let Some(r) = rec {
-                                r.instant(kind.label(), "fault");
-                            }
-                            panic!("injected chunk worker panic")
-                        }
-                        Some(kind @ FaultKind::WorkerFault) => {
-                            if let Some(r) = rec {
-                                r.instant(kind.label(), "fault");
-                            }
-                            *slot = Some(Err(FallbackWhy::WorkerFault));
-                            return;
-                        }
-                        _ => {}
-                    }
                     let mut worker = Engine {
                         module,
                         plan: None,
                         pool: None,
                         workers: 1,
                         cost_threshold: 0,
-                        faults,
                         rec,
                         last_trip: 0,
                         mem: fork,
@@ -906,19 +851,11 @@ impl<'a> Engine<'a> {
                 }
             });
             for (idx, packet) in &out.crit_log {
-                let stores = if self.faults.and_then(FaultInjector::on_replay_packet)
-                    == Some(FaultKind::ReplayFault)
-                {
-                    self.fault_instant(FaultKind::ReplayFault);
-                    None
-                } else {
-                    let rframe = rframe.get_or_insert_with(|| frame.clone());
-                    let cr = &c.criticals[*idx as usize];
-                    // `Err`: e.g. an uninitialized protected cell, where
-                    // sequential execution faults at this instance in order.
-                    self.replay_region(func_id, f, rframe, cr, packet).ok()
-                };
-                let Some(stores) = stores else {
+                let rframe = rframe.get_or_insert_with(|| frame.clone());
+                let cr = &c.criticals[*idx as usize];
+                // `Err`: e.g. an uninitialized protected cell, where
+                // sequential execution faults at this instance in order.
+                let Ok(stores) = self.replay_region(func_id, f, rframe, cr, packet) else {
                     let (mem, steps) = rollback.expect("a logged packet took a rollback copy");
                     self.mem = mem;
                     self.steps = steps;
@@ -1021,10 +958,6 @@ impl<'a> Engine<'a> {
         idx: u32,
         cr: &CriticalReplay,
     ) -> Result<(), FallbackWhy> {
-        if self.faults.and_then(FaultInjector::on_crit_slice) == Some(FaultKind::SpeculationFault) {
-            self.fault_instant(FaultKind::SpeculationFault);
-            return Err(FallbackWhy::SpeculationFault);
-        }
         for &i in &cr.worker_insts {
             match step(self, func_id, f, frame, i) {
                 Ok(Flow::Next) => {}

@@ -43,12 +43,11 @@
 //! Only a critical replay can abort a commit, so the master copies its
 //! heap for rollback only when some fork logged a packet.
 //!
-//! Every recovery path above is *provable on demand*: the [`fault`]
-//! module injects deterministic, site-addressed faults (worker panics,
-//! speculative-slice faults, replay faults) behind a
-//! zero-cost-when-disabled hook. The fault-schedule fuzz suite
-//! (`tests/fault_fuzz.rs`) drives random seeded schedules across every
-//! kernel and asserts the fallback-parity contract held.
+//! Every recovery path above is reached by programs that really fault:
+//! the fuzz suite (`tests/fault_fuzz.rs`) generates seeded ParC loops
+//! that divide by zero, index out of bounds or read an undefined cell in
+//! a loop body, inside a critical, or under a critical's guard, and
+//! checks each against the sequential interpreter.
 //!
 //! There is **one engine** and **one parallel strategy**: [`exec`]'s
 //! per-instruction interpreter runs the master, every chunk worker, every
@@ -59,9 +58,8 @@
 //! ([`pspdg_parallelizer::ExecutablePlan::headers_in`]), not a hash.
 //!
 //! Module map: [`exec`] — the engine ([`Runtime`], [`RunStats`],
-//! [`FallbackCounts`]); [`fault`] — deterministic fault injection
-//! ([`FaultPlan`], [`FaultInjector`]);
-//! [`check`] — observable-state extraction for differential testing.
+//! [`FallbackCounts`]); [`Rng64`] — the seeded generator behind fuzz
+//! inputs; [`check`] — observable-state extraction for differential testing.
 //! The persistent scoped [`WorkerPool`] lives in the shared
 //! `pspdg-pool` crate.
 
@@ -69,13 +67,13 @@
 
 pub mod check;
 pub mod exec;
-pub mod fault;
+mod rng;
 
 pub use check::{
     global_cells, globals_identical_mismatch, globals_mismatch, line_equivalent,
     observable_globals, rtval_equivalent, rtval_identical, FLOAT_RTOL,
 };
 pub use exec::{FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD};
-pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection, Rng64};
 pub use pspdg_obs::{Recorder, Snapshot};
 pub use pspdg_pool::WorkerPool;
+pub use rng::Rng64;

@@ -1,17 +1,17 @@
 //! End-to-end observability contract: the opcode table derived from the
 //! oracle's block counts accounts for every step the engine takes,
-//! activation spans land in the trace with strategy/outcome args, fault
-//! injections surface as instants, and the emitted Chrome trace stays
-//! structurally valid under real concurrency.
+//! activation spans land in the trace with strategy/outcome args — the
+//! fallback cause of a faulting program included — and the emitted Chrome
+//! trace stays structurally valid under real concurrency.
 
 use std::sync::Arc;
 
 use pspdg_frontend::compile;
-use pspdg_ir::interp::{Interpreter, NullSink};
+use pspdg_ir::interp::{ExecError, Interpreter, NullSink, RtVal};
 use pspdg_nas::{runtime_suite, Class};
 use pspdg_obs::{json, Recorder};
 use pspdg_parallelizer::{build_plan, Abstraction};
-use pspdg_runtime::{FaultInjector, FaultKind, FaultPlan, FaultSite, Runtime};
+use pspdg_runtime::Runtime;
 
 const DOALL_SRC: &str = r#"
     int v[512]; int w[512];
@@ -134,48 +134,71 @@ fn activation_spans_and_trace_validity() {
     assert!(check.spans >= 3);
 }
 
-/// Injected faults are visible in the same stream: a chunk-worker panic
-/// shows up as a `fault/worker_panic` instant and the activation span
-/// reports the `worker_fault` fallback outcome instead of `parallel`.
-#[test]
-fn fault_instants_and_fallback_outcome() {
-    let p = compile(DOALL_SRC).unwrap();
+/// The outcome arg of every activation span a run of `src` records at
+/// four workers, with the run's result.
+fn activation_outcomes(src: &str) -> (Result<Option<RtVal>, ExecError>, Vec<String>) {
+    let p = compile(src).unwrap();
     let mut interp = Interpreter::new(&p.module);
-    let seq_ret = interp.run_main(&mut NullSink).unwrap();
-    let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-
+    let seq = interp.run_main(&mut NullSink);
+    let plan = build_plan(&p, interp.profile(), Abstraction::OpenMp, 0.0);
     let rec = Arc::new(Recorder::new());
-    let inj = FaultInjector::arm(FaultPlan::single(
-        FaultSite::ChunkWorker(0),
-        FaultKind::WorkerPanic,
-    ));
-    let out = Runtime::new(&p, &plan)
+    let got = Runtime::new(&p, &plan)
         .workers(4)
         .cost_threshold(0)
-        .fault_injector(Arc::clone(&inj))
         .recorder(Arc::clone(&rec))
         .run_main()
-        .unwrap();
-    assert_eq!(out.ret, seq_ret, "the fallback still produces the answer");
-    assert_eq!(inj.fired_total(), 1);
-
-    let snap = rec.snapshot();
-    assert!(
-        snap.events
-            .iter()
-            .any(|e| e.ph == 'i' && e.name == "fault/worker_panic"),
-        "fault instant recorded"
-    );
-    let fellback = snap
+        .map(|out| out.ret);
+    assert_eq!(got, seq, "the fallback reproduces the oracle");
+    let outcomes = rec
+        .snapshot()
         .events
-        .iter()
+        .into_iter()
         .filter(|e| e.ph == 'X' && e.name.starts_with("runtime/activation/"))
-        .any(|e| {
-            e.args
-                .iter()
-                .any(|(k, v)| *k == "outcome" && format!("{v:?}").contains("worker_fault"))
-        });
-    assert!(fellback, "one activation reports the worker_fault fallback");
+        .flat_map(|e| e.args)
+        .filter(|(k, _)| *k == "outcome")
+        .map(|(_, v)| format!("{v:?}"))
+        .collect();
+    (got, outcomes)
+}
+
+/// Faults that real programs raise are visible in the same stream: the
+/// activation span reports the fallback cause instead of `parallel` — a
+/// speculative slice that divides by zero under a guard the sequential
+/// program never takes, and a body that faults, whose run returns the
+/// oracle's `Err` after the span has closed.
+#[test]
+fn organic_faults_report_their_fallback_outcome() {
+    let (ret, outcomes) = activation_outcomes(
+        r#"
+        int v[64]; int best; int q;
+        int main() {
+            int i;
+            for (i = 0; i < 64; i++) { v[i] = (i * 7) % 13; }
+            #pragma omp parallel for
+            for (i = 0; i < 64; i++) {
+                #pragma omp critical
+                { if (v[i] > best) { best = v[i]; q = 100 / v[i]; } }
+            }
+            return best + q;
+        }
+        "#,
+    );
+    assert!(ret.is_ok());
+    assert_eq!(outcomes, ["S(\"speculation_fault\")"]);
+
+    let (ret, outcomes) = activation_outcomes(
+        r#"
+        int b[64];
+        int main() {
+            int i;
+            #pragma omp parallel for
+            for (i = 0; i < 64; i++) { b[i] = 1000 / (37 - i); }
+            return b[5];
+        }
+        "#,
+    );
+    assert!(matches!(ret, Err(ExecError::DivByZero { .. })), "{ret:?}");
+    assert_eq!(outcomes, ["S(\"worker_fault\")"]);
 }
 
 /// A disabled recorder attached to the runtime records nothing at all —
