@@ -274,11 +274,10 @@ pub fn realize_executable_recorded(
     ExecutablePlan::new(schedules)
 }
 
-/// Why every HELIX-planned loop lowers [`LoopExec::Sequential`]. The text
-/// still names DSWP, which no plan has: `plan_identity`'s lowering digest
-/// hashes it, so rewording it would move every pinned row with a HELIX
-/// loop.
-const PLANNED_NOT_EXECUTED: &str = "HELIX/DSWP plans are enumerated and emulated, not executed";
+/// Why every HELIX-planned loop lowers [`LoopExec::Sequential`].
+/// `plan_identity`'s lowering digest hashes this text, so rewording it
+/// moves every pinned row with a HELIX loop.
+const PLANNED_NOT_EXECUTED: &str = "HELIX plans are enumerated and emulated, not executed";
 
 /// Per-function realization context.
 struct FuncRealizer<'a> {

@@ -76,7 +76,7 @@ fn pipeline_smoke() {
         match &helix[0].exec {
             LoopExec::Sequential { reason } => assert_eq!(
                 reason,
-                "HELIX/DSWP plans are enumerated and emulated, not executed"
+                "HELIX plans are enumerated and emulated, not executed"
             ),
             other => panic!("a HELIX plan must not execute: {other:?}"),
         }

@@ -319,16 +319,16 @@ const TEST_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const TEST_LOWERING: [LoweringRow; 10] = [
-    [0x9af63d746c26cc04, 0xfe64870b87f0a291, 0x272b83c43977dd31, 0x272b83c43977dd31], // BT.test
-    [0x9acd746e5cc563af, 0x3830ced78a5ef771, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.test
-    [0xcd537a1640387b9a, 0xf13fc0d06f7d1eba, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.test
-    [0x9af63d746c26cc04, 0xf0c3bdca961221af, 0x8545944e644b81ce, 0x8545944e644b81ce], // FT.test
-    [0x841823894b3110d3, 0x2727f92ee17d3972, 0x7375f62644be7c92, 0xcb49ab6b82118b93], // IS.test
-    [0xb98aba03d65e4551, 0xd7af5cb88efbc298, 0x6be9be86c2a3b2cc, 0x6be9be86c2a3b2cc], // LU.test
-    [0xf80f0cac991334b0, 0x40b4a4471813bdc4, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.test
-    [0x93f5f7644d0f847b, 0x47864e278d3e95af, 0x95f8c16c96c4ceae, 0x95f8c16c96c4ceae], // SP.test
-    [0x3cac8d6df57c2a60, 0xc86c0d6f49ed20d8, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test
-    [0xcbf29ce484222325, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785], // PIPE.test
+    [0x9af63d746c26cc04, 0x5923a52378e022d1, 0x8c42c0d22f445cb1, 0x8c42c0d22f445cb1], // BT.test
+    [0x9acd746e5cc563af, 0x40947821bfbf1251, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.test
+    [0xcd537a1640387b9a, 0x40246478efff66aa, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.test
+    [0x9af63d746c26cc04, 0xc26cf9a00003eb8f, 0xdf6ed6d8dd7c1e9e, 0xdf6ed6d8dd7c1e9e], // FT.test
+    [0x841823894b3110d3, 0x18aa55e90b8fcde2, 0xe30d0eddc8572bd2, 0xfa46394db1b318b3], // IS.test
+    [0xb98aba03d65e4551, 0x8fafcdb7438c8bd8, 0xf7058907a847018c, 0xf7058907a847018c], // LU.test
+    [0xf80f0cac991334b0, 0x9bc5d3cddfd64434, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.test
+    [0x93f5f7644d0f847b, 0xe083fa4fcaefe1df, 0x48bc4e83a5ab2b4e, 0x48bc4e83a5ab2b4e], // SP.test
+    [0x3cac8d6df57c2a60, 0xc7493249df580c78, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test
+    [0xcbf29ce484222325, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75], // PIPE.test
 ];
 #[rustfmt::skip]
 const MINI_PLAN: [PlanRow; 10] = [
@@ -345,16 +345,16 @@ const MINI_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const MINI_LOWERING: [LoweringRow; 10] = [
-    [0x9af63d746c26cc04, 0xfe64870b87f0a291, 0x272b83c43977dd31, 0x272b83c43977dd31], // BT.mini
-    [0x9acd746e5cc563af, 0x3830ced78a5ef771, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.mini
-    [0xcd537a1640387b9a, 0xf13fc0d06f7d1eba, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.mini
-    [0x9af63d746c26cc04, 0xe0b6ef7b0497d3cc, 0xba8bcb1e6eb6b972, 0xba8bcb1e6eb6b972], // FT.mini
-    [0x841823894b3110d3, 0x0b6dc6c5f82ab122, 0xde34df4901731cc2, 0x335dcb7f4b879423], // IS.mini
-    [0xb98aba03d65e4551, 0xd7af5cb88efbc298, 0x6be9be86c2a3b2cc, 0x6be9be86c2a3b2cc], // LU.mini
-    [0xf80f0cac991334b0, 0x40b4a4471813bdc4, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.mini
-    [0x93f5f7644d0f847b, 0x47864e278d3e95af, 0x95f8c16c96c4ceae, 0x95f8c16c96c4ceae], // SP.mini
-    [0x3cac8d6df57c2a60, 0xc86c0d6f49ed20d8, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.mini
-    [0xcbf29ce484222325, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785], // PIPE.mini
+    [0x9af63d746c26cc04, 0x5923a52378e022d1, 0x8c42c0d22f445cb1, 0x8c42c0d22f445cb1], // BT.mini
+    [0x9acd746e5cc563af, 0x40947821bfbf1251, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.mini
+    [0xcd537a1640387b9a, 0x40246478efff66aa, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.mini
+    [0x9af63d746c26cc04, 0x493511688ae731cc, 0x31e25f211af55662, 0x31e25f211af55662], // FT.mini
+    [0x841823894b3110d3, 0x437cd76ddfa33ea2, 0x8b09d5eaf2ef28d2, 0x0fd4ba9e83ce00f3], // IS.mini
+    [0xb98aba03d65e4551, 0x8fafcdb7438c8bd8, 0xf7058907a847018c, 0xf7058907a847018c], // LU.mini
+    [0xf80f0cac991334b0, 0x9bc5d3cddfd64434, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.mini
+    [0x93f5f7644d0f847b, 0xe083fa4fcaefe1df, 0x48bc4e83a5ab2b4e, 0x48bc4e83a5ab2b4e], // SP.mini
+    [0x3cac8d6df57c2a60, 0xc7493249df580c78, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.mini
+    [0xcbf29ce484222325, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75], // PIPE.mini
 ];
 #[rustfmt::skip]
 const CTX_PLAN: [PlanRow; 10] = [
@@ -371,16 +371,16 @@ const CTX_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const CTX_LOWERING: [LoweringRow; 10] = [
-    [0x9af63d746c26cc04, 0xfe64870b87f0a291, 0x272b83c43977dd31, 0x272b83c43977dd31], // BT.test-ctx
-    [0x462df141392880eb, 0x3830ced78a5ef771, 0x4d023c5cf3c49c51, 0x4d023c5cf3c49c51], // CG.test-ctx
-    [0xae00265e443fc4d9, 0xf13fc0d06f7d1eba, 0xae00265e443fc4d9, 0xae00265e443fc4d9], // EP.test-ctx
-    [0x9af63d746c26cc04, 0xf0c3bdca961221af, 0x8545944e644b81ce, 0x8545944e644b81ce], // FT.test-ctx
-    [0xca11486e7f69cb93, 0x2727f92ee17d3972, 0x4648b5000eb159d2, 0x878dc2c52a4de553], // IS.test-ctx
-    [0xb98aba03d65e4551, 0xd7af5cb88efbc298, 0x6be9be86c2a3b2cc, 0x6be9be86c2a3b2cc], // LU.test-ctx
-    [0xf80f0cac991334b0, 0x40b4a4471813bdc4, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.test-ctx
-    [0x93f5f7644d0f847b, 0x47864e278d3e95af, 0x95f8c16c96c4ceae, 0x95f8c16c96c4ceae], // SP.test-ctx
-    [0x3cac8d6df57c2a60, 0xc86c0d6f49ed20d8, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test-ctx
-    [0xcbf29ce484222325, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785, 0xbec1a0a6cfbe5785], // PIPE.test-ctx
+    [0x9af63d746c26cc04, 0x5923a52378e022d1, 0x8c42c0d22f445cb1, 0x8c42c0d22f445cb1], // BT.test-ctx
+    [0x462df141392880eb, 0x40947821bfbf1251, 0x4d023c5cf3c49c51, 0x4d023c5cf3c49c51], // CG.test-ctx
+    [0xae00265e443fc4d9, 0x40246478efff66aa, 0xae00265e443fc4d9, 0xae00265e443fc4d9], // EP.test-ctx
+    [0x9af63d746c26cc04, 0xc26cf9a00003eb8f, 0xdf6ed6d8dd7c1e9e, 0xdf6ed6d8dd7c1e9e], // FT.test-ctx
+    [0xca11486e7f69cb93, 0x18aa55e90b8fcde2, 0xe4ec6054d1d3c912, 0xc345c6303223a273], // IS.test-ctx
+    [0xb98aba03d65e4551, 0x8fafcdb7438c8bd8, 0xf7058907a847018c, 0xf7058907a847018c], // LU.test-ctx
+    [0xf80f0cac991334b0, 0x9bc5d3cddfd64434, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.test-ctx
+    [0x93f5f7644d0f847b, 0xe083fa4fcaefe1df, 0x48bc4e83a5ab2b4e, 0x48bc4e83a5ab2b4e], // SP.test-ctx
+    [0x3cac8d6df57c2a60, 0xc7493249df580c78, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test-ctx
+    [0xcbf29ce484222325, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75], // PIPE.test-ctx
 ];
 #[rustfmt::skip]
 const SYNTH_PLAN: [PlanRow; 3] = [
@@ -390,7 +390,7 @@ const SYNTH_PLAN: [PlanRow; 3] = [
 ];
 #[rustfmt::skip]
 const SYNTH_LOWERING: [LoweringRow; 3] = [
-    [0xcbf29ce484222325, 0xf13fc0d06f7d1eba, 0xf13fc0d06f7d1eba, 0xf13fc0d06f7d1eba], // module100
-    [0xcbf29ce484222325, 0x1064e030d1e704a5, 0x1064e030d1e704a5, 0x1064e030d1e704a5], // wide16
-    [0xcbf29ce484222325, 0x70cf26aac8f66e76, 0x70cf26aac8f66e76, 0x70cf26aac8f66e76], // wide64
+    [0xcbf29ce484222325, 0x40246478efff66aa, 0x40246478efff66aa, 0x40246478efff66aa], // module100
+    [0xcbf29ce484222325, 0xe10d15474e4255a5, 0xe10d15474e4255a5, 0xe10d15474e4255a5], // wide16
+    [0xcbf29ce484222325, 0x9a0c096e9b7400d6, 0x9a0c096e9b7400d6, 0x9a0c096e9b7400d6], // wide64
 ];
