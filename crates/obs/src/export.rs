@@ -77,19 +77,14 @@ impl Snapshot {
                 out.push_str(",\n");
             }
             first = false;
-            let ts = e.ts_ns as f64 / 1000.0;
+            let (ts, dur) = (e.ts_ns as f64 / 1000.0, e.dur_ns as f64 / 1000.0);
             let _ = write!(
                 out,
-                "  {{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3}",
+                "  {{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"dur\":{dur:.3}",
                 esc(&e.name),
                 esc(e.cat),
-                e.ph,
                 e.tid
             );
-            if e.ph == 'X' {
-                let dur = e.dur_ns as f64 / 1000.0;
-                let _ = write!(out, ",\"dur\":{dur:.3}");
-            }
             if !e.args.is_empty() {
                 out.push_str(",\"args\":{");
                 for (i, (k, v)) in e.args.iter().enumerate() {

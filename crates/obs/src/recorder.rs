@@ -123,12 +123,10 @@ impl From<String> for ArgVal {
 /// nanoseconds since the recorder's epoch.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Event name (span taxonomy: `pipeline/…`, `runtime/…`, `fault/…`).
+    /// Event name (span taxonomy: `pipeline/…`, `runtime/…`, …).
     pub name: String,
-    /// Category (`"pipeline"`, `"runtime"`, `"fault"`, `"pool"`, …).
+    /// Category (`"pipeline"`, `"runtime"`, `"pool"`, …).
     pub cat: &'static str,
-    /// Phase: always `'X'`, a complete span.
-    pub ph: char,
     /// Start, nanoseconds since the recorder epoch (monotonic).
     pub ts_ns: u64,
     /// Duration in nanoseconds.
@@ -336,7 +334,6 @@ impl Drop for SpanGuard<'_> {
         inner.events.push(TraceEvent {
             name: std::mem::take(&mut self.name),
             cat: self.cat,
-            ph: 'X',
             ts_ns: self.start_ns,
             dur_ns: dur,
             tid,
@@ -366,7 +363,7 @@ impl Snapshot {
     /// sorted by total time descending.
     pub fn span_summary(&self) -> Vec<(String, u64, u64, u64)> {
         let mut agg: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-        for e in self.events.iter().filter(|e| e.ph == 'X') {
+        for e in &self.events {
             let s = agg.entry(e.name.as_str()).or_insert((0, 0, 0));
             s.0 += 1;
             s.1 += e.dur_ns;

@@ -48,7 +48,7 @@ fn oracle(p: &ParallelProgram) -> Oracle {
 /// chunked loops, everything executed sequentially and the heap and output
 /// must match **bit-for-bit**.
 fn assert_matches(p: &ParallelProgram, o: &Oracle, got: Result<RunOutcome, ExecError>, ctx: &str) {
-    let want_ret = match (&o.result, got) {
+    let (ret, out) = match (&o.result, got) {
         (Err(want), got) => {
             assert_eq!(got.err().as_ref(), Some(want), "[{ctx}]");
             return;
@@ -56,7 +56,6 @@ fn assert_matches(p: &ParallelProgram, o: &Oracle, got: Result<RunOutcome, ExecE
         (Ok(_), Err(e)) => panic!("[{ctx}]: the runtime raised {e:?}"),
         (Ok(ret), Ok(out)) => (*ret, out),
     };
-    let (ret, out) = want_ret;
     assert!(
         rtval_equivalent(out.ret.unwrap_or(RtVal::Undef), ret.unwrap_or(RtVal::Undef)),
         "[{ctx}]: ret {:?} vs oracle {ret:?}",
@@ -128,7 +127,7 @@ fn organic_speculation_fault_falls_back_to_the_oracle() {
 
 /// A runtime reused after a speculation fault: the same pool threads
 /// serve the second run, and it reports exactly the first run's stats —
-/// the same fallbacks and the same fork volume (`cow_pages`,
+/// the same fallbacks and the same fork volume (`cow_pages`, hence
 /// `fork_bytes`), so the discarded forks left nothing behind.
 #[test]
 fn runtime_reuse_after_fallback_restores_baseline_fork_volume() {
@@ -145,7 +144,6 @@ fn runtime_reuse_after_fallback_restores_baseline_fork_volume() {
     assert!(first.stats.cow_pages > 0, "{:?}", first.stats);
     let second = rt.run_main().expect("the second run completes");
     assert_eq!(second.stats, first.stats);
-    assert_eq!(second.stats.fork_bytes(), first.stats.fork_bytes());
     assert_matches(&p, &o, Ok(second), "second run");
     assert_eq!(
         rt.worker_thread_ids().into_iter().collect::<HashSet<_>>(),
@@ -298,7 +296,7 @@ fn activation_outcomes(rec: &Recorder) -> Vec<String> {
     rec.snapshot()
         .events
         .into_iter()
-        .filter(|e| e.ph == 'X' && e.name.starts_with("runtime/activation/"))
+        .filter(|e| e.name.starts_with("runtime/activation/"))
         .filter_map(|e| {
             e.args.into_iter().find_map(|(k, v)| match v {
                 pspdg_obs::ArgVal::S(s) if k == "outcome" => Some(s),

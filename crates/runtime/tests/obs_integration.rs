@@ -103,7 +103,7 @@ fn activation_spans_and_trace_validity() {
     let activations: Vec<_> = snap
         .events
         .iter()
-        .filter(|e| e.ph == 'X' && e.name.starts_with("runtime/activation/"))
+        .filter(|e| e.name.starts_with("runtime/activation/"))
         .collect();
     assert_eq!(activations.len(), 2, "one span per chunked loop activation");
     for a in &activations {
@@ -117,15 +117,11 @@ fn activation_spans_and_trace_validity() {
         assert_eq!(outcome.as_deref(), Some("S(\"parallel\")"), "{a:?}");
     }
     assert!(
-        snap.events
-            .iter()
-            .any(|e| e.ph == 'X' && e.name == "runtime/chunk_worker"),
+        snap.events.iter().any(|e| e.name == "runtime/chunk_worker"),
         "worker job spans recorded"
     );
     assert!(
-        snap.events
-            .iter()
-            .any(|e| e.ph == 'X' && e.name == "runtime/run"),
+        snap.events.iter().any(|e| e.name == "runtime/run"),
         "top-level run span recorded"
     );
 
@@ -153,7 +149,7 @@ fn activation_outcomes(src: &str) -> (Result<Option<RtVal>, ExecError>, Vec<Stri
         .snapshot()
         .events
         .into_iter()
-        .filter(|e| e.ph == 'X' && e.name.starts_with("runtime/activation/"))
+        .filter(|e| e.name.starts_with("runtime/activation/"))
         .flat_map(|e| e.args)
         .filter(|(k, _)| *k == "outcome")
         .map(|(_, v)| format!("{v:?}"))
