@@ -1,8 +1,8 @@
 //! # pspdg-obs — low-overhead observability for the PS-PDG pipeline
 //!
 //! A self-contained (std-only) recording substrate threaded through the
-//! whole Fig. 2 pipeline as plain data handed to the drivers: no
-//! `#[cfg]` gates, and `Option`-cheap when absent or disabled.
+//! whole Fig. 2 pipeline as plain data: no `#[cfg]` gates, and
+//! `Option`-cheap when absent or disabled.
 //!
 //! ```text
 //!             ┌──────────── Arc<Recorder> ────────────┐
