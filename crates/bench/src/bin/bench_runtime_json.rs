@@ -211,9 +211,6 @@ fn main() {
                 .into_iter()
                 .map(|(r, n)| (r.to_string(), n))
                 .collect(),
-            // The timed runtimes above carry no recorder at all; the
-            // profiled pass below re-runs the suite with one enabled.
-            recorder_state: "absent",
         };
         println!(
             "{:<4} interp {:>11} ns  seq {:>11} ns  par {:>11} ns  speedup {:>6.3}x  predicted {:>8.2}x  loops: {} chunked / {} sequential  dyn: {} chunked / {} packets / {} replays / {} pool jobs / {} fallbacks [{}]",
@@ -247,9 +244,8 @@ fn main() {
             .join(", ");
         let _ = write!(
             rows,
-            "    {{\"kernel\": \"{}\", \"recorder\": \"{}\", \"interpreter_ns\": {}, \"sequential_ns\": {}, \"parallel_ns\": {}, \"measured_speedup\": {:.3}, \"predicted_parallelism\": {:.3}, \"emulate_ns\": {}, \"traced_interp_ns\": {}, \"loops_chunked\": {}, \"loops_sequential\": {}, \"dyn_chunked\": {}, \"dyn_fallbacks\": {}, \"dyn_fallback_reasons\": {{{}}}, \"pool_dispatches\": {}, \"critical_packets\": {}, \"critical_replays\": {}, \"fork_cells_committed\": {}, \"cow_pages\": {}, \"fork_bytes\": {}}}",
+            "    {{\"kernel\": \"{}\", \"interpreter_ns\": {}, \"sequential_ns\": {}, \"parallel_ns\": {}, \"measured_speedup\": {:.3}, \"predicted_parallelism\": {:.3}, \"emulate_ns\": {}, \"traced_interp_ns\": {}, \"loops_chunked\": {}, \"loops_sequential\": {}, \"dyn_chunked\": {}, \"dyn_fallbacks\": {}, \"dyn_fallback_reasons\": {{{}}}, \"pool_dispatches\": {}, \"critical_packets\": {}, \"critical_replays\": {}, \"fork_cells_committed\": {}, \"cow_pages\": {}, \"fork_bytes\": {}}}",
             row.name,
-            row.recorder_state,
             interp_ns,
             row.sequential_ns,
             row.parallel_ns,
@@ -271,16 +267,15 @@ fn main() {
         );
     }
 
-    // Profiled pass: re-run the suite with one enabled recorder shared
-    // across kernels (span summaries), plus a per-kernel three-way
-    // overhead measurement — absent vs disabled vs enabled recorder on
-    // the one-worker runtime, interleaved best-of-samples — so the cost
-    // of carrying the instrumentation is itself a recorded number, not
-    // folklore. The opcode tables come off the oracle run's profile.
+    // Profiled pass: re-run the suite with one recorder shared across
+    // kernels (span summaries), plus a per-kernel overhead measurement —
+    // absent vs attached recorder on the one-worker runtime, interleaved
+    // best-of-samples — so the cost of recording is itself a recorded
+    // number, not folklore. The opcode tables come off the oracle run's
+    // profile.
     let rec = Arc::new(Recorder::new());
     let mut suite_ops: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut oracle_steps = 0u64;
-    let mut dis_ln_sum = 0.0f64;
     let mut ena_ln_sum = 0.0f64;
     let mut prof_n = 0u32;
     let mut prof_rows = String::new();
@@ -298,25 +293,19 @@ fn main() {
             continue;
         }
         let rt_absent = Runtime::new(&p, &plan).workers(1);
-        let rt_dis = Runtime::new(&p, &plan)
-            .workers(1)
-            .recorder(Arc::new(Recorder::disabled()));
         let rt_ena = Runtime::new(&p, &plan)
             .workers(1)
             .recorder(Arc::new(Recorder::new()));
-        let (mut absent_ns, mut dis_ns, mut ena_ns) = (u64::MAX, u64::MAX, u64::MAX);
+        let (mut absent_ns, mut ena_ns) = (u64::MAX, u64::MAX);
         for _ in 0..samples {
             absent_ns = absent_ns.min(one_run_ns(&mut || rt_absent.run_main().expect("runs")));
-            dis_ns = dis_ns.min(one_run_ns(&mut || rt_dis.run_main().expect("runs")));
             ena_ns = ena_ns.min(one_run_ns(&mut || rt_ena.run_main().expect("runs")));
         }
-        let dis_ratio = dis_ns as f64 / absent_ns.max(1) as f64;
         let ena_ratio = ena_ns as f64 / absent_ns.max(1) as f64;
-        dis_ln_sum += dis_ratio.max(1e-12).ln();
         ena_ln_sum += ena_ratio.max(1e-12).ln();
         prof_n += 1;
         println!(
-            "PROFILE {:<4} seq absent {absent_ns:>11} ns  disabled {dis_ns:>11} ns ({dis_ratio:.4}x)  enabled {ena_ns:>11} ns ({ena_ratio:.4}x)",
+            "PROFILE {:<4} seq absent {absent_ns:>11} ns  enabled {ena_ns:>11} ns ({ena_ratio:.4}x)",
             b.name
         );
         let per_kernel = oracle.profile().opcode_counts(&p.module, None);
@@ -329,18 +318,17 @@ fn main() {
         }
         let _ = write!(
             prof_rows,
-            "      {{\"kernel\": \"{}\", \"seq_absent_ns\": {absent_ns}, \"seq_disabled_ns\": {dis_ns}, \"seq_enabled_ns\": {ena_ns}, \"opcodes\": {}}}",
+            "      {{\"kernel\": \"{}\", \"seq_absent_ns\": {absent_ns}, \"seq_enabled_ns\": {ena_ns}, \"opcodes\": {}}}",
             b.name,
             opcodes_json(per_kernel),
         );
     }
-    let dis_geomean = geomean(dis_ln_sum, prof_n);
     let ena_geomean = geomean(ena_ln_sum, prof_n);
     let total_ops: u64 = suite_ops.values().sum();
     let spans_json: String = rec
-        .snapshot()
+        .totals()
         .span_summary()
-        .into_iter()
+        .iter()
         .take(12)
         .map(|(name, count, total, max)| {
             format!(
@@ -350,7 +338,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     println!(
-        "recorder overhead geomean over {prof_n} kernels: disabled {dis_geomean:.4}x, enabled {ena_geomean:.4}x  ({total_ops} dynamic instructions in the opcode table)"
+        "recorder overhead geomean over {prof_n} kernels: enabled {ena_geomean:.4}x  ({total_ops} dynamic instructions in the opcode table)"
     );
     if smoke {
         assert_eq!(
@@ -358,8 +346,8 @@ fn main() {
             "--smoke: the derived opcode table must account for every oracle step"
         );
         assert!(
-            dis_geomean < 1.15 && ena_geomean < 1.15,
-            "--smoke: recorder overhead out of bounds: disabled {dis_geomean:.4}x, enabled {ena_geomean:.4}x"
+            ena_geomean < 1.15,
+            "--smoke: recorder overhead out of bounds: enabled {ena_geomean:.4}x"
         );
     }
 
@@ -392,7 +380,7 @@ fn main() {
     let opcodes_json = opcodes_json(suite_ops.into_iter().collect());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances the master's commit-time replay executed\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"recorder\": \"per-row recorder state for the timed runs (absent = no recorder constructed); the profiling section re-runs the suite with an enabled recorder\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / disabled / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"disabled_overhead_geomean\": {dis_geomean:.4},\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances the master's commit-time replay executed\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");

@@ -7,8 +7,8 @@
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see
 //!   the pipeline phases, per-loop activations and worker lanes on a
 //!   timeline;
-//! * `profile_metrics.json` — the metrics snapshot: counters,
-//!   histograms, span summaries;
+//! * `profile_metrics.json` — the recorder's totals: counters and
+//!   per-name span summaries;
 //! * stdout — the flat "top opcodes / top spans" report. The opcode
 //!   table is not recorded: it is the oracle run's per-block counts times
 //!   each block's static mix (`Profile::opcode_counts`), summed over the
@@ -23,17 +23,19 @@
 //! `OUTDIR` defaults to `target/profile`. `--smoke` switches to the
 //! `Class::Test` suite and asserts the observability acceptance gates:
 //! an opcode table that accounts for every oracle step and a
-//! structurally valid (parse + per-lane nesting) Chrome trace with the
-//! pipeline and activation spans in it. What carrying the recorder costs
+//! structurally valid (parse + per-lane nesting) Chrome trace that holds
+//! every span recorded (none dropped), the pipeline and activation spans
+//! among them. What carrying the recorder costs
 //! is measured once, by `bench_runtime_json`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use pspdg_core::{build_pspdg_module_recorded, FeatureSet};
 use pspdg_ir::interp::{Interpreter, NullSink};
 use pspdg_nas::{runtime_suite, Class};
-use pspdg_obs::{json, Recorder};
-use pspdg_parallelizer::{build_plan_recorded, realize_executable_recorded, Abstraction};
+use pspdg_obs::{json, Recorder, DROPPED_EVENTS};
+use pspdg_parallelizer::{plan_built_recorded, realize_executable_recorded, Abstraction};
 use pspdg_runtime::Runtime;
 
 fn main() {
@@ -62,7 +64,15 @@ fn main() {
         for (op, n) in oracle.profile().opcode_counts(&p.module, None) {
             *opcodes.entry(op).or_default() += n;
         }
-        let plan = build_plan_recorded(&p, oracle.profile(), Abstraction::PsPdg, 0.01, Some(&rec));
+        let built = build_pspdg_module_recorded(&p, FeatureSet::all(), Some(&rec));
+        let plan = plan_built_recorded(
+            &p,
+            &built,
+            oracle.profile(),
+            Abstraction::PsPdg,
+            0.01,
+            Some(&rec),
+        );
         let exec = realize_executable_recorded(&p, &plan, Some(&rec));
         let rt = Runtime::from_shared(Arc::new(p), Arc::new(exec))
             .workers(workers)
@@ -99,6 +109,11 @@ fn main() {
     assert!(
         derived > 0 && derived == oracle_steps,
         "--smoke: opcode table ({derived}) must account for every oracle step ({oracle_steps})"
+    );
+    assert!(
+        !snap.counters.iter().any(|(n, _)| n == DROPPED_EVENTS),
+        "--smoke: the trace dropped events: {:?}",
+        snap.counters
     );
     let check = json::validate_chrome_trace(&trace)
         .unwrap_or_else(|e| panic!("--smoke: trace must parse and nest: {e}"));

@@ -109,9 +109,6 @@ pub struct PredictedVsMeasured {
     /// Why measured activations ran sequentially: `(reason, count)` pairs
     /// from the runtime's fallback counters, empty when none did.
     pub fallback_reasons: Vec<(String, u64)>,
-    /// The runtime's recorder during the measured run: `"absent"`,
-    /// `"disabled"` or `"enabled"` (which pays for profiling in the loop).
-    pub recorder_state: &'static str,
 }
 
 impl PredictedVsMeasured {

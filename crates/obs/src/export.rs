@@ -1,5 +1,6 @@
-//! Exporters: Chrome trace-event JSON (Perfetto-loadable), a metrics
-//! snapshot JSON, and a flat "top spans" text report.
+//! Exporters: Chrome trace-event JSON (Perfetto-loadable) of the trace,
+//! and, of the exact totals, a metrics JSON and a flat "top spans" text
+//! report.
 //!
 //! All output is hand-formatted (the workspace has no serde); the
 //! sibling [`crate::json`] parser round-trips it in the tests and the
@@ -8,7 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::json::find_byte;
-use crate::recorder::{ArgVal, Histogram, Snapshot};
+use crate::recorder::{ArgVal, Snapshot};
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn esc(s: &str) -> String {
@@ -101,8 +102,7 @@ impl Snapshot {
         out
     }
 
-    /// Metrics snapshot JSON: counters, histograms (non-empty buckets
-    /// as `[floor, count]` rows), and the span summary.
+    /// Metrics snapshot JSON: counters and the span totals.
     pub fn metrics_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
@@ -110,32 +110,6 @@ impl Snapshot {
                 out.push(',');
             }
             let _ = write!(out, "\n    \"{}\": {v}", esc(name));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \"buckets\": [",
-                esc(name),
-                h.count,
-                h.sum,
-                h.mean()
-            );
-            let mut firstb = true;
-            for (b, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                if !firstb {
-                    out.push_str(", ");
-                }
-                firstb = false;
-                let _ = write!(out, "[{}, {c}]", Histogram::bucket_floor(b));
-            }
-            out.push_str("]}");
         }
         out.push_str("\n  },\n  \"spans\": {");
         for (i, (name, count, total, max)) in self.span_summary().iter().enumerate() {
@@ -156,12 +130,12 @@ impl Snapshot {
     pub fn text_report(&self, n: usize) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== top spans by total time ==");
-        for (name, count, tot, max) in self.span_summary().into_iter().take(n) {
+        for (name, count, tot, max) in self.span_summary().iter().take(n) {
             let _ = writeln!(
                 out,
                 "  {name:<28} x{count:<6} total {:>10.3} ms   max {:>10.3} ms",
-                tot as f64 / 1e6,
-                max as f64 / 1e6
+                *tot as f64 / 1e6,
+                *max as f64 / 1e6
             );
         }
         out
@@ -183,7 +157,6 @@ mod tests {
         }
         drop(rec.span("runtime/chunk_worker", "runtime"));
         rec.add("pool/dispatches", 4);
-        rec.observe("runtime/activation_ns", 12345);
         let snap = rec.snapshot();
         let trace = json::parse(&snap.chrome_trace_json()).expect("trace parses");
         assert!(trace

@@ -1,65 +1,16 @@
-//! Recorder contract tests: the zero-allocation disabled path (pinned
-//! with a counting global allocator), conservation of what many threads
-//! record at once, and a Chrome-trace round trip through the crate's own
-//! JSON parser.
+//! Recorder contract tests: conservation of what many threads record at
+//! once, a trace bounded to the newest events while the span totals stay
+//! exact, and a Chrome-trace round trip through the crate's own JSON
+//! parser.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pspdg_obs::{json, Recorder};
+use pspdg_obs::{json, ArgVal, Recorder, DROPPED_EVENTS, TRACE_EVENTS};
 
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by this thread. Per-thread so sibling tests
-    /// allocating concurrently cannot trip the zero-allocation check;
-    /// `const`-initialised and destructor-free so the allocator hooks can
-    /// touch it without allocating.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// The disabled recorder's public surface allocates nothing: this is
-/// the overhead contract that lets the engines keep the recorder
-/// attached permanently and toggle it per run.
-#[test]
-fn disabled_path_allocates_nothing() {
-    let rec = Recorder::disabled();
-    // Warm any lazy statics outside the measured window.
-    rec.add("warmup", 1);
-
-    let before = ALLOCS.get();
-    for _ in 0..100 {
-        let mut s = rec.span("runtime/activation", "runtime");
-        s.arg("trip", 64u64);
-        drop(s);
-        rec.add("pool/dispatches", 3);
-        rec.observe("runtime/activation_ns", 12345);
-    }
-    let after = ALLOCS.get();
-    assert_eq!(after - before, 0, "disabled recorder must not allocate");
-}
-
-/// What many threads record at once is conserved: every counter bump,
-/// histogram sample and span lands exactly once, each thread's spans on
-/// a lane of its own.
+/// What many threads record at once is conserved: every counter bump
+/// and span lands exactly once, each thread's spans on a lane of its
+/// own.
 #[test]
 fn concurrent_recording_conserves_counts() {
     const THREADS: usize = 8;
@@ -73,7 +24,7 @@ fn concurrent_recording_conserves_counts() {
                 start.wait();
                 for i in 0..PER_THREAD {
                     rec.add("jobs", 1);
-                    rec.observe("sample", i);
+                    rec.add("sample", i);
                     let _span = rec.span("work", "test");
                 }
             });
@@ -82,13 +33,94 @@ fn concurrent_recording_conserves_counts() {
 
     let snap = rec.snapshot();
     let total = THREADS as u64 * PER_THREAD;
-    assert_eq!(snap.counters, [("jobs".to_string(), total)]);
-    assert_eq!(snap.histograms[0].1.count, total);
+    let sample_sum = THREADS as u64 * PER_THREAD * (PER_THREAD - 1) / 2;
+    assert_eq!(
+        snap.counters,
+        [
+            ("jobs".to_string(), total),
+            ("sample".to_string(), sample_sum)
+        ]
+    );
+    assert_eq!(snap.span_summary()[0].1, total);
     assert_eq!(snap.events.len() as u64, total);
     let mut lanes: Vec<u32> = snap.events.iter().map(|e| e.tid).collect();
     lanes.sort_unstable();
     lanes.dedup();
     assert_eq!(lanes.len(), THREADS);
+}
+
+/// Past `TRACE_EVENTS` spans the trace keeps the newest ones and counts
+/// each one it overwrites, while the span totals still count every
+/// span. A span joins the trace when it closes, after its children, so
+/// each thread's outer `worker` span survives with the newest of its
+/// `work` children, and the trace still nests.
+#[test]
+fn trace_keeps_the_newest_events_and_totals_stay_exact() {
+    const THREADS: usize = 8;
+    const DROPPED: usize = 1_000;
+    // Per thread: one `worker` span around `WORK` `work` spans.
+    const WORK: u64 = ((TRACE_EVENTS + DROPPED) / THREADS - 1) as u64;
+    assert_eq!(THREADS * (WORK as usize + 1), TRACE_EVENTS + DROPPED);
+
+    let rec = Recorder::new();
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                start.wait();
+                let _worker = rec.span("worker", "test");
+                for i in 0..WORK {
+                    let mut span = rec.span("work", "test");
+                    span.arg("i", i);
+                }
+            });
+        }
+    });
+
+    let snap = rec.snapshot();
+    assert_eq!(snap.events.len(), TRACE_EVENTS);
+    let count = |name: &str| {
+        snap.span_summary()
+            .iter()
+            .find(|(n, ..)| n == name)
+            .map(|(_, c, ..)| *c)
+    };
+    assert_eq!(count("work"), Some(THREADS as u64 * WORK));
+    assert_eq!(count("worker"), Some(THREADS as u64));
+    assert_eq!(
+        snap.counters,
+        [(DROPPED_EVENTS.to_string(), DROPPED as u64)]
+    );
+
+    // Each lane kept a suffix of its own `work` spans, in order, then its
+    // `worker` span last.
+    let mut lanes: BTreeMap<u32, Vec<&pspdg_obs::TraceEvent>> = BTreeMap::new();
+    for e in &snap.events {
+        lanes.entry(e.tid).or_default().push(e);
+    }
+    assert_eq!(lanes.len(), THREADS);
+    let mut kept_work = 0;
+    for (tid, events) in &lanes {
+        let (worker, work) = events.split_last().unwrap();
+        assert_eq!(worker.name, "worker", "lane {tid}");
+        let first = WORK - work.len() as u64;
+        for (k, e) in work.iter().enumerate() {
+            assert_eq!(e.name, "work", "lane {tid}");
+            assert!(
+                matches!(e.args[..], [("i", ArgVal::U(i))] if i == first + k as u64),
+                "lane {tid}: {:?} is not work span {}",
+                e.args,
+                first + k as u64
+            );
+        }
+        kept_work += work.len();
+    }
+    assert_eq!(kept_work + THREADS, TRACE_EVENTS);
+
+    let check = json::validate_chrome_trace(&snap.chrome_trace_json())
+        .expect("a bounded trace must still parse and nest");
+    assert_eq!(check.spans, TRACE_EVENTS);
+    assert_eq!(check.max_depth, 2, "work inside worker");
 }
 
 /// The emitted Chrome trace parses with the crate's own JSON parser,
@@ -142,21 +174,4 @@ fn chrome_trace_round_trips_and_nests() {
     tids.sort_unstable();
     tids.dedup();
     assert_eq!(tids.len(), 2);
-}
-
-/// Enabled-state flips take effect mid-stream: spans opened while
-/// disabled record nothing even if the recorder is re-enabled before
-/// they close.
-#[test]
-fn toggle_is_sampled_at_span_open() {
-    let rec = Recorder::new();
-    rec.set_enabled(false);
-    let s = rec.span("ghost", "test");
-    rec.set_enabled(true);
-    drop(s);
-    let _live = rec.span("live", "test");
-    drop(_live);
-    let snap = rec.snapshot();
-    assert_eq!(snap.events.len(), 1);
-    assert_eq!(snap.events[0].name, "live");
 }

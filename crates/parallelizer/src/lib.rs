@@ -34,8 +34,8 @@ pub use enumerate::{
 };
 pub use machine::MachineModel;
 pub use plan::{
-    build_plan, build_plan_recorded, plan_built, plan_built_recorded, Discharge, LoopPlanSpec,
-    MutexSpec, PlannedTechnique, ProgramPlan,
+    build_plan, plan_built, plan_built_recorded, Discharge, LoopPlanSpec, MutexSpec,
+    PlannedTechnique, ProgramPlan,
 };
 pub use schedule::{
     realize_executable, realize_executable_recorded, ChunkedLoop, CriticalReplay, ExecutablePlan,

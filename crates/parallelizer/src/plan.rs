@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pspdg_core::query::{self, LoopDeps};
-use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg, PsPdg, VariableKind};
+use pspdg_core::{build_pspdg_module, FeatureSet, FunctionPsPdg, PsPdg, VariableKind};
 use pspdg_ir::interp::Profile;
 use pspdg_ir::{BinOp, FuncId, Function, Inst, InstId, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram, ReductionOp};
@@ -135,26 +135,12 @@ pub fn build_plan(
     abstraction: Abstraction,
     threshold: f64,
 ) -> ProgramPlan {
-    build_plan_recorded(program, profile, abstraction, threshold, None)
-}
-
-/// [`build_plan`] with optional pipeline tracing: the PS-PDG module
-/// build records its per-function `pspdg/*` spans, and each function's
-/// planning pass lands under a `plan/enumerate` span on whichever pool
-/// worker ran it.
-pub fn build_plan_recorded(
-    program: &ParallelProgram,
-    profile: &Profile,
-    abstraction: Abstraction,
-    threshold: f64,
-    rec: Option<&pspdg_obs::Recorder>,
-) -> ProgramPlan {
     // Per-function planning is independent: build every function's
     // analyses/PDG/PS-PDG through the parallel module driver, plan each
     // function concurrently, and merge in module function order so the
     // plan is deterministic.
-    let built = build_pspdg_module_recorded(program, FeatureSet::all(), rec);
-    plan_built_recorded(program, &built, profile, abstraction, threshold, rec)
+    let built = build_pspdg_module(program, FeatureSet::all());
+    plan_built(program, &built, profile, abstraction, threshold)
 }
 
 /// Build the execution plan from **already-built** per-function analysis

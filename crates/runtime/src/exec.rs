@@ -373,10 +373,7 @@ impl Runtime {
 
     /// Attach an observability recorder: every `run` then records
     /// activation spans (strategy, trip, packets, fallback cause,
-    /// duration) into it. A disabled recorder records
-    /// nothing and costs what an absent one costs — the production
-    /// configuration keeps it attached and toggles
-    /// [`Recorder::set_enabled`].
+    /// duration) into it. Without one, a run records nothing.
     pub fn recorder(mut self, rec: Arc<Recorder>) -> Runtime {
         self.obs = Some(rec);
         self
@@ -430,9 +427,7 @@ impl Runtime {
     ///
     /// See [`Runtime::run_main`].
     pub fn run(&self, func: FuncId, args: &[RtVal]) -> Result<RunOutcome, ExecError> {
-        // A disabled recorder resolves to `None` here: "attached but
-        // off" and "absent" are the same run.
-        let rec = self.obs.as_deref().filter(|r| r.enabled());
+        let rec = self.obs.as_deref();
         let mut run_span = rec.map(|r| {
             let mut s = r.span("runtime/run", "runtime");
             s.arg("workers", self.workers);
@@ -520,7 +515,7 @@ impl<'a> Engine<'a> {
 
     /// Close out an activation span: outcome, trip, and the volume
     /// counters this attempt moved (packets, replays, fork commits,
-    /// CoW pages, pool jobs), plus the duration histogram sample.
+    /// CoW pages, pool jobs).
     fn finish_activation(
         &self,
         sp: Option<&mut SpanGuard<'_>>,
@@ -539,9 +534,6 @@ impl<'a> Engine<'a> {
             d.fork_cells_committed - before.fork_cells_committed,
         );
         sp.arg("cow_pages", d.cow_pages - before.cow_pages);
-        if let Some(r) = self.rec {
-            r.observe("runtime/activation_ns", sp.elapsed_ns());
-        }
     }
 
     /// Record one sequential fallback and its cause.
@@ -752,8 +744,9 @@ impl<'a> Engine<'a> {
         let mut slots: Vec<Option<Result<ChunkOut, FallbackWhy>>> =
             ranges.iter().map(|_| None).collect();
         // `scope_catch`: a panicked chunk worker (an engine bug) must
-        // demote to a sequential fallback, not take the master down.
-        let ((), any_panicked) = pool.scope_catch(|scope| {
+        // demote to a sequential fallback, not take the master down. Its
+        // slot stays empty, and that alone names the fault below.
+        let ((), _) = pool.scope_catch(|scope| {
             for (slot, &(lo, hi)) in slots.iter_mut().zip(&ranges) {
                 // O(pages) fork: pages stay shared until a worker writes
                 // them; the fork records which cells it writes.
@@ -761,7 +754,7 @@ impl<'a> Engine<'a> {
                 let regs = frame.regs.clone();
                 let args = frame.args.clone();
                 scope.spawn(move || {
-                    let _job_span = rec.map(|r| {
+                    let job_span = rec.map(|r| {
                         let mut s = r.span("runtime/chunk_worker", "runtime");
                         s.arg("lo", lo);
                         s.arg("hi", hi);
@@ -788,12 +781,17 @@ impl<'a> Engine<'a> {
                         worker.mem.write(iv_addr, RtVal::Int(init + iter * c.step));
                         worker.run_iteration(func_id, f, &mut wframe, sched, &c.criticals)
                     });
-                    *slot = Some(result.map(|()| ChunkOut {
+                    let out = result.map(|()| ChunkOut {
                         mem: worker.mem,
                         crit_log: std::mem::take(&mut worker.crit_log),
                         output: std::mem::take(&mut worker.output),
                         steps: worker.steps,
-                    }));
+                    });
+                    // The slot write must stay the job's last act: a panic
+                    // anywhere before it, the span's close included, then
+                    // leaves the slot empty.
+                    drop(job_span);
+                    *slot = Some(out);
                 });
             }
         });
@@ -811,7 +809,7 @@ impl<'a> Engine<'a> {
                 Err(why) => fault_abort = fault_abort.or(Some(why)),
             }
         }
-        if let Some(why) = fault_abort.or(any_panicked.then_some(FallbackWhy::WorkerFault)) {
+        if let Some(why) = fault_abort {
             return Ok(Some(why));
         }
 

@@ -196,23 +196,3 @@ fn organic_faults_report_their_fallback_outcome() {
     assert!(matches!(ret, Err(ExecError::DivByZero { .. })), "{ret:?}");
     assert_eq!(outcomes, ["S(\"worker_fault\")"]);
 }
-
-/// A disabled recorder attached to the runtime records nothing at all —
-/// the engines treat `disabled` exactly like `absent`.
-#[test]
-fn disabled_recorder_records_nothing() {
-    let p = compile(DOALL_SRC).unwrap();
-    let mut interp = Interpreter::new(&p.module);
-    interp.run_main(&mut NullSink).unwrap();
-    let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
-
-    let rec = Arc::new(Recorder::disabled());
-    Runtime::new(&p, &plan)
-        .workers(4)
-        .cost_threshold(0)
-        .recorder(Arc::clone(&rec))
-        .run_main()
-        .unwrap();
-    let snap = rec.snapshot();
-    assert!(snap.events.is_empty());
-}

@@ -30,7 +30,7 @@
 //! | `plan` | `key`, `abstraction`, `loops`, `techniques`, `mutexes`, `parallel_spawns` |
 //! | `execute` | `key`, `abstraction`, `workers`, `ret`, `output`, `steps`, `parallel_ns`, `matches_baseline`, `globals_mismatch`, `chunked_loops`, `sequential_fallbacks` |
 //! | `report` | everything `execute` carries plus `predicted_parallelism`, `sequential_ns` (the untraced `ir::interp` baseline run), `measured_speedup` (`sequential_ns / parallel_ns`), `efficiency`, `fallback_reasons` |
-//! | `metrics` | `uptime_ns`, `requests`, `queue_depth`, `cache` (hits/misses/evictions/builds/bytes/entries), `counters`, `spans`, `queue_depth_mean` |
+//! | `metrics` | `uptime_ns`, `requests`, `queue_depth`, `cache` (hits/misses/evictions/builds/bytes/entries/budget); with `record` on, also the recorder's totals: `counters`, `spans` (exact per-name count/total_ns/max_ns), `queue_depth_mean`, `queue_depth_samples` |
 //! | `shutdown` | `draining` |
 //!
 //! ## Graceful shutdown
@@ -66,6 +66,11 @@ use crate::store::{PlanStore, DEFAULT_BUDGET_BYTES};
 /// reads by the same constant.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
+/// Recorder counters behind the `metrics` op's `queue_depth_mean`: each
+/// enqueued request adds the queue's length to the sum and one sample.
+const QUEUE_DEPTH_SUM: &str = "service/queue_depth_sum";
+const QUEUE_DEPTH_SAMPLES: &str = "service/queue_depth_samples";
+
 /// Daemon knobs; `Default` is what `pspdg_serve` runs with.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -83,8 +88,9 @@ pub struct ServiceConfig {
     pub exec_workers: usize,
     /// [`PlanStore`] LRU byte budget.
     pub budget_bytes: usize,
-    /// Attach a recorder (cache counters, pipeline spans, queue-depth
-    /// histogram — everything the `metrics` op reports).
+    /// Attach a recorder (cache and queue-depth counters, pipeline span
+    /// totals — everything the `metrics` op reports past the store's
+    /// stats). Off is no recorder at all.
     pub record: bool,
 }
 
@@ -354,8 +360,9 @@ fn reader_loop(stream: TcpStream, addr: SocketAddr, shared: Arc<SharedState>) {
             shared.request_shutdown(addr);
             return;
         }
-        if let Some(r) = shared.rec.as_deref().filter(|r| r.enabled()) {
-            r.observe("service/queue_depth", shared.queue.len() as u64);
+        if let Some(r) = shared.rec.as_deref() {
+            r.add(QUEUE_DEPTH_SUM, shared.queue.len() as u64);
+            r.add(QUEUE_DEPTH_SAMPLES, 1);
         }
         if shared
             .queue
@@ -495,11 +502,6 @@ fn handle(shared: &SharedState, env: &Envelope) -> String {
                     .into_iter()
                     .map(|(k, v)| (k.to_string(), v))
                     .collect(),
-                recorder_state: match shared.rec.as_deref() {
-                    None => "absent",
-                    Some(r) if r.enabled() => "enabled",
-                    Some(_) => "disabled",
-                },
             };
             let mut o = response_head(env, "report");
             execution_body(&mut o, &session, &exec);
@@ -512,7 +514,6 @@ fn handle(shared: &SharedState, env: &Envelope) -> String {
                 fr.num(k, *v as f64);
             }
             o.raw("fallback_reasons", &fr.finish());
-            o.str("recorder", report.recorder_state);
             o.finish()
         }
     }
@@ -576,10 +577,16 @@ fn metrics_response(shared: &SharedState, env: &Envelope) -> String {
     cache.num("budget", shared.store.budget_bytes() as f64);
     o.raw("cache", &cache.finish());
     if let Some(r) = shared.rec.as_deref() {
-        let snap = r.snapshot();
+        let snap = r.totals();
         let mut counters = JsonObj::new();
+        let (mut depth_sum, mut depth_samples) = (0, 0);
         for (name, v) in &snap.counters {
             counters.num(name, *v as f64);
+            match name.as_str() {
+                QUEUE_DEPTH_SUM => depth_sum = *v,
+                QUEUE_DEPTH_SAMPLES => depth_samples = *v,
+                _ => {}
+            }
         }
         o.raw("counters", &counters.finish());
         let spans: Vec<String> = snap
@@ -595,13 +602,9 @@ fn metrics_response(shared: &SharedState, env: &Envelope) -> String {
             })
             .collect();
         o.raw("spans", &format!("[{}]", spans.join(",")));
-        if let Some((_, h)) = snap
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "service/queue_depth")
-        {
-            o.num("queue_depth_mean", h.mean());
-            o.num("queue_depth_samples", h.count as f64);
+        if depth_samples > 0 {
+            o.num("queue_depth_mean", depth_sum as f64 / depth_samples as f64);
+            o.num("queue_depth_samples", depth_samples as f64);
         }
     }
     o.finish()

@@ -297,7 +297,7 @@ impl Session {
     }
 
     fn enumerate(&self, abstraction: Abstraction) -> PlanBundle {
-        let rec = self.rec.as_deref().filter(|r| r.enabled());
+        let rec = self.rec.as_deref();
         let plan = plan_built_recorded(
             &self.program,
             &self.built,

@@ -147,6 +147,24 @@ fn repeated_plan_request_builds_once_and_hits_after() {
     service.shutdown();
 }
 
+/// The queue-depth answers are two counters: every request that goes
+/// through the queue, this `metrics` request included, is one sample.
+#[test]
+fn metrics_answers_queue_depth_from_counters() {
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    for _ in 0..3 {
+        client.ping().unwrap();
+    }
+    let metrics = client.metrics().unwrap();
+    assert_eq!(num(&metrics, "queue_depth_samples"), 4.0);
+    let counters = metrics.get("counters").unwrap();
+    assert_eq!(num(counters, "service/queue_depth_samples"), 4.0);
+    // One client waits for each answer, so it never finds a queue.
+    assert_eq!(num(&metrics, "queue_depth_mean"), 0.0);
+    service.shutdown();
+}
+
 #[test]
 fn report_carries_prediction_and_execution() {
     let service = start();

@@ -2,11 +2,10 @@
 # Regenerate BENCH_runtime.json: predicted-vs-measured numbers for the
 # plan-driven parallel runtime over the NAS Class::Mini suite.
 #
-# The timed rows run with no recorder attached (each row records
-# "recorder": "absent"); the JSON's `profiling` section re-runs the
-# suite with an enabled recorder for its span summary, measures the
-# recorder's own absent/disabled/enabled overhead, and carries the opcode
-# tables derived from the oracle run's profile. Use scripts/profile.sh
+# The timed rows run with no recorder attached; the JSON's `profiling`
+# section re-runs the suite with a recorder for its span summary,
+# measures the recorder's own absent/enabled overhead, and carries the
+# opcode tables derived from the oracle run's profile. Use scripts/profile.sh
 # for the trace/metrics export.
 #
 # Usage: scripts/bench_runtime.sh [OUT.json] [--smoke]

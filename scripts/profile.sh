@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Profile the full pipeline: run the runtime suite with the recorder
-# enabled end to end (PS-PDG build, planning, scheduling, every runtime
+# Profile the full pipeline: run the runtime suite with a recorder
+# attached end to end (PS-PDG build, planning, scheduling, every runtime
 # activation) and export
 #
 #   OUTDIR/profile_trace.json    Chrome trace-event JSON — load it in
 #                                https://ui.perfetto.dev or chrome://tracing
-#   OUTDIR/profile_metrics.json  counters, histograms, span summaries
+#   OUTDIR/profile_metrics.json  counters, span summaries
 #   stdout                       top opcodes (the oracle's block counts x
 #                                each block's static mix) / top spans
 #

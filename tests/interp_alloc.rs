@@ -172,8 +172,8 @@ fn traced_run_scratch_is_per_run_not_per_call() {
 /// What an *enabled* recorder adds to a one-worker run is paid per span —
 /// the run and each loop activation — never per block or per step: the
 /// same three activations of a DOALL loop cost the same extra allocations
-/// at trip N and at 8N. (`crates/obs/tests/recorder.rs` pins the disabled
-/// path at zero.)
+/// at trip N and at 8N. Without a recorder a run records nothing: absent
+/// is the only off state.
 #[test]
 fn enabled_recorder_allocations_scale_with_activations_not_steps() {
     const N: usize = 500;
@@ -206,7 +206,8 @@ fn enabled_recorder_allocations_scale_with_activations_not_steps() {
     let (extra, spans) = at_n;
     assert_eq!(spans, 4, "the run and three activations of the loop");
     assert_eq!(at_8n, at_n, "(extra allocations, spans) at 8N vs N");
-    // A span's name, its argument vector and its slot in the event list.
+    // A span's name and argument vector and, the first time a name
+    // closes, that name's total.
     assert!(extra <= 8 * spans, "{extra} allocations for {spans} spans");
 }
 
