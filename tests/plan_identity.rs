@@ -39,6 +39,7 @@ use pspdg::parallelizer::{
     ExecutablePlan, LoopExec, MachineModel, PlannedTechnique, ProgramPlan,
 };
 use pspdg::pdg::MemBase;
+use pspdg::Session;
 
 /// FNV-1a over a stream of `u64` words.
 struct Fnv(u64);
@@ -302,6 +303,37 @@ fn synth_module_plans_are_pinned() {
     .map(|(name, b)| (name.to_string(), b, FeatureSet::all()))
     .collect();
     check(&rows, &SYNTH_PLAN, &SYNTH_LOWERING);
+}
+
+/// A `Session` lowers each plan it caches; `realize_executable` lowers
+/// the same plan from analyses it computes itself. Both must give the
+/// same `ExecutablePlan`: every field of it is a `Vec` of types that
+/// derive `Debug`, so equal `Debug` text is structural equality.
+#[test]
+fn session_lowering_equals_fresh_lowering() {
+    let mut programs: Vec<(String, Benchmark)> = [Class::Mini, Class::Test]
+        .into_iter()
+        .flat_map(|class| suite_rows(class, &format!(".{class:?}"), FeatureSet::all()))
+        .map(|(name, b, _)| (name, b))
+        .collect();
+    for n in [100, 200, 400] {
+        programs.push((format!("module{n}"), synth::module(n, 32)));
+    }
+    for bases in [16, 32, 64] {
+        programs.push((format!("wide{bases}"), synth::wide(bases)));
+    }
+    for (name, b) in programs {
+        let session = Session::from_program(b.program()).expect("session");
+        for a in Abstraction::ALL {
+            let bundle = session.plan(a);
+            let cached = format!("{:?}", bundle.exec);
+            let fresh = format!("{:?}", realize_executable(session.program(), &bundle.plan));
+            assert!(
+                cached == fresh,
+                "{name} {a:?}: the session's lowering differs"
+            );
+        }
+    }
 }
 
 #[rustfmt::skip]
