@@ -73,7 +73,7 @@ fn main() {
             0.01,
             Some(&rec),
         );
-        let exec = realize_executable_recorded(&p, &plan, Some(&rec));
+        let exec = realize_executable_recorded(&p, &built, &plan, Some(&rec));
         let rt = Runtime::from_shared(Arc::new(p), Arc::new(exec))
             .workers(workers)
             .recorder(Arc::clone(&rec));

@@ -18,11 +18,14 @@
 //! Lowering runs no dependence query: what a loop merges is the plan's
 //! discharge record ([`LoopPlanSpec::discharged`]), which the emulator
 //! reads too. A loop failing one of the runtime's capability checks
-//! degrades to sequential with the reason; [`realize_executable`] takes
-//! only the program and the plan, so it still recomputes `FunctionAnalyses`.
+//! degrades to sequential with the reason. The structural analyses it
+//! reads come from the module build the plan was enumerated from
+//! ([`realize_executable_recorded`]); [`realize_executable`], which takes
+//! only the program and the plan, computes them for the plan's functions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use pspdg_core::FunctionPsPdg;
 use pspdg_ir::{BlockId, CmpOp, FuncId, Inst, InstId, Intrinsic, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram, ReductionOp};
 use pspdg_pdg::{FunctionAnalyses, MemBase};
@@ -233,30 +236,57 @@ impl ExecutablePlan {
     }
 }
 
-/// Lower every loop of `plan` into an executable schedule.
+/// Lower every loop of `plan` into an executable schedule, computing the
+/// structural analyses of each function the plan names.
 pub fn realize_executable(program: &ParallelProgram, plan: &ProgramPlan) -> ExecutablePlan {
-    realize_executable_recorded(program, plan, None)
+    let funcs: BTreeSet<FuncId> = plan.loops.values().map(|s| s.func).collect();
+    let analyses: BTreeMap<FuncId, FunctionAnalyses> = funcs
+        .into_iter()
+        .map(|f| (f, FunctionAnalyses::compute(&program.module, f)))
+        .collect();
+    lower_plan(program, plan, |f| &analyses[&f], None)
 }
 
-/// [`realize_executable`] with optional pipeline tracing: one
-/// `plan/schedule` span covers the whole lowering pass, and each loop's
-/// lowering gets a `plan/schedule_loop` span tagged with its function
-/// and the execution strategy it lowered to.
+/// [`realize_executable`] over the analyses in `built` (the module build
+/// the plan was enumerated from), so lowering computes none, with
+/// optional pipeline tracing: one `plan/schedule` span covers the whole
+/// lowering pass, and each loop's lowering gets a `plan/schedule_loop`
+/// span tagged with its function and the execution strategy it lowered
+/// to.
+///
+/// # Panics
+///
+/// If `plan` names a function `built` has no entry for.
 pub fn realize_executable_recorded(
     program: &ParallelProgram,
+    built: &[FunctionPsPdg],
     plan: &ProgramPlan,
+    rec: Option<&pspdg_obs::Recorder>,
+) -> ExecutablePlan {
+    // `build_pspdg_module` yields functions in module order.
+    let analyses_of = |f| match built.binary_search_by_key(&f, |b| b.func) {
+        Ok(k) => &built[k].analyses,
+        Err(_) => panic!("the plan names {f}, which the module build skipped"),
+    };
+    lower_plan(program, plan, analyses_of, rec)
+}
+
+/// The one lowering pass: every loop of `plan`, grouped per function,
+/// against that function's analyses.
+fn lower_plan<'a>(
+    program: &ParallelProgram,
+    plan: &ProgramPlan,
+    analyses_of: impl Fn(FuncId) -> &'a FunctionAnalyses,
     rec: Option<&pspdg_obs::Recorder>,
 ) -> ExecutablePlan {
     let _all = rec.map(|r| r.span("plan/schedule", "pipeline"));
     let mut schedules = Vec::with_capacity(plan.loops.len());
-    // Group specs per function so analyses are computed once each.
     let mut by_func: BTreeMap<FuncId, Vec<&LoopPlanSpec>> = BTreeMap::new();
     for spec in plan.loops.values() {
         by_func.entry(spec.func).or_default().push(spec);
     }
     for (func, specs) in by_func {
-        let analyses = FunctionAnalyses::compute(&program.module, func);
-        let cx = FuncRealizer::new(program, plan, func, &analyses);
+        let cx = FuncRealizer::new(program, plan, func, analyses_of(func));
         for spec in specs {
             let mut sp = rec.map(|r| {
                 let mut s = r.span("plan/schedule_loop", "pipeline");

@@ -15,7 +15,10 @@
 //!   any nested `par_map` inline; each `execute` still runs on its own
 //!   `Runtime`'s pool. Every handler goes through the one shared
 //!   [`PlanStore`], so concurrent clients asking for the same program
-//!   share a single build.
+//!   share a single build;
+//! * the store's **reaper** thread, spawned at its first eviction, which
+//!   frees the sessions a handler's build or hit evicted, so the handler
+//!   replies without paying for another program's graphs.
 //!
 //! Responses are written line-by-line under a per-connection mutex, each
 //! tagged with the request's echoed `id`, so clients may pipeline. A
@@ -40,6 +43,8 @@
 //! then closes the queue — the [`Channel`] **drains after close**, so
 //! every request already enqueued is handled and answered before the
 //! handler threads exit and are joined. Nothing in flight is dropped.
+//! The store drops with the daemon's last handle on it, and dropping the
+//! store joins its reaper once every queued eviction is freed.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -285,8 +285,9 @@ impl Session {
     /// Re-enumerate `abstraction`'s plan from the cached analysis
     /// artifacts, replacing the cached bundle. This is the replanning
     /// path: it re-runs only enumeration + lowering over the already-
-    /// assembled `EffectiveView` PS-PDGs — never the PDG build (lowering
-    /// reads what each loop merges from the plan, not from a PDG).
+    /// assembled `EffectiveView` PS-PDGs — never the PDG build nor the
+    /// structural analyses (lowering reads what each loop merges from the
+    /// plan, and its loops and CFG from the session's analyses).
     pub fn replan(&self, abstraction: Abstraction) -> Arc<PlanBundle> {
         let bundle = Arc::new(self.enumerate(abstraction));
         self.plans
@@ -306,7 +307,7 @@ impl Session {
             DEFAULT_THRESHOLD,
             rec,
         );
-        let exec = realize_executable_recorded(&self.program, &plan, rec);
+        let exec = realize_executable_recorded(&self.program, &self.built, &plan, rec);
         PlanBundle {
             abstraction,
             plan,

@@ -18,17 +18,24 @@
 //! Entries are charged their [`Session::approx_bytes`] plus their
 //! remembered sources against a byte budget; insertion beyond the budget
 //! evicts least-recently-used ready entries and their sources (never the
-//! entry being returned, never an in-flight build). Evicted sessions are
-//! dropped after the store's lock is released.
+//! entry being returned, never an in-flight build). Freeing a module-scale
+//! session's graphs takes milliseconds, so the evicting request does not
+//! pay it: evicted entries go to the store's one **reaper** thread, which
+//! the store spawns at its first eviction and feeds through a bounded
+//! [`Channel`] of `REAPER_QUEUE` batches (a full queue blocks the
+//! evictor, so frees never lag far behind). Dropping the store closes the
+//! channel and joins the reaper once it has freed every queued batch.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 
 use pspdg_frontend::compile;
 use pspdg_obs::Recorder;
 use pspdg_parallel::ParallelProgram;
+use pspdg_pool::Channel;
 
 use crate::hash::content_key;
 use crate::session::{Session, SessionError};
@@ -37,6 +44,10 @@ use crate::session::{Session, SessionError};
 /// long tail of ad-hoc requests, small enough that a runaway corpus
 /// recycles memory instead of growing without bound.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
+
+/// Eviction batches the reaper may have queued before an evicting request
+/// blocks until it catches up.
+const REAPER_QUEUE: usize = 2;
 
 /// Cache effectiveness counters (monotonic except `bytes`/`entries`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,12 +105,23 @@ struct Inner {
     builds: u64,
 }
 
+/// Entries one `settle` evicted.
+type Evicted = Vec<(Keyed, Slot)>;
+
+/// The thread that frees evicted entries, and its queue.
+struct Reaper {
+    queue: Channel<Evicted>,
+    thread: JoinHandle<()>,
+}
+
 /// The content-addressed, byte-budgeted, single-flight session cache.
 pub struct PlanStore {
     budget: usize,
     rec: Option<Arc<Recorder>>,
     inner: Mutex<Inner>,
     built: Condvar,
+    /// Spawned at the first eviction.
+    reaper: OnceLock<Reaper>,
 }
 
 impl std::fmt::Debug for PlanStore {
@@ -133,6 +155,7 @@ impl PlanStore {
                 builds: 0,
             }),
             built: Condvar::new(),
+            reaper: OnceLock::new(),
         }
     }
 
@@ -228,7 +251,7 @@ impl PlanStore {
                 drop(inner);
                 self.count("service/cache_hit", 1);
                 self.count("service/cache_eviction", evicted.len() as u64);
-                drop(evicted);
+                self.reap(evicted);
                 return Ok(out);
             }
             if let Entry::Vacant(slot) = inner.entries.entry(keyed.clone()) {
@@ -267,7 +290,7 @@ impl PlanStore {
                 drop(inner);
                 self.count("service/cache_eviction", evicted.len() as u64);
                 self.built.notify_all();
-                drop(evicted);
+                self.reap(evicted);
                 Ok(session)
             }
             Err(e) => {
@@ -282,6 +305,37 @@ impl PlanStore {
     fn count(&self, name: &'static str, n: u64) {
         if let Some(r) = &self.rec {
             r.add(name, n);
+        }
+    }
+
+    /// Hand `evicted` to the reaper, spawning it at the first eviction.
+    fn reap(&self, evicted: Evicted) {
+        if evicted.is_empty() {
+            return;
+        }
+        let reaper = self.reaper.get_or_init(|| {
+            let queue = Channel::bounded(REAPER_QUEUE);
+            let rx = queue.clone();
+            let thread = std::thread::Builder::new()
+                .name("pspdg-reaper".to_string())
+                .spawn(move || {
+                    while let Some(evicted) = rx.recv() {
+                        drop(evicted);
+                    }
+                })
+                .expect("spawn reaper thread");
+            Reaper { queue, thread }
+        });
+        // Only `Drop` closes the queue, so this send never fails.
+        let _ = reaper.queue.send(evicted);
+    }
+}
+
+impl Drop for PlanStore {
+    fn drop(&mut self) {
+        if let Some(reaper) = self.reaper.take() {
+            reaper.queue.close();
+            let _ = reaper.thread.join();
         }
     }
 }
@@ -324,14 +378,9 @@ impl Default for PlanStore {
 /// same bytes finds it remembered). Then evict least-recently-used ready
 /// entries, with their sources, until the charged bytes fit `budget`;
 /// `session`'s entry and in-flight builds are never evicted. Returns the
-/// evicted entries, for the caller to drop once the lock is released:
-/// freeing a module-scale session's graphs takes milliseconds.
-fn settle(
-    inner: &mut Inner,
-    budget: usize,
-    session: &Session,
-    source: Option<&str>,
-) -> Vec<(Keyed, Slot)> {
+/// evicted entries, for the caller to hand to the reaper once the lock is
+/// released.
+fn settle(inner: &mut Inner, budget: usize, session: &Session, source: Option<&str>) -> Evicted {
     // The slot's own program, so the memo holds no second copy of it.
     let keyed = &Keyed {
         key: session.key(),
@@ -344,17 +393,21 @@ fn settle(
         }
     }
     let mut evicted = Vec::new();
-    while inner.ready().0 > budget {
+    let mut charged = inner.ready().0;
+    while charged > budget {
         let victim = inner
             .entries
             .iter()
             .filter_map(|(k, s)| match s {
-                Slot::Ready { last_used, .. } if k != keyed => Some((*last_used, k)),
+                Slot::Ready {
+                    last_used, bytes, ..
+                } if k != keyed => Some((*last_used, *bytes, k)),
                 _ => None,
             })
-            .min_by_key(|&(last_used, _)| last_used)
-            .map(|(_, k)| k.clone());
-        let Some(k) = victim else { break };
+            .min_by_key(|&(last_used, ..)| last_used)
+            .map(|(_, bytes, k)| (bytes, k.clone()));
+        let Some((bytes, k)) = victim else { break };
+        charged -= bytes;
         evicted.extend(inner.entries.remove_entry(&k));
         inner.sources.retain(|_, entry| *entry != k);
         inner.evictions += 1;

@@ -254,6 +254,24 @@ fn eviction_drops_the_sessions_remembered_sources() {
 }
 
 #[test]
+fn an_evicted_session_is_freed_by_the_reaper_the_store_joins() {
+    // Room for one session and its source, not two.
+    let budget = Session::compile(&variant(1)).unwrap().approx_bytes() * 3 / 2;
+    let store = PlanStore::with_budget(budget);
+    let first = Arc::downgrade(&store.get_source(&variant(0)).unwrap());
+    let second = store.get_source(&variant(1)).unwrap();
+    assert_eq!(store.stats().evictions, 1);
+    assert!(store.contains(second.key()));
+    // The reaper may or may not have freed it yet; once the store is
+    // dropped it has, because dropping joins the reaper.
+    drop(store);
+    assert!(
+        first.upgrade().is_none(),
+        "the evicted session outlived its store"
+    );
+}
+
+#[test]
 fn failed_builds_are_not_cached() {
     let store = PlanStore::new();
     // Runs off the end of the array: the sequential profiling run faults,

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pspdg_ir::interp::MAX_CALL_DEPTH;
@@ -618,6 +618,31 @@ fn graceful_shutdown_drains_in_flight_requests() {
     assert!(Client::connect(addr)
         .and_then(|mut c| { c.ping().map_err(|_| std::io::Error::other("dead")) })
         .is_err());
+}
+
+#[test]
+fn shutdown_joins_the_reaper_after_the_evictions_it_queued() {
+    // Room for one session and its source, not two.
+    let budget = Session::compile(SRC).unwrap().approx_bytes() * 3 / 2;
+    let service = PlanService::start(ServiceConfig {
+        handlers: 1,
+        exec_workers: 2,
+        budget_bytes: budget,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let first = Arc::downgrade(&service.store().get_source(SRC).unwrap());
+    let mut client = Client::connect(service.addr()).unwrap();
+    for salt in 0..3 {
+        let src = format!("int salt{salt};\n{SRC}");
+        client.plan(&src, Abstraction::PsPdg).unwrap();
+    }
+    assert_eq!(service.store().stats().evictions, 3);
+    service.shutdown();
+    assert!(
+        first.upgrade().is_none(),
+        "shutdown left an evicted session alive"
+    );
 }
 
 #[test]
