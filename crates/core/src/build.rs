@@ -19,7 +19,10 @@
 //!
 //! Every step is gated on the corresponding [`Feature`] so the §4 ablation
 //! study can be reproduced: disabling a feature always degrades to the
-//! *stricter* (more constrained) semantics.
+//! *stricter* (more constrained) semantics. Without HN+UE a synchronized
+//! region is opaque, so a worksharing loop keeps every carried dependence
+//! with an end inside a `critical`, `atomic` or `ordered` region; the
+//! contexts-only graph `{C}` is then exactly Jensen & Karlsson's view.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -111,7 +114,8 @@ pub fn build_pspdg_module_recorded(
     })
 }
 
-/// Build the PS-PDG of `func`, collecting the memory references afresh.
+/// Build the PS-PDG of `func`, collecting the memory references afresh
+/// when the parallel semantic variables, their only reader, are on.
 ///
 /// Callers that already hold the references the PDG was built from (the
 /// module driver, anything using [`Pdg::build_with_refs`]) should use
@@ -123,7 +127,11 @@ pub fn build_pspdg(
     pdg: &Pdg,
     features: FeatureSet,
 ) -> PsPdg {
-    let refs = collect_mem_refs(&program.module, func, analyses);
+    let refs = if features.has(Feature::ParallelVariables) {
+        collect_mem_refs(&program.module, func, analyses)
+    } else {
+        Vec::new()
+    };
     build_pspdg_with_refs(program, func, analyses, pdg, &refs, features)
 }
 
@@ -482,22 +490,26 @@ impl Builder<'_> {
                     if in_ordered(e.src) && in_ordered(e.dst) {
                         continue; // ordered keeps the sequential order
                     }
+                    // Without hierarchical nodes a synchronized region is
+                    // opaque: nothing says what it orders, so a dependence
+                    // touching one stays carried (Jensen & Karlsson's rule).
+                    let synced = |i: InstId| lock_map.contains_key(&i) || in_ordered(i);
+                    if !hn && (synced(e.src) || synced(e.dst)) {
+                        continue;
+                    }
                     match (lock_of(e.src), lock_of(e.dst)) {
                         (Some((la, da)), Some((lb, db)))
                             if la == lb
                                 && region_inside_loop(da, l)
                                 && region_inside_loop(db, l) =>
                         {
-                            if hn {
-                                removed[ei] = true;
-                                let (na, nb) = (
-                                    region_node_of(e.src).unwrap(),
-                                    region_node_of(e.dst).unwrap(),
-                                );
-                                let ctx = loop_ctx.get(&l).copied();
-                                push_undirected(&mut undirected, na, nb, ctx);
-                            }
-                            // w/o HN+UE the directed edge stays (stricter).
+                            removed[ei] = true;
+                            let (na, nb) = (
+                                region_node_of(e.src).unwrap(),
+                                region_node_of(e.dst).unwrap(),
+                            );
+                            let ctx = loop_ctx.get(&l).copied();
+                            push_undirected(&mut undirected, na, nb, ctx);
                         }
                         (Some(_), Some(_)) => {
                             // Same-instance dependence (loop inside the
@@ -967,4 +979,86 @@ fn depends_conflict(a: &[Depend], b: &[Depend]) -> bool {
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pspdg_frontend::compile;
+
+    /// `k`'s base PDG and its `{C}` PS-PDG (Jensen & Karlsson's view).
+    fn contexts_only(src: &str) -> (FunctionAnalyses, Pdg, PsPdg) {
+        let p = compile(src).unwrap();
+        let f = p.module.function_by_name("k").unwrap();
+        let a = FunctionAnalyses::compute(&p.module, f);
+        let pdg = Pdg::build(&p.module, f, &a);
+        let fs = FeatureSet::none().with(Feature::Contexts);
+        let ps = build_pspdg(&p, f, &a, &pdg, fs);
+        (a, pdg, ps)
+    }
+
+    #[test]
+    fn contexts_remove_worksharing_carried_deps() {
+        let (a, pdg, ps) = contexts_only(
+            r#"
+            int key[64]; int hist[64];
+            void k() {
+                int i;
+                #pragma omp parallel for
+                for (i = 0; i < 64; i++) { hist[key[i]] += 1; }
+            }
+            int main() { k(); return 0; }
+            "#,
+        );
+        let l = a.forest.loop_ids().next().unwrap();
+        let before = pdg.carried_edges(l).count();
+        let after = ps.effective.carried_edges(l).count();
+        assert!(
+            after < before,
+            "{{C}} must remove the histogram's carried deps"
+        );
+    }
+
+    #[test]
+    fn contexts_alone_keep_deps_touching_a_critical() {
+        let (a, pdg, ps) = contexts_only(
+            r#"
+            int key[64]; int hist[64]; int t[64];
+            void k() {
+                int i;
+                #pragma omp parallel for
+                for (i = 0; i < 64; i++) {
+                    #pragma omp critical
+                    { hist[key[i]] += 1; }
+                    t[i] = hist[i];
+                }
+            }
+            int main() { k(); return 0; }
+            "#,
+        );
+        let l = a.forest.loop_ids().next().unwrap();
+        // A critical region is opaque without HN+UE: every carried dep on
+        // hist has an end inside it, so none is removed, not even the
+        // ones to the read outside the region.
+        let hist = |e: &&PdgEdge| matches!(e.base, Some(MemBase::Global(g)) if g.index() == 1);
+        let base = pdg.carried_edges(l).filter(hist).count();
+        assert!(base > 0);
+        assert_eq!(ps.effective.carried_edges(l).filter(hist).count(), base);
+    }
+
+    #[test]
+    fn contexts_ignore_unannotated_loops() {
+        let (_, pdg, ps) = contexts_only(
+            r#"
+            int key[64]; int hist[64];
+            void k() {
+                int i;
+                for (i = 0; i < 64; i++) { hist[key[i]] += 1; }
+            }
+            int main() { k(); return 0; }
+            "#,
+        );
+        assert_eq!(ps.effective.surviving_len(), pdg.edges.len());
+        assert_eq!(ps.effective.rewrite_count(), 0);
+    }
 }

@@ -66,8 +66,10 @@ fn enumerate_prepared(
     let mut per_loop = Vec::new();
     // Built once per function, and only for a function with a hot loop.
     let views = (!hot.is_empty()).then(|| {
-        [Abstraction::Pdg, Abstraction::Jk, Abstraction::PsPdg]
-            .map(|a| (a, AbstractionView::select(a, program, prepared)))
+        [Abstraction::Pdg, Abstraction::Jk, Abstraction::PsPdg].map(|a| {
+            let graph = a.graph(prepared.pspdg.features);
+            (a, AbstractionView::select(graph, program, prepared))
+        })
     });
 
     for h in &hot {

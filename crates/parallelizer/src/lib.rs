@@ -16,8 +16,12 @@
 //! * [`Abstraction::Pdg`] — NOELLE's PDG over the *sequential* version of
 //!   the program;
 //! * [`Abstraction::Jk`] — the PDG improved with worksharing-loop
-//!   information, after Jensen & Karlsson;
+//!   information, after Jensen & Karlsson: the PS-PDG with contexts only;
 //! * [`Abstraction::PsPdg`] — the paper's contribution.
+//!
+//! Each of the last three is one graph of the §4 feature lattice, and
+//! the planner and the option enumerator read only that graph; only the
+//! OpenMP plan follows the annotations as written.
 
 #![warn(missing_docs)]
 

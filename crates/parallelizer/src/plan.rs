@@ -12,14 +12,28 @@
 //! * **PS-PDG** — "the SCCs from the PS-PDG, as well as inner
 //!   developer-expressed loops".
 //!
+//! Apart from the OpenMP plan, which follows the annotations as written,
+//! every decision reads the abstraction's graph — the base PDG or a point
+//! of the §4 feature lattice (`Abstraction::graph`), so an ablated
+//! PS-PDG plans by the same rules:
+//!
+//! * developer worksharing loops are nested in as DOALL when the graph has
+//!   contexts (C), the feature that knows them;
+//! * hot loops are assessed on the graph's dependence view;
+//! * a graph without HN+UE serializes every `critical`/`atomic` region as
+//!   written, one with them only the regions an undirected edge joins, and
+//!   the base PDG knows no locks;
+//! * spawned calls run in their own strand when the graph has HN+UE and NT.
+//!
 //! Of the paper's three techniques a plan uses two: DOALL where the loop
 //! carries no dependence, HELIX where some SCC is parallel. DSWP is
 //! counted among the options (`enumerate`) and never planned.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pspdg_core::query::{self, LoopDeps};
-use pspdg_core::{build_pspdg_module, FeatureSet, FunctionPsPdg, PsPdg, VariableKind};
+use pspdg_core::{build_pspdg_module, Feature, FeatureSet, FunctionPsPdg, PsPdg, VariableKind};
 use pspdg_ir::interp::Profile;
 use pspdg_ir::{BinOp, FuncId, Function, Inst, InstId, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram, ReductionOp};
@@ -172,7 +186,13 @@ pub fn plan_built_recorded(
     threshold: f64,
     rec: Option<&pspdg_obs::Recorder>,
 ) -> ProgramPlan {
-    let parallel_spawns = matches!(abstraction, Abstraction::OpenMp | Abstraction::PsPdg);
+    // Spawned strands need the spawn's node (HN) and its orderless trait.
+    let built_features = built
+        .first()
+        .map_or(FeatureSet::all(), |b| b.pspdg.features);
+    let parallel_spawns = abstraction
+        .graph(built_features)
+        .is_some_and(|fs| fs.has(Feature::HierarchicalUndirected) && fs.has(Feature::NodeTraits));
     let mut plan = ProgramPlan {
         abstraction,
         loops: HashMap::new(),
@@ -229,12 +249,17 @@ fn plan_function(
         ((func, loop_id), spec)
     };
 
-    // --- developer-expressed loops (OpenMP plan; also nested into J&K and
-    //     PS-PDG plans) -----------------------------------------------------
-    if matches!(
-        abstraction,
-        Abstraction::OpenMp | Abstraction::Jk | Abstraction::PsPdg
-    ) {
+    // The programmer's own plan follows the annotations as written; every
+    // other decision reads the abstraction's graph (`None`: the base PDG).
+    let openmp = abstraction == Abstraction::OpenMp;
+    let graph = abstraction.graph(pspdg.features);
+    let has = |feature| graph.is_some_and(|fs| fs.has(feature));
+    let view = OnceCell::new();
+    let view = || view.get_or_init(|| AbstractionView::select(graph, program, prepared));
+
+    // --- developer-expressed loops: the OpenMP plan, and nested into every
+    //     plan whose graph knows the worksharing loops (§6.3) --------------
+    if openmp || has(Feature::Contexts) {
         for (_, d) in program.directives_in(func) {
             let is_ws = matches!(
                 d.kind,
@@ -261,14 +286,14 @@ fn plan_function(
     }
 
     // --- compiler-discovered loops ----------------------------------------
-    let hot = match abstraction {
-        Abstraction::OpenMp => Vec::new(),
-        _ => hot_loops(&program.module, func, analyses, profile, threshold),
+    let hot = if openmp {
+        Vec::new()
+    } else {
+        hot_loops(&program.module, func, analyses, profile, threshold)
     };
     // A function without a hot loop never pays for its view.
     if !hot.is_empty() {
         let hot_set: BTreeSet<LoopId> = hot.iter().map(|h| h.loop_id).collect();
-        let view = AbstractionView::select(abstraction, program, prepared);
         // Outermost-first: parallelize the outermost hot canonical loop of
         // each nest; descend only when a loop is not plannable.
         let mut stack: Vec<LoopId> = analyses.forest.top_level();
@@ -280,7 +305,7 @@ fn plan_function(
             if plan.loops.iter().any(|(k, _)| *k == (func, l)) {
                 continue; // already planned as a developer loop
             }
-            let deps = view.at(l);
+            let deps = view().at(l);
             let assessment = assess_loop(&deps);
             let technique = if assessment.doall {
                 PlannedTechnique::Doall
@@ -301,9 +326,13 @@ fn plan_function(
     }
 
     // --- mutual exclusion ---------------------------------------------------
-    match abstraction {
-        Abstraction::OpenMp | Abstraction::Jk => {
-            // Every critical/atomic region serializes, as written.
+    // The base PDG knows no locks. Without HN+UE a graph cannot say which
+    // regions exclude each other, so every critical/atomic region
+    // serializes as written; with them, only the regions an undirected edge
+    // joins do (provably independent criticals don't).
+    match graph {
+        None => {}
+        Some(fs) if openmp || !fs.has(Feature::HierarchicalUndirected) => {
             for (_, d) in program.directives_in(func) {
                 let lock = match &d.kind {
                     DirectiveKind::Critical { name } => {
@@ -321,21 +350,19 @@ fn plan_function(
                 plan.mutexes.push(MutexSpec { func, insts, lock });
             }
         }
-        Abstraction::PsPdg => {
-            // Only regions whose mutual exclusion survived (an undirected
-            // edge exists) serialize; provably independent criticals don't.
+        Some(_) => {
+            let ps = view().pspdg().expect("a feature set selects a PS-PDG");
             let mut groups: BTreeMap<String, BTreeSet<InstId>> = BTreeMap::new();
-            for (_, a, b) in pspdg.undirected_edges() {
+            for (_, a, b) in ps.undirected_edges() {
                 let key = format!("mutex:{}:{}", a.index(), b.index());
-                let mut insts: BTreeSet<InstId> = pspdg.node_insts(a).into_iter().collect();
-                insts.extend(pspdg.node_insts(b));
+                let mut insts: BTreeSet<InstId> = ps.node_insts(a).into_iter().collect();
+                insts.extend(ps.node_insts(b));
                 groups.entry(key).or_default().extend(insts);
             }
             for (lock, insts) in groups {
                 plan.mutexes.push(MutexSpec { func, insts, lock });
             }
         }
-        Abstraction::Pdg => {}
     }
     plan
 }

@@ -1,20 +1,21 @@
 //! Per-abstraction dependence views.
 //!
-//! Every abstraction is an [`EffectiveView`] over the one base PDG its
-//! function was built with — a removal mask and sparse kind rewrites, never
-//! a second graph; the planners and enumerators are abstraction-agnostic
-//! and read each loop through the view's [`LoopDeps`].
+//! Every abstraction is one graph of the §4 lattice over the base PDG its
+//! function was built with (`Abstraction::graph`): the PDG itself, or a
+//! PS-PDG with some feature set — J&K is `{C}`. Each is an
+//! [`EffectiveView`] of that PDG (a removal mask and sparse kind rewrites,
+//! never a second graph); the planners and enumerators are
+//! abstraction-agnostic and read each loop through the view's
+//! [`LoopDeps`].
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 
 use pspdg_core::query::LoopDeps;
-use pspdg_core::{FunctionPsPdg, PsPdg};
-use pspdg_ir::{InstId, LoopId};
-use pspdg_parallel::{Directive, DirectiveKind, ParallelProgram};
-use pspdg_pdg::{EffectiveView, FunctionAnalyses, Pdg};
-use pspdg_pool::BitSet;
+use pspdg_core::{build_pspdg, Feature, FeatureSet, FunctionPsPdg, PsPdg};
+use pspdg_ir::LoopId;
+use pspdg_parallel::ParallelProgram;
+use pspdg_pdg::{EffectiveView, FunctionAnalyses};
 
 /// The program abstraction driving the parallelizer (paper §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,7 +24,8 @@ pub enum Abstraction {
     OpenMp,
     /// The PDG over the sequential program.
     Pdg,
-    /// PDG + worksharing-loop dependence removal (Jensen & Karlsson).
+    /// PDG + worksharing-loop dependence removal (Jensen & Karlsson): the
+    /// PS-PDG with contexts only.
     Jk,
     /// The PS-PDG.
     PsPdg,
@@ -37,6 +39,19 @@ impl Abstraction {
         Abstraction::Jk,
         Abstraction::PsPdg,
     ];
+
+    /// The graph this abstraction plans from, when the module's PS-PDG was
+    /// built with `built`: `None` is the base PDG, `Some(fs)` the PS-PDG
+    /// with features `fs`. J&K is the point `{C}` of the §4 lattice: the
+    /// PDG plus worksharing-loop independence \[28\], with every region
+    /// that synchronizes kept opaque.
+    pub(crate) fn graph(self, built: FeatureSet) -> Option<FeatureSet> {
+        match self {
+            Abstraction::Pdg => None,
+            Abstraction::Jk => Some(FeatureSet::none().with(Feature::Contexts)),
+            Abstraction::OpenMp | Abstraction::PsPdg => Some(built),
+        }
+    }
 }
 
 impl fmt::Display for Abstraction {
@@ -50,210 +65,64 @@ impl fmt::Display for Abstraction {
     }
 }
 
-/// The Jensen & Karlsson view: worksharing-loop information removes
-/// loop-carried dependences from the PDG \[28\], and nothing else — no
-/// orderless/critical reasoning, no data-property knowledge. Dependences
-/// with an endpoint inside a `critical`/`atomic`/`ordered` region are kept
-/// (the runtime calls those regions lower to are opaque to the analysis).
-///
-/// Built from each worksharing loop's carried-edge index: only those edges
-/// can change, so the overlay's cost follows the annotated loops, not the
-/// function's edge count.
-pub(crate) fn jk_overlay(
-    program: &ParallelProgram,
-    analyses: &FunctionAnalyses,
-    pdg: &Pdg,
-) -> EffectiveView {
-    let func = pdg.func;
-    let f = program.module.function(func);
-    let region_insts = |d: &Directive| -> BitSet {
-        d.region
-            .blocks
-            .iter()
-            .flat_map(|&bb| f.block(bb).insts.iter().map(|i| i.index()))
-            .collect()
-    };
-    // Instructions covered by synchronization constructs stay opaque.
-    let mut synced = BitSet::new();
-    for (_, d) in program.directives_in(func) {
-        if matches!(
-            d.kind,
-            DirectiveKind::Critical { .. } | DirectiveKind::Atomic | DirectiveKind::Ordered
-        ) {
-            synced.union_with(&region_insts(d));
-        }
-    }
-    // The carried loops each edge loses: a dependence may still be carried
-    // at loops the programmer did not annotate.
-    let mut gone: BTreeMap<usize, Vec<LoopId>> = BTreeMap::new();
-    for (_, d) in program.directives_in(func) {
-        if !matches!(
-            d.kind,
-            DirectiveKind::For { .. }
-                | DirectiveKind::CilkFor
-                | DirectiveKind::Taskloop
-                | DirectiveKind::Simd
-        ) {
-            continue;
-        }
-        let Some(l) = d.loop_header.and_then(|header| {
-            analyses
-                .forest
-                .loop_ids()
-                .find(|l| analyses.forest.info(*l).header == header)
-        }) else {
-            continue;
-        };
-        let insts = region_insts(d);
-        let free = |i: InstId| insts.contains(i.index()) && !synced.contains(i.index());
-        for ei in pdg.carried_edge_indices(l).iter() {
-            let e = &pdg.edges[ei];
-            if free(e.src) && free(e.dst) {
-                gone.entry(ei).or_default().push(l);
-            }
-        }
-    }
-    // Narrow the carried sets; an edge with nothing left is removed.
-    let mut removed = BitSet::new();
-    let mut rewrites = BTreeMap::new();
-    for (ei, gone) in gone {
-        let mut e = pdg.edges[ei];
-        if e.kind.narrow_carried(|l| gone.contains(&l)) {
-            rewrites.insert(ei as u32, e);
-        } else {
-            removed.insert(ei);
-        }
-    }
-    EffectiveView::new(pdg, removed, rewrites)
-}
-
-/// What one abstraction may discharge in one function: its dependence view
-/// and, for the PS-PDG, the variables whose semantics apply per loop. The
-/// plan builder and the option enumerator both select through here.
+/// One abstraction's graph of one function, as its loops read it. The plan
+/// builder and the option enumerator both select through here.
 pub(crate) struct AbstractionView<'a> {
-    view: Cow<'a, EffectiveView>,
-    variables: Option<&'a PsPdg>,
+    graph: Graph<'a>,
     analyses: &'a FunctionAnalyses,
 }
 
+enum Graph<'a> {
+    /// The base PDG's identity view.
+    Pdg(EffectiveView),
+    /// A PS-PDG: its overlay and its variables.
+    PsPdg(Cow<'a, PsPdg>),
+}
+
 impl<'a> AbstractionView<'a> {
-    /// PDG is the identity view, J&K its own overlay (built here, so only
-    /// when J&K is asked for), and the PS-PDG the overlay its builder
-    /// assembled, borrowed. The OpenMP plan discovers no loops of its own;
-    /// the loops it declares are read through the PS-PDG.
+    /// The view of `graph` (see [`Abstraction::graph`]): the base PDG's
+    /// identity view, the PS-PDG `prepared` holds when the features match,
+    /// borrowed, and otherwise that point of the lattice, built here from
+    /// `prepared`'s PDG (so only for a function that asks).
     pub(crate) fn select(
-        abstraction: Abstraction,
+        graph: Option<FeatureSet>,
         program: &ParallelProgram,
         prepared: &'a FunctionPsPdg,
     ) -> AbstractionView<'a> {
         let FunctionPsPdg {
+            func,
             analyses,
             pdg,
             pspdg,
-            ..
         } = prepared;
-        let (view, variables) = match abstraction {
-            Abstraction::Pdg => (Cow::Owned(EffectiveView::identity(pdg)), None),
-            Abstraction::Jk => (Cow::Owned(jk_overlay(program, analyses, pdg)), None),
-            Abstraction::OpenMp | Abstraction::PsPdg => {
-                (Cow::Borrowed(&pspdg.effective), Some(pspdg))
-            }
+        let graph = match graph {
+            None => Graph::Pdg(EffectiveView::identity(pdg)),
+            Some(fs) if fs == pspdg.features => Graph::PsPdg(Cow::Borrowed(pspdg)),
+            Some(fs) => Graph::PsPdg(Cow::Owned(build_pspdg(program, *func, analyses, pdg, fs))),
         };
-        AbstractionView {
-            view,
-            variables,
-            analyses,
+        AbstractionView { graph, analyses }
+    }
+
+    /// The PS-PDG this view reads, if it is one.
+    pub(crate) fn pspdg(&self) -> Option<&PsPdg> {
+        match &self.graph {
+            Graph::Pdg(_) => None,
+            Graph::PsPdg(ps) => Some(ps),
         }
     }
 
     /// How loop `l` reads this view.
     pub(crate) fn at(&self, l: LoopId) -> LoopDeps<'_> {
-        LoopDeps::new(&self.view, self.variables, self.analyses, l)
+        match &self.graph {
+            Graph::Pdg(view) => LoopDeps::new(view, None, self.analyses, l),
+            Graph::PsPdg(ps) => LoopDeps::of_pspdg(ps, self.analyses, l),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspdg_frontend::compile;
-
-    #[test]
-    fn jk_removes_worksharing_carried_deps() {
-        let p = compile(
-            r#"
-            int key[64]; int hist[64];
-            void k() {
-                int i;
-                #pragma omp parallel for
-                for (i = 0; i < 64; i++) { hist[key[i]] += 1; }
-            }
-            int main() { k(); return 0; }
-            "#,
-        )
-        .unwrap();
-        let f = p.module.function_by_name("k").unwrap();
-        let a = FunctionAnalyses::compute(&p.module, f);
-        let pdg = Pdg::build(&p.module, f, &a);
-        let l = a.forest.loop_ids().next().unwrap();
-        let before = pdg.carried_edges(l).count();
-        let jk = jk_overlay(&p, &a, &pdg);
-        let after = jk.carried_edges(l).count();
-        assert!(
-            after < before,
-            "J&K must remove the histogram's carried deps"
-        );
-    }
-
-    #[test]
-    fn jk_keeps_critical_protected_deps() {
-        let p = compile(
-            r#"
-            int key[64]; int hist[64];
-            void k() {
-                int i;
-                #pragma omp parallel for
-                for (i = 0; i < 64; i++) {
-                    #pragma omp critical
-                    { hist[key[i]] += 1; }
-                }
-            }
-            int main() { k(); return 0; }
-            "#,
-        )
-        .unwrap();
-        let f = p.module.function_by_name("k").unwrap();
-        let a = FunctionAnalyses::compute(&p.module, f);
-        let pdg = Pdg::build(&p.module, f, &a);
-        let l = a.forest.loop_ids().next().unwrap();
-        let jk = jk_overlay(&p, &a, &pdg);
-        // The hist accesses are inside the critical region: J&K cannot
-        // remove their carried deps.
-        let hist_carried = jk
-            .carried_edges(l)
-            .any(|e| matches!(e.base, Some(pspdg_pdg::MemBase::Global(g)) if g.index() == 1));
-        assert!(hist_carried);
-    }
-
-    #[test]
-    fn jk_ignores_unannotated_loops() {
-        let p = compile(
-            r#"
-            int key[64]; int hist[64];
-            void k() {
-                int i;
-                for (i = 0; i < 64; i++) { hist[key[i]] += 1; }
-            }
-            int main() { k(); return 0; }
-            "#,
-        )
-        .unwrap();
-        let f = p.module.function_by_name("k").unwrap();
-        let a = FunctionAnalyses::compute(&p.module, f);
-        let pdg = Pdg::build(&p.module, f, &a);
-        let jk = jk_overlay(&p, &a, &pdg);
-        assert_eq!(jk.surviving_len(), pdg.edges.len());
-        assert_eq!(jk.rewrite_count(), 0);
-    }
 
     #[test]
     fn abstraction_display() {
