@@ -29,8 +29,9 @@
 //!   `critical`/`atomic` groups chain in arrival order;
 //! * **HELIX sequential segments** — instructions of sequential SCCs
 //!   execute in iteration order;
-//! * **reductions** — a parallelized reduction adds a `⌈log₂(n)⌉`-deep
-//!   merge at loop exit (tree reduction);
+//! * **reductions** — a parallelized reduction, or an accumulator the
+//!   runtime merges the same way (one no lock's stores write), adds a
+//!   `⌈log₂(n)⌉`-deep merge at loop exit (tree reduction);
 //! * **barriers** — OpenMP worksharing loops without `nowait` and explicit
 //!   `barrier` directives join all lanes.
 //!

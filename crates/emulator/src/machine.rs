@@ -1,12 +1,12 @@
 //! The ideal-machine trace scheduler.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pspdg_ir::interp::{ExecError, Interpreter, ObjId, ObjOrigin, Step, TraceSink};
 use pspdg_ir::{BlockId, Cfg, DomTree, FuncId, Inst, LoopForest, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram};
 use pspdg_parallelizer::{Abstraction, Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
-use pspdg_pdg::MemBase;
+use pspdg_pdg::{trace_base, MemBase};
 use pspdg_pool::BitSet;
 
 /// Result of one plan emulation.
@@ -78,7 +78,11 @@ struct PlannedLoop {
 }
 
 impl PlannedLoop {
-    fn from_spec(spec: &LoopPlanSpec, alloca_base: &[usize]) -> PlannedLoop {
+    fn from_spec(
+        spec: &LoopPlanSpec,
+        alloca_base: &[usize],
+        locked: &HashSet<(FuncId, MemBase)>,
+    ) -> PlannedLoop {
         let sequential_insts = match &spec.technique {
             PlannedTechnique::Doall => BitSet::new(),
             PlannedTechnique::Helix { sequential_insts } => {
@@ -90,11 +94,18 @@ impl PlannedLoop {
             MemBase::Alloca(i) => Some(alloca_base[spec.func.index()] + i.index()),
             _ => None,
         });
-        let reduction = |d: &Discharge| matches!(d, Discharge::Reduction(_));
+        // The runtime merges an accumulator from identity-started forks
+        // just as it merges a declared reduction, unless a lock's stores
+        // write it: then it stays shared, serialized by the lock.
+        let merged = |(base, d): (&MemBase, &Discharge)| match d {
+            Discharge::Reduction(_) => true,
+            Discharge::Accumulator(_) => !locked.contains(&(spec.func, *base)),
+            Discharge::Private => false,
+        };
         PlannedLoop {
             sequential_insts,
             ignored: ignored.collect(),
-            reduce: spec.discharged.values().any(reduction),
+            reduce: spec.discharged.iter().any(merged),
             end_barrier: spec.end_barrier,
         }
     }
@@ -362,11 +373,22 @@ impl IdealMachine {
             Some(*next - n)
         });
         let alloca_base: Vec<usize> = starts.collect();
+        let locked: HashSet<(FuncId, MemBase)> = plan
+            .mutexes
+            .iter()
+            .flat_map(|m| {
+                let f = module.function(m.func);
+                m.insts.iter().filter_map(move |&i| match &f.inst(i).inst {
+                    Inst::Store { ptr, .. } => Some((m.func, trace_base(f, *ptr))),
+                    _ => None,
+                })
+            })
+            .collect();
         let mut plans = Vec::new();
         let mut plan_idx: HashMap<(FuncId, LoopId), u32> = HashMap::new();
         for ((func, l), spec) in &plan.loops {
             plan_idx.insert((*func, *l), plans.len() as u32);
-            plans.push(PlannedLoop::from_spec(spec, &alloca_base));
+            plans.push(PlannedLoop::from_spec(spec, &alloca_base, &locked));
         }
         let mut lock_ids: HashMap<&str, u32> = HashMap::new();
         let (mut insts, mut op_slots, mut lock_of) = (Vec::new(), Vec::new(), Vec::new());

@@ -92,8 +92,9 @@ pub struct LoopPlanSpec {
     pub technique: PlannedTechnique,
     /// The base objects whose cross-iteration dependences the plan
     /// discharges (privatized copies, reductions, declared independence,
-    /// the induction variable), each with how. A `Reduction` adds a
-    /// log₂(iterations) merge chain on the ideal machine.
+    /// the induction variable), each with how. A `Reduction`, or an
+    /// `Accumulator` no lock's stores write, adds a log₂(iterations) merge
+    /// chain on the ideal machine.
     pub discharged: BTreeMap<MemBase, Discharge>,
     /// Whether the continuation joins all iterations at loop exit. True for
     /// every compiler-generated fork-join loop and for OpenMP worksharing

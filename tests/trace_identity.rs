@@ -350,7 +350,7 @@ fn emulated_critical_paths_are_pinned() {
         ("CG", 0x44fb_4571_2a24_ed37),
         ("EP", 0x122e_1838_13d9_df9a),
         ("FT", 0xc094_1d24_c857_4187),
-        ("IS", 0xa573_1ca2_be43_22d2),
+        ("IS", 0xe8f9_3844_8e68_5fcd),
         ("LU", 0x1362_f73c_d314_750d),
         ("MG", 0x3a58_bcb4_90fd_ca06),
         ("SP", 0x21e2_8898_dcbd_0831),
@@ -363,7 +363,7 @@ fn emulated_critical_paths_are_pinned() {
         ("CG", 0xb301_7b0b_a16f_8b68),
         ("EP", 0x406f_1337_c10a_266d),
         ("FT", 0x005d_552a_b6fa_1d80),
-        ("IS", 0x50d7_8b56_ee8a_a59c),
+        ("IS", 0xaf3b_8b1f_08f4_bf9f),
         ("LU", 0x2f05_8b7a_52a7_37cc),
         ("MG", 0x80ad_6f88_6a65_3981),
         ("SP", 0xc0ab_533d_6149_66c1),
