@@ -272,7 +272,9 @@ fn main() {
     // absent vs attached recorder on the one-worker runtime, interleaved
     // best-of-samples — so the cost of recording is itself a recorded
     // number, not folklore. The opcode tables come off the oracle run's
-    // profile.
+    // profile. One pair is too few for a ratio on a loaded host, so the
+    // overhead takes at least five.
+    let overhead_samples = samples.max(5);
     let rec = Arc::new(Recorder::new());
     let mut suite_ops: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut oracle_steps = 0u64;
@@ -297,7 +299,7 @@ fn main() {
             .workers(1)
             .recorder(Arc::new(Recorder::new()));
         let (mut absent_ns, mut ena_ns) = (u64::MAX, u64::MAX);
-        for _ in 0..samples {
+        for _ in 0..overhead_samples {
             absent_ns = absent_ns.min(one_run_ns(&mut || rt_absent.run_main().expect("runs")));
             ena_ns = ena_ns.min(one_run_ns(&mut || rt_ena.run_main().expect("runs")));
         }
@@ -380,7 +382,7 @@ fn main() {
     let opcodes_json = opcodes_json(suite_ops.into_iter().collect());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances the master's commit-time replay executed\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / enabled recorder, min over {samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"suite\": \"NAS Class::{class_name} + GMAX\",\n  \"plan\": \"PS-PDG best plan (build_plan, threshold 0.01)\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"samples_per_entry\": {samples},\n  \"metric\": \"min wall ns over interleaved samples; runtime validated against the sequential interpreter before timing\",\n  \"sequential_ns\": \"the runtime engine with one worker (every loop sequential) — the like-for-like baseline\",\n  \"interpreter_ns\": \"the sequential interpreter run untraced (NullSink: profile counts and every check, no dependence bookkeeping), for reference; engine_vs_oracle_geomean is the geomean of sequential_ns / interpreter_ns\",\n  \"predicted_parallelism\": \"ideal-machine emulator, total dynamic instructions / plan-constrained critical path\",\n  \"emulate_ns\": \"that emulation (machine set-up + one traced run into the machine); traced_interp_ns is a traced run into a sink that only counts each step's slices, and emulator_vs_traced_geomean the geomean of emulate_ns / traced_interp_ns: what the machine costs on top of the trace it rides on\",\n  \"dyn_fallback_reasons\": \"per-cause counts of activations that ran sequentially (cost model, short trips, aborts, ...)\",\n  \"critical_packets\": \"operand packets logged at critical-region entries and replayed at commit\",\n  \"critical_replays\": \"protected store instances the master's commit-time replay executed\",\n  \"fork_bytes\": \"bytes actually copied for worker heap forks (copy-on-write pages materialized x page size)\",\n  \"kernels_timed\": {timed},\n  \"kernels_skipped\": [{skipped_json}],\n  \"geomean_measured_speedup\": {speedup:.3},\n  \"engine_vs_oracle_geomean\": {engine_vs_oracle:.3},\n  \"emulator_vs_traced_geomean\": {emulator_vs_traced:.3},\n  \"kernels\": [\n{rows}\n  ],\n  \"profiling_note\": \"one enabled recorder shared across a re-run of the suite ({workers} workers) for the span summaries; opcodes = the oracle run's per-block counts x each block's static instruction mix (Profile::opcode_counts), per kernel and summed; overhead = one-worker runtime with absent / enabled recorder, min over {overhead_samples} interleaved samples, geomean across kernels\",\n  \"profiling\": {{\n    \"enabled_overhead_geomean\": {ena_geomean:.4},\n    \"opcodes\": {opcodes_json},\n    \"spans\": [\n{spans_json}\n    ],\n    \"kernels\": [\n{prof_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");
