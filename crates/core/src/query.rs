@@ -104,29 +104,24 @@ pub struct LoopDeps<'a> {
 }
 
 impl<'a> LoopDeps<'a> {
-    /// Loop `l` under `view`. `variables` is the PS-PDG whose parallel
-    /// semantic variables may discharge carried edges — `None` for the
-    /// abstractions that know no data properties (PDG, J&K).
-    pub fn new(
-        view: &'a EffectiveView,
-        variables: Option<&PsPdg>,
-        analyses: &'a FunctionAnalyses,
-        l: LoopId,
-    ) -> LoopDeps<'a> {
+    /// Loop `l` under `view`, with no parallel semantic variables (how the
+    /// base PDG is read).
+    pub fn new(view: &'a EffectiveView, analyses: &'a FunctionAnalyses, l: LoopId) -> LoopDeps<'a> {
         LoopDeps {
             view,
             analyses,
             loop_id: l,
-            removable: variables
-                .map(|ps| RemovableBases::for_loop(ps, analyses, l))
-                .unwrap_or_default(),
+            removable: RemovableBases::default(),
         }
     }
 
-    /// Loop `l` with the full power of the PS-PDG: its effective view and
+    /// Loop `l` with the full power of a PS-PDG: its effective view and
     /// its variables.
     pub fn of_pspdg(pspdg: &'a PsPdg, analyses: &'a FunctionAnalyses, l: LoopId) -> LoopDeps<'a> {
-        LoopDeps::new(&pspdg.effective, Some(pspdg), analyses, l)
+        LoopDeps {
+            removable: RemovableBases::for_loop(pspdg, analyses, l),
+            ..LoopDeps::new(&pspdg.effective, analyses, l)
+        }
     }
 
     /// This loop's verdict on a surviving edge of the view: `None` when the

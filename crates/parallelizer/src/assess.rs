@@ -77,7 +77,7 @@ mod tests {
     }
 
     fn under_pdg(a: &FunctionAnalyses, pdg: &EffectiveView, l: LoopId) -> LoopAssessment {
-        assess_loop(&LoopDeps::new(pdg, None, a, l))
+        assess_loop(&LoopDeps::new(pdg, a, l))
     }
 
     fn under_pspdg(a: &FunctionAnalyses, ps: &PsPdg, l: LoopId) -> LoopAssessment {

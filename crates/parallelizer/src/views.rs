@@ -114,7 +114,7 @@ impl<'a> AbstractionView<'a> {
     /// How loop `l` reads this view.
     pub(crate) fn at(&self, l: LoopId) -> LoopDeps<'_> {
         match &self.graph {
-            Graph::Pdg(view) => LoopDeps::new(view, None, self.analyses, l),
+            Graph::Pdg(view) => LoopDeps::new(view, self.analyses, l),
             Graph::PsPdg(ps) => LoopDeps::of_pspdg(ps, self.analyses, l),
         }
     }
