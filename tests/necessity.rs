@@ -25,8 +25,10 @@ fn each_ablation_collapses_its_pair() {
 
 #[test]
 fn removing_everything_collapses_every_pair() {
-    // With no features at all (≈ the plain PDG), no pair is
-    // distinguishable — the PDG cannot represent parallel semantics.
+    // With no features at all (the bottom of the §4 lattice), no pair is
+    // distinguishable: nothing of the parallel semantics is left. That
+    // graph is not the plain PDG, but stricter: without contexts every
+    // carried dependence is blurred to "carried at every loop".
     for case in necessity_cases() {
         let l = signature_of(case.left, case.kernel, FeatureSet::none());
         let r = signature_of(case.right, case.kernel, FeatureSet::none());
