@@ -12,7 +12,7 @@
 
 use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink};
-use pspdg_nas::{benchmark, fault_suite, Class};
+use pspdg_nas::{benchmark, fault_suite, suite, Class};
 use pspdg_parallel::ParallelProgram;
 use pspdg_parallelizer::{build_plan, Abstraction};
 use pspdg_runtime::{
@@ -240,6 +240,29 @@ fn single_worker_degenerates_to_sequential() {
     let p = b.program();
     let stats = assert_differential("IS/1", &p, Abstraction::PsPdg, 1);
     assert_eq!(stats.chunked_loops, 0, "one worker cannot chunk: {stats:?}");
+}
+
+/// Runtimes whose masters are themselves workers of the global pool: with
+/// every worker running one, the chunks an activation offers that same
+/// pool may find no free thread. Each master must then run its chunks
+/// itself, finish, and match the interpreter.
+#[test]
+fn runtimes_on_global_pool_workers_finish_and_match() {
+    let pool = pspdg_pool::global();
+    let kernels = suite(Class::Test);
+    let n = kernels.len().max(pool.size());
+    let items: Vec<_> = (0..n).map(|i| kernels[i % kernels.len()].clone()).collect();
+    let on_worker = pspdg_pool::par_map(items, |b| {
+        assert_differential(b.name, &b.program(), Abstraction::PsPdg, 2);
+        pool.thread_ids().contains(&std::thread::current().id())
+    });
+    // A one-thread pool maps inline, on the calling thread.
+    if pool.size() > 1 {
+        assert!(
+            on_worker.contains(&true),
+            "no runtime ran on a global-pool worker"
+        );
+    }
 }
 
 mod generated {
