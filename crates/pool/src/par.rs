@@ -1,33 +1,21 @@
 //! Data-parallel mapping on a [`WorkerPool`], and the process-global
 //! analysis pool.
 //!
-//! `par_map` is the pool-backed `into_par_iter().map().collect()`: it
-//! distributes items
-//! over the pool's persistent workers with an atomic work-stealing
-//! cursor (the calling thread participates), so repeated sweeps reuse
-//! threads instead of re-spawning them per call. Order of results
-//! matches order of inputs.
+//! `par_map` is the pool-backed `into_par_iter().map().collect()`: the
+//! caller and the pool's persistent workers claim items from one atomic
+//! cursor ([`WorkerPool::help`]), so repeated sweeps reuse threads instead
+//! of re-spawning them per call. Order of results matches order of inputs.
 //!
-//! Nested calls degrade to inline execution: a pool worker calling
-//! `par_map` would otherwise block a slot its sub-jobs need. Any other
-//! thread fans out, and several may share the global pool at once (the
-//! daemon's handler threads are plain threads for exactly this): each
-//! caller claims items from its own cursor too, so it finishes its map
-//! even if every pool worker is busy with another caller's items, and
-//! only then waits for its queued jobs, which find nothing left to do.
+//! Nested calls run inline: on a pool worker the sweep is already one of
+//! the pool's parallel jobs. Any other thread fans out, and several may
+//! share the global pool at once (the daemon's handler threads are plain
+//! threads for exactly this): a caller finishes its map even if every
+//! pool worker is busy with another caller's items, because `help`
+//! withdraws the copies no worker started.
 
 use crate::pool::{on_pool_worker, WorkerPool};
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// One result slot, written by exactly one worker (the one that claimed
-/// its index from the shared cursor).
-struct Slot<R>(UnsafeCell<Option<R>>);
-
-// SAFETY: the claim protocol (each index handed out once by fetch_add)
-// guarantees exclusive access to each slot until the scope joins.
-unsafe impl<R: Send> Sync for Slot<R> {}
+use std::sync::{Mutex, OnceLock};
 
 /// [`par_map`] on an explicit `pool` (the unit tests pick the width).
 fn par_map_on<T, R, F>(pool: &WorkerPool, items: Vec<T>, f: F) -> Vec<R>
@@ -40,35 +28,23 @@ where
         return items.into_iter().map(f).collect();
     }
     let n = items.len();
-    let inputs: Vec<Slot<T>> = items
+    // Each slot, input then output, is locked once: by the copy that
+    // claimed its index from the cursor.
+    let slots: Vec<Mutex<(Option<T>, Option<R>)>> = items
         .into_iter()
-        .map(|t| Slot(UnsafeCell::new(Some(t))))
+        .map(|t| Mutex::new((Some(t), None)))
         .collect();
-    let outputs: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
     let cursor = AtomicUsize::new(0);
-    let workers = pool.size().min(n);
-    let run = |_worker: usize| loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
+    pool.help(pool.size().min(n - 1), &|| {
+        while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let mut slot = slot.lock().expect("par_map slot poisoned");
+            slot.1 = slot.0.take().map(&f);
         }
-        // SAFETY: index `i` was claimed exactly once, so this worker has
-        // exclusive access to inputs[i] and outputs[i]; the pool scope
-        // joins every job before the Vecs drop.
-        unsafe {
-            let t = (*inputs[i].0.get()).take().expect("input claimed once");
-            *outputs[i].0.get() = Some(f(t));
-        }
-    };
-    pool.scope(|s| {
-        for w in 0..workers {
-            s.spawn(move || run(w));
-        }
-        run(workers);
     });
-    outputs
+    slots
         .into_iter()
-        .map(|s| s.0.into_inner().expect("every slot written"))
+        .map(|s| s.into_inner().expect("par_map slot poisoned").1)
+        .map(|r| r.expect("every slot written"))
         .collect()
 }
 

@@ -1,15 +1,13 @@
 //! A persistent worker-thread pool with scoped, borrowing jobs.
 //!
-//! The runtime's executor originally spawned fresh OS threads
-//! (`std::thread::scope`) for *every* loop activation; on
-//! activation-heavy kernels (LU's wavefront re-forks each outer
-//! iteration) thread creation dominated the measured time. [`WorkerPool`]
-//! fixes that: the threads are created **once per embedder** (a runtime,
-//! the process-wide analysis pool, a benchmark sweep) and each
-//! activation merely enqueues jobs and waits for a completion latch.
+//! The threads are created **once per embedder** (the process-wide
+//! [`crate::global`] pool, a benchmark sweep); each fan-out merely
+//! enqueues jobs and waits for a completion latch, so activation-heavy
+//! kernels (LU's wavefront re-forks each outer iteration) never pay a
+//! thread spawn per loop entry.
 //!
-//! The API mirrors `std::thread::scope` so call sites keep borrowing the
-//! master's state (module, frames, forked heaps):
+//! [`WorkerPool::scope`] mirrors `std::thread::scope`, so call sites keep
+//! borrowing the caller's state:
 //!
 //! ```
 //! use pspdg_pool::WorkerPool;
@@ -24,54 +22,65 @@
 //! assert_eq!(results, vec![10, 20, 30, 40]);
 //! ```
 //!
+//! [`WorkerPool::help`] runs one closure on the caller and on up to
+//! `helpers` workers, which share the work through a cursor the closure
+//! claims from; [`crate::par_map`] and the runtime's chunked activations
+//! use it. Copies no worker started by the time the caller's own copy
+//! returns are withdrawn, so a caller on a busy pool, even one of its own
+//! workers, does the work alone instead of waiting.
+//!
 //! ## Panics
 //!
-//! A job panic is caught twice over: the scope wrapper catches the job's
-//! unwind and still decrements the latch (so sibling and queued jobs run
-//! and `scope` returns), and the worker loop catches anything that escapes
-//! the wrapper. So a worker thread only ever exits at shutdown, and the
-//! pool keeps its width and its thread identities for its whole life.
-//! [`WorkerPool::scope`] re-raises the panic after the join;
-//! [`WorkerPool::scope_catch`] instead reports it as data — the executor
-//! uses that to turn a panicked chunk worker into an ordinary sequential
-//! fallback.
+//! A job panic is caught twice over: the job wrapper catches the job's
+//! unwind and still counts the job done, and the worker loop catches
+//! anything that escapes the wrapper. So a worker thread only ever exits
+//! at shutdown, and the pool keeps its width and its thread identities for
+//! its whole life. `scope` and `help` re-raise a panic only after every
+//! job they started has finished.
 //!
 //! ## Safety
 //!
-//! Jobs borrow the scope's environment (`'env`), but pool threads are
-//! `'static`, so [`Scope::spawn`] erases the job's lifetime with an
-//! `unsafe` transmute. Soundness rests on one invariant, the same one
-//! `std::thread::scope` and rayon's scoped pools rely on: **the scope
-//! never returns (not even by unwinding) before every spawned job has
-//! finished**. [`WorkerPool::scope`] enforces this with a completion
-//! latch that is awaited on both the normal path and the unwind path.
+//! Jobs borrow the caller's environment (`'env`), but pool threads are
+//! `'static`, so a queued job's lifetime is erased with an `unsafe`
+//! transmute. Soundness rests on one invariant, the same one
+//! `std::thread::scope` and rayon's scoped pools rely on: **neither
+//! `scope` nor `help` returns (not even by unwinding) while a job it
+//! queued can still run** — each awaits its completion latch on both
+//! paths, and `help` first withdraws its unstarted jobs under the queue's
+//! lock.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, ThreadId};
 
 /// A lifetime-erased unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The queue tag of a [`Scope::spawn`] job, which is never withdrawn. A
+/// [`WorkerPool::help`] call tags its jobs with the address of its latch,
+/// which is never null.
+const SCOPED: usize = 0;
+
 thread_local! {
     /// Whether the current thread is a pool worker (any pool). Nested
-    /// parallel helpers consult this to run inline instead of waiting on
-    /// a pool that may have no free workers — see [`crate::on_pool_worker`].
+    /// parallel helpers consult this to run inline instead of fanning out
+    /// again — see [`crate::par_map`].
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the calling thread is a [`WorkerPool`] worker. Parallel
-/// helpers ([`crate::par_map`]) use this to degrade to inline execution
-/// instead of deadlocking on nested waits: a worker that blocked on a
-/// sub-scope would occupy the very slot its sub-jobs need.
+/// Whether the calling thread is a [`WorkerPool`] worker. [`crate::par_map`]
+/// maps inline there: the caller's own sweep is already one of the pool's
+/// parallel jobs.
 pub(crate) fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(Cell::get)
 }
 
 struct PoolState {
-    queue: VecDeque<Job>,
+    /// Queued jobs, each with its caller's tag ([`SCOPED`] or a `help`
+    /// call's latch address).
+    queue: VecDeque<(usize, Job)>,
     shutdown: bool,
 }
 
@@ -83,10 +92,10 @@ struct PoolShared {
 
 /// A fixed-size pool of persistent worker threads.
 ///
-/// Created once per embedder (a runtime, the process-wide analysis pool)
-/// and reused by every parallel activation; dropped, it shuts its threads
-/// down and joins them. Panicking jobs never kill a worker — see the
-/// module docs.
+/// Created once per embedder (the process-wide [`crate::global`] pool, a
+/// benchmark sweep) and reused by every fan-out; dropped, it shuts its
+/// threads down and joins them. Panicking jobs never kill a worker — see
+/// the module docs.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -132,7 +141,7 @@ impl WorkerPool {
     }
 
     /// The OS thread identities of the live workers — lets tests assert
-    /// that the same threads serve successive activations (pool reuse) and
+    /// that the same threads serve successive fan-outs (pool reuse) and
     /// that none was lost.
     pub fn thread_ids(&self) -> Vec<ThreadId> {
         self.handles
@@ -146,55 +155,83 @@ impl WorkerPool {
     /// returns only after every spawned job has completed. If a job
     /// panicked, the panic is re-raised here (after all jobs finished).
     pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        let (r, panicked) = self.scope_catch(f);
-        assert!(!panicked, "pool worker job panicked");
-        r
-    }
-
-    /// Like [`scope`](WorkerPool::scope), but a panicking job is reported
-    /// as data instead of re-panicking the caller: returns `f`'s result
-    /// plus whether any spawned job panicked. The runtime uses this to
-    /// demote a panicked chunk worker to a sequential fallback instead of
-    /// taking the master down.
-    pub fn scope_catch<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> (R, bool) {
         let scope = Scope {
             pool: self,
-            state: Arc::new(ScopeState {
-                progress: Mutex::new(Progress {
-                    pending: 0,
-                    panicked: false,
-                }),
-                done: Condvar::new(),
-            }),
+            latch: Arc::default(),
             _env: std::marker::PhantomData,
         };
         // Await completion even when `f` unwinds: jobs borrow `'env` and
         // must not outlive this call frame.
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        let panicked = {
-            let mut p = scope
-                .state
-                .progress
-                .lock()
-                .expect("pool scope lock poisoned");
-            while p.pending > 0 {
-                p = scope.state.done.wait(p).expect("pool scope lock poisoned");
-            }
-            p.panicked
-        };
+        let panicked = scope.latch.join(0);
         match result {
-            Ok(r) => (r, panicked),
-            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(r) => {
+                assert!(!panicked, "pool worker job panicked");
+                r
+            }
+            Err(payload) => resume_unwind(payload),
         }
+    }
+
+    /// Run `work` on the calling thread and on up to `helpers` pool threads
+    /// (at most the pool's width), which are meant to share the work
+    /// through a cursor they claim from. Once the caller's own copy
+    /// returns, copies no worker has started are withdrawn from the queue,
+    /// and `help` waits only for the running ones: so a caller that is a
+    /// worker of this very pool cannot deadlock. A panic in any copy is
+    /// re-raised after every started copy has finished.
+    pub fn help(&self, helpers: usize, work: &(dyn Fn() + Sync)) {
+        let helpers = helpers.min(self.size());
+        let latch = Arc::<Latch>::default();
+        let tag = Arc::as_ptr(&latch) as usize;
+        for _ in 0..helpers {
+            // SAFETY: below, each copy is withdrawn or joined before
+            // `help` returns or unwinds.
+            unsafe { self.push(tag, &latch, work) };
+        }
+        let mine = catch_unwind(AssertUnwindSafe(work));
+        let withdrawn = {
+            let mut s = self.shared.state.lock().expect("pool lock poisoned");
+            let queued = s.queue.len();
+            s.queue.retain(|(t, _)| *t != tag);
+            queued - s.queue.len()
+        };
+        let panicked = latch.join(withdrawn);
+        if let Err(payload) = mine {
+            resume_unwind(payload);
+        }
+        assert!(!panicked, "pool worker job panicked");
+    }
+
+    /// Queue `job` under `tag` as one more job of `latch`, which the job
+    /// counts done however it ends.
+    ///
+    /// # Safety
+    ///
+    /// The caller must not return, on the normal or the unwind path, until
+    /// the job has run or been withdrawn from the queue, so the `'env`
+    /// borrows inside it are never observed dangling.
+    unsafe fn push<'env>(&self, tag: usize, latch: &Arc<Latch>, job: impl FnOnce() + Send + 'env) {
+        latch.state.lock().expect("pool latch poisoned").0 += 1;
+        let latch = Arc::clone(latch);
+        let job: Box<dyn FnOnce() + Send + 'env> =
+            Box::new(move || latch.done(catch_unwind(AssertUnwindSafe(job)).is_err()));
+        // SAFETY: guaranteed by this function's caller.
+        let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
+        let mut s = self.shared.state.lock().expect("pool lock poisoned");
+        s.queue.push_back((tag, job));
+        drop(s);
+        self.shared.work.notify_one();
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut s = self.shared.state.lock().expect("pool lock poisoned");
-            s.shutdown = true;
-        }
+        self.shared
+            .state
+            .lock()
+            .expect("pool lock poisoned")
+            .shutdown = true;
         self.shared.work.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -202,20 +239,42 @@ impl Drop for WorkerPool {
     }
 }
 
-struct Progress {
-    pending: usize,
-    panicked: bool,
+/// The completion latch of one `scope` or `help` call.
+#[derive(Default)]
+struct Latch {
+    /// Jobs queued and not yet finished or withdrawn, and whether one
+    /// panicked.
+    state: Mutex<(usize, bool)>,
+    done: Condvar,
 }
 
-struct ScopeState {
-    progress: Mutex<Progress>,
-    done: Condvar,
+impl Latch {
+    /// One job finished (`panicked` if it unwound).
+    fn done(&self, panicked: bool) {
+        let mut s = self.state.lock().expect("pool latch poisoned");
+        s.0 -= 1;
+        s.1 |= panicked;
+        if s.0 == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    /// Forget `withdrawn` jobs that will never run, wait for the rest, and
+    /// report whether any job panicked.
+    fn join(&self, withdrawn: usize) -> bool {
+        let mut s = self.state.lock().expect("pool latch poisoned");
+        s.0 -= withdrawn;
+        while s.0 > 0 {
+            s = self.done.wait(s).expect("pool latch poisoned");
+        }
+        s.1
+    }
 }
 
 /// Handle for spawning borrowing jobs inside [`WorkerPool::scope`].
 pub struct Scope<'pool, 'env> {
     pool: &'pool WorkerPool,
-    state: Arc<ScopeState>,
+    latch: Arc<Latch>,
     /// Invariant over `'env`, like `std::thread::Scope`.
     _env: std::marker::PhantomData<&'env mut &'env ()>,
 }
@@ -224,39 +283,9 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// Enqueue `job` on the pool. The job may borrow from `'env`; the
     /// enclosing [`WorkerPool::scope`] call joins it before returning.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'env) {
-        let state = Arc::clone(&self.state);
-        state
-            .progress
-            .lock()
-            .expect("pool scope lock poisoned")
-            .pending += 1;
-        let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(job));
-            let mut p = state.progress.lock().expect("pool scope lock poisoned");
-            if outcome.is_err() {
-                p.panicked = true;
-            }
-            p.pending -= 1;
-            if p.pending == 0 {
-                state.done.notify_all();
-            }
-        });
-        // SAFETY: `scope` joins every job (normal and unwind paths) before
-        // returning, so the `'env` borrows inside `wrapped` cannot be
-        // observed dangling by the pool threads.
-        let erased: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(
-                wrapped,
-            )
-        };
-        self.pool
-            .shared
-            .state
-            .lock()
-            .expect("pool lock poisoned")
-            .queue
-            .push_back(erased);
-        self.pool.shared.work.notify_one();
+        // SAFETY: `scope` joins every spawned job before it returns or
+        // unwinds.
+        unsafe { self.pool.push(SCOPED, &self.latch, job) };
     }
 }
 
@@ -265,7 +294,7 @@ fn worker_loop(shared: &PoolShared) {
         let job = {
             let mut s = shared.state.lock().expect("pool lock poisoned");
             loop {
-                if let Some(job) = s.queue.pop_front() {
+                if let Some((_, job)) = s.queue.pop_front() {
                     break job;
                 }
                 if s.shutdown {
@@ -274,7 +303,7 @@ fn worker_loop(shared: &PoolShared) {
                 s = shared.work.wait(s).expect("pool lock poisoned");
             }
         };
-        // The scope wrapper already catches the user job's panic; this
+        // The job wrapper already catches the user job's panic; this
         // second net is for anything that escapes it, so a worker thread
         // can never be lost to an unwind.
         let _ = catch_unwind(AssertUnwindSafe(job));
@@ -370,36 +399,25 @@ mod tests {
     }
 
     #[test]
-    fn scope_catch_reports_panics_as_data() {
-        let pool = WorkerPool::new(2);
-        let (_, panicked) = pool.scope_catch(|s| {
-            s.spawn(|| panic!("caught"));
-        });
-        assert!(panicked);
-        let (_, panicked) = pool.scope_catch(|s| {
-            s.spawn(|| {});
-        });
-        assert!(!panicked, "a clean scope reports no panic");
-    }
-
-    #[test]
     fn panicking_job_does_not_orphan_queued_jobs_or_hang_drop() {
-        // Regression (ISSUE 6 satellite): a single worker, a panicking
-        // job at the head of the queue, and a pile of jobs behind it —
-        // every queued job must still run, `scope_catch` must return (no
-        // wedged latch), and dropping the pool right after must join
-        // cleanly instead of hanging on an orphaned queue.
+        // Regression: a single worker, a panicking job at the head of the
+        // queue, and a pile of jobs behind it — every queued job must
+        // still run, `scope` must re-raise instead of wedging its latch,
+        // and dropping the pool right after must join cleanly instead of
+        // hanging on an orphaned queue.
         let pool = WorkerPool::new(1);
         let ran = AtomicU64::new(0);
-        let (_, panicked) = pool.scope_catch(|s| {
-            s.spawn(|| panic!("head of queue"));
-            for _ in 0..16 {
-                s.spawn(|| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(panicked);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn(|| panic!("head of queue"));
+                for _ in 0..16 {
+                    s.spawn(|| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+        }));
+        assert!(result.is_err());
         assert_eq!(
             ran.load(Ordering::SeqCst),
             16,
@@ -417,12 +435,14 @@ mod tests {
             let pool = WorkerPool::new(width);
             let before: HashSet<ThreadId> = pool.thread_ids().into_iter().collect();
             assert_eq!(before.len(), width);
-            let (_, panicked) = pool.scope_catch(|s| {
-                for _ in 0..4 * width {
-                    s.spawn(|| panic!("every job panics"));
-                }
-            });
-            assert!(panicked);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.scope(|s| {
+                    for _ in 0..4 * width {
+                        s.spawn(|| panic!("every job panics"));
+                    }
+                });
+            }));
+            assert!(result.is_err());
             let after: HashSet<ThreadId> = pool.thread_ids().into_iter().collect();
             assert_eq!(after, before, "width {width}: a worker thread was lost");
             let ran = AtomicU64::new(0);
@@ -440,6 +460,55 @@ mod tests {
                 "width {width}: the clean scope ran on the same threads"
             );
         }
+    }
+
+    #[test]
+    fn help_withdraws_the_copies_no_worker_started() {
+        // The only worker is held by a blocking job, so the helper copy
+        // cannot start: the caller must claim every item itself and return
+        // while the worker is still blocked. Without the withdrawal, `help`
+        // would wait out the blocker's five-second timeout.
+        let pool = WorkerPool::new(1);
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        let (started, holding) = std::sync::mpsc::channel::<()>();
+        let (blocker_done, claimed) = (AtomicU64::new(0), AtomicU64::new(0));
+        pool.scope(|s| {
+            let done = &blocker_done;
+            s.spawn(move || {
+                started.send(()).unwrap();
+                let _ = blocked.recv_timeout(std::time::Duration::from_secs(5));
+                done.store(1, Ordering::SeqCst);
+            });
+            holding.recv().unwrap();
+            pool.help(1, &|| while claimed.fetch_add(1, Ordering::SeqCst) < 64 {});
+            assert_eq!(blocker_done.load(Ordering::SeqCst), 0, "help waited");
+            release.send(()).unwrap();
+        });
+    }
+
+    #[test]
+    fn help_reraises_the_callers_panic_after_its_started_helpers_finish() {
+        // The caller's copy panics while the helper copy is still busy:
+        // the panic must surface only after the helper has finished, never
+        // while it can still touch the borrow.
+        let pool = WorkerPool::new(1);
+        let caller = std::thread::current().id();
+        let (helper_started, helper_done) = (AtomicU64::new(0), AtomicU64::new(0));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.help(1, &|| {
+                if std::thread::current().id() == caller {
+                    while helper_started.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("the caller's copy");
+                }
+                helper_started.store(1, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                helper_done.store(1, Ordering::SeqCst);
+            });
+        }));
+        assert!(result.is_err(), "the caller's panic must surface");
+        assert_eq!(helper_done.load(Ordering::SeqCst), 1, "re-raised too early");
     }
 
     #[test]

@@ -15,13 +15,14 @@ pub const FLOAT_RTOL: f64 = 1e-9;
 pub fn observable_globals(module: &Module, mem: &MemState) -> Vec<(String, Vec<RtVal>)> {
     module
         .global_ids()
-        .map(|g| {
-            let obj = mem.global_object(g);
-            let cells = (0..mem.object_len(obj) as u32)
-                .map(|off| mem.read(MemAddr { obj, off }))
-                .collect();
-            (module.global(g).name.clone(), cells)
-        })
+        .map(|g| (module.global(g).name.clone(), cells(mem, g)))
+        .collect()
+}
+
+fn cells(mem: &MemState, g: pspdg_ir::GlobalId) -> Vec<RtVal> {
+    let obj = mem.global_object(g);
+    (0..mem.object_len(obj) as u32)
+        .map(|off| mem.read(MemAddr { obj, off }))
         .collect()
 }
 
@@ -53,12 +54,7 @@ pub fn global_cells(module: &Module, mem: &MemState, name: &str) -> Option<Vec<R
     let g = module
         .global_ids()
         .find(|g| module.global(*g).name == name)?;
-    let obj = mem.global_object(g);
-    Some(
-        (0..mem.object_len(obj) as u32)
-            .map(|off| mem.read(MemAddr { obj, off }))
-            .collect(),
-    )
+    Some(cells(mem, g))
 }
 
 /// Whether two printed lines match: exact, or both parse as floats within
@@ -79,20 +75,7 @@ pub fn globals_mismatch(
     a: &[(String, Vec<RtVal>)],
     b: &[(String, Vec<RtVal>)],
 ) -> Option<(String, usize)> {
-    if a.len() != b.len() {
-        return Some(("<global count>".to_string(), 0));
-    }
-    for ((name, ca), (_, cb)) in a.iter().zip(b) {
-        if ca.len() != cb.len() {
-            return Some((name.clone(), usize::MAX));
-        }
-        for (i, (&x, &y)) in ca.iter().zip(cb).enumerate() {
-            if !rtval_equivalent(x, y) {
-                return Some((name.clone(), i));
-            }
-        }
-    }
-    None
+    first_mismatch(a, b, rtval_equivalent)
 }
 
 /// Like [`globals_mismatch`], but **bit-identical** ([`rtval_identical`]):
@@ -104,6 +87,14 @@ pub fn globals_identical_mismatch(
     a: &[(String, Vec<RtVal>)],
     b: &[(String, Vec<RtVal>)],
 ) -> Option<(String, usize)> {
+    first_mismatch(a, b, rtval_identical)
+}
+
+fn first_mismatch(
+    a: &[(String, Vec<RtVal>)],
+    b: &[(String, Vec<RtVal>)],
+    same: fn(RtVal, RtVal) -> bool,
+) -> Option<(String, usize)> {
     if a.len() != b.len() {
         return Some(("<global count>".to_string(), 0));
     }
@@ -112,7 +103,7 @@ pub fn globals_identical_mismatch(
             return Some((name.clone(), usize::MAX));
         }
         for (i, (&x, &y)) in ca.iter().zip(cb).enumerate() {
-            if !rtval_identical(x, y) {
+            if !same(x, y) {
                 return Some((name.clone(), i));
             }
         }

@@ -6,9 +6,9 @@
 //! [`ExecutablePlan`] and either
 //!
 //! * **chunks** a DOALL loop — the iteration space splits into one range
-//!   per worker, each worker runs its range on a *copy-on-write forked
-//!   heap* that tracks written cells, and the master commits the forks'
-//!   dirty sets back in chunk order (reduction bases start from the
+//!   per worker, each chunk runs on its own *copy-on-write forked heap*
+//!   that tracks written cells, and the master commits the forks' dirty
+//!   sets back in chunk order (reduction bases start from the
 //!   operator identity in each fork and merge with the declared
 //!   operator; deferred critical updates replay serially — see below);
 //! * **falls back** to sequential execution (HELIX plans, which are
@@ -22,9 +22,13 @@
 //! Three mechanisms keep per-activation overhead low enough for measured
 //! speedups to track predicted parallelism:
 //!
-//! * a **persistent worker pool** ([`pspdg_pool::WorkerPool`]) created
-//!   once per [`Runtime`] — activations enqueue jobs instead of spawning
-//!   OS threads;
+//! * **the master runs chunks too** — an activation's chunks are claimed
+//!   from one cursor by the master and by the process-global pool's
+//!   persistent threads ([`pspdg_pool::WorkerPool::help`]). No runtime
+//!   spawns or owns a thread, the master never sleeps while a chunk waits
+//!   for a pool thread to wake, and a pool busy elsewhere (another
+//!   request, or the master itself being a pool worker) leaves the chunks
+//!   to the master instead of deadlocking;
 //! * **copy-on-write heap forks** — [`MemState::fork`] shares pages and
 //!   tracks written cells, so forking is O(pages) and commit walks only
 //!   the cells a worker actually wrote
@@ -76,7 +80,9 @@
 //! reads escaping the region still serialize at realization time.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use pspdg_ir::interp::{
     const_val, eval_cmp, step, ExecError, Flow, Frame, Machine, MemAddr, MemState, RtVal,
@@ -90,7 +96,6 @@ use pspdg_parallelizer::{
     ProgramPlan, RealizationStats,
 };
 use pspdg_pdg::MemBase;
-use pspdg_pool::WorkerPool;
 
 /// Default [`Runtime::cost_threshold`]: activations whose estimated
 /// dynamic size (`trip × body_insts`) falls below this skip parallel
@@ -173,9 +178,9 @@ pub struct RunStats {
     pub sequential_fallbacks: u64,
     /// Per-cause breakdown of `sequential_fallbacks`.
     pub fallbacks: FallbackCounts,
-    /// Jobs handed to the persistent worker pool (chunk workers across
-    /// all activations — pool reuse means this can far exceed the pool
-    /// size without spawning a single thread).
+    /// Chunks run by parallel activations, the master's own included
+    /// (across all activations — pool reuse means this can far exceed the
+    /// pool size without spawning a single thread).
     pub pool_dispatches: u64,
     /// Operand packets logged at critical/atomic region entries and
     /// replayed at commit (one per dynamic region execution).
@@ -288,11 +293,10 @@ pub struct RunOutcome {
 
 /// The plan-driven parallel runtime for one program.
 ///
-/// Holds the lowered plan, the tuning knobs of the activation cost model,
-/// and the **persistent worker pool**: the pool's threads are created on
-/// the first parallel activation and reused by every later one (across
-/// `run` calls too), so activation-heavy kernels no longer pay a
-/// thread-spawn per loop entry.
+/// Holds the lowered plan and the tuning knobs of the activation cost
+/// model. A runtime owns no threads: its chunked activations run on the
+/// calling thread and on the process-global pool ([`pspdg_pool::global`]),
+/// whose threads every runtime and every analysis sweep share.
 ///
 /// Both the program and the lowered plan are held behind [`Arc`]s, so a
 /// runtime is `'static` and [`Send`]: a plan service can realize a plan
@@ -310,9 +314,6 @@ pub struct Runtime {
     /// Observability sink: a span per run, activation and chunk worker.
     /// Consulted per activation, never per block or per instruction.
     obs: Option<Arc<Recorder>>,
-    /// Created lazily on the first parallel activation; lives as long as
-    /// the `Runtime`.
-    pool: OnceLock<WorkerPool>,
 }
 
 impl Runtime {
@@ -337,16 +338,14 @@ impl Runtime {
             fuel: 1 << 48,
             cost_threshold: DEFAULT_COST_THRESHOLD,
             obs: None,
-            pool: OnceLock::new(),
         }
     }
 
-    /// Override the worker count. Chunked loops split into at most this
-    /// many ranges. Resets the worker pool; the next parallel activation
-    /// re-creates it at the new width.
+    /// Override the worker count: chunked loops split into at most this
+    /// many chunks. The calling thread runs chunks itself; the global
+    /// pool's free threads run the rest.
     pub fn workers(mut self, n: usize) -> Runtime {
         self.workers = n.max(1);
-        self.pool = OnceLock::new();
         self
     }
 
@@ -389,18 +388,6 @@ impl Runtime {
         self.plan.stats()
     }
 
-    /// The persistent worker pool (created on first use).
-    fn pool(&self) -> &WorkerPool {
-        self.pool.get_or_init(|| WorkerPool::new(self.workers))
-    }
-
-    /// OS thread identities of the persistent worker pool (creating it if
-    /// needed). Stable across activations *and* across `run` calls —
-    /// regression tests assert the same threads serve every activation.
-    pub fn worker_thread_ids(&self) -> Vec<std::thread::ThreadId> {
-        self.pool().thread_ids()
-    }
-
     /// Execute the program's `main`.
     ///
     /// # Errors
@@ -436,7 +423,6 @@ impl Runtime {
         let mut engine = Engine {
             module: &self.program.module,
             plan: Some(&self.plan),
-            pool: (self.workers >= 2).then(|| self.pool()),
             workers: self.workers,
             cost_threshold: self.cost_threshold,
             rec,
@@ -472,8 +458,6 @@ impl Runtime {
 struct Engine<'a> {
     module: &'a Module,
     plan: Option<&'a ExecutablePlan>,
-    /// The persistent worker pool (master only, with ≥ 2 workers).
-    pool: Option<&'a WorkerPool>,
     workers: usize,
     cost_threshold: u64,
     /// Observability sink (already gated on [`Recorder::enabled`]:
@@ -649,9 +633,9 @@ impl<'a> Engine<'a> {
         c: &ChunkedLoop,
     ) -> Result<Option<FallbackWhy>, ExecError> {
         self.last_trip = 0;
-        let Some(pool) = self.pool else {
+        if self.workers < 2 {
             return Ok(Some(FallbackWhy::SingleWorker));
-        };
+        }
         // Resolve the induction slot: its alloca must have executed.
         let RtVal::Ptr { obj: iv_obj, .. } = frame.regs[c.iv_alloca.index()] else {
             return Ok(Some(FallbackWhy::Unevaluable));
@@ -692,30 +676,24 @@ impl<'a> Engine<'a> {
         }
 
         // Reduction objects, with worker forks starting from the operator
-        // identity. A base that cannot be resolved to a live object means
-        // its partial results could not be merged — fall back rather than
-        // silently committing last-writer-wins.
-        let mut red_objs: HashMap<u32, ReductionOp> = HashMap::new();
-        for (base, op) in &c.reductions {
-            match self.resolve_base(frame, base) {
-                Some(obj) => {
-                    red_objs.insert(obj.0, *op);
-                }
-                None => return Ok(Some(FallbackWhy::Unevaluable)),
-            }
-        }
-        // Protected objects (deferred criticals): workers never read or
-        // write them (only the master's replay executes the protected
-        // slice); the dirty-set skip below is defensive.
-        let mut prot_objs: HashSet<u32> = HashSet::new();
-        for base in &c.protected {
-            match self.resolve_base(frame, base) {
-                Some(obj) => {
-                    prot_objs.insert(obj.0);
-                }
-                None => return Ok(Some(FallbackWhy::Unevaluable)),
-            }
-        }
+        // identity, and protected objects (deferred criticals), which
+        // workers never read or write: only the master's replay executes
+        // the protected slice, and the dirty-set skip below is defensive.
+        // A base that cannot be resolved to a live object falls back, as
+        // its partial results could not be merged.
+        let red_objs: Option<HashMap<u32, ReductionOp>> = c
+            .reductions
+            .iter()
+            .map(|(base, op)| Some((self.resolve_base(frame, base)?.0, *op)))
+            .collect();
+        let prot_objs: Option<HashSet<u32>> = c
+            .protected
+            .iter()
+            .map(|base| Some(self.resolve_base(frame, base)?.0))
+            .collect();
+        let (Some(red_objs), Some(prot_objs)) = (red_objs, prot_objs) else {
+            return Ok(Some(FallbackWhy::Unevaluable));
+        };
 
         let mut fork_base = self.mem.clone();
         for (&obj, &op) in &red_objs {
@@ -728,90 +706,72 @@ impl<'a> Engine<'a> {
         }
 
         let fuel_left = self.fuel.saturating_sub(self.steps);
-        let ranges: Vec<(i64, i64)> = (0..chunks as i64)
-            .map(|k| (trip * k / chunks as i64, trip * (k + 1) / chunks as i64))
-            .collect();
-
-        struct ChunkOut {
-            mem: MemState,
-            crit_log: Vec<(u32, Vec<RtVal>)>,
-            output: Vec<String>,
-            steps: u64,
-        }
-        let module = self.module;
-        let rec = self.rec;
-        let depth = self.depth;
-        let mut slots: Vec<Option<Result<ChunkOut, FallbackWhy>>> =
-            ranges.iter().map(|_| None).collect();
-        // `scope_catch`: a panicked chunk worker (an engine bug) must
-        // demote to a sequential fallback, not take the master down. Its
-        // slot stays empty, and that alone names the fault below.
-        let ((), _) = pool.scope_catch(|scope| {
-            for (slot, &(lo, hi)) in slots.iter_mut().zip(&ranges) {
-                // O(pages) fork: pages stay shared until a worker writes
-                // them; the fork records which cells it writes.
-                let fork = fork_base.fork();
-                let regs = frame.regs.clone();
-                let args = frame.args.clone();
-                scope.spawn(move || {
-                    let job_span = rec.map(|r| {
-                        let mut s = r.span("runtime/chunk_worker", "runtime");
-                        s.arg("lo", lo);
-                        s.arg("hi", hi);
-                        s
-                    });
-                    let mut worker = Engine {
-                        module,
-                        plan: None,
-                        pool: None,
-                        workers: 1,
-                        cost_threshold: 0,
-                        rec,
-                        last_trip: 0,
-                        mem: fork,
-                        output: Vec::new(),
-                        steps: 0,
-                        fuel: fuel_left,
-                        depth,
-                        crit_log: Vec::new(),
-                        stats: RunStats::default(),
-                    };
-                    let mut wframe = Frame { regs, args };
-                    let result = (lo..hi).try_for_each(|iter| {
-                        worker.mem.write(iv_addr, RtVal::Int(init + iter * c.step));
-                        worker.run_iteration(func_id, f, &mut wframe, sched, &c.criticals)
-                    });
-                    let out = result.map(|()| ChunkOut {
-                        mem: worker.mem,
-                        crit_log: std::mem::take(&mut worker.crit_log),
-                        output: std::mem::take(&mut worker.output),
-                        steps: worker.steps,
-                    });
-                    // The slot write must stay the job's last act: a panic
-                    // anywhere before it, the span's close included, then
-                    // leaves the slot empty.
-                    drop(job_span);
-                    *slot = Some(out);
+        let n = chunks as i64;
+        let frame: &Frame = frame;
+        let slots: Vec<Mutex<Option<Result<Engine, FallbackWhy>>>> =
+            (0..chunks).map(|_| Mutex::default()).collect();
+        let cursor = AtomicUsize::new(0);
+        // The master and up to `chunks - 1` global-pool threads claim
+        // chunks from one cursor; a pool busy elsewhere leaves them all to
+        // the master. A panicked chunk (an engine bug) must demote to a
+        // sequential fallback, not take the master down: its slot stays
+        // empty, and that alone names the fault below.
+        pspdg_pool::global().help(chunks - 1, &|| loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= chunks {
+                break;
+            }
+            let (lo, hi) = (trip * k as i64 / n, trip * (k as i64 + 1) / n);
+            let chunk = catch_unwind(AssertUnwindSafe(|| {
+                let _span = self.rec.map(|r| {
+                    let mut s = r.span("runtime/chunk_worker", "runtime");
+                    s.arg("lo", lo);
+                    s.arg("hi", hi);
+                    s
                 });
+                // O(pages) fork: pages stay shared until the chunk writes
+                // them; the fork records which cells it writes.
+                let mut worker = Engine {
+                    module: self.module,
+                    plan: None,
+                    workers: 1,
+                    cost_threshold: 0,
+                    rec: self.rec,
+                    last_trip: 0,
+                    mem: fork_base.fork(),
+                    output: Vec::new(),
+                    steps: 0,
+                    fuel: fuel_left,
+                    depth: self.depth,
+                    crit_log: Vec::new(),
+                    stats: RunStats::default(),
+                };
+                let mut wframe = frame.clone();
+                (lo..hi).try_for_each(|iter| {
+                    worker.mem.write(iv_addr, RtVal::Int(init + iter * c.step));
+                    worker.run_iteration(func_id, f, &mut wframe, sched, &c.criticals)
+                })?;
+                Ok(worker)
+            }));
+            if let Ok(chunk) = chunk {
+                *slots[k].lock().expect("chunk slot poisoned") = Some(chunk);
             }
         });
-        self.stats.pool_dispatches += ranges.len() as u64;
-        let mut outs = Vec::with_capacity(slots.len());
-        // First failing chunk (in chunk = iteration order) names the
-        // cause; a panicked worker never filled its slot and counts as a
-        // worker fault (its heap fork is simply discarded).
-        let mut fault_abort: Option<FallbackWhy> = None;
-        for s in slots {
-            match s.unwrap_or(Err(FallbackWhy::WorkerFault)) {
-                Ok(out) => outs.push(out),
-                // Fall back with the master heap untouched: the sequential
-                // re-run reproduces faults in sequential order.
-                Err(why) => fault_abort = fault_abort.or(Some(why)),
-            }
-        }
-        if let Some(why) = fault_abort {
-            return Ok(Some(why));
-        }
+        self.stats.pool_dispatches += chunks as u64;
+        // The first failing chunk (in chunk = iteration order) names the
+        // cause; the fallback leaves the master heap untouched, and the
+        // sequential re-run reproduces faults in sequential order.
+        let outs: Result<Vec<Engine>, FallbackWhy> = slots
+            .into_iter()
+            .map(|s| {
+                let s = s.into_inner().expect("chunk slot poisoned");
+                s.unwrap_or(Err(FallbackWhy::WorkerFault))
+            })
+            .collect();
+        let outs = match outs {
+            Ok(outs) => outs,
+            Err(why) => return Ok(Some(why)),
+        };
 
         // Commit in place, in chunk order: per-cell last-writer-wins over
         // each fork's dirty set equals the sequential final state (see

@@ -13,8 +13,9 @@
 //!                        ▼
 //!                  Runtime::run_main
 //!                        │ master thread interprets sequentially;
-//!                        │ a persistent WorkerPool serves every
-//!                        │ parallel activation (no per-loop spawns)
+//!                        │ at a chunked activation it claims chunks
+//!                        │ from one cursor with the global pool's
+//!                        │ threads (no per-loop or per-runtime spawns)
 //!              ┌─────────┴─────────┐
 //!              ▼                   ▼
 //!          Chunked             Sequential
@@ -35,9 +36,8 @@
 //! chained updates included — see
 //! [`pspdg_parallelizer::CriticalReplay`]). The differential test suite
 //! (`tests/differential.rs`) enforces this over the whole NAS suite and
-//! generated kernels, including criticals through the replay path, and a
-//! pool-reuse regression test asserts the worker threads survive across
-//! activations.
+//! generated kernels, including criticals through the replay path, and
+//! with runtimes whose masters are themselves global-pool workers.
 //!
 //! A commit writes each fork's dirty set into the master heap in place.
 //! Only a critical replay can abort a commit, so the master copies its
@@ -60,8 +60,7 @@
 //! Module map: [`exec`] — the engine ([`Runtime`], [`RunStats`],
 //! [`FallbackCounts`]); [`Rng64`] — the seeded generator behind fuzz
 //! inputs; [`check`] — observable-state extraction for differential testing.
-//! The persistent scoped [`WorkerPool`] lives in the shared
-//! `pspdg-pool` crate.
+//! The threads live in the shared `pspdg-pool` crate's global pool.
 
 #![warn(missing_docs)]
 
@@ -75,5 +74,4 @@ pub use check::{
 };
 pub use exec::{FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD};
 pub use pspdg_obs::{Recorder, Snapshot};
-pub use pspdg_pool::WorkerPool;
 pub use rng::Rng64;

@@ -249,10 +249,9 @@ fn single_worker_degenerates_to_sequential() {
 #[test]
 fn runtimes_on_global_pool_workers_finish_and_match() {
     let pool = pspdg_pool::global();
-    let kernels = suite(Class::Test);
-    let n = kernels.len().max(pool.size());
-    let items: Vec<_> = (0..n).map(|i| kernels[i % kernels.len()].clone()).collect();
-    let on_worker = pspdg_pool::par_map(items, |b| {
+    let n = suite(Class::Test).len().max(pool.size());
+    let items = suite(Class::Test).into_iter().cycle().take(n).collect();
+    let on_worker = pspdg_pool::par_map(items, |b: pspdg_nas::Benchmark| {
         assert_differential(b.name, &b.program(), Abstraction::PsPdg, 2);
         pool.thread_ids().contains(&std::thread::current().id())
     });
@@ -810,16 +809,18 @@ fn test_and_set_critical_stays_serialized_and_equivalent() {
 
 #[test]
 fn pool_threads_survive_across_activations_and_runs() {
-    // IS has many loop activations; the pool must serve all of them (and
-    // a second run) with the same OS threads, created exactly once.
+    // IS has many loop activations; the global pool's threads must serve
+    // all of them (and a second run) without one being lost or replaced,
+    // and the runtime creates none of its own.
     let b = benchmark("IS", Class::Test).unwrap();
     let p = b.program();
     let mut interp = Interpreter::new(&p.module);
     interp.run_main(&mut NullSink).unwrap();
     let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
+    let pool = pspdg_pool::global();
     let rt = Runtime::new(&p, &plan).workers(3).cost_threshold(0);
-    let ids = rt.worker_thread_ids();
-    assert_eq!(ids.len(), 3);
+    let ids = pool.thread_ids();
+    assert_eq!(ids.len(), pool.size());
     let out = rt.run_main().unwrap();
     assert!(
         out.stats.pool_dispatches > ids.len() as u64,
@@ -827,14 +828,14 @@ fn pool_threads_survive_across_activations_and_runs() {
         out.stats
     );
     assert_eq!(
-        rt.worker_thread_ids(),
+        pool.thread_ids(),
         ids,
         "activations must keep the same workers"
     );
     rt.run_main().unwrap();
     assert_eq!(
-        rt.worker_thread_ids(),
+        pool.thread_ids(),
         ids,
-        "the pool persists across runs of the same Runtime"
+        "the global pool persists across runs of the same Runtime"
     );
 }

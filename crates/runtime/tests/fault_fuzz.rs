@@ -6,7 +6,7 @@
 //! sequential interpreter (the oracle) and on the runtime; the runtime
 //! raises the oracle's exact `ExecError`, or leaves its globals, output
 //! and return value. Directed tests run a faulting program twice on one
-//! `Runtime`: the same pool threads serve both runs and nothing is left
+//! `Runtime`: the global pool keeps its threads and nothing is left
 //! behind. Seed the generator via `FAULT_FUZZ_SEED` (CI pins it).
 
 use std::collections::{BTreeMap, HashSet};
@@ -125,8 +125,8 @@ fn organic_speculation_fault_falls_back_to_the_oracle() {
     }
 }
 
-/// A runtime reused after a speculation fault: the same pool threads
-/// serve the second run, and it reports exactly the first run's stats —
+/// A runtime reused after a speculation fault: the global pool keeps its
+/// threads, and the second run reports exactly the first run's stats —
 /// the same fallbacks and the same fork volume (`cow_pages`, hence
 /// `fork_bytes`), so the discarded forks left nothing behind.
 #[test]
@@ -134,7 +134,7 @@ fn runtime_reuse_after_fallback_restores_baseline_fork_volume() {
     let p = compile(SPECULATION_SRC).unwrap();
     let o = oracle(&p);
     let rt = Runtime::new(&p, &o.plan).workers(4).cost_threshold(0);
-    let ids: HashSet<_> = rt.worker_thread_ids().into_iter().collect();
+    let ids = pspdg_pool::global().thread_ids();
     let first = rt.run_main().expect("the first run completes");
     assert_eq!(
         first.stats.fallbacks.speculation_fault, 1,
@@ -146,14 +146,15 @@ fn runtime_reuse_after_fallback_restores_baseline_fork_volume() {
     assert_eq!(second.stats, first.stats);
     assert_matches(&p, &o, Ok(second), "second run");
     assert_eq!(
-        rt.worker_thread_ids().into_iter().collect::<HashSet<_>>(),
+        pspdg_pool::global().thread_ids(),
         ids,
-        "the same pool threads serve the run after the fault"
+        "the global pool keeps its threads through the faulting runs"
     );
 }
 
 /// `fault_identity`'s "div by zero" row, run twice on one runtime at two
-/// workers: both runs raise the oracle's error, on the same pool threads.
+/// workers: both runs raise the oracle's error, and the global pool keeps
+/// its threads.
 #[test]
 fn chunk_worker_fault_falls_back_and_heals() {
     let p = compile(
@@ -169,13 +170,13 @@ fn chunk_worker_fault_falls_back_and_heals() {
     let o = oracle(&p);
     assert!(o.result.is_err(), "the row faults");
     let rt = Runtime::new(&p, &o.plan).workers(2).cost_threshold(0);
-    let ids: HashSet<_> = rt.worker_thread_ids().into_iter().collect();
+    let ids = pspdg_pool::global().thread_ids();
     for run in ["first run", "second run"] {
         assert_matches(&p, &o, rt.run_main(), run);
         assert_eq!(
-            rt.worker_thread_ids().into_iter().collect::<HashSet<_>>(),
+            pspdg_pool::global().thread_ids(),
             ids,
-            "{run}: the same pool threads"
+            "{run}: the global pool's threads"
         );
     }
 }

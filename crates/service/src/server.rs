@@ -12,10 +12,11 @@
 //!   requests off the queue. They are plain threads, not pool workers, so
 //!   a cold build's per-function `par_map`s (PDG build, planning) fan out
 //!   over the process-global analysis pool, whose workers run
-//!   any nested `par_map` inline; each `execute` still runs on its own
-//!   `Runtime`'s pool. Every handler goes through the one shared
-//!   [`PlanStore`], so concurrent clients asking for the same program
-//!   share a single build;
+//!   any nested `par_map` inline. An `execute` runs its chunked loops on
+//!   the handler thread and on that same global pool: the handler claims
+//!   chunks alongside whichever pool threads are free. Every handler goes
+//!   through the one shared [`PlanStore`], so concurrent clients asking
+//!   for the same program share a single build;
 //! * the store's **reaper** thread, spawned at its first eviction, which
 //!   frees the sessions a handler's build or hit evicted, so the handler
 //!   replies without paying for another program's graphs.
@@ -88,8 +89,9 @@ pub struct ServiceConfig {
     pub handlers: usize,
     /// Bounded request-queue capacity (backpressure depth).
     pub queue_capacity: usize,
-    /// Default runtime worker threads for `execute`/`report` requests
-    /// that do not pick their own.
+    /// Default chunks per chunked activation for `execute`/`report`
+    /// requests that do not pick their own: the handler thread runs some
+    /// of them, the global pool's free threads the rest.
     pub exec_workers: usize,
     /// [`PlanStore`] LRU byte budget.
     pub budget_bytes: usize,
