@@ -227,11 +227,10 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared
-            .state
-            .lock()
-            .expect("pool lock poisoned")
-            .shutdown = true;
+        {
+            let mut s = self.shared.state.lock().expect("pool lock poisoned");
+            s.shutdown = true;
+        }
         self.shared.work.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();

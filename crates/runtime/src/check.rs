@@ -15,14 +15,13 @@ pub const FLOAT_RTOL: f64 = 1e-9;
 pub fn observable_globals(module: &Module, mem: &MemState) -> Vec<(String, Vec<RtVal>)> {
     module
         .global_ids()
-        .map(|g| (module.global(g).name.clone(), cells(mem, g)))
-        .collect()
-}
-
-fn cells(mem: &MemState, g: pspdg_ir::GlobalId) -> Vec<RtVal> {
-    let obj = mem.global_object(g);
-    (0..mem.object_len(obj) as u32)
-        .map(|off| mem.read(MemAddr { obj, off }))
+        .map(|g| {
+            let obj = mem.global_object(g);
+            let cells = (0..mem.object_len(obj) as u32)
+                .map(|off| mem.read(MemAddr { obj, off }))
+                .collect();
+            (module.global(g).name.clone(), cells)
+        })
         .collect()
 }
 
@@ -46,15 +45,6 @@ pub fn rtval_identical(a: RtVal, b: RtVal) -> bool {
         (RtVal::Float(x), RtVal::Float(y)) => x.to_bits() == y.to_bits(),
         _ => a == b,
     }
-}
-
-/// Snapshot one named global's cells, if the module defines it (used to
-/// pin protected cells bit-identically in differential tests).
-pub fn global_cells(module: &Module, mem: &MemState, name: &str) -> Option<Vec<RtVal>> {
-    let g = module
-        .global_ids()
-        .find(|g| module.global(*g).name == name)?;
-    Some(cells(mem, g))
 }
 
 /// Whether two printed lines match: exact, or both parse as floats within

@@ -676,24 +676,30 @@ impl<'a> Engine<'a> {
         }
 
         // Reduction objects, with worker forks starting from the operator
-        // identity, and protected objects (deferred criticals), which
-        // workers never read or write: only the master's replay executes
-        // the protected slice, and the dirty-set skip below is defensive.
-        // A base that cannot be resolved to a live object falls back, as
-        // its partial results could not be merged.
-        let red_objs: Option<HashMap<u32, ReductionOp>> = c
-            .reductions
-            .iter()
-            .map(|(base, op)| Some((self.resolve_base(frame, base)?.0, *op)))
-            .collect();
-        let prot_objs: Option<HashSet<u32>> = c
-            .protected
-            .iter()
-            .map(|base| Some(self.resolve_base(frame, base)?.0))
-            .collect();
-        let (Some(red_objs), Some(prot_objs)) = (red_objs, prot_objs) else {
-            return Ok(Some(FallbackWhy::Unevaluable));
-        };
+        // identity. A base that cannot be resolved to a live object means
+        // its partial results could not be merged — fall back rather than
+        // silently committing last-writer-wins.
+        let mut red_objs: HashMap<u32, ReductionOp> = HashMap::new();
+        for (base, op) in &c.reductions {
+            match self.resolve_base(frame, base) {
+                Some(obj) => {
+                    red_objs.insert(obj.0, *op);
+                }
+                None => return Ok(Some(FallbackWhy::Unevaluable)),
+            }
+        }
+        // Protected objects (deferred criticals): workers never read or
+        // write them (only the master's replay executes the protected
+        // slice); the dirty-set skip below is defensive.
+        let mut prot_objs: HashSet<u32> = HashSet::new();
+        for base in &c.protected {
+            match self.resolve_base(frame, base) {
+                Some(obj) => {
+                    prot_objs.insert(obj.0);
+                }
+                None => return Ok(Some(FallbackWhy::Unevaluable)),
+            }
+        }
 
         let mut fork_base = self.mem.clone();
         for (&obj, &op) in &red_objs {

@@ -69,8 +69,8 @@ pub mod exec;
 mod rng;
 
 pub use check::{
-    global_cells, globals_identical_mismatch, globals_mismatch, line_equivalent,
-    observable_globals, rtval_equivalent, rtval_identical, FLOAT_RTOL,
+    globals_identical_mismatch, globals_mismatch, line_equivalent, observable_globals,
+    rtval_equivalent, rtval_identical, FLOAT_RTOL,
 };
 pub use exec::{FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD};
 pub use pspdg_obs::{Recorder, Snapshot};
