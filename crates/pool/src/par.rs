@@ -6,14 +6,13 @@
 //! cursor ([`WorkerPool::help`]), so repeated sweeps reuse threads instead
 //! of re-spawning them per call. Order of results matches order of inputs.
 //!
-//! Nested calls run inline: on a pool worker the sweep is already one of
-//! the pool's parallel jobs. Any other thread fans out, and several may
-//! share the global pool at once (the daemon's handler threads are plain
-//! threads for exactly this): a caller finishes its map even if every
-//! pool worker is busy with another caller's items, because `help`
+//! Every caller fans out, a pool worker mapping inside a job included, and
+//! several may share the global pool at once (the daemon's handler
+//! threads among them): a caller finishes its map even if every pool
+//! worker is busy, itself or with another caller's items, because `help`
 //! withdraws the copies no worker started.
 
-use crate::pool::{on_pool_worker, WorkerPool};
+use crate::pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -24,7 +23,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if pool.size() <= 1 || items.len() <= 1 || on_pool_worker() {
+    if pool.size() <= 1 || items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }
     let n = items.len();
@@ -51,8 +50,8 @@ where
 /// Map `f` over `items` on the [`global`] pool, preserving input order in
 /// the result.
 ///
-/// Runs inline (no pool traffic) when the pool is single-threaded, the
-/// input is trivial, or the caller is itself a pool worker.
+/// Runs inline (no pool traffic) when the pool is single-threaded or the
+/// input is trivial.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -107,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_par_map_runs_inline_without_deadlock() {
+    fn nested_par_map_finishes_without_deadlock() {
         let pool = WorkerPool::new(2);
         let out = par_map_on(&pool, (0..8u64).collect(), |x| {
             par_map_on(&pool, (0..4u64).collect(), move |y| x + y)

@@ -49,7 +49,6 @@
 //! paths, and `help` first withdraws its unstarted jobs under the queue's
 //! lock.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,20 +61,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// [`WorkerPool::help`] call tags its jobs with the address of its latch,
 /// which is never null.
 const SCOPED: usize = 0;
-
-thread_local! {
-    /// Whether the current thread is a pool worker (any pool). Nested
-    /// parallel helpers consult this to run inline instead of fanning out
-    /// again — see [`crate::par_map`].
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is a [`WorkerPool`] worker. [`crate::par_map`]
-/// maps inline there: the caller's own sweep is already one of the pool's
-/// parallel jobs.
-pub(crate) fn on_pool_worker() -> bool {
-    IN_POOL_WORKER.with(Cell::get)
-}
 
 struct PoolState {
     /// Queued jobs, each with its caller's tag ([`SCOPED`] or a `help`
@@ -124,10 +109,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pspdg-worker-{n}"))
-                    .spawn(move || {
-                        IN_POOL_WORKER.with(|f| f.set(true));
-                        worker_loop(&shared);
-                    })
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -508,23 +490,5 @@ mod tests {
         }));
         assert!(result.is_err(), "the caller's panic must surface");
         assert_eq!(helper_done.load(Ordering::SeqCst), 1, "re-raised too early");
-    }
-
-    #[test]
-    fn worker_flag_is_set_on_pool_threads_only() {
-        let pool = WorkerPool::new(2);
-        assert!(!on_pool_worker(), "the master thread is not a worker");
-        let on_worker = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    if on_pool_worker() {
-                        on_worker.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(on_worker.load(Ordering::SeqCst), 4);
-        assert!(!on_pool_worker());
     }
 }

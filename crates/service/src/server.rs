@@ -9,14 +9,12 @@
 //!   **bounded** [`Channel`] (backpressure: a flood of requests blocks
 //!   the flooding client's reader, not the server);
 //! * **handler threads** ([`ServiceConfig::handlers`] of them) that take
-//!   requests off the queue. They are plain threads, not pool workers, so
-//!   a cold build's per-function `par_map`s (PDG build, planning) fan out
-//!   over the process-global analysis pool, whose workers run
-//!   any nested `par_map` inline. An `execute` runs its chunked loops on
-//!   the handler thread and on that same global pool: the handler claims
-//!   chunks alongside whichever pool threads are free. Every handler goes
-//!   through the one shared [`PlanStore`], so concurrent clients asking
-//!   for the same program share a single build;
+//!   requests off the queue. A cold build's per-function `par_map`s (PDG
+//!   build, planning) fan out over the process-global analysis pool. An
+//!   `execute` runs its chunked loops on the handler thread and on that
+//!   same pool: the handler claims chunks alongside whichever pool threads
+//!   are free. Every handler goes through the one shared [`PlanStore`], so
+//!   concurrent clients asking for the same program share a single build;
 //! * the store's **reaper** thread, spawned at its first eviction, which
 //!   frees the sessions a handler's build or hit evicted, so the handler
 //!   replies without paying for another program's graphs.
@@ -83,9 +81,9 @@ pub struct ServiceConfig {
     /// Bind address. Default `127.0.0.1:0` — loopback only, ephemeral
     /// port (read it back from [`PlanService::addr`]).
     pub addr: String,
-    /// Concurrent request handlers: plain threads, not pool workers, so a
-    /// cold build fans its per-function work out over the process-global
-    /// analysis pool ([`pspdg_pool::par_map`]).
+    /// Concurrent request handlers: plain threads, each fanning a cold
+    /// build's per-function work out over the process-global analysis pool
+    /// ([`pspdg_pool::par_map`]).
     pub handlers: usize,
     /// Bounded request-queue capacity (backpressure depth).
     pub queue_capacity: usize,
