@@ -6,8 +6,10 @@
 //! *executes* the resulting plans) run on the same battle-hardened
 //! threads:
 //!
-//! - [`WorkerPool`] / [`Scope`] — the persistent scoped worker pool; a
-//!   panicking job is caught on its worker, so the pool keeps its threads.
+//! - [`WorkerPool`] / [`Scope`] — the persistent worker pool, with scoped
+//!   borrowing jobs and [`WorkerPool::help`], which runs one closure on the
+//!   caller and on whichever workers are free; a panicking job is caught
+//!   on its worker, so the pool keeps its threads.
 //! - [`Channel`] — the bounded queue that drains after close (the plan
 //!   daemon's job queue).
 //! - [`BitSet`] — packed dense-id sets with O(words) union/intersect
