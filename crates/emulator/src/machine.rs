@@ -910,4 +910,35 @@ mod tests {
             results.iter().map(|(a, r)| (*a, r.critical_path)).collect();
         assert!(cp[&Abstraction::PsPdg] <= cp[&Abstraction::OpenMp]);
     }
+
+    /// The profiled PS-PDG plan of `src` and its emulation.
+    fn pspdg_plan(src: &str) -> (ParallelProgram, ProgramPlan, EmulationResult) {
+        let p = compile(src).unwrap();
+        let mut interp = Interpreter::new(&p.module);
+        interp.run_main(&mut pspdg_ir::interp::NullSink).unwrap();
+        let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
+        let r = emulate(&p, &plan).unwrap();
+        (p, plan, r)
+    }
+
+    fn is_helix(spec: &LoopPlanSpec) -> bool {
+        matches!(spec.technique, PlannedTechnique::Helix { .. })
+    }
+
+    /// A HELIX loop with no planned loop inside it: the `s` recurrence is
+    /// its sequential segment, one instance chain per iteration, and
+    /// `v[i]` runs beside it.
+    #[test]
+    fn a_helix_loop_orders_its_segment_per_iteration() {
+        let (_, plan, r) = pspdg_plan(
+            r#"
+            int v[256]; int s;
+            void k() { int i; for (i = 0; i < 256; i++) { v[i] = v[i] * 3 + i; s = s * 7 + v[i]; } }
+            int main() { k(); return s % 251; }
+            "#,
+        );
+        assert_eq!(plan.loops.len(), 1);
+        assert!(plan.loops.values().all(is_helix));
+        assert_eq!((r.critical_path, r.total_steps), (1821, 6159));
+    }
 }

@@ -87,6 +87,7 @@ pub fn global() -> &'static WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn par_map_preserves_order() {
@@ -116,5 +117,23 @@ mod tests {
         assert_eq!(out.len(), 8);
         assert_eq!(out[0], 6);
         assert_eq!(out[7], 7 * 4 + 6);
+    }
+
+    /// Two items that wait on one barrier finish only if two threads map
+    /// them at once: `par_map_on` fans out from a plain thread and from
+    /// inside a pool job alike.
+    #[test]
+    fn par_map_fans_out_from_a_thread_and_from_a_pool_job() {
+        let pool = WorkerPool::new(3);
+        let on_two_threads = || {
+            let barrier = Barrier::new(2);
+            let ids = par_map_on(&pool, vec![0, 1], |_| {
+                barrier.wait();
+                std::thread::current().id()
+            });
+            assert_ne!(ids[0], ids[1]);
+        };
+        on_two_threads();
+        pool.scope(|s| s.spawn(on_two_threads));
     }
 }
