@@ -152,7 +152,11 @@ struct Activation {
     uid: u32,
     /// Counted for planned loops only: no lane or context reads the rest.
     iter: u32,
+    /// HELIX: the latest finish of its sequential segment in earlier
+    /// iterations, which a segment instance waits for, and in the current
+    /// one, folded into `seq_last` when the iteration advances.
     seq_last: u64,
+    seq_cur: u64,
     /// Latest finish among the frame's steps under this activation, as of
     /// the last push above it (see [`FrameState::run_max`]).
     max_finish: u64,
@@ -520,7 +524,8 @@ impl IdealMachine {
             self.lock_last[lock] = start + 1;
         }
         if let Some(i) = helix_act {
-            self.acts[i].seq_last = start + 1;
+            let act = &mut self.acts[i];
+            act.seq_cur = act.seq_cur.max(start + 1);
         }
         self.call_inst = inst;
         start
@@ -591,7 +596,7 @@ impl TraceSink for IdealMachine {
         }
         if let Some(owner) = state.seq_owner {
             let act = &mut self.acts[owner];
-            act.seq_last = act.seq_last.max(fin);
+            act.seq_cur = act.seq_cur.max(fin);
         }
         self.lanes.switch(self.top.lane);
     }
@@ -648,6 +653,7 @@ impl TraceSink for IdealMachine {
                     uid: self.next_act_uid,
                     iter: 0,
                     seq_last: 0,
+                    seq_cur: 0,
                     max_finish: 0,
                 });
                 self.next_act_uid += 1;
@@ -656,6 +662,7 @@ impl TraceSink for IdealMachine {
         let bumped = live == nest.len() && facts.planned_header;
         if let Some(act) = self.acts.last_mut().filter(|_| bumped) {
             act.iter += 1;
+            act.seq_last = act.seq_cur;
         }
         let acts = &self.acts[base..];
         top.lane = spawn_lane.unwrap_or_else(|| lane_of(top.base_lane, acts));
@@ -940,5 +947,36 @@ mod tests {
         assert_eq!(plan.loops.len(), 1);
         assert!(plan.loops.values().all(is_helix));
         assert_eq!((r.critical_path, r.total_steps), (1821, 6159));
+    }
+
+    /// LU's wavefront: a HELIX plane loop around a planned DOALL line loop
+    /// whose body is the segment. Each line waits only for the same
+    /// segment of the previous plane, not for the line before it, so
+    /// planning the outer loop never predicts worse than leaving it out.
+    #[test]
+    fn a_helix_segment_waits_once_per_iteration_around_a_doall_loop() {
+        let (p, mut plan, r) = pspdg_plan(
+            r#"
+            double v[256];
+            void k() {
+                int p; int j;
+                for (p = 1; p < 16; p++) {
+                    #pragma omp parallel for
+                    for (j = 0; j < 16; j++) { v[p * 16 + j] = v[(p - 1) * 16 + j] * 0.8 + 1.0; }
+                }
+            }
+            int main() { k(); return 0; }
+            "#,
+        );
+        let mut helix = plan.loops.iter().filter(|(_, s)| is_helix(s));
+        let (&outer, _) = helix.next().expect("the plane loop is HELIX");
+        assert!(helix.next().is_none());
+        assert_eq!(plan.loops.len(), 2);
+        plan.loops.remove(&outer);
+        let without = emulate(&p, &plan).unwrap();
+        // Chained line after line, as each instance once waited for the
+        // previous one, it read 1001.
+        assert_eq!((r.critical_path, r.total_steps), (101, 5759));
+        assert_eq!(without.critical_path, 524);
     }
 }
