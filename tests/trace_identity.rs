@@ -351,7 +351,8 @@ fn emulated_critical_paths_are_pinned() {
         ("EP", 0x122e_1838_13d9_df9a),
         ("FT", 0xc094_1d24_c857_4187),
         ("IS", 0xe8f9_3844_8e68_5fcd),
-        ("LU", 0x1362_f73c_d314_750d),
+        // Re-pinned when a HELIX segment began waiting once per iteration.
+        ("LU", 0xd577_fde5_e4bf_707d),
         ("MG", 0x3a58_bcb4_90fd_ca06),
         ("SP", 0x21e2_8898_dcbd_0831),
         ("GMAX", 0xea5f_3df7_901b_af0c),
@@ -364,7 +365,8 @@ fn emulated_critical_paths_are_pinned() {
         ("EP", 0x406f_1337_c10a_266d),
         ("FT", 0x005d_552a_b6fa_1d80),
         ("IS", 0xaf3b_8b1f_08f4_bf9f),
-        ("LU", 0x2f05_8b7a_52a7_37cc),
+        // Re-pinned when a HELIX segment began waiting once per iteration.
+        ("LU", 0x3e13_e030_ef76_8430),
         ("MG", 0x80ad_6f88_6a65_3981),
         ("SP", 0xc0ab_533d_6149_66c1),
         ("GMAX", 0xcd23_ce2d_bf38_d31b),
