@@ -4,7 +4,7 @@
 //! in a function's arena, instruction indexes, memory-reference ordinals
 //! — and the hot passes mostly ask "is this id in the set" and "walk the
 //! set in ascending order". [`BitSet`] packs those sets into `u64` words:
-//! membership is one shift, union/intersection are O(words), iteration
+//! membership is one shift, a subset test is O(words), iteration
 //! walks set bits with `trailing_zeros`, and a set of a few thousand ids
 //! fits in a cache line or two where a `BTreeSet` would chase pointers.
 //!
@@ -109,46 +109,12 @@ impl BitSet {
         self.len = 0;
     }
 
-    /// `self ∪= other` (O(words)).
-    pub fn union_with(&mut self, other: &BitSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        let mut len = 0usize;
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-            len += a.count_ones() as usize;
-        }
-        for &a in &self.words[other.words.len()..] {
-            len += a.count_ones() as usize;
-        }
-        self.len = len;
-    }
-
-    /// `self ∩= other` (O(words)).
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        let mut len = 0usize;
-        for (i, a) in self.words.iter_mut().enumerate() {
-            *a &= other.words.get(i).copied().unwrap_or(0);
-            len += a.count_ones() as usize;
-        }
-        self.len = len;
-    }
-
     /// Whether every id of `self` is in `other` (O(words)).
     pub fn is_subset(&self, other: &BitSet) -> bool {
         self.words
             .iter()
             .enumerate()
             .all(|(i, &a)| a & !other.words.get(i).copied().unwrap_or(0) == 0)
-    }
-
-    /// Whether the sets share an id (O(words)).
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(&a, &b)| a & b != 0)
     }
 
     /// The smallest id in the set.
@@ -235,26 +201,6 @@ mod tests {
         assert!(s.remove(64));
         assert!(!s.remove(64));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 1000]);
-    }
-
-    #[test]
-    fn union_intersect_across_lengths() {
-        let a: BitSet = [1usize, 63, 64, 200].into_iter().collect();
-        let b: BitSet = [63usize, 64, 65].into_iter().collect();
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 63, 64, 65, 200]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![63, 64]);
-        let mut i2 = b.clone();
-        i2.intersect_with(&a);
-        assert_eq!(i, i2);
-        assert_eq!(u.len(), 5);
-        assert_eq!(i.len(), 2);
-        assert!(i.is_subset(&a) && i.is_subset(&b) && !u.is_subset(&a));
-        assert!(a.intersects(&b));
-        assert!(!BitSet::new().intersects(&a));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   on its worker, so the pool keeps its threads.
 //! - [`Channel`] — the bounded queue that drains after close (the plan
 //!   daemon's job queue).
-//! - [`BitSet`] — packed dense-id sets with O(words) union/intersect
+//! - [`BitSet`] — packed dense-id sets with one-shift membership
 //!   and ascending iteration, the representation behind the PDG's edge
 //!   indexes and the directive passes' instruction sets.
 //!

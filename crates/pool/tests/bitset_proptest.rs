@@ -1,7 +1,7 @@
 //! Property tests pinning [`BitSet`] to `BTreeSet<usize>` semantics: the
 //! packed representation must be observationally identical to the ordered
 //! set it replaced in the dependence indexes — same membership, same
-//! ascending iteration order, same union/intersect/subset algebra.
+//! ascending iteration order, same subset relation.
 
 use std::collections::BTreeSet;
 
@@ -48,7 +48,7 @@ proptest! {
     }
 
     #[test]
-    fn union_intersect_subset_match_btreeset(
+    fn subset_and_equality_match_btreeset(
         raw_a in proptest::collection::vec(0usize..320, 0..48),
         raw_b in proptest::collection::vec(0usize..320, 0..48),
     ) {
@@ -57,18 +57,7 @@ proptest! {
         let ba: BitSet = a.iter().copied().collect();
         let bb: BitSet = b.iter().copied().collect();
 
-        let mut union = ba.clone();
-        union.union_with(&bb);
-        let want_union: Vec<usize> = a.union(&b).copied().collect();
-        prop_assert_eq!(union.iter().collect::<Vec<_>>(), want_union);
-
-        let mut inter = ba.clone();
-        inter.intersect_with(&bb);
-        let want_inter: Vec<usize> = a.intersection(&b).copied().collect();
-        prop_assert_eq!(inter.iter().collect::<Vec<_>>(), want_inter);
-
         prop_assert_eq!(ba.is_subset(&bb), a.is_subset(&b));
-        prop_assert_eq!(ba.intersects(&bb), !a.is_disjoint(&b));
 
         // The equality must not be fooled by trailing capacity: a widened
         // copy of `a` still equals the compact one.
