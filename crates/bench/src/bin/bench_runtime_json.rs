@@ -38,7 +38,7 @@ use pspdg_ir::interp::{Interpreter, NullSink, Step, TraceSink};
 use pspdg_nas::{runtime_suite, Class};
 use pspdg_obs::Recorder;
 use pspdg_parallelizer::{build_plan, realize_executable, Abstraction};
-use pspdg_runtime::{globals_mismatch, observable_globals, Runtime};
+use pspdg_runtime::{globals_mismatch, observable_globals, FallbackWhy, Runtime};
 
 /// A sink that looks at every slice of every step and keeps nothing: what
 /// the traced interpreter costs on its own, the floor under `emulate`.
@@ -166,9 +166,9 @@ fn main() {
             );
             assert_eq!(
                 (
-                    stats.fallbacks.scheduled_sequential,
-                    stats.fallbacks.speculation_fault,
-                    stats.fallbacks.replay_fault
+                    stats.fallbacks[FallbackWhy::ScheduledSequential],
+                    stats.fallbacks[FallbackWhy::SpeculationFault],
+                    stats.fallbacks[FallbackWhy::ReplayFault]
                 ),
                 (0, 0, 0),
                 "GMAX must run with zero mutex-related fallbacks: {stats:?}"

@@ -87,14 +87,7 @@ pub fn build_pspdg_module_recorded(
         .filter(|f| !program.module.function(*f).blocks.is_empty())
         .collect();
     pspdg_pool::par_map(funcs, |func| {
-        let fname = program.module.function(func).name.as_str();
-        let span = |name| {
-            rec.map(|r| {
-                let mut s = r.span(name, "pipeline");
-                s.arg("func", fname);
-                s
-            })
-        };
+        let span = |name| rec.map(|r| r.span(name));
         let (analyses, pdg, mem_refs) = {
             let _s = span("pspdg/pdg_build");
             let analyses = FunctionAnalyses::compute(&program.module, func);

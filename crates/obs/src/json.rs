@@ -1,10 +1,8 @@
-//! A small dependency-free JSON parser plus a Chrome-trace validator.
+//! A small dependency-free JSON parser.
 //!
-//! The workspace vendors no serde; this parser exists so the tests and
-//! the `profile_json --smoke` / CI gates can assert that everything the
-//! exporters emit actually *parses* and that spans *nest* — a real
-//! round trip, not a string eyeball. The plan daemon reads every request
-//! line with it too.
+//! The workspace vendors no serde. The plan daemon reads every request
+//! line with this parser, and the tests and the benchmark read the
+//! daemon's replies with it: a real round trip, not a string eyeball.
 //!
 //! A string costs one scan plus one copy per run of plain bytes: the
 //! scan tests 16 bytes at a time for the next `"` or `\`, and the run
@@ -277,89 +275,6 @@ impl Parser<'_> {
     }
 }
 
-/// Summary returned by [`validate_chrome_trace`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceCheck {
-    /// Number of `"X"` complete spans.
-    pub spans: usize,
-    /// Deepest nesting across all thread lanes.
-    pub max_depth: usize,
-}
-
-/// Parse a Chrome trace-event JSON document and check that, per thread
-/// lane, complete spans strictly nest (contained or disjoint — never
-/// partially overlapping). Returns counts on success.
-pub fn validate_chrome_trace(src: &str) -> Result<TraceCheck, String> {
-    let doc = parse(src)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .ok_or("missing traceEvents array")?;
-    let mut check = TraceCheck::default();
-    // (tid, ts, dur, name) for every complete span.
-    let mut spans: Vec<(i64, f64, f64, String)> = Vec::new();
-    for e in events {
-        let ph = e
-            .get("ph")
-            .and_then(|v| v.as_str())
-            .ok_or("event missing ph")?;
-        match ph {
-            "X" => {
-                let tid = e
-                    .get("tid")
-                    .and_then(|v| v.as_f64())
-                    .ok_or("span missing tid")? as i64;
-                let ts = e
-                    .get("ts")
-                    .and_then(|v| v.as_f64())
-                    .ok_or("span missing ts")?;
-                let dur = e
-                    .get("dur")
-                    .and_then(|v| v.as_f64())
-                    .ok_or("span missing dur")?;
-                let name = e
-                    .get("name")
-                    .and_then(|v| v.as_str())
-                    .ok_or("span missing name")?
-                    .to_string();
-                spans.push((tid, ts, dur, name));
-                check.spans += 1;
-            }
-            "M" => {}
-            other => return Err(format!("unexpected phase {other:?}")),
-        }
-    }
-    // Per lane: sort by start (longer spans first on ties) and sweep a
-    // stack of open interval ends.
-    spans.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then(a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-    });
-    let mut stack: Vec<(i64, f64)> = Vec::new(); // (tid, end)
-    for (tid, ts, dur, name) in &spans {
-        let end = ts + dur;
-        while let Some(&(t, e)) = stack.last() {
-            if t != *tid || e <= *ts {
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        if let Some(&(_, open_end)) = stack.last() {
-            // Tolerance of 1ns in µs units for the exporters' rounding.
-            if end > open_end + 0.001 {
-                return Err(format!(
-                    "span {name:?} [{ts}, {end}] partially overlaps an enclosing span ending at {open_end} on tid {tid}"
-                ));
-            }
-        }
-        stack.push((*tid, end));
-        check.max_depth = check.max_depth.max(stack.len());
-    }
-    Ok(check)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,23 +380,5 @@ mod tests {
         for (src, want) in cases {
             assert_eq!(parse(src), Err(want.to_string()), "parse({src:?})");
         }
-    }
-
-    #[test]
-    fn validator_accepts_nesting_rejects_overlap() {
-        let good = r#"{"traceEvents":[
-            {"name":"outer","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":100.0},
-            {"name":"inner","ph":"X","pid":1,"tid":0,"ts":10.0,"dur":20.0},
-            {"name":"other-lane","ph":"X","pid":1,"tid":1,"ts":50.0,"dur":500.0}
-        ]}"#;
-        let c = validate_chrome_trace(good).unwrap();
-        assert_eq!(c.spans, 3);
-        assert_eq!(c.max_depth, 2);
-
-        let bad = r#"{"traceEvents":[
-            {"name":"a","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":100.0},
-            {"name":"b","ph":"X","pid":1,"tid":0,"ts":50.0,"dur":100.0}
-        ]}"#;
-        assert!(validate_chrome_trace(bad).is_err());
     }
 }

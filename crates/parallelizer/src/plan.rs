@@ -201,11 +201,7 @@ pub fn plan_built_recorded(
         parallel_spawns,
     };
     let parts: Vec<FunctionPlanParts> = pspdg_pool::par_map(built.iter().collect(), |prepared| {
-        let _s = rec.map(|r| {
-            let mut s = r.span("plan/enumerate", "pipeline");
-            s.arg("func", program.module.function(prepared.func).name.as_str());
-            s
-        });
+        let _s = rec.map(|r| r.span("plan/enumerate"));
         plan_function(program, prepared, profile, abstraction, threshold)
     });
     for part in parts {

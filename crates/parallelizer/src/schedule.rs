@@ -279,7 +279,7 @@ fn lower_plan<'a>(
     analyses_of: impl Fn(FuncId) -> &'a FunctionAnalyses,
     rec: Option<&pspdg_obs::Recorder>,
 ) -> ExecutablePlan {
-    let _all = rec.map(|r| r.span("plan/schedule", "pipeline"));
+    let _all = rec.map(|r| r.span("plan/schedule"));
     let mut schedules = Vec::with_capacity(plan.loops.len());
     let mut by_func: BTreeMap<FuncId, Vec<&LoopPlanSpec>> = BTreeMap::new();
     for spec in plan.loops.values() {
@@ -288,17 +288,8 @@ fn lower_plan<'a>(
     for (func, specs) in by_func {
         let cx = FuncRealizer::new(program, plan, func, analyses_of(func));
         for spec in specs {
-            let mut sp = rec.map(|r| {
-                let mut s = r.span("plan/schedule_loop", "pipeline");
-                s.arg("func", program.module.function(func).name.as_str());
-                s
-            });
-            let schedule = cx.lower(spec);
-            if let Some(s) = sp.as_mut() {
-                s.arg("exec", schedule.exec.name());
-                s.arg("header", schedule.header.index() as u64);
-            }
-            schedules.push(schedule);
+            let _s = rec.map(|r| r.span("plan/schedule_loop"));
+            schedules.push(cx.lower(spec));
         }
     }
     ExecutablePlan::new(schedules)

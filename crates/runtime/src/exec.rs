@@ -89,7 +89,7 @@ use pspdg_ir::interp::{
 };
 use pspdg_ir::loops::trip_count_from;
 use pspdg_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Value};
-use pspdg_obs::{Recorder, SpanGuard};
+use pspdg_obs::Recorder;
 use pspdg_parallel::{ParallelProgram, ReductionOp};
 use pspdg_parallelizer::{
     realize_executable, ChunkedLoop, CriticalReplay, ExecutablePlan, LoopExec, LoopSchedule,
@@ -103,62 +103,92 @@ use pspdg_pdg::MemBase;
 /// overhead matches the interpreter's work on one chunk.
 pub const DEFAULT_COST_THRESHOLD: u64 = 4096;
 
-/// Why a loop activation executed sequentially instead of in parallel —
-/// one counter per cause, so predicted-vs-measured reports can say *why*
-/// a kernel fell short (see [`RunStats::fallbacks`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FallbackCounts {
+/// Why a loop activation executed sequentially instead of in parallel.
+/// Each cause indexes one count of [`FallbackCounts`], and its
+/// [`name`](FallbackWhy::name) is the one spelling of it: in
+/// [`FallbackCounts::table`], in `BENCH_runtime.json` and as the
+/// recorder counter an attached [`Recorder`] bumps per fallback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FallbackWhy {
     /// The plan itself scheduled the loop sequential (realization-time
     /// reason recorded in the [`LoopSchedule`]).
-    pub scheduled_sequential: u64,
+    ScheduledSequential,
     /// Trip count under 2 (or fewer chunks than 2) — nothing to split.
-    pub short_trip: u64,
+    ShortTrip,
     /// The runtime has a single worker, so no activation can split.
-    pub single_worker: u64,
+    SingleWorker,
     /// The activation cost model predicted parallel setup would cost more
     /// than it saves (`trip × body_insts` under the threshold).
-    pub below_cost_threshold: u64,
+    BelowCostThreshold,
     /// The loop bound (or induction slot) could not be evaluated at the
     /// header, or a reduction/protected base had no live object.
-    pub unevaluable: u64,
+    Unevaluable,
     /// A worker observed control leaving the loop irregularly.
-    pub irregular_control: u64,
+    Irregular,
     /// A worker faulted; the sequential re-run reproduces the fault in
     /// sequential order.
-    pub worker_fault: u64,
+    WorkerFault,
     /// A worker faulted while *speculatively* executing a critical
     /// region's protected-independent slice (suppressed guards run
     /// conditional code unconditionally, so a fault here may not exist
     /// sequentially); the sequential re-run decides.
-    pub speculation_fault: u64,
+    SpeculationFault,
     /// Replaying deferred critical packets faulted; the sequential re-run
     /// reproduces the fault in order.
-    pub replay_fault: u64,
+    ReplayFault,
+}
+
+impl FallbackWhy {
+    /// Every cause, in [`FallbackCounts::table`] order.
+    pub const ALL: [FallbackWhy; 9] = [
+        FallbackWhy::ScheduledSequential,
+        FallbackWhy::ShortTrip,
+        FallbackWhy::SingleWorker,
+        FallbackWhy::BelowCostThreshold,
+        FallbackWhy::Unevaluable,
+        FallbackWhy::Irregular,
+        FallbackWhy::WorkerFault,
+        FallbackWhy::SpeculationFault,
+        FallbackWhy::ReplayFault,
+    ];
+
+    /// The cause's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            FallbackWhy::ScheduledSequential => "scheduled_sequential",
+            FallbackWhy::ShortTrip => "short_trip",
+            FallbackWhy::SingleWorker => "single_worker",
+            FallbackWhy::BelowCostThreshold => "below_cost_threshold",
+            FallbackWhy::Unevaluable => "unevaluable",
+            FallbackWhy::Irregular => "irregular_control",
+            FallbackWhy::WorkerFault => "worker_fault",
+            FallbackWhy::SpeculationFault => "speculation_fault",
+            FallbackWhy::ReplayFault => "replay_fault",
+        }
+    }
+}
+
+/// Sequential fallbacks counted per cause, indexed by [`FallbackWhy`], so
+/// predicted-vs-measured reports can say *why* a kernel fell short (see
+/// [`RunStats::fallbacks`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FallbackCounts([u64; FallbackWhy::ALL.len()]);
+
+impl std::ops::Index<FallbackWhy> for FallbackCounts {
+    type Output = u64;
+    fn index(&self, why: FallbackWhy) -> &u64 {
+        &self.0[why as usize]
+    }
 }
 
 impl FallbackCounts {
-    /// Number of distinct fallback causes (fields of this struct).
-    pub const CAUSES: usize = 9;
-
-    /// All `(reason, count)` pairs, in field order — the single source of
-    /// truth for serialization (`BENCH_runtime.json`). A completeness
-    /// test pins this table against the struct layout so a new cause
-    /// cannot silently vanish from reports.
-    pub fn table(&self) -> [(&'static str, u64); Self::CAUSES] {
-        [
-            ("scheduled_sequential", self.scheduled_sequential),
-            ("short_trip", self.short_trip),
-            ("single_worker", self.single_worker),
-            ("below_cost_threshold", self.below_cost_threshold),
-            ("unevaluable", self.unevaluable),
-            ("irregular_control", self.irregular_control),
-            ("worker_fault", self.worker_fault),
-            ("speculation_fault", self.speculation_fault),
-            ("replay_fault", self.replay_fault),
-        ]
+    /// All `(reason, count)` pairs, in [`FallbackWhy::ALL`] order — the
+    /// serialization of `BENCH_runtime.json` and the `report` op.
+    pub fn table(&self) -> [(&'static str, u64); FallbackWhy::ALL.len()] {
+        FallbackWhy::ALL.map(|why| (why.name(), self[why]))
     }
 
-    /// `(reason, count)` pairs for the non-zero counters, in field order.
+    /// `(reason, count)` pairs for the non-zero counters, in table order.
     pub fn nonzero(&self) -> Vec<(&'static str, u64)> {
         self.table().into_iter().filter(|(_, n)| *n > 0).collect()
     }
@@ -239,39 +269,6 @@ impl std::fmt::Display for RunStats {
             self.cow_pages,
             self.fork_bytes() / 1024
         )
-    }
-}
-
-/// Why a parallel attempt fell back (maps onto one [`FallbackCounts`]
-/// field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FallbackWhy {
-    ScheduledSequential,
-    ShortTrip,
-    SingleWorker,
-    BelowCostThreshold,
-    Unevaluable,
-    Irregular,
-    WorkerFault,
-    SpeculationFault,
-    ReplayFault,
-}
-
-impl FallbackWhy {
-    /// The cause's name in [`FallbackCounts::table`] vocabulary (span
-    /// args reuse it, so causes never fork spellings).
-    fn name(self) -> &'static str {
-        match self {
-            FallbackWhy::ScheduledSequential => "scheduled_sequential",
-            FallbackWhy::ShortTrip => "short_trip",
-            FallbackWhy::SingleWorker => "single_worker",
-            FallbackWhy::BelowCostThreshold => "below_cost_threshold",
-            FallbackWhy::Unevaluable => "unevaluable",
-            FallbackWhy::Irregular => "irregular_control",
-            FallbackWhy::WorkerFault => "worker_fault",
-            FallbackWhy::SpeculationFault => "speculation_fault",
-            FallbackWhy::ReplayFault => "replay_fault",
-        }
     }
 }
 
@@ -415,18 +412,13 @@ impl Runtime {
     /// See [`Runtime::run_main`].
     pub fn run(&self, func: FuncId, args: &[RtVal]) -> Result<RunOutcome, ExecError> {
         let rec = self.obs.as_deref();
-        let mut run_span = rec.map(|r| {
-            let mut s = r.span("runtime/run", "runtime");
-            s.arg("workers", self.workers);
-            s
-        });
+        let _run_span = rec.map(|r| r.span("runtime/run"));
         let mut engine = Engine {
             module: &self.program.module,
             plan: Some(&self.plan),
             workers: self.workers,
             cost_threshold: self.cost_threshold,
             rec,
-            last_trip: 0,
             mem: MemState::for_module(&self.program.module),
             output: Vec::new(),
             steps: 0,
@@ -436,18 +428,12 @@ impl Runtime {
             stats: RunStats::default(),
         };
         let ret = engine.exec_function(func, args.to_vec())?;
-        let stats = engine.stats;
-        if let Some(sp) = run_span.as_mut() {
-            sp.arg("steps", engine.steps);
-            sp.arg("chunked", stats.chunked_loops);
-            sp.arg("fallbacks", stats.sequential_fallbacks);
-        }
         Ok(RunOutcome {
             ret,
             output: engine.output,
             mem: engine.mem,
             steps: engine.steps,
-            stats,
+            stats: engine.stats,
         })
     }
 }
@@ -460,12 +446,9 @@ struct Engine<'a> {
     plan: Option<&'a ExecutablePlan>,
     workers: usize,
     cost_threshold: u64,
-    /// Observability sink (already gated on [`Recorder::enabled`]:
-    /// `Some` here means record). Shared by master and chunk workers so
-    /// spans land in one stream.
+    /// The recorder, if one is attached; shared by the master and its
+    /// chunk workers.
     rec: Option<&'a Recorder>,
-    /// Trip count of the most recent chunked attempt (span arg).
-    last_trip: u64,
     mem: MemState,
     output: Vec<String>,
     steps: u64,
@@ -480,60 +463,12 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Open the span covering one parallel-loop activation attempt.
-    fn activation_span(
-        &self,
-        f: &Function,
-        header: BlockId,
-        strategy: &'static str,
-    ) -> Option<SpanGuard<'a>> {
-        self.rec.map(|r| {
-            let mut s = r.span(
-                &format!("runtime/activation/{}.L{}", f.name, header.index()),
-                "runtime",
-            );
-            s.arg("strategy", strategy);
-            s
-        })
-    }
-
-    /// Close out an activation span: outcome, trip, and the volume
-    /// counters this attempt moved (packets, replays, fork commits,
-    /// CoW pages, pool jobs).
-    fn finish_activation(
-        &self,
-        sp: Option<&mut SpanGuard<'_>>,
-        cause: Option<FallbackWhy>,
-        before: RunStats,
-    ) {
-        let Some(sp) = sp else { return };
-        let d = self.stats;
-        sp.arg("outcome", cause.map_or("parallel", FallbackWhy::name));
-        sp.arg("trip", self.last_trip);
-        sp.arg("pool_jobs", d.pool_dispatches - before.pool_dispatches);
-        sp.arg("packets", d.critical_packets - before.critical_packets);
-        sp.arg("replays", d.critical_replays - before.critical_replays);
-        sp.arg(
-            "fork_cells",
-            d.fork_cells_committed - before.fork_cells_committed,
-        );
-        sp.arg("cow_pages", d.cow_pages - before.cow_pages);
-    }
-
     /// Record one sequential fallback and its cause.
     fn note_fallback(&mut self, why: FallbackWhy) {
         self.stats.sequential_fallbacks += 1;
-        let c = &mut self.stats.fallbacks;
-        match why {
-            FallbackWhy::ScheduledSequential => c.scheduled_sequential += 1,
-            FallbackWhy::ShortTrip => c.short_trip += 1,
-            FallbackWhy::SingleWorker => c.single_worker += 1,
-            FallbackWhy::BelowCostThreshold => c.below_cost_threshold += 1,
-            FallbackWhy::Unevaluable => c.unevaluable += 1,
-            FallbackWhy::Irregular => c.irregular_control += 1,
-            FallbackWhy::WorkerFault => c.worker_fault += 1,
-            FallbackWhy::SpeculationFault => c.speculation_fault += 1,
-            FallbackWhy::ReplayFault => c.replay_fault += 1,
+        self.stats.fallbacks.0[why as usize] += 1;
+        if let Some(r) = self.rec {
+            r.add(why.name(), 1);
         }
     }
 
@@ -560,14 +495,15 @@ impl<'a> Engine<'a> {
                 {
                     match &sched.exec {
                         LoopExec::Chunked(c) => {
-                            let before = self.stats;
-                            let mut sp = self.activation_span(f, block, "chunked");
-                            let outcome = self.run_chunked(func_id, f, &mut frame, sched, c)?;
-                            match outcome {
+                            let _span = self.rec.map(|r| {
+                                let name =
+                                    format!("runtime/activation/{}.L{}", f.name, block.index());
+                                r.span(&name)
+                            });
+                            match self.run_chunked(func_id, f, &mut frame, sched, c)? {
                                 None => self.stats.chunked_loops += 1,
                                 Some(why) => self.note_fallback(why),
                             }
-                            self.finish_activation(sp.as_mut(), outcome, before);
                         }
                         LoopExec::Sequential { .. } => {
                             self.note_fallback(FallbackWhy::ScheduledSequential);
@@ -632,7 +568,6 @@ impl<'a> Engine<'a> {
         sched: &LoopSchedule,
         c: &ChunkedLoop,
     ) -> Result<Option<FallbackWhy>, ExecError> {
-        self.last_trip = 0;
         if self.workers < 2 {
             return Ok(Some(FallbackWhy::SingleWorker));
         }
@@ -651,7 +586,6 @@ impl<'a> Engine<'a> {
             return Ok(Some(FallbackWhy::Unevaluable));
         };
         let trip = trip_count_from(init, bound, c.step, c.cmp_op);
-        self.last_trip = trip.max(0) as u64;
         if trip < 2 {
             return Ok(Some(FallbackWhy::ShortTrip));
         }
@@ -729,12 +663,7 @@ impl<'a> Engine<'a> {
             }
             let (lo, hi) = (trip * k as i64 / n, trip * (k as i64 + 1) / n);
             let chunk = catch_unwind(AssertUnwindSafe(|| {
-                let _span = self.rec.map(|r| {
-                    let mut s = r.span("runtime/chunk_worker", "runtime");
-                    s.arg("lo", lo);
-                    s.arg("hi", hi);
-                    s
-                });
+                let _span = self.rec.map(|r| r.span("runtime/chunk_worker"));
                 // O(pages) fork: pages stay shared until the chunk writes
                 // them; the fork records which cells it writes.
                 let mut worker = Engine {
@@ -743,7 +672,6 @@ impl<'a> Engine<'a> {
                     workers: 1,
                     cost_threshold: 0,
                     rec: self.rec,
-                    last_trip: 0,
                     mem: fork_base.fork(),
                     output: Vec::new(),
                     steps: 0,

@@ -72,6 +72,8 @@ pub use check::{
     globals_identical_mismatch, globals_mismatch, line_equivalent, observable_globals,
     rtval_equivalent, rtval_identical, FLOAT_RTOL,
 };
-pub use exec::{FallbackCounts, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD};
+pub use exec::{
+    FallbackCounts, FallbackWhy, RunOutcome, RunStats, Runtime, DEFAULT_COST_THRESHOLD,
+};
 pub use pspdg_obs::{Recorder, Snapshot};
 pub use rng::Rng64;

@@ -16,7 +16,8 @@ use pspdg_nas::{benchmark, fault_suite, suite, Class};
 use pspdg_parallel::ParallelProgram;
 use pspdg_parallelizer::{build_plan, Abstraction};
 use pspdg_runtime::{
-    globals_mismatch, line_equivalent, observable_globals, rtval_equivalent, RunStats, Runtime,
+    globals_mismatch, line_equivalent, observable_globals, rtval_equivalent, FallbackWhy, RunStats,
+    Runtime,
 };
 
 /// Run `program` sequentially and under `abstraction`'s plan with
@@ -624,11 +625,13 @@ fn ep_style_max_critical_chunks_with_zero_mutex_fallbacks() {
             "{abstraction:?}: every replayed store comes from a logged packet: {stats:?}"
         );
         assert_eq!(
-            stats.fallbacks.scheduled_sequential, 0,
+            stats.fallbacks[FallbackWhy::ScheduledSequential],
+            0,
             "{abstraction:?}: no loop may serialize on the mutex rule: {stats:?}"
         );
         assert_eq!(
-            stats.fallbacks.replay_fault, 0,
+            stats.fallbacks[FallbackWhy::ReplayFault],
+            0,
             "{abstraction:?}: replay must not fault: {stats:?}"
         );
     }
@@ -696,9 +699,9 @@ fn guarded_argmax_chunks_bit_identical_with_zero_mutex_fallbacks() {
             );
             assert_eq!(
                 (
-                    stats.fallbacks.scheduled_sequential,
-                    stats.fallbacks.speculation_fault,
-                    stats.fallbacks.replay_fault
+                    stats.fallbacks[FallbackWhy::ScheduledSequential],
+                    stats.fallbacks[FallbackWhy::SpeculationFault],
+                    stats.fallbacks[FallbackWhy::ReplayFault]
                 ),
                 (0, 0, 0),
                 "{abstraction:?}/{workers}: zero mutex-related fallbacks: {stats:?}"
@@ -765,7 +768,11 @@ fn mini_replay_kernels_pin_packet_and_store_counts() {
             let name = b.name;
             assert_eq!(out.output, interp.output(), "{name}/{workers}: output");
             let stats = out.stats;
-            assert_eq!(stats.fallbacks.replay_fault, 0, "{name}: {stats:?}");
+            assert_eq!(
+                stats.fallbacks[FallbackWhy::ReplayFault],
+                0,
+                "{name}: {stats:?}"
+            );
             let ret = out.ret.and_then(|v| v.as_int()).expect("int return");
             let (pk, rp) = (stats.critical_packets, stats.critical_replays);
             (name, out.steps, ret, output_digest(&out.output), pk, rp)
@@ -804,7 +811,7 @@ fn test_and_set_critical_stays_serialized_and_equivalent() {
         "the equality guard must not reach the replay path: {stats:?}"
     );
     assert!(
-        stats.fallbacks.scheduled_sequential > 0,
+        stats.fallbacks[FallbackWhy::ScheduledSequential] > 0,
         "the loop must serialize at realization time: {stats:?}"
     );
 }

@@ -9,7 +9,7 @@
 //! `Runtime`: the global pool keeps its threads and nothing is left
 //! behind. Seed the generator via `FAULT_FUZZ_SEED` (CI pins it).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pspdg_frontend::compile;
@@ -18,7 +18,7 @@ use pspdg_parallel::ParallelProgram;
 use pspdg_parallelizer::{build_plan, Abstraction, ProgramPlan};
 use pspdg_runtime::{
     globals_identical_mismatch, globals_mismatch, line_equivalent, observable_globals,
-    rtval_equivalent, FallbackCounts, Recorder, Rng64, RunOutcome, Runtime,
+    rtval_equivalent, FallbackCounts, FallbackWhy, Recorder, Rng64, RunOutcome, Runtime,
 };
 
 /// Sequential oracle: result, printed lines, observable globals, and the
@@ -117,7 +117,8 @@ fn organic_speculation_fault_falls_back_to_the_oracle() {
             out.stats
         );
         assert_eq!(
-            out.stats.fallbacks.speculation_fault, 1,
+            out.stats.fallbacks[FallbackWhy::SpeculationFault],
+            1,
             "{workers} workers: {:?}",
             out.stats
         );
@@ -137,7 +138,8 @@ fn runtime_reuse_after_fallback_restores_baseline_fork_volume() {
     let ids = pspdg_pool::global().thread_ids();
     let first = rt.run_main().expect("the first run completes");
     assert_eq!(
-        first.stats.fallbacks.speculation_fault, 1,
+        first.stats.fallbacks[FallbackWhy::SpeculationFault],
+        1,
         "{:?}",
         first.stats
     );
@@ -181,40 +183,26 @@ fn chunk_worker_fault_falls_back_and_heals() {
     }
 }
 
+/// The cause names are the keys of `BENCH_runtime.json`, of the `report`
+/// op and of the recorder's fallback counters: `table()` lists every
+/// cause once, in this order.
 #[test]
 fn fallback_counts_serialization_is_complete() {
-    // A new cause must flow through `table()` or fail here: the struct
-    // must be exactly CAUSES u64 fields (a new field changes the size),
-    // and a literal construction (no `..Default::default()`) with
-    // distinct values must surface each field under a unique name.
-    assert_eq!(
-        std::mem::size_of::<FallbackCounts>(),
-        FallbackCounts::CAUSES * std::mem::size_of::<u64>(),
-        "FallbackCounts gained or lost a field; update CAUSES and table()"
-    );
-    let c = FallbackCounts {
-        scheduled_sequential: 1,
-        short_trip: 2,
-        single_worker: 3,
-        below_cost_threshold: 4,
-        unevaluable: 5,
-        irregular_control: 6,
-        worker_fault: 7,
-        speculation_fault: 8,
-        replay_fault: 9,
-    };
-    let table = c.table();
-    assert_eq!(table.len(), FallbackCounts::CAUSES);
-    let names: HashSet<&str> = table.iter().map(|(n, _)| *n).collect();
-    assert_eq!(names.len(), table.len(), "cause names must be unique");
-    let values: Vec<u64> = table.iter().map(|(_, v)| *v).collect();
-    assert_eq!(
-        values,
-        (1..=FallbackCounts::CAUSES as u64).collect::<Vec<_>>(),
-        "table() must visit every field exactly once, in field order"
-    );
-    assert_eq!(c.nonzero().len(), FallbackCounts::CAUSES);
-    assert!(FallbackCounts::default().nonzero().is_empty());
+    const NAMES: [&str; 9] = [
+        "scheduled_sequential",
+        "short_trip",
+        "single_worker",
+        "below_cost_threshold",
+        "unevaluable",
+        "irregular_control",
+        "worker_fault",
+        "speculation_fault",
+        "replay_fault",
+    ];
+    let none = FallbackCounts::default();
+    assert_eq!(none.table(), NAMES.map(|name| (name, 0)));
+    assert_eq!(FallbackWhy::ALL.map(FallbackWhy::name), NAMES);
+    assert!(none.nonzero().is_empty());
 }
 
 // ---- generated faulting programs --------------------------------------
@@ -239,11 +227,11 @@ enum Spot {
 impl Spot {
     const ALL: [Spot; 3] = [Spot::Body, Spot::Critical, Spot::Guarded];
 
-    fn cause(self) -> &'static str {
+    fn cause(self) -> FallbackWhy {
         match self {
-            Spot::Body => "worker_fault",
-            Spot::Critical => "replay_fault",
-            Spot::Guarded => "speculation_fault",
+            Spot::Body => FallbackWhy::WorkerFault,
+            Spot::Critical => FallbackWhy::ReplayFault,
+            Spot::Guarded => FallbackWhy::SpeculationFault,
         }
     }
 }
@@ -292,18 +280,13 @@ fn faulting_program(rng: &mut Rng64) -> (Spot, String) {
     (spot, src)
 }
 
-/// The `outcome` arg of every activation span `rec` holds.
+/// The fallback causes `rec` counted, one entry per fallback.
 fn activation_outcomes(rec: &Recorder) -> Vec<String> {
-    rec.snapshot()
-        .events
+    rec.totals()
+        .counters
         .into_iter()
-        .filter(|e| e.name.starts_with("runtime/activation/"))
-        .filter_map(|e| {
-            e.args.into_iter().find_map(|(k, v)| match v {
-                pspdg_obs::ArgVal::S(s) if k == "outcome" => Some(s),
-                _ => None,
-            })
-        })
+        .filter(|(name, _)| FallbackWhy::ALL.iter().any(|w| w.name() == name))
+        .flat_map(|(name, n)| std::iter::repeat_n(name, n as usize))
         .collect()
 }
 
@@ -311,7 +294,7 @@ fn activation_outcomes(rec: &Recorder) -> Vec<String> {
 /// runtime raises the interpreter's exact `ExecError`, or, where the
 /// sequential program does not fault, leaves its globals, output and
 /// return value. A faulting run returns `Err` and its `RunStats` are lost,
-/// so the fallback cause is read from the activation span, which closes
+/// so the fallback cause is read from the recorder's counter, bumped
 /// before the sequential re-run raises. Each spot reports its own cause,
 /// and the seed range reaches all three.
 #[test]
@@ -341,7 +324,7 @@ fn generated_faulting_programs_match_the_oracle() {
             assert_eq!(rt.realization().chunked, 1, "{ctx}");
             assert_matches(&p, &o, rt.run_main(), &ctx);
             let outcomes = activation_outcomes(&rec);
-            assert_eq!(outcomes, [spot.cause()], "{ctx}");
+            assert_eq!(outcomes, [spot.cause().name()], "{ctx}");
             for cause in outcomes {
                 *causes.entry(cause).or_default() += 1;
             }
@@ -349,7 +332,7 @@ fn generated_faulting_programs_match_the_oracle() {
     }
     for spot in Spot::ALL {
         assert!(
-            causes.contains_key(spot.cause()),
+            causes.contains_key(spot.cause().name()),
             "the seed range reaches every recovery: {causes:?}"
         );
     }

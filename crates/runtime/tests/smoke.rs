@@ -4,7 +4,9 @@ use pspdg_frontend::compile;
 use pspdg_ir::interp::{Interpreter, NullSink};
 use pspdg_nas::{synth, Class};
 use pspdg_parallelizer::{build_plan, realize_executable, Abstraction, LoopExec, PlannedTechnique};
-use pspdg_runtime::{globals_identical_mismatch, globals_mismatch, observable_globals, Runtime};
+use pspdg_runtime::{
+    globals_identical_mismatch, globals_mismatch, observable_globals, FallbackWhy, Runtime,
+};
 
 /// One loop that chunks, then one whose prints carry an I/O dependence:
 /// its plan is HELIX, with the prints in the sequential segment.
@@ -89,7 +91,7 @@ fn pipeline_smoke() {
             assert_eq!(out.ret, seq_ret);
             assert_eq!(out.output, interp.output());
             assert!(
-                out.stats.fallbacks.scheduled_sequential >= 1,
+                out.stats.fallbacks[FallbackWhy::ScheduledSequential] >= 1,
                 "{:?}",
                 out.stats
             );
@@ -158,7 +160,7 @@ fn gated_activation_pays_no_fork_traffic() {
     let out = rt.run_main().unwrap();
     assert_eq!(out.ret, seq_ret);
     assert!(
-        out.stats.fallbacks.below_cost_threshold >= 1,
+        out.stats.fallbacks[FallbackWhy::BelowCostThreshold] >= 1,
         "the tiny activation must be gated: {:?}",
         out.stats
     );
@@ -196,7 +198,7 @@ fn cost_model_gates_short_activations() {
     assert_eq!(out.ret, seq_ret);
     assert_eq!(out.stats.chunked_loops, 0, "{:?}", out.stats);
     assert!(
-        out.stats.fallbacks.below_cost_threshold >= 1,
+        out.stats.fallbacks[FallbackWhy::BelowCostThreshold] >= 1,
         "the gate must record its reason: {:?}",
         out.stats
     );

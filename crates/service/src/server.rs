@@ -32,7 +32,7 @@
 //! | `plan` | `key`, `abstraction`, `loops`, `techniques`, `mutexes`, `parallel_spawns` |
 //! | `execute` | `key`, `abstraction`, `workers`, `ret`, `output`, `steps`, `parallel_ns`, `matches_baseline`, `globals_mismatch`, `chunked_loops`, `sequential_fallbacks` |
 //! | `report` | everything `execute` carries plus `predicted_parallelism`, `sequential_ns` (the untraced `ir::interp` baseline run), `measured_speedup` (`sequential_ns / parallel_ns`), `efficiency`, `fallback_reasons` |
-//! | `metrics` | `uptime_ns`, `requests`, `queue_depth`, `cache` (hits/misses/evictions/builds/bytes/entries/budget); with `record` on, also the recorder's totals: `counters`, `spans` (exact per-name count/total_ns/max_ns), `queue_depth_mean`, `queue_depth_samples` |
+//! | `metrics` | `uptime_ns`, `requests`, `queue_depth`, `cache` (hits/misses/evictions/builds/bytes/entries/budget); with `record` on, also the recorder's totals: `counters` (the fallback causes of executed requests among them), `spans` (exact per-name count/total_ns/max_ns), `queue_depth_mean`, `queue_depth_samples` |
 //! | `shutdown` | `draining` |
 //!
 //! ## Graceful shutdown
@@ -93,9 +93,9 @@ pub struct ServiceConfig {
     pub exec_workers: usize,
     /// [`PlanStore`] LRU byte budget.
     pub budget_bytes: usize,
-    /// Attach a recorder (cache and queue-depth counters, pipeline span
-    /// totals — everything the `metrics` op reports past the store's
-    /// stats). Off is no recorder at all.
+    /// Attach a recorder (cache, queue-depth and fallback-cause counters,
+    /// pipeline span totals — everything the `metrics` op reports past
+    /// the store's stats). Off is no recorder at all.
     pub record: bool,
 }
 

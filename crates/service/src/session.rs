@@ -209,8 +209,9 @@ impl Session {
     /// The session of an already-validated `program` whose caller holds
     /// `key == content_key(&program)` (the store's slot shares the `Arc`).
     /// With `rec`, the build records `pspdg/pdg_build` and
-    /// `pspdg/overlay_assemble` spans and planning `plan/enumerate` spans;
-    /// a reused session records none, which is what the cache tests check.
+    /// `pspdg/overlay_assemble` spans, planning `plan/enumerate` spans and
+    /// each execution its fallback causes; a reused session records no
+    /// build span, which is what the cache tests check.
     pub(crate) fn with_key(
         program: Arc<ParallelProgram>,
         key: u64,
@@ -343,7 +344,8 @@ impl Session {
 
     /// Execute an already-configured runtime (from [`Session::runtime`],
     /// with whatever builder knobs the caller chose) and diff it against
-    /// the baseline.
+    /// the baseline. A session with a recorder counts the run's fallback
+    /// causes in it.
     ///
     /// # Errors
     ///
@@ -356,6 +358,14 @@ impl Session {
         let t0 = Instant::now();
         let out = rt.run_main()?;
         let parallel_ns = t0.elapsed().as_nanos() as u64;
+        // Only the causes: the runtime's spans are named per function and
+        // loop, so a daemon that records them keeps an entry for every
+        // loop any client ever ran.
+        if let Some(rec) = &self.rec {
+            for (cause, n) in out.stats.fallbacks.nonzero() {
+                rec.add(cause, n);
+            }
+        }
         let par = observable_globals(&self.program.module, &out.mem);
         Ok(Execution {
             abstraction,

@@ -314,7 +314,7 @@ fn byte_identical_requests_build_once_then_hit_the_source_memo() {
 }
 
 fn span_count(rec: &Recorder, name: &str) -> u64 {
-    rec.snapshot()
+    rec.totals()
         .span_summary()
         .iter()
         .find(|(n, ..)| n == name)

@@ -1,7 +1,6 @@
 //! End-to-end daemon tests: protocol round-trips, warm-cache behavior
 //! proven through the metrics op, and graceful-shutdown draining.
 
-use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -149,19 +148,54 @@ fn repeated_plan_request_builds_once_and_hits_after() {
 
 /// The queue-depth answers are two counters: every request that goes
 /// through the queue, this `metrics` request included, is one sample.
+/// The span totals hold the cold build's pipeline phases.
 #[test]
 fn metrics_answers_queue_depth_from_counters() {
     let service = start();
     let mut client = Client::connect(service.addr()).unwrap();
+    client.plan(SRC, Abstraction::PsPdg).unwrap();
     for _ in 0..3 {
         client.ping().unwrap();
     }
     let metrics = client.metrics().unwrap();
-    assert_eq!(num(&metrics, "queue_depth_samples"), 4.0);
+    assert_eq!(num(&metrics, "queue_depth_samples"), 5.0);
     let counters = metrics.get("counters").unwrap();
-    assert_eq!(num(counters, "service/queue_depth_samples"), 4.0);
+    assert_eq!(num(counters, "service/queue_depth_samples"), 5.0);
     // One client waits for each answer, so it never finds a queue.
     assert_eq!(num(&metrics, "queue_depth_mean"), 0.0);
+    for phase in ["pspdg/pdg_build", "plan/enumerate", "plan/schedule"] {
+        assert!(span_count(&metrics, phase) >= 1.0, "{phase}: {metrics:?}");
+    }
+    service.shutdown();
+}
+
+/// An `execute` whose activation falls back counts under its cause in the
+/// `metrics` op's counters: a worker's speculative slice divides by zero
+/// under a guard the sequential program never takes at that iteration.
+#[test]
+fn metrics_counters_name_the_fallback_cause() {
+    const GUARDED: &str = r#"
+        int v[8192]; int best; int q;
+        int main() {
+            int i;
+            for (i = 0; i < 8192; i++) { v[i] = (i * 7) % 13; }
+            #pragma omp parallel for
+            for (i = 0; i < 8192; i++) {
+                #pragma omp critical
+                { if (v[i] > best) { best = v[i]; q = 100 / v[i]; } }
+            }
+            return best + q;
+        }
+    "#;
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let exec = client
+        .execute(GUARDED, Abstraction::OpenMp, Some(2))
+        .unwrap();
+    assert_eq!(exec.get("matches_baseline"), Some(&Value::Bool(true)));
+    let metrics = client.metrics().unwrap();
+    let counters = metrics.get("counters").unwrap();
+    assert_eq!(num(counters, "speculation_fault"), 1.0, "{counters:?}");
     service.shutdown();
 }
 
@@ -463,44 +497,6 @@ fn concurrent_clients_get_bit_identical_answers() {
     }
     // One content key, one build.
     assert_eq!(service.store().stats().builds, 1);
-    service.shutdown();
-}
-
-/// Handlers are plain threads, so a cold build's per-function PDG builds
-/// spread over the global analysis pool instead of running inline.
-#[test]
-fn a_cold_build_fans_out_over_the_global_pool() {
-    // One handler: every span a handler records lands on one lane, so a
-    // second lane can only be a pool worker's.
-    let service = PlanService::start(ServiceConfig {
-        handlers: 1,
-        ..ServiceConfig::default()
-    })
-    .expect("bind loopback");
-    let rec = service.recorder().expect("recording is on by default");
-    let mut client = Client::connect(service.addr()).unwrap();
-    let mut lanes = HashSet::new();
-    // The handler claims functions as well; on a loaded host it may finish
-    // a module before a worker wakes, so allow a few distinct modules.
-    for salt in 0..3 {
-        client
-            .plan(&salted_module(salt, 16), Abstraction::PsPdg)
-            .unwrap();
-        lanes.extend(
-            rec.snapshot()
-                .events
-                .iter()
-                .filter(|e| e.name == "pspdg/pdg_build")
-                .map(|e| e.tid),
-        );
-        if lanes.len() >= 2 {
-            break;
-        }
-    }
-    assert!(
-        lanes.len() >= 2 || pspdg_pool::global().size() < 2,
-        "PDG builds ran on one lane: {lanes:?}"
-    );
     service.shutdown();
 }
 

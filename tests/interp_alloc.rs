@@ -201,13 +201,14 @@ fn enabled_recorder_allocations_scale_with_activations_not_steps() {
         let with = allocs_during(|| {
             enabled.run_main().expect("runs");
         });
-        (with - without, rec.snapshot().events.len() as u64)
+        let spans: u64 = rec.totals().span_summary().iter().map(|s| s.1).sum();
+        (with - without, spans)
     });
     let (extra, spans) = at_n;
     assert_eq!(spans, 4, "the run and three activations of the loop");
     assert_eq!(at_8n, at_n, "(extra allocations, spans) at 8N vs N");
-    // A span's name and argument vector and, the first time a name
-    // closes, that name's total.
+    // A span's name and, the first time a span name closes or a fallback
+    // cause is counted, its entry.
     assert!(extra <= 8 * spans, "{extra} allocations for {spans} spans");
 }
 
