@@ -11,6 +11,10 @@
 //!
 //! The `bench_pdg_json` and `bench_runtime_json` bins write the committed
 //! `BENCH_pdg.json` / `BENCH_runtime.json` layer numbers.
+//! `bench_runtime_json` also attaches a recorder to the suite and reports
+//! its span totals, its overhead over an absent recorder, and the opcode
+//! tables derived from the oracle run; with `--smoke` it checks that those
+//! tables account for every oracle step.
 
 #![warn(missing_docs)]
 

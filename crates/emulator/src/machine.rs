@@ -974,8 +974,8 @@ mod tests {
         assert_eq!(plan.loops.len(), 2);
         plan.loops.remove(&outer);
         let without = emulate(&p, &plan).unwrap();
-        // Chained line after line, as each instance once waited for the
-        // previous one, it read 1001.
+        // Were each segment instance to wait for the one before it, the
+        // lines of every plane would chain one after another: 1001.
         assert_eq!((r.critical_path, r.total_steps), (101, 5759));
         assert_eq!(without.critical_path, 524);
     }

@@ -5,8 +5,8 @@
 # The timed rows run with no recorder attached; the JSON's `profiling`
 # section re-runs the suite with a recorder for its span summary,
 # measures the recorder's own absent/enabled overhead, and carries the
-# opcode tables derived from the oracle run's profile. Use scripts/profile.sh
-# for the trace/metrics export.
+# opcode tables derived from the oracle run's profile; --smoke checks that
+# those tables account for every oracle step.
 #
 # Usage: scripts/bench_runtime.sh [OUT.json] [--smoke]
 set -euo pipefail
