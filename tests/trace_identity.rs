@@ -104,6 +104,25 @@ int fold(int n) {
 int main() { return fold(12) + scale(fold(3), 2); }
 ";
 
+/// A function with a local array, called from a loop: each call allocates
+/// a fresh stack object, which the trace names by its own object id.
+const LOCALS_SRC: &str = "\
+int out[8];
+int fill(int n) {
+    int a[64]; int j; int s;
+    s = 0;
+    for (j = 0; j < 64; j++) { a[j] = j * n + 1; }
+    for (j = 0; j < 64; j++) { s = s + a[j]; }
+    return s;
+}
+int main() {
+    int i; int t;
+    t = 0;
+    for (i = 0; i < 8; i++) { out[i] = fill(i); t = t + out[i]; }
+    return t;
+}
+";
+
 #[test]
 fn traced_event_stream_is_pinned() {
     // One kernel with calls between its phases, one with criticals, one
@@ -114,9 +133,12 @@ fn traced_event_stream_is_pinned() {
         ("IS", 0x17b4_ffeb_3f2a_0768),
         ("PIPE", 0x2acf_6a6c_a669_cd35),
         ("CALLS", 0xb8b8_40da_5bc0_bb2e),
+        // Taken at a7073ad, where no frame released its stack objects.
+        ("LOCALS", 0xabbe_24b3_f9a3_9521),
     ] {
         let p = match name {
             "CALLS" => compile(CALLS_SRC).expect("compiles"),
+            "LOCALS" => compile(LOCALS_SRC).expect("compiles"),
             _ => benchmark(name, Class::Mini)
                 .expect("kernel exists")
                 .program(),
@@ -398,6 +420,8 @@ fn emulated_critical_paths_are_pinned() {
         ("BARRIER", BARRIER_SRC, 2, 0x30f3_1621_fe05_6398),
         // Taken at 9423835.
         ("CALLS", CALLS_SRC, 0, 0xb63f_7b27_6024_faba),
+        // Taken at a7073ad.
+        ("LOCALS", LOCALS_SRC, 0, 0xa5f7_68fd_45eb_ba01),
     ] {
         let p = compile(src).expect("compiles");
         if let Some(k) = p.module.function_by_name("k") {
