@@ -291,11 +291,6 @@ impl PsPdg {
         self.effective.surviving_len() + self.undirected.len()
     }
 
-    /// The leaf node of instruction `i`.
-    pub(crate) fn node_of(&self, i: InstId) -> NodeId {
-        self.inst_node[i.index()]
-    }
-
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]

@@ -9,8 +9,7 @@
 //! builder ([`build`]) implements the §5 sufficiency mapping from OpenMP
 //! (and Appendix A from Cilk) onto that model; [`features`] reproduces the
 //! §4 ablations ("PS-PDG w/o X"); [`query`] exposes the dependence
-//! information an automatic parallelizer consumes; [`dot`] renders the
-//! graph for inspection.
+//! information an automatic parallelizer consumes.
 //!
 //! ## The pipeline (paper Fig. 12)
 //!
@@ -56,7 +55,6 @@
 
 pub mod build;
 pub mod cilk;
-pub mod dot;
 pub mod features;
 pub mod graph;
 pub mod openmp;

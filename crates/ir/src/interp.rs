@@ -218,6 +218,18 @@ impl MemState {
         obj
     }
 
+    /// Release every object from index `live` on — the stack objects of
+    /// a returning frame, whose entry saw `live` objects. Each keeps its
+    /// [`ObjId`] slot and origin, so later objects keep their ids, and
+    /// drops its pages: an access through a stale pointer is
+    /// [`EvalFault::OutOfBounds`].
+    pub fn release_from(&mut self, live: usize) {
+        for o in &mut self.objects[live..] {
+            o.len = 0;
+            o.pages = Vec::new();
+        }
+    }
+
     /// Size of `obj` in cells.
     pub fn object_len(&self, obj: ObjId) -> usize {
         self.objects[obj.index()].len as usize
@@ -290,8 +302,9 @@ impl MemState {
         }
     }
 
-    /// Every live object with its origin (in allocation order).
-    pub fn objects(&self) -> impl Iterator<Item = (ObjId, ObjOrigin)> + '_ {
+    /// Every object with its origin, in allocation order; a released
+    /// object keeps its slot with no cells.
+    pub fn objects(&self) -> impl ExactSizeIterator<Item = (ObjId, ObjOrigin)> + '_ {
         self.objects
             .iter()
             .enumerate()
@@ -1244,6 +1257,7 @@ impl<S: TraceSink> Run<'_, '_, S> {
             self.sink.on_enter(id, func_id, call_step);
         }
         let mut frame = Frame::new(func, args);
+        let live = self.mem.objects.len();
         let mut block = func.entry();
         let ret = 'blocks: loop {
             self.profile.block_count[func_id.index()][block.index()] += 1;
@@ -1262,6 +1276,7 @@ impl<S: TraceSink> Run<'_, '_, S> {
             }
             unreachable!("block without terminator survived verification");
         };
+        self.mem.release_from(live);
         if S::TRACES {
             self.sink.on_exit(id, func_id, self.steps - 1);
         }
@@ -1597,6 +1612,62 @@ mod tests {
         let mut interp = Interpreter::new(&m);
         interp.run_main(&mut NullSink).unwrap();
         assert_eq!(interp.output(), &["36".to_string()]);
+    }
+
+    /// `main` calls `fill`, whose frame holds a 4096-cell local array,
+    /// `calls` times, then reads through the pointer `leak` returns to its
+    /// own local when `stale` is set.
+    fn frames_module(calls: usize, stale: bool) -> Module {
+        let mut m = Module::new("m");
+        m.declare_global("g", Type::array(Type::I64, 8), GlobalInit::Zero);
+        let fill = m.declare_function("fill", vec![], Type::I64);
+        let leak = m.declare_function("leak", vec![], Type::Ptr);
+        let main = m.declare_function("main", vec![], Type::I64);
+        for (f, ty) in [(fill, Type::array(Type::I64, 4096)), (leak, Type::I64)] {
+            let mut b = FunctionBuilder::new(m.function_mut(f));
+            let entry = b.create_block("entry");
+            b.switch_to_block(entry);
+            let a = b.alloca(ty, "a");
+            let p = b.gep(a, Value::const_int(0), Type::I64);
+            b.store(p, Value::const_int(7));
+            let v = if f == leak { a } else { b.load(p, Type::I64) };
+            b.ret(Some(v));
+        }
+        let mut b = FunctionBuilder::new(m.function_mut(main));
+        let entry = b.create_block("entry");
+        b.switch_to_block(entry);
+        let mut r = Value::const_int(0);
+        for _ in 0..calls {
+            r = b.call(fill, vec![], Type::I64);
+        }
+        if stale {
+            let p = b.call(leak, vec![], Type::Ptr);
+            r = b.load(p, Type::I64);
+        }
+        b.ret(Some(r));
+        m.verify().expect("verifies");
+        m
+    }
+
+    #[test]
+    fn a_returning_frame_releases_its_stack_objects() {
+        let m = frames_module(200, false);
+        let mut interp = Interpreter::new(&m);
+        assert_eq!(interp.run_main(&mut NullSink), Ok(Some(RtVal::Int(7))));
+        let mem = interp.mem();
+        let cells: usize = mem.objects().map(|(obj, _)| mem.object_len(obj)).sum();
+        assert_eq!(cells, 8, "only the globals' cells stay");
+        // Every call's object keeps its slot.
+        assert_eq!(mem.objects().len(), 1 + 200);
+    }
+
+    #[test]
+    fn a_pointer_to_a_released_object_faults() {
+        let m = frames_module(0, true);
+        match Interpreter::new(&m).run_main(&mut NullSink) {
+            Err(ExecError::OutOfBounds { off, size, .. }) => assert_eq!((off, size), (0, 0)),
+            other => panic!("unexpected result {other:?}"),
+        }
     }
 
     /// A sink that counts the cells the steps touched.

@@ -1,6 +1,7 @@
 //! The thread-safe [`Recorder`], RAII [`SpanGuard`]s, and the cloned
 //! [`Snapshot`].
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -36,12 +37,14 @@ impl Recorder {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Open a timed span; it adds to its name's total when dropped.
+    /// Open a timed span; it adds to its name's total when dropped. The
+    /// name is borrowed or handed over (a `&str` or a `String`): a closing
+    /// span copies a borrowed name only when the name has no total yet.
     #[must_use = "a span records when dropped; binding it to _ closes it immediately"]
-    pub fn span<'r>(&'r self, name: &str) -> SpanGuard<'r> {
+    pub fn span<'r>(&'r self, name: impl Into<Cow<'r, str>>) -> SpanGuard<'r> {
         SpanGuard {
             rec: self,
-            name: name.to_string(),
+            name: name.into(),
             start: Instant::now(),
         }
     }
@@ -84,7 +87,7 @@ impl std::fmt::Debug for Recorder {
 /// name's total. Obtained from [`Recorder::span`].
 pub struct SpanGuard<'r> {
     rec: &'r Recorder,
-    name: String,
+    name: Cow<'r, str>,
     start: Instant,
 }
 
@@ -92,14 +95,14 @@ impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let dur_ns = self.start.elapsed().as_nanos() as u64;
         let mut inner = self.rec.lock();
-        match inner.spans.get_mut(self.name.as_str()) {
+        match inner.spans.get_mut(&*self.name) {
             Some((count, total, max)) => {
                 *count += 1;
                 *total += dur_ns;
                 *max = (*max).max(dur_ns);
             }
             None => {
-                let name = std::mem::take(&mut self.name);
+                let name = std::mem::take(&mut self.name).into_owned();
                 inner.spans.insert(name, (1, dur_ns, dur_ns));
             }
         }

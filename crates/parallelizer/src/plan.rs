@@ -162,11 +162,10 @@ pub fn build_plan(
 /// artifacts (the `Vec<FunctionPsPdg>` a [`pspdg_core::build_pspdg_module`] produced
 /// earlier — analyses, PDG, and the overlay-assembled PS-PDG).
 ///
-/// This is the replanning / plan-cache entry point: a plan service keeps
-/// the built module keyed by content hash and re-enumerates per
-/// abstraction (or after a profile change) through this function, paying
-/// only the enumeration cost — the PDG build and the `EffectiveView`
-/// overlay assemble are never repeated.
+/// This is the plan cache's entry point: a plan service keeps the built
+/// module keyed by content hash and enumerates each abstraction through
+/// this function, paying only the enumeration cost — the PDG build and
+/// the `EffectiveView` overlay assemble are never repeated.
 pub fn plan_built(
     program: &ParallelProgram,
     built: &[FunctionPsPdg],

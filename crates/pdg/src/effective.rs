@@ -17,8 +17,10 @@
 //!   carried-loop queries stay index-driven even for loops (the blur
 //!   sentinel) absent from the base index.
 //!
-//! Every [`Pdg`]-style query (adjacency, per-base, per-carried-loop) is
-//! answered through the mask without rebuilding CSR indexes. It is the one
+//! The queries the planner reads (the surviving edges, out-edges for the
+//! SCC walk, the edges carried at a loop) are answered through the mask
+//! without rebuilding CSR indexes; the directive passes that build the
+//! overlay read the base [`Pdg`]'s indexes directly. It is the one
 //! dependence view every abstraction plans from: the plain PDG is
 //! [`EffectiveView::identity`], J&K narrows the worksharing loops' carried
 //! edges, the PS-PDG applies its directive passes. Nothing owns a second
@@ -29,8 +31,8 @@
 //! ## Invariants
 //!
 //! * A rewrite never changes an edge's `src`, `dst`, or `base` — only its
-//!   kind (checked in debug builds). Adjacency and per-base queries can
-//!   therefore filter the base indexes by the mask alone.
+//!   kind (checked in debug builds). Out-edge queries can therefore
+//!   filter the base adjacency by the mask alone.
 //! * Rewrite keys are never removed edges.
 //! * A rewrite never turns an uncarried edge into a carried one except
 //!   through loops recorded in the carried deltas (the constructor derives
@@ -41,7 +43,6 @@ use std::collections::BTreeMap;
 use pspdg_ir::{InstId, LoopId};
 use pspdg_pool::BitSet;
 
-use crate::alias::MemBase;
 use crate::graph::{Pdg, PdgEdge};
 
 /// A base [`Pdg`] plus the edge-overlay (removals, kind rewrites) of an
@@ -98,16 +99,6 @@ impl EffectiveView {
         &self.base
     }
 
-    /// Number of instruction nodes (same as the base graph's).
-    pub fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.base.is_empty()
-    }
-
     /// Whether base edge `ei` is removed in the effective graph.
     pub fn is_removed(&self, ei: u32) -> bool {
         self.removed.contains(ei as usize)
@@ -116,11 +107,6 @@ impl EffectiveView {
     /// Number of surviving edges.
     pub fn surviving_len(&self) -> usize {
         self.base.edges.len() - self.removed.len()
-    }
-
-    /// Number of removed edges.
-    pub fn removed_len(&self) -> usize {
-        self.removed.len()
     }
 
     /// Number of per-edge clones the overlay carries (its rewrite entries)
@@ -150,53 +136,20 @@ impl EffectiveView {
         self.edge_ids().map(move |ei| self.edge(ei))
     }
 
-    /// Ids of surviving edges leaving `inst`.
-    fn edge_ids_from(&self, inst: InstId) -> impl Iterator<Item = u32> + '_ {
+    /// Surviving outgoing edges of `inst` (the SCC walk's adjacency).
+    pub fn edges_from(&self, inst: InstId) -> impl Iterator<Item = &PdgEdge> + '_ {
         self.base
             .edge_indices_from(inst)
             .iter()
-            .copied()
-            .filter(move |ei| !self.is_removed(*ei))
+            .filter(move |ei| !self.is_removed(**ei))
+            .map(move |&ei| self.edge(ei))
     }
 
-    /// Surviving outgoing edges of `inst`.
-    pub fn edges_from(&self, inst: InstId) -> impl Iterator<Item = &PdgEdge> + '_ {
-        self.edge_ids_from(inst).map(move |ei| self.edge(ei))
-    }
-
-    /// Ids of surviving edges entering `inst`.
-    fn edge_ids_to(&self, inst: InstId) -> impl Iterator<Item = u32> + '_ {
-        self.base
-            .edge_indices_to(inst)
-            .iter()
-            .copied()
-            .filter(move |ei| !self.is_removed(*ei))
-    }
-
-    /// Surviving incoming edges of `inst`.
-    pub fn edges_to(&self, inst: InstId) -> impl Iterator<Item = &PdgEdge> + '_ {
-        self.edge_ids_to(inst).map(move |ei| self.edge(ei))
-    }
-
-    /// Ids of surviving memory edges through base object `mb`.
-    fn edge_ids_with_base(&self, mb: MemBase) -> impl Iterator<Item = u32> + '_ {
-        self.base
-            .edge_indices_with_base(mb)
-            .iter()
-            .map(|ei| ei as u32)
-            .filter(move |ei| !self.is_removed(*ei))
-    }
-
-    /// Surviving memory edges through base object `mb`.
-    pub fn edges_with_base(&self, mb: MemBase) -> impl Iterator<Item = &PdgEdge> + '_ {
-        self.edge_ids_with_base(mb).map(move |ei| self.edge(ei))
-    }
-
-    /// Ids of surviving edges whose *effective* kind is carried at `l`:
-    /// the base per-loop index filtered by the mask and by rewrites that
-    /// narrowed `l` away, plus rewrites that made the edge carried at `l`
-    /// (the blur sentinel). No duplicates; order is unspecified.
-    fn carried_edge_ids(&self, l: LoopId) -> impl Iterator<Item = u32> + '_ {
+    /// Surviving edges whose *effective* kind is carried at `l`: the base
+    /// per-loop index filtered by the mask and by rewrites that narrowed
+    /// `l` away, plus rewrites that made the edge carried at `l` (the blur
+    /// sentinel). No duplicates; order is unspecified.
+    pub fn carried_edges(&self, l: LoopId) -> impl Iterator<Item = &PdgEdge> + '_ {
         let from_base = self
             .base
             .carried_edge_indices(l)
@@ -211,23 +164,7 @@ impl EffectiveView {
             .iter()
             .copied()
             .filter(move |&ei| !self.is_removed(ei));
-        from_base.chain(added)
-    }
-
-    /// Surviving edges carried at `l` under the effective kinds.
-    pub fn carried_edges(&self, l: LoopId) -> impl Iterator<Item = &PdgEdge> + '_ {
-        self.carried_edge_ids(l).map(move |ei| self.edge(ei))
-    }
-
-    /// Ids of surviving edges carried at *some* loop under the effective
-    /// kinds. (Rewrites only ever narrow or relabel carried sets, so the
-    /// base carried-any index is a superset of the effective one.)
-    pub fn carried_any_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.base
-            .carried_any_indices()
-            .iter()
-            .map(|ei| ei as u32)
-            .filter(move |&ei| !self.is_removed(ei) && !self.edge(ei).kind.carried().is_empty())
+        from_base.chain(added).map(move |ei| self.edge(ei))
     }
 
     /// The effective graph as an owned [`Pdg`]: an O(E) clone plus a CSR

@@ -9,15 +9,16 @@
 //! tests assert both builders emit identical edge sets.
 //!
 //! Edges are stored once in a flat arena and served through an
-//! `EdgeIndex`: CSR-style per-source and per-destination adjacency, a
-//! per-base-object index, and a per-loop carried-dependence index, so the
-//! PS-PDG directive passes and per-loop queries never rescan the full edge
-//! list.
+//! `EdgeIndex`: CSR-style per-source adjacency (the SCC walk's direction;
+//! no reader walks edges backwards, so no per-destination index is kept),
+//! a per-base-object index, and a per-loop carried-dependence index, so
+//! the PS-PDG directive passes and per-loop queries never rescan the full
+//! edge list.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use pspdg_ir::{BlockId, FuncId, Inst, InstId, Intrinsic, LoopId, Module, Value};
+use pspdg_ir::{BlockId, FuncId, Inst, InstId, Intrinsic, LoopId, Module, PostDomTree, Value};
 use pspdg_pool::BitSet;
 
 use crate::affine::{affine_of, Affine};
@@ -203,8 +204,8 @@ pub struct PdgEdge {
 static NO_EDGE_SET: BitSet = BitSet::new();
 
 /// Secondary indexes over a [`Pdg`]'s edge arena: CSR adjacency by source
-/// and destination instruction, edges grouped by base object, and memory
-/// edges grouped by the loop carrying them.
+/// instruction, edges grouped by base object, and memory edges grouped by
+/// the loop carrying them.
 ///
 /// The grouped indexes are packed [`BitSet`]s over edge ids: membership
 /// tests are one shift, set combination is O(words), and iteration walks
@@ -216,10 +217,6 @@ pub(crate) struct EdgeIndex {
     succ_off: Vec<u32>,
     /// Edge ids ordered by source instruction.
     succ: Vec<u32>,
-    /// CSR offsets into `pred` (length `n_insts + 1`).
-    pred_off: Vec<u32>,
-    /// Edge ids ordered by destination instruction.
-    pred: Vec<u32>,
     /// Memory-edge ids per base object.
     by_base: BTreeMap<MemBase, BitSet>,
     /// Memory-edge ids per carrying loop (includes sentinel loop ids used
@@ -233,27 +230,20 @@ impl EdgeIndex {
     /// Index `edges` over `n_insts` instruction nodes.
     pub fn build(n_insts: usize, edges: &[PdgEdge]) -> EdgeIndex {
         let mut succ_off = vec![0u32; n_insts + 1];
-        let mut pred_off = vec![0u32; n_insts + 1];
         for e in edges {
             succ_off[e.src.index() + 1] += 1;
-            pred_off[e.dst.index() + 1] += 1;
         }
         for i in 0..n_insts {
             succ_off[i + 1] += succ_off[i];
-            pred_off[i + 1] += pred_off[i];
         }
         let mut succ = vec![0u32; edges.len()];
-        let mut pred = vec![0u32; edges.len()];
         let mut succ_cur = succ_off.clone();
-        let mut pred_cur = pred_off.clone();
         let mut by_base: BTreeMap<MemBase, BitSet> = BTreeMap::new();
         let mut carried: BTreeMap<LoopId, BitSet> = BTreeMap::new();
         let mut carried_any = BitSet::new();
         for (idx, e) in edges.iter().enumerate() {
             succ[succ_cur[e.src.index()] as usize] = idx as u32;
             succ_cur[e.src.index()] += 1;
-            pred[pred_cur[e.dst.index()] as usize] = idx as u32;
-            pred_cur[e.dst.index()] += 1;
             if let Some(base) = e.base {
                 by_base.entry(base).or_default().insert(idx);
             }
@@ -268,8 +258,6 @@ impl EdgeIndex {
         EdgeIndex {
             succ_off,
             succ,
-            pred_off,
-            pred,
             by_base,
             carried,
             carried_any,
@@ -380,37 +368,10 @@ impl Pdg {
         &self.index.succ[self.index.succ_off[i] as usize..self.index.succ_off[i + 1] as usize]
     }
 
-    /// Outgoing edges of `inst`.
-    pub fn edges_from(&self, inst: InstId) -> impl Iterator<Item = &PdgEdge> + '_ {
-        self.edge_indices_from(inst)
-            .iter()
-            .map(move |i| &self.edges[*i as usize])
-    }
-
-    /// Ids of edges entering `inst`.
-    pub(crate) fn edge_indices_to(&self, inst: InstId) -> &[u32] {
-        let i = inst.index();
-        &self.index.pred[self.index.pred_off[i] as usize..self.index.pred_off[i + 1] as usize]
-    }
-
-    /// Incoming edges of `inst`.
-    pub fn edges_to(&self, inst: InstId) -> impl Iterator<Item = &PdgEdge> + '_ {
-        self.edge_indices_to(inst)
-            .iter()
-            .map(move |i| &self.edges[*i as usize])
-    }
-
     /// Ids of memory edges through base object `base`, as a packed set
     /// iterating in ascending edge-id order.
     pub fn edge_indices_with_base(&self, base: MemBase) -> &BitSet {
         self.index.by_base.get(&base).unwrap_or(&NO_EDGE_SET)
-    }
-
-    /// Memory edges through base object `base`.
-    pub fn edges_with_base(&self, base: MemBase) -> impl Iterator<Item = &PdgEdge> + '_ {
-        self.edge_indices_with_base(base)
-            .iter()
-            .map(move |i| &self.edges[i])
     }
 
     /// Ids of memory edges carried at `l`, as a packed set iterating in
@@ -458,7 +419,8 @@ fn non_memory_edges(module: &Module, func: FuncId, analyses: &FunctionAnalyses) 
 
     // 2. Control dependences: the branch terminator of each controlling
     // block → every instruction of the dependent block.
-    let block_deps = control_dependences(f, &analyses.cfg, &analyses.postdom);
+    let postdom = PostDomTree::new(f, &analyses.cfg);
+    let block_deps = control_dependences(f, &analyses.cfg, &postdom);
     for bb in f.block_ids() {
         for &ctrl in &block_deps[bb.index()] {
             let Some(term) = f.block(ctrl).insts.last().copied() else {
@@ -1023,20 +985,14 @@ mod tests {
             "k",
         );
         let mut from_succ = 0usize;
-        let mut from_pred = 0usize;
         for i in 0..pdg.len() {
             let inst = InstId::from_index(i);
-            for e in pdg.edges_from(inst) {
-                assert_eq!(e.src, inst);
+            for &ei in pdg.edge_indices_from(inst) {
+                assert_eq!(pdg.edge(ei).src, inst);
                 from_succ += 1;
-            }
-            for e in pdg.edges_to(inst) {
-                assert_eq!(e.dst, inst);
-                from_pred += 1;
             }
         }
         assert_eq!(from_succ, pdg.edges.len());
-        assert_eq!(from_pred, pdg.edges.len());
         // The base index partitions exactly the memory edges.
         let mem_edges = pdg.edges.iter().filter(|e| e.base.is_some()).count();
         let indexed: usize = pdg

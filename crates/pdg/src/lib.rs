@@ -64,7 +64,7 @@ pub use effective::EffectiveView;
 pub use graph::{collect_mem_refs, CarriedSet, DepKind, Pdg, PdgEdge};
 pub use scc::{LoopScc, SccDag};
 
-use pspdg_ir::{Cfg, DomTree, FuncId, LoopForest, Module, PostDomTree};
+use pspdg_ir::{Cfg, DomTree, FuncId, LoopForest, Module};
 
 /// The per-function structural analyses every dependence construction
 /// needs, bundled so they are computed once.
@@ -74,10 +74,6 @@ pub struct FunctionAnalyses {
     pub func: FuncId,
     /// Control-flow graph.
     pub cfg: Cfg,
-    /// Dominator tree.
-    pub dom: DomTree,
-    /// Post-dominator tree.
-    pub postdom: PostDomTree,
     /// Natural-loop forest.
     pub forest: LoopForest,
     /// Canonical descriptors for every loop that has one, indexed by loop.
@@ -92,16 +88,14 @@ impl FunctionAnalyses {
     pub fn compute(module: &Module, func: FuncId) -> FunctionAnalyses {
         let f = module.function(func);
         let cfg = Cfg::new(f);
-        let dom = DomTree::new(&cfg);
-        let postdom = PostDomTree::new(f, &cfg);
-        let forest = LoopForest::new(f, &cfg, &dom);
+        // The loop forest is the dominator tree's only reader; the
+        // post-dominator tree is built by the control-dependence pass.
+        let forest = LoopForest::new(f, &cfg, &DomTree::new(&cfg));
         let canonical = forest.loop_ids().map(|l| forest.canonical(f, l)).collect();
         let block_insts = f.blocks.iter().map(|b| b.insts.clone()).collect();
         FunctionAnalyses {
             func,
             cfg,
-            dom,
-            postdom,
             forest,
             canonical,
             block_insts,

@@ -479,6 +479,7 @@ impl<'a> Engine<'a> {
     ) -> Result<Option<RtVal>, ExecError> {
         let f = self.module.function(func_id);
         let mut frame = Frame::new(f, args);
+        let live = self.mem.objects().len();
         // Scheduled loops currently executing sequentially (either
         // mid-activation after a fallback, or re-run once to exit after a
         // parallel completion); pruned when control leaves the loop.
@@ -496,9 +497,7 @@ impl<'a> Engine<'a> {
                     match &sched.exec {
                         LoopExec::Chunked(c) => {
                             let _span = self.rec.map(|r| {
-                                let name =
-                                    format!("runtime/activation/{}.L{}", f.name, block.index());
-                                r.span(&name)
+                                r.span(format!("runtime/activation/{}.L{}", f.name, block.index()))
                             });
                             match self.run_chunked(func_id, f, &mut frame, sched, c)? {
                                 None => self.stats.chunked_loops += 1,
@@ -516,7 +515,10 @@ impl<'a> Engine<'a> {
             }
             match self.exec_block(func_id, f, &mut frame, block)? {
                 Flow::Jump(b) => block = b,
-                Flow::Return(v) => return Ok(v),
+                Flow::Return(v) => {
+                    self.mem.release_from(live);
+                    return Ok(v);
+                }
                 Flow::Next => unreachable!("blocks end in terminators"),
             }
         }

@@ -209,3 +209,41 @@ fn cost_model_gates_short_activations() {
     assert_eq!(out.stats.chunked_loops, 1, "{:?}", out.stats);
     assert!(out.stats.pool_dispatches >= 2);
 }
+
+/// `main` calls a function with a 4096-cell local array 200 times: each
+/// return releases the frame's array, so the heap ends holding only the
+/// globals' cells, on the master as in the interpreter.
+#[test]
+fn returning_frames_release_their_stack_objects() {
+    let p = compile(
+        r#"
+        int out[8];
+        int fill(int n) {
+            int a[4096]; int j;
+            for (j = 0; j < 4; j++) { a[j * 1000] = n + j; }
+            return a[0] + a[3000];
+        }
+        int main() {
+            int i; int s;
+            s = 0;
+            for (i = 0; i < 200; i++) { s = s + fill(i); out[i % 8] = s; }
+            return s;
+        }
+        "#,
+    )
+    .unwrap();
+    let mut interp = Interpreter::new(&p.module);
+    let seq_ret = interp.run_main(&mut NullSink).unwrap();
+    let plan = build_plan(&p, interp.profile(), Abstraction::PsPdg, 0.01);
+    let out = Runtime::new(&p, &plan).workers(2).run_main().unwrap();
+    assert_eq!(out.ret, seq_ret);
+    let global_cells: usize = p
+        .module
+        .global_ids()
+        .map(|g| p.module.global(g).ty.flat_len() as usize)
+        .sum();
+    for mem in [interp.mem(), &out.mem] {
+        let cells: usize = mem.objects().map(|(obj, _)| mem.object_len(obj)).sum();
+        assert_eq!(cells, global_cells);
+    }
+}

@@ -11,8 +11,8 @@
 //!   semantic change misses;
 //! * [`Session`] — compile once, plan and execute many, concurrently:
 //!   one `Arc`-shared program + profile + baseline + per-function
-//!   analyses, with a per-abstraction plan cache
-//!   ([`Session::plan`] / [`Session::replan`] / [`Session::execute`]);
+//!   analyses, with a write-once plan per abstraction
+//!   ([`Session::plan`] / [`Session::execute`]);
 //! * [`PlanStore`] — the content-addressed session cache: equality-checked
 //!   hits, a source memo for byte-identical repeats, single-flight builds,
 //!   LRU eviction under a byte budget, live hit/miss counters;

@@ -93,9 +93,10 @@ pub struct ServiceConfig {
     pub exec_workers: usize,
     /// [`PlanStore`] LRU byte budget.
     pub budget_bytes: usize,
-    /// Attach a recorder (cache, queue-depth and fallback-cause counters,
+    /// Attach a recorder (queue-depth and fallback-cause counters,
     /// pipeline span totals — everything the `metrics` op reports past
-    /// the store's stats). Off is no recorder at all.
+    /// the store's stats, which count the cache's traffic). Off is no
+    /// recorder at all.
     pub record: bool,
 }
 

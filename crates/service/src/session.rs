@@ -18,9 +18,8 @@
 //! constructs a fresh [`Runtime`] from the shared parts
 //! ([`Runtime::from_shared`]) — O(1), reentrant, no rebuilds.
 
-use std::collections::HashMap;
 use std::mem::{size_of, size_of_val};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg, NodeKind};
@@ -166,7 +165,9 @@ pub struct Session {
     profile: Profile,
     baseline: Baseline,
     rec: Option<Arc<Recorder>>,
-    plans: Mutex<HashMap<Abstraction, Arc<PlanBundle>>>,
+    /// One write-once plan slot per abstraction, indexed by its
+    /// discriminant (the order of [`Abstraction::ALL`]).
+    plans: [OnceLock<Arc<PlanBundle>>; Abstraction::ALL.len()],
 }
 
 impl std::fmt::Debug for Session {
@@ -241,7 +242,7 @@ impl Session {
             profile,
             baseline,
             rec,
-            plans: Mutex::new(HashMap::new()),
+            plans: Default::default(),
         })
     }
 
@@ -272,32 +273,17 @@ impl Session {
 
     /// The plan for `abstraction`, enumerated on first request and cached
     /// — concurrent callers of the same abstraction block until the first
-    /// build finishes (single-flight), so a plan is never built twice.
+    /// build finishes (single-flight), so a plan is never built twice;
+    /// callers of different abstractions never wait on each other.
     pub fn plan(&self, abstraction: Abstraction) -> Arc<PlanBundle> {
-        let mut plans = self.plans.lock().expect("plan cache lock");
-        if let Some(b) = plans.get(&abstraction) {
-            return Arc::clone(b);
-        }
-        let bundle = Arc::new(self.enumerate(abstraction));
-        plans.insert(abstraction, Arc::clone(&bundle));
-        bundle
+        let slot = &self.plans[abstraction as usize];
+        Arc::clone(slot.get_or_init(|| Arc::new(self.enumerate(abstraction))))
     }
 
-    /// Re-enumerate `abstraction`'s plan from the cached analysis
-    /// artifacts, replacing the cached bundle. This is the replanning
-    /// path: it re-runs only enumeration + lowering over the already-
-    /// assembled `EffectiveView` PS-PDGs — never the PDG build nor the
-    /// structural analyses (lowering reads what each loop merges from the
-    /// plan, and its loops and CFG from the session's analyses).
-    pub fn replan(&self, abstraction: Abstraction) -> Arc<PlanBundle> {
-        let bundle = Arc::new(self.enumerate(abstraction));
-        self.plans
-            .lock()
-            .expect("plan cache lock")
-            .insert(abstraction, Arc::clone(&bundle));
-        bundle
-    }
-
+    /// Enumerate and lower `abstraction`'s plan from the session's
+    /// analysis artifacts: the assembled `EffectiveView` PS-PDGs, the
+    /// loops and the CFGs — never the PDG build nor the structural
+    /// analyses.
     fn enumerate(&self, abstraction: Abstraction) -> PlanBundle {
         let rec = self.rec.as_deref();
         let plan = plan_built_recorded(
@@ -384,17 +370,17 @@ impl Session {
     /// it retains, as its length times the `size_of` of what it stores.
     /// Counted: the IR's instruction, block and block-row arenas; per
     /// function its artifacts' own struct, the analyses' block rows
-    /// (instructions, CFG successors and predecessors, both dominator
-    /// trees), the PDG's edge arena and CSR adjacency, and the PS-PDG's
-    /// node arena, loop and region rows, leaf map and overlay rewrites;
+    /// (instructions, CFG successors and predecessors), the PDG's edge
+    /// arena and its CSR adjacency by source, and the PS-PDG's node arena,
+    /// loop and region rows, leaf map and overlay rewrites;
     /// the profile counters, the baseline's globals and each cached plan's
     /// loops and schedules. Left out: maps, strings, the loop forests and
     /// the per-base and per-loop edge sets. `tests/session_footprint.rs`
     /// holds the charge within 1.5× of a counting allocator's live bytes.
     pub fn approx_bytes(&self) -> usize {
         // Per block the analyses also keep a successor and a predecessor
-        // row and three words in each of the two dominator trees.
-        let block_tables = 2 * size_of::<Vec<BlockId>>() + 6 * size_of::<usize>();
+        // row.
+        let block_tables = 2 * size_of::<Vec<BlockId>>();
         let mut bytes = size_of_val(&self.built[..]);
         for f in &self.program.module.functions {
             bytes += size_of_val(&f.insts[..]) + size_of_val(&f.blocks[..]);
@@ -404,9 +390,9 @@ impl Session {
             // The analyses' copy of the block rows; the IR's own elements.
             bytes += 2 * rows(&a.block_insts) - size_of_val(&a.block_insts[..]);
             bytes += a.block_insts.len() * block_tables;
-            // CSR: an edge id per edge and an offset per node, both ways.
+            // CSR by source: an edge id per edge and an offset per node.
             bytes += size_of_val(&pdg.edges[..]);
-            bytes += 2 * size_of::<u32>() * (pdg.edges.len() + pdg.len() + 1);
+            bytes += size_of::<u32>() * (pdg.edges.len() + pdg.len() + 1);
             bytes += size_of_val(&ps.nodes[..]) + size_of_val(&ps.inst_node[..]);
             bytes += ps.effective.rewrite_count() * size_of::<(u32, PdgEdge)>();
             for node in &ps.nodes[ps.inst_node.len()..] {
@@ -419,8 +405,7 @@ impl Session {
         for (_, cells) in &self.baseline.globals {
             bytes += size_of_val(&cells[..]);
         }
-        let plans = self.plans.lock().expect("plan cache lock");
-        for b in plans.values() {
+        for b in self.plans.iter().filter_map(OnceLock::get) {
             bytes += size_of::<PlanBundle>() + size_of_val(b.exec.schedules());
             bytes += b.plan.loops.len() * size_of::<LoopPlanSpec>();
         }

@@ -159,10 +159,10 @@ impl PlanStore {
         }
     }
 
-    /// Attach a recorder: cache hits/misses/evictions become counters
-    /// (`service/cache_*`) and every session built through the store
-    /// records its pipeline spans (`pspdg/pdg_build`, `plan/enumerate`,
-    /// …) — which is how tests prove a warm request rebuilds nothing.
+    /// Attach a recorder: every session built through the store records
+    /// its pipeline spans (`pspdg/pdg_build`, `plan/enumerate`, …) —
+    /// which is how tests prove a warm request rebuilds nothing. The
+    /// cache's own traffic is counted in [`PlanStore::stats`] only.
     pub fn with_recorder(mut self, rec: Arc<Recorder>) -> PlanStore {
         self.rec = Some(rec);
         self
@@ -209,8 +209,6 @@ impl PlanStore {
         let mut inner = self.inner.lock().expect("store lock");
         let memo = inner.sources.get(source).cloned();
         if let Some(out) = memo.and_then(|k| inner.hit(&k)) {
-            drop(inner);
-            self.count("service/cache_hit", 1);
             return Ok(out);
         }
         drop(inner);
@@ -249,8 +247,6 @@ impl PlanStore {
             if let Some(out) = inner.hit(&keyed) {
                 let evicted = settle(&mut inner, self.budget, &out, source);
                 drop(inner);
-                self.count("service/cache_hit", 1);
-                self.count("service/cache_eviction", evicted.len() as u64);
                 self.reap(evicted);
                 return Ok(out);
             }
@@ -262,7 +258,6 @@ impl PlanStore {
             inner = self.built.wait(inner).expect("store lock");
         }
         drop(inner);
-        self.count("service/cache_miss", 1);
         // Build outside the lock — the whole point of single-flight is
         // that concurrent *distinct* programs build in parallel.
         let valid = match source {
@@ -288,7 +283,6 @@ impl PlanStore {
                 );
                 let evicted = settle(&mut inner, self.budget, &session, source);
                 drop(inner);
-                self.count("service/cache_eviction", evicted.len() as u64);
                 self.built.notify_all();
                 self.reap(evicted);
                 Ok(session)
@@ -299,12 +293,6 @@ impl PlanStore {
                 self.built.notify_all();
                 Err(e)
             }
-        }
-    }
-
-    fn count(&self, name: &'static str, n: u64) {
-        if let Some(r) = &self.rec {
-            r.add(name, n);
         }
     }
 

@@ -66,13 +66,6 @@ fn main() {
         pspdg.contexts.len(),
         pspdg.variables.len()
     );
-    println!();
-    println!("Graphviz of the PS-PDG (first lines):");
-    let dot = pspdg::core::dot::to_dot(&pspdg, "kernel");
-    for line in dot.lines().take(8) {
-        println!("  {line}");
-    }
-    println!("  ...");
 
     // Execute the PS-PDG plan on the parallel runtime and show what
     // actually happened: how many activations chunked or fell back, and

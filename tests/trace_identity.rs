@@ -262,8 +262,8 @@ void k() {
 int main() { k(); k(); return 0; }
 ";
 
-/// `examples/cilk_fib.rs`'s program at a smaller argument: recursive
-/// frames, spawn lanes, `children_max` joined at every `cilk_sync`.
+/// A Cilk `fib`: recursive frames, spawn lanes, `children_max` joined at
+/// every `cilk_sync`.
 const FIB_SRC: &str = "\
 int fib(int n) {
     int x; int y;
