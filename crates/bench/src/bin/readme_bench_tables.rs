@@ -1,9 +1,8 @@
-//! Regenerates the benchmark tables in `README.md` from the committed
-//! `BENCH_pdg.json` and `BENCH_runtime.json`, so the prose never drifts
-//! from the measured numbers. The tables live between marker comments:
+//! Regenerates the runtime table in `README.md` from the committed
+//! `BENCH_runtime.json`, so the prose never drifts from the measured
+//! numbers. The table lives between marker comments:
 //!
 //! ```text
-//! <!-- BENCH_PDG_TABLE:BEGIN -->    ... <!-- BENCH_PDG_TABLE:END -->
 //! <!-- BENCH_RUNTIME_TABLE:BEGIN --> ... <!-- BENCH_RUNTIME_TABLE:END -->
 //! ```
 //!
@@ -13,7 +12,7 @@
 //! cargo run --release -p pspdg-bench --bin readme_bench_tables
 //! ```
 //!
-//! The JSON files are this workspace's own regular, line-per-kernel
+//! The JSON file is this workspace's own regular, line-per-kernel
 //! output, so a small field scanner suffices (no serde in the offline
 //! build environment).
 
@@ -54,59 +53,6 @@ fn ms(ns: &str) -> String {
         Ok(v) => format!("{:.1}", v / 1e6),
         Err(_) => "?".to_string(),
     }
-}
-
-fn us(ns: &str) -> String {
-    match ns.parse::<f64>() {
-        Ok(v) => format!("{:.0}", v / 1e3),
-        Err(_) => "?".to_string(),
-    }
-}
-
-fn pdg_table(json: &str) -> String {
-    let mut t = String::from(
-        "| kernel | mem refs | PDG edges | naive all-pairs (ms) | bucketed (ms) | bucketing speedup | per-function loop incl. analyses (ms) | overlay re-assemble (µs) | overlay clones |\n|---|---|---|---|---|---|---|---|---|\n",
-    );
-    for l in kernel_lines(json) {
-        let g = |k: &str| field(l, k).unwrap_or_default();
-        let _ = writeln!(
-            t,
-            "| {} | {} | {} | {} | {} | {}x | {} | {} | {} |",
-            g("kernel"),
-            g("mem_refs"),
-            g("pdg_edges"),
-            ms(&g("naive_all_pairs_ns")),
-            ms(&g("bucketed_ns")),
-            g("speedup"),
-            ms(&g("sequential_module_ns")),
-            us(&g("reassemble_overlay_ns")),
-            g("overlay_clone_edges"),
-        );
-    }
-    t
-}
-
-/// The module-scale row: the per-function loop on `synth::module`, from
-/// the `module_scale` object.
-fn pdg_module_table(json: &str) -> String {
-    let Some(start) = json.find("\"module_scale\"") else {
-        return String::from("*(no module_scale section in BENCH_pdg.json)*\n");
-    };
-    let section = &json[start..];
-    let g = |k: &str| field(section, k).unwrap_or_default();
-    // `program` holds a comma inside its quoted value, which the flat
-    // field scanner would truncate; rebuild the label from the parts.
-    format!(
-        "`synth::module({}, {})` — {} mem refs, {} PDG edges: per-function loop **{} ms** (min of {} samples, {}-core host). Edge-set mismatches vs the naive all-pairs oracle: **{}**\n",
-        g("n_funcs"),
-        g("bases"),
-        g("mem_refs"),
-        g("pdg_edges"),
-        ms(&g("sequential_ns")),
-        g("samples_per_entry"),
-        g("host_cores"),
-        g("oracle_mismatches"),
-    )
 }
 
 fn runtime_table(json: &str) -> String {
@@ -185,12 +131,9 @@ fn splice(readme: &str, marker: &str, body: &str) -> String {
 }
 
 fn main() {
-    let pdg = std::fs::read_to_string("BENCH_pdg.json").expect("read BENCH_pdg.json");
     let runtime = std::fs::read_to_string("BENCH_runtime.json").expect("read BENCH_runtime.json");
     let readme = std::fs::read_to_string("README.md").expect("read README.md");
-    let readme = splice(&readme, "BENCH_PDG_TABLE", &pdg_table(&pdg));
-    let readme = splice(&readme, "BENCH_PDG_MODULE_TABLE", &pdg_module_table(&pdg));
     let readme = splice(&readme, "BENCH_RUNTIME_TABLE", &runtime_table(&runtime));
     std::fs::write("README.md", readme).expect("write README.md");
-    println!("README.md benchmark tables regenerated from BENCH_pdg.json + BENCH_runtime.json");
+    println!("README.md runtime table regenerated from BENCH_runtime.json");
 }

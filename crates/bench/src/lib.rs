@@ -9,9 +9,10 @@
 //! * `cargo run -p pspdg-bench --bin fig14` — ideal-machine critical-path
 //!   reduction over the OpenMP plan.
 //!
-//! The `bench_pdg_json` and `bench_runtime_json` bins write the committed
-//! `BENCH_pdg.json` / `BENCH_runtime.json` layer numbers.
-//! `bench_runtime_json` also attaches a recorder to the suite and reports
+//! The `bench_runtime_json` bin writes the committed `BENCH_runtime.json`
+//! runtime numbers. PDG construction is timed end to end by the
+//! `module_cold` workload of `benchmark/`, and its counts are pinned by
+//! `tests/pdg_pin.rs`. `bench_runtime_json` also attaches a recorder to the suite and reports
 //! its span totals, its overhead over an absent recorder, and the opcode
 //! tables derived from the oracle run; with `--smoke` it checks that those
 //! tables account for every oracle step.

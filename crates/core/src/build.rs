@@ -67,37 +67,15 @@ pub struct FunctionPsPdg {
 /// Declared-but-bodyless functions are skipped (the structural analyses
 /// require an entry block).
 pub fn build_pspdg_module(program: &ParallelProgram, features: FeatureSet) -> Vec<FunctionPsPdg> {
-    build_pspdg_module_recorded(program, features, None)
-}
-
-/// [`build_pspdg_module`] with optional pipeline tracing: per function,
-/// a `pspdg/pdg_build` span covers analyses + PDG construction and a
-/// `pspdg/overlay_assemble` span covers applying the declarations and
-/// re-assembling the effective view into the PS-PDG. Spans land on the
-/// pool worker that ran the function, so the trace shows the module
-/// build's actual parallelism.
-pub fn build_pspdg_module_recorded(
-    program: &ParallelProgram,
-    features: FeatureSet,
-    rec: Option<&pspdg_obs::Recorder>,
-) -> Vec<FunctionPsPdg> {
     let funcs: Vec<FuncId> = program
         .module
         .function_ids()
         .filter(|f| !program.module.function(*f).blocks.is_empty())
         .collect();
     pspdg_pool::par_map(funcs, |func| {
-        let span = |name| rec.map(|r| r.span(name));
-        let (analyses, pdg, mem_refs) = {
-            let _s = span("pspdg/pdg_build");
-            let analyses = FunctionAnalyses::compute(&program.module, func);
-            let (pdg, mem_refs) = Pdg::build_with_refs(&program.module, func, &analyses);
-            (analyses, pdg, mem_refs)
-        };
-        let pspdg = {
-            let _s = span("pspdg/overlay_assemble");
-            build_pspdg_with_refs(program, func, &analyses, &pdg, &mem_refs, features)
-        };
+        let analyses = FunctionAnalyses::compute(&program.module, func);
+        let (pdg, mem_refs) = Pdg::build_with_refs(&program.module, func, &analyses);
+        let pspdg = build_pspdg_with_refs(program, func, &analyses, &pdg, &mem_refs, features);
         FunctionPsPdg {
             func,
             analyses,

@@ -61,8 +61,7 @@ pub mod openmp;
 pub mod query;
 
 pub use build::{
-    build_pspdg, build_pspdg_module, build_pspdg_module_recorded, build_pspdg_with_refs,
-    FunctionPsPdg, UNKNOWN_LOOP,
+    build_pspdg, build_pspdg_module, build_pspdg_with_refs, FunctionPsPdg, UNKNOWN_LOOP,
 };
 pub use features::{Feature, FeatureSet};
 pub use graph::{

@@ -1,5 +1,5 @@
 //! The `EffectiveView` overlay must be observationally identical to the
-//! owned `Pdg` its `oracle`-gated `materialize()` produces: every query
+//! owned `Pdg` its reference `materialize()` produces: every query
 //! family the planner reads (full edge set, per-source adjacency,
 //! per-carried-loop incl. the context-ablation sentinel), and the base
 //! indexes filtered by the mask as the directive passes read them

@@ -7,8 +7,9 @@
 //! generator scales the *static* reference count instead: `bases` distinct
 //! global arrays, each swept by its own recurrence loop plus a
 //! cross-statement accumulation — so R grows linearly with `bases` while
-//! every bucket stays O(1), making the bucketing win visible at benchmark
-//! scale (`BENCH_pdg.json`'s SYNTH rows).
+//! every bucket stays O(1), making the bucketing win visible at scale
+//! (`tests/pdg_pin.rs` pins `wide16`–`wide64` and checks the overlay of
+//! `wide48`–`wide192`).
 
 use crate::{Benchmark, Class};
 
@@ -27,8 +28,8 @@ pub fn benchmark(class: Class) -> Benchmark {
     wide(bases_for(class))
 }
 
-/// SYNTH with an explicit base-object count (the `BENCH_pdg.json` sweep
-/// uses several widths to show the asymptotic trend).
+/// SYNTH with an explicit base-object count (the plan service's
+/// `module_cold` workload and the tests take several widths).
 pub fn wide(bases: usize) -> Benchmark {
     let mut src = String::new();
     for k in 0..bases {
@@ -63,8 +64,9 @@ pub fn wide(bases: usize) -> Benchmark {
 ///
 /// Where [`wide`] scales the reference count of *one* function, `module`
 /// scales the *function count* — the axis the module driver
-/// (`pspdg_core::build_pspdg_module`) maps over. The `BENCH_pdg.json`
-/// module-scale section times the per-function loop on this program.
+/// (`pspdg_core::build_pspdg_module`) maps over. `tests/pdg_pin.rs`
+/// checks the bucketed PDG builder against the naive sweep on every
+/// function of `module(1200, 32)`.
 pub fn module(n_funcs: usize, bases: usize) -> Benchmark {
     let bases = bases.max(1);
     let mut src = String::new();

@@ -1,7 +1,7 @@
 //! Reduction operators, including user-defined (`declare reduction` /
 //! Cilk reducer hyperobjects).
 
-use pspdg_ir::{Constant, FuncId, Type};
+use pspdg_ir::FuncId;
 
 /// How private copies of a reduction variable are merged.
 ///
@@ -38,28 +38,6 @@ pub enum ReductionOp {
 }
 
 impl ReductionOp {
-    /// The identity element for a scalar of type `ty`, when the operator has
-    /// one that is expressible as a constant. `Custom` reductions carry
-    /// their identity in the program (the initial value of the variable).
-    pub fn identity(&self, ty: &Type) -> Option<Constant> {
-        Some(match (self, ty) {
-            (ReductionOp::Add, Type::I64) => Constant::Int(0),
-            (ReductionOp::Add, Type::F64) => Constant::Float(0.0),
-            (ReductionOp::Mul, Type::I64) => Constant::Int(1),
-            (ReductionOp::Mul, Type::F64) => Constant::Float(1.0),
-            (ReductionOp::Min, Type::I64) => Constant::Int(i64::MAX),
-            (ReductionOp::Min, Type::F64) => Constant::Float(f64::INFINITY),
-            (ReductionOp::Max, Type::I64) => Constant::Int(i64::MIN),
-            (ReductionOp::Max, Type::F64) => Constant::Float(f64::NEG_INFINITY),
-            (ReductionOp::BitAnd, Type::I64) => Constant::Int(-1),
-            (ReductionOp::BitOr, Type::I64) => Constant::Int(0),
-            (ReductionOp::BitXor, Type::I64) => Constant::Int(0),
-            (ReductionOp::LogAnd, Type::Bool) => Constant::Bool(true),
-            (ReductionOp::LogOr, Type::Bool) => Constant::Bool(false),
-            _ => return None,
-        })
-    }
-
     /// Parse an OpenMP reduction-clause operator token.
     ///
     /// ```
@@ -87,30 +65,6 @@ impl ReductionOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identities() {
-        assert_eq!(
-            ReductionOp::Add.identity(&Type::I64),
-            Some(Constant::Int(0))
-        );
-        assert_eq!(
-            ReductionOp::Mul.identity(&Type::F64),
-            Some(Constant::Float(1.0))
-        );
-        assert_eq!(
-            ReductionOp::Min.identity(&Type::I64),
-            Some(Constant::Int(i64::MAX))
-        );
-        assert_eq!(
-            ReductionOp::LogAnd.identity(&Type::Bool),
-            Some(Constant::Bool(true))
-        );
-        // no float bitand
-        assert_eq!(ReductionOp::BitAnd.identity(&Type::F64), None);
-        let custom = ReductionOp::Custom { merger: FuncId(0) };
-        assert_eq!(custom.identity(&Type::I64), None);
-    }
 
     #[test]
     fn token_roundtrip() {

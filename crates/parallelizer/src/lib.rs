@@ -38,11 +38,10 @@ pub use enumerate::{
 };
 pub use machine::MachineModel;
 pub use plan::{
-    build_plan, plan_built, plan_built_recorded, Discharge, LoopPlanSpec, MutexSpec,
-    PlannedTechnique, ProgramPlan,
+    build_plan, plan_built, Discharge, LoopPlanSpec, MutexSpec, PlannedTechnique, ProgramPlan,
 };
 pub use schedule::{
-    realize_executable, realize_executable_recorded, ChunkedLoop, CriticalReplay, ExecutablePlan,
-    LoopExec, LoopSchedule, RealizationStats,
+    realize_built, realize_executable, ChunkedLoop, CriticalReplay, ExecutablePlan, LoopExec,
+    LoopSchedule, RealizationStats,
 };
 pub use views::Abstraction;

@@ -173,19 +173,6 @@ pub fn plan_built(
     abstraction: Abstraction,
     threshold: f64,
 ) -> ProgramPlan {
-    plan_built_recorded(program, built, profile, abstraction, threshold, None)
-}
-
-/// [`plan_built`] with optional tracing (each function's enumeration
-/// lands under a `plan/enumerate` span).
-pub fn plan_built_recorded(
-    program: &ParallelProgram,
-    built: &[FunctionPsPdg],
-    profile: &Profile,
-    abstraction: Abstraction,
-    threshold: f64,
-    rec: Option<&pspdg_obs::Recorder>,
-) -> ProgramPlan {
     // Spawned strands need the spawn's node (HN) and its orderless trait.
     let built_features = built
         .first()
@@ -200,7 +187,6 @@ pub fn plan_built_recorded(
         parallel_spawns,
     };
     let parts: Vec<FunctionPlanParts> = pspdg_pool::par_map(built.iter().collect(), |prepared| {
-        let _s = rec.map(|r| r.span("plan/enumerate"));
         plan_function(program, prepared, profile, abstraction, threshold)
     });
     for part in parts {

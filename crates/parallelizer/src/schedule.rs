@@ -20,8 +20,9 @@
 //! reads too. A loop failing one of the runtime's capability checks
 //! degrades to sequential with the reason. The structural analyses it
 //! reads come from the module build the plan was enumerated from
-//! ([`realize_executable_recorded`]); [`realize_executable`], which takes
-//! only the program and the plan, computes them for the plan's functions.
+//! ([`realize_built`], mirroring [`crate::plan_built`]);
+//! [`realize_executable`], which takes only the program and the plan,
+//! computes them for the plan's functions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -244,31 +245,26 @@ pub fn realize_executable(program: &ParallelProgram, plan: &ProgramPlan) -> Exec
         .into_iter()
         .map(|f| (f, FunctionAnalyses::compute(&program.module, f)))
         .collect();
-    lower_plan(program, plan, |f| &analyses[&f], None)
+    lower_plan(program, plan, |f| &analyses[&f])
 }
 
 /// [`realize_executable`] over the analyses in `built` (the module build
-/// the plan was enumerated from), so lowering computes none, with
-/// optional pipeline tracing: one `plan/schedule` span covers the whole
-/// lowering pass, and each loop's lowering gets a `plan/schedule_loop`
-/// span tagged with its function and the execution strategy it lowered
-/// to.
+/// the plan was enumerated from), so lowering computes none.
 ///
 /// # Panics
 ///
 /// If `plan` names a function `built` has no entry for.
-pub fn realize_executable_recorded(
+pub fn realize_built(
     program: &ParallelProgram,
     built: &[FunctionPsPdg],
     plan: &ProgramPlan,
-    rec: Option<&pspdg_obs::Recorder>,
 ) -> ExecutablePlan {
     // `build_pspdg_module` yields functions in module order.
     let analyses_of = |f| match built.binary_search_by_key(&f, |b| b.func) {
         Ok(k) => &built[k].analyses,
         Err(_) => panic!("the plan names {f}, which the module build skipped"),
     };
-    lower_plan(program, plan, analyses_of, rec)
+    lower_plan(program, plan, analyses_of)
 }
 
 /// The one lowering pass: every loop of `plan`, grouped per function,
@@ -277,9 +273,7 @@ fn lower_plan<'a>(
     program: &ParallelProgram,
     plan: &ProgramPlan,
     analyses_of: impl Fn(FuncId) -> &'a FunctionAnalyses,
-    rec: Option<&pspdg_obs::Recorder>,
 ) -> ExecutablePlan {
-    let _all = rec.map(|r| r.span("plan/schedule"));
     let mut schedules = Vec::with_capacity(plan.loops.len());
     let mut by_func: BTreeMap<FuncId, Vec<&LoopPlanSpec>> = BTreeMap::new();
     for spec in plan.loops.values() {
@@ -287,10 +281,7 @@ fn lower_plan<'a>(
     }
     for (func, specs) in by_func {
         let cx = FuncRealizer::new(program, plan, func, analyses_of(func));
-        for spec in specs {
-            let _s = rec.map(|r| r.span("plan/schedule_loop"));
-            schedules.push(cx.lower(spec));
-        }
+        schedules.extend(specs.into_iter().map(|spec| cx.lower(spec)));
     }
     ExecutablePlan::new(schedules)
 }

@@ -24,9 +24,9 @@
 //! dependence view every abstraction plans from: the plain PDG is
 //! [`EffectiveView::identity`], J&K narrows the worksharing loops' carried
 //! edges, the PS-PDG applies its directive passes. Nothing owns a second
-//! graph; `materialize` (behind the `oracle` feature, next to
-//! `Pdg::build_naive`) exists only as the reference the overlay tests
-//! compare every query against.
+//! graph; `materialize` (like `Pdg::build_naive`, never on the pipeline's
+//! path) exists only as the reference the overlay tests compare every
+//! query against.
 //!
 //! ## Invariants
 //!
@@ -168,9 +168,9 @@ impl EffectiveView {
     }
 
     /// The effective graph as an owned [`Pdg`]: an O(E) clone plus a CSR
-    /// rebuild, kept only as the oracle the overlay tests hold every view
-    /// query against.
-    #[cfg(any(test, feature = "oracle"))]
+    /// rebuild, kept only as the reference the overlay tests
+    /// (`crates/core/tests/effective_overlay.rs`) hold every view query
+    /// against.
     pub fn materialize(&self) -> Pdg {
         let edges: Vec<PdgEdge> = self.edges().cloned().collect();
         Pdg::from_edges(self.base.func, self.base.len(), edges)

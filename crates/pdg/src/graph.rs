@@ -4,9 +4,9 @@
 //! all-pairs O(R²) sweep over memory references is replaced by pair
 //! enumeration within [`MemBase`] buckets, plus the two cross-bucket
 //! families the alias lattice allows (`Unknown` against every non-I/O
-//! bucket, and pointer parameters against globals). The naive sweep is kept
-//! as an oracle behind `cfg(any(test, feature = "oracle"))` and property
-//! tests assert both builders emit identical edge sets.
+//! bucket, and pointer parameters against globals). The naive sweep,
+//! [`Pdg::build_naive`], is kept as the reference: property tests and
+//! `tests/pdg_pin.rs` assert both builders emit identical edge sets.
 //!
 //! Edges are stored once in a flat arena and served through an
 //! `EdgeIndex`: CSR-style per-source adjacency (the SCC walk's direction;
@@ -312,10 +312,10 @@ impl Pdg {
 
     /// Build the PDG of `func` with the naive all-pairs dependence sweep.
     ///
-    /// This is the oracle the bucketed builder is property-tested against
-    /// (and benchmarked against in `BENCH_pdg.json`); both must produce the
-    /// same edge *set* (order may differ).
-    #[cfg(any(test, feature = "oracle"))]
+    /// This is the reference the bucketed builder is tested against (its
+    /// property tests, and every function of a 1,200-function module in
+    /// `tests/pdg_pin.rs`); both must produce the same edge *set* (order
+    /// may differ). Nothing on the pipeline's path calls it.
     pub fn build_naive(module: &Module, func: FuncId, analyses: &FunctionAnalyses) -> Pdg {
         let f = module.function(func);
         let mut edges = non_memory_edges(module, func, analyses);
@@ -333,7 +333,7 @@ impl Pdg {
         Pdg::from_edges(func, f.insts.len(), edges)
     }
 
-    /// Index an edge list (the two builders; the `oracle`-gated
+    /// Index an edge list (the two builders;
     /// [`crate::EffectiveView::materialize`]).
     /// The arena is trimmed to its length: it is kept as long as the graph.
     pub(crate) fn from_edges(func: FuncId, n_insts: usize, mut edges: Vec<PdgEdge>) -> Pdg {

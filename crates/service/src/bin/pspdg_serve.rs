@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pspdg_serve [--addr HOST:PORT] [--handlers N] [--exec-workers N]
-//!             [--queue N] [--budget-mb N] [--no-record]
+//!             [--budget-mb N] [--no-record]
 //! ```
 //!
 //! Binds localhost (ephemeral port by default), prints one
@@ -14,7 +14,7 @@ use pspdg_service::{PlanService, ServiceConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: pspdg_serve [--addr HOST:PORT] [--handlers N] [--exec-workers N] \
-         [--queue N] [--budget-mb N] [--no-record]"
+         [--budget-mb N] [--no-record]"
     );
     std::process::exit(2);
 }
@@ -37,10 +37,6 @@ fn main() {
             },
             "--exec-workers" => match value("--exec-workers").parse() {
                 Ok(n) if n >= 1 => config.exec_workers = n,
-                _ => usage(),
-            },
-            "--queue" => match value("--queue").parse() {
-                Ok(n) if n >= 1 => config.queue_capacity = n,
                 _ => usage(),
             },
             "--budget-mb" => match value("--budget-mb").parse::<usize>() {

@@ -70,6 +70,10 @@ use crate::store::{PlanStore, DEFAULT_BUDGET_BYTES};
 /// reads by the same constant.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
+/// Bounded request-queue capacity: a reader blocks once this many parsed
+/// requests wait for a handler (backpressure depth).
+const QUEUE_CAPACITY: usize = 64;
+
 /// Recorder counters behind the `metrics` op's `queue_depth_mean`: each
 /// enqueued request adds the queue's length to the sum and one sample.
 const QUEUE_DEPTH_SUM: &str = "service/queue_depth_sum";
@@ -85,8 +89,6 @@ pub struct ServiceConfig {
     /// build's per-function work out over the process-global analysis pool
     /// ([`pspdg_pool::par_map`]).
     pub handlers: usize,
-    /// Bounded request-queue capacity (backpressure depth).
-    pub queue_capacity: usize,
     /// Default chunks per chunked activation for `execute`/`report`
     /// requests that do not pick their own: the handler thread runs some
     /// of them, the global pool's free threads the rest.
@@ -105,7 +107,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
             handlers: 4,
-            queue_capacity: 64,
             exec_workers: 4,
             budget_bytes: DEFAULT_BUDGET_BYTES,
             record: true,
@@ -187,7 +188,7 @@ impl PlanService {
             store,
             rec,
             exec_workers: config.exec_workers.max(1),
-            queue: Channel::bounded(config.queue_capacity),
+            queue: Channel::bounded(QUEUE_CAPACITY),
             stopping: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),

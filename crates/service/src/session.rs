@@ -22,7 +22,7 @@ use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use pspdg_core::{build_pspdg_module_recorded, FeatureSet, FunctionPsPdg, NodeKind};
+use pspdg_core::{build_pspdg_module, FeatureSet, FunctionPsPdg, NodeKind};
 use pspdg_emulator::emulate;
 use pspdg_frontend::{compile, FrontendError};
 use pspdg_ir::interp::{ExecError, Interpreter, NullSink, Profile, RtVal};
@@ -30,8 +30,7 @@ use pspdg_ir::BlockId;
 use pspdg_obs::Recorder;
 use pspdg_parallel::{ParallelError, ParallelProgram};
 use pspdg_parallelizer::{
-    plan_built_recorded, realize_executable_recorded, Abstraction, ExecutablePlan, LoopPlanSpec,
-    ProgramPlan,
+    plan_built, realize_built, Abstraction, ExecutablePlan, LoopPlanSpec, ProgramPlan,
 };
 use pspdg_pdg::PdgEdge;
 use pspdg_runtime::{globals_mismatch, observable_globals, rtval_identical, RunStats, Runtime};
@@ -209,10 +208,11 @@ impl Session {
 
     /// The session of an already-validated `program` whose caller holds
     /// `key == content_key(&program)` (the store's slot shares the `Arc`).
-    /// With `rec`, the build records `pspdg/pdg_build` and
-    /// `pspdg/overlay_assemble` spans, planning `plan/enumerate` spans and
-    /// each execution its fallback causes; a reused session records no
-    /// build span, which is what the cache tests check.
+    /// With `rec`, each pipeline phase records one span on the calling
+    /// thread, so a span's total is the phase's wall time: the module
+    /// build `pspdg/pdg_build`, each plan miss `plan/enumerate` and
+    /// `plan/schedule`; each execution adds its fallback causes. A reused
+    /// session records no build span, which is what the cache tests check.
     pub(crate) fn with_key(
         program: Arc<ParallelProgram>,
         key: u64,
@@ -234,7 +234,10 @@ impl Session {
         };
         let profile = interp.profile().clone();
         drop(interp);
-        let built = build_pspdg_module_recorded(&program, FeatureSet::all(), rec.as_deref());
+        let built = {
+            let _s = rec.as_ref().map(|r| r.span("pspdg/pdg_build"));
+            build_pspdg_module(&program, FeatureSet::all())
+        };
         Ok(Session {
             program,
             key,
@@ -285,16 +288,21 @@ impl Session {
     /// loops and the CFGs — never the PDG build nor the structural
     /// analyses.
     fn enumerate(&self, abstraction: Abstraction) -> PlanBundle {
-        let rec = self.rec.as_deref();
-        let plan = plan_built_recorded(
-            &self.program,
-            &self.built,
-            &self.profile,
-            abstraction,
-            DEFAULT_THRESHOLD,
-            rec,
-        );
-        let exec = realize_executable_recorded(&self.program, &self.built, &plan, rec);
+        let span = |name| self.rec.as_ref().map(|r| r.span(name));
+        let plan = {
+            let _s = span("plan/enumerate");
+            plan_built(
+                &self.program,
+                &self.built,
+                &self.profile,
+                abstraction,
+                DEFAULT_THRESHOLD,
+            )
+        };
+        let exec = {
+            let _s = span("plan/schedule");
+            realize_built(&self.program, &self.built, &plan)
+        };
         PlanBundle {
             abstraction,
             plan,

@@ -8,7 +8,8 @@
 //! same unseen program concurrently, exactly one builds the session while
 //! the rest block on a condvar and then share the result, so the store
 //! never builds the same module twice (the concurrent-hammer test pins
-//! this through the recorder's `pspdg/pdg_build` span counts).
+//! this through the recorder's `pspdg/pdg_build` span count: one span
+//! per session build, however many functions the module has).
 //!
 //! A second map remembers the exact source text behind each ready
 //! session, so a byte-identical repeat of [`PlanStore::get_source`] skips
@@ -160,9 +161,11 @@ impl PlanStore {
     }
 
     /// Attach a recorder: every session built through the store records
-    /// its pipeline spans (`pspdg/pdg_build`, `plan/enumerate`, …) —
-    /// which is how tests prove a warm request rebuilds nothing. The
-    /// cache's own traffic is counted in [`PlanStore::stats`] only.
+    /// one span per pipeline phase it runs (`pspdg/pdg_build` per build,
+    /// `plan/enumerate` and `plan/schedule` per plan miss), timed on the
+    /// calling thread — which is how tests prove a warm request rebuilds
+    /// nothing. The cache's own traffic is counted in
+    /// [`PlanStore::stats`] only.
     pub fn with_recorder(mut self, rec: Arc<Recorder>) -> PlanStore {
         self.rec = Some(rec);
         self
@@ -185,15 +188,6 @@ impl PlanStore {
             bytes,
             entries,
         }
-    }
-
-    /// Whether a ready session has content key `key` (touches no recency).
-    pub fn contains(&self, key: u64) -> bool {
-        let inner = self.inner.lock().expect("store lock");
-        inner
-            .entries
-            .iter()
-            .any(|(k, slot)| k.key == key && matches!(slot, Slot::Ready { .. }))
     }
 
     /// The cached (or freshly built) session for ParC `source`. A source

@@ -1,10 +1,13 @@
 //! PlanStore behavior: content-hash keying, the source memo and its
-//! eviction, LRU eviction under a byte budget, and single-flight builds
-//! under a concurrent hammer.
+//! eviction, LRU eviction under a byte budget, single-flight builds
+//! under a concurrent hammer, and the pipeline spans a recorded store
+//! takes. Whether an entry is cached is read from the stats delta of a
+//! follow-up lookup ([`cached`]).
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use pspdg_nas::synth;
 use pspdg_obs::Recorder;
 use pspdg_parallelizer::Abstraction;
 use pspdg_service::{content_key, PlanStore, Session};
@@ -70,8 +73,8 @@ fn formatting_only_change_hits_semantic_change_misses() {
     let a = store.get_source(DENSE).unwrap();
     assert_eq!(store.stats().misses, 1);
     // A miss hashes once: the session carries the key the store filed it
-    // under, and that key is the program's content key.
-    assert!(store.contains(a.key()));
+    // under (checked by the lookup at the end), and that key is the
+    // program's content key.
     assert_eq!(
         a.key(),
         content_key(&pspdg_frontend::compile(DENSE).unwrap())
@@ -91,6 +94,12 @@ fn formatting_only_change_hits_semantic_change_misses() {
     assert_eq!(store.stats().builds, 2);
     assert_ne!(a.key(), c.key());
     assert_eq!(a.key(), b.key());
+
+    // The entry is filed under the program's content key: a lookup by the
+    // compiled program, which skips the source memo, hits it.
+    let program = pspdg_frontend::compile(DENSE).unwrap();
+    assert!(Arc::ptr_eq(&store.get_or_build(program).unwrap(), &a));
+    assert_eq!(store.stats().builds, 2);
 }
 
 #[test]
@@ -109,9 +118,9 @@ fn lru_evicts_oldest_under_byte_budget() {
     let budget = probe.approx_bytes() * 5 / 2;
     let store = PlanStore::with_budget(budget);
 
-    let keys: Vec<u64> = (0..4)
-        .map(|n| store.get_source(&variant(n)).unwrap().key())
-        .collect();
+    for n in 0..4 {
+        store.get_source(&variant(n)).unwrap();
+    }
     let stats = store.stats();
     assert!(
         stats.evictions >= 1,
@@ -119,19 +128,24 @@ fn lru_evicts_oldest_under_byte_budget() {
     );
     assert!(stats.bytes <= budget, "charged bytes exceed the budget");
     assert!(
-        store.contains(keys[3]),
+        cached(&store, &variant(3)),
         "the just-inserted entry must survive eviction"
     );
+    // A miss: variant 0 comes back as the newest entry.
     assert!(
-        !store.contains(keys[0]),
+        !cached(&store, &variant(0)),
         "the least-recently-used entry goes first"
     );
 
-    // Touching an entry protects it: re-request key 2, insert a new one,
-    // and the victim must be key 3 (now the oldest), not key 2.
-    store.get_source(&variant(2)).unwrap();
+    // Touching an entry protects it: re-request variant 3, insert a new
+    // one, and the victim must be variant 0 (now the oldest), not 3.
+    store.get_source(&variant(3)).unwrap();
     store.get_source(&variant(4)).unwrap();
-    assert!(store.contains(keys[2]), "recently-touched entry evicted");
+    assert!(
+        cached(&store, &variant(3)),
+        "recently-touched entry evicted"
+    );
+    assert!(!cached(&store, &variant(0)), "the oldest entry survived");
 }
 
 #[test]
@@ -163,8 +177,8 @@ fn hammer_same_program_builds_once_and_answers_identically() {
         assert!(Arc::ptr_eq(&sessions[0], s));
     }
 
-    // The recorder saw the PDG build exactly once per function — a
-    // second build anywhere would double these counts.
+    // The recorder saw the PDG build exactly once — a second build
+    // anywhere would double this count.
     let pdg_builds = span_count(&rec, "pspdg/pdg_build");
     assert!(pdg_builds > 0, "the one build must record pdg_build spans");
 
@@ -243,7 +257,8 @@ fn eviction_drops_the_sessions_remembered_sources() {
     let store = PlanStore::with_budget(budget);
     let first = store.get_source(&variant(0)).unwrap();
     store.get_source(&variant(1)).unwrap();
-    assert!(!store.contains(first.key()), "variant 0 must be evicted");
+    // Variant 1 is the entry being returned, so the one eviction is 0.
+    assert_eq!(store.stats().evictions, 1, "variant 0 must be evicted");
 
     let again = store.get_source(&variant(0)).unwrap();
     assert!(!Arc::ptr_eq(&first, &again), "an evicted session came back");
@@ -259,9 +274,12 @@ fn an_evicted_session_is_freed_by_the_reaper_the_store_joins() {
     let budget = Session::compile(&variant(1)).unwrap().approx_bytes() * 3 / 2;
     let store = PlanStore::with_budget(budget);
     let first = Arc::downgrade(&store.get_source(&variant(0)).unwrap());
-    let second = store.get_source(&variant(1)).unwrap();
+    store.get_source(&variant(1)).unwrap();
     assert_eq!(store.stats().evictions, 1);
-    assert!(store.contains(second.key()));
+    assert!(
+        cached(&store, &variant(1)),
+        "the returned entry was evicted"
+    );
     // The reaper may or may not have freed it yet; once the store is
     // dropped it has, because dropping joins the reaper.
     drop(store);
@@ -311,6 +329,32 @@ fn byte_identical_requests_build_once_then_hit_the_source_memo() {
     let after = store.stats();
     assert_eq!((after.hits, after.builds), (stats.hits + 1, 1));
     assert_eq!(after.bytes, stats.bytes);
+}
+
+/// The session spans take the pipeline's phases on the calling thread: a
+/// cold build of a many-function module is one `pspdg/pdg_build` span,
+/// and each plan miss one `plan/enumerate` and one `plan/schedule` span,
+/// however many pool jobs the phase fans out to.
+#[test]
+fn a_recorded_store_spans_each_phase_once() {
+    let rec = Arc::new(Recorder::new());
+    let store = PlanStore::new().with_recorder(Arc::clone(&rec));
+    let session = store.get_source(&synth::module(8, 8).source).unwrap();
+    assert!(session.built().len() > 8, "a many-function module");
+    session.plan(Abstraction::PsPdg);
+    session.plan(Abstraction::Jk);
+    let counts =
+        ["pspdg/pdg_build", "plan/enumerate", "plan/schedule"].map(|name| span_count(&rec, name));
+    assert_eq!(counts, [1, 2, 2]);
+}
+
+/// Whether `source` is cached, read from the stats delta of a follow-up
+/// lookup: a hit builds nothing (and touches the entry's recency); a
+/// miss builds the session and inserts it.
+fn cached(store: &PlanStore, source: &str) -> bool {
+    let builds = store.stats().builds;
+    store.get_source(source).unwrap();
+    store.stats().builds == builds
 }
 
 fn span_count(rec: &Recorder, name: &str) -> u64 {

@@ -9,8 +9,13 @@
 //! of edges carried at some loop, and an FNV-1a digest over the sorted
 //! `(function, src, dst, kind, intra, sorted carried loops, base)` of
 //! every edge.
+//!
+//! It also holds two invariants at module scale: the bucketed builder's
+//! edge set equals the naive all-pairs sweep's on every function of a
+//! 1,200-function program, and a directive-free program's PS-PDG overlay
+//! rewrites no edge.
 
-use pspdg::core::{build_pspdg, FeatureSet};
+use pspdg::core::{build_pspdg, build_pspdg_module, FeatureSet};
 use pspdg::frontend::compile;
 use pspdg::ir::{LoopId, Module};
 use pspdg::nas::{fault_suite, synth, Benchmark, Class};
@@ -28,17 +33,13 @@ impl Fnv {
     }
 }
 
-/// `(edges, carried edges, digest)` of every bodied function's PDG.
-fn pin(module: &Module) -> (usize, usize, u64) {
-    let mut rows: Vec<Vec<u64>> = Vec::new();
-    let mut carried_edges = 0;
-    for func in module.function_ids() {
-        if module.function(func).blocks.is_empty() {
-            continue;
-        }
-        let analyses = FunctionAnalyses::compute(module, func);
-        let pdg = Pdg::build(module, func, &analyses);
-        for e in pdg.edges.iter() {
+/// One row per edge of `pdg`: `(function, src, dst, kind, intra, carried
+/// loop count, sorted carried loops, base)`, independent of how the
+/// carried set is stored.
+fn edge_rows(pdg: &Pdg) -> Vec<Vec<u64>> {
+    pdg.edges
+        .iter()
+        .map(|e| {
             let (tag, intra) = match &e.kind {
                 DepKind::Control => (0, false),
                 DepKind::Register => (1, false),
@@ -56,9 +57,8 @@ fn pin(module: &Module) -> (usize, usize, u64) {
             };
             let mut carried: Vec<u64> = e.kind.carried().iter().map(|l| l.index() as u64).collect();
             carried.sort_unstable();
-            carried_edges += usize::from(!carried.is_empty());
             let mut row = vec![
-                func.index() as u64,
+                pdg.func.index() as u64,
                 e.src.index() as u64,
                 e.dst.index() as u64,
                 tag,
@@ -67,9 +67,23 @@ fn pin(module: &Module) -> (usize, usize, u64) {
             ];
             row.extend(carried);
             row.extend([base_tag, base_id as u64]);
-            rows.push(row);
+            row
+        })
+        .collect()
+}
+
+/// `(edges, carried edges, digest)` of every bodied function's PDG.
+fn pin(module: &Module) -> (usize, usize, u64) {
+    let mut rows: Vec<Vec<u64>> = Vec::new();
+    for func in module.function_ids() {
+        if module.function(func).blocks.is_empty() {
+            continue;
         }
+        let analyses = FunctionAnalyses::compute(module, func);
+        rows.extend(edge_rows(&Pdg::build(module, func, &analyses)));
     }
+    // A row's sixth word is its carried-loop count.
+    let carried_edges = rows.iter().filter(|r| r[5] > 0).count();
     rows.sort_unstable();
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for w in rows.iter().flatten() {
@@ -113,6 +127,42 @@ fn pdg_edge_sets_are_pinned() {
             .zip(PINNED)
             .all(|((n, e, c, d), p)| (n.as_str(), *e, *c, *d) == p);
     assert!(matches, "a PDG changed; pins now:\n{}", rendered.join("\n"));
+}
+
+/// The bucketed builder emits the naive all-pairs sweep's edge set on
+/// every function of a module-scale program (1,200 functions and `main`).
+#[test]
+fn module_scale_edge_sets_equal_the_naive_sweep() {
+    let p = synth::module(1200, 32).program();
+    let mut funcs = 0;
+    for func in p.module.function_ids() {
+        if p.module.function(func).blocks.is_empty() {
+            continue;
+        }
+        let analyses = FunctionAnalyses::compute(&p.module, func);
+        let mut bucketed = edge_rows(&Pdg::build(&p.module, func, &analyses));
+        let mut naive = edge_rows(&Pdg::build_naive(&p.module, func, &analyses));
+        bucketed.sort_unstable();
+        naive.sort_unstable();
+        assert_eq!(bucketed, naive, "{}", p.module.function(func).name);
+        funcs += 1;
+    }
+    assert_eq!(funcs, 1201);
+}
+
+/// A program with no directive has nothing for the PS-PDG to rewrite: the
+/// module build's overlays hold zero per-edge copies of the base PDG.
+#[test]
+fn directive_free_wide_programs_assemble_with_no_overlay_rewrites() {
+    for bases in [48, 96, 192] {
+        let p = synth::wide(bases).program();
+        let built = build_pspdg_module(&p, FeatureSet::all());
+        let rewrites: usize = built
+            .iter()
+            .map(|b| b.pspdg.effective.rewrite_count())
+            .sum();
+        assert_eq!(rewrites, 0, "wide{bases}");
+    }
 }
 
 /// No bundled program carries a dependence at more than three loops, the
