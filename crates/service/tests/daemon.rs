@@ -6,7 +6,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use pspdg_ir::interp::MAX_CALL_DEPTH;
+use pspdg_ir::interp::{Interpreter, NullSink, RtVal, MAX_CALL_DEPTH};
 use pspdg_nas::synth;
 use pspdg_obs::json::{parse, Value};
 use pspdg_parallelizer::Abstraction;
@@ -196,6 +196,46 @@ fn metrics_counters_name_the_fallback_cause() {
     let metrics = client.metrics().unwrap();
     let counters = metrics.get("counters").unwrap();
     assert_eq!(num(counters, "speculation_fault"), 1.0, "{counters:?}");
+    service.shutdown();
+}
+
+/// A declared `max`/`min` reduction executes as the sequential oracle
+/// does under a plan from a graph that has no parallel semantic variables
+/// (J&K's `{C}`) as under the PS-PDG's: one chunk's partial extremum must
+/// never win by last-writer commit.
+#[test]
+fn declared_extremum_reductions_answer_the_oracle() {
+    const EXTREMA: &str = r#"
+        int v[4096]; int m; int n;
+        int main() {
+            int i;
+            for (i = 0; i < 4096; i++) { v[i] = i % 4000; }
+            v[5] = 100000;
+            v[4090] = -3;
+            #pragma omp parallel for reduction(max: m)
+            for (i = 0; i < 4096; i++) { m = imax(m, v[i]); }
+            #pragma omp parallel for reduction(min: n)
+            for (i = 0; i < 4096; i++) { n = imin(n, v[i]); }
+            print_i64(n);
+            return m;
+        }
+    "#;
+    let p = pspdg_frontend::compile(EXTREMA).unwrap();
+    let mut oracle = Interpreter::new(&p.module);
+    let Some(RtVal::Int(ret)) = oracle.run_main(&mut NullSink).unwrap() else {
+        panic!("main returns an int");
+    };
+    assert_eq!((ret, oracle.output()), (100000, &["-3".to_string()][..]));
+    let service = start();
+    let mut client = Client::connect(service.addr()).unwrap();
+    for a in [Abstraction::Jk, Abstraction::PsPdg] {
+        let exec = client.execute(EXTREMA, a, Some(2)).unwrap();
+        assert_eq!(num(&exec, "ret"), ret as f64, "{a}");
+        let output = exec.get("output").and_then(Value::as_array).unwrap();
+        let output: Vec<&str> = output.iter().filter_map(Value::as_str).collect();
+        assert_eq!(output, oracle.output(), "{a}");
+        assert_eq!(exec.get("matches_baseline"), Some(&Value::Bool(true)), "{a}");
+    }
     service.shutdown();
 }
 
