@@ -20,6 +20,9 @@
 //! * developer worksharing loops are nested in as DOALL when the graph has
 //!   contexts (C), the feature that knows them;
 //! * hot loops are assessed on the graph's dependence view;
+//! * a discharged base merges as a `Reduction` only where the graph's
+//!   parallel semantic variables (PSV) declare one, so a graph without
+//!   them merges only what accumulators show;
 //! * a graph without HN+UE serializes every `critical`/`atomic` region as
 //!   written, one with them only the regions an undirected edge joins, and
 //!   the base PDG knows no locks;
@@ -219,8 +222,17 @@ fn plan_function(
     } = prepared;
     let func = *func;
     let f = program.module.function(func);
+
+    // The programmer's own plan follows the annotations as written; every
+    // other decision reads the abstraction's graph (`None`: the base PDG).
+    // The module build only picks that graph.
+    let openmp = abstraction == Abstraction::OpenMp;
+    let graph = abstraction.graph(pspdg.features);
+    let has = |feature| graph.is_some_and(|fs| fs.has(feature));
+    let view = OnceCell::new();
+    let view = || view.get_or_init(|| AbstractionView::select(graph, program, prepared));
     let planned = |deps: &LoopDeps<'_>, technique, end_barrier| {
-        let (loop_id, discharged) = (deps.loop_id, discharges(f, pspdg, deps));
+        let (loop_id, discharged) = (deps.loop_id, discharges(f, view().pspdg(), deps));
         let spec = LoopPlanSpec {
             func,
             loop_id,
@@ -230,14 +242,6 @@ fn plan_function(
         };
         ((func, loop_id), spec)
     };
-
-    // The programmer's own plan follows the annotations as written; every
-    // other decision reads the abstraction's graph (`None`: the base PDG).
-    let openmp = abstraction == Abstraction::OpenMp;
-    let graph = abstraction.graph(pspdg.features);
-    let has = |feature| graph.is_some_and(|fs| fs.has(feature));
-    let view = OnceCell::new();
-    let view = || view.get_or_init(|| AbstractionView::select(graph, program, prepared));
 
     // --- developer-expressed loops: the OpenMP plan, and nested into every
     //     plan whose graph knows the worksharing loops (§6.3) --------------
@@ -261,9 +265,8 @@ fn plan_function(
                 continue;
             };
             let nowait = matches!(d.kind, DirectiveKind::For { nowait: true, .. });
-            let deps = LoopDeps::of_pspdg(pspdg, analyses, l);
             plan.loops
-                .push(planned(&deps, PlannedTechnique::Doall, !nowait));
+                .push(planned(&view().at(l), PlannedTechnique::Doall, !nowait));
         }
     }
 
@@ -351,9 +354,14 @@ fn plan_function(
 
 /// How the loop discharges its canonical IV and each base carried at it in
 /// the base PDG but no longer under the view: `Reduction` where a reducible
-/// PS-PDG variable applies, `Accumulator` where the base PDG carries a flow
-/// whose updates [`accumulator_op`] recognizes, `Private` otherwise.
-fn discharges(f: &Function, pspdg: &PsPdg, deps: &LoopDeps<'_>) -> BTreeMap<MemBase, Discharge> {
+/// variable of the view's PS-PDG applies (the base PDG has none),
+/// `Accumulator` where the base PDG carries a flow whose updates
+/// [`accumulator_op`] recognizes, `Private` otherwise.
+fn discharges(
+    f: &Function,
+    pspdg: Option<&PsPdg>,
+    deps: &LoopDeps<'_>,
+) -> BTreeMap<MemBase, Discharge> {
     let l = deps.loop_id;
     let base_pdg = deps.view.base();
     let mut out: BTreeMap<MemBase, Discharge> = base_pdg
@@ -368,12 +376,14 @@ fn discharges(f: &Function, pspdg: &PsPdg, deps: &LoopDeps<'_>) -> BTreeMap<MemB
         .canonical_of(l)
         .map(|c| MemBase::Alloca(c.iv_alloca));
     out.extend(iv.map(|iv| (iv, Discharge::Private)));
-    for (i, v) in pspdg.variables.iter().enumerate() {
-        if let VariableKind::Reducible(op) = v.kind {
-            if out.contains_key(&v.base)
-                && query::variable_applies_to_loop(pspdg, deps.analyses, i, l)
-            {
-                out.insert(v.base, Discharge::Reduction(op));
+    if let Some(ps) = pspdg {
+        for (i, v) in ps.variables.iter().enumerate() {
+            if let VariableKind::Reducible(op) = v.kind {
+                if out.contains_key(&v.base)
+                    && query::variable_applies_to_loop(ps, deps.analyses, i, l)
+                {
+                    out.insert(v.base, Discharge::Reduction(op));
+                }
             }
         }
     }

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use pspdg_core::FunctionPsPdg;
 use pspdg_ir::{BlockId, CmpOp, FuncId, Inst, InstId, Intrinsic, LoopId, Value};
 use pspdg_parallel::{DirectiveKind, ParallelProgram, ReductionOp};
-use pspdg_pdg::{FunctionAnalyses, MemBase};
+use pspdg_pdg::{base_of_varref, FunctionAnalyses, MemBase};
 
 use crate::plan::{Discharge, LoopPlanSpec, PlannedTechnique, ProgramPlan};
 
@@ -406,11 +406,24 @@ impl<'a> FuncRealizer<'a> {
         if protected.contains(&iv_base) {
             return seq("critical region protects the induction variable");
         }
+        // A reduction a directive around the loop declares, which the plan
+        // leaves to last-writer commit (its graph has no PSV to merge it
+        // by), would keep one chunk's partial value.
+        let declared: BTreeSet<MemBase> = self
+            .program
+            .directives_in(self.func)
+            .filter(|(_, d)| d.region.contains(info.header))
+            .flat_map(|(_, d)| d.reductions())
+            .filter_map(|(_, var)| base_of_varref(self.func, var))
+            .collect();
         // The plan says what merges; a base a deferred critical protects
         // is replayed at commit instead.
         let mut reductions = Vec::new();
         for (base, how) in &spec.discharged {
             match *how {
+                Discharge::Private if declared.contains(base) => {
+                    return seq("declared reduction the plan does not merge")
+                }
                 Discharge::Private => {}
                 Discharge::Reduction(_) if protected.contains(base) => {
                     return seq("reduction base inside a critical region")

@@ -942,6 +942,9 @@ fn reduction_identity(op: ReductionOp, v: RtVal) -> RtVal {
         (ReductionOp::BitOr | ReductionOp::BitXor, RtVal::Int(_)) => RtVal::Int(0),
         (ReductionOp::LogAnd, RtVal::Bool(_)) => RtVal::Bool(true),
         (ReductionOp::LogOr, RtVal::Bool(_)) => RtVal::Bool(false),
+        // ParC's `&&` and `||` yield the ints 0 and 1.
+        (ReductionOp::LogAnd, RtVal::Int(_)) => RtVal::Int(1),
+        (ReductionOp::LogOr, RtVal::Int(_)) => RtVal::Int(0),
         (_, other) => other,
     }
 }
@@ -963,6 +966,12 @@ fn reduction_merge(op: ReductionOp, master: RtVal, chunk: RtVal) -> RtVal {
         (ReductionOp::BitXor, RtVal::Int(a), RtVal::Int(b)) => RtVal::Int(a ^ b),
         (ReductionOp::LogAnd, RtVal::Bool(a), RtVal::Bool(b)) => RtVal::Bool(a && b),
         (ReductionOp::LogOr, RtVal::Bool(a), RtVal::Bool(b)) => RtVal::Bool(a || b),
+        (ReductionOp::LogAnd, RtVal::Int(a), RtVal::Int(b)) => {
+            RtVal::Int(i64::from(a != 0 && b != 0))
+        }
+        (ReductionOp::LogOr, RtVal::Int(a), RtVal::Int(b)) => {
+            RtVal::Int(i64::from(a != 0 || b != 0))
+        }
         // A master cell the loop never initialized: take the chunk value.
         (_, RtVal::Undef, b) => b,
         // A type mismatch cannot arise from verified programs; prefer the

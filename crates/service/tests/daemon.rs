@@ -234,7 +234,11 @@ fn declared_extremum_reductions_answer_the_oracle() {
         let output = exec.get("output").and_then(Value::as_array).unwrap();
         let output: Vec<&str> = output.iter().filter_map(Value::as_str).collect();
         assert_eq!(output, oracle.output(), "{a}");
-        assert_eq!(exec.get("matches_baseline"), Some(&Value::Bool(true)), "{a}");
+        assert_eq!(
+            exec.get("matches_baseline"),
+            Some(&Value::Bool(true)),
+            "{a}"
+        );
     }
     service.shutdown();
 }

@@ -4,15 +4,16 @@
 //! adding an extension may only add knowledge: over the 32 feature sets,
 //! each inclusion edge `S ⊂ S ∪ {f}` must plan at least the loops `S`
 //! runs DOALL, lock no instruction `S` does not, and emulate a critical
-//! path no longer than `S`'s. And knowing less must never make a plan
-//! unsound: the PS-PDG plans of the bottom of the lattice and of each
-//! "PS-PDG w/o f" run on the runtime exactly as the sequential
-//! interpreter does.
+//! path no longer than `S`'s. Knowing less must never make a plan
+//! unsound: ablated and per-abstraction plans run on the runtime exactly
+//! as the sequential interpreter does. And a plan reads only its graph:
+//! the same graph plans alike whichever abstraction or build reaches it.
 
 use std::collections::BTreeSet;
 
 use pspdg::core::{build_pspdg_module, Feature, FeatureSet};
 use pspdg::emulator::emulate;
+use pspdg::frontend::compile;
 use pspdg::ir::interp::{Interpreter, NullSink};
 use pspdg::ir::{FuncId, InstId, LoopId};
 use pspdg::nas::{fault_suite, Class};
@@ -108,40 +109,156 @@ fn each_extension_only_adds_parallelism() {
     assert!(violations.is_empty(), "{}", violations.join("\n"));
 }
 
+/// One worksharing loop per operator the runtime merges. Each operator's
+/// decisive cells sit in the first chunk, so a run that keeps any later
+/// chunk's partial value by last-writer commit returns something else.
+const REDUCTIONS: &str = r#"
+    int v[1024]; int w[1024];
+    int s; int p; int lo; int hi; int ba; int bo; int bx; int la; int lr;
+    int main() {
+        int i;
+        for (i = 0; i < 1024; i++) { v[i] = i % 7; w[i] = 1; }
+        v[5] = 100000; v[6] = -3; w[3] = 3;
+        p = 1; lo = 1000; ba = -1; la = 1;
+        #pragma omp parallel for reduction(+: s)
+        for (i = 0; i < 1024; i++) { s += v[i]; }
+        #pragma omp parallel for reduction(*: p)
+        for (i = 0; i < 1024; i++) { p = p * w[i]; }
+        #pragma omp parallel for reduction(min: lo)
+        for (i = 0; i < 1024; i++) { lo = imin(lo, v[i]); }
+        #pragma omp parallel for reduction(max: hi)
+        for (i = 0; i < 1024; i++) { hi = imax(hi, v[i]); }
+        #pragma omp parallel for reduction(&: ba)
+        for (i = 0; i < 1024; i++) { ba = ba & (0 - w[i]); }
+        #pragma omp parallel for reduction(|: bo)
+        for (i = 0; i < 1024; i++) { bo = bo | (w[i] - 1); }
+        #pragma omp parallel for reduction(^: bx)
+        for (i = 0; i < 1024; i++) { bx = bx ^ w[i]; }
+        #pragma omp parallel for reduction(&&: la)
+        for (i = 0; i < 1024; i++) { la = la && w[i] == 1; }
+        #pragma omp parallel for reduction(||: lr)
+        for (i = 0; i < 1024; i++) { lr = lr || w[i] == 3; }
+        print_i64(s); print_i64(p); print_i64(lo); print_i64(ba);
+        print_i64(bo); print_i64(bx); print_i64(la); print_i64(lr);
+        return hi;
+    }
+"#;
+
+/// Knowing less must never make a plan unsound. Every plan runs on the
+/// runtime as the sequential interpreter does: the PS-PDG plans of the
+/// bottom of the lattice, of `{C}` and of each "PS-PDG w/o f", and the
+/// PDG and J&K plans of the full build.
 #[test]
 fn ablated_plans_match_the_interpreter() {
-    let mut sets = vec![FeatureSet::none()];
+    let mut sets = vec![
+        FeatureSet::none(),
+        FeatureSet::none().with(Feature::Contexts),
+    ];
     sets.extend(Feature::ALL.map(|f| FeatureSet::all().without(f)));
+    let mut programs = Vec::new();
     for class in [Class::Test, Class::Mini] {
-        for b in fault_suite(class) {
-            let p = b.program();
-            let mut interp = Interpreter::new(&p.module);
-            let seq_ret = interp.run_main(&mut NullSink).expect("sequential run");
-            let seq_globals = observable_globals(&p.module, interp.mem());
-            for &features in &sets {
-                let plan = plan(&p, &interp, features);
-                for workers in [2, 4] {
-                    let name = format!("{} {class:?} {features} W={workers}", b.name);
-                    let rt = Runtime::new(&p, &plan).workers(workers).cost_threshold(0);
-                    let out = rt.run_main().unwrap_or_else(|e| panic!("{name}: {e}"));
-                    match (seq_ret, out.ret) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert!(rtval_equivalent(a, b), "{name}: ret {a:?} vs {b:?}")
-                        }
-                        (a, b) => panic!("{name}: ret {a:?} vs {b:?}"),
+        let suite = fault_suite(class).into_iter();
+        programs.extend(suite.map(|b| (format!("{} {class:?}", b.name), b.program())));
+    }
+    programs.push((
+        "REDUCTIONS".to_string(),
+        compile(REDUCTIONS).expect("compiles"),
+    ));
+    for (program, p) in programs {
+        let mut interp = Interpreter::new(&p.module);
+        let seq_ret = interp.run_main(&mut NullSink).expect("sequential run");
+        let seq_globals = observable_globals(&p.module, interp.mem());
+        let mut plans: Vec<(String, ProgramPlan)> = sets
+            .iter()
+            .map(|&fs| (fs.to_string(), plan(&p, &interp, fs)))
+            .collect();
+        let full = build_pspdg_module(&p, FeatureSet::all());
+        for a in [Abstraction::Pdg, Abstraction::Jk] {
+            let plan = plan_built(&p, &full, interp.profile(), a, 0.01);
+            plans.push((format!("{a} of the full build"), plan));
+        }
+        for (label, plan) in &plans {
+            for workers in [2, 4] {
+                let name = format!("{program} {label} W={workers}");
+                let rt = Runtime::new(&p, plan).workers(workers).cost_threshold(0);
+                let out = rt.run_main().unwrap_or_else(|e| panic!("{name}: {e}"));
+                match (seq_ret, out.ret) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        assert!(rtval_equivalent(a, b), "{name}: ret {a:?} vs {b:?}")
                     }
-                    let lines = interp.output().iter().zip(&out.output);
-                    assert!(
-                        interp.output().len() == out.output.len()
-                            && lines.into_iter().all(|(a, b)| line_equivalent(a, b)),
-                        "{name}: output differs"
-                    );
-                    let par_globals = observable_globals(&p.module, &out.mem);
-                    let mismatch = globals_mismatch(&seq_globals, &par_globals);
-                    assert_eq!(mismatch, None, "{name}: globals differ");
+                    (a, b) => panic!("{name}: ret {a:?} vs {b:?}"),
                 }
+                let lines = interp.output().iter().zip(&out.output);
+                assert!(
+                    interp.output().len() == out.output.len()
+                        && lines.into_iter().all(|(a, b)| line_equivalent(a, b)),
+                    "{name}: output {:?} vs {:?}",
+                    interp.output(),
+                    out.output
+                );
+                let par_globals = observable_globals(&p.module, &out.mem);
+                let mismatch = globals_mismatch(&seq_globals, &par_globals);
+                assert_eq!(mismatch, None, "{name}: globals differ");
             }
         }
+    }
+}
+
+/// Everything a plan decides, apart from the abstraction that asked: its
+/// loops in `(function, loop)` order with technique, discharges and
+/// barrier, its mutex groups, and whether spawns run in their own strand.
+fn decisions(plan: &ProgramPlan) -> String {
+    let mut loops: Vec<_> = plan.loops.values().collect();
+    loops.sort_by_key(|s| (s.func, s.loop_id));
+    let loops: Vec<_> = loops
+        .iter()
+        .map(|s| {
+            (
+                s.func,
+                s.loop_id,
+                &s.technique,
+                &s.discharged,
+                s.end_barrier,
+            )
+        })
+        .collect();
+    let mutexes: Vec<_> = plan
+        .mutexes
+        .iter()
+        .map(|m| (m.func, &m.lock, &m.insts))
+        .collect();
+    format!("{loops:?}\n{mutexes:?}\nspawns {}", plan.parallel_spawns)
+}
+
+/// A plan is a function of its graph: J&K reads `{C}` however the module
+/// was built, and the PS-PDG plan of a module built with `{C}` reads the
+/// same graph, so all three decide alike.
+#[test]
+fn a_plan_is_a_function_of_its_graph() {
+    let c_only = FeatureSet::none().with(Feature::Contexts);
+    for b in fault_suite(Class::Test) {
+        let p = b.program();
+        let mut interp = Interpreter::new(&p.module);
+        interp.run_main(&mut NullSink).expect("profile run");
+        let profile = interp.profile();
+        let of = |built: FeatureSet, a| {
+            let built = build_pspdg_module(&p, built);
+            decisions(&plan_built(&p, &built, profile, a, 0.01))
+        };
+        let jk = of(FeatureSet::all(), Abstraction::Jk);
+        let without_c = FeatureSet::all().without(Feature::Contexts);
+        assert_eq!(
+            of(without_c, Abstraction::Jk),
+            jk,
+            "{}: J&K over {without_c}",
+            b.name
+        );
+        assert_eq!(
+            of(c_only, Abstraction::PsPdg),
+            jk,
+            "{}: PS-PDG over {{C}}",
+            b.name
+        );
     }
 }
