@@ -341,14 +341,14 @@ fn session_lowering_equals_fresh_lowering() {
 #[rustfmt::skip]
 const TEST_PLAN: [PlanRow; 10] = [
     [0x2504b702a63e2d01, 0xdc36adb1cba32c20, 0xffb0d38dcdd039d7, 0xfb6c87958402e8b6, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0x25377a60fd3c19e4, 0x7739b83f50b0a7af, 0x885ea03e506a9fca], // BT.test
-    [0x81c26fba9535b4a7, 0xa4cf504acbcded62, 0x4bb0c1b97e983d22, 0x66b7895e85435703, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0x28b26f4255b98a4d, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.test
-    [0x79c70f2246e71043, 0xfcfe3bb5d59d73a8, 0x1e57aea1ab9ad062, 0x4e3649b70719c1f4, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.test
+    [0x81c26fba9535b4a7, 0xa4cf504acbcded62, 0x5bbe54872218b5c4, 0x66b7895e85435703, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0x28b26f4255b98a4d, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.test
+    [0x79c70f2246e71043, 0xfcfe3bb5d59d73a8, 0x70846422b795fae6, 0x4e3649b70719c1f4, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.test
     [0x335b74f0f2fcb10e, 0xf26e1d0edc6a52df, 0x898d132c208a4e3d, 0xdd28be58f0b7cb5c, 0x25377a60fd3c19e4, 0xfc1ef4bdc7978de6, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb70068b8f180a9be, 0xdb9af77fb85fb47f], // FT.test
     [0xe4e3a32ae7fc83a6, 0xe95a3fb666d713fe, 0xd7af297a471c2e44, 0x48986f67b6322c07, 0xbdebe613ce5849af, 0xfc75bf473d8460d6, 0xa7af31e3c53c316b, 0xb761451f7195805c, 0x54717f27fece8b2b, 0x7d58b9a4983af106], // IS.test
     [0x22072dce324d4647, 0xae68703ee9ec024c, 0x84c56a4c9fb0fc09, 0x8b941ffaec9ae6c8, 0x7ff65801b879b56d, 0xc92bf62e665bb684, 0x82cb30cb3e369acc, 0x82cb30cb3e369acc, 0x7c35f2de0101314a, 0xb5593cc4dd7468bb], // LU.test
-    [0xdee1a2b15d210650, 0x30c18ef7b5a98063, 0x6b81293d85581935, 0xa02d3b12ff3f6db6, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.test
+    [0xdee1a2b15d210650, 0x30c18ef7b5a98063, 0x36db7f6af37ed7b4, 0xa02d3b12ff3f6db6, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.test
     [0x6098ae8600d3d822, 0x67ccd71ddfa2e92b, 0xe86a2a41332c6880, 0xb72c1ecb821ed241, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xe0e3b9f9d2e3097d, 0x76d263fd05bcba29], // SP.test
-    [0xafb44b0e44650108, 0x1cc719bfb2fd59eb, 0x031f6fe2948065a8, 0xd7ca8120e2347369, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.test
+    [0xafb44b0e44650108, 0x1cc719bfb2fd59eb, 0xe4903cc0df3ac00e, 0xd7ca8120e2347369, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.test
     [0x5b2a969b42d238a4, 0xeb6b9df520a8ef3c, 0xeb6b9df520a8ef3c, 0xd8126121827140dd, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.test
 ];
 #[rustfmt::skip]
@@ -367,14 +367,14 @@ const TEST_LOWERING: [LoweringRow; 10] = [
 #[rustfmt::skip]
 const MINI_PLAN: [PlanRow; 10] = [
     [0x2504b702a63e2d01, 0xdc36adb1cba32c20, 0xffb0d38dcdd039d7, 0xfb6c87958402e8b6, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0x25377a60fd3c19e4, 0x7739b83f50b0a7af, 0x885ea03e506a9fca], // BT.mini
-    [0x81c26fba9535b4a7, 0xa4cf504acbcded62, 0x4bb0c1b97e983d22, 0x66b7895e85435703, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0x28b26f4255b98a4d, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.mini
-    [0x79c70f2246e71043, 0xfcfe3bb5d59d73a8, 0x1e57aea1ab9ad062, 0x4e3649b70719c1f4, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.mini
+    [0x81c26fba9535b4a7, 0xa4cf504acbcded62, 0x5bbe54872218b5c4, 0x66b7895e85435703, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0x28b26f4255b98a4d, 0x3cec937a92235314, 0xcd5a1e14d8d3e665], // CG.mini
+    [0x79c70f2246e71043, 0xfcfe3bb5d59d73a8, 0x70846422b795fae6, 0x4e3649b70719c1f4, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x5af27528de34cbe4, 0xd6e64039803ccae7], // EP.mini
     [0x335b74f0f2fcb10e, 0x2e90a56d2fb71bfa, 0xbc008bc0b7cd0878, 0x7a64b77fbf02b799, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0x25377a60fd3c19e4, 0x50c29f409e9f55fb, 0xdb9af77fb85fb47f], // FT.mini
     [0xe4e3a32ae7fc83a6, 0x97ecb1253ad2650e, 0x01998cf8cd4c91f4, 0x17160deecb3c8f37, 0xbdebe613ce5849af, 0xfc75bf473d8460d6, 0xa7af31e3c53c316b, 0xb761451f7195805c, 0xc5c0025e59ec6b24, 0x7d58b9a4983af106], // IS.mini
     [0x22072dce324d4647, 0xae68703ee9ec024c, 0x84c56a4c9fb0fc09, 0x8b941ffaec9ae6c8, 0x7ff65801b879b56d, 0xc92bf62e665bb684, 0x82cb30cb3e369acc, 0x82cb30cb3e369acc, 0x7c35f2de0101314a, 0xb5593cc4dd7468bb], // LU.mini
-    [0xdee1a2b15d210650, 0x30c18ef7b5a98063, 0x6b81293d85581935, 0xa02d3b12ff3f6db6, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.mini
+    [0xdee1a2b15d210650, 0x30c18ef7b5a98063, 0x36db7f6af37ed7b4, 0xa02d3b12ff3f6db6, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x99d11b15ada892c7, 0x47269a855820678a], // MG.mini
     [0x6098ae8600d3d822, 0x67ccd71ddfa2e92b, 0xe86a2a41332c6880, 0xb72c1ecb821ed241, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xe0e3b9f9d2e3097d, 0x76d263fd05bcba29], // SP.mini
-    [0xafb44b0e44650108, 0x1cc719bfb2fd59eb, 0x031f6fe2948065a8, 0xd7ca8120e2347369, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.mini
+    [0xafb44b0e44650108, 0x1cc719bfb2fd59eb, 0xe4903cc0df3ac00e, 0xd7ca8120e2347369, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0x4f9cb8df159ed945, 0xb98657e377462415, 0x4320dbbd7e301ac6], // GMAX.mini
     [0x5b2a969b42d238a4, 0xeb6b9df520a8ef3c, 0xeb6b9df520a8ef3c, 0xd8126121827140dd, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.mini
 ];
 #[rustfmt::skip]
@@ -392,24 +392,24 @@ const MINI_LOWERING: [LoweringRow; 10] = [
 ];
 #[rustfmt::skip]
 const CTX_PLAN: [PlanRow; 10] = [
-    [0x295edab5b2fc6047, 0xdc36adb1cba32c20, 0x1d2b54e587d7f691, 0x2bcf30e643eea541, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0xfd54f40db6e2dac0, 0x38537d184a305a22], // BT.test-ctx
-    [0x9d04ba24a1497424, 0xa4cf504acbcded62, 0x1bb845fe25146c61, 0x89025ee546f53363, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0xa84a131385b04f01, 0x97df3a751bedeec1, 0x5f923914f0ac261f], // CG.test-ctx
-    [0x2e0f98ab4403a66e, 0xfcfe3bb5d59d73a8, 0x6ad33477f86c5d4f, 0xcf57ee8ba2b93287, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0x967931ea25c81a50, 0xcff8f8a8c77d1549], // EP.test-ctx
-    [0x295edab5b2fc6047, 0xf26e1d0edc6a52df, 0x113d09d72d0a92f4, 0xb3603955eba3e07e, 0x25377a60fd3c19e4, 0xfc1ef4bdc7978de6, 0x4f9cb8df159ed945, 0xfc1ef4bdc7978de6, 0x045d54c28c39cace, 0x16d043a47e8b6909], // FT.test-ctx
-    [0xad90ce0f15d76a86, 0xe95a3fb666d713fe, 0x9bd4e92b7dcbe924, 0xa675c21a0bfeee5f, 0xbdebe613ce5849af, 0xfc75bf473d8460d6, 0xa7af31e3c53c316b, 0xfc75bf473d8460d6, 0x94801a9648de970b, 0x76d1b38079ac8c3b], // IS.test-ctx
-    [0x2f294bc515598565, 0xae68703ee9ec024c, 0x5cf04147bf92deab, 0x3bc5c4020e0f5e4d, 0x7ff65801b879b56d, 0xc92bf62e665bb684, 0x82cb30cb3e369acc, 0xc92bf62e665bb684, 0x2d82f8ffc69e735b, 0xab37f95eda20f54b], // LU.test-ctx
-    [0x26004574b81ed110, 0x30c18ef7b5a98063, 0x4e83d3f6396e0775, 0x02004995dbfee834, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x7a2970771924b11e, 0xe42985266a57eeef], // MG.test-ctx
-    [0xb12a8bc45c2d9565, 0x67ccd71ddfa2e92b, 0xe4c0381d2b6768e7, 0xf7a1447abf72e3ca, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0x37d2cf5b142c3048, 0x7764fadcefd54969], // SP.test-ctx
-    [0x3592338b565243ce, 0x1cc719bfb2fd59eb, 0x51b22b6418cb3f6e, 0xbfdb11d4a03c31d2, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0xf21de33f05988de7, 0x52c5fa86151e7c10, 0xa32983e7e59230c1], // GMAX.test-ctx
+    [0x295edab5b2fc6047, 0xdc36adb1cba32c20, 0xffb0d38dcdd039d7, 0x2bcf30e643eea541, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0x25377a60fd3c19e4, 0xcbf29ce484222325, 0xfd54f40db6e2dac0, 0x38537d184a305a22], // BT.test-ctx
+    [0x9d04ba24a1497424, 0xa4cf504acbcded62, 0x5bbe54872218b5c4, 0x89025ee546f53363, 0x901a0ecf2bc2be69, 0xa84a131385b04f01, 0x28b26f4255b98a4d, 0xa84a131385b04f01, 0x97df3a751bedeec1, 0x5f923914f0ac261f], // CG.test-ctx
+    [0x2e0f98ab4403a66e, 0xfcfe3bb5d59d73a8, 0x70846422b795fae6, 0xcf57ee8ba2b93287, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0x967931ea25c81a50, 0xcff8f8a8c77d1549], // EP.test-ctx
+    [0x295edab5b2fc6047, 0xf26e1d0edc6a52df, 0x898d132c208a4e3d, 0xb3603955eba3e07e, 0x25377a60fd3c19e4, 0xfc1ef4bdc7978de6, 0x4f9cb8df159ed945, 0xfc1ef4bdc7978de6, 0x045d54c28c39cace, 0x16d043a47e8b6909], // FT.test-ctx
+    [0xad90ce0f15d76a86, 0xe95a3fb666d713fe, 0xd7af297a471c2e44, 0xa675c21a0bfeee5f, 0xbdebe613ce5849af, 0xfc75bf473d8460d6, 0xa7af31e3c53c316b, 0xfc75bf473d8460d6, 0x94801a9648de970b, 0x76d1b38079ac8c3b], // IS.test-ctx
+    [0x2f294bc515598565, 0xae68703ee9ec024c, 0x84c56a4c9fb0fc09, 0x3bc5c4020e0f5e4d, 0x7ff65801b879b56d, 0xc92bf62e665bb684, 0x82cb30cb3e369acc, 0xc92bf62e665bb684, 0x2d82f8ffc69e735b, 0xab37f95eda20f54b], // LU.test-ctx
+    [0x26004574b81ed110, 0x30c18ef7b5a98063, 0x36db7f6af37ed7b4, 0x02004995dbfee834, 0x25377a60fd3c19e4, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x60a5409512d55d44, 0x7a2970771924b11e, 0xe42985266a57eeef], // MG.test-ctx
+    [0xb12a8bc45c2d9565, 0x67ccd71ddfa2e92b, 0xe86a2a41332c6880, 0xf7a1447abf72e3ca, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xcbf29ce484222325, 0x37d2cf5b142c3048, 0x7764fadcefd54969], // SP.test-ctx
+    [0x3592338b565243ce, 0x1cc719bfb2fd59eb, 0xe4903cc0df3ac00e, 0xbfdb11d4a03c31d2, 0xfc1ef4bdc7978de6, 0xa71ae6c26beeae86, 0x4f9cb8df159ed945, 0xf21de33f05988de7, 0x52c5fa86151e7c10, 0xa32983e7e59230c1], // GMAX.test-ctx
     [0x5b2a969b42d238a4, 0xeb6b9df520a8ef3c, 0xeb6b9df520a8ef3c, 0xd8126121827140dd, 0xcbf29ce484222325, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0xa71ae6c26beeae86, 0x90699c2e90f26fef, 0x1d0596033ea10e21], // PIPE.test-ctx
 ];
 #[rustfmt::skip]
 const CTX_LOWERING: [LoweringRow; 10] = [
     [0x9af63d746c26cc04, 0x5923a52378e022d1, 0x8c42c0d22f445cb1, 0x5923a52378e022d1], // BT.test-ctx
-    [0x462df141392880eb, 0x40947821bfbf1251, 0x4d023c5cf3c49c51, 0x40947821bfbf1251], // CG.test-ctx
-    [0xae00265e443fc4d9, 0x40246478efff66aa, 0xae00265e443fc4d9, 0x40246478efff66aa], // EP.test-ctx
+    [0x462df141392880eb, 0x40947821bfbf1251, 0x9dd2d47ed25c2215, 0x40947821bfbf1251], // CG.test-ctx
+    [0xae00265e443fc4d9, 0x40246478efff66aa, 0xcd537a1640387b9a, 0x40246478efff66aa], // EP.test-ctx
     [0x9af63d746c26cc04, 0xc26cf9a00003eb8f, 0xdf6ed6d8dd7c1e9e, 0xc26cf9a00003eb8f], // FT.test-ctx
-    [0xca11486e7f69cb93, 0x18aa55e90b8fcde2, 0xe4ec6054d1d3c912, 0x18aa55e90b8fcde2], // IS.test-ctx
+    [0xca11486e7f69cb93, 0x18aa55e90b8fcde2, 0xe30d0eddc8572bd2, 0x18aa55e90b8fcde2], // IS.test-ctx
     [0xb98aba03d65e4551, 0x8fafcdb7438c8bd8, 0xf7058907a847018c, 0x8fafcdb7438c8bd8], // LU.test-ctx
     [0xf80f0cac991334b0, 0x9bc5d3cddfd64434, 0x58f7fad8cd4657ad, 0x9bc5d3cddfd64434], // MG.test-ctx
     [0x93f5f7644d0f847b, 0xe083fa4fcaefe1df, 0x48bc4e83a5ab2b4e, 0xe083fa4fcaefe1df], // SP.test-ctx

@@ -375,7 +375,7 @@ fn emulated_critical_paths_are_pinned() {
         ("IS", 0xe8f9_3844_8e68_5fcd),
         // Re-pinned when a HELIX segment began waiting once per iteration.
         ("LU", 0xd577_fde5_e4bf_707d),
-        ("MG", 0x3a58_bcb4_90fd_ca06),
+        ("MG", 0x6938_2396_8d3a_8c5f),
         ("SP", 0x21e2_8898_dcbd_0831),
         ("GMAX", 0xea5f_3df7_901b_af0c),
         ("PIPE", 0x6571_2d40_5d16_ab2a),
@@ -389,7 +389,7 @@ fn emulated_critical_paths_are_pinned() {
         ("IS", 0xaf3b_8b1f_08f4_bf9f),
         // Re-pinned when a HELIX segment began waiting once per iteration.
         ("LU", 0x3e13_e030_ef76_8430),
-        ("MG", 0x80ad_6f88_6a65_3981),
+        ("MG", 0xe66f_2e56_1058_64fa),
         ("SP", 0xc0ab_533d_6149_66c1),
         ("GMAX", 0xcd23_ce2d_bf38_d31b),
         ("PIPE", 0xbf63_d470_652f_2175),
