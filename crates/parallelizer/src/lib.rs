@@ -42,6 +42,6 @@ pub use plan::{
 };
 pub use schedule::{
     realize_built, realize_executable, ChunkedLoop, CriticalReplay, ExecutablePlan, LoopExec,
-    LoopSchedule, RealizationStats,
+    LoopSchedule, RealizationStats, SequentialWhy,
 };
 pub use views::Abstraction;

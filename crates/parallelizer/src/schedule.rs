@@ -25,6 +25,7 @@
 //! computes them for the plan's functions.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use pspdg_core::FunctionPsPdg;
 use pspdg_ir::{BlockId, CmpOp, FuncId, Inst, InstId, Intrinsic, LoopId, Value};
@@ -110,6 +111,100 @@ pub struct CriticalReplay {
     pub replay: Vec<(BlockId, Vec<InstId>)>,
 }
 
+/// Why a planned loop lowers [`LoopExec::Sequential`]. `Display` renders
+/// the reason's text; `plan_identity` hashes the variant, so rewording a
+/// text moves no pin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SequentialWhy {
+    /// HELIX plans are enumerated and emulated, not executed.
+    Helix,
+    /// Loop-defined register used after the loop.
+    RegisterLiveOut,
+    /// DOALL loop is not canonical.
+    NotCanonical,
+    /// Critical region protects the induction variable.
+    ProtectedIv,
+    /// Declared reduction the plan does not merge.
+    UnmergedReduction,
+    /// Reduction base inside a critical region.
+    ReductionInCritical,
+    /// Custom reduction merge function.
+    CustomReduction,
+    /// Critical region extends beyond the loop.
+    CriticalBeyondLoop,
+    /// Surviving mutex outside any critical/atomic region.
+    MutexOutsideRegion,
+    /// Critical store to an unresolvable base.
+    UnresolvableCriticalStore,
+    /// Protected base accessed outside the critical region.
+    ProtectedBaseEscapes,
+    /// Critical protected value escapes its region.
+    ProtectedValueEscapes,
+    /// Critical region has multiple entries.
+    CriticalEntries,
+    /// Cyclic control inside a critical region.
+    CriticalCycle,
+    /// Critical region has multiple exits.
+    CriticalExits,
+    /// Critical region is never entered.
+    CriticalNeverEntered,
+    /// Critical region has no exit.
+    CriticalNoExit,
+    /// Return inside a critical region.
+    CriticalReturn,
+    /// Call inside a critical region.
+    CriticalCall,
+    /// Allocation inside a critical region.
+    CriticalAlloca,
+    /// Print inside a critical region.
+    CriticalPrint,
+    /// Critical load address depends on a protected value.
+    ProtectedLoadAddress,
+    /// Critical equality test on a protected value (test-and-set).
+    TestAndSet,
+    /// Critical value used before its definition.
+    CriticalUseBeforeDef,
+}
+
+impl fmt::Display for SequentialWhy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SequentialWhy::Helix => "HELIX plans are enumerated and emulated, not executed",
+            SequentialWhy::RegisterLiveOut => "loop-defined register used after the loop",
+            SequentialWhy::NotCanonical => "DOALL loop is not canonical",
+            SequentialWhy::ProtectedIv => "critical region protects the induction variable",
+            SequentialWhy::UnmergedReduction => "declared reduction the plan does not merge",
+            SequentialWhy::ReductionInCritical => "reduction base inside a critical region",
+            SequentialWhy::CustomReduction => "custom reduction merge function",
+            SequentialWhy::CriticalBeyondLoop => "critical region extends beyond the loop",
+            SequentialWhy::MutexOutsideRegion => {
+                "surviving mutex outside any critical/atomic region"
+            }
+            SequentialWhy::UnresolvableCriticalStore => "critical store to an unresolvable base",
+            SequentialWhy::ProtectedBaseEscapes => {
+                "protected base accessed outside the critical region"
+            }
+            SequentialWhy::ProtectedValueEscapes => "critical protected value escapes its region",
+            SequentialWhy::CriticalEntries => "critical region has multiple entries",
+            SequentialWhy::CriticalCycle => "cyclic control inside a critical region",
+            SequentialWhy::CriticalExits => "critical region has multiple exits",
+            SequentialWhy::CriticalNeverEntered => "critical region is never entered",
+            SequentialWhy::CriticalNoExit => "critical region has no exit",
+            SequentialWhy::CriticalReturn => "return inside a critical region",
+            SequentialWhy::CriticalCall => "call inside a critical region",
+            SequentialWhy::CriticalAlloca => "allocation inside a critical region",
+            SequentialWhy::CriticalPrint => "print inside a critical region",
+            SequentialWhy::ProtectedLoadAddress => {
+                "critical load address depends on a protected value"
+            }
+            SequentialWhy::TestAndSet => {
+                "critical equality test on a protected value (test-and-set)"
+            }
+            SequentialWhy::CriticalUseBeforeDef => "critical value used before its definition",
+        })
+    }
+}
+
 /// How the runtime executes one planned loop.
 #[derive(Debug, Clone)]
 pub enum LoopExec {
@@ -118,7 +213,7 @@ pub enum LoopExec {
     /// Sequential fallback, with the reason the loop could not be lowered.
     Sequential {
         /// Why the loop executes sequentially.
-        reason: String,
+        reason: SequentialWhy,
     },
 }
 
@@ -286,11 +381,6 @@ fn lower_plan<'a>(
     ExecutablePlan::new(schedules)
 }
 
-/// Why every HELIX-planned loop lowers [`LoopExec::Sequential`].
-/// `plan_identity`'s lowering digest hashes this text, so rewording it
-/// moves every pinned row with a HELIX loop.
-const PLANNED_NOT_EXECUTED: &str = "HELIX plans are enumerated and emulated, not executed";
-
 /// Per-function realization context.
 struct FuncRealizer<'a> {
     program: &'a ParallelProgram,
@@ -367,26 +457,22 @@ impl<'a> FuncRealizer<'a> {
             body_insts,
             exec,
         };
-        let seq = |reason: &str| {
-            mk(LoopExec::Sequential {
-                reason: reason.to_string(),
-            })
-        };
+        let seq = |reason| mk(LoopExec::Sequential { reason });
 
         match spec.technique {
             PlannedTechnique::Doall => {}
             // Chunked fork/commit is the runtime's one parallel strategy.
-            PlannedTechnique::Helix { .. } => return seq(PLANNED_NOT_EXECUTED),
+            PlannedTechnique::Helix { .. } => return seq(SequentialWhy::Helix),
         }
         // Register live-outs: the master resumes at the exit block without
         // the workers' register files, so loop-defined registers must die
         // inside the loop. (Front-end output always passes loop results
         // through memory; this guards hand-built IR.)
         if self.reg_live_out[l.index()] {
-            return seq("loop-defined register used after the loop");
+            return seq(SequentialWhy::RegisterLiveOut);
         }
         let Some(canon) = self.analyses.canonical_of(l) else {
-            return seq("DOALL loop is not canonical");
+            return seq(SequentialWhy::NotCanonical);
         };
         let loop_insts: BTreeSet<InstId> = self.analyses.loop_insts(l).into_iter().collect();
         // Surviving mutual exclusion inside the body: executable when every
@@ -404,7 +490,7 @@ impl<'a> FuncRealizer<'a> {
         };
         let iv_base = MemBase::Alloca(canon.iv_alloca);
         if protected.contains(&iv_base) {
-            return seq("critical region protects the induction variable");
+            return seq(SequentialWhy::ProtectedIv);
         }
         // A reduction a directive around the loop declares, which the plan
         // leaves to last-writer commit (its graph has no PSV to merge it
@@ -422,14 +508,14 @@ impl<'a> FuncRealizer<'a> {
         for (base, how) in &spec.discharged {
             match *how {
                 Discharge::Private if declared.contains(base) => {
-                    return seq("declared reduction the plan does not merge")
+                    return seq(SequentialWhy::UnmergedReduction)
                 }
                 Discharge::Private => {}
                 Discharge::Reduction(_) if protected.contains(base) => {
-                    return seq("reduction base inside a critical region")
+                    return seq(SequentialWhy::ReductionInCritical)
                 }
                 Discharge::Reduction(ReductionOp::Custom { .. }) => {
-                    return seq("custom reduction merge function")
+                    return seq(SequentialWhy::CustomReduction)
                 }
                 Discharge::Accumulator(_) if protected.contains(base) => {}
                 Discharge::Reduction(op) | Discharge::Accumulator(op) => {
@@ -490,7 +576,7 @@ impl<'a> FuncRealizer<'a> {
         &self,
         loop_insts: &BTreeSet<InstId>,
         info: &pspdg_ir::loops::LoopInfo,
-    ) -> Result<(Vec<CriticalReplay>, BTreeSet<MemBase>), &'static str> {
+    ) -> Result<(Vec<CriticalReplay>, BTreeSet<MemBase>), SequentialWhy> {
         let f = self.program.module.function(self.func);
         let loop_mutex: BTreeSet<InstId> = loop_insts
             .iter()
@@ -524,7 +610,7 @@ impl<'a> FuncRealizer<'a> {
                 continue;
             }
             if blocks.iter().any(|bb| !info.contains(*bb)) {
-                return Err("critical region extends beyond the loop");
+                return Err(SequentialWhy::CriticalBeyondLoop);
             }
             raw.push(blocks);
         }
@@ -548,7 +634,7 @@ impl<'a> FuncRealizer<'a> {
             .flat_map(|bb| f.block(*bb).insts.iter().copied())
             .collect();
         if !loop_mutex.is_subset(&region_insts) {
-            return Err("surviving mutex outside any critical/atomic region");
+            return Err(SequentialWhy::MutexOutsideRegion);
         }
         // Protected bases: everything stored to inside any region (across
         // groups, so sibling regions updating the same scalar chain share
@@ -558,7 +644,7 @@ impl<'a> FuncRealizer<'a> {
             if let Inst::Store { ptr, .. } = &f.inst(i).inst {
                 let base = pspdg_pdg::trace_base(f, *ptr);
                 if matches!(base, MemBase::Unknown) {
-                    return Err("critical store to an unresolvable base");
+                    return Err(SequentialWhy::UnresolvableCriticalStore);
                 }
                 protected.insert(base);
             }
@@ -573,7 +659,7 @@ impl<'a> FuncRealizer<'a> {
                 _ => continue,
             };
             if protected.contains(&base) && !region_insts.contains(&i) {
-                return Err("protected base accessed outside the critical region");
+                return Err(SequentialWhy::ProtectedBaseEscapes);
             }
         }
         // Lower each group for commit-time replay.
@@ -592,7 +678,7 @@ impl<'a> FuncRealizer<'a> {
                 let Value::Inst(d) = v else { continue };
                 for (group_insts, slice) in &slices {
                     if slice.contains(&d) && !group_insts.contains(&i) {
-                        return Err("critical protected value escapes its region");
+                        return Err(SequentialWhy::ProtectedValueEscapes);
                     }
                 }
             }
@@ -609,7 +695,7 @@ impl<'a> FuncRealizer<'a> {
         &self,
         blocks: &BTreeSet<BlockId>,
         protected: &BTreeSet<MemBase>,
-    ) -> Result<(CriticalReplay, BTreeSet<InstId>, BTreeSet<InstId>), &'static str> {
+    ) -> Result<(CriticalReplay, BTreeSet<InstId>, BTreeSet<InstId>), SequentialWhy> {
         let f = self.program.module.function(self.func);
         // Control shape: single entry, single outside successor, and all
         // in-region edges strictly forward (block-index order is then a
@@ -629,25 +715,25 @@ impl<'a> FuncRealizer<'a> {
                 match (inside, blocks.contains(&succ)) {
                     (false, true) => {
                         if entry.replace(succ).is_some_and(|e| e != succ) {
-                            return Err("critical region has multiple entries");
+                            return Err(SequentialWhy::CriticalEntries);
                         }
                     }
                     (true, true) => {
                         if succ.index() <= bb.index() {
-                            return Err("cyclic control inside a critical region");
+                            return Err(SequentialWhy::CriticalCycle);
                         }
                     }
                     (true, false) => {
                         if exit.replace(succ).is_some_and(|e| e != succ) {
-                            return Err("critical region has multiple exits");
+                            return Err(SequentialWhy::CriticalExits);
                         }
                     }
                     (false, false) => {}
                 }
             }
         }
-        let entry = entry.ok_or("critical region is never entered")?;
-        let exit = exit.ok_or("critical region has no exit")?;
+        let entry = entry.ok_or(SequentialWhy::CriticalNeverEntered)?;
+        let exit = exit.ok_or(SequentialWhy::CriticalNoExit)?;
         // Classify each region instruction (in region order): the replay
         // slice is every protected load, everything data-dependent on one,
         // and every store; each block's replay list ends in its terminator,
@@ -668,13 +754,13 @@ impl<'a> FuncRealizer<'a> {
                     .operands()
                     .any(|v| v.as_inst().is_some_and(|d| slice.contains(&d)));
                 let replayed = match inst {
-                    Inst::Ret { .. } => return Err("return inside a critical region"),
-                    Inst::Call { .. } => return Err("call inside a critical region"),
-                    Inst::Alloca { .. } => return Err("allocation inside a critical region"),
+                    Inst::Ret { .. } => return Err(SequentialWhy::CriticalReturn),
+                    Inst::Call { .. } => return Err(SequentialWhy::CriticalCall),
+                    Inst::Alloca { .. } => return Err(SequentialWhy::CriticalAlloca),
                     Inst::IntrinsicCall {
                         intrinsic: Intrinsic::PrintI64 | Intrinsic::PrintF64,
                         ..
-                    } => return Err("print inside a critical region"),
+                    } => return Err(SequentialWhy::CriticalPrint),
                     Inst::Br { .. } | Inst::CondBr { .. } | Inst::Store { .. } => true,
                     Inst::Load { ptr, .. }
                         if protected.contains(&pspdg_pdg::trace_base(f, *ptr)) =>
@@ -684,7 +770,7 @@ impl<'a> FuncRealizer<'a> {
                     // Replaying it would read unprotected memory in its
                     // committed (not iteration-time) state.
                     Inst::Load { .. } if replay_dep => {
-                        return Err("critical load address depends on a protected value")
+                        return Err(SequentialWhy::ProtectedLoadAddress)
                     }
                     // Test-and-set / once-only protocols signal through the
                     // equality; keep them serialized rather than replay an
@@ -692,9 +778,7 @@ impl<'a> FuncRealizer<'a> {
                     Inst::Cmp {
                         op: CmpOp::Eq | CmpOp::Ne,
                         ..
-                    } if replay_dep => {
-                        return Err("critical equality test on a protected value (test-and-set)")
-                    }
+                    } if replay_dep => return Err(SequentialWhy::TestAndSet),
                     _ => replay_dep,
                 };
                 if !replayed {
@@ -708,7 +792,7 @@ impl<'a> FuncRealizer<'a> {
                         continue;
                     }
                     if group_insts.contains(&d) && !worker_insts.contains(&d) {
-                        return Err("critical value used before its definition");
+                        return Err(SequentialWhy::CriticalUseBeforeDef);
                     }
                     operands.push(d);
                 }
@@ -819,8 +903,8 @@ mod tests {
             int main() { k(); return 0; }
         "#;
         for (src, want) in [
-            (custom, "custom reduction merge function"),
-            (critical, "reduction base inside a critical region"),
+            (custom, SequentialWhy::CustomReduction),
+            (critical, SequentialWhy::ReductionInCritical),
         ] {
             let (p, plan) = plan_of(src, Abstraction::OpenMp);
             let exec = realize_executable(&p, &plan);
@@ -829,9 +913,9 @@ mod tests {
     }
 
     /// The schedule's reason if it lowered sequential, or a panic.
-    fn sequential_reason(s: &LoopSchedule) -> &str {
+    fn sequential_reason(s: &LoopSchedule) -> SequentialWhy {
         match &s.exec {
-            LoopExec::Sequential { reason } => reason,
+            LoopExec::Sequential { reason } => *reason,
             other => panic!("expected a sequential lowering, got {other:?}"),
         }
     }
@@ -884,7 +968,7 @@ mod tests {
         let s = &exec.schedules()[0];
         let technique = &plan.loops[&(s.func, s.loop_id)].technique;
         assert!(matches!(technique, PlannedTechnique::Helix { .. }));
-        assert_eq!(sequential_reason(s), PLANNED_NOT_EXECUTED);
+        assert_eq!(sequential_reason(s), SequentialWhy::Helix);
         assert_eq!(exec.stats().sequential, 1);
     }
 
@@ -1167,15 +1251,7 @@ mod tests {
         if plan.mutexes.is_empty() {
             return;
         }
-        match &s.exec {
-            LoopExec::Sequential { reason } => {
-                assert!(
-                    reason.contains("test-and-set"),
-                    "equality guards keep their own cause, got: {reason}"
-                );
-            }
-            other => panic!("test-and-set critical must serialize: {other:?}"),
-        }
+        assert_eq!(sequential_reason(s), SequentialWhy::TestAndSet);
     }
 
     #[test]
@@ -1243,15 +1319,8 @@ mod tests {
         }
         let exec = realize_executable(&p, &plan);
         let s = &exec.schedules()[0];
-        match &s.exec {
-            LoopExec::Sequential { reason } => {
-                assert!(
-                    reason.contains("test-and-set"),
-                    "nested diagnosis must attribute the inner store, got: {reason}"
-                );
-            }
-            other => panic!("nested test-and-set must serialize: {other:?}"),
-        }
+        // The nested diagnosis attributes the inner store.
+        assert_eq!(sequential_reason(s), SequentialWhy::TestAndSet);
     }
 
     #[test]
@@ -1278,15 +1347,7 @@ mod tests {
         let exec = realize_executable(&p, &plan);
         let s = &exec.schedules()[0];
         if !plan.mutexes.is_empty() {
-            match &s.exec {
-                LoopExec::Sequential { reason } => {
-                    assert!(
-                        reason.contains("outside the critical region"),
-                        "escaping read keeps its cause: {reason}"
-                    );
-                }
-                other => panic!("escaping protected read must serialize: {other:?}"),
-            }
+            assert_eq!(sequential_reason(s), SequentialWhy::ProtectedBaseEscapes);
         }
     }
 
@@ -1350,7 +1411,7 @@ mod tests {
         let exec = realize_executable(&p, &plan);
         assert!(!plan.is_empty());
         for s in exec.schedules() {
-            assert_eq!(sequential_reason(s), PLANNED_NOT_EXECUTED);
+            assert_eq!(sequential_reason(s), SequentialWhy::Helix);
         }
     }
 
@@ -1405,8 +1466,12 @@ mod tests {
                 .schedules()
                 .iter()
                 .map(|s| {
-                    matches!(&s.exec, LoopExec::Sequential { reason }
-                        if reason == "loop-defined register used after the loop")
+                    matches!(
+                        s.exec,
+                        LoopExec::Sequential {
+                            reason: SequentialWhy::RegisterLiveOut
+                        }
+                    )
                 })
                 .collect();
             // Schedules come in header order: outer, then inner.
