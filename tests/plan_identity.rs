@@ -22,15 +22,18 @@
 //! The **lowering** row (`*_LOWERING`) is each `LoopSchedule`'s
 //! `exec.name()` per abstraction, in `schedules()` order, followed by a
 //! `Chunked` loop's `reductions` as `(base, operator)` and its `protected`
-//! bases, or a `Sequential` loop's reason. Every lowering also has its
-//! header table checked against that list and its name checked to be
+//! bases, or a `Sequential` loop's `SequentialWhy` variant (its name, not
+//! its text, so rewording a reason moves no row). Every lowering also has
+//! its header table checked against that list and its name checked to be
 //! `chunked` or `sequential`.
 //!
 //! The `-ctx` rows build the PS-PDG without `Feature::Contexts`, so every
 //! carried edge is blurred to the sentinel loop and the sentinel path of
 //! the per-loop queries is pinned too. Without contexts the graph does not
 //! know the worksharing loops, so their PS-PDG plan nests no developer
-//! loop (re-pinned at the commit that made the plan read the graph).
+//! loop (re-pinned at the commit that made the plan read the graph). A
+//! J&K plan reads the `{C}` graph however the module was built, so every
+//! `-ctx` row's J&K slots equal the plain row's.
 
 use pspdg::core::{build_pspdg_module, query, Feature, FeatureSet, FunctionPsPdg};
 use pspdg::ir::interp::{Interpreter, NullSink};
@@ -149,7 +152,7 @@ fn plan_digest(plan: &ProgramPlan) -> u64 {
 /// `[chunked, lowering]` digests of `plan`'s executable lowering: the
 /// `(function, header)` list of its `Chunked` loops, and every schedule's
 /// strategy name with, for a `Chunked` loop, its merged `(base, operator)`
-/// pairs and protected bases, or the sequential reason.
+/// pairs and protected bases, or the sequential reason's variant.
 fn lowering_digests(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) -> [u64; 2] {
     let exec = realize_executable(p, plan);
     check_header_table(&p.module, &exec);
@@ -173,7 +176,7 @@ fn lowering_digests(p: &pspdg::parallel::ParallelProgram, plan: &ProgramPlan) ->
                 }
                 lowering.bases(c.protected.iter());
             }
-            LoopExec::Sequential { reason } => lowering.text(reason),
+            LoopExec::Sequential { reason } => lowering.text(&format!("{reason:?}")),
         }
     }
     [chunked.0, lowering.0]
@@ -353,16 +356,16 @@ const TEST_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const TEST_LOWERING: [LoweringRow; 10] = [
-    [0x9af63d746c26cc04, 0x5923a52378e022d1, 0x8c42c0d22f445cb1, 0x8c42c0d22f445cb1], // BT.test
-    [0x9acd746e5cc563af, 0x40947821bfbf1251, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.test
-    [0xcd537a1640387b9a, 0x40246478efff66aa, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.test
-    [0x9af63d746c26cc04, 0xc26cf9a00003eb8f, 0xdf6ed6d8dd7c1e9e, 0xdf6ed6d8dd7c1e9e], // FT.test
-    [0x841823894b3110d3, 0x18aa55e90b8fcde2, 0xe30d0eddc8572bd2, 0xfa46394db1b318b3], // IS.test
-    [0xb98aba03d65e4551, 0x8fafcdb7438c8bd8, 0xf7058907a847018c, 0xf7058907a847018c], // LU.test
-    [0xf80f0cac991334b0, 0x9bc5d3cddfd64434, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.test
-    [0x93f5f7644d0f847b, 0xe083fa4fcaefe1df, 0x48bc4e83a5ab2b4e, 0x48bc4e83a5ab2b4e], // SP.test
-    [0x3cac8d6df57c2a60, 0xc7493249df580c78, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test
-    [0xcbf29ce484222325, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75], // PIPE.test
+    [0x9af63d746c26cc04, 0x19a2e368f59d1711, 0xe570e2b94c57cdb1, 0xe570e2b94c57cdb1], // BT.test
+    [0x9acd746e5cc563af, 0x201075107dcd2d91, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.test
+    [0xcd537a1640387b9a, 0xf8981b74f33c77d0, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.test
+    [0x9af63d746c26cc04, 0x1c7f187106c0c38f, 0x6d348b8553bd1ae4, 0x6d348b8553bd1ae4], // FT.test
+    [0x841823894b3110d3, 0x664ccb05ce670858, 0x17ebdfcd84f68753, 0xb34839a55c38a033], // IS.test
+    [0xb98aba03d65e4551, 0x12b691b2434b4698, 0x25812aa6573c0c4c, 0x25812aa6573c0c4c], // LU.test
+    [0x90198f7de196ac9f, 0x67430d761b2de70e, 0xa428bb4384ed6322, 0xa428bb4384ed6322], // MG.test
+    [0x93f5f7644d0f847b, 0x213957bfa9d5fd65, 0x298d9f4ad78b164e, 0x298d9f4ad78b164e], // SP.test
+    [0x3cac8d6df57c2a60, 0xfa098cb4dc95a838, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.test
+    [0xcbf29ce484222325, 0x95104b03a38bde0f, 0x95104b03a38bde0f, 0x95104b03a38bde0f], // PIPE.test
 ];
 #[rustfmt::skip]
 const MINI_PLAN: [PlanRow; 10] = [
@@ -379,16 +382,16 @@ const MINI_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const MINI_LOWERING: [LoweringRow; 10] = [
-    [0x9af63d746c26cc04, 0x5923a52378e022d1, 0x8c42c0d22f445cb1, 0x8c42c0d22f445cb1], // BT.mini
-    [0x9acd746e5cc563af, 0x40947821bfbf1251, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.mini
-    [0xcd537a1640387b9a, 0x40246478efff66aa, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.mini
-    [0x9af63d746c26cc04, 0x493511688ae731cc, 0x31e25f211af55662, 0x31e25f211af55662], // FT.mini
-    [0x841823894b3110d3, 0x437cd76ddfa33ea2, 0x8b09d5eaf2ef28d2, 0x0fd4ba9e83ce00f3], // IS.mini
-    [0xb98aba03d65e4551, 0x8fafcdb7438c8bd8, 0xf7058907a847018c, 0xf7058907a847018c], // LU.mini
-    [0xf80f0cac991334b0, 0x9bc5d3cddfd64434, 0x58f7fad8cd4657ad, 0x58f7fad8cd4657ad], // MG.mini
-    [0x93f5f7644d0f847b, 0xe083fa4fcaefe1df, 0x48bc4e83a5ab2b4e, 0x48bc4e83a5ab2b4e], // SP.mini
-    [0x3cac8d6df57c2a60, 0xc7493249df580c78, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.mini
-    [0xcbf29ce484222325, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75], // PIPE.mini
+    [0x9af63d746c26cc04, 0x19a2e368f59d1711, 0xe570e2b94c57cdb1, 0xe570e2b94c57cdb1], // BT.mini
+    [0x9acd746e5cc563af, 0x201075107dcd2d91, 0x9dd2d47ed25c2215, 0x9dd2d47ed25c2215], // CG.mini
+    [0xcd537a1640387b9a, 0xf8981b74f33c77d0, 0xcd537a1640387b9a, 0xcd537a1640387b9a], // EP.mini
+    [0x9af63d746c26cc04, 0x52ce357f774233cc, 0xa83f6da2f2f88698, 0xa83f6da2f2f88698], // FT.mini
+    [0x841823894b3110d3, 0x8af41fd67d6c6c22, 0xf3c5da6de321aea9, 0xa6620697e4796109], // IS.mini
+    [0xb98aba03d65e4551, 0x12b691b2434b4698, 0x25812aa6573c0c4c, 0x25812aa6573c0c4c], // LU.mini
+    [0x90198f7de196ac9f, 0x67430d761b2de70e, 0xa428bb4384ed6322, 0xa428bb4384ed6322], // MG.mini
+    [0x93f5f7644d0f847b, 0x213957bfa9d5fd65, 0x298d9f4ad78b164e, 0x298d9f4ad78b164e], // SP.mini
+    [0x3cac8d6df57c2a60, 0xfa098cb4dc95a838, 0x13cd960da028d23e, 0x13cd960da028d23e], // GMAX.mini
+    [0xcbf29ce484222325, 0x95104b03a38bde0f, 0x95104b03a38bde0f, 0x95104b03a38bde0f], // PIPE.mini
 ];
 #[rustfmt::skip]
 const CTX_PLAN: [PlanRow; 10] = [
@@ -405,16 +408,16 @@ const CTX_PLAN: [PlanRow; 10] = [
 ];
 #[rustfmt::skip]
 const CTX_LOWERING: [LoweringRow; 10] = [
-    [0x9af63d746c26cc04, 0x5923a52378e022d1, 0x8c42c0d22f445cb1, 0x5923a52378e022d1], // BT.test-ctx
-    [0x462df141392880eb, 0x40947821bfbf1251, 0x9dd2d47ed25c2215, 0x40947821bfbf1251], // CG.test-ctx
-    [0xae00265e443fc4d9, 0x40246478efff66aa, 0xcd537a1640387b9a, 0x40246478efff66aa], // EP.test-ctx
-    [0x9af63d746c26cc04, 0xc26cf9a00003eb8f, 0xdf6ed6d8dd7c1e9e, 0xc26cf9a00003eb8f], // FT.test-ctx
-    [0xca11486e7f69cb93, 0x18aa55e90b8fcde2, 0xe30d0eddc8572bd2, 0x18aa55e90b8fcde2], // IS.test-ctx
-    [0xb98aba03d65e4551, 0x8fafcdb7438c8bd8, 0xf7058907a847018c, 0x8fafcdb7438c8bd8], // LU.test-ctx
-    [0xf80f0cac991334b0, 0x9bc5d3cddfd64434, 0x58f7fad8cd4657ad, 0x9bc5d3cddfd64434], // MG.test-ctx
-    [0x93f5f7644d0f847b, 0xe083fa4fcaefe1df, 0x48bc4e83a5ab2b4e, 0xe083fa4fcaefe1df], // SP.test-ctx
-    [0x3cac8d6df57c2a60, 0xc7493249df580c78, 0x13cd960da028d23e, 0xbca02b89bbb651ac], // GMAX.test-ctx
-    [0xcbf29ce484222325, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75, 0x1d46078cb2e50e75], // PIPE.test-ctx
+    [0x9af63d746c26cc04, 0x19a2e368f59d1711, 0xe570e2b94c57cdb1, 0x19a2e368f59d1711], // BT.test-ctx
+    [0x462df141392880eb, 0x201075107dcd2d91, 0x9dd2d47ed25c2215, 0x201075107dcd2d91], // CG.test-ctx
+    [0xae00265e443fc4d9, 0xf8981b74f33c77d0, 0xcd537a1640387b9a, 0xf8981b74f33c77d0], // EP.test-ctx
+    [0x9af63d746c26cc04, 0x1c7f187106c0c38f, 0x6d348b8553bd1ae4, 0x1c7f187106c0c38f], // FT.test-ctx
+    [0xca11486e7f69cb93, 0x664ccb05ce670858, 0x17ebdfcd84f68753, 0x664ccb05ce670858], // IS.test-ctx
+    [0xb98aba03d65e4551, 0x12b691b2434b4698, 0x25812aa6573c0c4c, 0x12b691b2434b4698], // LU.test-ctx
+    [0x90198f7de196ac9f, 0x67430d761b2de70e, 0xa428bb4384ed6322, 0x67430d761b2de70e], // MG.test-ctx
+    [0x93f5f7644d0f847b, 0x213957bfa9d5fd65, 0x298d9f4ad78b164e, 0x213957bfa9d5fd65], // SP.test-ctx
+    [0x3cac8d6df57c2a60, 0xfa098cb4dc95a838, 0x13cd960da028d23e, 0xa12dd9e3f9ca3856], // GMAX.test-ctx
+    [0xcbf29ce484222325, 0x95104b03a38bde0f, 0x95104b03a38bde0f, 0x95104b03a38bde0f], // PIPE.test-ctx
 ];
 #[rustfmt::skip]
 const SYNTH_PLAN: [PlanRow; 3] = [
@@ -424,7 +427,7 @@ const SYNTH_PLAN: [PlanRow; 3] = [
 ];
 #[rustfmt::skip]
 const SYNTH_LOWERING: [LoweringRow; 3] = [
-    [0xcbf29ce484222325, 0x40246478efff66aa, 0x40246478efff66aa, 0x40246478efff66aa], // module100
-    [0xcbf29ce484222325, 0xe10d15474e4255a5, 0xe10d15474e4255a5, 0xe10d15474e4255a5], // wide16
-    [0xcbf29ce484222325, 0x9a0c096e9b7400d6, 0x9a0c096e9b7400d6, 0x9a0c096e9b7400d6], // wide64
+    [0xcbf29ce484222325, 0xf8981b74f33c77d0, 0xf8981b74f33c77d0, 0xf8981b74f33c77d0], // module100
+    [0xcbf29ce484222325, 0x47c5867f53c52b25, 0x47c5867f53c52b25, 0x47c5867f53c52b25], // wide16
+    [0xcbf29ce484222325, 0x817a181663c1dfd2, 0x817a181663c1dfd2, 0x817a181663c1dfd2], // wide64
 ];
