@@ -44,6 +44,7 @@ use pspdg::parallelizer::{
     ExecutablePlan, LoopExec, MachineModel, PlannedTechnique, ProgramPlan,
 };
 use pspdg::pdg::MemBase;
+use pspdg::service::DEFAULT_THRESHOLD;
 use pspdg::Session;
 
 /// FNV-1a over a stream of `u64` words.
@@ -310,12 +311,8 @@ fn synth_module_plans_are_pinned() {
     check(&rows, &SYNTH_PLAN, &SYNTH_LOWERING);
 }
 
-/// A `Session` lowers each plan it caches; `realize_executable` lowers
-/// the same plan from analyses it computes itself. Both must give the
-/// same `ExecutablePlan`: every field of it is a `Vec` of types that
-/// derive `Debug`, so equal `Debug` text is structural equality.
-#[test]
-fn session_lowering_equals_fresh_lowering() {
+/// Every `fault_suite` program and the six `module_cold` SYNTH shapes.
+fn session_programs() -> Vec<(String, Benchmark)> {
     let mut programs: Vec<(String, Benchmark)> = [Class::Mini, Class::Test]
         .into_iter()
         .flat_map(|class| suite_rows(class, &format!(".{class:?}"), FeatureSet::all()))
@@ -327,7 +324,16 @@ fn session_lowering_equals_fresh_lowering() {
     for bases in [16, 32, 64] {
         programs.push((format!("wide{bases}"), synth::wide(bases)));
     }
-    for (name, b) in programs {
+    programs
+}
+
+/// A `Session` lowers each plan it caches; `realize_executable` lowers
+/// the same plan from analyses it computes itself. Both must give the
+/// same `ExecutablePlan`: every field of it is a `Vec` of types that
+/// derive `Debug`, so equal `Debug` text is structural equality.
+#[test]
+fn session_lowering_equals_fresh_lowering() {
+    for (name, b) in session_programs() {
         let session = Session::from_program(b.program()).expect("session");
         for a in Abstraction::ALL {
             let bundle = session.plan(a);
@@ -335,6 +341,63 @@ fn session_lowering_equals_fresh_lowering() {
             let fresh = format!("{:?}", realize_executable(session.program(), &bundle.plan));
             assert!(
                 cached == fresh,
+                "{name} {a:?}: the session's lowering differs"
+            );
+        }
+    }
+}
+
+/// Two functions `main` never calls: one holds an `omp parallel for` with
+/// a `critical` inside, the other a directive-free loop.
+const UNCALLED_SRC: &str = "\
+int a[64]; int b[16]; int s;
+void hot() { int i; for (i = 1; i < 64; i++) { a[i] = a[i - 1] + i; } }
+void declared() {
+    int i;
+    #pragma omp parallel for
+    for (i = 0; i < 64; i++) {
+        #pragma omp critical
+        { s += a[i]; }
+    }
+}
+void plain() { int j; for (j = 0; j < 16; j++) { b[j] = j * 3; } }
+int main() { hot(); return a[63] % 251; }
+";
+
+/// A `Session` plans each abstraction exactly as a build of every
+/// function would: the same plan, lowered to the same `ExecutablePlan`.
+#[test]
+fn session_plans_equal_full_build_plans() {
+    let mut programs = session_programs();
+    programs.push((
+        "uncalled".to_string(),
+        Benchmark {
+            name: "UNCALLED",
+            description: "uncalled functions with and without directives",
+            source: UNCALLED_SRC.to_string(),
+        },
+    ));
+    for (name, b) in programs {
+        let p = b.program();
+        let session = Session::from_program(p.clone()).expect("session");
+        let built = build_pspdg_module(&p, FeatureSet::all());
+        for a in Abstraction::ALL {
+            let bundle = session.plan(a);
+            let full = plan_built(&p, &built, session.profile(), a, DEFAULT_THRESHOLD);
+            if name == "uncalled" && a == Abstraction::OpenMp {
+                // The pin must see the uncalled directives' loop and lock.
+                let declared = p.module.function_by_name("declared");
+                assert!(full.loops.values().any(|s| Some(s.func) == declared));
+                assert!(full.mutexes.iter().any(|m| Some(m.func) == declared));
+            }
+            assert_eq!(
+                plan_digest(&bundle.plan),
+                plan_digest(&full),
+                "{name} {a:?}: the session's plan differs"
+            );
+            let fresh = format!("{:?}", realize_executable(&p, &full));
+            assert!(
+                format!("{:?}", bundle.exec) == fresh,
                 "{name} {a:?}: the session's lowering differs"
             );
         }
