@@ -62,15 +62,47 @@ pub struct FunctionPsPdg {
     pub pspdg: PsPdg,
 }
 
+/// What [`build_pspdg_module`] builds: a bare [`FeatureSet`] builds every
+/// function under it, `(features, keep)` only the functions `keep`
+/// accepts (a session keeps those a plan can read).
+pub trait ModuleScope {
+    /// The features every built PS-PDG has.
+    fn features(&self) -> FeatureSet;
+    /// Whether to build `func` (by default, every function).
+    fn keeps(&self, _func: FuncId) -> bool {
+        true
+    }
+}
+
+impl ModuleScope for FeatureSet {
+    fn features(&self) -> FeatureSet {
+        *self
+    }
+}
+
+impl<K: Fn(FuncId) -> bool> ModuleScope for (FeatureSet, K) {
+    fn features(&self) -> FeatureSet {
+        self.0
+    }
+
+    fn keeps(&self, func: FuncId) -> bool {
+        (self.1)(func)
+    }
+}
+
 /// Build analyses, PDG, and PS-PDG for every function of `program` that
-/// has a body, distributing functions across threads.
-/// Declared-but-bodyless functions are skipped (the structural analyses
-/// require an entry block).
-pub fn build_pspdg_module(program: &ParallelProgram, features: FeatureSet) -> Vec<FunctionPsPdg> {
+/// has a body and `scope` keeps, in module order, distributing functions
+/// across threads. Declared-but-bodyless functions are skipped (the
+/// structural analyses require an entry block).
+pub fn build_pspdg_module(
+    program: &ParallelProgram,
+    scope: impl ModuleScope,
+) -> Vec<FunctionPsPdg> {
+    let features = scope.features();
     let funcs: Vec<FuncId> = program
         .module
         .function_ids()
-        .filter(|f| !program.module.function(*f).blocks.is_empty())
+        .filter(|f| !program.module.function(*f).blocks.is_empty() && scope.keeps(*f))
         .collect();
     pspdg_pool::par_map(funcs, |func| {
         let analyses = FunctionAnalyses::compute(&program.module, func);

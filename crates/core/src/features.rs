@@ -99,9 +99,6 @@ impl fmt::Display for FeatureSet {
         if *self == FeatureSet::all() {
             return write!(f, "PS-PDG");
         }
-        if *self == FeatureSet::none() {
-            return write!(f, "PDG");
-        }
         write!(f, "PS-PDG w/o ")?;
         let mut first = true;
         for feat in Feature::ALL {
@@ -143,7 +140,10 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(FeatureSet::all().to_string(), "PS-PDG");
-        assert_eq!(FeatureSet::none().to_string(), "PDG");
+        assert_eq!(
+            FeatureSet::none().to_string(),
+            "PS-PDG w/o HN+UE,NT,C,DSDE,PSV"
+        );
         assert_eq!(
             FeatureSet::all().without(Feature::NodeTraits).to_string(),
             "PS-PDG w/o NT"

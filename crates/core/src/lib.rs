@@ -61,7 +61,8 @@ pub mod openmp;
 pub mod query;
 
 pub use build::{
-    build_pspdg, build_pspdg_module, build_pspdg_with_refs, FunctionPsPdg, UNKNOWN_LOOP,
+    build_pspdg, build_pspdg_module, build_pspdg_with_refs, FunctionPsPdg, ModuleScope,
+    UNKNOWN_LOOP,
 };
 pub use features::{Feature, FeatureSet};
 pub use graph::{

@@ -10,7 +10,8 @@
 //!   value, printed output, observable globals) from one profiling run —
 //!   the differential oracle every parallel execution is checked against;
 //! * the per-function analysis artifacts ([`FunctionPsPdg`]: structural
-//!   analyses, base PDG, overlay-assembled PS-PDG) built once;
+//!   analyses, base PDG, overlay-assembled PS-PDG) built once, per
+//!   function that ran or carries a directive — no plan reads any other;
 //! * a per-[`Abstraction`] plan cache: the enumerated [`ProgramPlan`]
 //!   and its lowered, `Arc`-shared [`ExecutablePlan`].
 //!
@@ -26,7 +27,7 @@ use pspdg_core::{build_pspdg_module, FeatureSet, FunctionPsPdg, NodeKind};
 use pspdg_emulator::emulate;
 use pspdg_frontend::{compile, FrontendError};
 use pspdg_ir::interp::{ExecError, Interpreter, NullSink, Profile, RtVal};
-use pspdg_ir::BlockId;
+use pspdg_ir::{BlockId, FuncId};
 use pspdg_obs::Recorder;
 use pspdg_parallel::{ParallelError, ParallelProgram};
 use pspdg_parallelizer::{
@@ -173,7 +174,7 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("key", &format_args!("{:016x}", self.key))
-            .field("functions", &self.built.len())
+            .field("built", &self.built.len())
             .field("steps", &self.baseline.steps)
             .finish()
     }
@@ -181,8 +182,8 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Compile ParC `source`, profile it sequentially, and build the
-    /// per-function analysis artifacts — the whole cacheable prefix of
-    /// the Fig. 2 pipeline, exactly once.
+    /// per-function analysis artifacts of the functions a plan can read —
+    /// the whole cacheable prefix of the Fig. 2 pipeline, exactly once.
     ///
     /// # Errors
     ///
@@ -234,9 +235,15 @@ impl Session {
         };
         let profile = interp.profile().clone();
         drop(interp);
+        // At a threshold above 0 a function that never ran and declares
+        // nothing adds no loop, discharge or lock to any plan: skip it.
+        let plannable = |f: FuncId| {
+            profile.block_count[f.index()].iter().any(|&n| n > 0)
+                || program.directives_in(f).next().is_some()
+        };
         let built = {
             let _s = rec.as_ref().map(|r| r.span("pspdg/pdg_build"));
-            build_pspdg_module(&program, FeatureSet::all())
+            build_pspdg_module(&program, (FeatureSet::all(), plannable))
         };
         Ok(Session {
             program,
@@ -269,7 +276,10 @@ impl Session {
         &self.baseline
     }
 
-    /// The per-function analysis artifacts built at session creation.
+    /// The per-function analysis artifacts built at session creation, in
+    /// module order: one per function that ran in the baseline or carries
+    /// a directive. A function with neither adds nothing to any plan at
+    /// [`DEFAULT_THRESHOLD`], so it is never built.
     pub fn built(&self) -> &[FunctionPsPdg] {
         &self.built
     }
@@ -377,11 +387,11 @@ impl Session {
     /// [`PlanStore`](crate::store::PlanStore)'s LRU currency: each array
     /// it retains, as its length times the `size_of` of what it stores.
     /// Counted: the IR's instruction, block and block-row arenas; per
-    /// function its artifacts' own struct, the analyses' block rows
-    /// (instructions, CFG successors and predecessors), the PDG's edge
-    /// arena and its CSR adjacency by source, and the PS-PDG's node arena,
-    /// loop and region rows, leaf map and overlay rewrites;
-    /// the profile counters, the baseline's globals and each cached plan's
+    /// function that ran or carries a directive, its artifacts' own
+    /// struct, the analyses' block rows (instructions, CFG successors and
+    /// predecessors), the PDG's edge arena and its CSR adjacency by
+    /// source, and the PS-PDG's node arena, loop and region rows, leaf map
+    /// and overlay rewrites; the profile counters, the baseline's globals and each cached plan's
     /// loops and schedules. Left out: maps, strings, the loop forests and
     /// the per-base and per-loop edge sets. `tests/session_footprint.rs`
     /// holds the charge within 1.5× of a counting allocator's live bytes.

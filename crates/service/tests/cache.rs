@@ -334,13 +334,21 @@ fn byte_identical_requests_build_once_then_hit_the_source_memo() {
 /// The session spans take the pipeline's phases on the calling thread: a
 /// cold build of a many-function module is one `pspdg/pdg_build` span,
 /// and each plan miss one `plan/enumerate` and one `plan/schedule` span,
-/// however many pool jobs the phase fans out to.
+/// however many pool jobs the phase fans out to. The build covers only
+/// the functions that ran: `main` calls `f0` alone.
 #[test]
 fn a_recorded_store_spans_each_phase_once() {
     let rec = Arc::new(Recorder::new());
     let store = PlanStore::new().with_recorder(Arc::clone(&rec));
     let session = store.get_source(&synth::module(8, 8).source).unwrap();
-    assert!(session.built().len() > 8, "a many-function module");
+    let module = &session.program().module;
+    assert!(module.functions.len() > 8, "a many-function module");
+    let built: Vec<&str> = session
+        .built()
+        .iter()
+        .map(|b| module.function(b.func).name.as_str())
+        .collect();
+    assert_eq!(built, ["f0", "main"]);
     session.plan(Abstraction::PsPdg);
     session.plan(Abstraction::Jk);
     let counts =

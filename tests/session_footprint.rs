@@ -64,7 +64,7 @@ fn footprint(source: &str) -> (usize, usize) {
 }
 
 /// The ceiling on the module400 session's live bytes.
-const MODULE400_MAX_LIVE: usize = 17 << 20;
+const MODULE400_MAX_LIVE: usize = 6 << 20;
 
 #[test]
 fn approx_bytes_tracks_live_session_bytes() {
