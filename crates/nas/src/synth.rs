@@ -64,8 +64,10 @@ pub fn wide(bases: usize) -> Benchmark {
 ///
 /// Where [`wide`] scales the reference count of *one* function, `module`
 /// scales the *function count* — the axis the module driver
-/// (`pspdg_core::build_pspdg_module`) maps over. `tests/pdg_pin.rs`
-/// checks the bucketed PDG builder against the naive sweep on every
+/// (`pspdg_core::build_pspdg_module`) maps over. `main` calls only `f0`,
+/// so a `Session` (the daemon's) builds just `f0` and `main`: it skips
+/// functions that never ran and carry no directive. `tests/pdg_pin.rs`
+/// still checks the bucketed PDG builder against the naive sweep on every
 /// function of `module(1200, 32)`.
 pub fn module(n_funcs: usize, bases: usize) -> Benchmark {
     let bases = bases.max(1);
